@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-json bench-explore explore-smoke explore-par-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke experiments examples clean outputs
+.PHONY: all build test bench bench-smoke bench-json bench-explore explore-smoke explore-par-smoke explore-pool-smoke explore-dpor-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke model-smoke model-diff-smoke experiments examples clean outputs
 
 all: build
 
@@ -70,19 +70,20 @@ obs-smoke:
 	dune exec bin/dsmcheck.exe -- run --scenario fig5a --trace-out /tmp/dsmcheck_fig5a_trace.json
 	dune exec bin/dsmcheck.exe -- explore getput --runs 25 --jobs 2 --metrics
 
-# Cross-representation conformance: adaptive epoch, always-dense and
-# sparse clocks must be observably identical over hundreds of random
-# schedules, and batched coherence must leave race verdicts untouched.
-# Also runs as part of `dune runtest`.
+# Clock conformance: the one adaptive clock path (epoch -> sorted pairs
+# -> dense) must reproduce the golden fingerprints on directed seeds and
+# agree with the dense reference clock on every race signal of hundreds
+# of random schedules, and batched coherence must leave race verdicts
+# untouched. Also runs as part of `dune runtest`.
 conformance:
 	dune exec test/test_conformance.exe
 
-# Short scaling run past the paper's ~10 processes: 256 processes under
-# the sparse representation and the batched transport. A one-round
-# version also runs inside `dune runtest`.
+# Short scaling run past the paper's ~10 processes: 256 processes with
+# the batched transport, then unbatched. A one-round version also runs
+# inside `dune runtest`.
 scale-smoke:
 	dune exec bin/dsmcheck.exe -- scale -n 256 --rounds 2 --chunk 4
-	dune exec bin/dsmcheck.exe -- scale -n 256 --rounds 2 --chunk 4 --rep dense
+	dune exec bin/dsmcheck.exe -- scale -n 256 --rounds 2 --chunk 4 --batched false
 
 # One-sided RMW workloads (§5.2 extensions): the racy variants must
 # signal a race somewhere in the batch and the race-free variants must
@@ -99,18 +100,18 @@ rmw-smoke:
 	dune exec bin/dsmcheck.exe -- explore workload:rmw-mix --runs 20
 	dune exec bin/dsmcheck.exe -- explore rmwlost -n 3 --latency constant:1 --depth 8
 
-# Delta-encoded clock piggybacks (ISSUE 8): the delta wire must survive
+# Delta-encoded clock piggybacks: the delta wire must survive
 # dup/drop/reorder fault plans under the reliable transport (retransmits
-# fall back to self-contained frames), findings must be identical across
-# --clock-wire settings, and the racy workload must still signal. A
-# smaller version also runs inside `dune runtest`.
+# fall back to self-contained frames), the racy workload must still
+# signal, and a token minted while the wire encoding was selectable (its
+# w= field is ignored) must still replay. A smaller version also runs
+# inside `dune runtest`.
 wire-smoke:
-	dune exec bin/dsmcheck.exe -- explore getput --runs 30 --clock-wire delta --faults drop=0.2,dup=0.1 --reliable
-	dune exec bin/dsmcheck.exe -- explore getput --runs 30 --clock-wire delta --faults reorder=0.5,dup=0.2,drop=0.2 --reliable
-	dune exec bin/dsmcheck.exe -- explore workload:master-worker-racy -n 3 --runs 20 --clock-wire delta --expect-races true
-	dune exec bin/dsmcheck.exe -- explore workload:master-worker-racy -n 3 --runs 20 --clock-wire dense --expect-races true
-	dune exec bin/dsmcheck.exe -- scale -n 64 --rounds 1 --chunk 2 --clock-wire delta
-	dune exec bin/dsmcheck.exe -- scale -n 64 --rounds 1 --chunk 2 --clock-wire dense
+	dune exec bin/dsmcheck.exe -- explore getput --runs 30 --faults drop=0.2,dup=0.1 --reliable
+	dune exec bin/dsmcheck.exe -- explore getput --runs 30 --faults reorder=0.5,dup=0.2,drop=0.2 --reliable
+	dune exec bin/dsmcheck.exe -- explore workload:master-worker-racy -n 3 --runs 20 --expect-races true
+	dune exec bin/dsmcheck.exe -- explore getput --replay "dsm1|s=getput|n=2|seed=1|w=dense|f=none|r=0|b=0|me=200000|d=1,0,2"
+	dune exec bin/dsmcheck.exe -- scale -n 64 --rounds 1 --chunk 2
 
 # Explainable race reports (ISSUE 9): the planted get/put bug under the
 # detector-attached scenario violates (exit 124) and --explain rebuilds

@@ -147,45 +147,29 @@ let bench_checked_ops name transport =
        (checked_workload ~op:`Put ~len:1
           ~config:{ Config.default with Config.transport }))
 
-let bench_checked ~op ~transport ~granularity ~clock_rep =
+let bench_checked ~op ~transport ~granularity =
   let opname = match op with `Put -> "put" | `Get -> "get" in
   let name =
-    Printf.sprintf "checked_%s_%s_%s%s" opname
+    Printf.sprintf "checked_%s_%s_%s" opname
       (Config.transport_name transport)
       (Config.granularity_name granularity)
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
   in
   (* len-4 accesses so block/word granularity exercises multi-granule
      walks (4 granules per access under [Word]). *)
   Test.make ~name
     (Staged.stage
        (checked_workload ~op ~len:4
-          ~config:
-            { Config.default with Config.transport; granularity; clock_rep }))
+          ~config:{ Config.default with Config.transport; granularity }))
 
 (* The paper's common case: one producer repeatedly publishing into a
    shared variable nobody else touches. Every clock involved stays an
-   epoch, so the whole check is O(1) comparisons with no allocation —
-   the ablation pins clocks dense to measure what the epoch buys. *)
-let bench_single_writer ~n ~clock_rep =
-  let name =
-    Printf.sprintf "single_writer_64_puts_n%d%s" n
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
-  in
-  Test.make ~name
+   epoch, so the whole check is O(1) comparisons with no allocation. *)
+let bench_single_writer ~n =
+  Test.make
+    ~name:(Printf.sprintf "single_writer_64_puts_n%d" n)
     (Staged.stage (fun () ->
          let m = Harness.fresh_machine ~n () in
-         let d =
-           Dsm_core.Detector.create m
-             ~config:{ Config.default with Config.clock_rep }
-             ()
-         in
+         let d = Dsm_core.Detector.create m () in
          let a =
            Dsm_core.Detector.alloc_shared d ~pid:(n - 1) ~name:"a" ~len:1 ()
          in
@@ -196,22 +180,14 @@ let bench_single_writer ~n ~clock_rep =
              done);
          Harness.run_to_completion m))
 
-(* ISSUE 5 scaling rows: the race-free neighbour-push workload
+(* Scaling rows: the race-free neighbour-push workload
    ([Dsm_workload.Scale]) at growing process counts, one full simulated
-   run per sample. Race-free single-writer buffers keep the adaptive
-   representation on its epoch fast path, so the dense ablation pays the
-   O(n) clocks everywhere while sparse pays O(active) — the gap the
-   scale_n* rows track. Small segments keep machine construction from
-   dominating at n = 1024. *)
-let bench_scale ~n ~clock_rep =
-  let name =
-    Printf.sprintf "scale_n%d%s" n
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
-  in
-  Test.make ~name
+   run per sample. Cross-process clocks stay sorted pairs, so checks pay
+   O(active writers), not O(n). Small segments keep machine construction
+   from dominating at n = 1024. *)
+let bench_scale ~n =
+  Test.make
+    ~name:(Printf.sprintf "scale_n%d" n)
     (Staged.stage (fun () ->
          let sim = Dsm_sim.Engine.create ~seed:1 () in
          let m =
@@ -224,8 +200,7 @@ let bench_scale ~n ~clock_rep =
              ~config:
                {
                  Config.default with
-                 Config.clock_rep;
-                 granularity = Config.Word;
+                 Config.granularity = Config.Word;
                  store_shards = 8;
                }
              ()
@@ -396,9 +371,9 @@ let micro_tests =
     ]
 
 (* The detector hot-path suite: the numbers tracked across PRs in
-   BENCH_detector.json. Covers the clock-level fast paths, checked
-   puts/gets per transport × granularity, and the epoch vs always-vector
-   ablation on the workloads where each matters. *)
+   BENCH_detector.json. Covers the clock-level fast paths, the
+   single-writer and scaling workloads, and checked puts/gets per
+   transport × granularity. *)
 let detector_tests =
   let transports = [ Config.Inline; Config.Piggyback_txn; Config.Explicit_txn ]
   and granularities = [ Config.Variable; Config.Block 2; Config.Word ] in
@@ -408,32 +383,21 @@ let detector_tests =
        bench_vc_compare_epoch 64;
        bench_vc_compare_mixed 64;
        bench_vc_merge_epoch_into_vec 64;
-       bench_single_writer ~n:4 ~clock_rep:Config.Epoch_adaptive;
-       bench_single_writer ~n:4 ~clock_rep:Config.Dense_vector;
-       bench_single_writer ~n:16 ~clock_rep:Config.Epoch_adaptive;
-       bench_single_writer ~n:16 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:8 ~clock_rep:Config.Epoch_adaptive;
-       bench_scale ~n:8 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:64 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:64 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:256 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:256 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:1024 ~clock_rep:Config.Sparse_vector;
+       bench_single_writer ~n:4;
+       bench_single_writer ~n:16;
+       bench_scale ~n:8;
+       bench_scale ~n:64;
+       bench_scale ~n:256;
+       bench_scale ~n:1024;
        bench_checked ~op:`Get ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Epoch_adaptive;
-       bench_checked ~op:`Get ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector;
-       bench_checked ~op:`Put ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector;
+         ~granularity:Config.Variable;
        bench_rmw_fetch_add;
        bench_rmw_lock_emulation;
      ]
     @ List.concat_map
         (fun transport ->
           List.map
-            (fun granularity ->
-              bench_checked ~op:`Put ~transport ~granularity
-                ~clock_rep:Config.Epoch_adaptive)
+            (fun granularity -> bench_checked ~op:`Put ~transport ~granularity)
             granularities)
         transports)
 
@@ -916,25 +880,20 @@ let metrics_rows prefix reg =
           ] ))
       snap.Dsm_obs.Metrics.histograms
 
-(* ISSUE 8: clock words per op under each wire encoding, as a linear
-   regression over growing op budgets on a live machine — the slope is
+(* Clock words per op on the adaptive wire, as a linear regression over
+   growing op budgets on a live machine — the slope is
    the marginal wire cost of one checked put (setup traffic lands in
    the intercept), and the fit's r² gates the row exactly like the
    timed rows' OLS r² does. The workload is the delta-friendly regime:
    a few active workers in a large machine, clocks enriched through a
    shared lock, then disjoint puts. *)
-let clock_words_points ~smoke ~n ~wire =
+let clock_words_points ~smoke ~n =
   let workers = if smoke then 2 else 4 in
   let budgets = if smoke then [ 2; 4; 6 ] else [ 5; 10; 20; 40 ] in
   List.map
     (fun ops ->
       let m = Harness.fresh_machine ~n () in
-      let d =
-        Dsm_core.Detector.create m
-          ~config:
-            { Dsm_core.Config.default with Dsm_core.Config.clock_wire = wire }
-          ()
-      in
+      let d = Dsm_core.Detector.create m () in
       let var =
         Dsm_core.Detector.alloc_shared d ~pid:0 ~name:"x" ~len:(workers + 1)
           ()
@@ -979,21 +938,12 @@ let fit_slope_r2 pts =
   let r2 = if vary = 0.0 then 1.0 else cov *. cov /. (varx *. vary) in
   (slope, r2)
 
-let clock_wire_rows ~smoke () =
-  List.concat_map
+let clock_words_rows ~smoke () =
+  List.map
     (fun n ->
-      List.map
-        (fun (wname, wire) ->
-          let slope, r2 =
-            fit_slope_r2 (clock_words_points ~smoke ~n ~wire)
-          in
-          ( Printf.sprintf "clock_words_per_op_n%d_%s" n wname,
-            [ ("words_per_op", num (Some slope)); ("r2", num (Some r2)) ] ))
-        [
-          ("delta", Dsm_core.Config.Delta_wire);
-          ("sparse", Dsm_core.Config.Sparse_wire);
-          ("dense", Dsm_core.Config.Dense_wire);
-        ])
+      let slope, r2 = fit_slope_r2 (clock_words_points ~smoke ~n) in
+      ( Printf.sprintf "clock_words_per_op_n%d" n,
+        [ ("words_per_op", num (Some slope)); ("r2", num (Some r2)) ] ))
     [ 64; 256; 1024 ]
 
 let detector_extra_rows ~smoke () =
@@ -1052,7 +1002,7 @@ let detector_extra_rows ~smoke () =
          ("relaxed_op_ns", num (Some m_relaxed));
          ("overhead_pct", num (Some m_relaxed_pct));
        ] )
-  :: (clock_wire_rows ~smoke () @ metrics_rows "detector_metrics" reg)
+  :: (clock_words_rows ~smoke () @ metrics_rows "detector_metrics" reg)
 
 let probe_overhead_gate ~smoke () =
   if not smoke then begin

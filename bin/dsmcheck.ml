@@ -322,35 +322,6 @@ let workload_cmd =
 
 (* ---------- scale ---------- *)
 
-let rep_conv =
-  let parse = function
-    | "epoch" -> Ok Config.Epoch_adaptive
-    | "dense" -> Ok Config.Dense_vector
-    | "sparse" -> Ok Config.Sparse_vector
-    | s -> Error (`Msg (Printf.sprintf "unknown clock representation %S" s))
-  in
-  let print ppf = function
-    | Config.Epoch_adaptive -> Format.pp_print_string ppf "epoch"
-    | Config.Dense_vector -> Format.pp_print_string ppf "dense"
-    | Config.Sparse_vector -> Format.pp_print_string ppf "sparse"
-  in
-  Arg.conv (parse, print)
-
-let rep_name = function
-  | Config.Epoch_adaptive -> "epoch"
-  | Config.Dense_vector -> "dense"
-  | Config.Sparse_vector -> "sparse"
-
-let wire_conv =
-  let parse = function
-    | "dense" -> Ok Config.Dense_wire
-    | "sparse" -> Ok Config.Sparse_wire
-    | "delta" -> Ok Config.Delta_wire
-    | s -> Error (`Msg (Printf.sprintf "unknown clock wire encoding %S" s))
-  in
-  let print ppf w = Format.pp_print_string ppf (Config.clock_wire_name w) in
-  Arg.conv (parse, print)
-
 module Model = Dsm_rdma.Model
 
 let model_conv =
@@ -360,10 +331,13 @@ let model_conv =
   let print ppf m = Format.pp_print_string ppf (Model.name m) in
   Arg.conv (parse, print)
 
+(* [--model] for every command. Unset is [None] so explore can tell an
+   explicit backend from the default: replay refuses a token minted
+   under a different one. *)
 let model_arg ~extra_doc =
   Arg.(
     value
-    & opt model_conv Model.default
+    & opt (some model_conv) None
     & info [ "model" ] ~docv:"MODEL"
         ~doc:
           ("Memory-model backend: nic_atomic (the paper's, default), \
@@ -371,9 +345,10 @@ let model_arg ~extra_doc =
             the protocol's ordering guarantees and the detector's \
             happens-before edges." ^ extra_doc))
 
-let run_scale n rounds chunk racy batched rep shards wire model seed detect
+let run_scale n rounds chunk racy batched shards model seed detect
     metrics_file verbose =
   setup_logs verbose;
+  let model = Option.value model ~default:Model.default in
   if n < 2 then `Error (false, "need at least 2 processes")
   else if racy && n < 3 then
     `Error (false, "racy mode needs at least 3 processes")
@@ -396,9 +371,7 @@ let run_scale n rounds chunk racy batched rep shards wire model seed detect
     let config =
       {
         Config.default with
-        Config.clock_rep = rep;
-        clock_wire = wire;
-        store_shards = shards;
+        Config.store_shards = shards;
         granularity = Config.Word;
         memory_model = model;
       }
@@ -419,8 +392,7 @@ let run_scale n rounds chunk racy batched rep shards wire model seed detect
     | Dsm_sim.Engine.Completed -> ()
     | _ -> prerr_endline "warning: simulation did not complete");
     let wall = Unix.gettimeofday () -. t0 in
-    Format.printf "processes      : %d (%s clocks, %d store shard(s)%s)@." n
-      (rep_name rep) shards
+    Format.printf "processes      : %d (%d store shard(s)%s)@." n shards
       (if batched then ", batched coherence" else "");
     Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
     Format.printf "messages       : %d (%d words)@."
@@ -437,10 +409,9 @@ let run_scale n rounds chunk racy batched rep shards wire model seed detect
           (Detector.storage_words d) (Detector.epoch_clocks d);
         let dense, sparse, delta = Machine.clock_encodings machine in
         Format.printf
-          "clock traffic  : %d piggybacked words (%s wire: %d dense, %d \
-           sparse, %d delta)@."
+          "clock traffic  : %d piggybacked words (%d dense, %d sparse, %d \
+           delta frames)@."
           (Detector.clock_words_shipped d)
-          (Config.clock_wire_name wire)
           dense sparse delta);
     (match (metrics_file, registry) with
     | Some path, Some reg ->
@@ -480,27 +451,10 @@ let scale_cmd =
       & info [ "batched" ]
           ~doc:"Coalesce each push into one fabric message.")
   in
-  let rep =
-    Arg.(
-      value
-      & opt rep_conv Config.Sparse_vector
-      & info [ "rep" ] ~docv:"REP"
-          ~doc:"Clock representation: epoch, dense, or sparse.")
-  in
   let shards =
     Arg.(
       value & opt int 8
       & info [ "shards" ] ~doc:"Clock-store shards (power of two).")
-  in
-  let wire =
-    Arg.(
-      value
-      & opt wire_conv Config.Delta_wire
-      & info [ "clock-wire" ] ~docv:"ENC"
-          ~doc:
-            "Clock piggyback wire encoding: dense, sparse, or delta. \
-             Accounting-only — the schedule is identical for every \
-             choice; only the reported clock traffic changes.")
   in
   let model = model_arg ~extra_doc:"" in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Engine seed.") in
@@ -524,8 +478,8 @@ let scale_cmd =
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
       ret
-        (const run_scale $ n $ rounds $ chunk $ racy $ batched $ rep
-       $ shards $ wire $ model $ seed $ detect $ metrics_file $ verbose))
+        (const run_scale $ n $ rounds $ chunk $ racy $ batched $ shards
+       $ model $ seed $ detect $ metrics_file $ verbose))
 
 (* ---------- run (mini-language programs) ---------- *)
 
@@ -641,6 +595,7 @@ let run_figure name n model detect verbose trace_out metrics explain
 
 let run_program path scenario n model instrument detect verbose trace_out
     metrics explain race_report =
+  let model = Option.value model ~default:Model.default in
   match (path, scenario) with
   | None, None -> `Error (true, "either FILE or --scenario NAME is required")
   | Some _, Some _ -> `Error (true, "FILE and --scenario are mutually exclusive")
@@ -881,8 +836,8 @@ let run_diff_models spec ~pair ~runs ~depth ~explain ~race_report =
           "--diff-models takes exactly two comma-separated backends, e.g. \
            nic_atomic,relaxed" )
 
-let run_explore scenario n seed runs depth jobs chunk dpor latency clock_wire
-    model diff_models force faults reliable bug max_events replay no_minimize
+let run_explore scenario n seed runs depth jobs chunk dpor latency model
+    diff_models force faults reliable bug max_events replay no_minimize
     metrics expect_races trace_out_violation explain race_report verbose =
   setup_logs verbose;
   if chunk < 1 then
@@ -974,7 +929,6 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency clock_wire
           n;
           seed;
           latency;
-          clock_wire;
           model = Option.value model ~default:Model.default;
           faults;
           reliable;
@@ -1188,29 +1142,12 @@ let explore_cmd =
              break trace equivalence) and the search then runs \
              unpruned.")
   in
-  let clock_wire =
-    Arg.(
-      value
-      & opt wire_conv Config.Delta_wire
-      & info [ "clock-wire" ] ~docv:"ENC"
-          ~doc:
-            "Clock piggyback wire encoding for scenarios that attach the \
-             detector: dense, sparse, or delta. Accounting-only — \
-             schedules, fingerprints and repro tokens are bit-identical \
-             for every choice.")
-  in
   let model =
-    Arg.(
-      value
-      & opt (some model_conv) None
-      & info [ "model" ] ~docv:"MODEL"
-          ~doc:
-            "Memory-model backend: nic_atomic (the paper's, default), \
-             relaxed, eventual, or seq_consistent. Semantic — schedules, \
-             fingerprints and race verdicts change with it, so repro \
-             tokens carry the model and $(b,--replay) refuses a token \
-             minted under a different $(b,--model) unless $(b,--force) \
-             is given.")
+    model_arg
+      ~extra_doc:
+        " Repro tokens carry the model, and $(b,--replay) refuses a token \
+         minted under a different $(b,--model) unless $(b,--force) is \
+         given."
   in
   let diff_models =
     Arg.(
@@ -1335,7 +1272,7 @@ let explore_cmd =
     Term.(
       ret
         (const run_explore $ scenario $ n $ seed $ runs $ depth $ jobs
-       $ chunk $ dpor $ latency $ clock_wire $ model $ diff_models $ force
+       $ chunk $ dpor $ latency $ model $ diff_models $ force
        $ faults $ reliable $ bug $ max_events $ replay $ no_minimize
        $ metrics $ expect_races $ trace_out_violation $ explain
        $ race_report $ verbose))

@@ -55,9 +55,11 @@ let analyze trace =
           Hashtbl.replace held pid (StringSet.add lock (locks_of pid))
       | Event.Sync (Event.Lock_release { pid; lock; _ }) ->
           Hashtbl.replace held pid (StringSet.remove lock (locks_of pid))
-      | Event.Sync (Event.Barrier_enter _ | Event.Barrier_exit _) ->
-          (* Lockset has no notion of barrier synchronization: that
-             blindness is exactly its precision gap on DSM programs. *)
+      | Event.Sync
+          (Event.Barrier_enter _ | Event.Barrier_exit _ | Event.Rmw_sync _) ->
+          (* Lockset has no notion of barrier or atomic synchronization:
+             that blindness is exactly its precision gap on DSM
+             programs. *)
           ()
       | Event.Access a ->
           let is_write = a.kind <> Event.Read in

@@ -1,20 +1,16 @@
-(* Adaptive representation: a clock that has only ever been advanced by a
-   single process is kept as a compact {e epoch} — the FastTrack-style
-   [(pid, count)] pair, denoting the vector that is [count] at [pid] and 0
-   elsewhere — and is promoted on the first cross-process merge or tick.
-   The common single-writer access then costs O(1) and allocates nothing,
-   while the abstract value (and hence every detection verdict) is
-   identical to the dense representation.
-
-   Where the promotion lands is the clock's [rep] policy:
-   - [Adaptive]: epoch -> dense [int array] (the PR-1 behavior);
-   - [Dense]: a dense array from birth — the always-vector ablation;
-   - [Sparse]: epoch -> sorted parallel [(pid, tick)] arrays holding only
-     the nonzero components, and only past [threshold] active entries on
-     to a dense array. Compare/merge on two sparse operands is a merge
-     scan over the sorted pids — O(active), not O(n) — which is what lets
-     detection scale past the paper's ~10 processes (§5.1) without
-     shrinking the worst-case clock below Charron-Bost's n entries (§4.3).
+(* One representation with two promotions: a clock that has only ever
+   been advanced by a single process is kept as a compact {e epoch} — the
+   FastTrack-style [(pid, count)] pair, denoting the vector that is
+   [count] at [pid] and 0 elsewhere. The first cross-process merge or
+   tick promotes it to sorted parallel [(pid, tick)] arrays holding only
+   the nonzero components, and past [threshold] active entries on to a
+   dense [int array]. The common single-writer access then costs O(1)
+   and allocates nothing; compare/merge on two sparse operands is a merge
+   scan over the sorted pids — O(active), not O(n) — which is what lets
+   detection scale past the paper's ~10 processes (§5.1) without
+   shrinking the worst-case clock below Charron-Bost's n entries (§4.3).
+   The abstract value, and hence every detection verdict, is that of the
+   dense vector.
 
    Mode encoding: [vec != no_vec] means dense; otherwise [sparse_on]
    separates sparse from epoch. The sparse key/value arrays are retained
@@ -22,8 +18,6 @@
    once warmed up. The canonical zero epoch is [count = 0] with
    [pid = 0]. Sparse values are always positive: zero components are
    simply absent. *)
-
-type rep = Adaptive | Dense | Sparse
 
 type t = {
   mutable pid : int;  (* epoch owner; meaningful only in epoch mode *)
@@ -35,7 +29,6 @@ type t = {
   mutable keys : int array;  (* sorted pids; == no_vec until allocated *)
   mutable vals : int array;  (* ticks, parallel to keys; all > 0 *)
   threshold : int;  (* sparse -> dense promotion bound *)
-  rep : rep;
 }
 
 let no_vec : int array = [||]
@@ -51,28 +44,19 @@ let is_sparse t = t.vec == no_vec && t.sparse_on
 
 let is_epoch t = t.vec == no_vec && not t.sparse_on
 
-let rep t = t.rep
-
-let create_rep rep ~n =
+let create ~n =
   if n <= 0 then invalid_arg "Vector_clock.create: dimension must be positive";
   {
     pid = 0;
     count = 0;
     dim = n;
-    vec = (if rep = Dense then Array.make n 0 else no_vec);
+    vec = no_vec;
     sparse_on = false;
     nactive = 0;
     keys = no_vec;
     vals = no_vec;
     threshold = sparse_threshold ~n;
-    rep;
   }
-
-let create ~n = create_rep Adaptive ~n
-
-let create_dense ~n = create_rep Dense ~n
-
-let create_sparse ~n = create_rep Sparse ~n
 
 let dim t = t.dim
 
@@ -117,7 +101,8 @@ let promote t =
     t.vec <- v
   end
 
-(* Epoch -> sparse (Sparse rep only): carry the epoch entry over. *)
+(* Epoch -> sparse, the cross-process promotion: carry the epoch entry
+   over. *)
 let promote_sparse t =
   sparse_ensure_arrays t;
   t.nactive <- 0;
@@ -127,10 +112,6 @@ let promote_sparse t =
     t.nactive <- 1
   end;
   t.sparse_on <- true
-
-(* Where a cross-process epoch promotion lands under this policy. *)
-let promote_cross t =
-  match t.rep with Sparse -> promote_sparse t | Adaptive | Dense -> promote t
 
 (* Set component [p] to [v] ([> 0], at least the current value) in sparse
    mode, inserting and dense-promoting past the threshold as needed. *)
@@ -182,7 +163,7 @@ let rec bump t p v =
     if v > t.count then t.count <- v
   end
   else begin
-    promote_cross t;
+    promote_sparse t;
     bump t p v
   end
 
@@ -197,13 +178,11 @@ let copy t =
     keys = (if t.keys == no_vec then no_vec else Array.copy t.keys);
     vals = (if t.vals == no_vec then no_vec else Array.copy t.vals);
     threshold = t.threshold;
-    rep = t.rep;
   }
 
-(* Adopt the compact representation [a] warrants under rep [rep]:
-   <=1 nonzero -> epoch; <= threshold nonzeros under [Sparse] -> sorted
-   pairs; otherwise dense. *)
-let of_array_rep rep a =
+(* Adopt the compact representation [a] warrants: <=1 nonzero -> epoch;
+   <= threshold nonzeros -> sorted pairs; otherwise dense. *)
+let of_array a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Vector_clock.of_array: empty";
   let nonzeros = ref 0 and last = ref 0 in
@@ -214,15 +193,15 @@ let of_array_rep rep a =
       last := i
     end
   done;
-  let t = create_rep rep ~n in
-  if rep <> Dense && !nonzeros <= 1 then begin
+  let t = create ~n in
+  if !nonzeros <= 1 then begin
     if !nonzeros = 1 then begin
       t.pid <- !last;
       t.count <- a.(!last)
     end;
     t
   end
-  else if rep = Sparse && !nonzeros <= t.threshold then begin
+  else if !nonzeros <= t.threshold then begin
     sparse_ensure_arrays t;
     let k = ref 0 in
     for i = 0 to n - 1 do
@@ -240,9 +219,6 @@ let of_array_rep rep a =
     t.vec <- Array.copy a;
     t
   end
-
-let of_array ?(dense = false) a =
-  of_array_rep (if dense then Dense else Adaptive) a
 
 let entry c i =
   if i < 0 || i >= c.dim then invalid_arg "Vector_clock.entry";
@@ -280,8 +256,8 @@ let tick c ~me =
   end
   else if c.pid = me then c.count <- c.count + 1
   else begin
-    promote_cross c;
-    if is_dense c then c.vec.(me) <- c.vec.(me) + 1 else sparse_set c me 1
+    promote_sparse c;
+    sparse_set c me 1
   end
 
 let check_dim a b name =
@@ -355,14 +331,9 @@ let merge_into ~into src =
       done
     else if is_sparse into then sparse_merge_sparse ~into src
     else begin
-      (* epoch destination: adopt the policy's cross-process shape first *)
-      promote_cross into;
-      if is_dense into then
-        for k = 0 to src.nactive - 1 do
-          let p = src.keys.(k) and v = src.vals.(k) in
-          if v > into.vec.(p) then into.vec.(p) <- v
-        done
-      else sparse_merge_sparse ~into src
+      (* epoch destination: take the cross-process (sparse) shape first *)
+      promote_sparse into;
+      sparse_merge_sparse ~into src
     end
   end
   else begin
@@ -557,21 +528,14 @@ let size_words t = t.dim
 
 let snapshot = copy
 
+(* keys/vals keep their capacity: a warmed-up scratch clock never
+   allocates again *)
 let reset t =
-  match t.rep with
-  | Dense -> Array.fill t.vec 0 t.dim 0
-  | Adaptive ->
-      t.pid <- 0;
-      t.count <- 0;
-      t.vec <- no_vec
-  | Sparse ->
-      (* keys/vals keep their capacity: a warmed-up scratch clock never
-         allocates again *)
-      t.pid <- 0;
-      t.count <- 0;
-      t.vec <- no_vec;
-      t.sparse_on <- false;
-      t.nactive <- 0
+  t.pid <- 0;
+  t.count <- 0;
+  t.vec <- no_vec;
+  t.sparse_on <- false;
+  t.nactive <- 0
 
 let check_slice t w off name =
   if off < 0 || off + t.dim > Array.length w then
@@ -588,14 +552,14 @@ let load_words t w ~off =
       last := i
     end
   done;
-  if t.rep <> Dense && !nonzeros <= 1 then begin
+  if !nonzeros <= 1 then begin
     t.vec <- no_vec;
     t.sparse_on <- false;
     t.nactive <- 0;
     t.pid <- (if !nonzeros = 1 then !last else 0);
     t.count <- (if !nonzeros = 1 then w.(off + !last) else 0)
   end
-  else if t.rep = Sparse && !nonzeros <= t.threshold then begin
+  else if !nonzeros <= t.threshold then begin
     t.vec <- no_vec;
     sparse_ensure_arrays t;
     let k = ref 0 in
@@ -644,26 +608,18 @@ let merge_words ~into w ~off =
   done;
   if !nonzeros = 0 then ()
   else if !nonzeros = 1 then bump into !last w.(off + !last)
-  else if is_dense into || (!nonzeros > into.threshold && into.rep = Sparse)
-  then begin
+  else if is_dense into || !nonzeros > into.threshold then begin
     promote into;
     let v = into.vec in
     for i = 0 to into.dim - 1 do
       if w.(off + i) > v.(i) then v.(i) <- w.(off + i)
     done
   end
-  else if into.rep = Sparse then
+  else
     (* stays within the sparse budget: bump each nonzero component *)
     for i = 0 to into.dim - 1 do
       if w.(off + i) > 0 then bump into i w.(off + i)
     done
-  else begin
-    promote into;
-    let v = into.vec in
-    for i = 0 to into.dim - 1 do
-      if w.(off + i) > v.(i) then v.(i) <- w.(off + i)
-    done
-  end
 
 let pp ppf c =
   Format.pp_print_char ppf '<';

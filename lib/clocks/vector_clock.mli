@@ -13,66 +13,39 @@
 
     {2 Representation}
 
-    The representation is {e adaptive}: a clock that has only ever been
-    advanced by a single process is held as a compact FastTrack-style
-    {e epoch} — a [(pid, count)] pair denoting the vector that is [count]
-    at [pid] and zero elsewhere — and is promoted on the first
-    cross-process merge or tick. Epoch operands give {!tick},
-    {!merge_into}, {!compare} and {!leq} O(1), allocation-free fast
-    paths; the abstract value, and therefore every detection verdict, is
-    identical to the dense representation.
-
-    Where the promotion lands is the clock's {!rep} policy. [Adaptive]
-    promotes straight to a dense array. [Sparse] promotes to sorted
-    parallel [(pid, tick)] arrays holding only the nonzero components —
-    compare/merge become merge scans over the sorted pids, O(active
-    writers) instead of O(n) — and promotes again to the dense array
-    once more than {!sparse_threshold} components are live. [Dense] is
-    the always-vector ablation baseline (see {!Config.clock_rep} in
-    [dsm_core]). All three policies denote the same abstract vector:
-    every observable result is representation-independent. *)
+    One representation with two promotions. A clock that has only ever
+    been advanced by a single process is held as a compact
+    FastTrack-style {e epoch} — a [(pid, count)] pair denoting the
+    vector that is [count] at [pid] and zero elsewhere. The first
+    cross-process merge or tick promotes it to sorted parallel
+    [(pid, tick)] arrays holding only the nonzero components, and past
+    {!sparse_threshold} live components to a dense array. Epoch operands
+    give {!tick}, {!merge_into}, {!compare} and {!leq} O(1),
+    allocation-free fast paths; sparse operands make compare/merge merge
+    scans over the sorted pids, O(active writers) instead of O(n). The
+    abstract value, and therefore every detection verdict, is the dense
+    vector of Algorithms 3–4. *)
 
 type t
 
-type rep = Adaptive | Dense | Sparse
-(** The promotion policy fixed at creation; see the module preamble. *)
-
 val create : n:int -> t
 (** [create ~n] is the zero clock of dimension [n] (all entries 0 —
-    the paper's initial value, §4.2), in the adaptive representation. *)
-
-val create_dense : n:int -> t
-(** Like {!create}, but pinned to the dense array representation for the
-    clock's whole lifetime. *)
-
-val create_sparse : n:int -> t
-(** Like {!create}, but cross-process promotion lands on the sorted
-    sparse pairs (and on the dense array only past {!sparse_threshold}
-    live components) — the large-[n] scaling representation. *)
-
-val create_rep : rep -> n:int -> t
-(** {!create}/{!create_dense}/{!create_sparse} selected by value. *)
-
-val rep : t -> rep
-(** The clock's promotion policy. *)
+    the paper's initial value, §4.2), held as the zero epoch. *)
 
 val sparse_threshold : n:int -> int
-(** Number of live components beyond which a [Sparse] clock of dimension
-    [n] promotes to the dense array ([max 4 (n/8)]) — exposed so tests
-    can aim at the promotion boundary exactly. *)
+(** Number of live components beyond which a clock of dimension [n]
+    promotes from sorted pairs to the dense array ([max 4 (n/8)]) —
+    exposed so tests can aim at the promotion boundary exactly. *)
 
 val dim : t -> int
 (** Number of processes the clock covers. *)
 
 val copy : t -> t
 
-val of_array : ?dense:bool -> int array -> t
-(** [of_array a] wraps a copy of [a]. Raises [Invalid_argument] if [a] is
-    empty or contains a negative entry. *)
-
-val of_array_rep : rep -> int array -> t
-(** {!of_array} under an explicit policy; the value adopts the most
-    compact form the policy allows (epoch, sparse pairs, dense). *)
+val of_array : int array -> t
+(** [of_array a] is a clock holding [a]'s entries, in the most compact
+    form they allow (epoch, sparse pairs, dense). Raises
+    [Invalid_argument] if [a] is empty or contains a negative entry. *)
 
 val to_array : t -> int array
 (** Fresh array with the clock's entries — the wire representation. *)
@@ -138,17 +111,16 @@ val snapshot : t -> t
 
 val reset : t -> unit
 (** Zero every component in place, restoring the compact epoch
-    representation when the clock is adaptive or sparse. O(1) for those
-    policies (a sparse clock's pair arrays keep their capacity, so a
-    warmed-up scratch clock never allocates again); the scratch-buffer
-    discipline of the detector's hot path ([Detector.check_access])
-    relies on this being cheap. *)
+    representation. O(1) (a sparse clock's pair arrays keep their
+    capacity, so a warmed-up scratch clock never allocates again); the
+    scratch-buffer discipline of the detector's hot path
+    ([Detector.check_access]) relies on this being cheap. *)
 
 val load_words : t -> int array -> off:int -> unit
 (** [load_words c w ~off] overwrites [c] with the [dim c] words at
     [w.(off) ..] — the allocation-free counterpart of {!of_array} used to
     decode clocks arriving on the wire into a scratch clock. Re-derives
-    the compact representation when the clock is adaptive. Raises
+    the most compact representation, as {!of_array} does. Raises
     [Invalid_argument] on a short slice or negative entry. *)
 
 val store_words : t -> int array -> off:int -> unit

@@ -29,9 +29,8 @@ end)
    sweeps over a large segment split across every table instead of
    loading one, while a single variable-sized granule always lands
    wholly in the shard of its base offset. Each shard also owns a
-   scratch clock with the store's representation — the batched
-   coherence path borrows it to fold a batch's clocks without
-   allocating. *)
+   scratch clock — the batched coherence path borrows it to fold a
+   batch's clocks without allocating. *)
 let range_bits = 6
 
 type shard = { table : entry Int_tbl.t; scratch : Vector_clock.t }
@@ -40,20 +39,12 @@ type t = {
   node : int;
   clock_dim : int;
   granularity : Config.granularity;
-  rep : Config.clock_rep;
   shard_mask : int;
   shards : shard array;
   mutable registered : Addr.region list; (* address-sorted *)
 }
 
-let mk_clock rep ~n =
-  match rep with
-  | Config.Epoch_adaptive -> Vector_clock.create ~n
-  | Config.Dense_vector -> Vector_clock.create_dense ~n
-  | Config.Sparse_vector -> Vector_clock.create_sparse ~n
-
-let create ~node ~clock_dim ~granularity ?(rep = Config.Epoch_adaptive)
-    ?(shards = 1) () =
+let create ~node ~clock_dim ~granularity ?(shards = 1) () =
   if clock_dim < 1 then invalid_arg "Clock_store.create: clock_dim";
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg "Clock_store.create: shards must be a positive power of two";
@@ -61,13 +52,12 @@ let create ~node ~clock_dim ~granularity ?(rep = Config.Epoch_adaptive)
     node;
     clock_dim;
     granularity;
-    rep;
     shard_mask = shards - 1;
     shards =
       Array.init shards (fun _ ->
           {
             table = Int_tbl.create 64;
-            scratch = mk_clock rep ~n:clock_dim;
+            scratch = Vector_clock.create ~n:clock_dim;
           });
     registered = [];
   }
@@ -148,7 +138,7 @@ let entry_at t ~offset ~len =
   match Int_tbl.find_opt table key with
   | Some e -> e
   | None ->
-      let mk () = mk_clock t.rep ~n:t.clock_dim in
+      let mk () = Vector_clock.create ~n:t.clock_dim in
       let e = { v = mk (); w = mk (); s = mk () } in
       Int_tbl.add table key e;
       e

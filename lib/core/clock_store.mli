@@ -19,9 +19,9 @@
     The store is {e sharded} by address range: 64-word ranges round-robin
     across a power-of-two number of int-keyed tables, bounding any one
     table's load when word granularity meets large segments. Each shard
-    also owns a scratch clock in the store's representation
-    ({!shard_scratch}) so the batched-coherence path can fold a batch's
-    clocks without allocating. Sharding is invisible to detection:
+    also owns a scratch clock ({!shard_scratch}) so the batched-coherence
+    path can fold a batch's clocks without allocating. Sharding is
+    invisible to detection:
     granule identity, laziness and iteration order are unchanged. *)
 
 type entry = {
@@ -42,15 +42,13 @@ val create :
   node:int ->
   clock_dim:int ->
   granularity:Config.granularity ->
-  ?rep:Config.clock_rep ->
   ?shards:int ->
   unit ->
   t
 (** [clock_dim] is the vector dimension ([n], or 1 in the Lamport
-    ablation). [rep] (default {!Config.Epoch_adaptive}) fixes the
-    representation of every lazily created clock. [shards] (default 1)
-    is the number of address-range shards; must be a positive power of
-    two ([Invalid_argument] otherwise). *)
+    ablation). [shards] (default 1) is the number of address-range
+    shards; must be a positive power of two ([Invalid_argument]
+    otherwise). *)
 
 val node : t -> int
 
@@ -58,8 +56,8 @@ val shards : t -> int
 (** Number of address-range shards the granule table is split across. *)
 
 val shard_scratch : t -> offset:int -> Dsm_clocks.Vector_clock.t
-(** The scratch clock owned by the shard responsible for [offset] — in
-    the store's clock representation, reusable between batches. Callers
+(** The scratch clock owned by the shard responsible for [offset],
+    reusable between batches. Callers
     must [Vector_clock.reset] it before use and must not let it escape
     the current batch. *)
 
@@ -98,5 +96,5 @@ val storage_words : t -> int
 
 val epoch_clocks : t -> int
 (** How many of the materialized clocks (3 per entry) are currently held
-    in the compact epoch representation — introspection for benchmarks
-    and tests. *)
+    in a compact (epoch or sparse-pair) form — introspection for
+    benchmarks and tests. *)

@@ -4,17 +4,11 @@ type clock_mode = Vector | Lamport_only
 
 type granularity = Variable | Block of int | Word
 
-type clock_rep = Epoch_adaptive | Dense_vector | Sparse_vector
-
-type clock_wire = Dense_wire | Sparse_wire | Delta_wire
-
 type t = {
   use_write_clock : bool;
   transport : transport;
   clock_mode : clock_mode;
   granularity : granularity;
-  clock_rep : clock_rep;
-  clock_wire : clock_wire;
   store_shards : int;
   record_trace : bool;
   trace_reads_from : [ `All_writers | `Last_writer ];
@@ -30,8 +24,6 @@ let default =
     transport = Piggyback_txn;
     clock_mode = Vector;
     granularity = Variable;
-    clock_rep = Epoch_adaptive;
-    clock_wire = Delta_wire;
     store_shards = 8;
     record_trace = false;
     trace_reads_from = `All_writers;
@@ -51,24 +43,12 @@ let granularity_name = function
   | Block k -> Printf.sprintf "block%d" k
   | Word -> "word"
 
-let clock_wire_name = function
-  | Dense_wire -> "dense"
-  | Sparse_wire -> "sparse"
-  | Delta_wire -> "delta"
-
 let name t =
-  Printf.sprintf "%s%s/%s/%s%s%s%s"
+  Printf.sprintf "%s%s/%s/%s%s"
     (match t.clock_mode with Vector -> "vector" | Lamport_only -> "lamport")
     (if t.use_write_clock then "+W" else "")
     (transport_name t.transport)
     (granularity_name t.granularity)
-    (match t.clock_rep with
-    | Epoch_adaptive -> ""
-    | Dense_vector -> "/dense"
-    | Sparse_vector -> "/sparse")
-    (match t.clock_wire with
-    | Delta_wire -> ""
-    | (Dense_wire | Sparse_wire) as w -> "/wire=" ^ clock_wire_name w)
     (if t.memory_model = Dsm_rdma.Model.default then ""
      else "/model=" ^ Dsm_rdma.Model.name t.memory_model)
 

@@ -33,40 +33,6 @@ type granularity =
   | Block of int      (** one clock pair per aligned block of [k] words *)
   | Word              (** one clock pair per word: finest, costliest *)
 
-type clock_rep =
-  | Epoch_adaptive
-      (** clocks start as compact FastTrack-style [(pid, count)] epochs
-          and promote to dense vectors on the first cross-process merge:
-          the common single-writer access costs O(1) and allocates
-          nothing. Semantically transparent — detection results are
-          identical to {!Dense_vector} *)
-  | Dense_vector
-      (** always-vector ablation baseline: every clock is a dense
-          dimension-[n] array from birth, as in the paper's cost model *)
-  | Sparse_vector
-      (** large-[n] scaling representation: cross-process promotion lands
-          on sorted [(pid, tick)] pairs — compare/merge cost O(active
-          writers), not O(n) — and only past
-          [Vector_clock.sparse_threshold] live components on a dense
-          array. Semantically transparent, like {!Epoch_adaptive}; the
-          conformance suite holds all three representations to identical
-          verdicts *)
-
-type clock_wire =
-  | Dense_wire
-      (** every piggyback ships the full dense vector — the paper's
-          linear-in-[n] cost model taken literally on the wire *)
-  | Sparse_wire
-      (** every piggyback ships the sparse [(pid, tick)] pair form:
-          O(active writers) per message, self-contained *)
-  | Delta_wire
-      (** adaptive per-edge differential encoding (the default): each
-          clock-carrying message ships only the components changed since
-          the last message on the same (src, dst) channel, or the
-          smallest self-contained form when that is shorter or no cache
-          entry exists yet. Wire-only — race verdicts, schedules and
-          replay tokens are bit-identical across all three settings *)
-
 type t = {
   use_write_clock : bool;
       (** §4.4: keep a separate write clock [W]; reads are checked against
@@ -74,14 +40,6 @@ type t = {
   transport : transport;
   clock_mode : clock_mode;
   granularity : granularity;
-  clock_rep : clock_rep;
-      (** representation of every clock the detector owns (process,
-          per-datum, per-lock, scratch); see {!clock_rep} *)
-  clock_wire : clock_wire;
-      (** wire encoding of the clocks piggybacked on data messages under
-          the [Inline] and [Piggyback_txn] transports; see {!clock_wire}.
-          Accounting-only: the fabric's timing model still charges the
-          nominal [dim + 1] words, so schedules are unchanged *)
   store_shards : int;
       (** number of address-range shards each node's [Clock_store] hashes
           its granules across (power of two; default 8). Sharding bounds
@@ -128,14 +86,11 @@ val default : t
 
 val name : t -> string
 (** Compact descriptor for bench tables, e.g. ["vector+W/piggyback/var"];
-    the {!clock_rep} ablation appends ["/dense"], a non-default
-    {!memory_model} appends ["/model=<name>"]. *)
+    a non-default {!memory_model} appends ["/model=<name>"]. *)
 
 val transport_name : transport -> string
 
 val granularity_name : granularity -> string
-
-val clock_wire_name : clock_wire -> string
 
 val validate : t -> t
 (** Checks internal consistency (e.g. positive block size); returns the

@@ -148,13 +148,7 @@ let create machine ?config ?(verbose = false) () =
     | Config.Vector -> n
     | Config.Lamport_only -> 1
   in
-  let rep = config.Config.clock_rep in
-  let mk () =
-    match rep with
-    | Config.Epoch_adaptive -> Vector_clock.create ~n:dim
-    | Config.Dense_vector -> Vector_clock.create_dense ~n:dim
-    | Config.Sparse_vector -> Vector_clock.create_sparse ~n:dim
-  in
+  let mk () = Vector_clock.create ~n:dim in
   let clock_array () = Array.init n (fun _ -> mk ()) in
   let t =
     {
@@ -168,7 +162,7 @@ let create machine ?config ?(verbose = false) () =
       stores =
         Array.init n (fun node ->
             Clock_store.create ~node ~clock_dim:dim
-              ~granularity:config.Config.granularity ~rep
+              ~granularity:config.Config.granularity
               ~shards:config.Config.store_shards ());
       lock_clocks = Hashtbl.create 16;
       scratch_absorb = clock_array ();
@@ -195,18 +189,12 @@ let create machine ?config ?(verbose = false) () =
   install_control_plane t;
   (* Inline/piggyback transports ship the accessor's clock on the data
      messages themselves: install the machine's clock source so every
-     clock-carrying message carries a real piggyback, encoded per
-     [clock_wire]. Accounting-only — the fabric still prices the nominal
+     clock-carrying message carries a real piggyback, adaptively
+     delta-encoded. Accounting-only — the fabric still prices the nominal
      [extra_words] allowance (see [Machine.set_clock_source]). *)
   (match config.Config.transport with
   | Config.Inline | Config.Piggyback_txn ->
-      let mode =
-        match config.Config.clock_wire with
-        | Config.Dense_wire -> Codec.Dense
-        | Config.Sparse_wire -> Codec.Sparse
-        | Config.Delta_wire -> Codec.Delta
-      in
-      Machine.set_clock_source machine ~mode (fun ~pid -> t.procs.(pid))
+      Machine.set_clock_source machine (fun ~pid -> t.procs.(pid))
   | Config.Explicit_txn -> ());
   t
 
@@ -239,6 +227,16 @@ let record_access t p ~kind ~target =
       Some
         (Recorder.access rec_ ~time:(now t) ~pid:(Machine.pid p) ~kind ~target
            ())
+
+(* The S clock's release (at issue) and acquire (at the RMW's check), as
+   trace events — the ground truth mirrors the detector's RMW model. *)
+let record_rmw_sync t p ~region ~acquire =
+  match t.recorder with
+  | None -> ()
+  | Some rec_ ->
+      ignore
+        (Recorder.rmw_sync rec_ ~time:(now t) ~pid:(Machine.pid p)
+           ~target:region ~acquire)
 
 let kind_of_class = function
   | Plain_read -> Event.Read
@@ -721,6 +719,7 @@ let get_batch t p ~pairs =
 let release_rmw_history t p ~(region : Addr.region) =
   if not t.mh.rmw_acquires_order then ()
   else begin
+  record_rmw_sync t p ~region ~acquire:false;
   let node = region.base.pid in
   let pid = Machine.pid p in
   let v0 = t.procs.(pid) in
@@ -771,6 +770,7 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
       in
       Vector_clock.merge_into ~into:v0 absorbed
   | Some _ | None -> ());
+  if t.mh.rmw_acquires_order then record_rmw_sync t p ~region ~acquire:true;
   let event_id = record_access t p ~kind:Event.Atomic_update ~target:region in
   let absorbed = check_access t p ~region ~cls:(Rmw { wrote }) ~v0 ~event_id in
   Vector_clock.merge_into ~into:v0 absorbed;
@@ -826,12 +826,7 @@ let lock_clock t (r : Addr.region) =
   match Hashtbl.find_opt t.lock_clocks r with
   | Some c -> c
   | None ->
-      let c =
-        match t.config.Config.clock_rep with
-        | Config.Dense_vector -> Vector_clock.create_dense ~n:t.dim
-        | Config.Epoch_adaptive -> Vector_clock.create ~n:t.dim
-        | Config.Sparse_vector -> Vector_clock.create_sparse ~n:t.dim
-      in
+      let c = Vector_clock.create ~n:t.dim in
       Hashtbl.add t.lock_clocks r c;
       c
 
@@ -890,7 +885,7 @@ let checked_ops t = t.checked_ops
 let meta_messages t = t.meta_messages
 
 (* Under the piggyback transports the true cost is what the machine's
-   encoder actually shipped (delta/sparse/dense per [clock_wire]); the
+   adaptive encoder actually shipped (delta, sparse or dense); the
    [count_shipped] field keeps the nominal dense allowance for the
    latency model's books. Explicit transport still counts its control
    payload words directly. *)

@@ -181,10 +181,9 @@ val meta_messages : t -> int
 
 val clock_words_shipped : t -> int
 (** Clock words that travelled on the wire. Under the piggyback
-    transports this is the {e true} encoded size per
-    {!Config.clock_wire} (delta/sparse/dense, read from the machine's
-    fabric counters); under the explicit transport it is the control
-    payload words. *)
+    transports this is the {e true} size of the adaptive delta/sparse/
+    dense piggyback encoding (read from the machine's fabric counters);
+    under the explicit transport it is the control payload words. *)
 
 val storage_words : t -> int
 (** Clock storage held across all nodes and processes: the §5.1 memory
@@ -194,4 +193,4 @@ val storage_words : t -> int
 val epoch_clocks : t -> int
 (** How many clocks (per-datum and per-process) are currently held in
     the compact epoch representation — the fraction of the clock
-    population the {!Config.Epoch_adaptive} fast path is winning on. *)
+    population the epoch fast path is winning on. *)

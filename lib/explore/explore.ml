@@ -11,7 +11,6 @@ type spec = {
   n : int;
   seed : int;
   latency : Dsm_net.Latency.t;
-  clock_wire : Dsm_core.Config.clock_wire;
   model : Dsm_rdma.Model.t;
   faults : Dsm_net.Fault.t;
   reliable : bool;
@@ -25,7 +24,6 @@ let default_spec =
     n = 2;
     seed = 1;
     latency = Dsm_net.Latency.infiniband_like;
-    clock_wire = Dsm_core.Config.default.Dsm_core.Config.clock_wire;
     model = Dsm_rdma.Model.default;
     faults = Dsm_net.Fault.none;
     reliable = false;
@@ -95,9 +93,9 @@ type ctx = {
 
 let create_ctx ?metrics spec =
   let plan =
-    Scenario.prepare ~latency:spec.latency ~clock_wire:spec.clock_wire
-      ~model:spec.model ~spec:spec.scenario ~n:spec.n ~seed:spec.seed
-      ~faults:spec.faults ~reliable:spec.reliable ~bug:spec.bug ()
+    Scenario.prepare ~latency:spec.latency ~model:spec.model
+      ~spec:spec.scenario ~n:spec.n ~seed:spec.seed ~faults:spec.faults
+      ~reliable:spec.reliable ~bug:spec.bug ()
   in
   let sim = Engine.create ~seed:spec.seed () in
   (* Telemetry is strictly read-only with respect to the simulation —
@@ -527,7 +525,6 @@ let token_of spec decisions =
     n = spec.n;
     seed = spec.seed;
     latency = spec.latency;
-    clock_wire = spec.clock_wire;
     model = spec.model;
     faults = spec.faults;
     reliable = spec.reliable;
@@ -542,7 +539,6 @@ let spec_of_token (t : Token.t) =
     n = t.n;
     seed = t.seed;
     latency = t.latency;
-    clock_wire = t.clock_wire;
     model = t.model;
     faults = t.faults;
     reliable = t.reliable;

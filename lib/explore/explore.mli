@@ -32,14 +32,9 @@ type spec = {
       (** fabric latency model; [Constant] makes deliveries tie, turning
           the scheduling tree from near-linear into genuinely branching —
           the regime the DPOR layer is for *)
-  clock_wire : Dsm_core.Config.clock_wire;
-      (** the detector's clock piggyback encoding (scenarios that attach
-          a detector). Accounting-only: schedules, fingerprints and race
-          verdicts are bit-identical across settings — the differential
-          suite holds the explorer to exactly that *)
   model : Dsm_rdma.Model.t;
       (** memory-model backend (default [Nic_atomic], the paper's).
-          Semantic, unlike [clock_wire]: it changes the machine's
+          Semantic: it changes the machine's
           protocol hooks and the detector's happens-before edges, hence
           schedules, fingerprints and verdicts — replay tokens carry it
           as the [m=] field so a token replays under the model that

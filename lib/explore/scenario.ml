@@ -163,19 +163,14 @@ let populate_rmwlost machine =
    clock-checked: the unsynchronized get/put pair signals races whose
    explanations must name both endpoints, and the RMW storm (S-serialized,
    hence race-silent) exercises the provenance-based atomicity fallback. *)
-let checked_config ~clock_wire ~model =
-  {
-    Config.default with
-    Config.transport = Config.Inline;
-    clock_wire;
-    memory_model = model;
-  }
+let checked_config ~model =
+  { Config.default with Config.transport = Config.Inline; memory_model = model }
 
-let populate_getput_checked ~clock_wire ~model machine =
+let populate_getput_checked ~model machine =
   let coherence = Coherence.attach machine in
   let linearize = Linearize.attach machine in
   let detector =
-    Detector.create machine ~config:(checked_config ~clock_wire ~model) ()
+    Detector.create machine ~config:(checked_config ~model) ()
   in
   let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
   let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
@@ -224,11 +219,11 @@ let populate_getput_checked ~clock_wire ~model machine =
   in
   { machine; detector = Some detector; coherence; linearize; monitor }
 
-let populate_rmwlost_checked ~clock_wire ~model machine =
+let populate_rmwlost_checked ~model machine =
   let coherence = Coherence.attach machine in
   let linearize = Linearize.attach machine in
   let detector =
-    Detector.create machine ~config:(checked_config ~clock_wire ~model) ()
+    Detector.create machine ~config:(checked_config ~model) ()
   in
   let n = Machine.n machine in
   let counter = Machine.alloc_public machine ~pid:0 ~name:"C" ~len:1 () in
@@ -275,24 +270,23 @@ let compile_prog path =
       | Error msg -> invalid_arg (Printf.sprintf "Scenario %s: %s" path msg)
       | Ok ir -> ir)
 
-let detector_config ~clock_wire ~model =
-  { Config.default with Config.clock_wire; memory_model = model }
+let detector_config ~model = { Config.default with Config.memory_model = model }
 
-let populate_prog ~clock_wire ~model ir machine =
+let populate_prog ~model ir machine =
   let coherence = Coherence.attach machine in
   let linearize = Linearize.attach machine in
   let detector =
-    Detector.create machine ~config:(detector_config ~clock_wire ~model) ()
+    Detector.create machine ~config:(detector_config ~model) ()
   in
   let (_ : Dsm_lang.Exec.runtime) = Dsm_lang.Exec.setup machine ~detector ir in
   { machine; detector = Some detector; coherence; linearize;
     monitor = no_monitor }
 
-let populate_workload ~name ~seed ~clock_wire ~model machine =
+let populate_workload ~name ~seed ~model machine =
   let coherence = Coherence.attach machine in
   let linearize = Linearize.attach machine in
   let detector =
-    Detector.create machine ~config:(detector_config ~clock_wire ~model) ()
+    Detector.create machine ~config:(detector_config ~model) ()
   in
   let env = Env.checked detector in
   let collectives = Collectives.create env in
@@ -411,7 +405,6 @@ let populate_workload ~name ~seed ~clock_wire ~model machine =
   { machine; detector = Some detector; coherence; linearize; monitor }
 
 let prepare ?(latency = Dsm_net.Latency.infiniband_like)
-    ?(clock_wire = Config.default.Config.clock_wire)
     ?(model = Dsm_rdma.Model.default) ~spec ~n ~seed ~faults ~reliable ~bug
     () =
   let plan ~min_procs populate =
@@ -430,10 +423,10 @@ let prepare ?(latency = Dsm_net.Latency.infiniband_like)
   match String.index_opt spec ':' with
   | None when spec = "getput" -> plan ~min_procs:2 populate_getput
   | None when spec = "getput-checked" ->
-      plan ~min_procs:2 (populate_getput_checked ~clock_wire ~model)
+      plan ~min_procs:2 (populate_getput_checked ~model)
   | None when spec = "rmwlost" -> plan ~min_procs:2 populate_rmwlost
   | None when spec = "rmwlost-checked" ->
-      plan ~min_procs:2 (populate_rmwlost_checked ~clock_wire ~model)
+      plan ~min_procs:2 (populate_rmwlost_checked ~model)
   | None -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec)
   | Some colon -> (
       let kind = String.sub spec 0 colon in
@@ -441,7 +434,7 @@ let prepare ?(latency = Dsm_net.Latency.infiniband_like)
       match kind with
       | "prog" ->
           let ir = compile_prog arg in
-          plan ~min_procs:1 (populate_prog ~clock_wire ~model ir)
+          plan ~min_procs:1 (populate_prog ~model ir)
       | "workload" ->
           if not (List.mem ("workload:" ^ arg) known) then
             invalid_arg (Printf.sprintf "Scenario: unknown workload %S" arg);
@@ -449,7 +442,7 @@ let prepare ?(latency = Dsm_net.Latency.infiniband_like)
             (* racy scale mode needs distinct ring neighbours *)
             match arg with "scale" | "scale-batched" -> 3 | _ -> 2
           in
-          plan ~min_procs (populate_workload ~name:arg ~seed ~clock_wire ~model)
+          plan ~min_procs (populate_workload ~name:arg ~seed ~model)
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs
@@ -460,9 +453,7 @@ let repopulate plan machine =
   Machine.reset machine;
   plan.populate machine
 
-let build ?latency ?clock_wire ?model sim ~spec ~n ~seed ~faults ~reliable
-    ~bug =
+let build ?latency ?model sim ~spec ~n ~seed ~faults ~reliable ~bug =
   instantiate
-    (prepare ?latency ?clock_wire ?model ~spec ~n ~seed ~faults ~reliable ~bug
-       ())
+    (prepare ?latency ?model ~spec ~n ~seed ~faults ~reliable ~bug ())
     sim

@@ -54,7 +54,6 @@ type plan
 
 val prepare :
   ?latency:Dsm_net.Latency.t ->
-  ?clock_wire:Dsm_core.Config.clock_wire ->
   ?model:Dsm_rdma.Model.t ->
   spec:string ->
   n:int ->
@@ -67,16 +66,11 @@ val prepare :
 (** [latency] (default [Dsm_net.Latency.infiniband_like]) picks the
     fabric's latency model — [Constant] makes message deliveries tie
     and blows the scheduling tree wide open, which is exactly what the
-    DPOR experiments want. [clock_wire] (default
-    [Dsm_core.Config.default.clock_wire], i.e. [Delta_wire]) picks the
-    detector's clock piggyback encoding for scenarios that attach a
-    detector; it is accounting-only, so schedules, fingerprints and race
-    verdicts are identical across settings. [model] (default
-    [Dsm_rdma.Model.default], the paper's [Nic_atomic]) selects the
-    memory-model backend for both the machine's protocol hooks and the
-    detector's happens-before edges — unlike [clock_wire] it {e does}
-    change schedules, fingerprints and race verdicts, which is why
-    replay tokens carry it. Raises [Invalid_argument] on
+    DPOR experiments want. [model] (default [Dsm_rdma.Model.default],
+    the paper's [Nic_atomic]) selects the memory-model backend for both
+    the machine's protocol hooks and the detector's happens-before
+    edges — it changes schedules, fingerprints and race verdicts, which
+    is why replay tokens carry it. Raises [Invalid_argument] on
     an unknown spec, an unparsable program,
     or a process count below the scenario's minimum ([getput] and the
     workloads need at least 2; programs at least 1) — the validation that
@@ -101,7 +95,6 @@ val repopulate : plan -> Dsm_rdma.Machine.t -> built
 
 val build :
   ?latency:Dsm_net.Latency.t ->
-  ?clock_wire:Dsm_core.Config.clock_wire ->
   ?model:Dsm_rdma.Model.t ->
   Dsm_sim.Engine.t ->
   spec:string ->

@@ -3,7 +3,6 @@ type t = {
   n : int;
   seed : int;
   latency : Dsm_net.Latency.t;
-  clock_wire : Dsm_core.Config.clock_wire;
   model : Dsm_rdma.Model.t;
   faults : Dsm_net.Fault.t;
   reliable : bool;
@@ -29,22 +28,14 @@ let to_string t =
     if t.latency = Dsm_net.Latency.infiniband_like then ""
     else Printf.sprintf "|l=%s" (Dsm_net.Latency.to_string t.latency)
   in
-  (* likewise the wire encoding: omitted at the default so pre-knob
-     tokens keep printing (and parsing) unchanged *)
-  let w =
-    if t.clock_wire = Dsm_core.Config.default.Dsm_core.Config.clock_wire then
-      ""
-    else
-      Printf.sprintf "|w=%s" (Dsm_core.Config.clock_wire_name t.clock_wire)
-  in
   (* and the memory model: omitted at the default ([nic_atomic]) so
      pre-model tokens keep printing (and parsing) unchanged *)
   let m =
     if t.model = Dsm_rdma.Model.default then ""
     else Printf.sprintf "|m=%s" (Dsm_rdma.Model.name t.model)
   in
-  Printf.sprintf "%s|s=%s|n=%d|seed=%d%s%s%s|f=%s|r=%d|b=%d|me=%d|d=%s" magic
-    t.scenario t.n t.seed l w m
+  Printf.sprintf "%s|s=%s|n=%d|seed=%d%s%s|f=%s|r=%d|b=%d|me=%d|d=%s" magic
+    t.scenario t.n t.seed l m
     (Dsm_net.Fault.to_string t.faults)
     (if t.reliable then 1 else 0)
     (if t.bug then 1 else 0)
@@ -84,20 +75,16 @@ let of_string s =
             | "l" ->
                 let* latency = Dsm_net.Latency.of_string v in
                 Ok { t with latency }
-            | "w" ->
-                let* clock_wire =
-                  match v with
-                  | "dense" -> Ok Dsm_core.Config.Dense_wire
-                  | "sparse" -> Ok Dsm_core.Config.Sparse_wire
-                  | "delta" -> Ok Dsm_core.Config.Delta_wire
-                  | _ ->
-                      Error
-                        (Printf.sprintf
-                           "replay token: w must be dense, sparse or delta, \
-                            got %s"
-                           v)
-                in
-                Ok { t with clock_wire }
+            | "w" -> (
+                (* the retired clock-wire field: it only ever changed
+                   accounting, so old tokens parse and ignore it *)
+                match v with
+                | "dense" | "sparse" | "delta" -> Ok t
+                | _ ->
+                    Error
+                      (Printf.sprintf
+                         "replay token: w must be dense, sparse or delta, got %s"
+                         v))
             | "m" ->
                 let* model = Dsm_rdma.Model.of_name v in
                 Ok { t with model }
@@ -136,7 +123,6 @@ let of_string s =
              n = 2;
              seed = 1;
              latency = Dsm_net.Latency.infiniband_like;
-             clock_wire = Dsm_core.Config.default.Dsm_core.Config.clock_wire;
              model = Dsm_rdma.Model.default;
              faults = Dsm_net.Fault.none;
              reliable = false;

@@ -10,21 +10,20 @@
     the optional [l] field {!Dsm_net.Latency.of_string}'s; [l] is
     omitted — printing and parsing — at the default model, so tokens
     minted before the latency knob existed replay unchanged; the
-    optional [w] field (dense|sparse|delta) carries the clock wire
-    encoding and the optional [m] field
-    (nic_atomic|relaxed|eventual|seq_consistent) the memory-model
-    backend, each likewise omitted at its default):
+    optional [m] field (nic_atomic|relaxed|eventual|seq_consistent)
+    carries the memory-model backend, likewise omitted at its default):
 
-    {v dsm1|s=getput|n=2|seed=7|l=constant:1|w=dense|f=drop=0.2|r=1|b=1|me=200000|d=1,0,2 v} *)
+    {v dsm1|s=getput|n=2|seed=7|l=constant:1|f=drop=0.2|r=1|b=1|me=200000|d=1,0,2 v}
+
+    Tokens minted while the clock wire encoding was selectable may carry
+    a [w=dense|sparse|delta] field. It was accounting-only, so it still
+    parses and is ignored; it is never printed. *)
 
 type t = {
   scenario : string;  (** {!Scenario} spec, e.g. ["getput"] *)
   n : int;
   seed : int;
   latency : Dsm_net.Latency.t;  (** fabric latency model *)
-  clock_wire : Dsm_core.Config.clock_wire;
-      (** detector clock piggyback encoding — accounting-only, carried
-          so a replayed run reports the same wire-byte counters *)
   model : Dsm_rdma.Model.t;
       (** memory-model backend the run executed under; semantic (it
           changes schedules and verdicts), carried as the [m=] field

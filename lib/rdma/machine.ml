@@ -116,12 +116,11 @@ type t = {
     Hashtbl.t;
   mutable observers : (observation -> unit) list;
   mutable ops : int;
-  (* clock piggyback wiring (ISSUE 8): when a detector installs a clock
-     source, every clock-carrying message gets a framed piggyback whose
-     encoding is chosen per message — accounting-only; the latency model
-     keeps pricing the nominal [Message.wire_words]. *)
+  (* clock piggyback wiring: when a detector installs a clock source,
+     every clock-carrying message gets a framed piggyback whose encoding
+     is chosen per message — accounting-only; the latency model keeps
+     pricing the nominal [Message.wire_words]. *)
   mutable clock_src : (pid:int -> Dsm_clocks.Vector_clock.t) option;
-  mutable pb_mode : Dsm_clocks.Codec.piggyback_mode;
   pb_delta_ok : bool;
       (* deltas need per-edge in-order, exactly-once delivery of the
          piggybacks: true on a fault-free fabric (the FIFO floor gives
@@ -183,9 +182,7 @@ let pb_count m w =
 let encode_pb m ~src ~dst v =
   let e = pb_edge_of m.pb_sent (src, dst) in
   let mode =
-    match m.pb_mode with
-    | Dsm_clocks.Codec.Delta when not m.pb_delta_ok -> Dsm_clocks.Codec.Sparse
-    | mode -> mode
+    if m.pb_delta_ok then Dsm_clocks.Codec.Delta else Dsm_clocks.Codec.Sparse
   in
   let w =
     Dsm_clocks.Codec.encode_piggyback ~mode ~seq:e.pb_seq ?since:e.pb_cache v
@@ -681,7 +678,6 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
       observers = [];
       ops = 0;
       clock_src = None;
-      pb_mode = Dsm_clocks.Codec.Delta;
       pb_delta_ok =
         (* put-lane reordering (Eventual) defeats per-edge in-order
            delivery just like reorder faults do; the reliable transport
@@ -734,7 +730,6 @@ let reset m =
      clock source (Detector.create) and both edge tables restart empty,
      so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
-  m.pb_mode <- Dsm_clocks.Codec.Delta;
   Hashtbl.reset m.pb_sent;
   Hashtbl.reset m.pb_recv;
   m.pb_dense <- 0;
@@ -760,9 +755,7 @@ let wire_words_sent m = Dsm_net.Fabric.wire_words_sent m.fabric
 
 let clock_words_sent m = Dsm_net.Fabric.clock_words_sent m.fabric
 
-let set_clock_source m ~mode f =
-  m.pb_mode <- mode;
-  m.clock_src <- Some f
+let set_clock_source m f = m.clock_src <- Some f
 
 let clock_encodings m = (m.pb_dense, m.pb_sparse, m.pb_delta)
 

@@ -121,21 +121,17 @@ val clock_words_sent : t -> int
 (** Clock-piggyback words within {!wire_words_sent} — the true cost of
     shipping clocks under the installed {!set_clock_source} encoding. *)
 
-val set_clock_source :
-  t ->
-  mode:Dsm_clocks.Codec.piggyback_mode ->
-  (pid:int -> Dsm_clocks.Vector_clock.t) ->
-  unit
-(** [set_clock_source m ~mode f] makes every clock-carrying protocol
-    message ([Put], [Put_batch], [Get_reply], [Atomic_reply],
-    [Acc_reply], [Lock_granted]) ship the sender's current clock [f ~pid]
-    as a piggyback encoded per [mode] against a per-[(src, dst)] edge
-    cache of the last clock sent on that channel (see
+val set_clock_source : t -> (pid:int -> Dsm_clocks.Vector_clock.t) -> unit
+(** [set_clock_source m f] makes every clock-carrying protocol message
+    ([Put], [Put_batch], [Get_reply], [Atomic_reply], [Acc_reply],
+    [Lock_granted]) ship the sender's current clock [f ~pid] as an
+    adaptive [Delta] piggyback against a per-[(src, dst)] edge cache of
+    the last clock sent on that channel (see
     [Dsm_clocks.Codec.encode_piggyback]). Accounting-only: the latency
-    model still prices the nominal [extra_words] allowance, so installing
-    a source (or changing [mode]) cannot perturb a schedule. Under
-    [Delta] on a faulty fabric without {!reliability}, encoding degrades
-    to [Sparse] — deltas are only sound on in-order exactly-once
+    model still prices the nominal [extra_words] allowance, so
+    installing a source cannot perturb a schedule. On a faulty fabric
+    without {!reliability}, encoding degrades to the self-contained
+    [Sparse] frame — deltas are only sound on in-order exactly-once
     channels; with [reliability], retransmitted delta frames are
     re-encoded self-contained instead ({!clock_retransmit_fallbacks}).
     Cleared by {!reset}. *)

@@ -14,6 +14,12 @@ type sync =
   | Lock_release of { id : int; time : float; pid : int; lock : string }
   | Barrier_enter of { id : int; time : float; pid : int; generation : int }
   | Barrier_exit of { id : int; time : float; pid : int; generation : int }
+  | Rmw_sync of {
+      id : int;
+      time : float;
+      pid : int;
+      target : Dsm_memory.Addr.region;
+    }
 
 type t = Access of access | Sync of sync
 
@@ -23,7 +29,8 @@ let id = function
       ( Lock_acquire { id; _ }
       | Lock_release { id; _ }
       | Barrier_enter { id; _ }
-      | Barrier_exit { id; _ } ) ->
+      | Barrier_exit { id; _ }
+      | Rmw_sync { id; _ } ) ->
       id
 
 let time = function
@@ -32,7 +39,8 @@ let time = function
       ( Lock_acquire { time; _ }
       | Lock_release { time; _ }
       | Barrier_enter { time; _ }
-      | Barrier_exit { time; _ } ) ->
+      | Barrier_exit { time; _ }
+      | Rmw_sync { time; _ } ) ->
       time
 
 let pid = function
@@ -41,7 +49,8 @@ let pid = function
       ( Lock_acquire { pid; _ }
       | Lock_release { pid; _ }
       | Barrier_enter { pid; _ }
-      | Barrier_exit { pid; _ } ) ->
+      | Barrier_exit { pid; _ }
+      | Rmw_sync { pid; _ } ) ->
       pid
 
 let is_write = function Access { kind = Write; _ } -> true | _ -> false
@@ -77,3 +86,6 @@ let pp ppf = function
   | Sync (Barrier_exit { id; time; pid; generation }) ->
       Format.fprintf ppf "#%d t=%.2f P%d barrier-exit(%d)" id time pid
         generation
+  | Sync (Rmw_sync { id; time; pid; target }) ->
+      Format.fprintf ppf "#%d t=%.2f P%d rmw-sync %a" id time pid
+        Dsm_memory.Addr.pp_region target

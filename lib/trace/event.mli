@@ -36,6 +36,17 @@ type sync =
   | Barrier_exit of { id : int; time : float; pid : int; generation : int }
       (** release, after every participant arrived; ordered after all
           [Barrier_enter] events of the same generation *)
+  | Rmw_sync of {
+      id : int;
+      time : float;
+      pid : int;
+      target : Dsm_memory.Addr.region;
+    }
+      (** an atomic update's synchronization through the target NIC,
+          which serializes RMWs: the issuer publishes its history on
+          [target]'s words when it issues the RMW, and at the RMW's
+          check acquires everything published there before (see
+          [Recorder.rmw_sync]) *)
 
 type t = Access of access | Sync of sync
 

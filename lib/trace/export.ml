@@ -72,6 +72,9 @@ let to_csv t =
         | Event.Sync (Event.Barrier_exit { generation; _ }) ->
             Printf.sprintf "%d,%.6f,%d,barrier-exit,,,,,%d" id time pid
               generation
+        | Event.Sync (Event.Rmw_sync { target; _ }) ->
+            Printf.sprintf "%d,%.6f,%d,rmw-sync,,%d,%d,%d," id time pid
+              target.base.pid target.base.offset target.len
       in
       Buffer.add_string buf row;
       Buffer.add_char buf '\n')

@@ -11,6 +11,10 @@ type t = {
   (* writer event ids per (owner pid, space flag, word offset): a single
      id under Last_writer, the full history under All_writers *)
   writers : (int * bool * int, int list) Hashtbl.t;
+  (* [Rmw_sync] event ids per word: the history the NIC's RMW
+     serialization publishes there (always the full list — the
+     detector's S clock accumulates) *)
+  rmw_syncs : (int * bool * int, int list) Hashtbl.t;
   last_release : (string, int) Hashtbl.t;
   barrier_enters : (int, int list) Hashtbl.t;
 }
@@ -24,6 +28,7 @@ let create ?(reads_from = All_writers) ~n () =
     preds = [];
     count = 0;
     writers = Hashtbl.create 256;
+    rmw_syncs = Hashtbl.create 64;
     last_release = Hashtbl.create 16;
     barrier_enters = Hashtbl.create 16;
   }
@@ -39,6 +44,11 @@ let word_keys (r : Addr.region) =
 
 let dedup_sorted l = List.sort_uniq compare l
 
+let ids_on tbl keys =
+  List.concat_map
+    (fun k -> match Hashtbl.find_opt tbl k with None -> [] | Some ids -> ids)
+    keys
+
 let access t ~time ~pid ~kind ~target ?(label = "") () =
   let id = t.count in
   let keys = word_keys target in
@@ -46,14 +56,9 @@ let access t ~time ~pid ~kind ~target ?(label = "") () =
     match kind with
     | Event.Read | Event.Atomic_update ->
         (* Reads — and atomic updates, which read before they modify —
-           are ordered after the writes whose effects they observed. *)
-        dedup_sorted
-          (List.concat_map
-             (fun k ->
-               match Hashtbl.find_opt t.writers k with
-               | None -> []
-               | Some ids -> ids)
-             keys)
+           are ordered after the writes whose effects they observed, and
+           after the RMW synchronization published on the words. *)
+        dedup_sorted (ids_on t.writers keys @ ids_on t.rmw_syncs keys)
     | Event.Write -> []
   in
   push t (Event.Access { id; time; pid; kind; target; label }) preds;
@@ -67,6 +72,18 @@ let access t ~time ~pid ~kind ~target ?(label = "") () =
         in
         Hashtbl.replace t.writers k ids)
       keys;
+  id
+
+let rmw_sync t ~time ~pid ~target ~acquire =
+  let id = t.count in
+  let keys = word_keys target in
+  let preds = if acquire then dedup_sorted (ids_on t.rmw_syncs keys) else [] in
+  push t (Event.Sync (Event.Rmw_sync { id; time; pid; target })) preds;
+  List.iter
+    (fun k ->
+      let ids = Option.value (Hashtbl.find_opt t.rmw_syncs k) ~default:[] in
+      Hashtbl.replace t.rmw_syncs k (id :: ids))
+    keys;
   id
 
 let lock_acquire t ~time ~pid ~lock =

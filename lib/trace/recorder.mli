@@ -34,9 +34,29 @@ val access :
   ?label:string ->
   unit ->
   int
-(** Records one access and returns its event id. A [Read] picks up
-    reads-from edges to the last writer of every word it covers; a
-    [Write] becomes the last writer of its words. *)
+(** Records one access and returns its event id. A [Read] or
+    [Atomic_update] picks up reads-from edges to the writers of every
+    word it covers and to every {!rmw_sync} recorded on those words; a
+    [Write] or [Atomic_update] becomes a writer of its words. *)
+
+val rmw_sync :
+  t ->
+  time:float ->
+  pid:int ->
+  target:Dsm_memory.Addr.region ->
+  acquire:bool ->
+  int
+(** An atomic update's synchronization through the target NIC, which
+    serializes RMWs (the paper's [Nic_atomic] model; record nothing
+    under a model whose RMWs do not synchronize). Mirrors the detector's
+    S clock: with [~acquire:false] it is the release the issuer publishes
+    on [target]'s words when it issues the RMW; with [~acquire:true] it
+    is the RMW's check, which first acquires every [rmw_sync] recorded on
+    those words before and then publishes the result. Record the latter
+    immediately before the RMW's [Atomic_update] access, so the access
+    is ordered after what it acquired — the acquire is synchronization
+    for the RMW itself, unlike a reads-from edge. Later reads and atomic
+    updates of the words observe every [rmw_sync] on them. *)
 
 val lock_acquire : t -> time:float -> pid:int -> lock:string -> int
 (** Ordered after the previous {!lock_release} of the same lock name. *)

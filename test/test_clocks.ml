@@ -113,10 +113,9 @@ let test_vc_sum_entry () =
 
 (* ---------- Vector clocks: epoch representation ---------- *)
 
-(* The adaptive clock must keep the compact epoch form through
-   single-writer histories and promote exactly on the first
-   cross-process advance — while remaining abstractly identical to the
-   dense representation throughout. *)
+(* The clock must keep the compact epoch form through single-writer
+   histories and promote exactly on the first cross-process advance —
+   while remaining abstractly identical to the dense vector throughout. *)
 
 let test_epoch_lifecycle () =
   let c = Vector_clock.create ~n:4 in
@@ -130,12 +129,18 @@ let test_epoch_lifecycle () =
   Alcotest.(check bool) "second pid promotes" false (Vector_clock.is_epoch c);
   Alcotest.(check vc_testable) "promoted value" (vc [ 1; 0; 2; 0 ]) c
 
+(* Once past the sparse threshold a clock stays a dense array — merges
+   and ticks never demote it — until [reset] restores the zero epoch. *)
 let test_epoch_dense_pinned () =
-  let c = Vector_clock.create_dense ~n:3 in
-  Alcotest.(check bool) "create_dense is dense" false (Vector_clock.is_epoch c);
+  let c = vc [ 1; 1; 1; 1; 1; 0 ] in
+  let dense c = not (Vector_clock.is_epoch c || Vector_clock.is_sparse c) in
+  Alcotest.(check bool) "five writers at n=6 is dense" true (dense c);
+  Vector_clock.tick c ~me:5;
+  Vector_clock.merge_into ~into:c (vc [ 0; 0; 9; 0; 0; 0 ]);
+  Alcotest.(check bool) "stays dense" true (dense c);
+  Alcotest.(check vc_testable) "dense value" (vc [ 1; 1; 9; 1; 1; 1 ]) c;
   Vector_clock.reset c;
-  Alcotest.(check bool) "reset keeps dense pinned" false
-    (Vector_clock.is_epoch c);
+  Alcotest.(check bool) "reset re-epochs" true (Vector_clock.is_epoch c);
   Alcotest.(check bool) "reset zeroes" true (Vector_clock.is_zero c)
 
 let test_epoch_reset_reepochs () =
@@ -153,10 +158,11 @@ let test_epoch_of_array () =
     (Vector_clock.is_epoch (vc [ 0; 7; 0 ]));
   Alcotest.(check bool) "all zero -> epoch" true
     (Vector_clock.is_epoch (vc [ 0; 0; 0 ]));
-  Alcotest.(check bool) "two nonzeros -> dense" false
-    (Vector_clock.is_epoch (vc [ 1; 7; 0 ]));
-  Alcotest.(check bool) "~dense pins" false
-    (Vector_clock.is_epoch (Vector_clock.of_array ~dense:true [| 0; 7; 0 |]))
+  Alcotest.(check bool) "two nonzeros -> sparse" true
+    (Vector_clock.is_sparse (vc [ 1; 7; 0 ]));
+  let many = vc [ 1; 2; 3; 4; 5; 0 ] in
+  Alcotest.(check bool) "past threshold -> dense" false
+    (Vector_clock.is_epoch many || Vector_clock.is_sparse many)
 
 let test_epoch_merge_transitions () =
   (* epoch <- epoch, same owner: stays epoch, takes the max. *)
@@ -177,10 +183,15 @@ let test_epoch_merge_transitions () =
   Alcotest.(check bool) "zero absorbs epoch compactly" true
     (Vector_clock.is_epoch z);
   Alcotest.(check vc_testable) "absorbed value" (vc [ 0; 0; 9 ]) z;
-  (* dense <- epoch: O(1) single-slot update, no representation change. *)
-  let d = vc [ 4; 1; 0 ] in
-  Vector_clock.merge_into ~into:d (vc [ 0; 6; 0 ]);
-  Alcotest.(check vc_testable) "vec absorbs epoch" (vc [ 4; 6; 0 ]) d
+  (* pairs <- epoch: single-slot update, no representation change. *)
+  let p = vc [ 4; 1; 0 ] in
+  Vector_clock.merge_into ~into:p (vc [ 0; 6; 0 ]);
+  Alcotest.(check vc_testable) "pairs absorb epoch" (vc [ 4; 6; 0 ]) p;
+  Alcotest.(check bool) "still pairs" true (Vector_clock.is_sparse p);
+  (* dense <- epoch: O(1) single-slot update. *)
+  let d = vc [ 4; 1; 1; 1; 1; 0 ] in
+  Vector_clock.merge_into ~into:d (vc [ 0; 6; 0; 0; 0; 0 ]);
+  Alcotest.(check vc_testable) "vec absorbs epoch" (vc [ 4; 6; 1; 1; 1; 0 ]) d
 
 let test_epoch_compare_cases () =
   let check name expect a b =
@@ -193,11 +204,18 @@ let test_epoch_compare_cases () =
   check "same owner ordered" Order.Before (vc [ 0; 2 ]) (vc [ 0; 5 ]);
   check "same owner equal" Order.Equal (vc [ 4; 0 ]) (vc [ 4; 0 ]);
   check "different owners concurrent" Order.Concurrent (vc [ 3; 0 ]) (vc [ 0; 1 ]);
+  (* epoch vs sorted pairs, both directions *)
+  check "epoch below pairs" Order.Before (vc [ 0; 2; 0 ]) (vc [ 1; 2; 0 ]);
+  check "epoch concurrent pairs" Order.Concurrent (vc [ 0; 9; 0 ])
+    (vc [ 1; 2; 0 ]);
+  check "pairs above epoch" Order.After (vc [ 1; 2; 0 ]) (vc [ 0; 2; 0 ]);
   (* epoch vs dense, both directions *)
-  check "epoch below vec" Order.Before (vc [ 0; 2; 0 ]) (vc [ 1; 2; 0 ]);
-  check "epoch above vec" Order.After (vc [ 0; 9; 0 ]) (vc [ 0; 2; 0 ]);
-  check "epoch concurrent vec" Order.Concurrent (vc [ 0; 9; 0 ]) (vc [ 1; 2; 0 ]);
-  check "vec above epoch" Order.After (vc [ 1; 2; 0 ]) (vc [ 0; 2; 0 ]);
+  let dense = vc [ 1; 2; 1; 1; 1; 0 ] in
+  check "epoch below vec" Order.Before (vc [ 0; 2; 0; 0; 0; 0 ]) dense;
+  check "epoch above vec" Order.After (vc [ 0; 9; 0; 0; 0; 0 ])
+    (vc [ 0; 2; 0; 0; 0; 0 ]);
+  check "epoch concurrent vec" Order.Concurrent (vc [ 0; 9; 0; 0; 0; 0 ]) dense;
+  check "vec above epoch" Order.After dense (vc [ 0; 2; 0; 0; 0; 0 ]);
   (* leq epoch fast path *)
   Alcotest.(check bool) "zero leq anything" true
     (Vector_clock.leq (vc [ 0; 0 ]) (vc [ 0; 1 ]));
@@ -229,14 +247,14 @@ let test_sparse_lifecycle () =
   let n = 64 in
   let thr = Vector_clock.sparse_threshold ~n in
   Alcotest.(check bool) "threshold scales with n" true (thr >= 4 && thr < n);
-  let c = Vector_clock.create_sparse ~n in
+  let c = Vector_clock.create ~n in
   Alcotest.(check bool) "born epoch" true (Vector_clock.is_epoch c);
   Vector_clock.tick c ~me:9;
   Vector_clock.tick c ~me:9;
   Alcotest.(check bool) "single-writer ticks stay epoch" true
     (Vector_clock.is_epoch c);
   (* a second pid promotes to the sorted-pairs form, not to dense *)
-  let other = Vector_clock.create_sparse ~n in
+  let other = Vector_clock.create ~n in
   Vector_clock.tick other ~me:40;
   Vector_clock.merge_into ~into:c other;
   Alcotest.(check bool) "second pid lands sparse" true
@@ -246,14 +264,14 @@ let test_sparse_lifecycle () =
   Alcotest.(check int) "active entries" 2 (Vector_clock.active_entries c);
   (* fill to the threshold: still sparse; one past: promoted to dense *)
   for pid = 0 to thr - 3 do
-    let o = Vector_clock.create_sparse ~n in
+    let o = Vector_clock.create ~n in
     Vector_clock.tick o ~me:pid;
     Vector_clock.merge_into ~into:c o
   done;
   Alcotest.(check int) "at threshold" thr (Vector_clock.active_entries c);
   Alcotest.(check bool) "at threshold still sparse" true
     (Vector_clock.is_sparse c);
-  let o = Vector_clock.create_sparse ~n in
+  let o = Vector_clock.create ~n in
   Vector_clock.tick o ~me:50;
   Vector_clock.merge_into ~into:c o;
   Alcotest.(check bool) "past threshold promoted to dense" false
@@ -264,13 +282,15 @@ let test_sparse_lifecycle () =
   Vector_clock.reset c;
   Alcotest.(check bool) "reset re-epochs" true (Vector_clock.is_epoch c);
   Alcotest.(check bool) "reset zeroes" true (Vector_clock.is_zero c);
-  Alcotest.(check bool) "policy survives reset" true
-    (Vector_clock.rep c = Vector_clock.Sparse)
+  Vector_clock.tick c ~me:3;
+  Vector_clock.tick c ~me:7;
+  Alcotest.(check bool) "promotes to pairs again after reset" true
+    (Vector_clock.is_sparse c)
 
 let test_sparse_merge_scan () =
   (* interleaved active pids exercise every branch of the merge scan:
      left-only, right-only, and both-present components *)
-  let mk l = Vector_clock.of_array_rep Vector_clock.Sparse (Array.of_list l) in
+  let mk l = Vector_clock.of_array (Array.of_list l) in
   let a = mk [ 0; 5; 0; 3; 0; 0; 1; 0 ] in
   let b = mk [ 2; 0; 0; 7; 0; 4; 0; 0 ] in
   let m = Vector_clock.merge a b in
@@ -283,7 +303,7 @@ let test_sparse_merge_scan () =
     (Vector_clock.to_array a)
 
 let test_sparse_compare_cases () =
-  let mk l = Vector_clock.of_array_rep Vector_clock.Sparse (Array.of_list l) in
+  let mk l = Vector_clock.of_array (Array.of_list l) in
   let x = mk [ 1; 0; 2; 0 ] in
   let y = mk [ 1; 0; 3; 0 ] in
   let z = mk [ 0; 4; 0; 0 ] in
@@ -295,9 +315,16 @@ let test_sparse_compare_cases () =
   Alcotest.(check bool) "equal" true
     (Order.equal Order.Equal (Vector_clock.compare x (mk [ 1; 0; 2; 0 ])));
   (* mixed representations compare the same abstract vector *)
-  let xd = Vector_clock.of_array ~dense:true [| 1; 0; 2; 0 |] in
-  Alcotest.(check bool) "sparse vs dense" true
-    (Order.equal Order.Before (Vector_clock.compare xd y))
+  let x8 = mk [ 1; 0; 2; 0; 0; 0; 0; 0 ] in
+  let d8 = mk [ 1; 1; 3; 1; 1; 1; 0; 0 ] in
+  Alcotest.(check bool) "dense operand" false
+    (Vector_clock.is_sparse d8 || Vector_clock.is_epoch d8);
+  Alcotest.(check bool) "sparse before dense" true
+    (Order.equal Order.Before (Vector_clock.compare x8 d8));
+  Alcotest.(check bool) "dense after sparse" true
+    (Order.equal Order.After (Vector_clock.compare d8 x8));
+  Alcotest.(check bool) "sparse concurrent dense" true
+    (Vector_clock.concurrent (mk [ 0; 4; 0; 0; 0; 0; 0; 1 ]) d8)
 
 (* ---------- Vector clocks: properties ---------- *)
 
@@ -376,80 +403,168 @@ let prop_varint_at_least_one_byte_per_entry =
     arb_vc_pair (fun (a, _) ->
       Bytes.length (Codec.encode_vector_varint a) >= Vector_clock.dim a + 1)
 
-(* Adaptive ≡ dense: the same random history applied to an adaptive and a
-   dense clock yields abstractly equal clocks at every step, and the two
-   representations of the same value compare identically against any
-   third clock — representation must never leak into a verdict. *)
+(* Adaptive ≡ dense reference: random histories applied in lockstep to
+   two library clocks and to two [Dense_ref] oracles (Algorithms 3-4
+   taken literally). After every step both pairs must hold the same
+   values and give the same compare/leq/equal verdicts — representation
+   must never leak into a verdict. *)
 
-type clock_op = Tick of int | Merge of int array | Reset
+type clock_op =
+  | Tick of int * int  (** clock, pid *)
+  | Merge_other of int  (** merge_into ~into:clock the other clock *)
+  | Merge_lit of int * int array
+  | Load of int * int array  (** load_words *)
+  | Merge_words of int * int array
+  | Copy of int  (** clock := copy of the other clock *)
+  | Reset of int
+
+(* Arrays with a random number of nonzero entries, so literal merges and
+   loads land on every representation: zero, one writer (epoch), a few
+   (sorted pairs) and past [sparse_threshold] (dense). *)
+let gen_clock_array n =
+  QCheck.Gen.(
+    int_bound n >>= fun k ->
+    list_repeat k (pair (int_bound (n - 1)) (int_range 1 9)) >|= fun kvs ->
+    let a = Array.make n 0 in
+    List.iter (fun (i, v) -> a.(i) <- v) kvs;
+    a)
 
 let gen_ops n =
   QCheck.Gen.(
-    list_size (int_range 1 12)
-      (frequency
+    list_size (int_range 1 40)
+      (int_bound 1 >>= fun c ->
+       frequency
          [
-           (4, int_bound (n - 1) >|= fun p -> Tick p);
-           (3, array_size (return n) (int_bound 5) >|= fun a -> Merge a);
-           (1, return Reset);
+           (6, int_bound (n - 1) >|= fun p -> Tick (c, p));
+           (3, return (Merge_other c));
+           (3, gen_clock_array n >|= fun a -> Merge_lit (c, a));
+           (2, gen_clock_array n >|= fun a -> Load (c, a));
+           (2, gen_clock_array n >|= fun a -> Merge_words (c, a));
+           (1, return (Copy c));
+           (1, return (Reset c));
          ]))
 
-let arb_history =
-  let print (n, ops) =
-    Printf.sprintf "n=%d " n
-    ^ String.concat ";"
+let print_history (n, ops) =
+  let arr a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "n=%d " n
+  ^ String.concat ";"
       (List.map
          (function
-           | Tick p -> Printf.sprintf "tick %d" p
-           | Merge a ->
-               "merge "
-               ^ String.concat ","
-                   (Array.to_list (Array.map string_of_int a))
-           | Reset -> "reset")
+           | Tick (c, p) -> Printf.sprintf "c%d tick %d" c p
+           | Merge_other c -> Printf.sprintf "c%d merge other" c
+           | Merge_lit (c, a) -> Printf.sprintf "c%d merge [%s]" c (arr a)
+           | Load (c, a) -> Printf.sprintf "c%d load [%s]" c (arr a)
+           | Merge_words (c, a) ->
+               Printf.sprintf "c%d merge_words [%s]" c (arr a)
+           | Copy c -> Printf.sprintf "c%d copy other" c
+           | Reset c -> Printf.sprintf "c%d reset" c)
          ops)
-  in
-  QCheck.make ~print
-    QCheck.Gen.(int_range 1 6 >>= fun n -> pair (return n) (gen_ops n))
 
-let apply_op c = function
-  | Tick p -> Vector_clock.tick c ~me:p
-  | Merge a -> Vector_clock.merge_into ~into:c (Vector_clock.of_array a)
-  | Reset -> Vector_clock.reset c
+let arb_history ~sizes =
+  QCheck.make ~print:print_history
+    QCheck.Gen.(oneofl sizes >>= fun n -> pair (return n) (gen_ops n))
+
+(* Slices sit one word into a padded buffer, as in a NIC frame. *)
+let framed a =
+  let w = Array.make (Array.length a + 2) 7 in
+  Array.blit a 0 w 1 (Array.length a);
+  w
+
+let apply (cs : Vector_clock.t array) (rs : Dense_ref.t array) = function
+  | Tick (c, p) ->
+      Vector_clock.tick cs.(c) ~me:p;
+      Dense_ref.tick rs.(c) ~me:p
+  | Merge_other c ->
+      Vector_clock.merge_into ~into:cs.(c) cs.(1 - c);
+      Dense_ref.merge_into ~into:rs.(c) rs.(1 - c)
+  | Merge_lit (c, a) ->
+      Vector_clock.merge_into ~into:cs.(c) (Vector_clock.of_array a);
+      Dense_ref.merge_into ~into:rs.(c) a
+  | Load (c, a) ->
+      Vector_clock.load_words cs.(c) (framed a) ~off:1;
+      Dense_ref.load_words rs.(c) (framed a) ~off:1
+  | Merge_words (c, a) ->
+      Vector_clock.merge_words ~into:cs.(c) (framed a) ~off:1;
+      Dense_ref.merge_words ~into:rs.(c) (framed a) ~off:1
+  | Copy c ->
+      cs.(c) <- Vector_clock.copy cs.(1 - c);
+      rs.(c) <- Dense_ref.copy rs.(1 - c)
+  | Reset c ->
+      Vector_clock.reset cs.(c);
+      Dense_ref.reset rs.(c)
+
+(* The compact forms never hold more than their budget. *)
+let shape_ok c =
+  let k = Vector_clock.active_entries c in
+  ((not (Vector_clock.is_epoch c)) || k <= 1)
+  && ((not (Vector_clock.is_sparse c))
+     || k <= Vector_clock.sparse_threshold ~n:(Vector_clock.dim c))
+
+let agrees cs rs =
+  let a = cs.(0) and b = cs.(1) and ra = rs.(0) and rb = rs.(1) in
+  Vector_clock.to_array a = ra
+  && Vector_clock.to_array b = rb
+  && shape_ok a && shape_ok b
+  && Order.equal (Vector_clock.compare a b) (Dense_ref.compare ra rb)
+  && Order.equal (Vector_clock.compare b a) (Dense_ref.compare rb ra)
+  && Vector_clock.leq a b = Dense_ref.leq ra rb
+  && Vector_clock.leq b a = Dense_ref.leq rb ra
+  && Vector_clock.equal a b = (ra = rb)
+
+let run_history (n, ops) =
+  let cs = Array.init 2 (fun _ -> Vector_clock.create ~n) in
+  let rs = Array.init 2 (fun _ -> Dense_ref.create ~n) in
+  List.for_all
+    (fun op ->
+      apply cs rs op;
+      agrees cs rs)
+    ops
 
 let prop_adaptive_equals_dense =
   QCheck.Test.make ~name:"adaptive history = dense history" ~count:500
-    arb_history (fun (n, ops) ->
-      let a = Vector_clock.create ~n in
-      let d = Vector_clock.create_dense ~n in
-      List.for_all
-        (fun op ->
-          apply_op a op;
-          apply_op d op;
-          Vector_clock.equal a d
-          && Vector_clock.to_array a = Vector_clock.to_array d)
-        ops)
+    (arb_history ~sizes:[ 1; 3; 8; 16; 64 ])
+    run_history
 
+(* Histories aimed at the promotion boundary: the first clock absorbs one
+   new writer at a time through ticks and single-entry merges until it
+   crosses [sparse_threshold] into the dense array, while the second
+   keeps comparing against it. *)
 let prop_sparse_equals_dense =
-  QCheck.Test.make ~name:"sparse history = dense history" ~count:500
-    arb_history (fun (n, ops) ->
-      let s = Vector_clock.create_sparse ~n in
-      let d = Vector_clock.create_dense ~n in
-      List.for_all
-        (fun op ->
-          apply_op s op;
-          apply_op d op;
-          Vector_clock.equal s d
-          && Vector_clock.to_array s = Vector_clock.to_array d)
-        ops)
+  QCheck.Test.make ~name:"sparse history = dense history" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (n, pids) ->
+          Printf.sprintf "n=%d pids=%s" n
+            (String.concat "," (List.map string_of_int pids)))
+        Gen.(
+          oneofl [ 8; 16; 64 ] >>= fun n ->
+          pair (return n) (list_size (int_range 1 40) (int_bound (n - 1)))))
+    (fun (n, pids) ->
+      let ops =
+        List.concat_map
+          (fun p ->
+            let single = Array.make n 0 in
+            single.(p) <- 1 + (p mod 3);
+            [ Tick (1, p); Merge_lit (0, single); Merge_other 0 ])
+          pids
+      in
+      run_history (n, ops))
 
 let prop_representation_blind_compare =
   QCheck.Test.make ~name:"compare blind to representation" ~count:500
     arb_vc_pair (fun (x, y) ->
-      let dense v = Vector_clock.of_array ~dense:true (Vector_clock.to_array v) in
-      let expected = Vector_clock.compare (dense x) (dense y) in
+      let rx = Vector_clock.to_array x and ry = Vector_clock.to_array y in
+      (* the same value reached through load_words instead of of_array *)
+      let loaded v =
+        let c = Vector_clock.create ~n:(Vector_clock.dim v) in
+        Vector_clock.load_words c (Vector_clock.to_array v) ~off:0;
+        c
+      in
+      let expected = Dense_ref.compare rx ry in
       Order.equal expected (Vector_clock.compare x y)
-      && Order.equal expected (Vector_clock.compare x (dense y))
-      && Order.equal expected (Vector_clock.compare (dense x) y)
-      && Vector_clock.leq x y = Vector_clock.leq (dense x) (dense y))
+      && Order.equal expected (Vector_clock.compare (loaded x) y)
+      && Order.equal expected (Vector_clock.compare x (loaded y))
+      && Vector_clock.leq x y = Dense_ref.leq rx ry)
 
 let prop_words_roundtrip =
   QCheck.Test.make ~name:"store_words/load_words roundtrip" ~count:500

@@ -170,7 +170,7 @@ let test_piggyback_ships_clock_words () =
   (* Under the default Piggyback_txn transport each put is one lock
      round trip plus the data message, and of those only Lock_granted
      and Put carry clocks. Every frame here is first-on-its-edge, so no
-     delta base exists and the adaptive (default Delta_wire) encoder
+     delta base exists and the adaptive delta encoder
      ships self-contained sparse frames: the two grants carry node 2's
      still-zero clock (2 payload + tag + seq = 4 words each), the two
      puts a single-entry sender clock (4 payload + tag + seq = 6 words
@@ -647,6 +647,45 @@ let ground_truth_equivalence ~seed =
 let test_ground_truth_seeds () =
   List.iter (fun seed -> ground_truth_equivalence ~seed) [ 1; 2; 3; 4; 5; 6 ]
 
+(* Seeds on which the offline recorder once flagged a read/RMW pair the
+   detector had ordered through the NIC's RMW serialization (the S
+   clock): 65, 192, 308, 372 and 77606 through an RMW -> RMW
+   release/acquire chain, 597 through a plain read acquiring an RMW's
+   issue-time release. See DESIGN.md §4. *)
+let test_ground_truth_rmw_seeds () =
+  List.iter
+    (fun seed -> ground_truth_equivalence ~seed)
+    [ 65; 192; 308; 372; 597; 77606 ]
+
+(* Seed 65 reduced: P0 reads x, then fetch-adds x; later P1 fetch-adds
+   x. The target NIC serializes the two RMWs, so P1's RMW acquires what
+   P0's released — P0's read included. Neither the detector nor the
+   offline ground truth may call the read and P1's RMW a race. *)
+let test_ground_truth_rmw_chain () =
+  let config =
+    {
+      Config.default with
+      Config.granularity = Config.Word;
+      record_trace = true;
+    }
+  in
+  let m, d = make ~n:3 ~config () in
+  let x = Machine.alloc_public m ~pid:2 ~len:1 () in
+  Machine.spawn m ~pid:0 (fun p ->
+      let buf = Machine.alloc_private m ~pid:0 ~len:1 () in
+      Detector.get d p ~src:x ~dst:buf;
+      ignore (Detector.fetch_add d p ~target:x.Addr.base ~delta:1));
+  Machine.spawn m ~pid:1 (fun p ->
+      Machine.compute p 50.0;
+      ignore (Detector.fetch_add d p ~target:x.Addr.base ~delta:1));
+  expect_completed m;
+  let trace =
+    match Detector.trace d with Some t -> t | None -> Alcotest.fail "no trace"
+  in
+  Alcotest.(check int) "detector: ordered" 0 (races d);
+  Alcotest.(check int) "ground truth: ordered" 0
+    (List.length (Dsm_trace.Trace.races trace))
+
 (* ---------- Clock_store packed keys ---------- *)
 
 (* The store keys granules by (offset, len) packed into one immediate
@@ -794,7 +833,7 @@ let test_store_sharding_invisible () =
 let test_store_shard_scratch () =
   let s =
     Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word
-      ~rep:Config.Sparse_vector ~shards:4 ()
+      ~shards:4 ()
   in
   let a = Clock_store.shard_scratch s ~offset:0 in
   let b = Clock_store.shard_scratch s ~offset:63 in
@@ -804,8 +843,6 @@ let test_store_shard_scratch () =
   (* round-robin: 4 shards x 64-word ranges wrap at offset 256 *)
   let w = Clock_store.shard_scratch s ~offset:(4 * 64) in
   Alcotest.(check bool) "ranges wrap round-robin" true (a == w);
-  Alcotest.(check bool) "scratch in store rep" true
-    (Dsm_clocks.Vector_clock.rep a = Dsm_clocks.Vector_clock.Sparse);
   Dsm_clocks.Vector_clock.reset a;
   Dsm_clocks.Vector_clock.tick a ~me:2;
   Alcotest.(check int) "scratch usable after reset" 1
@@ -897,6 +934,10 @@ let () =
       ( "ground-truth",
         [
           Alcotest.test_case "equivalence on seeds" `Quick test_ground_truth_seeds;
+          Alcotest.test_case "RMW regression seeds" `Quick
+            test_ground_truth_rmw_seeds;
+          Alcotest.test_case "RMW release/acquire chain" `Quick
+            test_ground_truth_rmw_chain;
           QCheck_alcotest.to_alcotest prop_ground_truth_equivalence;
         ] );
     ]

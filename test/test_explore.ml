@@ -24,7 +24,6 @@ let test_token_roundtrip () =
       n = 3;
       seed = 42;
       latency = Dsm_net.Latency.Constant 1.0;
-      clock_wire = Config.Sparse_wire;
       model = Dsm_rdma.Model.Relaxed;
       faults = Fault.of_string "drop=0.2,dup=0.1,0>1:reorder=0.5";
       reliable = true;

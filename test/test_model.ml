@@ -7,14 +7,16 @@
       model had before ordering assumptions moved behind
       [Dsm_rdma.Model]: races, race CSV, message/word counts, simulated
       time, coherence verdicts, final memory and final process clocks,
-      over all three clock representations with and without the planted
-      protocol bugs, plus explorer fingerprints over the stock
-      scenarios.
+      as recorded under each of the three clock representations that
+      were then selectable, with and without the planted protocol bugs,
+      plus explorer fingerprints over the stock scenarios. The one
+      remaining clock path must reproduce every recorded digest.
 
    2. A 500+-schedule randomized sweep holding the default-model
       construction (no [~model], no [memory_model]) bit-identical to the
-      explicit [Nic_atomic] construction, and the three clock
-      representations identical to each other, on every schedule.
+      explicit [Nic_atomic] construction on every schedule, at process
+      counts on both sides of the sparse-to-dense promotion, with every
+      race signal re-judged by the dense reference oracle.
 
    3. Differential properties: the sequentially-consistent reference
       never races where every weaker backend is silent (union over a
@@ -38,7 +40,7 @@ module Token = Dsm_explore.Token
    op mix, same fingerprint fields. [model = None] uses the default
    construction paths (no [~model] on the machine, no [memory_model] in
    the config) — the paths every pre-refactor caller used. *)
-let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
+let run_once ?model ~n ~seed ~ops ~bugs () =
   let sim = Engine.create ~seed () in
   let latency =
     Dsm_net.Latency.Jittered
@@ -51,9 +53,7 @@ let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
         Machine.create sim ~n ~latency ~protocol_bugs:bugs ~model ()
   in
   let checker = Coherence.attach m in
-  let config =
-    { Config.default with Config.granularity = Config.Word; clock_rep }
-  in
+  let config = { Config.default with Config.granularity = Config.Word } in
   let config =
     match model with
     | None -> config
@@ -115,6 +115,10 @@ let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
   (match Machine.run m with
   | Engine.Completed -> ()
   | _ -> failwith (Printf.sprintf "seed %d did not complete" seed));
+  if not (Dense_ref.signals_concurrent (Detector.report d)) then
+    failwith
+      (Printf.sprintf "seed %d: race signal ordered under the dense reference"
+         seed);
   let fp =
     String.concat "|"
       [
@@ -137,21 +141,15 @@ let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
   in
   Digest.to_hex (Digest.string fp)
 
-let reps =
-  [
-    ("epoch", Config.Epoch_adaptive);
-    ("dense", Config.Dense_vector);
-    ("sparse", Config.Sparse_vector);
-  ]
-
-let rep_of_name name = List.assoc name reps
-
 let planted = [ Machine.Skip_get_dst_lock; Machine.Skip_rmw_write_mark ]
 
 (* ---------- layer 1: pre-refactor goldens ---------- *)
 
 (* Recorded by dev_goldens/record.ml on the pre-refactor tree (commit
-   59f2723), n = 4, ops = 12: (rep, planted bugs, seed, digest). *)
+   59f2723), n = 4, ops = 12: (rep, planted bugs, seed, digest). The rep
+   column names the clock representation each digest was recorded
+   under; the three agree row for row, and the single clock path that
+   replaced them is checked against all 48. *)
 let direct_goldens =
   [
     ("epoch", false, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
@@ -207,18 +205,16 @@ let direct_goldens =
 let test_direct_goldens () =
   List.iter
     (fun (rname, bug, seed, golden) ->
-      let clock_rep = rep_of_name rname in
       let bugs = if bug then planted else [] in
       let label = Printf.sprintf "%s bug=%b seed=%d" rname bug seed in
       Alcotest.(check string)
         (label ^ " (default construction)")
         golden
-        (run_once ~clock_rep ~n:4 ~seed ~ops:12 ~bugs ());
+        (run_once ~n:4 ~seed ~ops:12 ~bugs ());
       Alcotest.(check string)
         (label ^ " (explicit nic_atomic)")
         golden
-        (run_once ~model:Model.Nic_atomic ~clock_rep ~n:4 ~seed ~ops:12
-           ~bugs ()))
+        (run_once ~model:Model.Nic_atomic ~n:4 ~seed ~ops:12 ~bugs ()))
     direct_goldens
 
 (* Explorer fingerprints recorded on the same pre-refactor tree:
@@ -288,41 +284,22 @@ let test_explore_goldens () =
 
 (* ---------- layer 2: 500+-schedule randomized sweep ---------- *)
 
-(* 3 reps x 2 bug settings x 42 seeds x 2 constructions = 504 schedules,
-   each executed twice (default vs. explicit nic_atomic) and held
-   bit-identical; the three representations are additionally held
-   identical to each other per (bug, seed). *)
+(* 3 process counts x 2 bug settings x 42 seeds x 2 constructions = 504
+   schedules, each default construction held bit-identical to the
+   explicit nic_atomic one. At n = 3 clocks stay epochs or sorted pairs;
+   at n = 6 and 12 they also cross [sparse_threshold] into dense arrays,
+   so the one clock path is exercised in all three shapes. *)
 let test_sweep_default_vs_explicit () =
   for i = 0 to 41 do
     let seed = 101 + (13 * i) in
     List.iter
-      (fun bug ->
+      (fun (n, bug) ->
         let bugs = if bug then planted else [] in
-        let per_rep =
-          List.map
-            (fun (rname, clock_rep) ->
-              let dflt = run_once ~clock_rep ~n:3 ~seed ~ops:8 ~bugs () in
-              let expl =
-                run_once ~model:Model.Nic_atomic ~clock_rep ~n:3 ~seed
-                  ~ops:8 ~bugs ()
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s bug=%b seed=%d default=explicit" rname
-                   bug seed)
-                dflt expl;
-              dflt)
-            reps
-        in
-        match per_rep with
-        | [ e; dv; sp ] ->
-            Alcotest.(check string)
-              (Printf.sprintf "bug=%b seed=%d epoch=dense" bug seed)
-              e dv;
-            Alcotest.(check string)
-              (Printf.sprintf "bug=%b seed=%d epoch=sparse" bug seed)
-              e sp
-        | _ -> assert false)
-      [ false; true ]
+        Alcotest.(check string)
+          (Printf.sprintf "n=%d bug=%b seed=%d default=explicit" n bug seed)
+          (run_once ~n ~seed ~ops:8 ~bugs ())
+          (run_once ~model:Model.Nic_atomic ~n ~seed ~ops:8 ~bugs ()))
+      [ (3, false); (3, true); (6, false); (6, true); (12, false); (12, true) ]
   done
 
 (* ---------- layer 3: differential properties ---------- *)

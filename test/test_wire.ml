@@ -1,10 +1,11 @@
-(* ISSUE 8: delta-encoded clock piggybacks. The wire encoding is an
-   accounting-only knob: schedules, race sets, fingerprints and repro
-   tokens must be bit-identical across --clock-wire settings, while the
-   adaptive delta encoding must ship strictly fewer clock words than
-   always-dense. This suite holds the live stack to both halves — the
+(* Delta-encoded clock piggybacks. The wire encoding is accounting-only:
+   the latency model prices the paper's nominal n+1 clock words on every
+   clock-carrying message, while the adaptive delta encoding must ship
+   strictly fewer. This suite holds the live stack to that — the
    machine-level directed tests (retransmit fallback, reorder
-   degradation) and the 50-walk explorer differential. *)
+   degradation), a 50-walk explorer batch, and the corpus of replay
+   tokens minted while the wire encoding was still selectable (their
+   [w=] field must parse and change nothing). *)
 
 open Dsm_sim
 open Dsm_memory
@@ -25,7 +26,7 @@ module Metrics = Dsm_obs.Metrics
    consecutive messages on an edge — many live entries, few changed
    ones, so delta beats sparse beats dense. Race-free by construction
    (the shared cell is lock-protected, the put targets disjoint). *)
-let run_puts ?faults ?reliability ~wire ~n ~workers ~rounds ~seed () =
+let run_puts ?faults ?reliability ~n ~workers ~rounds ~seed () =
   let sim = Engine.create ~seed () in
   let m =
     Machine.create sim ~n ~latency:(Dsm_net.Latency.Constant 2.0) ?faults
@@ -33,12 +34,7 @@ let run_puts ?faults ?reliability ~wire ~n ~workers ~rounds ~seed () =
   in
   let d =
     Detector.create m
-      ~config:
-        {
-          Config.default with
-          Config.granularity = Config.Word;
-          clock_wire = wire;
-        }
+      ~config:{ Config.default with Config.granularity = Config.Word }
       ()
   in
   let var = Machine.alloc_public m ~pid:0 ~name:"x" ~len:n () in
@@ -72,42 +68,50 @@ let run_puts ?faults ?reliability ~wire ~n ~workers ~rounds ~seed () =
   | _ -> Alcotest.fail "run did not complete");
   (m, d)
 
-(* ---------- wire sizes across encodings ---------- *)
+(* Every piggyback frame is a two-word header (tag, seq) and a payload;
+   the paper's cost model charges n+1 words for the payload. *)
+let payload_words ~frames ~live = live - (2 * frames)
 
-(* Same program under the three encodings: verdicts and nominal traffic
-   are bit-identical, and the true clock bytes are strictly ordered
-   delta < sparse < dense — at n = 8 each clock has few live entries
-   (sparse wins over dense) and between consecutive messages on a warm
-   edge few entries change (delta wins over sparse). *)
+let nominal_words ~frames ~n = frames * (n + 1)
+
+(* ---------- wire sizes against the nominal allowance ---------- *)
+
+(* The live stream against the paper's nominal n+1 words per
+   clock-carrying message: the live payload must come in under it. At the
+   frame level, on a warm edge of this run (a worker's enriched clock
+   advanced by one tick), delta < sparse < dense. *)
 let test_wire_sizes_ordered () =
-  let run wire =
-    let m, d = run_puts ~wire ~n:16 ~workers:3 ~rounds:8 ~seed:11 () in
-    ( Report.to_csv (Detector.report d),
-      Machine.fabric_messages m,
-      Machine.fabric_words m,
-      Detector.clock_words_shipped d )
+  let n = 16 in
+  let m, d = run_puts ~n ~workers:3 ~rounds:8 ~seed:11 () in
+  let dense, sparse, delta = Machine.clock_encodings m in
+  let frames = dense + sparse + delta in
+  let live = payload_words ~frames ~live:(Detector.clock_words_shipped d) in
+  let nominal = nominal_words ~frames ~n in
+  Alcotest.(check bool)
+    (Printf.sprintf "live < nominal clock words (%d < %d)" live nominal)
+    true (live < nominal);
+  let before = Detector.proc_clock d 1 in
+  let after = Dsm_clocks.Vector_clock.copy before in
+  Dsm_clocks.Vector_clock.tick after ~me:1;
+  let size mode ?since () =
+    Array.length
+      (Dsm_clocks.Codec.encode_piggyback ~mode ~seq:0 ?since after)
   in
-  let races_de, msgs_de, words_de, clock_de = run Config.Dense_wire in
-  let races_sp, msgs_sp, words_sp, clock_sp = run Config.Sparse_wire in
-  let races_dl, msgs_dl, words_dl, clock_dl = run Config.Delta_wire in
-  Alcotest.(check string) "sparse race set" races_de races_sp;
-  Alcotest.(check string) "delta race set" races_de races_dl;
-  Alcotest.(check int) "sparse messages" msgs_de msgs_sp;
-  Alcotest.(check int) "delta messages" msgs_de msgs_dl;
-  Alcotest.(check int) "sparse nominal words" words_de words_sp;
-  Alcotest.(check int) "delta nominal words" words_de words_dl;
+  let dl = size Dsm_clocks.Codec.Delta ~since:before ()
+  and sp = size Dsm_clocks.Codec.Sparse ()
+  and de = size Dsm_clocks.Codec.Dense () in
   Alcotest.(check bool)
-    (Printf.sprintf "sparse < dense clock words (%d < %d)" clock_sp clock_de)
-    true (clock_sp < clock_de);
-  Alcotest.(check bool)
-    (Printf.sprintf "delta < sparse clock words (%d < %d)" clock_dl clock_sp)
-    true (clock_dl < clock_sp)
+    (Printf.sprintf "delta < sparse < dense frame (%d < %d < %d)" dl sp de)
+    true
+    (dl < sp && sp < de);
+  Alcotest.(check int) "dense frame is the nominal allowance + tag, seq"
+    (n + 1 + 2) de
 
-(* The encoder is adaptive: under Delta_wire it must actually emit
-   delta-tagged frames once the edges are warm, and every piggyback is
-   one of the three tags. *)
+(* The encoder is adaptive: it must actually emit delta-tagged frames
+   once the edges are warm, and every piggyback is one of the three
+   tags. *)
 let test_delta_frames_emitted () =
-  let m, _ = run_puts ~wire:Config.Delta_wire ~n:8 ~workers:3 ~rounds:8 ~seed:2 () in
+  let m, _ = run_puts ~n:8 ~workers:3 ~rounds:8 ~seed:2 () in
   let dense, sparse, delta = Machine.clock_encodings m in
   Alcotest.(check bool)
     (Printf.sprintf "deltas on warm edges (%d dense, %d sparse, %d delta)"
@@ -120,18 +124,16 @@ let test_delta_frames_emitted () =
 (* Reliable transport over a dup+drop fabric: retransmitted frames that
    carried a delta piggyback must be re-encoded self-contained (the
    receiver's edge cache may have moved past the delta's base by
-   delivery time). The run still completes, and whatever the faulted
-   schedule makes the detector report, it reports bit-identically under
-   the dense encoding — retransmission must not let the wire form leak
-   into verdicts. *)
+   delivery time). The run still completes and reproduces bit for bit,
+   race set included. *)
 let test_retransmit_fallback () =
-  let faulted wire =
+  let faulted () =
     run_puts
       ~faults:(Fault.of_string "dup=0.4,drop=0.3")
       ~reliability:(Machine.reliability ())
-      ~wire ~n:8 ~workers:3 ~rounds:8 ~seed:6 ()
+      ~n:8 ~workers:3 ~rounds:8 ~seed:6 ()
   in
-  let m, d = faulted Config.Delta_wire in
+  let m, d = faulted () in
   Alcotest.(check bool)
     "the plan actually forced retransmits" true
     (Machine.transport_retransmits m > 0);
@@ -142,15 +144,17 @@ let test_retransmit_fallback () =
        (Machine.clock_retransmit_fallbacks m))
     true
     (Machine.clock_retransmit_fallbacks m > 0);
-  let m', d' = faulted Config.Dense_wire in
-  Alcotest.(check int) "no fallbacks under dense" 0
-    (Machine.clock_retransmit_fallbacks m');
-  Alcotest.(check string) "race set blind to the encoding"
-    (Report.to_csv (Detector.report d'))
-    (Report.to_csv (Detector.report d));
-  Alcotest.(check int) "retransmit schedule blind to the encoding"
-    (Machine.transport_retransmits m')
+  Alcotest.(check bool) "fallbacks only on retransmits" true
+    (Machine.clock_retransmit_fallbacks m <= Machine.transport_retransmits m);
+  let m', d' = faulted () in
+  Alcotest.(check string) "race set reproduces"
+    (Report.to_csv (Detector.report d))
+    (Report.to_csv (Detector.report d'));
+  Alcotest.(check int) "retransmit schedule reproduces"
     (Machine.transport_retransmits m)
+    (Machine.transport_retransmits m');
+  Alcotest.(check int) "clock words reproduce" (Machine.clock_words_sent m)
+    (Machine.clock_words_sent m')
 
 (* ---------- reorder degradation ---------- *)
 
@@ -159,23 +163,14 @@ let test_retransmit_fallback () =
    so the encoder must refuse to mint deltas at all: every piggyback on
    this run is self-contained. *)
 let test_reorder_degrades_to_self_contained () =
-  let m, d =
+  let m, _ =
     run_puts
       ~faults:(Fault.of_string "reorder=0.5")
-      ~wire:Config.Delta_wire ~n:8 ~workers:3 ~rounds:6 ~seed:9 ()
+      ~n:8 ~workers:3 ~rounds:6 ~seed:9 ()
   in
   let dense, sparse, delta = Machine.clock_encodings m in
   Alcotest.(check int) "no deltas on a reordering fabric" 0 delta;
-  Alcotest.(check bool) "piggybacks still flowed" true (dense + sparse > 0);
-  (* whatever the reordered schedule produces, dense produces too *)
-  let _, d' =
-    run_puts
-      ~faults:(Fault.of_string "reorder=0.5")
-      ~wire:Config.Dense_wire ~n:8 ~workers:3 ~rounds:6 ~seed:9 ()
-  in
-  Alcotest.(check string) "race set blind to the encoding"
-    (Report.to_csv (Detector.report d'))
-    (Report.to_csv (Detector.report d))
+  Alcotest.(check bool) "piggybacks still flowed" true (dense + sparse > 0)
 
 (* With the reliable transport underneath, the same reordering fabric is
    resequenced before clock absorption, so deltas are allowed again. *)
@@ -184,95 +179,142 @@ let test_reliable_reorder_keeps_deltas () =
     run_puts
       ~faults:(Fault.of_string "reorder=0.5")
       ~reliability:(Machine.reliability ())
-      ~wire:Config.Delta_wire ~n:8 ~workers:3 ~rounds:8 ~seed:9 ()
+      ~n:8 ~workers:3 ~rounds:8 ~seed:9 ()
   in
   let _, _, delta = Machine.clock_encodings m in
   Alcotest.(check bool) "deltas under reliable resequencing" true (delta > 0)
 
-(* ---------- 50-walk explorer differential ---------- *)
+(* ---------- 50-walk explorer batch ---------- *)
+
+(* [token] with a [w=] field spliced in where the old printer put it:
+   after [seed]/[l], before the rest. *)
+let with_wire token w =
+  match String.split_on_char '|' token with
+  | magic :: s :: n :: seed :: rest ->
+      let l, rest =
+        match rest with
+        | l :: rest when String.starts_with ~prefix:"l=" l -> ([ l ], rest)
+        | _ -> ([], rest)
+      in
+      String.concat "|" ((magic :: s :: n :: seed :: l) @ (("w=" ^ w) :: rest))
+  | _ -> Alcotest.failf "malformed token %S" token
+
+let without_wire token =
+  String.concat "|"
+    (List.filter
+       (fun f -> not (String.starts_with ~prefix:"w=" f))
+       (String.split_on_char '|' token))
+
 
 let walks = 50
 
-let hist_sum snap name =
-  match List.assoc_opt name snap.Metrics.histograms with
-  | Some h -> h.Metrics.sum
-  | None -> 0
-
-let strip_wire_instruments snap =
-  {
-    snap with
-    Metrics.histograms =
-      List.filter
-        (fun (name, _) ->
-          name <> "net.wire_words" && name <> "net.clock_words")
-        snap.Metrics.histograms;
-  }
-
-(* The same 50 walk schedules under each encoding: per-walk fingerprints,
-   canonical summaries and race counts are bit-identical, every metric
-   other than the wire accounting itself agrees, and the delta encoding
-   ships strictly fewer clock words than dense over the batch. *)
+(* 50 walk schedules of a racy 3-process workload: every walk replays
+   from its token, with or without an old [w=] field, to the same
+   fingerprint and race count, and over the batch the live clock payload
+   stays under the nominal n+1 words per clock-carrying message. *)
 let test_explore_differential () =
-  let batch wire =
-    let metrics = Metrics.create () in
-    let ctx =
-      Explore.create_ctx ~metrics
-        {
-          Explore.default_spec with
-          Explore.scenario = "workload:master-worker-racy";
-          n = 3;
-          seed = 4;
-          clock_wire = wire;
-        }
-    in
-    let results =
-      List.init walks (fun i ->
-          let r = Explore.run_once_in ctx (Explore.Walk i) in
-          ( Explore.outcome_to_string r.Explore.outcome,
-            r.Explore.fingerprint,
-            r.Explore.canon,
-            r.Explore.races ))
-    in
-    (results, Metrics.snapshot metrics)
+  let spec =
+    {
+      Explore.default_spec with
+      Explore.scenario = "workload:master-worker-racy";
+      n = 3;
+      seed = 4;
+    }
   in
-  let res_de, snap_de = batch Config.Dense_wire in
-  let res_sp, snap_sp = batch Config.Sparse_wire in
-  let res_dl, snap_dl = batch Config.Delta_wire in
-  List.iteri
-    (fun i ((o, f, c, r), ((o', f', c', r'), (o'', f'', c'', r''))) ->
-      Alcotest.(check string) (Printf.sprintf "walk %d outcome" i) o o';
-      Alcotest.(check string) (Printf.sprintf "walk %d outcome" i) o o'';
-      Alcotest.(check string) (Printf.sprintf "walk %d fingerprint" i) f f';
-      Alcotest.(check string) (Printf.sprintf "walk %d fingerprint" i) f f'';
-      Alcotest.(check string) (Printf.sprintf "walk %d canon" i) c c';
-      Alcotest.(check string) (Printf.sprintf "walk %d canon" i) c c'';
-      Alcotest.(check int) (Printf.sprintf "walk %d races" i) r r';
-      Alcotest.(check int) (Printf.sprintf "walk %d races" i) r r'')
-    (List.combine res_de (List.combine res_sp res_dl));
-  (* everything but the wire accounting is blind to the encoding —
-     detector.check included, so check counts match exactly *)
-  Alcotest.(check bool) "sparse metrics equal modulo wire" true
-    (strip_wire_instruments snap_de = strip_wire_instruments snap_sp);
-  Alcotest.(check bool) "delta metrics equal modulo wire" true
-    (strip_wire_instruments snap_de = strip_wire_instruments snap_dl);
-  let de = hist_sum snap_de "net.clock_words"
-  and sp = hist_sum snap_sp "net.clock_words"
-  and dl = hist_sum snap_dl "net.clock_words" in
-  Alcotest.(check bool)
-    (Printf.sprintf "delta < dense clock words over %d walks (%d < %d)" walks
-       dl de)
-    true (dl < de);
-  Alcotest.(check bool)
-    (Printf.sprintf "delta <= sparse clock words (%d <= %d)" dl sp)
-    true (dl <= sp)
+  let metrics = Metrics.create () in
+  let ctx = Explore.create_ctx ~metrics spec in
+  for i = 0 to walks - 1 do
+    let r = Explore.run_once_in ctx (Explore.Walk i) in
+    let token = Token.to_string (Explore.token_of spec r.Explore.decisions) in
+    List.iter
+      (fun w ->
+        match
+          Result.bind (Token.of_string (with_wire token w)) Explore.replay
+        with
+        | Error e -> Alcotest.failf "walk %d w=%s: %s" i w e
+        | Ok r' ->
+            Alcotest.(check string)
+              (Printf.sprintf "walk %d w=%s fingerprint" i w)
+              r.Explore.fingerprint r'.Explore.fingerprint;
+            Alcotest.(check int)
+              (Printf.sprintf "walk %d w=%s races" i w)
+              r.Explore.races r'.Explore.races)
+      [ "dense"; "delta" ]
+  done;
+  let snap = Metrics.snapshot metrics in
+  match List.assoc_opt "net.clock_words" snap.Metrics.histograms with
+  | None -> Alcotest.fail "no clock words observed"
+  | Some h ->
+      let frames = h.Metrics.count in
+      let live = payload_words ~frames ~live:h.Metrics.sum in
+      let nominal = nominal_words ~frames ~n:spec.Explore.n in
+      Alcotest.(check bool)
+        (Printf.sprintf "live < nominal clock words over %d walks (%d < %d)"
+           walks live nominal)
+        true (live < nominal)
 
-(* ---------- minimized repro tokens ---------- *)
+(* ---------- old tokens ---------- *)
 
-(* The planted-bug spec from the acceptance suite: minimization must
-   walk the same shrink path under every encoding and emit the same
-   token modulo the [w=] field itself. *)
+(* Every [w=] token minted while the wire encoding was selectable — the
+   forms in the test rules, the docs and this suite — with the
+   fingerprint its run had then. Each must replay to that fingerprint,
+   exactly as its [w]-less form does, and print without the field. *)
+let old_tokens =
+  [
+    ( "dsm1|s=getput|n=2|seed=1|w=delta|f=none|r=0|b=0|me=200000|d=",
+      "8176d3fae43a2b798aa8459793841fe1" );
+    ( "dsm1|s=getput|n=2|seed=1|w=dense|f=none|r=0|b=0|me=200000|d=1,0,2",
+      "8176d3fae43a2b798aa8459793841fe1" );
+    ( "dsm1|s=getput|n=2|seed=1|w=sparse|f=none|r=0|b=0|me=200000|d=1,0,2",
+      "8176d3fae43a2b798aa8459793841fe1" );
+    ( "dsm1|s=getput|n=2|seed=7|w=dense|f=drop=0.2,dup=0.1|r=1|b=1|me=200000|d=",
+      "45fd4ba3cdedd5c99c478403992c4bb2" );
+    ( "dsm1|s=getput|n=2|seed=7|l=constant:1|w=dense|f=drop=0.2|r=1|b=1|me=200000|d=1,0,2",
+      "bad2a7e4b884dd2703cb38230980e612" );
+    ( "dsm1|s=getput-checked|n=2|seed=1|l=constant:1|w=sparse|f=none|r=0|b=1|me=200000|d=",
+      "ab4897354f138be613bd6e1c813d984a" );
+    ( "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|w=delta|m=relaxed|f=none|r=0|b=0|me=200000|d=1,1,1",
+      "e51ac3513c1ac5cb477bb7aea1feb2fd" );
+    ( "dsm1|s=workload:master-worker-racy|n=3|seed=4|w=dense|f=none|r=0|b=0|me=200000|d=2,1",
+      "36cafeea3352c9af06c5ba1f823d063b" );
+  ]
+
+let replay_exn token =
+  match Token.of_string token with
+  | Error e -> Alcotest.failf "%S does not parse: %s" token e
+  | Ok t -> (
+      if without_wire (Token.to_string t) <> Token.to_string t then
+        Alcotest.failf "%S prints a w= field" token;
+      match Explore.replay t with
+      | Error e -> Alcotest.failf "%S does not replay: %s" token e
+      | Ok r -> r)
+
+let test_replay_across_wires () =
+  List.iter
+    (fun (token, golden) ->
+      let old_run = replay_exn token in
+      let new_run = replay_exn (without_wire token) in
+      Alcotest.(check string) (token ^ " fingerprint") golden
+        old_run.Explore.fingerprint;
+      Alcotest.(check string) (token ^ " = w-less fingerprint") golden
+        new_run.Explore.fingerprint;
+      Alcotest.(check int) (token ^ " races") new_run.Explore.races
+        old_run.Explore.races;
+      Alcotest.(check int) (token ^ " violations")
+        (List.length new_run.Explore.violations)
+        (List.length old_run.Explore.violations))
+    old_tokens;
+  match
+    Token.of_string "dsm1|s=getput|n=2|seed=1|w=bogus|f=none|r=0|b=0|me=200000|d="
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "w=bogus was accepted"
+
+(* The planted-bug spec from the acceptance suite: minimization walks
+   the same shrink path every time, and its token, with an old [w=dense]
+   field spliced in or not, replays the same violating run. *)
 let test_minimized_token_differential () =
-  let base =
+  let spec =
     {
       Explore.default_spec with
       Explore.seed = 7;
@@ -281,33 +323,22 @@ let test_minimized_token_differential () =
       bug = true;
     }
   in
-  let minimized wire =
-    let spec = { base with Explore.clock_wire = wire } in
+  let minimized () =
     let stats = Explore.explore_random spec ~runs:64 in
     match stats.Explore.first with
     | None -> Alcotest.fail "planted bug did not violate"
     | Some (_, r) ->
         let mins = Explore.minimize spec r.Explore.decisions in
-        let tok = Explore.token_of spec mins in
-        (mins, { tok with Token.clock_wire = Config.default.Config.clock_wire })
+        (mins, Token.to_string (Explore.token_of spec mins))
   in
-  let mins_de, tok_de = minimized Config.Dense_wire in
-  let mins_dl, tok_dl = minimized Config.Delta_wire in
-  Alcotest.(check (list int)) "minimized decisions" mins_de mins_dl;
-  Alcotest.(check string) "token modulo wire field" (Token.to_string tok_de)
-    (Token.to_string tok_dl)
-
-(* Replaying a token that pins a non-default wire reproduces the same
-   fingerprint as the default-wire token of the same run. *)
-let test_replay_across_wires () =
-  let fp wire =
-    let spec = { Explore.default_spec with Explore.clock_wire = wire } in
-    match Explore.replay (Explore.token_of spec [ 1; 0; 2 ]) with
-    | Error e -> Alcotest.failf "replay failed: %s" e
-    | Ok r -> r.Explore.fingerprint
-  in
-  Alcotest.(check string) "fingerprint blind to wire" (fp Config.Dense_wire)
-    (fp Config.Delta_wire)
+  let mins, tok = minimized () in
+  let mins', tok' = minimized () in
+  Alcotest.(check (list int)) "minimized decisions" mins mins';
+  Alcotest.(check string) "token" tok tok';
+  let r = replay_exn tok and r' = replay_exn (with_wire tok "dense") in
+  Alcotest.(check string) "fingerprint blind to w=" r.Explore.fingerprint
+    r'.Explore.fingerprint;
+  Alcotest.(check bool) "still violating" true (r'.Explore.violations <> [])
 
 let () =
   Alcotest.run "wire"
