@@ -650,13 +650,13 @@ let dpor_json_rows ~smoke () =
       ( "explore/dfs_dpor_vs_full",
         {
           (explore_spec ~scenario:"workload:master-worker-racy" ~n:3 ()) with
-          Explore.seed = 1;
+          seed = 1;
         },
         10 );
       ( "explore/dfs_dpor_vs_full_getput_tied",
         {
           (explore_spec ()) with
-          Explore.seed = 1;
+          seed = 1;
           latency = Dsm_net.Latency.Constant 1.0;
         },
         6 );
@@ -1049,7 +1049,7 @@ let explore_metrics_rows ~smoke () =
     (Dpor.explore ~metrics:reg ~stop_on_first:false
        ~max_runs:(if smoke then 50 else 2000)
        { (explore_spec ~scenario:"workload:master-worker-racy" ~n:3 ()) with
-         Explore.seed = 1
+         seed = 1
        }
        ~depth:10);
   metrics_rows "explore_metrics" reg

@@ -836,11 +836,16 @@ let run_diff_models spec ~pair ~runs ~depth ~explain ~race_report =
           "--diff-models takes exactly two comma-separated backends, e.g. \
            nic_atomic,relaxed" )
 
-let run_explore scenario n seed runs depth jobs chunk dpor latency model
-    diff_models force faults reliable bug max_events replay no_minimize
-    metrics expect_races trace_out_violation explain race_report verbose =
+let run_explore (spec, model) runs depth jobs chunk dpor diff_models force
+    replay no_minimize metrics expect_races trace_out_violation explain
+    race_report verbose =
   setup_logs verbose;
-  if chunk < 1 then
+  if runs < 1 then `Error (false, "--runs must be a positive number of runs")
+  else if jobs < 1 then
+    `Error (false, "--jobs must be a positive number of worker domains")
+  else if (match depth with Some d -> d < 0 | None -> false) then
+    `Error (false, "--depth must be a non-negative number of choice points")
+  else if chunk < 1 then
     `Error (false, "--chunk must be a positive number of runs per claim")
   else if diff_models <> None && replay <> None then
     `Error
@@ -878,7 +883,7 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency model
       | Error msg -> `Error (false, msg)
       | Ok token when
           (match model with
-           | Some m -> m <> token.Token.model && not force
+           | Some m -> m <> token.spec.model && not force
            | None -> false) ->
           (* A token replays the run that minted it, and the run is a
              function of the model — silently replaying under another
@@ -891,23 +896,24 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency model
                  given; the schedule and verdict are model-dependent. \
                  Pass --force to replay the decision prefix under %s \
                  anyway."
-                (Model.name token.Token.model)
+                (Model.name token.spec.model)
                 (Model.name m) (Model.name m) )
       | Ok token -> (
           let token =
             match model with
-            | Some m when force -> { token with Token.model = m }
+            | Some m when force ->
+                { token with spec = { token.spec with model = m } }
             | _ -> token
           in
           match replay_with_diagram token with
           | Error msg -> `Error (false, msg)
           | Ok (r, arrows, marks) ->
               Format.printf "fault plan     : %s@."
-                (Dsm_net.Fault.to_string token.Token.faults);
+                (Dsm_net.Fault.to_string token.spec.faults);
               Format.printf "@[<v>%a@]@." Explore.pp_result r;
               print_violations r;
               Format.printf "%s@."
-                (Dsm_trace.Spacetime.render ~n:token.Token.n ~arrows ~marks
+                (Dsm_trace.Spacetime.render ~n:token.spec.n ~arrows ~marks
                    ());
               if r.Explore.violations = [] then
                 Format.printf "replay         : no invariant violated@.";
@@ -915,27 +921,6 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency model
                 ~trace_out_violation:None token;
               `Ok ()))
   | None -> (
-      match Dsm_net.Latency.of_string latency with
-      | Error msg -> `Error (false, msg)
-      | Ok latency -> (
-      let faults =
-        match faults with
-        | None -> Dsm_net.Fault.none
-        | Some s -> Dsm_net.Fault.of_string s
-      in
-      let spec =
-        {
-          Explore.scenario;
-          n;
-          seed;
-          latency;
-          model = Option.value model ~default:Model.default;
-          faults;
-          reliable;
-          bug;
-          max_events;
-        }
-      in
       match diff_models with
       | Some pair ->
           run_diff_models spec ~pair ~runs ~depth ~explain ~race_report
@@ -1005,7 +990,7 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency model
               if no_minimize then Token.trim_trailing_zeros r.Explore.decisions
               else Explore.minimize ?metrics:registry spec r.Explore.decisions
             in
-            let token = Explore.token_of spec decisions in
+            let token = Token.make spec decisions in
             Format.printf "repro          : %s@." (Token.to_string token);
             (* Re-execute the (minimized) violating run once, with a
                flight recorder (and a timeline sink when requested) on
@@ -1053,60 +1038,28 @@ let run_explore scenario n seed runs depth jobs chunk dpor latency model
         | stats ->
             Format.printf "schedules      : %d explored, %d violating@."
               stats.Explore.runs stats.Explore.violated;
-            finish stats.Explore.first))
+            finish stats.Explore.first)
 
-let explore_cmd =
-  let doc = "Explore schedules and injected faults, checking protocol invariants." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs a scenario under many scheduler interleavings (randomized \
-         walks by default, bounded-exhaustive with $(b,--depth)), \
-         optionally under an injected fault plan, and checks protocol \
-         invariants after every run: completion, operation/lock \
-         quiescence, memory coherence, detector clock monotonicity, and \
-         per-schedule determinism.";
-      `P
-        "On a violation it prints a compact repro token; $(b,--replay) \
-         re-executes a token deterministically.";
-      `P
-        (Printf.sprintf "Scenarios: %s."
-           (String.concat ", " Dsm_explore.Scenario.known));
-    ]
-  in
+(* The run spec from its nine flags: the one place the CLI describes a
+   run, checked by the same [Token.validate] that guards the codec.
+   [--model] stays an option beside the spec, because --replay must tell
+   an explicit backend from the default. *)
+let spec_term =
   let scenario =
     Arg.(
-      value & pos 0 string "getput"
+      value & pos 0 string Token.default_spec.scenario
       & info [] ~docv:"SCENARIO"
           ~doc:"getput, prog:FILE.dsm, or workload:NAME.")
   in
   let n =
-    Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Process count.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Engine seed.") in
-  let runs =
     Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~doc:"Schedules to explore (cap, in --depth mode).")
+      value & opt int Token.default_spec.n
+      & info [ "n" ] ~docv:"N" ~doc:"Process count.")
   in
-  let depth =
+  let seed =
     Arg.(
-      value
-      & opt (some int) None
-      & info [ "depth" ] ~docv:"D"
-          ~doc:
-            "Bounded-exhaustive mode: enumerate all deviations within the \
-             first $(docv) choice points instead of random walks.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains to explore with. Findings are bit-identical \
-             for every $(docv) — parallelism only changes wall-clock \
-             time.")
+      value & opt int Token.default_spec.seed
+      & info [ "seed" ] ~doc:"Engine seed.")
   in
   let latency =
     Arg.(
@@ -1118,59 +1071,12 @@ let explore_cmd =
              (microseconds). constant:C makes deliveries tie, which \
              makes --depth trees branch — the regime --dpor prunes.")
   in
-  let chunk =
-    Arg.(
-      value & opt int 64
-      & info [ "chunk" ] ~docv:"RUNS"
-          ~doc:
-            "Walk indices claimed per worker fetch-and-add in random-walk \
-             mode (ignored by --depth mode). Findings are bit-identical \
-             for every $(docv); larger chunks only reduce shared-counter \
-             traffic. Must be positive.")
-  in
-  let dpor =
-    Arg.(
-      value & flag
-      & info [ "dpor" ]
-          ~doc:
-            "Sleep-set partial-order reduction for $(b,--depth) mode: \
-             prune schedules that only reorder provably-independent \
-             events of an already-explored schedule. Every pruned \
-             schedule has an explored representative with the same \
-             violations and races. Requires $(b,--depth); single-domain; \
-             pruning disarms itself under $(b,--faults) (fault draws \
-             break trace equivalence) and the search then runs \
-             unpruned.")
-  in
   let model =
     model_arg
       ~extra_doc:
         " Repro tokens carry the model, and $(b,--replay) refuses a token \
          minted under a different $(b,--model) unless $(b,--force) is \
          given."
-  in
-  let diff_models =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "diff-models" ] ~docv:"A,B"
-          ~doc:
-            "Differential mode: explore schedules under backend $(i,A) \
-             and replay each explored schedule's decision list under \
-             $(i,B), reporting the first schedule whose race verdicts \
-             differ — with a replay token per model and the sync edges \
-             the weaker model is missing. Exits nonzero on a \
-             model-dependent verdict, like an invariant violation.")
-  in
-  let force =
-    Arg.(
-      value & flag
-      & info [ "force" ]
-          ~doc:
-            "With $(b,--replay) and $(b,--model): replay the token's \
-             decision prefix under the given model even though the token \
-             was minted under a different one. The run is a valid run of \
-             the new model, but not the run the token describes.")
   in
   let faults =
     Arg.(
@@ -1197,8 +1103,127 @@ let explore_cmd =
   in
   let max_events =
     Arg.(
-      value & opt int 200_000
+      value & opt int Token.default_spec.max_events
       & info [ "max-events" ] ~doc:"Per-run event budget.")
+  in
+  let make scenario n seed latency model faults reliable bug max_events =
+    match Dsm_net.Latency.of_string latency with
+    | Error msg -> `Error (false, msg)
+    | Ok latency -> (
+        match Option.map Dsm_net.Fault.of_string faults with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | faults -> (
+            let spec =
+              {
+                Token.scenario;
+                n;
+                seed;
+                latency;
+                model = Option.value model ~default:Token.default_spec.model;
+                faults = Option.value faults ~default:Token.default_spec.faults;
+                reliable;
+                bug;
+                max_events;
+              }
+            in
+            match Token.validate (Token.make spec []) with
+            | Error msg -> `Error (false, msg)
+            | Ok _ -> `Ok (spec, model)))
+  in
+  Term.(
+    ret
+      (const make $ scenario $ n $ seed $ latency $ model $ faults $ reliable
+     $ bug $ max_events))
+
+let explore_cmd =
+  let doc = "Explore schedules and injected faults, checking protocol invariants." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Runs a scenario under many scheduler interleavings (randomized \
+         walks by default, bounded-exhaustive with $(b,--depth)), \
+         optionally under an injected fault plan, and checks protocol \
+         invariants after every run: completion, operation/lock \
+         quiescence, memory coherence, detector clock monotonicity, and \
+         per-schedule determinism.";
+      `P
+        "On a violation it prints a compact repro token; $(b,--replay) \
+         re-executes a token deterministically.";
+      `P
+        (Printf.sprintf "Scenarios: %s."
+           (String.concat ", " Dsm_explore.Scenario.known));
+    ]
+  in
+  let runs =
+    Arg.(
+      value & opt int 100
+      & info [ "runs" ] ~doc:"Schedules to explore (cap, in --depth mode).")
+  in
+  let depth =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "depth" ] ~docv:"D"
+          ~doc:
+            "Bounded-exhaustive mode: enumerate all deviations within the \
+             first $(docv) choice points instead of random walks.")
+  in
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Worker domains to explore with. Findings are bit-identical \
+             for every $(docv) — parallelism only changes wall-clock \
+             time.")
+  in
+  let chunk =
+    Arg.(
+      value & opt int 64
+      & info [ "chunk" ] ~docv:"RUNS"
+          ~doc:
+            "Walk indices claimed per worker fetch-and-add in random-walk \
+             mode (ignored by --depth mode). Findings are bit-identical \
+             for every $(docv); larger chunks only reduce shared-counter \
+             traffic. Must be positive.")
+  in
+  let dpor =
+    Arg.(
+      value & flag
+      & info [ "dpor" ]
+          ~doc:
+            "Sleep-set partial-order reduction for $(b,--depth) mode: \
+             prune schedules that only reorder provably-independent \
+             events of an already-explored schedule. Every pruned \
+             schedule has an explored representative with the same \
+             violations and races. Requires $(b,--depth); single-domain; \
+             pruning disarms itself under $(b,--faults) (fault draws \
+             break trace equivalence) and the search then runs \
+             unpruned.")
+  in
+  let diff_models =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "diff-models" ] ~docv:"A,B"
+          ~doc:
+            "Differential mode: explore schedules under backend $(i,A) \
+             and replay each explored schedule's decision list under \
+             $(i,B), reporting the first schedule whose race verdicts \
+             differ — with a replay token per model and the sync edges \
+             the weaker model is missing. Exits nonzero on a \
+             model-dependent verdict, like an invariant violation.")
+  in
+  let force =
+    Arg.(
+      value & flag
+      & info [ "force" ]
+          ~doc:
+            "With $(b,--replay) and $(b,--model): replay the token's \
+             decision prefix under the given model even though the token \
+             was minted under a different one. The run is a valid run of \
+             the new model, but not the run the token describes.")
   in
   let replay =
     Arg.(
@@ -1271,11 +1296,9 @@ let explore_cmd =
   Cmd.v (Cmd.info "explore" ~doc ~man)
     Term.(
       ret
-        (const run_explore $ scenario $ n $ seed $ runs $ depth $ jobs
-       $ chunk $ dpor $ latency $ model $ diff_models $ force
-       $ faults $ reliable $ bug $ max_events $ replay $ no_minimize
-       $ metrics $ expect_races $ trace_out_violation $ explain
-       $ race_report $ verbose))
+        (const run_explore $ spec_term $ runs $ depth $ jobs $ chunk $ dpor
+       $ diff_models $ force $ replay $ no_minimize $ metrics $ expect_races
+       $ trace_out_violation $ explain $ race_report $ verbose))
 
 (* ---------- scenario ---------- *)
 

@@ -16,6 +16,8 @@ let pack_key ~offset ~len =
     invalid_arg "Clock_store: granule outside packable range";
   (offset lsl len_bits) lor len
 
+let unpack_key key = (key lsr len_bits, key land max_len)
+
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 

@@ -24,6 +24,15 @@
     invisible to detection:
     granule identity, laziness and iteration order are unchanged. *)
 
+val pack_key : offset:int -> len:int -> int
+(** A granule's [(offset, len)] as one immediate [int], the table key.
+    Distinct for distinct granules, and ordered like the pairs. Raises
+    [Invalid_argument] outside [0 <= offset <= 2^40],
+    [0 <= len < 2^21]. *)
+
+val unpack_key : int -> int * int
+(** Inverse of {!pack_key}: [(offset, len)]. *)
+
 type entry = {
   v : Dsm_clocks.Vector_clock.t;
       (** general-purpose clock: all plain accesses *)

@@ -365,6 +365,14 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
       if t.mh.write_acquires_order then
         Vector_clock.merge_into ~into:absorb fv
 
+(* Under Explicit, an access to another node's granules exchanges clocks
+   by control message (Algorithm 5); everywhere else the store is at
+   hand. *)
+let remote_explicit t ~node ~pid =
+  match t.config.Config.transport with
+  | Config.Explicit_txn -> node <> pid
+  | Config.Inline | Config.Piggyback_txn -> false
+
 (* Check one access (already ticked clock [v0]) against every granule it
    covers, signal incomparabilities, merge [v0] into the granules, and
    return (in the accessor's scratch buffer) the union of the clocks the
@@ -381,13 +389,9 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
   let pid = Machine.pid p in
   let absorb = t.scratch_absorb.(pid) in
   Vector_clock.reset absorb;
-  let remote_explicit =
-    match t.config.Config.transport with
-    | Config.Explicit_txn -> node <> pid
-    | Config.Inline | Config.Piggyback_txn -> false
-  in
+  let remote = remote_explicit t ~node ~pid in
   Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-      if remote_explicit then begin
+      if remote then begin
         let words =
           Machine.control p ~target:node ~tag:vget_tag
             ~words:[| offset; len |]
@@ -438,12 +442,12 @@ let region_before (a : Addr.region) (b : Addr.region) =
      && (space_rank a.base.space < space_rank b.base.space
         || (a.base.space = b.base.space && a.base.offset < b.base.offset)))
 
-(* The shared body of Algorithms 1 and 2: tick, read-side check and
-   absorption, write-side check, then the transfer provided by [transfer].
-   [read_region] is checked when public; [write_region] always is. *)
-let checked_op t p ~kind ~read_region ~write_region ~transfer =
+(* Counts a checked operation and emits its [Detector_check]. The count
+   is the provenance ordinal of the operation's accesses and the emit is
+   its flight-recorder timestamp, so the blocking path takes both before
+   it waits for locks. *)
+let count_check t p ~kind =
   t.checked_ops <- t.checked_ops + 1;
-  let v0 = t.procs.(Machine.pid p) in
   if t.probe.on then
     Dsm_obs.Probe.emit t.probe
       (Detector_check
@@ -451,34 +455,47 @@ let checked_op t p ~kind ~read_region ~write_region ~transfer =
            time = now t;
            pid = Machine.pid p;
            kind;
-           fast_path = Vector_clock.is_epoch v0;
-         });
+           fast_path = Vector_clock.is_epoch t.procs.(Machine.pid p);
+         })
+
+(* The detection body of Algorithms 1 and 2, without locks or data
+   transfer: tick, read-side check and absorption, write-side check.
+   [read_region] is checked when public, [write_region] likewise.
+   [checked_op] runs it inside its lock span; the batched paths
+   interleave several inside a single span. *)
+let check_op t p ~read_region ~write_region =
+  let v0 = t.procs.(Machine.pid p) in
+  Vector_clock.tick v0 ~me:(me t p);
+  if Addr.is_public read_region then begin
+    let event_id = record_access t p ~kind:Event.Read ~target:read_region in
+    let absorbed =
+      check_access t p ~region:read_region ~cls:Plain_read ~v0 ~event_id
+    in
+    (* The reader absorbs the causal history of the writes it observed:
+       this is what orders Figure 5b's m3 after m1. *)
+    Vector_clock.merge_into ~into:v0 absorbed;
+    if t.probe.on then
+      Dsm_obs.Probe.emit t.probe
+        (Clock_merge { time = now t; pid = Machine.pid p })
+  end;
+  if Addr.is_public write_region then begin
+    let event_id = record_access t p ~kind:Event.Write ~target:write_region in
+    let absorbed =
+      check_access t p ~region:write_region ~cls:Plain_write ~v0 ~event_id
+    in
+    (* under total store order the writer absorbs the granule's whole
+       history; under every weaker model [absorbed] is empty here *)
+    if t.mh.write_acquires_order then
+      Vector_clock.merge_into ~into:v0 absorbed
+  end
+
+(* One blocking checked operation: count it, then run the detection
+   body and the transfer provided by [transfer] under the regions'
+   locks. *)
+let checked_op t p ~kind ~read_region ~write_region ~transfer =
+  count_check t p ~kind;
   let body () =
-    Vector_clock.tick v0 ~me:(me t p);
-    if Addr.is_public read_region then begin
-      let event_id = record_access t p ~kind:Event.Read ~target:read_region in
-      let absorbed =
-        check_access t p ~region:read_region ~cls:Plain_read ~v0 ~event_id
-      in
-      (* The reader absorbs the causal history of the writes it observed:
-         this is what orders Figure 5b's m3 after m1. *)
-      Vector_clock.merge_into ~into:v0 absorbed;
-      if t.probe.on then
-        Dsm_obs.Probe.emit t.probe
-          (Clock_merge { time = now t; pid = Machine.pid p })
-    end;
-    if Addr.is_public write_region then begin
-      let event_id =
-        record_access t p ~kind:Event.Write ~target:write_region
-      in
-      let absorbed =
-        check_access t p ~region:write_region ~cls:Plain_write ~v0 ~event_id
-      in
-      (* under total store order the writer absorbs the granule's whole
-         history; under every weaker model [absorbed] is empty here *)
-      if t.mh.write_acquires_order then
-        Vector_clock.merge_into ~into:v0 absorbed
-    end;
+    check_op t p ~read_region ~write_region;
     transfer ()
   in
   match t.config.Config.transport with
@@ -535,42 +552,6 @@ let get t p ~src ~dst =
    transport is coalesced: one message, one lock span, one piggybacked
    clock per run instead of one per op. *)
 
-(* Detection body of one operation (tick, read-side check/absorb,
-   write-side check) without locks or data transfer — the batched paths
-   interleave several of these inside a single lock span. Mirrors
-   [checked_op]'s body exactly. *)
-let check_op t p ~kind ~read_region ~write_region =
-  t.checked_ops <- t.checked_ops + 1;
-  let v0 = t.procs.(Machine.pid p) in
-  if t.probe.on then
-    Dsm_obs.Probe.emit t.probe
-      (Detector_check
-         {
-           time = now t;
-           pid = Machine.pid p;
-           kind;
-           fast_path = Vector_clock.is_epoch v0;
-         });
-  Vector_clock.tick v0 ~me:(me t p);
-  if Addr.is_public read_region then begin
-    let event_id = record_access t p ~kind:Event.Read ~target:read_region in
-    let absorbed =
-      check_access t p ~region:read_region ~cls:Plain_read ~v0 ~event_id
-    in
-    Vector_clock.merge_into ~into:v0 absorbed;
-    if t.probe.on then
-      Dsm_obs.Probe.emit t.probe
-        (Clock_merge { time = now t; pid = Machine.pid p })
-  end;
-  if Addr.is_public write_region then begin
-    let event_id = record_access t p ~kind:Event.Write ~target:write_region in
-    let absorbed =
-      check_access t p ~region:write_region ~cls:Plain_write ~v0 ~event_id
-    in
-    if t.mh.write_acquires_order then
-      Vector_clock.merge_into ~into:v0 absorbed
-  end
-
 (* Maximal runs of consecutive pairs satisfying [key prev cur]. *)
 let group_runs ~key pairs =
   match pairs with
@@ -610,7 +591,8 @@ let put_run t p run =
       else begin
         let extra_words = piggyback_words t in
         let check (src, dst) =
-          check_op t p ~kind:"put" ~read_region:src ~write_region:dst
+          count_check t p ~kind:"put";
+          check_op t p ~read_region:src ~write_region:dst
         in
         match t.config.Config.transport with
         | Config.Inline ->
@@ -657,7 +639,8 @@ let get_run t p run =
       else begin
         let extra_words = piggyback_words t in
         let check (src, dst) =
-          check_op t p ~kind:"get" ~read_region:src ~write_region:dst
+          count_check t p ~kind:"get";
+          check_op t p ~read_region:src ~write_region:dst
         in
         match t.config.Config.transport with
         | Config.Inline ->
@@ -724,13 +707,9 @@ let release_rmw_history t p ~(region : Addr.region) =
   let pid = Machine.pid p in
   let v0 = t.procs.(pid) in
   let store = t.stores.(node) in
-  let remote_explicit =
-    match t.config.Config.transport with
-    | Config.Explicit_txn -> node <> pid
-    | Config.Inline | Config.Piggyback_txn -> false
-  in
+  let remote = remote_explicit t ~node ~pid in
   Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-      if remote_explicit then begin
+      if remote then begin
         let payload = Array.make (3 + t.dim) 0 in
         payload.(0) <- offset;
         payload.(1) <- len;
@@ -749,18 +728,9 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
   count_shipped t 2;
   release_rmw_history t p ~region;
   let result, wrote = run_op ~extra_words:(piggyback_words t) in
-  t.checked_ops <- t.checked_ops + 1;
+  count_check t p ~kind:"atomic";
   let pid = Machine.pid p in
   let v0 = t.procs.(pid) in
-  if t.probe.on then
-    Dsm_obs.Probe.emit t.probe
-      (Detector_check
-         {
-           time = now t;
-           pid;
-           kind = "atomic";
-           fast_path = Vector_clock.is_epoch v0;
-         });
   Vector_clock.tick v0 ~me:(me t p);
   (match read_src with
   | Some r when Addr.is_public r ->

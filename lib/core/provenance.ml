@@ -22,34 +22,34 @@ type ring = { slots : entry option array; mutable n : int }
 
 type t = {
   depth : int;
-  granules : (int, ring) Hashtbl.t; (* packed (node, offset, len) *)
+  mutable nodes : (int, ring) Hashtbl.t array;
+      (* per node, keyed like the granule clocks by
+         [Clock_store.pack_key ~offset ~len] *)
 }
-
-(* Same trick as Clock_store: pack the key into an immediate int.
-   Offsets/lengths are segment-bounded (well under 2^20 words). *)
-let pack ~node ~offset ~len = (((node lsl 21) lor offset) lsl 21) lor len
-
-let unpack key =
-  let len = key land 0x1FFFFF in
-  let offset = (key lsr 21) land 0x1FFFFF in
-  let node = key lsr 42 in
-  (node, offset, len)
 
 let create ~depth =
   if depth < 0 then invalid_arg "Provenance.create: negative depth";
-  { depth; granules = Hashtbl.create 64 }
+  { depth; nodes = [||] }
 
 let depth t = t.depth
 
+let find t ~node ~offset ~len =
+  if node >= Array.length t.nodes then None
+  else Hashtbl.find_opt t.nodes.(node) (Clock_store.pack_key ~offset ~len)
+
 let note t ~node ~offset ~len entry =
   if t.depth > 0 then begin
-    let key = pack ~node ~offset ~len in
     let ring =
-      match Hashtbl.find_opt t.granules key with
+      match find t ~node ~offset ~len with
       | Some r -> r
       | None ->
+          let have = Array.length t.nodes in
+          if node >= have then
+            t.nodes <-
+              Array.append t.nodes
+                (Array.init (node + 1 - have) (fun _ -> Hashtbl.create 16));
           let r = { slots = Array.make t.depth None; n = 0 } in
-          Hashtbl.add t.granules key r;
+          Hashtbl.add t.nodes.(node) (Clock_store.pack_key ~offset ~len) r;
           r
     in
     ring.slots.(ring.n mod t.depth) <- Some entry;
@@ -58,7 +58,7 @@ let note t ~node ~offset ~len entry =
 
 (* Newest first. *)
 let history t ~node ~offset ~len =
-  match Hashtbl.find_opt t.granules (pack ~node ~offset ~len) with
+  match find t ~node ~offset ~len with
   | None -> []
   | Some ring ->
       let depth = Array.length ring.slots in
@@ -93,10 +93,12 @@ let find_prior t ~node ~offset ~len ~pid ~write ~clock =
   | None -> ( match candidates with e :: _ -> Some e | [] -> None)
 
 let iter_granules t ~f =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.granules [] in
-  let keys = List.sort compare keys in
-  List.iter
-    (fun key ->
-      let node, offset, len = unpack key in
-      f ~node ~offset ~len (history t ~node ~offset ~len))
-    keys
+  Array.iteri
+    (fun node granules ->
+      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) granules [] in
+      List.iter
+        (fun key ->
+          let offset, len = Clock_store.unpack_key key in
+          f ~node ~offset ~len (history t ~node ~offset ~len))
+        (List.sort compare keys))
+    t.nodes

@@ -52,9 +52,9 @@ let missing_edges ~weak ~strong =
     (fun (get, text) -> if get hs && not (get hw) then Some text else None)
     edge_descriptions
 
-let run ?(runs = 100) ?depth spec (model_a, model_b) =
-  let spec_a = { spec with Explore.model = model_a } in
-  let spec_b = { spec with Explore.model = model_b } in
+let run ?(runs = 100) ?depth (spec : Explore.spec) (model_a, model_b) =
+  let spec_a = { spec with model = model_a } in
+  let spec_b = { spec with model = model_b } in
   let ctx_a = Explore.create_ctx spec_a in
   let ctx_b = Explore.create_ctx spec_b in
   let schedules = ref 0 in
@@ -93,8 +93,8 @@ let run ?(runs = 100) ?depth spec (model_a, model_b) =
             {
               walk;
               decisions;
-              token_a = Explore.token_of spec_a decisions;
-              token_b = Explore.token_of spec_b decisions;
+              token_a = Token.make spec_a decisions;
+              token_b = Token.make spec_b decisions;
               races_a = ra.Explore.races;
               races_b = rb.Explore.races;
               canon_a = ra.Explore.canon;

@@ -77,11 +77,11 @@ type node = { prefix : int list; plen : int; sleep : sleeper list }
 let explore_in ?(dpor = true) ?(stop_on_first = true) ?(max_runs = 500) ctx
     ~depth =
   let spec = Explore.ctx_spec ctx in
-  let pruning = dpor && Dsm_net.Fault.is_none spec.Explore.faults in
+  let pruning = dpor && Dsm_net.Fault.is_none spec.faults in
   let log = Ready_log.create () in
   if pruning then Explore.set_ready_log ctx (Some log);
   let probe = Explore.ctx_probe ctx in
-  let n = spec.Explore.n in
+  let n = spec.n in
   let touch = Vector_clock.create ~n:(2 * n) in
   let w = Array.make (2 * n) 0 in
   let stack = ref [ { prefix = []; plen = 0; sleep = [] } ] in

@@ -43,14 +43,14 @@ let explanations_of ~window ~(result : Explore.run_result) built =
               | Some e -> [ e ])))
 
 let of_token ?capacity ?timeline (t : Token.t) =
-  match Explore.create_ctx (Explore.spec_of_token t) with
+  match Explore.create_ctx t.spec with
   | ctx ->
       let bus = Explore.ctx_probe ctx in
       let flight = Flight.attach ?capacity bus in
       (match timeline with
       | None -> ()
       | Some tl -> Probe.attach bus (Timeline.sink tl));
-      let result = Explore.run_once_in ctx (Explore.Script t.Token.decisions) in
+      let result = Explore.run_once_in ctx (Explore.Script t.decisions) in
       let window = Flight.events flight in
       let explanations =
         explanations_of ~window ~result (Explore.last_built ctx)

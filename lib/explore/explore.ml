@@ -6,30 +6,9 @@ module Detector = Dsm_core.Detector
 module Report = Dsm_core.Report
 module Vector_clock = Dsm_clocks.Vector_clock
 
-type spec = {
-  scenario : string;
-  n : int;
-  seed : int;
-  latency : Dsm_net.Latency.t;
-  model : Dsm_rdma.Model.t;
-  faults : Dsm_net.Fault.t;
-  reliable : bool;
-  bug : bool;
-  max_events : int;
-}
+type spec = Token.spec
 
-let default_spec =
-  {
-    scenario = "getput";
-    n = 2;
-    seed = 1;
-    latency = Dsm_net.Latency.infiniband_like;
-    model = Dsm_rdma.Model.default;
-    faults = Dsm_net.Fault.none;
-    reliable = false;
-    bug = false;
-    max_events = 200_000;
-  }
+let default_spec = Token.default_spec
 
 type outcome = Completed | Blocked of int | Event_limit | Crashed of string
 
@@ -92,11 +71,7 @@ type ctx = {
 }
 
 let create_ctx ?metrics spec =
-  let plan =
-    Scenario.prepare ~latency:spec.latency ~model:spec.model
-      ~spec:spec.scenario ~n:spec.n ~seed:spec.seed ~faults:spec.faults
-      ~reliable:spec.reliable ~bug:spec.bug ()
-  in
+  let plan = Scenario.prepare spec in
   let sim = Engine.create ~seed:spec.seed () in
   (* Telemetry is strictly read-only with respect to the simulation —
      the meter touches neither PRNG streams nor scheduling — so a
@@ -190,7 +165,7 @@ let execute ctx (built : Scenario.built) =
   sample ();
   (outcome, List.rev !mono)
 
-let check_invariants spec (built : Scenario.built) outcome mono =
+let check_invariants (spec : spec) (built : Scenario.built) outcome mono =
   let v = ref [] in
   let add invariant detail = v := { invariant; detail } :: !v in
   let expect_complete = Dsm_net.Fault.is_none spec.faults || spec.reliable in
@@ -222,8 +197,8 @@ let check_invariants spec (built : Scenario.built) outcome mono =
   List.iter (fun (name, detail) -> add name detail) (built.monitor ());
   List.rev !v
 
-let fingerprint_of spec (built : Scenario.built) outcome ~races ~monitor_report
-    =
+let fingerprint_of (spec : spec) (built : Scenario.built) outcome ~races
+    ~monitor_report =
   let sim = Machine.sim built.machine in
   let report_fp =
     match (built.detector : Detector.t option) with
@@ -519,35 +494,8 @@ let minimize ?metrics spec decisions =
     Token.trim_trailing_zeros (Array.to_list kept)
   end
 
-let token_of spec decisions =
-  {
-    Token.scenario = spec.scenario;
-    n = spec.n;
-    seed = spec.seed;
-    latency = spec.latency;
-    model = spec.model;
-    faults = spec.faults;
-    reliable = spec.reliable;
-    bug = spec.bug;
-    max_events = spec.max_events;
-    decisions = Token.trim_trailing_zeros decisions;
-  }
-
-let spec_of_token (t : Token.t) =
-  {
-    scenario = t.scenario;
-    n = t.n;
-    seed = t.seed;
-    latency = t.latency;
-    model = t.model;
-    faults = t.faults;
-    reliable = t.reliable;
-    bug = t.bug;
-    max_events = t.max_events;
-  }
-
 let replay ?probe (t : Token.t) =
-  match create_ctx (spec_of_token t) with
+  match create_ctx t.spec with
   | ctx ->
       (match probe with None -> () | Some f -> f (ctx_probe ctx));
       Ok (run_once_in ctx (Script t.decisions))

@@ -24,29 +24,11 @@
     A violation is condensed into a {!Token.t} that {!replay} re-executes
     deterministically, after {!minimize} has shrunk the schedule prefix. *)
 
-type spec = {
-  scenario : string;  (** see {!Scenario} *)
-  n : int;
-  seed : int;
-  latency : Dsm_net.Latency.t;
-      (** fabric latency model; [Constant] makes deliveries tie, turning
-          the scheduling tree from near-linear into genuinely branching —
-          the regime the DPOR layer is for *)
-  model : Dsm_rdma.Model.t;
-      (** memory-model backend (default [Nic_atomic], the paper's).
-          Semantic: it changes the machine's
-          protocol hooks and the detector's happens-before edges, hence
-          schedules, fingerprints and verdicts — replay tokens carry it
-          as the [m=] field so a token replays under the model that
-          minted it *)
-  faults : Dsm_net.Fault.t;
-  reliable : bool;
-  bug : bool;
-  max_events : int;
-}
+type spec = Token.spec
+(** The one description of a run — see {!Token.spec}. *)
 
 val default_spec : spec
-(** ["getput"], 2 processes, seed 1, no faults, 200k events. *)
+(** {!Token.default_spec}. *)
 
 type outcome = Completed | Blocked of int | Event_limit | Crashed of string
 
@@ -179,10 +161,6 @@ val replay : ?probe:(Dsm_obs.Probe.t -> unit) -> Token.t -> (run_result, string)
     the scenario's minimum (e.g. a hand-edited [n=1] on [getput]).
     [probe] receives the replay arena's bus before the run executes —
     the hook for timeline capture of a repro token. *)
-
-val token_of : spec -> int list -> Token.t
-
-val spec_of_token : Token.t -> spec
 
 (** {2 Exploration internals}
 

@@ -53,13 +53,13 @@ let no_monitor () = []
 
 (* [Skip_rmw_write_mark] is inert on scenarios without RMWs (getput),
    so one [bug] flag plants the whole defect family. *)
-let make_machine sim ~n ~latency ~faults ~reliable ~bug ~model =
-  Machine.create sim ~n ~latency ~faults
-    ?reliability:(if reliable then Some (Machine.reliability ()) else None)
+let make_machine sim (s : Token.spec) =
+  Machine.create sim ~n:s.n ~latency:s.latency ~faults:s.faults
+    ?reliability:(if s.reliable then Some (Machine.reliability ()) else None)
     ~protocol_bugs:
-      (if bug then [ Machine.Skip_get_dst_lock; Machine.Skip_rmw_write_mark ]
+      (if s.bug then [ Machine.Skip_get_dst_lock; Machine.Skip_rmw_write_mark ]
        else [])
-    ~model ()
+    ~model:s.model ()
 
 (* The built-in scenario behind the planted-bug acceptance test: P0
    repeatedly gets a remote region into its own public region A while P1
@@ -404,21 +404,15 @@ let populate_workload ~name ~seed ~model machine =
   in
   { machine; detector = Some detector; coherence; linearize; monitor }
 
-let prepare ?(latency = Dsm_net.Latency.infiniband_like)
-    ?(model = Dsm_rdma.Model.default) ~spec ~n ~seed ~faults ~reliable ~bug
-    () =
+let prepare (s : Token.spec) =
+  let spec = s.scenario and model = s.model in
   let plan ~min_procs populate =
-    if n < min_procs then
+    if s.n < min_procs then
       invalid_arg
         (Printf.sprintf
            "Scenario %s: needs at least %d processes, token/spec declares %d"
-           spec min_procs n);
-    {
-      procs = n;
-      mk_machine =
-        (fun sim -> make_machine sim ~n ~latency ~faults ~reliable ~bug ~model);
-      populate;
-    }
+           spec min_procs s.n);
+    { procs = s.n; mk_machine = (fun sim -> make_machine sim s); populate }
   in
   match String.index_opt spec ':' with
   | None when spec = "getput" -> plan ~min_procs:2 populate_getput
@@ -442,7 +436,7 @@ let prepare ?(latency = Dsm_net.Latency.infiniband_like)
             (* racy scale mode needs distinct ring neighbours *)
             match arg with "scale" | "scale-batched" -> 3 | _ -> 2
           in
-          plan ~min_procs (populate_workload ~name:arg ~seed ~model)
+          plan ~min_procs (populate_workload ~name:arg ~seed:s.seed ~model)
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs
@@ -452,8 +446,3 @@ let instantiate plan sim = plan.populate (plan.mk_machine sim)
 let repopulate plan machine =
   Machine.reset machine;
   plan.populate machine
-
-let build ?latency ?model sim ~spec ~n ~seed ~faults ~reliable ~bug =
-  instantiate
-    (prepare ?latency ?model ~spec ~n ~seed ~faults ~reliable ~bug ())
-    sim

@@ -52,33 +52,25 @@ type plan
     machine-independent done once. The explorer prepares a plan per
     worker and then populates a machine per run, fresh or recycled. *)
 
-val prepare :
-  ?latency:Dsm_net.Latency.t ->
-  ?model:Dsm_rdma.Model.t ->
-  spec:string ->
-  n:int ->
-  seed:int ->
-  faults:Dsm_net.Fault.t ->
-  reliable:bool ->
-  bug:bool ->
-  unit ->
-  plan
-(** [latency] (default [Dsm_net.Latency.infiniband_like]) picks the
-    fabric's latency model — [Constant] makes message deliveries tie
+val prepare : Token.spec -> plan
+(** The spec's [scenario], [n] and (for workloads) [seed] pick and size
+    the program; its [latency], [model], [faults], [reliable] and [bug]
+    build the machine. [latency] [Constant] makes message deliveries tie
     and blows the scheduling tree wide open, which is exactly what the
-    DPOR experiments want. [model] (default [Dsm_rdma.Model.default],
-    the paper's [Nic_atomic]) selects the memory-model backend for both
-    the machine's protocol hooks and the detector's happens-before
+    DPOR experiments want. [model] selects the memory-model backend for
+    both the machine's protocol hooks and the detector's happens-before
     edges — it changes schedules, fingerprints and race verdicts, which
-    is why replay tokens carry it. Raises [Invalid_argument] on
-    an unknown spec, an unparsable program,
+    is why replay tokens carry it. [bug] plants the protocol-defect
+    family ([Skip_get_dst_lock] and [Skip_rmw_write_mark] — each inert
+    on scenarios that never exercise the affected path). Raises
+    [Invalid_argument] on an unknown scenario, an unparsable program,
     or a process count below the scenario's minimum ([getput] and the
-    workloads need at least 2; programs at least 1) — the validation that
-    lets [dsmcheck explore --replay] reject a token whose declared
+    workloads need at least 2; programs at least 1) — the validation
+    that lets [dsmcheck explore --replay] reject a token whose declared
     process count mismatches the scenario instead of misbehaving. *)
 
 val procs : plan -> int
-(** The effective process count (equal to [n] passed to {!prepare}). *)
+(** The effective process count: the spec's [n]. *)
 
 val instantiate : plan -> Dsm_sim.Engine.t -> built
 (** Build a fresh machine on [sim] and populate it: allocate, attach the
@@ -92,21 +84,3 @@ val repopulate : plan -> Dsm_rdma.Machine.t -> built
     called {e after} [Engine.reset] on the owning engine (see
     [Machine.reset]); the result is bit-identical to a fresh
     instantiation. *)
-
-val build :
-  ?latency:Dsm_net.Latency.t ->
-  ?model:Dsm_rdma.Model.t ->
-  Dsm_sim.Engine.t ->
-  spec:string ->
-  n:int ->
-  seed:int ->
-  faults:Dsm_net.Fault.t ->
-  reliable:bool ->
-  bug:bool ->
-  built
-(** Raises [Invalid_argument] on an unknown spec or an unparsable
-    program. [seed] parameterizes workload generators (the engine owns
-    its own seed); [reliable] enables the retry/ack transport; [bug]
-    plants the protocol-defect family ([Skip_get_dst_lock] and
-    [Skip_rmw_write_mark] — each inert on scenarios that never exercise
-    the affected path). *)

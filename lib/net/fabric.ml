@@ -20,22 +20,8 @@ type 'msg t = {
 
 let loopback_delay = 0.05 (* us: memcpy through the local NIC *)
 
-let create sim ~topology ~latency ?(fifo = true) ?(drop_probability = 0.)
-    ?(duplicate_probability = 0.) ?faults () =
+let create sim ~topology ~latency ?(fifo = true) ?(faults = Fault.none) () =
   let topology = Topology.validate topology in
-  if drop_probability < 0. || drop_probability > 1. then
-    invalid_arg "Fabric.create: drop_probability out of range";
-  if duplicate_probability < 0. || duplicate_probability > 1. then
-    invalid_arg "Fabric.create: duplicate_probability out of range";
-  let faults =
-    match faults with
-    | Some plan -> plan
-    | None ->
-        if drop_probability = 0. && duplicate_probability = 0. then Fault.none
-        else
-          Fault.uniform ~drop:drop_probability
-            ~duplicate:duplicate_probability ()
-  in
   let n = Topology.nodes topology in
   {
     sim;

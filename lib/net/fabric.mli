@@ -19,26 +19,21 @@ val create :
   topology:Topology.t ->
   latency:Latency.t ->
   ?fifo:bool ->
-  ?drop_probability:float ->
-  ?duplicate_probability:float ->
   ?faults:Fault.t ->
   unit ->
   'msg t
 (** [create sim ~topology ~latency ()] builds a fabric with no handlers
     registered. [fifo] defaults to [true].
 
-    [drop_probability] and [duplicate_probability] (both default [0.])
-    inject faults for robustness testing: the paper's model — like the
-    RDMA fabrics it abstracts — {e assumes reliable, ordered delivery};
-    the raw protocol layers do not retransmit, so a dropped message
-    turns into a blocked operation that the engine reports (see the test
-    suite) unless the reliable transport of [Dsm_rdma.Machine] is
-    enabled. Counters still count each physical transmission.
-
-    [faults] is the general fault plane: per-link drop / duplicate /
-    delay (jitter) / reorder, seed-driven (see {!Fault}). When given it
-    replaces the two legacy probabilities; when absent they are folded
-    into a uniform plan. Reordered messages bypass the FIFO floor. *)
+    [faults] (default {!Fault.none}) injects per-link drop / duplicate /
+    delay (jitter) / reorder, seed-driven (see {!Fault}), for robustness
+    testing: the paper's model — like the RDMA fabrics it abstracts —
+    {e assumes reliable, ordered delivery}; the raw protocol layers do
+    not retransmit, so a dropped message turns into a blocked operation
+    that the engine reports (see the test suite) unless the reliable
+    transport of [Dsm_rdma.Machine] is enabled. Counters still count
+    each physical transmission. Reordered messages bypass the FIFO
+    floor. *)
 
 val messages_dropped : 'msg t -> int
 

@@ -113,9 +113,16 @@ let of_string s =
                          "Fault.of_string: link spec %S needs src>dst"
                          linkspec)
                 | Some gt ->
-                    let src = int_of_string (String.sub linkspec 0 gt) in
+                    let node s =
+                      match int_of_string_opt s with
+                      | Some i -> i
+                      | None ->
+                          invalid_arg
+                            (Printf.sprintf "Fault.of_string: bad node %S" s)
+                    in
+                    let src = node (String.sub linkspec 0 gt) in
                     let dst =
-                      int_of_string
+                      node
                         (String.sub linkspec (gt + 1)
                            (String.length linkspec - gt - 1))
                     in

@@ -626,8 +626,8 @@ and drain_held m r ~node ~src =
 and notify m obs = List.iter (fun f -> f obs) m.observers
 
 let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
-    ?private_words ?public_words ?discipline ?drop_probability
-    ?duplicate_probability ?faults ?reliability ?(protocol_bugs = [])
+    ?private_words ?public_words ?discipline ?faults
+    ?reliability ?(protocol_bugs = [])
     ?(model = Model.default) () =
   if n < 1 then invalid_arg "Machine.create: need at least one node";
   let topology =
@@ -639,8 +639,7 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
         t
   in
   let fabric =
-    Dsm_net.Fabric.create sim ~topology ~latency ?drop_probability
-      ?duplicate_probability ?faults ()
+    Dsm_net.Fabric.create sim ~topology ~latency ?faults ()
   in
   let rel =
     match reliability with

@@ -63,8 +63,6 @@ val create :
   ?private_words:int ->
   ?public_words:int ->
   ?discipline:Dsm_memory.Lock_table.discipline ->
-  ?drop_probability:float ->
-  ?duplicate_probability:float ->
   ?faults:Dsm_net.Fault.t ->
   ?reliability:reliability ->
   ?protocol_bugs:protocol_bug list ->
@@ -72,9 +70,9 @@ val create :
   unit ->
   t
 (** Defaults: fully-connected topology over [n], {!Dsm_net.Latency.infiniband_like},
-    4096-word segments, first-fit NIC locks, reliable fabric. The fault
-    probabilities (and the richer [faults] plan, which supersedes them)
-    are forwarded to [Dsm_net.Fabric] for robustness testing: the
+    4096-word segments, first-fit NIC locks, reliable fabric. The
+    [faults] plan is forwarded to [Dsm_net.Fabric] for robustness
+    testing: the
     one-sided protocols assume reliable delivery, so without
     [reliability] drops surface as blocked operations. [protocol_bugs]
     defaults to none. [model] (default {!Model.default}, the paper's

@@ -254,7 +254,7 @@ let granule_set c = List.sort_uniq compare c.granules
    only one to flush batches. *)
 let test_batched_differential () =
   let spec scenario =
-    { Explore.default_spec with Explore.scenario; n = 5; seed = 11 }
+    { Explore.default_spec with scenario; n = 5; seed = 11 }
   in
   let ctx_plain = Explore.create_ctx (spec "workload:scale") in
   let ctx_batched = Explore.create_ctx (spec "workload:scale-batched") in

@@ -734,6 +734,39 @@ let prop_packed_key_injective =
       let e2 = Clock_store.entry_at store ~offset:o2 ~len:l2 in
       (e1 == e2) = (o1 = o2 && l1 = l2))
 
+(* Provenance keys granules per node exactly like the clock store, so
+   two granules the store tells apart never share a history: an offset
+   past 2^21 on node 0 once packed onto node 1's offset 0. *)
+let test_provenance_keys_distinct () =
+  let prov = Provenance.create ~depth:2 in
+  let entry pid =
+    {
+      Provenance.pid;
+      kind = Dsm_trace.Event.Write;
+      time = 0.;
+      op = pid;
+      event_id = -1;
+      clock = Dsm_clocks.Vector_clock.create ~n:2;
+    }
+  in
+  Provenance.note prov ~node:0 ~offset:(1 lsl 21) ~len:1 (entry 0);
+  Provenance.note prov ~node:1 ~offset:0 ~len:1 (entry 1);
+  let pids ~node ~offset =
+    List.map
+      (fun (e : Provenance.entry) -> e.pid)
+      (Provenance.history prov ~node ~offset ~len:1)
+  in
+  Alcotest.(check (list int)) "node 0, offset 2^21" [ 0 ]
+    (pids ~node:0 ~offset:(1 lsl 21));
+  Alcotest.(check (list int)) "node 1, offset 0" [ 1 ] (pids ~node:1 ~offset:0);
+  let visited = ref [] in
+  Provenance.iter_granules prov ~f:(fun ~node ~offset ~len _ ->
+      visited := (node, offset, len) :: !visited);
+  Alcotest.(check (list (triple int int int)))
+    "granules in (node, offset, len) order"
+    [ (0, 1 lsl 21, 1); (1, 0, 1) ]
+    (List.rev !visited)
+
 let arb_bad_granule =
   QCheck.make
     ~print:(fun (o, l) -> Printf.sprintf "(%d,%d)" o l)
@@ -922,6 +955,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_packed_key_injective;
           QCheck_alcotest.to_alcotest prop_packed_key_rejects_out_of_range;
+          Alcotest.test_case "provenance keys distinct across nodes" `Quick
+            test_provenance_keys_distinct;
         ] );
       ( "clock-store-shards",
         [

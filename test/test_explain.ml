@@ -68,7 +68,7 @@ let test_ring_filter () =
    reused) arena: the window must cover exactly the current run, so two
    identical runs in the same arena leave identical windows. *)
 let test_ring_resets_across_arena_runs () =
-  let spec = { Explore.default_spec with Explore.seed = 3 } in
+  let spec = { Explore.default_spec with seed = 3 } in
   let ctx = Explore.create_ctx spec in
   let f = Flight.attach ~capacity:1024 (Explore.ctx_probe ctx) in
   ignore (Explore.run_once_in ctx (Explore.Walk 1));
@@ -90,7 +90,7 @@ let prop_flight_fingerprint_invariance =
   QCheck.Test.make ~name:"flight recorder never changes a run" ~count:25
     QCheck.(pair (int_bound 500) (int_bound 2))
     (fun (walk, cap_sel) ->
-      let spec = { Explore.default_spec with Explore.seed = 7 } in
+      let spec = { Explore.default_spec with seed = 7 } in
       let plain = Explore.run_once spec (Explore.Walk walk) in
       let ctx = Explore.create_ctx spec in
       let capacity = [| 1; 8; 512 |].(cap_sel) in
@@ -106,7 +106,7 @@ let prop_flight_fingerprint_invariance =
 let checked_spec =
   {
     Explore.default_spec with
-    Explore.scenario = "getput-checked";
+    scenario = "getput-checked";
     latency = Dsm_net.Latency.Constant 1.0;
     bug = true;
   }
@@ -120,7 +120,7 @@ let test_getput_checked_names_both_endpoints () =
   let r = Explore.run_once checked_spec (Explore.Script []) in
   Alcotest.(check bool) "the planted bug violates" true
     (r.Explore.violations <> []);
-  let token = Explore.token_of checked_spec r.Explore.decisions in
+  let token = Token.make checked_spec r.Explore.decisions in
   let o = explain_ok token in
   Alcotest.(check bool) "has explanations" true (o.Explain_run.explanations <> []);
   List.iter
@@ -158,7 +158,7 @@ let test_getput_checked_names_both_endpoints () =
 
 let test_explanations_deterministic () =
   let r = Explore.run_once checked_spec (Explore.Script []) in
-  let token = Explore.token_of checked_spec r.Explore.decisions in
+  let token = Token.make checked_spec r.Explore.decisions in
   let a = explain_ok token in
   let b = explain_ok token in
   Alcotest.(check string) "text byte-identical across replays"
@@ -183,7 +183,7 @@ let test_explanations_identical_across_jobs_and_chunk () =
         | None -> Alcotest.fail "expected a violation"
         | Some (_, r) ->
             let decisions = Token.trim_trailing_zeros r.Explore.decisions in
-            let token = Explore.token_of checked_spec decisions in
+            let token = Token.make checked_spec decisions in
             (explain_ok token).Explain_run.text)
       [ (1, 1); (2, 1); (2, 64); (4, 64) ]
   in
@@ -203,7 +203,7 @@ let test_explanations_identical_across_jobs_and_chunk () =
 let rmw_spec =
   {
     Explore.default_spec with
-    Explore.scenario = "rmwlost-checked";
+    scenario = "rmwlost-checked";
     n = 3;
     latency = Dsm_net.Latency.Constant 1.0;
     bug = true;
@@ -216,7 +216,7 @@ let test_rmwlost_checked_atomicity_fallback () =
   match stats.Explore.first with
   | None -> Alcotest.fail "the planted RMW bug never violated"
   | Some (_, r) ->
-      let token = Explore.token_of rmw_spec r.Explore.decisions in
+      let token = Token.make rmw_spec r.Explore.decisions in
       let o = explain_ok token in
       (match o.Explain_run.explanations with
       | [ e ] ->
@@ -238,10 +238,10 @@ let test_rmwlost_checked_atomicity_fallback () =
 (* Clean runs produce no explanations — the pipeline stays quiet when
    there is nothing to explain. *)
 let test_clean_run_explains_nothing () =
-  let spec = { rmw_spec with Explore.bug = false } in
+  let spec = { rmw_spec with bug = false } in
   let r = Explore.run_once spec (Explore.Script []) in
   Alcotest.(check bool) "clean" true (r.Explore.violations = []);
-  let o = explain_ok (Explore.token_of spec r.Explore.decisions) in
+  let o = explain_ok (Token.make spec r.Explore.decisions) in
   Alcotest.(check int) "no explanations" 0
     (List.length o.Explain_run.explanations);
   Alcotest.(check string) "empty text" "" o.Explain_run.text

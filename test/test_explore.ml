@@ -20,15 +20,18 @@ module Fault = Dsm_net.Fault
 let test_token_roundtrip () =
   let t =
     {
-      Token.scenario = "getput";
-      n = 3;
-      seed = 42;
-      latency = Dsm_net.Latency.Constant 1.0;
-      model = Dsm_rdma.Model.Relaxed;
-      faults = Fault.of_string "drop=0.2,dup=0.1,0>1:reorder=0.5";
-      reliable = true;
-      bug = true;
-      max_events = 50_000;
+      Token.spec =
+        {
+          scenario = "getput";
+          n = 3;
+          seed = 42;
+          latency = Dsm_net.Latency.Constant 1.0;
+          model = Dsm_rdma.Model.Relaxed;
+          faults = Fault.of_string "drop=0.2,dup=0.1,0>1:reorder=0.5";
+          reliable = true;
+          bug = true;
+          max_events = 50_000;
+        };
       decisions = [ 1; 0; 2; 0; 3 ];
     }
   in
@@ -54,6 +57,190 @@ let test_trim_trailing_zeros () =
     (Token.trim_trailing_zeros [ 1; 0; 2; 0; 0 ]);
   Alcotest.(check (list int)) "all zeros" [] (Token.trim_trailing_zeros [ 0; 0 ])
 
+let test_token_rejects_malformed_spec () =
+  List.iter
+    (fun token ->
+      match Token.of_string token with
+      | Ok _ -> Alcotest.failf "accepted %S" token
+      | Error _ -> ())
+    [
+      "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=-5|d=";
+      "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=0|d=";
+      "dsm1|s=getput|n=0|seed=1|f=none|r=0|b=0|me=200000|d=";
+      "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=200000|d=-1,3";
+      "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=200000|d=1|d=2";
+      "dsm1|s=getput|n=2|seed=1|n=3|f=none|r=0|b=0|me=200000|d=";
+      "dsm1|s=getput|n=2|seed=1|f=a>1:drop=0.5|r=0|b=0|me=200000|d=";
+    ]
+
+(* One literal per token format the explorer has minted: no l/m, l=
+   only, m= only, both, and the retired w= field. Each parses and prints
+   back byte for byte, except that w= is dropped. *)
+let printed_tokens =
+  [
+    ( "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=200000|d=1,2",
+      "dsm1|s=getput|n=2|seed=1|f=none|r=0|b=0|me=200000|d=1,2" );
+    ( "dsm1|s=getput|n=2|seed=7|f=drop=0.2,dup=0.1|r=1|b=1|me=200000|d=1,0,2",
+      "dsm1|s=getput|n=2|seed=7|f=drop=0.2,dup=0.1|r=1|b=1|me=200000|d=1,0,2" );
+    ( "dsm1|s=getput-checked|n=2|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=",
+      "dsm1|s=getput-checked|n=2|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=" );
+    ( "dsm1|s=getput|n=2|seed=1|m=eventual|f=none|r=0|b=0|me=200000|d=1",
+      "dsm1|s=getput|n=2|seed=1|m=eventual|f=none|r=0|b=0|me=200000|d=1" );
+    ( "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|m=relaxed|f=none|r=0|b=0|me=200000|d=1,1,1",
+      "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|m=relaxed|f=none|r=0|b=0|me=200000|d=1,1,1" );
+    ( "dsm1|s=getput|n=2|seed=7|l=constant:1|w=dense|f=drop=0.2|r=1|b=1|me=200000|d=1,0,2",
+      "dsm1|s=getput|n=2|seed=7|l=constant:1|f=drop=0.2|r=1|b=1|me=200000|d=1,0,2" );
+  ]
+
+let test_token_print_stability () =
+  List.iter
+    (fun (token, printed) ->
+      match Token.of_string token with
+      | Error msg -> Alcotest.failf "%S does not parse: %s" token msg
+      | Ok t -> Alcotest.(check string) token printed (Token.to_string t))
+    printed_tokens
+
+let gen_token =
+  let open QCheck.Gen in
+  (* decimals of at most five significant digits print (%g) and parse
+     back to the same float *)
+  let dec hi = map (fun k -> float_of_int k /. 100.) (int_bound (hi * 100)) in
+  let prob = dec 1 in
+  let rec latency depth =
+    frequency
+      ([
+         (1, return Dsm_net.Latency.infiniband_like);
+         (1, return Dsm_net.Latency.ethernet_like);
+         (2, map (fun c -> Dsm_net.Latency.Constant c) (dec 50));
+         ( 1,
+           map2
+             (fun base per_word -> Dsm_net.Latency.Linear { base; per_word })
+             (dec 50) (dec 1) );
+         ( 1,
+           map3
+             (fun latency overhead gap_per_word ->
+               Dsm_net.Latency.Logp { latency; overhead; gap_per_word })
+             (dec 50) (dec 5) (dec 1) );
+       ]
+      @
+      if depth = 0 then []
+      else
+        [
+          ( 1,
+            map2
+              (fun model mean_jitter ->
+                Dsm_net.Latency.Jittered { model; mean_jitter })
+              (latency (depth - 1))
+              (dec 10) );
+        ])
+  in
+  (* a link's reorder window only prints when it differs from its base,
+     and a plan with no fault probabilities prints as [none]: generate
+     windows alongside reordering only, and overrides that differ from
+     the default link *)
+  let link =
+    map
+      (fun ((drop, duplicate), (reorder, jitter, window)) ->
+        let reorder_window = if reorder > 0. then window else 4.0 in
+        Fault.link_of ~drop ~duplicate ~reorder ~jitter ~reorder_window ())
+      (pair (pair prob prob) (triple prob (dec 5) (dec 10)))
+  in
+  let faults =
+    frequency
+      [
+        (2, return Fault.none);
+        ( 3,
+          map2
+            (fun (d : Fault.link) overrides ->
+              let plan =
+                Fault.uniform ~drop:d.drop ~duplicate:d.duplicate
+                  ~reorder:d.reorder ~jitter:d.jitter
+                  ~reorder_window:d.reorder_window ()
+              in
+              List.fold_left
+                (fun plan ((src, dst), l) ->
+                  if l = Fault.link plan ~src ~dst then plan
+                  else Fault.on_link plan ~src ~dst l)
+                plan overrides)
+            link
+            (list_size (int_bound 2)
+               (pair (pair (int_bound 3) (int_bound 3)) link))
+        );
+      ]
+  in
+  let scenario =
+    oneof
+      [
+        oneofl Dsm_explore.Scenario.known;
+        string_size ~gen:(oneofl [ 'a'; 'z'; ':'; '-'; '.'; '=' ]) (1 -- 8);
+      ]
+  in
+  let* scenario = scenario in
+  let* n = 1 -- 64 in
+  let* seed = int in
+  let* latency = latency 2 in
+  let* model =
+    oneofl
+      Dsm_rdma.Model.[ Nic_atomic; Relaxed; Eventual; Seq_consistent ]
+  in
+  let* faults = faults in
+  let* reliable = bool in
+  let* bug = bool in
+  let* max_events = 1 -- 1_000_000 in
+  let* decisions = list_size (0 -- 12) (int_bound 6) in
+  return
+    {
+      Token.spec =
+        {
+          scenario;
+          n;
+          seed;
+          latency;
+          model;
+          faults;
+          reliable;
+          bug;
+          max_events;
+        };
+      decisions;
+    }
+
+let arb_token = QCheck.make ~print:Token.to_string gen_token
+
+let prop_token_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:1000
+    arb_token (fun t -> Token.of_string (Token.to_string t) = Ok t)
+
+(* Byte mutations of valid tokens — substitutions, deletions and
+   duplications at random positions — must come back as [Ok] or
+   [Error], never as an exception. *)
+let prop_token_fuzz =
+  let mutate =
+    let open QCheck.Gen in
+    let bytes =
+      oneofl [ '|'; '='; ','; ':'; '>'; '-'; '0'; '9'; 'x'; ' '; '\255' ]
+    in
+    let* token = map Token.to_string gen_token in
+    let* edits = list_size (1 -- 4) (triple (int_bound 2) nat bytes) in
+    return
+      (List.fold_left
+         (fun s (kind, pos, c) ->
+           let len = String.length s in
+           if len = 0 then s
+           else
+             let i = pos mod len in
+             let before = String.sub s 0 i
+             and after = String.sub s (i + 1) (len - i - 1) in
+             match kind with
+             | 0 -> before ^ String.make 1 c ^ after
+             | 1 -> before ^ after
+             | _ -> before ^ String.make 2 s.[i] ^ after)
+         token edits)
+  in
+  QCheck.Test.make ~name:"mutated tokens never raise" ~count:2000
+    (QCheck.make ~print:Fun.id mutate) (fun s ->
+      match Token.of_string s with Ok _ | Error _ -> true)
+
 (* ---------- chooser ---------- *)
 
 let test_chooser_scripted_clamps () =
@@ -69,7 +256,7 @@ let test_chooser_scripted_clamps () =
 (* ---------- invariants on clean scenarios ---------- *)
 
 let test_getput_clean_schedules () =
-  let spec = { Explore.default_spec with Explore.seed = 3 } in
+  let spec = { Explore.default_spec with seed = 3 } in
   let stats = Explore.explore_random spec ~runs:25 in
   Alcotest.(check int) "runs" 25 stats.Explore.runs;
   Alcotest.(check int) "violations" 0 stats.Explore.violated
@@ -78,7 +265,7 @@ let test_workloads_clean_schedules () =
   List.iter
     (fun scenario ->
       let spec =
-        { Explore.default_spec with Explore.scenario; n = 3; seed = 5 }
+        { Explore.default_spec with scenario; n = 3; seed = 5 }
       in
       let stats = Explore.explore_random spec ~runs:8 in
       Alcotest.(check int) (scenario ^ " violations") 0 stats.Explore.violated)
@@ -90,7 +277,7 @@ let test_workloads_clean_schedules () =
     ]
 
 let test_exhaustive_clean () =
-  let spec = { Explore.default_spec with Explore.seed = 2 } in
+  let spec = { Explore.default_spec with seed = 2 } in
   let stats = Explore.explore_exhaustive spec ~depth:6 ~max_runs:50 in
   Alcotest.(check int) "violations" 0 stats.Explore.violated;
   Alcotest.(check bool) "explored something" true (stats.Explore.runs >= 1)
@@ -101,7 +288,7 @@ let test_walk_replay_identical () =
   List.iter
     (fun scenario ->
       let spec =
-        { Explore.default_spec with Explore.scenario; n = 3; seed = 9 }
+        { Explore.default_spec with scenario; n = 3; seed = 9 }
       in
       let r = Explore.run_once spec (Explore.Walk 4) in
       let r' = Explore.run_once spec (Explore.Script r.Explore.decisions) in
@@ -118,7 +305,7 @@ let test_reliable_transport_survives_faults () =
   let spec =
     {
       Explore.default_spec with
-      Explore.seed = 13;
+      seed = 13;
       faults = lossy;
       reliable = true;
     }
@@ -135,7 +322,7 @@ let test_unreliable_faults_degrade_without_wedging () =
   (* Without the transport, heavy loss may block the protocol — but each
      run must still terminate cleanly and never crash the engine. *)
   let spec =
-    { Explore.default_spec with Explore.seed = 17; faults = Fault.of_string "drop=0.6" }
+    { Explore.default_spec with seed = 17; faults = Fault.of_string "drop=0.6" }
   in
   for i = 0 to 9 do
     let r = Explore.run_once spec (Explore.Walk i) in
@@ -148,11 +335,11 @@ let test_unreliable_faults_degrade_without_wedging () =
   done
 
 let test_fault_plan_changes_runs () =
-  let base = { Explore.default_spec with Explore.seed = 21 } in
+  let base = { Explore.default_spec with seed = 21 } in
   let clean = Explore.run_once base (Explore.Script []) in
   let faulty =
     Explore.run_once
-      { base with Explore.faults = lossy; reliable = true }
+      { base with faults = lossy; reliable = true }
       (Explore.Script [])
   in
   Alcotest.(check bool) "distinct fingerprints" true
@@ -168,7 +355,7 @@ let test_planted_bug_found_minimized_replayed () =
   let spec =
     {
       Explore.default_spec with
-      Explore.seed = 7;
+      seed = 7;
       faults = Fault.of_string "drop=0.2,dup=0.1";
       reliable = true;
       bug = true;
@@ -186,7 +373,7 @@ let test_planted_bug_found_minimized_replayed () =
       Alcotest.(check bool) "minimized no longer than original" true
         (List.length minimized
         <= List.length (Token.trim_trailing_zeros r.Explore.decisions));
-      let token = Explore.token_of spec minimized in
+      let token = Token.make spec minimized in
       (* the token survives its own wire format *)
       let token =
         match Token.of_string (Token.to_string token) with
@@ -211,7 +398,7 @@ let test_no_bug_no_monitor_violation () =
   let spec =
     {
       Explore.default_spec with
-      Explore.seed = 7;
+      seed = 7;
       faults = Fault.of_string "drop=0.2,dup=0.1";
       reliable = true;
     }
@@ -220,7 +407,7 @@ let test_no_bug_no_monitor_violation () =
   Alcotest.(check int) "violations" 0 stats.Explore.violated
 
 let test_exhaustive_finds_planted_bug () =
-  let spec = { Explore.default_spec with Explore.seed = 1; bug = true } in
+  let spec = { Explore.default_spec with seed = 1; bug = true } in
   let stats = Explore.explore_exhaustive spec ~depth:4 ~max_runs:100 in
   Alcotest.(check bool) "found" true (stats.Explore.first <> None)
 
@@ -352,15 +539,15 @@ let test_ctx_reuse_bit_identical () =
           fresh.Explore.fingerprint reused.Explore.fingerprint
       done)
     [
-      ("clean", { Explore.default_spec with Explore.seed = 9 });
+      ("clean", { Explore.default_spec with seed = 9 });
       ( "lossy, may block",
         {
           Explore.default_spec with
-          Explore.seed = 17;
+          seed = 17;
           faults = Fault.of_string "drop=0.6";
         } );
       ( "event-limit",
-        { Explore.default_spec with Explore.seed = 5; max_events = 300 } );
+        { Explore.default_spec with seed = 5; max_events = 300 } );
     ]
 
 (* The walk loop reuses the arena's decision buffers: after a warm-up
@@ -368,7 +555,7 @@ let test_ctx_reuse_bit_identical () =
    allocate more than the identical batch before it (runs are
    deterministic, so any growth is a per-run leak). *)
 let test_no_per_run_leak () =
-  let spec = { Explore.default_spec with Explore.seed = 3 } in
+  let spec = { Explore.default_spec with seed = 3 } in
   let ctx = Explore.create_ctx spec in
   let batch () =
     for i = 0 to 19 do
@@ -424,7 +611,7 @@ let minimized_token spec (stats : Explore.stats) =
   | None -> Alcotest.fail "expected a violation to minimize"
   | Some (_, r) ->
       Token.to_string
-        (Explore.token_of spec (Explore.minimize spec r.Explore.decisions))
+        (Token.make spec (Explore.minimize spec r.Explore.decisions))
 
 (* Under a reliable transport at drop=0.65, seed 1's walk 15 is the
    first whose retransmission schedule exhausts a frame's retry budget:
@@ -433,7 +620,7 @@ let minimized_token spec (stats : Explore.stats) =
 let late_violation_spec =
   {
     Explore.default_spec with
-    Explore.seed = 1;
+    seed = 1;
     faults = Fault.of_string "drop=0.65";
     reliable = true;
   }
@@ -441,7 +628,7 @@ let late_violation_spec =
 let planted_bug_spec =
   {
     Explore.default_spec with
-    Explore.seed = 7;
+    seed = 7;
     faults = Fault.of_string "drop=0.2,dup=0.1";
     reliable = true;
     bug = true;
@@ -468,7 +655,7 @@ let test_parallel_walks_identical () =
           | None -> ())
         [ 1; 2; 4 ])
     [
-      ("clean", { Explore.default_spec with Explore.seed = 3 }, 25);
+      ("clean", { Explore.default_spec with seed = 3 }, 25);
       ("planted bug", planted_bug_spec, 50);
       ("late violation", late_violation_spec, 25);
     ]
@@ -500,16 +687,16 @@ let test_parallel_exhaustive_identical () =
           check_stats_equal (Printf.sprintf "%s, jobs %d" label jobs) seq par)
         [ 1; 2; 4 ])
     [
-      ("clean", { Explore.default_spec with Explore.seed = 2 }, 6, 50);
+      ("clean", { Explore.default_spec with seed = 2 }, 6, 50);
       ( "planted bug",
-        { Explore.default_spec with Explore.seed = 1; bug = true },
+        { Explore.default_spec with seed = 1; bug = true },
         4,
         100 );
       ("deep violation", late_violation_spec, 6, 100);
       ( "cap-limited",
         {
           Explore.default_spec with
-          Explore.seed = 4;
+          seed = 4;
           faults = Fault.of_string "drop=0.64";
           reliable = true;
         },
@@ -546,7 +733,7 @@ let test_parallel_chunk_identity () =
             [ 1; 64; 256 ])
         [ 1; 2; 4 ])
     [
-      ("clean", { Explore.default_spec with Explore.seed = 3 }, 25);
+      ("clean", { Explore.default_spec with seed = 3 }, 25);
       ("planted bug", planted_bug_spec, 50);
     ]
 
@@ -564,7 +751,7 @@ let test_pool_reused_across_batches () =
   (* one pool, several batches: arenas stay hot between jobs yet every
      batch matches a fresh sequential sweep bit for bit — including a
      batch of a different spec, which must rebuild the worker arenas *)
-  let clean = { Explore.default_spec with Explore.seed = 3 } in
+  let clean = { Explore.default_spec with seed = 3 } in
   let seq_clean = Explore.explore_random clean ~runs:25 in
   let seq_bug = Explore.explore_random planted_bug_spec ~runs:30 in
   let seq_dfs = Explore.explore_exhaustive clean ~depth:6 ~max_runs:50 in
@@ -597,26 +784,26 @@ let dpor_specs =
     ( "getput, tied deliveries",
       {
         Explore.default_spec with
-        Explore.latency = Dsm_net.Latency.Constant 1.0;
+        latency = Dsm_net.Latency.Constant 1.0;
       },
       6,
       false );
     ( "getput, planted Skip_get_dst_lock",
       {
         Explore.default_spec with
-        Explore.latency = Dsm_net.Latency.Constant 1.0;
+        latency = Dsm_net.Latency.Constant 1.0;
         bug = true;
       },
       6,
       true );
     ( "workload:scale",
-      { Explore.default_spec with Explore.scenario = "workload:scale"; n = 4 },
+      { Explore.default_spec with scenario = "workload:scale"; n = 4 },
       10,
       false );
     ( "workload:master-worker-racy",
       {
         Explore.default_spec with
-        Explore.scenario = "workload:master-worker-racy";
+        scenario = "workload:master-worker-racy";
         n = 3;
       },
       10,
@@ -627,7 +814,7 @@ let dpor_specs =
     ( "workload:histogram-racy",
       {
         Explore.default_spec with
-        Explore.scenario = "workload:histogram-racy";
+        scenario = "workload:histogram-racy";
         n = 4;
       },
       12,
@@ -635,7 +822,7 @@ let dpor_specs =
     ( "workload:deque-racy",
       {
         Explore.default_spec with
-        Explore.scenario = "workload:deque-racy";
+        scenario = "workload:deque-racy";
         n = 3;
       },
       12,
@@ -643,7 +830,7 @@ let dpor_specs =
     ( "workload:allreduce-racy",
       {
         Explore.default_spec with
-        Explore.scenario = "workload:allreduce-racy";
+        scenario = "workload:allreduce-racy";
         n = 3;
         latency = Dsm_net.Latency.Constant 1.0;
       },
@@ -694,7 +881,7 @@ let test_dpor_matches_exhaustive_when_off () =
   let spec =
     {
       Explore.default_spec with
-      Explore.latency = Dsm_net.Latency.Constant 1.0;
+      latency = Dsm_net.Latency.Constant 1.0;
     }
   in
   let dfs = Explore.explore_exhaustive spec ~depth:6 ~max_runs:2000 in
@@ -735,7 +922,7 @@ let test_dpor_disabled_under_faults () =
   let spec =
     {
       Explore.default_spec with
-      Explore.seed = 4;
+      seed = 4;
       faults = Fault.of_string "drop=0.3";
       reliable = true;
     }
@@ -781,6 +968,12 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_token_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_token_rejects_garbage;
           Alcotest.test_case "trim zeros" `Quick test_trim_trailing_zeros;
+          Alcotest.test_case "rejects malformed spec" `Quick
+            test_token_rejects_malformed_spec;
+          Alcotest.test_case "print stability" `Quick
+            test_token_print_stability;
+          QCheck_alcotest.to_alcotest prop_token_roundtrip;
+          QCheck_alcotest.to_alcotest prop_token_fuzz;
         ] );
       ( "chooser",
         [ Alcotest.test_case "scripted clamps" `Quick test_chooser_scripted_clamps ] );

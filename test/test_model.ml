@@ -260,7 +260,7 @@ let test_explore_goldens () =
       let spec =
         {
           Explore.default_spec with
-          Explore.scenario;
+          scenario;
           n;
           seed = 7;
           latency = Dsm_net.Latency.Constant 1.0;
@@ -274,7 +274,7 @@ let test_explore_goldens () =
       (* and the spec with the model spelled out is the same run *)
       let r' =
         Explore.run_once
-          { spec with Explore.model = Model.Nic_atomic }
+          { spec with model = Model.Nic_atomic }
           (Explore.Walk walk)
       in
       Alcotest.(check string)
@@ -320,7 +320,7 @@ let raced_granules built =
    default), drawn from [case_seed] — the same prefixes for every
    model. *)
 let union_races ~spec ~model ~case_seed ~count =
-  let ctx = Explore.create_ctx { spec with Explore.model } in
+  let ctx = Explore.create_ctx { spec with model } in
   let g = Prng.create ~seed:case_seed in
   let acc = Hashtbl.create 16 in
   for _ = 1 to count do
@@ -349,7 +349,7 @@ let prop_sc_subset =
     let spec =
       {
         Explore.default_spec with
-        Explore.scenario;
+        scenario;
         n;
         seed = 1 + case_seed;
         latency = Dsm_net.Latency.Constant 1.0;
@@ -357,9 +357,7 @@ let prop_sc_subset =
     in
     Printf.sprintf "%s seed=%d; sc token: %s" scenario (1 + case_seed)
       (Token.to_string
-         (Explore.token_of
-            { spec with Explore.model = Model.Seq_consistent }
-            []))
+         (Token.make { spec with model = Model.Seq_consistent } []))
   in
   QCheck.Test.make ~count:6 ~name:"seq_consistent races <= weaker models"
     (QCheck.set_print print
@@ -369,7 +367,7 @@ let prop_sc_subset =
       let spec =
         {
           Explore.default_spec with
-          Explore.scenario;
+          scenario;
           n;
           seed = 1 + case_seed;
           latency = Dsm_net.Latency.Constant 1.0;
@@ -400,14 +398,14 @@ let test_cross_model_replay () =
   let spec =
     {
       Explore.default_spec with
-      Explore.scenario = "rmwlost-checked";
+      scenario = "rmwlost-checked";
       n = 3;
       latency = Dsm_net.Latency.Constant 1.0;
       model = Model.Relaxed;
     }
   in
   let r = Explore.run_once spec (Explore.Walk 3) in
-  let token = Explore.token_of spec r.Explore.decisions in
+  let token = Token.make spec r.Explore.decisions in
   let s = Token.to_string token in
   Alcotest.(check bool) "token carries m=relaxed" true
     (contains ~affix:"|m=relaxed" s);
@@ -415,7 +413,7 @@ let test_cross_model_replay () =
   | Error msg -> Alcotest.fail msg
   | Ok t ->
       Alcotest.(check bool) "model round-trips" true
-        (t.Token.model = Model.Relaxed));
+        (t.Token.spec.model = Model.Relaxed));
   (match Explore.replay token with
   | Error msg -> Alcotest.fail msg
   | Ok r' ->
@@ -437,7 +435,7 @@ let test_old_tokens_default_model () =
   | Error msg -> Alcotest.fail msg
   | Ok t ->
       Alcotest.(check bool) "defaults to nic_atomic" true
-        (t.Token.model = Model.default);
+        (t.Token.spec.model = Model.default);
       Alcotest.(check bool) "m= omitted at default" false
         (contains ~affix:"|m=" (Token.to_string t))
 

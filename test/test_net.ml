@@ -295,7 +295,8 @@ let test_fabric_drop_rate () =
   let sim = Engine.create ~seed:21 () in
   let fab =
     Fabric.create sim ~topology:(Topology.Fully_connected 2)
-      ~latency:(Latency.Constant 1.0) ~drop_probability:0.3 ()
+      ~latency:(Latency.Constant 1.0)
+      ~faults:(Fault.uniform ~drop:0.3 ()) ()
   in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
@@ -311,7 +312,8 @@ let test_fabric_duplicates () =
   let sim = Engine.create ~seed:22 () in
   let fab =
     Fabric.create sim ~topology:(Topology.Fully_connected 2)
-      ~latency:(Latency.Constant 1.0) ~duplicate_probability:0.5 ()
+      ~latency:(Latency.Constant 1.0)
+      ~faults:(Fault.uniform ~duplicate:0.5 ()) ()
   in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
@@ -325,14 +327,9 @@ let test_fabric_duplicates () =
     (Fabric.messages_duplicated fab > 50)
 
 let test_fabric_bad_probability () =
-  let sim = Engine.create () in
   Alcotest.check_raises "range"
-    (Invalid_argument "Fabric.create: drop_probability out of range")
-    (fun () ->
-      ignore
-        (Fabric.create sim ~topology:(Topology.Fully_connected 2)
-           ~latency:(Latency.Constant 1.0) ~drop_probability:1.5 ()
-          : unit Fabric.t))
+    (Invalid_argument "Fault: drop out of range [0,1]")
+    (fun () -> ignore (Fault.uniform ~drop:1.5 () : Fault.t))
 
 let () =
   Alcotest.run "net"

@@ -187,7 +187,7 @@ let prop_sink_invariance =
       let spec =
         {
           Explore.default_spec with
-          Explore.seed = 11;
+          seed = 11;
           faults =
             (if lossy then Fault.of_string "drop=0.1,dup=0.05" else Fault.none);
           reliable = lossy;
@@ -208,7 +208,7 @@ let prop_sink_invariance =
 
 (* ---------- metrics across the explorer ---------- *)
 
-let getput_spec = { Explore.default_spec with Explore.seed = 9 }
+let getput_spec = { Explore.default_spec with seed = 9 }
 
 let test_arena_metrics_reset_in_place () =
   let reg = Metrics.create () in

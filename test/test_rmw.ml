@@ -312,7 +312,7 @@ let prop_rmw_mix_linearizable =
       let spec =
         {
           Explore.default_spec with
-          Explore.scenario = "workload:rmw-mix";
+          scenario = "workload:rmw-mix";
           n = 2;
           seed;
           latency = Dsm_net.Latency.Constant 1.0;
@@ -328,7 +328,7 @@ let test_planted_rmw_bug_found () =
   let spec =
     {
       Explore.default_spec with
-      Explore.scenario = "rmwlost";
+      scenario = "rmwlost";
       n = 3;
       latency = Dsm_net.Latency.Constant 1.0;
       bug = true;
@@ -352,7 +352,7 @@ let test_rmwlost_clean_without_bug () =
   let spec =
     {
       Explore.default_spec with
-      Explore.scenario = "rmwlost";
+      scenario = "rmwlost";
       n = 3;
       latency = Dsm_net.Latency.Constant 1.0;
     }
@@ -378,7 +378,7 @@ let attach_granules ctx =
 let test_racy_sets_schedule_independent () =
   List.iter
     (fun scenario ->
-      let spec = { Explore.default_spec with Explore.scenario; n = 2 } in
+      let spec = { Explore.default_spec with scenario; n = 2 } in
       let ctx = Explore.create_ctx spec in
       let granules = attach_granules ctx in
       let sets =
@@ -415,7 +415,7 @@ let test_race_free_clean_at_depth_10 () =
   List.iter
     (fun scenario ->
       let registry = Metrics.create () in
-      let spec = { Explore.default_spec with Explore.scenario; n = 2 } in
+      let spec = { Explore.default_spec with scenario; n = 2 } in
       let ctx = Explore.create_ctx ~metrics:registry spec in
       let stats = Explore.explore_exhaustive_in ctx ~depth:10 ~max_runs:500 in
       Alcotest.(check int) (scenario ^ ": no violations") 0
@@ -432,7 +432,7 @@ let test_race_count_jobs_chunk_invariant () =
   let spec =
     {
       Explore.default_spec with
-      Explore.scenario = "workload:deque-racy";
+      scenario = "workload:deque-racy";
       n = 2;
     }
   in

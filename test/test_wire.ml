@@ -216,7 +216,7 @@ let test_explore_differential () =
   let spec =
     {
       Explore.default_spec with
-      Explore.scenario = "workload:master-worker-racy";
+      scenario = "workload:master-worker-racy";
       n = 3;
       seed = 4;
     }
@@ -225,7 +225,7 @@ let test_explore_differential () =
   let ctx = Explore.create_ctx ~metrics spec in
   for i = 0 to walks - 1 do
     let r = Explore.run_once_in ctx (Explore.Walk i) in
-    let token = Token.to_string (Explore.token_of spec r.Explore.decisions) in
+    let token = Token.to_string (Token.make spec r.Explore.decisions) in
     List.iter
       (fun w ->
         match
@@ -247,7 +247,7 @@ let test_explore_differential () =
   | Some h ->
       let frames = h.Metrics.count in
       let live = payload_words ~frames ~live:h.Metrics.sum in
-      let nominal = nominal_words ~frames ~n:spec.Explore.n in
+      let nominal = nominal_words ~frames ~n:spec.n in
       Alcotest.(check bool)
         (Printf.sprintf "live < nominal clock words over %d walks (%d < %d)"
            walks live nominal)
@@ -317,7 +317,7 @@ let test_minimized_token_differential () =
   let spec =
     {
       Explore.default_spec with
-      Explore.seed = 7;
+      seed = 7;
       faults = Fault.of_string "drop=0.2,dup=0.1";
       reliable = true;
       bug = true;
@@ -329,7 +329,7 @@ let test_minimized_token_differential () =
     | None -> Alcotest.fail "planted bug did not violate"
     | Some (_, r) ->
         let mins = Explore.minimize spec r.Explore.decisions in
-        (mins, Token.to_string (Explore.token_of spec mins))
+        (mins, Token.to_string (Token.make spec mins))
   in
   let mins, tok = minimized () in
   let mins', tok' = minimized () in
