@@ -227,7 +227,112 @@ let entry c i =
   else if i = c.pid then c.count
   else 0
 
-let to_array t = Array.init t.dim (entry t)
+let check_dim a b name =
+  if a.dim <> b.dim then
+    invalid_arg (Printf.sprintf "Vector_clock.%s: dimension mismatch" name)
+
+(* ---------- live-entry walkers ---------- *)
+
+(* The nonzero components in ascending pid order: one entry for an
+   epoch, the sorted pairs for a sparse clock, one scan for a dense
+   one. *)
+let iter_active f c =
+  if is_dense c then
+    for i = 0 to c.dim - 1 do
+      let x = c.vec.(i) in
+      if x <> 0 then f i x
+    done
+  else if is_sparse c then
+    for j = 0 to c.nactive - 1 do
+      f c.keys.(j) c.vals.(j)
+    done
+  else if c.count > 0 then f c.pid c.count
+
+(* Live entries of a non-dense clock, addressed by rank. *)
+let live_len c = if is_sparse c then c.nactive else if c.count > 0 then 1 else 0
+
+let live_key c j = if is_sparse c then c.keys.(j) else c.pid
+
+let live_val c j = if is_sparse c then c.vals.(j) else c.count
+
+(* Component [i] of [c] in an ascending scan; [cur] is the caller's
+   cursor into a sparse clock's keys. *)
+let scan_get c cur i =
+  if is_dense c then c.vec.(i)
+  else if is_sparse c then
+    if !cur < c.nactive && c.keys.(!cur) = i then begin
+      let x = c.vals.(!cur) in
+      incr cur;
+      x
+    end
+    else 0
+  else if c.count > 0 && c.pid = i then c.count
+  else 0
+
+let iter_diff f ~since v =
+  check_dim since v "iter_diff";
+  if is_dense v || is_dense since then begin
+    let cv = ref 0 and cs = ref 0 in
+    for i = 0 to v.dim - 1 do
+      let x = scan_get v cv i and y = scan_get since cs i in
+      if x <> y then f i x
+    done
+  end
+  else begin
+    (* merge scan of the two sorted live-entry runs *)
+    let an = live_len v and bn = live_len since in
+    let i = ref 0 and j = ref 0 in
+    while !i < an || !j < bn do
+      if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
+        f (live_key v !i) (live_val v !i);
+        incr i
+      end
+      else if !i >= an || live_key since !j < live_key v !i then begin
+        f (live_key since !j) 0;
+        incr j
+      end
+      else begin
+        let x = live_val v !i in
+        if x <> live_val since !j then f (live_key v !i) x;
+        incr i;
+        incr j
+      end
+    done
+  end
+
+(* Two passes over [walk]: count and validate the nonzero pairs, then
+   fill the representation [of_array] would pick for them. *)
+let of_ascending ~n walk =
+  let t = create ~n in
+  let nonzeros = ref 0 and prev = ref (-1) in
+  walk (fun p x ->
+      if p <= !prev || p >= n then
+        invalid_arg "Vector_clock.of_ascending: pids not ascending in range";
+      if x < 0 then invalid_arg "Vector_clock.of_ascending: negative entry";
+      if x <> 0 then incr nonzeros;
+      prev := p);
+  if !nonzeros = 1 then
+    walk (fun p x ->
+        if x <> 0 then begin
+          t.pid <- p;
+          t.count <- x
+        end)
+  else if !nonzeros > t.threshold then begin
+    let v = Array.make n 0 in
+    walk (fun p x -> v.(p) <- x);
+    t.vec <- v
+  end
+  else if !nonzeros > 1 then begin
+    sparse_ensure_arrays t;
+    walk (fun p x ->
+        if x <> 0 then begin
+          t.keys.(t.nactive) <- p;
+          t.vals.(t.nactive) <- x;
+          t.nactive <- t.nactive + 1
+        end);
+    t.sparse_on <- true
+  end;
+  t
 
 let is_zero c =
   if is_dense c then Array.for_all (fun x -> x = 0) c.vec
@@ -237,8 +342,13 @@ let is_zero c =
 (* Nonzero components currently materialized — the quantity the sparse
    scans are linear in (introspection for tests and benchmarks). *)
 let active_entries c =
-  if is_dense c then
-    Array.fold_left (fun acc x -> if x <> 0 then acc + 1 else acc) 0 c.vec
+  if is_dense c then begin
+    let k = ref 0 in
+    for i = 0 to c.dim - 1 do
+      if c.vec.(i) <> 0 then incr k
+    done;
+    !k
+  end
   else if is_sparse c then c.nactive
   else if c.count > 0 then 1
   else 0
@@ -259,10 +369,6 @@ let tick c ~me =
     promote_sparse c;
     sparse_set c me 1
   end
-
-let check_dim a b name =
-  if a.dim <> b.dim then
-    invalid_arg (Printf.sprintf "Vector_clock.%s: dimension mismatch" name)
 
 (* Merge a sparse [src] into a sparse [into] by a single backwards merge
    scan over the two sorted key runs — O(active + active), in place, no
@@ -575,12 +681,12 @@ let load_words t w ~off =
     t.sparse_on <- true
   end
   else begin
-    if not (is_dense t) then begin
+    if is_dense t then Array.blit w off t.vec 0 t.dim
+    else begin
       t.sparse_on <- false;
       t.nactive <- 0;
-      t.vec <- Array.make t.dim 0
-    end;
-    Array.blit w off t.vec 0 t.dim
+      t.vec <- Array.sub w off t.dim
+    end
   end
 
 let store_words t w ~off =
@@ -594,6 +700,11 @@ let store_words t w ~off =
       done
     else if t.count > 0 then w.(off + t.pid) <- t.count
   end
+
+let to_array t =
+  let a = Array.make t.dim 0 in
+  store_words t a ~off:0;
+  a
 
 let merge_words ~into w ~off =
   check_slice into w off "merge_words";

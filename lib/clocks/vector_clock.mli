@@ -50,6 +50,27 @@ val of_array : int array -> t
 val to_array : t -> int array
 (** Fresh array with the clock's entries — the wire representation. *)
 
+val of_ascending : n:int -> ((int -> int -> unit) -> unit) -> t
+(** [of_ascending ~n walk] is the clock of dimension [n] whose
+    components are the [(pid, tick)] pairs [walk f] passes to [f], in the
+    form {!of_array} would pick for them. Pids must be strictly
+    ascending and below [n]; zero ticks are legal and skipped. [walk] is
+    called more than once and must yield the same pairs each time.
+    O(pairs) unless the result is dense. Raises [Invalid_argument] on an
+    unsorted or out-of-range pid or a negative tick. *)
+
+val iter_active : (int -> int -> unit) -> t -> unit
+(** [iter_active f c] calls [f pid tick] on each nonzero component of
+    [c] in ascending pid order. O(active) for epoch and sparse clocks,
+    one scan for a dense one. *)
+
+val iter_diff : (int -> int -> unit) -> since:t -> t -> unit
+(** [iter_diff f ~since v] calls [f i (entry v i)] for each component
+    where [v] and [since] differ, in ascending [i] — [entry v i] may be
+    0. A merge scan of the two live-entry runs, O(active v + active
+    since), unless either clock is dense. Raises [Invalid_argument] on
+    dimension mismatch. *)
+
 val entry : t -> int -> int
 (** [entry c i] is component [i]. Raises [Invalid_argument] when [i] is out
     of bounds. *)

@@ -750,6 +750,24 @@ let test_codec_delta_malformed () =
   Alcotest.check_raises "negative component"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
       ignore (Codec.decode_vector_delta ~base [| 3; 1; 0; -2 |]));
+  (* indices must be strictly ascending, as in the sparse payload: no
+     last-duplicate-wins, no reordering *)
+  Alcotest.check_raises "unsorted indices"
+    (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
+      ignore (Codec.decode_vector_delta ~base [| 3; 2; 2; 5; 0; 1 |]));
+  Alcotest.check_raises "duplicate indices"
+    (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
+      ignore (Codec.decode_vector_delta ~base [| 3; 2; 1; 5; 1; 6 |]));
+  Alcotest.check_raises "framed duplicate indices"
+    (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
+      ignore
+        (Codec.decode_piggyback ~expect_seq:0 ~base
+           [| 2; 0; 3; 2; 2; 4; 2; 5 |]));
+  (* a zero override is legal: a delta may lower a component *)
+  Alcotest.(check (array int))
+    "zero override lowers" [| 0; 7; 2 |]
+    (Vector_clock.to_array
+       (Codec.decode_vector_delta ~base [| 3; 2; 0; 0; 1; 7 |]));
   Alcotest.check_raises "encode dimension mismatch"
     (Invalid_argument "Codec.encode_vector_delta: dimension mismatch")
     (fun () ->
@@ -821,6 +839,212 @@ let test_codec_piggyback () =
   Alcotest.check_raises "delta without base"
     (Invalid_argument "Codec.decode_piggyback: delta without base") (fun () ->
       ignore (Codec.decode_piggyback ~expect_seq:3 wdl))
+
+(* ---------- Codec against the build-all-three reference ---------- *)
+
+(* A clock of dimension [n] in the representation [kind] names: zero,
+   epoch, sparse below and exactly at [sparse_threshold], one past it
+   (dense), and dense at a random density up to full. *)
+let oracle_clock rng ~n kind =
+  let thr = Vector_clock.sparse_threshold ~n in
+  let live =
+    match kind with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 -> 2 + Random.State.int rng (max 1 (thr - 1))
+    | 3 -> thr
+    | 4 -> thr + 1
+    | _ -> thr + 1 + Random.State.int rng n
+  in
+  let a = Array.make n 0 in
+  for _ = 1 to min n live do
+    let rec fresh () =
+      let p = Random.State.int rng n in
+      if a.(p) = 0 then p else fresh ()
+    in
+    a.(fresh ()) <- 1 + Random.State.int rng 50
+  done;
+  Vector_clock.of_array a
+
+(* [since] kinds: none, a perturbation of [v] (entries raised, lowered,
+   zeroed, added), an unrelated clock, the wrong dimension, [v] itself. *)
+let oracle_since rng ~n v = function
+  | 0 -> None
+  | 1 ->
+      let a = Vector_clock.to_array v in
+      for _ = 0 to Random.State.int rng 6 do
+        let p = Random.State.int rng n in
+        a.(p) <-
+          (match Random.State.int rng 3 with
+          | 0 -> 0
+          | 1 -> max 0 (a.(p) - 1)
+          | _ -> a.(p) + 1 + Random.State.int rng 5)
+      done;
+      Some (Vector_clock.of_array a)
+  | 2 -> Some (oracle_clock rng ~n (Random.State.int rng 6))
+  | 3 -> Some (oracle_clock rng ~n:(n + 1) (Random.State.int rng 6))
+  | _ -> Some (Vector_clock.copy v)
+
+(* Both decoders return equal clocks and seqs, or both raise. *)
+let decoders_agree ~expect_seq ?base w =
+  let run decode =
+    match decode ~expect_seq ?base w with
+    | v, seq -> Some (Vector_clock.to_array v, seq)
+    | exception Invalid_argument _ -> None
+  in
+  run Codec.decode_piggyback = run Codec_ref.decode_piggyback
+
+(* Word positions to mutate: all of a short frame, the headers, the
+   tail and a few random words of a long one. *)
+let mutation_sites rng w =
+  let len = Array.length w in
+  if len <= 24 then List.init len Fun.id
+  else
+    List.init 8 Fun.id
+    @ List.init 4 (fun i -> len - 1 - i)
+    @ List.init 8 (fun _ -> Random.State.int rng len)
+
+let prop_codec_matches_reference =
+  QCheck.Test.make ~name:"codec matches the build-all-three reference"
+    ~count:400
+    QCheck.(
+      make
+        ~print:(fun (n, kind, sk, seed) ->
+          Printf.sprintf "(n=%d, kind=%d, since=%d, seed=%d)" n kind sk seed)
+        Gen.(
+          quad
+            (oneofl [ 1; 3; 8; 64; 1024 ])
+            (int_bound 5) (int_bound 4) (int_bound 1_000_000)))
+    (fun (n, kind, sk, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let v = oracle_clock rng ~n kind in
+      let since = oracle_since rng ~n v sk in
+      let seq = Random.State.int rng 1_000 in
+      let unframed_ok =
+        Codec.encode_vector v = Codec_ref.encode_vector v
+        && Codec.encode_vector_sparse v = Codec_ref.encode_vector_sparse v
+        &&
+        match since with
+        | Some s when Vector_clock.dim s = n ->
+            Codec.encode_vector_delta ~since:s v
+            = Codec_ref.encode_vector_delta ~since:s v
+        | _ -> true
+      in
+      unframed_ok
+      && List.for_all
+           (fun mode ->
+             let w = Codec_ref.encode_piggyback ~mode ~seq ?since v in
+             Codec.encode_piggyback ~mode ~seq ?since v = w
+             && decoders_agree ~expect_seq:seq ?base:since w
+             && List.for_all
+                  (fun i ->
+                    let x = w.(i) in
+                    List.for_all
+                      (fun x' ->
+                        let w' = Array.copy w in
+                        w'.(i) <- x';
+                        decoders_agree ~expect_seq:seq ?base:since w')
+                      [ x + 1; x - 1; 0; -1; 2 ])
+                  (mutation_sites rng w))
+           [ Codec.Dense; Codec.Sparse; Codec.Delta ])
+
+(* The walkers and the pair constructor against the dense array: the
+   active walk is the nonzeros, the diff walk the differing components,
+   and [of_ascending] picks the representation [of_array] would. *)
+let prop_walkers_match_arrays =
+  QCheck.Test.make ~name:"live-entry walkers match the dense array"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (n, ka, kb, seed) ->
+          Printf.sprintf "(n=%d, a=%d, b=%d, seed=%d)" n ka kb seed)
+        Gen.(
+          quad
+            (oneofl [ 1; 3; 8; 64; 1024 ])
+            (int_bound 5) (int_bound 5) (int_bound 1_000_000)))
+    (fun (n, ka, kb, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let a = oracle_clock rng ~n ka and b = oracle_clock rng ~n kb in
+      let aa = Vector_clock.to_array a and ba = Vector_clock.to_array b in
+      let collect walk =
+        let acc = ref [] in
+        walk (fun i x -> acc := (i, x) :: !acc);
+        List.rev !acc
+      in
+      let indices p = List.filter p (List.init n Fun.id) in
+      let rebuilt =
+        Vector_clock.of_ascending ~n (fun f ->
+            Vector_clock.iter_diff f ~since:a b)
+      in
+      collect (fun f -> Vector_clock.iter_active f a)
+      = List.map (fun i -> (i, aa.(i))) (indices (fun i -> aa.(i) <> 0))
+      && collect (fun f -> Vector_clock.iter_diff f ~since:a b)
+         = List.map
+             (fun i -> (i, ba.(i)))
+             (indices (fun i -> aa.(i) <> ba.(i)))
+      &&
+      let expect =
+        Vector_clock.of_array (Array.mapi (fun i x -> if x <> aa.(i) then x else 0) ba)
+      in
+      Vector_clock.to_array rebuilt = Vector_clock.to_array expect
+      && Vector_clock.is_epoch rebuilt = Vector_clock.is_epoch expect
+      && Vector_clock.is_sparse rebuilt = Vector_clock.is_sparse expect)
+
+let test_of_ascending_rejects () =
+  let rejects name walk =
+    match Vector_clock.of_ascending ~n:4 walk with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  rejects "unsorted" (fun f -> f 2 1; f 1 1);
+  rejects "duplicate" (fun f -> f 1 1; f 1 2);
+  rejects "out of range" (fun f -> f 4 1);
+  rejects "negative pid" (fun f -> f (-1) 1);
+  rejects "negative tick" (fun f -> f 0 (-1))
+
+(* Words allocated while running [f]: minor-heap words plus words
+   allocated straight into the major heap (arrays past the minor-heap
+   size limit). [Gc.allocated_bytes] sums the same counters, but OCaml
+   5.1 under-reports its minor share eightfold, so the minor words come
+   from [Gc.minor_words]. *)
+let allocated_words f =
+  let _, pro0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, pro1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (pro1 -. pro0))
+
+(* Untimed allocation guard: a Delta-mode piggyback round trip of an
+   epoch clock at n=1024 against an epoch base costs a handful of words.
+   An n-word array anywhere on the path costs over a thousand. Against
+   an older epoch the sparse frame wins (it ties the one-entry delta);
+   against an equal base the empty delta frame does. *)
+let test_piggyback_round_trip_allocation () =
+  let n = 1024 in
+  let older = Vector_clock.create ~n in
+  for _ = 1 to 6 do
+    Vector_clock.tick older ~me:517
+  done;
+  let v = Vector_clock.copy older in
+  Vector_clock.tick v ~me:517;
+  let round_trip since () =
+    let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:3 ~since v in
+    (Codec.piggyback_mode_of w, fst (Codec.decode_piggyback ~expect_seq:3 ~base:since w))
+  in
+  List.iter
+    (fun (name, since, tag) ->
+      ignore (round_trip since ());
+      let (mode, v'), words = allocated_words (round_trip since) in
+      Alcotest.(check bool) (name ^ " round trip") true (Vector_clock.equal v v');
+      Alcotest.(check bool) (name ^ " frame tag") true (mode = tag);
+      if words >= 100. then
+        Alcotest.failf "%s: round trip allocated %.0f words (limit 100)" name
+          words)
+    [
+      ("older epoch", older, Codec.Sparse);
+      ("equal epoch", Vector_clock.copy v, Codec.Delta);
+    ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
@@ -908,5 +1132,11 @@ let () =
           Alcotest.test_case "sizes" `Quick test_codec_sizes;
           Alcotest.test_case "delta malformed" `Quick test_codec_delta_malformed;
           Alcotest.test_case "piggyback" `Quick test_codec_piggyback;
+          Alcotest.test_case "of_ascending rejects" `Quick
+            test_of_ascending_rejects;
+          Alcotest.test_case "piggyback allocation" `Quick
+            test_piggyback_round_trip_allocation;
+          QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+          QCheck_alcotest.to_alcotest prop_walkers_match_arrays;
         ] );
     ]
