@@ -197,12 +197,7 @@ let bench_scale ~n =
          in
          let d =
            Dsm_core.Detector.create m
-             ~config:
-               {
-                 Config.default with
-                 Config.granularity = Config.Word;
-                 store_shards = 8;
-               }
+             ~config:{ Config.default with Config.granularity = Config.Word }
              ()
          in
          let env = Dsm_pgas.Env.checked d in

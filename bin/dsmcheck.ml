@@ -137,9 +137,20 @@ let which_conv =
   in
   Arg.conv (parse, print)
 
+(* Smallest [--ops] each workload accepts: random accesses and stencil
+   iterations may be zero, tasks, batches and increments may not. *)
+let min_ops = function
+  | Random | Stencil -> 0
+  | Master_worker | Pipeline | Locked_counter -> 1
+
 let run_workload which n seed ops racy detect coherence verbose explain dot_file csv_file report_csv =
   setup_logs verbose;
   if n < 2 then `Error (false, "need at least 2 processes")
+  else if ops < min_ops which then
+    `Error
+      ( false,
+        Printf.sprintf "--ops must be at least %d for this workload"
+          (min_ops which) )
   else begin
     let sim = Dsm_sim.Engine.create ~seed ()
     in
@@ -345,11 +356,15 @@ let model_arg ~extra_doc =
             the protocol's ordering guarantees and the detector's \
             happens-before edges." ^ extra_doc))
 
-let run_scale n rounds chunk racy batched shards model seed detect
-    metrics_file verbose =
+let run_scale n rounds chunk racy batched model seed detect metrics_file
+    verbose =
   setup_logs verbose;
   let model = Option.value model ~default:Model.default in
   if n < 2 then `Error (false, "need at least 2 processes")
+  else if rounds < 1 then
+    `Error (false, "--rounds must be a positive number of pushes")
+  else if chunk < 1 then
+    `Error (false, "--chunk must be a positive number of slots")
   else if racy && n < 3 then
     `Error (false, "racy mode needs at least 3 processes")
   else begin
@@ -371,8 +386,7 @@ let run_scale n rounds chunk racy batched shards model seed detect
     let config =
       {
         Config.default with
-        Config.store_shards = shards;
-        granularity = Config.Word;
+        Config.granularity = Config.Word;
         memory_model = model;
       }
     in
@@ -392,8 +406,8 @@ let run_scale n rounds chunk racy batched shards model seed detect
     | Dsm_sim.Engine.Completed -> ()
     | _ -> prerr_endline "warning: simulation did not complete");
     let wall = Unix.gettimeofday () -. t0 in
-    Format.printf "processes      : %d (%d store shard(s)%s)@." n shards
-      (if batched then ", batched coherence" else "");
+    Format.printf "processes      : %d%s@." n
+      (if batched then " (batched coherence)" else "");
     Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
     Format.printf "messages       : %d (%d words)@."
       (Machine.fabric_messages machine)
@@ -424,9 +438,8 @@ let run_scale n rounds chunk racy batched shards model seed detect
 
 let scale_cmd =
   let doc =
-    "Run the neighbour-push scaling workload: sparse clocks, sharded \
-     clock stores and batched coherence at process counts far past the \
-     paper's ~10."
+    "Run the neighbour-push scaling workload: sparse clocks and batched \
+     coherence at process counts far past the paper's ~10."
   in
   let n =
     Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Process count.")
@@ -451,11 +464,6 @@ let scale_cmd =
       & info [ "batched" ]
           ~doc:"Coalesce each push into one fabric message.")
   in
-  let shards =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~doc:"Clock-store shards (power of two).")
-  in
   let model = model_arg ~extra_doc:"" in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Engine seed.") in
   let detect =
@@ -478,8 +486,8 @@ let scale_cmd =
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
       ret
-        (const run_scale $ n $ rounds $ chunk $ racy $ batched $ shards
-       $ model $ seed $ detect $ metrics_file $ verbose))
+        (const run_scale $ n $ rounds $ chunk $ racy $ batched $ model
+       $ seed $ detect $ metrics_file $ verbose))
 
 (* ---------- run (mini-language programs) ---------- *)
 

@@ -26,51 +26,25 @@ module Int_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Granules are spread across shards by address range: 64-word ranges
-   round-robin over the (power-of-two many) shards, so word-granularity
-   sweeps over a large segment split across every table instead of
-   loading one, while a single variable-sized granule always lands
-   wholly in the shard of its base offset. Each shard also owns a
-   scratch clock — the batched coherence path borrows it to fold a
-   batch's clocks without allocating. *)
-let range_bits = 6
-
-type shard = { table : entry Int_tbl.t; scratch : Vector_clock.t }
-
 type t = {
   node : int;
   clock_dim : int;
   granularity : Config.granularity;
-  shard_mask : int;
-  shards : shard array;
+  table : entry Int_tbl.t;
   mutable registered : Addr.region list; (* address-sorted *)
 }
 
-let create ~node ~clock_dim ~granularity ?(shards = 1) () =
+let create ~node ~clock_dim ~granularity =
   if clock_dim < 1 then invalid_arg "Clock_store.create: clock_dim";
-  if shards < 1 || shards land (shards - 1) <> 0 then
-    invalid_arg "Clock_store.create: shards must be a positive power of two";
   {
     node;
     clock_dim;
     granularity;
-    shard_mask = shards - 1;
-    shards =
-      Array.init shards (fun _ ->
-          {
-            table = Int_tbl.create 64;
-            scratch = Vector_clock.create ~n:clock_dim;
-          });
+    table = Int_tbl.create 64;
     registered = [];
   }
 
 let node t = t.node
-
-let shards t = Array.length t.shards
-
-let shard_of t ~offset = (offset lsr range_bits) land t.shard_mask
-
-let shard_scratch t ~offset = t.shards.(shard_of t ~offset).scratch
 
 let register t (r : Addr.region) =
   match t.granularity with
@@ -136,24 +110,19 @@ let granules t (r : Addr.region) =
 
 let entry_at t ~offset ~len =
   let key = pack_key ~offset ~len in
-  let table = t.shards.(shard_of t ~offset).table in
-  match Int_tbl.find_opt table key with
+  match Int_tbl.find_opt t.table key with
   | Some e -> e
   | None ->
       let mk () = Vector_clock.create ~n:t.clock_dim in
       let e = { v = mk (); w = mk (); s = mk () } in
-      Int_tbl.add table key e;
+      Int_tbl.add t.table key e;
       e
 
 let entry t (g : Addr.region) = entry_at t ~offset:g.base.offset ~len:g.len
 
-let fold_entries t ~init ~f =
-  Array.fold_left
-    (fun acc sh -> Int_tbl.fold (fun _ e acc -> f e acc) sh.table acc)
-    init t.shards
+let fold_entries t ~init ~f = Int_tbl.fold (fun _ e acc -> f e acc) t.table init
 
-let entries t =
-  Array.fold_left (fun acc sh -> acc + Int_tbl.length sh.table) 0 t.shards
+let entries t = Int_tbl.length t.table
 
 (* The paper's accounting (§5.1): V plus the W refinement = 2 clocks per
    datum. The sync clock is an extension and is only charged once an

@@ -14,15 +14,7 @@
     single immediate [int] and hashed by an int-specialized hashtable, so
     the per-access lookup neither allocates nor runs polymorphic
     comparison; {!iter_granules} walks the granules of an access without
-    building a list.
-
-    The store is {e sharded} by address range: 64-word ranges round-robin
-    across a power-of-two number of int-keyed tables, bounding any one
-    table's load when word granularity meets large segments. Each shard
-    also owns a scratch clock ({!shard_scratch}) so the batched-coherence
-    path can fold a batch's clocks without allocating. Sharding is
-    invisible to detection:
-    granule identity, laziness and iteration order are unchanged. *)
+    building a list. *)
 
 val pack_key : offset:int -> len:int -> int
 (** A granule's [(offset, len)] as one immediate [int], the table key.
@@ -47,28 +39,11 @@ type entry = {
 
 type t
 
-val create :
-  node:int ->
-  clock_dim:int ->
-  granularity:Config.granularity ->
-  ?shards:int ->
-  unit ->
-  t
+val create : node:int -> clock_dim:int -> granularity:Config.granularity -> t
 (** [clock_dim] is the vector dimension ([n], or 1 in the Lamport
-    ablation). [shards] (default 1) is the number of address-range
-    shards; must be a positive power of two ([Invalid_argument]
-    otherwise). *)
+    ablation). *)
 
 val node : t -> int
-
-val shards : t -> int
-(** Number of address-range shards the granule table is split across. *)
-
-val shard_scratch : t -> offset:int -> Dsm_clocks.Vector_clock.t
-(** The scratch clock owned by the shard responsible for [offset],
-    reusable between batches. Callers
-    must [Vector_clock.reset] it before use and must not let it escape
-    the current batch. *)
 
 val register : t -> Dsm_memory.Addr.region -> unit
 (** Declares a shared variable ({!Config.Variable} granularity): the

@@ -9,7 +9,6 @@ type t = {
   transport : transport;
   clock_mode : clock_mode;
   granularity : granularity;
-  store_shards : int;
   record_trace : bool;
   trace_reads_from : [ `All_writers | `Last_writer ];
   ordered_locking : bool;
@@ -24,7 +23,6 @@ let default =
     transport = Piggyback_txn;
     clock_mode = Vector;
     granularity = Variable;
-    store_shards = 8;
     record_trace = false;
     trace_reads_from = `All_writers;
     ordered_locking = true;
@@ -57,8 +55,6 @@ let validate t =
   | Block k when k < 1 ->
       invalid_arg "Config.validate: block size must be positive"
   | Variable | Block _ | Word -> ());
-  if t.store_shards < 1 || t.store_shards land (t.store_shards - 1) <> 0 then
-    invalid_arg "Config.validate: store_shards must be a positive power of two";
   if t.provenance_depth < 0 then
     invalid_arg "Config.validate: provenance_depth must be non-negative";
   t

@@ -40,12 +40,6 @@ type t = {
   transport : transport;
   clock_mode : clock_mode;
   granularity : granularity;
-  store_shards : int;
-      (** number of address-range shards each node's [Clock_store] hashes
-          its granules across (power of two; default 8). Sharding bounds
-          per-table load when word granularity meets large segments, and
-          gives the batched-coherence path a per-shard scratch clock;
-          it never changes detection results *)
   record_trace : bool;
       (** also feed a [Dsm_trace.Recorder] for offline ground truth *)
   trace_reads_from : [ `All_writers | `Last_writer ];

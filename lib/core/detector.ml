@@ -36,6 +36,9 @@ type t = {
   scratch_fw : Vector_clock.t array;
   scratch_fs : Vector_clock.t array;
   scratch_barrier : Vector_clock.t;
+  (* a [vput] payload decoded at the datum's node; handlers run to
+     completion without blocking, so one buffer serves every node *)
+  scratch_vput : Vector_clock.t;
   (* bounded per-granule access history so races can name both
      endpoints; observation-only (never feeds back into detection) *)
   provenance : Provenance.t;
@@ -78,8 +81,15 @@ let class_of_code = function
   | 3 -> Rmw { wrote = false }
   | c -> invalid_arg (Printf.sprintf "Detector: bad access class %d" c)
 
-let merge_entry (mh : Dsm_rdma.Model.hooks) (e : Clock_store.entry) cls clock
-    =
+(* Release [clock] into the granule's S clock: an RMW's early release
+   (see [release_rmw_history]) and its detection-time S mark. *)
+let release_s (mh : Dsm_rdma.Model.hooks) (e : Clock_store.entry) clock =
+  if mh.rmw_acquires_order then Vector_clock.merge_into ~into:e.s clock
+
+(* The access class -> V/W/S merge rule, the one place it is written:
+   the local path applies it in place, the [vput] handler applies it at
+   the datum's node. *)
+let merge_entry mh (e : Clock_store.entry) cls clock =
   match cls with
   | Plain_read -> Vector_clock.merge_into ~into:e.v clock
   | Plain_write ->
@@ -88,7 +98,7 @@ let merge_entry (mh : Dsm_rdma.Model.hooks) (e : Clock_store.entry) cls clock
   | Rmw { wrote } ->
       Vector_clock.merge_into ~into:e.v clock;
       if wrote then Vector_clock.merge_into ~into:e.w clock;
-      if mh.rmw_acquires_order then Vector_clock.merge_into ~into:e.s clock
+      release_s mh e clock
 
 let install_control_plane t =
   Machine.set_control_handler t.machine ~tag:vget_tag
@@ -106,22 +116,25 @@ let install_control_plane t =
       let e =
         Clock_store.entry_at t.stores.(node) ~offset:words.(0) ~len:words.(1)
       in
-      (if words.(2) = s_release_code then begin
-         if t.mh.rmw_acquires_order then
-           Vector_clock.merge_words ~into:e.s words ~off:3
-       end
-       else
-         match class_of_code words.(2) with
-         | Plain_read -> Vector_clock.merge_words ~into:e.v words ~off:3
-         | Plain_write ->
-             Vector_clock.merge_words ~into:e.v words ~off:3;
-             Vector_clock.merge_words ~into:e.w words ~off:3
-         | Rmw { wrote } ->
-             Vector_clock.merge_words ~into:e.v words ~off:3;
-             if wrote then Vector_clock.merge_words ~into:e.w words ~off:3;
-             if t.mh.rmw_acquires_order then
-               Vector_clock.merge_words ~into:e.s words ~off:3);
+      let clock = t.scratch_vput in
+      Vector_clock.load_words clock words ~off:3;
+      if words.(2) = s_release_code then release_s t.mh e clock
+      else merge_entry t.mh e (class_of_code words.(2)) clock;
       None)
+
+(* Algorithm 5's clock write: ship [clock] to the granule's node, whose
+   [vput] handler applies update [code] (an access class's [class_code]
+   or [s_release_code]). The async message retains its payload until
+   delivery, so this one allocation is irreducible. *)
+let send_vput t p ~node ~offset ~len ~code clock =
+  let payload = Array.make (3 + t.dim) 0 in
+  payload.(0) <- offset;
+  payload.(1) <- len;
+  payload.(2) <- code;
+  Vector_clock.store_words clock payload ~off:3;
+  t.meta_messages <- t.meta_messages + 1;
+  t.clock_words_shipped <- t.clock_words_shipped + t.dim;
+  Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
 
 let create machine ?config ?(verbose = false) () =
   (* An omitted config adopts the machine's memory model — the common
@@ -162,8 +175,7 @@ let create machine ?config ?(verbose = false) () =
       stores =
         Array.init n (fun node ->
             Clock_store.create ~node ~clock_dim:dim
-              ~granularity:config.Config.granularity
-              ~shards:config.Config.store_shards ());
+              ~granularity:config.Config.granularity);
       lock_clocks = Hashtbl.create 16;
       scratch_absorb = clock_array ();
       scratch_datum = clock_array ();
@@ -171,6 +183,7 @@ let create machine ?config ?(verbose = false) () =
       scratch_fw = clock_array ();
       scratch_fs = clock_array ();
       scratch_barrier = mk ();
+      scratch_vput = mk ();
       recorder =
         (if config.Config.record_trace then
            let reads_from =
@@ -406,16 +419,7 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
         Vector_clock.load_words fs words ~off:(2 * t.dim);
         check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw
           ~fs ~absorb;
-        (* The async update message retains its payload until delivery,
-           so this one allocation is irreducible here. *)
-        let payload = Array.make (3 + t.dim) 0 in
-        payload.(0) <- offset;
-        payload.(1) <- len;
-        payload.(2) <- class_code cls;
-        Vector_clock.store_words v0 payload ~off:3;
-        t.meta_messages <- t.meta_messages + 1;
-        t.clock_words_shipped <- t.clock_words_shipped + t.dim;
-        Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
+        send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
       end
       else begin
         let e = Clock_store.entry_at store ~offset ~len in
@@ -514,18 +518,12 @@ let checked_op t p ~kind ~read_region ~write_region ~transfer =
       Machine.unlock p tk2;
       Machine.unlock p tk1
 
-let count_shipped t msgs =
-  t.clock_words_shipped <- t.clock_words_shipped + (piggyback_words t * msgs)
-
 let put t p ~src ~dst =
   let extra_words = piggyback_words t in
   let transfer () =
     match t.config.Config.transport with
-    | Config.Inline ->
-        count_shipped t 1;
-        Machine.put p ~src ~dst ~extra_words ()
+    | Config.Inline -> Machine.put p ~src ~dst ~extra_words ()
     | Config.Piggyback_txn | Config.Explicit_txn ->
-        count_shipped t 1;
         Machine.raw_put p ~src ~dst ~extra_words ()
   in
   checked_op t p ~kind:"put" ~read_region:src ~write_region:dst ~transfer
@@ -534,11 +532,8 @@ let get t p ~src ~dst =
   let extra_words = piggyback_words t in
   let transfer () =
     match t.config.Config.transport with
-    | Config.Inline ->
-        count_shipped t 2;
-        Machine.get p ~src ~dst ~extra_words ()
+    | Config.Inline -> Machine.get p ~src ~dst ~extra_words ()
     | Config.Piggyback_txn | Config.Explicit_txn ->
-        count_shipped t 2;
         Machine.raw_get p ~src ~dst ~extra_words ()
   in
   checked_op t p ~kind:"get" ~read_region:src ~write_region:dst ~transfer
@@ -597,7 +592,6 @@ let put_run t p run =
         match t.config.Config.transport with
         | Config.Inline ->
             List.iter check run;
-            count_shipped t 1;
             Machine.put_batch p ~pairs:run ~extra_words ()
         | Config.Piggyback_txn ->
             (* one lock acquisition spanning the whole run instead of
@@ -605,7 +599,6 @@ let put_run t p run =
             let span = span_of dst0 (last_of run) in
             let tk = Machine.lock p span in
             List.iter check run;
-            count_shipped t 1;
             Machine.raw_put_batch p ~pairs:run ~extra_words ();
             Machine.unlock p tk
         | Config.Explicit_txn ->
@@ -645,14 +638,12 @@ let get_run t p run =
         match t.config.Config.transport with
         | Config.Inline ->
             List.iter check run;
-            count_shipped t 2;
             Machine.get_batch p ~pairs:run ~extra_words ()
         | Config.Piggyback_txn ->
             let span = span_of src0 (fst (List.nth run (List.length run - 1)))
             in
             let tk = Machine.lock p span in
             List.iter check run;
-            count_shipped t 2;
             Machine.raw_get_batch p ~pairs:run ~extra_words ();
             Machine.unlock p tk
         | Config.Explicit_txn ->
@@ -700,32 +691,19 @@ let get_batch t p ~pairs =
    deliberately excludes the RMW's own tick — that mark joins V/W/S only
    at detection time, which is what keeps RMW/plain races visible. *)
 let release_rmw_history t p ~(region : Addr.region) =
-  if not t.mh.rmw_acquires_order then ()
-  else begin
-  record_rmw_sync t p ~region ~acquire:false;
-  let node = region.base.pid in
-  let pid = Machine.pid p in
-  let v0 = t.procs.(pid) in
-  let store = t.stores.(node) in
-  let remote = remote_explicit t ~node ~pid in
-  Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-      if remote then begin
-        let payload = Array.make (3 + t.dim) 0 in
-        payload.(0) <- offset;
-        payload.(1) <- len;
-        payload.(2) <- s_release_code;
-        Vector_clock.store_words v0 payload ~off:3;
-        t.meta_messages <- t.meta_messages + 1;
-        t.clock_words_shipped <- t.clock_words_shipped + t.dim;
-        Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
-      end
-      else
-        let e = Clock_store.entry_at store ~offset ~len in
-        Vector_clock.merge_into ~into:e.s v0)
+  if t.mh.rmw_acquires_order then begin
+    record_rmw_sync t p ~region ~acquire:false;
+    let node = region.base.pid in
+    let pid = Machine.pid p in
+    let v0 = t.procs.(pid) in
+    let store = t.stores.(node) in
+    let remote = remote_explicit t ~node ~pid in
+    Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
+        if remote then send_vput t p ~node ~offset ~len ~code:s_release_code v0
+        else release_s t.mh (Clock_store.entry_at store ~offset ~len) v0)
   end
 
 let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
-  count_shipped t 2;
   release_rmw_history t p ~region;
   let result, wrote = run_op ~extra_words:(piggyback_words t) in
   count_check t p ~kind:"atomic";
@@ -856,9 +834,7 @@ let meta_messages t = t.meta_messages
 
 (* Under the piggyback transports the true cost is what the machine's
    adaptive encoder actually shipped (delta, sparse or dense); the
-   [count_shipped] field keeps the nominal dense allowance for the
-   latency model's books. Explicit transport still counts its control
-   payload words directly. *)
+   explicit transport counts its control payload words directly. *)
 let clock_words_shipped t =
   match t.config.Config.transport with
   | Config.Inline | Config.Piggyback_txn -> Machine.clock_words_sent t.machine

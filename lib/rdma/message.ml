@@ -68,14 +68,6 @@ let acc_op_name = function
   | Band -> "band"
   | Bor -> "bor"
 
-let acc_op_of_name = function
-  | "add" -> Some Add
-  | "min" -> Some Min
-  | "max" -> Some Max
-  | "band" -> Some Band
-  | "bor" -> Some Bor
-  | _ -> None
-
 let apply_acc aop old operand =
   match aop with
   | Add -> old + operand
@@ -215,238 +207,3 @@ let describe = function
         (Array.length words)
   | Control_reply { op; words } ->
       Printf.sprintf "control-reply#%d (%d words)" op (Array.length words)
-
-(* RMW wire codec.
-
-   The four RMW messages have a flat word encoding so they can be stored,
-   replayed and fuzzed like the sparse-clock codec. Payload words (deltas,
-   CAS operands, accumulate data, old values) may be any int; the framing
-   words (ids, offsets, lengths, op selectors) are validated on decode and
-   any malformed buffer is rejected with a reason rather than an
-   exception. *)
-
-let aop_code = function Add -> 0 | Min -> 1 | Max -> 2 | Band -> 3 | Bor -> 4
-
-let aop_of_code = function
-  | 0 -> Some Add
-  | 1 -> Some Min
-  | 2 -> Some Max
-  | 3 -> Some Band
-  | 4 -> Some Bor
-  | _ -> None
-
-let encode_rmw = function
-  | Atomic { op; origin; offset; kind = Fetch_add d; extra_words } ->
-      [| 1; op; origin; offset; extra_words; d |]
-  | Atomic
-      { op; origin; offset; kind = Compare_and_swap { expected; desired };
-        extra_words } ->
-      [| 2; op; origin; offset; extra_words; expected; desired |]
-  | Accumulate { op; origin; offset; aop; data; extra_words } ->
-      Array.append
-        [| 3; op; origin; offset; extra_words; aop_code aop;
-           Array.length data |]
-        data
-  | Atomic_reply { op; old_value } -> [| 4; op; old_value |]
-  | Acc_reply { op; old; extra_words } ->
-      Array.append [| 5; op; extra_words; Array.length old |] old
-  | _ -> invalid_arg "Message.encode_rmw: not an RMW message"
-
-let decode_rmw buf =
-  let len = Array.length buf in
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let nonneg what v k = if v < 0 then err "negative %s %d" what v else k () in
-  if len = 0 then Error "empty buffer"
-  else
-    let frame ~exact n k =
-      if len < n then err "truncated: %d words, need >= %d" len n
-      else if exact && len <> n then
-        err "trailing junk: %d words, expected %d" len n
-      else k ()
-    in
-    match buf.(0) with
-    | 1 ->
-        frame ~exact:true 6 (fun () ->
-            nonneg "op" buf.(1) (fun () ->
-                nonneg "origin" buf.(2) (fun () ->
-                    nonneg "offset" buf.(3) (fun () ->
-                        nonneg "extra_words" buf.(4) (fun () ->
-                            Ok
-                              (Atomic
-                                 {
-                                   op = buf.(1);
-                                   origin = buf.(2);
-                                   offset = buf.(3);
-                                   kind = Fetch_add buf.(5);
-                                   extra_words = buf.(4);
-                                 }))))))
-    | 2 ->
-        frame ~exact:true 7 (fun () ->
-            nonneg "op" buf.(1) (fun () ->
-                nonneg "origin" buf.(2) (fun () ->
-                    nonneg "offset" buf.(3) (fun () ->
-                        nonneg "extra_words" buf.(4) (fun () ->
-                            Ok
-                              (Atomic
-                                 {
-                                   op = buf.(1);
-                                   origin = buf.(2);
-                                   offset = buf.(3);
-                                   kind =
-                                     Compare_and_swap
-                                       { expected = buf.(5); desired = buf.(6) };
-                                   extra_words = buf.(4);
-                                 }))))))
-    | 3 ->
-        frame ~exact:false 7 (fun () ->
-            nonneg "op" buf.(1) (fun () ->
-                nonneg "origin" buf.(2) (fun () ->
-                    nonneg "offset" buf.(3) (fun () ->
-                        nonneg "extra_words" buf.(4) (fun () ->
-                            match aop_of_code buf.(5) with
-                            | None -> err "unknown accumulate op code %d" buf.(5)
-                            | Some aop ->
-                                let n = buf.(6) in
-                                if n < 0 then err "negative data length %d" n
-                                else if len <> 7 + n then
-                                  err "data length %d does not match frame %d" n
-                                    len
-                                else
-                                  Ok
-                                    (Accumulate
-                                       {
-                                         op = buf.(1);
-                                         origin = buf.(2);
-                                         offset = buf.(3);
-                                         aop;
-                                         data = Array.sub buf 7 n;
-                                         extra_words = buf.(4);
-                                       }))))))
-    | 4 ->
-        frame ~exact:true 3 (fun () ->
-            nonneg "op" buf.(1) (fun () ->
-                Ok (Atomic_reply { op = buf.(1); old_value = buf.(2) })))
-    | 5 ->
-        frame ~exact:false 4 (fun () ->
-            nonneg "op" buf.(1) (fun () ->
-                nonneg "extra_words" buf.(2) (fun () ->
-                    let n = buf.(3) in
-                    if n < 0 then err "negative old length %d" n
-                    else if len <> 4 + n then
-                      err "old length %d does not match frame %d" n len
-                    else
-                      Ok
-                        (Acc_reply
-                           {
-                             op = buf.(1);
-                             old = Array.sub buf 4 n;
-                             extra_words = buf.(2);
-                           }))))
-    | tag -> err "unknown RMW tag %d" tag
-
-(* Exact textual round-trip for the same four messages: '|'-separated
-   fields, data blocks comma-separated. *)
-
-let ints_to_field a =
-  String.concat "," (Array.to_list (Array.map string_of_int a))
-
-let field_to_ints s =
-  if s = "" then Some [||]
-  else
-    try
-      Some
-        (Array.of_list (List.map int_of_string (String.split_on_char ',' s)))
-    with _ -> None
-
-let rmw_to_string = function
-  | Atomic { op; origin; offset; kind = Fetch_add d; extra_words } ->
-      Printf.sprintf "fa|%d|%d|%d|%d|%d" op origin offset extra_words d
-  | Atomic
-      { op; origin; offset; kind = Compare_and_swap { expected; desired };
-        extra_words } ->
-      Printf.sprintf "cas|%d|%d|%d|%d|%d|%d" op origin offset extra_words
-        expected desired
-  | Accumulate { op; origin; offset; aop; data; extra_words } ->
-      Printf.sprintf "acc|%d|%d|%d|%d|%s|%s" op origin offset extra_words
-        (acc_op_name aop) (ints_to_field data)
-  | Atomic_reply { op; old_value } -> Printf.sprintf "far|%d|%d" op old_value
-  | Acc_reply { op; old; extra_words } ->
-      Printf.sprintf "accr|%d|%d|%s" op extra_words (ints_to_field old)
-  | _ -> invalid_arg "Message.rmw_to_string: not an RMW message"
-
-let rmw_of_string s =
-  let int f k =
-    match int_of_string_opt f with
-    | Some v when v >= 0 -> k v
-    | Some v -> Error (Printf.sprintf "negative field %d" v)
-    | None -> Error (Printf.sprintf "bad integer %S" f)
-  in
-  let sint f k =
-    match int_of_string_opt f with
-    | Some v -> k v
-    | None -> Error (Printf.sprintf "bad integer %S" f)
-  in
-  match String.split_on_char '|' s with
-  | [ "fa"; op; origin; offset; extra; d ] ->
-      int op (fun op ->
-          int origin (fun origin ->
-              int offset (fun offset ->
-                  int extra (fun extra_words ->
-                      sint d (fun d ->
-                          Ok
-                            (Atomic
-                               {
-                                 op;
-                                 origin;
-                                 offset;
-                                 kind = Fetch_add d;
-                                 extra_words;
-                               }))))))
-  | [ "cas"; op; origin; offset; extra; expected; desired ] ->
-      int op (fun op ->
-          int origin (fun origin ->
-              int offset (fun offset ->
-                  int extra (fun extra_words ->
-                      sint expected (fun expected ->
-                          sint desired (fun desired ->
-                              Ok
-                                (Atomic
-                                   {
-                                     op;
-                                     origin;
-                                     offset;
-                                     kind =
-                                       Compare_and_swap { expected; desired };
-                                     extra_words;
-                                   })))))))
-  | [ "acc"; op; origin; offset; extra; aop; data ] -> (
-      int op (fun op ->
-          int origin (fun origin ->
-              int offset (fun offset ->
-                  int extra (fun extra_words ->
-                      match acc_op_of_name aop with
-                      | None -> Error (Printf.sprintf "unknown acc op %S" aop)
-                      | Some aop -> (
-                          match field_to_ints data with
-                          | None -> Error (Printf.sprintf "bad data %S" data)
-                          | Some data ->
-                              Ok
-                                (Accumulate
-                                   {
-                                     op;
-                                     origin;
-                                     offset;
-                                     aop;
-                                     data;
-                                     extra_words;
-                                   })))))))
-  | [ "far"; op; old ] ->
-      int op (fun op ->
-          sint old (fun old_value -> Ok (Atomic_reply { op; old_value })))
-  | [ "accr"; op; extra; old ] -> (
-      int op (fun op ->
-          int extra (fun extra_words ->
-              match field_to_ints old with
-              | None -> Error (Printf.sprintf "bad old block %S" old)
-              | Some old -> Ok (Acc_reply { op; old; extra_words }))))
-  | _ -> Error (Printf.sprintf "unparseable RMW string %S" s)

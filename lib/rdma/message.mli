@@ -95,9 +95,6 @@ and acc_op = Add | Min | Max | Band | Bor
 val acc_op_name : acc_op -> string
 (** ["add"], ["min"], ["max"], ["band"], ["bor"]. *)
 
-val acc_op_of_name : string -> acc_op option
-(** Inverse of {!acc_op_name}. *)
-
 val apply_acc : acc_op -> int -> int -> int
 (** [apply_acc aop old operand] is the serial meaning of one accumulate
     word: the value the target cell holds afterwards. *)
@@ -142,29 +139,3 @@ val wire_words_piggyback : pb:int -> t -> int
 
 val describe : t -> string
 (** One-line rendering for traces and debugging. *)
-
-(** {2 RMW wire codec}
-
-    The four RMW messages ([Atomic], [Atomic_reply], [Accumulate],
-    [Acc_reply]) have a flat word encoding and an exact textual form, so
-    they can be logged, replayed and fuzzed like the sparse-clock codec.
-    Both decoders are total: any malformed input yields [Error reason],
-    never an exception. *)
-
-val encode_rmw : t -> int array
-(** Flat word encoding of an RMW message. Raises [Invalid_argument] on
-    non-RMW messages. *)
-
-val decode_rmw : int array -> (t, string) result
-(** Inverse of {!encode_rmw}. Rejects empty buffers, unknown tags,
-    truncated or over-long frames, bad op selectors and negative framing
-    fields with a human-readable reason. *)
-
-val rmw_to_string : t -> string
-(** Exact textual form of an RMW message ([fa|...], [cas|...],
-    [acc|...], [far|...], [accr|...]). Raises [Invalid_argument] on
-    non-RMW messages. *)
-
-val rmw_of_string : string -> (t, string) result
-(** Inverse of {!rmw_to_string}: [rmw_of_string (rmw_to_string m) = Ok m]
-    exactly. *)

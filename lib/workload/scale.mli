@@ -1,6 +1,5 @@
 (** Neighbour-push workload for scaling race detection past the paper's
-    ~10 processes (ROADMAP: sparse clocks / sharded stores / batched
-    coherence).
+    ~10 processes (sparse clocks and batched coherence).
 
     Every process repeatedly writes a chunk of contiguous single-word
     slots into its ring successor's public buffer — the shape batched

@@ -728,7 +728,7 @@ let prop_packed_key_injective =
   QCheck.Test.make ~name:"packed keys: distinct granule = distinct entry"
     ~count:1000 arb_granule_pair (fun ((o1, l1), (o2, l2)) ->
       let store =
-        Clock_store.create ~node:0 ~clock_dim:3 ~granularity:Config.Word ()
+        Clock_store.create ~node:0 ~clock_dim:3 ~granularity:Config.Word
       in
       let e1 = Clock_store.entry_at store ~offset:o1 ~len:l1 in
       let e2 = Clock_store.entry_at store ~offset:o2 ~len:l2 in
@@ -786,100 +786,60 @@ let prop_packed_key_rejects_out_of_range =
   QCheck.Test.make ~name:"packed keys: out-of-range granules rejected"
     ~count:500 arb_bad_granule (fun (offset, len) ->
       let store =
-        Clock_store.create ~node:0 ~clock_dim:3 ~granularity:Config.Word ()
+        Clock_store.create ~node:0 ~clock_dim:3 ~granularity:Config.Word
       in
       match Clock_store.entry_at store ~offset ~len with
       | _ -> false
       | exception Invalid_argument _ -> true)
 
-(* ---------- Sharded store (ISSUE 5 scaling) ---------- *)
+(* ---------- Clock store: one int-keyed table per node ---------- *)
 
-let test_store_shard_validation () =
-  List.iter
-    (fun shards ->
-      match
-        Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word
-          ~shards ()
-      with
-      | _ -> Alcotest.failf "shards = %d accepted" shards
-      | exception Invalid_argument _ -> ())
-    [ 0; -1; 3; 6; 12 ];
+(* Granule identity, lazy zero creation, iteration order and the
+   storage/epoch census of one node's store. *)
+let test_store_single_table () =
   let s =
     Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word
-      ~shards:8 ()
   in
-  Alcotest.(check int) "shard count" 8 (Clock_store.shards s);
-  let d =
-    Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word ()
-  in
-  Alcotest.(check int) "default unsharded" 1 (Clock_store.shards d)
-
-(* Sharding is pure data-structure layout: granule identity, lazy
-   creation, counters and iteration order are bit-identical between an
-   unsharded store and an 8-way sharded one. *)
-let test_store_sharding_invisible () =
-  let mk shards =
-    Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word ~shards
-      ()
-  in
-  let s1 = mk 1 and s8 = mk 8 in
-  (* offsets straddling several 64-word address ranges *)
+  (* offsets straddling several 64-word boundaries *)
   let offsets = [ 0; 1; 63; 64; 65; 130; 1024; 4095 ] in
+  let fresh = Clock_store.entry_at s ~offset:0 ~len:1 in
+  Alcotest.(check bool) "lazily created entry is zero" true
+    (Dsm_clocks.Vector_clock.is_zero fresh.Clock_store.v
+    && Dsm_clocks.Vector_clock.is_zero fresh.Clock_store.w
+    && Dsm_clocks.Vector_clock.is_zero fresh.Clock_store.s);
   List.iter
     (fun off ->
-      List.iter
-        (fun s ->
-          let e = Clock_store.entry_at s ~offset:off ~len:1 in
-          Dsm_clocks.Vector_clock.tick e.Clock_store.v ~me:(off mod 4))
-        [ s1; s8 ])
+      let e = Clock_store.entry_at s ~offset:off ~len:1 in
+      Dsm_clocks.Vector_clock.tick e.Clock_store.v ~me:(off mod 4))
     offsets;
-  Alcotest.(check int) "same entry count" (Clock_store.entries s1)
-    (Clock_store.entries s8);
-  Alcotest.(check int) "same storage words"
-    (Clock_store.storage_words s1)
-    (Clock_store.storage_words s8);
-  Alcotest.(check int) "same epoch census"
-    (Clock_store.epoch_clocks s1)
-    (Clock_store.epoch_clocks s8);
-  let region =
-    Addr.region ~pid:0 ~space:Addr.Public ~offset:60 ~len:10
-  in
-  Alcotest.(check bool) "same granule walk" true
-    (Clock_store.granules s1 region = Clock_store.granules s8 region);
+  Alcotest.(check int) "one entry per touched granule"
+    (List.length offsets) (Clock_store.entries s);
+  (* V + W per entry; S is charged only once an atomic touched it *)
+  Alcotest.(check int) "storage words"
+    (List.length offsets * 2 * 4)
+    (Clock_store.storage_words s);
+  (* one tick in V leaves every clock an epoch *)
+  Alcotest.(check int) "epoch census"
+    (List.length offsets * 3)
+    (Clock_store.epoch_clocks s);
   List.iter
     (fun off ->
-      let e1 = Clock_store.entry_at s1 ~offset:off ~len:1 in
-      let e8 = Clock_store.entry_at s8 ~offset:off ~len:1 in
-      Alcotest.(check bool)
-        (Printf.sprintf "clocks at %d agree" off)
-        true
-        (Dsm_clocks.Vector_clock.equal e1.Clock_store.v e8.Clock_store.v))
+      let e = Clock_store.entry_at s ~offset:off ~len:1 in
+      Alcotest.(check int)
+        (Printf.sprintf "clock at %d kept" off)
+        1
+        (Dsm_clocks.Vector_clock.entry e.Clock_store.v (off mod 4)))
     offsets;
-  (* hit path returns the same physical entry in both layouts *)
-  List.iter
-    (fun s ->
-      let a = Clock_store.entry_at s ~offset:64 ~len:1 in
-      let b = Clock_store.entry_at s ~offset:64 ~len:1 in
-      Alcotest.(check bool) "stable physical entry" true (a == b))
-    [ s1; s8 ]
-
-let test_store_shard_scratch () =
-  let s =
-    Clock_store.create ~node:0 ~clock_dim:4 ~granularity:Config.Word
-      ~shards:4 ()
-  in
-  let a = Clock_store.shard_scratch s ~offset:0 in
-  let b = Clock_store.shard_scratch s ~offset:63 in
-  let c = Clock_store.shard_scratch s ~offset:64 in
-  Alcotest.(check bool) "same range, same scratch" true (a == b);
-  Alcotest.(check bool) "next range, next shard" true (not (a == c));
-  (* round-robin: 4 shards x 64-word ranges wrap at offset 256 *)
-  let w = Clock_store.shard_scratch s ~offset:(4 * 64) in
-  Alcotest.(check bool) "ranges wrap round-robin" true (a == w);
-  Dsm_clocks.Vector_clock.reset a;
-  Dsm_clocks.Vector_clock.tick a ~me:2;
-  Alcotest.(check int) "scratch usable after reset" 1
-    (Dsm_clocks.Vector_clock.entry a 2)
+  Alcotest.(check (list int)) "granules in address order across 64"
+    (List.init 10 (fun i -> 60 + i))
+    (List.map
+       (fun (r : Addr.region) -> r.base.offset)
+       (Clock_store.granules s
+          (Addr.region ~pid:0 ~space:Addr.Public ~offset:60 ~len:10)));
+  (* the hit path returns the same physical entry *)
+  let a = Clock_store.entry_at s ~offset:64 ~len:1 in
+  let b = Clock_store.entry_at s ~offset:64 ~len:1 in
+  Alcotest.(check bool) "stable physical entry" true (a == b)
 
 (* The same equivalence as a property over arbitrary seeds. *)
 let prop_ground_truth_equivalence =
@@ -958,14 +918,9 @@ let () =
           Alcotest.test_case "provenance keys distinct across nodes" `Quick
             test_provenance_keys_distinct;
         ] );
-      ( "clock-store-shards",
-        [
-          Alcotest.test_case "shard count validation" `Quick
-            test_store_shard_validation;
-          Alcotest.test_case "sharding invisible" `Quick
-            test_store_sharding_invisible;
-          Alcotest.test_case "shard scratch" `Quick test_store_shard_scratch;
-        ] );
+      ( "clock-store-layout",
+        [ Alcotest.test_case "single table" `Quick test_store_single_table ]
+      );
       ( "ground-truth",
         [
           Alcotest.test_case "equivalence on seeds" `Quick test_ground_truth_seeds;

@@ -1,9 +1,8 @@
-(* One-sided RMW extensions (§5.2): wire codec round-trip + rejection,
-   NIC-side apply semantics (exactly-once under duplicate delivery),
-   detection marking (an RMW is atomically a read and a write; a failed
-   CAS only a read), the serial-specification oracle over explored
-   schedules, and schedule-independence of the new workloads' racy
-   granule sets. *)
+(* One-sided RMW extensions (§5.2): NIC-side apply semantics
+   (exactly-once under duplicate delivery), detection marking (an RMW is
+   atomically a read and a write; a failed CAS only a read) on every
+   transport, the serial-specification oracle over explored schedules,
+   and schedule-independence of the new workloads' racy granule sets. *)
 
 open Dsm_sim
 open Dsm_memory
@@ -17,127 +16,6 @@ module Explore = Dsm_explore.Explore
 module Linearize = Dsm_explore.Linearize
 module Probe = Dsm_obs.Probe
 module Metrics = Dsm_obs.Metrics
-
-(* ------------------------------------------------------------------ *)
-(* Wire codec: exact round-trip, total rejection of malformed input.   *)
-(* ------------------------------------------------------------------ *)
-
-let directed_msgs =
-  [
-    ( "fetch_add",
-      Message.Atomic
-        {
-          op = 3;
-          origin = 1;
-          offset = 5;
-          kind = Message.Fetch_add (-2);
-          extra_words = 0;
-        } );
-    ( "cas",
-      Message.Atomic
-        {
-          op = 4;
-          origin = 2;
-          offset = 9;
-          kind = Message.Compare_and_swap { expected = 0; desired = -7 };
-          extra_words = 3;
-        } );
-    ( "accumulate",
-      Message.Accumulate
-        {
-          op = 5;
-          origin = 1;
-          offset = 2;
-          aop = Message.Min;
-          data = [| 3; -1; 4 |];
-          extra_words = 2;
-        } );
-    ("atomic_reply", Message.Atomic_reply { op = 3; old_value = -9 });
-    ( "acc_reply",
-      Message.Acc_reply { op = 5; old = [| 1; -2; 3 |]; extra_words = 2 } );
-  ]
-
-let test_codec_directed () =
-  List.iter
-    (fun (name, m) ->
-      (match Message.decode_rmw (Message.encode_rmw m) with
-      | Ok m' ->
-          Alcotest.(check bool) (name ^ ": word round-trip") true (m = m')
-      | Error e -> Alcotest.failf "%s words rejected: %s" name e);
-      match Message.rmw_of_string (Message.rmw_to_string m) with
-      | Ok m' ->
-          Alcotest.(check bool) (name ^ ": string round-trip") true (m = m')
-      | Error e -> Alcotest.failf "%s string rejected: %s" name e)
-    directed_msgs;
-  let rejects name buf =
-    match Message.decode_rmw buf with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: malformed buffer was accepted" name
-  in
-  let fa_words = Message.encode_rmw (snd (List.nth directed_msgs 0)) in
-  rejects "empty buffer" [||];
-  rejects "unknown tag" [| 9; 1; 1; 1; 1; 1 |];
-  rejects "truncated fetch_add" (Array.sub fa_words 0 5);
-  rejects "padded fetch_add" (Array.append fa_words [| 0 |]);
-  rejects "negative op" [| 1; -1; 0; 0; 0; 1 |];
-  rejects "negative offset" [| 1; 0; 0; -3; 0; 1 |];
-  rejects "negative extra_words" [| 1; 0; 0; 0; -1; 1 |];
-  rejects "unknown accumulate op code" [| 3; 1; 0; 0; 0; 9; 1; 5 |];
-  rejects "accumulate length mismatch" [| 3; 1; 0; 0; 0; 0; 2; 5 |];
-  rejects "negative accumulate length" [| 3; 1; 0; 0; 0; 0; -1 |];
-  let rejects_s name s =
-    match Message.rmw_of_string s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: malformed string was accepted" name
-  in
-  rejects_s "garbage form" "zz|1|2";
-  rejects_s "bad integer" "fa|1|x|0|0|1";
-  rejects_s "negative framing field" "fa|-1|0|0|0|1";
-  rejects_s "unknown acc op name" "acc|1|0|0|0|mul|1,2";
-  rejects_s "empty string" "";
-  match Message.encode_rmw (Message.Put_ack { op = 1 }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "encode_rmw accepted a non-RMW message"
-
-let gen_rmw =
-  QCheck.Gen.(
-    let value = int_range (-4096) 4096 in
-    let data = array_size (int_range 1 5) value in
-    quad (int_range 0 999) (int_range 0 31) (int_range 0 1023)
-      (int_range 0 64)
-    >>= fun (op, origin, offset, extra_words) ->
-    oneof
-      [
-        ( value >|= fun d ->
-          Message.Atomic
-            { op; origin; offset; kind = Message.Fetch_add d; extra_words }
-        );
-        ( pair value value >|= fun (expected, desired) ->
-          Message.Atomic
-            {
-              op;
-              origin;
-              offset;
-              kind = Message.Compare_and_swap { expected; desired };
-              extra_words;
-            } );
-        ( pair
-            (oneofl [ Message.Add; Min; Max; Band; Bor ])
-            data
-        >|= fun (aop, data) ->
-          Message.Accumulate { op; origin; offset; aop; data; extra_words }
-        );
-        (value >|= fun old_value -> Message.Atomic_reply { op; old_value });
-        (data >|= fun old -> Message.Acc_reply { op; old; extra_words });
-      ])
-
-let prop_codec_roundtrip =
-  QCheck.Test.make ~name:"RMW codec round-trips exactly (words and string)"
-    ~count:500
-    (QCheck.make ~print:Message.rmw_to_string gen_rmw)
-    (fun m ->
-      Message.decode_rmw (Message.encode_rmw m) = Ok m
-      && Message.rmw_of_string (Message.rmw_to_string m) = Ok m)
 
 (* ------------------------------------------------------------------ *)
 (* NIC-side apply: accumulate semantics, exactly-once under faults.    *)
@@ -294,6 +172,118 @@ let test_rmw_rmw_serialized () =
   Alcotest.(check int)
     "RMW vs RMW: serialized, silent" 0
     (Report.count (Detector.report d))
+
+(* ------------------------------------------------------------------ *)
+(* Explicit transport: RMW clock updates by control message.           *)
+(* ------------------------------------------------------------------ *)
+
+(* Under [Explicit_txn] every remote granule update is a [vput] control
+   message, and an RMW's early S release travels the same way: these
+   runs are the only path through the handler's S-release branch.
+   The digests were recorded before the clock-update rule was shared
+   between the local path and the handler; any drift in verdicts,
+   report contents, meta traffic or stored clocks changes them. *)
+let explicit_rmw_digest ~workload ~n ~seed =
+  let sim = Engine.create ~seed () in
+  let latency =
+    Dsm_net.Latency.Jittered
+      { model = Dsm_net.Latency.Constant 1.0; mean_jitter = 2.0 }
+  in
+  let m = Machine.create sim ~n ~latency () in
+  let d =
+    Detector.create m
+      ~config:{ Config.default with Config.transport = Config.Explicit_txn }
+      ()
+  in
+  let env = Dsm_pgas.Env.checked d in
+  let racy = String.ends_with ~suffix:"-racy" workload in
+  let post_check =
+    match workload with
+    | "histogram" | "histogram-racy" ->
+        Dsm_workload.Histogram.setup env
+          { Dsm_workload.Histogram.default with racy; think_mean = 1.0; seed };
+        fun () -> []
+    | "deque" | "deque-racy" ->
+        Dsm_workload.Deque.setup env
+          { Dsm_workload.Deque.default with racy; think_mean = 1.0; seed }
+    | "allreduce" | "allreduce-racy" ->
+        let collectives = Dsm_pgas.Collectives.create env in
+        Dsm_workload.Allreduce.setup env ~collectives
+          { Dsm_workload.Allreduce.default with racy; think_mean = 1.0; seed }
+    | "rmw-mix" ->
+        ignore
+          (Dsm_workload.Rmw_mix.setup env
+             { Dsm_workload.Rmw_mix.default with think_mean = 1.0; seed });
+        fun () -> []
+    | w -> Alcotest.failf "unknown workload %s" w
+  in
+  (match Machine.run m with
+  | Engine.Completed -> ()
+  | _ -> Alcotest.failf "%s seed %d did not complete" workload seed);
+  List.iter
+    (fun (label, msg) ->
+      Alcotest.failf "%s seed %d: %s: %s" workload seed label msg)
+    (post_check ());
+  let r = Detector.report d in
+  Printf.sprintf "races=%d meta=%d words=%d storage=%d fp=%s" (Report.count r)
+    (Detector.meta_messages d)
+    (Detector.clock_words_shipped d)
+    (Detector.storage_words d) (Report.fingerprint r)
+
+let explicit_rmw_goldens =
+  [
+    ("histogram", 3, 1,
+     "races=0 meta=36 words=135 storage=54 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("histogram", 3, 2,
+     "races=0 meta=24 words=90 storage=54 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("histogram", 3, 3,
+     "races=0 meta=28 words=105 storage=63 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("histogram-racy", 3, 1,
+     "races=1 meta=39 words=147 storage=60 fp=89353d78c6212e8cedb9f9eecbef516f");
+    ("histogram-racy", 3, 2,
+     "races=1 meta=27 words=102 storage=60 fp=93c10503f20f3300191adea4598a28e6");
+    ("histogram-racy", 3, 3,
+     "races=2 meta=31 words=117 storage=63 fp=f3abe51ec5d1f35bca4010bbe795be81");
+    ("deque", 3, 1,
+     "races=0 meta=42 words=159 storage=39 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("deque", 3, 2,
+     "races=0 meta=42 words=159 storage=39 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("deque", 3, 3,
+     "races=0 meta=42 words=159 storage=39 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("deque-racy", 3, 1,
+     "races=2 meta=39 words=150 storage=39 fp=3269d3a5c58fb841b4a07b377579168d");
+    ("deque-racy", 3, 2,
+     "races=2 meta=39 words=150 storage=39 fp=f8f6b43c3ae58893ca4bf69cf12e039e");
+    ("deque-racy", 3, 3,
+     "races=2 meta=39 words=150 storage=39 fp=654a535cafe80ab8fe0d7027799e498b");
+    ("allreduce", 4, 1,
+     "races=0 meta=96 words=504 storage=92 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("allreduce", 4, 2,
+     "races=0 meta=96 words=504 storage=92 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("allreduce", 4, 3,
+     "races=0 meta=96 words=504 storage=92 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    ("allreduce-racy", 4, 1,
+     "races=6 meta=200 words=1024 storage=92 fp=ebc4a747703cd6224238563af374083d");
+    ("allreduce-racy", 4, 2,
+     "races=6 meta=196 words=1004 storage=92 fp=d764e2cd666cd950b734707f3611adb7");
+    ("allreduce-racy", 4, 3,
+     "races=6 meta=204 words=1044 storage=92 fp=4d606d6df80a903efe311a3fa98c117c");
+    ("rmw-mix", 3, 1,
+     "races=4 meta=35 words=135 storage=45 fp=720fe98736c4a3a027c934efd41bd414");
+    ("rmw-mix", 3, 2,
+     "races=2 meta=24 words=93 storage=48 fp=7e1d8207705bc10b9762fa51fa2409f0");
+    ("rmw-mix", 3, 3,
+     "races=5 meta=24 words=93 storage=57 fp=fd83d2e101015d4cff81addc86f45695")
+  ]
+
+let test_explicit_rmw_fingerprints () =
+  List.iter
+    (fun (workload, n, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d seed %d" workload n seed)
+        expected
+        (explicit_rmw_digest ~workload ~n ~seed))
+    explicit_rmw_goldens
 
 (* ------------------------------------------------------------------ *)
 (* Serial-specification oracle over explored schedules.                *)
@@ -455,12 +445,6 @@ let test_race_count_jobs_chunk_invariant () =
 let () =
   Alcotest.run "rmw"
     [
-      ( "codec",
-        [
-          Alcotest.test_case "directed round-trips + rejection" `Quick
-            test_codec_directed;
-          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-        ] );
       ( "machine",
         [
           Alcotest.test_case "accumulate span semantics" `Quick
@@ -476,6 +460,8 @@ let () =
             test_successful_cas_write_marks;
           Alcotest.test_case "RMW vs RMW serialized" `Quick
             test_rmw_rmw_serialized;
+          Alcotest.test_case "explicit transport fingerprints pinned" `Quick
+            test_explicit_rmw_fingerprints;
         ] );
       ( "oracle",
         [
