@@ -567,23 +567,13 @@ let print_rows rows =
     rows;
   Dsm_stats.Table.print table
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buf '\\'; Buffer.add_char buf c
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Dsm_obs.Json_writer
 
-let num = function
-  | Some x when Float.is_finite x -> Printf.sprintf "%.2f" x
-  | _ -> "null"
+let num : float option -> Json.value = function
+  | Some x when Float.is_finite x -> Fixed (2, x)
+  | _ -> Null
 
-(* A JSON row is a name plus ordered (key, rendered value) fields, so
+(* A JSON row is a name plus ordered (key, typed value) fields, so
    Bechamel OLS rows and the hand-timed parallel rows go through one
    writer. *)
 let json_row_of_ols ((name, _) as row) =
@@ -627,8 +617,8 @@ let parallel_json_rows ~smoke () =
         [
           ("ns_per_run", num (Some (dt *. 1e9 /. r)));
           ("runs_per_sec", num (Some (r /. dt)));
-          ("jobs", string_of_int jobs);
-          ("chunk", string_of_int chunk);
+          ("jobs", Int jobs);
+          ("chunk", Int chunk);
           ("speedup_vs_1", num (Some (base chunk /. dt)));
         ] ))
     timed
@@ -685,11 +675,11 @@ let dpor_json_rows ~smoke () =
       end;
       ( name,
         [
-          ("full_runs", string_of_int full.Dpor.runs);
-          ("dpor_runs", string_of_int red.Dpor.runs);
-          ("dpor_pruned", string_of_int red.Dpor.pruned);
+          ("full_runs", Json.Int full.Dpor.runs);
+          ("dpor_runs", Int red.Dpor.runs);
+          ("dpor_pruned", Int red.Dpor.pruned);
           ("pruned_pct", num (Some pct));
-          ("same_violation_set", if same then "1" else "0");
+          ("same_violation_set", Int (if same then 1 else 0));
         ] ))
     specs
 
@@ -864,13 +854,13 @@ let model_overhead_pct = ref None
 let metrics_rows prefix reg =
   let snap = Dsm_obs.Metrics.snapshot reg in
   List.map
-    (fun (name, v) -> (prefix ^ "/" ^ name, [ ("value", string_of_int v) ]))
+    (fun (name, v) -> (prefix ^ "/" ^ name, [ ("value", Json.Int v) ]))
     snap.Dsm_obs.Metrics.counters
   @ List.map
       (fun (name, h) ->
         ( prefix ^ "/" ^ name,
           [
-            ("count", string_of_int h.Dsm_obs.Metrics.count);
+            ("count", Json.Int h.Dsm_obs.Metrics.count);
             ("mean", num (Some (Dsm_obs.Metrics.mean h)));
           ] ))
       snap.Dsm_obs.Metrics.histograms
@@ -1050,24 +1040,20 @@ let explore_metrics_rows ~smoke () =
   metrics_rows "explore_metrics" reg
 
 let write_json ?(schema = "dsmcheck-bench-detector/1") path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
-  output_string oc "  \"unit\": \"ns_per_run\",\n";
-  output_string oc "  \"results\": [\n";
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  ";
+  Json.key ~spaced:true buf "schema";
+  Json.string buf schema;
+  Buffer.add_string buf ",\n  \"unit\": \"ns_per_run\",\n  \"results\": [\n";
   let last = List.length rows - 1 in
   List.iteri
     (fun i (name, fields) ->
-      let fields =
-        List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields
-      in
-      output_string oc
-        (Printf.sprintf "    { \"name\": \"%s\", %s }%s\n" (json_escape name)
-           (String.concat ", " fields)
-           (if i = last then "" else ",")))
+      Buffer.add_string buf "    { ";
+      Json.members ~spaced:true buf (("name", Json.String name) :: fields);
+      Buffer.add_string buf (if i = last then " }\n" else " },\n"))
     rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  Buffer.add_string buf "  ]\n}\n";
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
   Printf.printf "wrote %s (%d benchmarks)\n%!" path (List.length rows)
 
 let run_micro ~smoke () =
@@ -1103,7 +1089,8 @@ let run_json ~smoke ?schema ?(extra_rows = fun () -> []) tests path =
         List.iter
           (fun (name, r2) ->
             Printf.eprintf "low-confidence fit: %s (r2 %s < %.2f)\n" name
-              (num r2) r2_floor)
+              (Option.fold ~none:"-" ~some:(Printf.sprintf "%.2f") r2)
+              r2_floor)
           bad;
         Printf.eprintf
           "%d benchmark fit(s) below the r2 floor; the numbers were not \

@@ -47,16 +47,31 @@ let attach_telemetry sim ~trace_out ~metrics =
   in
   (timeline, registry)
 
-let write_string_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
+let ( let* ) = Result.bind
+
+let cli_result = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
+(* The one place dsmcheck writes an output file: an unwritable path is a
+   clean error naming it (exit 124), never an uncaught exception. *)
+let write_output path contents =
+  try Ok (Out_channel.with_open_text path (Fun.flip output_string contents))
+  with Sys_error msg -> Error msg
+
+(* An optional output file: when [path] is set, write [contents ()] there
+   and print the [label] line naming it. *)
+let write_optional ~label path contents =
+  match path with
+  | None -> Ok ()
+  | Some path ->
+      let* () = write_output path (contents ()) in
+      Format.printf "%-15s: %s@." label path;
+      Ok ()
 
 (* Write the accumulated timeline, then re-validate the bytes on disk
    against the trace-event schema so a bad export fails here instead of
    inside Perfetto. *)
 let write_trace timeline path =
-  Dsm_obs.Timeline.write_file timeline path;
+  let* () = write_output path (Dsm_obs.Timeline.to_json_string timeline) in
   match Dsm_obs.Trace_json.validate_trace (read_file path) with
   | Ok s ->
       Format.printf
@@ -210,59 +225,50 @@ let run_workload which n seed ops racy detect coherence verbose explain dot_file
     Format.printf "messages       : %d (%d words)@."
       (Machine.fabric_messages machine)
       (Machine.fabric_words machine);
-    (match detector with
-    | None -> Format.printf "detection      : off@."
-    | Some d ->
-        Format.printf "checked ops    : %d@." (Detector.checked_ops d);
-        Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d);
-        (match report_csv with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Report.to_csv (Detector.report d));
-            close_out oc;
-            Format.printf "signals csv    : %s@." path
-        | None -> ());
-        if verbose then
-          Format.printf "@[<v>%a@]@." Report.pp_summary (Detector.report d);
-        (match Detector.trace d with
-        | Some trace ->
-            if explain then begin
-              (* Pair each signalled access with one ground-truth race it
-                 belongs to and show why the accesses are unordered. *)
-              let flagged = Report.flagged_event_ids (Detector.report d) in
-              let shown = Hashtbl.create 8 in
-              List.iter
-                (fun { Dsm_trace.Trace.first; second } ->
-                  if
-                    Hashtbl.mem flagged second.Dsm_trace.Event.id
-                    && not (Hashtbl.mem shown second.Dsm_trace.Event.id)
-                  then begin
-                    Hashtbl.add shown second.Dsm_trace.Event.id ();
-                    Format.printf "@.%s"
-                      (Dsm_trace.Trace.explain trace
-                         ~first:first.Dsm_trace.Event.id
-                         ~second:second.Dsm_trace.Event.id)
-                  end)
-                (Dsm_trace.Trace.races trace)
-            end;
-            Format.printf "trace          : %a@." Dsm_trace.Export.pp_summary
-              (Dsm_trace.Export.summary trace);
-            (match dot_file with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Dsm_trace.Trace.to_dot trace);
-                close_out oc;
-                Format.printf "trace graph    : %s@." path
-            | None -> ());
-            (match csv_file with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Dsm_trace.Export.to_csv trace);
-                close_out oc;
-                Format.printf "trace csv      : %s@." path
-            | None -> ())
-        | None -> ()));
-    `Ok ()
+    cli_result
+      (match detector with
+      | None ->
+          Format.printf "detection      : off@.";
+          Ok ()
+      | Some d ->
+          Format.printf "checked ops    : %d@." (Detector.checked_ops d);
+          Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d);
+          let* () =
+            write_optional ~label:"signals csv" report_csv (fun () ->
+                Report.to_csv (Detector.report d))
+          in
+          if verbose then
+            Format.printf "@[<v>%a@]@." Report.pp_summary (Detector.report d);
+          (match Detector.trace d with
+          | Some trace ->
+              if explain then begin
+                (* Pair each signalled access with one ground-truth race it
+                   belongs to and show why the accesses are unordered. *)
+                let flagged = Report.flagged_event_ids (Detector.report d) in
+                let shown = Hashtbl.create 8 in
+                List.iter
+                  (fun { Dsm_trace.Trace.first; second } ->
+                    if
+                      Hashtbl.mem flagged second.Dsm_trace.Event.id
+                      && not (Hashtbl.mem shown second.Dsm_trace.Event.id)
+                    then begin
+                      Hashtbl.add shown second.Dsm_trace.Event.id ();
+                      Format.printf "@.%s"
+                        (Dsm_trace.Trace.explain trace
+                           ~first:first.Dsm_trace.Event.id
+                           ~second:second.Dsm_trace.Event.id)
+                    end)
+                  (Dsm_trace.Trace.races trace)
+              end;
+              Format.printf "trace          : %a@." Dsm_trace.Export.pp_summary
+                (Dsm_trace.Export.summary trace);
+              let* () =
+                write_optional ~label:"trace graph" dot_file (fun () ->
+                    Dsm_trace.Trace.to_dot trace)
+              in
+              write_optional ~label:"trace csv" csv_file (fun () ->
+                  Dsm_trace.Export.to_csv trace)
+          | None -> Ok ()))
   end
 
 let workload_cmd =
@@ -427,13 +433,12 @@ let run_scale n rounds chunk racy batched model seed detect metrics_file
            delta frames)@."
           (Detector.clock_words_shipped d)
           dense sparse delta);
-    (match (metrics_file, registry) with
-    | Some path, Some reg ->
-        write_string_file path
-          (Dsm_obs.Metrics.to_json_string (Dsm_obs.Metrics.snapshot reg));
-        Format.printf "metrics        : %s@." path
-    | _ -> ());
-    `Ok ()
+    cli_result
+      (match registry with
+      | Some reg ->
+          write_optional ~label:"metrics" metrics_file (fun () ->
+              Dsm_obs.Metrics.to_json_string (Dsm_obs.Metrics.snapshot reg))
+      | None -> Ok ())
   end
 
 let scale_cmd =
@@ -513,12 +518,10 @@ let explain_finished_run ~explain ~race_report ~flight detector =
           (fun e -> print_string (Dsm_obs.Explain.to_text e))
           explanations
     end;
-    match race_report with
-    | None -> ()
-    | Some path ->
-        write_string_file path (Dsm_obs.Explain.list_to_json explanations);
-        Format.printf "race report    : %s@." path
+    write_optional ~label:"race report" race_report (fun () ->
+        Dsm_obs.Explain.list_to_json explanations)
   end
+  else Ok ()
 
 let run_source path n model instrument detect verbose trace_out metrics
     explain race_report =
@@ -562,10 +565,11 @@ let run_source path n model instrument detect verbose trace_out metrics
           | Some d ->
               Format.printf "@[<v>%a@]@." Report.pp_grouped
                 (Detector.report d));
-          explain_finished_run ~explain ~race_report ~flight detector;
-          (match finish_telemetry ~timeline ~trace_out ~registry with
-          | Ok () -> `Ok ()
-          | Error msg -> `Error (false, msg)))
+          cli_result
+            (let* () =
+               explain_finished_run ~explain ~race_report ~flight detector
+             in
+             finish_telemetry ~timeline ~trace_out ~registry))
 
 let run_figure name n model detect verbose trace_out metrics explain
     race_report =
@@ -595,11 +599,12 @@ let run_figure name n model detect verbose trace_out metrics explain
           Format.printf "checked ops    : %d@." (Detector.checked_ops d);
           Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d)
       | _ -> ());
-      explain_finished_run ~explain ~race_report ~flight
-        (if detect then detector else None);
-      (match finish_telemetry ~timeline ~trace_out ~registry with
-      | Ok () -> `Ok ()
-      | Error msg -> `Error (false, msg))
+      cli_result
+        (let* () =
+           explain_finished_run ~explain ~race_report ~flight
+             (if detect then detector else None)
+         in
+         finish_telemetry ~timeline ~trace_out ~registry)
 
 let run_program path scenario n model instrument detect verbose trace_out
     metrics explain race_report =
@@ -759,8 +764,10 @@ let explain_token ~explain ~race_report ~trace_out_violation token =
       | None -> None
     in
     match Dsm_explore.Explain_run.of_token ?timeline:tl token with
-    | Error msg -> Printf.eprintf "warning: explanation replay failed: %s\n" msg
-    | Ok o ->
+    | Error msg ->
+        Printf.eprintf "warning: explanation replay failed: %s\n" msg;
+        Ok ()
+    | Ok o -> (
         if explain then begin
           if o.Dsm_explore.Explain_run.text = "" then
             Format.printf
@@ -768,18 +775,15 @@ let explain_token ~explain ~race_report ~trace_out_violation token =
                in this run@."
           else print_string o.Dsm_explore.Explain_run.text
         end;
-        (match race_report with
-        | None -> ()
-        | Some path ->
-            write_string_file path o.Dsm_explore.Explain_run.json;
-            Format.printf "race report    : %s@." path);
-        (match (tl, trace_out_violation) with
-        | Some tl, Some path -> (
-            match write_trace tl path with
-            | Ok () -> ()
-            | Error msg -> Printf.eprintf "warning: %s\n" msg)
-        | _ -> ())
+        let* () =
+          write_optional ~label:"race report" race_report (fun () ->
+              o.Dsm_explore.Explain_run.json)
+        in
+        match (tl, trace_out_violation) with
+        | Some tl, Some path -> write_trace tl path
+        | _ -> Ok ())
   end
+  else Ok ()
 
 (* Differential exploration: replay each explored schedule under two
    backends and report the first schedule whose verdicts differ, with a
@@ -832,12 +836,14 @@ let run_diff_models spec ~pair ~runs ~depth ~explain ~race_report =
                     then f.Dsm_explore.Diff.token_b
                     else f.Dsm_explore.Diff.token_a
                   in
-                  explain_token ~explain ~race_report
-                    ~trace_out_violation:None racy_token;
-                  `Error
-                    ( false,
-                      "model-dependent verdict (see the per-model repro \
-                       tokens)" ))))
+                  cli_result
+                    (let* () =
+                       explain_token ~explain ~race_report
+                         ~trace_out_violation:None racy_token
+                     in
+                     Error
+                       "model-dependent verdict (see the per-model repro \
+                        tokens)"))))
   | _ ->
       `Error
         ( false,
@@ -925,9 +931,9 @@ let run_explore (spec, model) runs depth jobs chunk dpor diff_models force
                    ());
               if r.Explore.violations = [] then
                 Format.printf "replay         : no invariant violated@.";
-              explain_token ~explain ~race_report
-                ~trace_out_violation:None token;
-              `Ok ()))
+              cli_result
+                (explain_token ~explain ~race_report
+                   ~trace_out_violation:None token)))
   | None -> (
       match diff_models with
       | Some pair ->
@@ -1004,9 +1010,13 @@ let run_explore (spec, model) runs depth jobs chunk dpor diff_models force
                flight recorder (and a timeline sink when requested) on
                its replay arena: explanation text/JSON and the exported
                trace all describe the same deterministic run. *)
-            explain_token ~explain ~race_report ~trace_out_violation token;
+            let explained =
+              explain_token ~explain ~race_report ~trace_out_violation token
+            in
             print_metrics registry;
-            `Error (false, "invariant violated (see repro token)")
+            cli_result
+              (let* () = explained in
+               Error "invariant violated (see repro token)")
       in
       if dpor then (
         (* guarded above: dpor implies depth is set and jobs = 1 *)

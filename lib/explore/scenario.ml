@@ -61,15 +61,37 @@ let make_machine sim (s : Token.spec) =
        else [])
     ~model:s.model ()
 
+(* [getput]/[rmwlost] run plain, or as [-checked] with the race detector
+   watching. The checked accesses go through [Detector.get]/[put]/
+   [fetch_add] under the [Inline] transport, so the data path is still
+   the machine's own atomic verbs — the planted bugs bite exactly as in
+   the plain variants — while every access is clock-checked: the
+   unsynchronized get/put pair signals races whose explanations must
+   name both endpoints, and the RMW storm (S-serialized, hence
+   race-silent) exercises the provenance-based atomicity fallback. *)
+let checked_config ~model =
+  { Config.default with Config.transport = Config.Inline; memory_model = model }
+
+(* Coherence checker, linearizability oracle, then the detector: pinned
+   fingerprints depend on this attach order. *)
+let builtin_env ~checked ~model machine =
+  let coherence = Coherence.attach machine in
+  let linearize = Linearize.attach machine in
+  let env =
+    if checked then
+      Env.checked (Detector.create machine ~config:(checked_config ~model) ())
+    else Env.plain machine
+  in
+  (coherence, linearize, env)
+
 (* The built-in scenario behind the planted-bug acceptance test: P0
    repeatedly gets a remote region into its own public region A while P1
    puts into A. Figure 3 makes each get atomic — A stays locked for the
    whole round trip — so a put may never be applied to A inside an open
    get window. The monitor watches exactly that; it can only fire when
    [Skip_get_dst_lock] is planted. *)
-let populate_getput machine =
-  let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
+let populate_getput ~checked ~model machine =
+  let coherence, linearize, env = builtin_env ~checked ~model machine in
   let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
   let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
   (* the scenario's declared initial images: first reads of
@@ -80,6 +102,8 @@ let populate_getput machine =
   Coherence.declare_init coherence ~node:1
     ~offset:b.Dsm_memory.Addr.base.offset
     (Dsm_memory.Node_memory.read (Machine.node machine 1) b);
+  Env.register env a;
+  Env.register env b;
   let open_gets : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let bad = ref [] in
   let a_lo = a.Dsm_memory.Addr.base.offset in
@@ -102,20 +126,20 @@ let populate_getput machine =
   let iters = 3 in
   Machine.spawn machine ~pid:0 ~name:"getter" (fun p ->
       for _ = 1 to iters do
-        Machine.get p ~src:b ~dst:a ();
+        Env.get env p ~src:b ~dst:a;
         Machine.compute p 0.5
       done);
   let payload = Machine.alloc_private machine ~pid:1 ~name:"payload" ~len:4 () in
   Dsm_memory.Node_memory.write (Machine.node machine 1) payload [| 7; 7; 7; 7 |];
   Machine.spawn machine ~pid:1 ~name:"putter" (fun p ->
       for _ = 1 to iters do
-        Machine.put p ~src:payload ~dst:a ();
+        Env.put env p ~src:payload ~dst:a;
         Machine.compute p 0.3
       done);
   let monitor () =
     List.rev_map (fun m -> ("get-window-atomicity", m)) !bad
   in
-  { machine; detector = None; coherence; linearize; monitor }
+  { machine; detector = Env.detector env; coherence; linearize; monitor }
 
 (* The §5.2 planted-bug acceptance scenario, [Skip_rmw_write_mark]'s
    counterpart to [getput]: every process but 0 fetch_adds the same word
@@ -126,14 +150,14 @@ let populate_getput machine =
    value. The linearizability oracle flags the second apply (its [old]
    disagrees with the serial replay) and the sum monitor sees the lost
    increment. Bug-free, every schedule sums exactly. *)
-let populate_rmwlost machine =
-  let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
+let populate_rmwlost ~checked ~model machine =
+  let coherence, linearize, env = builtin_env ~checked ~model machine in
   let n = Machine.n machine in
   let counter = Machine.alloc_public machine ~pid:0 ~name:"C" ~len:1 () in
   Coherence.declare_init coherence ~node:0
     ~offset:counter.Dsm_memory.Addr.base.offset
     (Dsm_memory.Node_memory.read (Machine.node machine 0) counter);
+  Env.register env counter;
   let target =
     Dsm_memory.Addr.global ~pid:0 ~space:Dsm_memory.Addr.Public
       ~offset:counter.Dsm_memory.Addr.base.offset
@@ -141,7 +165,7 @@ let populate_rmwlost machine =
   for pid = 1 to n - 1 do
     Machine.spawn machine ~pid
       ~name:(Printf.sprintf "adder%d" pid)
-      (fun p -> ignore (Machine.fetch_add p ~target ~delta:1 ()))
+      (fun p -> ignore (Env.fetch_add env p ~target ~delta:1))
   done;
   let monitor () =
     let v =
@@ -154,104 +178,7 @@ let populate_rmwlost machine =
           Printf.sprintf "counter holds %d after %d fetch_adds" v (n - 1) );
       ]
   in
-  { machine; detector = None; coherence; linearize; monitor }
-
-(* [getput]/[rmwlost] with the race detector watching. The accesses go
-   through [Detector.get]/[put]/[fetch_add] under the [Inline] transport,
-   so the data path is still the machine's own atomic verbs — the planted
-   bugs bite exactly as in the unchecked variants — while every access is
-   clock-checked: the unsynchronized get/put pair signals races whose
-   explanations must name both endpoints, and the RMW storm (S-serialized,
-   hence race-silent) exercises the provenance-based atomicity fallback. *)
-let checked_config ~model =
-  { Config.default with Config.transport = Config.Inline; memory_model = model }
-
-let populate_getput_checked ~model machine =
-  let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
-  let detector =
-    Detector.create machine ~config:(checked_config ~model) ()
-  in
-  let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
-  let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
-  Coherence.declare_init coherence ~node:0
-    ~offset:a.Dsm_memory.Addr.base.offset
-    (Dsm_memory.Node_memory.read (Machine.node machine 0) a);
-  Coherence.declare_init coherence ~node:1
-    ~offset:b.Dsm_memory.Addr.base.offset
-    (Dsm_memory.Node_memory.read (Machine.node machine 1) b);
-  Detector.register detector a;
-  Detector.register detector b;
-  let open_gets : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let bad = ref [] in
-  let a_lo = a.Dsm_memory.Addr.base.offset in
-  let a_len = a.Dsm_memory.Addr.len in
-  Machine.add_observer machine (function
-    | Machine.Sent { src = 0; msg = Message.Get { op; _ }; _ } ->
-        Hashtbl.replace open_gets op ()
-    | Machine.Delivered { dst = 0; msg = Message.Get_reply { op; _ }; _ } ->
-        Hashtbl.remove open_gets op
-    | Machine.Write_applied { node = 0; offset; data; origin; time } ->
-        let len = Array.length data in
-        let overlaps = offset < a_lo + a_len && a_lo < offset + len in
-        if overlaps && origin <> 0 && Hashtbl.length open_gets > 0 then
-          bad :=
-            Printf.sprintf
-              "put by P%d applied to A at t=%.3f inside P0's open get window"
-              origin time
-            :: !bad
-    | _ -> ());
-  let iters = 3 in
-  Machine.spawn machine ~pid:0 ~name:"getter" (fun p ->
-      for _ = 1 to iters do
-        Detector.get detector p ~src:b ~dst:a;
-        Machine.compute p 0.5
-      done);
-  let payload = Machine.alloc_private machine ~pid:1 ~name:"payload" ~len:4 () in
-  Dsm_memory.Node_memory.write (Machine.node machine 1) payload [| 7; 7; 7; 7 |];
-  Machine.spawn machine ~pid:1 ~name:"putter" (fun p ->
-      for _ = 1 to iters do
-        Detector.put detector p ~src:payload ~dst:a;
-        Machine.compute p 0.3
-      done);
-  let monitor () =
-    List.rev_map (fun m -> ("get-window-atomicity", m)) !bad
-  in
-  { machine; detector = Some detector; coherence; linearize; monitor }
-
-let populate_rmwlost_checked ~model machine =
-  let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
-  let detector =
-    Detector.create machine ~config:(checked_config ~model) ()
-  in
-  let n = Machine.n machine in
-  let counter = Machine.alloc_public machine ~pid:0 ~name:"C" ~len:1 () in
-  Coherence.declare_init coherence ~node:0
-    ~offset:counter.Dsm_memory.Addr.base.offset
-    (Dsm_memory.Node_memory.read (Machine.node machine 0) counter);
-  Detector.register detector counter;
-  let target =
-    Dsm_memory.Addr.global ~pid:0 ~space:Dsm_memory.Addr.Public
-      ~offset:counter.Dsm_memory.Addr.base.offset
-  in
-  for pid = 1 to n - 1 do
-    Machine.spawn machine ~pid
-      ~name:(Printf.sprintf "adder%d" pid)
-      (fun p -> ignore (Detector.fetch_add detector p ~target ~delta:1))
-  done;
-  let monitor () =
-    let v =
-      (Dsm_memory.Node_memory.read (Machine.node machine 0) counter).(0)
-    in
-    if v = n - 1 then []
-    else
-      [
-        ( "rmw-sum",
-          Printf.sprintf "counter holds %d after %d fetch_adds" v (n - 1) );
-      ]
-  in
-  { machine; detector = Some detector; coherence; linearize; monitor }
+  { machine; detector = Env.detector env; coherence; linearize; monitor }
 
 let read_file path =
   let ic = open_in path in
@@ -415,12 +342,14 @@ let prepare (s : Token.spec) =
     { procs = s.n; mk_machine = (fun sim -> make_machine sim s); populate }
   in
   match String.index_opt spec ':' with
-  | None when spec = "getput" -> plan ~min_procs:2 populate_getput
+  | None when spec = "getput" ->
+      plan ~min_procs:2 (populate_getput ~checked:false ~model)
   | None when spec = "getput-checked" ->
-      plan ~min_procs:2 (populate_getput_checked ~model)
-  | None when spec = "rmwlost" -> plan ~min_procs:2 populate_rmwlost
+      plan ~min_procs:2 (populate_getput ~checked:true ~model)
+  | None when spec = "rmwlost" ->
+      plan ~min_procs:2 (populate_rmwlost ~checked:false ~model)
   | None when spec = "rmwlost-checked" ->
-      plan ~min_procs:2 (populate_rmwlost_checked ~model)
+      plan ~min_procs:2 (populate_rmwlost ~checked:true ~model)
   | None -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec)
   | Some colon -> (
       let kind = String.sub spec 0 colon in

@@ -351,82 +351,109 @@ let to_text t =
 
 (* ---------- JSON ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-          Buffer.add_char buf '\\';
-          Buffer.add_char buf c
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module W = Json_writer
 
-let json_float f = Printf.sprintf "%.6f" f
+let json_access buf a =
+  W.obj buf
+    [
+      ("pid", Int a.pid);
+      ("kind", String a.kind);
+      ("time", Fixed (6, a.time));
+      ("op", Int a.op);
+      ("event_id", Int a.event_id);
+      ("clock", Ints a.clock);
+    ]
 
-let json_clock c =
-  "[" ^ String.concat "," (Array.to_list (Array.map string_of_int c)) ^ "]"
+let json_components =
+  W.list (fun buf (i, x, y) ->
+      W.obj buf [ ("c", Int i); ("accessor", Int x); ("datum", Int y) ])
 
-let json_access a =
-  Printf.sprintf
-    {|{"pid":%d,"kind":"%s","time":%s,"op":%d,"event_id":%d,"clock":%s}|}
-    a.pid (json_escape a.kind) (json_float a.time) a.op a.event_id
-    (json_clock a.clock)
-
-let json_components cs =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (i, x, y) ->
-           Printf.sprintf {|{"c":%d,"accessor":%d,"datum":%d}|} i x y)
-         cs)
-  ^ "]"
-
-let json_sync_edge = function
+let json_sync_edge buf = function
   | Lock_handoff { node; offset; len; from_pid; to_pid; released; acquired }
     ->
-      Printf.sprintf
-        {|{"type":"lock_handoff","node":%d,"offset":%d,"len":%d,"from_pid":%d,"to_pid":%d,"released":%s,"acquired":%s}|}
-        node offset len from_pid to_pid (json_float released)
-        (json_float acquired)
+      W.obj buf
+        [
+          ("type", String "lock_handoff");
+          ("node", Int node);
+          ("offset", Int offset);
+          ("len", Int len);
+          ("from_pid", Int from_pid);
+          ("to_pid", Int to_pid);
+          ("released", Fixed (6, released));
+          ("acquired", Fixed (6, acquired));
+        ]
   | Message { src; dst; op; label; sent; delivered } ->
-      Printf.sprintf
-        {|{"type":"message","src":%d,"dst":%d,"op":%d,"label":"%s","sent":%s,"delivered":%s}|}
-        src dst op (json_escape label) (json_float sent)
-        (json_float delivered)
+      W.obj buf
+        [
+          ("type", String "message");
+          ("src", Int src);
+          ("dst", Int dst);
+          ("op", Int op);
+          ("label", String label);
+          ("sent", Fixed (6, sent));
+          ("delivered", Fixed (6, delivered));
+        ]
   | Rmw_serialization { node; origin; offset; len; kind; time } ->
-      Printf.sprintf
-        {|{"type":"rmw","node":%d,"origin":%d,"offset":%d,"len":%d,"kind":"%s","time":%s}|}
-        node origin offset len (json_escape kind) (json_float time)
+      W.obj buf
+        [
+          ("type", String "rmw");
+          ("node", Int node);
+          ("origin", Int origin);
+          ("offset", Int offset);
+          ("len", Int len);
+          ("kind", String kind);
+          ("time", Fixed (6, time));
+        ]
 
-let json_msg m =
-  Printf.sprintf
-    {|{"src":%d,"dst":%d,"op":%d,"label":"%s","sent":%s,"delivered":%s}|}
-    m.m_src m.m_dst m.m_op (json_escape m.m_label) (json_float m.m_sent)
-    (json_float m.m_delivered)
+let json_msg buf m =
+  W.obj buf
+    [
+      ("src", Int m.m_src);
+      ("dst", Int m.m_dst);
+      ("op", Int m.m_op);
+      ("label", String m.m_label);
+      ("sent", Fixed (6, m.m_sent));
+      ("delivered", Fixed (6, m.m_delivered));
+    ]
 
-let to_json t =
-  Printf.sprintf
-    {|{"cause":"%s","granule":{"node":%d,"offset":%d,"len":%d},"against":"%s","flagged":%s,"prior":%s,"datum_clock":%s,"incomparable":{"ahead":%s,"ahead_count":%d,"behind":%s,"behind_count":%d},"sync_edge":%s,"chain":[%s],"window_events":%d,"detail":"%s"}|}
-    (json_escape t.cause) t.node t.offset t.len (json_escape t.against)
-    (json_access t.flagged)
-    (match t.prior with Some p -> json_access p | None -> "null")
-    (json_clock t.datum_clock)
-    (json_components t.ahead)
-    t.ahead_count
-    (json_components t.behind)
-    t.behind_count
-    (match t.sync_edge with Some e -> json_sync_edge e | None -> "null")
-    (String.concat "," (List.map json_msg t.chain))
-    t.window_events (json_escape t.detail)
+let granule t : (string * W.value) list =
+  [ ("node", Int t.node); ("offset", Int t.offset); ("len", Int t.len) ]
+
+let json_incomparable buf t =
+  Buffer.add_char buf '{';
+  W.key buf "ahead";
+  json_components buf t.ahead;
+  W.field buf "ahead_count" W.int t.ahead_count;
+  W.field buf "behind" json_components t.behind;
+  W.field buf "behind_count" W.int t.behind_count;
+  Buffer.add_char buf '}'
+
+let to_json buf t =
+  Buffer.add_char buf '{';
+  W.key buf "cause";
+  W.string buf t.cause;
+  W.field buf "granule" W.obj (granule t);
+  W.field buf "against" W.string t.against;
+  W.field buf "flagged" json_access t.flagged;
+  W.field buf "prior" (W.option json_access) t.prior;
+  W.field buf "datum_clock" W.value (Ints t.datum_clock);
+  W.field buf "incomparable" json_incomparable t;
+  W.field buf "sync_edge" (W.option json_sync_edge) t.sync_edge;
+  W.field buf "chain" (W.list json_msg) t.chain;
+  W.field buf "window_events" W.int t.window_events;
+  W.field buf "detail" W.string t.detail;
+  Buffer.add_char buf '}'
 
 let list_to_json ts =
-  "{\"explanations\":[\n"
-  ^ String.concat ",\n" (List.map to_json ts)
-  ^ "\n]}\n"
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"explanations\":[\n";
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      to_json buf t)
+    ts;
+  Buffer.add_string buf "\n]}\n";
+  Buffer.contents buf
 
 (* ---------- Perfetto annotations ---------- *)
 
@@ -435,19 +462,14 @@ let annotate tl t =
   Timeline.add_instant tl ~pid:t.flagged.pid
     ~name:(Printf.sprintf "explained: %s endpoint" t.cause)
     ~cat:"explain" ~ts:(ts t.flagged)
-    ~args:
-      (Printf.sprintf {|"node":%d,"offset":%d,"len":%d,"kind":"%s"|} t.node
-         t.offset t.len
-         (json_escape t.flagged.kind));
+    ~args:(granule t @ [ ("kind", String t.flagged.kind) ]);
   match t.prior with
   | None -> ()
   | Some p ->
       Timeline.add_instant tl ~pid:p.pid
         ~name:(Printf.sprintf "explained: prior %s" p.kind)
         ~cat:"explain" ~ts:(ts p)
-        ~args:
-          (Printf.sprintf {|"node":%d,"offset":%d,"len":%d|} t.node t.offset
-             t.len);
+        ~args:(granule t);
       (* flow arrow from the prior access to the flagged one — the
          unordered pair Perfetto users should be staring at *)
       Timeline.add_flow_pair tl ~src:p.pid ~dst:t.flagged.pid

@@ -120,11 +120,9 @@ val of_atomicity :
 val to_text : t -> string
 (** TSan-style two-sided report. *)
 
-val to_json : t -> string
-(** One JSON object (hand-rolled, stable field order). *)
-
 val list_to_json : t list -> string
-(** [{"explanations": [...]}] document. *)
+(** [{"explanations": [...]}] document, one compact object per
+    explanation in a stable field order. *)
 
 val annotate : Timeline.t -> t -> unit
 (** Add instant marks at both endpoints and a flow arrow between them

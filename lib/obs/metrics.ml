@@ -175,45 +175,39 @@ let pp ppf (s : snapshot) =
     s.histograms;
   Format.fprintf ppf "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-          Buffer.add_char buf '\\';
-          Buffer.add_char buf c
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module W = Json_writer
 
 let to_json_string (s : snapshot) =
   let buf = Buffer.create 1024 in
+  let entry i name =
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_string buf "\n    ";
+    W.key ~spaced:true buf name
+  in
   Buffer.add_string buf "{\n  \"counters\": {";
   List.iteri
     (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    \"%s\": %d" (json_escape name) v))
+      entry i name;
+      W.int buf v)
     s.counters;
   Buffer.add_string buf "\n  },\n  \"histograms\": {";
   List.iteri
     (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    \"%s\": { \"count\": %d, \"sum\": %d, \"min\": %d, \
-            \"max\": %d, \"buckets\": ["
-           (json_escape name) h.count h.sum
-           (if h.count = 0 then 0 else h.min)
-           (if h.count = 0 then 0 else h.max));
-      List.iteri
-        (fun j (lo, k) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "[%d,%d]" lo k))
-        h.bucket_counts;
-      Buffer.add_string buf "] }")
+      entry i name;
+      Buffer.add_string buf "{ ";
+      W.members ~spaced:true buf
+        [
+          ("count", Int h.count);
+          ("sum", Int h.sum);
+          ("min", Int (if h.count = 0 then 0 else h.min));
+          ("max", Int (if h.count = 0 then 0 else h.max));
+        ];
+      Buffer.add_string buf ", ";
+      W.key ~spaced:true buf "buckets";
+      W.list
+        (fun buf (lo, k) -> W.list W.int buf [ lo; k ])
+        buf h.bucket_counts;
+      Buffer.add_string buf " }")
     s.histograms;
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf

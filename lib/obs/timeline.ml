@@ -41,24 +41,26 @@ let create () =
     locks = Hashtbl.create 8;
   }
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-          Buffer.add_char buf '\\';
-          Buffer.add_char buf c
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module W = Json_writer
 
-let raw t line =
-  if t.n_events > 0 then Buffer.add_string t.buf ",\n";
-  Buffer.add_string t.buf line;
-  t.n_events <- t.n_events + 1
+(* Open one record: the separator, then {"ph":..,"pid":..,"tid":0,
+   "name":.. (instants add their process scope). The caller writes the
+   rest and [close] ends it. *)
+let open_record t ~ph ~pid ~name =
+  let b = t.buf in
+  if t.n_events > 0 then Buffer.add_string b ",\n";
+  t.n_events <- t.n_events + 1;
+  Buffer.add_char b '{';
+  W.key b "ph";
+  W.string b ph;
+  if ph = "i" then W.field b "s" W.string "p";
+  W.field b "pid" W.int pid;
+  W.field b "tid" W.int 0;
+  W.field b "name" W.string name
+
+let close t ~args =
+  if args <> [] then W.field t.buf "args" W.obj args;
+  Buffer.add_char t.buf '}'
 
 let lane_name pid =
   if pid = scheduler_pid then "scheduler"
@@ -68,37 +70,36 @@ let lane_name pid =
 let lane t pid =
   if not (List.mem pid t.named) then begin
     t.named <- pid :: t.named;
-    raw t
-      (Printf.sprintf
-         {|{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":"%s"}}|}
-         pid
-         (escape (lane_name pid)))
-  end;
-  pid
+    open_record t ~ph:"M" ~pid ~name:"process_name";
+    close t ~args:[ ("name", String (lane_name pid)) ]
+  end
+
+(* Slices and instants continue with [cat], then [ts]. *)
+let cat_ts t ~cat ~ts =
+  W.field t.buf "cat" W.string cat;
+  W.field t.buf "ts" (W.fixed 3) ts
 
 let slice t ~pid ~name ~cat ~ts ~dur ~args =
-  let pid = lane t pid in
-  raw t
-    (Printf.sprintf
-       {|{"ph":"X","pid":%d,"tid":0,"name":"%s","cat":"%s","ts":%.3f,"dur":%.3f%s}|}
-       pid (escape name) cat ts dur
-       (match args with "" -> "" | a -> Printf.sprintf {|,"args":{%s}|} a))
+  lane t pid;
+  open_record t ~ph:"X" ~pid ~name;
+  cat_ts t ~cat ~ts;
+  W.field t.buf "dur" (W.fixed 3) dur;
+  close t ~args
 
 let instant t ~pid ~name ~cat ~ts ~args =
-  let pid = lane t pid in
-  raw t
-    (Printf.sprintf
-       {|{"ph":"i","s":"p","pid":%d,"tid":0,"name":"%s","cat":"%s","ts":%.3f%s}|}
-       pid (escape name) cat ts
-       (match args with "" -> "" | a -> Printf.sprintf {|,"args":{%s}|} a))
+  lane t pid;
+  open_record t ~ph:"i" ~pid ~name;
+  cat_ts t ~cat ~ts;
+  close t ~args
 
 let flow t ~pid ~phase ~id ~name ~ts =
-  let pid = lane t pid in
-  raw t
-    (Printf.sprintf
-       {|{"ph":"%s","pid":%d,"tid":0,"name":"%s","cat":"msg","id":%d,"ts":%.3f%s}|}
-       phase pid (escape name) id ts
-       (if String.equal phase "f" then {|,"bp":"e"|} else ""))
+  lane t pid;
+  open_record t ~ph:phase ~pid ~name;
+  W.field t.buf "cat" W.string "msg";
+  W.field t.buf "id" W.int id;
+  W.field t.buf "ts" (W.fixed 3) ts;
+  if String.equal phase "f" then W.field t.buf "bp" W.string "e";
+  close t ~args:[]
 
 (* send/deliver stubs get a small nonzero width so flow arrows have a
    visible slice to anchor to in the Perfetto UI *)
@@ -109,20 +110,20 @@ let sink t (ev : Probe.event) =
   | Engine_step _ -> ()
   | Engine_choice { time; ready; chosen } ->
       instant t ~pid:scheduler_pid ~name:"choice" ~cat:"sched" ~ts:time
-        ~args:(Printf.sprintf {|"ready":%d,"chosen":%d|} ready chosen)
+        ~args:[ ("ready", Int ready); ("chosen", Int chosen) ]
   | Engine_quiescence { time; events; outcome } ->
       instant t ~pid:scheduler_pid ~name:"quiescence" ~cat:"sched" ~ts:time
-        ~args:(Printf.sprintf {|"events":%d,"outcome":"%s"|} events (escape outcome))
+        ~args:[ ("events", Int events); ("outcome", String outcome) ]
   | Net_send _ | Net_deliver _ -> ()
   | Net_drop { time; src; dst } ->
       instant t ~pid:src ~name:"drop" ~cat:"fault" ~ts:time
-        ~args:(Printf.sprintf {|"dst":%d|} dst)
+        ~args:[ ("dst", Int dst) ]
   | Net_duplicate { time; src; dst } ->
       instant t ~pid:src ~name:"duplicate" ~cat:"fault" ~ts:time
-        ~args:(Printf.sprintf {|"dst":%d|} dst)
+        ~args:[ ("dst", Int dst) ]
   | Net_reorder { time; src; dst } ->
       instant t ~pid:src ~name:"reorder" ~cat:"fault" ~ts:time
-        ~args:(Printf.sprintf {|"dst":%d|} dst)
+        ~args:[ ("dst", Int dst) ]
   | Op_begin { time; pid; op; kind; target } ->
       Hashtbl.replace t.ops (pid, op) (time, kind, target)
   | Op_end { time; pid; op; kind } -> (
@@ -134,7 +135,7 @@ let sink t (ev : Probe.event) =
             ~name:(Printf.sprintf "%s → %d" kind target)
             ~cat:"op" ~ts:t0
             ~dur:(Float.max (time -. t0) 0.)
-            ~args:(Printf.sprintf {|"op":%d,"target":%d|} op target))
+            ~args:[ ("op", Int op); ("target", Int target) ])
   | Msg_sent { time; src; dst; label; _ } ->
       let id = t.next_flow in
       t.next_flow <- id + 1;
@@ -148,7 +149,7 @@ let sink t (ev : Probe.event) =
             q
       in
       Queue.push id q;
-      slice t ~pid:src ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur ~args:"";
+      slice t ~pid:src ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur ~args:[];
       flow t ~pid:src ~phase:"s" ~id ~name:label ~ts:time
   | Msg_delivered { time; src; dst; label; _ } -> (
       match Hashtbl.find_opt t.flows (src, dst, label) with
@@ -157,13 +158,12 @@ let sink t (ev : Probe.event) =
       | Some q ->
           let id = Queue.pop q in
           slice t ~pid:dst ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur
-            ~args:"";
+            ~args:[];
           flow t ~pid:dst ~phase:"f" ~id ~name:label ~ts:time)
   | Lock_acquired { time; pid; node; offset; len } ->
       Hashtbl.replace t.locks pid time;
       instant t ~pid ~name:"lock acquired" ~cat:"lock" ~ts:time
-        ~args:
-          (Printf.sprintf {|"node":%d,"offset":%d,"len":%d|} node offset len)
+        ~args:[ ("node", Int node); ("offset", Int offset); ("len", Int len) ]
   | Lock_released { time; pid; node; offset; len } -> (
       match Hashtbl.find_opt t.locks pid with
       | None -> ()
@@ -173,40 +173,45 @@ let sink t (ev : Probe.event) =
             ~name:(Printf.sprintf "lock %d[%d..%d]" node offset (offset + len))
             ~cat:"lock" ~ts:t0
             ~dur:(Float.max (time -. t0) 0.)
-            ~args:"")
+            ~args:[])
   | Retransmit { time; src; dst; seq } ->
       instant t ~pid:src ~name:"retransmit" ~cat:"fault" ~ts:time
-        ~args:(Printf.sprintf {|"dst":%d,"seq":%d|} dst seq)
+        ~args:[ ("dst", Int dst); ("seq", Int seq) ]
   | Batch_flush { time; pid; node; kind; parts; words } ->
       instant t ~pid
         ~name:(Printf.sprintf "batch %s" kind)
         ~cat:"batch" ~ts:time
-        ~args:
-          (Printf.sprintf {|"node":%d,"parts":%d,"words":%d|} node parts words)
+        ~args:[ ("node", Int node); ("parts", Int parts); ("words", Int words) ]
   | Rmw { time; node; origin; offset; len; kind } ->
       instant t ~pid:node
         ~name:(Printf.sprintf "rmw %s" kind)
         ~cat:"rmw" ~ts:time
         ~args:
-          (Printf.sprintf {|"origin":%d,"offset":%d,"len":%d|} origin offset
-             len)
+          [
+            ("origin", Int origin);
+            ("offset", Int offset);
+            ("len", Int len);
+          ]
   | Coherence_violation { time; node; offset; origin } ->
       instant t ~pid:node ~name:"coherence violation" ~cat:"violation"
         ~ts:time
-        ~args:(Printf.sprintf {|"offset":%d,"origin":%d|} offset origin)
+        ~args:[ ("offset", Int offset); ("origin", Int origin) ]
   | Detector_check _ | Clock_merge _ -> ()
   | Race_signal { time; pid; node; offset; len; kind; against } ->
       instant t ~pid ~name:"race signal" ~cat:"race" ~ts:time
         ~args:
-          (Printf.sprintf
-             {|"node":%d,"offset":%d,"len":%d,"kind":"%s","against":"%s"|}
-             node offset len (escape kind) (escape against))
+          [
+            ("node", Int node);
+            ("offset", Int offset);
+            ("len", Int len);
+            ("kind", String kind);
+            ("against", String against);
+          ]
   | Run_begin _ | Run_end _ -> ()
   | Violation { run; invariant } ->
       instant t ~pid:scheduler_pid ~name:"invariant violation" ~cat:"explore"
         ~ts:0.
-        ~args:
-          (Printf.sprintf {|"run":%d,"invariant":"%s"|} run (escape invariant))
+        ~args:[ ("run", Int run); ("invariant", String invariant) ]
   | Domain_claim { domain; first_run; count } ->
       (* The domain lane's axis is runs, not simulated time: a claimed
          chunk renders as the range [first_run, first_run + count), so
@@ -214,11 +219,10 @@ let sink t (ev : Probe.event) =
          space each worker took per fetch-and-add. *)
       slice t ~pid:(domain_pid domain) ~name:"claim" ~cat:"explore"
         ~ts:(float_of_int first_run) ~dur:(float_of_int count)
-        ~args:
-          (Printf.sprintf {|"first_run":%d,"count":%d|} first_run count)
+        ~args:[ ("first_run", Int first_run); ("count", Int count) ]
   | Dpor_prune { point; branch } ->
       instant t ~pid:scheduler_pid ~name:"dpor prune" ~cat:"explore" ~ts:0.
-        ~args:(Printf.sprintf {|"point":%d,"branch":%d|} point branch)
+        ~args:[ ("point", Int point); ("branch", Int branch) ]
   | Minimize_step _ -> ()
 
 let attach bus =
@@ -236,17 +240,9 @@ let add_flow_pair t ~src ~dst ~name ~ts_start ~ts_end =
   flow t ~pid:src ~phase:"s" ~id ~name ~ts:ts_start;
   flow t ~pid:dst ~phase:"f" ~id ~name ~ts:ts_end
 
-let event_count t = t.n_events
-
 let to_json_string t =
   let out = Buffer.create (Buffer.length t.buf + 64) in
   Buffer.add_string out "{\"traceEvents\":[\n";
   Buffer.add_buffer out t.buf;
   Buffer.add_string out "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents out
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json_string t))

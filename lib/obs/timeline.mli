@@ -22,19 +22,20 @@ val attach : Probe.t -> t
 
 val sink : t -> Probe.event -> unit
 
-val event_count : t -> int
-(** Number of JSON records accumulated (including metadata records). *)
-
 val to_json_string : t -> string
 (** The complete [{"traceEvents": [...]}] document. *)
 
-val write_file : t -> string -> unit
-
 val add_instant :
-  t -> pid:int -> name:string -> cat:string -> ts:float -> args:string -> unit
+  t ->
+  pid:int ->
+  name:string ->
+  cat:string ->
+  ts:float ->
+  args:(string * Json_writer.value) list ->
+  unit
 (** Append an ["i"] instant record directly — used by {!Explain.annotate}
-    to mark the two endpoints of an explained race. [args] is a raw JSON
-    object body (no braces), e.g. [{|"node":0,"offset":4|}]. *)
+    to mark the two endpoints of an explained race. [args] become the
+    record's ["args"] object, in order; [[]] omits it. *)
 
 val add_flow_pair :
   t -> src:int -> dst:int -> name:string -> ts_start:float -> ts_end:float -> unit

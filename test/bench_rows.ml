@@ -4,24 +4,30 @@
 
    Usage: bench_rows COMMITTED.json EMITTED.json *)
 
+module J = Dsm_obs.Trace_json
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Every ["name": "..."] value, in file order. The bench writer emits one
-   row object per line with the name first and no escaped quotes. *)
+(* Every [results[].name], in file order. A file that does not parse, or
+   a row without a string name, fails the check. *)
 let row_names path =
-  let s = read_file path in
-  let key = "\"name\": \"" in
-  let rec scan acc from =
-    match String.index_from_opt s from '"' with
-    | None -> List.rev acc
-    | Some i ->
-        let k = String.length key in
-        if i + k <= String.length s && String.sub s i k = key then
-          let j = String.index_from s (i + k) '"' in
-          scan (String.sub s (i + k) (j - i - k) :: acc) (j + 1)
-        else scan acc (i + 1)
+  let fail msg =
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 1
   in
-  scan [] 0
+  match J.parse (read_file path) with
+  | exception J.Parse_error (pos, msg) ->
+      fail (Printf.sprintf "malformed JSON at byte %d: %s" pos msg)
+  | doc -> (
+      match J.member "results" doc with
+      | Some (J.Arr rows) ->
+          List.map
+            (fun row ->
+              match J.str_member "name" row with
+              | Some name -> name
+              | None -> fail "a results row has no string \"name\"")
+            rows
+      | _ -> fail "no \"results\" array")
 
 let () =
   match Sys.argv with

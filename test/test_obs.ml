@@ -9,6 +9,7 @@ module Metrics = Dsm_obs.Metrics
 module Meter = Dsm_obs.Meter
 module Timeline = Dsm_obs.Timeline
 module Trace_json = Dsm_obs.Trace_json
+module Json_writer = Dsm_obs.Json_writer
 module Machine = Dsm_rdma.Machine
 module Explore = Dsm_explore.Explore
 module Parallel = Dsm_explore.Parallel
@@ -240,6 +241,32 @@ let test_parallel_merge_matches_sequential () =
   Alcotest.(check int) "violated" s1.Explore.violated s4.Explore.violated;
   Alcotest.(check string) "metrics identical" m1 m4
 
+(* ---------- the JSON writer ---------- *)
+
+let render f =
+  let buf = Buffer.create 16 in
+  f buf;
+  Buffer.contents buf
+
+(* The bytes every report, timeline and metrics dump relied on before
+   the writers were merged: quote and backslash backslashed, control
+   bytes as \u00XX (newline included), UTF-8 passed through. *)
+let test_escaper_bytes () =
+  Alcotest.(check string)
+    "escaped" {|"a\"b\\c\u000ad\u0001e\u001ff→g"|}
+    (render (fun b ->
+         Json_writer.string b "a\"b\\c\nd\001e\031f\xe2\x86\x92g"));
+  Alcotest.(check string)
+    "members" {|"t":-1.000000,"ts":2.300,"n":null,"c":[1,2]|}
+    (render (fun b ->
+         Json_writer.members b
+           [
+             ("t", Fixed (6, -1.));
+             ("ts", Fixed (3, 2.3));
+             ("n", Null);
+             ("c", Ints [| 1; 2 |]);
+           ]))
+
 let () =
   Alcotest.run "obs"
     [
@@ -263,6 +290,8 @@ let () =
           Alcotest.test_case "validator rejects malformed" `Quick
             test_validator_rejects_malformed;
         ] );
+      ( "json",
+        [ Alcotest.test_case "escaper bytes" `Quick test_escaper_bytes ] );
       ( "explorer",
         [
           Alcotest.test_case "arena metrics reset" `Quick

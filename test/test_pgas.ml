@@ -158,43 +158,6 @@ let prop_layout_bijection =
       done;
       !ok)
 
-(* ---------- global pointers ---------- *)
-
-let test_ptr_arithmetic () =
-  let _, env = make_plain ~n:4 () in
-  let a = Shared_array.create env ~name:"a" ~len:8 ~layout:Shared_array.Cyclic () in
-  let p0 = Global_ptr.of_array a 0 in
-  let p5 = Global_ptr.advance p0 5 in
-  Alcotest.(check int) "index" 5 (Global_ptr.index p5);
-  Alcotest.(check int) "affinity cyclic" 1 (Global_ptr.affinity p5);
-  Alcotest.(check int) "diff" 5 (Global_ptr.diff p5 p0);
-  Alcotest.(check int) "back" 3 (Global_ptr.index (Global_ptr.advance p5 (-2)));
-  Alcotest.check_raises "walk off" (Invalid_argument
-    "Global_ptr.of_array: index out of bounds")
-    (fun () -> ignore (Global_ptr.advance p5 5))
-
-let test_ptr_deref_assign () =
-  let m, env = make_plain ~n:2 () in
-  let a = Shared_array.create env ~name:"a" ~len:4 () in
-  let seen = ref 0 in
-  Machine.spawn m ~pid:0 (fun p ->
-      let ptr = Global_ptr.of_array a 3 in
-      Alcotest.(check bool) "remote element" false (Global_ptr.is_local ptr p);
-      Global_ptr.assign ptr p 77;
-      seen := Global_ptr.deref ptr p);
-  expect_completed m;
-  Alcotest.(check int) "roundtrip through the fabric" 77 !seen;
-  Alcotest.(check int) "really stored remotely" 77 (Shared_array.peek a 3)
-
-let test_ptr_diff_different_arrays_rejected () =
-  let _, env = make_plain ~n:2 () in
-  let a = Shared_array.create env ~name:"a" ~len:2 () in
-  let b = Shared_array.create env ~name:"b" ~len:2 () in
-  Alcotest.check_raises "different arrays"
-    (Invalid_argument "Global_ptr.diff: pointers into different arrays")
-    (fun () ->
-      ignore (Global_ptr.diff (Global_ptr.of_array a 0) (Global_ptr.of_array b 0)))
-
 (* ---------- barrier ---------- *)
 
 let test_barrier_releases_everyone () =
@@ -474,12 +437,6 @@ let () =
           Alcotest.test_case "wide clock granularity" `Quick test_wide_elements_one_clock_per_element;
         ] );
       ("layout-properties", [ QCheck_alcotest.to_alcotest prop_layout_bijection ]);
-      ( "global-ptr",
-        [
-          Alcotest.test_case "arithmetic" `Quick test_ptr_arithmetic;
-          Alcotest.test_case "deref/assign" `Quick test_ptr_deref_assign;
-          Alcotest.test_case "diff arrays" `Quick test_ptr_diff_different_arrays_rejected;
-        ] );
       ( "barrier",
         [
           Alcotest.test_case "releases everyone" `Quick test_barrier_releases_everyone;
