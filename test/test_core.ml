@@ -841,6 +841,246 @@ let test_store_single_table () =
   let b = Clock_store.entry_at s ~offset:64 ~len:1 in
   Alcotest.(check bool) "stable physical entry" true (a == b)
 
+(* ---------- transfer-path pins ---------- *)
+
+(* One scripted program per checked transfer path — single puts and
+   gets with private and public local sides, batchable put/get runs,
+   runs that fall back to per-op transfers because a local side is
+   public, and pairs whose write region sorts before their read region
+   (with and without [ordered_locking]) — run under every transport on
+   a jittered fabric. The digests were recorded before the put/get,
+   run and batch paths were each written once; any change to message
+   order, lock order, ticks or checks moves the race fingerprint, the
+   traffic counters, the final simulated time or the final memory. *)
+let transfer_digest ~transport ~ordered case =
+  let sim = Engine.create ~seed:7 () in
+  let latency =
+    Dsm_net.Latency.Jittered
+      { model = Dsm_net.Latency.Constant 1.0; mean_jitter = 2.0 }
+  in
+  let m = Machine.create sim ~n:3 ~latency () in
+  let d =
+    Detector.create m
+      ~config:
+        { Config.default with Config.transport; ordered_locking = ordered }
+      ()
+  in
+  let regions = ref [] in
+  let keep r =
+    regions := r :: !regions;
+    r
+  in
+  let shared pid name len =
+    keep (Detector.alloc_shared d ~pid ~name ~len ())
+  in
+  let priv pid v = keep (private_buf m ~pid v) in
+  let sub (r : Addr.region) i =
+    Addr.region ~pid:r.base.pid ~space:r.base.space
+      ~offset:(r.base.offset + i) ~len:1
+  in
+  let init (r : Addr.region) v = Node_memory.write (Machine.node m r.base.pid) r v in
+  let spawn pid f = Machine.spawn m ~pid f in
+  (match case with
+  | "put-private" ->
+      let a = shared 0 "a" 2 in
+      spawn 1 (fun p -> Detector.put d p ~src:(priv 1 [| 1; 2 |]) ~dst:a);
+      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 3; 4 |]) ~dst:a)
+  | "put-public" ->
+      let a = shared 0 "a" 2 and b = shared 1 "b" 2 in
+      init b [| 5; 6 |];
+      spawn 1 (fun p -> Detector.put d p ~src:b ~dst:a);
+      spawn 2 (fun p -> Detector.get d p ~src:a ~dst:(priv 2 [| 0; 0 |]))
+  | "get-private" ->
+      let a = shared 0 "a" 2 in
+      init a [| 7; 8 |];
+      spawn 1 (fun p -> Detector.get d p ~src:a ~dst:(priv 1 [| 0; 0 |]));
+      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 9; 9 |]) ~dst:a)
+  | "get-public" ->
+      let a = shared 0 "a" 2 and c = shared 1 "c" 2 in
+      init a [| 7; 8 |];
+      spawn 1 (fun p -> Detector.get d p ~src:a ~dst:c);
+      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 3; 3 |]) ~dst:c);
+      spawn 0 (fun p -> Detector.put d p ~src:(priv 0 [| 4; 4 |]) ~dst:a)
+  | "put-batch" ->
+      let a = shared 0 "a" 4 and b = shared 2 "b" 2 in
+      spawn 1 (fun p ->
+          Detector.put_batch d p
+            ~pairs:
+              [
+                (priv 1 [| 1 |], sub a 0);
+                (priv 1 [| 2 |], sub a 1);
+                (priv 1 [| 3 |], sub a 3);
+                (priv 1 [| 4 |], sub b 0);
+                (priv 1 [| 5 |], sub b 1);
+                (priv 1 [| 6 |], sub a 2);
+              ]);
+      spawn 2 (fun p ->
+          Detector.put_batch d p
+            ~pairs:[ (priv 2 [| 8 |], sub a 1); (priv 2 [| 9 |], sub a 2) ])
+  | "get-batch" ->
+      let a = shared 0 "a" 4 in
+      init a [| 1; 2; 3; 4 |];
+      spawn 1 (fun p ->
+          Detector.get_batch d p
+            ~pairs:
+              [
+                (sub a 0, priv 1 [| 0 |]);
+                (sub a 1, priv 1 [| 0 |]);
+                (sub a 2, priv 1 [| 0 |]);
+                (sub a 0, priv 1 [| 0 |]);
+              ]);
+      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 9 |]) ~dst:(sub a 2))
+  | "put-batch-fallback" ->
+      let a = shared 0 "a" 3 and b = shared 1 "b" 1 in
+      init b [| 5 |];
+      spawn 1 (fun p ->
+          Detector.put_batch d p
+            ~pairs:
+              [
+                (priv 1 [| 1 |], sub a 0);
+                (b, sub a 1);
+                (priv 1 [| 3 |], sub a 2);
+              ]);
+      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 6 |]) ~dst:b)
+  | "get-batch-fallback" ->
+      let a = shared 0 "a" 3 and c = shared 1 "c" 1 in
+      init a [| 1; 2; 3 |];
+      spawn 1 (fun p ->
+          Detector.get_batch d p
+            ~pairs:
+              [
+                (sub a 0, priv 1 [| 0 |]);
+                (sub a 1, c);
+                (sub a 2, priv 1 [| 0 |]);
+              ]);
+      spawn 2 (fun p -> Detector.get d p ~src:c ~dst:(priv 2 [| 0 |]))
+  | "write-sorts-first" ->
+      (* both transfers write a@P0, which sorts before their read
+         region s@P2 *)
+      let a = shared 0 "a" 1 and s = shared 2 "s" 1 in
+      init s [| 4 |];
+      spawn 2 (fun p -> Detector.put d p ~src:s ~dst:a);
+      spawn 0 (fun p -> Detector.get d p ~src:s ~dst:a)
+  | "crossed-pair" ->
+      (* opposite transfers over the same two regions: the literal
+         read-then-write order deadlocks under a transaction transport *)
+      let x = shared 0 "x" 1 and y = shared 1 "y" 1 in
+      spawn 0 (fun p -> Detector.put d p ~src:x ~dst:y);
+      spawn 1 (fun p -> Detector.put d p ~src:y ~dst:x)
+  | c -> Alcotest.failf "unknown transfer case %s" c);
+  let outcome =
+    match Machine.run m with
+    | Engine.Completed -> "done"
+    | Engine.Blocked k -> Printf.sprintf "blocked:%d" k
+    | _ -> "other"
+  in
+  let mem =
+    List.rev !regions
+    |> List.concat_map (fun (r : Addr.region) ->
+           Array.to_list (Node_memory.read (Machine.node m r.base.pid) r))
+    |> List.map string_of_int |> String.concat ","
+  in
+  Printf.sprintf "%s races=%d msgs=%d wire=%d clock=%d t=%.3f mem=%s fp=%s"
+    outcome (races d)
+    (Machine.fabric_messages m)
+    (Machine.wire_words_sent m)
+    (Machine.clock_words_sent m)
+    (Engine.now sim) mem
+    (Report.fingerprint (Detector.report d))
+
+let transfer_goldens =
+  [
+    (Config.Inline, true, "put-private",
+     "done races=1 msgs=4 wire=24 clock=12 t=7.818 mem=3,4,1,2,3,4 fp=10ce7e319e89a77871ec8347ff7f65cb");
+    (Config.Inline, true, "put-public",
+     "done races=1 msgs=4 wire=22 clock=10 t=7.818 mem=5,6,5,6,5,6 fp=1c7ef331c8ff7b3c4c64c9caa7850f10");
+    (Config.Inline, true, "get-private",
+     "done races=1 msgs=4 wire=22 clock=10 t=7.818 mem=9,9,7,8,9,9 fp=10ce7e319e89a77871ec8347ff7f65cb");
+    (Config.Inline, true, "get-public",
+     "done races=2 msgs=6 wire=36 clock=18 t=8.872 mem=4,4,3,3,3,3,4,4 fp=b9ffc3d80369d82e4164123628ad049b");
+    (Config.Inline, true, "put-batch",
+     "done races=3 msgs=8 wire=55 clock=24 t=14.331 mem=1,8,6,3,4,5,6,5,4,3,2,1,9,8 fp=15c42809588a94c2a90d04eb3ff24a33");
+    (Config.Inline, true, "get-batch",
+     "done races=2 msgs=6 wire=31 clock=14 t=8.601 mem=1,2,9,4,1,3,2,1,9 fp=ac8c28766df318eb137c7014060307f8");
+    (Config.Inline, true, "put-batch-fallback",
+     "done races=1 msgs=8 wire=44 clock=24 t=14.331 mem=1,6,3,6,3,1,6 fp=b0c32b65aa06cebe458b41ecbaf8570d");
+    (Config.Inline, true, "get-batch-fallback",
+     "done races=1 msgs=8 wire=38 clock=18 t=14.331 mem=1,2,3,2,3,1,0 fp=23290ea59c97e651865648f3a5ce83da");
+    (Config.Inline, true, "write-sorts-first",
+     "done races=1 msgs=4 wire=20 clock=10 t=9.026 mem=4,4 fp=58cbd64770737a674584ee9c79e0afc9");
+    (Config.Inline, true, "crossed-pair",
+     "done races=1 msgs=4 wire=22 clock=12 t=7.818 mem=0,0 fp=e08c0f7e12094662733f36ebec90f66c");
+    (Config.Piggyback_txn, true, "put-private",
+     "done races=1 msgs=10 wire=52 clock=20 t=24.007 mem=3,4,1,2,3,4 fp=9fc9e08ddd80df3939a63b299e02251e");
+    (Config.Piggyback_txn, true, "put-public",
+     "done races=1 msgs=10 wire=50 clock=18 t=24.007 mem=5,6,5,6,5,6 fp=52c5e40b34269b6ef1099ceff0601786");
+    (Config.Piggyback_txn, true, "get-private",
+     "done races=1 msgs=10 wire=50 clock=18 t=24.007 mem=9,9,7,8,9,9 fp=9fc9e08ddd80df3939a63b299e02251e");
+    (Config.Piggyback_txn, true, "get-public",
+     "done races=2 msgs=12 wire=64 clock=26 t=22.953 mem=4,4,4,4,3,3,4,4 fp=17e3efc95c47ea719169023e5b02afe2");
+    (Config.Piggyback_txn, true, "put-batch",
+     "done races=3 msgs=20 wire=111 clock=40 t=31.079 mem=1,8,6,3,4,5,6,5,4,3,2,1,9,8 fp=166461eca167129a376bbf11d07077b8");
+    (Config.Piggyback_txn, true, "get-batch",
+     "done races=1 msgs=15 wire=73 clock=26 t=25.705 mem=1,2,9,4,1,3,2,1,9 fp=9c63f1eb93a3e6bf1f8eba0f24abe82e");
+    (Config.Piggyback_txn, true, "put-batch-fallback",
+     "done races=1 msgs=20 wire=100 clock=40 t=31.752 mem=1,6,3,6,3,1,6 fp=6892b440c148eb6750c7a97e4b479daa");
+    (Config.Piggyback_txn, true, "get-batch-fallback",
+     "done races=1 msgs=20 wire=94 clock=34 t=31.752 mem=1,2,3,2,3,1,0 fp=6d07c227a1f0d455d927ad6bc492573d");
+    (Config.Piggyback_txn, true, "write-sorts-first",
+     "done races=1 msgs=10 wire=50 clock=20 t=20.195 mem=4,4 fp=ee3e3d9ef4bd3d72dd660a3413747fec");
+    (Config.Piggyback_txn, true, "crossed-pair",
+     "done races=1 msgs=10 wire=50 clock=20 t=20.041 mem=0,0 fp=73398c3c42081aa0e7fbc8e1ddfcf21d");
+    (Config.Explicit_txn, true, "put-private",
+     "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=3,4,1,2,3,4 fp=2716c282a7bc4994267c4a2fb9633851");
+    (Config.Explicit_txn, true, "put-public",
+     "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=5,6,5,6,5,6 fp=39e77f403b1e9312b2482ffdab98e683");
+    (Config.Explicit_txn, true, "get-private",
+     "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=9,9,7,8,9,9 fp=2716c282a7bc4994267c4a2fb9633851");
+    (Config.Explicit_txn, true, "get-public",
+     "done races=2 msgs=18 wire=88 clock=0 t=33.845 mem=4,4,4,4,3,3,4,4 fp=152f324037cd84050d2dfbc18e09fa80");
+    (Config.Explicit_txn, true, "put-batch",
+     "done races=5 msgs=64 wire=320 clock=0 t=126.073 mem=1,2,6,3,4,5,6,5,4,3,2,1,9,8 fp=b568c2af549cc57ba3d4fd8888d78a11");
+    (Config.Explicit_txn, true, "get-batch",
+     "done races=2 msgs=40 wire=200 clock=0 t=79.988 mem=1,2,9,4,1,9,2,1,9 fp=ad64fdbbf4a3b13562753a54c6314024");
+    (Config.Explicit_txn, true, "put-batch-fallback",
+     "done races=1 msgs=32 wire=160 clock=0 t=68.196 mem=1,6,3,6,3,1,6 fp=af8055c533bd47947e5b9a5694fe93a8");
+    (Config.Explicit_txn, true, "get-batch-fallback",
+     "done races=1 msgs=32 wire=160 clock=0 t=68.196 mem=1,2,3,2,3,1,0 fp=cc055ef6a45f90d24c3b023fa118f073");
+    (Config.Explicit_txn, true, "write-sorts-first",
+     "done races=1 msgs=16 wire=80 clock=0 t=31.625 mem=4,4 fp=525522871ca28051eaa76aadd7feaec7");
+    (Config.Explicit_txn, true, "crossed-pair",
+     "done races=1 msgs=16 wire=80 clock=0 t=31.471 mem=0,0 fp=390b05ee3901fb270564914785607249");
+    (Config.Inline, false, "put-batch-fallback",
+     "done races=1 msgs=8 wire=44 clock=24 t=14.331 mem=1,6,3,6,3,1,6 fp=b0c32b65aa06cebe458b41ecbaf8570d");
+    (Config.Inline, false, "write-sorts-first",
+     "done races=1 msgs=4 wire=20 clock=10 t=9.026 mem=4,4 fp=58cbd64770737a674584ee9c79e0afc9");
+    (Config.Inline, false, "crossed-pair",
+     "done races=1 msgs=4 wire=22 clock=12 t=7.818 mem=0,0 fp=e08c0f7e12094662733f36ebec90f66c");
+    (Config.Piggyback_txn, false, "put-batch-fallback",
+     "done races=1 msgs=20 wire=100 clock=40 t=34.867 mem=1,6,3,6,3,1,6 fp=bea66cd5b23316502a9a9f8201161591");
+    (Config.Piggyback_txn, false, "write-sorts-first",
+     "done races=1 msgs=10 wire=48 clock=18 t=20.041 mem=4,4 fp=7c5b4ff46ea5767cd0c9636206b9baac");
+    (Config.Piggyback_txn, false, "crossed-pair",
+     "blocked:2 races=0 msgs=2 wire=8 clock=0 t=1.256 mem=0,0 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    (Config.Explicit_txn, false, "put-batch-fallback",
+     "done races=1 msgs=32 wire=160 clock=0 t=71.828 mem=1,6,3,6,3,1,6 fp=8204dce612a8e510fd93a5e23a5274c0");
+    (Config.Explicit_txn, false, "write-sorts-first",
+     "done races=1 msgs=16 wire=80 clock=0 t=31.471 mem=4,4 fp=fd846c769d345288e5a666f3bba343bc");
+    (Config.Explicit_txn, false, "crossed-pair",
+     "blocked:2 races=0 msgs=2 wire=8 clock=0 t=1.256 mem=0,0 fp=fdd73622d6dcab3e995bca53fee6ba14")
+  ]
+
+let test_transfer_path_pins () =
+  List.iter
+    (fun (transport, ordered, case, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s%s %s" (Config.transport_name transport)
+           (if ordered then "" else " unordered")
+           case)
+        expected
+        (transfer_digest ~transport ~ordered case))
+    transfer_goldens
+
 (* The same equivalence as a property over arbitrary seeds. *)
 let prop_ground_truth_equivalence =
   QCheck.Test.make ~name:"online detector = offline HB (random seeds)"
@@ -905,6 +1145,11 @@ let () =
           Alcotest.test_case "ordered locking safe" `Quick test_ordered_locking_avoids_deadlock;
           Alcotest.test_case "discipline-stable verdicts" `Quick test_verdict_stable_under_lock_discipline;
           Alcotest.test_case "lock-clock space collision" `Quick test_lock_clock_space_collision;
+        ] );
+      ( "transfer-paths",
+        [
+          Alcotest.test_case "transfer paths pinned" `Quick
+            test_transfer_path_pins;
         ] );
       ( "introspection",
         [
