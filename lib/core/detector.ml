@@ -493,50 +493,79 @@ let check_op t p ~read_region ~write_region =
       Vector_clock.merge_into ~into:v0 absorbed
   end
 
-(* One blocking checked operation: count it, then run the detection
-   body and the transfer provided by [transfer] under the regions'
-   locks. *)
-let checked_op t p ~kind ~read_region ~write_region ~transfer =
-  count_check t p ~kind;
-  let body () =
-    check_op t p ~read_region ~write_region;
-    transfer ()
-  in
+(* Who takes the region locks of Algorithms 1–2 (Figure 3's destination
+   lock included): the NIC verbs themselves under [Inline]; the
+   detector's transaction under the two [_txn] transports, whose verbs
+   then run [~locked:false]. *)
+let txn_locks t =
   match t.config.Config.transport with
-  | Config.Inline -> body ()
-  | Config.Piggyback_txn | Config.Explicit_txn ->
-      let first, second =
-        if
-          t.config.Config.ordered_locking
-          && region_before write_region read_region
-        then (write_region, read_region)
-        else (read_region, write_region)
-      in
-      let tk1 = Machine.lock p first in
-      let tk2 = Machine.lock p second in
-      body ();
+  | Config.Inline -> false
+  | Config.Piggyback_txn | Config.Explicit_txn -> true
+
+(* A transaction's lock span, tokens in acquisition order: nothing when
+   the NIC verbs lock, one region for a batched run, two for a single
+   transfer's read and write sides. *)
+type span =
+  | Nic_locks
+  | One of Machine.token
+  | Two of Machine.token * Machine.token
+
+let nic_locks = function Nic_locks -> true | One _ | Two _ -> false
+
+(* The read and write regions in the global order under
+   [ordered_locking], else in the paper's literal read-then-write order
+   (which can deadlock). *)
+let lock_two t p ~read_region ~write_region =
+  if not (txn_locks t) then Nic_locks
+  else
+    let first, second =
+      if
+        t.config.Config.ordered_locking
+        && region_before write_region read_region
+      then (write_region, read_region)
+      else (read_region, write_region)
+    in
+    let tk1 = Machine.lock p first in
+    let tk2 = Machine.lock p second in
+    Two (tk1, tk2)
+
+(* One lock over the span from region [first] to region [last]. *)
+let lock_one t p ~(first : Addr.region) ~(last : Addr.region) =
+  if not (txn_locks t) then Nic_locks
+  else
+    One
+      (Machine.lock p
+         (Addr.region ~pid:first.base.pid ~space:Addr.Public
+            ~offset:first.base.offset
+            ~len:(last.base.offset + last.len - first.base.offset)))
+
+let unlock_span p = function
+  | Nic_locks -> ()
+  | One tk -> Machine.unlock p tk
+  | Two (tk1, tk2) ->
       Machine.unlock p tk2;
       Machine.unlock p tk1
 
-let put t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  let transfer () =
-    match t.config.Config.transport with
-    | Config.Inline -> Machine.put p ~src ~dst ~extra_words ()
-    | Config.Piggyback_txn | Config.Explicit_txn ->
-        Machine.raw_put p ~src ~dst ~extra_words ()
-  in
-  checked_op t p ~kind:"put" ~read_region:src ~write_region:dst ~transfer
+(* A transfer's direction: which side of a (src, dst) pair is remote. *)
+type dir = Put | Get
 
-let get t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  let transfer () =
-    match t.config.Config.transport with
-    | Config.Inline -> Machine.get p ~src ~dst ~extra_words ()
-    | Config.Piggyback_txn | Config.Explicit_txn ->
-        Machine.raw_get p ~src ~dst ~extra_words ()
-  in
-  checked_op t p ~kind:"get" ~read_region:src ~write_region:dst ~transfer
+let kind_name = function Put -> "put" | Get -> "get"
+
+(* One blocking checked operation (Algorithm 1 or 2): count it, then run
+   the detection body and the data transfer inside the lock span. *)
+let checked_op t p dir ~src ~dst =
+  count_check t p ~kind:(kind_name dir);
+  let span = lock_two t p ~read_region:src ~write_region:dst in
+  check_op t p ~read_region:src ~write_region:dst;
+  let extra_words = piggyback_words t and locked = nic_locks span in
+  (match dir with
+  | Put -> Machine.put p ~src ~dst ~extra_words ~locked ()
+  | Get -> Machine.get p ~src ~dst ~extra_words ~locked ());
+  unlock_span p span
+
+let put t p ~src ~dst = checked_op t p Put ~src ~dst
+
+let get t p ~src ~dst = checked_op t p Get ~src ~dst
 
 (* ---------- batched checked operations ----------
 
@@ -565,101 +594,77 @@ let group_runs ~key pairs =
       runs := List.rev !cur :: !runs;
       List.rev !runs
 
-let span_of (first : Addr.region) (last : Addr.region) =
-  Addr.region ~pid:first.base.pid ~space:Addr.Public
-    ~offset:first.base.offset
-    ~len:(last.base.offset + last.len - first.base.offset)
+(* Put runs: destinations on one node in ascending non-overlapping
+   order. Get runs: contiguous ascending sources on one node. *)
+let put_key (_, (prev : Addr.region)) (_, (cur : Addr.region)) =
+  cur.base.pid = prev.base.pid
+  && Addr.is_public cur
+  && cur.base.offset >= prev.base.offset + prev.len
 
-let last_of run = snd (List.nth run (List.length run - 1))
+let get_key ((prev : Addr.region), _) ((cur : Addr.region), _) =
+  cur.base.pid = prev.base.pid && cur.base.offset = prev.base.offset + prev.len
 
-(* A run of puts is batchable when the destinations sit on one node in
-   ascending non-overlapping order and no source is public (a public
-   source would need its own read-side lock, breaking the single-span
-   locking scheme — those fall back to per-op puts). *)
-let put_run t p run =
+let remote dir ((src, dst) : Addr.region * Addr.region) =
+  match dir with Put -> dst | Get -> src
+
+let local dir ((src, dst) : Addr.region * Addr.region) =
+  match dir with Put -> src | Get -> dst
+
+let rec per_op t p dir = function
+  | [] -> ()
+  | (src, dst) :: rest ->
+      checked_op t p dir ~src ~dst;
+      per_op t p dir rest
+
+let rec check_run t p dir = function
+  | [] -> ()
+  | (src, dst) :: rest ->
+      count_check t p ~kind:(kind_name dir);
+      check_op t p ~read_region:src ~write_region:dst;
+      check_run t p dir rest
+
+let rec any_public_local dir = function
+  | [] -> false
+  | pair :: rest -> Addr.is_public (local dir pair) || any_public_local dir rest
+
+let rec last_pair = function
+  | [ pair ] -> pair
+  | _ :: rest -> last_pair rest
+  | [] -> invalid_arg "Detector.last_pair: empty run"
+
+(* One run under one lock span over its remote side. A public local side
+   (a put's source, a get's destination) would need its own lock —
+   a read-side lock or Figure 3's — breaking the single-span scheme, so
+   such runs fall back to per-op transfers. *)
+let checked_run t p dir run =
   match run with
   | [] -> ()
-  | [ (src, dst) ] -> put t p ~src ~dst
-  | ((_, (dst0 : Addr.region)) :: _ : (Addr.region * Addr.region) list) ->
-      if List.exists (fun ((src : Addr.region), _) -> Addr.is_public src) run
-      then List.iter (fun (src, dst) -> put t p ~src ~dst) run
-      else begin
-        let extra_words = piggyback_words t in
-        let check (src, dst) =
-          count_check t p ~kind:"put";
-          check_op t p ~read_region:src ~write_region:dst
-        in
-        match t.config.Config.transport with
-        | Config.Inline ->
-            List.iter check run;
-            Machine.put_batch p ~pairs:run ~extra_words ()
-        | Config.Piggyback_txn ->
-            (* one lock acquisition spanning the whole run instead of
-               one per put (Algorithm 1, amortized) *)
-            let span = span_of dst0 (last_of run) in
-            let tk = Machine.lock p span in
-            List.iter check run;
-            Machine.raw_put_batch p ~pairs:run ~extra_words ();
-            Machine.unlock p tk
-        | Config.Explicit_txn ->
-            List.iter (fun (src, dst) -> put t p ~src ~dst) run
-      end
+  | [ (src, dst) ] -> checked_op t p dir ~src ~dst
+  | _ when any_public_local dir run -> per_op t p dir run
+  | first :: _ ->
+      let span =
+        lock_one t p ~first:(remote dir first)
+          ~last:(remote dir (last_pair run))
+      in
+      check_run t p dir run;
+      let extra_words = piggyback_words t and locked = nic_locks span in
+      (match dir with
+      | Put -> Machine.put_batch p ~pairs:run ~extra_words ~locked ()
+      | Get -> Machine.get_batch p ~pairs:run ~extra_words ~locked ());
+      unlock_span p span
 
-let put_batch t p ~pairs =
+let checked_batch t p dir ~key pairs =
   match t.config.Config.transport with
   | Config.Explicit_txn ->
       (* the explicit transport pays its control round trips per granule
          either way; batching the data message would not change them *)
-      List.iter (fun (src, dst) -> put t p ~src ~dst) pairs
+      per_op t p dir pairs
   | Config.Inline | Config.Piggyback_txn ->
-      List.iter (put_run t p)
-        (group_runs pairs
-           ~key:(fun (_, (prev : Addr.region)) (_, (cur : Addr.region)) ->
-             cur.base.pid = prev.base.pid
-             && Addr.is_public cur
-             && cur.base.offset >= prev.base.offset + prev.len))
+      List.iter (checked_run t p dir) (group_runs ~key pairs)
 
-(* Gets batch when the sources are contiguous ascending spans of one
-   node and no destination is public (Figure 3 would demand a lock per
-   public destination). *)
-let get_run t p run =
-  match run with
-  | [] -> ()
-  | [ (src, dst) ] -> get t p ~src ~dst
-  | (((src0 : Addr.region), _) :: _ : (Addr.region * Addr.region) list) ->
-      if List.exists (fun (_, (dst : Addr.region)) -> Addr.is_public dst) run
-      then List.iter (fun (src, dst) -> get t p ~src ~dst) run
-      else begin
-        let extra_words = piggyback_words t in
-        let check (src, dst) =
-          count_check t p ~kind:"get";
-          check_op t p ~read_region:src ~write_region:dst
-        in
-        match t.config.Config.transport with
-        | Config.Inline ->
-            List.iter check run;
-            Machine.get_batch p ~pairs:run ~extra_words ()
-        | Config.Piggyback_txn ->
-            let span = span_of src0 (fst (List.nth run (List.length run - 1)))
-            in
-            let tk = Machine.lock p span in
-            List.iter check run;
-            Machine.raw_get_batch p ~pairs:run ~extra_words ();
-            Machine.unlock p tk
-        | Config.Explicit_txn ->
-            List.iter (fun (src, dst) -> get t p ~src ~dst) run
-      end
+let put_batch t p ~pairs = checked_batch t p Put ~key:put_key pairs
 
-let get_batch t p ~pairs =
-  match t.config.Config.transport with
-  | Config.Explicit_txn ->
-      List.iter (fun (src, dst) -> get t p ~src ~dst) pairs
-  | Config.Inline | Config.Piggyback_txn ->
-      List.iter (get_run t p)
-        (group_runs pairs
-           ~key:(fun ((prev : Addr.region), _) ((cur : Addr.region), _) ->
-             cur.base.pid = prev.base.pid
-             && cur.base.offset = prev.base.offset + prev.len))
+let get_batch t p ~pairs = checked_batch t p Get ~key:get_key pairs
 
 (* Checked one-sided read-modify-writes (extension beyond the paper).
 

@@ -111,32 +111,20 @@ let run ?(runs = 100) ?depth (spec : Explore.spec) (model_a, model_b) =
         consider walk (Explore.run_once_in ctx_a (Explore.Walk walk))
       done
   | Some depth ->
-      (* Bounded-exhaustive: DFS over decision prefixes that deviate from
-         the default schedule within the first [depth] choice points,
-         mirroring [Explore.explore_exhaustive] but keeping every
-         schedule (it stops at the first violation; we want coverage). *)
+      (* Bounded-exhaustive: the explorer's own DFS over decision
+         prefixes ([Explore.last_children] orders the children), keeping
+         every schedule where [Explore.explore_exhaustive] stops at the
+         first violation. *)
       let stack = ref [ [] ] in
       while !stack <> [] && !schedules < runs do
         match !stack with
         | [] -> ()
         | prefix :: rest ->
-            stack := rest;
-            let r = Explore.run_once_in ctx_a (Explore.Script prefix) in
-            consider !schedules r;
-            (* children deviate at choice points past this prefix's own
-               deviation, each child extending the schedule actually
-               taken up to its deviation point *)
-            let plen = List.length prefix in
-            let choices = Array.of_list r.Explore.choices in
-            let taken = Array.map snd choices in
-            let limit = min depth (Array.length choices) in
-            for q = limit - 1 downto plen do
-              let ready, chosen = choices.(q) in
-              let base = Array.to_list (Array.sub taken 0 q) in
-              for alt = ready - 1 downto 0 do
-                if alt <> chosen then stack := (base @ [ alt ]) :: !stack
-              done
-            done
+            consider !schedules
+              (Explore.run_once_in ctx_a (Explore.Script prefix));
+            stack :=
+              Explore.last_children ctx_a ~plen:(List.length prefix) ~depth
+              @ rest
       done);
   {
     schedules = !schedules;

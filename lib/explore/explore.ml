@@ -409,8 +409,6 @@ let last_choice_points ctx = Chooser.choice_points ctx.chooser
 
 let last_chosen_at ctx p = Chooser.chosen_at ctx.chooser p
 
-let last_ready_at ctx p = Chooser.ready_at ctx.chooser p
-
 let last_children ctx ~plen ~depth =
   let c = ctx.chooser in
   let horizon = min depth (Chooser.choice_points c) in

@@ -189,9 +189,6 @@ val result_of : ctx -> raw -> run_result
 val last_choice_points : ctx -> int
 (** Choice points recorded by the ctx's most recent run. *)
 
-val last_ready_at : ctx -> int -> int
-(** Ready count at choice point [p] of the most recent run. *)
-
 val last_chosen_at : ctx -> int -> int
 (** Decision taken (after clamping) at choice point [p] of the most
     recent run. *)

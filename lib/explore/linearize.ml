@@ -12,14 +12,14 @@
    reference value, because some earlier apply's effect went missing.
 
    Plain puts participate too (a committed put overwrites the reference
-   word), so an RMW torn by a concurrent put is also caught. Get
-   landings into public memory do NOT pass through the NIC apply path
-   and are invisible here; words first seen via a read or an RMW are
-   adopted rather than checked, which keeps the oracle false-alarm-free
-   on workloads that mix in such writes. Duplicate applies (raw faulty
-   links without the reliable transport) are each self-consistent
-   against the reference heap, so fault-injected runs stay clean unless
-   atomicity is genuinely broken. *)
+   word), so an RMW torn by a concurrent put is also caught; so do get
+   landings into public memory (the getter's own write, observed like a
+   put). Words first seen via a read or an RMW are adopted rather than
+   checked, so memory initialized out of band before the run needs no
+   declaration. Duplicate applies (raw faulty links without the reliable
+   transport) are each self-consistent against the reference heap, so
+   fault-injected runs stay clean unless atomicity is genuinely
+   broken. *)
 
 module Machine = Dsm_rdma.Machine
 module Message = Dsm_rdma.Message
@@ -59,9 +59,9 @@ let observe t (obs : Machine.observation) =
         (fun i v -> Hashtbl.replace t.heap (node, offset + i) v)
         data
   | Machine.Read_served { node; offset; data; _ } ->
-      (* Adopt-only: public words can also be written by get landings,
-         which no observer sees, so a read is evidence of current
-         contents, not something to check. *)
+      (* Adopt-only: a read is evidence of current contents (possibly
+         initialized out of band), not something to check — reads are
+         the coherence checker's job. *)
       Array.iteri
         (fun i v ->
           if not (Hashtbl.mem t.heap (node, offset + i)) then

@@ -8,10 +8,10 @@
     to close) or its committed result diverges from the serial
     specification ([apply_atomic] / [apply_acc]) of that old value.
 
-    Committed plain puts update the reference heap; words first seen
-    through a read or an RMW are adopted unchecked (get landings into
-    public memory are invisible to machine observers, so checking reads
-    would false-alarm). Duplicate applies under raw faulty links are
+    Committed plain puts and get landings into public memory update the
+    reference heap; words first seen through a read or an RMW are
+    adopted unchecked (memory initialized out of band needs no
+    declaration). Duplicate applies under raw faulty links are
     individually self-consistent and stay clean. *)
 
 type t

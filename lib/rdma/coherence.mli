@@ -4,9 +4,10 @@
     serializes the accesses to its public segment, so a get must always
     return, for each word, the value of the last write the NIC applied
     there. This checker validates that property of the substrate itself:
-    it observes every NIC-level application ({!Machine.observation}),
-    replays the writes into a shadow memory, and compares every served
-    read against it.
+    it observes every write to public memory ({!Machine.observation}) —
+    the NIC's applications and the getter's own landing of a get into a
+    public destination alike — replays them into a shadow memory, and
+    compares every served read against it.
 
     A word that was initialized out-of-band (a test fixture poked before
     the run) is adopted on first sight {e unless} the scenario declared

@@ -115,7 +115,6 @@ type t = {
     (string, node:int -> origin:int -> int array -> int array option)
     Hashtbl.t;
   mutable observers : (observation -> unit) list;
-  mutable ops : int;
   (* clock piggyback wiring: when a detector installs a clock source,
      every clock-carrying message gets a framed piggyback whose encoding
      is chosen per message — accounting-only; the latency model keeps
@@ -675,7 +674,6 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
       remote_locks = Hashtbl.create 64;
       control_handlers = Hashtbl.create 8;
       observers = [];
-      ops = 0;
       clock_src = None;
       pb_delta_ok =
         (* put-lane reordering (Eventual) defeats per-edge in-order
@@ -724,7 +722,6 @@ let reset m =
   Hashtbl.reset m.remote_locks;
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
-  m.ops <- 0;
   (* piggyback state is per-run: the next population re-installs its
      clock source (Detector.create) and both edge tables restart empty,
      so a reset arena is bit-identical to a fresh machine *)
@@ -759,8 +756,6 @@ let set_clock_source m f = m.clock_src <- Some f
 let clock_encodings m = (m.pb_dense, m.pb_sparse, m.pb_delta)
 
 let clock_retransmit_fallbacks m = m.pb_fallbacks
-
-let fabric_faults m = Dsm_net.Fabric.faults m.fabric
 
 let transport_retransmits m =
   match m.rel with None -> 0 | Some r -> r.retransmits
@@ -874,13 +869,12 @@ let await_local_lock p ~offset ~len =
 
 (* ---------- data operations ---------- *)
 
-let send_put p ~src ~dst ~extra_words ~locked ~ack =
+let put p ~src ~dst ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   check_local p src "put";
   check_public dst "put";
   check_same_len src dst "put";
   let data = read_local p src in
   let op = fresh_op p.m in
-  p.m.ops <- p.m.ops + 1;
   let iv = if ack then Some (Ivar.create ()) else None in
   (match iv with
   | Some iv -> Hashtbl.replace p.m.pending_acks op iv
@@ -900,16 +894,9 @@ let send_put p ~src ~dst ~extra_words ~locked ~ack =
   (match iv with Some iv -> Ivar.read p.m.sim iv | None -> ());
   op_end p ~op ~kind:"put"
 
-let put p ~src ~dst ?(extra_words = 0) ?(ack = true) () =
-  send_put p ~src ~dst ~extra_words ~locked:true ~ack
-
-let raw_put p ~src ~dst ?(extra_words = 0) () =
-  send_put p ~src ~dst ~extra_words ~locked:false ~ack:true
-
 let send_get p ~(src : Addr.region) ~extra_words ~locked =
   check_public src "get";
   let op = fresh_op p.m in
-  p.m.ops <- p.m.ops + 1;
   let iv = Ivar.create () in
   Hashtbl.replace p.m.pending_data op iv;
   op_begin p ~op ~kind:"get" ~target:src.base.pid;
@@ -927,37 +914,44 @@ let send_get p ~(src : Addr.region) ~extra_words ~locked =
   op_end p ~op ~kind:"get";
   data
 
-let get p ~src ~(dst : Addr.region) ?(extra_words = 0) () =
+(* Figure 3: a public destination stays locked for the whole round trip,
+   so a concurrent put to it is delayed until the get finishes.
+   [Skip_get_dst_lock] plants the protocol bug the explorer's acceptance
+   test hunts for: eliding this lock lets a concurrent put land inside
+   the get window — which is also the {e legal} behavior of models
+   without get-delays-put serialization (Relaxed and weaker). *)
+let dst_lock p (dst : Addr.region) =
+  if
+    Addr.is_public dst
+    && p.m.mh.Model.get_delays_put
+    && not (List.mem Skip_get_dst_lock p.m.bugs)
+  then Some (await_local_lock p ~offset:dst.base.offset ~len:dst.len)
+  else None
+
+(* A get's data lands in the getter's own memory. Landing in public
+   memory is a write like any the NIC applies, so observers see it. *)
+let land_data p (dst : Addr.region) data =
+  write_local p dst data;
+  if p.m.observers <> [] && Addr.is_public dst then
+    notify p.m
+      (Write_applied
+         {
+           time = Engine.now p.m.sim;
+           node = p.p;
+           offset = dst.base.offset;
+           data;
+           origin = p.p;
+         })
+
+let get p ~src ~(dst : Addr.region) ?(extra_words = 0) ?(locked = true) () =
   check_local p dst "get";
   check_same_len src dst "get";
-  (* Figure 3: the destination region stays locked for the whole round
-     trip, so a concurrent put to it is delayed until the get finishes.
-     [Skip_get_dst_lock] plants the protocol bug the explorer's
-     acceptance test hunts for: eliding this lock lets a concurrent put
-     land inside the get window — which is also the {e legal} behavior
-     of models without get-delays-put serialization (Relaxed and
-     weaker). *)
-  let dst_lock =
-    if
-      Addr.is_public dst
-      && p.m.mh.Model.get_delays_put
-      && not (List.mem Skip_get_dst_lock p.m.bugs)
-    then Some (await_local_lock p ~offset:dst.base.offset ~len:dst.len)
-    else None
-  in
-  let data = send_get p ~src ~extra_words ~locked:true in
-  write_local p dst data;
-  match dst_lock with
+  let held = if locked then dst_lock p dst else None in
+  let data = send_get p ~src ~extra_words ~locked in
+  land_data p dst data;
+  match held with
   | Some id -> Lock_table.release (Node_memory.locks p.m.nodes.(p.p)) id
   | None -> ()
-
-let raw_get p ~src ~(dst : Addr.region) ?(extra_words = 0) () =
-  check_local p dst "raw_get";
-  check_same_len src dst "raw_get";
-  let data = send_get p ~src ~extra_words ~locked:false in
-  write_local p dst data
-
-let raw_read p ~src = send_get p ~src ~extra_words:0 ~locked:false
 
 (* ---------- batched data operations ----------
 
@@ -973,11 +967,11 @@ let batch_flush p ~node ~kind ~parts ~words =
       (Batch_flush
          { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
 
-let send_put_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
-    ~locked ~ack =
+let put_batch p ~(pairs : (Addr.region * Addr.region) list)
+    ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   match pairs with
   | [] -> invalid_arg "Machine.put_batch: empty batch"
-  | [ (src, dst) ] -> send_put p ~src ~dst ~extra_words ~locked ~ack
+  | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~ack ~locked ()
   | (_, (dst0 : Addr.region)) :: _ ->
       let target = dst0.base.pid in
       let prev_end = ref (-1) in
@@ -1005,7 +999,6 @@ let send_put_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
         Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
       in
       let op = fresh_op p.m in
-      p.m.ops <- p.m.ops + 1;
       let iv = if ack then Some (Ivar.create ()) else None in
       (match iv with
       | Some iv -> Hashtbl.replace p.m.pending_acks op iv
@@ -1019,21 +1012,13 @@ let send_put_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
       (match iv with Some iv -> Ivar.read p.m.sim iv | None -> ());
       op_end p ~op ~kind:"put"
 
-let put_batch p ~pairs ?(extra_words = 0) ?(ack = true) () =
-  send_put_batch p ~pairs ~extra_words ~locked:true ~ack
-
-let raw_put_batch p ~pairs ?(extra_words = 0) () =
-  send_put_batch p ~pairs ~extra_words ~locked:false ~ack:true
-
 (* Gets need no new message: contiguous sources collapse into a single
    [Get] over the union span, scattered into the destinations locally. *)
-let send_get_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
-    ~locked ~dst_locks =
+let get_batch p ~(pairs : (Addr.region * Addr.region) list)
+    ?(extra_words = 0) ?(locked = true) () =
   match pairs with
   | [] -> invalid_arg "Machine.get_batch: empty batch"
-  | [ (src, dst) ] ->
-      if dst_locks then get p ~src ~dst ~extra_words ()
-      else raw_get p ~src ~dst ~extra_words ()
+  | [ (src, dst) ] -> get p ~src ~dst ~extra_words ~locked ()
   | ((src0 : Addr.region), _) :: _ ->
       let target = src0.base.pid in
       let lo = src0.base.offset in
@@ -1052,21 +1037,9 @@ let send_get_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
           prev_end := src.base.offset + src.len)
         pairs;
       let len = !prev_end - lo in
-      (* Figure 3 for every public destination: local locks held for the
-         whole round trip so a concurrent put cannot land inside the
-         get window. *)
-      let locks_held =
-        if dst_locks then
-          List.filter_map
-            (fun (_, (dst : Addr.region)) ->
-              if
-                Addr.is_public dst
-                && p.m.mh.Model.get_delays_put
-                && not (List.mem Skip_get_dst_lock p.m.bugs)
-              then
-                Some (await_local_lock p ~offset:dst.base.offset ~len:dst.len)
-              else None)
-            pairs
+      (* Figure 3 for every public destination *)
+      let held =
+        if locked then List.filter_map (fun (_, dst) -> dst_lock p dst) pairs
         else []
       in
       batch_flush p ~node:target ~kind:"get" ~parts:(List.length pairs)
@@ -1074,23 +1047,16 @@ let send_get_batch p ~(pairs : (Addr.region * Addr.region) list) ~extra_words
       let span = Addr.region ~pid:target ~space:Addr.Public ~offset:lo ~len in
       let data = send_get p ~src:span ~extra_words ~locked in
       List.iter
-        (fun ((src : Addr.region), (dst : Addr.region)) ->
-          write_local p dst (Array.sub data (src.base.offset - lo) src.len))
+        (fun ((src : Addr.region), dst) ->
+          land_data p dst (Array.sub data (src.base.offset - lo) src.len))
         pairs;
       let tbl = Node_memory.locks p.m.nodes.(p.p) in
-      List.iter (fun id -> Lock_table.release tbl id) locks_held
-
-let get_batch p ~pairs ?(extra_words = 0) () =
-  send_get_batch p ~pairs ~extra_words ~locked:true ~dst_locks:true
-
-let raw_get_batch p ~pairs ?(extra_words = 0) () =
-  send_get_batch p ~pairs ~extra_words ~locked:false ~dst_locks:false
+      List.iter (fun id -> Lock_table.release tbl id) held
 
 let atomic p ~(target : Addr.global) ~extra_words kind =
   if target.space <> Addr.Public then
     invalid_arg "Machine.atomic: target is not public";
   let op = fresh_op p.m in
-  p.m.ops <- p.m.ops + 1;
   let iv = Ivar.create () in
   Hashtbl.replace p.m.pending_atomic op iv;
   op_begin p ~op ~kind:"atomic" ~target:target.pid;
@@ -1123,7 +1089,6 @@ let accumulate p ~(src : Addr.region) ~(dst : Addr.region)
   if Array.length data = 0 then
     invalid_arg "Machine.accumulate: empty region";
   let op = fresh_op p.m in
-  p.m.ops <- p.m.ops + 1;
   let iv = Ivar.create () in
   Hashtbl.replace p.m.pending_data op iv;
   op_begin p ~op ~kind:"atomic" ~target:dst.base.pid;
@@ -1215,5 +1180,3 @@ let control_notify m ~src ~dst ~tag ~words =
 (* ---------- observation ---------- *)
 
 let add_observer m f = m.observers <- m.observers @ [ f ]
-
-let ops_started m = m.ops

@@ -11,13 +11,15 @@
     through a {!proc} handle. All data operations are expressed against
     [Dsm_memory.Addr] regions; remote regions must be public.
 
-    Two data paths exist:
-    - {e atomic} operations ({!put}, {!get}, {!fetch_add}, {!cas}): the
-      NICs take the region locks themselves, giving §3.2's atomicity —
-      including Figure 3's "put delayed until the end of the get";
-    - {e raw} operations ({!raw_put}, {!raw_get}) plus the explicit
-      {!lock}/{!unlock} service: the building blocks with which the race
-      detector implements the paper's Algorithm 1/2 transactions.
+    One data path exists, with one locking decision: by default the
+    data verbs ({!put}, {!get}, {!put_batch}, {!get_batch}) take the
+    region locks in the NICs themselves, giving §3.2's atomicity —
+    including Figure 3's "put delayed until the end of the get". With
+    [~locked:false] they take none: the caller already holds them
+    through the explicit {!lock}/{!unlock} service, the building blocks
+    with which the race detector's transaction transports implement the
+    paper's Algorithm 1/2 transactions. RMWs ({!fetch_add}, {!cas},
+    {!accumulate}) always lock at the target NIC.
 
     The [Control] plane ({!control}, {!set_control_handler}) lets upper
     layers install named services on every node (clock storage, barrier
@@ -145,9 +147,6 @@ val clock_retransmit_fallbacks : t -> int
     arrive after later deltas advanced the receiver's edge cache, so only
     a self-contained form is sound to replay. *)
 
-val fabric_faults : t -> Dsm_net.Fault.t
-(** The fault plan the underlying fabric runs with. *)
-
 val transport_retransmits : t -> int
 (** Frames resent by the reliable transport so far (0 when disabled). *)
 
@@ -203,51 +202,62 @@ val alloc_public :
 val alloc_private :
   t -> pid:int -> ?name:string -> len:int -> unit -> Dsm_memory.Addr.region
 
-(** {1 Atomic one-sided operations (NIC-locked)} *)
+(** {1 One-sided data operations}
+
+    Each verb takes [?locked] (default [true]): the NICs lock the
+    regions the operation touches. [~locked:false] means the caller
+    already holds those locks through {!lock} — the target range for a
+    put, the source range for a get, and for a get also Figure 3's lock
+    on a public destination — and the verb takes none. *)
 
 val put :
   proc -> src:Dsm_memory.Addr.region -> dst:Dsm_memory.Addr.region ->
-  ?extra_words:int -> ?ack:bool -> unit -> unit
+  ?extra_words:int -> ?ack:bool -> ?locked:bool -> unit -> unit
 (** [put p ~src ~dst ()] copies [src] (a region of [p]'s own memory,
     private or public) into [dst] (a {e public} region of any process) —
     one data message (§3.2, Figure 2). With [ack = true] (default) the
     call blocks until the remote write has happened, making the put a
     transaction; with [ack = false] it returns as soon as the message is
-    injected, the paper's bare one-message put.
+    injected, the paper's bare one-message put. With [locked] the target
+    NIC applies the write under the range lock.
     Raises [Invalid_argument] on length mismatch, a non-local [src], or a
     non-public [dst]. *)
 
 val get :
   proc -> src:Dsm_memory.Addr.region -> dst:Dsm_memory.Addr.region ->
-  ?extra_words:int -> unit -> unit
+  ?extra_words:int -> ?locked:bool -> unit -> unit
 (** [get p ~src ~dst ()] copies the {e public} region [src] of any process
     into [p]'s own region [dst]. Two messages (request + data, §3.2,
-    Figure 2); blocking, as the paper requires. While the get is in
-    flight, [p]'s NIC holds the lock on a public [dst], so a concurrent
-    put to the same place is delayed — Figure 3. *)
+    Figure 2); blocking, as the paper requires. With [locked] the target
+    NIC reads under the range lock and, while the get is in flight,
+    [p]'s NIC holds the lock on a public [dst], so a concurrent put to
+    the same place is delayed — Figure 3. Landing in a public [dst] is
+    reported to observers as a {!Write_applied} by [p] on its own node. *)
 
 val put_batch :
   proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> ?ack:bool -> unit -> unit
+  ?extra_words:int -> ?ack:bool -> ?locked:bool -> unit -> unit
 (** [put_batch p ~pairs ()] performs every [(src, dst)] put of [pairs]
     as {e one} fabric message: all destinations must be public regions
     of the same node, in ascending non-overlapping address order; the
     target NIC takes a single lock spanning the batch, applies each
     part as its own write, and answers with a single ack. A singleton
-    batch degenerates to {!put}. Raises [Invalid_argument] on an empty
-    batch or any violated per-put precondition. *)
+    batch degenerates to {!put}. With [~locked:false] the caller holds a
+    lock covering the batch's span. Raises [Invalid_argument] on an
+    empty batch or any violated per-put precondition. *)
 
 val get_batch :
   proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> unit -> unit
+  ?extra_words:int -> ?locked:bool -> unit -> unit
 (** [get_batch p ~pairs ()] performs every [(src, dst)] get of [pairs]
     with one request/data round trip: the sources must be {e contiguous}
     ascending public regions of one node, fetched as a single span and
-    scattered into the destinations locally. Figure 3 locks are held on
-    every public destination for the whole round trip. A singleton
-    batch degenerates to {!get}. *)
+    scattered into the destinations locally. With [locked], Figure 3
+    locks are held on every public destination for the whole round
+    trip; with [~locked:false] the caller holds the source span's lock
+    and every destination's. A singleton batch degenerates to {!get}. *)
 
 val fetch_add :
   proc -> target:Dsm_memory.Addr.global -> ?extra_words:int -> delta:int ->
@@ -272,7 +282,7 @@ val accumulate :
     [Invalid_argument] on length mismatch, an empty region, a non-local
     [src] or a non-public [dst]. *)
 
-(** {1 Lock service and raw data path (detector building blocks)} *)
+(** {1 Lock service (detector building blocks)} *)
 
 type token
 (** A held lock. Tokens are not transferable between processes. *)
@@ -289,36 +299,6 @@ val lock : proc -> Dsm_memory.Addr.region -> token
 val unlock : proc -> token -> unit
 (** Releases. Remote releases are a single asynchronous message (FIFO
     ordering makes waiting for confirmation unnecessary). *)
-
-val raw_put :
-  proc -> src:Dsm_memory.Addr.region -> dst:Dsm_memory.Addr.region ->
-  ?extra_words:int -> unit -> unit
-(** Like {!put} with [ack = true] but the target NIC does {e not} take the
-    range lock: the caller must hold it (Algorithms 1–2 lock first). *)
-
-val raw_get :
-  proc -> src:Dsm_memory.Addr.region -> dst:Dsm_memory.Addr.region ->
-  ?extra_words:int -> unit -> unit
-(** Lock-free counterpart of {!get}; the caller must hold both locks. *)
-
-val raw_put_batch :
-  proc ->
-  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> unit -> unit
-(** {!put_batch} without the target-side lock: the caller must already
-    hold a lock covering the batch's span (the detector's batched
-    Algorithm 1 transaction). Acked. *)
-
-val raw_get_batch :
-  proc ->
-  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> unit -> unit
-(** {!get_batch} without any locks (source-side or Figure 3); the caller
-    must hold them. *)
-
-val raw_read : proc -> src:Dsm_memory.Addr.region -> int array
-(** Fetch a remote public region's contents into the caller's hands (not
-    into simulated memory): how the detector reads remote clock words. *)
 
 (** {1 Control plane} *)
 
@@ -359,8 +339,10 @@ type observation =
       data : int array;
       origin : int;
     }
-      (** the NIC committed a remote put to [node]'s public memory —
-          emitted at {e apply} time, i.e. after any Figure 3 lock delay *)
+      (** a write committed to [node]'s public memory: a remote put the
+          NIC applied — emitted at {e apply} time, i.e. after any
+          Figure 3 lock delay — or a get's data landing in the getter's
+          own public destination ([node] and [origin] both the getter) *)
   | Read_served of {
       time : float;
       node : int;
@@ -397,11 +379,6 @@ type observation =
           lock hold over the whole span *)
 
 val add_observer : t -> (observation -> unit) -> unit
-(** Observers see every message send/delivery and every NIC memory
-    application — the feeds for [dsm_trace]'s space-time diagrams and for
+(** Observers see every message send/delivery, every NIC memory
+    application and every get landing in public memory — the feeds for [dsm_trace]'s space-time diagrams and for
     {!Coherence}. *)
-
-(** {1 Counters} *)
-
-val ops_started : t -> int
-(** put/get/atomic operations initiated since creation. *)

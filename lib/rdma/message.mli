@@ -7,9 +7,9 @@
     carry bare offsets.
 
     [locked = true] asks the target NIC to take its range lock around the
-    access (the atomicity of §3.2); [locked = false] is the raw data path
-    used inside detector transactions that already hold the locks
-    (Algorithms 1–2).
+    access (the atomicity of §3.2); [locked = false] serves the data verbs
+    run [~locked:false] inside detector transactions that already hold
+    the locks (Algorithms 1–2).
 
     [Lock_request]/[Lock_granted]/[Unlock] expose the NIC lock service to
     remote initiators, and [Control]/[Control_reply] is the extension point

@@ -101,6 +101,32 @@ let test_adopts_out_of_band_initialization () =
   Alcotest.(check bool) "clean" true (Coherence.is_clean checker);
   Alcotest.(check int) "both words adopted" 2 (Coherence.adopted_words checker)
 
+(* A get whose destination is public writes the getter's own public
+   memory: a later read of that word must see the landed value, not the
+   put that preceded the landing. *)
+let test_get_landing_is_a_write () =
+  let observed = ref 0 in
+  let checker =
+    with_machine ~n:3 (fun m ->
+        let a = Machine.alloc_public m ~pid:0 ~len:1 () in
+        let b = Machine.alloc_public m ~pid:1 ~len:1 () in
+        Dsm_memory.Node_memory.write (Machine.node m 1) b [| 9 |];
+        Machine.spawn m ~pid:2 (fun p ->
+            let five = Machine.alloc_private m ~pid:2 ~len:1 () in
+            Dsm_memory.Node_memory.write (Machine.node m 2) five [| 5 |];
+            Machine.put p ~src:five ~dst:a ();
+            Machine.compute p 20.0;
+            let back = Machine.alloc_private m ~pid:2 ~len:1 () in
+            Machine.get p ~src:a ~dst:back ();
+            observed :=
+              (Dsm_memory.Node_memory.read (Machine.node m 2) back).(0));
+        Machine.spawn m ~pid:0 (fun p ->
+            Machine.compute p 10.0;
+            Machine.get p ~src:b ~dst:a ()))
+  in
+  Alcotest.(check int) "P2 reads the landed value" 9 !observed;
+  expect_clean "get landing" checker
+
 let test_detects_injected_corruption () =
   let sim = Engine.create () in
   let m = Machine.create sim ~n:2 ~latency:(Dsm_net.Latency.Constant 1.0) () in
@@ -134,6 +160,8 @@ let () =
           Alcotest.test_case "atomics" `Quick test_coherent_on_atomics;
           Alcotest.test_case "figure 3 contention" `Quick test_coherent_under_figure3_contention;
           Alcotest.test_case "out-of-band init" `Quick test_adopts_out_of_band_initialization;
+          Alcotest.test_case "get landing is a write" `Quick
+            test_get_landing_is_a_write;
         ] );
       ( "detection",
         [ Alcotest.test_case "injected corruption" `Quick test_detects_injected_corruption ] );

@@ -878,7 +878,9 @@ let transfer_digest ~transport ~ordered case =
     Addr.region ~pid:r.base.pid ~space:r.base.space
       ~offset:(r.base.offset + i) ~len:1
   in
-  let init (r : Addr.region) v = Node_memory.write (Machine.node m r.base.pid) r v in
+  let init (r : Addr.region) v =
+    Node_memory.write (Machine.node m r.base.pid) r v
+  in
   let spawn pid f = Machine.spawn m ~pid f in
   (match case with
   | "put-private" ->

@@ -486,6 +486,33 @@ let test_declare_init () =
   check ~declared:[| 0; 0 |] ~expect_clean:true;
   check ~declared:[| 7; 0 |] ~expect_clean:false
 
+(* [Diff.run ~depth] walks the explorer's bounded-exhaustive DFS: on a
+   spec with no violation under the first backend (where
+   [explore_exhaustive] never stops early) it visits exactly as many
+   schedules — the whole tree when the budget is loose, the budget when
+   it is tight. *)
+let test_diff_depth_visits_exhaustive_tree () =
+  List.iter
+    (fun (scenario, depth, runs, whole_tree) ->
+      let spec = { Explore.default_spec with scenario; n = 3 } in
+      let dfs = Explore.explore_exhaustive spec ~depth ~max_runs:runs in
+      Alcotest.(check int) (scenario ^ ": violation-free") 0
+        dfs.Explore.violated;
+      Alcotest.(check bool)
+        (scenario ^ ": tree smaller than the budget")
+        whole_tree (dfs.Explore.runs < runs);
+      let diff =
+        Dsm_explore.Diff.run ~depth ~runs spec (Model.Nic_atomic, Model.Relaxed)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s depth %d runs %d: same schedule count" scenario
+           depth runs)
+        dfs.Explore.runs diff.Dsm_explore.Diff.schedules)
+    [
+      ("workload:master-worker", 6, 300, true);
+      ("workload:stencil", 6, 40, false);
+    ]
+
 let () =
   Alcotest.run "model"
     [
@@ -502,7 +529,11 @@ let () =
             `Slow test_sweep_default_vs_explicit;
         ] );
       ( "differential",
-        [ QCheck_alcotest.to_alcotest prop_sc_subset ] );
+        [
+          QCheck_alcotest.to_alcotest prop_sc_subset;
+          Alcotest.test_case "diff --depth visits the exhaustive tree" `Quick
+            test_diff_depth_visits_exhaustive_tree;
+        ] );
       ( "replay",
         [
           Alcotest.test_case "cross-model token round-trip" `Quick

@@ -359,34 +359,26 @@ let test_lossy_fabric_blocks_operations () =
       Alcotest.fail "50 puts at 40% loss should have lost a message"
   | _ -> Alcotest.fail "unexpected outcome"
 
-(* ---------- raw path ---------- *)
+(* ---------- caller-held locks ---------- *)
 
-let test_raw_put_bypasses_lock () =
+let test_unlocked_put_bypasses_lock () =
   let _, m = make ~latency:(Dsm_net.Latency.Constant 1.0) () in
   let area = Machine.alloc_public m ~pid:1 ~len:1 () in
-  let raw_done = ref 0. in
+  let put_done = ref 0. in
   Machine.spawn m ~pid:0 (fun p ->
       (* Hold the lock ourselves, as a detector transaction would... *)
       let tok = Machine.lock p area in
       let buf = Machine.alloc_private m ~pid:0 ~len:1 () in
       Node_memory.write (Machine.node m 0) buf [| 77 |];
-      (* ...the raw put must go through even though the range is locked. *)
-      Machine.raw_put p ~src:buf ~dst:area ();
-      raw_done := Engine.now (Machine.sim m);
+      (* ...an unlocked put must go through even though the range is
+         locked. *)
+      Machine.put p ~src:buf ~dst:area ~locked:false ();
+      put_done := Engine.now (Machine.sim m);
       Machine.unlock p tok);
   expect_completed m;
   Alcotest.(check (array int)) "written" [| 77 |]
     (Node_memory.read (Machine.node m 1) area);
-  Alcotest.(check bool) "did not self-deadlock" true (!raw_done > 0.)
-
-let test_raw_read_returns_words () =
-  let _, m = make () in
-  let area = Machine.alloc_public m ~pid:1 ~len:3 () in
-  Node_memory.write (Machine.node m 1) area [| 5; 6; 7 |];
-  let words = ref [||] in
-  Machine.spawn m ~pid:0 (fun p -> words := Machine.raw_read p ~src:area);
-  expect_completed m;
-  Alcotest.(check (array int)) "raw read" [| 5; 6; 7 |] !words
+  Alcotest.(check bool) "did not self-deadlock" true (!put_done > 0.)
 
 let test_extra_words_charged () =
   let _, m = make () in
@@ -514,8 +506,8 @@ let () =
         ] );
       ( "raw",
         [
-          Alcotest.test_case "raw put bypasses" `Quick test_raw_put_bypasses_lock;
-          Alcotest.test_case "raw read" `Quick test_raw_read_returns_words;
+          Alcotest.test_case "raw put bypasses" `Quick
+            test_unlocked_put_bypasses_lock;
           Alcotest.test_case "extra words" `Quick test_extra_words_charged;
         ] );
       ( "control",

@@ -57,6 +57,31 @@ let test_accumulate_span () =
     (List.length (Coherence.violations checker));
   Alcotest.(check bool) "oracle clean" true (Linearize.is_clean lin)
 
+(* A get landing in public memory is a write the oracle must replay: an
+   RMW that follows it reads the landed value, not the put before it. *)
+let test_rmw_after_get_landing () =
+  let sim = Engine.create ~seed:7 () in
+  let m = Machine.create sim ~n:3 ~latency:(Dsm_net.Latency.Constant 1.0) () in
+  let lin = Linearize.attach m in
+  let a = Machine.alloc_public m ~pid:0 ~name:"a" ~len:1 () in
+  let b = Machine.alloc_public m ~pid:1 ~name:"b" ~len:1 () in
+  Node_memory.write (Machine.node m 1) b [| 9 |];
+  Machine.spawn m ~pid:2 (fun p ->
+      let five = Machine.alloc_private m ~pid:2 ~len:1 () in
+      Node_memory.write (Machine.node m 2) five [| 5 |];
+      Machine.put p ~src:five ~dst:a ();
+      Machine.compute p 20.0;
+      Alcotest.(check int)
+        "fetch_add reads the landed value" 9
+        (Machine.fetch_add p ~target:a.base ~delta:1 ()));
+  Machine.spawn m ~pid:0 (fun p ->
+      Machine.compute p 10.0;
+      Machine.get p ~src:b ~dst:a ());
+  (match Machine.run m with
+  | Engine.Completed -> ()
+  | _ -> Alcotest.fail "landing run did not complete");
+  Alcotest.(check (list string)) "no lost update" [] (Linearize.violations lin)
+
 (* Duplicate- and drop-injected fabric under the reliable transport:
    every RMW must be applied at the target exactly once (the receiver
    dedups retransmitted frames), so the counter sums exactly and the
@@ -451,6 +476,8 @@ let () =
             test_accumulate_span;
           Alcotest.test_case "duplicate delivery applies exactly once"
             `Quick test_rmw_duplicate_delivery_exactly_once;
+          Alcotest.test_case "RMW after a get landing" `Quick
+            test_rmw_after_get_landing;
         ] );
       ( "detection",
         [
