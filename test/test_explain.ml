@@ -246,6 +246,152 @@ let test_clean_run_explains_nothing () =
     (List.length o.Explain_run.explanations);
   Alcotest.(check string) "empty text" "" o.Explain_run.text
 
+(* ---------- pinned report bytes ---------- *)
+
+module Message = Dsm_rdma.Message
+
+(* One racy-random program shaped like the benchmark's racy workload:
+   n=8, 250 ops per process over 32 variables of 4 words, half reads,
+   a tenth atomics, constant 1 us latency, a flight recorder attached.
+   Its 256-event window wraps, and its chains hold get, get-reply,
+   atomic and lock-granted messages, and some of its sync edges are RMW
+   serializations. *)
+let racy_report () =
+  let sim = Dsm_sim.Engine.create ~seed:6 () in
+  let machine =
+    Dsm_rdma.Machine.create sim ~n:8 ~latency:(Dsm_net.Latency.Constant 1.0) ()
+  in
+  let d = Dsm_core.Detector.create machine () in
+  let flight = Flight.attach (Dsm_sim.Engine.probe sim) in
+  Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
+    {
+      Dsm_workload.Random_access.default with
+      ops_per_proc = 250;
+      vars = 32;
+      var_len = 4;
+      read_fraction = 0.5;
+      atomic_fraction = 0.1;
+      seed = 6;
+    };
+  ignore (Dsm_rdma.Machine.run machine);
+  ( flight,
+    Dsm_core.Diagnose.explain_report ~window:(Flight.events flight)
+      (Dsm_core.Detector.report d) )
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_full_window_report_pinned () =
+  let flight, es = racy_report () in
+  Alcotest.(check bool) "the window wrapped" true (Flight.dropped flight > 0);
+  let labels =
+    List.concat_map
+      (fun (e : Explain.t) -> List.map (fun m -> m.Explain.m_label) e.chain)
+      es
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) ("a chain holds " ^ prefix) true
+        (List.exists (String.starts_with ~prefix) labels))
+    [ "get#"; "get-reply#"; "atomic#"; "atomic-reply#"; "lock-granted#" ];
+  Alcotest.(check bool) "an RMW serialization edge" true
+    (List.exists
+       (fun (e : Explain.t) ->
+         match e.sync_edge with Some (Rmw_serialization _) -> true | _ -> false)
+       es);
+  Alcotest.(check int) "explanations" 1516 (List.length es);
+  Alcotest.(check string) "report JSON md5" "8a8ef1e0e8323b176afcb4b0fba9f3bb" (md5 (Explain.list_to_json es));
+  Alcotest.(check string) "report text md5" "6891b547fa990c113dffb808d6d78883"
+    (md5 (String.concat "" (List.map Explain.to_text es)))
+
+(* Every constructor's label, as the renderer must keep printing it. *)
+let label_table =
+  [
+    ( Message.Put
+        { op = 3; origin = 1; offset = 8; data = [| 1; 2 |]; extra_words = 9;
+          locked = true; want_ack = false },
+      "put#3 from P1 -> pub[8..+2)" );
+    ( Message.Put
+        { op = 4; origin = 0; offset = 0; data = [| 7 |]; extra_words = 0;
+          locked = false; want_ack = true },
+      "put#4 from P0 -> pub[0..+1) (raw) (acked)" );
+    ( Message.Put
+        { op = 5; origin = 2; offset = 12; data = [||]; extra_words = 0;
+          locked = true; want_ack = true },
+      "put#5 from P2 -> pub[12..+0) (acked)" );
+    (Message.Put_ack { op = 6 }, "put-ack#6");
+    ( Message.Put_batch
+        { op = 7; origin = 3; parts = [| (0, [| 1; 2 |]); (4, [| 3; 4; 5 |]) |];
+          extra_words = 2; locked = true; want_ack = false },
+      "put-batch#7 from P3 (2 parts, 5 words)" );
+    ( Message.Put_batch
+        { op = 8; origin = 1; parts = [| (16, [| 1 |]) |]; extra_words = 0;
+          locked = false; want_ack = true },
+      "put-batch#8 from P1 (1 parts, 1 words) (raw) (acked)" );
+    ( Message.Get
+        { op = 9; origin = 4; offset = 20; len = 4; extra_words = 5;
+          locked = true },
+      "get#9 from P4 of pub[20..+4)" );
+    ( Message.Get
+        { op = 10; origin = 5; offset = 0; len = 1; extra_words = 0;
+          locked = false },
+      "get#10 from P5 of pub[0..+1) (raw)" );
+    ( Message.Get_reply { op = 11; data = [| 1; 2; 3 |]; extra_words = 4 },
+      "get-reply#11 (3 words)" );
+    ( Message.Atomic
+        { op = 12; origin = 6; offset = 3; kind = Fetch_add 5; extra_words = 9 },
+      "atomic#12 from P6 at pub[3]: fetch_add 5" );
+    ( Message.Atomic
+        { op = 13; origin = 7; offset = 0; kind = Fetch_add (-2);
+          extra_words = 0 },
+      "atomic#13 from P7 at pub[0]: fetch_add -2" );
+    ( Message.Atomic
+        { op = 14; origin = 0; offset = 9;
+          kind = Compare_and_swap { expected = 1; desired = -4 };
+          extra_words = 0 },
+      "atomic#14 from P0 at pub[9]: cas 1->-4" );
+    ( Message.Atomic_reply { op = 15; old_value = -7 },
+      "atomic-reply#15 old=-7" );
+    ( Message.Accumulate
+        { op = 16; origin = 1; offset = 4; aop = Add; data = [| 1; 1 |];
+          extra_words = 0 },
+      "accumulate#16 from P1 at pub[4..+2): add" );
+    ( Message.Accumulate
+        { op = 17; origin = 2; offset = 0; aop = Min; data = [| 1 |];
+          extra_words = 3 },
+      "accumulate#17 from P2 at pub[0..+1): min" );
+    ( Message.Accumulate
+        { op = 18; origin = 3; offset = 1; aop = Max; data = [| 1; 2; 3 |];
+          extra_words = 0 },
+      "accumulate#18 from P3 at pub[1..+3): max" );
+    ( Message.Accumulate
+        { op = 19; origin = 4; offset = 2; aop = Band; data = [| 1 |];
+          extra_words = 0 },
+      "accumulate#19 from P4 at pub[2..+1): band" );
+    ( Message.Accumulate
+        { op = 20; origin = 5; offset = 3; aop = Bor; data = [| 1 |];
+          extra_words = 0 },
+      "accumulate#20 from P5 at pub[3..+1): bor" );
+    ( Message.Acc_reply { op = 21; old = [| 0; 0 |]; extra_words = 1 },
+      "acc-reply#21 (2 words)" );
+    ( Message.Lock_request { op = 22; origin = 6; offset = 8; len = 4 },
+      "lock#22 from P6 of pub[8..+4)" );
+    ( Message.Lock_granted { op = 23; token = 42 },
+      "lock-granted#23 tok=42" );
+    (Message.Unlock { token = 43 }, "unlock tok=43");
+    ( Message.Control
+        { op = 24; origin = 7; tag = "vput"; words = [| 1; 2 |];
+          want_reply = true },
+      "control#24 from P7 tag=vput (2 words)" );
+    ( Message.Control_reply { op = 25; words = [||] },
+      "control-reply#25 (0 words)" );
+  ]
+
+let test_label_table () =
+  List.iter
+    (fun (msg, expected) ->
+      Alcotest.(check string) expected expected (Message.describe msg))
+    label_table
+
 let () =
   Alcotest.run "explain"
     [
@@ -272,5 +418,11 @@ let () =
             test_rmwlost_checked_atomicity_fallback;
           Alcotest.test_case "clean run silent" `Quick
             test_clean_run_explains_nothing;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "full-window racy report" `Quick
+            test_full_window_report_pinned;
+          Alcotest.test_case "message label table" `Quick test_label_table;
         ] );
     ]
