@@ -717,7 +717,8 @@ let replay_with_diagram token =
     Hashtbl.create 32
   in
   let sink = function
-    | Dsm_obs.Probe.Msg_sent { time; src; dst; label; _ } ->
+    | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
+        let label = Dsm_obs.Msg.label msg in
         let q =
           match Hashtbl.find_opt pending (src, dst, label) with
           | Some q -> q
@@ -727,7 +728,8 @@ let replay_with_diagram token =
               q
         in
         Queue.push time q
-    | Dsm_obs.Probe.Msg_delivered { time; src; dst; label; _ } -> (
+    | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (
+        let label = Dsm_obs.Msg.label msg in
         match Hashtbl.find_opt pending (src, dst, label) with
         | Some q when not (Queue.is_empty q) ->
             let send_time = Queue.pop q in

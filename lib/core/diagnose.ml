@@ -27,7 +27,7 @@ let access_of_entry (e : Provenance.entry) =
     clock = Vector_clock.to_array e.clock;
   }
 
-let explain_race ~window (r : Report.race) =
+let explain_race index (r : Report.race) =
   let granule = r.granule in
   Explain.of_race ~node:granule.Dsm_memory.Addr.base.pid
     ~offset:granule.Dsm_memory.Addr.base.offset
@@ -47,10 +47,12 @@ let explain_race ~window (r : Report.race) =
       }
     ~datum_clock:(Vector_clock.to_array r.datum_clock)
     ?prior:(Option.map access_of_prior r.prior)
-    ~window ()
+    ~index ()
 
+(* The window is indexed once and shared by every race of the report. *)
 let explain_report ~window report =
-  List.map (explain_race ~window) (Report.races report)
+  let index = Explain.index window in
+  List.map (explain_race index) (Report.races report)
 
 (* Fallback for violations that produce *no* race signal (the planted
    RMW-atomicity bug): find the granule whose provenance history holds
@@ -81,4 +83,5 @@ let explain_atomicity ~window ~detail provenance =
       Some
         (Explain.of_atomicity ~node ~offset ~len
            ~flagged:(access_of_entry newest)
-           ~prior:(access_of_entry other) ~window ~detail ())
+           ~prior:(access_of_entry other) ~index:(Explain.index window)
+           ~detail ())

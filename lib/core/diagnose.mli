@@ -4,14 +4,12 @@
     window. Pure — explaining a report is a deterministic function of
     (report, provenance, window). *)
 
-val explain_race :
-  window:Dsm_obs.Probe.event list -> Report.race -> Dsm_obs.Explain.t
-(** Explain one signal. [window] is the flight-recorder contents, oldest
-    first ({!Dsm_obs.Flight.events}). *)
-
 val explain_report :
   window:Dsm_obs.Probe.event list -> Report.t -> Dsm_obs.Explain.t list
-(** Every signal of the report, in signal order. *)
+(** Every signal of the report, in signal order. [window] is the
+    flight-recorder contents, oldest first ({!Dsm_obs.Flight.events});
+    it is indexed once ({!Dsm_obs.Explain.index}) and the index is
+    shared by every signal. *)
 
 val explain_atomicity :
   window:Dsm_obs.Probe.event list ->

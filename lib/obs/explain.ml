@@ -18,6 +18,15 @@ type access = {
   clock : int array; (* dense snapshot of the access's vector clock *)
 }
 
+type msg = {
+  m_src : int;
+  m_dst : int;
+  m_op : int;
+  m_label : string;
+  m_sent : float; (* -1. if the send fell out of the window *)
+  m_delivered : float;
+}
+
 type sync_edge =
   | Lock_handoff of {
       node : int;
@@ -28,14 +37,7 @@ type sync_edge =
       released : float;
       acquired : float;
     }
-  | Message of {
-      src : int;
-      dst : int;
-      op : int;
-      label : string;
-      sent : float; (* -1. if the send fell out of the window *)
-      delivered : float;
-    }
+  | Message of msg (* a delivery between the two endpoints *)
   | Rmw_serialization of {
       node : int;
       origin : int;
@@ -44,15 +46,6 @@ type sync_edge =
       kind : string;
       time : float;
     }
-
-type msg = {
-  m_src : int;
-  m_dst : int;
-  m_op : int;
-  m_label : string;
-  m_sent : float; (* -1. if the send fell out of the window *)
-  m_delivered : float;
-}
 
 (* (component, accessor tick, datum tick) *)
 type component = int * int * int
@@ -107,42 +100,72 @@ let split_components a d =
 
 let involves pid ~p1 ~p2 = pid = p1 || (p2 >= 0 && pid = p2)
 
-(* Delivered messages touching either endpoint, oldest first, capped to
-   the most recent [chain_cap]. Sends are paired with deliveries by
-   (src, dst, op); a delivery whose send predates the window gets
-   [m_sent = -1.]. *)
-let message_chain window ~p1 ~p2 =
-  let sent : (int * int * int, float) Hashtbl.t = Hashtbl.create 32 in
-  let chain = ref [] in
+(* ---------- the window index ---------- *)
+
+(* What [find_sync] reads of the window, in window order: the lock and
+   RMW events, and every delivery. *)
+type step = Sync of Probe.event | Delivery of msg
+
+type index = {
+  deliveries : msg array; (* window order, each paired with its send *)
+  steps : step array;
+  events : int; (* events in the window *)
+}
+
+(* One pass over the window: a delivery is paired with the latest
+   earlier send of the same (src, dst, op) — [m_sent = -1.] when that
+   send predates the window — and its label is rendered here, once,
+   for every race that prints it. *)
+let index window =
+  let sent : (int * int * int, float) Hashtbl.t = Hashtbl.create 64 in
+  let deliveries = ref [] and steps = ref [] and events = ref 0 in
   List.iter
     (fun ev ->
+      incr events;
       match (ev : Probe.event) with
-      | Msg_sent { time; src; dst; op; _ } ->
-          Hashtbl.replace sent (src, dst, op) time
-      | Msg_delivered { time; src; dst; op; label }
-        when involves src ~p1 ~p2 || involves dst ~p1 ~p2 ->
-          let m_sent =
-            match Hashtbl.find_opt sent (src, dst, op) with
-            | Some t0 -> t0
-            | None -> -1.
-          in
-          chain :=
+      | Msg_sent { time; src; dst; msg } ->
+          Hashtbl.replace sent (src, dst, msg.Msg.op) time
+      | Msg_delivered { time; src; dst; msg } ->
+          let m =
             {
               m_src = src;
               m_dst = dst;
-              m_op = op;
-              m_label = label;
-              m_sent;
+              m_op = msg.Msg.op;
+              m_label = Msg.label msg;
+              m_sent =
+                (match Hashtbl.find_opt sent (src, dst, msg.Msg.op) with
+                | Some t0 -> t0
+                | None -> -1.);
               m_delivered = time;
             }
-            :: !chain
+          in
+          deliveries := m :: !deliveries;
+          steps := Delivery m :: !steps
+      | Lock_acquired _ | Lock_released _ | Rmw _ -> steps := Sync ev :: !steps
       | _ -> ())
     window;
-  List.rev (take chain_cap !chain)
+  {
+    deliveries = Array.of_list (List.rev !deliveries);
+    steps = Array.of_list (List.rev !steps);
+    events = !events;
+  }
+
+(* Delivered messages touching either endpoint, oldest first: the most
+   recent [chain_cap] of them. *)
+let message_chain idx ~p1 ~p2 =
+  let rec back i n acc =
+    if i < 0 || n = chain_cap then acc
+    else
+      let m = idx.deliveries.(i) in
+      if involves m.m_src ~p1 ~p2 || involves m.m_dst ~p1 ~p2 then
+        back (i - 1) (n + 1) (m :: acc)
+      else back (i - 1) n acc
+  in
+  back (Array.length idx.deliveries - 1) 0 []
 
 let edge_time = function
   | Lock_handoff { acquired; _ } -> acquired
-  | Message { delivered; _ } -> delivered
+  | Message m -> m.m_delivered
   | Rmw_serialization { time; _ } -> time
 
 (* On equal times a later-scanned candidate wins, so the choice is a
@@ -152,22 +175,21 @@ let better cand best =
 
 (* The most recent event in the window that could have ordered the two
    endpoints: a lock hand-off on the racing granule, a protocol message
-   between them, or an RMW serialization on the granule. *)
-let find_sync window ~p1 ~p2 ~node ~offset ~len =
+   between them, or an RMW serialization on the granule. Only [p1] and
+   [p2] can release, so two cells stand for a per-pid release table. *)
+let find_sync idx ~p1 ~p2 ~node ~offset ~len =
   let best = ref None in
   let consider c = if better c !best then best := Some c in
-  let releases : (int, float) Hashtbl.t = Hashtbl.create 4 in
-  let sent : (int * int * int, float) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun ev ->
-      match (ev : Probe.event) with
-      | Lock_released { time; pid; node = n'; offset = o'; len = l' }
+  let released1 = ref None and released2 = ref None in
+  Array.iter
+    (function
+      | Sync (Lock_released { time; pid; node = n'; offset = o'; len = l' })
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
-          Hashtbl.replace releases pid time
-      | Lock_acquired { time; pid; node = n'; offset = o'; len = l' }
-        when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
+          if pid = p1 then released1 := Some time else released2 := Some time
+      | Sync (Lock_acquired { time; pid; node = n'; offset = o'; len = l' })
+        when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' -> (
           let other = if pid = p1 then p2 else p1 in
-          (match Hashtbl.find_opt releases other with
+          match if other = p1 then !released1 else !released2 with
           | Some released when released <= time ->
               consider
                 (Lock_handoff
@@ -181,29 +203,22 @@ let find_sync window ~p1 ~p2 ~node ~offset ~len =
                      acquired = time;
                    })
           | _ -> ())
-      | Msg_sent { time; src; dst; op; _ } ->
-          Hashtbl.replace sent (src, dst, op) time
-      | Msg_delivered { time; src; dst; op; label }
+      | Delivery m
         when p2 >= 0
-             && ((src = p1 && dst = p2) || (src = p2 && dst = p1)) ->
-          let sent_t =
-            match Hashtbl.find_opt sent (src, dst, op) with
-            | Some t0 -> t0
-            | None -> -1.
-          in
-          consider
-            (Message { src; dst; op; label; sent = sent_t; delivered = time })
-      | Rmw { time; node = n'; origin; offset = o'; len = l'; kind }
+             && ((m.m_src = p1 && m.m_dst = p2)
+                || (m.m_src = p2 && m.m_dst = p1)) ->
+          consider (Message m)
+      | Sync (Rmw { time; node = n'; origin; offset = o'; len = l'; kind })
         when overlaps ~node ~offset ~len n' o' l' ->
           consider
             (Rmw_serialization
                { node = n'; origin; offset = o'; len = l'; kind; time })
-      | _ -> ())
-    window;
+      | Sync _ | Delivery _ -> ())
+    idx.steps;
   !best
 
 let build ~cause ~node ~offset ~len ~against ~flagged ~datum_clock ~prior
-    ~window ~detail =
+    ~index ~detail =
   let ahead, ahead_count, behind, behind_count =
     split_components flagged.clock datum_clock
   in
@@ -222,26 +237,26 @@ let build ~cause ~node ~offset ~len ~against ~flagged ~datum_clock ~prior
     ahead_count;
     behind;
     behind_count;
-    sync_edge = find_sync window ~p1 ~p2 ~node ~offset ~len;
-    chain = message_chain window ~p1 ~p2;
-    window_events = List.length window;
+    sync_edge = find_sync index ~p1 ~p2 ~node ~offset ~len;
+    chain = message_chain index ~p1 ~p2;
+    window_events = index.events;
     detail;
   }
 
-let of_race ~node ~offset ~len ~against ~flagged ~datum_clock ?prior
-    ~window () =
+let of_race ~node ~offset ~len ~against ~flagged ~datum_clock ?prior ~index
+    () =
   build ~cause:"race" ~node ~offset ~len ~against ~flagged ~datum_clock
-    ~prior ~window ~detail:""
+    ~prior ~index ~detail:""
 
 (* Atomicity fallback: a serial-spec violation with zero race signals
    (e.g. a planted RMW-atomicity bug). The two endpoints come from the
    granule's provenance history; their clocks are usually *ordered* —
    that is the point: the sync structure looked fine, yet the applied
    values broke the serial spec. *)
-let of_atomicity ~node ~offset ~len ~flagged ?prior ~window ~detail () =
+let of_atomicity ~node ~offset ~len ~flagged ?prior ~index ~detail () =
   let datum_clock = match prior with Some p -> p.clock | None -> [||] in
   build ~cause:"atomicity" ~node ~offset ~len ~against:"serial-spec"
-    ~flagged ~datum_clock ~prior ~window ~detail
+    ~flagged ~datum_clock ~prior ~index ~detail
 
 (* ---------- rendering ---------- *)
 
@@ -283,9 +298,10 @@ let sync_edge_to_string = function
          acquired at %s"
         node offset (offset + len) from_pid (time_to_string released) to_pid
         (time_to_string acquired)
-  | Message { src; dst; op; label; sent; delivered } ->
-      Printf.sprintf "message %s (op %d) %d→%d, sent %s, delivered %s" label
-        op src dst (time_to_string sent) (time_to_string delivered)
+  | Message m ->
+      Printf.sprintf "message %s (op %d) %d→%d, sent %s, delivered %s"
+        m.m_label m.m_op m.m_src m.m_dst (time_to_string m.m_sent)
+        (time_to_string m.m_delivered)
   | Rmw_serialization { node; origin; offset; len; kind; time } ->
       Printf.sprintf "rmw %s on node %d words [%d,%d) from P%d at %s" kind
         node offset (offset + len) origin (time_to_string time)
@@ -353,99 +369,130 @@ let to_text t =
 
 module W = Json_writer
 
-let json_access buf a =
-  W.obj buf
-    [
-      ("pid", Int a.pid);
-      ("kind", String a.kind);
-      ("time", Fixed (6, a.time));
-      ("op", Int a.op);
-      ("event_id", Int a.event_id);
-      ("clock", Ints a.clock);
-    ]
+(* Fixed keys are written as literals (separator, quoted key, colon):
+   none of them needs escaping, and a literal costs one blit. *)
+let add = Buffer.add_string
 
-let json_components =
-  W.list (fun buf (i, x, y) ->
-      W.obj buf [ ("c", Int i); ("accessor", Int x); ("datum", Int y) ])
+let json_access buf a =
+  add buf "{\"pid\":";
+  W.int buf a.pid;
+  add buf ",\"kind\":";
+  W.string buf a.kind;
+  add buf ",\"time\":";
+  W.fixed 6 buf a.time;
+  add buf ",\"op\":";
+  W.int buf a.op;
+  add buf ",\"event_id\":";
+  W.int buf a.event_id;
+  add buf ",\"clock\":";
+  W.ints buf a.clock;
+  Buffer.add_char buf '}'
+
+let json_component buf (i, x, y) =
+  add buf "{\"c\":";
+  W.int buf i;
+  add buf ",\"accessor\":";
+  W.int buf x;
+  add buf ",\"datum\":";
+  W.int buf y;
+  Buffer.add_char buf '}'
+
+(* A message's members and closing brace: a chain entry opens with
+   ["{"], a message sync edge with its ["type"] member. *)
+let json_msg_members buf m =
+  add buf "\"src\":";
+  W.int buf m.m_src;
+  add buf ",\"dst\":";
+  W.int buf m.m_dst;
+  add buf ",\"op\":";
+  W.int buf m.m_op;
+  add buf ",\"label\":";
+  W.string buf m.m_label;
+  add buf ",\"sent\":";
+  W.fixed 6 buf m.m_sent;
+  add buf ",\"delivered\":";
+  W.fixed 6 buf m.m_delivered;
+  Buffer.add_char buf '}'
+
+let json_msg buf m =
+  Buffer.add_char buf '{';
+  json_msg_members buf m
 
 let json_sync_edge buf = function
   | Lock_handoff { node; offset; len; from_pid; to_pid; released; acquired }
     ->
-      W.obj buf
-        [
-          ("type", String "lock_handoff");
-          ("node", Int node);
-          ("offset", Int offset);
-          ("len", Int len);
-          ("from_pid", Int from_pid);
-          ("to_pid", Int to_pid);
-          ("released", Fixed (6, released));
-          ("acquired", Fixed (6, acquired));
-        ]
-  | Message { src; dst; op; label; sent; delivered } ->
-      W.obj buf
-        [
-          ("type", String "message");
-          ("src", Int src);
-          ("dst", Int dst);
-          ("op", Int op);
-          ("label", String label);
-          ("sent", Fixed (6, sent));
-          ("delivered", Fixed (6, delivered));
-        ]
+      add buf "{\"type\":\"lock_handoff\",\"node\":";
+      W.int buf node;
+      add buf ",\"offset\":";
+      W.int buf offset;
+      add buf ",\"len\":";
+      W.int buf len;
+      add buf ",\"from_pid\":";
+      W.int buf from_pid;
+      add buf ",\"to_pid\":";
+      W.int buf to_pid;
+      add buf ",\"released\":";
+      W.fixed 6 buf released;
+      add buf ",\"acquired\":";
+      W.fixed 6 buf acquired;
+      Buffer.add_char buf '}'
+  | Message m ->
+      add buf "{\"type\":\"message\",";
+      json_msg_members buf m
   | Rmw_serialization { node; origin; offset; len; kind; time } ->
-      W.obj buf
-        [
-          ("type", String "rmw");
-          ("node", Int node);
-          ("origin", Int origin);
-          ("offset", Int offset);
-          ("len", Int len);
-          ("kind", String kind);
-          ("time", Fixed (6, time));
-        ]
-
-let json_msg buf m =
-  W.obj buf
-    [
-      ("src", Int m.m_src);
-      ("dst", Int m.m_dst);
-      ("op", Int m.m_op);
-      ("label", String m.m_label);
-      ("sent", Fixed (6, m.m_sent));
-      ("delivered", Fixed (6, m.m_delivered));
-    ]
-
-let granule t : (string * W.value) list =
-  [ ("node", Int t.node); ("offset", Int t.offset); ("len", Int t.len) ]
-
-let json_incomparable buf t =
-  Buffer.add_char buf '{';
-  W.key buf "ahead";
-  json_components buf t.ahead;
-  W.field buf "ahead_count" W.int t.ahead_count;
-  W.field buf "behind" json_components t.behind;
-  W.field buf "behind_count" W.int t.behind_count;
-  Buffer.add_char buf '}'
+      add buf "{\"type\":\"rmw\",\"node\":";
+      W.int buf node;
+      add buf ",\"origin\":";
+      W.int buf origin;
+      add buf ",\"offset\":";
+      W.int buf offset;
+      add buf ",\"len\":";
+      W.int buf len;
+      add buf ",\"kind\":";
+      W.string buf kind;
+      add buf ",\"time\":";
+      W.fixed 6 buf time;
+      Buffer.add_char buf '}'
 
 let to_json buf t =
-  Buffer.add_char buf '{';
-  W.key buf "cause";
+  add buf "{\"cause\":";
   W.string buf t.cause;
-  W.field buf "granule" W.obj (granule t);
-  W.field buf "against" W.string t.against;
-  W.field buf "flagged" json_access t.flagged;
-  W.field buf "prior" (W.option json_access) t.prior;
-  W.field buf "datum_clock" W.value (Ints t.datum_clock);
-  W.field buf "incomparable" json_incomparable t;
-  W.field buf "sync_edge" (W.option json_sync_edge) t.sync_edge;
-  W.field buf "chain" (W.list json_msg) t.chain;
-  W.field buf "window_events" W.int t.window_events;
-  W.field buf "detail" W.string t.detail;
+  add buf ",\"granule\":{\"node\":";
+  W.int buf t.node;
+  add buf ",\"offset\":";
+  W.int buf t.offset;
+  add buf ",\"len\":";
+  W.int buf t.len;
+  add buf "},\"against\":";
+  W.string buf t.against;
+  add buf ",\"flagged\":";
+  json_access buf t.flagged;
+  add buf ",\"prior\":";
+  W.option json_access buf t.prior;
+  add buf ",\"datum_clock\":";
+  W.ints buf t.datum_clock;
+  add buf ",\"incomparable\":{\"ahead\":";
+  W.list json_component buf t.ahead;
+  add buf ",\"ahead_count\":";
+  W.int buf t.ahead_count;
+  add buf ",\"behind\":";
+  W.list json_component buf t.behind;
+  add buf ",\"behind_count\":";
+  W.int buf t.behind_count;
+  add buf "},\"sync_edge\":";
+  W.option json_sync_edge buf t.sync_edge;
+  add buf ",\"chain\":";
+  W.list json_msg buf t.chain;
+  add buf ",\"window_events\":";
+  W.int buf t.window_events;
+  add buf ",\"detail\":";
+  W.string buf t.detail;
   Buffer.add_char buf '}'
 
+(* An explanation is about 1.5 KiB of JSON: size the buffer for all of
+   them up front so it never regrows. *)
 let list_to_json ts =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create (32 + (1536 * List.length ts)) in
   Buffer.add_string buf "{\"explanations\":[\n";
   List.iteri
     (fun i t ->
@@ -456,6 +503,9 @@ let list_to_json ts =
   Buffer.contents buf
 
 (* ---------- Perfetto annotations ---------- *)
+
+let granule t : (string * W.value) list =
+  [ ("node", Int t.node); ("offset", Int t.offset); ("len", Int t.len) ]
 
 let annotate tl t =
   let ts a = if a.time < 0. then 0. else a.time in

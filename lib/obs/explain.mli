@@ -24,6 +24,16 @@ type access = {
   clock : int array;
 }
 
+(** A delivered protocol message, paired with its send. *)
+type msg = {
+  m_src : int;
+  m_dst : int;
+  m_op : int;
+  m_label : string;
+  m_sent : float;  (** -1. when the send fell outside the window *)
+  m_delivered : float;
+}
+
 (** The most recent event in the window that could have ordered the two
     endpoints — the "this is the sync that failed you" witness. *)
 type sync_edge =
@@ -36,14 +46,7 @@ type sync_edge =
       released : float;
       acquired : float;
     }
-  | Message of {
-      src : int;
-      dst : int;
-      op : int;
-      label : string;
-      sent : float;
-      delivered : float;
-    }
+  | Message of msg  (** a delivery between the two endpoints *)
   | Rmw_serialization of {
       node : int;
       origin : int;
@@ -52,15 +55,6 @@ type sync_edge =
       kind : string;
       time : float;
     }
-
-type msg = {
-  m_src : int;
-  m_dst : int;
-  m_op : int;
-  m_label : string;
-  m_sent : float;  (** -1. when the send fell outside the window *)
-  m_delivered : float;
-}
 
 type component = int * int * int
 (** [(i, accessor_tick, datum_tick)] — one clock coordinate where the
@@ -87,6 +81,18 @@ type t = {
   detail : string;
 }
 
+type index
+(** One flight-recorder window, indexed once per report: every delivery
+    paired with the time of its send and its label rendered once, and
+    the lock, RMW and delivery events the sync-edge search reads, in
+    window order. Explaining each race of a report then scans these
+    compact arrays instead of re-pairing the whole window. *)
+
+val index : Probe.event list -> index
+(** Index a window, oldest first ({!Flight.events}). A delivery is
+    paired with the latest earlier send of the same (src, dst, op);
+    one whose send predates the window gets [m_sent = -1.]. *)
+
 val of_race :
   node:int ->
   offset:int ->
@@ -95,12 +101,12 @@ val of_race :
   flagged:access ->
   datum_clock:int array ->
   ?prior:access ->
-  window:Probe.event list ->
+  index:index ->
   unit ->
   t
 (** Explain one happens-before race: computes the incomparable clock
-    components, scans [window] (oldest first — {!Flight.events}) for the
-    last sync edge between the endpoints and the recent message chain. *)
+    components, and finds in the indexed window the last sync edge
+    between the endpoints and the recent message chain. *)
 
 val of_atomicity :
   node:int ->
@@ -108,7 +114,7 @@ val of_atomicity :
   len:int ->
   flagged:access ->
   ?prior:access ->
-  window:Probe.event list ->
+  index:index ->
   detail:string ->
   unit ->
   t
@@ -122,7 +128,9 @@ val to_text : t -> string
 
 val list_to_json : t list -> string
 (** [{"explanations": [...]}] document, one compact object per
-    explanation in a stable field order. *)
+    explanation in a stable field order. Fixed keys are written as
+    literals and values through {!Json_writer}'s allocation-free
+    writers, into one buffer sized from the explanation count. *)
 
 val annotate : Timeline.t -> t -> unit
 (** Add instant marks at both endpoints and a flow arrow between them

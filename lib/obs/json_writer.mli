@@ -1,7 +1,13 @@
 (** The one JSON writer: race reports, Perfetto timelines, metrics dumps
     and bench rows all stream through it into a caller's [Buffer.t].
     It owns the only string escaper, the number formats and the [,]/[:]
-    separators, and builds no document tree. *)
+    separators, and builds no document tree.
+
+    The per-value writers allocate nothing in the common case: a
+    string with nothing to escape is copied whole after one scan, an
+    int is written digit by digit, an int array element by element,
+    and a fixed-decimal float through an exact integer/fraction path
+    (see {!fixed}). *)
 
 type value =
   | Int of int
@@ -16,9 +22,21 @@ val string : Buffer.t -> string -> unit
     included) passes through. *)
 
 val int : Buffer.t -> int -> unit
+(** The decimal digits, as [string_of_int] prints them. *)
+
+val ints : Buffer.t -> int array -> unit
+(** [[1,2,3]]. *)
 
 val fixed : int -> Buffer.t -> float -> unit
-(** [fixed n buf f] writes [f] as C's ["%.nf"] does, [0 <= n <= 9]. *)
+(** [fixed n buf f] writes [f] exactly as C's ["%.nf"] does,
+    [0 <= n <= 9]. A finite [f >= 0.] that is not [-0.] and is below
+    [2^52 / 10^n] is written as an integer part and an [n]-digit
+    fraction with no allocation: the product [p = f * 10^n] rounds like
+    the exact product unless its fraction is exactly one half, and then
+    the product's [Float.fma] residual picks the side. A zero residual
+    — a true half-unit tie — and every other value (negatives, [-0.],
+    NaN, infinities, large values) is formatted by [caml_format_float],
+    the primitive behind [Printf]. *)
 
 val value : Buffer.t -> value -> unit
 

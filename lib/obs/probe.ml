@@ -20,14 +20,8 @@ type event =
   (* rdma machine *)
   | Op_begin of { time : float; pid : int; op : int; kind : string; target : int }
   | Op_end of { time : float; pid : int; op : int; kind : string }
-  | Msg_sent of { time : float; src : int; dst : int; op : int; label : string }
-  | Msg_delivered of {
-      time : float;
-      src : int;
-      dst : int;
-      op : int;
-      label : string;
-    }
+  | Msg_sent of { time : float; src : int; dst : int; msg : Msg.t }
+  | Msg_delivered of { time : float; src : int; dst : int; msg : Msg.t }
   | Lock_acquired of {
       time : float;
       pid : int;

@@ -16,6 +16,12 @@
     benchmark suite's [probe_disabled_overhead] row holds this to ≤ 3%
     of a detector-check-shaped hot loop ([bench/main.ml]).
 
+    Events are plain data — ints, floats, strings, bools and records of
+    them, never closures or [Lazy.t] — so [=] and [compare] work on them:
+    the flight recorder's tests compare two runs' windows with [=]. Emit
+    sites format nothing; a consumer that prints a message renders its
+    label with {!Msg.label} when it prints.
+
     Sinks must be read-only observers: they run synchronously inside the
     simulation's hot paths and must not touch engine state, PRNG
     streams, or scheduling — the explorer's QCheck suite checks that
@@ -47,17 +53,12 @@ type event =
   | Op_begin of { time : float; pid : int; op : int; kind : string; target : int }
       (** a one-sided operation ([kind] put/get/atomic/lock) left [pid] *)
   | Op_end of { time : float; pid : int; op : int; kind : string }
-  | Msg_sent of { time : float; src : int; dst : int; op : int; label : string }
-      (** protocol message handed to the fabric ([label] from
-          [Message.describe], [op] the issuing operation id so a send can
-          be paired with its delivery) *)
-  | Msg_delivered of {
-      time : float;
-      src : int;
-      dst : int;
-      op : int;
-      label : string;
-    }
+  | Msg_sent of { time : float; src : int; dst : int; msg : Msg.t }
+      (** protocol message handed to the fabric. [msg] holds its plain
+          fields, not a formatted label: consumers that print it call
+          {!Msg.label}. [msg.op] is the issuing operation id, so a send
+          can be paired with its delivery. *)
+  | Msg_delivered of { time : float; src : int; dst : int; msg : Msg.t }
   | Lock_acquired of {
       time : float;
       pid : int;

@@ -136,7 +136,8 @@ let sink t (ev : Probe.event) =
             ~cat:"op" ~ts:t0
             ~dur:(Float.max (time -. t0) 0.)
             ~args:[ ("op", Int op); ("target", Int target) ])
-  | Msg_sent { time; src; dst; label; _ } ->
+  | Msg_sent { time; src; dst; msg } ->
+      let label = Msg.label msg in
       let id = t.next_flow in
       t.next_flow <- id + 1;
       let key = (src, dst, label) in
@@ -151,7 +152,8 @@ let sink t (ev : Probe.event) =
       Queue.push id q;
       slice t ~pid:src ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur ~args:[];
       flow t ~pid:src ~phase:"s" ~id ~name:label ~ts:time
-  | Msg_delivered { time; src; dst; label; _ } -> (
+  | Msg_delivered { time; src; dst; msg } -> (
+      let label = Msg.label msg in
       match Hashtbl.find_opt t.flows (src, dst, label) with
       | None -> ()
       | Some q when Queue.is_empty q -> ()

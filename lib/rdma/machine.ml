@@ -216,13 +216,7 @@ let rec handle m ~node ~src msg =
    if probe.on then
      Dsm_obs.Probe.emit probe
        (Msg_delivered
-          {
-            time = Engine.now m.sim;
-            src;
-            dst = node;
-            op = Message.op_id msg;
-            label = Message.describe msg;
-          }));
+          { time = Engine.now m.sim; src; dst = node; msg = Message.fields msg }));
   let nm = m.nodes.(node) in
   let locks = Node_memory.locks nm in
   let public = Node_memory.segment nm Addr.Public in
@@ -460,13 +454,7 @@ and transmit m ~src ~dst msg =
    if probe.on then
      Dsm_obs.Probe.emit probe
        (Msg_sent
-          {
-            time = Engine.now m.sim;
-            src;
-            dst;
-            op = Message.op_id msg;
-            label = Message.describe msg;
-          }));
+          { time = Engine.now m.sim; src; dst; msg = Message.fields msg }));
   (* Footprint of the delivery event: a request's handler mutates the
      destination node's state on behalf of the sending process (origin =
      src, since pid = node); a reply's handler only completes a pending

@@ -90,25 +90,6 @@ let is_reply = function
   | Unlock _ | Control _ ->
       false
 
-(* The issuing operation's id, used to pair a send with its delivery in
-   telemetry. [Unlock] is fire-and-forget with no op of its own: -1. *)
-let op_id = function
-  | Put { op; _ }
-  | Put_ack { op }
-  | Put_batch { op; _ }
-  | Get { op; _ }
-  | Get_reply { op; _ }
-  | Atomic { op; _ }
-  | Atomic_reply { op; _ }
-  | Accumulate { op; _ }
-  | Acc_reply { op; _ }
-  | Lock_request { op; _ }
-  | Lock_granted { op; _ }
-  | Control { op; _ }
-  | Control_reply { op; _ } ->
-      op
-  | Unlock _ -> -1
-
 let header_words = 2
 
 (* The nominal clock allowance a message carries: the [extra_words]
@@ -162,48 +143,46 @@ let wire_words = function
    the byte-accounting counters only. *)
 let wire_words_piggyback ~pb msg = wire_words msg - extra_words_of msg + pb
 
-let describe = function
-  | Put { op; origin; offset; data; want_ack; locked; _ } ->
-      Printf.sprintf "put#%d from P%d -> pub[%d..+%d)%s%s" op origin offset
-        (Array.length data)
-        (if locked then "" else " (raw)")
-        (if want_ack then " (acked)" else "")
-  | Put_ack { op } -> Printf.sprintf "put-ack#%d" op
+(* The fields a probe event carries, built with no formatting: the
+   label is rendered by [Dsm_obs.Msg.label] only where it is printed. *)
+let fields msg : Dsm_obs.Msg.t =
+  let module M = Dsm_obs.Msg in
+  let m = M.none in
+  match msg with
+  | Put { op; origin; offset; data; locked; want_ack; _ } ->
+      { m with kind = M.Put; op; origin; offset; len = Array.length data;
+        locked; acked = want_ack }
+  | Put_ack { op } -> { m with kind = M.Put_ack; op }
   | Put_batch { op; origin; parts; locked; want_ack; _ } ->
       let words =
         Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
       in
-      Printf.sprintf "put-batch#%d from P%d (%d parts, %d words)%s%s" op
-        origin (Array.length parts) words
-        (if locked then "" else " (raw)")
-        (if want_ack then " (acked)" else "")
+      { m with kind = M.Put_batch; op; origin; parts = Array.length parts;
+        len = words; locked; acked = want_ack }
   | Get { op; origin; offset; len; locked; _ } ->
-      Printf.sprintf "get#%d from P%d of pub[%d..+%d)%s" op origin offset len
-        (if locked then "" else " (raw)")
+      { m with kind = M.Get; op; origin; offset; len; locked }
   | Get_reply { op; data; _ } ->
-      Printf.sprintf "get-reply#%d (%d words)" op (Array.length data)
-  | Atomic { op; origin; offset; kind; _ } ->
-      let k =
-        match kind with
-        | Fetch_add d -> Printf.sprintf "fetch_add %d" d
-        | Compare_and_swap { expected; desired } ->
-            Printf.sprintf "cas %d->%d" expected desired
-      in
-      Printf.sprintf "atomic#%d from P%d at pub[%d]: %s" op origin offset k
+      { m with kind = M.Get_reply; op; len = Array.length data }
+  | Atomic { op; origin; offset; kind = Fetch_add d; _ } ->
+      { m with kind = M.Fetch_add; op; origin; offset; arg = d }
+  | Atomic { op; origin; offset; kind = Compare_and_swap { expected; desired };
+      _ } ->
+      { m with kind = M.Cas; op; origin; offset; arg = expected; arg2 = desired }
   | Atomic_reply { op; old_value } ->
-      Printf.sprintf "atomic-reply#%d old=%d" op old_value
+      { m with kind = M.Atomic_reply; op; arg = old_value }
   | Accumulate { op; origin; offset; aop; data; _ } ->
-      Printf.sprintf "accumulate#%d from P%d at pub[%d..+%d): %s" op origin
-        offset (Array.length data) (acc_op_name aop)
+      { m with kind = M.Accumulate; op; origin; offset; len = Array.length data;
+        name = acc_op_name aop }
   | Acc_reply { op; old; _ } ->
-      Printf.sprintf "acc-reply#%d (%d words)" op (Array.length old)
+      { m with kind = M.Acc_reply; op; len = Array.length old }
   | Lock_request { op; origin; offset; len } ->
-      Printf.sprintf "lock#%d from P%d of pub[%d..+%d)" op origin offset len
-  | Lock_granted { op; token } ->
-      Printf.sprintf "lock-granted#%d tok=%d" op token
-  | Unlock { token } -> Printf.sprintf "unlock tok=%d" token
+      { m with kind = M.Lock_request; op; origin; offset; len }
+  | Lock_granted { op; token } -> { m with kind = M.Lock_granted; op; arg = token }
+  | Unlock { token } -> { m with kind = M.Unlock; op = -1; arg = token }
   | Control { op; origin; tag; words; _ } ->
-      Printf.sprintf "control#%d from P%d tag=%s (%d words)" op origin tag
-        (Array.length words)
+      { m with kind = M.Control; op; origin; len = Array.length words;
+        name = tag }
   | Control_reply { op; words } ->
-      Printf.sprintf "control-reply#%d (%d words)" op (Array.length words)
+      { m with kind = M.Control_reply; op; len = Array.length words }
+
+let describe msg = Dsm_obs.Msg.label (fields msg)

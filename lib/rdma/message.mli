@@ -112,11 +112,6 @@ val is_reply : t -> bool
     delivery acts on behalf of the sending side's process — are [false].
     [Unlock] counts as a request: releasing may grant queued waiters. *)
 
-val op_id : t -> int
-(** The issuing operation's id — the key telemetry uses to pair a
-    [Msg_sent] with its [Msg_delivered]. [-1] for [Unlock], which is
-    fire-and-forget and carries no op of its own. *)
-
 val header_words : int
 (** Fixed per-message header size charged on the wire (routing, op ids). *)
 
@@ -137,5 +132,12 @@ val wire_words_piggyback : pb:int -> t -> int
     Feeds the byte-accounting counters only; timing keeps using
     {!wire_words} so schedules are independent of the chosen encoding. *)
 
+val fields : t -> Dsm_obs.Msg.t
+(** The plain fields the probe bus's message events carry: kind, op,
+    origin, offset, word counts, parts, the RMW operands or operator,
+    the lock token, the locked/acked flags and the control tag. Builds
+    no string. *)
+
 val describe : t -> string
-(** One-line rendering for traces and debugging. *)
+(** One-line rendering for traces and debugging:
+    [Dsm_obs.Msg.label (fields msg)]. *)

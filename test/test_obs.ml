@@ -267,6 +267,80 @@ let test_escaper_bytes () =
              ("c", Ints [| 1; 2 |]);
            ]))
 
+(* [Json_writer.fixed] must print every float exactly as C's ["%.Nf"]
+   does, at every precision the repo writes: 6 (explanations), 3
+   (timelines) and 2 (bench rows). The generator aims at the fast
+   path's edges: binary half-unit ties, near-ties around k.5 units,
+   the 2^52/10^N cut-over, negatives and [-0.], and values the fast
+   path must hand to [caml_format_float]. *)
+let fixed_case =
+  let open QCheck.Gen in
+  let finite = float_bound_inclusive 1e4 in
+  let tie = map2 (fun k j -> float_of_int k /. Float.pow 2. (float_of_int j))
+      (int_bound 1_000_000) (int_range 1 24) in
+  let near_tie =
+    map3
+      (fun k n eps -> ((float_of_int k +. 0.5) /. (10. ** float_of_int n)) +. eps)
+      (int_bound 100_000) (oneofl [ 6; 3; 2 ])
+      (oneofl [ 0.; 1e-17; -1e-17; 1e-12; -1e-12 ])
+  in
+  let around_limit =
+    map2 (fun n x -> (0x1p52 /. (10. ** float_of_int n)) *. x)
+      (oneofl [ 6; 3; 2 ]) (float_range 0.999 1.001)
+  in
+  let special =
+    oneofl [ nan; infinity; neg_infinity; -0.; 0.; 4e9; 1e300; 5e-324; -1. ]
+  in
+  let value =
+    frequency
+      [
+        (4, finite);
+        (2, map Float.neg finite);
+        (3, tie);
+        (2, near_tie);
+        (1, map (fun x -> 4e9 +. x) (float_bound_inclusive 1e12));
+        (1, around_limit);
+        (1, map Int64.float_of_bits ui64);
+        (1, special);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (n, f) -> Printf.sprintf "%%.%df of %h (%.17g)" n f f)
+    (pair (oneofl [ 6; 3; 2 ]) value)
+
+let prop_fixed_matches_printf =
+  QCheck.Test.make ~name:"fixed = Printf %.Nf" ~count:20_000 fixed_case
+    (fun (n, f) ->
+      render (fun b -> Json_writer.fixed n b f) = Printf.sprintf "%.*f" n f)
+
+let test_fixed_and_int_bytes () =
+  List.iter
+    (fun (n, f, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%%.%df of %h" n f)
+        expected
+        (render (fun b -> Json_writer.fixed n b f)))
+    [
+      (6, 0.0078125, "0.007812");
+      (6, 0.0234375, "0.023438");
+      (6, -0., "-0.000000");
+      (6, 0., "0.000000");
+      (6, nan, Printf.sprintf "%.6f" nan);
+      (6, infinity, Printf.sprintf "%.6f" infinity);
+      (6, neg_infinity, Printf.sprintf "%.6f" neg_infinity);
+      (6, 4e9, "4000000000.000000");
+      (6, 1234.5, "1234.500000");
+      (3, 2.3, "2.300");
+      (3, 0.0625, "0.062");
+      (2, 0.125, "0.12");
+      (2, 99.995, Printf.sprintf "%.2f" 99.995);
+    ];
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (render (fun b -> Json_writer.int b n)))
+    [ 0; 7; -7; 10; -10; 1234567890; max_int; min_int; min_int + 1 ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -291,7 +365,12 @@ let () =
             test_validator_rejects_malformed;
         ] );
       ( "json",
-        [ Alcotest.test_case "escaper bytes" `Quick test_escaper_bytes ] );
+        [
+          Alcotest.test_case "escaper bytes" `Quick test_escaper_bytes;
+          Alcotest.test_case "fixed and int bytes" `Quick
+            test_fixed_and_int_bytes;
+          QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
+        ] );
       ( "explorer",
         [
           Alcotest.test_case "arena metrics reset" `Quick
