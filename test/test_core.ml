@@ -841,6 +841,133 @@ let test_store_single_table () =
   let b = Clock_store.entry_at s ~offset:64 ~len:1 in
   Alcotest.(check bool) "stable physical entry" true (a == b)
 
+(* ---------- Clock store: registered variables vs the list oracle ---------- *)
+
+(* A random script against one node's variables: a disjoint layout (with
+   adjacent variables and gaps) registered in random order, interleaved
+   with accesses that fall inside a variable, span several, straddle a
+   gap or run past the last one, and with extra registrations that may
+   overlap. Some accesses register a variable from inside their first
+   visit, as another process may while an explicit-transport walk waits
+   on a control round trip. A few regions are private or on another
+   node. *)
+type var_op =
+  | V_register of Addr.region
+  | V_access of Addr.region
+  | V_access_registering of Addr.region * Addr.region
+
+let show_region (r : Addr.region) = Addr.to_string r
+
+let show_var_op = function
+  | V_register r -> "register " ^ show_region r
+  | V_access r -> "access " ^ show_region r
+  | V_access_registering (r, r') ->
+      Printf.sprintf "access %s registering %s" (show_region r)
+        (show_region r')
+
+let gen_var_script =
+  QCheck.Gen.(
+    let* layout =
+      list_size (int_range 0 12)
+        (pair (frequencyl [ (3, 0); (1, 1); (1, 3) ]) (int_range 1 5))
+    in
+    let vars, stop =
+      List.fold_left
+        (fun (acc, at) (gap, len) -> ((at + gap, len) :: acc, at + gap + len))
+        ([], 0) layout
+    in
+    let region =
+      let* pid = frequencyl [ (12, 0); (1, 1) ] in
+      let* space = frequencyl [ (12, Addr.Public); (1, Addr.Private) ] in
+      let* offset = int_range 0 (stop + 4) in
+      let+ len = int_range 1 8 in
+      Addr.region ~pid ~space ~offset ~len
+    in
+    let extra =
+      frequency
+        [
+          (6, map (fun r -> V_access r) region);
+          (1, map (fun r -> V_register r) region);
+          (1, map2 (fun r r' -> V_access_registering (r, r')) region region);
+        ]
+    in
+    let* order = shuffle_l vars in
+    let* steps =
+      flatten_l
+        (List.map
+           (fun (offset, len) ->
+             let+ after = list_size (int_range 0 3) extra in
+             V_register
+               (Addr.region ~pid:0 ~space:Addr.Public ~offset ~len)
+             :: after)
+           order)
+    in
+    let+ tail = list_size (int_range 1 12) extra in
+    List.concat steps @ tail)
+
+let arb_var_script =
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_var_op ops))
+    gen_var_script
+
+(* What one step did: the registration's outcome, or the visited
+   granules, or the exception the walk raised (and whether anything was
+   visited before it). *)
+let var_outcomes ~register ~iter ops =
+  let registering r =
+    match register r with
+    | () -> "ok"
+    | exception Invalid_argument m -> "invalid: " ^ m
+  in
+  List.map
+    (fun op ->
+      match op with
+      | V_register r -> registering r
+      | V_access r | V_access_registering (r, _) -> (
+          let visited = ref [] and inner = ref "" in
+          let f ~offset ~len =
+            (match op with
+            | V_access_registering (_, r') when !visited = [] ->
+                inner := registering r'
+            | _ -> ());
+            visited := (offset, len) :: !visited
+          in
+          match iter r ~f with
+          | () ->
+              Printf.sprintf "visit %s %s"
+                (String.concat ""
+                   (List.rev_map
+                      (fun (o, l) -> Printf.sprintf "(%d,%d)" o l)
+                      !visited))
+                !inner
+          | exception Failure m ->
+              Printf.sprintf "failure: %s after %d visits" m
+                (List.length !visited)
+          | exception Invalid_argument m -> "invalid: " ^ m))
+    ops
+
+let prop_variables_match_list_oracle =
+  QCheck.Test.make ~name:"registered variables match the list oracle"
+    ~count:1000 arb_var_script (fun ops ->
+      let store =
+        Clock_store.create ~node:0 ~clock_dim:2 ~granularity:Config.Variable
+      in
+      let oracle = Variable_ref.create ~node:0 in
+      let live =
+        var_outcomes ~register:(Clock_store.register store)
+          ~iter:(Clock_store.iter_granules store)
+          ops
+      and expected =
+        var_outcomes ~register:(Variable_ref.register oracle)
+          ~iter:(Variable_ref.iter_granules oracle)
+          ops
+      in
+      if live = expected then true
+      else
+        QCheck.Test.fail_reportf "live:\n%s\noracle:\n%s"
+          (String.concat "\n" live)
+          (String.concat "\n" expected))
+
 (* ---------- transfer-path pins ---------- *)
 
 (* One scripted program per checked transfer path — single puts and
@@ -1166,8 +1293,10 @@ let () =
             test_provenance_keys_distinct;
         ] );
       ( "clock-store-layout",
-        [ Alcotest.test_case "single table" `Quick test_store_single_table ]
-      );
+        [
+          Alcotest.test_case "single table" `Quick test_store_single_table;
+          QCheck_alcotest.to_alcotest prop_variables_match_list_oracle;
+        ] );
       ( "ground-truth",
         [
           Alcotest.test_case "equivalence on seeds" `Quick test_ground_truth_seeds;

@@ -139,6 +139,54 @@ let test_stencil_without_barriers_races () =
   Alcotest.(check bool) "unsynchronized halo races" true
     (Report.count (Detector.report d) > 0)
 
+(* A small stencil under the default config (one registered variable per
+   cell) on a jittered fabric, once per transport. Every checked access
+   looks up the variables it touches, so any change to that lookup's
+   visits or their order moves the race fingerprint, the traffic
+   counters, the final simulated time or the final grid. *)
+let stencil_digest transport =
+  let sim = Engine.create ~seed:7 () in
+  let latency =
+    Dsm_net.Latency.Jittered
+      { model = Dsm_net.Latency.Constant 1.0; mean_jitter = 2.0 }
+  in
+  let m = Machine.create sim ~n:8 ~latency () in
+  let d =
+    Detector.create m ~config:{ Config.default with Config.transport } ()
+  in
+  let env = Env.checked d in
+  let params = { Stencil.cells_per_node = 16; iterations = 3; seed = 5 } in
+  let grid = Stencil.setup env ~collectives:(Collectives.create env) params in
+  expect_completed m;
+  let cells =
+    Array.init (Shared_array.length grid) (Shared_array.peek grid)
+    |> Array.to_list |> List.map string_of_int |> String.concat ","
+  in
+  Printf.sprintf "races=%d msgs=%d wire=%d clock=%d t=%.3f grid=%s fp=%s"
+    (Report.count (Detector.report d))
+    (Machine.fabric_messages m)
+    (Machine.wire_words_sent m)
+    (Machine.clock_words_sent m)
+    (Engine.now sim) cells
+    (Report.fingerprint (Detector.report d))
+
+let stencil_goldens =
+  [
+    (Config.Inline,
+     "races=0 msgs=1716 wire=9634 clock=5200 t=116.669 grid=9,27,38,37,31,26,30,39,50,54,54,50,48,45,45,47,54,58,56,48,43,41,43,45,48,53,58,62,59,51,43,40,43,46,52,57,63,65,65,62,61,60,59,58,56,54,48,46,47,53,52,47,37,33,34,43,52,59,60,56,47,40,36,38,42,49,54,55,54,53,52,47,39,31,32,42,58,73,78,77,69,65,60,57,49,40,32,31,33,37,39,41,39,40,41,48,55,62,62,54,42,32,28,32,44,57,64,61,54,48,49,55,62,60,53,45,41,42,41,42,49,61,70,68,57,41,22,2 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    (Config.Piggyback_txn,
+     "races=0 msgs=1842 wire=10260 clock=5406 t=147.551 grid=9,27,38,37,31,26,30,39,50,54,54,50,48,45,45,47,54,58,56,48,43,41,43,45,48,53,58,62,59,51,43,40,43,46,52,57,63,65,65,62,61,60,59,58,56,54,48,46,47,53,52,47,37,33,34,43,52,59,60,56,47,40,36,38,42,49,54,55,54,53,52,47,39,31,32,42,58,73,78,77,69,65,60,57,49,40,32,31,33,37,39,41,39,40,41,48,55,62,62,54,42,32,28,32,44,57,64,61,54,48,49,55,62,60,53,45,41,42,41,42,49,61,70,68,57,41,22,2 fp=fdd73622d6dcab3e995bca53fee6ba14");
+    (Config.Explicit_txn,
+     "races=0 msgs=1968 wire=6744 clock=0 t=201.654 grid=9,27,38,37,31,26,30,39,50,54,54,50,48,45,45,47,54,58,56,48,43,41,43,45,48,53,58,62,59,51,43,40,43,46,52,57,63,65,65,62,61,60,59,58,56,54,48,46,47,53,52,47,37,33,34,43,52,59,60,56,47,40,36,38,42,49,54,55,54,53,52,47,39,31,32,42,58,73,78,77,69,65,60,57,49,40,32,31,33,37,39,41,39,40,41,48,55,62,62,54,42,32,28,32,44,57,64,61,54,48,49,55,62,60,53,45,41,42,41,42,49,61,70,68,57,41,22,2 fp=fdd73622d6dcab3e995bca53fee6ba14");
+  ]
+
+let test_stencil_pins () =
+  List.iter
+    (fun (transport, expected) ->
+      Alcotest.(check string) (Config.transport_name transport) expected
+        (stencil_digest transport))
+    stencil_goldens
+
 (* ---------- pipeline ---------- *)
 
 let test_pipeline_delivers_and_flags_only_the_flag () =
@@ -267,6 +315,7 @@ let () =
         [
           Alcotest.test_case "reference + clean" `Quick test_stencil_matches_reference_and_is_clean;
           Alcotest.test_case "no barriers: races" `Quick test_stencil_without_barriers_races;
+          Alcotest.test_case "pinned under every transport" `Quick test_stencil_pins;
         ] );
       ( "pipeline",
         [
