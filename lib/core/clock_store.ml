@@ -31,7 +31,14 @@ type t = {
   clock_dim : int;
   granularity : Config.granularity;
   table : entry Int_tbl.t;
-  mutable registered : Addr.region list; (* address-sorted *)
+  (* The registered variables, address-sorted: variable [i] covers
+     [var_off.(i) .. var_off.(i) + var_len.(i) - 1] for [i < vars].
+     Variables are disjoint, so their ends ascend with their starts and
+     one binary search finds the first variable an access can touch.
+     The arrays start empty and double from capacity 1. *)
+  mutable var_off : int array;
+  mutable var_len : int array;
+  mutable vars : int;
 }
 
 let create ~node ~clock_dim ~granularity =
@@ -41,10 +48,24 @@ let create ~node ~clock_dim ~granularity =
     clock_dim;
     granularity;
     table = Int_tbl.create 64;
-    registered = [];
+    var_off = [||];
+    var_len = [||];
+    vars = 0;
   }
 
 let node t = t.node
+
+(* The index of the first variable that ends at or after [offset] —
+   [t.vars] if none does. Every variable before it lies wholly below
+   [offset]. *)
+let first_ending_after t offset =
+  let lo = ref 0 and hi = ref t.vars in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.var_off.(mid) + t.var_len.(mid) > offset then hi := mid
+    else lo := mid + 1
+  done;
+  !lo
 
 let register t (r : Addr.region) =
   match t.granularity with
@@ -54,33 +75,39 @@ let register t (r : Addr.region) =
         invalid_arg "Clock_store.register: region is on another node";
       if not (Addr.is_public r) then
         invalid_arg "Clock_store.register: region is not public";
-      if List.exists (fun r' -> Addr.overlap r r') t.registered then
+      let i = first_ending_after t r.base.offset in
+      if i < t.vars && t.var_off.(i) <= Addr.last_offset r then
         invalid_arg "Clock_store.register: overlaps a registered variable";
-      t.registered <-
-        List.sort
-          (fun (a : Addr.region) (b : Addr.region) ->
-            compare a.base.offset b.base.offset)
-          (r :: t.registered)
+      if t.vars = Array.length t.var_off then begin
+        let grow a =
+          let a' = Array.make (max 1 (2 * t.vars)) 0 in
+          Array.blit a 0 a' 0 t.vars;
+          a'
+        in
+        t.var_off <- grow t.var_off;
+        t.var_len <- grow t.var_len
+      end;
+      Array.blit t.var_off i t.var_off (i + 1) (t.vars - i);
+      Array.blit t.var_len i t.var_len (i + 1) (t.vars - i);
+      t.var_off.(i) <- r.base.offset;
+      t.var_len.(i) <- r.len;
+      t.vars <- t.vars + 1
 
-(* Under [Variable] granularity every accessed word must fall inside a
-   registered variable; checked before any granule is visited so a
-   failing access signals nothing. The registered list is walked twice —
-   no intermediate list is built. *)
-let check_covered t (r : Addr.region) =
-  let covered_words =
-    List.fold_left
-      (fun acc (v : Addr.region) ->
-        if Addr.overlap r v then
-          let lo = max v.base.offset r.base.offset in
-          let hi = min (Addr.last_offset v) (Addr.last_offset r) in
-          acc + (hi - lo + 1)
-        else acc)
-      0 t.registered
-  in
-  if covered_words < r.len then
-    failwith
-      (Printf.sprintf "Clock_store: access to %s touches unregistered shared data"
-         (Addr.to_string r))
+(* Visit the variables from index [i] on that start at or before [last].
+   [f] may suspend (an explicit-transport control round trip) while
+   another process registers a variable. No new variable can overlap
+   the access, which is fully covered, but one registered below it
+   shifts the indices; the next variable is then found again from the
+   end of the one just visited. *)
+let rec visit_variables t i ~last ~f =
+  if i < t.vars && t.var_off.(i) <= last then begin
+    let offset = t.var_off.(i) and len = t.var_len.(i) and vars = t.vars in
+    f ~offset ~len;
+    let next =
+      if t.vars = vars then i + 1 else first_ending_after t (offset + len)
+    in
+    visit_variables t next ~last ~f
+  end
 
 let iter_granules t (r : Addr.region) ~f =
   if r.base.pid <> t.node then invalid_arg "Clock_store.granules: wrong node";
@@ -95,11 +122,26 @@ let iter_granules t (r : Addr.region) ~f =
         f ~offset:(b * k) ~len:k
       done
   | Config.Variable ->
-      check_covered t r;
-      List.iter
-        (fun (v : Addr.region) ->
-          if Addr.overlap r v then f ~offset:v.base.offset ~len:v.len)
-        t.registered
+      (* Every accessed word must fall inside a registered variable;
+         checked before any granule is visited so a failing access
+         signals nothing. Variables are public, so a private access
+         covers nothing. *)
+      let last = Addr.last_offset r in
+      let first = first_ending_after t r.base.offset in
+      let covered = ref 0 and i = ref first in
+      if Addr.is_public r then
+        while !i < t.vars && t.var_off.(!i) <= last do
+          let lo = max t.var_off.(!i) r.base.offset
+          and hi = min (t.var_off.(!i) + t.var_len.(!i) - 1) last in
+          covered := !covered + (hi - lo + 1);
+          incr i
+        done;
+      if !covered < r.len then
+        failwith
+          (Printf.sprintf
+             "Clock_store: access to %s touches unregistered shared data"
+             (Addr.to_string r));
+      visit_variables t first ~last ~f
 
 let granules t (r : Addr.region) =
   let acc = ref [] in
@@ -110,9 +152,9 @@ let granules t (r : Addr.region) =
 
 let entry_at t ~offset ~len =
   let key = pack_key ~offset ~len in
-  match Int_tbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
+  match Int_tbl.find t.table key with
+  | e -> e
+  | exception Not_found ->
       let mk () = Vector_clock.create ~n:t.clock_dim in
       let e = { v = mk (); w = mk (); s = mk () } in
       Int_tbl.add t.table key e;

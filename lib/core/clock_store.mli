@@ -14,7 +14,9 @@
     single immediate [int] and hashed by an int-specialized hashtable, so
     the per-access lookup neither allocates nor runs polymorphic
     comparison; {!iter_granules} walks the granules of an access without
-    building a list. *)
+    building a list. Registered variables live in an address-sorted index
+    (two int arrays), so finding the ones an access touches is a binary
+    search, not a walk over every variable of the node. *)
 
 val pack_key : offset:int -> len:int -> int
 (** A granule's [(offset, len)] as one immediate [int], the table key.
@@ -49,7 +51,9 @@ val register : t -> Dsm_memory.Addr.region -> unit
 (** Declares a shared variable ({!Config.Variable} granularity): the
     compiler's role of §3.1. The region must be public, on this node, and
     must not overlap a previously registered variable.
-    No-op under block/word granularity. *)
+    No-op under block/word granularity. Costs O(log k + k) for a node
+    with [k] variables: a binary search for overlap, then an in-place
+    insertion (O(log k) when the variable lands above every other). *)
 
 val iter_granules :
   t -> Dsm_memory.Addr.region -> f:(offset:int -> len:int -> unit) -> unit
@@ -57,7 +61,11 @@ val iter_granules :
     to [r], in address order, without materializing regions or lists —
     the detector's hot path. Under {!Config.Variable}, raises [Failure]
     {e before} visiting any granule if an accessed word falls outside
-    every registered variable — shared data must be declared. *)
+    every registered variable — shared data must be declared — and costs
+    O(log k + visited) for a node with [k] variables: one binary search
+    for the first variable the access touches, then the run of variables
+    it covers. Variables registered while [f] is suspended do not disturb
+    the walk. *)
 
 val granules : t -> Dsm_memory.Addr.region -> Dsm_memory.Addr.region list
 (** List-building convenience over {!iter_granules} (tests, tooling). *)

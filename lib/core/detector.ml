@@ -4,14 +4,19 @@ module Machine = Dsm_rdma.Machine
 module Event = Dsm_trace.Event
 module Recorder = Dsm_trace.Recorder
 
-(* The per-access path is allocation-free: granule walks are iterated
-   (no lists), store lookups hash a packed-int key, clock comparisons
-   and merges run on adaptive epoch/vector clocks in place, and every
-   intermediate clock value lives in a per-process scratch buffer owned
-   by the detector. Scratch is keyed by accessor pid because the
-   explicit transport blocks inside an access (control round trip) and
-   the simulator may interleave another process's access meanwhile; a
-   single process's accesses never nest, so per-pid buffers are safe. *)
+(* The per-access path allocates nothing per variable it skips: granule
+   walks binary-search the store's address-sorted variable index (no
+   lists), store lookups hash a packed-int key, clock comparisons and
+   merges run on adaptive epoch/vector clocks in place, a granule's
+   clocks are compared where they live (no copy), and every intermediate
+   clock value lives in a per-process scratch buffer owned by the
+   detector. It still allocates the walk's callback closure per access,
+   a snapshot of the accessor's clock per granule while provenance is on,
+   and, under the Explicit transport, its control messages; a race
+   signal allocates its report. Scratch is keyed by accessor pid because
+   the explicit transport blocks inside an access (control round trip)
+   and the simulator may interleave another process's access meanwhile;
+   a single process's accesses never nest, so per-pid buffers are safe. *)
 
 type t = {
   machine : Machine.t;
@@ -31,7 +36,6 @@ type t = {
   lock_clocks : (Addr.region, Vector_clock.t) Hashtbl.t;
   (* per-pid scratch clocks for the hot path *)
   scratch_absorb : Vector_clock.t array;
-  scratch_datum : Vector_clock.t array;
   scratch_fv : Vector_clock.t array;
   scratch_fw : Vector_clock.t array;
   scratch_fs : Vector_clock.t array;
@@ -178,7 +182,6 @@ let create machine ?config ?(verbose = false) () =
               ~granularity:config.Config.granularity);
       lock_clocks = Hashtbl.create 16;
       scratch_absorb = clock_array ();
-      scratch_datum = clock_array ();
       scratch_fv = clock_array ();
       scratch_fw = clock_array ();
       scratch_fs = clock_array ();
@@ -325,32 +328,20 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
      so their marks stay concurrent with the acquirer. *)
 let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
     ~absorb =
-  let datum = t.scratch_datum.(pid) in
-  Vector_clock.reset datum;
   let against =
     match cls with
     | Plain_read ->
-        if t.config.Config.use_write_clock then begin
-          Vector_clock.merge_into ~into:datum fw;
-          Report.Write_clock
-        end
-        else begin
-          Vector_clock.merge_into ~into:datum fv;
-          Report.General_clock
-        end
-    | Plain_write ->
-        Vector_clock.merge_into ~into:datum fv;
-        Report.General_clock
+        if t.config.Config.use_write_clock then Report.Write_clock
+        else Report.General_clock
+    | Plain_write -> Report.General_clock
     | Rmw { wrote } ->
         if t.mh.rmw_acquires_order then Vector_clock.merge_into ~into:v0 fs;
-        if wrote || not t.config.Config.use_write_clock then begin
-          Vector_clock.merge_into ~into:datum fv;
+        if wrote || not t.config.Config.use_write_clock then
           Report.General_clock
-        end
-        else begin
-          Vector_clock.merge_into ~into:datum fw;
-          Report.Write_clock
-        end
+        else Report.Write_clock
+  in
+  let datum =
+    match against with Report.Write_clock -> fw | Report.General_clock -> fv
   in
   if Vector_clock.concurrent v0 datum then
     signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against;

@@ -84,12 +84,23 @@ type rel_state = {
 
 (* Per-(src,dst)-edge clock piggyback state: the last clock shipped on
    the edge (the delta base) and the edge's piggyback sequence number.
-   The sender owns one table keyed (src, dst); each receiver mirrors it
-   from what actually got delivered, keyed the same way. *)
+   The sender owns one table keyed by the edge; each receiver mirrors it
+   from what actually got delivered, keyed the same way. An edge's key is
+   the immediate int [src * n + dst] in an int-specialized table, so the
+   lookup twice per clock-carrying message builds no tuple and runs no
+   polymorphic hash. *)
 type pb_edge = {
   mutable pb_cache : Dsm_clocks.Vector_clock.t option;
   mutable pb_seq : int;
 }
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+end)
 
 type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 
@@ -126,8 +137,8 @@ type t = {
          order, nothing drops or duplicates) or under the reliable
          transport (which resequences and dedups); otherwise Delta
          degrades to the self-contained sparse form *)
-  pb_sent : (int * int, pb_edge) Hashtbl.t;
-  pb_recv : (int * int, pb_edge) Hashtbl.t;
+  pb_sent : pb_edge Int_tbl.t;
+  pb_recv : pb_edge Int_tbl.t;
   mutable pb_dense : int;
   mutable pb_sparse : int;
   mutable pb_delta : int;
@@ -161,12 +172,13 @@ let carries_clock = function
   | Message.Control _ | Message.Control_reply _ ->
       false
 
-let pb_edge_of tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some e -> e
-  | None ->
+let pb_edge_of m tbl ~src ~dst =
+  let key = (src * Array.length m.nodes) + dst in
+  match Int_tbl.find tbl key with
+  | e -> e
+  | exception Not_found ->
       let e = { pb_cache = None; pb_seq = 0 } in
-      Hashtbl.replace tbl key e;
+      Int_tbl.replace tbl key e;
       e
 
 let pb_count m w =
@@ -179,7 +191,7 @@ let pb_count m w =
    the value just shipped (the next delta's base), and return the frame
    with the snapshot the retransmit fallback may need. *)
 let encode_pb m ~src ~dst v =
-  let e = pb_edge_of m.pb_sent (src, dst) in
+  let e = pb_edge_of m m.pb_sent ~src ~dst in
   let mode =
     if m.pb_delta_ok then Dsm_clocks.Codec.Delta else Dsm_clocks.Codec.Sparse
   in
@@ -202,7 +214,7 @@ let encode_pb m ~src ~dst v =
 let absorb_pb m ~node ~src = function
   | None -> ()
   | Some w ->
-      let e = pb_edge_of m.pb_recv (src, node) in
+      let e = pb_edge_of m m.pb_recv ~src ~dst:node in
       let v, seq =
         Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq ?base:e.pb_cache
           w
@@ -670,8 +682,8 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
         (Dsm_net.Fault.is_none (Dsm_net.Fabric.faults fabric)
         && not (Model.hooks model).Model.put_reorder_granules)
         || rel <> None;
-      pb_sent = Hashtbl.create 32;
-      pb_recv = Hashtbl.create 32;
+      pb_sent = Int_tbl.create 32;
+      pb_recv = Int_tbl.create 32;
       pb_dense = 0;
       pb_sparse = 0;
       pb_delta = 0;
@@ -714,8 +726,8 @@ let reset m =
      clock source (Detector.create) and both edge tables restart empty,
      so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
-  Hashtbl.reset m.pb_sent;
-  Hashtbl.reset m.pb_recv;
+  Int_tbl.reset m.pb_sent;
+  Int_tbl.reset m.pb_recv;
   m.pb_dense <- 0;
   m.pb_sparse <- 0;
   m.pb_delta <- 0;

@@ -856,14 +856,12 @@ type var_op =
   | V_access of Addr.region
   | V_access_registering of Addr.region * Addr.region
 
-let show_region (r : Addr.region) = Addr.to_string r
-
 let show_var_op = function
-  | V_register r -> "register " ^ show_region r
-  | V_access r -> "access " ^ show_region r
+  | V_register r -> "register " ^ Addr.to_string r
+  | V_access r -> "access " ^ Addr.to_string r
   | V_access_registering (r, r') ->
-      Printf.sprintf "access %s registering %s" (show_region r)
-        (show_region r')
+      Printf.sprintf "access %s registering %s" (Addr.to_string r)
+        (Addr.to_string r')
 
 let gen_var_script =
   QCheck.Gen.(
