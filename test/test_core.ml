@@ -966,6 +966,124 @@ let prop_variables_match_list_oracle =
           (String.concat "\n" live)
           (String.concat "\n" expected))
 
+(* ---------- Provenance: per-granule history vs the table oracle ---------- *)
+
+(* A random script of accesses noted into granule histories on three
+   nodes, interleaved with prior-endpoint queries. A few granules share
+   an (offset, len) across nodes, one sits past 2^21, and the scripts
+   run longer than the depth so rings wrap. *)
+type prov_op =
+  | P_note of {
+      node : int;
+      offset : int;
+      len : int;
+      pid : int;
+      kind : Dsm_trace.Event.kind;
+      clock : int array;
+    }
+  | P_query of {
+      node : int;
+      offset : int;
+      len : int;
+      pid : int;
+      write : bool;
+      clock : int array;
+    }
+
+let show_clock c = String.concat "," (Array.to_list (Array.map string_of_int c))
+
+let show_prov_op = function
+  | P_note { node; offset; len; pid; kind; clock } ->
+      Printf.sprintf "note %d:(%d,%d) P%d %s [%s]" node offset len pid
+        (Dsm_trace.Event.kind_name kind) (show_clock clock)
+  | P_query { node; offset; len; pid; write; clock } ->
+      Printf.sprintf "query %d:(%d,%d) P%d write=%b [%s]" node offset len pid
+        write (show_clock clock)
+
+let arb_prov_script =
+  let open QCheck.Gen in
+  let granule =
+    triple (int_range 0 2)
+      (oneofl [ (0, 1); (1, 1); (0, 2); (4, 4); (1 lsl 21, 1); (cs_max_off, 3) ])
+      (int_range 0 2)
+  in
+  let clock = array_size (return 3) (int_range 0 2) in
+  let op =
+    granule >>= fun (node, (offset, len), pid) ->
+    clock >>= fun clock ->
+    frequency
+      [
+        ( 3,
+          map
+            (fun kind -> P_note { node; offset; len; pid; kind; clock })
+            (oneofl Dsm_trace.Event.[ Read; Write; Atomic_update ]) );
+        (1, map (fun write -> P_query { node; offset; len; pid; write; clock }) bool);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (depth, ops) ->
+      Printf.sprintf "depth %d\n%s" depth
+        (String.concat "\n" (List.map show_prov_op ops)))
+    (pair (oneofl [ 0; 1; 4 ]) (list_size (int_range 0 60) op))
+
+(* What a history store answers for a script: the granule's history
+   after every note, the prior endpoint of every query (entries named by
+   their ordinal), then the granule walk. *)
+let prov_outcomes ~note ~history ~find_prior ~iter ops =
+  let ids es =
+    String.concat " "
+      (List.map (fun (e : Provenance.entry) -> string_of_int e.op) es)
+  in
+  let answers =
+    List.mapi
+      (fun i -> function
+        | P_note { node; offset; len; pid; kind; clock } ->
+            note ~node ~offset ~len
+              {
+                Provenance.pid;
+                kind;
+                time = float_of_int i;
+                op = i;
+                event_id = -1;
+                clock = Dsm_clocks.Vector_clock.of_array clock;
+              };
+            "history " ^ ids (history ~node ~offset ~len)
+        | P_query { node; offset; len; pid; write; clock } -> (
+            match
+              find_prior ~node ~offset ~len ~pid ~write
+                ~clock:(Dsm_clocks.Vector_clock.of_array clock)
+            with
+            | Some (e : Provenance.entry) -> Printf.sprintf "prior %d" e.op
+            | None -> "no prior"))
+      ops
+  in
+  let walk = ref [] in
+  iter ~f:(fun ~node ~offset ~len es ->
+      walk := Printf.sprintf "walk %d:(%d,%d) %s" node offset len (ids es) :: !walk);
+  answers @ List.rev !walk
+
+let prop_history_matches_table_oracle =
+  QCheck.Test.make ~name:"granule histories match the table oracle" ~count:1000
+    arb_prov_script (fun (depth, ops) ->
+      let prov = Provenance.create ~depth in
+      let oracle = Provenance_ref.create ~depth in
+      let live =
+        prov_outcomes ~note:(Provenance.note prov)
+          ~history:(Provenance.history prov)
+          ~find_prior:(Provenance.find_prior prov)
+          ~iter:(Provenance.iter_granules prov) ops
+      and expected =
+        prov_outcomes ~note:(Provenance_ref.note oracle)
+          ~history:(Provenance_ref.history oracle)
+          ~find_prior:(Provenance_ref.find_prior oracle)
+          ~iter:(Provenance_ref.iter_granules oracle) ops
+      in
+      if live = expected then true
+      else
+        QCheck.Test.fail_reportf "live:\n%s\noracle:\n%s"
+          (String.concat "\n" live)
+          (String.concat "\n" expected))
+
 (* ---------- transfer-path pins ---------- *)
 
 (* One scripted program per checked transfer path — single puts and
@@ -1294,6 +1412,7 @@ let () =
         [
           Alcotest.test_case "single table" `Quick test_store_single_table;
           QCheck_alcotest.to_alcotest prop_variables_match_list_oracle;
+          QCheck_alcotest.to_alcotest prop_history_matches_table_oracle;
         ] );
       ( "ground-truth",
         [

@@ -111,6 +111,8 @@ let checked_spec =
     bug = true;
   }
 
+let md5 s = Digest.to_hex (Digest.string s)
+
 let explain_ok token =
   match Explain_run.of_token token with
   | Ok o -> o
@@ -229,7 +231,9 @@ let test_rmwlost_checked_atomicity_fallback () =
               Alcotest.(check bool) "two distinct processes" true
                 (prior.Explain.pid <> e.Explain.flagged.Explain.pid));
           Alcotest.(check string) "flagged endpoint is an RMW" "atomic"
-            e.Explain.flagged.Explain.kind
+            e.Explain.flagged.Explain.kind;
+          Alcotest.(check string) "text md5" "b239ccc4f62e92dee40eac26d47a9456" (md5 o.Explain_run.text);
+          Alcotest.(check string) "JSON md5" "fad6a22795c91574b3e6e99c6f6269ea" (md5 o.Explain_run.json)
       | l ->
           Alcotest.fail
             (Printf.sprintf "expected exactly one fallback explanation, got %d"
@@ -278,8 +282,6 @@ let racy_report () =
     Dsm_core.Diagnose.explain_report ~window:(Flight.events flight)
       (Dsm_core.Detector.report d) )
 
-let md5 s = Digest.to_hex (Digest.string s)
-
 let test_full_window_report_pinned () =
   let flight, es = racy_report () in
   Alcotest.(check bool) "the window wrapped" true (Flight.dropped flight > 0);
@@ -302,6 +304,50 @@ let test_full_window_report_pinned () =
   Alcotest.(check string) "report JSON md5" "8a8ef1e0e8323b176afcb4b0fba9f3bb" (md5 (Explain.list_to_json es));
   Alcotest.(check string) "report text md5" "6891b547fa990c113dffb808d6d78883"
     (md5 (String.concat "" (List.map Explain.to_text es)))
+
+(* A small racy program with atomics under the Explicit transport, where
+   a remote granule's clocks travel by control message, and under Inline.
+   The JSON carries every signal's prior endpoint, so it pins the
+   history each granule kept. *)
+let transport_report transport =
+  let sim = Dsm_sim.Engine.create ~seed:4 () in
+  let machine =
+    Dsm_rdma.Machine.create sim ~n:4 ~latency:(Dsm_net.Latency.Constant 1.0) ()
+  in
+  let d =
+    Dsm_core.Detector.create machine
+      ~config:{ Dsm_core.Config.default with Dsm_core.Config.transport }
+      ()
+  in
+  let flight = Flight.attach (Dsm_sim.Engine.probe sim) in
+  Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
+    {
+      Dsm_workload.Random_access.default with
+      ops_per_proc = 40;
+      vars = 8;
+      var_len = 2;
+      read_fraction = 0.5;
+      atomic_fraction = 0.2;
+      seed = 4;
+    };
+  ignore (Dsm_rdma.Machine.run machine);
+  Dsm_core.Diagnose.explain_report ~window:(Flight.events flight)
+    (Dsm_core.Detector.report d)
+
+let test_transport_reports_pinned () =
+  List.iter
+    (fun (transport, count, expected) ->
+      let name = Dsm_core.Config.transport_name transport in
+      let es = transport_report transport in
+      Alcotest.(check int) (name ^ " explanations") count (List.length es);
+      Alcotest.(check bool) (name ^ " names prior endpoints") true
+        (List.exists (fun (e : Explain.t) -> e.prior <> None) es);
+      Alcotest.(check string) (name ^ " report JSON md5") expected
+        (md5 (Explain.list_to_json es)))
+    [
+      (Dsm_core.Config.Explicit_txn, 114, "719e97eef44fd40537fdec089ff33d5e");
+      (Dsm_core.Config.Inline, 111, "2a318918a84b83c59d58416cb92d639b");
+    ]
 
 (* Every constructor's label, as the renderer must keep printing it. *)
 let label_table =
@@ -423,6 +469,8 @@ let () =
         [
           Alcotest.test_case "full-window racy report" `Quick
             test_full_window_report_pinned;
+          Alcotest.test_case "explicit and inline reports" `Quick
+            test_transport_reports_pinned;
           Alcotest.test_case "message label table" `Quick test_label_table;
         ] );
     ]
