@@ -1,7 +1,12 @@
 open Dsm_memory
 open Dsm_clocks
 
-type entry = { v : Vector_clock.t; w : Vector_clock.t; s : Vector_clock.t }
+type entry = {
+  v : Vector_clock.t;
+  w : Vector_clock.t;
+  s : Vector_clock.t;
+  mutable history : Provenance.ring;
+}
 
 (* Granule identity within one node's public segment is (offset, len);
    the hot path keys the table by the pair packed into a single
@@ -52,8 +57,6 @@ let create ~node ~clock_dim ~granularity =
     var_len = [||];
     vars = 0;
   }
-
-let node t = t.node
 
 (* The index of the first variable that ends at or after [offset] —
    [t.vars] if none does. Every variable before it lies wholly below
@@ -156,19 +159,30 @@ let entry_at t ~offset ~len =
   | e -> e
   | exception Not_found ->
       let mk () = Vector_clock.create ~n:t.clock_dim in
-      let e = { v = mk (); w = mk (); s = mk () } in
+      let e = { v = mk (); w = mk (); s = mk (); history = Provenance.empty } in
       Int_tbl.add t.table key e;
       e
 
-let entry t (g : Addr.region) = entry_at t ~offset:g.base.offset ~len:g.len
-
 let fold_entries t ~init ~f = Int_tbl.fold (fun _ e acc -> f e acc) t.table init
+
+(* Packed keys sort like their (offset, len) pairs. *)
+let iter_history t ~f =
+  let keys = Int_tbl.fold (fun k _ acc -> k :: acc) t.table [] in
+  List.iter
+    (fun key ->
+      match Provenance.history (Int_tbl.find t.table key).history with
+      | [] -> ()
+      | entries ->
+          let offset, len = unpack_key key in
+          f ~offset ~len entries)
+    (List.sort Int.compare keys)
 
 let entries t = Int_tbl.length t.table
 
 (* The paper's accounting (§5.1): V plus the W refinement = 2 clocks per
    datum. The sync clock is an extension and is only charged once an
-   atomic has actually touched the datum. Representation-independent:
+   atomic has actually touched the datum; the access history is
+   observation state and is never charged. Representation-independent:
    an epoch still models a dimension-[clock_dim] vector. *)
 let storage_words t =
   fold_entries t ~init:0 ~f:(fun e acc ->

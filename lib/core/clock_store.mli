@@ -5,6 +5,9 @@
     {e granules} of that node's public segment to a pair of clocks. A
     granule is the unit of detection chosen by {!Config.granularity}:
     the registered shared variable, an aligned block, or a single word.
+    Each granule's entry also holds its access history
+    ({!Provenance.ring}), so the store is the one place that knows how
+    granules are keyed.
 
     Entries are created lazily with zero clocks — the paper's initial
     value — and updated in place while the NIC lock on the covering
@@ -18,15 +21,6 @@
     (two int arrays), so finding the ones an access touches is a binary
     search, not a walk over every variable of the node. *)
 
-val pack_key : offset:int -> len:int -> int
-(** A granule's [(offset, len)] as one immediate [int], the table key.
-    Distinct for distinct granules, and ordered like the pairs. Raises
-    [Invalid_argument] outside [0 <= offset <= 2^40],
-    [0 <= len < 2^21]. *)
-
-val unpack_key : int -> int * int
-(** Inverse of {!pack_key}: [(offset, len)]. *)
-
 type entry = {
   v : Dsm_clocks.Vector_clock.t;
       (** general-purpose clock: all plain accesses *)
@@ -37,6 +31,11 @@ type entry = {
           writes towards plain accesses and as release/acquire points for
           causality (extension beyond the paper, see
           [Detector.fetch_add]) *)
+  mutable history : Provenance.ring;
+      (** the granule's recent checked accesses, {!Provenance.empty}
+          until the detector notes one (never at
+          [provenance_depth = 0]); observation-only, and not counted by
+          {!storage_words} *)
 }
 
 type t
@@ -44,8 +43,6 @@ type t
 val create : node:int -> clock_dim:int -> granularity:Config.granularity -> t
 (** [clock_dim] is the vector dimension ([n], or 1 in the Lamport
     ablation). *)
-
-val node : t -> int
 
 val register : t -> Dsm_memory.Addr.region -> unit
 (** Declares a shared variable ({!Config.Variable} granularity): the
@@ -71,20 +68,26 @@ val granules : t -> Dsm_memory.Addr.region -> Dsm_memory.Addr.region list
 (** List-building convenience over {!iter_granules} (tests, tooling). *)
 
 val entry_at : t -> offset:int -> len:int -> entry
-(** The clock triple of one granule identified by its raw coordinates
-    (as passed to {!iter_granules}'s callback); lazily zero-initialized.
-    Allocation-free on the hit path. *)
+(** The entry of one granule identified by its raw coordinates (as
+    passed to {!iter_granules}'s callback); lazily created with zero
+    clocks and an empty history. Allocation-free on the hit path.
+    Raises [Invalid_argument] outside [0 <= offset <= 2^40],
+    [0 <= len < 2^21], the range the table's packed key holds. *)
 
-val entry : t -> Dsm_memory.Addr.region -> entry
-(** {!entry_at} keyed by a region (control-plane convenience). *)
+val iter_history :
+  t -> f:(offset:int -> len:int -> Provenance.entry list -> unit) -> unit
+(** Visit every granule with retained history in (offset, len) order;
+    entries newest first. Granules with empty history are skipped. *)
 
 val entries : t -> int
 (** Number of granules that have materialized clocks. *)
 
 val storage_words : t -> int
-(** Total words of clock metadata held: [entries × 2 × clock_dim] — the
-    §5.1 storage-overhead numerator measured in E7. Representation-
-    independent (an epoch still models a full vector). *)
+(** Total words of clock metadata held: [entries × 2 × clock_dim], plus
+    [clock_dim] per entry whose [S] an atomic touched — the §5.1
+    storage-overhead numerator measured in E7. Representation-
+    independent (an epoch still models a full vector). The access
+    history is not clock metadata and is not counted. *)
 
 val epoch_clocks : t -> int
 (** How many of the materialized clocks (3 per entry) are currently held

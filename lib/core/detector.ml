@@ -10,8 +10,11 @@ module Recorder = Dsm_trace.Recorder
    merges run on adaptive epoch/vector clocks in place, a granule's
    clocks are compared where they live (no copy), and every intermediate
    clock value lives in a per-process scratch buffer owned by the
-   detector. It still allocates the walk's callback closure per access,
-   a snapshot of the accessor's clock per granule while provenance is on,
+   detector. A granule's access history (provenance) is a ring in its
+   store entry, so noting an access costs no second lookup. The path
+   still allocates the walk's callback closure per access, a history
+   entry and a snapshot of the accessor's clock per granule while
+   provenance is on (plus the ring's slots at a granule's first note),
    and, under the Explicit transport, its control messages; a race
    signal allocates its report. Scratch is keyed by accessor pid because
    the explicit transport blocks inside an access (control round trip)
@@ -43,9 +46,6 @@ type t = {
   (* a [vput] payload decoded at the datum's node; handlers run to
      completion without blocking, so one buffer serves every node *)
   scratch_vput : Vector_clock.t;
-  (* bounded per-granule access history so races can name both
-     endpoints; observation-only (never feeds back into detection) *)
-  provenance : Provenance.t;
   mutable checked_ops : int;
   mutable meta_messages : int;
   mutable clock_words_shipped : int;
@@ -196,7 +196,6 @@ let create machine ?config ?(verbose = false) () =
            in
            Some (Recorder.create ~reads_from ~n ())
          else None);
-      provenance = Provenance.create ~depth:config.Config.provenance_depth;
       checked_ops = 0;
       meta_messages = 0;
       clock_words_shipped = 0;
@@ -265,9 +264,10 @@ let is_writing_class = function
 
 (* Cold path: a race was found; materialize the granule region and the
    clock snapshots for the report, and recover the race's other endpoint
-   from the granule's provenance ring (the current access has not been
-   noted yet, so the lookup cannot return the access itself). *)
-let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
+   from the granule's history (the current access has not been noted
+   yet, so the lookup cannot return the access itself). *)
+let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
+    ~history =
   let kind = kind_of_class cls in
   if t.probe.on then
     Dsm_obs.Probe.emit t.probe
@@ -295,8 +295,8 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
           p_event_id = (if e.event_id >= 0 then Some e.event_id else None);
           p_clock = Vector_clock.snapshot e.clock;
         })
-      (Provenance.find_prior t.provenance ~node ~offset ~len ~pid
-         ~write:(is_writing_class cls) ~clock:v0)
+      (Provenance.find_prior history ~pid ~write:(is_writing_class cls)
+         ~clock:v0)
   in
   Report.signal t.report
     {
@@ -312,8 +312,9 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
     }
 
 (* Check the accessor's clock [v0] against one granule's clocks
-   [fv]/[fw]/[fs] and fold the clocks a read or RMW observes into
-   [absorb]. What this access must be ordered against:
+   [fv]/[fw]/[fs], note the access in the history of [entry] (the
+   granule's entry at its node) and fold the clocks a read or RMW
+   observes into [absorb]. What this access must be ordered against:
    - a plain read races with concurrent writes — W carries both plain
      write marks and RMW write marks (or any access in the
      no-write-clock ablation);
@@ -327,7 +328,7 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
      every RMW/plain pair visible: plain accesses never release into S,
      so their marks stay concurrent with the acquirer. *)
 let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
-    ~absorb =
+    ~(entry : Clock_store.entry) ~absorb =
   let against =
     match cls with
     | Plain_read ->
@@ -344,17 +345,20 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
     match against with Report.Write_clock -> fw | Report.General_clock -> fv
   in
   if Vector_clock.concurrent v0 datum then
-    signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against;
-  if Provenance.depth t.provenance > 0 then
-    Provenance.note t.provenance ~node ~offset ~len
-      {
-        Provenance.pid;
-        kind = kind_of_class cls;
-        time = now t;
-        op = t.checked_ops;
-        event_id = (match event_id with Some id -> id | None -> -1);
-        clock = Vector_clock.snapshot v0;
-      };
+    signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
+      ~history:entry.history;
+  let depth = t.config.Config.provenance_depth in
+  if depth > 0 then
+    entry.history <-
+      Provenance.note ~depth entry.history
+        {
+          Provenance.pid;
+          kind = kind_of_class cls;
+          time = now t;
+          op = t.checked_ops;
+          event_id = (match event_id with Some id -> id | None -> -1);
+          clock = Vector_clock.snapshot v0;
+        };
   match cls with
   | Plain_read | Rmw _ ->
       if t.mh.read_acquires_writes then begin
@@ -386,7 +390,9 @@ let remote_explicit t ~node ~pid =
    Under Inline/Piggyback the store is manipulated directly (the
    exchange rides the data messages); under Explicit each remote granule
    costs a control round trip to read and an async control message to
-   update — Algorithm 5 taken literally. *)
+   update — Algorithm 5 taken literally. The history is observation,
+   not protocol: even then it is read and noted in the entry the vget
+   created at the datum's node, without a message. *)
 let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
   let node = region.base.pid in
   let store = t.stores.(node) in
@@ -409,13 +415,13 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
         Vector_clock.load_words fw words ~off:t.dim;
         Vector_clock.load_words fs words ~off:(2 * t.dim);
         check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw
-          ~fs ~absorb;
+          ~fs ~entry:(Clock_store.entry_at store ~offset ~len) ~absorb;
         send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
       end
       else begin
         let e = Clock_store.entry_at store ~offset ~len in
         check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv:e.v
-          ~fw:e.w ~fs:e.s ~absorb;
+          ~fw:e.w ~fs:e.s ~entry:e ~absorb;
         merge_entry t.mh e cls v0
       end);
   absorb
@@ -820,7 +826,10 @@ let on_barrier t ~pid ~phase ~generation ~time =
 
 let proc_clock t pid = Vector_clock.snapshot t.procs.(pid)
 
-let provenance t = t.provenance
+let iter_provenance t ~f =
+  Array.iteri
+    (fun node store -> Clock_store.iter_history store ~f:(f ~node))
+    t.stores
 
 let trace t = Option.map Recorder.finish t.recorder
 

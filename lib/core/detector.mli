@@ -167,9 +167,14 @@ val record_lock :
 val proc_clock : t -> int -> Dsm_clocks.Vector_clock.t
 (** Snapshot of a process's current clock. *)
 
-val provenance : t -> Provenance.t
-(** The per-granule access-history store behind [Report.race.prior]
-    (depth [Config.provenance_depth]; empty when the depth is 0). *)
+val iter_provenance :
+  t ->
+  f:(node:int -> offset:int -> len:int -> Provenance.entry list -> unit) ->
+  unit
+(** Visit every granule whose history (the ring behind
+    [Report.race.prior], depth [Config.provenance_depth]) retains an
+    access, in (node, offset, len) order; entries newest first. Visits
+    nothing when the depth is 0. *)
 
 val trace : t -> Dsm_trace.Trace.t option
 (** The recorded trace so far ([Config.record_trace] runs only). *)

@@ -1,7 +1,7 @@
-(* Lower detector-side race data (Report.race + Provenance entries +
+(* Lower detector-side race data (Report.race + granule histories +
    the flight-recorder window) into the plain-data explanation layer
    (Dsm_obs.Explain). The conversion is pure, so explaining a report is
-   a deterministic function of (report, provenance, window). *)
+   a deterministic function of (report, histories, window). *)
 
 open Dsm_clocks
 module Event = Dsm_trace.Event
@@ -58,10 +58,9 @@ let explain_report ~window report =
    RMW-atomicity bug): find the granule whose provenance history holds
    atomic updates from at least two processes, and explain its two most
    recent entries from distinct processes as an atomicity conflict. *)
-let explain_atomicity ~window ~detail provenance =
+let explain_atomicity ~window ~detail detector =
   let best = ref None in
-  Provenance.iter_granules provenance
-    ~f:(fun ~node ~offset ~len entries ->
+  Detector.iter_provenance detector ~f:(fun ~node ~offset ~len entries ->
       if !best = None then begin
         let atomics =
           List.filter

@@ -2,7 +2,7 @@
     layer: lowers [Report.race] values (clocks become dense [int array]
     snapshots) and drives {!Dsm_obs.Explain} with the flight-recorder
     window. Pure — explaining a report is a deterministic function of
-    (report, provenance, window). *)
+    (report, granule histories, window). *)
 
 val explain_report :
   window:Dsm_obs.Probe.event list -> Report.t -> Dsm_obs.Explain.t list
@@ -14,11 +14,11 @@ val explain_report :
 val explain_atomicity :
   window:Dsm_obs.Probe.event list ->
   detail:string ->
-  Provenance.t ->
+  Detector.t ->
   Dsm_obs.Explain.t option
 (** Fallback for violating runs with {e zero} race signals (e.g. the
     planted RMW write-mark bug, which breaks atomicity without breaking
-    happens-before): the first granule — in deterministic granule
-    order — whose provenance holds atomic updates from two distinct
+    happens-before): the first granule — in {!Detector.iter_provenance}'s
+    (node, offset, len) order — whose history holds atomic updates from two distinct
     processes becomes an "atomicity" explanation of its two most recent
     such entries. [detail] names the violated invariant. *)

@@ -1,8 +1,10 @@
-(** Per-granule access provenance: a bounded ring (depth =
+(** One granule's access provenance: a bounded ring (depth =
     [Config.provenance_depth]) of the most recent checked accesses —
-    last writer plus recent readers — per (node, offset, len) granule,
-    so a race signal can name {e both} endpoints.
+    last writer plus recent readers — so a race signal can name
+    {e both} endpoints.
 
+    The ring lives in the granule's {!Clock_store.entry}, next to its
+    [V]/[W]/[S] clocks; {!Clock_store.storage_words} does not count it.
     Observation-only detector state: consulted and updated on the
     detection path, never feeding back into clocks, verdicts or
     scheduling — attaching it cannot change a run's fingerprint. *)
@@ -18,38 +20,26 @@ type entry = {
   clock : Vector_clock.t;  (** accessor clock snapshot at check time *)
 }
 
-type t
+type ring
 
-val create : depth:int -> t
-(** [depth = 0] disables the store: {!note} is a no-op and every lookup
-    is empty. *)
+val empty : ring
+(** The history of a granule nothing was noted into. Shared and
+    allocation-free: a store creates every entry with it. *)
 
-val depth : t -> int
+val note : depth:int -> ring -> entry -> ring
+(** Record an access, evicting the oldest once the ring is full, and
+    return the ring to keep. The first note into {!empty} allocates
+    [depth] slots, all filled with that entry; later notes write in
+    place, O(1). [depth <= 0] returns the ring unchanged. *)
 
-val note : t -> node:int -> offset:int -> len:int -> entry -> unit
-(** Record an access, evicting the oldest once the granule's ring is
-    full. O(1). *)
-
-val history : t -> node:int -> offset:int -> len:int -> entry list
-(** Retained accesses, newest first (at most [depth]). *)
+val history : ring -> entry list
+(** Retained accesses, newest first (at most the ring's depth). *)
 
 val find_prior :
-  t ->
-  node:int ->
-  offset:int ->
-  len:int ->
-  pid:int ->
-  write:bool ->
-  clock:Vector_clock.t ->
-  entry option
+  ring -> pid:int -> write:bool -> clock:Vector_clock.t -> entry option
 (** The race's other endpoint: the most recent retained access by a
     different process that conflicts with the flagged access ([write]
     true unless both are plain reads) and whose clock is concurrent
     with [clock]. Falls back to the most recent conflicting access when
     no retained entry is concurrent (the true endpoint may have aged
     out of the bounded ring). *)
-
-val iter_granules :
-  t -> f:(node:int -> offset:int -> len:int -> entry list -> unit) -> unit
-(** Visit every granule with retained history in deterministic
-    (node, offset, len) order; entries newest first. *)

@@ -35,10 +35,7 @@ let explanations_of ~window ~(result : Explore.run_result) built =
               let detail =
                 Printf.sprintf "%s: %s" v.Explore.invariant v.Explore.detail
               in
-              match
-                Diagnose.explain_atomicity ~window ~detail
-                  (Detector.provenance d)
-              with
+              match Diagnose.explain_atomicity ~window ~detail d with
               | None -> []
               | Some e -> [ e ])))
 

@@ -734,38 +734,65 @@ let prop_packed_key_injective =
       let e2 = Clock_store.entry_at store ~offset:o2 ~len:l2 in
       (e1 == e2) = (o1 = o2 && l1 = l2))
 
-(* Provenance keys granules per node exactly like the clock store, so
-   two granules the store tells apart never share a history: an offset
-   past 2^21 on node 0 once packed onto node 1's offset 0. *)
-let test_provenance_keys_distinct () =
-  let prov = Provenance.create ~depth:2 in
-  let entry pid =
+(* Each granule's history lives in its own clock-store entry: the same
+   (offset, len) on two nodes keeps two histories, the detector's walk
+   visits granules in (node, offset, len) order, and at depth 0 nothing
+   is kept. P0 writes both words of a variable on node 1 and later the
+   second word of one at the same offset on node 0, which P1 wrote
+   concurrently: one race, whose prior endpoint is P1's write. *)
+let provenance_run depth =
+  let config =
     {
-      Provenance.pid;
-      kind = Dsm_trace.Event.Write;
-      time = 0.;
-      op = pid;
-      event_id = -1;
-      clock = Dsm_clocks.Vector_clock.create ~n:2;
+      Config.default with
+      Config.granularity = Config.Word;
+      provenance_depth = depth;
     }
   in
-  Provenance.note prov ~node:0 ~offset:(1 lsl 21) ~len:1 (entry 0);
-  Provenance.note prov ~node:1 ~offset:0 ~len:1 (entry 1);
-  let pids ~node ~offset =
-    List.map
-      (fun (e : Provenance.entry) -> e.pid)
-      (Provenance.history prov ~node ~offset ~len:1)
-  in
-  Alcotest.(check (list int)) "node 0, offset 2^21" [ 0 ]
-    (pids ~node:0 ~offset:(1 lsl 21));
-  Alcotest.(check (list int)) "node 1, offset 0" [ 1 ] (pids ~node:1 ~offset:0);
-  let visited = ref [] in
-  Provenance.iter_granules prov ~f:(fun ~node ~offset ~len _ ->
-      visited := (node, offset, len) :: !visited);
-  Alcotest.(check (list (triple int int int)))
-    "granules in (node, offset, len) order"
-    [ (0, 1 lsl 21, 1); (1, 0, 1) ]
-    (List.rev !visited)
+  let m, d = make ~n:2 ~config () in
+  let a0 = Machine.alloc_public m ~pid:0 ~len:2 () in
+  let a1 = Machine.alloc_public m ~pid:1 ~len:2 () in
+  Alcotest.(check int) "same offset on both nodes" a0.base.offset
+    a1.base.offset;
+  Machine.spawn m ~pid:0 (fun p ->
+      Detector.put d p ~src:(private_buf m ~pid:0 [| 1; 2 |]) ~dst:a1;
+      Machine.compute p 50.0;
+      Detector.put d p
+        ~src:(private_buf m ~pid:0 [| 3 |])
+        ~dst:
+          (Addr.region ~pid:0 ~space:Addr.Public
+             ~offset:(a0.base.offset + 1) ~len:1));
+  Machine.spawn m ~pid:1 (fun p ->
+      Detector.put d p ~src:(private_buf m ~pid:1 [| 4; 5 |]) ~dst:a0);
+  expect_completed m;
+  let walk = ref [] in
+  Detector.iter_provenance d ~f:(fun ~node ~offset ~len entries ->
+      walk :=
+        ( (node, offset - a0.base.offset, len),
+          List.map (fun (e : Provenance.entry) -> e.pid) entries )
+        :: !walk);
+  ( List.map
+      (fun (r : Report.race) ->
+        Option.map (fun (p : Report.prior_access) -> p.p_pid) r.prior)
+      (Report.races (Detector.report d)),
+    List.rev !walk )
+
+let test_provenance_keys_distinct () =
+  let priors, walk = provenance_run 4 in
+  Alcotest.(check (list (option int))) "the race names P1's write"
+    [ Some 1 ] priors;
+  Alcotest.(check (list (pair (triple int int int) (list int))))
+    "histories per node, walked in (node, offset, len) order"
+    [
+      ((0, 0, 1), [ 1 ]);
+      ((0, 1, 1), [ 0; 1 ]);
+      ((1, 0, 1), [ 0 ]);
+      ((1, 1, 1), [ 0 ]);
+    ]
+    walk;
+  let priors, walk = provenance_run 0 in
+  Alcotest.(check (list (option int))) "depth 0: the race names no prior"
+    [ None ] priors;
+  Alcotest.(check int) "depth 0: the walk visits nothing" 0 (List.length walk)
 
 let arb_bad_granule =
   QCheck.make
@@ -1065,13 +1092,28 @@ let prov_outcomes ~note ~history ~find_prior ~iter ops =
 let prop_history_matches_table_oracle =
   QCheck.Test.make ~name:"granule histories match the table oracle" ~count:1000
     arb_prov_script (fun (depth, ops) ->
-      let prov = Provenance.create ~depth in
+      let stores =
+        Array.init 3 (fun node ->
+            Clock_store.create ~node ~clock_dim:3 ~granularity:Config.Word)
+      in
+      let entry ~node ~offset ~len =
+        Clock_store.entry_at stores.(node) ~offset ~len
+      in
       let oracle = Provenance_ref.create ~depth in
       let live =
-        prov_outcomes ~note:(Provenance.note prov)
-          ~history:(Provenance.history prov)
-          ~find_prior:(Provenance.find_prior prov)
-          ~iter:(Provenance.iter_granules prov) ops
+        prov_outcomes
+          ~note:(fun ~node ~offset ~len x ->
+            let e = entry ~node ~offset ~len in
+            e.history <- Provenance.note ~depth e.history x)
+          ~history:(fun ~node ~offset ~len ->
+            Provenance.history (entry ~node ~offset ~len).history)
+          ~find_prior:(fun ~node ~offset ~len ->
+            Provenance.find_prior (entry ~node ~offset ~len).history)
+          ~iter:(fun ~f ->
+            Array.iteri
+              (fun node store -> Clock_store.iter_history store ~f:(f ~node))
+              stores)
+          ops
       and expected =
         prov_outcomes ~note:(Provenance_ref.note oracle)
           ~history:(Provenance_ref.history oracle)
