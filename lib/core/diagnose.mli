@@ -18,7 +18,8 @@ val explain_atomicity :
   Dsm_obs.Explain.t option
 (** Fallback for violating runs with {e zero} race signals (e.g. the
     planted RMW write-mark bug, which breaks atomicity without breaking
-    happens-before): the first granule — in {!Detector.iter_provenance}'s
-    (node, offset, len) order — whose history holds atomic updates from two distinct
-    processes becomes an "atomicity" explanation of its two most recent
-    such entries. [detail] names the violated invariant. *)
+    happens-before): the first granule — in
+    {!Detector.iter_provenance}'s (node, offset, len) order — whose
+    history holds atomic updates from two distinct processes becomes an
+    "atomicity" explanation of its two most recent such entries.
+    [detail] names the violated invariant. *)

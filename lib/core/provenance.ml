@@ -18,8 +18,9 @@ type entry = {
   clock : Vector_clock.t; (* accessor clock snapshot at check time *)
 }
 
-(* Slot [i mod depth] holds the [i]-th noted entry once [i < n]; the
-   slots beyond [n] still hold the first entry, which filled them. *)
+(* The [i]-th note (from 0) wrote slot [i mod depth], so the last
+   [min n depth] notes are live. Slots no note has reached yet still hold
+   the first entry, which filled them. *)
 type ring = { slots : entry array; mutable n : int }
 
 (* The ring of every granule nothing was noted into: shared, so it is

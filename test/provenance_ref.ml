@@ -77,6 +77,7 @@ let iter_granules t ~f =
     (fun node granules ->
       let keys = Hashtbl.fold (fun k _ acc -> k :: acc) granules [] in
       List.iter
-        (fun (offset, len) -> f ~node ~offset ~len (history t ~node ~offset ~len))
+        (fun (offset, len) ->
+          f ~node ~offset ~len (history t ~node ~offset ~len))
         (List.sort compare keys))
     t.nodes

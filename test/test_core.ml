@@ -1031,7 +1031,8 @@ let arb_prov_script =
   let open QCheck.Gen in
   let granule =
     triple (int_range 0 2)
-      (oneofl [ (0, 1); (1, 1); (0, 2); (4, 4); (1 lsl 21, 1); (cs_max_off, 3) ])
+      (oneofl
+         [ (0, 1); (1, 1); (0, 2); (4, 4); (1 lsl 21, 1); (cs_max_off, 3) ])
       (int_range 0 2)
   in
   let clock = array_size (return 3) (int_range 0 2) in
@@ -1044,7 +1045,10 @@ let arb_prov_script =
           map
             (fun kind -> P_note { node; offset; len; pid; kind; clock })
             (oneofl Dsm_trace.Event.[ Read; Write; Atomic_update ]) );
-        (1, map (fun write -> P_query { node; offset; len; pid; write; clock }) bool);
+        ( 1,
+          map
+            (fun write -> P_query { node; offset; len; pid; write; clock })
+            bool );
       ]
   in
   QCheck.make
@@ -1086,7 +1090,8 @@ let prov_outcomes ~note ~history ~find_prior ~iter ops =
   in
   let walk = ref [] in
   iter ~f:(fun ~node ~offset ~len es ->
-      walk := Printf.sprintf "walk %d:(%d,%d) %s" node offset len (ids es) :: !walk);
+      walk :=
+        Printf.sprintf "walk %d:(%d,%d) %s" node offset len (ids es) :: !walk);
   answers @ List.rev !walk
 
 let prop_history_matches_table_oracle =

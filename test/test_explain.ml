@@ -232,8 +232,10 @@ let test_rmwlost_checked_atomicity_fallback () =
                 (prior.Explain.pid <> e.Explain.flagged.Explain.pid));
           Alcotest.(check string) "flagged endpoint is an RMW" "atomic"
             e.Explain.flagged.Explain.kind;
-          Alcotest.(check string) "text md5" "b239ccc4f62e92dee40eac26d47a9456" (md5 o.Explain_run.text);
-          Alcotest.(check string) "JSON md5" "fad6a22795c91574b3e6e99c6f6269ea" (md5 o.Explain_run.json)
+          Alcotest.(check string) "text md5"
+            "b239ccc4f62e92dee40eac26d47a9456" (md5 o.Explain_run.text);
+          Alcotest.(check string) "JSON md5"
+            "fad6a22795c91574b3e6e99c6f6269ea" (md5 o.Explain_run.json)
       | l ->
           Alcotest.fail
             (Printf.sprintf "expected exactly one fallback explanation, got %d"
