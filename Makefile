@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-json bench-explore experiments examples clean outputs
+.PHONY: all build test exports bench bench-smoke bench-json bench-explore experiments examples clean outputs
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	dune runtest
+
+# The lib/ export guard alone: lists every val no other module names and
+# diffs it against test/exports.expected. After an intended change,
+# `dune promote` refreshes the expected list.
+exports:
+	dune build @exports
 
 bench:
 	dune exec bench/main.exe

@@ -523,6 +523,11 @@ let explain_finished_run ~explain ~race_report ~flight detector =
   end
   else Ok ()
 
+(* [run FILE] exits with this code when the program itself faults at run
+   time (bad index, division by zero, negative compute): the program is
+   wrong, not the command line (124) nor dsmcheck (125). *)
+let exit_program_fault = 3
+
 let run_source path n model instrument detect verbose trace_out metrics
     explain race_report =
   setup_logs verbose;
@@ -548,7 +553,12 @@ let run_source path n model instrument detect verbose trace_out metrics
           let rt = Dsm_lang.Exec.setup machine ?detector ir in
           (match Machine.run machine with
           | Dsm_sim.Engine.Completed -> ()
-          | _ -> prerr_endline "warning: simulation did not complete");
+          | _ -> prerr_endline "warning: simulation did not complete"
+          | exception
+              Dsm_sim.Engine.Process_failure
+                (proc, Dsm_lang.Exec.Runtime_error msg) ->
+              Printf.eprintf "dsmcheck: %s: process %s: %s\n%!" path proc msg;
+              exit exit_program_fault);
           Format.printf "wrappers       : %d checked / %d raw accesses@."
             (Dsm_lang.Ir.checked_accesses ir)
             (Dsm_lang.Ir.raw_accesses ir);
@@ -610,6 +620,7 @@ let run_program path scenario n model instrument detect verbose trace_out
     metrics explain race_report =
   let model = Option.value model ~default:Model.default in
   match (path, scenario) with
+  | _ when n < 1 -> `Error (false, "need at least 1 process")
   | None, None -> `Error (true, "either FILE or --scenario NAME is required")
   | Some _, Some _ -> `Error (true, "FILE and --scenario are mutually exclusive")
   | None, Some name ->
@@ -690,7 +701,15 @@ let run_cmd =
       & info [ "race-report" ] ~docv:"FILE"
           ~doc:"Write the race explanations as a JSON document to $(docv).")
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  let exits =
+    Cmd.Exit.info exit_program_fault
+      ~doc:
+        "when the program faults at run time: an out-of-bounds index, a \
+         division or modulo by zero, or a negative $(b,compute) duration. \
+         The file, the process and the fault are printed on stderr."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run_program $ path $ scenario $ n $ model $ instrument

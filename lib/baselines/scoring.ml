@@ -58,7 +58,3 @@ let confusion ~truth ~flagged =
 let f1 c =
   if c.precision +. c.recall = 0. then 0.
   else 2. *. c.precision *. c.recall /. (c.precision +. c.recall)
-
-let pp_confusion ppf c =
-  Format.fprintf ppf "tp=%d fp=%d fn=%d precision=%.3f recall=%.3f f1=%.3f"
-    c.true_pos c.false_pos c.false_neg c.precision c.recall (f1 c)

@@ -26,5 +26,3 @@ val detector_words : Dsm_core.Report.t -> words
 val confusion : truth:words -> flagged:words -> confusion
 
 val f1 : confusion -> float
-
-val pp_confusion : Format.formatter -> confusion -> unit

@@ -9,9 +9,6 @@
 type wire = int array
 (** A flat word buffer as carried inside a simulated message. *)
 
-val word_bytes : int
-(** Bytes per simulated word (8: the model machine is 64-bit). *)
-
 val bytes_of_words : int -> int
 
 (** {1 Dense encodings} *)

@@ -28,8 +28,6 @@ let row t j =
   if j < 0 || j >= dim t then invalid_arg "Matrix_clock.row";
   Vector_clock.of_array t.m.(j)
 
-let own_vector t = row t t.me
-
 let tick t = t.m.(t.me).(t.me) <- t.m.(t.me).(t.me) + 1
 
 let entry t i j =

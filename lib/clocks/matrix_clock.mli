@@ -26,10 +26,6 @@ val copy : t -> t
 val row : t -> int -> Vector_clock.t
 (** [row m j] is a snapshot of row [j]. *)
 
-val own_vector : t -> Vector_clock.t
-(** [own_vector m] is a snapshot of the principal row — the vector clock
-    the detection algorithms operate on. *)
-
 val tick : t -> unit
 (** Local-event rule: increment the diagonal entry [me,me]. *)
 

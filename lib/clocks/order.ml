@@ -4,8 +4,6 @@ let equal (a : t) (b : t) = a = b
 
 let concurrent = function Concurrent -> true | Equal | Before | After -> false
 
-let ordered = function Concurrent -> false | Equal | Before | After -> true
-
 let flip = function
   | Before -> After
   | After -> Before

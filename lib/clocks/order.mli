@@ -16,10 +16,6 @@ val equal : t -> t -> bool
 val concurrent : t -> bool
 (** [concurrent o] is [true] iff [o] is {!Concurrent}. *)
 
-val ordered : t -> bool
-(** [ordered o] is [true] iff the two clocks are comparable
-    ({!Equal}, {!Before} or {!After}). *)
-
 val flip : t -> t
 (** [flip o] is the verdict with the operands swapped:
     [Before] becomes [After] and conversely; [Equal] and [Concurrent]

@@ -146,13 +146,6 @@ let iter_granules t (r : Addr.region) ~f =
              (Addr.to_string r));
       visit_variables t first ~last ~f
 
-let granules t (r : Addr.region) =
-  let acc = ref [] in
-  iter_granules t r ~f:(fun ~offset ~len ->
-      acc :=
-        Addr.region ~pid:t.node ~space:Addr.Public ~offset ~len :: !acc);
-  List.rev !acc
-
 let entry_at t ~offset ~len =
   let key = pack_key ~offset ~len in
   match Int_tbl.find t.table key with

@@ -64,9 +64,6 @@ val iter_granules :
     it covers. Variables registered while [f] is suspended do not disturb
     the walk. *)
 
-val granules : t -> Dsm_memory.Addr.region -> Dsm_memory.Addr.region list
-(** List-building convenience over {!iter_granules} (tests, tooling). *)
-
 val entry_at : t -> offset:int -> len:int -> entry
 (** The entry of one granule identified by its raw coordinates (as
     passed to {!iter_granules}'s callback); lazily created with zero

@@ -155,13 +155,6 @@ val on_barrier :
   unit
 (** Trace-records one process's barrier crossing (no clock effect). *)
 
-val record_lock :
-  t -> pid:int -> phase:[ `Acquire | `Release ] -> lock:string -> time:float ->
-  unit
-(** Trace-records a user-level lock event. Note that the paper's clocks do
-    {e not} propagate through user locks, so lock-synchronized programs
-    can produce false positives — measured in E8/E9. *)
-
 (** {1 Introspection} *)
 
 val proc_clock : t -> int -> Dsm_clocks.Vector_clock.t

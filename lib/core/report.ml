@@ -23,8 +23,6 @@ type race = {
 
 type t = {
   mutable races : race list;
-  mutable suppressed : race list;
-  mutable suppressions : Dsm_memory.Addr.region list;
   mutable count : int;
   verbose : bool;
 }
@@ -34,7 +32,7 @@ let src = Logs.Src.create "dsmcheck.race" ~doc:"Race condition signals"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 let create ?(verbose = false) () =
-  { races = []; suppressed = []; suppressions = []; count = 0; verbose }
+  { races = []; count = 0; verbose }
 
 let against_name = function
   | General_clock -> "general clock"
@@ -50,29 +48,9 @@ let pp_race ppf r =
     r.datum_clock
 
 let signal t r =
-  if List.exists (Dsm_memory.Addr.overlap r.granule) t.suppressions then
-    t.suppressed <- r :: t.suppressed
-  else begin
-    t.races <- r :: t.races;
-    t.count <- t.count + 1;
-    if t.verbose then Log.warn (fun m -> m "%a" pp_race r)
-  end
-
-(* Suppressing a region also reclassifies signals that arrived *before*
-   the suppression, so [count]/[races]/[grouped] agree no matter when
-   the acknowledgment happened. Both lists are newest-first. *)
-let suppress t region =
-  t.suppressions <- region :: t.suppressions;
-  let now_suppressed, kept =
-    List.partition
-      (fun r -> Dsm_memory.Addr.overlap r.granule region)
-      t.races
-  in
-  t.races <- kept;
-  t.count <- t.count - List.length now_suppressed;
-  t.suppressed <- now_suppressed @ t.suppressed
-
-let suppressed t = List.rev t.suppressed
+  t.races <- r :: t.races;
+  t.count <- t.count + 1;
+  if t.verbose then Log.warn (fun m -> m "%a" pp_race r)
 
 let count t = t.count
 
@@ -88,7 +66,6 @@ let flagged_event_ids t =
 
 let clear t =
   t.races <- [];
-  t.suppressed <- [];
   t.count <- 0
 
 type group = {

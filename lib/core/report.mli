@@ -43,18 +43,6 @@ val create : ?verbose:bool -> unit -> t
 
 val signal : t -> race -> unit
 
-val suppress : t -> Dsm_memory.Addr.region -> unit
-(** §4.4: "some algorithms contain race conditions on purpose". Marks a
-    region as intentionally racy: signals whose granule overlaps it —
-    including signals that arrived {e before} the suppression — are
-    still recorded (see {!suppressed}) but excluded from {!count},
-    {!races} and the groupings, so the acknowledgment workflow of a real
-    debugging tool stays consistent no matter when the region was
-    acknowledged. *)
-
-val suppressed : t -> race list
-(** Signals swallowed by suppressions, in signal order. *)
-
 val count : t -> int
 
 val races : t -> race list
@@ -77,8 +65,6 @@ val grouped : t -> group list
 (** Signals collapsed per shared datum — how a debugging tool would
     present them ("variable [a] is raced by P0 and P1, 17 times, first at
     t=18.65"). Ordered by first signal time. *)
-
-val pp_group : Format.formatter -> group -> unit
 
 val pp_grouped : Format.formatter -> t -> unit
 

@@ -43,21 +43,6 @@ type stats = {
           fingerprint is in [canons] *)
 }
 
-val explore_in :
-  ?dpor:bool ->
-  ?stop_on_first:bool ->
-  ?max_runs:int ->
-  Explore.ctx ->
-  depth:int ->
-  stats
-(** DFS over an existing arena, deviating within the first [depth]
-    choice points, capped at [max_runs] (default 500) schedules.
-    [dpor] (default [true]) enables sleep-set pruning (on fault-free
-    specs); [stop_on_first] (default [true]) returns at the first
-    violation. Each pruned child emits a [Dpor_prune] probe event and
-    is appended to [pruned_prefixes]. The arena's ready log is
-    installed for the duration and removed before returning. *)
-
 val explore :
   ?metrics:Dsm_obs.Metrics.t ->
   ?dpor:bool ->
@@ -66,5 +51,10 @@ val explore :
   Explore.spec ->
   depth:int ->
   stats
-(** {!explore_in} in a fresh arena. With [metrics], runs and prunes are
-    counted into the registry (["explore.dpor_pruned"]). *)
+(** DFS in a fresh arena, deviating within the first [depth] choice
+    points, capped at [max_runs] (default 500) schedules. [dpor]
+    (default [true]) enables sleep-set pruning (on fault-free specs);
+    [stop_on_first] (default [true]) returns at the first violation.
+    Each pruned child emits a [Dpor_prune] probe event and is appended
+    to [pruned_prefixes]. With [metrics], runs and prunes are counted
+    into the registry (["explore.dpor_pruned"]). *)

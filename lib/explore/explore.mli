@@ -32,8 +32,6 @@ val default_spec : spec
 
 type outcome = Completed | Blocked of int | Event_limit | Crashed of string
 
-val outcome_to_string : outcome -> string
-
 type violation = { invariant : string; detail : string }
 
 type run_result = {

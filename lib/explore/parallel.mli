@@ -32,29 +32,24 @@
     records how it was found. *)
 
 (** A persistent pool of worker domains plus one hot [Explore.ctx]
-    arena per worker. Create one per explore session, pass it to any
-    number of {!explore_random} / {!explore_exhaustive} batches, then
-    {!Pool.shutdown}. *)
+    arena per worker. Open one per explore session with
+    {!Pool.with_pool} and pass it to any number of {!explore_random} /
+    {!explore_exhaustive} batches. *)
 module Pool : sig
   type t
-
-  val create : jobs:int -> t
-  (** Spawn [min jobs (Domain.recommended_domain_count ())] workers
-      (at least 1; the calling domain is worker 0, so [size - 1]
-      domains are spawned). Clamping to the host's core count is
-      semantically invisible — findings are bit-identical for every
-      pool size — and keeps oversubscribed [--jobs] from thrashing a
-      small machine. *)
 
   val size : t -> int
   (** Workers in the pool, including the caller. *)
 
-  val shutdown : t -> unit
-  (** Wake and join every worker domain. Idempotent; the pool cannot be
-      used afterwards. *)
-
   val with_pool : jobs:int -> (t -> 'a) -> 'a
-  (** [create], run, and always [shutdown]. *)
+  (** [with_pool ~jobs f] spawns
+      [min jobs (Domain.recommended_domain_count ())] workers (at least
+      1; the calling domain is worker 0, so [size - 1] domains are
+      spawned), runs [f], and always wakes and joins every worker
+      afterwards. Clamping to the host's core count is
+      semantically invisible — findings are bit-identical for every
+      pool size — and keeps oversubscribed [--jobs] from thrashing a
+      small machine. *)
 end
 
 val explore_random :

@@ -44,8 +44,6 @@ val validate : program -> (unit, string) result
     private variables used before definition (per straight-line scope;
     loop indices count as defined inside their body). *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
-
 val pp_program : Format.formatter -> program -> unit
 (** The rendering is valid concrete syntax: for any validated program,
     [Parser.parse (render p)] re-reads an equal AST (the round-trip

@@ -82,7 +82,10 @@ let interpret rt ~detector p body =
           ~raw:(fun () ->
             ignore (Machine.fetch_add p ~target:r.Addr.base ~delta ()))
     | Ir.Barrier -> Dsm_pgas.Collectives.barrier rt.collectives p
-    | Ir.Compute e -> Machine.compute p (float_of_int (eval e))
+    | Ir.Compute e ->
+        let d = eval e in
+        if d < 0 then fail "compute %d: negative duration" d;
+        Machine.compute p (float_of_int d)
     | Ir.Seq l -> List.iter exec l
     | Ir.If (c, a, b) -> if eval c <> 0 then exec a else exec b
     | Ir.For (v, lo, hi, body) ->
@@ -92,8 +95,12 @@ let interpret rt ~detector p body =
           exec body
         done
     | Ir.While (c, body) ->
+        (* Each iteration is a zero-time scheduling point, so a loop
+           whose body touches no shared data still lets the others run
+           and ends at the event budget instead of spinning forever. *)
         while eval c <> 0 do
-          exec body
+          exec body;
+          Machine.compute p 0.
         done
   in
   exec body

@@ -14,12 +14,13 @@ val setup :
   Dsm_rdma.Machine.t -> ?detector:Dsm_core.Detector.t -> Ir.program -> runtime
 (** Allocates the arrays, the collectives and one interpreter process per
     node; run the machine afterwards. [Checked] accesses with no
-    [detector] raise [Failure] at execution. *)
+    [detector] raise {!Runtime_error} at execution. *)
 
 val array_contents : runtime -> string -> int array
 (** Meta-level, after the run: the elements of a shared array.
     Raises [Not_found] for an unknown name. *)
 
 exception Runtime_error of string
-(** Index out of bounds, division by zero, missing detector for a
-    checked access. *)
+(** Index out of bounds, division by zero, a negative [compute]
+    duration, missing detector for a checked access. A run raises it
+    wrapped in [Dsm_sim.Engine.Process_failure]. *)

@@ -333,8 +333,3 @@ let parse input =
       | Error msg -> Error msg)
   | exception Parse_error (msg, line) ->
       Error (Printf.sprintf "line %d: %s" line msg)
-
-let parse_exn input =
-  match parse input with
-  | Ok p -> p
-  | Error msg -> invalid_arg ("Parser.parse: " ^ msg)

@@ -25,6 +25,3 @@
 
 val parse : string -> (Ast.program, string) result
 (** Parse a whole program; the error message carries a line number. *)
-
-val parse_exn : string -> Ast.program
-(** Raises [Invalid_argument] with the parse error. *)

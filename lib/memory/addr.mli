@@ -36,9 +36,6 @@ val is_public : region -> bool
 
 val space_name : space -> string
 
-val pp_global : Format.formatter -> global -> unit
-(** Prints as [P2.pub\[16\]]. *)
-
 val pp_region : Format.formatter -> region -> unit
 (** Prints as [P2.pub\[16..23\]]. *)
 

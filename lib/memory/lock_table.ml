@@ -63,10 +63,6 @@ let acquire t ~offset ~len k =
   if grantable t ~offset ~len then k (grant_now t ~offset ~len)
   else t.queue <- { w_offset = offset; w_len = len; grant = k } :: t.queue
 
-let try_acquire t ~offset ~len =
-  check_range ~offset ~len "try_acquire";
-  if grantable t ~offset ~len then Some (grant_now t ~offset ~len) else None
-
 let release t id =
   if not (Hashtbl.mem t.held id) then
     failwith "Lock_table.release: unknown or already-released lock";

@@ -34,9 +34,6 @@ val acquire : t -> offset:int -> len:int -> (lock_id -> unit) -> unit
     waiters on disjoint ranges; under {!Strict_head} any waiter blocks
     every newcomer. Raises [Invalid_argument] on a degenerate range. *)
 
-val try_acquire : t -> offset:int -> len:int -> lock_id option
-(** Non-blocking variant: [Some id] on success, [None] if it would wait. *)
-
 val release : t -> lock_id -> unit
 (** Releases a held lock and grants eligible waiters, in queue order,
     according to the discipline. Raises [Failure] if the token is unknown

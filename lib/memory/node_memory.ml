@@ -63,14 +63,6 @@ let write t (r : Addr.region) data =
     invalid_arg "Node_memory.write: data length does not match region";
   Segment.write_block (segment t r.base.space) ~offset:r.base.offset data
 
-let read_word t (g : Addr.global) =
-  check_owner t { base = g; len = 1 } "read_word";
-  Segment.read (segment t g.space) ~offset:g.offset
-
-let write_word t (g : Addr.global) v =
-  check_owner t { base = g; len = 1 } "write_word";
-  Segment.write (segment t g.space) ~offset:g.offset v
-
 let memory_map t =
   let tagged space =
     List.map

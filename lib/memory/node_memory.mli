@@ -40,9 +40,5 @@ val read : t -> Addr.region -> int array
 val write : t -> Addr.region -> int array -> unit
 (** Length of the data must equal the region length. *)
 
-val read_word : t -> Addr.global -> int
-
-val write_word : t -> Addr.global -> int -> unit
-
 val memory_map : t -> (Addr.space * string * int * int) list
 (** Named allocations of both segments, for the E1 memory-map dump. *)

@@ -15,7 +15,6 @@ type 'msg t = {
   mutable clock_words : int;
   mutable dropped : int;
   mutable duplicated : int;
-  mutable reordered : int;
 }
 
 let loopback_delay = 0.05 (* us: memcpy through the local NIC *)
@@ -38,7 +37,6 @@ let create sim ~topology ~latency ?(fifo = true) ?(faults = Fault.none) () =
     clock_words = 0;
     dropped = 0;
     duplicated = 0;
-    reordered = 0;
   }
 
 let nodes t = Array.length t.handlers
@@ -125,7 +123,6 @@ let send t ~src ~dst ~words ?wire_words ?(clock_words = 0) ?(fifo = true)
     in
     let arrival, in_order =
       if reorder then begin
-        t.reordered <- t.reordered + 1;
         if probe.on then
           Dsm_obs.Probe.emit probe (Net_reorder { time = now; src; dst });
         (arrival +. Prng.float t.rng lf.Fault.reorder_window, false)
@@ -153,8 +150,6 @@ let messages_dropped t = t.dropped
 
 let messages_duplicated t = t.duplicated
 
-let messages_reordered t = t.reordered
-
 let messages_sent t = t.messages
 
 let words_sent t = t.words
@@ -162,12 +157,6 @@ let words_sent t = t.words
 let wire_words_sent t = t.wire_words
 
 let clock_words_sent t = t.clock_words
-
-let reset_counters t =
-  t.messages <- 0;
-  t.words <- 0;
-  t.wire_words <- 0;
-  t.clock_words <- 0
 
 (* Arena reuse: restore the [create] state while keeping handlers
    registered. Must run after [Engine.reset] so that re-splitting the
@@ -183,5 +172,4 @@ let reset t =
   t.wire_words <- 0;
   t.clock_words <- 0;
   t.dropped <- 0;
-  t.duplicated <- 0;
-  t.reordered <- 0
+  t.duplicated <- 0

@@ -39,8 +39,6 @@ val messages_dropped : 'msg t -> int
 
 val messages_duplicated : 'msg t -> int
 
-val messages_reordered : 'msg t -> int
-
 val faults : 'msg t -> Fault.t
 (** The active fault plan ({!Fault.none} by default). *)
 
@@ -95,8 +93,6 @@ val wire_words_sent : 'msg t -> int
 val clock_words_sent : 'msg t -> int
 (** Total clock-piggyback words within {!wire_words_sent} — the
     numerator for the same ratios. *)
-
-val reset_counters : 'msg t -> unit
 
 val reset : 'msg t -> unit
 (** [reset t] restores the fabric to its just-[create]d state in place:

@@ -25,9 +25,6 @@ type link = {
 
 type t
 
-val reliable_link : link
-(** No faults: all probabilities and delays zero, window 4 us. *)
-
 val none : t
 (** The fault-free plan (the default everywhere). *)
 

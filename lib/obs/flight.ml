@@ -65,12 +65,6 @@ let attach ?capacity ?exclude bus =
   Probe.attach bus (sink t);
   t
 
-let nth_oldest t i =
-  let n = length t in
-  if i < 0 || i >= n then invalid_arg "Flight.nth_oldest";
-  (* oldest retained event is seq [total - n] *)
-  t.slots.((t.total - n + i) mod t.capacity)
-
 let iter t ~f =
   let n = length t in
   let first = t.total - n in

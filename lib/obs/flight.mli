@@ -16,16 +16,12 @@
 
 type t
 
-val default_exclude : string list
-(** Event classes dropped by default: [["engine.step"]] — the one
-    per-event firehose with no explanatory value, excluded so the
-    window covers meaningful traffic and the attach cost stays inside
-    the ≤ 3% probe-overhead gate. *)
-
 val create : ?capacity:int -> ?exclude:string list -> unit -> t
 (** A detached recorder. [capacity] defaults to 256 and must be ≥ 1;
-    [exclude] is a list of {!Probe.name} classes to filter out
-    (default {!default_exclude}; pass [[]] to keep everything). *)
+    [exclude] is a list of {!Probe.name} classes to filter out (default
+    [["engine.step"]], the per-event firehose with no explanatory value,
+    so the window covers meaningful traffic and the attach cost stays
+    inside the ≤ 3% probe-overhead gate; pass [[]] to keep everything). *)
 
 val attach : ?capacity:int -> ?exclude:string list -> Probe.t -> t
 (** [create] + [Probe.attach] in one step. *)
@@ -50,10 +46,6 @@ val total : t -> int
 
 val dropped : t -> int
 (** Accepted events that have already been overwritten. *)
-
-val nth_oldest : t -> int -> Probe.event
-(** [nth_oldest t 0] is the oldest retained event; raises
-    [Invalid_argument] outside [\[0, length)]. *)
 
 val iter : t -> f:(seq:int -> Probe.event -> unit) -> unit
 (** Oldest → newest; [seq] is the event's global index since the last

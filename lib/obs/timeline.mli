@@ -41,9 +41,3 @@ val add_flow_pair :
   t -> src:int -> dst:int -> name:string -> ts_start:float -> ts_end:float -> unit
 (** Append a matched ["s"]/["f"] flow-arrow pair with a fresh id, from
     lane [src] at [ts_start] to lane [dst] at [ts_end]. *)
-
-val scheduler_pid : int
-(** Lane id used for scheduler events (choices, quiescence). *)
-
-val domain_pid : int -> int
-(** Lane id used for explorer domain [d]. *)

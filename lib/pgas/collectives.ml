@@ -15,7 +15,7 @@ type t = {
   releases : (int * int, unit Ivar.t) Hashtbl.t; (* (generation, pid) *)
   bcast_cell : Addr.region array; (* one public word per node *)
   reduce_slots : Addr.region array; (* n public words per node *)
-  xfer : Addr.region array; (* n public words per node: scatter/alltoall *)
+  xfer : Addr.region array; (* n public words per node: scatter *)
   scratch : Addr.region array; (* private staging word per node *)
 }
 
@@ -213,22 +213,6 @@ let gather t p ~root ~value =
   in
   barrier t p;
   result
-
-let alltoall t p ~values =
-  if Array.length values <> t.n then
-    invalid_arg "Collectives.alltoall: need one value per process";
-  let pid = Machine.pid p in
-  for j = 0 to t.n - 1 do
-    Env.put t.env p ~src:(staged t p values.(j))
-      ~dst:(xfer_slot t ~node:j ~sender:pid)
-  done;
-  barrier t p;
-  let received =
-    Array.init t.n (fun sender ->
-        read_slot t p (xfer_slot t ~node:pid ~sender))
-  in
-  barrier t p;
-  received
 
 (* The §5.2 one-sided reduction, generalized to any accumulate operator.
    The caller alone pulls the whole distributed array — no participation

@@ -76,8 +76,3 @@ val gather :
   t -> Dsm_rdma.Machine.proc -> root:int -> value:int -> int array option
 (** Inverse of {!scatter}: everyone pushes its value to the root's slot
     array; [Some values] at the root after a closing barrier. *)
-
-val alltoall : t -> Dsm_rdma.Machine.proc -> values:int array -> int array
-(** [alltoall c p ~values] sends [values.(j)] to process [j] and returns
-    the array of values received from every process (index = sender).
-    [values] must have length [n]. n² one-sided puts, two barriers. *)

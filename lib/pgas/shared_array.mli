@@ -63,10 +63,6 @@ val peek : t -> int -> int
 val poke : t -> int -> int -> unit
 (** Meta-level direct write: for initializing test fixtures only. *)
 
-val peek_elem : t -> int -> int array
-
-val poke_elem : t -> int -> int array -> unit
-
 val my_indices : t -> pid:int -> int list
 (** The element indices with affinity to [pid], ascending — the usual
     "upc_forall affinity" iteration space. *)

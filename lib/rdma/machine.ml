@@ -779,13 +779,6 @@ let lock_grants_chained m =
     (fun acc nm -> acc + Lock_table.chained_grants (Node_memory.locks nm))
     0 m.nodes
 
-let reset_traffic_counters m =
-  Dsm_net.Fabric.reset_counters m.fabric;
-  m.pb_dense <- 0;
-  m.pb_sparse <- 0;
-  m.pb_delta <- 0;
-  m.pb_fallbacks <- 0
-
 (* ---------- processes ---------- *)
 
 let proc m ~pid =

@@ -138,7 +138,7 @@ val set_clock_source : t -> (pid:int -> Dsm_clocks.Vector_clock.t) -> unit
 
 val clock_encodings : t -> int * int * int
 (** [(dense, sparse, delta)] piggybacks encoded since creation (or
-    {!reset_traffic_counters}) — retransmits and fallback re-encodes are
+    {!reset}) — retransmits and fallback re-encodes are
     not recounted. *)
 
 val clock_retransmit_fallbacks : t -> int
@@ -166,8 +166,6 @@ val lock_grants_chained : t -> int
     schedule explorer samples this at every choice point: an event whose
     execution advances it ran work its footprint label cannot express,
     so the DPOR layer treats it as dependent with everything. *)
-
-val reset_traffic_counters : t -> unit
 
 (** {1 Processes} *)
 

@@ -112,23 +112,16 @@ val is_reply : t -> bool
     delivery acts on behalf of the sending side's process — are [false].
     [Unlock] counts as a request: releasing may grant queued waiters. *)
 
-val header_words : int
-(** Fixed per-message header size charged on the wire (routing, op ids). *)
-
 val wire_words : t -> int
 (** Total words the fabric should charge for this message: header plus
     payload plus [extra_words]. This is the {e nominal} size — the one
     the latency model prices — even when a framed piggyback replaces
     the clock allowance on the wire (see {!wire_words_piggyback}). *)
 
-val extra_words_of : t -> int
-(** The nominal piggybacked-metadata allowance the message carries
-    ([extra_words] on data messages, 0 on pure control messages). *)
-
 val wire_words_piggyback : pb:int -> t -> int
 (** [wire_words_piggyback ~pb msg] is the message's true wire size once
     a [pb]-word framed clock piggyback replaces the nominal
-    [extra_words] allowance: [wire_words msg - extra_words_of msg + pb].
+    [extra_words] allowance (0 on pure control messages).
     Feeds the byte-accounting counters only; timing keeps using
     {!wire_words} so schedules are independent of the chosen encoding. *)
 

@@ -71,39 +71,3 @@ let of_name s =
            s)
 
 let pp ppf m = Format.pp_print_string ppf (name m)
-
-module type MEMORY_MODEL = sig
-  val id : t
-  val name : string
-  val hooks : hooks
-end
-
-module Make (M : sig
-  val id : t
-end) : MEMORY_MODEL = struct
-  let id = M.id
-  let name = name M.id
-  let hooks = hooks M.id
-end
-
-module Nic_atomic_model = Make (struct
-  let id = Nic_atomic
-end)
-
-module Relaxed_model = Make (struct
-  let id = Relaxed
-end)
-
-module Eventual_model = Make (struct
-  let id = Eventual
-end)
-
-module Seq_consistent_model = Make (struct
-  let id = Seq_consistent
-end)
-
-let backend = function
-  | Nic_atomic -> (module Nic_atomic_model : MEMORY_MODEL)
-  | Relaxed -> (module Relaxed_model : MEMORY_MODEL)
-  | Eventual -> (module Eventual_model : MEMORY_MODEL)
-  | Seq_consistent -> (module Seq_consistent_model : MEMORY_MODEL)

@@ -5,8 +5,7 @@
     puts by holding that lock across its round trip (Figure 3). This
     module captures those ordering assumptions — and the
     happens-before edges the race detector derives from each message
-    class — as a small hook record behind a [MEMORY_MODEL] signature,
-    so the same program and schedule can be checked under the paper's
+    class — as a small hook record, so the same program and schedule can be checked under the paper's
     model, under relaxed RDMA-style semantics, or against a sequential
     reference, and the race sets diffed mechanically
     ([dsmcheck explore --diff-models]).
@@ -78,19 +77,3 @@ val default : t
 (** [Nic_atomic] — the paper's model. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** First-class backend signature, for code that wants the model as a
-    module rather than a value (the hook record stays the ground
-    truth). *)
-module type MEMORY_MODEL = sig
-  val id : t
-  val name : string
-  val hooks : hooks
-end
-
-module Nic_atomic_model : MEMORY_MODEL
-module Relaxed_model : MEMORY_MODEL
-module Eventual_model : MEMORY_MODEL
-module Seq_consistent_model : MEMORY_MODEL
-
-val backend : t -> (module MEMORY_MODEL)

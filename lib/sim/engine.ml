@@ -142,8 +142,6 @@ let sleep ?label sim dt =
   await sim (fun resume ->
       schedule sim ~delay:dt ?label (fun () -> resume ()))
 
-let yield sim = sleep sim 0.
-
 type outcome =
   | Completed
   | Blocked of int

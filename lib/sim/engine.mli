@@ -58,7 +58,7 @@ val schedule_at : t -> at:float -> ?label:Label.t -> (unit -> unit) -> unit
 val spawn :
   t -> ?at:float -> ?name:string -> ?label:Label.t -> (unit -> unit) -> unit
 (** [spawn sim ~name body] creates a process whose [body] starts at time
-    [at] (default: now). The body may use {!await}, {!sleep} and {!yield}.
+    [at] (default: now). The body may use {!await} and {!sleep}.
     An exception escaping [body] aborts the simulation with
     {!Process_failure}. *)
 
@@ -72,10 +72,6 @@ val await : t -> (('a -> unit) -> unit) -> 'a
 val sleep : ?label:Label.t -> t -> float -> unit
 (** [sleep sim dt] suspends the calling process for [dt] simulated time.
     [label] is the footprint of the wake-up event. *)
-
-val yield : t -> unit
-(** Suspends and reschedules at the current instant, letting other events
-    at this time fire first. *)
 
 type outcome =
   | Completed                 (** heap drained, every process finished *)

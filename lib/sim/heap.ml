@@ -118,6 +118,4 @@ let ready_view h =
     arr
   end
 
-let peek_time h = if h.size = 0 then None else Some h.data.(0).time
-
 let clear h = h.size <- 0

@@ -37,7 +37,4 @@ val ready_view : 'a t -> (int * Label.t) array
     sequence number — index-aligned with the [k] argument of {!pop_kth}.
     Allocates; meant for schedule exploration, not the production loop. *)
 
-val peek_time : 'a t -> float option
-(** Time of the minimum element without removing it. *)
-
 val clear : 'a t -> unit

@@ -4,8 +4,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
 
-let is_filled iv = match iv.state with Filled _ -> true | Empty _ -> false
-
 let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 
 let fill ?label sim iv v =
@@ -17,11 +15,6 @@ let fill ?label sim iv v =
       List.iter
         (fun resume -> Engine.schedule sim ?label (fun () -> resume v))
         (List.rev waiters)
-
-let upon sim iv f =
-  match iv.state with
-  | Filled v -> Engine.schedule sim (fun () -> f v)
-  | Empty waiters -> iv.state <- Empty (f :: waiters)
 
 let read sim iv =
   match iv.state with

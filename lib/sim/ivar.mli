@@ -9,8 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_filled : 'a t -> bool
-
 val peek : 'a t -> 'a option
 (** The value, if already filled; never blocks. *)
 
@@ -22,13 +20,6 @@ val fill : ?label:Label.t -> Engine.t -> 'a t -> 'a -> unit
 val read : Engine.t -> 'a t -> 'a
 (** [read sim iv] returns the value, suspending the calling process until
     {!fill} if necessary. *)
-
-val upon : Engine.t -> 'a t -> ('a -> unit) -> unit
-(** [upon sim iv f] runs [f v] when the ivar is filled, without
-    suspending the caller: already filled — [f] is scheduled at the
-    current instant; otherwise [f] joins the waiter queue like a
-    suspended reader. The building block for waiting with a timeout (see
-    the retransmission logic in [Dsm_rdma.Machine]). *)
 
 val waiters : 'a t -> int
 (** Number of processes currently suspended on this ivar. *)

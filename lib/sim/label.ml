@@ -39,11 +39,6 @@ let node l = (l lsr field_bits) - 1
 
 let origin l = (l land field_mask) - 1
 
-let independent a b =
-  a <> unknown && b <> unknown
-  && a lsr field_bits <> b lsr field_bits
-  && a land field_mask <> b land field_mask
-
 let pp ppf l =
   if l = unknown then Format.pp_print_string ppf "?"
   else Format.fprintf ppf "n%d/o%d" (node l) (origin l)

@@ -5,7 +5,7 @@
     action touches only state owned by [node] (memory segments, lock
     table, coherence shadow, outgoing fabric channels) and state owned
     by [origin] (its process continuation, pending-operation ivars, its
-    detector process clock). Two events are {!independent} — they
+    detector process clock). Two events are independent — they
     commute, and a partial-order-reduced search need only explore one of
     their orders — exactly when both are known and they agree on
     neither component. [unknown] events are dependent with everything,
@@ -28,10 +28,5 @@ val node : t -> int
 
 val origin : t -> int
 (** The origin component; meaningless on {!unknown}. *)
-
-val independent : t -> t -> bool
-(** [independent a b] iff both labels are known, their nodes differ and
-    their origins differ — the sound commutation test used by the
-    DPOR layer. Never true for {!unknown}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -36,10 +36,6 @@ let int g bound =
   let x = Int64.shift_right_logical (next_int64 g) 1 in
   Int64.to_int (Int64.rem x (Int64.of_int bound))
 
-let int_in g ~lo ~hi =
-  if lo > hi then invalid_arg "Prng.int_in: empty range";
-  lo + int g (hi - lo + 1)
-
 let float g bound =
   (* 53 uniform bits mapped to [0,1). *)
   let x = Int64.shift_right_logical (next_int64 g) 11 in
@@ -57,15 +53,3 @@ let exponential g ~mean =
   (* u = 0 would give infinity; nudge into (0,1]. *)
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
-
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick g a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int g (Array.length a))

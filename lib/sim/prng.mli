@@ -35,10 +35,6 @@ val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     when [bound <= 0]. *)
 
-val int_in : t -> lo:int -> hi:int -> int
-(** Uniform in the inclusive range [\[lo, hi\]].
-    Raises [Invalid_argument] when [lo > hi]. *)
-
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
@@ -50,10 +46,3 @@ val bernoulli : t -> p:float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean — used for jittered
     latency models. Raises [Invalid_argument] when [mean <= 0]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on an
-    empty array. *)

@@ -7,8 +7,6 @@ let add_row t row =
     invalid_arg "Table.add_row: width differs from headers";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

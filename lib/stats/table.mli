@@ -8,8 +8,6 @@ val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] when the row width differs from the
     header width. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** Columns auto-sized to content; header separated by a dashed rule. *)
 

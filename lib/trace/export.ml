@@ -80,24 +80,3 @@ let to_csv t =
       Buffer.add_char buf '\n')
     (Trace.events t);
   Buffer.contents buf
-
-let races_to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "first_id,second_id,pid1,pid2,node,overlap_lo,overlap_hi\n";
-  List.iter
-    (fun { Trace.first; second } ->
-      let lo =
-        max first.Event.target.base.offset second.Event.target.base.offset
-      in
-      let hi =
-        min
-          (Dsm_memory.Addr.last_offset first.Event.target)
-          (Dsm_memory.Addr.last_offset second.Event.target)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%d,%d,%d\n" first.Event.id
-           second.Event.id first.Event.pid second.Event.pid
-           first.Event.target.base.pid lo hi))
-    (Trace.races t);
-  Buffer.contents buf

@@ -25,7 +25,3 @@ val to_csv : Trace.t -> string
     [id,time,pid,type,kind,node,offset,len,label] — sync events leave the
     access columns empty and put the lock name / barrier generation in
     [label]. *)
-
-val races_to_csv : Trace.t -> string
-(** One row per ground-truth race pair:
-    [first_id,second_id,pid1,pid2,node,overlap_lo,overlap_hi]. *)

@@ -62,11 +62,6 @@ type race_pair = { first : Event.access; second : Event.access }
 val races : t -> race_pair list
 (** All ground-truth races, ordered by [(second.id, first.id)]. *)
 
-val race_ordered : t -> first:int -> second:int -> bool
-(** [race_ordered t ~first ~second] iff [first] happens-before [second]'s
-    program predecessor (so the pair cannot race). [first < second]
-    required. *)
-
 val racy_access_ids : t -> (int, unit) Hashtbl.t
 (** The set of access ids participating in at least one race. *)
 

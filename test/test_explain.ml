@@ -26,8 +26,8 @@ let test_ring_capacity_one () =
   Alcotest.(check int) "length" 1 (Flight.length f);
   Alcotest.(check int) "total" 5 (Flight.total f);
   Alcotest.(check int) "dropped" 4 (Flight.dropped f);
-  match Flight.nth_oldest f 0 with
-  | Probe.Engine_step { time } ->
+  match Flight.events f with
+  | [ Probe.Engine_step { time } ] ->
       Alcotest.(check (float 0.0)) "keeps only the newest" 5.0 time
   | _ -> Alcotest.fail "unexpected event class"
 

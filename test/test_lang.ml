@@ -11,6 +11,9 @@ module Report = Dsm_core.Report
 
 let seqs l = Ast.Seq l
 
+let parse_exn src =
+  match Parser.parse src with Ok p -> p | Error msg -> failwith msg
+
 (* Each process stores MINE into its own slot, barrier, then sums the
    whole array into slot of a result array. *)
 let sum_program =
@@ -85,14 +88,14 @@ end
 |}
 
 let test_parse_roundtrip_runs () =
-  let prog = Parser.parse_exn source_sum in
+  let prog = parse_exn source_sum in
   let rt, d = run ~instrument:true prog in
   Alcotest.(check (array int)) "parsed program computes" [| 10 |]
     (Exec.array_contents rt "out");
   Alcotest.(check int) "clean" 0 (Report.count (Detector.report d))
 
 let test_parse_precedence () =
-  let prog = Parser.parse_exn "x := 1 + 2 * 3 - 4 / 2" in
+  let prog = parse_exn "x := 1 + 2 * 3 - 4 / 2" in
   match prog.Ast.body with
   | Ast.Let ("x", e) ->
       (* (1 + (2*3)) - (4/2) = 5 under the usual precedence *)
@@ -108,7 +111,7 @@ let test_parse_precedence () =
   | _ -> Alcotest.fail "expected a single assignment"
 
 let test_parse_parens_and_comparison () =
-  let prog = Parser.parse_exn "x := (1 + 2) * 3; y := x < 10" in
+  let prog = parse_exn "x := (1 + 2) * 3; y := x < 10" in
   match prog.Ast.body with
   | Ast.Seq [ Ast.Let ("x", Ast.Binop (Ast.Mul, _, _)); Ast.Let ("y", Ast.Binop (Ast.Lt, _, _)) ]
     ->
@@ -116,7 +119,7 @@ let test_parse_parens_and_comparison () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_parse_fetch_add () =
-  let prog = Parser.parse_exn "shared c[1]
+  let prog = parse_exn "shared c[1]
 c[0] +>= 2" in
   match prog.Ast.body with
   | Ast.Fetch_add ("c", Ast.Int 0, Ast.Int 2) -> ()
@@ -208,7 +211,6 @@ let gen_program =
             gen_stmt (v :: env) (depth - 1) >|= fun (body, _) ->
             (Ast.For (v, lo, hi, body), env) );
           ( 1,
-            (* never executed: the property only parses and prints *)
             gen_expr env 1 >>= fun c ->
             gen_stmt env (depth - 1) >|= fun (body, _) ->
             (Ast.While (c, body), env) );
@@ -248,6 +250,29 @@ let prop_parse_print_roundtrip =
           | Ok prog' -> prog' = prog
           | Error msg ->
               QCheck.Test.fail_reportf "reparse failed: %s@.%s" msg rendered))
+
+(* Executing any validated program ends with an engine outcome or a
+   typed [Runtime_error] (bad index, division by zero, negative compute),
+   never another exception. Two processes under the detector and a
+   20,000-event budget, which ends every spinning [while]; the 200
+   programs take about 0.15 s. *)
+let prop_exec_fails_typed =
+  QCheck.Test.make ~name:"execution raises only Runtime_error" ~count:200
+    (QCheck.make
+       ~print:(fun p -> Format.asprintf "%a" Ast.pp_program p)
+       gen_program)
+    (fun prog ->
+      match Ast.validate prog with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok () -> (
+          let sim = Engine.create () in
+          let m = Machine.create sim ~n:2 () in
+          let d = Detector.create m () in
+          let ir = Compile.lower_exn ~instrument:true prog in
+          ignore (Exec.setup m ~detector:d ir);
+          match Machine.run ~max_events:20_000 m with
+          | _ -> true
+          | exception Engine.Process_failure (_, Exec.Runtime_error _) -> true))
 
 (* ---------- validation ---------- *)
 
@@ -356,7 +381,7 @@ let test_both_levels_agree_with_library () =
 
 let test_while_loop_polls () =
   let prog =
-    Parser.parse_exn
+    parse_exn
       "shared flag[1]\nshared data[1]\nif MINE == 0 then compute 25; data[0] := 7; flag[0] := 1 else s := 0; while s == 0 do compute 2; s := flag[0] done; out := data[0] end"
   in
   let rt, d = run ~n:2 ~instrument:true prog in
@@ -412,6 +437,7 @@ let () =
           Alcotest.test_case "error lines" `Quick test_parse_errors_carry_line;
           Alcotest.test_case "empty body" `Quick test_parse_empty_program;
           QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
+          QCheck_alcotest.to_alcotest prop_exec_fails_typed;
         ] );
       ( "validate",
         [

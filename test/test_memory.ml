@@ -194,14 +194,6 @@ let test_lock_strict_head_blocks_all () =
   Alcotest.(check bool) "head granted" true !got_conflict;
   Alcotest.(check bool) "then the rest" true !got_far
 
-let test_lock_try_acquire () =
-  let t = Lock_table.create () in
-  (match Lock_table.try_acquire t ~offset:0 ~len:4 with
-  | None -> Alcotest.fail "should succeed"
-  | Some _ -> ());
-  Alcotest.(check bool) "conflicting try fails" true
-    (Lock_table.try_acquire t ~offset:2 ~len:2 = None)
-
 let test_lock_double_release () =
   let t = Lock_table.create () in
   let saved = ref None in
@@ -302,9 +294,9 @@ let test_node_memory_map () =
 
 let test_node_word_ops () =
   let node = Node_memory.create ~pid:0 () in
-  let g = Addr.global ~pid:0 ~space:Addr.Public ~offset:7 in
-  Node_memory.write_word node g 99;
-  Alcotest.(check int) "word" 99 (Node_memory.read_word node g)
+  let r = Addr.region ~pid:0 ~space:Addr.Public ~offset:7 ~len:1 in
+  Node_memory.write node r [| 99 |];
+  Alcotest.(check (array int)) "word" [| 99 |] (Node_memory.read node r)
 
 let () =
   Alcotest.run "memory"
@@ -339,7 +331,6 @@ let () =
           Alcotest.test_case "fifo order" `Quick test_lock_fifo_grant_order;
           Alcotest.test_case "first-fit skips" `Quick test_lock_first_fit_skips_blocked_head;
           Alcotest.test_case "strict head" `Quick test_lock_strict_head_blocks_all;
-          Alcotest.test_case "try_acquire" `Quick test_lock_try_acquire;
           Alcotest.test_case "double release" `Quick test_lock_double_release;
         ] );
       ( "lock-properties",

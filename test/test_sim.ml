@@ -25,13 +25,6 @@ let test_prng_int_bounds () =
     (Invalid_argument "Prng.int: bound must be positive") (fun () ->
       ignore (Prng.int g 0))
 
-let test_prng_int_in () =
-  let g = Prng.create ~seed:7 in
-  for _ = 1 to 1000 do
-    let x = Prng.int_in g ~lo:(-3) ~hi:3 in
-    Alcotest.(check bool) "in range" true (x >= -3 && x <= 3)
-  done
-
 let test_prng_float_bounds () =
   let g = Prng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -45,14 +38,6 @@ let test_prng_split_independent () =
   let xs = List.init 10 (fun _ -> Prng.next_int64 g) in
   let ys = List.init 10 (fun _ -> Prng.next_int64 h) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
-
-let test_prng_shuffle_is_permutation () =
-  let g = Prng.create ~seed:5 in
-  let a = Array.init 50 (fun i -> i) in
-  Prng.shuffle g a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
 let test_prng_bernoulli_extremes () =
   let g = Prng.create ~seed:9 in
@@ -149,7 +134,8 @@ let test_engine_yield_interleaves () =
   let proc name =
     Engine.spawn sim (fun () ->
         log := (name ^ "1") :: !log;
-        Engine.yield sim;
+        (* a zero sleep yields to the other ready process *)
+        Engine.sleep sim 0.;
         log := (name ^ "2") :: !log)
   in
   proc "a";
@@ -381,10 +367,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
-          Alcotest.test_case "int_in" `Quick test_prng_int_in;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
-          Alcotest.test_case "shuffle" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "bernoulli" `Quick test_prng_bernoulli_extremes;
           Alcotest.test_case "exponential" `Quick test_prng_exponential_positive;
         ] );

@@ -249,10 +249,7 @@ let test_export_csv_shape () =
     (Test_util.contains (List.hd lines) "id,time,pid");
   Alcotest.(check bool) "has atomic row" true (Test_util.contains csv "atomic");
   Alcotest.(check bool) "has lock row" true
-    (Test_util.contains csv "lock-acquire");
-  let races = Export.races_to_csv (small_trace ()) in
-  Alcotest.(check int) "race csv rows" 2
-    (List.length (String.split_on_char '\n' (String.trim races)))
+    (Test_util.contains csv "lock-acquire")
 
 let test_export_csv_escaping () =
   let r = Recorder.create ~n:1 () in
