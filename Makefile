@@ -19,10 +19,10 @@ exports:
 bench:
 	dune exec bench/main.exe
 
-# Fast CI-friendly pass over the micro-benchmarks only (small iteration
+# Fast CI-friendly pass over the micro-benchmarks (small iteration
 # budget; numbers are indicative, not for the record).
 bench-smoke:
-	dune exec bench/main.exe -- --micro-only --smoke
+	dune exec bench/main.exe -- --smoke
 
 # Full detector hot-path micro-benchmarks, written to BENCH_detector.json.
 bench-json:
@@ -49,6 +49,7 @@ examples:
 # The capture used by EXPERIMENTS.md / the release checklist.
 outputs:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
+	dune exec bin/dsmcheck.exe -- experiment all 2>&1 | tee experiments_output.txt
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 clean:

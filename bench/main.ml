@@ -1,14 +1,9 @@
-(* The benchmark harness: regenerates every figure and quantitative claim
-   of the paper (sections E1-E17, simulated time — deterministic), then
-   runs Bechamel wall-clock micro-benchmarks of the implementation's hot
-   paths.
+(* Bechamel wall-clock micro-benchmarks of the implementation's hot
+   paths. The paper's figures and claims (sections E1-E17) are
+   regenerated by `dsmcheck experiment`, not here.
 
    Usage:
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- --list       # list experiments
-     dune exec bench/main.exe -- --only E7    # one experiment section
-     dune exec bench/main.exe -- --micro-only # only the Bechamel benches
-     dune exec bench/main.exe -- --no-micro   # only the E-sections
+     dune exec bench/main.exe                 # every micro-benchmark
      dune exec bench/main.exe -- --json       # detector hot-path benches,
                                               # written to BENCH_detector.json
      dune exec bench/main.exe -- --json-explore # schedule-explorer
@@ -19,7 +14,6 @@
 
 open Bechamel
 open Toolkit
-module Registry = Dsm_experiments.Registry
 module Harness = Dsm_experiments.Harness
 module Config = Dsm_core.Config
 
@@ -1109,28 +1103,14 @@ let run_json ~smoke ?schema ?(extra_rows = fun () -> []) tests path =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--list | --only E<k> | --micro-only | --no-micro | \
-     --json [file] | --json-explore [file]] [--smoke]";
+    "usage: main.exe [--json [file] | --json-explore [file]] [--smoke]";
   exit 1
 
 let () =
-  let ppf = Format.std_formatter in
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke = List.mem "--smoke" args in
   let args = List.filter (fun a -> a <> "--smoke") args in
   match args with
-  | [ "--list" ] ->
-      List.iter
-        (fun e ->
-          Format.printf "%-4s %s@." e.Harness.id e.Harness.paper_artifact)
-        Registry.all
-  | [ "--only"; id ] -> (
-      match Registry.run_only ppf id with
-      | Ok () -> ()
-      | Error msg ->
-          prerr_endline msg;
-          exit 1)
-  | [ "--micro-only" ] -> run_micro ~smoke ()
   | [ "--json" ] ->
       run_json ~smoke ~extra_rows:(detector_extra_rows ~smoke) detector_tests
         "BENCH_detector.json";
@@ -1151,8 +1131,5 @@ let () =
           parallel_json_rows ~smoke () @ dpor_json_rows ~smoke ()
           @ explore_metrics_rows ~smoke ())
         explore_tests path
-  | [ "--no-micro" ] -> Registry.run_all ppf
-  | [] ->
-      Registry.run_all ppf;
-      run_micro ~smoke ()
+  | [] -> run_micro ~smoke ()
   | _ -> usage ()

@@ -4,6 +4,9 @@
      dsmcheck list                      list the paper experiments
      dsmcheck experiment E5             replay one experiment (or "all")
      dsmcheck workload random ...       run a workload under the detector
+     dsmcheck scale ...                 the neighbour-push scaling run
+     dsmcheck run FILE | --scenario F   a .dsm program or a figure's run
+     dsmcheck explore SCENARIO ...      search schedules and faults
 *)
 
 open Cmdliner
@@ -20,32 +23,7 @@ let setup_logs verbose =
 
 (* ---------- observability plumbing ---------- *)
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-(* Attach the requested probe sinks to a simulation. Must run before the
-   workload populates the machine so the sinks observe the run end to
-   end. *)
-let attach_telemetry sim ~trace_out ~metrics =
-  let probe = Dsm_sim.Engine.probe sim in
-  let timeline =
-    match trace_out with
-    | Some _ -> Some (Dsm_obs.Timeline.attach probe)
-    | None -> None
-  in
-  let registry =
-    if metrics then begin
-      let r = Dsm_obs.Metrics.create () in
-      ignore (Dsm_obs.Meter.attach r probe);
-      Some r
-    end
-    else None
-  in
-  (timeline, registry)
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let ( let* ) = Result.bind
 
@@ -88,11 +66,182 @@ let print_metrics = function
       Format.printf "@[<v 2>metrics        :@,%a@]@." Dsm_obs.Metrics.pp
         (Dsm_obs.Metrics.snapshot registry)
 
-let finish_telemetry ~timeline ~trace_out ~registry =
-  print_metrics registry;
-  match (timeline, trace_out) with
+(* ---------- one-shot runs ----------
+
+   [workload], [scale], [run FILE] and [run --scenario] each make one
+   run and share one path for it: [observe] attaches the probe sinks,
+   [run_machine] runs the machine, [detection_summary] prints the
+   detector's verdict, and [finish] writes what the run was asked to
+   leave behind. The commands keep only the lines that are theirs. *)
+
+type metrics_out = No_metrics | Print_metrics | Metrics_file of string
+
+(* What a command asks a run to leave behind, besides its own lines. *)
+type outputs = {
+  verbose : bool;
+  explain : bool;  (* print an explanation of every race signal *)
+  race_report : string option;  (* the explanations as a JSON file *)
+  trace_out : string option;  (* a Perfetto timeline of the run *)
+  metrics : metrics_out;
+}
+
+let no_outputs =
+  {
+    verbose = false;
+    explain = false;
+    race_report = None;
+    trace_out = None;
+    metrics = No_metrics;
+  }
+
+type sinks = {
+  timeline : Dsm_obs.Timeline.t option;
+  registry : Dsm_obs.Metrics.t option;
+  flight : Dsm_obs.Flight.t option;
+}
+
+(* Attach the sinks [o] needs. Runs before the machine is populated, so
+   they observe the run end to end; every sink is a passive observer, so
+   attaching one never changes the run. *)
+let observe sim o =
+  let probe = Dsm_sim.Engine.probe sim in
+  let timeline =
+    Option.map (fun _ -> Dsm_obs.Timeline.attach probe) o.trace_out
+  in
+  let registry =
+    if o.metrics = No_metrics then None
+    else begin
+      let r = Dsm_obs.Metrics.create () in
+      ignore (Dsm_obs.Meter.attach r probe);
+      Some r
+    end
+  in
+  let flight =
+    if o.explain || o.race_report <> None then
+      Some (Dsm_obs.Flight.attach probe)
+    else None
+  in
+  { timeline; registry; flight }
+
+(* [run FILE] exits with this code when the program itself faults at run
+   time (bad index, division by zero, negative compute): the program is
+   wrong, not the command line (124) nor dsmcheck (125). *)
+let exit_program_fault = 3
+
+(* Run the machine to its end and return the wall-clock seconds it took.
+   A run that stops early still reports what it saw; a program fault
+   names [name] (the source file) and exits [exit_program_fault]. *)
+let run_machine ~name machine =
+  let t0 = Unix.gettimeofday () in
+  (match Machine.run machine with
+  | Dsm_sim.Engine.Completed -> ()
+  | _ -> prerr_endline "warning: simulation did not complete"
+  | exception
+      Dsm_sim.Engine.Process_failure (proc, Dsm_lang.Exec.Runtime_error msg)
+    ->
+      Printf.eprintf "dsmcheck: %s: process %s: %s\n%!" name proc msg;
+      exit exit_program_fault);
+  Unix.gettimeofday () -. t0
+
+(* A run that allocates more than a segment holds asked for too many
+   processes: bad input (exit 124), not a dsmcheck bug. *)
+let segment_full ~n ~capacity ~used ~want =
+  Printf.sprintf
+    "-n %d does not fit: a %d-word segment is full (%d words used, %d more \
+     wanted); use a smaller -n"
+    n capacity used want
+
+(* A finished run, as the command's own report lines see it. *)
+type ran = { machine : Machine.t; detector : Detector.t option; wall : float }
+
+let print_sim_time r =
+  Format.printf "simulated time : %.2f us@."
+    (Dsm_sim.Engine.now (Machine.sim r.machine))
+
+let print_messages r =
+  Format.printf "messages       : %d (%d words)@."
+    (Machine.fabric_messages r.machine)
+    (Machine.fabric_words r.machine)
+
+(* The detector's verdict: the checked-op count (unless [ops] is false)
+   and the race signals grouped per datum. With no detector, [off] says
+   so. *)
+let detection_summary ?(off = false) ?(ops = true) r =
+  match r.detector with
+  | None -> if off then Format.printf "detection      : off@."
+  | Some d ->
+      if ops then
+        Format.printf "checked ops    : %d@." (Detector.checked_ops d);
+      Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d)
+
+(* Explain every race signal from the flight-recorder window and each
+   granule's provenance (the recorder is attached exactly when [--explain]
+   or [--race-report] asks for it), write the race report, then the
+   metrics and the timeline. *)
+let finish o sinks detector =
+  let* () =
+    match sinks.flight with
+    | None -> Ok ()
+    | Some flight ->
+        let explanations =
+          match detector with
+          | None -> []
+          | Some d ->
+              Dsm_core.Diagnose.explain_report
+                ~window:(Dsm_obs.Flight.events flight) (Detector.report d)
+        in
+        if o.explain then begin
+          if explanations = [] then
+            Format.printf "explain        : no race signal to explain@."
+          else
+            List.iter
+              (fun e -> print_string (Dsm_obs.Explain.to_text e))
+              explanations
+        end;
+        write_optional ~label:"race report" o.race_report (fun () ->
+            Dsm_obs.Explain.list_to_json explanations)
+  in
+  let* () =
+    match (o.metrics, sinks.registry) with
+    | Print_metrics, registry ->
+        print_metrics registry;
+        Ok ()
+    | Metrics_file path, Some r ->
+        write_optional ~label:"metrics" (Some path) (fun () ->
+            Dsm_obs.Metrics.to_json_string (Dsm_obs.Metrics.snapshot r))
+    | _ -> Ok ()
+  in
+  match (sinks.timeline, o.trace_out) with
   | Some tl, Some path -> write_trace tl path
   | _ -> Ok ()
+
+(* The one path of a one-shot run. [setup] builds and populates the
+   machine on the observed engine and returns it with the detector whose
+   verdict to report and whatever [report] needs to print the command's
+   lines. [n] below [min_n] and a segment too small for [n] processes are
+   bad input. *)
+let one_shot ?seed ~name ~n ~min_n o ~setup ~report =
+  setup_logs o.verbose;
+  cli_result
+    (if n < min_n then
+       Error
+         (Printf.sprintf "need at least %d process%s" min_n
+            (if min_n = 1 then "" else "es"))
+     else
+       let sim = Dsm_sim.Engine.create ?seed () in
+       let sinks = observe sim o in
+       let* machine, detector, state =
+         try setup sim
+         with Dsm_memory.Allocator.Exhausted { capacity; used; want } ->
+           Error (segment_full ~n ~capacity ~used ~want)
+       in
+       let wall = run_machine ~name machine in
+       let* () = report { machine; detector; wall } state in
+       finish o sinks detector)
+
+let env_of machine = function
+  | Some d -> Env.checked d
+  | None -> Env.plain machine
 
 (* ---------- list ---------- *)
 
@@ -135,22 +284,14 @@ let experiment_cmd =
 type which = Random | Master_worker | Stencil | Pipeline | Locked_counter
 
 let which_conv =
-  let parse = function
-    | "random" -> Ok Random
-    | "master-worker" -> Ok Master_worker
-    | "stencil" -> Ok Stencil
-    | "pipeline" -> Ok Pipeline
-    | "locked-counter" -> Ok Locked_counter
-    | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
-  in
-  let print ppf = function
-    | Random -> Format.pp_print_string ppf "random"
-    | Master_worker -> Format.pp_print_string ppf "master-worker"
-    | Stencil -> Format.pp_print_string ppf "stencil"
-    | Pipeline -> Format.pp_print_string ppf "pipeline"
-    | Locked_counter -> Format.pp_print_string ppf "locked-counter"
-  in
-  Arg.conv (parse, print)
+  Arg.enum
+    [
+      ("random", Random);
+      ("master-worker", Master_worker);
+      ("stencil", Stencil);
+      ("pipeline", Pipeline);
+      ("locked-counter", Locked_counter);
+    ]
 
 (* Smallest [--ops] each workload accepts: random accesses and stencil
    iterations may be zero, tasks, batches and increments may not. *)
@@ -158,118 +299,90 @@ let min_ops = function
   | Random | Stencil -> 0
   | Master_worker | Pipeline | Locked_counter -> 1
 
-let run_workload which n seed ops racy detect coherence verbose explain dot_file csv_file report_csv =
-  setup_logs verbose;
-  if n < 2 then `Error (false, "need at least 2 processes")
-  else if ops < min_ops which then
+let run_workload which n seed ops racy detect coherence verbose explain
+    dot_file csv_file report_csv =
+  if ops < min_ops which then
     `Error
       ( false,
         Printf.sprintf "--ops must be at least %d for this workload"
           (min_ops which) )
-  else begin
-    let sim = Dsm_sim.Engine.create ~seed ()
-    in
-    let machine = Machine.create sim ~n () in
-    let checker =
-      if coherence then Some (Dsm_rdma.Coherence.attach machine) else None
-    in
-    let config =
-      {
-        Config.default with
-        Config.record_trace = dot_file <> None || csv_file <> None || explain;
-        granularity = Config.Word;
-      }
-    in
-    let detector =
-      if detect then Some (Detector.create machine ~config ~verbose ())
-      else None
-    in
-    let env =
-      match detector with
-      | Some d -> Env.checked d
-      | None -> Env.plain machine
-    in
-    let collectives = Collectives.create env in
-    (match which with
-    | Random ->
-        Dsm_workload.Random_access.setup env ~collectives
-          { Dsm_workload.Random_access.default with ops_per_proc = ops; seed }
-    | Master_worker ->
-        Dsm_workload.Master_worker.setup env ~collectives
-          { Dsm_workload.Master_worker.default with tasks_per_worker = ops; racy; seed }
-    | Stencil ->
-        ignore
-          (Dsm_workload.Stencil.setup env ~collectives
-             { Dsm_workload.Stencil.default with iterations = ops; seed })
-    | Pipeline ->
-        Dsm_workload.Pipeline.setup env
-          { Dsm_workload.Pipeline.default with batches = ops; seed }
-    | Locked_counter ->
-        Dsm_workload.Locked_counter.setup env
-          { Dsm_workload.Locked_counter.default with
-            increments_per_proc = ops; seed });
-    (match Machine.run machine with
-    | Dsm_sim.Engine.Completed -> ()
-    | _ -> prerr_endline "warning: simulation did not complete");
-    Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
-    (match checker with
-    | None -> ()
-    | Some ch ->
-        Format.printf "coherence      : %d words checked, %d violation(s)@."
-          (Dsm_rdma.Coherence.checked_words ch)
-          (List.length (Dsm_rdma.Coherence.violations ch));
-        List.iter
-          (fun v ->
-            Format.printf "  %a@." Dsm_rdma.Coherence.pp_violation v)
-          (Dsm_rdma.Coherence.violations ch));
-    Format.printf "messages       : %d (%d words)@."
-      (Machine.fabric_messages machine)
-      (Machine.fabric_words machine);
-    cli_result
-      (match detector with
-      | None ->
-          Format.printf "detection      : off@.";
-          Ok ()
-      | Some d ->
-          Format.printf "checked ops    : %d@." (Detector.checked_ops d);
-          Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d);
-          let* () =
-            write_optional ~label:"signals csv" report_csv (fun () ->
-                Report.to_csv (Detector.report d))
-          in
-          if verbose then
-            Format.printf "@[<v>%a@]@." Report.pp_summary (Detector.report d);
-          (match Detector.trace d with
-          | Some trace ->
-              if explain then begin
-                (* Pair each signalled access with one ground-truth race it
-                   belongs to and show why the accesses are unordered. *)
-                let flagged = Report.flagged_event_ids (Detector.report d) in
-                let shown = Hashtbl.create 8 in
-                List.iter
-                  (fun { Dsm_trace.Trace.first; second } ->
-                    if
-                      Hashtbl.mem flagged second.Dsm_trace.Event.id
-                      && not (Hashtbl.mem shown second.Dsm_trace.Event.id)
-                    then begin
-                      Hashtbl.add shown second.Dsm_trace.Event.id ();
-                      Format.printf "@.%s"
-                        (Dsm_trace.Trace.explain trace
-                           ~first:first.Dsm_trace.Event.id
-                           ~second:second.Dsm_trace.Event.id)
-                    end)
-                  (Dsm_trace.Trace.races trace)
-              end;
-              Format.printf "trace          : %a@." Dsm_trace.Export.pp_summary
-                (Dsm_trace.Export.summary trace);
-              let* () =
-                write_optional ~label:"trace graph" dot_file (fun () ->
-                    Dsm_trace.Trace.to_dot trace)
-              in
-              write_optional ~label:"trace csv" csv_file (fun () ->
-                  Dsm_trace.Export.to_csv trace)
-          | None -> Ok ()))
-  end
+  else
+    one_shot ~seed ~name:"workload" ~n ~min_n:2
+      { no_outputs with verbose; explain }
+      ~setup:(fun sim ->
+        let machine = Machine.create sim ~n () in
+        let checker =
+          if coherence then Some (Dsm_rdma.Coherence.attach machine) else None
+        in
+        let config =
+          {
+            Config.default with
+            Config.record_trace = dot_file <> None || csv_file <> None;
+            granularity = Config.Word;
+          }
+        in
+        let detector =
+          if detect then Some (Detector.create machine ~config ~verbose ())
+          else None
+        in
+        let env = env_of machine detector in
+        let collectives = Collectives.create env in
+        (match which with
+        | Random ->
+            Dsm_workload.Random_access.setup env ~collectives
+              { Dsm_workload.Random_access.default with
+                ops_per_proc = ops; seed }
+        | Master_worker ->
+            Dsm_workload.Master_worker.setup env ~collectives
+              { Dsm_workload.Master_worker.default with
+                tasks_per_worker = ops; racy; seed }
+        | Stencil ->
+            ignore
+              (Dsm_workload.Stencil.setup env ~collectives
+                 { Dsm_workload.Stencil.default with iterations = ops; seed })
+        | Pipeline ->
+            Dsm_workload.Pipeline.setup env
+              { Dsm_workload.Pipeline.default with batches = ops; seed }
+        | Locked_counter ->
+            Dsm_workload.Locked_counter.setup env
+              { Dsm_workload.Locked_counter.default with
+                increments_per_proc = ops; seed });
+        Ok (machine, detector, checker))
+      ~report:(fun r checker ->
+        print_sim_time r;
+        Option.iter
+          (fun ch ->
+            let violations = Dsm_rdma.Coherence.violations ch in
+            Format.printf "coherence      : %d words checked, %d violation(s)@."
+              (Dsm_rdma.Coherence.checked_words ch)
+              (List.length violations);
+            List.iter
+              (Format.printf "  %a@." Dsm_rdma.Coherence.pp_violation)
+              violations)
+          checker;
+        print_messages r;
+        detection_summary ~off:true r;
+        match r.detector with
+        | None -> Ok ()
+        | Some d -> (
+            let* () =
+              write_optional ~label:"signals csv" report_csv (fun () ->
+                  Report.to_csv (Detector.report d))
+            in
+            if verbose then
+              Format.printf "@[<v>%a@]@." Report.pp_summary (Detector.report d);
+            match Detector.trace d with
+            | None -> Ok ()
+            | Some trace ->
+                Format.printf "trace          : %a@."
+                  Dsm_trace.Export.pp_summary
+                  (Dsm_trace.Export.summary trace);
+                let* () =
+                  write_optional ~label:"trace graph" dot_file (fun () ->
+                      Dsm_trace.Trace.to_dot trace)
+                in
+                write_optional ~label:"trace csv" csv_file (fun () ->
+                    Dsm_trace.Export.to_csv trace)))
 
 let workload_cmd =
   let doc = "Run a workload on the simulated DSM machine." in
@@ -310,7 +423,11 @@ let workload_cmd =
     Arg.(
       value & flag
       & info [ "explain" ]
-          ~doc:"For each signal, print why the pair is unordered (Lemma 1).")
+          ~doc:
+            "Explain every race signal as $(b,run --explain) does: both \
+             conflicting accesses with their clocks, the incomparable \
+             components, and the last sync edge between the two processes \
+             in the flight-recorder window.")
   in
   let dot =
     Arg.(
@@ -364,82 +481,63 @@ let model_arg ~extra_doc =
 
 let run_scale n rounds chunk racy batched model seed detect metrics_file
     verbose =
-  setup_logs verbose;
   let model = Option.value model ~default:Model.default in
-  if n < 2 then `Error (false, "need at least 2 processes")
-  else if rounds < 1 then
+  if rounds < 1 then
     `Error (false, "--rounds must be a positive number of pushes")
   else if chunk < 1 then
     `Error (false, "--chunk must be a positive number of slots")
-  else if racy && n < 3 then
-    `Error (false, "racy mode needs at least 3 processes")
-  else begin
-    let sim = Dsm_sim.Engine.create ~seed () in
-    let registry =
+  else
+    let metrics =
       match metrics_file with
-      | None -> None
-      | Some _ ->
-          let r = Dsm_obs.Metrics.create () in
-          ignore (Dsm_obs.Meter.attach r (Dsm_sim.Engine.probe sim));
-          Some r
+      | Some path -> Metrics_file path
+      | None -> No_metrics
     in
-    (* tiny segments: at n = 1024 the default 4096-word segments would
-       cost tens of megabytes per run for buffers of a few words *)
-    let words = max 64 chunk in
-    let machine =
-      Machine.create sim ~n ~private_words:words ~public_words:words ~model ()
-    in
-    let config =
-      {
-        Config.default with
-        Config.granularity = Config.Word;
-        memory_model = model;
-      }
-    in
-    let detector =
-      if detect then Some (Detector.create machine ~config ()) else None
-    in
-    let env =
-      match detector with
-      | Some d -> Env.checked d
-      | None -> Env.plain machine
-    in
-    Dsm_workload.Scale.setup env
-      { Dsm_workload.Scale.rounds; chunk; racy; batched; think_mean = 0.0;
-        seed };
-    let t0 = Unix.gettimeofday () in
-    (match Machine.run machine with
-    | Dsm_sim.Engine.Completed -> ()
-    | _ -> prerr_endline "warning: simulation did not complete");
-    let wall = Unix.gettimeofday () -. t0 in
-    Format.printf "processes      : %d%s@." n
-      (if batched then " (batched coherence)" else "");
-    Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
-    Format.printf "messages       : %d (%d words)@."
-      (Machine.fabric_messages machine)
-      (Machine.fabric_words machine);
-    (match detector with
-    | None -> Format.printf "detection      : off@."
-    | Some d ->
-        let ops = Detector.checked_ops d in
-        Format.printf "checked ops    : %d (%.0f ops/s wall)@." ops
-          (if wall > 0. then float_of_int ops /. wall else 0.);
-        Format.printf "race signals   : %d@." (Report.count (Detector.report d));
-        Format.printf "clock storage  : %d words, %d compact clock(s)@."
-          (Detector.storage_words d) (Detector.epoch_clocks d);
-        let dense, sparse, delta = Machine.clock_encodings machine in
-        Format.printf
-          "clock traffic  : %d piggybacked words (%d dense, %d sparse, %d \
-           delta frames)@."
-          (Detector.clock_words_shipped d)
-          dense sparse delta);
-    cli_result
-      (match registry with
-      | Some reg ->
-          write_optional ~label:"metrics" metrics_file (fun () ->
-              Dsm_obs.Metrics.to_json_string (Dsm_obs.Metrics.snapshot reg))
-      | None -> Ok ())
-  end
+    one_shot ~seed ~name:"scale" ~n ~min_n:(if racy then 3 else 2)
+      { no_outputs with verbose; metrics }
+      ~setup:(fun sim ->
+        (* tiny segments: at n = 1024 the default 4096-word segments would
+           cost tens of megabytes per run for buffers of a few words *)
+        let words = max 64 chunk in
+        let machine =
+          Machine.create sim ~n ~private_words:words ~public_words:words
+            ~model ()
+        in
+        let config =
+          {
+            Config.default with
+            Config.granularity = Config.Word;
+            memory_model = model;
+          }
+        in
+        let detector =
+          if detect then Some (Detector.create machine ~config ()) else None
+        in
+        Dsm_workload.Scale.setup (env_of machine detector)
+          { Dsm_workload.Scale.rounds; chunk; racy; batched; think_mean = 0.0;
+            seed };
+        Ok (machine, detector, ()))
+      ~report:(fun r () ->
+        Format.printf "processes      : %d%s@." n
+          (if batched then " (batched coherence)" else "");
+        print_sim_time r;
+        print_messages r;
+        (match r.detector with
+        | None -> Format.printf "detection      : off@."
+        | Some d ->
+            let ops = Detector.checked_ops d in
+            Format.printf "checked ops    : %d (%.0f ops/s wall)@." ops
+              (if r.wall > 0. then float_of_int ops /. r.wall else 0.);
+            Format.printf "race signals   : %d@."
+              (Report.count (Detector.report d));
+            Format.printf "clock storage  : %d words, %d compact clock(s)@."
+              (Detector.storage_words d) (Detector.epoch_clocks d);
+            let dense, sparse, delta = Machine.clock_encodings r.machine in
+            Format.printf
+              "clock traffic  : %d piggybacked words (%d dense, %d sparse, \
+               %d delta frames)@."
+              (Detector.clock_words_shipped d)
+              dense sparse delta);
+        Ok ())
 
 let scale_cmd =
   let doc =
@@ -496,139 +594,69 @@ let scale_cmd =
 
 (* ---------- run (mini-language programs) ---------- *)
 
-(* Flight-recorder + provenance explanation of a finished run: correlate
-   each race signal of the report with the recorded event window. The
-   recorder is a passive sink, so attaching it never changes the run. *)
-let explain_finished_run ~explain ~race_report ~flight detector =
-  if explain || race_report <> None then begin
-    let window =
-      match flight with Some f -> Dsm_obs.Flight.events f | None -> []
-    in
-    let explanations =
-      match detector with
-      | None -> []
-      | Some d ->
-          Dsm_core.Diagnose.explain_report ~window (Detector.report d)
-    in
-    if explain then begin
-      if explanations = [] then
-        Format.printf "explain        : no race signal to explain@."
-      else
-        List.iter
-          (fun e -> print_string (Dsm_obs.Explain.to_text e))
-          explanations
-    end;
-    write_optional ~label:"race report" race_report (fun () ->
-        Dsm_obs.Explain.list_to_json explanations)
-  end
-  else Ok ()
-
-(* [run FILE] exits with this code when the program itself faults at run
-   time (bad index, division by zero, negative compute): the program is
-   wrong, not the command line (124) nor dsmcheck (125). *)
-let exit_program_fault = 3
-
-let run_source path n model instrument detect verbose trace_out metrics
-    explain race_report =
-  setup_logs verbose;
-  let source = read_file path in
-  match Dsm_lang.Parser.parse source with
+let run_source path o ~n ~model ~instrument ~detect =
+  match Dsm_lang.Parser.parse (read_file path) with
   | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
   | Ok prog -> (
       match Dsm_lang.Compile.lower ~instrument prog with
       | Error msg -> `Error (false, msg)
       | Ok ir ->
-          let sim = Dsm_sim.Engine.create () in
-          let machine = Machine.create sim ~n ~model () in
-          let timeline, registry = attach_telemetry sim ~trace_out ~metrics in
-          let flight =
-            if explain || race_report <> None then
-              Some (Dsm_obs.Flight.attach (Dsm_sim.Engine.probe sim))
-            else None
-          in
-          let detector =
-            if detect then Some (Detector.create machine ~verbose ())
-            else None
-          in
-          let rt = Dsm_lang.Exec.setup machine ?detector ir in
-          (match Machine.run machine with
-          | Dsm_sim.Engine.Completed -> ()
-          | _ -> prerr_endline "warning: simulation did not complete"
-          | exception
-              Dsm_sim.Engine.Process_failure
-                (proc, Dsm_lang.Exec.Runtime_error msg) ->
-              Printf.eprintf "dsmcheck: %s: process %s: %s\n%!" path proc msg;
-              exit exit_program_fault);
-          Format.printf "wrappers       : %d checked / %d raw accesses@."
-            (Dsm_lang.Ir.checked_accesses ir)
-            (Dsm_lang.Ir.raw_accesses ir);
-          Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
-          List.iter
-            (fun (d : Dsm_lang.Ast.shared_decl) ->
-              let contents = Dsm_lang.Exec.array_contents rt d.name in
-              Format.printf "%-14s : [%s]@." d.name
-                (String.concat " "
-                   (Array.to_list (Array.map string_of_int contents))))
-            prog.Dsm_lang.Ast.shared;
-          (match detector with
-          | None -> ()
-          | Some d ->
-              Format.printf "@[<v>%a@]@." Report.pp_grouped
-                (Detector.report d));
-          cli_result
-            (let* () =
-               explain_finished_run ~explain ~race_report ~flight detector
-             in
-             finish_telemetry ~timeline ~trace_out ~registry))
+          one_shot ~name:path ~n ~min_n:1 o
+            ~setup:(fun sim ->
+              let machine = Machine.create sim ~n ~model () in
+              let detector =
+                if detect then
+                  Some (Detector.create machine ~verbose:o.verbose ())
+                else None
+              in
+              let rt = Dsm_lang.Exec.setup machine ?detector ir in
+              Ok (machine, detector, rt))
+            ~report:(fun r rt ->
+              Format.printf "wrappers       : %d checked / %d raw accesses@."
+                (Dsm_lang.Ir.checked_accesses ir)
+                (Dsm_lang.Ir.raw_accesses ir);
+              print_sim_time r;
+              List.iter
+                (fun (d : Dsm_lang.Ast.shared_decl) ->
+                  let contents = Dsm_lang.Exec.array_contents rt d.name in
+                  Format.printf "%-14s : [%s]@." d.name
+                    (String.concat " "
+                       (Array.to_list (Array.map string_of_int contents))))
+                prog.Dsm_lang.Ast.shared;
+              detection_summary ~ops:false r;
+              Ok ()))
 
-let run_figure name n model detect verbose trace_out metrics explain
-    race_report =
-  setup_logs verbose;
-  let n = max n Dsm_experiments.Figures.figure_min_nodes in
-  let sim = Dsm_sim.Engine.create () in
-  let machine = Machine.create sim ~n ~model () in
-  let timeline, registry = attach_telemetry sim ~trace_out ~metrics in
-  let flight =
-    if explain || race_report <> None then
-      Some (Dsm_obs.Flight.attach (Dsm_sim.Engine.probe sim))
-    else None
-  in
-  match Dsm_experiments.Figures.build_figure name machine with
-  | Error msg -> `Error (false, msg)
-  | Ok detector ->
-      (match Machine.run machine with
-      | Dsm_sim.Engine.Completed -> ()
-      | _ -> prerr_endline "warning: simulation did not complete");
+let run_figure name o ~n ~model ~detect =
+  one_shot ~name ~n ~min_n:1 o
+    ~setup:(fun sim ->
+      let n = max n Dsm_experiments.Figures.figure_min_nodes in
+      let machine = Machine.create sim ~n ~model () in
+      let* detector = Dsm_experiments.Figures.build_figure name machine in
+      Ok (machine, (if detect then detector else None), n))
+    ~report:(fun r n ->
       Format.printf "scenario       : %s (%d processes)@." name n;
-      Format.printf "simulated time : %.2f us@." (Dsm_sim.Engine.now sim);
-      Format.printf "messages       : %d (%d words)@."
-        (Machine.fabric_messages machine)
-        (Machine.fabric_words machine);
-      (match detector with
-      | Some d when detect ->
-          Format.printf "checked ops    : %d@." (Detector.checked_ops d);
-          Format.printf "@[<v>%a@]@." Report.pp_grouped (Detector.report d)
-      | _ -> ());
-      cli_result
-        (let* () =
-           explain_finished_run ~explain ~race_report ~flight
-             (if detect then detector else None)
-         in
-         finish_telemetry ~timeline ~trace_out ~registry)
+      print_sim_time r;
+      print_messages r;
+      detection_summary r;
+      Ok ())
 
 let run_program path scenario n model instrument detect verbose trace_out
     metrics explain race_report =
   let model = Option.value model ~default:Model.default in
+  let o =
+    {
+      verbose;
+      explain;
+      race_report;
+      trace_out;
+      metrics = (if metrics then Print_metrics else No_metrics);
+    }
+  in
   match (path, scenario) with
-  | _ when n < 1 -> `Error (false, "need at least 1 process")
   | None, None -> `Error (true, "either FILE or --scenario NAME is required")
   | Some _, Some _ -> `Error (true, "FILE and --scenario are mutually exclusive")
-  | None, Some name ->
-      run_figure name n model detect verbose trace_out metrics explain
-        race_report
-  | Some path, None ->
-      run_source path n model instrument detect verbose trace_out metrics
-        explain race_report
+  | None, Some name -> run_figure name o ~n ~model ~detect
+  | Some path, None -> run_source path o ~n ~model ~instrument ~detect
 
 let run_cmd =
   let doc =
@@ -725,53 +753,30 @@ let print_violations r =
     (fun v -> Format.printf "violation      : %a@." Explore.pp_violation v)
     r.Explore.violations
 
-(* Replay a token with a probe sink that reconstructs the message arrows
-   and race marks of the run, and render them as the paper-style
-   space-time diagram. Arrow matching is FIFO per (src, dst, label) —
-   exact under in-order delivery, best-effort under reordering faults. *)
+(* Replay a token with probe sinks that collect the message arrows and
+   race marks of the run, and render them as the paper-style space-time
+   diagram, with the same arrow collector the figures use. *)
 let replay_with_diagram token =
-  let arrows = ref [] in
+  let arrows = ref (fun () -> []) in
   let marks = ref [] in
-  let pending : (int * int * string, float Queue.t) Hashtbl.t =
-    Hashtbl.create 32
+  let probe bus =
+    arrows := Dsm_experiments.Harness.collect_arrows bus;
+    Dsm_obs.Probe.attach bus (function
+      | Dsm_obs.Probe.Race_signal { time; pid; node; offset; len; _ } ->
+          marks :=
+            {
+              Dsm_trace.Spacetime.time;
+              pid;
+              text = Printf.sprintf "RACE n%d+%d/%d" node offset len;
+            }
+            :: !marks
+      | _ -> ())
   in
-  let sink = function
-    | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
-        let label = Dsm_obs.Msg.label msg in
-        let q =
-          match Hashtbl.find_opt pending (src, dst, label) with
-          | Some q -> q
-          | None ->
-              let q = Queue.create () in
-              Hashtbl.add pending (src, dst, label) q;
-              q
-        in
-        Queue.push time q
-    | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (
-        let label = Dsm_obs.Msg.label msg in
-        match Hashtbl.find_opt pending (src, dst, label) with
-        | Some q when not (Queue.is_empty q) ->
-            let send_time = Queue.pop q in
-            arrows :=
-              { Dsm_trace.Spacetime.send_time; recv_time = time; src; dst;
-                label }
-              :: !arrows
-        | _ -> ())
-    | Dsm_obs.Probe.Race_signal { time; pid; node; offset; len; _ } ->
-        marks :=
-          {
-            Dsm_trace.Spacetime.time;
-            pid;
-            text = Printf.sprintf "RACE n%d+%d/%d" node offset len;
-          }
-          :: !marks
-    | _ -> ()
-  in
-  match
-    Explore.replay ~probe:(fun bus -> Dsm_obs.Probe.attach bus sink) token
-  with
+  match Explore.replay ~probe token with
   | Error _ as e -> e
-  | Ok r -> Ok (r, List.rev !arrows, List.rev !marks)
+  | Ok r -> Ok (r, !arrows (), List.rev !marks)
+  | exception Dsm_memory.Allocator.Exhausted { capacity; used; want } ->
+      Error (segment_full ~n:token.spec.n ~capacity ~used ~want)
 
 (* One deterministic explanation pass over a repro token: flight-recorded
    replay, explanation text/JSON, optional annotated Perfetto timeline.
@@ -875,209 +880,216 @@ let run_explore (spec, model) runs depth jobs chunk dpor diff_models force
     replay no_minimize metrics expect_races trace_out_violation explain
     race_report verbose =
   setup_logs verbose;
-  if runs < 1 then `Error (false, "--runs must be a positive number of runs")
-  else if jobs < 1 then
-    `Error (false, "--jobs must be a positive number of worker domains")
-  else if (match depth with Some d -> d < 0 | None -> false) then
-    `Error (false, "--depth must be a non-negative number of choice points")
-  else if chunk < 1 then
-    `Error (false, "--chunk must be a positive number of runs per claim")
-  else if diff_models <> None && replay <> None then
-    `Error
-      ( false,
-        "--diff-models explores fresh schedules; it cannot be combined \
-         with --replay (replay one token per model instead)" )
-  else if diff_models <> None && dpor then
-    `Error
-      ( false,
-        "--diff-models replays every explored schedule under both \
-         backends; --dpor's pruning is justified per model and does not \
-         compose — drop one of them" )
-  else if diff_models <> None && jobs > 1 then
-    `Error
-      (false, "--diff-models is a single-domain comparison; drop --jobs")
-  else if dpor && replay <> None then
-    `Error
-      ( false,
-        "--dpor cannot be combined with --replay: a token replays exactly \
-         one schedule, there is nothing to prune" )
-  else if dpor && jobs > 1 then
-    `Error
-      ( false,
-        "--dpor is a single-domain search (its sleep sets are sequential \
-         state); drop --jobs or use --jobs 1" )
-  else if dpor && depth = None then
-    `Error
-      ( false,
-        "--dpor requires --depth: it prunes the bounded-exhaustive DFS, \
-         not random walks" )
-  else
-  match replay with
-  | Some token_str -> (
-      match Token.of_string token_str with
-      | Error msg -> `Error (false, msg)
-      | Ok token when
-          (match model with
-           | Some m -> m <> token.spec.model && not force
-           | None -> false) ->
-          (* A token replays the run that minted it, and the run is a
-             function of the model — silently replaying under another
-             backend would "reproduce" a different run. *)
-          let m = Option.get model in
-          `Error
-            ( false,
-              Printf.sprintf
-                "token was minted under --model %s but --model %s was \
-                 given; the schedule and verdict are model-dependent. \
-                 Pass --force to replay the decision prefix under %s \
-                 anyway."
-                (Model.name token.spec.model)
-                (Model.name m) (Model.name m) )
-      | Ok token -> (
-          let token =
-            match model with
-            | Some m when force ->
-                { token with spec = { token.spec with model = m } }
-            | _ -> token
-          in
-          match replay_with_diagram token with
-          | Error msg -> `Error (false, msg)
-          | Ok (r, arrows, marks) ->
-              Format.printf "fault plan     : %s@."
-                (Dsm_net.Fault.to_string token.spec.faults);
-              Format.printf "@[<v>%a@]@." Explore.pp_result r;
-              print_violations r;
-              Format.printf "%s@."
-                (Dsm_trace.Spacetime.render ~n:token.spec.n ~arrows ~marks
-                   ());
-              if r.Explore.violations = [] then
-                Format.printf "replay         : no invariant violated@.";
-              cli_result
-                (explain_token ~explain ~race_report
-                   ~trace_out_violation:None token)))
-  | None -> (
-      match diff_models with
-      | Some pair ->
-          run_diff_models spec ~pair ~runs ~depth ~explain ~race_report
-      | None ->
-      (* --expect-races needs the merged race counter even when the user
-         did not ask for a metrics printout *)
-      let registry =
-        if metrics || expect_races <> None then
-          Some (Dsm_obs.Metrics.create ())
-        else None
-      in
-      let print_metrics r = print_metrics (if metrics then r else None) in
-      (* Assert the exploration-wide race count after a clean search;
-         invariant violations already exit nonzero on their own. *)
-      let check_expected_races ok =
-        match (expect_races, registry) with
-        | None, _ | _, None -> ok
-        | Some want, Some reg ->
-            let races =
-              Dsm_obs.Metrics.value
-                (Dsm_obs.Metrics.counter reg "detector.race_signal")
+  (* A scenario that outgrows a segment is bad input, as in [one_shot]. *)
+  try
+    if runs < 1 then `Error (false, "--runs must be a positive number of runs")
+    else if jobs < 1 then
+      `Error (false, "--jobs must be a positive number of worker domains")
+    else if (match depth with Some d -> d < 0 | None -> false) then
+      `Error (false, "--depth must be a non-negative number of choice points")
+    else if chunk < 1 then
+      `Error (false, "--chunk must be a positive number of runs per claim")
+    else if diff_models <> None && replay <> None then
+      `Error
+        ( false,
+          "--diff-models explores fresh schedules; it cannot be combined \
+           with --replay (replay one token per model instead)" )
+    else if diff_models <> None && dpor then
+      `Error
+        ( false,
+          "--diff-models replays every explored schedule under both \
+           backends; --dpor's pruning is justified per model and does not \
+           compose — drop one of them" )
+    else if diff_models <> None && jobs > 1 then
+      `Error
+        (false, "--diff-models is a single-domain comparison; drop --jobs")
+    else if dpor && replay <> None then
+      `Error
+        ( false,
+          "--dpor cannot be combined with --replay: a token replays exactly \
+           one schedule, there is nothing to prune" )
+    else if dpor && jobs > 1 then
+      `Error
+        ( false,
+          "--dpor is a single-domain search (its sleep sets are sequential \
+           state); drop --jobs or use --jobs 1" )
+    else if dpor && depth = None then
+      `Error
+        ( false,
+          "--dpor requires --depth: it prunes the bounded-exhaustive DFS, \
+           not random walks" )
+    else
+    match replay with
+    | Some token_str -> (
+        match Token.of_string token_str with
+        | Error msg -> `Error (false, msg)
+        | Ok token when
+            (match model with
+             | Some m -> m <> token.spec.model && not force
+             | None -> false) ->
+            (* A token replays the run that minted it, and the run is a
+               function of the model — silently replaying under another
+               backend would "reproduce" a different run. *)
+            let m = Option.get model in
+            `Error
+              ( false,
+                Printf.sprintf
+                  "token was minted under --model %s but --model %s was \
+                   given; the schedule and verdict are model-dependent. \
+                   Pass --force to replay the decision prefix under %s \
+                   anyway."
+                  (Model.name token.spec.model)
+                  (Model.name m) (Model.name m) )
+        | Ok token -> (
+            let token =
+              match model with
+              | Some m when force ->
+                  { token with spec = { token.spec with model = m } }
+              | _ -> token
             in
-            Format.printf "race signals   : %d (expected %s)@." races
-              (if want then "some" else "none");
-            if want && races = 0 then
-              `Error
-                ( false,
-                  "expected races, but no schedule signalled one \
-                   (detector.race_signal = 0)" )
-            else if (not want) && races > 0 then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "expected a race-free scenario, but \
-                     detector.race_signal = %d"
-                    races )
-            else ok
-      in
-      let progress =
-        if jobs > 1 then begin
-          (* Rate-limited stderr heartbeat fed by the shared completion
-             counters; the CAS on [last] keeps concurrent workers from
-             printing duplicate lines. *)
-          let t0 = Unix.gettimeofday () in
-          let last = Atomic.make t0 in
-          Some
-            (fun ~runs ~violated ->
-              let now = Unix.gettimeofday () in
-              let prev = Atomic.get last in
-              if now -. prev >= 1.0 && Atomic.compare_and_set last prev now
-              then
-                Printf.eprintf "explore: %d runs, %d violating, %.0f runs/s\n%!"
-                  runs violated
-                  (float_of_int runs /. (now -. t0)))
-        end
-        else None
-      in
-      let finish (first : (Explore.mode * Explore.run_result) option) =
-        match first with
+            match replay_with_diagram token with
+            | Error msg -> `Error (false, msg)
+            | Ok (r, arrows, marks) ->
+                Format.printf "fault plan     : %s@."
+                  (Dsm_net.Fault.to_string token.spec.faults);
+                Format.printf "@[<v>%a@]@." Explore.pp_result r;
+                print_violations r;
+                Format.printf "%s@."
+                  (Dsm_trace.Spacetime.render ~n:token.spec.n ~arrows ~marks
+                     ());
+                if r.Explore.violations = [] then
+                  Format.printf "replay         : no invariant violated@.";
+                cli_result
+                  (explain_token ~explain ~race_report
+                     ~trace_out_violation:None token)))
+    | None -> (
+        match diff_models with
+        | Some pair ->
+            run_diff_models spec ~pair ~runs ~depth ~explain ~race_report
         | None ->
-            Format.printf "invariants     : all held@.";
-            print_metrics registry;
-            check_expected_races (`Ok ())
-        | Some (_, r) ->
-            print_violations r;
-            let decisions =
-              if no_minimize then Token.trim_trailing_zeros r.Explore.decisions
-              else Explore.minimize ?metrics:registry spec r.Explore.decisions
-            in
-            let token = Token.make spec decisions in
-            Format.printf "repro          : %s@." (Token.to_string token);
-            (* Re-execute the (minimized) violating run once, with a
-               flight recorder (and a timeline sink when requested) on
-               its replay arena: explanation text/JSON and the exported
-               trace all describe the same deterministic run. *)
-            let explained =
-              explain_token ~explain ~race_report ~trace_out_violation token
-            in
-            print_metrics registry;
-            cli_result
-              (let* () = explained in
-               Error "invariant violated (see repro token)")
-      in
-      if dpor then (
-        (* guarded above: dpor implies depth is set and jobs = 1 *)
-        let depth = Option.get depth in
-        match
-          Dsm_explore.Dpor.explore ?metrics:registry spec ~depth ~max_runs:runs
-        with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | exception Sys_error msg -> `Error (false, msg)
-        | st ->
-            let explored = st.Dsm_explore.Dpor.runs in
-            let pruned = st.Dsm_explore.Dpor.pruned in
-            let total = explored + pruned in
-            Format.printf
-              "schedules      : %d explored, %d pruned (%.1f%% of %d \
-               candidates), %d violating@."
-              explored pruned
-              (if total = 0 then 0.0
-               else 100.0 *. float_of_int pruned /. float_of_int total)
-              total st.Dsm_explore.Dpor.violated;
-            finish st.Dsm_explore.Dpor.first)
-      else
-        (* Parallel.* with a size-1 pool delegates to the sequential
-           explorer, and for jobs > 1 its merge is bit-identical to it —
-           so one call site covers every --jobs value. *)
-        match
-          match depth with
-          | Some depth ->
-              Dsm_explore.Parallel.explore_exhaustive ~jobs ?metrics:registry
-                spec ~depth ~max_runs:runs
+        (* --expect-races needs the merged race counter even when the user
+           did not ask for a metrics printout *)
+        let registry =
+          if metrics || expect_races <> None then
+            Some (Dsm_obs.Metrics.create ())
+          else None
+        in
+        let print_metrics r = print_metrics (if metrics then r else None) in
+        (* Assert the exploration-wide race count after a clean search;
+           invariant violations already exit nonzero on their own. *)
+        let check_expected_races ok =
+          match (expect_races, registry) with
+          | None, _ | _, None -> ok
+          | Some want, Some reg ->
+              let races =
+                Dsm_obs.Metrics.value
+                  (Dsm_obs.Metrics.counter reg "detector.race_signal")
+              in
+              Format.printf "race signals   : %d (expected %s)@." races
+                (if want then "some" else "none");
+              if want && races = 0 then
+                `Error
+                  ( false,
+                    "expected races, but no schedule signalled one \
+                     (detector.race_signal = 0)" )
+              else if (not want) && races > 0 then
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "expected a race-free scenario, but \
+                       detector.race_signal = %d"
+                      races )
+              else ok
+        in
+        let progress =
+          if jobs > 1 then begin
+            (* Rate-limited stderr heartbeat fed by the shared completion
+               counters; the CAS on [last] keeps concurrent workers from
+               printing duplicate lines. *)
+            let t0 = Unix.gettimeofday () in
+            let last = Atomic.make t0 in
+            Some
+              (fun ~runs ~violated ->
+                let now = Unix.gettimeofday () in
+                let prev = Atomic.get last in
+                if now -. prev >= 1.0 && Atomic.compare_and_set last prev now
+                then
+                  Printf.eprintf
+                    "explore: %d runs, %d violating, %.0f runs/s\n%!"
+                    runs violated
+                    (float_of_int runs /. (now -. t0)))
+          end
+          else None
+        in
+        let finish (first : (Explore.mode * Explore.run_result) option) =
+          match first with
           | None ->
-              Dsm_explore.Parallel.explore_random ~jobs ~chunk
-                ?metrics:registry ?progress spec ~runs
-        with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | exception Sys_error msg -> `Error (false, msg)
-        | stats ->
-            Format.printf "schedules      : %d explored, %d violating@."
-              stats.Explore.runs stats.Explore.violated;
-            finish stats.Explore.first)
+              Format.printf "invariants     : all held@.";
+              print_metrics registry;
+              check_expected_races (`Ok ())
+          | Some (_, r) ->
+              print_violations r;
+              let decisions =
+                if no_minimize then
+                  Token.trim_trailing_zeros r.Explore.decisions
+                else Explore.minimize ?metrics:registry spec r.Explore.decisions
+              in
+              let token = Token.make spec decisions in
+              Format.printf "repro          : %s@." (Token.to_string token);
+              (* Re-execute the (minimized) violating run once, with a
+                 flight recorder (and a timeline sink when requested) on
+                 its replay arena: explanation text/JSON and the exported
+                 trace all describe the same deterministic run. *)
+              let explained =
+                explain_token ~explain ~race_report ~trace_out_violation token
+              in
+              print_metrics registry;
+              cli_result
+                (let* () = explained in
+                 Error "invariant violated (see repro token)")
+        in
+        if dpor then (
+          (* guarded above: dpor implies depth is set and jobs = 1 *)
+          let depth = Option.get depth in
+          match
+            Dsm_explore.Dpor.explore ?metrics:registry spec ~depth
+              ~max_runs:runs
+          with
+          | exception Invalid_argument msg -> `Error (false, msg)
+          | exception Sys_error msg -> `Error (false, msg)
+          | st ->
+              let explored = st.Dsm_explore.Dpor.runs in
+              let pruned = st.Dsm_explore.Dpor.pruned in
+              let total = explored + pruned in
+              Format.printf
+                "schedules      : %d explored, %d pruned (%.1f%% of %d \
+                 candidates), %d violating@."
+                explored pruned
+                (if total = 0 then 0.0
+                 else 100.0 *. float_of_int pruned /. float_of_int total)
+                total st.Dsm_explore.Dpor.violated;
+              finish st.Dsm_explore.Dpor.first)
+        else
+          (* Parallel.* with a size-1 pool delegates to the sequential
+             explorer, and for jobs > 1 its merge is bit-identical to it —
+             so one call site covers every --jobs value. *)
+          match
+            match depth with
+            | Some depth ->
+                Dsm_explore.Parallel.explore_exhaustive ~jobs ?metrics:registry
+                  spec ~depth ~max_runs:runs
+            | None ->
+                Dsm_explore.Parallel.explore_random ~jobs ~chunk
+                  ?metrics:registry ?progress spec ~runs
+          with
+          | exception Invalid_argument msg -> `Error (false, msg)
+          | exception Sys_error msg -> `Error (false, msg)
+          | stats ->
+              Format.printf "schedules      : %d explored, %d violating@."
+                stats.Explore.runs stats.Explore.violated;
+              finish stats.Explore.first)
+  with Dsm_memory.Allocator.Exhausted { capacity; used; want } ->
+    `Error (false, segment_full ~n:spec.Token.n ~capacity ~used ~want)
 
 (* The run spec from its nine flags: the one place the CLI describes a
    run, checked by the same [Token.validate] that guards the codec.
@@ -1339,36 +1351,6 @@ let explore_cmd =
        $ diff_models $ force $ replay $ no_minimize $ metrics $ expect_races
        $ trace_out_violation $ explain $ race_report $ verbose))
 
-(* ---------- scenario ---------- *)
-
-let scenario_cmd =
-  let doc = "Replay one of the paper's figures (fig1..fig5)." in
-  let figure =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FIGURE" ~doc:"fig1, fig2, fig3, fig4, or fig5.")
-  in
-  let run figure =
-    let experiment_of = function
-      | "fig1" -> Some "E1"
-      | "fig2" -> Some "E2"
-      | "fig3" -> Some "E3"
-      | "fig4" -> Some "E4"
-      | "fig5" | "fig5a" | "fig5b" | "fig5c" -> Some "E5"
-      | _ -> None
-    in
-    match experiment_of (String.lowercase_ascii figure) with
-    | None -> `Error (false, Printf.sprintf "unknown figure %S" figure)
-    | Some id -> (
-        match
-          Dsm_experiments.Registry.run_only Format.std_formatter id
-        with
-        | Ok () -> `Ok ()
-        | Error msg -> `Error (false, msg))
-  in
-  Cmd.v (Cmd.info "scenario" ~doc) Term.(ret (const run $ figure))
-
 let main =
   let doc =
     "Coherent distributed memory with race-condition detection (Butelle & \
@@ -1379,7 +1361,6 @@ let main =
     [
       list_cmd;
       experiment_cmd;
-      scenario_cmd;
       workload_cmd;
       scale_cmd;
       run_cmd;

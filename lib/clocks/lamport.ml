@@ -14,7 +14,4 @@ let observe c remote =
   c.time <- max c.time remote + 1;
   c.time
 
-let compare_values a b : Order.t =
-  if a = b then Order.Equal else if a < b then Order.Before else Order.After
-
 let pp ppf c = Format.fprintf ppf "L:%d" c.time

@@ -27,9 +27,4 @@ val observe : t -> int -> int
     [max (value c) remote + 1] (receive rule) and the new value is
     returned. *)
 
-val compare_values : int -> int -> Order.t
-(** [compare_values a b] orders two timestamps. Scalar clocks are totally
-    ordered, so the verdict is never {!Order.Concurrent}; equality of
-    timestamps of distinct events carries no causal information. *)
-
 val pp : Format.formatter -> t -> unit

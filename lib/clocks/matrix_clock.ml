@@ -49,10 +49,6 @@ let observe t remote =
     if theirs.(j) > own.(j) then own.(j) <- theirs.(j)
   done
 
-let min_known t j =
-  if j < 0 || j >= dim t then invalid_arg "Matrix_clock.min_known";
-  Array.fold_left (fun acc r -> min acc r.(j)) max_int t.m
-
 let size_words t = dim t * dim t
 
 let pp ppf t =

@@ -37,11 +37,6 @@ val observe : t -> t -> unit
     principal row additionally absorbs [remote]'s principal row.
     Raises [Invalid_argument] on dimension mismatch. *)
 
-val min_known : t -> int -> int
-(** [min_known m j] is [min_i m\[i\]\[j\]]: a lower bound on what every
-    process is known to know about [j] — the classic matrix-clock
-    garbage-collection bound, exposed for tests and the E6 discussion. *)
-
 val size_words : t -> int
 (** [n * n]: wire cost measured by E6. *)
 

@@ -56,14 +56,6 @@ let count t = t.count
 
 let races t = List.rev t.races
 
-let flagged_event_ids t =
-  let set = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      match r.event_id with Some id -> Hashtbl.replace set id () | None -> ())
-    t.races;
-  set
-
 let clear t =
   t.races <- [];
   t.count <- 0

@@ -48,9 +48,6 @@ val count : t -> int
 val races : t -> race list
 (** In signal order. *)
 
-val flagged_event_ids : t -> (int, unit) Hashtbl.t
-(** Trace event ids carried by the signals (tracing runs only). *)
-
 val clear : t -> unit
 
 type group = {

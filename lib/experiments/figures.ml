@@ -71,7 +71,9 @@ let time_op ~latency ~words ~op =
 let e2 ppf =
   (* The message flow itself, Figure 2: P2 puts to P1, then gets from P1. *)
   let m = Harness.fresh_machine ~n:3 () in
-  let arrows = Harness.collect_arrows m in
+  let arrows =
+    Harness.collect_arrows (Dsm_sim.Engine.probe (Machine.sim m))
+  in
   let area = Machine.alloc_public m ~pid:1 ~name:"data" ~len:4 () in
   Machine.spawn m ~pid:2 (fun p ->
       let buf = Harness.private_with m ~pid:2 [| 1; 2; 3; 4 |] in
@@ -145,7 +147,9 @@ let e3_case ~words =
 
 let e3 ppf =
   let m = Harness.fresh_machine () in
-  let arrows = Harness.collect_arrows m in
+  let arrows =
+    Harness.collect_arrows (Dsm_sim.Engine.probe (Machine.sim m))
+  in
   let src1 = Machine.alloc_public m ~pid:1 ~name:"a" ~len:4 () in
   let dst2 = Machine.alloc_public m ~pid:2 ~name:"b" ~len:4 () in
   Machine.spawn m ~pid:2 (fun p -> Machine.get p ~src:src1 ~dst:dst2 ());
@@ -301,7 +305,9 @@ let e5 ppf =
   Format.fprintf ppf "%s@." (Table.render table);
   (* Render 5a's message diagram with the race mark. *)
   let m = Harness.fresh_machine () in
-  let arrows = Harness.collect_arrows m in
+  let arrows =
+    Harness.collect_arrows (Dsm_sim.Engine.probe (Machine.sim m))
+  in
   let d = Detector.create m () in
   fig5a.build m d;
   Harness.run_to_completion m;

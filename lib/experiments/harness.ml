@@ -25,46 +25,35 @@ let run_to_completion m =
   | Engine.Stopped | Engine.Time_limit_reached | Engine.Event_limit_reached ->
       failwith "experiment was cut off"
 
-let collect_arrows m =
+(* Arrows match sends to deliveries FIFO per (src, dst, label): exact
+   under in-order delivery, best-effort under reordering faults. *)
+let collect_arrows bus =
   let arrows = ref [] in
-  let pending : (int * string, float * int * int) Hashtbl.t =
+  let pending : (int * int * string, float Queue.t) Hashtbl.t =
     Hashtbl.create 32
   in
-  let counter = ref 0 in
-  Machine.add_observer m (function
-    | Machine.Sent { time; src; dst; msg } ->
-        incr counter;
-        Hashtbl.replace pending
-          (!counter, Dsm_rdma.Message.describe msg)
-          (time, src, dst)
-    | Machine.Delivered { time; msg; _ } ->
-        (* Match the oldest pending send with the same description: FIFO
-           channels make this exact for our scenarios. *)
-        let label = Dsm_rdma.Message.describe msg in
-        let best = ref None in
-        Hashtbl.iter
-          (fun (k, l) v ->
-            if l = label then
-              match !best with
-              | Some (k0, _) when k0 <= k -> ()
-              | _ -> best := Some (k, v))
-          pending;
-        (match !best with
-        | Some (k, (t0, src, dst)) ->
-            Hashtbl.remove pending (k, label);
+  Dsm_obs.Probe.attach bus (function
+    | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
+        let key = (src, dst, Dsm_obs.Msg.label msg) in
+        let q =
+          match Hashtbl.find_opt pending key with
+          | Some q -> q
+          | None ->
+              let q = Queue.create () in
+              Hashtbl.add pending key q;
+              q
+        in
+        Queue.push time q
+    | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (
+        let label = Dsm_obs.Msg.label msg in
+        match Hashtbl.find_opt pending (src, dst, label) with
+        | Some q when not (Queue.is_empty q) ->
             arrows :=
-              {
-                Dsm_trace.Spacetime.send_time = t0;
-                recv_time = time;
-                src;
-                dst;
-                label;
-              }
+              { Dsm_trace.Spacetime.send_time = Queue.pop q; recv_time = time;
+                src; dst; label }
               :: !arrows
-        | None -> ())
-    | Machine.Write_applied _ | Machine.Read_served _
-    | Machine.Atomic_applied _ | Machine.Acc_applied _ ->
-        ());
+        | _ -> ())
+    | _ -> ());
   fun () -> List.rev !arrows
 
 let private_with m ~pid words =

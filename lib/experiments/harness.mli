@@ -31,9 +31,11 @@ val run_to_completion : Dsm_rdma.Machine.t -> unit
 (** Runs the simulation; raises [Failure] if it blocks or is cut off. *)
 
 val collect_arrows :
-  Dsm_rdma.Machine.t -> unit -> Dsm_trace.Spacetime.arrow list
-(** [let arrows = collect_arrows m in ... run ...; arrows ()] records
-    every message as a space-time arrow. *)
+  Dsm_obs.Probe.t -> unit -> Dsm_trace.Spacetime.arrow list
+(** [let arrows = collect_arrows bus in ... run ...; arrows ()] attaches
+    a probe sink to [bus] that records every delivered message as a
+    space-time arrow, in delivery order. The figures and the explorer's
+    replay diagram both draw their arrows with it. *)
 
 val private_with :
   Dsm_rdma.Machine.t -> pid:int -> int array -> Dsm_memory.Addr.region

@@ -19,10 +19,6 @@ let region_of_global base ~len =
 
 let last_offset r = r.base.offset + r.len - 1
 
-let contains r g =
-  r.base.pid = g.pid && r.base.space = g.space && g.offset >= r.base.offset
-  && g.offset <= last_offset r
-
 let overlap a b =
   a.base.pid = b.base.pid && a.base.space = b.base.space
   && a.base.offset <= last_offset b

@@ -25,8 +25,6 @@ val region_of_global : global -> len:int -> region
 val last_offset : region -> int
 (** Offset of the region's final word. *)
 
-val contains : region -> global -> bool
-
 val overlap : region -> region -> bool
 (** True when the two regions share at least one word of the same process
     and space — the conflict test used by locks and by the detector's

@@ -5,6 +5,17 @@ type t = {
   mutable order : (string * int * int) list; (* reversed allocation order *)
 }
 
+exception Exhausted of { capacity : int; used : int; want : int }
+
+let () =
+  Printexc.register_printer (function
+    | Exhausted { capacity; used; want } ->
+        Some
+          (Printf.sprintf
+             "Allocator.alloc: out of memory (%d/%d words used, want %d)" used
+             capacity want)
+    | _ -> None)
+
 let create ~words =
   if words < 0 then invalid_arg "Allocator.create: negative capacity";
   { capacity = words; next = 0; names = Hashtbl.create 16; order = [] }
@@ -16,9 +27,7 @@ let allocated a = a.next
 let alloc a ?name ~len () =
   if len < 1 then invalid_arg "Allocator.alloc: len must be >= 1";
   if a.next + len > a.capacity then
-    failwith
-      (Printf.sprintf "Allocator.alloc: out of memory (%d/%d words used, want %d)"
-         a.next a.capacity len);
+    raise (Exhausted { capacity = a.capacity; used = a.next; want = len });
   (match name with
   | Some n when Hashtbl.mem a.names n ->
       failwith (Printf.sprintf "Allocator.alloc: name %S already bound" n)

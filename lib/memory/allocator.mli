@@ -7,6 +7,12 @@
 
 type t
 
+exception Exhausted of { capacity : int; used : int; want : int }
+(** The segment's [capacity] words cannot hold [want] more after [used]:
+    the run asked for more memory than the machine was built with. A
+    command line reports it as bad input (too many processes for the
+    segment size), not as an internal error. *)
+
 val create : words:int -> t
 (** Allocator over a segment of [words] words, starting empty. *)
 
@@ -17,8 +23,8 @@ val allocated : t -> int
 
 val alloc : t -> ?name:string -> len:int -> unit -> int
 (** [alloc a ~name ~len ()] reserves [len] words and returns their base
-    offset. Raises [Invalid_argument] when [len < 1], [Failure] when the
-    segment is exhausted or [name] is already bound. *)
+    offset. Raises [Invalid_argument] when [len < 1], {!Exhausted} when
+    the segment is full, [Failure] when [name] is already bound. *)
 
 val lookup : t -> string -> (int * int) option
 (** [lookup a name] is [Some (offset, len)] for a named allocation. *)

@@ -31,6 +31,19 @@ let release_ivar t ~generation ~pid =
 let create env =
   let m = Env.machine env in
   let n = Machine.n m in
+  let alloc ~name ~len =
+    Array.init n (fun pid -> Machine.alloc_public m ~pid ~name ~len ())
+  in
+  (* Allocation order fixes the layout: xfer, reduce, then bcast in the
+     public segment. Every offset after them, which reports and pinned
+     outputs print, depends on it. *)
+  let scratch =
+    Array.init n (fun pid ->
+        Machine.alloc_private m ~pid ~name:"pgas.scratch" ~len:1 ())
+  in
+  let xfer = alloc ~name:"pgas.xfer" ~len:n in
+  let reduce_slots = alloc ~name:"pgas.reduce" ~len:n in
+  let bcast_cell = alloc ~name:"pgas.bcast" ~len:1 in
   let t =
     {
       env;
@@ -38,23 +51,16 @@ let create env =
       gen_of_pid = Array.make n 0;
       arrivals = Hashtbl.create 16;
       releases = Hashtbl.create 16;
-      bcast_cell =
-        Array.init n (fun pid ->
-            Machine.alloc_public m ~pid ~name:"pgas.bcast" ~len:1 ());
-      reduce_slots =
-        Array.init n (fun pid ->
-            Machine.alloc_public m ~pid ~name:"pgas.reduce" ~len:n ());
-      xfer =
-        Array.init n (fun pid ->
-            Machine.alloc_public m ~pid ~name:"pgas.xfer" ~len:n ());
-      scratch =
-        Array.init n (fun pid ->
-            Machine.alloc_private m ~pid ~name:"pgas.scratch" ~len:1 ());
+      bcast_cell;
+      reduce_slots;
+      xfer;
+      scratch;
     }
   in
-  Array.iter (fun r -> Env.register env r) t.bcast_cell;
   (* Register staging slots per word: each slot is written by one process,
-     so per-slot clocks avoid false sharing between contributors. *)
+     so per-slot clocks avoid false sharing between contributors. Variables
+     are registered in ascending offset order, so each one appends to its
+     store's sorted index instead of shifting it. *)
   let register_per_word (r : Addr.region) =
     for off = 0 to r.len - 1 do
       Env.register env
@@ -62,8 +68,9 @@ let create env =
            ~offset:(r.base.offset + off) ~len:1)
     done
   in
-  Array.iter register_per_word t.reduce_slots;
-  Array.iter register_per_word t.xfer;
+  Array.iter register_per_word xfer;
+  Array.iter register_per_word reduce_slots;
+  Array.iter (Env.register env) bcast_cell;
   let sim = Machine.sim m in
   Machine.set_control_handler m ~tag:arrive_tag
     (fun ~node:_ ~origin:_ words ->

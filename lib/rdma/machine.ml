@@ -223,7 +223,8 @@ let absorb_pb m ~node ~src = function
       e.pb_seq <- seq + 1
 
 let rec handle m ~node ~src msg =
-  notify m (Delivered { time = Engine.now m.sim; src; dst = node; msg });
+  if m.observers <> [] then
+    notify m (Delivered { time = Engine.now m.sim; src; dst = node; msg });
   (let probe = Engine.probe m.sim in
    if probe.on then
      Dsm_obs.Probe.emit probe
@@ -259,9 +260,10 @@ let rec handle m ~node ~src msg =
   | Message.Put { op; origin; offset; data; locked; want_ack; _ } ->
       let write_and_finish id =
         Segment.write_block public ~offset data;
-        notify m
-          (Write_applied
-             { time = Engine.now m.sim; node; offset; data; origin });
+        if m.observers <> [] then
+          notify m
+            (Write_applied
+               { time = Engine.now m.sim; node; offset; data; origin });
         (match id with Some id -> Lock_table.release locks id | None -> ());
         if want_ack then transmit m ~src:node ~dst:origin (Message.Put_ack { op })
       in
@@ -279,9 +281,10 @@ let rec handle m ~node ~src msg =
         Array.iter
           (fun (offset, data) ->
             Segment.write_block public ~offset data;
-            notify m
-              (Write_applied
-                 { time = Engine.now m.sim; node; offset; data; origin }))
+            if m.observers <> [] then
+              notify m
+                (Write_applied
+                   { time = Engine.now m.sim; node; offset; data; origin }))
           parts;
         (match id with Some id -> Lock_table.release locks id | None -> ());
         if want_ack then
@@ -298,8 +301,10 @@ let rec handle m ~node ~src msg =
   | Message.Get { op; origin; offset; len; locked; extra_words } ->
       let read_and_reply id =
         let data = Segment.read_block public ~offset ~len in
-        notify m
-          (Read_served { time = Engine.now m.sim; node; offset; data; origin });
+        if m.observers <> [] then
+          notify m
+            (Read_served
+               { time = Engine.now m.sim; node; offset; data; origin });
         (match id with Some id -> Lock_table.release locks id | None -> ());
         transmit m ~src:node ~dst:origin
           (Message.Get_reply { op; data; extra_words })
@@ -313,17 +318,18 @@ let rec handle m ~node ~src msg =
           let new_value = Message.apply_atomic kind old_value in
           let apply () =
             Segment.write public ~offset new_value;
-            notify m
-              (Atomic_applied
-                 {
-                   time = Engine.now m.sim;
-                   node;
-                   offset;
-                   kind;
-                   old_value;
-                   new_value;
-                   origin;
-                 });
+            if m.observers <> [] then
+              notify m
+                (Atomic_applied
+                   {
+                     time = Engine.now m.sim;
+                     node;
+                     offset;
+                     kind;
+                     old_value;
+                     new_value;
+                     origin;
+                   });
             rmw_probe m ~node ~origin ~offset ~len:1
               ~kind:
                 (match kind with
@@ -362,18 +368,19 @@ let rec handle m ~node ~src msg =
             Array.init len (fun i -> Message.apply_acc aop old.(i) data.(i))
           in
           Segment.write_block public ~offset result;
-          notify m
-            (Acc_applied
-               {
-                 time = Engine.now m.sim;
-                 node;
-                 offset;
-                 aop;
-                 old;
-                 data;
-                 result;
-                 origin;
-               });
+          if m.observers <> [] then
+            notify m
+              (Acc_applied
+                 {
+                   time = Engine.now m.sim;
+                   node;
+                   offset;
+                   aop;
+                   old;
+                   data;
+                   result;
+                   origin;
+                 });
           rmw_probe m ~node ~origin ~offset ~len
             ~kind:("acc:" ^ Message.acc_op_name aop);
           Lock_table.release locks id;
@@ -438,15 +445,16 @@ and non_atomic_put m ~node ~origin ~locked ~words ~finish =
     | (offset, v) :: rest ->
         let apply id =
           Segment.write_block public ~offset [| v |];
-          notify m
-            (Write_applied
-               {
-                 time = Engine.now m.sim;
-                 node;
-                 offset;
-                 data = [| v |];
-                 origin;
-               });
+          if m.observers <> [] then
+            notify m
+              (Write_applied
+                 {
+                   time = Engine.now m.sim;
+                   node;
+                   offset;
+                   data = [| v |];
+                   origin;
+                 });
           (match id with Some id -> Lock_table.release locks id | None -> ());
           match rest with
           | [] -> finish ()
@@ -461,7 +469,8 @@ and non_atomic_put m ~node ~origin ~locked ~words ~finish =
   step words
 
 and transmit m ~src ~dst msg =
-  notify m (Sent { time = Engine.now m.sim; src; dst; msg });
+  if m.observers <> [] then
+    notify m (Sent { time = Engine.now m.sim; src; dst; msg });
   (let probe = Engine.probe m.sim in
    if probe.on then
      Dsm_obs.Probe.emit probe
@@ -622,6 +631,8 @@ and drain_held m r ~node ~src =
       handle m ~node ~src msg;
       drain_held m r ~node ~src
 
+(* Every call site first checks [m.observers <> []], so a run nobody
+   observes builds no observation record. *)
 and notify m obs = List.iter (fun f -> f obs) m.observers
 
 let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)

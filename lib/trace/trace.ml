@@ -115,65 +115,6 @@ let races t =
       | c -> c)
     !out
 
-(* Shortest predecessor chain from [src] to [dst] over program order and
-   the extra edges, by BFS backwards from [dst]. *)
-let hb_path t ~src ~dst =
-  if not (happens_before t src dst) then None
-  else begin
-    let back = Array.make (length t) (-2) in
-    (* -2 = unvisited, -1 = origin *)
-    let q = Queue.create () in
-    back.(dst) <- -1;
-    Queue.add dst q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let e = Queue.pop q in
-      if e = src then found := true
-      else begin
-        let preds =
-          (if t.prog_pred.(e) >= 0 then [ t.prog_pred.(e) ] else [])
-          @ t.preds.(e)
-        in
-        List.iter
-          (fun p ->
-            if back.(p) = -2 then begin
-              back.(p) <- e;
-              Queue.add p q
-            end)
-          preds
-      end
-    done;
-    if not !found then None
-    else begin
-      let rec walk e acc = if e = -1 then acc else walk back.(e) (e :: acc) in
-      Some (List.rev (walk src []))
-    end
-  end
-
-let explain t ~first ~second =
-  if first >= second then invalid_arg "Trace.explain: first >= second";
-  let buf = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let render e = Format.asprintf "%a" Event.pp t.events.(e) in
-  if race_ordered t ~first ~second then begin
-    line "ordered: %s" (render first);
-    (* The chain runs to [second]'s program predecessor — the clock the
-       algorithm compares (observation is not synchronization). *)
-    let q = t.prog_pred.(second) in
-    (match hb_path t ~src:first ~dst:q with
-    | Some path ->
-        List.iter (fun e -> if e <> first then line "  -> %s" (render e)) path
-    | None -> ());
-    line "  -> %s" (render second)
-  end
-  else begin
-    line "concurrent: no happens-before path reaches the second access's";
-    line "program predecessor — by Lemma 1 the pair races.";
-    line "  first : %s" (render first);
-    line "  second: %s" (render second)
-  end;
-  Buffer.contents buf
-
 let racy_access_ids t =
   let set = Hashtbl.create 16 in
   List.iter

@@ -65,13 +65,6 @@ val races : t -> race_pair list
 val racy_access_ids : t -> (int, unit) Hashtbl.t
 (** The set of access ids participating in at least one race. *)
 
-val explain : t -> first:int -> second:int -> string
-(** Human-readable verdict for a pair of events ([first < second]): when
-    the pair is ordered for race purposes, the shortest happens-before
-    chain from [first] to [second]'s program predecessor (each hop an
-    event rendered with {!Event.pp}); when it is not, a statement of
-    concurrency. The "why did/didn't this pair race?" debugging aid. *)
-
 val to_dot : t -> string
 (** Graphviz rendering of events and HB edges (program order solid,
     reads-from dashed, sync dotted). *)

@@ -44,11 +44,6 @@ let test_lamport_copy_independent () =
   Alcotest.(check int) "copy frozen" 1 (Lamport.value d);
   Alcotest.(check int) "original moved" 2 (Lamport.value c)
 
-let test_lamport_compare_total () =
-  Alcotest.(check order_testable) "lt" Order.Before (Lamport.compare_values 1 2);
-  Alcotest.(check order_testable) "gt" Order.After (Lamport.compare_values 5 2);
-  Alcotest.(check order_testable) "eq" Order.Equal (Lamport.compare_values 3 3)
-
 (* ---------- Vector clocks: directed cases ---------- *)
 
 let vc l = Vector_clock.of_array (Array.of_list l)
@@ -652,12 +647,6 @@ let test_mc_observe () =
   Alcotest.(check vc_testable) "a's view of b" (vc [ 0; 2 ])
     (Matrix_clock.row a 1)
 
-let test_mc_min_known () =
-  let a = Matrix_clock.create ~n:2 ~me:0 in
-  Matrix_clock.tick a;
-  (* Row 1 still zero: nothing is known to be known by everyone. *)
-  Alcotest.(check int) "min over column 0" 0 (Matrix_clock.min_known a 0)
-
 let test_mc_codec_roundtrip () =
   let a = Matrix_clock.create ~n:3 ~me:2 in
   Matrix_clock.tick a;
@@ -1079,7 +1068,6 @@ let () =
           Alcotest.test_case "tick" `Quick test_lamport_tick;
           Alcotest.test_case "observe" `Quick test_lamport_observe;
           Alcotest.test_case "copy" `Quick test_lamport_copy_independent;
-          Alcotest.test_case "compare" `Quick test_lamport_compare_total;
         ] );
       ( "vector",
         [
@@ -1118,7 +1106,6 @@ let () =
           Alcotest.test_case "create" `Quick test_mc_create;
           Alcotest.test_case "tick" `Quick test_mc_tick;
           Alcotest.test_case "observe" `Quick test_mc_observe;
-          Alcotest.test_case "min_known" `Quick test_mc_min_known;
           Alcotest.test_case "codec roundtrip" `Quick test_mc_codec_roundtrip;
           Alcotest.test_case "of_rows invalid" `Quick test_mc_of_rows_invalid;
           Alcotest.test_case "size_words" `Quick test_mc_size_words;

@@ -195,30 +195,6 @@ let test_to_dot_mentions_events () =
   Alcotest.(check bool) "mentions e0" true
     (Test_util.contains dot "e0 ")
 
-let test_explain_ordered_path () =
-  let r = Recorder.create ~n:2 () in
-  let w = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
-  let rd = acc r ~t:2. ~pid:1 ~kind:Event.Read ~target:(reg 0 1) in
-  let w2 = acc r ~t:3. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
-  let t = Recorder.finish r in
-  (* (w, w2) is ordered: w -> rd (reads-from) -> w2 (program order). *)
-  let s = Trace.explain t ~first:w ~second:w2 in
-  Alcotest.(check bool) "says ordered" true (Test_util.contains s "ordered");
-  Alcotest.(check bool) "path goes through the read" true
-    (Test_util.contains s "read");
-  (* (w, rd) itself races: the observation edge does not order the pair. *)
-  let s' = Trace.explain t ~first:w ~second:rd in
-  Alcotest.(check bool) "says concurrent" true
-    (Test_util.contains s' "concurrent")
-
-let test_explain_concurrent () =
-  let r = Recorder.create ~n:2 () in
-  let a = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
-  let b = acc r ~t:2. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
-  let t = Recorder.finish r in
-  Alcotest.(check bool) "concurrent" true
-    (Test_util.contains (Trace.explain t ~first:a ~second:b) "Lemma 1")
-
 (* ---------- export ---------- *)
 
 let small_trace () =
@@ -358,7 +334,5 @@ let () =
           Alcotest.test_case "self arrow" `Quick test_spacetime_self_arrow;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
           Alcotest.test_case "clock bounds" `Quick test_trace_vector_clock_bounds;
-          Alcotest.test_case "explain ordered" `Quick test_explain_ordered_path;
-          Alcotest.test_case "explain concurrent" `Quick test_explain_concurrent;
         ] );
     ]
