@@ -732,12 +732,19 @@ let merge_words ~into w ~off =
       if w.(off + i) > 0 then bump into i w.(off + i)
     done
 
-let pp ppf c =
-  Format.pp_print_char ppf '<';
+(* The clock's one text form, [<a,b,c>]: the race CSV, the explorer's
+   fingerprints and every printer go through here. *)
+let write buf c =
+  Buffer.add_char buf '<';
   for i = 0 to c.dim - 1 do
-    if i > 0 then Format.pp_print_char ppf ',';
-    Format.pp_print_int ppf (entry c i)
+    if i > 0 then Buffer.add_char buf ',';
+    Dsm_obs.Json_writer.int buf (entry c i)
   done;
-  Format.pp_print_char ppf '>'
+  Buffer.add_char buf '>'
 
-let to_string c = Format.asprintf "%a" pp c
+let to_string c =
+  let buf = Buffer.create (2 + (2 * c.dim)) in
+  write buf c;
+  Buffer.contents buf
+
+let pp ppf c = Format.pp_print_string ppf (to_string c)

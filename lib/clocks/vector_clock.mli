@@ -153,7 +153,12 @@ val merge_words : into:t -> int array -> off:int -> unit
     directly into [into] — {!merge_into} without materializing the
     source ({!Detector}'s explicit-transport update path). *)
 
+val write : Buffer.t -> t -> unit
+(** Appends [<a,b,c>] to the buffer, each component as
+    {!Dsm_obs.Json_writer.int} writes it. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [<a,b,c>]. *)
 
 val to_string : t -> string
+(** [<a,b,c>], through {!write}. *)

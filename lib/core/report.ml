@@ -120,25 +120,44 @@ let pp_grouped ppf t =
       Format.fprintf ppf "%d raced shared datum(s):@," (List.length groups);
       Format.pp_print_list pp_group ppf groups
 
+module W = Dsm_obs.Json_writer
+
+let csv_header =
+  "time,accessor,kind,node,offset,len,against,accessor_clock,datum_clock,event_id\n"
+
+(* One row, streamed: the same bytes as the format
+   ["%.6f,%d,%s,%d,%d,%d,%s,\"%s\",\"%s\",%s\n"] with nothing built
+   in between. *)
+let write_row buf r =
+  let add = Buffer.add_string buf and sep () = Buffer.add_char buf ',' in
+  W.fixed 6 buf r.time;
+  sep ();
+  W.int buf r.accessor;
+  sep ();
+  add (Dsm_trace.Event.kind_name r.kind);
+  sep ();
+  W.int buf r.granule.Dsm_memory.Addr.base.pid;
+  sep ();
+  W.int buf r.granule.Dsm_memory.Addr.base.offset;
+  sep ();
+  W.int buf r.granule.Dsm_memory.Addr.len;
+  add
+    (match r.against with
+    | General_clock -> ",general,\""
+    | Write_clock -> ",write,\"");
+  Dsm_clocks.Vector_clock.write buf r.accessor_clock;
+  add "\",\"";
+  Dsm_clocks.Vector_clock.write buf r.datum_clock;
+  add "\",";
+  (match r.event_id with Some id -> W.int buf id | None -> ());
+  Buffer.add_char buf '\n'
+
+(* A row is about 70 bytes at n = 3: size the buffer so it rarely
+   regrows. *)
 let to_csv t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "time,accessor,kind,node,offset,len,against,accessor_clock,datum_clock,event_id\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.6f,%d,%s,%d,%d,%d,%s,\"%s\",\"%s\",%s\n" r.time
-           r.accessor
-           (Dsm_trace.Event.kind_name r.kind)
-           r.granule.Dsm_memory.Addr.base.pid
-           r.granule.Dsm_memory.Addr.base.offset r.granule.Dsm_memory.Addr.len
-           (match r.against with
-           | General_clock -> "general"
-           | Write_clock -> "write")
-           (Dsm_clocks.Vector_clock.to_string r.accessor_clock)
-           (Dsm_clocks.Vector_clock.to_string r.datum_clock)
-           (match r.event_id with Some id -> string_of_int id | None -> "")))
-    (races t);
+  let buf = Buffer.create (String.length csv_header + (96 * t.count)) in
+  Buffer.add_string buf csv_header;
+  List.iter (write_row buf) (races t);
   Buffer.contents buf
 
 let fingerprint t =

@@ -5,6 +5,7 @@ module Coherence = Dsm_rdma.Coherence
 module Detector = Dsm_core.Detector
 module Report = Dsm_core.Report
 module Vector_clock = Dsm_clocks.Vector_clock
+module W = Dsm_obs.Json_writer
 
 type spec = Token.spec
 
@@ -12,11 +13,21 @@ let default_spec = Token.default_spec
 
 type outcome = Completed | Blocked of int | Event_limit | Crashed of string
 
-let outcome_to_string = function
-  | Completed -> "completed"
-  | Blocked k -> Printf.sprintf "blocked(%d)" k
-  | Event_limit -> "event-limit"
-  | Crashed msg -> Printf.sprintf "crashed: %s" msg
+let write_outcome buf = function
+  | Completed -> Buffer.add_string buf "completed"
+  | Blocked k ->
+      Buffer.add_string buf "blocked(";
+      W.int buf k;
+      Buffer.add_char buf ')'
+  | Event_limit -> Buffer.add_string buf "event-limit"
+  | Crashed msg ->
+      Buffer.add_string buf "crashed: ";
+      Buffer.add_string buf msg
+
+let outcome_to_string o =
+  let buf = Buffer.create 16 in
+  write_outcome buf o;
+  Buffer.contents buf
 
 type violation = { invariant : string; detail : string }
 
@@ -68,6 +79,7 @@ type ctx = {
   mutable last_built : Scenario.built option;
       (* the machine/detector/monitor set of the most recent run, for
          post-run inspection (race explanations) *)
+  digest : Buffer.t;  (* each run's fingerprint payload and canon *)
 }
 
 let create_ctx ?metrics spec =
@@ -93,6 +105,7 @@ let create_ctx ?metrics spec =
     runs_executed = 0;
     ready_log = None;
     last_built = None;
+    digest = Buffer.create 256;
   }
 
 let ctx_probe ctx = Engine.probe ctx.sim
@@ -165,7 +178,8 @@ let execute ctx (built : Scenario.built) =
   sample ();
   (outcome, List.rev !mono)
 
-let check_invariants (spec : spec) (built : Scenario.built) outcome mono =
+let check_invariants (spec : spec) (built : Scenario.built) outcome mono
+    ~monitor_report =
   let v = ref [] in
   let add invariant detail = v := { invariant; detail } :: !v in
   let expect_complete = Dsm_net.Fault.is_none spec.faults || spec.reliable in
@@ -194,28 +208,51 @@ let check_invariants (spec : spec) (built : Scenario.built) outcome mono =
   List.iter
     (fun detail -> add "rmw-linearizability" detail)
     (Linearize.violations built.linearize);
-  List.iter (fun (name, detail) -> add name detail) (built.monitor ());
+  List.iter (fun (name, detail) -> add name detail) monitor_report;
   List.rev !v
 
-let fingerprint_of (spec : spec) (built : Scenario.built) outcome ~races
+(* [xs] separated by [sep], each written by [write]. *)
+let add_joined buf sep write xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf sep;
+      write buf x)
+    xs
+
+(* The MD5 of [scenario \x00 outcome|time|events|races|report|violations|
+   monitor], the time with 9 decimals and the monitor report as
+   [name=detail;...]; the scenario keeps tokens for different scenarios
+   from colliding. The payload is written into the ctx's buffer. *)
+let fingerprint_of ctx (built : Scenario.built) outcome ~races
     ~monitor_report =
   let sim = Machine.sim built.machine in
-  let report_fp =
-    match (built.detector : Detector.t option) with
+  let buf = ctx.digest in
+  let sep () = Buffer.add_char buf '|' in
+  Buffer.clear buf;
+  Buffer.add_string buf ctx.spec.scenario;
+  Buffer.add_char buf '\x00';
+  write_outcome buf outcome;
+  sep ();
+  W.fixed 9 buf (Engine.now sim);
+  sep ();
+  W.int buf (Engine.events_processed sim);
+  sep ();
+  W.int buf races;
+  sep ();
+  Buffer.add_string buf
+    (match (built.detector : Detector.t option) with
     | Some d -> Report.fingerprint (Detector.report d)
-    | None -> "-"
-  in
-  let payload =
-    Printf.sprintf "%s|%.9f|%d|%d|%s|%d|%s" (outcome_to_string outcome)
-      (Engine.now sim)
-      (Engine.events_processed sim)
-      races report_fp
-      (List.length (Coherence.violations built.coherence))
-      (String.concat ";"
-         (List.map (fun (a, b) -> a ^ "=" ^ b) monitor_report))
-  in
-  (* spec so that tokens for different scenarios never collide *)
-  Digest.to_hex (Digest.string (spec.scenario ^ "\x00" ^ payload))
+    | None -> "-");
+  sep ();
+  W.int buf (List.length (Coherence.violations built.coherence));
+  sep ();
+  add_joined buf ';'
+    (fun buf (name, detail) ->
+      Buffer.add_string buf name;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf detail)
+    monitor_report;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Order-insensitive summary of what a run {e found}: outcome, the set
    of violated invariants, and the set of raced granules (who, where) —
@@ -223,8 +260,10 @@ let fingerprint_of (spec : spec) (built : Scenario.built) outcome ~races
    Mazurkiewicz-equivalent schedules execute the same events in
    different orders, so their full fingerprints differ (times, seqs)
    while their canonical fingerprints must agree; the DPOR soundness
-   suite compares exactly this. *)
-let canon_of (built : Scenario.built) outcome violations =
+   suite compares exactly this. A raced granule's key is
+   [pid:offset+len:p1,p2,...]; keys are sorted as strings. *)
+let canon_of ctx (built : Scenario.built) outcome violations =
+  let buf = ctx.digest in
   let vnames =
     List.sort_uniq compare
       (List.map (fun v -> v.invariant) violations)
@@ -236,14 +275,24 @@ let canon_of (built : Scenario.built) outcome violations =
         List.sort_uniq compare
           (List.map
              (fun (g : Report.group) ->
-               Printf.sprintf "%d:%d+%d:%s" g.g_granule.base.pid
-                 g.g_granule.base.offset g.g_granule.len
-                 (String.concat "," (List.map string_of_int g.g_pids)))
+               Buffer.clear buf;
+               W.int buf g.g_granule.base.pid;
+               Buffer.add_char buf ':';
+               W.int buf g.g_granule.base.offset;
+               Buffer.add_char buf '+';
+               W.int buf g.g_granule.len;
+               Buffer.add_char buf ':';
+               add_joined buf ',' W.int g.g_pids;
+               Buffer.contents buf)
              (Report.grouped (Detector.report d)))
   in
-  Printf.sprintf "%s|%s|%s" (outcome_to_string outcome)
-    (String.concat "," vnames)
-    (String.concat ";" groups)
+  Buffer.clear buf;
+  write_outcome buf outcome;
+  Buffer.add_char buf '|';
+  add_joined buf ',' Buffer.add_string vnames;
+  Buffer.add_char buf '|';
+  add_joined buf ';' Buffer.add_string groups;
+  Buffer.contents buf
 
 (* The allocation-tight per-run summary: everything a caller needs to
    classify a run, with the schedule itself left in the ctx's reusable
@@ -286,13 +335,15 @@ let exec_with ctx chooser =
   | Some log ->
       Ready_log.finish log;
       Engine.set_choice_view ctx.sim None);
-  let violations = check_invariants ctx.spec built outcome mono in
+  let monitor_report = built.monitor () in
+  let violations =
+    check_invariants ctx.spec built outcome mono ~monitor_report
+  in
   let races =
     match built.detector with
     | Some d -> Report.count (Detector.report d)
     | None -> 0
   in
-  let monitor_report = built.monitor () in
   if probe.Dsm_obs.Probe.on then begin
     List.iter
       (fun v ->
@@ -313,8 +364,8 @@ let exec_with ctx chooser =
     r_races = races;
     r_retransmits = Machine.transport_retransmits built.machine;
     r_violations = violations;
-    r_fingerprint = fingerprint_of ctx.spec built outcome ~races ~monitor_report;
-    r_canon = canon_of built outcome violations;
+    r_fingerprint = fingerprint_of ctx built outcome ~races ~monitor_report;
+    r_canon = canon_of ctx built outcome violations;
   }
 
 let exec_mode ctx mode =

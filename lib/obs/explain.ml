@@ -260,118 +260,214 @@ let of_atomicity ~node ~offset ~len ~flagged ?prior ~index ~detail () =
 
 (* ---------- rendering ---------- *)
 
-let clock_to_string c =
-  let buf = Buffer.create 32 in
+module W = Json_writer
+
+(* Fixed text is written as literals, numbers through the JSON writer's
+   int and ["%.Nf"] writers: every line streams into the one buffer. *)
+let add = Buffer.add_string
+
+let nl buf = Buffer.add_char buf '\n'
+
+let text_clock buf c =
   Buffer.add_char buf '[';
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int v))
+      W.int buf v)
     c;
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  Buffer.add_char buf ']'
 
-let time_to_string ts =
-  if ts < 0. then "?" else Printf.sprintf "t=%.3f" ts
+let text_time buf ts =
+  if ts < 0. then add buf "?"
+  else begin
+    add buf "t=";
+    W.fixed 3 buf ts
+  end
 
-let access_line ~label a =
-  Printf.sprintf "  %s: %s by P%d at %s%s, clock %s" label a.kind a.pid
-    (time_to_string a.time)
-    (if a.op >= 0 then Printf.sprintf " (op %d)" a.op else "")
-    (clock_to_string a.clock)
+let text_pid buf pid =
+  Buffer.add_char buf 'P';
+  W.int buf pid
 
-let components_line ~word cs count =
-  let shown =
-    String.concat ", "
-      (List.map
-         (fun (i, x, y) -> Printf.sprintf "c%d (%d %s %d)" i x word y)
-         cs)
-  in
+let text_words buf ~node ~offset ~len =
+  add buf "node ";
+  W.int buf node;
+  add buf " words [";
+  W.int buf offset;
+  Buffer.add_char buf ',';
+  W.int buf (offset + len);
+  Buffer.add_char buf ')'
+
+let text_access buf ~label a =
+  add buf "  ";
+  add buf label;
+  add buf ": ";
+  add buf a.kind;
+  add buf " by ";
+  text_pid buf a.pid;
+  add buf " at ";
+  text_time buf a.time;
+  if a.op >= 0 then begin
+    add buf " (op ";
+    W.int buf a.op;
+    Buffer.add_char buf ')'
+  end;
+  add buf ", clock ";
+  text_clock buf a.clock;
+  nl buf
+
+let text_components buf ~word cs count =
+  List.iteri
+    (fun k (i, x, y) ->
+      if k > 0 then add buf ", ";
+      Buffer.add_char buf 'c';
+      W.int buf i;
+      add buf " (";
+      W.int buf x;
+      Buffer.add_char buf ' ';
+      add buf word;
+      Buffer.add_char buf ' ';
+      W.int buf y;
+      Buffer.add_char buf ')')
+    cs;
   let extra = count - List.length cs in
-  if extra > 0 then Printf.sprintf "%s, … %d more" shown extra else shown
+  if extra > 0 then begin
+    add buf ", … ";
+    W.int buf extra;
+    add buf " more"
+  end;
+  nl buf
 
-let sync_edge_to_string = function
+let text_sync_edge buf = function
   | Lock_handoff { node; offset; len; from_pid; to_pid; released; acquired }
     ->
-      Printf.sprintf
-        "lock hand-off on node %d words [%d,%d): P%d released at %s, P%d \
-         acquired at %s"
-        node offset (offset + len) from_pid (time_to_string released) to_pid
-        (time_to_string acquired)
+      add buf "lock hand-off on ";
+      text_words buf ~node ~offset ~len;
+      add buf ": ";
+      text_pid buf from_pid;
+      add buf " released at ";
+      text_time buf released;
+      add buf ", ";
+      text_pid buf to_pid;
+      add buf " acquired at ";
+      text_time buf acquired
   | Message m ->
-      Printf.sprintf "message %s (op %d) %d→%d, sent %s, delivered %s"
-        m.m_label m.m_op m.m_src m.m_dst (time_to_string m.m_sent)
-        (time_to_string m.m_delivered)
+      add buf "message ";
+      add buf m.m_label;
+      add buf " (op ";
+      W.int buf m.m_op;
+      add buf ") ";
+      W.int buf m.m_src;
+      add buf "→";
+      W.int buf m.m_dst;
+      add buf ", sent ";
+      text_time buf m.m_sent;
+      add buf ", delivered ";
+      text_time buf m.m_delivered
   | Rmw_serialization { node; origin; offset; len; kind; time } ->
-      Printf.sprintf "rmw %s on node %d words [%d,%d) from P%d at %s" kind
-        node offset (offset + len) origin (time_to_string time)
+      add buf "rmw ";
+      add buf kind;
+      add buf " on ";
+      text_words buf ~node ~offset ~len;
+      add buf " from ";
+      text_pid buf origin;
+      add buf " at ";
+      text_time buf time
 
-let to_text t =
-  let buf = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "==================";
-  (match t.cause with
-  | "race" ->
-      line "WARNING: data race on node %d words [%d,%d)" t.node t.offset
-        (t.offset + t.len)
-  | _ ->
-      line "WARNING: atomicity violation on node %d words [%d,%d)" t.node
-        t.offset (t.offset + t.len));
-  if t.detail <> "" then line "  (%s)" t.detail;
-  line "%s" (access_line ~label:"flagged access" t.flagged);
-  (match t.prior with
-  | Some p -> line "%s" (access_line ~label:"prior conflicting access" p)
+let text_endpoints buf t =
+  match t.prior with
+  | Some p ->
+      text_pid buf p.pid;
+      add buf " and ";
+      text_pid buf t.flagged.pid
   | None ->
-      line "  prior conflicting access: not retained (raise provenance_depth)");
-  if Array.length t.datum_clock > 0 then begin
-    line "  incomparable with the granule's %s clock %s:" t.against
-      (clock_to_string t.datum_clock);
-    if t.ahead_count > 0 then
-      line "    accessor ahead at %s"
-        (components_line ~word:">" t.ahead t.ahead_count);
-    if t.behind_count > 0 then
-      line "    accessor behind at %s"
-        (components_line ~word:"<" t.behind t.behind_count);
-    if t.ahead_count = 0 || t.behind_count = 0 then
-      line "    (clocks are ordered — not a happens-before race)"
+      text_pid buf t.flagged.pid;
+      add buf " and its peers"
+
+let rule = "==================\n"
+
+(* An explanation's text is about 1.3 KiB. *)
+let to_text t =
+  let buf = Buffer.create 2048 in
+  add buf rule;
+  add buf
+    (match t.cause with
+    | "race" -> "WARNING: data race on "
+    | _ -> "WARNING: atomicity violation on ");
+  text_words buf ~node:t.node ~offset:t.offset ~len:t.len;
+  nl buf;
+  if t.detail <> "" then begin
+    add buf "  (";
+    add buf t.detail;
+    add buf ")\n"
   end;
-  let endpoints =
-    match t.prior with
-    | Some p -> Printf.sprintf "P%d and P%d" p.pid t.flagged.pid
-    | None -> Printf.sprintf "P%d and its peers" t.flagged.pid
-  in
+  text_access buf ~label:"flagged access" t.flagged;
+  (match t.prior with
+  | Some p -> text_access buf ~label:"prior conflicting access" p
+  | None ->
+      add buf
+        "  prior conflicting access: not retained (raise provenance_depth)\n");
+  if Array.length t.datum_clock > 0 then begin
+    add buf "  incomparable with the granule's ";
+    add buf t.against;
+    add buf " clock ";
+    text_clock buf t.datum_clock;
+    add buf ":\n";
+    if t.ahead_count > 0 then begin
+      add buf "    accessor ahead at ";
+      text_components buf ~word:">" t.ahead t.ahead_count
+    end;
+    if t.behind_count > 0 then begin
+      add buf "    accessor behind at ";
+      text_components buf ~word:"<" t.behind t.behind_count
+    end;
+    if t.ahead_count = 0 || t.behind_count = 0 then
+      add buf "    (clocks are ordered — not a happens-before race)\n"
+  end;
   (match t.sync_edge with
   | Some e ->
-      line "  last sync edge between %s: %s" endpoints (sync_edge_to_string e);
+      add buf "  last sync edge between ";
+      text_endpoints buf t;
+      add buf ": ";
+      text_sync_edge buf e;
+      nl buf;
       if t.cause = "race" then
-        line "    — it did not order the two accesses: the clocks above are \
-              still incomparable"
+        add buf
+          "    — it did not order the two accesses: the clocks above are \
+           still incomparable\n"
   | None ->
-      line
-        "  no sync edge (lock hand-off, message, or RMW) between %s in the \
-         recorded window of %d events — nothing could have ordered them"
-        endpoints t.window_events);
+      add buf
+        "  no sync edge (lock hand-off, message, or RMW) between ";
+      text_endpoints buf t;
+      add buf " in the recorded window of ";
+      W.int buf t.window_events;
+      add buf " events — nothing could have ordered them\n");
   (match t.chain with
   | [] -> ()
   | ms ->
-      line "  recent messages touching the endpoints:";
+      add buf "  recent messages touching the endpoints:\n";
       List.iter
         (fun m ->
-          line "    %s → delivered %s  %d→%d  %s (op %d)"
-            (time_to_string m.m_sent)
-            (time_to_string m.m_delivered)
-            m.m_src m.m_dst m.m_label m.m_op)
+          add buf "    ";
+          text_time buf m.m_sent;
+          add buf " → delivered ";
+          text_time buf m.m_delivered;
+          add buf "  ";
+          W.int buf m.m_src;
+          add buf "→";
+          W.int buf m.m_dst;
+          add buf "  ";
+          add buf m.m_label;
+          add buf " (op ";
+          W.int buf m.m_op;
+          add buf ")\n")
         ms);
-  line "==================";
+  add buf rule;
   Buffer.contents buf
 
 (* ---------- JSON ---------- *)
 
-module W = Json_writer
-
 (* Fixed keys are written as literals (separator, quoted key, colon):
    none of them needs escaping, and a literal costs one blit. *)
-let add = Buffer.add_string
 
 let json_access buf a =
   add buf "{\"pid\":";

@@ -1328,6 +1328,100 @@ let prop_ground_truth_equivalence =
       ground_truth_equivalence ~seed;
       true)
 
+(* ---------- text writers against their Printf/Format oracle ---------- *)
+
+type clock_mode = Epoch | Sparse | Dense
+
+(* A clock of dimension 1-40 in the requested representation: one live
+   component (or none) stays an epoch, up to [sparse_threshold] live
+   components are sorted pairs, more are promoted to a flat array. Small
+   dimensions have no dense form and fall back to sparse. *)
+let gen_clock =
+  let open QCheck.Gen in
+  let tick = oneof [ int_range 1 9; int_range 1 1_000_000_000; return max_int ] in
+  int_range 1 40 >>= fun n ->
+  let threshold = Dsm_clocks.Vector_clock.sparse_threshold ~n in
+  oneofl [ Epoch; Sparse; Dense ] >>= fun mode ->
+  let mode = if mode = Dense && n <= threshold then Sparse else mode in
+  let mode = if mode = Sparse && n < 2 then Epoch else mode in
+  (match mode with
+  | Epoch -> int_range 0 1
+  | Sparse -> int_range 2 (min n threshold)
+  | Dense -> int_range (threshold + 1) n)
+  >>= fun live ->
+  shuffle_l (List.init n Fun.id) >>= fun pids ->
+  list_repeat live tick >|= fun ticks ->
+  let a = Array.make n 0 in
+  List.iteri (fun i t -> a.(List.nth pids i) <- t) ticks;
+  (mode, Dsm_clocks.Vector_clock.of_array a)
+
+let mode_holds (mode, c) =
+  let module V = Dsm_clocks.Vector_clock in
+  match mode with
+  | Epoch -> V.is_epoch c
+  | Sparse -> V.is_sparse c
+  | Dense -> (not (V.is_epoch c)) && not (V.is_sparse c)
+
+(* Race times: exact half-unit ties at 6 decimals ([j / 128], j odd),
+   near ties, ordinary values, and values past the writer's fast path
+   ([2^52 / 10^6] and beyond), plus the signs and specials it hands to
+   the C formatter. *)
+let gen_time =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun j -> float_of_int ((2 * j) + 1) /. 128.) (int_bound 1_000_000);
+      map (fun k -> (float_of_int k /. 1e6) +. 5e-7) (int_bound 100_000_000);
+      float_bound_inclusive 1e4;
+      map (fun x -> (0x1p52 /. 1e6) +. x) (float_bound_inclusive 1e12);
+      oneofl [ 0.; -0.; -1.5; 1e20; 0x1p52 /. 1e6 ];
+    ]
+
+let gen_race =
+  let open QCheck.Gen in
+  gen_time >>= fun time ->
+  int_bound 40 >>= fun accessor ->
+  oneofl Dsm_trace.Event.[ Read; Write; Atomic_update ] >>= fun kind ->
+  triple (int_bound 40) (int_bound 4095) (int_range 1 64)
+  >>= fun (pid, offset, len) ->
+  pair gen_clock gen_clock >>= fun ((_, accessor_clock), (_, datum_clock)) ->
+  oneofl [ Report.General_clock; Report.Write_clock ] >>= fun against ->
+  opt (int_bound 1_000_000) >|= fun event_id ->
+  {
+    Report.event_id;
+    time;
+    accessor;
+    kind;
+    granule = Addr.region ~pid ~space:Addr.Public ~offset ~len;
+    accessor_clock;
+    datum_clock;
+    against;
+    prior = None;
+  }
+
+let prop_csv_matches_printf_oracle =
+  QCheck.Test.make ~name:"race CSV matches the Printf oracle" ~count:500
+    (QCheck.make
+       ~print:(fun races -> Text_ref.to_csv races)
+       QCheck.Gen.(list_size (int_bound 12) gen_race))
+    (fun races ->
+      let report = Report.create () in
+      List.iter (Report.signal report) races;
+      let got = Report.to_csv report and want = Text_ref.to_csv races in
+      got = want
+      || QCheck.Test.fail_reportf "live:\n%s\noracle:\n%s" got want)
+
+let prop_clock_text_matches_format =
+  QCheck.Test.make ~name:"clock text matches Format's pp" ~count:1000
+    (QCheck.make
+       ~print:(fun (_, c) -> Text_ref.clock_to_string c)
+       gen_clock)
+    (fun ((_, c) as mc) ->
+      let want = Format.asprintf "%a" Text_ref.pp_clock c in
+      mode_holds mc
+      && Dsm_clocks.Vector_clock.to_string c = want
+      && Format.asprintf "%a" Dsm_clocks.Vector_clock.pp c = want)
+
 let () =
   Alcotest.run "core"
     [
@@ -1403,6 +1497,11 @@ let () =
           Alcotest.test_case "single table" `Quick test_store_single_table;
           QCheck_alcotest.to_alcotest prop_variables_match_list_oracle;
           QCheck_alcotest.to_alcotest prop_history_matches_table_oracle;
+        ] );
+      ( "text-writers",
+        [
+          QCheck_alcotest.to_alcotest prop_csv_matches_printf_oracle;
+          QCheck_alcotest.to_alcotest prop_clock_text_matches_format;
         ] );
       ( "ground-truth",
         [

@@ -550,6 +550,78 @@ let test_ctx_reuse_bit_identical () =
         { Explore.default_spec with seed = 5; max_events = 300 } );
     ]
 
+(* Explore's per-run digests against fixed values, not only run against
+   run: one MD5 over the fingerprint and canonical summary of every run
+   in each batch below. A batch covers walks with races, a planted bug
+   whose monitor report is non-empty, the RMW scenarios (whose monitor
+   replays the serial spec) and a run cut off by its event budget. *)
+let constant1 = Dsm_net.Latency.of_string "constant:1" |> Result.get_ok
+
+(* Checks the MD5 of walks [0, walks) of [spec] and returns the runs. *)
+let pin_digests label spec ~walks want =
+  let ctx = Explore.create_ctx spec in
+  let runs =
+    List.init walks (fun i -> Explore.run_once_in ctx (Explore.Walk i))
+  in
+  let text =
+    String.concat ""
+      (List.map
+         (fun (r : Explore.run_result) ->
+           r.fingerprint ^ "\n" ^ r.canon ^ "\n")
+         runs)
+  in
+  Alcotest.(check string) label want (Digest.to_hex (Digest.string text));
+  runs
+
+let test_run_digests_pinned () =
+  ignore
+    (pin_digests "workload:random n=3, walks 0-49"
+       { Explore.default_spec with scenario = "workload:random"; n = 3 }
+       ~walks:50 "9046f85a088422e00857354f9718e1fa");
+  let bug =
+    pin_digests "getput-checked bug"
+      {
+        Explore.default_spec with
+        scenario = "getput-checked";
+        latency = constant1;
+        bug = true;
+      }
+      ~walks:20 "56d1e9a39ff575a3ce6731627b3412e0"
+  in
+  Alcotest.(check bool) "getput-checked bug: a monitor report" true
+    (List.exists
+       (fun (r : Explore.run_result) ->
+         List.exists
+           (fun v -> v.Explore.invariant = "get-window-atomicity")
+           r.violations)
+       bug);
+  ignore
+    (pin_digests "rmwlost-checked n=3"
+       {
+         Explore.default_spec with
+         scenario = "rmwlost-checked";
+         n = 3;
+         latency = constant1;
+       }
+       ~walks:10 "5ef98165af9b6a987f691d48f361eae7");
+  ignore
+    (pin_digests "workload:rmw-mix n=3"
+       { Explore.default_spec with scenario = "workload:rmw-mix"; n = 3 }
+       ~walks:10 "23ac187afa78fe60958bcd327dbe5a7a");
+  let cut =
+    pin_digests "workload:random n=3, max_events 100"
+      {
+        Explore.default_spec with
+        scenario = "workload:random";
+        n = 3;
+        max_events = 100;
+      }
+      ~walks:1 "26683f327331156aff8f69109cc9f158"
+  in
+  Alcotest.(check bool) "cut run ends at the event limit" true
+    (List.map (fun (r : Explore.run_result) -> r.outcome) cut
+    = [ Explore.Event_limit ])
+
 (* The walk loop reuses the arena's decision buffers: after a warm-up
    batch their capacity must stop growing, and a batch of runs must not
    allocate more than the identical batch before it (runs are
@@ -1006,6 +1078,8 @@ let () =
           Alcotest.test_case "ctx reuse bit-identical" `Quick
             test_ctx_reuse_bit_identical;
           Alcotest.test_case "no per-run leak" `Quick test_no_per_run_leak;
+          Alcotest.test_case "run digests pinned" `Quick
+            test_run_digests_pinned;
         ] );
       ( "parallel",
         [

@@ -268,8 +268,9 @@ let test_escaper_bytes () =
            ]))
 
 (* [Json_writer.fixed] must print every float exactly as C's ["%.Nf"]
-   does, at every precision the repo writes: 6 (explanations), 3
-   (timelines) and 2 (bench rows). The generator aims at the fast
+   does, at every precision the repo writes: 9 (explored runs'
+   fingerprints), 6 (explanations, race CSV), 3 (timelines, explanation
+   text) and 2 (bench rows). The generator aims at the fast
    path's edges: binary half-unit ties, near-ties around k.5 units,
    the 2^52/10^N cut-over, negatives and [-0.], and values the fast
    path must hand to [caml_format_float]. *)
@@ -281,12 +282,12 @@ let fixed_case =
   let near_tie =
     map3
       (fun k n eps -> ((float_of_int k +. 0.5) /. (10. ** float_of_int n)) +. eps)
-      (int_bound 100_000) (oneofl [ 6; 3; 2 ])
+      (int_bound 100_000) (oneofl [ 9; 6; 3; 2 ])
       (oneofl [ 0.; 1e-17; -1e-17; 1e-12; -1e-12 ])
   in
   let around_limit =
     map2 (fun n x -> (0x1p52 /. (10. ** float_of_int n)) *. x)
-      (oneofl [ 6; 3; 2 ]) (float_range 0.999 1.001)
+      (oneofl [ 9; 6; 3; 2 ]) (float_range 0.999 1.001)
   in
   let special =
     oneofl [ nan; infinity; neg_infinity; -0.; 0.; 4e9; 1e300; 5e-324; -1. ]
@@ -306,7 +307,7 @@ let fixed_case =
   in
   QCheck.make
     ~print:(fun (n, f) -> Printf.sprintf "%%.%df of %h (%.17g)" n f f)
-    (pair (oneofl [ 6; 3; 2 ]) value)
+    (pair (oneofl [ 9; 6; 3; 2 ]) value)
 
 let prop_fixed_matches_printf =
   QCheck.Test.make ~name:"fixed = Printf %.Nf" ~count:20_000 fixed_case
