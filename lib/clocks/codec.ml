@@ -4,12 +4,15 @@ let word_bytes = 8
 
 let bytes_of_words w = w * word_bytes
 
-(* ---------- payload writers and offset decoders ----------
+(* ---------- payload writers, checks and fills ----------
 
    Each payload has one writer, laying it out at [w.(off)..], and one
-   decoder reading it from there: the unframed codecs use offset 0, the
-   piggyback frame offset 2. Writers and decoders walk live entries, so
-   sparse and delta payloads cost O(active), never O(n). *)
+   check, which raises [Invalid_argument] on a malformed payload at
+   [off] and returns its size; a fill then writes the checked payload
+   into a clock. The unframed codecs use offset 0, the piggyback frame
+   offset 2. Writers, checks and fills walk live entries or changed
+   components, so sparse and delta payloads cost O(active), never
+   O(n). *)
 
 let dense_len v = Vector_clock.dim v + 1
 
@@ -19,38 +22,33 @@ let write_dense w off v =
   w.(off) <- Vector_clock.dim v;
   Vector_clock.store_words v w ~off:(off + 1)
 
-(* Header [n; k], then the [k] pairs [walk] yields. *)
-let write_pairs w off ~n ~k walk =
-  w.(off) <- n;
+(* Header [n; k], then the [k] live [(pid, tick)] pairs. *)
+let write_sparse w off ~k v =
+  w.(off) <- Vector_clock.dim v;
   w.(off + 1) <- k;
   let slot = ref (off + 2) in
-  walk (fun i x ->
+  Vector_clock.iter_active
+    (fun i x ->
       w.(!slot) <- i;
       w.(!slot + 1) <- x;
       slot := !slot + 2)
+    v
 
-let write_sparse w off ~k v =
-  write_pairs w off ~n:(Vector_clock.dim v) ~k (fun f ->
-      Vector_clock.iter_active f v)
-
+(* Header [n; d], then the [d] changed [(index, value)] pairs. *)
 let write_delta w off ~since ~d v =
-  write_pairs w off ~n:(Vector_clock.dim v) ~k:d (fun f ->
-      Vector_clock.iter_diff f ~since v)
+  w.(off) <- Vector_clock.dim v;
+  w.(off + 1) <- d;
+  Vector_clock.store_diff ~since v w ~off:(off + 2)
 
-let count_diff ~since v =
-  let d = ref 0 in
-  Vector_clock.iter_diff (fun _ _ -> incr d) ~since v;
-  !d
-
-let decode_dense_at w off =
+(* The dimension. Negative entries are left to [Vector_clock.load_words],
+   which rejects them before it writes. *)
+let check_dense w off =
   let len = Array.length w - off in
   if len = 0 then invalid_arg "Codec.decode_vector: empty buffer";
   let n = w.(off) in
   if n <= 0 || len <> n + 1 then
     invalid_arg "Codec.decode_vector: malformed buffer";
-  let v = Vector_clock.create ~n in
-  Vector_clock.load_words v w ~off:(off + 1);
-  v
+  n
 
 (* The [k] pairs of a pairs payload at [off], as a walker. *)
 let walk_pairs w off k f =
@@ -58,7 +56,8 @@ let walk_pairs w off k f =
     f w.(off + 2 + (2 * j)) w.(off + 3 + (2 * j))
   done
 
-let decode_sparse_at w off =
+(* The pair count; the dimension is [w.(off)]. *)
+let check_sparse w off =
   let len = Array.length w - off in
   if len < 2 then invalid_arg "Codec.decode_vector_sparse: truncated buffer";
   let n = w.(off) and k = w.(off + 1) in
@@ -77,19 +76,15 @@ let decode_sparse_at w off =
       invalid_arg "Codec.decode_vector_sparse: non-positive tick";
     prev := pid
   done;
-  Vector_clock.of_ascending ~n (walk_pairs w off k)
+  k
 
-(* The base's live entries merged with the ascending overrides; a zero
-   override is legal (a delta may lower a component) and drops the
-   entry. A dense base makes the result O(n) anyway, so it is patched
-   as an array instead. *)
-let decode_delta_at ~base w off =
+(* The override count of a delta against a base of dimension [n]. *)
+let check_delta ~n w off =
   let len = Array.length w - off in
   if len < 2 then invalid_arg "Codec.decode_vector_delta: empty";
-  let n = w.(off) and count = w.(off + 1) in
-  if n <> Vector_clock.dim base || count < 0 || len <> pairs_len count then
+  let count = w.(off + 1) in
+  if w.(off) <> n || count < 0 || len <> pairs_len count then
     invalid_arg "Codec.decode_vector_delta: malformed buffer";
-  let stop = off + len in
   let prev = ref (-1) in
   for j = 0 to count - 1 do
     let i = w.(off + 2 + (2 * j)) and x = w.(off + 3 + (2 * j)) in
@@ -97,31 +92,17 @@ let decode_delta_at ~base w off =
       invalid_arg "Codec.decode_vector_delta: malformed entry";
     prev := i
   done;
-  if Vector_clock.is_epoch base || Vector_clock.is_sparse base then
-    Vector_clock.of_ascending ~n (fun f ->
-        (* [s] is the word index of the next override pair *)
-        let s = ref (off + 2) in
-        Vector_clock.iter_active
-          (fun p x ->
-            while !s < stop && w.(!s) < p do
-              f w.(!s) w.(!s + 1);
-              s := !s + 2
-            done;
-            if !s < stop && w.(!s) = p then begin
-              f p w.(!s + 1);
-              s := !s + 2
-            end
-            else f p x)
-          base;
-        while !s < stop do
-          f w.(!s) w.(!s + 1);
-          s := !s + 2
-        done)
-  else begin
-    let a = Vector_clock.to_array base in
-    walk_pairs w off count (fun i x -> a.(i) <- x);
-    Vector_clock.of_array a
-  end
+  count
+
+(* Sets the [count] pairs of a pairs payload into [into], in place:
+   O(count) on a dense clock. A delta overrides components of the base
+   [into] holds, and a zero override is legal (a delta may lower a
+   component). Sparse pairs set into a zero clock build the
+   representation [of_array] would pick. *)
+let patch into w off count =
+  for j = 0 to count - 1 do
+    Vector_clock.set into w.(off + 2 + (2 * j)) w.(off + 3 + (2 * j))
+  done
 
 (* ---------- unframed codecs ---------- *)
 
@@ -130,7 +111,10 @@ let encode_vector v =
   write_dense w 0 v;
   w
 
-let decode_vector w = decode_dense_at w 0
+let decode_vector w =
+  let v = Vector_clock.create ~n:(check_dense w 0) in
+  Vector_clock.load_words v w ~off:1;
+  v
 
 (* Sparse encoding: dimension and pair-count headers, then the nonzero
    components as strictly ascending (pid, tick) pairs — [2k + 2] words
@@ -144,7 +128,9 @@ let encode_vector_sparse v =
   write_sparse w 0 ~k v;
   w
 
-let decode_vector_sparse w = decode_sparse_at w 0
+let decode_vector_sparse w =
+  let k = check_sparse w 0 in
+  Vector_clock.of_ascending ~n:w.(0) (walk_pairs w 0 k)
 
 let encode_matrix m =
   let n = Matrix_clock.dim m in
@@ -221,12 +207,16 @@ let decode_vector_varint b =
 let encode_vector_delta ~since v =
   if Vector_clock.dim since <> Vector_clock.dim v then
     invalid_arg "Codec.encode_vector_delta: dimension mismatch";
-  let d = count_diff ~since v in
+  let _, d = Vector_clock.active_and_changed ~since v in
   let w = Array.make (pairs_len d) 0 in
   write_delta w 0 ~since ~d v;
   w
 
-let decode_vector_delta ~base w = decode_delta_at ~base w 0
+let decode_vector_delta ~base w =
+  let count = check_delta ~n:(Vector_clock.dim base) w 0 in
+  let v = Vector_clock.copy base in
+  patch v w 0 count;
+  v
 
 (* ---------- self-framed piggyback ---------- *)
 
@@ -258,6 +248,11 @@ let sparse_frame ~seq ~k v =
   write_sparse w 2 ~k v;
   w
 
+(* The shorter self-contained frame; sparse wins ties with dense. *)
+let self_contained_frame ~seq ~k v =
+  if pairs_len k <= dense_len v then sparse_frame ~seq ~k v
+  else dense_frame ~seq v
+
 let encode_piggyback ~mode ~seq ?since v =
   if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq";
   match mode with
@@ -265,24 +260,18 @@ let encode_piggyback ~mode ~seq ?since v =
   | Sparse -> sparse_frame ~seq ~k:(Vector_clock.active_entries v) v
   | Delta -> (
       (* adaptive: size the three candidates, build only the shortest.
-         Sparse wins ties with dense; delta needs a same-dimension
-         [since] and must be strictly shorter. *)
-      let k = Vector_clock.active_entries v in
-      let self_len = min (pairs_len k) (dense_len v) in
-      let d =
-        match since with
-        | Some s when Vector_clock.dim s = Vector_clock.dim v ->
-            count_diff ~since:s v
-        | _ -> Vector_clock.dim v (* no usable base: a delta cannot win *)
-      in
+         A delta needs a same-dimension [since] and must be strictly
+         shorter than both self-contained forms. *)
       match since with
-      | Some s when pairs_len d < self_len ->
-          let w = frame ~tag:2 ~seq (pairs_len d) in
-          write_delta w 2 ~since:s ~d v;
-          w
-      | _ ->
-          if pairs_len k <= dense_len v then sparse_frame ~seq ~k v
-          else dense_frame ~seq v)
+      | Some s when Vector_clock.dim s = Vector_clock.dim v ->
+          let k, d = Vector_clock.active_and_changed ~since:s v in
+          if pairs_len d < min (pairs_len k) (dense_len v) then begin
+            let w = frame ~tag:2 ~seq (pairs_len d) in
+            write_delta w 2 ~since:s ~d v;
+            w
+          end
+          else self_contained_frame ~seq ~k v
+      | _ -> self_contained_frame ~seq ~k:(Vector_clock.active_entries v) v)
 
 let piggyback_mode_of w =
   if Array.length w < 2 then
@@ -298,19 +287,46 @@ let piggyback_seq w =
     invalid_arg "Codec.decode_piggyback: truncated frame";
   w.(1)
 
-let decode_piggyback ~expect_seq ?base w =
+let fits into n =
+  if Vector_clock.dim into <> n then
+    invalid_arg "Codec.decode_piggyback: dimension mismatch"
+
+(* Every check runs before the first write into [into], so a rejected
+   frame leaves it as it was. *)
+let decode_piggyback_into ~expect_seq ?base ~into w =
   let mode = piggyback_mode_of w in
   let seq = w.(1) in
   if seq < 0 then invalid_arg "Codec.decode_piggyback: negative seq";
-  let v =
-    match mode with
-    | Dense -> decode_dense_at w 2
-    | Sparse -> decode_sparse_at w 2
-    | Delta -> (
-        if seq <> expect_seq then
-          invalid_arg "Codec.decode_piggyback: out-of-sequence delta";
-        match base with
-        | None -> invalid_arg "Codec.decode_piggyback: delta without base"
-        | Some b -> decode_delta_at ~base:b w 2)
+  (match mode with
+  | Dense ->
+      fits into (check_dense w 2);
+      Vector_clock.load_words into w ~off:3
+  | Sparse ->
+      let k = check_sparse w 2 in
+      fits into w.(2);
+      Vector_clock.reset into;
+      patch into w 2 k
+  | Delta -> (
+      if seq <> expect_seq then
+        invalid_arg "Codec.decode_piggyback: out-of-sequence delta";
+      match base with
+      | None -> invalid_arg "Codec.decode_piggyback: delta without base"
+      | Some b ->
+          let n = Vector_clock.dim b in
+          let count = check_delta ~n w 2 in
+          fits into n;
+          if b != into then Vector_clock.assign ~into b;
+          patch into w 2 count));
+  seq
+
+(* A fresh clock of the frame's dimension, decoded into. A malformed
+   dimension word fails the decoder's checks before it matters. *)
+let decode_piggyback ~expect_seq ?base w =
+  let n =
+    match (piggyback_mode_of w, base) with
+    | Delta, Some b -> Vector_clock.dim b
+    | _ -> if Array.length w > 2 && w.(2) > 0 then w.(2) else 1
   in
-  (v, seq)
+  let into = Vector_clock.create ~n in
+  let seq = decode_piggyback_into ~expect_seq ?base ~into w in
+  (into, seq)

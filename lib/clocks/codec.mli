@@ -101,20 +101,33 @@ val encode_piggyback :
 (** [encode_piggyback ~mode ~seq ?since v] frames [v] for the wire.
     [since] is the sender's per-edge cache (the last clock shipped on
     this channel); it is only consulted under [Delta], which sizes the
-    three candidates first and builds only the shortest. Costs
-    O(active v + active since) — O(n) only when a clock is dense — plus
-    one allocation of the chosen frame. Raises [Invalid_argument] on a
-    negative [seq]. *)
+    three candidates in one scan ({!Vector_clock.active_and_changed})
+    and builds only the shortest. Costs O(active v + active since) —
+    O(n) only when a clock is dense — plus one allocation of the chosen
+    frame. Raises [Invalid_argument] on a negative [seq]. *)
+
+val decode_piggyback_into :
+  expect_seq:int -> ?base:Vector_clock.t -> into:Vector_clock.t -> wire -> int
+(** [decode_piggyback_into ~expect_seq ?base ~into w] overwrites [into]
+    with the framed clock and returns the frame's sequence number.
+    Self-contained frames (dense, sparse) decode at any [seq]; a delta
+    frame requires [seq = expect_seq] and [base] to be the receiver's
+    mirror of the sender's cache, and may be [into] itself — the
+    receiver's per-edge mirror advances in place. Every check runs
+    before the first write, so on [Invalid_argument] (the texts of
+    {!decode_piggyback}, or a frame whose dimension is not [into]'s)
+    [into] is unchanged. A delta into a dense clock patches only the
+    changed components, O(changed); otherwise O(active frame + active
+    base), O(n) for a dense frame. Allocates nothing once [into] has
+    held a clock of the frame's shape. *)
 
 val decode_piggyback :
   expect_seq:int -> ?base:Vector_clock.t -> wire -> Vector_clock.t * int
-(** [decode_piggyback ~expect_seq ?base w] recovers the clock and the
-    frame's sequence number. Self-contained frames (dense, sparse)
-    decode at any [seq]; a delta frame requires [seq = expect_seq] and
-    [base] to be the receiver's mirror of the sender's cache, and
-    raises [Invalid_argument] otherwise. Costs O(active result +
-    active base) — O(n) only for a dense frame, result or base — plus
-    the allocation of the result clock. *)
+(** [decode_piggyback ~expect_seq ?base w] is {!decode_piggyback_into}
+    into a fresh clock of the frame's dimension, returned with the
+    frame's sequence number. Raises [Invalid_argument] on a truncated
+    frame, an unknown tag, a negative [seq], a malformed payload, or a
+    delta frame out of sequence or without [base]. *)
 
 val piggyback_mode_of : wire -> piggyback_mode
 (** The tag of a framed piggyback; raises [Invalid_argument] on a

@@ -12,19 +12,21 @@
    The abstract value, and hence every detection verdict, is that of the
    dense vector.
 
-   Mode encoding: [vec != no_vec] means dense; otherwise [sparse_on]
-   separates sparse from epoch. The sparse key/value arrays are retained
-   across [reset] so the detector's scratch clocks stay allocation-free
-   once warmed up. The canonical zero epoch is [count = 0] with
-   [pid = 0]. Sparse values are always positive: zero components are
-   simply absent. *)
+   [rep] names the live representation. The sparse key/value arrays and
+   the dense array are allocated on first use and retained whatever the
+   clock holds later ([reset], [load_words], [assign]), so a warmed-up
+   scratch clock or overwritten copy never allocates again. The
+   canonical zero epoch is [count = 0] with [pid = 0]. Sparse values are
+   always positive: zero components are simply absent. *)
+
+type rep = Epoch | Sparse | Dense
 
 type t = {
   mutable pid : int;  (* epoch owner; meaningful only in epoch mode *)
   mutable count : int;  (* epoch count; 0 = the zero clock *)
   dim : int;
-  mutable vec : int array;  (* == no_vec unless in dense mode *)
-  mutable sparse_on : bool;  (* sparse mode flag (when not dense) *)
+  mutable rep : rep;
+  mutable vec : int array;  (* dense components; == no_vec until allocated *)
   mutable nactive : int;  (* live entries in keys/vals *)
   mutable keys : int array;  (* sorted pids; == no_vec until allocated *)
   mutable vals : int array;  (* ticks, parallel to keys; all > 0 *)
@@ -38,11 +40,11 @@ let no_vec : int array = [||]
    promotion-boundary tests can aim exactly at it. *)
 let sparse_threshold ~n = max 4 (n / 8)
 
-let is_dense t = t.vec != no_vec
+let is_dense t = match t.rep with Dense -> true | Epoch | Sparse -> false
 
-let is_sparse t = t.vec == no_vec && t.sparse_on
+let is_sparse t = match t.rep with Sparse -> true | Epoch | Dense -> false
 
-let is_epoch t = t.vec == no_vec && not t.sparse_on
+let is_epoch t = match t.rep with Epoch -> true | Sparse | Dense -> false
 
 let create ~n =
   if n <= 0 then invalid_arg "Vector_clock.create: dimension must be positive";
@@ -50,8 +52,8 @@ let create ~n =
     pid = 0;
     count = 0;
     dim = n;
+    rep = Epoch;
     vec = no_vec;
-    sparse_on = false;
     nactive = 0;
     keys = no_vec;
     vals = no_vec;
@@ -84,21 +86,26 @@ let sparse_ensure_arrays t =
     t.vals <- Array.make cap 0
   end
 
+(* The dense array, allocated once and kept for the clock's lifetime.
+   Its contents are stale outside dense mode. *)
+let ensure_vec t = if t.vec == no_vec then t.vec <- Array.make t.dim 0
+
 (* ---------- promotions ---------- *)
 
-(* Sparse/epoch -> dense. One-way except through [reset] / [load_words],
-   which re-derive the representation. *)
+(* Sparse/epoch -> dense. One-way except through [reset], [load_words]
+   and [assign], which re-derive or copy the representation. *)
 let promote t =
   if not (is_dense t) then begin
-    let v = Array.make t.dim 0 in
-    if t.sparse_on then
+    if t.vec == no_vec then t.vec <- Array.make t.dim 0
+    else Array.fill t.vec 0 t.dim 0;
+    let v = t.vec in
+    if is_sparse t then
       for i = 0 to t.nactive - 1 do
         v.(t.keys.(i)) <- t.vals.(i)
       done
     else if t.count > 0 then v.(t.pid) <- t.count;
-    t.sparse_on <- false;
     t.nactive <- 0;
-    t.vec <- v
+    t.rep <- Dense
   end
 
 (* Epoch -> sparse, the cross-process promotion: carry the epoch entry
@@ -111,10 +118,10 @@ let promote_sparse t =
     t.vals.(0) <- t.count;
     t.nactive <- 1
   end;
-  t.sparse_on <- true
+  t.rep <- Sparse
 
-(* Set component [p] to [v] ([> 0], at least the current value) in sparse
-   mode, inserting and dense-promoting past the threshold as needed. *)
+(* Set component [p] to [v > 0] in sparse mode, inserting and
+   dense-promoting past the threshold as needed. *)
 let sparse_set t p v =
   let i = sparse_find t p in
   if i >= 0 then t.vals.(i) <- v
@@ -167,16 +174,17 @@ let rec bump t p v =
     bump t p v
   end
 
+(* Copies the live representation's arrays only. *)
 let copy t =
   {
     pid = t.pid;
     count = t.count;
     dim = t.dim;
+    rep = t.rep;
     vec = (if is_dense t then Array.copy t.vec else no_vec);
-    sparse_on = t.sparse_on;
     nactive = t.nactive;
-    keys = (if t.keys == no_vec then no_vec else Array.copy t.keys);
-    vals = (if t.vals == no_vec then no_vec else Array.copy t.vals);
+    keys = (if is_sparse t then Array.copy t.keys else no_vec);
+    vals = (if is_sparse t then Array.copy t.vals else no_vec);
     threshold = t.threshold;
   }
 
@@ -212,20 +220,25 @@ let of_array a =
       end
     done;
     t.nactive <- !k;
-    t.sparse_on <- true;
+    t.rep <- Sparse;
     t
   end
   else begin
     t.vec <- Array.copy a;
+    t.rep <- Dense;
     t
   end
 
-let entry c i =
-  if i < 0 || i >= c.dim then invalid_arg "Vector_clock.entry";
+(* Component [i], unchecked. *)
+let get c i =
   if is_dense c then c.vec.(i)
   else if is_sparse c then sparse_get c i
   else if i = c.pid then c.count
   else 0
+
+let entry c i =
+  if i < 0 || i >= c.dim then invalid_arg "Vector_clock.entry";
+  get c i
 
 let check_dim a b name =
   if a.dim <> b.dim then
@@ -255,84 +268,142 @@ let live_key c j = if is_sparse c then c.keys.(j) else c.pid
 
 let live_val c j = if is_sparse c then c.vals.(j) else c.count
 
-(* Component [i] of [c] in an ascending scan; [cur] is the caller's
-   cursor into a sparse clock's keys. *)
-let scan_get c cur i =
-  if is_dense c then c.vec.(i)
-  else if is_sparse c then
-    if !cur < c.nactive && c.keys.(!cur) = i then begin
-      let x = c.vals.(!cur) in
-      incr cur;
-      x
-    end
-    else 0
-  else if c.count > 0 && c.pid = i then c.count
-  else 0
+(* The two diff scans below visit the components where [v] and [since]
+   differ in ascending order: one pass over the dimension when either
+   clock is dense, otherwise a merge scan of the two sorted live-entry
+   runs, O(active v + active since). One counts, one writes; neither
+   calls a closure per component. *)
 
-let iter_diff f ~since v =
-  check_dim since v "iter_diff";
+let active_and_changed ~since v =
+  check_dim since v "active_and_changed";
   if is_dense v || is_dense since then begin
-    let cv = ref 0 and cs = ref 0 in
+    let k = ref 0 and d = ref 0 in
     for i = 0 to v.dim - 1 do
-      let x = scan_get v cv i and y = scan_get since cs i in
-      if x <> y then f i x
-    done
+      let x = get v i in
+      if x <> 0 then incr k;
+      if x <> get since i then incr d
+    done;
+    (!k, !d)
   end
   else begin
-    (* merge scan of the two sorted live-entry runs *)
+    let an = live_len v and bn = live_len since in
+    let i = ref 0 and j = ref 0 and d = ref 0 in
+    while !i < an || !j < bn do
+      if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
+        incr d;
+        incr i
+      end
+      else if !i >= an || live_key since !j < live_key v !i then begin
+        incr d;
+        incr j
+      end
+      else begin
+        if live_val v !i <> live_val since !j then incr d;
+        incr i;
+        incr j
+      end
+    done;
+    (an, !d)
+  end
+
+let store_diff ~since v w ~off =
+  check_dim since v "store_diff";
+  let slot = ref off in
+  if is_dense v || is_dense since then
+    for i = 0 to v.dim - 1 do
+      let x = get v i in
+      if x <> get since i then begin
+        w.(!slot) <- i;
+        w.(!slot + 1) <- x;
+        slot := !slot + 2
+      end
+    done
+  else begin
     let an = live_len v and bn = live_len since in
     let i = ref 0 and j = ref 0 in
     while !i < an || !j < bn do
       if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
-        f (live_key v !i) (live_val v !i);
+        w.(!slot) <- live_key v !i;
+        w.(!slot + 1) <- live_val v !i;
+        slot := !slot + 2;
         incr i
       end
       else if !i >= an || live_key since !j < live_key v !i then begin
-        f (live_key since !j) 0;
+        w.(!slot) <- live_key since !j;
+        w.(!slot + 1) <- 0;
+        slot := !slot + 2;
         incr j
       end
       else begin
         let x = live_val v !i in
-        if x <> live_val since !j then f (live_key v !i) x;
+        if x <> live_val since !j then begin
+          w.(!slot) <- live_key v !i;
+          w.(!slot + 1) <- x;
+          slot := !slot + 2
+        end;
         incr i;
         incr j
       end
     done
   end
 
-(* Two passes over [walk]: count and validate the nonzero pairs, then
-   fill the representation [of_array] would pick for them. *)
+(* Component [i] becomes [x], raised or lowered. Lowering never demotes
+   a sparse or dense clock (an epoch whose entry drops to 0 is the zero
+   epoch again); raising promotes as a tick would. *)
+let set c i x =
+  if i < 0 || i >= c.dim then invalid_arg "Vector_clock.set: index out of range";
+  if x < 0 then invalid_arg "Vector_clock.set: negative entry";
+  match c.rep with
+  | Dense -> c.vec.(i) <- x
+  | Sparse ->
+      if x > 0 then sparse_set c i x
+      else
+        let j = sparse_find c i in
+        if j >= 0 then begin
+          Array.blit c.keys (j + 1) c.keys j (c.nactive - j - 1);
+          Array.blit c.vals (j + 1) c.vals j (c.nactive - j - 1);
+          c.nactive <- c.nactive - 1
+        end
+  | Epoch ->
+      if c.count = 0 || c.pid = i then begin
+        c.pid <- (if x > 0 then i else 0);
+        c.count <- x
+      end
+      else if x > 0 then begin
+        promote_sparse c;
+        sparse_set c i x
+      end
+
+(* Validate every pair, then fill a fresh clock through [set]: ascending
+   pids build exactly the representation [of_array] would pick. *)
 let of_ascending ~n walk =
   let t = create ~n in
-  let nonzeros = ref 0 and prev = ref (-1) in
+  let prev = ref (-1) in
   walk (fun p x ->
       if p <= !prev || p >= n then
         invalid_arg "Vector_clock.of_ascending: pids not ascending in range";
       if x < 0 then invalid_arg "Vector_clock.of_ascending: negative entry";
-      if x <> 0 then incr nonzeros;
       prev := p);
-  if !nonzeros = 1 then
-    walk (fun p x ->
-        if x <> 0 then begin
-          t.pid <- p;
-          t.count <- x
-        end)
-  else if !nonzeros > t.threshold then begin
-    let v = Array.make n 0 in
-    walk (fun p x -> v.(p) <- x);
-    t.vec <- v
-  end
-  else if !nonzeros > 1 then begin
-    sparse_ensure_arrays t;
-    walk (fun p x ->
-        if x <> 0 then begin
-          t.keys.(t.nactive) <- p;
-          t.vals.(t.nactive) <- x;
-          t.nactive <- t.nactive + 1
-        end);
-    t.sparse_on <- true
-  end;
+  walk (fun p x -> if x <> 0 then set t p x);
   t
+
+let assign ~into src =
+  check_dim into src "assign";
+  (match src.rep with
+  | Epoch ->
+      into.pid <- src.pid;
+      into.count <- src.count;
+      into.nactive <- 0
+  | Sparse ->
+      sparse_ensure_arrays into;
+      Array.blit src.keys 0 into.keys 0 src.nactive;
+      Array.blit src.vals 0 into.vals 0 src.nactive;
+      into.nactive <- src.nactive
+  | Dense ->
+      ensure_vec into;
+      Array.blit src.vec 0 into.vec 0 into.dim;
+      into.nactive <- 0);
+  into.rep <- src.rep
 
 let is_zero c =
   if is_dense c then Array.for_all (fun x -> x = 0) c.vec
@@ -634,13 +705,12 @@ let size_words t = t.dim
 
 let snapshot = copy
 
-(* keys/vals keep their capacity: a warmed-up scratch clock never
+(* the arrays keep their capacity: a warmed-up scratch clock never
    allocates again *)
 let reset t =
   t.pid <- 0;
   t.count <- 0;
-  t.vec <- no_vec;
-  t.sparse_on <- false;
+  t.rep <- Epoch;
   t.nactive <- 0
 
 let check_slice t w off name =
@@ -659,14 +729,12 @@ let load_words t w ~off =
     end
   done;
   if !nonzeros <= 1 then begin
-    t.vec <- no_vec;
-    t.sparse_on <- false;
+    t.rep <- Epoch;
     t.nactive <- 0;
     t.pid <- (if !nonzeros = 1 then !last else 0);
     t.count <- (if !nonzeros = 1 then w.(off + !last) else 0)
   end
   else if !nonzeros <= t.threshold then begin
-    t.vec <- no_vec;
     sparse_ensure_arrays t;
     let k = ref 0 in
     for i = 0 to t.dim - 1 do
@@ -678,15 +746,13 @@ let load_words t w ~off =
       end
     done;
     t.nactive <- !k;
-    t.sparse_on <- true
+    t.rep <- Sparse
   end
   else begin
-    if is_dense t then Array.blit w off t.vec 0 t.dim
-    else begin
-      t.sparse_on <- false;
-      t.nactive <- 0;
-      t.vec <- Array.sub w off t.dim
-    end
+    ensure_vec t;
+    Array.blit w off t.vec 0 t.dim;
+    t.nactive <- 0;
+    t.rep <- Dense
   end
 
 let store_words t w ~off =

@@ -42,6 +42,19 @@ val dim : t -> int
 
 val copy : t -> t
 
+val assign : into:t -> t -> unit
+(** [assign ~into src] makes [into] hold [src]'s value in [src]'s
+    representation — {!copy} in place. [into] keeps its arrays, so once
+    it has held a sparse and a dense value an [assign] allocates
+    nothing. O(active src), O(dim) when [src] is dense. Raises
+    [Invalid_argument] on dimension mismatch. *)
+
+val set : t -> int -> int -> unit
+(** [set c i x] sets component [i] to [x], raising or lowering it.
+    O(1) on a dense clock, O(active) on a sparse one. Lowering never
+    demotes a sparse or dense clock; raising promotes as {!tick} does.
+    Raises [Invalid_argument] when [i] is out of bounds or [x < 0]. *)
+
 val of_array : int array -> t
 (** [of_array a] is a clock holding [a]'s entries, in the most compact
     form they allow (epoch, sparse pairs, dense). Raises
@@ -55,8 +68,9 @@ val of_ascending : n:int -> ((int -> int -> unit) -> unit) -> t
     components are the [(pid, tick)] pairs [walk f] passes to [f], in the
     form {!of_array} would pick for them. Pids must be strictly
     ascending and below [n]; zero ticks are legal and skipped. [walk] is
-    called more than once and must yield the same pairs each time.
-    O(pairs) unless the result is dense. Raises [Invalid_argument] on an
+    called more than once and must yield the same pairs each time; it
+    fills a fresh clock through {!set}. O(pairs log pairs) unless the
+    result is dense. Raises [Invalid_argument] on an
     unsorted or out-of-range pid or a negative tick. *)
 
 val iter_active : (int -> int -> unit) -> t -> unit
@@ -64,12 +78,19 @@ val iter_active : (int -> int -> unit) -> t -> unit
     [c] in ascending pid order. O(active) for epoch and sparse clocks,
     one scan for a dense one. *)
 
-val iter_diff : (int -> int -> unit) -> since:t -> t -> unit
-(** [iter_diff f ~since v] calls [f i (entry v i)] for each component
-    where [v] and [since] differ, in ascending [i] — [entry v i] may be
-    0. A merge scan of the two live-entry runs, O(active v + active
-    since), unless either clock is dense. Raises [Invalid_argument] on
-    dimension mismatch. *)
+val active_and_changed : since:t -> t -> int * int
+(** [active_and_changed ~since v] is [(k, d)]: [k] the nonzero
+    components of [v], [d] the components where [v] and [since] differ,
+    counted in one scan — what the adaptive piggyback encoder sizes its
+    candidates from. O(active v + active since) unless either clock is
+    dense. Raises [Invalid_argument] on dimension mismatch. *)
+
+val store_diff : since:t -> t -> int array -> off:int -> unit
+(** [store_diff ~since v w ~off] writes [i; entry v i] at [w.(off)..]
+    for each component where [v] and [since] differ, in ascending [i] —
+    [entry v i] may be 0. The [2d] words for the [d] of
+    {!active_and_changed} must fit. Same cost as {!active_and_changed}.
+    Raises [Invalid_argument] on dimension mismatch. *)
 
 val entry : t -> int -> int
 (** [entry c i] is component [i]. Raises [Invalid_argument] when [i] is out
@@ -132,8 +153,8 @@ val snapshot : t -> t
 
 val reset : t -> unit
 (** Zero every component in place, restoring the compact epoch
-    representation. O(1) (a sparse clock's pair arrays keep their
-    capacity, so a warmed-up scratch clock never allocates again); the
+    representation. O(1) (the pair arrays and the dense array keep
+    their capacity, so a warmed-up scratch clock never allocates again); the
     scratch-buffer discipline of the detector's hot path
     ([Detector.check_access]) relies on this being cheap. *)
 

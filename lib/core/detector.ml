@@ -11,12 +11,13 @@ module Recorder = Dsm_trace.Recorder
    clocks are compared where they live (no copy), and every intermediate
    clock value lives in a per-process scratch buffer owned by the
    detector. A granule's access history (provenance) is a ring in its
-   store entry, so noting an access costs no second lookup. The path
-   still allocates the walk's callback closure per access, a history
-   entry and a snapshot of the accessor's clock per granule while
-   provenance is on (plus the ring's slots at a granule's first note),
-   and, under the Explicit transport, its control messages; a race
-   signal allocates its report. Scratch is keyed by accessor pid because
+   store entry, so noting an access costs no second lookup, and once
+   the ring is full a note overwrites its oldest slot in place. The
+   path still allocates the walk's callback closure per access, a
+   granule's ring slots (each with a copy of the accessor's clock) until
+   the ring has filled, and, under the Explicit transport, its control
+   messages; a race signal allocates its report and the copies of its
+   clocks. Scratch is keyed by accessor pid because
    the explicit transport blocks inside an access (control round trip)
    and the simulator may interleave another process's access meanwhile;
    a single process's accesses never nest, so per-pid buffers are safe. *)
@@ -293,7 +294,7 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
           p_time = e.time;
           p_op = e.op;
           p_event_id = (if e.event_id >= 0 then Some e.event_id else None);
-          p_clock = Vector_clock.snapshot e.clock;
+          p_clock = e.clock;
         })
       (Provenance.find_prior history ~pid ~write:(is_writing_class cls)
          ~clock:v0)
@@ -350,15 +351,10 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
   let depth = t.config.Config.provenance_depth in
   if depth > 0 then
     entry.history <-
-      Provenance.note ~depth entry.history
-        {
-          Provenance.pid;
-          kind = kind_of_class cls;
-          time = now t;
-          op = t.checked_ops;
-          event_id = (match event_id with Some id -> id | None -> -1);
-          clock = Vector_clock.snapshot v0;
-        };
+      Provenance.note ~depth entry.history ~pid ~kind:(kind_of_class cls)
+        ~time:(now t) ~op:t.checked_ops
+        ~event_id:(match event_id with Some id -> id | None -> -1)
+        v0;
   match cls with
   | Plain_read | Rmw _ ->
       if t.mh.read_acquires_writes then begin

@@ -26,14 +26,27 @@ val empty : ring
 (** The history of a granule nothing was noted into. Shared and
     allocation-free: a store creates every entry with it. *)
 
-val note : depth:int -> ring -> entry -> ring
-(** Record an access, evicting the oldest once the ring is full, and
-    return the ring to keep. The first note into {!empty} allocates
-    [depth] slots, all filled with that entry; later notes write in
-    place, O(1). [depth <= 0] returns the ring unchanged. *)
+val note :
+  depth:int ->
+  ring ->
+  pid:int ->
+  kind:Dsm_trace.Event.kind ->
+  time:float ->
+  op:int ->
+  event_id:int ->
+  Vector_clock.t ->
+  ring
+(** [note ~depth ring ~pid ~kind ~time ~op ~event_id clock] records an
+    access by [pid] whose clock is [clock] (read, not kept), evicting
+    the oldest once the ring is full, and returns the ring to keep. The
+    first note into {!empty} allocates [depth] slots; each of the first
+    [depth] notes allocates one slot and a copy of [clock]; every later
+    note overwrites the oldest slot in place and allocates nothing.
+    [depth <= 0] returns the ring unchanged. *)
 
 val history : ring -> entry list
-(** Retained accesses, newest first (at most the ring's depth). *)
+(** Retained accesses, newest first (at most the ring's depth), as
+    fresh copies: later notes do not change them. *)
 
 val find_prior :
   ring -> pid:int -> write:bool -> clock:Vector_clock.t -> entry option
@@ -42,4 +55,4 @@ val find_prior :
     true unless both are plain reads) and whose clock is concurrent
     with [clock]. Falls back to the most recent conflicting access when
     no retained entry is concurrent (the true endpoint may have aged
-    out of the bounded ring). *)
+    out of the bounded ring). The answer is a fresh copy. *)

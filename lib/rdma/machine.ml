@@ -85,7 +85,9 @@ type rel_state = {
 (* Per-(src,dst)-edge clock piggyback state: the last clock shipped on
    the edge (the delta base) and the edge's piggyback sequence number.
    The sender owns one table keyed by the edge; each receiver mirrors it
-   from what actually got delivered, keyed the same way. An edge's key is
+   from what actually got delivered, keyed the same way. The clock is
+   created at the edge's first frame and overwritten in place after
+   that, so a message allocates no cache or mirror clock. An edge's key is
    the immediate int [src * n + dst] in an int-specialized table, so the
    lookup twice per clock-carrying message builds no tuple and runs no
    polymorphic hash. *)
@@ -188,8 +190,8 @@ let pb_count m w =
   | Dsm_clocks.Codec.Delta -> m.pb_delta <- m.pb_delta + 1
 
 (* Sender side: frame the clock for this edge, advance the edge cache to
-   the value just shipped (the next delta's base), and return the frame
-   with the snapshot the retransmit fallback may need. *)
+   the value just shipped (the next delta's base), and return the
+   frame. *)
 let encode_pb m ~src ~dst v =
   let e = pb_edge_of m m.pb_sent ~src ~dst in
   let mode =
@@ -198,11 +200,12 @@ let encode_pb m ~src ~dst v =
   let w =
     Dsm_clocks.Codec.encode_piggyback ~mode ~seq:e.pb_seq ?since:e.pb_cache v
   in
-  let snap = Dsm_clocks.Vector_clock.snapshot v in
+  (match e.pb_cache with
+  | Some c -> Dsm_clocks.Vector_clock.assign ~into:c v
+  | None -> e.pb_cache <- Some (Dsm_clocks.Vector_clock.copy v));
   e.pb_seq <- e.pb_seq + 1;
-  e.pb_cache <- Some snap;
   pb_count m w;
-  (w, snap)
+  w
 
 (* Receiver side: decode against the mirror of the sender's edge cache,
    advancing the mirror to the decoded value. A delta frame that arrives
@@ -215,11 +218,18 @@ let absorb_pb m ~node ~src = function
   | None -> ()
   | Some w ->
       let e = pb_edge_of m m.pb_recv ~src ~dst:node in
-      let v, seq =
-        Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq ?base:e.pb_cache
-          w
+      let seq =
+        match e.pb_cache with
+        | Some mirror ->
+            Dsm_clocks.Codec.decode_piggyback_into ~expect_seq:e.pb_seq
+              ?base:e.pb_cache ~into:mirror w
+        | None ->
+            let v, seq =
+              Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq w
+            in
+            e.pb_cache <- Some v;
+            seq
       in
-      e.pb_cache <- Some v;
       e.pb_seq <- seq + 1
 
 let rec handle m ~node ~src msg =
@@ -495,13 +505,12 @@ and transmit m ~src ~dst msg =
      [words], so the wire encoding cannot perturb the schedule. *)
   let wire_words, clock_words =
     match (pb, m.clock_src) with
-    | Some (w, _), _ ->
+    | Some w, _ ->
         let cw = Array.length w in
         (Message.wire_words_piggyback ~pb:cw msg, cw)
     | None, Some _ -> (Message.wire_words_piggyback ~pb:0 msg, 0)
     | None, None -> (words, 0)
   in
-  let pb_wire = Option.map fst pb in
   (* Eventual: put frames skip the fabric's FIFO floor, so two puts on
      the same edge can apply out of send order. Everything else (gets,
      replies, locks, acks) stays ordered; the reliable transport's
@@ -518,7 +527,7 @@ and transmit m ~src ~dst msg =
   | None ->
       Dsm_net.Fabric.send m.fabric ~src ~dst ~words ~wire_words ~clock_words
         ~fifo ~label
-        { link_seq = -1; pb = pb_wire; body = Msg msg }
+        { link_seq = -1; pb; body = Msg msg }
   | Some r ->
       let seq = r.next_seq.(src).(dst) in
       r.next_seq.(src).(dst) <- seq + 1;
@@ -526,14 +535,18 @@ and transmit m ~src ~dst msg =
         {
           u_msg = msg;
           u_words = words;
-          u_pb = pb;
+          u_pb =
+            (match (pb, m.clock_src) with
+            | Some w, Some f ->
+                Some (w, Dsm_clocks.Vector_clock.snapshot (f ~pid:src))
+            | _ -> None);
           u_wire = wire_words;
           u_clock = clock_words;
           u_tries = 0;
         };
       Dsm_net.Fabric.send m.fabric ~src ~dst ~words ~wire_words ~clock_words
         ~label
-        { link_seq = seq; pb = pb_wire; body = Msg msg };
+        { link_seq = seq; pb; body = Msg msg };
       arm_retransmit m r ~src ~dst ~seq
 
 (* Sender half of the reliable transport: while a frame is unacked, keep

@@ -161,3 +161,173 @@ let decode_piggyback ~expect_seq ?base w =
         | Some b -> decode_vector_delta ~base:b payload)
   in
   (v, seq)
+
+(* The sized-first codec: the live encoder and decoders as they were
+   before decoding learnt to write into an existing clock. The encoder
+   sizes the three candidates and builds only the shortest; every
+   decoder returns a fresh clock. Its [Invalid_argument] texts are the
+   ones [Codec.decode_piggyback_into] must raise, and it must leave its
+   target untouched when it does. *)
+module Sized = struct
+  let dense_len v = Vector_clock.dim v + 1
+
+  let pairs_len k = 2 + (2 * k)
+
+  let write_dense w off v =
+    w.(off) <- Vector_clock.dim v;
+    Vector_clock.store_words v w ~off:(off + 1)
+
+  let write_pairs w off ~n ~k walk =
+    w.(off) <- n;
+    w.(off + 1) <- k;
+    let slot = ref (off + 2) in
+    walk (fun i x ->
+        w.(!slot) <- i;
+        w.(!slot + 1) <- x;
+        slot := !slot + 2)
+
+  (* The components where [v] differs from [since], ascending. *)
+  let iter_diff f ~since v =
+    for i = 0 to Vector_clock.dim v - 1 do
+      let x = Vector_clock.entry v i in
+      if x <> Vector_clock.entry since i then f i x
+    done
+
+  let count_diff ~since v =
+    let d = ref 0 in
+    iter_diff (fun _ _ -> incr d) ~since v;
+    !d
+
+  let decode_dense_at w off =
+    let len = Array.length w - off in
+    if len = 0 then invalid_arg "Codec.decode_vector: empty buffer";
+    let n = w.(off) in
+    if n <= 0 || len <> n + 1 then
+      invalid_arg "Codec.decode_vector: malformed buffer";
+    let v = Vector_clock.create ~n in
+    Vector_clock.load_words v w ~off:(off + 1);
+    v
+
+  let walk_pairs w off k f =
+    for j = 0 to k - 1 do
+      f w.(off + 2 + (2 * j)) w.(off + 3 + (2 * j))
+    done
+
+  let decode_sparse_at w off =
+    let len = Array.length w - off in
+    if len < 2 then invalid_arg "Codec.decode_vector_sparse: truncated buffer";
+    let n = w.(off) and k = w.(off + 1) in
+    if n <= 0 || k < 0 || k > n then
+      invalid_arg "Codec.decode_vector_sparse: malformed header";
+    if len < pairs_len k then
+      invalid_arg "Codec.decode_vector_sparse: truncated buffer";
+    if len > pairs_len k then
+      invalid_arg "Codec.decode_vector_sparse: trailing words";
+    let prev = ref (-1) in
+    for j = 0 to k - 1 do
+      let pid = w.(off + 2 + (2 * j)) and tick = w.(off + 3 + (2 * j)) in
+      if pid <= !prev || pid >= n then
+        invalid_arg "Codec.decode_vector_sparse: pids not ascending in range";
+      if tick <= 0 then
+        invalid_arg "Codec.decode_vector_sparse: non-positive tick";
+      prev := pid
+    done;
+    Vector_clock.of_ascending ~n (walk_pairs w off k)
+
+  let decode_delta_at ~base w off =
+    let len = Array.length w - off in
+    if len < 2 then invalid_arg "Codec.decode_vector_delta: empty";
+    let n = w.(off) and count = w.(off + 1) in
+    if n <> Vector_clock.dim base || count < 0 || len <> pairs_len count then
+      invalid_arg "Codec.decode_vector_delta: malformed buffer";
+    let stop = off + len in
+    let prev = ref (-1) in
+    for j = 0 to count - 1 do
+      let i = w.(off + 2 + (2 * j)) and x = w.(off + 3 + (2 * j)) in
+      if i <= !prev || i >= n || x < 0 then
+        invalid_arg "Codec.decode_vector_delta: malformed entry";
+      prev := i
+    done;
+    if Vector_clock.is_epoch base || Vector_clock.is_sparse base then
+      Vector_clock.of_ascending ~n (fun f ->
+          let s = ref (off + 2) in
+          Vector_clock.iter_active
+            (fun p x ->
+              while !s < stop && w.(!s) < p do
+                f w.(!s) w.(!s + 1);
+                s := !s + 2
+              done;
+              if !s < stop && w.(!s) = p then begin
+                f p w.(!s + 1);
+                s := !s + 2
+              end
+              else f p x)
+            base;
+          while !s < stop do
+            f w.(!s) w.(!s + 1);
+            s := !s + 2
+          done)
+    else begin
+      let a = Vector_clock.to_array base in
+      walk_pairs w off count (fun i x -> a.(i) <- x);
+      Vector_clock.of_array a
+    end
+
+  let frame ~tag ~seq len =
+    let w = Array.make (len + 2) 0 in
+    w.(0) <- tag;
+    w.(1) <- seq;
+    w
+
+  let dense_frame ~seq v =
+    let w = frame ~tag:0 ~seq (dense_len v) in
+    write_dense w 2 v;
+    w
+
+  let sparse_frame ~seq ~k v =
+    let w = frame ~tag:1 ~seq (pairs_len k) in
+    write_pairs w 2 ~n:(Vector_clock.dim v) ~k (fun f ->
+        Vector_clock.iter_active f v);
+    w
+
+  let encode_piggyback ~mode ~seq ?since v =
+    if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq";
+    match mode with
+    | Dense -> dense_frame ~seq v
+    | Sparse -> sparse_frame ~seq ~k:(Vector_clock.active_entries v) v
+    | Delta -> (
+        let k = Vector_clock.active_entries v in
+        let self_len = min (pairs_len k) (dense_len v) in
+        let d =
+          match since with
+          | Some s when Vector_clock.dim s = Vector_clock.dim v ->
+              count_diff ~since:s v
+          | _ -> Vector_clock.dim v
+        in
+        match since with
+        | Some s when pairs_len d < self_len ->
+            let w = frame ~tag:2 ~seq (pairs_len d) in
+            write_pairs w 2 ~n:(Vector_clock.dim v) ~k:d (fun f ->
+                iter_diff f ~since:s v);
+            w
+        | _ ->
+            if pairs_len k <= dense_len v then sparse_frame ~seq ~k v
+            else dense_frame ~seq v)
+
+  let decode_piggyback ~expect_seq ?base w =
+    let mode = piggyback_mode_of w in
+    let seq = w.(1) in
+    if seq < 0 then invalid_arg "Codec.decode_piggyback: negative seq";
+    let v =
+      match mode with
+      | Dense -> decode_dense_at w 2
+      | Sparse -> decode_sparse_at w 2
+      | Delta -> (
+          if seq <> expect_seq then
+            invalid_arg "Codec.decode_piggyback: out-of-sequence delta";
+          match base with
+          | None -> invalid_arg "Codec.decode_piggyback: delta without base"
+          | Some b -> decode_delta_at ~base:b w 2)
+    in
+    (v, seq)
+end

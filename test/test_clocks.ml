@@ -937,9 +937,131 @@ let prop_codec_matches_reference =
                   (mutation_sites rng w))
            [ Codec.Dense; Codec.Sparse; Codec.Delta ])
 
+(* ---------- in-place decoding against the sized-first reference ---------- *)
+
+(* A clock holding [value] whose representation started as an epoch
+   (shape 0), a sparse clock (1) or a dense one (2): every component is
+   then [set], and lowering never demotes, so a dense start stays dense
+   whenever the dimension allows a dense clock at all. *)
+let held_as shape value =
+  let n = Vector_clock.dim value in
+  let c =
+    match shape with
+    | 0 -> Vector_clock.create ~n
+    | 1 -> Vector_clock.of_array (Array.init n (fun i -> if i < 2 then 1 else 0))
+    | _ -> Vector_clock.of_array (Array.make n 1)
+  in
+  for i = 0 to n - 1 do
+    Vector_clock.set c i (Vector_clock.entry value i)
+  done;
+  c
+
+(* The frame itself, then the targeted corruptions: truncated, bad tag,
+   unsorted pids, negative tick, wrong dimension word; then single-word
+   perturbations. *)
+let frame_mutations rng w =
+  let len = Array.length w in
+  let with_word i x =
+    let w' = Array.copy w in
+    w'.(i) <- x;
+    w'
+  in
+  let swapped_pids =
+    if len >= 8 then begin
+      let w' = Array.copy w in
+      w'.(4) <- w.(6);
+      w'.(6) <- w.(4);
+      [ w' ]
+    end
+    else []
+  in
+  [ w; Array.sub w 0 (len - 1); Array.sub w 0 1; [||]; with_word 0 7 ]
+  @ swapped_pids
+  @ (if len > 5 then [ with_word 5 (-1) ] else [])
+  @ (if len > 3 then [ with_word 3 (-1) ] else [])
+  @ (if len > 2 then [ with_word 2 (w.(2) + 1); with_word 2 (w.(2) - 1) ]
+     else [])
+  @ List.concat_map
+      (fun i -> [ with_word i (w.(i) + 1); with_word i 0 ])
+      (mutation_sites rng w)
+
+(* [decode_piggyback_into] overwrites [into] with what the sized-first
+   decoder returns against the same base, or raises its exact text and
+   leaves [into] as it was; a frame of another dimension than [into]'s
+   raises the dimension-mismatch text. [base] is [into] itself (the
+   receiver's mirror), another clock, or absent. *)
+let decode_into_matches ~expect_seq ~base ~into w =
+  let before = Vector_clock.copy into in
+  let ref_base =
+    Option.map (fun b -> if b == into then before else Vector_clock.copy b) base
+  in
+  let expected =
+    match Codec_ref.Sized.decode_piggyback ~expect_seq ?base:ref_base w with
+    | v, seq when Vector_clock.dim v = Vector_clock.dim into -> Ok (v, seq)
+    | _ -> Error "Codec.decode_piggyback: dimension mismatch"
+    | exception Invalid_argument msg -> Error msg
+  in
+  match (Codec.decode_piggyback_into ~expect_seq ?base ~into w, expected) with
+  | seq, Ok (v, seq') -> seq = seq' && Vector_clock.equal v into
+  | _, Error _ -> false
+  | exception Invalid_argument msg -> (
+      match expected with
+      | Error msg' -> msg = msg' && Vector_clock.equal into before
+      | Ok _ -> false)
+
+let prop_decode_into_matches_sized_reference =
+  QCheck.Test.make ~name:"in-place decoding matches the sized-first reference"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (n, kind, sk, seed) ->
+          Printf.sprintf "(n=%d, kind=%d, since=%d, seed=%d)" n kind sk seed)
+        Gen.(
+          quad (int_range 1 64) (int_bound 5) (int_bound 4)
+            (int_bound 1_000_000)))
+    (fun (n, kind, sk, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let v = oracle_clock rng ~n kind in
+      let since = oracle_since rng ~n v sk in
+      let seq = Random.State.int rng 1_000 in
+      let base_value =
+        match since with
+        | Some s when Vector_clock.dim s = n -> Some s
+        | _ -> None
+      in
+      List.for_all
+        (fun mode ->
+          let w = Codec.encode_piggyback ~mode ~seq ?since v in
+          w = Codec_ref.Sized.encode_piggyback ~mode ~seq ?since v
+          && List.for_all
+               (fun w' ->
+                 List.for_all
+                   (fun (shape, separate, expect_seq) ->
+                     let held =
+                       match base_value with
+                       | Some b when not separate -> b
+                       | _ -> oracle_clock rng ~n (Random.State.int rng 6)
+                     in
+                     let into = held_as shape held in
+                     let base =
+                       match base_value with
+                       | None -> None
+                       | Some b when separate ->
+                           Some (held_as (Random.State.int rng 3) b)
+                       | Some _ -> Some into
+                     in
+                     decode_into_matches ~expect_seq ~base ~into w')
+                   [
+                     (0, false, seq); (1, false, seq); (2, false, seq);
+                     (2, true, seq); (2, false, seq + 1);
+                   ])
+               (frame_mutations rng w))
+        [ Codec.Dense; Codec.Sparse; Codec.Delta ])
+
 (* The walkers and the pair constructor against the dense array: the
-   active walk is the nonzeros, the diff walk the differing components,
-   and [of_ascending] picks the representation [of_array] would. *)
+   active walk is the nonzeros, the diff scans count them and write the
+   differing components, and [of_ascending] picks the representation
+   [of_array] would. *)
 let prop_walkers_match_arrays =
   QCheck.Test.make ~name:"live-entry walkers match the dense array"
     ~count:300
@@ -961,13 +1083,18 @@ let prop_walkers_match_arrays =
         List.rev !acc
       in
       let indices p = List.filter p (List.init n Fun.id) in
+      let k, d = Vector_clock.active_and_changed ~since:a b in
+      let diff = Array.make (2 * d) 0 in
+      Vector_clock.store_diff ~since:a b diff ~off:0;
+      let diff_pairs = List.init d (fun j -> (diff.(2 * j), diff.((2 * j) + 1))) in
       let rebuilt =
         Vector_clock.of_ascending ~n (fun f ->
-            Vector_clock.iter_diff f ~since:a b)
+            List.iter (fun (i, x) -> f i x) diff_pairs)
       in
       collect (fun f -> Vector_clock.iter_active f a)
       = List.map (fun i -> (i, aa.(i))) (indices (fun i -> aa.(i) <> 0))
-      && collect (fun f -> Vector_clock.iter_diff f ~since:a b)
+      && k = List.length (indices (fun i -> ba.(i) <> 0))
+      && diff_pairs
          = List.map
              (fun i -> (i, ba.(i)))
              (indices (fun i -> aa.(i) <> ba.(i)))
@@ -1034,6 +1161,38 @@ let test_piggyback_round_trip_allocation () =
       ("older epoch", older, Codec.Sparse);
       ("equal epoch", Vector_clock.copy v, Codec.Delta);
     ]
+
+(* Minor words [rounds] calls of [f] allocate after one warm-up call. *)
+let minor_words_of ~rounds f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* The in-place paths allocate nothing once their target has the
+   shape: a dense-to-dense [assign], and a delta frame decoded into the
+   dense mirror it was encoded against. *)
+let test_in_place_allocation () =
+  let n = 64 in
+  let dense seed = Vector_clock.of_array (Array.init n (fun i -> 1 + ((i * seed) mod 7))) in
+  let src = dense 3 and into = dense 5 in
+  let words = minor_words_of ~rounds:1_000 (fun () -> Vector_clock.assign ~into src) in
+  Alcotest.(check bool) "assign copies" true (Vector_clock.equal into src);
+  Alcotest.(check (float 0.)) "assign between dense clocks" 0. words;
+  let mirror = dense 3 in
+  let v = Vector_clock.copy mirror in
+  List.iter (fun me -> Vector_clock.tick v ~me) [ 4; 9; 9; 40 ];
+  let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:11 ~since:mirror v in
+  Alcotest.(check bool) "delta frame" true (Codec.piggyback_mode_of w = Codec.Delta);
+  let base = Some mirror in
+  let words =
+    minor_words_of ~rounds:1_000 (fun () ->
+        ignore (Codec.decode_piggyback_into ~expect_seq:11 ?base ~into:mirror w))
+  in
+  Alcotest.(check bool) "mirror advanced" true (Vector_clock.equal mirror v);
+  Alcotest.(check (float 0.)) "delta decoded into a dense mirror" 0. words
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
@@ -1123,7 +1282,10 @@ let () =
             test_of_ascending_rejects;
           Alcotest.test_case "piggyback allocation" `Quick
             test_piggyback_round_trip_allocation;
+          Alcotest.test_case "in-place allocation" `Quick
+            test_in_place_allocation;
           QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+          QCheck_alcotest.to_alcotest prop_decode_into_matches_sized_reference;
           QCheck_alcotest.to_alcotest prop_walkers_match_arrays;
         ] );
     ]

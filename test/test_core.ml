@@ -1055,7 +1055,10 @@ let prop_history_matches_table_oracle =
         prov_outcomes
           ~note:(fun ~node ~offset ~len x ->
             let e = entry ~node ~offset ~len in
-            e.history <- Provenance.note ~depth e.history x)
+            e.history <-
+              Provenance.note ~depth e.history ~pid:x.Provenance.pid
+                ~kind:x.kind ~time:x.time ~op:x.op ~event_id:x.event_id
+                x.clock)
           ~history:(fun ~node ~offset ~len ->
             Provenance.history (entry ~node ~offset ~len).history)
           ~find_prior:(fun ~node ~offset ~len ->
@@ -1076,6 +1079,108 @@ let prop_history_matches_table_oracle =
         QCheck.Test.fail_reportf "live:\n%s\noracle:\n%s"
           (String.concat "\n" live)
           (String.concat "\n" expected))
+
+(* ---------- provenance ring: copies and allocation ---------- *)
+
+let read_entry (e : Provenance.entry) =
+  (e.pid, e.kind, e.time, e.op, e.event_id, Dsm_clocks.Vector_clock.to_array e.clock)
+
+(* What [history] and [find_prior] hand out is a copy: notes that wrap
+   the ring twice leave it as it was taken. A note reads the accessor's
+   clock and keeps none of it: ticking that clock afterwards changes no
+   retained entry. *)
+let test_history_copies_survive_wraps () =
+  let depth = 3 in
+  let clock = Dsm_clocks.Vector_clock.create ~n:3 in
+  let ring = ref Provenance.empty in
+  let noted = Hashtbl.create 16 in
+  let note i =
+    Dsm_clocks.Vector_clock.tick clock ~me:(i mod 3);
+    Hashtbl.replace noted i (Dsm_clocks.Vector_clock.to_array clock);
+    ring :=
+      Provenance.note ~depth !ring ~pid:(i mod 3) ~kind:Dsm_trace.Event.Write
+        ~time:(float_of_int i) ~op:i ~event_id:(-1) clock
+  in
+  let clocks_as_noted () =
+    List.for_all
+      (fun (e : Provenance.entry) ->
+        Dsm_clocks.Vector_clock.to_array e.clock = Hashtbl.find noted e.op)
+      (Provenance.history !ring)
+  in
+  for i = 0 to depth - 1 do
+    note i
+  done;
+  let history = Provenance.history !ring in
+  let prior =
+    Provenance.find_prior !ring ~pid:0 ~write:true
+      ~clock:(Dsm_clocks.Vector_clock.of_array [| 9; 0; 0 |])
+  in
+  let history_then = List.map read_entry history in
+  let prior_then = Option.map read_entry prior in
+  Alcotest.(check (list int)) "history taken" [ 2; 1; 0 ]
+    (List.map (fun (e : Provenance.entry) -> e.op) history);
+  Alcotest.(check (option int)) "prior taken" (Some 2)
+    (Option.map (fun (e : Provenance.entry) -> e.op) prior);
+  Alcotest.(check bool) "clocks as noted" true (clocks_as_noted ());
+  for i = depth to (3 * depth) - 1 do
+    note i;
+    Alcotest.(check bool) "clocks as noted after a wrap" true
+      (clocks_as_noted ())
+  done;
+  Alcotest.(check bool) "history unchanged" true
+    (List.map read_entry history = history_then);
+  Alcotest.(check bool) "prior unchanged" true
+    (Option.map read_entry prior = prior_then);
+  Alcotest.(check (list int)) "ring moved on" [ 8; 7; 6 ]
+    (List.map (fun (e : Provenance.entry) -> e.op) (Provenance.history !ring))
+
+(* Once the ring is full a note overwrites the oldest slot in place. *)
+let test_note_full_ring_allocates_nothing () =
+  let depth = 4 in
+  let clock = Dsm_clocks.Vector_clock.of_array (Array.init 64 (fun i -> i + 1)) in
+  let ring = ref Provenance.empty in
+  let note () =
+    ring :=
+      Provenance.note ~depth !ring ~pid:3 ~kind:Dsm_trace.Event.Read ~time:2.5
+        ~op:7 ~event_id:(-1) clock
+  in
+  for _ = 1 to depth do
+    note ()
+  done;
+  note ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    note ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ring full" depth (List.length (Provenance.history !ring));
+  Alcotest.(check (float 0.)) "note on a full ring" 0. words
+
+(* ---------- allocation budget ---------- *)
+
+(* The minor words a fixed checked stencil run allocates per checked op
+   may not rise: 338.1 when this ceiling was set (433.6 before clocks
+   were copied in place on the checked-op path). [Gc.minor_words] is
+   exact and the run deterministic, so any new allocation on the
+   per-message or per-check path shows. *)
+let test_checked_stencil_minor_words () =
+  let sim = Engine.create ~seed:7 () in
+  let m = Machine.create sim ~n:8 ~latency:(Dsm_net.Latency.Constant 1.0) () in
+  let d = Detector.create m () in
+  let env = Dsm_pgas.Env.checked d in
+  let params =
+    { Dsm_workload.Stencil.cells_per_node = 16; iterations = 3; seed = 7 }
+  in
+  ignore
+    (Dsm_workload.Stencil.setup env
+       ~collectives:(Dsm_pgas.Collectives.create env) params);
+  let before = Gc.minor_words () in
+  expect_completed m;
+  let words = Gc.minor_words () -. before in
+  let per_op = words /. float_of_int (Detector.checked_ops d) in
+  Alcotest.(check int) "checked ops" 810 (Detector.checked_ops d);
+  if per_op > 338.2 then
+    Alcotest.failf "%.1f minor words per checked op (ceiling 338.2)" per_op
 
 (* ---------- transfer-path pins ---------- *)
 
@@ -1480,6 +1585,11 @@ let () =
           Alcotest.test_case "transfer paths pinned" `Quick
             test_transfer_path_pins;
         ] );
+      ( "allocation-budget",
+        [
+          Alcotest.test_case "checked stencil minor words per op" `Quick
+            test_checked_stencil_minor_words;
+        ] );
       ( "introspection",
         [
           Alcotest.test_case "counters" `Quick test_counters;
@@ -1497,6 +1607,10 @@ let () =
           Alcotest.test_case "single table" `Quick test_store_single_table;
           QCheck_alcotest.to_alcotest prop_variables_match_list_oracle;
           QCheck_alcotest.to_alcotest prop_history_matches_table_oracle;
+          Alcotest.test_case "history copies survive wraps" `Quick
+            test_history_copies_survive_wraps;
+          Alcotest.test_case "note on a full ring allocates nothing" `Quick
+            test_note_full_ring_allocates_nothing;
         ] );
       ( "text-writers",
         [
