@@ -111,21 +111,14 @@ let run ?(runs = 100) ?depth (spec : Explore.spec) (model_a, model_b) =
         consider walk (Explore.run_once_in ctx_a (Explore.Walk walk))
       done
   | Some depth ->
-      (* Bounded-exhaustive: the explorer's own DFS over decision
-         prefixes ([Explore.last_children] orders the children), keeping
-         every schedule where [Explore.explore_exhaustive] stops at the
+      (* Bounded-exhaustive: the explorer's own DFS, keeping every
+         schedule where [Explore.explore_exhaustive_in] stops at the
          first violation. *)
-      let stack = ref [ [] ] in
-      while !stack <> [] && !schedules < runs do
-        match !stack with
-        | [] -> ()
-        | prefix :: rest ->
-            consider !schedules
-              (Explore.run_once_in ctx_a (Explore.Script prefix));
-            stack :=
-              Explore.last_children ctx_a ~plen:(List.length prefix) ~depth
-              @ rest
-      done);
+      Explore.dfs_in ctx_a ~root:[] ~prefix:Fun.id
+        ~until:(fun () -> !schedules >= runs)
+        (fun prefix r ->
+          consider !schedules (Explore.result_of ctx_a r);
+          Explore.last_children ctx_a ~plen:(List.length prefix) ~depth));
   {
     schedules = !schedules;
     differing = !differing;

@@ -1,9 +1,10 @@
 (** Sleep-set dynamic partial-order reduction over the explorer's
     bounded-exhaustive DFS.
 
-    The search walks the same first-deviation tree as
-    {!Explore.explore_exhaustive_in} — same children, same canonical
-    order — but skips children whose first deviating event is in the
+    The search is the explorer's one DFS loop ({!Explore.dfs_in}) over
+    the same first-deviation tree as {!Explore.explore_exhaustive_in} —
+    same children, same canonical order — with a sleep set carried in
+    each node. It skips children whose first deviating event is in the
     node's {e sleep set}: the event fired as a default continuation in
     an already-explored sibling subtree, and nothing dependent with it
     has executed since, so the child's entire subtree consists of

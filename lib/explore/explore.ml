@@ -446,10 +446,6 @@ let explore_random_in ?(check_determinism = true) ?(stop_on_first = true) ctx
   in
   loop 0 0 0 None
 
-let explore_random ?(check_determinism = true) ?(stop_on_first = true) spec
-    ~runs =
-  explore_random_in ~check_determinism ~stop_on_first (create_ctx spec) ~runs
-
 (* Decision prefixes deviating from the run most recently executed in
    [ctx], in canonical order: deviation position ascending, then branch
    ascending. Both the sequential DFS and the parallel driver's subtree
@@ -473,36 +469,36 @@ let last_children ctx ~plen ~depth =
   done;
   !acc
 
+(* The one bounded-exhaustive DFS loop, first-deviation order — the
+   classic stateless-model-checking enumeration. Pop a node, run its
+   prefix as a [Script], and push the children [step] returns ahead of
+   the rest of the stack, in the order given. [until] is asked before
+   every run; the search ends when it holds or the stack is empty. *)
+let dfs_in ?(check_determinism = false) ctx ~root ~prefix ~until step =
+  let rec loop = function
+    | node :: rest when not (until ()) ->
+        let r = exec_checked ~check_determinism ctx (Script (prefix node)) in
+        loop (step node r @ rest)
+    | _ -> ()
+  in
+  loop [ root ]
+
 (* Bounded-exhaustive DFS over decision prefixes: run the scripted
    prefix, read the (ready, chosen) trace it actually produced, and push
    one child per untaken branch at every choice point past the prefix
-   (up to [depth] choice points into the run). First-deviation order —
-   the classic stateless-model-checking enumeration. *)
+   (up to [depth] choice points into the run). *)
 let explore_exhaustive_in ?(check_determinism = false) ?(max_runs = 500) ctx
     ~depth =
-  let stack = ref [ [] ] in
-  let executed = ref 0 in
-  let violated = ref 0 in
+  let runs = ref 0 in
   let first = ref None in
-  let continue_ () = !stack <> [] && !executed < max_runs && !first = None in
-  while continue_ () do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-        stack := rest;
-        let r = exec_checked ~check_determinism ctx (Script prefix) in
-        incr executed;
-        if raw_violating r then begin
-          incr violated;
-          if !first = None then first := Some (Script prefix, result_of ctx r)
-        end;
-        stack := last_children ctx ~plen:(List.length prefix) ~depth @ !stack
-  done;
-  { runs = !executed; violated = !violated; first = !first }
-
-let explore_exhaustive ?(check_determinism = false) ?(max_runs = 500) spec
-    ~depth =
-  explore_exhaustive_in ~check_determinism ~max_runs (create_ctx spec) ~depth
+  dfs_in ~check_determinism ctx ~root:[] ~prefix:Fun.id
+    ~until:(fun () -> !runs >= max_runs || Option.is_some !first)
+    (fun prefix r ->
+      incr runs;
+      if raw_violating r then first := Some (Script prefix, result_of ctx r);
+      last_children ctx ~plen:(List.length prefix) ~depth);
+  { runs = !runs; violated = (if Option.is_some !first then 1 else 0);
+    first = !first }
 
 (* Greedy minimization: find a short violating decision prefix by
    binary-searching the prefix length (violations here are usually

@@ -120,30 +120,22 @@ type stats = {
   first : (mode * run_result) option;  (** first violating run, if any *)
 }
 
-val explore_random :
-  ?check_determinism:bool -> ?stop_on_first:bool -> spec -> runs:int -> stats
+val explore_random_in :
+  ?check_determinism:bool -> ?stop_on_first:bool -> ctx -> runs:int -> stats
 (** Randomized-walk exploration: up to [runs] schedules, each under an
     independent decision stream. [check_determinism] defaults to [true]
     here (it doubles the cost but every schedule is cheap);
-    [stop_on_first] (default [true]) returns at the first violation. *)
-
-val explore_random_in :
-  ?check_determinism:bool -> ?stop_on_first:bool -> ctx -> runs:int -> stats
-(** {!explore_random} over an existing arena. The walk loop is
-    allocation-tight: per-run results are kept in the arena's reusable
-    buffers and a full {!run_result} is only materialized for the first
-    violating run. *)
-
-val explore_exhaustive :
-  ?check_determinism:bool -> ?max_runs:int -> spec -> depth:int -> stats
-(** Bounded-exhaustive enumeration: DFS over all decision prefixes that
-    deviate from the default schedule within the first [depth] choice
-    points, capped at [max_runs] (default 500) schedules. Stops at the
-    first violation. *)
+    [stop_on_first] (default [true]) returns at the first violation.
+    The walk loop is allocation-tight: per-run results are kept in the
+    arena's reusable buffers and a full {!run_result} is only
+    materialized for the first violating run. *)
 
 val explore_exhaustive_in :
   ?check_determinism:bool -> ?max_runs:int -> ctx -> depth:int -> stats
-(** {!explore_exhaustive} over an existing arena. *)
+(** Bounded-exhaustive enumeration ({!dfs_in}): all decision prefixes
+    that deviate from the default schedule within the first [depth]
+    choice points, capped at [max_runs] (default 500) schedules. Stops
+    at the first violation. *)
 
 val minimize : ?metrics:Dsm_obs.Metrics.t -> spec -> int list -> int list
 (** Greedy shrink of a violating decision list: binary-search the
@@ -164,8 +156,8 @@ val replay : ?probe:(Dsm_obs.Probe.t -> unit) -> Token.t -> (run_result, string)
 
     The raw per-run interface shared with {!Parallel}: a run summary
     whose schedule stays in the arena's buffers. Not intended for
-    end-user code — the stable surface is {!run_once} / {!explore_random}
-    / {!explore_exhaustive} above. *)
+    end-user code — the stable surface is {!run_once} /
+    {!explore_random_in} / {!explore_exhaustive_in} above. *)
 
 type raw
 (** Outcome, fingerprint, violations of the latest run; the decision
@@ -197,6 +189,25 @@ val last_children : ctx -> plen:int -> depth:int -> int list list
     ascending, then branch ascending). Both the sequential DFS and the
     parallel subtree partition enumerate through this one function; the
     shared order is what makes the parallel merge bit-identical. *)
+
+val dfs_in :
+  ?check_determinism:bool ->
+  ctx ->
+  root:'node ->
+  prefix:('node -> int list) ->
+  until:(unit -> bool) ->
+  ('node -> raw -> 'node list) ->
+  unit
+(** The one prefix-stack DFS over schedules. Starting from a stack
+    holding [root], it pops a node, asks [until ()] (the search ends
+    when it holds, or when the stack is empty), runs [prefix node] as a
+    [Script] in [ctx], and pushes the nodes [step node raw] returns
+    ahead of the rest of the stack, in the order given. [step] runs
+    while the arena still holds that run, so it may read
+    {!last_children} or {!result_of}. {!explore_exhaustive_in}, the
+    parallel subtree search, [Diff.run ~depth] and the DPOR search
+    (whose nodes carry sleep sets) are all this loop.
+    [check_determinism] defaults to [false]. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -4,14 +4,15 @@
    embarrassingly parallel: every run is a pure function of
    (spec, decision source), so workers never share simulation state —
    each domain owns a private [Explore.ctx] arena and the only shared
-   data are a few atomics, a mutex-protected "best finding" slot, and
-   the task queue. The delicate part is not the parallelism but the
-   merge: [explore ~jobs:n] must report bit-identically what the
-   sequential explorer reports, for every n. Both drivers below achieve
-   that by agreeing with the sequential search on a canonical order —
-   walk index for random walks, canonical subtree rank (deviation
-   position ascending, branch ascending; see [Explore.last_children])
-   for the DFS — and reducing findings to the minimum under that order.
+   data are a few atomics (the claim counter, the best index) and a
+   mutex-protected "best finding" slot. The delicate part is not the
+   parallelism but the merge: [explore ~jobs:n] must report
+   bit-identically what the sequential explorer reports, for every n.
+   Both drivers below achieve that by agreeing with the sequential
+   search on a canonical order — walk index for random walks, canonical
+   subtree rank (deviation position ascending, branch ascending; see
+   [Explore.last_children]) for the DFS — and reducing findings to the
+   minimum under that order.
 
    The costs that made jobs > 1 a slowdown on short batches were fixed
    constants, paid per batch or per run:
@@ -28,57 +29,12 @@
      [chunk] walk indices per fetch-and-add (default 64), so the
      shared-counter cost amortizes to ~1/chunk per run.
 
-   OCaml 5.1, no domainslib: a Mutex/Condition work-sharing queue,
-   a Mutex/Condition job barrier and [Domain.spawn] are all this
-   needs. The calling domain participates as worker 0, so a pool of
-   size n spawns n - 1 domains. *)
-
-(* ---------- work-sharing queue ---------- *)
-
-module Wsq = struct
-  type 'a t = {
-    m : Mutex.t;
-    c : Condition.t;
-    q : 'a Queue.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    { m = Mutex.create (); c = Condition.create (); q = Queue.create ();
-      closed = false }
-
-  let push t x =
-    Mutex.lock t.m;
-    Queue.push x t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let close t =
-    Mutex.lock t.m;
-    t.closed <- true;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  (* Blocking pop; [None] once the queue is closed and drained. *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      if not (Queue.is_empty t.q) then begin
-        let x = Queue.pop t.q in
-        Mutex.unlock t.m;
-        Some x
-      end
-      else if t.closed then begin
-        Mutex.unlock t.m;
-        None
-      end
-      else begin
-        Condition.wait t.c t.m;
-        wait ()
-      end
-    in
-    wait ()
-end
+   Both drivers hand out work through one claim loop ([run_claims])
+   over an [Atomic] counter: walks claim [chunk] indices at a time,
+   DFS subtrees one rank at a time. OCaml 5.1, no domainslib: that
+   counter, a Mutex/Condition job barrier and [Domain.spawn] are all
+   this needs. The calling domain participates as worker 0, so a pool
+   of size n spawns n - 1 domains. *)
 
 (* ---------- persistent worker pool ---------- *)
 
@@ -197,9 +153,6 @@ module Pool = struct
     Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 end
 
-let with_pool_opt ?pool ~jobs f =
-  match pool with Some p -> f p | None -> Pool.with_pool ~jobs f
-
 (* The worker's hot arena, rebuilt only when this slot last ran a
    different spec. The metrics registry outlives arena swaps: it is
    attached to whichever engine the slot currently owns. *)
@@ -241,6 +194,16 @@ let fold_worker_metrics pool metrics =
               Dsm_obs.Metrics.reset src)
         pool.Pool.slots
 
+(* One batch: [f] on [pool], or on a throwaway pool of [jobs] workers,
+   then the fold — every batch, however it ran, meters into [metrics]. *)
+let batch ?pool ~jobs ~metrics f =
+  let run pool =
+    let stats = f pool in
+    fold_worker_metrics pool metrics;
+    stats
+  in
+  match pool with Some p -> run p | None -> Pool.with_pool ~jobs run
+
 let rec atomic_min a v =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
@@ -251,43 +214,63 @@ let claim_probe ctx ~domain ~first_run ~count =
     Dsm_obs.Probe.emit probe
       (Dsm_obs.Probe.Domain_claim { domain; first_run; count })
 
+(* The one claim loop, run by every worker of both drivers: claim
+   [chunk] consecutive indices of [0, count) per fetch-and-add on a
+   shared counter and pass each to [work] with the worker's arena, until
+   the range is used up — or, with [stop_above], until the next index is
+   above the shared best. Claims are monotone, so every index the worker
+   could still claim is above the best too: it stops for good and drops
+   the rest of its chunk. The best only ever decreases, so every dropped
+   index is above the final best, and every index below it was executed
+   by someone. *)
+let run_claims pool ~metrics spec ~chunk ~count ?stop_above work =
+  let next = Atomic.make 0 in
+  if count > 0 then
+    Pool.run pool (fun wid ->
+        let ctx = slot_ctx pool ~metrics spec wid in
+        let continue_ = ref true in
+        while !continue_ do
+          let lo = Atomic.fetch_and_add next chunk in
+          if lo >= count then continue_ := false
+          else begin
+            let hi = min count (lo + chunk) in
+            claim_probe ctx ~domain:wid ~first_run:lo ~count:(hi - lo);
+            let i = ref lo in
+            while !continue_ && !i < hi do
+              (match stop_above with
+              | Some best when !i > Atomic.get best -> continue_ := false
+              | _ -> work ctx !i);
+              incr i
+            done
+          end
+        done)
+
 (* ---------- random walks ---------- *)
 
-(* Walk indices are claimed in chunks from a shared counter; each index
-   is a pure function of (spec, index), so ownership does not matter.
-   The merge order is the walk index itself:
+(* Walk indices are claimed in chunks; each index is a pure function of
+   (spec, index), so ownership does not matter. The merge order is the
+   walk index itself:
 
    - [stop_on_first = true]: the sequential explorer returns the walk
      with the lowest violating index i*, having executed exactly
-     i* + 1 runs. Workers CAS-min a shared best index; a worker that
-     reaches an index above the current best stops claiming entirely
-     (the claim counter is monotone, so every index it could claim
-     later is above it too) and discards the rest of its chunk. The
-     best index only ever decreases, so every discarded index is above
-     the final i*; and every index below the final i* was claimed and
-     executed by someone — a violation there would have lowered i* —
-     so the minimum is exact.
+     i* + 1 runs. Workers CAS-min a shared best index and claim with
+     [stop_above] on it, so the minimum is exact.
    - [stop_on_first = false]: no index is ever skipped; the violation
      count is exact and the reported first violation is again the
      index minimum. *)
 let explore_random ?(check_determinism = true) ?(stop_on_first = true)
     ?metrics ?progress ?(chunk = 64) ?pool ~jobs spec ~runs =
   if chunk < 1 then invalid_arg "Parallel.explore_random: chunk must be >= 1";
-  with_pool_opt ?pool ~jobs @@ fun pool ->
+  batch ?pool ~jobs ~metrics @@ fun pool ->
   if Pool.size pool = 1 || runs <= 1 then begin
     let ctx = slot_ctx pool ~metrics spec 0 in
     (* worker 0 claims the whole index range in one chunk — true, and it
        keeps the claim counters and the timeline's domain lane live on
        single-core hosts where the pool clamps to one worker *)
     claim_probe ctx ~domain:0 ~first_run:0 ~count:runs;
-    let stats =
-      Explore.explore_random_in ~check_determinism ~stop_on_first ctx ~runs
-    in
-    fold_worker_metrics pool metrics;
-    stats
+    Explore.explore_random_in ~check_determinism ~stop_on_first ctx ~runs
   end
   else begin
-    let next = Atomic.make 0 in
     let best = Atomic.make max_int in
     let violated = Atomic.make 0 in
     let completed = Atomic.make 0 in
@@ -301,41 +284,21 @@ let explore_random ?(check_determinism = true) ?(stop_on_first = true)
       Mutex.unlock mu;
       atomic_min best i
     in
-    let job wid =
-      let ctx = slot_ctx pool ~metrics spec wid in
-      let continue_ = ref true in
-      while !continue_ do
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo >= runs then continue_ := false
-        else begin
-          let hi = min runs (lo + chunk) in
-          claim_probe ctx ~domain:wid ~first_run:lo ~count:(hi - lo);
-          let i = ref lo in
-          while !continue_ && !i < hi do
-            let idx = !i in
-            if stop_on_first && idx > Atomic.get best then continue_ := false
-            else begin
-              let raw =
-                Explore.exec_checked ~check_determinism ctx (Explore.Walk idx)
-              in
-              if Explore.raw_violating raw then begin
-                Atomic.incr violated;
-                record idx (Explore.result_of ctx raw)
-              end;
-              Atomic.incr completed;
-              match progress with
-              | None -> ()
-              | Some f ->
-                  f ~runs:(Atomic.get completed)
-                    ~violated:(Atomic.get violated)
-            end;
-            incr i
-          done
-        end
-      done
-    in
-    Pool.run pool job;
-    fold_worker_metrics pool metrics;
+    run_claims pool ~metrics spec ~chunk ~count:runs
+      ?stop_above:(if stop_on_first then Some best else None)
+      (fun ctx idx ->
+        let raw =
+          Explore.exec_checked ~check_determinism ctx (Explore.Walk idx)
+        in
+        if Explore.raw_violating raw then begin
+          Atomic.incr violated;
+          record idx (Explore.result_of ctx raw)
+        end;
+        Atomic.incr completed;
+        match progress with
+        | None -> ()
+        | Some f ->
+            f ~runs:(Atomic.get completed) ~violated:(Atomic.get violated));
     match !best_found with
     | Some (i, r) when stop_on_first ->
         { Explore.runs = i + 1; violated = 1; first = Some (Explore.Walk i, r) }
@@ -347,13 +310,12 @@ let explore_random ?(check_determinism = true) ?(stop_on_first = true)
 
 (* ---------- bounded-exhaustive DFS ---------- *)
 
-(* One task = one subtree of the DFS, identified by a first-level
-   decision prefix. The sequential search visits the first-level
-   children of the root in canonical order and explores each subtree
-   completely (same DFS, same child order) before the next, so its
-   global run sequence is: root, subtree 0, subtree 1, ... Workers
-   explore subtrees independently; the merge replays that sequence from
-   the per-subtree summaries, applying the [max_runs] cap and the
+(* The sequential search runs the root, then explores each first-level
+   subtree completely (same DFS, same child order) before the next, so
+   its global run sequence is: root, subtree 0, subtree 1, ... Worker 0
+   runs the root; the subtrees are then claimed one rank at a time and
+   each is searched by [Explore.dfs_in] on its own. The merge replays
+   the sequence from the summaries, applying the [max_runs] cap and the
    stop-at-first-violation rule exactly where the sequential search
    would. A subtree may be skipped or aborted only when a
    strictly-lower-ranked subtree has already violated — and the merge
@@ -368,135 +330,67 @@ type subtree =
          materialized *)
   | Skipped
 
+let rec merge ~max_runs runs = function
+  | [] -> { Explore.runs; violated = 0; first = None }
+  | Complete c :: rest ->
+      if runs + c >= max_runs then
+        { Explore.runs = max_runs; violated = 0; first = None }
+      else merge ~max_runs (runs + c) rest
+  | Violating (pos, prefix, r) :: _ when runs + pos <= max_runs ->
+      { Explore.runs = runs + pos; violated = 1;
+        first = Some (Explore.Script prefix, r) }
+  | Violating _ :: _ -> { Explore.runs = max_runs; violated = 0; first = None }
+  | Skipped :: _ ->
+      (* unreachable: a rank is only skipped when a lower rank violated,
+         and the merge stops at that lower rank (or at the cap) first *)
+      failwith "Parallel.explore_exhaustive: merge read a skipped subtree"
+
 let explore_exhaustive ?(check_determinism = false) ?(max_runs = 500) ?metrics
     ?pool ~jobs spec ~depth =
-  with_pool_opt ?pool ~jobs @@ fun pool ->
-  if Pool.size pool = 1 then begin
-    let ctx = slot_ctx pool ~metrics spec 0 in
-    let stats =
-      Explore.explore_exhaustive_in ~check_determinism ~max_runs ctx ~depth
-    in
-    fold_worker_metrics pool metrics;
-    stats
-  end
+  batch ?pool ~jobs ~metrics @@ fun pool ->
+  let ctx0 = slot_ctx pool ~metrics spec 0 in
+  if Pool.size pool = 1 then
+    Explore.explore_exhaustive_in ~check_determinism ~max_runs ctx0 ~depth
   else begin
-    (* worker 0's arena runs the root; worker 0 then reuses it below *)
-    let ctx0 = slot_ctx pool ~metrics spec 0 in
-    let root = Explore.exec_checked ~check_determinism ctx0 (Explore.Script []) in
-    if Explore.raw_violating root then begin
-      let stats =
-        {
-          Explore.runs = 1;
-          violated = 1;
-          first = Some (Explore.Script [], Explore.result_of ctx0 root);
-        }
-      in
-      fold_worker_metrics pool metrics;
-      stats
-    end
-    else begin
-      let children =
-        Array.of_list (Explore.last_children ctx0 ~plen:0 ~depth)
-      in
-      let k = Array.length children in
-      if max_runs <= 1 || k = 0 then begin
-        fold_worker_metrics pool metrics;
-        { Explore.runs = 1; violated = 0; first = None }
-      end
-      else begin
-        let q = Wsq.create () in
-        Array.iteri (fun rank prefix -> Wsq.push q (rank, prefix)) children;
-        Wsq.close q;
-        let best_rank = Atomic.make max_int in
-        (* one slot per rank, written exactly once by the worker that
-           claimed that rank from the queue *)
-        let outcomes = Array.make k Skipped in
-        let explore_subtree ctx ~rank prefix0 =
-          let stack = ref [ prefix0 ] in
-          let count = ref 0 in
-          let found = ref None in
-          let aborted = ref false in
-          let continue_ () =
-            !stack <> [] && !found = None && (not !aborted)
-            && !count < max_runs
-          in
-          while continue_ () do
-            if Atomic.get best_rank < rank then aborted := true
-            else
-              match !stack with
-              | [] -> ()
-              | prefix :: rest ->
-                  stack := rest;
-                  let raw =
-                    Explore.exec_checked ~check_determinism ctx
-                      (Explore.Script prefix)
-                  in
-                  incr count;
-                  if Explore.raw_violating raw then begin
-                    atomic_min best_rank rank;
-                    found := Some (!count, prefix, Explore.result_of ctx raw)
-                  end
-                  else
-                    stack :=
-                      Explore.last_children ctx ~plen:(List.length prefix)
-                        ~depth
-                      @ !stack
-          done;
-          match !found with
-          | Some (pos, prefix, r) -> Violating (pos, prefix, r)
-          | None -> if !aborted then Skipped else Complete !count
-        in
-        let job wid =
-          let ctx = slot_ctx pool ~metrics spec wid in
-          let rec drain () =
-            match Wsq.pop q with
-            | None -> ()
-            | Some (rank, prefix) ->
-                if rank > Atomic.get best_rank then
-                  outcomes.(rank) <- Skipped
-                else begin
-                  claim_probe ctx ~domain:wid ~first_run:rank ~count:1;
-                  outcomes.(rank) <- explore_subtree ctx ~rank prefix
-                end;
-                drain ()
-          in
-          drain ()
-        in
-        Pool.run pool job;
-        fold_worker_metrics pool metrics;
-        (* Deterministic merge: replay the sequential visit order. *)
-        let runs = ref 1 in
-        let violated = ref 0 in
-        let first = ref None in
-        (try
-           for rank = 0 to k - 1 do
-             match outcomes.(rank) with
-             | Complete c ->
-                 if !runs + c >= max_runs then begin
-                   runs := max_runs;
-                   raise Exit
-                 end
-                 else runs := !runs + c
-             | Violating (pos, prefix, r) ->
-                 if !runs + pos <= max_runs then begin
-                   runs := !runs + pos;
-                   violated := 1;
-                   first := Some (Explore.Script prefix, r);
-                   raise Exit
-                 end
-                 else begin
-                   runs := max_runs;
-                   raise Exit
-                 end
-             | Skipped ->
-                 (* unreachable: a rank is only skipped when a lower
-                    rank violated, and the merge exits at that lower
-                    rank (or at the cap) first *)
-                 failwith
-                   "Parallel.explore_exhaustive: merge read a skipped subtree"
-           done
-         with Exit -> ());
-        { Explore.runs = !runs; violated = !violated; first = !first }
-      end
-    end
+    let max_runs = max 0 max_runs in
+    let best_rank = Atomic.make max_int in
+    (* The DFS below [prefix0] (just [prefix0] itself unless [expand]):
+       it stops at the cap, at its first violation, or — as [Skipped] —
+       once a lower rank has violated. *)
+    let search ctx ~rank ~expand prefix0 =
+      let count = ref 0 in
+      let found = ref None in
+      let aborted = ref false in
+      Explore.dfs_in ~check_determinism ctx ~root:prefix0 ~prefix:Fun.id
+        ~until:(fun () ->
+          Option.is_some !found || !count >= max_runs
+          || (Atomic.get best_rank < rank && (aborted := true; true)))
+        (fun prefix raw ->
+          incr count;
+          if Explore.raw_violating raw then begin
+            atomic_min best_rank rank;
+            found := Some (!count, prefix, Explore.result_of ctx raw);
+            []
+          end
+          else if expand then
+            Explore.last_children ctx ~plen:(List.length prefix) ~depth
+          else []);
+      match !found with
+      | Some (pos, prefix, r) -> Violating (pos, prefix, r)
+      | None -> if !aborted then Skipped else Complete !count
+    in
+    (* the root goes through the same cap as every subtree, unexpanded
+       (its children are the ranks); rank -1, as nothing precedes it *)
+    let root = search ctx0 ~rank:(-1) ~expand:false [] in
+    let ranks =
+      match root with
+      | Complete 1 when max_runs > 1 ->
+          Array.of_list (Explore.last_children ctx0 ~plen:0 ~depth)
+      | _ -> [||]
+    in
+    let outcomes = Array.make (Array.length ranks) Skipped in
+    run_claims pool ~metrics spec ~chunk:1 ~count:(Array.length ranks)
+      ~stop_above:best_rank (fun ctx rank ->
+        outcomes.(rank) <- search ctx ~rank ~expand:true ranks.(rank));
+    merge ~max_runs 0 (root :: Array.to_list outcomes)
   end

@@ -5,7 +5,9 @@
     [(spec, decision source)], so worker domains share no simulation
     state — each owns a private [Explore.ctx] arena (engine, machine,
     buffers all reused across its runs) and coordination is a handful of
-    atomics plus a small Mutex/Condition work queue. No domainslib.
+    atomics: both drivers claim work from one shared counter, walks
+    [chunk] indices at a time and DFS subtrees one rank at a time. No
+    domainslib.
 
     The fixed costs that used to make [jobs > 1] a net slowdown on
     short batches are paid once per session, not per batch or per run:
@@ -16,15 +18,15 @@
 
     {b Determinism guarantee}: for a fixed spec, every [~jobs] and every
     [?chunk] value — including pools of size 1, which delegate to the
-    sequential explorer — produces the same [Explore.stats]: same run
-    count, same violation count, same first violation (mode,
-    fingerprint, decisions). Random walks merge on the minimum violating
-    walk index (chunk remainders are only ever discarded above the
-    current best index, which only decreases); the DFS partitions the
-    search into first-level subtrees and merges per-subtree summaries in
-    the sequential visit order (canonical child order, see
-    [Explore.last_children]), applying the run cap exactly where the
-    sequential search would. Scheduling races affect only which
+    sequential explorer — and every [max_runs], [0] included, produces
+    the same [Explore.stats]: same run count, same violation count, same
+    first violation (mode, fingerprint, decisions). Random walks merge
+    on the minimum violating walk index (chunk remainders are only ever
+    discarded above the current best index, which only decreases); the
+    DFS partitions the search into first-level subtrees and merges
+    per-subtree summaries in the sequential visit order (canonical child
+    order, see [Explore.last_children]), applying the run cap exactly
+    where the sequential search would. Scheduling races affect only which
     already-doomed work gets discarded, never the reported result.
 
     Repro tokens harvested from a parallel exploration replay
@@ -66,7 +68,7 @@ val explore_random :
 (** Random walks [0, runs) fanned out over the pool, walk indices
     claimed [chunk] (default 64) at a time with one fetch-and-add per
     chunk. Raises [Invalid_argument] if [chunk < 1]. Defaults match
-    [Explore.explore_random] ([check_determinism = true],
+    [Explore.explore_random_in] ([check_determinism = true],
     [stop_on_first = true]). With [stop_on_first], a worker that reaches
     an index above the best violating index found so far stops claiming
     and discards the rest of its chunk; the reported stats are those of
@@ -99,13 +101,15 @@ val explore_exhaustive :
   Explore.spec ->
   depth:int ->
   Explore.stats
-(** Bounded-exhaustive DFS with the first-level decision subtrees handed
-    to pool workers ([check_determinism] defaults to [false],
-    [max_runs] to 500, as sequentially). Workers abort a subtree early
-    when a lower-ranked subtree has already violated; the merge replays
-    the sequential visit order over the per-subtree summaries, so the
-    result — including the [max_runs] cutoff — is bit-identical to
-    [Explore.explore_exhaustive]. [pool] / [jobs] behave as in
+(** Bounded-exhaustive DFS with the first-level decision subtrees
+    claimed one at a time by pool workers, each searched by
+    [Explore.dfs_in] ([check_determinism] defaults to [false],
+    [max_runs] to 500, as sequentially). The root runs first, under the
+    same cap. Workers stop claiming, and abort a subtree, once a
+    lower-ranked subtree has violated; the merge replays the sequential
+    visit order over the per-subtree summaries, so the result —
+    including the [max_runs] cutoff — is bit-identical to
+    [Explore.explore_exhaustive_in]. [pool] / [jobs] behave as in
     {!explore_random}. [metrics] aggregates per-worker registries as in
     {!explore_random}; note that the aggregate counts every run workers
     actually executed, including subtree work the deterministic merge

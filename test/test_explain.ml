@@ -213,7 +213,8 @@ let rmw_spec =
 
 let test_rmwlost_checked_atomicity_fallback () =
   let stats =
-    Explore.explore_random ~check_determinism:false rmw_spec ~runs:100
+    Explore.explore_random_in ~check_determinism:false
+      (Explore.create_ctx rmw_spec) ~runs:100
   in
   match stats.Explore.first with
   | None -> Alcotest.fail "the planted RMW bug never violated"

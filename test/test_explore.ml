@@ -257,7 +257,7 @@ let test_chooser_scripted_clamps () =
 
 let test_getput_clean_schedules () =
   let spec = { Explore.default_spec with seed = 3 } in
-  let stats = Explore.explore_random spec ~runs:25 in
+  let stats = Explore.explore_random_in (Explore.create_ctx spec) ~runs:25 in
   Alcotest.(check int) "runs" 25 stats.Explore.runs;
   Alcotest.(check int) "violations" 0 stats.Explore.violated
 
@@ -267,7 +267,7 @@ let test_workloads_clean_schedules () =
       let spec =
         { Explore.default_spec with scenario; n = 3; seed = 5 }
       in
-      let stats = Explore.explore_random spec ~runs:8 in
+      let stats = Explore.explore_random_in (Explore.create_ctx spec) ~runs:8 in
       Alcotest.(check int) (scenario ^ " violations") 0 stats.Explore.violated)
     [
       "workload:random";
@@ -278,7 +278,10 @@ let test_workloads_clean_schedules () =
 
 let test_exhaustive_clean () =
   let spec = { Explore.default_spec with seed = 2 } in
-  let stats = Explore.explore_exhaustive spec ~depth:6 ~max_runs:50 in
+  let stats =
+    Explore.explore_exhaustive_in (Explore.create_ctx spec)
+      ~depth:6 ~max_runs:50
+  in
   Alcotest.(check int) "violations" 0 stats.Explore.violated;
   Alcotest.(check bool) "explored something" true (stats.Explore.runs >= 1)
 
@@ -361,7 +364,7 @@ let test_planted_bug_found_minimized_replayed () =
       bug = true;
     }
   in
-  let stats = Explore.explore_random spec ~runs:50 in
+  let stats = Explore.explore_random_in (Explore.create_ctx spec) ~runs:50 in
   match stats.Explore.first with
   | None -> Alcotest.fail "planted bug not found within 50 schedules"
   | Some (_, r) ->
@@ -403,12 +406,15 @@ let test_no_bug_no_monitor_violation () =
       reliable = true;
     }
   in
-  let stats = Explore.explore_random spec ~runs:25 in
+  let stats = Explore.explore_random_in (Explore.create_ctx spec) ~runs:25 in
   Alcotest.(check int) "violations" 0 stats.Explore.violated
 
 let test_exhaustive_finds_planted_bug () =
   let spec = { Explore.default_spec with seed = 1; bug = true } in
-  let stats = Explore.explore_exhaustive spec ~depth:4 ~max_runs:100 in
+  let stats =
+    Explore.explore_exhaustive_in (Explore.create_ctx spec)
+      ~depth:4 ~max_runs:100
+  in
   Alcotest.(check bool) "found" true (stats.Explore.first <> None)
 
 (* ---------- differential: vector clocks vs. lockset ---------- *)
@@ -709,7 +715,7 @@ let planted_bug_spec =
 let test_parallel_walks_identical () =
   List.iter
     (fun (label, spec, runs) ->
-      let seq = Explore.explore_random spec ~runs in
+      let seq = Explore.explore_random_in (Explore.create_ctx spec) ~runs in
       let tok =
         if seq.Explore.violated > 0 then Some (minimized_token spec seq)
         else None
@@ -738,8 +744,8 @@ let test_parallel_walks_full_batch () =
   List.iter
     (fun jobs ->
       let seq =
-        Explore.explore_random ~stop_on_first:false late_violation_spec
-          ~runs:25
+        Explore.explore_random_in ~stop_on_first:false
+          (Explore.create_ctx late_violation_spec) ~runs:25
       in
       let par =
         Parallel.explore_random ~stop_on_first:false ~jobs late_violation_spec
@@ -752,7 +758,9 @@ let test_parallel_walks_full_batch () =
 let test_parallel_exhaustive_identical () =
   List.iter
     (fun (label, spec, depth, max_runs) ->
-      let seq = Explore.explore_exhaustive spec ~depth ~max_runs in
+      let seq =
+        Explore.explore_exhaustive_in (Explore.create_ctx spec) ~depth ~max_runs
+      in
       List.iter
         (fun jobs ->
           let par = Parallel.explore_exhaustive ~jobs spec ~depth ~max_runs in
@@ -774,6 +782,9 @@ let test_parallel_exhaustive_identical () =
         },
         10,
         120 );
+      (* the cap holds from the root on: no run, then the root alone *)
+      ("no runs", Explore.default_spec, 6, 0);
+      ("root only", Explore.default_spec, 6, 1);
     ]
 
 (* ---------- chunked claims and persistent pools ---------- *)
@@ -784,7 +795,7 @@ let test_parallel_chunk_identity () =
      sweep — chunking changes only how walk indices are claimed *)
   List.iter
     (fun (label, spec, runs) ->
-      let seq = Explore.explore_random spec ~runs in
+      let seq = Explore.explore_random_in (Explore.create_ctx spec) ~runs in
       let tok =
         if seq.Explore.violated > 0 then Some (minimized_token spec seq)
         else None
@@ -824,9 +835,16 @@ let test_pool_reused_across_batches () =
      batch matches a fresh sequential sweep bit for bit — including a
      batch of a different spec, which must rebuild the worker arenas *)
   let clean = { Explore.default_spec with seed = 3 } in
-  let seq_clean = Explore.explore_random clean ~runs:25 in
-  let seq_bug = Explore.explore_random planted_bug_spec ~runs:30 in
-  let seq_dfs = Explore.explore_exhaustive clean ~depth:6 ~max_runs:50 in
+  let seq_clean =
+    Explore.explore_random_in (Explore.create_ctx clean) ~runs:25
+  in
+  let seq_bug =
+    Explore.explore_random_in (Explore.create_ctx planted_bug_spec) ~runs:30
+  in
+  let seq_dfs =
+    Explore.explore_exhaustive_in (Explore.create_ctx clean)
+      ~depth:6 ~max_runs:50
+  in
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check bool) "pool size >= 1" true (Parallel.Pool.size pool >= 1);
       let p1 = Parallel.explore_random ~pool ~jobs:4 clean ~runs:25 in
@@ -956,10 +974,46 @@ let test_dpor_matches_exhaustive_when_off () =
       latency = Dsm_net.Latency.Constant 1.0;
     }
   in
-  let dfs = Explore.explore_exhaustive spec ~depth:6 ~max_runs:2000 in
+  let dfs =
+    Explore.explore_exhaustive_in (Explore.create_ctx spec)
+      ~depth:6 ~max_runs:2000
+  in
   let off = Dpor.explore ~dpor:false ~max_runs:2000 spec ~depth:6 in
   Alcotest.(check int) "runs" dfs.Explore.runs off.Dpor.runs;
   Alcotest.(check int) "violated" dfs.Explore.violated off.Dpor.violated
+
+let test_dpor_counts_pinned () =
+  (* runs/pruned as measured before the search shared the explorer's DFS
+     loop. DPOR counts prunes while it expands a run, so these move if
+     the loop stops expanding the run that reaches the cap *)
+  let mw =
+    {
+      Explore.default_spec with
+      scenario = "workload:master-worker-racy";
+      n = 3;
+    }
+  in
+  List.iter
+    (fun (max_runs, runs, pruned) ->
+      let st = Dpor.explore ~stop_on_first:false ~max_runs mw ~depth:10 in
+      let l = Printf.sprintf "master-worker-racy, max_runs %d" max_runs in
+      Alcotest.(check int) (l ^ ": runs") runs st.Dpor.runs;
+      Alcotest.(check int) (l ^ ": pruned") pruned st.Dpor.pruned)
+    [ (2, 2, 7); (3, 3, 14); (6, 6, 35); (2000, 77, 35) ];
+  let full =
+    Explore.explore_exhaustive_in (Explore.create_ctx mw) ~depth:10
+      ~max_runs:2000
+  in
+  Alcotest.(check int) "master-worker-racy: full DFS runs" 432
+    full.Explore.runs;
+  let tied =
+    { Explore.default_spec with latency = Dsm_net.Latency.Constant 1.0 }
+  in
+  let st = Dpor.explore tied ~depth:6 in
+  Alcotest.(check int) "tied getput: runs" 3 st.Dpor.runs;
+  Alcotest.(check int) "tied getput: pruned" 1 st.Dpor.pruned;
+  let full = Explore.explore_exhaustive_in (Explore.create_ctx tied) ~depth:6 in
+  Alcotest.(check int) "tied getput: full DFS runs" 4 full.Explore.runs
 
 let test_dpor_pruned_replay_covered () =
   (* the soundness property, checked the hard way: replay every pruned
@@ -1100,6 +1154,7 @@ let () =
         [
           Alcotest.test_case "prunes, findings preserved" `Quick
             test_dpor_prunes_and_preserves_findings;
+          Alcotest.test_case "counts pinned" `Quick test_dpor_counts_pinned;
           Alcotest.test_case "off = exhaustive DFS" `Quick
             test_dpor_matches_exhaustive_when_off;
           Alcotest.test_case "every pruned schedule covered" `Slow

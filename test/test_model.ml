@@ -495,7 +495,10 @@ let test_diff_depth_visits_exhaustive_tree () =
   List.iter
     (fun (scenario, depth, runs, whole_tree) ->
       let spec = { Explore.default_spec with scenario; n = 3 } in
-      let dfs = Explore.explore_exhaustive spec ~depth ~max_runs:runs in
+      let dfs =
+        Explore.explore_exhaustive_in (Explore.create_ctx spec)
+          ~depth ~max_runs:runs
+      in
       Alcotest.(check int) (scenario ^ ": violation-free") 0
         dfs.Explore.violated;
       Alcotest.(check bool)

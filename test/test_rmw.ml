@@ -333,7 +333,10 @@ let prop_rmw_mix_linearizable =
           latency = Dsm_net.Latency.Constant 1.0;
         }
       in
-      let stats = Explore.explore_exhaustive spec ~depth:8 ~max_runs:300 in
+      let stats =
+        Explore.explore_exhaustive_in (Explore.create_ctx spec)
+          ~depth:8 ~max_runs:300
+      in
       stats.Explore.runs > 0 && stats.Explore.violated = 0)
 
 (* The planted [Skip_rmw_write_mark] bug defers an RMW's write half to a
@@ -349,7 +352,10 @@ let test_planted_rmw_bug_found () =
       bug = true;
     }
   in
-  let stats = Explore.explore_exhaustive spec ~depth:6 ~max_runs:200 in
+  let stats =
+    Explore.explore_exhaustive_in (Explore.create_ctx spec)
+      ~depth:6 ~max_runs:200
+  in
   Alcotest.(check bool)
     "a schedule violates" true
     (stats.Explore.violated > 0);
@@ -372,7 +378,10 @@ let test_rmwlost_clean_without_bug () =
       latency = Dsm_net.Latency.Constant 1.0;
     }
   in
-  let stats = Explore.explore_exhaustive spec ~depth:10 ~max_runs:500 in
+  let stats =
+    Explore.explore_exhaustive_in (Explore.create_ctx spec)
+      ~depth:10 ~max_runs:500
+  in
   Alcotest.(check bool)
     "the tied tree really branches" true
     (stats.Explore.runs > 1);

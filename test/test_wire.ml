@@ -324,7 +324,7 @@ let test_minimized_token_differential () =
     }
   in
   let minimized () =
-    let stats = Explore.explore_random spec ~runs:64 in
+    let stats = Explore.explore_random_in (Explore.create_ctx spec) ~runs:64 in
     match stats.Explore.first with
     | None -> Alcotest.fail "planted bug did not violate"
     | Some (_, r) ->
