@@ -93,7 +93,7 @@ let bench_matrix_observe n =
 let bench_heap =
   Test.make ~name:"heap_push_pop_1k"
     (Staged.stage (fun () ->
-         let h = Dsm_sim.Heap.create () in
+         let h = Dsm_sim.Heap.create ~dummy:0 in
          let g = Dsm_sim.Prng.create ~seed:5 in
          for i = 0 to 999 do
            Dsm_sim.Heap.add h ~time:(Dsm_sim.Prng.float g 100.) ~seq:i i

@@ -100,6 +100,10 @@ let split_components a d =
 
 let involves pid ~p1 ~p2 = pid = p1 || (p2 >= 0 && pid = p2)
 
+(* [involves] is symmetric when [p2 >= 0]: both orders of such a pair
+   name the same endpoints, so they share one key. *)
+let pair_key ~p1 ~p2 = if p2 >= 0 && p2 < p1 then (p2, p1) else (p1, p2)
+
 (* ---------- the window index ---------- *)
 
 (* What [find_sync] reads of the window, in window order: the lock and
@@ -110,6 +114,9 @@ type index = {
   deliveries : msg array; (* window order, each paired with its send *)
   steps : step array;
   events : int; (* events in the window *)
+  chains : (int * int, msg list) Hashtbl.t;
+      (* [message_chain]'s memo, by [pair_key]: every race of one pair
+         in this report shares one list *)
 }
 
 (* One pass over the window: a delivery is paired with the latest
@@ -148,20 +155,28 @@ let index window =
     deliveries = Array.of_list (List.rev !deliveries);
     steps = Array.of_list (List.rev !steps);
     events = !events;
+    chains = Hashtbl.create 16;
   }
 
 (* Delivered messages touching either endpoint, oldest first: the most
-   recent [chain_cap] of them. *)
+   recent [chain_cap] of them. A function of the window and the pair
+   alone, so it is scanned once per pair and the list memoized. *)
 let message_chain idx ~p1 ~p2 =
-  let rec back i n acc =
-    if i < 0 || n = chain_cap then acc
-    else
-      let m = idx.deliveries.(i) in
-      if involves m.m_src ~p1 ~p2 || involves m.m_dst ~p1 ~p2 then
-        back (i - 1) (n + 1) (m :: acc)
-      else back (i - 1) n acc
-  in
-  back (Array.length idx.deliveries - 1) 0 []
+  let ((p1, p2) as key) = pair_key ~p1 ~p2 in
+  match Hashtbl.find_opt idx.chains key with
+  | Some chain -> chain
+  | None ->
+      let rec back i n acc =
+        if i < 0 || n = chain_cap then acc
+        else
+          let m = idx.deliveries.(i) in
+          if involves m.m_src ~p1 ~p2 || involves m.m_dst ~p1 ~p2 then
+            back (i - 1) (n + 1) (m :: acc)
+          else back (i - 1) n acc
+      in
+      let chain = back (Array.length idx.deliveries - 1) 0 [] in
+      Hashtbl.add idx.chains key chain;
+      chain
 
 let edge_time = function
   | Lock_handoff { acquired; _ } -> acquired
@@ -550,7 +565,25 @@ let json_sync_edge buf = function
       W.fixed 6 buf time;
       Buffer.add_char buf '}'
 
-let to_json buf t =
+(* A document writes each distinct chain once: explanations of one pair
+   from one index share its memoized list, so later ones blit the first
+   one's fragment. [chains] maps a pair to the last list written for it
+   and that list's JSON; a hit must be that very list ([==]), so chains
+   of one pair from two windows are each written out. *)
+let json_chain chains buf t =
+  let key =
+    pair_key ~p1:t.flagged.pid
+      ~p2:(match t.prior with Some p -> p.pid | None -> -1)
+  in
+  match Hashtbl.find_opt chains key with
+  | Some (written, json) when written == t.chain -> add buf json
+  | _ ->
+      let start = Buffer.length buf in
+      W.list json_msg buf t.chain;
+      Hashtbl.replace chains key
+        (t.chain, Buffer.sub buf start (Buffer.length buf - start))
+
+let to_json chains buf t =
   add buf "{\"cause\":";
   W.string buf t.cause;
   add buf ",\"granule\":{\"node\":";
@@ -578,7 +611,7 @@ let to_json buf t =
   add buf "},\"sync_edge\":";
   W.option json_sync_edge buf t.sync_edge;
   add buf ",\"chain\":";
-  W.list json_msg buf t.chain;
+  json_chain chains buf t;
   add buf ",\"window_events\":";
   W.int buf t.window_events;
   add buf ",\"detail\":";
@@ -586,14 +619,16 @@ let to_json buf t =
   Buffer.add_char buf '}'
 
 (* An explanation is about 1.5 KiB of JSON: size the buffer for all of
-   them up front so it never regrows. *)
+   them up front so it never regrows. The chain cache lives in this one
+   call: no state outlives the document or crosses domains. *)
 let list_to_json ts =
   let buf = Buffer.create (32 + (1536 * List.length ts)) in
+  let chains = Hashtbl.create 16 in
   Buffer.add_string buf "{\"explanations\":[\n";
   List.iteri
     (fun i t ->
       if i > 0 then Buffer.add_string buf ",\n";
-      to_json buf t)
+      to_json chains buf t)
     ts;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -76,17 +76,29 @@ type t = {
   sync_edge : sync_edge option;
   chain : msg list;
       (** recent delivered messages touching the endpoints, oldest
-          first, capped at 8 *)
+          first, capped at 8. Every explanation of one endpoint pair
+          built from one {!index} holds the very same list. *)
   window_events : int;
   detail : string;
 }
+(** [sync_edge] and [chain] come from the flight window held when the
+    report is explained, not from the window at the race: on a run
+    that goes on after its first races, both can postdate the race by
+    far. The window holds the run's last events, so an early race can
+    print a chain of much later traffic and "no sync edge ... in the
+    recorded window" although the two processes synchronized before
+    the race. *)
 
 type index
 (** One flight-recorder window, indexed once per report: every delivery
     paired with the time of its send and its label rendered once, and
     the lock, RMW and delivery events the sync-edge search reads, in
     window order. Explaining each race of a report then scans these
-    compact arrays instead of re-pairing the whole window. *)
+    compact arrays instead of re-pairing the whole window. The message
+    chain depends only on the window and the endpoint pair, so the
+    index memoizes it: the first race of a pair (in either order)
+    scans for it, and every later one shares that list. The memo makes
+    an index mutable: one report, one domain. *)
 
 val index : Probe.event list -> index
 (** Index a window, oldest first ({!Flight.events}). A delivery is
@@ -130,7 +142,11 @@ val list_to_json : t list -> string
 (** [{"explanations": [...]}] document, one compact object per
     explanation in a stable field order. Fixed keys are written as
     literals and values through {!Json_writer}'s allocation-free
-    writers, into one buffer sized from the explanation count. *)
+    writers, into one buffer. Each distinct chain is rendered once per
+    document: a later explanation whose [chain] is physically the same
+    list (its pair's memo, see {!index}) copies that JSON fragment. The
+    bytes are those of writing every explanation in full, whatever the
+    list mixes; the fragment cache lives and dies in one call. *)
 
 val annotate : Timeline.t -> t -> unit
 (** Add instant marks at both endpoints and a flow arrow between them

@@ -36,7 +36,7 @@ let create ?(seed = 0x5eed) () =
     failed = None;
     chooser = None;
     choice_view = None;
-    heap = Heap.create ();
+    heap = Heap.create ~dummy:ignore;
     rng = Prng.create ~seed;
     probe = Dsm_obs.Probe.create ();
   }
@@ -45,8 +45,8 @@ let create ?(seed = 0x5eed) () =
    without reallocating. The heap keeps its capacity ([Heap.clear]), the
    generator object is reseeded in place, and any suspended process
    continuations from the previous run are simply dropped with the heap
-   entries that would have resumed them — they are unreachable and get
-   collected. *)
+   entries that would have resumed them: [Heap.clear] overwrites their
+   slots, so they are unreachable and get collected. *)
 let reset ?(seed = 0x5eed) sim =
   sim.now <- 0.;
   sim.seq <- 0;

@@ -1,8 +1,19 @@
 type 'a entry = { time : float; seq : int; label : int; value : 'a }
 
-type 'a t = { mutable data : 'a entry array; mutable size : int }
+(* Slots at and past [size] hold [vacant], never a popped or cleared
+   entry, so the heap keeps no dead value reachable. *)
+type 'a t = {
+  mutable data : 'a entry array;
+  mutable size : int;
+  vacant : 'a entry;
+}
 
-let create () = { data = [||]; size = 0 }
+let create ~dummy =
+  {
+    data = [||];
+    size = 0;
+    vacant = { time = 0.; seq = 0; label = Label.unknown; value = dummy };
+  }
 
 let length h = h.size
 
@@ -13,61 +24,61 @@ let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 let grow h =
   let cap = Array.length h.data in
   let cap' = if cap = 0 then 16 else cap * 2 in
-  let data' = Array.make cap' h.data.(0) in
+  let data' = Array.make cap' h.vacant in
   Array.blit h.data 0 data' 0 h.size;
   h.data <- data'
 
-let rec sift_up h i =
-  if i > 0 then begin
+(* Both sifts move a hole rather than swap: [e] is written once, where
+   it lands, and each level passed costs one write. Every comparison is
+   the one a swapping sift makes, so entries land where it put them. *)
+let rec sift_up h i e =
+  if i = 0 then h.data.(0) <- e
+  else
     let parent = (i - 1) / 2 in
-    if lt h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+    let p = h.data.(parent) in
+    if lt e p then begin
+      h.data.(i) <- p;
+      sift_up h parent e
     end
-  end
+    else h.data.(i) <- e
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && lt h.data.(l) h.data.(!smallest) then smallest := l;
-  if r < h.size && lt h.data.(r) h.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let rec sift_down h i e =
+  let l = (2 * i) + 1 in
+  if l >= h.size then h.data.(i) <- e
+  else
+    let r = l + 1 in
+    let c = if r < h.size && lt h.data.(r) h.data.(l) then r else l in
+    let child = h.data.(c) in
+    if lt child e then begin
+      h.data.(i) <- child;
+      sift_down h c e
+    end
+    else h.data.(i) <- e
 
 let add h ~time ~seq ?(label = Label.unknown) value =
   let entry = { time; seq; label; value } in
   if h.size = Array.length h.data then
-    if h.size = 0 then h.data <- Array.make 16 entry else grow h;
-  h.data.(h.size) <- entry;
+    if h.size = 0 then h.data <- Array.make 16 h.vacant else grow h;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) entry
+
+(* Remove the entry at array index [i]: the last entry fills the hole,
+   sifted whichever way the heap property needs. *)
+let remove_index h i =
+  let last = h.size - 1 in
+  let e = h.data.(last) in
+  h.size <- last;
+  h.data.(last) <- h.vacant;
+  if i < last then
+    if i > 0 && lt e h.data.((i - 1) / 2) then sift_up h i e
+    else sift_down h i e
 
 let pop h =
   if h.size = 0 then None
   else begin
     let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
+    remove_index h 0;
     Some (top.time, top.seq, top.value)
-  end
-
-(* Remove the entry at array index [i]: swap in the last element and
-   restore the heap property in whichever direction it was broken. *)
-let remove_index h i =
-  h.size <- h.size - 1;
-  if i < h.size then begin
-    h.data.(i) <- h.data.(h.size);
-    sift_down h i;
-    sift_up h i
   end
 
 let ready_count h =
@@ -118,4 +129,6 @@ let ready_view h =
     arr
   end
 
-let clear h = h.size <- 0
+let clear h =
+  Array.fill h.data 0 h.size h.vacant;
+  h.size <- 0

@@ -7,7 +7,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** An empty heap. [dummy] fills the slots no entry occupies: a popped
+    or cleared value is not kept reachable by the heap. *)
 
 val length : 'a t -> int
 
@@ -38,3 +40,4 @@ val ready_view : 'a t -> (int * Label.t) array
     Allocates; meant for schedule exploration, not the production loop. *)
 
 val clear : 'a t -> unit
+(** Drops every entry, keeping the capacity. *)

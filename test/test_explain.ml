@@ -352,6 +352,149 @@ let test_transport_reports_pinned () =
       (Dsm_core.Config.Inline, 111, "2a318918a84b83c59d58416cb92d639b");
     ]
 
+(* ---------- shared chains ---------- *)
+
+(* A synthetic window over pids 0..3, from generated steps: a delivery
+   (with or without its send), a lock hand-off or an RMW, each on node
+   0. Window [k] sits at times [1000k..] and closes with its own
+   delivery between P0 and P1, so that pair's chain differs from window
+   to window. *)
+type wstep =
+  | Deliver of int * int * int * bool (* src, dst, op, send recorded *)
+  | Lock of int * int (* pid, offset *)
+  | Rmw_at of int * int (* origin, offset *)
+
+let window_of k steps =
+  let base = 1000. *. float_of_int k in
+  let msg src op =
+    { Dsm_obs.Msg.none with kind = Get; op; origin = src; offset = op; len = 1 }
+  in
+  let deliver time (src, dst, op, sent) =
+    let m = msg src op in
+    (if sent then [ Probe.Msg_sent { time; src; dst; msg = m } ] else [])
+    @ [ Probe.Msg_delivered { time = time +. 1.; src; dst; msg = m } ]
+  in
+  let event i = function
+    | Deliver (src, dst, op, sent) ->
+        deliver (base +. float_of_int (2 * i)) (src, dst, op, sent)
+    | Lock (pid, offset) ->
+        let time = base +. float_of_int (2 * i) in
+        [
+          Probe.Lock_acquired { time; pid; node = 0; offset; len = 2 };
+          Probe.Lock_released { time = time +. 1.; pid; node = 0; offset; len = 2 };
+        ]
+    | Rmw_at (origin, offset) ->
+        [
+          Probe.Rmw
+            { time = base +. float_of_int (2 * i); node = 0; origin; offset;
+              len = 1; kind = "fetch_add" };
+        ]
+  in
+  List.concat (List.mapi event steps)
+  @ deliver (base +. 999.) (0, 1, 100 + k, true)
+
+(* (window, flagged pid, prior pid or -1, offset, atomicity) *)
+type race_spec = int * int * int * int * bool
+
+let explain index ((_, p1, p2, offset, atomicity) : race_spec) =
+  let access pid =
+    {
+      Explain.pid;
+      kind = "write";
+      time = float_of_int (pid + offset);
+      op = offset;
+      event_id = -1;
+      clock = Array.init 4 (fun i -> if i = pid then 2 + offset else 1);
+    }
+  in
+  let prior = if p2 < 0 then None else Some (access p2) in
+  if atomicity then
+    Explain.of_atomicity ~node:0 ~offset ~len:1 ~flagged:(access p1) ?prior
+      ~index ~detail:"lost update" ()
+  else
+    Explain.of_race ~node:0 ~offset ~len:1 ~against:"write"
+      ~flagged:(access p1) ~datum_clock:(access (max p2 0)).clock ?prior
+      ~index ()
+
+(* The pair (P0, P1) explained from two windows, in both orders: a chain
+   cache keyed by the pids alone writes the first window's chain for
+   the second. *)
+let fixed_races : race_spec list =
+  [ (0, 0, 1, 0, false); (1, 1, 0, 1, false); (0, 1, 0, 2, false);
+    (2, 0, 1, 3, true) ]
+
+let gen_wstep =
+  QCheck.Gen.(
+    let pid = int_bound 3 in
+    frequency
+      [
+        (4, map (fun (((s, d), op), sent) -> Deliver (s, d, op, sent))
+              (pair (pair (pair pid pid) (int_bound 5)) bool));
+        (1, map2 (fun p o -> Lock (p, o)) pid (int_bound 3));
+        (1, map2 (fun p o -> Rmw_at (p, o)) pid (int_bound 3));
+      ])
+
+let gen_race =
+  QCheck.Gen.(
+    map
+      (fun ((w, p1), (p2, (offset, atomicity))) -> (w, p1, p2, offset, atomicity))
+      (pair (pair (int_bound 2) (int_bound 3))
+         (pair (int_range (-1) 3) (pair (int_bound 3) bool))))
+
+let print_case (windows, races) =
+  let step = function
+    | Deliver (s, d, op, sent) -> Printf.sprintf "D(%d,%d,%d,%b)" s d op sent
+    | Lock (p, o) -> Printf.sprintf "L(%d,%d)" p o
+    | Rmw_at (p, o) -> Printf.sprintf "R(%d,%d)" p o
+  in
+  let race (w, p1, p2, o, a) = Printf.sprintf "(%d,%d,%d,%d,%b)" w p1 p2 o a in
+  String.concat " | " (List.map (fun ws -> String.concat " " (List.map step ws)) windows)
+  ^ " ; " ^ String.concat " " (List.map race races)
+
+let same_pair (w, p1, p2, _, _) (w', p1', p2', _, _) =
+  w = w'
+  && ((p1, p2) = (p1', p2') || (p2 >= 0 && (p1, p2) = (p2', p1')))
+
+(* Against fresh scans and the per-explanation writer: every chain is
+   the one a fresh index gives, one pair's explanations from one window
+   share a single list, in either order, and the document's bytes are
+   the reference's. *)
+let prop_shared_chains =
+  QCheck.Test.make ~name:"shared chains render like the reference" ~count:300
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(
+         pair
+           (list_repeat 3 (list_size (int_bound 12) gen_wstep))
+           (list_size (int_bound 25) gen_race)))
+    (fun (steps, races) ->
+      let windows = Array.of_list (List.mapi window_of steps) in
+      let indexes = Array.map Explain.index windows in
+      let races = fixed_races @ races in
+      let es =
+        List.map (fun ((w, _, _, _, _) as r) -> explain indexes.(w) r) races
+      in
+      let cases = List.combine races es in
+      List.for_all
+        (fun (((w, _, _, _, _) as r), (e : Explain.t)) ->
+          e.chain = (explain (Explain.index windows.(w)) r).chain
+          && List.for_all
+               (fun (r', (e' : Explain.t)) ->
+                 (not (same_pair r r')) || e.chain == e'.chain)
+               cases)
+        cases
+      && Explain.list_to_json es = Text_ref.explanations_to_json es)
+
+let test_chain_memo_shares_both_orders () =
+  let window = window_of 0 [ Deliver (1, 0, 3, true); Deliver (2, 3, 4, false) ] in
+  let index = Explain.index window in
+  let e01 = explain index (0, 0, 1, 0, false)
+  and e10 = explain index (0, 1, 0, 1, false) in
+  Alcotest.(check int) "chain length" 2 (List.length e01.chain);
+  Alcotest.(check bool) "one list for both orders" true (e01.chain == e10.chain);
+  let fresh = explain (Explain.index window) (0, 0, 1, 0, false) in
+  Alcotest.(check bool) "another index scans its own" false
+    (fresh.chain == e01.chain)
+
 (* Every constructor's label, as the renderer must keep printing it. *)
 let label_table =
   [
@@ -475,5 +618,8 @@ let () =
           Alcotest.test_case "explicit and inline reports" `Quick
             test_transport_reports_pinned;
           Alcotest.test_case "message label table" `Quick test_label_table;
+          Alcotest.test_case "chain memo shared across pair orders" `Quick
+            test_chain_memo_shares_both_orders;
+          QCheck_alcotest.to_alcotest prop_shared_chains;
         ] );
     ]

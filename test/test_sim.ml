@@ -55,7 +55,7 @@ let test_prng_exponential_positive () =
 (* ---------- Heap ---------- *)
 
 let test_heap_orders_by_time () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   Heap.add h ~time:3. ~seq:0 "c";
   Heap.add h ~time:1. ~seq:1 "a";
   Heap.add h ~time:2. ~seq:2 "b";
@@ -69,7 +69,7 @@ let test_heap_orders_by_time () =
     [ first; second; third ]
 
 let test_heap_ties_by_seq () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   Heap.add h ~time:1. ~seq:5 "second";
   Heap.add h ~time:1. ~seq:2 "first";
   let pop () =
@@ -81,7 +81,7 @@ let test_heap_ties_by_seq () =
     [ first; second ]
 
 let test_heap_stress_sorted_drain () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   let g = Prng.create ~seed:17 in
   for i = 0 to 999 do
     Heap.add h ~time:(Prng.float g 100.) ~seq:i i
@@ -99,6 +99,40 @@ let test_heap_stress_sorted_drain () =
   drain ();
   Alcotest.(check bool) "drained in order" true !ok;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
+
+(* Values the heap gave back must not stay reachable through it: pop
+   three (one by [pop_kth]), then clear two. The values are made and
+   dropped in a function of their own, so only [h] and the weak table
+   can still point at them when the collector runs. *)
+let[@inline never] churn h w =
+  let v i =
+    let b = Bytes.make 8 'v' in
+    Weak.set w i (Some b);
+    b
+  in
+  Heap.add h ~time:1. ~seq:0 (v 0);
+  Heap.add h ~time:2. ~seq:1 (v 1);
+  Heap.add h ~time:2. ~seq:2 (v 2);
+  ignore (Heap.pop h);
+  ignore (Heap.pop_kth h 1);
+  ignore (Heap.pop h);
+  Heap.add h ~time:3. ~seq:3 (v 3);
+  Heap.add h ~time:4. ~seq:4 (v 4);
+  Heap.clear h
+
+let test_heap_releases_dead_entries () =
+  let h = Heap.create ~dummy:Bytes.empty in
+  let w = Weak.create 5 in
+  churn h w;
+  Gc.full_major ();
+  for i = 0 to 4 do
+    Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false
+      (Weak.check w i)
+  done;
+  (* the cleared heap still works *)
+  Heap.add h ~time:1. ~seq:5 (Bytes.of_string "x");
+  Alcotest.(check (option string)) "reusable" (Some "x")
+    (Option.map (fun (_, _, b) -> Bytes.to_string b) (Heap.pop h))
 
 (* ---------- Engine ---------- *)
 
@@ -377,6 +411,8 @@ let () =
           Alcotest.test_case "time order" `Quick test_heap_orders_by_time;
           Alcotest.test_case "tie by seq" `Quick test_heap_ties_by_seq;
           Alcotest.test_case "stress drain" `Quick test_heap_stress_sorted_drain;
+          Alcotest.test_case "releases dead entries" `Quick
+            test_heap_releases_dead_entries;
         ] );
       ( "engine",
         [
