@@ -1,5 +1,6 @@
 open Dsm_memory
 open Dsm_clocks
+module Int_tbl = Dsm_sim.Int_tbl
 
 type entry = {
   v : Vector_clock.t;
@@ -10,8 +11,8 @@ type entry = {
 
 (* Granule identity within one node's public segment is (offset, len);
    the hot path keys the table by the pair packed into a single
-   immediate int so lookups hash an unboxed key with an int-specialized
-   table — no tuple allocation, no polymorphic comparison. *)
+   immediate int so lookups hash an unboxed key in {!Dsm_sim.Int_tbl} —
+   no tuple allocation, no polymorphic hash or comparison. *)
 let len_bits = 21
 
 let max_len = (1 lsl len_bits) - 1
@@ -22,14 +23,6 @@ let pack_key ~offset ~len =
   (offset lsl len_bits) lor len
 
 let unpack_key key = (key lsr len_bits, key land max_len)
-
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash = Hashtbl.hash
-end)
 
 type t = {
   node : int;
@@ -153,7 +146,7 @@ let entry_at t ~offset ~len =
   | exception Not_found ->
       let mk () = Vector_clock.create ~n:t.clock_dim in
       let e = { v = mk (); w = mk (); s = mk (); history = Provenance.empty } in
-      Int_tbl.add t.table key e;
+      Int_tbl.replace t.table key e;
       e
 
 let fold_entries t ~init ~f = Int_tbl.fold (fun _ e acc -> f e acc) t.table init

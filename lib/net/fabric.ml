@@ -1,5 +1,10 @@
 open Dsm_sim
 
+(* The FIFO delivery floor of one (src, dst) edge: the latest arrival
+   scheduled for in-order traffic on it. A float-only record, so the
+   floor is updated in place without boxing. *)
+type floor = { mutable last : float }
+
 type 'msg t = {
   sim : Engine.t;
   topo : Topology.t;
@@ -8,7 +13,9 @@ type 'msg t = {
   faults : Fault.t;
   rng : Prng.t;
   handlers : (src:int -> 'msg -> unit) option array;
-  last_delivery : float array array;
+  last_delivery : floor Int_tbl.t;
+      (* keyed by [src * n + dst]: only edges that carry in-order
+         traffic cost memory *)
   mutable messages : int;
   mutable words : int;
   mutable wire_words : int;
@@ -30,7 +37,7 @@ let create sim ~topology ~latency ?(fifo = true) ?(faults = Fault.none) () =
     faults;
     rng = Prng.split (Engine.rng sim);
     handlers = Array.make n None;
-    last_delivery = Array.make_matrix n n 0.;
+    last_delivery = Int_tbl.create 64;
     messages = 0;
     words = 0;
     wire_words = 0;
@@ -61,15 +68,26 @@ let deliver t ~src ~dst msg () =
           (Net_deliver { time = Engine.now t.sim; src; dst });
       f ~src msg
 
+(* An edge's floor is made on its first in-order send and starts at
+   0.0: nothing sent earlier can hold that send back. *)
+let edge_floor t ~src ~dst =
+  let key = (src * nodes t) + dst in
+  match Int_tbl.find t.last_delivery key with
+  | floor -> floor
+  | exception Not_found ->
+      let floor = { last = 0. } in
+      Int_tbl.replace t.last_delivery key floor;
+      floor
+
 let schedule_delivery t ~src ~dst ~in_order ?label msg ~arrival =
   let arrival =
     if t.fifo && in_order then begin
       (* FIFO channel: never deliver before an earlier send on the same
          (src, dst) pair. Reordered messages skip both the floor and the
          floor update — they overtake and are overtaken. *)
-      let floor = t.last_delivery.(src).(dst) in
-      let a = if arrival <= floor then floor +. 1e-9 else arrival in
-      t.last_delivery.(src).(dst) <- a;
+      let floor = edge_floor t ~src ~dst in
+      let a = if arrival <= floor.last then floor.last +. 1e-9 else arrival in
+      floor.last <- a;
       a
     end
     else arrival
@@ -165,8 +183,7 @@ let clock_words_sent t = t.clock_words
    one. *)
 let reset t =
   Prng.resplit (Engine.rng t.sim) ~into:t.rng;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.)
-    t.last_delivery;
+  Int_tbl.clear t.last_delivery;
   t.messages <- 0;
   t.words <- 0;
   t.wire_words <- 0;

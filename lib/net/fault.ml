@@ -47,10 +47,15 @@ let on_link t ~src ~dst l =
       :: List.remove_assoc (src, dst) t.overrides;
   }
 
+(* Called on every send: a plan with no per-link override answers
+   without building the (src, dst) key. *)
 let link t ~src ~dst =
-  match List.assoc_opt (src, dst) t.overrides with
-  | Some l -> l
-  | None -> t.default
+  match t.overrides with
+  | [] -> t.default
+  | overrides -> (
+      match List.assoc_opt (src, dst) overrides with
+      | Some l -> l
+      | None -> t.default)
 
 let is_none t =
   t.overrides = []

@@ -1,3 +1,5 @@
+module Int_tbl = Dsm_sim.Int_tbl
+
 type violation = {
   time : float;
   node : int;
@@ -8,14 +10,19 @@ type violation = {
 }
 
 type t = {
-  shadow : (int * int, int) Hashtbl.t; (* (node, offset) -> last value *)
+  shadow : int Int_tbl.t;
+      (* [offset * n + node] -> the last value applied there *)
+  nodes : int;
   probe : Dsm_obs.Probe.t;
   mutable violations : violation list;
   mutable checked : int;
   mutable adopted : int;
 }
 
-let record t ~node ~offset value = Hashtbl.replace t.shadow (node, offset) value
+let key t ~node ~offset = (offset * t.nodes) + node
+
+let record t ~node ~offset value =
+  Int_tbl.replace t.shadow (key t ~node ~offset) value
 
 (* A read of never-written memory used to be silent adoption even when
    the scenario had declared an initial value for it; seeding the shadow
@@ -25,11 +32,11 @@ let declare_init t ~node ~offset data =
 
 let check t ~time ~node ~offset ~origin observed =
   t.checked <- t.checked + 1;
-  match Hashtbl.find_opt t.shadow (node, offset) with
-  | None ->
+  match Int_tbl.find t.shadow (key t ~node ~offset) with
+  | exception Not_found ->
       t.adopted <- t.adopted + 1;
       record t ~node ~offset observed
-  | Some expected ->
+  | expected ->
       if expected <> observed then begin
         t.violations <-
           { time; node; offset; expected; observed; origin } :: t.violations;
@@ -41,7 +48,8 @@ let check t ~time ~node ~offset ~origin observed =
 let attach m =
   let t =
     {
-      shadow = Hashtbl.create 256;
+      shadow = Int_tbl.create 256;
+      nodes = Machine.n m;
       probe = Dsm_sim.Engine.probe (Machine.sim m);
       violations = [];
       checked = 0;

@@ -88,21 +88,13 @@ type rel_state = {
    from what actually got delivered, keyed the same way. The clock is
    created at the edge's first frame and overwritten in place after
    that, so a message allocates no cache or mirror clock. An edge's key is
-   the immediate int [src * n + dst] in an int-specialized table, so the
-   lookup twice per clock-carrying message builds no tuple and runs no
+   the immediate int [src * n + dst] in an {!Int_tbl}, so the lookup
+   twice per clock-carrying message builds no tuple and runs no
    polymorphic hash. *)
 type pb_edge = {
   mutable pb_cache : Dsm_clocks.Vector_clock.t option;
   mutable pb_seq : int;
 }
-
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash = Hashtbl.hash
-end)
 
 type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 
@@ -117,13 +109,15 @@ type t = {
          per-message paths read plain booleans *)
   nodes : Node_memory.t array;
   mutable next_op : int;
-  pending_acks : (int, unit Ivar.t) Hashtbl.t;
-  pending_data : (int, int array Ivar.t) Hashtbl.t;
-  pending_atomic : (int, int Ivar.t) Hashtbl.t;
-  pending_lock : (int, int Ivar.t) Hashtbl.t;
-  pending_control : (int, int array Ivar.t) Hashtbl.t;
-  (* (node, token) -> the lock id held on that node for a remote owner *)
-  remote_locks : (int * int, Lock_table.lock_id) Hashtbl.t;
+  (* operation id -> the initiator's ivar awaiting the reply *)
+  pending_acks : unit Ivar.t Int_tbl.t;
+  pending_data : int array Ivar.t Int_tbl.t;
+  pending_atomic : int Ivar.t Int_tbl.t;
+  pending_lock : int Ivar.t Int_tbl.t;
+  pending_control : int array Ivar.t Int_tbl.t;
+  (* [token * n + node] -> the lock id held on that node for a remote
+     owner ([remote_lock_key]) *)
+  remote_locks : Lock_table.lock_id Int_tbl.t;
   control_handlers :
     (string, node:int -> origin:int -> int array -> int array option)
     Hashtbl.t;
@@ -173,6 +167,10 @@ let carries_clock = function
   | Message.Accumulate _ | Message.Lock_request _ | Message.Unlock _
   | Message.Control _ | Message.Control_reply _ ->
       false
+
+(* A lock held on [node] for a remote owner is keyed by its grant token
+   and the node, packed into one int. *)
+let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
 
 let pb_edge_of m tbl ~src ~dst =
   let key = (src * Array.length m.nodes) + dst in
@@ -398,15 +396,17 @@ let rec handle m ~node ~src msg =
             (Message.Acc_reply { op; old; extra_words }))
   | Message.Lock_request { op; origin; offset; len } ->
       Lock_table.acquire locks ~offset ~len (fun id ->
-          Hashtbl.replace m.remote_locks (node, op) id;
+          Int_tbl.replace m.remote_locks (remote_lock_key m ~node ~token:op) id;
           transmit m ~src:node ~dst:origin
             (Message.Lock_granted { op; token = op }))
   | Message.Unlock { token } -> (
-      match Hashtbl.find_opt m.remote_locks (node, token) with
-      | Some id ->
-          Hashtbl.remove m.remote_locks (node, token);
+      let key = remote_lock_key m ~node ~token in
+      match Int_tbl.find m.remote_locks key with
+      | id ->
+          Int_tbl.remove m.remote_locks key;
           Lock_table.release locks id
-      | None -> failwith (Printf.sprintf "NIC P%d: unknown unlock token" node))
+      | exception Not_found ->
+          failwith (Printf.sprintf "NIC P%d: unknown unlock token" node))
   | Message.Control { op; origin; tag; words; want_reply } -> (
       match Hashtbl.find_opt m.control_handlers tag with
       | None ->
@@ -434,17 +434,18 @@ let rec handle m ~node ~src msg =
   | Message.Control_reply { op; words } ->
       fill_pending m.pending_control op words m ~node
 
-and fill_pending :
-    'a. (int, 'a Ivar.t) Hashtbl.t -> int -> 'a -> t -> node:int -> unit =
+and fill_pending : 'a. 'a Ivar.t Int_tbl.t -> int -> 'a -> t -> node:int -> unit
+    =
  fun table op v m ~node ->
-  match Hashtbl.find_opt table op with
-  | Some iv ->
-      Hashtbl.remove table op;
+  match Int_tbl.find table op with
+  | iv ->
+      Int_tbl.remove table op;
       (* The resumed initiator lives on this node (pid = node), so its
          continuation's footprint is the node's own state plus its own
          process — the (node, node) label. *)
       Ivar.fill ~label:(Label.v ~node ~origin:node) m.sim iv v
-  | None -> failwith (Printf.sprintf "NIC: reply for unknown op #%d" op)
+  | exception Not_found ->
+      failwith (Printf.sprintf "NIC: reply for unknown op #%d" op)
 
 and non_atomic_put m ~node ~origin ~locked ~words ~finish =
   let nm = m.nodes.(node) in
@@ -690,12 +691,12 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
         Array.init n (fun pid ->
             Node_memory.create ~pid ?private_words ?public_words ?discipline ());
       next_op = 0;
-      pending_acks = Hashtbl.create 64;
-      pending_data = Hashtbl.create 64;
-      pending_atomic = Hashtbl.create 64;
-      pending_lock = Hashtbl.create 64;
-      pending_control = Hashtbl.create 64;
-      remote_locks = Hashtbl.create 64;
+      pending_acks = Int_tbl.create 64;
+      pending_data = Int_tbl.create 64;
+      pending_atomic = Int_tbl.create 64;
+      pending_lock = Int_tbl.create 64;
+      pending_control = Int_tbl.create 64;
+      remote_locks = Int_tbl.create 64;
       control_handlers = Hashtbl.create 8;
       observers = [];
       clock_src = None;
@@ -738,20 +739,20 @@ let reset m =
       r.retransmits <- 0);
   Array.iter Node_memory.reset m.nodes;
   m.next_op <- 0;
-  Hashtbl.reset m.pending_acks;
-  Hashtbl.reset m.pending_data;
-  Hashtbl.reset m.pending_atomic;
-  Hashtbl.reset m.pending_lock;
-  Hashtbl.reset m.pending_control;
-  Hashtbl.reset m.remote_locks;
+  Int_tbl.clear m.pending_acks;
+  Int_tbl.clear m.pending_data;
+  Int_tbl.clear m.pending_atomic;
+  Int_tbl.clear m.pending_lock;
+  Int_tbl.clear m.pending_control;
+  Int_tbl.clear m.remote_locks;
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
   (* piggyback state is per-run: the next population re-installs its
      clock source (Detector.create) and both edge tables restart empty,
      so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
-  Int_tbl.reset m.pb_sent;
-  Int_tbl.reset m.pb_recv;
+  Int_tbl.clear m.pb_sent;
+  Int_tbl.clear m.pb_recv;
   m.pb_dense <- 0;
   m.pb_sparse <- 0;
   m.pb_delta <- 0;
@@ -785,11 +786,11 @@ let transport_retransmits m =
   match m.rel with None -> 0 | Some r -> r.retransmits
 
 let pending_ops m =
-  Hashtbl.length m.pending_acks
-  + Hashtbl.length m.pending_data
-  + Hashtbl.length m.pending_atomic
-  + Hashtbl.length m.pending_lock
-  + Hashtbl.length m.pending_control
+  Int_tbl.length m.pending_acks
+  + Int_tbl.length m.pending_data
+  + Int_tbl.length m.pending_atomic
+  + Int_tbl.length m.pending_lock
+  + Int_tbl.length m.pending_control
 
 let locks_quiescent m =
   Array.for_all
@@ -894,7 +895,7 @@ let put p ~src ~dst ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   let op = fresh_op p.m in
   let iv = if ack then Some (Ivar.create ()) else None in
   (match iv with
-  | Some iv -> Hashtbl.replace p.m.pending_acks op iv
+  | Some iv -> Int_tbl.replace p.m.pending_acks op iv
   | None -> ());
   op_begin p ~op ~kind:"put" ~target:dst.base.pid;
   transmit p.m ~src:p.p ~dst:dst.base.pid
@@ -915,7 +916,7 @@ let send_get p ~(src : Addr.region) ~extra_words ~locked =
   check_public src "get";
   let op = fresh_op p.m in
   let iv = Ivar.create () in
-  Hashtbl.replace p.m.pending_data op iv;
+  Int_tbl.replace p.m.pending_data op iv;
   op_begin p ~op ~kind:"get" ~target:src.base.pid;
   transmit p.m ~src:p.p ~dst:src.base.pid
     (Message.Get
@@ -1018,7 +1019,7 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
       let op = fresh_op p.m in
       let iv = if ack then Some (Ivar.create ()) else None in
       (match iv with
-      | Some iv -> Hashtbl.replace p.m.pending_acks op iv
+      | Some iv -> Int_tbl.replace p.m.pending_acks op iv
       | None -> ());
       op_begin p ~op ~kind:"put" ~target;
       batch_flush p ~node:target ~kind:"put" ~parts:(Array.length parts)
@@ -1075,7 +1076,7 @@ let atomic p ~(target : Addr.global) ~extra_words kind =
     invalid_arg "Machine.atomic: target is not public";
   let op = fresh_op p.m in
   let iv = Ivar.create () in
-  Hashtbl.replace p.m.pending_atomic op iv;
+  Int_tbl.replace p.m.pending_atomic op iv;
   op_begin p ~op ~kind:"atomic" ~target:target.pid;
   transmit p.m ~src:p.p ~dst:target.pid
     (Message.Atomic
@@ -1107,7 +1108,7 @@ let accumulate p ~(src : Addr.region) ~(dst : Addr.region)
     invalid_arg "Machine.accumulate: empty region";
   let op = fresh_op p.m in
   let iv = Ivar.create () in
-  Hashtbl.replace p.m.pending_data op iv;
+  Int_tbl.replace p.m.pending_data op iv;
   op_begin p ~op ~kind:"atomic" ~target:dst.base.pid;
   transmit p.m ~src:p.p ~dst:dst.base.pid
     (Message.Accumulate
@@ -1149,7 +1150,7 @@ let lock p (r : Addr.region) =
   | Addr.Public, false ->
       let op = fresh_op p.m in
       let iv = Ivar.create () in
-      Hashtbl.replace p.m.pending_lock op iv;
+      Int_tbl.replace p.m.pending_lock op iv;
       op_begin p ~op ~kind:"lock" ~target:r.base.pid;
       transmit p.m ~src:p.p ~dst:r.base.pid
         (Message.Lock_request
@@ -1179,7 +1180,7 @@ let set_control_handler m ~tag f =
 let control p ~target ~tag ~words =
   let op = fresh_op p.m in
   let iv = Ivar.create () in
-  Hashtbl.replace p.m.pending_control op iv;
+  Int_tbl.replace p.m.pending_control op iv;
   transmit p.m ~src:p.p ~dst:target
     (Message.Control { op; origin = p.p; tag; words; want_reply = true });
   Ivar.read p.m.sim iv

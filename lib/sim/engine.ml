@@ -155,39 +155,29 @@ let set_chooser sim f = sim.chooser <- f
 
 let set_choice_view sim f = sim.choice_view <- f
 
-(* One scheduling decision: with no chooser installed this is exactly
-   [Heap.pop] — (time, seq) order, the deterministic production path.
-   With a chooser, ties on simulated time become explicit choice points:
-   the chooser picks which of the ready events fires next. *)
-let pop_next sim =
-  match sim.chooser with
-  | None -> Heap.pop sim.heap
-  | Some choose -> (
-      match Heap.ready_count sim.heap with
-      | 0 -> None
-      | 1 -> Heap.pop sim.heap
-      | r ->
-          (match sim.choice_view with
-          | Some view -> view (Heap.ready_view sim.heap)
-          | None -> ());
-          let k = choose r in
-          let popped = Heap.pop_kth sim.heap k in
-          (if sim.probe.on then
-             match popped with
-             | Some (time, _, _) ->
-                 Dsm_obs.Probe.emit sim.probe
-                   (Engine_choice { time; ready = r; chosen = k })
-             | None -> ());
-          popped)
+(* A choice point: ties on simulated time become explicit, and the
+   chooser picks which of the ready events fires next. With exactly one
+   event ready this is the production pop. *)
+let pop_chosen sim choose =
+  match Heap.ready_count sim.heap with
+  | 1 -> Heap.pop_min sim.heap
+  | r -> (
+      (match sim.choice_view with
+      | Some view -> view (Heap.ready_view sim.heap)
+      | None -> ());
+      let k = choose r in
+      match Heap.pop_kth sim.heap k with
+      | Some (time, _, action) ->
+          if sim.probe.on then
+            Dsm_obs.Probe.emit sim.probe
+              (Engine_choice { time; ready = r; chosen = k });
+          action
+      | None -> invalid_arg "Engine: choice point on an empty heap")
 
 let run ?until ?max_events sim =
   sim.stopping <- false;
-  let budget_exhausted () =
-    match max_events with None -> false | Some m -> sim.events >= m
-  in
-  let horizon_passed t =
-    match until with None -> false | Some h -> t > h
-  in
+  let budget = match max_events with None -> max_int | Some m -> m in
+  let horizon = match until with None -> infinity | Some h -> h in
   let check_failed () =
     match sim.failed with
     | Some (name, e) ->
@@ -205,25 +195,33 @@ let run ?until ?max_events sim =
            { time = sim.now; events = sim.events; outcome = name });
     outcome
   in
+  (* The next event's time is read before anything is popped, so an
+     event past the horizon stays queued for a later [run]. With no
+     chooser the pop is exactly (time, seq) order, the deterministic
+     production path. *)
   let rec loop () =
     if sim.stopping then Stopped
-    else if budget_exhausted () then Event_limit_reached
+    else if sim.events >= budget then Event_limit_reached
+    else if Heap.is_empty sim.heap then
+      if sim.live > 0 then quiescence (Blocked sim.live) "blocked"
+      else quiescence Completed "completed"
     else
-      match pop_next sim with
-      | None ->
-          if sim.live > 0 then quiescence (Blocked sim.live) "blocked"
-          else quiescence Completed "completed"
-      | Some (time, _seq, action) ->
-          if horizon_passed time then Time_limit_reached
-          else begin
-            sim.now <- time;
-            sim.events <- sim.events + 1;
-            if sim.probe.on then
-              Dsm_obs.Probe.emit sim.probe (Engine_step { time });
-            action ();
-            check_failed ();
-            loop ()
-          end
+      let time = Heap.min_time sim.heap in
+      if time > horizon then Time_limit_reached
+      else begin
+        let action =
+          match sim.chooser with
+          | None -> Heap.pop_min sim.heap
+          | Some choose -> pop_chosen sim choose
+        in
+        sim.now <- time;
+        sim.events <- sim.events + 1;
+        if sim.probe.on then
+          Dsm_obs.Probe.emit sim.probe (Engine_step { time });
+        action ();
+        check_failed ();
+        loop ()
+      end
   in
   loop ()
 

@@ -77,7 +77,9 @@ type outcome =
   | Completed                 (** heap drained, every process finished *)
   | Blocked of int            (** heap drained with [k] processes suspended
                                   forever — e.g. a lock deadlock *)
-  | Time_limit_reached        (** stopped at the [until] horizon *)
+  | Time_limit_reached        (** stopped at the [until] horizon; the
+                                  first event past it stays queued, so a
+                                  later {!run} resumes with it *)
   | Event_limit_reached       (** stopped after [max_events] events *)
   | Stopped                   (** {!stop} was called *)
 

@@ -1,93 +1,160 @@
-type 'a entry = { time : float; seq : int; label : int; value : 'a }
-
-(* Slots at and past [size] hold [vacant], never a popped or cleared
-   entry, so the heap keeps no dead value reachable. *)
+(* The heap is four parallel arrays indexed by slot: a flat float array
+   of times, the seqs and labels as immediate ints, and the values. An
+   entry is never a record of its own, so adding one allocates nothing
+   and reading the minimum time boxes no float. Slots at and past
+   [size] hold [dummy] in [values], never a popped or cleared value, so
+   the heap keeps no dead value reachable. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable labels : int array;
+  mutable values : 'a array;
   mutable size : int;
-  vacant : 'a entry;
+  dummy : 'a;
 }
 
 let create ~dummy =
-  {
-    data = [||];
-    size = 0;
-    vacant = { time = 0.; seq = 0; label = Label.unknown; value = dummy };
-  }
+  { times = [||]; seqs = [||]; labels = [||]; values = [||]; size = 0; dummy }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow h =
-  let cap = Array.length h.data in
+  let cap = Array.length h.times in
   let cap' = if cap = 0 then 16 else cap * 2 in
-  let data' = Array.make cap' h.vacant in
-  Array.blit h.data 0 data' 0 h.size;
-  h.data <- data'
+  let times = Array.make cap' 0. and seqs = Array.make cap' 0 in
+  let labels = Array.make cap' Label.unknown in
+  let values = Array.make cap' h.dummy in
+  Array.blit h.times 0 times 0 h.size;
+  Array.blit h.seqs 0 seqs 0 h.size;
+  Array.blit h.labels 0 labels 0 h.size;
+  Array.blit h.values 0 values 0 h.size;
+  h.times <- times;
+  h.seqs <- seqs;
+  h.labels <- labels;
+  h.values <- values
 
-(* Both sifts move a hole rather than swap: [e] is written once, where
-   it lands, and each level passed costs one write. Every comparison is
-   the one a swapping sift makes, so entries land where it put them. *)
-let rec sift_up h i e =
-  if i = 0 then h.data.(0) <- e
-  else
-    let parent = (i - 1) / 2 in
-    let p = h.data.(parent) in
-    if lt e p then begin
-      h.data.(i) <- p;
-      sift_up h parent e
-    end
-    else h.data.(i) <- e
+let set h i time seq label value =
+  Array.unsafe_set h.times i time;
+  Array.unsafe_set h.seqs i seq;
+  Array.unsafe_set h.labels i label;
+  Array.unsafe_set h.values i value
 
-let rec sift_down h i e =
-  let l = (2 * i) + 1 in
-  if l >= h.size then h.data.(i) <- e
-  else
-    let r = l + 1 in
-    let c = if r < h.size && lt h.data.(r) h.data.(l) then r else l in
-    let child = h.data.(c) in
-    if lt child e then begin
-      h.data.(i) <- child;
-      sift_down h c e
+(* Copies slot [src] to slot [dst] field by field: the time goes from
+   one flat float array to the same array, never through a box. *)
+let move h ~src ~dst =
+  Array.unsafe_set h.times dst (Array.unsafe_get h.times src);
+  Array.unsafe_set h.seqs dst (Array.unsafe_get h.seqs src);
+  Array.unsafe_set h.labels dst (Array.unsafe_get h.labels src);
+  Array.unsafe_set h.values dst (Array.unsafe_get h.values src)
+
+(* Slot [a] sorts before slot [b] in [(time, seq)] order. *)
+let slot_lt h a b =
+  let ta = Array.unsafe_get h.times a and tb = Array.unsafe_get h.times b in
+  ta < tb
+  || (ta = tb && Array.unsafe_get h.seqs a < Array.unsafe_get h.seqs b)
+
+(* Both sifts move a hole rather than swap: the placed entry is written
+   once, where it lands, and each level passed costs one move. Every
+   comparison is the one a swapping sift makes, so entries land where it
+   put them. [sift_up] takes the entry's fields; [add] passes its own
+   arguments, so no float is boxed. *)
+let sift_up h i time seq label value =
+  let i = ref i and placed = ref false in
+  while not !placed do
+    if !i = 0 then placed := true
+    else begin
+      let parent = (!i - 1) / 2 in
+      let tp = Array.unsafe_get h.times parent in
+      if time < tp || (time = tp && seq < Array.unsafe_get h.seqs parent)
+      then begin
+        move h ~src:parent ~dst:!i;
+        i := parent
+      end
+      else placed := true
     end
-    else h.data.(i) <- e
+  done;
+  set h !i time seq label value
+
+(* [sift_down] places the entry held in slot [src], a slot past the live
+   range that no move of the sift writes: it reads the entry's time
+   from the array at each level instead of carrying a float. This is
+   the loop every pop runs, so it works on the arrays directly. *)
+let sift_down h i ~src =
+  let times = h.times and seqs = h.seqs and size = h.size in
+  let time = Array.unsafe_get times src and seq = Array.unsafe_get seqs src in
+  let i = ref i and placed = ref false in
+  while not !placed do
+    let l = (2 * !i) + 1 in
+    if l >= size then placed := true
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < size then begin
+          let tr = Array.unsafe_get times r and tl = Array.unsafe_get times l in
+          if
+            tr < tl
+            || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+          then r
+          else l
+        end
+        else l
+      in
+      let tc = Array.unsafe_get times c in
+      if tc < time || (tc = time && Array.unsafe_get seqs c < seq) then begin
+        move h ~src:c ~dst:!i;
+        i := c
+      end
+      else placed := true
+    end
+  done;
+  move h ~src ~dst:!i
 
 let add h ~time ~seq ?(label = Label.unknown) value =
-  let entry = { time; seq; label; value } in
-  if h.size = Array.length h.data then
-    if h.size = 0 then h.data <- Array.make 16 h.vacant else grow h;
+  if h.size = Array.length h.times then grow h;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1) entry
+  sift_up h (h.size - 1) time seq label value
 
-(* Remove the entry at array index [i]: the last entry fills the hole,
-   sifted whichever way the heap property needs. *)
+(* Remove the entry at slot [i]: the last entry fills the hole, sifted
+   whichever way the heap property needs. *)
 let remove_index h i =
   let last = h.size - 1 in
-  let e = h.data.(last) in
   h.size <- last;
-  h.data.(last) <- h.vacant;
   if i < last then
-    if i > 0 && lt e h.data.((i - 1) / 2) then sift_up h i e
-    else sift_down h i e
+    if i > 0 && slot_lt h last ((i - 1) / 2) then
+      sift_up h i
+        (Array.unsafe_get h.times last)
+        (Array.unsafe_get h.seqs last)
+        (Array.unsafe_get h.labels last)
+        (Array.unsafe_get h.values last)
+    else sift_down h i ~src:last;
+  Array.unsafe_set h.values last h.dummy
+
+let min_time h =
+  if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
+  Array.unsafe_get h.times 0
+
+let pop_min h =
+  if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let v = Array.unsafe_get h.values 0 in
+  remove_index h 0;
+  v
 
 let pop h =
   if h.size = 0 then None
   else begin
-    let top = h.data.(0) in
-    remove_index h 0;
-    Some (top.time, top.seq, top.value)
+    let time = h.times.(0) and seq = h.seqs.(0) in
+    Some (time, seq, pop_min h)
   end
 
 let ready_count h =
   if h.size = 0 then 0
   else begin
-    let tmin = h.data.(0).time in
+    let tmin = h.times.(0) in
     let c = ref 0 in
     for i = 0 to h.size - 1 do
-      if h.data.(i).time = tmin then incr c
+      if h.times.(i) = tmin then incr c
     done;
     !c
   end
@@ -95,14 +162,14 @@ let ready_count h =
 let pop_kth h k =
   if h.size = 0 then None
   else begin
-    let tmin = h.data.(0).time in
+    let tmin = h.times.(0) in
     (* Collect the ready set — every entry at the minimum time — as
-       (seq, index) pairs, then select the k-th in seq order. The scan is
+       (seq, slot) pairs, then select the k-th in seq order. The scan is
        O(size); exploration runs are small by construction. *)
     let ready = ref [] and count = ref 0 in
     for i = h.size - 1 downto 0 do
-      if h.data.(i).time = tmin then begin
-        ready := (h.data.(i).seq, i) :: !ready;
+      if h.times.(i) = tmin then begin
+        ready := (h.seqs.(i), i) :: !ready;
         incr count
       end
     done;
@@ -110,19 +177,18 @@ let pop_kth h k =
     Array.sort compare arr;
     let k = if k < 0 then 0 else if k >= !count then !count - 1 else k in
     let _, i = arr.(k) in
-    let e = h.data.(i) in
+    let time = h.times.(i) and seq = h.seqs.(i) and v = h.values.(i) in
     remove_index h i;
-    Some (e.time, e.seq, e.value)
+    Some (time, seq, v)
   end
 
 let ready_view h =
   if h.size = 0 then [||]
   else begin
-    let tmin = h.data.(0).time in
+    let tmin = h.times.(0) in
     let ready = ref [] in
     for i = h.size - 1 downto 0 do
-      if h.data.(i).time = tmin then
-        ready := (h.data.(i).seq, h.data.(i).label) :: !ready
+      if h.times.(i) = tmin then ready := (h.seqs.(i), h.labels.(i)) :: !ready
     done;
     let arr = Array.of_list !ready in
     Array.sort compare arr;
@@ -130,5 +196,5 @@ let ready_view h =
   end
 
 let clear h =
-  Array.fill h.data 0 h.size h.vacant;
+  Array.fill h.values 0 h.size h.dummy;
   h.size <- 0

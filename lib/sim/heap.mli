@@ -3,7 +3,11 @@
     The event queue of the discrete-event engine. Ties on simulated time are
     broken by insertion sequence number, which makes the whole simulation
     deterministic: two events scheduled for the same instant fire in the
-    order they were scheduled. *)
+    order they were scheduled.
+
+    The entries live in parallel arrays (a flat [float array] of times,
+    [int array]s of sequence numbers and labels, and the values), so
+    {!add}, {!min_time} and {!pop_min} allocate nothing. *)
 
 type 'a t
 
@@ -19,6 +23,14 @@ val add : 'a t -> time:float -> seq:int -> ?label:Label.t -> 'a -> unit
 (** [add h ~time ~seq ~label v] inserts [v] with priority [(time, seq)].
     [label] (default {!Label.unknown}) is the event's declared footprint,
     carried for the benefit of {!ready_view}; it never affects ordering. *)
+
+val min_time : 'a t -> float
+(** The time of the minimum entry. Raises [Invalid_argument] on an empty
+    heap. *)
+
+val pop_min : 'a t -> 'a
+(** Removes the minimum entry and returns its value: {!pop} without the
+    option and the tuple. Raises [Invalid_argument] on an empty heap. *)
 
 val pop : 'a t -> (float * int * 'a) option
 (** Removes and returns the minimum element, or [None] when empty. *)

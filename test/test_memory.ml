@@ -245,6 +245,122 @@ let prop_lock_table_strict =
     QCheck.(list (pair small_int small_int))
     (lock_table_random_invariants Lock_table.Strict_head)
 
+(* Property: random acquire / release / double-release sequences give
+   the same grant order, the same held, queued and chained counts and
+   the same double-release failure from the array-backed table as from
+   the hashtable one it replaced ([Lock_table_ref]). Requests are named
+   by their index, so the two tables' tokens never need comparing. *)
+type lock_op =
+  | L_acquire of int * int
+  | L_release of int
+  | L_double_release of int
+
+let show_lock_op = function
+  | L_acquire (o, l) -> Printf.sprintf "acquire %d+%d" o l
+  | L_release j -> Printf.sprintf "release #%d" j
+  | L_double_release j -> Printf.sprintf "double release #%d" j
+
+let arb_lock_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 5,
+          map2 (fun o l -> L_acquire (o, l)) (int_range 0 15) (int_range 1 4) );
+        (4, map (fun j -> L_release j) nat);
+        (1, map (fun j -> L_double_release j) nat);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_lock_op ops))
+    (list_size (int_range 0 80) op)
+
+(* One table's answers to a script: after each op, the requests granted
+   during it (in grant order), the counts, and any failure. *)
+let lock_outcomes ~acquire ~release ~held ~queued ~chained ops =
+  let ids = Hashtbl.create 16 and released = ref [] and grants = ref [] in
+  let live () =
+    List.sort compare
+      (Hashtbl.fold
+         (fun r _ acc -> if List.mem r !released then acc else r :: acc)
+         ids [])
+  in
+  let pick j = function
+    | [] -> None
+    | l -> Some (List.nth l (j mod List.length l))
+  in
+  let release_req r =
+    match release (Hashtbl.find ids r) with
+    | () -> "ok"
+    | exception Failure msg -> "Failure " ^ msg
+  in
+  List.mapi
+    (fun i op ->
+      grants := [];
+      let result =
+        match op with
+        | L_acquire (offset, len) ->
+            acquire ~offset ~len (fun id ->
+                Hashtbl.replace ids i id;
+                grants := i :: !grants);
+            ""
+        | L_release j -> (
+            match pick j (live ()) with
+            | None -> "nothing held"
+            | Some r ->
+                released := r :: !released;
+                release_req r)
+        | L_double_release j -> (
+            match pick j (List.sort compare !released) with
+            | None -> "nothing released"
+            | Some r -> release_req r)
+      in
+      Printf.sprintf "%s -> %s granted [%s] held=%d queued=%d chained=%d"
+        (show_lock_op op) result
+        (String.concat " " (List.rev_map string_of_int !grants))
+        (held ()) (queued ()) (chained ()))
+    ops
+
+let lock_table_matches_reference discipline ops =
+  let live = Lock_table.create ~discipline () in
+  let oracle =
+    Lock_table_ref.create
+      ~discipline:
+        (match discipline with
+        | Lock_table.First_fit -> Lock_table_ref.First_fit
+        | Lock_table.Strict_head -> Lock_table_ref.Strict_head)
+      ()
+  in
+  let got =
+    lock_outcomes ~acquire:(Lock_table.acquire live)
+      ~release:(Lock_table.release live)
+      ~held:(fun () -> Lock_table.held_count live)
+      ~queued:(fun () -> Lock_table.queued_count live)
+      ~chained:(fun () -> Lock_table.chained_grants live)
+      ops
+  and expected =
+    lock_outcomes ~acquire:(Lock_table_ref.acquire oracle)
+      ~release:(Lock_table_ref.release oracle)
+      ~held:(fun () -> Lock_table_ref.held_count oracle)
+      ~queued:(fun () -> Lock_table_ref.queued_count oracle)
+      ~chained:(fun () -> Lock_table_ref.chained_grants oracle)
+      ops
+  in
+  if got = expected then true
+  else
+    QCheck.Test.fail_reportf "live:\n%s\nreference:\n%s"
+      (String.concat "\n" got) (String.concat "\n" expected)
+
+let prop_lock_table_ref_first_fit =
+  QCheck.Test.make ~name:"lock table matches the reference (first fit)"
+    ~count:300 arb_lock_ops
+    (lock_table_matches_reference Lock_table.First_fit)
+
+let prop_lock_table_ref_strict =
+  QCheck.Test.make ~name:"lock table matches the reference (strict head)"
+    ~count:300 arb_lock_ops
+    (lock_table_matches_reference Lock_table.Strict_head)
+
 (* ---------- Node_memory ---------- *)
 
 let test_node_alloc_and_rw () =
@@ -324,7 +440,12 @@ let () =
         ] );
       ( "lock-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_lock_table_first_fit; prop_lock_table_strict ] );
+          [
+            prop_lock_table_first_fit;
+            prop_lock_table_strict;
+            prop_lock_table_ref_first_fit;
+            prop_lock_table_ref_strict;
+          ] );
       ( "node",
         [
           Alcotest.test_case "alloc+rw" `Quick test_node_alloc_and_rw;

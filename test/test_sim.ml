@@ -134,6 +134,198 @@ let test_heap_releases_dead_entries () =
   Alcotest.(check (option string)) "reusable" (Some "x")
     (Option.map (fun (_, _, b) -> Bytes.to_string b) (Heap.pop h))
 
+(* Property: random add / pop / pop_kth / ready_count / ready_view /
+   clear sequences, with tied times and repeated seqs, give the same
+   answers from the parallel-array heap as from the entry-record heap it
+   replaced ([Heap_ref]). Every value is distinct, so a tie broken the
+   other way shows. [Pop_min] drives [min_time] and [pop_min] against
+   the reference's [pop]. *)
+type heap_op =
+  | H_add of float * int * int
+  | H_pop
+  | H_pop_min
+  | H_pop_kth of int
+  | H_ready_count
+  | H_ready_view
+  | H_clear
+
+let show_heap_op = function
+  | H_add (t, s, l) -> Printf.sprintf "add t=%g seq=%d label=%d" t s l
+  | H_pop -> "pop"
+  | H_pop_min -> "pop_min"
+  | H_pop_kth k -> Printf.sprintf "pop_kth %d" k
+  | H_ready_count -> "ready_count"
+  | H_ready_view -> "ready_view"
+  | H_clear -> "clear"
+
+let arb_heap_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun t s l -> H_add (float_of_int t /. 2., s, l))
+            (int_range 0 4) (int_range 0 6) (int_range (-1) 3) );
+        (2, return H_pop);
+        (2, return H_pop_min);
+        (2, map (fun k -> H_pop_kth k) (int_range (-1) 4));
+        (1, return H_ready_count);
+        (1, return H_ready_view);
+        (1, return H_clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_heap_op ops))
+    QCheck.Gen.(list_size (int_range 0 120) op)
+
+let show_popped = function
+  | None -> "none"
+  | Some (t, s, v) -> Printf.sprintf "%g/%d/%d" t s v
+
+let show_view view =
+  String.concat " "
+    (Array.to_list (Array.map (fun (s, l) -> Printf.sprintf "%d:%d" s l) view))
+
+let prop_heap_matches_reference =
+  QCheck.Test.make ~name:"heap matches the entry-record reference" ~count:500
+    arb_heap_ops (fun ops ->
+      let live = Heap.create ~dummy:(-1)
+      and oracle = Heap_ref.create ~dummy:(-1) in
+      let step i op =
+        let answer =
+          match op with
+          | H_add (time, seq, label) ->
+              Heap.add live ~time ~seq ~label i;
+              Heap_ref.add oracle ~time ~seq ~label i;
+              ("", "")
+          | H_pop ->
+              (show_popped (Heap.pop live), show_popped (Heap_ref.pop oracle))
+          | H_pop_min ->
+              let l =
+                if Heap.is_empty live then "none"
+                else
+                  let time = Heap.min_time live in
+                  let v = Heap.pop_min live in
+                  Printf.sprintf "%g/%d" time v
+              in
+              let r =
+                match Heap_ref.pop oracle with
+                | None -> "none"
+                | Some (time, _, v) -> Printf.sprintf "%g/%d" time v
+              in
+              (l, r)
+          | H_pop_kth k ->
+              ( show_popped (Heap.pop_kth live k),
+                show_popped (Heap_ref.pop_kth oracle k) )
+          | H_ready_count ->
+              ( string_of_int (Heap.ready_count live),
+                string_of_int (Heap_ref.ready_count oracle) )
+          | H_ready_view ->
+              ( show_view (Heap.ready_view live),
+                show_view (Heap_ref.ready_view oracle) )
+          | H_clear ->
+              Heap.clear live;
+              Heap_ref.clear oracle;
+              ("", "")
+        in
+        let l, r = answer in
+        let show answer len =
+          Printf.sprintf "%s -> %s len=%d" (show_heap_op op) answer len
+        in
+        (show l (Heap.length live), show r (Heap_ref.length oracle))
+      in
+      let both = List.mapi step ops in
+      (* drain what is left *)
+      let rec drain acc =
+        match (Heap.pop live, Heap_ref.pop oracle) with
+        | None, None -> List.rev acc
+        | l, r -> drain ((show_popped l, show_popped r) :: acc)
+      in
+      let both = both @ drain [] in
+      if List.for_all (fun (l, r) -> l = r) both then true
+      else
+        QCheck.Test.fail_reportf "live:\n%s\nreference:\n%s"
+          (String.concat "\n" (List.map fst both))
+          (String.concat "\n" (List.map snd both)))
+
+(* ---------- Int_tbl ---------- *)
+
+(* Property: random replace / remove / find / clear sequences over keys
+   shaped like the message path's (packed granules, edges, negative
+   ints) answer like a stdlib [Hashtbl] used as a map, through growth
+   and clears. *)
+type tbl_op = T_replace of int * int | T_remove of int | T_find of int | T_clear
+
+let arb_tbl_ops =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        map2
+          (fun off len -> (off lsl 21) lor len)
+          (int_range 0 300) (int_range 1 3);
+        map2
+          (fun src dst -> (src * 1024) + dst)
+          (int_range 0 40) (int_range 0 40);
+        int_range (-50) 50;
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> T_replace (k, v)) key small_nat);
+        (2, map (fun k -> T_remove k) key);
+        (3, map (fun k -> T_find k) key);
+        (1, return T_clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "\n"
+        (List.map
+           (function
+             | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+             | T_remove k -> Printf.sprintf "remove %d" k
+             | T_find k -> Printf.sprintf "find %d" k
+             | T_clear -> "clear")
+           ops))
+    (list_size (int_range 0 400) op)
+
+let prop_int_tbl_matches_hashtbl =
+  QCheck.Test.make ~name:"int table matches Hashtbl" ~count:300 arb_tbl_ops
+    (fun ops ->
+      let t = Int_tbl.create 4 and model = Hashtbl.create 4 in
+      let bindings () =
+        List.sort compare (Int_tbl.fold (fun k v acc -> (k, v) :: acc) t [])
+      and model_bindings () =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+      in
+      List.for_all
+        (fun op ->
+          let answer =
+            match op with
+            | T_replace (k, v) ->
+                Int_tbl.replace t k v;
+                Hashtbl.replace model k v;
+                true
+            | T_remove k ->
+                Int_tbl.remove t k;
+                Hashtbl.remove model k;
+                true
+            | T_find k ->
+                (match Int_tbl.find t k with
+                | v -> Hashtbl.find_opt model k = Some v
+                | exception Not_found -> not (Hashtbl.mem model k))
+            | T_clear ->
+                Int_tbl.clear t;
+                Hashtbl.reset model;
+                true
+          in
+          answer && Int_tbl.length t = Hashtbl.length model)
+        ops
+      && bindings () = model_bindings ())
+
 (* ---------- Engine ---------- *)
 
 let test_engine_time_order () =
@@ -256,6 +448,23 @@ let test_engine_until_horizon () =
   let outcome = Engine.run ~until:5.5 sim in
   Alcotest.(check bool) "horizon" true (outcome = Engine.Time_limit_reached);
   Alcotest.(check int) "five wakes" 5 !count
+
+(* A run stopped at a horizon leaves the first event past it queued: a
+   second run to a later horizon resumes with it and misses no wake. *)
+let test_engine_until_resumes () =
+  let sim = Engine.create () in
+  let count = ref 0 in
+  let rec tickloop () =
+    Engine.sleep sim 1.0;
+    incr count;
+    tickloop ()
+  in
+  Engine.spawn sim tickloop;
+  ignore (Engine.run ~until:5.5 sim);
+  let outcome = Engine.run ~until:7.5 sim in
+  Alcotest.(check bool) "horizon" true (outcome = Engine.Time_limit_reached);
+  Alcotest.(check int) "seven wakes" 7 !count;
+  Alcotest.(check (float 0.)) "now at the last wake" 7.0 (Engine.now sim)
 
 let test_engine_stop () =
   let sim = Engine.create () in
@@ -413,7 +622,10 @@ let () =
           Alcotest.test_case "stress drain" `Quick test_heap_stress_sorted_drain;
           Alcotest.test_case "releases dead entries" `Quick
             test_heap_releases_dead_entries;
+          QCheck_alcotest.to_alcotest prop_heap_matches_reference;
         ] );
+      ( "int-table",
+        [ QCheck_alcotest.to_alcotest prop_int_tbl_matches_hashtbl ] );
       ( "engine",
         [
           Alcotest.test_case "time order" `Quick test_engine_time_order;
@@ -426,6 +638,7 @@ let () =
             test_engine_failure_spares_siblings;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
           Alcotest.test_case "until horizon" `Quick test_engine_until_horizon;
+          Alcotest.test_case "until resumes" `Quick test_engine_until_resumes;
           Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
           Alcotest.test_case "deterministic trace" `Quick test_engine_deterministic_trace;
