@@ -45,7 +45,9 @@ let create ~node ~clock_dim ~granularity =
     node;
     clock_dim;
     granularity;
-    table = Int_tbl.create 64;
+    (* the smallest table: a node may hold a single variable, and the
+       table doubles as its granules are first touched *)
+    table = Int_tbl.create 0;
     var_off = [||];
     var_len = [||];
     vars = 0;

@@ -569,10 +569,16 @@ let get t p ~src ~dst = checked_op t p Get ~src ~dst
    transport is coalesced: one message, one lock span, one piggybacked
    clock per run instead of one per op. *)
 
-(* Maximal runs of consecutive pairs satisfying [key prev cur]. *)
+let rec one_run ~key prev = function
+  | [] -> true
+  | pair :: rest -> key prev pair && one_run ~key pair rest
+
+(* Maximal runs of consecutive pairs satisfying [key prev cur]. A batch
+   that is one run, the common case, is returned as it is. *)
 let group_runs ~key pairs =
   match pairs with
   | [] -> []
+  | first :: rest when one_run ~key first rest -> [ pairs ]
   | first :: rest ->
       let runs = ref [] and cur = ref [ first ] and prev = ref first in
       List.iter
@@ -646,6 +652,12 @@ let checked_run t p dir run =
       | Get -> Machine.get_batch p ~pairs:run ~extra_words ~locked ());
       unlock_span p span
 
+let rec checked_runs t p dir = function
+  | [] -> ()
+  | run :: rest ->
+      checked_run t p dir run;
+      checked_runs t p dir rest
+
 let checked_batch t p dir ~key pairs =
   match t.config.Config.transport with
   | Config.Explicit_txn ->
@@ -653,7 +665,7 @@ let checked_batch t p dir ~key pairs =
          either way; batching the data message would not change them *)
       per_op t p dir pairs
   | Config.Inline | Config.Piggyback_txn ->
-      List.iter (checked_run t p dir) (group_runs ~key pairs)
+      checked_runs t p dir (group_runs ~key pairs)
 
 let put_batch t p ~pairs = checked_batch t p Put ~key:put_key pairs
 

@@ -79,32 +79,27 @@ let edge_floor t ~src ~dst =
       Int_tbl.replace t.last_delivery key floor;
       floor
 
-let schedule_delivery t ~src ~dst ~in_order ?label msg ~arrival =
-  let arrival =
-    if t.fifo && in_order then begin
-      (* FIFO channel: never deliver before an earlier send on the same
-         (src, dst) pair. Reordered messages skip both the floor and the
-         floor update — they overtake and are overtaken. *)
-      let floor = edge_floor t ~src ~dst in
-      let a = if arrival <= floor.last then floor.last +. 1e-9 else arrival in
-      floor.last <- a;
-      a
-    end
-    else arrival
-  in
-  Engine.schedule_at t.sim ~at:arrival ?label (deliver t ~src ~dst msg)
+(* The arrival of an in-order frame on a FIFO fabric never precedes an
+   earlier send on the same (src, dst) pair. Reordered frames skip both
+   the floor and the floor update: they overtake and are overtaken. *)
+let floored t ~src ~dst ~in_order arrival =
+  if t.fifo && in_order then begin
+    let floor = edge_floor t ~src ~dst in
+    let a = if arrival <= floor.last then floor.last +. 1e-9 else arrival in
+    floor.last <- a;
+    a
+  end
+  else arrival
 
-let send t ~src ~dst ~words ?wire_words ?(clock_words = 0) ?(fifo = true)
-    ?label msg =
+let post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label msg =
   if words < 0 then invalid_arg "Fabric.send: negative size";
   if src < 0 || src >= nodes t then invalid_arg "Fabric.send: src";
   if dst < 0 || dst >= nodes t then invalid_arg "Fabric.send: dst";
   (* [words] is the nominal size the latency model prices; [wire_words]
-     (default: the same) is what the chosen encoding actually put on the
-     wire, of which [clock_words] were clock piggyback. Keeping the two
-     apart is what lets the wire encoding vary without perturbing a
-     single delivery time. *)
-  let wire_words = match wire_words with Some w -> w | None -> words in
+     is what the chosen encoding actually put on the wire, of which
+     [clock_words] were clock piggyback. Keeping the two apart is what
+     lets the wire encoding vary without perturbing a single delivery
+     time. *)
   if wire_words < 0 then invalid_arg "Fabric.send: negative wire size";
   if clock_words < 0 then invalid_arg "Fabric.send: negative clock size";
   t.messages <- t.messages + 1;
@@ -139,19 +134,20 @@ let send t ~src ~dst ~words ?wire_words ?(clock_words = 0) ?(fifo = true)
     let reorder =
       lf.Fault.reorder > 0. && Prng.bernoulli t.rng ~p:lf.Fault.reorder
     in
-    let arrival, in_order =
-      if reorder then begin
-        if probe.on then
-          Dsm_obs.Probe.emit probe (Net_reorder { time = now; src; dst });
-        (arrival +. Prng.float t.rng lf.Fault.reorder_window, false)
-      end
-      else (arrival, true)
+    if reorder && probe.on then
+      Dsm_obs.Probe.emit probe (Net_reorder { time = now; src; dst });
+    let arrival =
+      if reorder then arrival +. Prng.float t.rng lf.Fault.reorder_window
+      else arrival
     in
     (* A caller can opt a frame out of FIFO ordering (weak memory-model
        backends reorder put lanes this way); it still never overtakes
        the floor update of ordered traffic it was sent after. *)
-    let in_order = in_order && fifo in
-    schedule_delivery t ~src ~dst ~in_order ?label msg ~arrival;
+    let in_order = (not reorder) && fifo in
+    let arrive () = deliver t ~src ~dst msg () in
+    Engine.schedule_at t.sim ~label
+      ~at:(floored t ~src ~dst ~in_order arrival)
+      arrive;
     if
       lf.Fault.duplicate > 0.
       && Prng.bernoulli t.rng ~p:lf.Fault.duplicate
@@ -159,10 +155,16 @@ let send t ~src ~dst ~words ?wire_words ?(clock_words = 0) ?(fifo = true)
       t.duplicated <- t.duplicated + 1;
       if probe.on then
         Dsm_obs.Probe.emit probe (Net_duplicate { time = now; src; dst });
-      schedule_delivery t ~src ~dst ~in_order ?label msg
-        ~arrival:(arrival +. 1e-9)
+      Engine.schedule_at t.sim ~label
+        ~at:(floored t ~src ~dst ~in_order (arrival +. 1e-9))
+        arrive
     end
   end
+
+let send t ~src ~dst ~words ?wire_words ?(clock_words = 0) ?(fifo = true)
+    ?(label = Label.unknown) msg =
+  let wire_words = match wire_words with Some w -> w | None -> words in
+  post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label msg
 
 let messages_dropped t = t.dropped
 

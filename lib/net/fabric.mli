@@ -78,6 +78,21 @@ val send :
     fixed small loopback delay, without touching the interconnect
     counters' hop accounting. *)
 
+val post :
+  'msg t ->
+  src:int ->
+  dst:int ->
+  words:int ->
+  wire_words:int ->
+  clock_words:int ->
+  fifo:bool ->
+  label:Dsm_sim.Label.t ->
+  'msg ->
+  unit
+(** {!send} with every argument given: the per-message entry of the RDMA
+    machine, which passes no optional argument and so allocates no
+    option box per frame. *)
+
 val messages_sent : 'msg t -> int
 
 val words_sent : 'msg t -> int

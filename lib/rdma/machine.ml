@@ -50,9 +50,9 @@ type observation =
    transport that lets the coherence protocol ride out a faulty fabric
    (see [Dsm_net.Fault]) instead of hanging. *)
 
-type frame = { link_seq : int; pb : int array option; body : frame_body }
-
-and frame_body = Msg of Message.t | Frame_ack of int
+type frame =
+  | Data of { link_seq : int; pb : int array option; msg : Message.t }
+  | Frame_ack of int
 
 type reliability = { timeout : float; max_retries : int }
 
@@ -266,60 +266,46 @@ let rec handle m ~node ~src msg =
           if want_ack then
             transmit m ~src:node ~dst:origin (Message.Put_ack { op }))
   | Message.Put { op; origin; offset; data; locked; want_ack; _ } ->
-      let write_and_finish id =
-        Segment.write_block public ~offset data;
-        if m.observers <> [] then
-          notify m
-            (Write_applied
-               { time = Engine.now m.sim; node; offset; data; origin });
-        (match id with Some id -> Lock_table.release locks id | None -> ());
-        if want_ack then transmit m ~src:node ~dst:origin (Message.Put_ack { op })
-      in
       if locked then
         Lock_table.acquire locks ~offset ~len:(Array.length data) (fun id ->
-            write_and_finish (Some id))
-      else write_and_finish None
+            write_part m ~node ~origin ~public ~offset data;
+            Lock_table.release locks id;
+            ack_put m ~node ~origin ~op want_ack)
+      else begin
+        write_part m ~node ~origin ~public ~offset data;
+        ack_put m ~node ~origin ~op want_ack
+      end
   | Message.Put_batch { op; origin; parts; locked; want_ack; _ } ->
       (* the whole batch lands under one lock spanning its parts — a
          single acquisition instead of one per put — and answers with a
          single ack; each part is still applied (and observed) as its
          own write so the coherence shadow checker sees the same
          write-set an unbatched run produces *)
-      let write_and_finish id =
-        Array.iter
-          (fun (offset, data) ->
-            Segment.write_block public ~offset data;
-            if m.observers <> [] then
-              notify m
-                (Write_applied
-                   { time = Engine.now m.sim; node; offset; data; origin }))
-          parts;
-        (match id with Some id -> Lock_table.release locks id | None -> ());
-        if want_ack then
-          transmit m ~src:node ~dst:origin (Message.Put_ack { op })
-      in
       if locked then begin
         let lo, _ = parts.(0) in
         let hi_off, hi_data = parts.(Array.length parts - 1) in
         let len = hi_off + Array.length hi_data - lo in
         Lock_table.acquire locks ~offset:lo ~len (fun id ->
-            write_and_finish (Some id))
+            write_parts m ~node ~origin ~public parts;
+            Lock_table.release locks id;
+            ack_put m ~node ~origin ~op want_ack)
       end
-      else write_and_finish None
+      else begin
+        write_parts m ~node ~origin ~public parts;
+        ack_put m ~node ~origin ~op want_ack
+      end
   | Message.Get { op; origin; offset; len; locked; extra_words } ->
-      let read_and_reply id =
-        let data = Segment.read_block public ~offset ~len in
-        if m.observers <> [] then
-          notify m
-            (Read_served
-               { time = Engine.now m.sim; node; offset; data; origin });
-        (match id with Some id -> Lock_table.release locks id | None -> ());
+      if locked then
+        Lock_table.acquire locks ~offset ~len (fun id ->
+            let data = read_span m ~node ~origin ~public ~offset ~len in
+            Lock_table.release locks id;
+            transmit m ~src:node ~dst:origin
+              (Message.Get_reply { op; data; extra_words }))
+      else begin
+        let data = read_span m ~node ~origin ~public ~offset ~len in
         transmit m ~src:node ~dst:origin
           (Message.Get_reply { op; data; extra_words })
-      in
-      if locked then
-        Lock_table.acquire locks ~offset ~len (fun id -> read_and_reply (Some id))
-      else read_and_reply None
+      end
   | Message.Atomic { op; origin; offset; kind; _ } ->
       Lock_table.acquire locks ~offset ~len:1 (fun id ->
           let old_value = Segment.read public ~offset in
@@ -434,6 +420,32 @@ let rec handle m ~node ~src msg =
   | Message.Control_reply { op; words } ->
       fill_pending m.pending_control op words m ~node
 
+(* The data halves of the put, batch and get handlers, written as
+   functions of their own so a handler that needs no lock (the caller
+   already holds it) builds no closure, and one that does builds just
+   the lock-grant callback. *)
+and write_part m ~node ~origin ~public ~offset data =
+  Segment.write_block public ~offset data;
+  if m.observers <> [] then
+    notify m
+      (Write_applied { time = Engine.now m.sim; node; offset; data; origin })
+
+and write_parts m ~node ~origin ~public parts =
+  for i = 0 to Array.length parts - 1 do
+    let offset, data = parts.(i) in
+    write_part m ~node ~origin ~public ~offset data
+  done
+
+and ack_put m ~node ~origin ~op want_ack =
+  if want_ack then transmit m ~src:node ~dst:origin (Message.Put_ack { op })
+
+and read_span m ~node ~origin ~public ~offset ~len =
+  let data = Segment.read_block public ~offset ~len in
+  if m.observers <> [] then
+    notify m
+      (Read_served { time = Engine.now m.sim; node; offset; data; origin });
+  data
+
 and fill_pending : 'a. 'a Ivar.t Int_tbl.t -> int -> 'a -> t -> node:int -> unit
     =
  fun table op v m ~node ->
@@ -455,17 +467,7 @@ and non_atomic_put m ~node ~origin ~locked ~words ~finish =
     | [] -> finish ()
     | (offset, v) :: rest ->
         let apply id =
-          Segment.write_block public ~offset [| v |];
-          if m.observers <> [] then
-            notify m
-              (Write_applied
-                 {
-                   time = Engine.now m.sim;
-                   node;
-                   offset;
-                   data = [| v |];
-                   origin;
-                 });
+          write_part m ~node ~origin ~public ~offset [| v |];
           (match id with Some id -> Lock_table.release locks id | None -> ());
           match rest with
           | [] -> finish ()
@@ -526,9 +528,9 @@ and transmit m ~src ~dst msg =
   in
   match m.rel with
   | None ->
-      Dsm_net.Fabric.send m.fabric ~src ~dst ~words ~wire_words ~clock_words
+      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words
         ~fifo ~label
-        { link_seq = -1; pb; body = Msg msg }
+        (Data { link_seq = -1; pb; msg })
   | Some r ->
       let seq = r.next_seq.(src).(dst) in
       r.next_seq.(src).(dst) <- seq + 1;
@@ -545,9 +547,9 @@ and transmit m ~src ~dst msg =
           u_clock = clock_words;
           u_tries = 0;
         };
-      Dsm_net.Fabric.send m.fabric ~src ~dst ~words ~wire_words ~clock_words
-        ~label
-        { link_seq = seq; pb; body = Msg msg };
+      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words
+        ~fifo:true ~label
+        (Data { link_seq = seq; pb; msg });
       arm_retransmit m r ~src ~dst ~seq
 
 (* Sender half of the reliable transport: while a frame is unacked, keep
@@ -598,7 +600,7 @@ and arm_retransmit m r ~src ~dst ~seq =
             | _ -> ());
             Dsm_net.Fabric.send m.fabric ~src ~dst ~words:u.u_words
               ~wire_words:u.u_wire ~clock_words:u.u_clock
-              { link_seq = seq; pb = Option.map fst u.u_pb; body = Msg u.u_msg };
+              (Data { link_seq = seq; pb = Option.map fst u.u_pb; msg = u.u_msg });
             arm_retransmit m r ~src ~dst ~seq
           end)
 
@@ -606,33 +608,33 @@ and arm_retransmit m r ~src ~dst ~seq =
    been dropped), drop duplicates, and resequence — a frame ahead of its
    turn is held back until the gap closes, restoring the in-order
    delivery the coherence protocol assumes. *)
-and handle_frame m ~node ~src fr =
-  match (fr.body, m.rel) with
-  | Msg msg, None ->
-      absorb_pb m ~node ~src fr.pb;
-      handle m ~node ~src msg
-  | Msg msg, Some r ->
-      if fr.link_seq < 0 then begin
-        absorb_pb m ~node ~src fr.pb;
-        handle m ~node ~src msg
-      end
-      else begin
-        Dsm_net.Fabric.send m.fabric ~src:node ~dst:src ~words:1
-          ~label:(Label.v ~node:src ~origin:src)
-          { link_seq = -1; pb = None; body = Frame_ack fr.link_seq };
-        let exp = r.expected.(node).(src) in
-        if fr.link_seq < exp then () (* duplicate of a delivered frame *)
-        else if fr.link_seq > exp then
-          Hashtbl.replace r.held_back (src, node, fr.link_seq) (msg, fr.pb)
-        else begin
-          r.expected.(node).(src) <- exp + 1;
-          absorb_pb m ~node ~src fr.pb;
-          handle m ~node ~src msg;
-          drain_held m r ~node ~src
-        end
-      end
-  | Frame_ack seq, Some r -> Hashtbl.remove r.unacked (node, src, seq)
-  | Frame_ack _, None -> ()
+and handle_frame m ~node ~src = function
+  | Data { link_seq; pb; msg } -> (
+      match m.rel with
+      | None ->
+          absorb_pb m ~node ~src pb;
+          handle m ~node ~src msg
+      | Some _ when link_seq < 0 ->
+          absorb_pb m ~node ~src pb;
+          handle m ~node ~src msg
+      | Some r ->
+          Dsm_net.Fabric.send m.fabric ~src:node ~dst:src ~words:1
+            ~label:(Label.v ~node:src ~origin:src)
+            (Frame_ack link_seq);
+          let exp = r.expected.(node).(src) in
+          if link_seq < exp then () (* duplicate of a delivered frame *)
+          else if link_seq > exp then
+            Hashtbl.replace r.held_back (src, node, link_seq) (msg, pb)
+          else begin
+            r.expected.(node).(src) <- exp + 1;
+            absorb_pb m ~node ~src pb;
+            handle m ~node ~src msg;
+            drain_held m r ~node ~src
+          end)
+  | Frame_ack seq -> (
+      match m.rel with
+      | Some r -> Hashtbl.remove r.unacked (node, src, seq)
+      | None -> ())
 
 and drain_held m r ~node ~src =
   let exp = r.expected.(node).(src) in
@@ -985,6 +987,28 @@ let batch_flush p ~node ~kind ~parts ~words =
       (Batch_flush
          { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
 
+let rec check_put_parts p ~target ~prev_end = function
+  | [] -> ()
+  | ((src : Addr.region), (dst : Addr.region)) :: rest ->
+      check_local p src "put_batch";
+      check_public dst "put_batch";
+      check_same_len src dst "put_batch";
+      if dst.base.pid <> target then
+        invalid_arg "Machine.put_batch: parts target different nodes";
+      if dst.base.offset < prev_end then
+        invalid_arg
+          "Machine.put_batch: parts must be in ascending, \
+           non-overlapping address order";
+      check_put_parts p ~target ~prev_end:(dst.base.offset + dst.len) rest
+
+(* Fills [parts] from slot [i] on with each pair's destination offset
+   and source data. *)
+let rec read_put_parts p parts i = function
+  | [] -> ()
+  | (src, (dst : Addr.region)) :: rest ->
+      parts.(i) <- (dst.base.offset, read_local p src);
+      read_put_parts p parts (i + 1) rest
+
 let put_batch p ~(pairs : (Addr.region * Addr.region) list)
     ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   match pairs with
@@ -992,27 +1016,9 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
   | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~ack ~locked ()
   | (_, (dst0 : Addr.region)) :: _ ->
       let target = dst0.base.pid in
-      let prev_end = ref (-1) in
-      List.iter
-        (fun ((src : Addr.region), (dst : Addr.region)) ->
-          check_local p src "put_batch";
-          check_public dst "put_batch";
-          check_same_len src dst "put_batch";
-          if dst.base.pid <> target then
-            invalid_arg "Machine.put_batch: parts target different nodes";
-          if dst.base.offset < !prev_end then
-            invalid_arg
-              "Machine.put_batch: parts must be in ascending, \
-               non-overlapping address order";
-          prev_end := dst.base.offset + dst.len)
-        pairs;
-      let parts =
-        Array.of_list
-          (List.map
-             (fun (src, (dst : Addr.region)) ->
-               (dst.base.offset, read_local p src))
-             pairs)
-      in
+      check_put_parts p ~target ~prev_end:(-1) pairs;
+      let parts = Array.make (List.length pairs) (0, [||]) in
+      read_put_parts p parts 0 pairs;
       let words =
         Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
       in

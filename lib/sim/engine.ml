@@ -78,12 +78,16 @@ let schedule sim ?(delay = 0.) ?label f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at sim ~at:(sim.now +. delay) ?label f
 
-(* Runs [body] under the effect handler that implements Await. The handler
-   converts each Await into a registration of a one-shot resumer; everything
-   after the Await runs when (and only when) that resumer is called. *)
 let record_failure sim name e =
   if sim.failed = None then sim.failed <- Some (name, e)
 
+(* Runs [body] under the effect handler that implements Await. The handler
+   converts each Await into a registration of a one-shot resumer;
+   everything after the Await runs when (and only when) that resumer is
+   called. The continuation is itself one-shot, so the resumer keeps no
+   flag of its own: a second [continue] raises
+   [Effect.Continuation_already_resumed], which the resumer turns into a
+   failure naming the process. *)
 let start_process sim name body =
   let open Effect.Deep in
   let handler =
@@ -104,27 +108,29 @@ let start_process sim name body =
           | Await register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let used = ref false in
                   let resume v =
-                    if !used then
-                      failwith
-                        (Printf.sprintf
-                           "Engine: process %S resumed twice" name)
-                    else begin
-                      used := true;
-                      continue k v
-                    end
+                    match continue k v with
+                    | () -> ()
+                    | exception Effect.Continuation_already_resumed ->
+                        failwith
+                          (Printf.sprintf
+                             "Engine: process %S resumed twice" name)
                   in
                   match register resume with
                   | () -> ()
-                  | exception e ->
+                  | exception e -> (
                       (* A register function that raises before handing
                          the resumer off would otherwise leak the
                          suspended process (live never decremented, heap
                          intact): feed the exception back into the
                          process at the await point so exnc settles the
-                         accounting. *)
-                      if !used then raise e else discontinue k e)
+                         accounting. If it resumed the process first,
+                         the continuation is spent and the exception
+                         goes up instead. *)
+                      match discontinue k e with
+                      | () -> ()
+                      | exception Effect.Continuation_already_resumed ->
+                          raise e))
           | _ -> None);
     }
   in
@@ -139,8 +145,7 @@ let await _sim register = Effect.perform (Await register)
 
 let sleep ?label sim dt =
   if dt < 0. then invalid_arg "Engine.sleep: negative duration";
-  await sim (fun resume ->
-      schedule sim ~delay:dt ?label (fun () -> resume ()))
+  await sim (fun resume -> schedule sim ~delay:dt ?label resume)
 
 type outcome =
   | Completed

@@ -66,8 +66,11 @@ val await : t -> (('a -> unit) -> unit) -> 'a
 (** [await sim register] suspends the calling process. [register] receives
     a one-shot [resume] function; whoever calls [resume v] (typically an
     event scheduled by another component) makes [await] return [v].
-    Calling [resume] twice raises [Failure]. Only valid inside a spawned
-    process. *)
+    Calling [resume] twice raises [Failure] naming the process. If
+    [register] raises before calling [resume], [await] raises that
+    exception in the process; if it raises after, the process has already
+    run on, and the exception leaves the event that was running the
+    process. Only valid inside a spawned process. *)
 
 val sleep : ?label:Label.t -> t -> float -> unit
 (** [sleep sim dt] suspends the calling process for [dt] simulated time.

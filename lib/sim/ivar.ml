@@ -1,29 +1,48 @@
-type 'a state = Empty of ('a -> unit) list | Filled of 'a
+(* Most ivars are read by one process, so a lone waiter has a state of
+   its own and only a second one starts a list. A waiter is the unit
+   resumer its [read] registered: the value is read back from the
+   filled cell once the process runs, so a fill schedules each resumer
+   as it is, with no closure around it. *)
+type 'a state =
+  | Empty
+  | Waiting of (unit -> unit)
+  | Waiting_many of (unit -> unit) list  (* two or more, newest first *)
+  | Filled of 'a
 
 type 'a t = { mutable state : 'a state }
 
-let create () = { state = Empty [] }
+let create () = { state = Empty }
 
-let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
+let peek iv = match iv.state with Filled v -> Some v | _ -> None
 
 let fill ?label sim iv v =
   match iv.state with
   | Filled _ -> failwith "Ivar.fill: already filled"
-  | Empty waiters ->
+  | Empty -> iv.state <- Filled v
+  | Waiting resume ->
+      iv.state <- Filled v;
+      Engine.schedule sim ?label resume
+  | Waiting_many waiters ->
       iv.state <- Filled v;
       (* Resume in registration order: waiters were consed, so reverse. *)
-      List.iter
-        (fun resume -> Engine.schedule sim ?label (fun () -> resume v))
+      List.iter (fun resume -> Engine.schedule sim ?label resume)
         (List.rev waiters)
 
-let read sim iv =
+let rec read sim iv =
   match iv.state with
   | Filled v -> v
-  | Empty _ ->
+  | _ ->
       Engine.await sim (fun resume ->
           match iv.state with
-          | Filled v -> resume v
-          | Empty waiters -> iv.state <- Empty (resume :: waiters))
+          | Filled _ -> resume ()
+          | Empty -> iv.state <- Waiting resume
+          | Waiting first -> iv.state <- Waiting_many [ resume; first ]
+          | Waiting_many waiters ->
+              iv.state <- Waiting_many (resume :: waiters));
+      read sim iv
 
 let waiters iv =
-  match iv.state with Filled _ -> 0 | Empty ws -> List.length ws
+  match iv.state with
+  | Empty | Filled _ -> 0
+  | Waiting _ -> 1
+  | Waiting_many ws -> List.length ws

@@ -64,17 +64,22 @@ let setup env params =
           if params.racy then [ (pid + 1) mod n; (pid + n - 1) mod n ]
           else [ (pid + 1) mod n ]
         in
+        (* Every round pushes the same slots, so each target's pairs are
+           built once. *)
+        let batches =
+          List.map
+            (fun j ->
+              List.init params.chunk (fun k ->
+                  (slot src k, slot buffers.(j) k)))
+            targets
+        in
         for r = 0 to params.rounds - 1 do
           if think.(r) > 0. then Machine.compute p think.(r);
           List.iter
-            (fun j ->
-              let pairs =
-                List.init params.chunk (fun k ->
-                    (slot src k, slot buffers.(j) k))
-              in
+            (fun pairs ->
               if params.batched then Env.put_batch env p ~pairs
               else
                 List.iter (fun (s, d) -> Env.put env p ~src:s ~dst:d) pairs)
-            targets
+            batches
         done)
   done

@@ -1159,9 +1159,11 @@ let test_note_full_ring_allocates_nothing () =
 (* ---------- allocation budget ---------- *)
 
 (* The minor words a fixed checked stencil run allocates per checked op
-   may not rise: 280.3 when this ceiling was set (338.1 before the event
-   heap became parallel arrays and the message path's tables int-keyed,
-   433.6 before clocks were copied in place on the checked-op path).
+   may not rise: 221.0 when this ceiling was set (280.3 before
+   suspension, ivar waiters and the fabric entry stopped allocating per
+   message, 338.1 before the event heap became parallel arrays and the
+   message path's tables int-keyed, 433.6 before clocks were copied in
+   place on the checked-op path).
    [Gc.minor_words] is exact and the run deterministic, so any new
    allocation on the per-message or per-check path shows. *)
 let test_checked_stencil_minor_words () =
@@ -1180,8 +1182,29 @@ let test_checked_stencil_minor_words () =
   let words = Gc.minor_words () -. before in
   let per_op = words /. float_of_int (Detector.checked_ops d) in
   Alcotest.(check int) "checked ops" 810 (Detector.checked_ops d);
-  if per_op > 280.4 then
-    Alcotest.failf "%.1f minor words per checked op (ceiling 280.4)" per_op
+  if per_op > 221.0 then
+    Alcotest.failf "%.1f minor words per checked op (ceiling 221.0)" per_op
+
+(* The push shape: batched race-free [Scale] puts at n=256, every
+   process blocked on a checked batch at once. Its minor words per
+   checked op may not rise: 116.1 when this ceiling was set (178.4
+   before suspension, ivar waiters, the fabric entry and the batch path
+   stopped allocating closures, options and lists per op, and before
+   [Scale] built its pairs once per process). *)
+let test_checked_scale_minor_words () =
+  let sim = Engine.create ~seed:5 () in
+  let m = Machine.create sim ~n:256 ~private_words:64 ~public_words:64 () in
+  let d = Detector.create m () in
+  Dsm_workload.Scale.setup (Dsm_pgas.Env.checked d)
+    { Dsm_workload.Scale.rounds = 4; chunk = 4; racy = false; batched = true;
+      think_mean = 0.; seed = 5 };
+  let before = Gc.minor_words () in
+  expect_completed m;
+  let words = Gc.minor_words () -. before in
+  let per_op = words /. float_of_int (Detector.checked_ops d) in
+  Alcotest.(check int) "checked ops" 4096 (Detector.checked_ops d);
+  if per_op > 116.2 then
+    Alcotest.failf "%.1f minor words per checked op (ceiling 116.2)" per_op
 
 (* ---------- transfer-path pins ---------- *)
 
@@ -1590,6 +1613,8 @@ let () =
         [
           Alcotest.test_case "checked stencil minor words per op" `Quick
             test_checked_stencil_minor_words;
+          Alcotest.test_case "checked scale minor words per op" `Quick
+            test_checked_scale_minor_words;
         ] );
       ( "introspection",
         [

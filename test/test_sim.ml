@@ -426,6 +426,69 @@ let test_engine_failure_spares_siblings () =
   Alcotest.(check int) "no held locks" 0 (L.held_count locks);
   Alcotest.(check int) "no queued locks" 0 (L.queued_count locks)
 
+(* The suspension contract. A resumer is one-shot: calling it a second
+   time fails with the process's name, whether the process has finished
+   or is suspended again. *)
+let test_engine_resumed_twice () =
+  let sim = Engine.create () in
+  let saved = ref None and got = ref [] and errors = ref [] in
+  Engine.spawn sim ~name:"twice" (fun () ->
+      got := Engine.await sim (fun resume -> saved := Some resume) :: !got);
+  let resume_again () =
+    match !saved with
+    | None -> Alcotest.fail "register never ran"
+    | Some resume -> (
+        try resume 2 with Failure msg -> errors := msg :: !errors)
+  in
+  Engine.schedule sim ~delay:1.0 resume_again;
+  Engine.schedule sim ~delay:2.0 resume_again;
+  Alcotest.(check bool) "completed" true (Engine.run sim = Engine.Completed);
+  Alcotest.(check (list int)) "resumed once" [ 2 ] !got;
+  Alcotest.(check (list string)) "second resume fails"
+    [ "Engine: process \"twice\" resumed twice" ]
+    !errors;
+  Alcotest.(check int) "none live" 0 (Engine.live_processes sim)
+
+(* A register function that raises before handing off its resumer
+   delivers the exception at the await point: a process that catches it
+   carries on, one that does not fails, and either way [live] settles. *)
+let test_engine_register_raises () =
+  let sim = Engine.create () in
+  let caught = ref "" in
+  Engine.spawn sim ~name:"catcher" (fun () ->
+      (match Engine.await sim (fun _ -> failwith "no resumer") with
+      | () -> Alcotest.fail "await returned"
+      | exception Failure msg -> caught := msg);
+      Engine.sleep sim 1.0);
+  Alcotest.(check bool) "catcher completes" true
+    (Engine.run sim = Engine.Completed);
+  Alcotest.(check string) "raised at the await" "no resumer" !caught;
+  Alcotest.(check int) "catcher not live" 0 (Engine.live_processes sim);
+  Engine.spawn sim ~name:"faller" (fun () ->
+      Engine.await sim (fun _ -> failwith "no resumer"));
+  Alcotest.check_raises "faller fails"
+    (Engine.Process_failure ("faller", Failure "no resumer")) (fun () ->
+      ignore (Engine.run sim));
+  Alcotest.(check int) "faller not live" 0 (Engine.live_processes sim);
+  Alcotest.(check bool) "drained" true (Engine.run sim = Engine.Completed)
+
+(* A register function that resumes its process and then raises cannot
+   hand the exception to the process, which has already run on: the
+   exception leaves the event that ran the register function. *)
+let test_engine_register_resumes_then_raises () =
+  let sim = Engine.create () in
+  let got = ref 0 in
+  Engine.spawn sim ~name:"early" (fun () ->
+      got :=
+        Engine.await sim (fun resume ->
+            resume 7;
+            failwith "after resume"));
+  Alcotest.check_raises "re-raised" (Failure "after resume") (fun () ->
+      ignore (Engine.run sim));
+  Alcotest.(check int) "resumed with the value" 7 !got;
+  Alcotest.(check int) "none live" 0 (Engine.live_processes sim);
+  Alcotest.(check bool) "drained" true (Engine.run sim = Engine.Completed)
+
 let test_engine_event_limit () =
   let sim = Engine.create () in
   let rec forever () =
@@ -602,6 +665,117 @@ let test_ivar_peek_waiters () =
   Alcotest.(check (option int)) "filled" (Some 5) (Ivar.peek iv);
   ignore (Engine.run sim)
 
+(* Property: under random reader spawn times, fills (the second one
+   fails), [peek] and [waiters], the live ivar behaves like the
+   list-based reference: same values, same resume order at the same
+   instants, same waiter counts, and the same ready sets (seqs and
+   labels) at every choice point. *)
+module type IVAR = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val peek : 'a t -> 'a option
+  val fill : ?label:Label.t -> Engine.t -> 'a t -> 'a -> unit
+  val read : Engine.t -> 'a t -> 'a
+  val waiters : 'a t -> int
+end
+
+type ivar_op =
+  | I_reader of float * int  (* spawn time, reads in a row *)
+  | I_fill of float * int * Label.t option
+  | I_peek of float
+  | I_waiters of float
+
+let show_ivar_op = function
+  | I_reader (t, k) -> Printf.sprintf "reader at %g reads %d" t k
+  | I_fill (t, v, l) ->
+      Printf.sprintf "fill at %g with %d label %s" t v
+        (match l with None -> "-" | Some l -> string_of_int l)
+  | I_peek t -> Printf.sprintf "peek at %g" t
+  | I_waiters t -> Printf.sprintf "waiters at %g" t
+
+let arb_ivar_ops =
+  let open QCheck.Gen in
+  let time = map (fun t -> float_of_int t /. 2.) (int_range 0 6) in
+  let op =
+    frequency
+      [
+        (5, map2 (fun t k -> I_reader (t, k)) time (int_range 1 2));
+        ( 2,
+          map3
+            (fun t v l -> I_fill (t, v, l))
+            time small_nat
+            (opt (map2 (fun node origin -> Label.v ~node ~origin)
+                    (int_range 0 3) (int_range 0 3))) );
+        (1, map (fun t -> I_peek t) time);
+        (1, map (fun t -> I_waiters t) time);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_ivar_op ops))
+    (list_size (int_range 0 25) op)
+
+let run_ivar_ops (module I : IVAR) ops =
+  let sim = Engine.create () in
+  let iv : int I.t = I.create () in
+  let log = ref [] in
+  let note fmt =
+    Printf.ksprintf
+      (fun s -> log := Printf.sprintf "%g %s" (Engine.now sim) s :: !log)
+      fmt
+  in
+  Engine.set_chooser sim (Some (fun _ -> 0));
+  Engine.set_choice_view sim
+    (Some
+       (fun ready ->
+         note "ready %s"
+           (String.concat " "
+              (Array.to_list
+                 (Array.map (fun (s, l) -> Printf.sprintf "%d:%d" s l) ready)))));
+  List.iteri
+    (fun i op ->
+      match op with
+      | I_reader (at, k) ->
+          Engine.spawn sim ~at ~name:(Printf.sprintf "r%d" i) (fun () ->
+              for j = 1 to k do
+                note "r%d read %d got %d" i j (I.read sim iv)
+              done)
+      | I_fill (delay, v, label) ->
+          Engine.schedule sim ~delay (fun () ->
+              match I.fill ?label sim iv v with
+              | () -> note "fill %d" v
+              | exception Failure msg -> note "fill %d failed: %s" v msg)
+      | I_peek delay ->
+          Engine.schedule sim ~delay (fun () ->
+              note "peek %s"
+                (match I.peek iv with
+                | None -> "none"
+                | Some v -> string_of_int v))
+      | I_waiters delay ->
+          Engine.schedule sim ~delay (fun () ->
+              note "waiters %d" (I.waiters iv)))
+    ops;
+  let outcome =
+    match Engine.run sim with
+    | Engine.Completed -> "completed"
+    | Engine.Blocked k -> Printf.sprintf "blocked %d" k
+    | _ -> "other"
+  in
+  List.rev
+    (Printf.sprintf "%s, %d waiting, %d events" outcome (I.waiters iv)
+       (Engine.events_processed sim)
+    :: !log)
+
+let prop_ivar_matches_reference =
+  QCheck.Test.make ~name:"ivar matches the list-based reference" ~count:500
+    arb_ivar_ops (fun ops ->
+      let live = run_ivar_ops (module Ivar) ops
+      and oracle = run_ivar_ops (module Ivar_ref) ops in
+      if live = oracle then true
+      else
+        QCheck.Test.fail_reportf "live:\n%s\nreference:\n%s"
+          (String.concat "\n" live) (String.concat "\n" oracle))
+
 let () =
   Alcotest.run "sim"
     [
@@ -636,6 +810,11 @@ let () =
           Alcotest.test_case "process failure" `Quick test_engine_process_failure;
           Alcotest.test_case "failure spares siblings" `Quick
             test_engine_failure_spares_siblings;
+          Alcotest.test_case "resumed twice" `Quick test_engine_resumed_twice;
+          Alcotest.test_case "register raises" `Quick
+            test_engine_register_raises;
+          Alcotest.test_case "register resumes then raises" `Quick
+            test_engine_register_resumes_then_raises;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
           Alcotest.test_case "until horizon" `Quick test_engine_until_horizon;
           Alcotest.test_case "until resumes" `Quick test_engine_until_resumes;
@@ -655,5 +834,6 @@ let () =
           Alcotest.test_case "waiter order" `Quick test_ivar_multiple_waiters_in_order;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
           Alcotest.test_case "peek/waiters" `Quick test_ivar_peek_waiters;
+          QCheck_alcotest.to_alcotest prop_ivar_matches_reference;
         ] );
     ]
