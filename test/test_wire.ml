@@ -184,6 +184,106 @@ let test_reliable_reorder_keeps_deltas () =
   let _, _, delta = Machine.clock_encodings m in
   Alcotest.(check bool) "deltas under reliable resequencing" true (delta > 0)
 
+(* ---------- reliable runs under faults ---------- *)
+
+(* 40 walks of each scenario under each fault plan, reliable transport
+   on: per walk the fingerprint, races, violated invariants, fabric
+   messages, nominal words and retransmits, digested per batch and
+   totalled. Clock and wire words are left out: they price the
+   piggyback encoding, not the schedule. *)
+let reliable_pins =
+  [
+    ( "getput-checked",
+      "drop=0.3",
+      "dc4072dcfab170cd774e15e2cd5e9170 msgs=1240 words=5560 retransmits=160" );
+    ( "getput-checked",
+      "dup=0.4,drop=0.3",
+      "9ea13fd51797945891135745b0c5a28f msgs=1560 words=5160 retransmits=240" );
+    ( "getput-checked",
+      "reorder=0.5,drop=0.2",
+      "ff10914537d6b265130478da1781760a msgs=1480 words=5600 retransmits=280" );
+    ( "workload:random",
+      "drop=0.3",
+      "d400ed64fa302fecb04f60c48de344df msgs=9054 words=30081 retransmits=2370" );
+    ( "workload:random",
+      "dup=0.4,drop=0.3",
+      "8bb41122c0827d8f581b9f5e084e0e64 msgs=9994 words=29861 retransmits=2255" );
+    ( "workload:random",
+      "reorder=0.5,drop=0.2",
+      "6b6b7652a19003c93db438ba44888552 msgs=8468 words=30998 retransmits=2017" );
+    ( "rmwlost-checked",
+      "drop=0.3",
+      "846bfe4fe763786e165e1b76e22f446e msgs=440 words=1520 retransmits=80" );
+    ( "rmwlost-checked",
+      "dup=0.4,drop=0.3",
+      "6b419a208ba39721f01e28ba85901633 msgs=440 words=1520 retransmits=80" );
+    ( "rmwlost-checked",
+      "reorder=0.5,drop=0.2",
+      "cca9f8b2a8ac4512dde7151f05cd4f70 msgs=320 words=1040 retransmits=0" );
+    ( "workload:scale",
+      "drop=0.3",
+      "9943314a807091d9560831ac9b8a3983 msgs=35257 words=93214 retransmits=11539" );
+    ( "workload:scale",
+      "dup=0.4,drop=0.3",
+      "c9bfc6af8dacf41543a3d77444e06a8b msgs=35879 words=86891 retransmits=8738" );
+    ( "workload:scale",
+      "reorder=0.5,drop=0.2",
+      "43bdb961046a15028e50273ccb79d8cb msgs=29554 words=76568 retransmits=7237" );
+    ( "workload:histogram-racy",
+      "drop=0.3",
+      "25aedc4105a7298df010187b63cd2faf msgs=2000 words=6400 retransmits=320" );
+    ( "workload:histogram-racy",
+      "dup=0.4,drop=0.3",
+      "5d8700a971c7362d07dcefb610082990 msgs=2080 words=6920 retransmits=320" );
+    ( "workload:histogram-racy",
+      "reorder=0.5,drop=0.2",
+      "fd5d38d740e2dee4b15bbaf7b11e909d msgs=2040 words=6522 retransmits=360" );
+  ]
+
+let reliable_batch scenario plan =
+  let spec =
+    {
+      Explore.default_spec with
+      scenario;
+      n = 3;
+      seed = 1;
+      faults = Fault.of_string plan;
+      reliable = true;
+    }
+  in
+  let ctx = Explore.create_ctx spec in
+  let buf = Buffer.create 4096 in
+  let msgs = ref 0 and words = ref 0 and retransmits = ref 0 in
+  for i = 0 to 39 do
+    let r = Explore.run_once_in ctx (Explore.Walk i) in
+    let m =
+      match Explore.last_built ctx with
+      | Some b -> b.Dsm_explore.Scenario.machine
+      | None -> Alcotest.fail "no built run"
+    in
+    msgs := !msgs + Machine.fabric_messages m;
+    words := !words + Machine.fabric_words m;
+    retransmits := !retransmits + Machine.transport_retransmits m;
+    Printf.bprintf buf "%s %d %s %d %d %d\n" r.Explore.fingerprint
+      r.Explore.races
+      (String.concat ","
+         (List.map (fun v -> v.Explore.invariant) r.Explore.violations))
+      (Machine.fabric_messages m) (Machine.fabric_words m)
+      (Machine.transport_retransmits m)
+  done;
+  Printf.sprintf "%s msgs=%d words=%d retransmits=%d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    !msgs !words !retransmits
+
+let test_reliable_runs_pinned () =
+  Alcotest.(check (list string))
+    "reliable batches"
+    (List.map (fun (s, p, golden) -> String.concat " " [ s; p; golden ])
+       reliable_pins)
+    (List.map
+       (fun (s, p, _) -> String.concat " " [ s; p; reliable_batch s p ])
+       reliable_pins)
+
 (* ---------- 50-walk explorer batch ---------- *)
 
 (* [token] with a [w=] field spliced in where the old printer put it:
@@ -358,6 +458,8 @@ let () =
             test_reorder_degrades_to_self_contained;
           Alcotest.test_case "reliable reorder keeps deltas" `Quick
             test_reliable_reorder_keeps_deltas;
+          Alcotest.test_case "reliable runs pinned" `Quick
+            test_reliable_runs_pinned;
         ] );
       ( "differential",
         [
