@@ -96,7 +96,8 @@ let bench_heap =
          let h = Dsm_sim.Heap.create ~dummy:0 in
          let g = Dsm_sim.Prng.create ~seed:5 in
          for i = 0 to 999 do
-           Dsm_sim.Heap.add h ~time:(Dsm_sim.Prng.float g 100.) ~seq:i i
+           Dsm_sim.Heap.add h ~time:(Dsm_sim.Prng.float g 100.) ~seq:i
+             ~label:Dsm_sim.Label.unknown i
          done;
          let rec drain () =
            match Dsm_sim.Heap.pop h with Some _ -> drain () | None -> ()

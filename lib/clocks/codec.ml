@@ -282,11 +282,6 @@ let piggyback_mode_of w =
   | 2 -> Delta
   | _ -> invalid_arg "Codec.decode_piggyback: unknown tag"
 
-let piggyback_seq w =
-  if Array.length w < 2 then
-    invalid_arg "Codec.decode_piggyback: truncated frame";
-  w.(1)
-
 let fits into n =
   if Vector_clock.dim into <> n then
     invalid_arg "Codec.decode_piggyback: dimension mismatch"

@@ -132,6 +132,3 @@ val decode_piggyback :
 val piggyback_mode_of : wire -> piggyback_mode
 (** The tag of a framed piggyback; raises [Invalid_argument] on a
     truncated frame or unknown tag. *)
-
-val piggyback_seq : wire -> int
-(** The sequence number of a framed piggyback. *)

@@ -2,11 +2,17 @@
 
     A fabric connects [n] nodes over a {!Topology.t} with a {!Latency.t}
     model. Each node registers one receive handler (its NIC agent — see
-    [dsm_rdma]); {!send} schedules that handler to run at the delivery
-    time. Channels are FIFO by default, matching the in-order delivery of
-    the RDMA fabrics the paper targets (§3.2): two messages from [src] to
-    [dst] are delivered in send order even when the latency model is
-    jittered.
+    [dsm_rdma]); {!post} schedules that handler to run at the delivery
+    time. Frames are FIFO per (src, dst) edge unless a frame opts out,
+    matching the in-order delivery of the RDMA fabrics the paper targets
+    (§3.2): two messages from [src] to [dst] are delivered in send order
+    even when the latency model is jittered.
+
+    A fault plan ({!Fault}) can drop, duplicate, delay and reorder
+    frames. Given a {!reliability} config, the fabric runs an RC-style
+    transport over that faulty wire (per-edge sequence numbers, acks,
+    retransmission and hold-back), so its handlers still see every
+    posted frame exactly once and in per-edge send order.
 
     The fabric also keeps the traffic accounting (messages and payload
     words) that experiments E2/E6/E7 read to price the detector's clock
@@ -14,30 +20,45 @@
 
 type 'msg t
 
+type reliability
+(** The reliable transport's retransmit timer and retry budget. *)
+
+val reliability : ?timeout:float -> ?max_retries:int -> unit -> reliability
+(** [reliability ()] resends an unacked frame every [timeout] (default
+    25 us) and gives up after [max_retries] (default 30) resends. Raises
+    [Invalid_argument] on a non-positive [timeout] or [max_retries]. *)
+
 val create :
   Dsm_sim.Engine.t ->
   topology:Topology.t ->
   latency:Latency.t ->
-  ?fifo:bool ->
   ?faults:Fault.t ->
+  ?reliability:reliability ->
+  describe:('msg -> string) ->
   unit ->
   'msg t
-(** [create sim ~topology ~latency ()] builds a fabric with no handlers
-    registered. [fifo] defaults to [true].
+(** [create sim ~topology ~latency ~describe ()] builds a fabric with no
+    handlers registered.
 
     [faults] (default {!Fault.none}) injects per-link drop / duplicate /
     delay (jitter) / reorder, seed-driven (see {!Fault}), for robustness
     testing: the paper's model — like the RDMA fabrics it abstracts —
-    {e assumes reliable, ordered delivery}; the raw protocol layers do
-    not retransmit, so a dropped message turns into a blocked operation
-    that the engine reports (see the test suite) unless the reliable
-    transport of [Dsm_rdma.Machine] is enabled. Counters still count
-    each physical transmission. Reordered messages bypass the FIFO
-    floor. *)
+    {e assumes reliable, ordered delivery}. Without [reliability] the
+    plan reaches the handlers as it is: a dropped message turns into a
+    blocked operation that the engine reports (see the test suite), a
+    duplicated one is handled twice and a reordered one bypasses the
+    FIFO floor. With [reliability] the transport restores exactly-once,
+    in-order delivery, and a frame still unacked after the retry budget
+    aborts the run with [Failure] naming the edge, the frame's sequence
+    number and [describe] of the frame. Counters count each physical
+    transmission, acks and retransmits included. *)
 
 val messages_dropped : 'msg t -> int
 
 val messages_duplicated : 'msg t -> int
+
+val retransmits : 'msg t -> int
+(** Frames the reliable transport resent (0 without [reliability]). *)
 
 val faults : 'msg t -> Fault.t
 (** The active fault plan ({!Fault.none} by default). *)
@@ -50,34 +71,6 @@ val register : 'msg t -> node:int -> (src:int -> 'msg -> unit) -> unit
 (** [register t ~node f] installs [f] as [node]'s receive handler. Raises
     [Invalid_argument] if out of range or already registered. *)
 
-val send :
-  'msg t ->
-  src:int ->
-  dst:int ->
-  words:int ->
-  ?wire_words:int ->
-  ?clock_words:int ->
-  ?fifo:bool ->
-  ?label:Dsm_sim.Label.t ->
-  'msg ->
-  unit
-(** [send t ~src ~dst ~words m] schedules delivery of [m] to [dst]'s
-    handler. [words] is the {e nominal} payload size used by the latency
-    model and the [words_sent] counter. [wire_words] (default [words])
-    is what the chosen encoding actually shipped and [clock_words]
-    (default [0]) how much of that was clock piggyback — they feed the
-    true-bytes counters only, never the delivery time, so varying the
-    clock wire encoding cannot perturb a schedule. [fifo] (default
-    [true]) opts this frame into the per-(src, dst) FIFO delivery floor
-    when the fabric is FIFO; passing [false] lets the frame overtake —
-    and be overtaken by — other traffic on the edge, which is how weak
-    memory-model backends reorder put lanes. [label] is the
-    footprint attached to the delivery event (and to any duplicate) for
-    schedule exploration. Sending to an unregistered node raises
-    [Failure] at delivery time. A message to self is delivered after a
-    fixed small loopback delay, without touching the interconnect
-    counters' hop accounting. *)
-
 val post :
   'msg t ->
   src:int ->
@@ -89,9 +82,25 @@ val post :
   label:Dsm_sim.Label.t ->
   'msg ->
   unit
-(** {!send} with every argument given: the per-message entry of the RDMA
-    machine, which passes no optional argument and so allocates no
-    option box per frame. *)
+(** [post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label m]
+    schedules delivery of [m] to [dst]'s handler. [words] is the
+    {e nominal} payload size used by the latency model and the
+    [words_sent] counter. [wire_words] is what the chosen encoding
+    actually shipped and [clock_words] how much of that was clock
+    piggyback — they feed the true-bytes counters only, never the
+    delivery time, so varying the clock wire encoding cannot perturb a
+    schedule. [fifo] opts the frame into the per-(src, dst) FIFO
+    delivery floor; [false] lets it overtake — and be overtaken by —
+    other traffic on the edge, which is how weak memory-model backends
+    reorder put lanes. Under [reliability] every frame is delivered in
+    send order and [fifo] is ignored. [label] is the footprint attached
+    to the delivery event (and to any duplicate) for schedule
+    exploration. Every argument is required, so a call allocates no
+    option box. Sending to an unregistered node raises [Failure] at
+    delivery time. A message to self is delivered after a fixed small
+    loopback delay, without touching the interconnect counters' hop
+    accounting. Raises [Invalid_argument] on a negative size or an
+    out-of-range node. *)
 
 val messages_sent : 'msg t -> int
 
@@ -111,9 +120,10 @@ val clock_words_sent : 'msg t -> int
 
 val reset : 'msg t -> unit
 (** [reset t] restores the fabric to its just-[create]d state in place:
-    FIFO delivery floors and all counters are zeroed and the fabric's
-    generator is re-split from the owning engine's root stream, exactly
-    as [create] split it. Handlers stay registered. Must be called
-    {e after} [Engine.reset] on the owning engine so the split consumes
-    the same root-stream draw as construction did; a reset fabric is then
-    bit-identical to a fresh one. *)
+    FIFO delivery floors, the reliable transport's per-edge state and
+    all counters are cleared, and the fabric's generator is re-split
+    from the owning engine's root stream, exactly as [create] split it.
+    Handlers stay registered. Must be called {e after} [Engine.reset] on
+    the owning engine so the split consumes the same root-stream draw as
+    construction did; a reset fabric is then bit-identical to a fresh
+    one. *)

@@ -3,7 +3,7 @@
 
     The coherence protocol of the paper assumes the reliable in-order
     delivery an RDMA fabric provides; a fault plan removes that
-    assumption so the retry/ack transport in [Dsm_rdma.Machine] can be
+    assumption so the retry/ack transport of {!Fabric} can be
     exercised — and so the schedule explorer ([dsm_explore]) can drive
     the protocol through lossy, jittered and reordered executions.
 

@@ -45,7 +45,9 @@ type event =
     }
       (** [words] is the nominal size the latency model priced;
           [wire_words] the size the chosen encoding actually shipped
-          (of which [clock_words] were clock piggyback) *)
+          (of which [clock_words] were clock piggyback); [arrival] the
+          time the delivery was scheduled for, after the FIFO floor and
+          any reorder delay (a dropped frame's would-be arrival) *)
   | Net_deliver of { time : float; src : int; dst : int }
   | Net_drop of { time : float; src : int; dst : int }
   | Net_duplicate of { time : float; src : int; dst : int }

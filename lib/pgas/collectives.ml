@@ -96,7 +96,9 @@ let create env =
       None);
   Machine.set_control_handler m ~tag:release_tag
     (fun ~node ~origin:_ words ->
-      Ivar.fill sim (release_ivar t ~generation:words.(0) ~pid:node) ();
+      Ivar.fill ~label:Label.unknown sim
+        (release_ivar t ~generation:words.(0) ~pid:node)
+        ();
       None);
   t
 

@@ -38,49 +38,10 @@ type observation =
       origin : int;
     }
 
-(* ---------- wire frames ----------
-
-   What actually travels on the fabric. Without the reliable transport a
-   frame is a bare protocol message ([link_seq = -1]) delivered directly —
-   the paper's assumption of a reliable in-order fabric, bit-identical to
-   the historical behavior. With reliability enabled every data frame
-   carries a per-(src,dst)-link sequence number; the receiving NIC acks
-   each frame, resequences out-of-order arrivals, drops duplicates, and
-   the sender retransmits unacked frames on a timeout — an RC-style
-   transport that lets the coherence protocol ride out a faulty fabric
-   (see [Dsm_net.Fault]) instead of hanging. *)
-
-type frame =
-  | Data of { link_seq : int; pb : int array option; msg : Message.t }
-  | Frame_ack of int
-
-type reliability = { timeout : float; max_retries : int }
-
-let reliability ?(timeout = 25.0) ?(max_retries = 30) () =
-  if timeout <= 0. then invalid_arg "Machine.reliability: timeout";
-  if max_retries < 1 then invalid_arg "Machine.reliability: max_retries";
-  { timeout; max_retries }
-
-type unacked = {
-  u_msg : Message.t;
-  u_words : int;
-  (* the piggyback as originally framed, with the clock value it encoded
-     so a delta frame can be re-encoded self-contained on retransmit *)
-  mutable u_pb : (int array * Dsm_clocks.Vector_clock.t) option;
-  mutable u_wire : int;
-  mutable u_clock : int;
-  mutable u_tries : int;
-}
-
-type rel_state = {
-  cfg : reliability;
-  next_seq : int array array; (* sender: [src].(dst) next seq to assign *)
-  expected : int array array; (* receiver: [dst].(src) next seq to deliver *)
-  held_back : (int * int * int, Message.t * int array option) Hashtbl.t;
-      (* (src, dst, seq) -> frame that arrived ahead of its turn *)
-  unacked : (int * int * int, unacked) Hashtbl.t;
-  mutable retransmits : int;
-}
+(* What travels on the fabric: the protocol message and, when a clock
+   source is installed and the message carries a clock, its framed
+   piggyback. *)
+type frame = { pb : int array option; msg : Message.t }
 
 (* Per-(src,dst)-edge clock piggyback state: the last clock shipped on
    the edge (the delta base) and the edge's piggyback sequence number.
@@ -101,7 +62,6 @@ type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 type t = {
   sim : Engine.t;
   fabric : frame Dsm_net.Fabric.t;
-  rel : rel_state option;
   bugs : protocol_bug list;
   model : Model.t;
   mh : Model.hooks;
@@ -130,15 +90,14 @@ type t = {
   pb_delta_ok : bool;
       (* deltas need per-edge in-order, exactly-once delivery of the
          piggybacks: true on a fault-free fabric (the FIFO floor gives
-         order, nothing drops or duplicates) or under the reliable
-         transport (which resequences and dedups); otherwise Delta
-         degrades to the self-contained sparse form *)
+         order, nothing drops or duplicates) or under the fabric's
+         reliable transport (which resequences and dedups); otherwise
+         Delta degrades to the self-contained sparse form *)
   pb_sent : pb_edge Int_tbl.t;
   pb_recv : pb_edge Int_tbl.t;
   mutable pb_dense : int;
   mutable pb_sparse : int;
   mutable pb_delta : int;
-  mutable pb_fallbacks : int;
 }
 
 type proc = { m : t; p : int }
@@ -210,8 +169,9 @@ let encode_pb m ~src ~dst v =
    out of sequence (possible only if FIFO-bypass reordering defeated the
    gating above) fails the decoder's seq check and raises — the run
    surfaces as crashed rather than silently merging against the wrong
-   base. Runs only after the reliable transport's resequencing, so
-   retransmit duplicates never reach it. *)
+   base. Under the reliable transport only the fabric's resequenced,
+   deduplicated frames reach it, so a resent delta decodes against its
+   own base. *)
 let absorb_pb m ~node ~src = function
   | None -> ()
   | Some w ->
@@ -516,8 +476,8 @@ and transmit m ~src ~dst msg =
   in
   (* Eventual: put frames skip the fabric's FIFO floor, so two puts on
      the same edge can apply out of send order. Everything else (gets,
-     replies, locks, acks) stays ordered; the reliable transport's
-     resequencing restores put order when it is on. *)
+     replies, locks, acks) stays ordered; the reliable transport
+     delivers in send order whatever this says. *)
   let fifo =
     not
       (m.mh.Model.put_reorder_granules
@@ -526,126 +486,8 @@ and transmit m ~src ~dst msg =
       | Message.Put _ | Message.Put_batch _ -> true
       | _ -> false)
   in
-  match m.rel with
-  | None ->
-      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words
-        ~fifo ~label
-        (Data { link_seq = -1; pb; msg })
-  | Some r ->
-      let seq = r.next_seq.(src).(dst) in
-      r.next_seq.(src).(dst) <- seq + 1;
-      Hashtbl.replace r.unacked (src, dst, seq)
-        {
-          u_msg = msg;
-          u_words = words;
-          u_pb =
-            (match (pb, m.clock_src) with
-            | Some w, Some f ->
-                Some (w, Dsm_clocks.Vector_clock.snapshot (f ~pid:src))
-            | _ -> None);
-          u_wire = wire_words;
-          u_clock = clock_words;
-          u_tries = 0;
-        };
-      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words
-        ~fifo:true ~label
-        (Data { link_seq = seq; pb; msg });
-      arm_retransmit m r ~src ~dst ~seq
-
-(* Sender half of the reliable transport: while a frame is unacked, keep
-   resending it every [timeout]; give up loudly (the run aborts rather
-   than silently hangs) once the retry budget is burnt — a link with
-   drop probability 1 is dead, not slow. *)
-and arm_retransmit m r ~src ~dst ~seq =
-  Engine.schedule m.sim ~delay:r.cfg.timeout (fun () ->
-      match Hashtbl.find_opt r.unacked (src, dst, seq) with
-      | None -> ()
-      | Some u ->
-          u.u_tries <- u.u_tries + 1;
-          if u.u_tries > r.cfg.max_retries then
-            failwith
-              (Printf.sprintf
-                 "Machine: P%d->P%d frame #%d undeliverable after %d \
-                  retransmits (%s)"
-                 src dst seq r.cfg.max_retries
-                 (Message.describe u.u_msg))
-          else begin
-            r.retransmits <- r.retransmits + 1;
-            (let probe = Engine.probe m.sim in
-             if probe.on then
-               Dsm_obs.Probe.emit probe
-                 (Retransmit { time = Engine.now m.sim; src; dst; seq }));
-            (* A delta piggyback is unsound to resend as-is: the
-               original may have been delivered (only the ack lost), in
-               which case the receiver's mirror has already advanced
-               past the delta's base. Re-encode self-contained sparse
-               under the SAME edge seq — the link-seq dedup already
-               guarantees at most one of the two forms is absorbed, and
-               both decode to the same clock. *)
-            (match u.u_pb with
-            | Some (w, snap)
-              when Dsm_clocks.Codec.piggyback_mode_of w
-                   = Dsm_clocks.Codec.Delta ->
-                m.pb_fallbacks <- m.pb_fallbacks + 1;
-                let w' =
-                  Dsm_clocks.Codec.encode_piggyback
-                    ~mode:Dsm_clocks.Codec.Sparse
-                    ~seq:(Dsm_clocks.Codec.piggyback_seq w)
-                    snap
-                in
-                u.u_pb <- Some (w', snap);
-                u.u_clock <- Array.length w';
-                u.u_wire <-
-                  Message.wire_words_piggyback ~pb:(Array.length w') u.u_msg
-            | _ -> ());
-            Dsm_net.Fabric.send m.fabric ~src ~dst ~words:u.u_words
-              ~wire_words:u.u_wire ~clock_words:u.u_clock
-              (Data { link_seq = seq; pb = Option.map fst u.u_pb; msg = u.u_msg });
-            arm_retransmit m r ~src ~dst ~seq
-          end)
-
-(* Receiver half: ack every data frame (the previous ack may itself have
-   been dropped), drop duplicates, and resequence — a frame ahead of its
-   turn is held back until the gap closes, restoring the in-order
-   delivery the coherence protocol assumes. *)
-and handle_frame m ~node ~src = function
-  | Data { link_seq; pb; msg } -> (
-      match m.rel with
-      | None ->
-          absorb_pb m ~node ~src pb;
-          handle m ~node ~src msg
-      | Some _ when link_seq < 0 ->
-          absorb_pb m ~node ~src pb;
-          handle m ~node ~src msg
-      | Some r ->
-          Dsm_net.Fabric.send m.fabric ~src:node ~dst:src ~words:1
-            ~label:(Label.v ~node:src ~origin:src)
-            (Frame_ack link_seq);
-          let exp = r.expected.(node).(src) in
-          if link_seq < exp then () (* duplicate of a delivered frame *)
-          else if link_seq > exp then
-            Hashtbl.replace r.held_back (src, node, link_seq) (msg, pb)
-          else begin
-            r.expected.(node).(src) <- exp + 1;
-            absorb_pb m ~node ~src pb;
-            handle m ~node ~src msg;
-            drain_held m r ~node ~src
-          end)
-  | Frame_ack seq -> (
-      match m.rel with
-      | Some r -> Hashtbl.remove r.unacked (node, src, seq)
-      | None -> ())
-
-and drain_held m r ~node ~src =
-  let exp = r.expected.(node).(src) in
-  match Hashtbl.find_opt r.held_back (src, node, exp) with
-  | None -> ()
-  | Some (msg, pb) ->
-      Hashtbl.remove r.held_back (src, node, exp);
-      r.expected.(node).(src) <- exp + 1;
-      absorb_pb m ~node ~src pb;
-      handle m ~node ~src msg;
-      drain_held m r ~node ~src
+  Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words ~fifo
+    ~label { pb; msg }
 
 (* Every call site first checks [m.observers <> []], so a run nobody
    observes builds no observation record. *)
@@ -665,27 +507,14 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
         t
   in
   let fabric =
-    Dsm_net.Fabric.create sim ~topology ~latency ?faults ()
-  in
-  let rel =
-    match reliability with
-    | None -> None
-    | Some cfg ->
-        Some
-          {
-            cfg;
-            next_seq = Array.make_matrix n n 0;
-            expected = Array.make_matrix n n 0;
-            held_back = Hashtbl.create 32;
-            unacked = Hashtbl.create 32;
-            retransmits = 0;
-          }
+    Dsm_net.Fabric.create sim ~topology ~latency ?faults ?reliability
+      ~describe:(fun fr -> Message.describe fr.msg)
+      ()
   in
   let m =
     {
       sim;
       fabric;
-      rel;
       bugs = protocol_bugs;
       model;
       mh = Model.hooks model;
@@ -708,18 +537,18 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
            resequences either way *)
         (Dsm_net.Fault.is_none (Dsm_net.Fabric.faults fabric)
         && not (Model.hooks model).Model.put_reorder_granules)
-        || rel <> None;
+        || reliability <> None;
       pb_sent = Int_tbl.create 32;
       pb_recv = Int_tbl.create 32;
       pb_dense = 0;
       pb_sparse = 0;
       pb_delta = 0;
-      pb_fallbacks = 0;
     }
   in
   for node = 0 to n - 1 do
     Dsm_net.Fabric.register fabric ~node (fun ~src fr ->
-        handle_frame m ~node ~src fr)
+        absorb_pb m ~node ~src fr.pb;
+        handle m ~node ~src fr.msg)
   done;
   m
 
@@ -731,14 +560,6 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
    generator from the same root-stream position as construction. *)
 let reset m =
   Dsm_net.Fabric.reset m.fabric;
-  (match m.rel with
-  | None -> ()
-  | Some r ->
-      Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) r.next_seq;
-      Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) r.expected;
-      Hashtbl.reset r.held_back;
-      Hashtbl.reset r.unacked;
-      r.retransmits <- 0);
   Array.iter Node_memory.reset m.nodes;
   m.next_op <- 0;
   Int_tbl.clear m.pending_acks;
@@ -757,8 +578,7 @@ let reset m =
   Int_tbl.clear m.pb_recv;
   m.pb_dense <- 0;
   m.pb_sparse <- 0;
-  m.pb_delta <- 0;
-  m.pb_fallbacks <- 0
+  m.pb_delta <- 0
 
 let sim m = m.sim
 
@@ -782,10 +602,7 @@ let set_clock_source m f = m.clock_src <- Some f
 
 let clock_encodings m = (m.pb_dense, m.pb_sparse, m.pb_delta)
 
-let clock_retransmit_fallbacks m = m.pb_fallbacks
-
-let transport_retransmits m =
-  match m.rel with None -> 0 | Some r -> r.retransmits
+let transport_retransmits m = Dsm_net.Fabric.retransmits m.fabric
 
 let pending_ops m =
   Int_tbl.length m.pending_acks

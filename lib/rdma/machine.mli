@@ -23,26 +23,18 @@
 
     The [Control] plane ({!control}, {!set_control_handler}) lets upper
     layers install named services on every node (clock storage, barrier
-    masters, ...) whose messages are priced by the same fabric. *)
+    masters, ...) whose messages are priced by the same fabric.
+
+    Delivery is the fabric's business: each protocol message is one
+    [Dsm_net.Fabric.post] of the message and its clock piggyback, and
+    the NIC agent's receive handler decodes the piggyback and runs the
+    message. Under a faulty fabric, [Dsm_net.Fabric.reliability] makes
+    that channel in-order and exactly-once again. *)
 
 type t
 
 type proc
 (** A program's handle on the machine: its pid plus the machine itself. *)
-
-type reliability
-(** Configuration of the RC-style reliable transport: every protocol
-    message is framed with a per-link sequence number; the receiving NIC
-    acks each frame, drops duplicates and resequences out-of-order
-    arrivals, and the sender retransmits unacked frames every [timeout]
-    simulated microseconds, giving up (with [Failure]) after
-    [max_retries] attempts. With it, the coherence protocol survives a
-    faulty fabric (see [Dsm_net.Fault]) instead of hanging. *)
-
-val reliability : ?timeout:float -> ?max_retries:int -> unit -> reliability
-(** Defaults: [timeout = 25.0] us (a few fabric round trips),
-    [max_retries = 30]. Raises [Invalid_argument] on a non-positive
-    timeout or retry budget. *)
 
 type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
     (** Deliberately plantable protocol bugs, used by the schedule
@@ -66,18 +58,18 @@ val create :
   ?public_words:int ->
   ?discipline:Dsm_memory.Lock_table.discipline ->
   ?faults:Dsm_net.Fault.t ->
-  ?reliability:reliability ->
+  ?reliability:Dsm_net.Fabric.reliability ->
   ?protocol_bugs:protocol_bug list ->
   ?model:Model.t ->
   unit ->
   t
 (** Defaults: fully-connected topology over [n], {!Dsm_net.Latency.infiniband_like},
     4096-word segments, first-fit NIC locks, reliable fabric. The
-    [faults] plan is forwarded to [Dsm_net.Fabric] for robustness
-    testing: the
-    one-sided protocols assume reliable delivery, so without
-    [reliability] drops surface as blocked operations. [protocol_bugs]
-    defaults to none. [model] (default {!Model.default}, the paper's
+    [faults] plan and [reliability] are forwarded to [Dsm_net.Fabric]
+    for robustness testing: the one-sided protocols assume reliable
+    delivery, so without [reliability] drops surface as blocked
+    operations, and with it the fabric's transport rides them out.
+    [protocol_bugs] defaults to none. [model] (default {!Model.default}, the paper's
     [Nic_atomic]) selects the memory-model backend whose protocol hooks
     govern put atomicity, get-delays-put serialization and put-lane
     FIFO ordering — see {!Model.hooks}; the default is bit-identical to
@@ -130,25 +122,20 @@ val set_clock_source : t -> (pid:int -> Dsm_clocks.Vector_clock.t) -> unit
     [Dsm_clocks.Codec.encode_piggyback]). Accounting-only: the latency
     model still prices the nominal [extra_words] allowance, so
     installing a source cannot perturb a schedule. On a faulty fabric
-    without {!reliability}, encoding degrades to the self-contained
+    without [reliability], encoding degrades to the self-contained
     [Sparse] frame — deltas are only sound on in-order exactly-once
-    channels; with [reliability], retransmitted delta frames are
-    re-encoded self-contained instead ({!clock_retransmit_fallbacks}).
-    Cleared by {!reset}. *)
+    channels, which the reliable transport restores: it drops
+    duplicates and holds back early frames before the piggyback is
+    decoded, so a resent delta decodes against its own base. Cleared by
+    {!reset}. *)
 
 val clock_encodings : t -> int * int * int
 (** [(dense, sparse, delta)] piggybacks encoded since creation (or
-    {!reset}) — retransmits and fallback re-encodes are
-    not recounted. *)
-
-val clock_retransmit_fallbacks : t -> int
-(** Delta-encoded piggybacks re-encoded self-contained ([Sparse]) because
-    the reliable transport retransmitted their frame: a retransmit may
-    arrive after later deltas advanced the receiver's edge cache, so only
-    a self-contained form is sound to replay. *)
+    {!reset}); a retransmitted frame is not recounted. *)
 
 val transport_retransmits : t -> int
-(** Frames resent by the reliable transport so far (0 when disabled). *)
+(** Frames the fabric's reliable transport resent so far (0 when
+    disabled). *)
 
 val pending_ops : t -> int
 (** Operations still waiting for a reply (acks, data, atomics, locks,

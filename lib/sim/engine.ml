@@ -70,13 +70,13 @@ let next_seq sim =
   sim.seq <- s + 1;
   s
 
-let schedule_at sim ~at ?label f =
+let schedule_at sim ~at ~label f =
   if at < sim.now then invalid_arg "Engine.schedule_at: time in the past";
-  Heap.add sim.heap ~time:at ~seq:(next_seq sim) ?label f
+  Heap.add sim.heap ~time:at ~seq:(next_seq sim) ~label f
 
-let schedule sim ?(delay = 0.) ?label f =
+let schedule sim ?(delay = 0.) ?(label = Label.unknown) f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at sim ~at:(sim.now +. delay) ?label f
+  schedule_at sim ~at:(sim.now +. delay) ~label f
 
 let record_failure sim name e =
   if sim.failed = None then sim.failed <- Some (name, e)
@@ -136,16 +136,16 @@ let start_process sim name body =
   in
   match_with body () handler
 
-let spawn sim ?at ?(name = "process") ?label body =
+let spawn sim ?at ?(name = "process") ?(label = Label.unknown) body =
   let at = match at with None -> sim.now | Some t -> t in
   sim.live <- sim.live + 1;
-  schedule_at sim ~at ?label (fun () -> start_process sim name body)
+  schedule_at sim ~at ~label (fun () -> start_process sim name body)
 
 let await _sim register = Effect.perform (Await register)
 
-let sleep ?label sim dt =
+let sleep ?(label = Label.unknown) sim dt =
   if dt < 0. then invalid_arg "Engine.sleep: negative duration";
-  await sim (fun resume -> schedule sim ~delay:dt ?label resume)
+  await sim (fun resume -> schedule_at sim ~at:(sim.now +. dt) ~label resume)
 
 type outcome =
   | Completed

@@ -52,8 +52,10 @@ val schedule : t -> ?delay:float -> ?label:Label.t -> (unit -> unit) -> unit
     exploration; it never affects ordering. Raises [Invalid_argument] on
     a negative delay. *)
 
-val schedule_at : t -> at:float -> ?label:Label.t -> (unit -> unit) -> unit
-(** Absolute-time variant. Raises [Invalid_argument] when [at < now]. *)
+val schedule_at : t -> at:float -> label:Label.t -> (unit -> unit) -> unit
+(** Absolute-time variant, with the footprint required ({!Label.unknown}
+    when there is none) so the per-frame callers allocate no option box.
+    Raises [Invalid_argument] when [at < now]. *)
 
 val spawn :
   t -> ?at:float -> ?name:string -> ?label:Label.t -> (unit -> unit) -> unit

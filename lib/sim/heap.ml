@@ -111,7 +111,7 @@ let sift_down h i ~src =
   done;
   move h ~src ~dst:!i
 
-let add h ~time ~seq ?(label = Label.unknown) value =
+let add h ~time ~seq ~label value =
   if h.size = Array.length h.times then grow h;
   h.size <- h.size + 1;
   sift_up h (h.size - 1) time seq label value

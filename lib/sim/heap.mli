@@ -19,10 +19,11 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> time:float -> seq:int -> ?label:Label.t -> 'a -> unit
+val add : 'a t -> time:float -> seq:int -> label:Label.t -> 'a -> unit
 (** [add h ~time ~seq ~label v] inserts [v] with priority [(time, seq)].
-    [label] (default {!Label.unknown}) is the event's declared footprint,
-    carried for the benefit of {!ready_view}; it never affects ordering. *)
+    [label] is the event's declared footprint ({!Label.unknown} when
+    there is none), carried for the benefit of {!ready_view}; it never
+    affects ordering. *)
 
 val min_time : 'a t -> float
 (** The time of the minimum entry. Raises [Invalid_argument] on an empty

@@ -15,17 +15,18 @@ let create () = { state = Empty }
 
 let peek iv = match iv.state with Filled v -> Some v | _ -> None
 
-let fill ?label sim iv v =
+let fill ~label sim iv v =
   match iv.state with
   | Filled _ -> failwith "Ivar.fill: already filled"
   | Empty -> iv.state <- Filled v
   | Waiting resume ->
       iv.state <- Filled v;
-      Engine.schedule sim ?label resume
+      Engine.schedule_at sim ~at:(Engine.now sim) ~label resume
   | Waiting_many waiters ->
       iv.state <- Filled v;
       (* Resume in registration order: waiters were consed, so reverse. *)
-      List.iter (fun resume -> Engine.schedule sim ?label resume)
+      let at = Engine.now sim in
+      List.iter (fun resume -> Engine.schedule_at sim ~at ~label resume)
         (List.rev waiters)
 
 let rec read sim iv =

@@ -12,10 +12,11 @@ val create : unit -> 'a t
 val peek : 'a t -> 'a option
 (** The value, if already filled; never blocks. *)
 
-val fill : ?label:Label.t -> Engine.t -> 'a t -> 'a -> unit
-(** [fill sim iv v] sets the value and schedules every waiter's resumption
-    at the current instant; [label] is the footprint attached to each
-    resumption event. Raises [Failure] if [iv] is already filled. *)
+val fill : label:Label.t -> Engine.t -> 'a t -> 'a -> unit
+(** [fill ~label sim iv v] sets the value and schedules every waiter's
+    resumption at the current instant; [label] is the footprint attached
+    to each resumption event ({!Label.unknown} when there is none).
+    Raises [Failure] if [iv] is already filled. *)
 
 val read : Engine.t -> 'a t -> 'a
 (** [read sim iv] returns the value, suspending the calling process until

@@ -181,7 +181,7 @@ let create machine ?(page_words = 64) ~num_pages () =
       (match Hashtbl.find_opt t.waiting (node, page) with
       | Some iv ->
           Hashtbl.remove t.waiting (node, page);
-          Ivar.fill sim iv ()
+          Ivar.fill ~label:Label.unknown sim iv ()
       | None -> ());
       None);
   Machine.set_control_handler machine ~tag:grant_tag
@@ -193,7 +193,7 @@ let create machine ?(page_words = 64) ~num_pages () =
       (match Hashtbl.find_opt t.waiting (node, page) with
       | Some iv ->
           Hashtbl.remove t.waiting (node, page);
-          Ivar.fill sim iv ()
+          Ivar.fill ~label:Label.unknown sim iv ()
       | None -> ());
       None);
   Machine.set_control_handler machine ~tag:done_tag

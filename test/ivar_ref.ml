@@ -15,13 +15,13 @@ let create () = { state = Empty [] }
 
 let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 
-let fill ?label sim iv v =
+let fill ~label sim iv v =
   match iv.state with
   | Filled _ -> failwith "Ivar.fill: already filled"
   | Empty waiters ->
       iv.state <- Filled v;
       List.iter
-        (fun resume -> Engine.schedule sim ?label (fun () -> resume v))
+        (fun resume -> Engine.schedule sim ~label (fun () -> resume v))
         (List.rev waiters)
 
 let read sim iv =

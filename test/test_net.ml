@@ -1,4 +1,5 @@
-(* Tests for dsm_net: latency models, topologies, FIFO delivery. *)
+(* Tests for dsm_net: latency models, topologies, FIFO delivery, fault
+   injection and the reliable transport. *)
 
 open Dsm_sim
 open Dsm_net
@@ -179,8 +180,16 @@ let test_topo_metric_properties () =
 
 (* ---------- Fabric ---------- *)
 
-let make_fabric ?(fifo = true) ?(latency = Latency.Constant 1.0) sim n =
-  Fabric.create sim ~topology:(Topology.Fully_connected n) ~latency ~fifo ()
+let make_fabric ?faults ?reliability ?(latency = Latency.Constant 1.0) sim n =
+  Fabric.create sim ~topology:(Topology.Fully_connected n) ~latency ?faults
+    ?reliability
+    ~describe:(fun _ -> "frame")
+    ()
+
+(* A frame with the nominal encoding and no footprint. *)
+let send ?(fifo = true) fab ~src ~dst ~words msg =
+  Fabric.post fab ~src ~dst ~words ~wire_words:words ~clock_words:0 ~fifo
+    ~label:Label.unknown msg
 
 let test_fabric_delivers () =
   let sim = Engine.create () in
@@ -188,7 +197,7 @@ let test_fabric_delivers () =
   let got = ref None in
   Fabric.register fab ~node:1 (fun ~src msg -> got := Some (src, msg));
   Fabric.register fab ~node:0 (fun ~src:_ _ -> ());
-  Fabric.send fab ~src:0 ~dst:1 ~words:4 "hello";
+  send fab ~src:0 ~dst:1 ~words:4 "hello";
   ignore (Engine.run sim);
   Alcotest.(check (option (pair int string))) "delivered" (Some (0, "hello"))
     !got
@@ -198,7 +207,7 @@ let test_fabric_latency_applied () =
   let fab = make_fabric ~latency:(Latency.Constant 2.5) sim 2 in
   let at = ref 0. in
   Fabric.register fab ~node:1 (fun ~src:_ () -> at := Engine.now sim);
-  Fabric.send fab ~src:0 ~dst:1 ~words:1 ();
+  send fab ~src:0 ~dst:1 ~words:1 ();
   ignore (Engine.run sim);
   Alcotest.(check (float 1e-9)) "arrives at 2.5" 2.5 !at
 
@@ -213,7 +222,7 @@ let test_fabric_fifo_ordering () =
   let log = ref [] in
   Fabric.register fab ~node:1 (fun ~src:_ i -> log := i :: !log);
   for i = 1 to 20 do
-    Fabric.send fab ~src:0 ~dst:1 ~words:1 i
+    send fab ~src:0 ~dst:1 ~words:1 i
   done;
   ignore (Engine.run sim);
   Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> i + 1))
@@ -224,11 +233,11 @@ let test_fabric_no_fifo_can_reorder () =
   let latency =
     Latency.Jittered { model = Latency.Constant 1.0; mean_jitter = 10.0 }
   in
-  let fab = make_fabric ~fifo:false ~latency sim 2 in
+  let fab = make_fabric ~latency sim 2 in
   let log = ref [] in
   Fabric.register fab ~node:1 (fun ~src:_ i -> log := i :: !log);
   for i = 1 to 50 do
-    Fabric.send fab ~src:0 ~dst:1 ~words:1 i
+    send ~fifo:false fab ~src:0 ~dst:1 ~words:1 i
   done;
   ignore (Engine.run sim);
   Alcotest.(check bool) "some reordering occurred" true
@@ -238,13 +247,15 @@ let test_fabric_hops_scale_delay () =
   let sim = Engine.create () in
   let fab =
     Fabric.create sim ~topology:(Topology.Ring 6)
-      ~latency:(Latency.Constant 1.0) ()
+      ~latency:(Latency.Constant 1.0)
+      ~describe:(fun () -> "unit")
+      ()
   in
   let t1 = ref 0. and t3 = ref 0. in
   Fabric.register fab ~node:1 (fun ~src:_ () -> t1 := Engine.now sim);
   Fabric.register fab ~node:3 (fun ~src:_ () -> t3 := Engine.now sim);
-  Fabric.send fab ~src:0 ~dst:1 ~words:1 ();
-  Fabric.send fab ~src:0 ~dst:3 ~words:1 ();
+  send fab ~src:0 ~dst:1 ~words:1 ();
+  send fab ~src:0 ~dst:3 ~words:1 ();
   ignore (Engine.run sim);
   Alcotest.(check (float 1e-9)) "1 hop" 1.0 !t1;
   Alcotest.(check (float 1e-9)) "3 hops" 3.0 !t3
@@ -256,7 +267,7 @@ let test_fabric_self_send () =
   Fabric.register fab ~node:0 (fun ~src () ->
       got := true;
       Alcotest.(check int) "src is self" 0 src);
-  Fabric.send fab ~src:0 ~dst:0 ~words:1 ();
+  send fab ~src:0 ~dst:0 ~words:1 ();
   ignore (Engine.run sim);
   Alcotest.(check bool) "delivered to self" true !got;
   Alcotest.(check bool) "fast loopback" true (Engine.now sim < 0.2)
@@ -265,8 +276,8 @@ let test_fabric_counters () =
   let sim = Engine.create () in
   let fab = make_fabric sim 2 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> ());
-  Fabric.send fab ~src:0 ~dst:1 ~words:10 ();
-  Fabric.send fab ~src:0 ~dst:1 ~words:5 ();
+  send fab ~src:0 ~dst:1 ~words:10 ();
+  send fab ~src:0 ~dst:1 ~words:5 ();
   Alcotest.(check int) "messages" 2 (Fabric.messages_sent fab);
   Alcotest.(check int) "words" 15 (Fabric.words_sent fab);
   ignore (Engine.run sim)
@@ -282,24 +293,47 @@ let test_fabric_double_register () =
 let test_fabric_unregistered_delivery_fails () =
   let sim = Engine.create () in
   let fab = make_fabric sim 2 in
-  Fabric.send fab ~src:0 ~dst:1 ~words:1 ();
+  send fab ~src:0 ~dst:1 ~words:1 ();
   Alcotest.check_raises "no handler"
     (Failure "Fabric: node 1 has no handler") (fun () ->
       ignore (Engine.run sim))
+
+(* Far into a run a 1e-9 step rounds away (2e7 + 1e-9 = 2e7 in
+   doubles), so the floor must step by an ulp: the second of two frames
+   sent together on one edge is scheduled strictly later, and is
+   delivered second even by a chooser that picks the last ready
+   event. *)
+let test_fabric_floor_far_in_time () =
+  let sim = Engine.create () in
+  let fab = make_fabric sim 2 in
+  let arrivals = ref [] and log = ref [] in
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Dsm_obs.Probe.Net_send { arrival; _ } -> arrivals := arrival :: !arrivals
+    | _ -> ());
+  Fabric.register fab ~node:1 (fun ~src:_ s -> log := s :: !log);
+  Engine.set_chooser sim (Some (fun k -> k - 1));
+  Engine.schedule sim ~delay:2e7 (fun () ->
+      send fab ~src:0 ~dst:1 ~words:1 "first";
+      send fab ~src:0 ~dst:1 ~words:1 "second");
+  ignore (Engine.run sim);
+  (match List.rev !arrivals with
+  | [ a; b ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "arrivals increase (%h < %h)" a b)
+        true (a < b)
+  | l -> Alcotest.failf "%d sends probed" (List.length l));
+  Alcotest.(check (list string)) "send order" [ "first"; "second" ]
+    (List.rev !log)
 
 (* ---------- fault injection ---------- *)
 
 let test_fabric_drop_rate () =
   let sim = Engine.create ~seed:21 () in
-  let fab =
-    Fabric.create sim ~topology:(Topology.Fully_connected 2)
-      ~latency:(Latency.Constant 1.0)
-      ~faults:(Fault.uniform ~drop:0.3 ()) ()
-  in
+  let fab = make_fabric ~faults:(Fault.uniform ~drop:0.3 ()) sim 2 in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 1000 do
-    Fabric.send fab ~src:0 ~dst:1 ~words:1 ()
+    send fab ~src:0 ~dst:1 ~words:1 ()
   done;
   ignore (Engine.run sim);
   let dropped = Fabric.messages_dropped fab in
@@ -308,15 +342,11 @@ let test_fabric_drop_rate () =
 
 let test_fabric_duplicates () =
   let sim = Engine.create ~seed:22 () in
-  let fab =
-    Fabric.create sim ~topology:(Topology.Fully_connected 2)
-      ~latency:(Latency.Constant 1.0)
-      ~faults:(Fault.uniform ~duplicate:0.5 ()) ()
-  in
+  let fab = make_fabric ~faults:(Fault.uniform ~duplicate:0.5 ()) sim 2 in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 200 do
-    Fabric.send fab ~src:0 ~dst:1 ~words:1 ()
+    send fab ~src:0 ~dst:1 ~words:1 ()
   done;
   ignore (Engine.run sim);
   Alcotest.(check int) "each duplicate delivered" (200 + Fabric.messages_duplicated fab)
@@ -328,6 +358,133 @@ let test_fabric_bad_probability () =
   Alcotest.check_raises "range"
     (Invalid_argument "Fault: drop out of range [0,1]")
     (fun () -> ignore (Fault.uniform ~drop:1.5 () : Fault.t))
+
+(* ---------- the reliable transport ---------- *)
+
+(* [frames] frames on every edge of a 3-node fabric, every third one
+   opting out of the FIFO floor; returns what each node's handler saw,
+   per sender, in arrival order. *)
+let reliable_traffic fab ~frames =
+  let n = Fabric.nodes fab in
+  let seen = Array.make (n * n) [] in
+  for node = 0 to n - 1 do
+    Fabric.register fab ~node (fun ~src i ->
+        seen.((src * n) + node) <- i :: seen.((src * n) + node))
+  done;
+  for i = 0 to frames - 1 do
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then
+          send ~fifo:(i mod 3 <> 0) fab ~src ~dst ~words:(1 + (i mod 4)) i
+      done
+    done
+  done;
+  seen
+
+let test_reliable_exactly_once_in_order () =
+  List.iter
+    (fun plan ->
+      let sim = Engine.create ~seed:5 () in
+      let fab =
+        make_fabric ~faults:(Fault.of_string plan)
+          ~reliability:(Fabric.reliability ())
+          ~latency:
+            (Latency.Jittered
+               { model = Latency.Constant 1.0; mean_jitter = 2.0 })
+          sim 3
+      in
+      let seen = reliable_traffic fab ~frames:40 in
+      (match Engine.run sim with
+      | Engine.Completed -> ()
+      | _ -> Alcotest.failf "%s: run did not complete" plan);
+      Array.iteri
+        (fun edge got ->
+          if edge / 3 <> edge mod 3 then
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: edge %d->%d" plan (edge / 3) (edge mod 3))
+              (List.init 40 Fun.id) (List.rev got))
+        seen;
+      let faulted =
+        Fabric.messages_dropped fab + Fabric.messages_duplicated fab
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the plan struck (%d faults, %d retransmits)" plan
+           faulted (Fabric.retransmits fab))
+        true
+        (faulted > 0 && Fabric.retransmits fab > 0))
+    [
+      "drop=0.3"; "dup=0.4,drop=0.3"; "reorder=0.5,drop=0.2"; "dup=0.5,jitter=3";
+    ]
+
+let test_reliable_gives_up () =
+  let sim = Engine.create () in
+  let fab =
+    Fabric.create sim ~topology:(Topology.Fully_connected 2)
+      ~latency:(Latency.Constant 1.0) ~faults:(Fault.of_string "drop=1.0")
+      ~reliability:(Fabric.reliability ~timeout:5.0 ~max_retries:3 ())
+      ~describe:(Printf.sprintf "put #%d")
+      ()
+  in
+  Fabric.register fab ~node:0 (fun ~src:_ _ -> ());
+  Fabric.register fab ~node:1 (fun ~src:_ _ -> Alcotest.fail "delivered");
+  send fab ~src:0 ~dst:1 ~words:1 7;
+  Alcotest.check_raises "gives up"
+    (Failure
+       "Fabric: P0->P1 frame #0 undeliverable after 3 retransmits (put #7)")
+    (fun () -> ignore (Engine.run sim));
+  Alcotest.(check int) "retransmits" 3 (Fabric.retransmits fab);
+  Alcotest.(check int) "every copy dropped" 4 (Fabric.messages_dropped fab)
+
+(* A fabric reset mid-run replays the same traffic exactly as a fresh
+   one. The first run stops at t=30 us, just past the first retransmit
+   timeouts, so sequence numbers, unacked and held-back frames, floors
+   and counters are all in use when it is reset. *)
+let test_reliable_reset_is_fresh () =
+  let plan = Fault.of_string "dup=0.3,drop=0.3,reorder=0.3" in
+  let build () =
+    let sim = Engine.create ~seed:9 () in
+    let fab =
+      make_fabric ~faults:plan ~reliability:(Fabric.reliability ()) sim 3
+    in
+    let log = ref [] in
+    for node = 0 to 2 do
+      Fabric.register fab ~node (fun ~src i ->
+          log := (Engine.now sim, src, node, i) :: !log)
+    done;
+    (sim, fab, log)
+  in
+  let sends fab =
+    for i = 0 to 19 do
+      send fab ~src:(i mod 3) ~dst:((i + 1) mod 3) ~words:1 i;
+      send fab ~src:((i + 2) mod 3) ~dst:(i mod 3) ~words:2 (100 + i)
+    done
+  in
+  let traffic sim fab log =
+    log := [];
+    sends fab;
+    ignore (Engine.run sim);
+    ( List.rev !log,
+      [
+        Fabric.messages_sent fab;
+        Fabric.words_sent fab;
+        Fabric.wire_words_sent fab;
+        Fabric.clock_words_sent fab;
+        Fabric.messages_dropped fab;
+        Fabric.messages_duplicated fab;
+        Fabric.retransmits fab;
+      ] )
+  in
+  let sim, fab, log = build () in
+  let fresh_log, fresh_counts = traffic sim fab log in
+  let sim', fab', log' = build () in
+  sends fab';
+  ignore (Engine.run ~until:30. sim');
+  Engine.reset ~seed:9 sim';
+  Fabric.reset fab';
+  let reset_log, reset_counts = traffic sim' fab' log' in
+  Alcotest.(check bool) "frames delivered" true (List.length fresh_log = 40);
+  Alcotest.(check bool) "same deliveries" true (fresh_log = reset_log);
+  Alcotest.(check (list int)) "same counters" fresh_counts reset_counts
 
 let () =
   Alcotest.run "net"
@@ -367,11 +524,19 @@ let () =
           Alcotest.test_case "counters" `Quick test_fabric_counters;
           Alcotest.test_case "double register" `Quick test_fabric_double_register;
           Alcotest.test_case "unregistered fails" `Quick test_fabric_unregistered_delivery_fails;
+          Alcotest.test_case "floor far in time" `Quick test_fabric_floor_far_in_time;
         ] );
       ( "faults",
         [
           Alcotest.test_case "drop rate" `Quick test_fabric_drop_rate;
           Alcotest.test_case "duplicates" `Quick test_fabric_duplicates;
           Alcotest.test_case "bad probability" `Quick test_fabric_bad_probability;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "exactly once, in order" `Quick
+            test_reliable_exactly_once_in_order;
+          Alcotest.test_case "gives up" `Quick test_reliable_gives_up;
+          Alcotest.test_case "reset is fresh" `Quick test_reliable_reset_is_fresh;
         ] );
     ]

@@ -92,7 +92,7 @@ let test_rmw_duplicate_delivery_exactly_once () =
     Machine.create sim ~n:3
       ~latency:(Dsm_net.Latency.Constant 2.0)
       ~faults:(Dsm_net.Fault.of_string "dup=0.4,drop=0.2")
-      ~reliability:(Machine.reliability ())
+      ~reliability:(Dsm_net.Fabric.reliability ())
       ()
   in
   let lin = Linearize.attach m in

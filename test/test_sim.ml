@@ -56,9 +56,9 @@ let test_prng_exponential_positive () =
 
 let test_heap_orders_by_time () =
   let h = Heap.create ~dummy:"" in
-  Heap.add h ~time:3. ~seq:0 "c";
-  Heap.add h ~time:1. ~seq:1 "a";
-  Heap.add h ~time:2. ~seq:2 "b";
+  Heap.add h ~time:3. ~seq:0 ~label:Label.unknown "c";
+  Heap.add h ~time:1. ~seq:1 ~label:Label.unknown "a";
+  Heap.add h ~time:2. ~seq:2 ~label:Label.unknown "b";
   let pop () =
     match Heap.pop h with Some (_, _, v) -> v | None -> "EMPTY"
   in
@@ -70,8 +70,8 @@ let test_heap_orders_by_time () =
 
 let test_heap_ties_by_seq () =
   let h = Heap.create ~dummy:"" in
-  Heap.add h ~time:1. ~seq:5 "second";
-  Heap.add h ~time:1. ~seq:2 "first";
+  Heap.add h ~time:1. ~seq:5 ~label:Label.unknown "second";
+  Heap.add h ~time:1. ~seq:2 ~label:Label.unknown "first";
   let pop () =
     match Heap.pop h with Some (_, _, v) -> v | None -> "EMPTY"
   in
@@ -84,7 +84,7 @@ let test_heap_stress_sorted_drain () =
   let h = Heap.create ~dummy:0 in
   let g = Prng.create ~seed:17 in
   for i = 0 to 999 do
-    Heap.add h ~time:(Prng.float g 100.) ~seq:i i
+    Heap.add h ~time:(Prng.float g 100.) ~seq:i ~label:Label.unknown i
   done;
   let last = ref neg_infinity in
   let ok = ref true in
@@ -110,14 +110,14 @@ let[@inline never] churn h w =
     Weak.set w i (Some b);
     b
   in
-  Heap.add h ~time:1. ~seq:0 (v 0);
-  Heap.add h ~time:2. ~seq:1 (v 1);
-  Heap.add h ~time:2. ~seq:2 (v 2);
+  Heap.add h ~time:1. ~seq:0 ~label:Label.unknown (v 0);
+  Heap.add h ~time:2. ~seq:1 ~label:Label.unknown (v 1);
+  Heap.add h ~time:2. ~seq:2 ~label:Label.unknown (v 2);
   ignore (Heap.pop h);
   ignore (Heap.pop_kth h 1);
   ignore (Heap.pop h);
-  Heap.add h ~time:3. ~seq:3 (v 3);
-  Heap.add h ~time:4. ~seq:4 (v 4);
+  Heap.add h ~time:3. ~seq:3 ~label:Label.unknown (v 3);
+  Heap.add h ~time:4. ~seq:4 ~label:Label.unknown (v 4);
   Heap.clear h
 
 let test_heap_releases_dead_entries () =
@@ -130,7 +130,8 @@ let test_heap_releases_dead_entries () =
       (Weak.check w i)
   done;
   (* the cleared heap still works *)
-  Heap.add h ~time:1. ~seq:5 (Bytes.of_string "x");
+  Heap.add h ~time:1. ~seq:5 ~label:Label.unknown
+    (Bytes.of_string "x");
   Alcotest.(check (option string)) "reusable" (Some "x")
     (Option.map (fun (_, _, b) -> Bytes.to_string b) (Heap.pop h))
 
@@ -403,14 +404,16 @@ let test_engine_failure_spares_siblings () =
   (* queued behind holder; granted at t=5, then blows up *)
   Engine.spawn sim ~at:1.0 ~name:"crasher" (fun () ->
       let got = Ivar.create () in
-      L.acquire locks ~offset:0 ~len:2 (fun l -> Ivar.fill sim got l);
+      L.acquire locks ~offset:0 ~len:2 (fun l ->
+          Ivar.fill ~label:Label.unknown sim got l);
       let l = Ivar.read sim got in
       L.release locks l;
       failwith "crash mid-run");
   (* disjoint range, but also queued behind holder's [0,10) *)
   Engine.spawn sim ~at:2.0 ~name:"survivor" (fun () ->
       let got = Ivar.create () in
-      L.acquire locks ~offset:5 ~len:2 (fun l -> Ivar.fill sim got l);
+      L.acquire locks ~offset:5 ~len:2 (fun l ->
+          Ivar.fill ~label:Label.unknown sim got l);
       let l = Ivar.read sim got in
       Engine.sleep sim 1.0;
       L.release locks l;
@@ -587,7 +590,7 @@ let test_engine_schedule_at_past_rejected () =
   Engine.schedule sim ~delay:5.0 (fun () ->
       Alcotest.check_raises "past"
         (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-          Engine.schedule_at sim ~at:1.0 (fun () -> ())));
+          Engine.schedule_at sim ~at:1.0 ~label:Label.unknown (fun () -> ())));
   ignore (Engine.run sim)
 
 let test_engine_counts_events () =
@@ -612,7 +615,7 @@ let test_ivar_fill_then_read () =
   let sim = Engine.create () in
   let iv = Ivar.create () in
   let got = ref 0 in
-  Ivar.fill sim iv 42;
+  Ivar.fill ~label:Label.unknown sim iv 42;
   Engine.spawn sim (fun () -> got := Ivar.read sim iv);
   ignore (Engine.run sim);
   Alcotest.(check int) "read value" 42 !got
@@ -624,7 +627,8 @@ let test_ivar_read_then_fill () =
   Engine.spawn sim (fun () ->
       got := Ivar.read sim iv;
       fill_time := Engine.now sim);
-  Engine.schedule sim ~delay:4.0 (fun () -> Ivar.fill sim iv 7);
+  Engine.schedule sim ~delay:4.0 (fun () ->
+      Ivar.fill ~label:Label.unknown sim iv 7);
   ignore (Engine.run sim);
   Alcotest.(check int) "read value" 7 !got;
   Alcotest.(check (float 1e-9)) "resumed at fill" 4.0 !fill_time
@@ -641,7 +645,8 @@ let test_ivar_multiple_waiters_in_order () =
   reader "a";
   reader "b";
   reader "c";
-  Engine.schedule sim ~delay:1.0 (fun () -> Ivar.fill sim iv ());
+  Engine.schedule sim ~delay:1.0 (fun () ->
+      Ivar.fill ~label:Label.unknown sim iv ());
   ignore (Engine.run sim);
   Alcotest.(check (list string)) "registration order" [ "a"; "b"; "c" ]
     (List.rev !log)
@@ -649,9 +654,9 @@ let test_ivar_multiple_waiters_in_order () =
 let test_ivar_double_fill () =
   let sim = Engine.create () in
   let iv = Ivar.create () in
-  Ivar.fill sim iv 1;
+  Ivar.fill ~label:Label.unknown sim iv 1;
   Alcotest.check_raises "double" (Failure "Ivar.fill: already filled")
-    (fun () -> Ivar.fill sim iv 2)
+    (fun () -> Ivar.fill ~label:Label.unknown sim iv 2)
 
 let test_ivar_peek_waiters () =
   let sim = Engine.create () in
@@ -661,7 +666,7 @@ let test_ivar_peek_waiters () =
   Engine.spawn sim (fun () -> ignore (Ivar.read sim iv));
   ignore (Engine.run ~max_events:1 sim);
   Alcotest.(check int) "one waiter" 1 (Ivar.waiters iv);
-  Ivar.fill sim iv 5;
+  Ivar.fill ~label:Label.unknown sim iv 5;
   Alcotest.(check (option int)) "filled" (Some 5) (Ivar.peek iv);
   ignore (Engine.run sim)
 
@@ -675,7 +680,7 @@ module type IVAR = sig
 
   val create : unit -> 'a t
   val peek : 'a t -> 'a option
-  val fill : ?label:Label.t -> Engine.t -> 'a t -> 'a -> unit
+  val fill : label:Label.t -> Engine.t -> 'a t -> 'a -> unit
   val read : Engine.t -> 'a t -> 'a
   val waiters : 'a t -> int
 end
@@ -742,7 +747,8 @@ let run_ivar_ops (module I : IVAR) ops =
               done)
       | I_fill (delay, v, label) ->
           Engine.schedule sim ~delay (fun () ->
-              match I.fill ?label sim iv v with
+              let label = Option.value label ~default:Label.unknown in
+              match I.fill ~label sim iv v with
               | () -> note "fill %d" v
               | exception Failure msg -> note "fill %d failed: %s" v msg)
       | I_peek delay ->

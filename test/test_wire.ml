@@ -2,10 +2,11 @@
    the latency model prices the paper's nominal n+1 clock words on every
    clock-carrying message, while the adaptive delta encoding must ship
    strictly fewer. This suite holds the live stack to that — the
-   machine-level directed tests (retransmit fallback, reorder
-   degradation), a 50-walk explorer batch, and the corpus of replay
-   tokens minted while the wire encoding was still selectable (their
-   [w=] field must parse and change nothing). *)
+   machine-level directed tests (retransmitted deltas, reorder
+   degradation), pinned reliable runs under faults, a 50-walk explorer
+   batch, and the corpus of replay tokens minted while the wire encoding
+   was still selectable (their [w=] field must parse and change
+   nothing). *)
 
 open Dsm_sim
 open Dsm_memory
@@ -119,18 +120,19 @@ let test_delta_frames_emitted () =
     true (delta > 0);
   Alcotest.(check bool) "self-contained frames too" true (sparse + dense > 0)
 
-(* ---------- retransmit fallback ---------- *)
+(* ---------- retransmitted deltas ---------- *)
 
-(* Reliable transport over a dup+drop fabric: retransmitted frames that
-   carried a delta piggyback must be re-encoded self-contained (the
-   receiver's edge cache may have moved past the delta's base by
-   delivery time). The run still completes and reproduces bit for bit,
-   race set included. *)
-let test_retransmit_fallback () =
+(* Reliable transport over a dup+drop fabric: frames carrying delta
+   piggybacks get resent as they were first encoded. The fabric drops
+   duplicates and holds back early frames before the piggyback is
+   decoded, so each resent delta decodes against its own base (a wrong
+   base would fail the decoder's seq check and crash the run). The run
+   completes and reproduces bit for bit, race set included. *)
+let test_retransmitted_deltas_decode () =
   let faulted () =
     run_puts
       ~faults:(Fault.of_string "dup=0.4,drop=0.3")
-      ~reliability:(Machine.reliability ())
+      ~reliability:(Dsm_net.Fabric.reliability ())
       ~n:8 ~workers:3 ~rounds:8 ~seed:6 ()
   in
   let m, d = faulted () in
@@ -139,13 +141,6 @@ let test_retransmit_fallback () =
     (Machine.transport_retransmits m > 0);
   let _, _, delta = Machine.clock_encodings m in
   Alcotest.(check bool) "deltas were in flight" true (delta > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "delta retransmits fell back (%d)"
-       (Machine.clock_retransmit_fallbacks m))
-    true
-    (Machine.clock_retransmit_fallbacks m > 0);
-  Alcotest.(check bool) "fallbacks only on retransmits" true
-    (Machine.clock_retransmit_fallbacks m <= Machine.transport_retransmits m);
   let m', d' = faulted () in
   Alcotest.(check string) "race set reproduces"
     (Report.to_csv (Detector.report d))
@@ -178,7 +173,7 @@ let test_reliable_reorder_keeps_deltas () =
   let m, _ =
     run_puts
       ~faults:(Fault.of_string "reorder=0.5")
-      ~reliability:(Machine.reliability ())
+      ~reliability:(Dsm_net.Fabric.reliability ())
       ~n:8 ~workers:3 ~rounds:8 ~seed:9 ()
   in
   let _, _, delta = Machine.clock_encodings m in
@@ -452,8 +447,8 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "retransmit fallback" `Quick
-            test_retransmit_fallback;
+          Alcotest.test_case "retransmitted deltas decode against their base"
+            `Quick test_retransmitted_deltas_decode;
           Alcotest.test_case "reorder degrades to self-contained" `Quick
             test_reorder_degrades_to_self_contained;
           Alcotest.test_case "reliable reorder keeps deltas" `Quick
