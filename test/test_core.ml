@@ -1166,7 +1166,7 @@ let test_note_full_ring_allocates_nothing () =
    place on the checked-op path).
    [Gc.minor_words] is exact and the run deterministic, so any new
    allocation on the per-message or per-check path shows. *)
-let test_checked_stencil_minor_words () =
+let checked_stencil () =
   let sim = Engine.create ~seed:7 () in
   let m = Machine.create sim ~n:8 ~latency:(Dsm_net.Latency.Constant 1.0) () in
   let d = Detector.create m () in
@@ -1177,6 +1177,10 @@ let test_checked_stencil_minor_words () =
   ignore
     (Dsm_workload.Stencil.setup env
        ~collectives:(Dsm_pgas.Collectives.create env) params);
+  (sim, m, d)
+
+let test_checked_stencil_minor_words () =
+  let _, m, d = checked_stencil () in
   let before = Gc.minor_words () in
   expect_completed m;
   let words = Gc.minor_words () -. before in
@@ -1184,6 +1188,23 @@ let test_checked_stencil_minor_words () =
   Alcotest.(check int) "checked ops" 810 (Detector.checked_ops d);
   if per_op > 221.0 then
     Alcotest.failf "%.1f minor words per checked op (ceiling 221.0)" per_op
+
+(* What the same run sends and schedules, recorded before the piggyback
+   encoder became one pass and before uncontended local locks stopped
+   suspending: the frames chosen, their clock words, the fabric
+   messages and the events. A cheaper encoder or lock path must leave
+   every one of them as it was. *)
+let test_checked_stencil_counters () =
+  let sim, m, d = checked_stencil () in
+  expect_completed m;
+  let dense, sparse, delta = Machine.clock_encodings m in
+  Alcotest.(check (list int)) "dense, sparse, delta frames" [ 68; 155; 629 ]
+    [ dense; sparse; delta ];
+  Alcotest.(check int) "clock words" 5446 (Machine.clock_words_sent m);
+  Alcotest.(check int) "fabric messages" 1842 (Machine.fabric_messages m);
+  Alcotest.(check int) "wire words" 10300 (Machine.wire_words_sent m);
+  Alcotest.(check int) "events" 2750 (Engine.events_processed sim);
+  Alcotest.(check int) "checked ops" 810 (Detector.checked_ops d)
 
 (* The push shape: batched race-free [Scale] puts at n=256, every
    process blocked on a checked batch at once. Its minor words per
@@ -1613,6 +1634,8 @@ let () =
         [
           Alcotest.test_case "checked stencil minor words per op" `Quick
             test_checked_stencil_minor_words;
+          Alcotest.test_case "checked stencil counters pinned" `Quick
+            test_checked_stencil_counters;
           Alcotest.test_case "checked scale minor words per op" `Quick
             test_checked_scale_minor_words;
         ] );
