@@ -34,11 +34,12 @@ let write_sparse w off ~k v =
       slot := !slot + 2)
     v
 
-(* Header [n; d], then the [d] changed [(index, value)] pairs. *)
-let write_delta w off ~since ~d v =
+(* Header [n; d], then the [d] changed [(index, value)] pairs; with
+   [advance], [since] becomes [v] in the same walk. *)
+let write_delta w off ~since ~d ~advance v =
   w.(off) <- Vector_clock.dim v;
   w.(off + 1) <- d;
-  Vector_clock.store_diff ~since v w ~off:(off + 2)
+  Vector_clock.write_diff ~since v w ~off:(off + 2) ~advance
 
 (* The dimension. Negative entries are left to [Vector_clock.load_words],
    which rejects them before it writes. *)
@@ -207,9 +208,9 @@ let decode_vector_varint b =
 let encode_vector_delta ~since v =
   if Vector_clock.dim since <> Vector_clock.dim v then
     invalid_arg "Codec.encode_vector_delta: dimension mismatch";
-  let _, d = Vector_clock.active_and_changed ~since v in
+  let d = Vector_clock.diff_sizes ~since v mod (Vector_clock.dim v + 1) in
   let w = Array.make (pairs_len d) 0 in
-  write_delta w 0 ~since ~d v;
+  write_delta w 0 ~since ~d ~advance:false v;
   w
 
 let decode_vector_delta ~base w =
@@ -231,6 +232,13 @@ let decode_vector_delta ~base w =
 
 type piggyback_mode = Dense | Sparse | Delta
 
+type tally = { mutable dense : int; mutable sparse : int; mutable delta : int }
+
+let tally () = { dense = 0; sparse = 0; delta = 0 }
+
+(* What {!encode_piggyback} counts into: nothing, by physical identity. *)
+let untallied = tally ()
+
 (* A frame with room for a [len]-word payload at offset 2. *)
 let frame ~tag ~seq len =
   let w = Array.make (len + 2) 0 in
@@ -238,40 +246,72 @@ let frame ~tag ~seq len =
   w.(1) <- seq;
   w
 
-let dense_frame ~seq v =
+let dense_frame ~tally ~seq v =
+  if tally != untallied then tally.dense <- tally.dense + 1;
   let w = frame ~tag:0 ~seq (dense_len v) in
   write_dense w 2 v;
   w
 
-let sparse_frame ~seq ~k v =
+let sparse_frame ~tally ~seq ~k v =
+  if tally != untallied then tally.sparse <- tally.sparse + 1;
   let w = frame ~tag:1 ~seq (pairs_len k) in
   write_sparse w 2 ~k v;
   w
 
 (* The shorter self-contained frame; sparse wins ties with dense. *)
-let self_contained_frame ~seq ~k v =
-  if pairs_len k <= dense_len v then sparse_frame ~seq ~k v
-  else dense_frame ~seq v
+let self_contained_frame ~tally ~seq ~k v =
+  if pairs_len k <= dense_len v then sparse_frame ~tally ~seq ~k v
+  else dense_frame ~tally ~seq v
+
+(* The frame a fixed mode forces; [Delta] without a usable base falls
+   back to the shorter self-contained form. *)
+let forced_frame ~tally ~mode ~seq v =
+  match mode with
+  | Dense -> dense_frame ~tally ~seq v
+  | Sparse -> sparse_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
+  | Delta -> self_contained_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
+
+(* The adaptive core against a base [since] of [v]'s dimension: one walk
+   sizes the three candidates and only the shortest is built. A delta
+   must be strictly shorter than both self-contained forms. With
+   [advance], [since] is left equal to [v] — patched at the changed
+   components while a delta's pairs are written. *)
+let adaptive_frame ~tally ~seq ~since ~advance v =
+  let n = Vector_clock.dim v in
+  let sizes = Vector_clock.diff_sizes ~since v in
+  let k = sizes / (n + 1) and d = sizes mod (n + 1) in
+  if pairs_len d < min (pairs_len k) (dense_len v) then begin
+    if tally != untallied then tally.delta <- tally.delta + 1;
+    let w = frame ~tag:2 ~seq (pairs_len d) in
+    write_delta w 2 ~since ~d ~advance v;
+    w
+  end
+  else begin
+    let w = self_contained_frame ~tally ~seq ~k v in
+    if advance then Vector_clock.assign ~into:since v;
+    w
+  end
+
+let check_seq seq =
+  if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq"
 
 let encode_piggyback ~mode ~seq ?since v =
-  if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq";
+  check_seq seq;
+  match (mode, since) with
+  | Delta, Some s when Vector_clock.dim s = Vector_clock.dim v ->
+      adaptive_frame ~tally:untallied ~seq ~since:s ~advance:false v
+  | _ -> forced_frame ~tally:untallied ~mode ~seq v
+
+let encode_piggyback_edge ~tally ~mode ~seq ~cache v =
+  check_seq seq;
+  if Vector_clock.dim cache <> Vector_clock.dim v then
+    invalid_arg "Codec.encode_piggyback_edge: dimension mismatch";
   match mode with
-  | Dense -> dense_frame ~seq v
-  | Sparse -> sparse_frame ~seq ~k:(Vector_clock.active_entries v) v
-  | Delta -> (
-      (* adaptive: size the three candidates, build only the shortest.
-         A delta needs a same-dimension [since] and must be strictly
-         shorter than both self-contained forms. *)
-      match since with
-      | Some s when Vector_clock.dim s = Vector_clock.dim v ->
-          let k, d = Vector_clock.active_and_changed ~since:s v in
-          if pairs_len d < min (pairs_len k) (dense_len v) then begin
-            let w = frame ~tag:2 ~seq (pairs_len d) in
-            write_delta w 2 ~since:s ~d v;
-            w
-          end
-          else self_contained_frame ~seq ~k v
-      | _ -> self_contained_frame ~seq ~k:(Vector_clock.active_entries v) v)
+  | Delta -> adaptive_frame ~tally ~seq ~since:cache ~advance:true v
+  | Dense | Sparse ->
+      let w = forced_frame ~tally ~mode ~seq v in
+      Vector_clock.assign ~into:cache v;
+      w
 
 let piggyback_mode_of w =
   if Array.length w < 2 then

@@ -101,10 +101,34 @@ val encode_piggyback :
 (** [encode_piggyback ~mode ~seq ?since v] frames [v] for the wire.
     [since] is the sender's per-edge cache (the last clock shipped on
     this channel); it is only consulted under [Delta], which sizes the
-    three candidates in one scan ({!Vector_clock.active_and_changed})
-    and builds only the shortest. Costs O(active v + active since) —
-    O(n) only when a clock is dense — plus one allocation of the chosen
+    three candidates in one walk ({!Vector_clock.diff_sizes}) and
+    builds only the shortest. Costs O(active v + active since) — O(n)
+    only when a clock is dense — plus one allocation of the chosen
     frame. Raises [Invalid_argument] on a negative [seq]. *)
+
+type tally = { mutable dense : int; mutable sparse : int; mutable delta : int }
+(** Frames built by {!encode_piggyback_edge}, per payload codec. *)
+
+val tally : unit -> tally
+(** A zero tally. *)
+
+val encode_piggyback_edge :
+  tally:tally ->
+  mode:piggyback_mode ->
+  seq:int ->
+  cache:Vector_clock.t ->
+  Vector_clock.t ->
+  wire
+(** [encode_piggyback_edge ~tally ~mode ~seq ~cache v] is the frame
+    [encode_piggyback ~mode ~seq ~since:cache v] builds, from the same
+    core, and leaves [cache] — the sender's per-edge cache — equal to
+    [v], the next delta's base. A delta's pairs are written and [cache]
+    patched at the changed components in one walk; a dense→dense delta
+    allocates only its frame. A self-contained frame is followed by an
+    {!Vector_clock.assign}. The branch that builds the frame counts it
+    in [tally]. A zero [cache] sizes like no cache at all, so an edge's
+    first frame is self-contained. Raises [Invalid_argument] on a
+    negative [seq] or when [cache] and [v] differ in dimension. *)
 
 val decode_piggyback_into :
   expect_seq:int -> ?base:Vector_clock.t -> into:Vector_clock.t -> wire -> int
@@ -128,7 +152,3 @@ val decode_piggyback :
     frame's sequence number. Raises [Invalid_argument] on a truncated
     frame, an unknown tag, a negative [seq], a malformed payload, or a
     delta frame out of sequence or without [base]. *)
-
-val piggyback_mode_of : wire -> piggyback_mode
-(** The tag of a framed piggyback; raises [Invalid_argument] on a
-    truncated frame or unknown tag. *)

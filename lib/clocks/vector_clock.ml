@@ -268,85 +268,6 @@ let live_key c j = if is_sparse c then c.keys.(j) else c.pid
 
 let live_val c j = if is_sparse c then c.vals.(j) else c.count
 
-(* The two diff scans below visit the components where [v] and [since]
-   differ in ascending order: one pass over the dimension when either
-   clock is dense, otherwise a merge scan of the two sorted live-entry
-   runs, O(active v + active since). One counts, one writes; neither
-   calls a closure per component. *)
-
-let active_and_changed ~since v =
-  check_dim since v "active_and_changed";
-  if is_dense v || is_dense since then begin
-    let k = ref 0 and d = ref 0 in
-    for i = 0 to v.dim - 1 do
-      let x = get v i in
-      if x <> 0 then incr k;
-      if x <> get since i then incr d
-    done;
-    (!k, !d)
-  end
-  else begin
-    let an = live_len v and bn = live_len since in
-    let i = ref 0 and j = ref 0 and d = ref 0 in
-    while !i < an || !j < bn do
-      if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
-        incr d;
-        incr i
-      end
-      else if !i >= an || live_key since !j < live_key v !i then begin
-        incr d;
-        incr j
-      end
-      else begin
-        if live_val v !i <> live_val since !j then incr d;
-        incr i;
-        incr j
-      end
-    done;
-    (an, !d)
-  end
-
-let store_diff ~since v w ~off =
-  check_dim since v "store_diff";
-  let slot = ref off in
-  if is_dense v || is_dense since then
-    for i = 0 to v.dim - 1 do
-      let x = get v i in
-      if x <> get since i then begin
-        w.(!slot) <- i;
-        w.(!slot + 1) <- x;
-        slot := !slot + 2
-      end
-    done
-  else begin
-    let an = live_len v and bn = live_len since in
-    let i = ref 0 and j = ref 0 in
-    while !i < an || !j < bn do
-      if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
-        w.(!slot) <- live_key v !i;
-        w.(!slot + 1) <- live_val v !i;
-        slot := !slot + 2;
-        incr i
-      end
-      else if !i >= an || live_key since !j < live_key v !i then begin
-        w.(!slot) <- live_key since !j;
-        w.(!slot + 1) <- 0;
-        slot := !slot + 2;
-        incr j
-      end
-      else begin
-        let x = live_val v !i in
-        if x <> live_val since !j then begin
-          w.(!slot) <- live_key v !i;
-          w.(!slot + 1) <- x;
-          slot := !slot + 2
-        end;
-        incr i;
-        incr j
-      end
-    done
-  end
-
 (* Component [i] becomes [x], raised or lowered. Lowering never demotes
    a sparse or dense clock (an epoch whose entry drops to 0 is the zero
    epoch again); raising promotes as a tick would. *)
@@ -404,6 +325,108 @@ let assign ~into src =
       Array.blit src.vec 0 into.vec 0 into.dim;
       into.nactive <- 0);
   into.rep <- src.rep
+
+(* ---------- the piggyback diff walk ---------- *)
+
+(* Lays pair [(i, x)] out at [w.(slot)] unless sizing; the next slot. *)
+let put_pair w slot i x =
+  if w == no_vec then slot
+  else begin
+    w.(slot) <- i;
+    w.(slot + 1) <- x;
+    slot + 2
+  end
+
+(* The one walk behind the piggyback encoder: the components where [v]
+   and [since] differ, in ascending order. A dense pair reads both
+   arrays directly; a dense and a compact clock walk the dimension with
+   a cursor into the compact one's sorted entries; two compact clocks
+   merge-scan their sorted entries, O(active v + active since). Sizing
+   ([w == no_vec]) also counts the nonzero components of [v] and
+   returns both counts packed in one immediate int; writing lays the
+   [(index, value)] pairs out at [w.(off)..] and, with [advance],
+   leaves [since] equal to [v] — a dense [since] is patched at the
+   changed components in the same pass, a compact one takes [v]'s
+   representation afterwards. No closure is called per component. *)
+let diff_walk ~since v w ~off ~advance =
+  check_dim since v "diff_walk";
+  let k = ref 0 and d = ref 0 and slot = ref off in
+  if is_dense v && is_dense since then begin
+    let a = v.vec and b = since.vec in
+    for i = 0 to v.dim - 1 do
+      let x = a.(i) in
+      if x <> 0 then incr k;
+      if x <> b.(i) then begin
+        incr d;
+        slot := put_pair w !slot i x;
+        if advance then b.(i) <- x
+      end
+    done
+  end
+  else if is_dense v || is_dense since then begin
+    let an = if is_dense v then 0 else live_len v
+    and bn = if is_dense since then 0 else live_len since in
+    let ia = ref 0 and ib = ref 0 in
+    for i = 0 to v.dim - 1 do
+      let x =
+        if is_dense v then v.vec.(i)
+        else if !ia < an && live_key v !ia = i then begin
+          incr ia;
+          live_val v (!ia - 1)
+        end
+        else 0
+      in
+      let y =
+        if is_dense since then since.vec.(i)
+        else if !ib < bn && live_key since !ib = i then begin
+          incr ib;
+          live_val since (!ib - 1)
+        end
+        else 0
+      in
+      if x <> 0 then incr k;
+      if x <> y then begin
+        incr d;
+        slot := put_pair w !slot i x;
+        if advance && is_dense since then since.vec.(i) <- x
+      end
+    done;
+    if advance && not (is_dense since) then assign ~into:since v
+  end
+  else begin
+    let an = live_len v and bn = live_len since in
+    let i = ref 0 and j = ref 0 in
+    k := an;
+    while !i < an || !j < bn do
+      if !j >= bn || (!i < an && live_key v !i < live_key since !j) then begin
+        incr d;
+        slot := put_pair w !slot (live_key v !i) (live_val v !i);
+        incr i
+      end
+      else if !i >= an || live_key since !j < live_key v !i then begin
+        incr d;
+        slot := put_pair w !slot (live_key since !j) 0;
+        incr j
+      end
+      else begin
+        let x = live_val v !i in
+        if x <> live_val since !j then begin
+          incr d;
+          slot := put_pair w !slot (live_key v !i) x
+        end;
+        incr i;
+        incr j
+      end
+    done;
+    if advance then assign ~into:since v
+  end;
+  if w == no_vec then (!k * (v.dim + 1)) + !d else !d
+
+let diff_sizes ~since v = diff_walk ~since v no_vec ~off:0 ~advance:false
+
+let write_diff ~since v w ~off ~advance =
+  if w == no_vec then invalid_arg "Vector_clock.write_diff: empty buffer";
+  ignore (diff_walk ~since v w ~off ~advance)
 
 let is_zero c =
   if is_dense c then Array.for_all (fun x -> x = 0) c.vec

@@ -78,19 +78,24 @@ val iter_active : (int -> int -> unit) -> t -> unit
     [c] in ascending pid order. O(active) for epoch and sparse clocks,
     one scan for a dense one. *)
 
-val active_and_changed : since:t -> t -> int * int
-(** [active_and_changed ~since v] is [(k, d)]: [k] the nonzero
-    components of [v], [d] the components where [v] and [since] differ,
-    counted in one scan — what the adaptive piggyback encoder sizes its
-    candidates from. O(active v + active since) unless either clock is
-    dense. Raises [Invalid_argument] on dimension mismatch. *)
-
-val store_diff : since:t -> t -> int array -> off:int -> unit
-(** [store_diff ~since v w ~off] writes [i; entry v i] at [w.(off)..]
-    for each component where [v] and [since] differ, in ascending [i] —
-    [entry v i] may be 0. The [2d] words for the [d] of
-    {!active_and_changed} must fit. Same cost as {!active_and_changed}.
+val diff_sizes : since:t -> t -> int
+(** [diff_sizes ~since v] counts, in one walk, [k] the nonzero
+    components of [v] and [d] the components where [v] and [since]
+    differ, and returns them packed as [k * (dim v + 1) + d] — an
+    immediate int, so sizing allocates nothing. It is the sizing half of
+    the piggyback encoder's diff walk: both arrays read directly for two
+    dense clocks, O(active v + active since) when neither is dense.
     Raises [Invalid_argument] on dimension mismatch. *)
+
+val write_diff : since:t -> t -> int array -> off:int -> advance:bool -> unit
+(** [write_diff ~since v w ~off ~advance] writes [i; entry v i] at
+    [w.(off)..] for each component where [v] and [since] differ, in
+    ascending [i] — [entry v i] may be 0; the [2d] words for the [d] of
+    {!diff_sizes} must fit. With [advance] it also leaves [since] equal
+    to [v]: a dense [since] is patched at the changed components in the
+    same walk, any other takes [v]'s value and representation as
+    {!assign} would. Same walk and cost as {!diff_sizes}. Raises
+    [Invalid_argument] on dimension mismatch or an empty [w]. *)
 
 val entry : t -> int -> int
 (** [entry c i] is component [i]. Raises [Invalid_argument] when [i] is out

@@ -91,34 +91,27 @@ let register t (r : Addr.region) =
       t.var_len.(i) <- r.len;
       t.vars <- t.vars + 1
 
-(* Visit the variables from index [i] on that start at or before [last].
-   [f] may suspend (an explicit-transport control round trip) while
-   another process registers a variable. No new variable can overlap
-   the access, which is fully covered, but one registered below it
-   shifts the indices; the next variable is then found again from the
-   end of the one just visited. *)
-let rec visit_variables t i ~last ~f =
-  if i < t.vars && t.var_off.(i) <= last then begin
-    let offset = t.var_off.(i) and len = t.var_len.(i) and vars = t.vars in
-    f ~offset ~len;
-    let next =
-      if t.vars = vars then i + 1 else first_ending_after t (offset + len)
-    in
-    visit_variables t next ~last ~f
-  end
+(* ---------- granule walk ----------
 
-let iter_granules t (r : Addr.region) ~f =
+   An access's granules in address order, through an immediate-int
+   cursor: the granule's packed (offset, len) key, or -1 past the last.
+   The caller loops, so a walk allocates no closure. Each step is
+   computed from the granule just visited, never from an index, so a
+   variable registered while the caller was suspended (an
+   explicit-transport control round trip) cannot disturb the walk: no
+   new variable can overlap the access, which is fully covered. *)
+
+(* The granule of variable [i] if it starts at or before [last]. *)
+let variable_granule t i ~last =
+  if i < t.vars && t.var_off.(i) <= last then
+    pack_key ~offset:t.var_off.(i) ~len:t.var_len.(i)
+  else -1
+
+let first_granule t (r : Addr.region) =
   if r.base.pid <> t.node then invalid_arg "Clock_store.granules: wrong node";
   match t.granularity with
-  | Config.Word ->
-      for offset = r.base.offset to Addr.last_offset r do
-        f ~offset ~len:1
-      done
-  | Config.Block k ->
-      let first = r.base.offset / k and last = Addr.last_offset r / k in
-      for b = first to last do
-        f ~offset:(b * k) ~len:k
-      done
+  | Config.Word -> pack_key ~offset:r.base.offset ~len:1
+  | Config.Block k -> pack_key ~offset:(r.base.offset / k * k) ~len:k
   | Config.Variable ->
       (* Every accessed word must fall inside a registered variable;
          checked before any granule is visited so a failing access
@@ -139,7 +132,19 @@ let iter_granules t (r : Addr.region) ~f =
           (Printf.sprintf
              "Clock_store: access to %s touches unregistered shared data"
              (Addr.to_string r));
-      visit_variables t first ~last ~f
+      variable_granule t first ~last
+
+let granule_offset g = g lsr len_bits
+
+let granule_len g = g land max_len
+
+let next_granule t (r : Addr.region) g =
+  let next = granule_offset g + granule_len g and last = Addr.last_offset r in
+  if next > last then -1
+  else
+    match t.granularity with
+    | Config.Word | Config.Block _ -> pack_key ~offset:next ~len:(granule_len g)
+    | Config.Variable -> variable_granule t (first_ending_after t next) ~last
 
 let entry_at t ~offset ~len =
   let key = pack_key ~offset ~len in

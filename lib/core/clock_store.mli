@@ -16,7 +16,7 @@
     The table is keyed by the granule's [(offset, len)] packed into a
     single immediate [int] and hashed by an int-specialized hashtable, so
     the per-access lookup neither allocates nor runs polymorphic
-    comparison; {!iter_granules} walks the granules of an access without
+    comparison; {!first_granule} walks the granules of an access without
     building a list. Registered variables live in an address-sorted index
     (two int arrays), so finding the ones an access touches is a binary
     search, not a walk over every variable of the node. *)
@@ -52,21 +52,35 @@ val register : t -> Dsm_memory.Addr.region -> unit
     with [k] variables: a binary search for overlap, then an in-place
     insertion (O(log k) when the variable lands above every other). *)
 
-val iter_granules :
-  t -> Dsm_memory.Addr.region -> f:(offset:int -> len:int -> unit) -> unit
-(** [iter_granules t r ~f] calls [f] once per granule covering an access
-    to [r], in address order, without materializing regions or lists —
-    the detector's hot path. Under {!Config.Variable}, raises [Failure]
-    {e before} visiting any granule if an accessed word falls outside
-    every registered variable — shared data must be declared — and costs
-    O(log k + visited) for a node with [k] variables: one binary search
-    for the first variable the access touches, then the run of variables
-    it covers. Variables registered while [f] is suspended do not disturb
+val first_granule : t -> Dsm_memory.Addr.region -> int
+(** [first_granule t r] is the first granule covering an access to [r],
+    in address order, as a cursor: an immediate int that
+    {!granule_offset} and {!granule_len} read, or [-1] when there is
+    none. With {!next_granule} it walks the granules without
+    materializing regions, lists or closures — the detector's hot path.
+    Under {!Config.Variable}, raises [Failure] {e before} the walk
+    starts if an accessed word falls outside every registered variable
+    — shared data must be declared — and costs O(log k + covered) for a
+    node with [k] variables. Raises [Invalid_argument] when [r] is on
+    another node or the granule lies outside {!entry_at}'s range. *)
+
+val next_granule : t -> Dsm_memory.Addr.region -> int -> int
+(** [next_granule t r g] is the granule after [g] in the walk of an
+    access to [r], or [-1] after the last. O(1), plus one O(log k)
+    search under {!Config.Variable} when the access spans another
+    variable. Computed from [g]'s coordinates, so variables registered
+    between two steps (while the walker was suspended) do not disturb
     the walk. *)
+
+val granule_offset : int -> int
+(** The first word of a granule cursor. *)
+
+val granule_len : int -> int
+(** The length in words of a granule cursor. *)
 
 val entry_at : t -> offset:int -> len:int -> entry
 (** The entry of one granule identified by its raw coordinates (as
-    passed to {!iter_granules}'s callback); lazily created with zero
+    read from a {!first_granule} cursor); lazily created with zero
     clocks and an empty history. Allocation-free on the hit path.
     Raises [Invalid_argument] outside [0 <= offset <= 2^40],
     [0 <= len < 2^21], the range the table's packed key holds. *)

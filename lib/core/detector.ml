@@ -210,7 +210,7 @@ let create machine ?config ?(verbose = false) () =
      [extra_words] allowance (see [Machine.set_clock_source]). *)
   (match config.Config.transport with
   | Config.Inline | Config.Piggyback_txn ->
-      Machine.set_clock_source machine (fun ~pid -> t.procs.(pid))
+      Machine.set_clock_source machine t.procs
   | Config.Explicit_txn -> ());
   t
 
@@ -396,30 +396,34 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
   let absorb = t.scratch_absorb.(pid) in
   Vector_clock.reset absorb;
   let remote = remote_explicit t ~node ~pid in
-  Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-      if remote then begin
-        let words =
-          Machine.control p ~target:node ~tag:vget_tag
-            ~words:[| offset; len |]
-        in
-        t.meta_messages <- t.meta_messages + 2;
-        t.clock_words_shipped <- t.clock_words_shipped + Array.length words;
-        let fv = t.scratch_fv.(pid)
-        and fw = t.scratch_fw.(pid)
-        and fs = t.scratch_fs.(pid) in
-        Vector_clock.load_words fv words ~off:0;
-        Vector_clock.load_words fw words ~off:t.dim;
-        Vector_clock.load_words fs words ~off:(2 * t.dim);
-        check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw
-          ~fs ~entry:(Clock_store.entry_at store ~offset ~len) ~absorb;
-        send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
-      end
-      else begin
-        let e = Clock_store.entry_at store ~offset ~len in
-        check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv:e.v
-          ~fw:e.w ~fs:e.s ~entry:e ~absorb;
-        merge_entry t.mh e cls v0
-      end);
+  let g = ref (Clock_store.first_granule store region) in
+  while !g >= 0 do
+    let offset = Clock_store.granule_offset !g
+    and len = Clock_store.granule_len !g in
+    if remote then begin
+      let words =
+        Machine.control p ~target:node ~tag:vget_tag ~words:[| offset; len |]
+      in
+      t.meta_messages <- t.meta_messages + 2;
+      t.clock_words_shipped <- t.clock_words_shipped + Array.length words;
+      let fv = t.scratch_fv.(pid)
+      and fw = t.scratch_fw.(pid)
+      and fs = t.scratch_fs.(pid) in
+      Vector_clock.load_words fv words ~off:0;
+      Vector_clock.load_words fw words ~off:t.dim;
+      Vector_clock.load_words fs words ~off:(2 * t.dim);
+      check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
+        ~entry:(Clock_store.entry_at store ~offset ~len) ~absorb;
+      send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
+    end
+    else begin
+      let e = Clock_store.entry_at store ~offset ~len in
+      check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv:e.v
+        ~fw:e.w ~fs:e.s ~entry:e ~absorb;
+      merge_entry t.mh e cls v0
+    end;
+    g := Clock_store.next_granule store region !g
+  done;
   absorb
 
 (* Piggybacked clock words on a data message: a dense-encoded vector. *)
@@ -708,9 +712,14 @@ let release_rmw_history t p ~(region : Addr.region) =
     let v0 = t.procs.(pid) in
     let store = t.stores.(node) in
     let remote = remote_explicit t ~node ~pid in
-    Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-        if remote then send_vput t p ~node ~offset ~len ~code:s_release_code v0
-        else release_s t.mh (Clock_store.entry_at store ~offset ~len) v0)
+    let g = ref (Clock_store.first_granule store region) in
+    while !g >= 0 do
+      let offset = Clock_store.granule_offset !g
+      and len = Clock_store.granule_len !g in
+      if remote then send_vput t p ~node ~offset ~len ~code:s_release_code v0
+      else release_s t.mh (Clock_store.entry_at store ~offset ~len) v0;
+      g := Clock_store.next_granule store region !g
+    done
   end
 
 let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =

@@ -34,6 +34,18 @@ val acquire : t -> offset:int -> len:int -> (lock_id -> unit) -> unit
     waiters on disjoint ranges; under {!Strict_head} any waiter blocks
     every newcomer. Raises [Invalid_argument] on a degenerate range. *)
 
+val try_acquire : t -> offset:int -> len:int -> lock_id
+(** [try_acquire t ~offset ~len] grants exactly when {!acquire} would
+    call back at once, with the same id and leaving the table in the
+    same state; otherwise it returns {!refused} and changes nothing —
+    no waiter is queued, no id is spent. A degenerate range is refused
+    (where {!acquire} raises). The uncontended path of a lock taken by
+    a running process: it needs no continuation to resume. *)
+
+val refused : lock_id
+(** What {!try_acquire} returns when it grants nothing; never the id of
+    a granted lock. Compare with [==]. *)
+
 val release : t -> lock_id -> unit
 (** Releases a held lock and grants eligible waiters, in queue order,
     according to the discipline. Raises [Failure] if the token is unknown

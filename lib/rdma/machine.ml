@@ -40,15 +40,18 @@ type observation =
 
 (* What travels on the fabric: the protocol message and, when a clock
    source is installed and the message carries a clock, its framed
-   piggyback. *)
-type frame = { pb : int array option; msg : Message.t }
+   piggyback — otherwise [no_pb], so a frame boxes no option. *)
+type frame = { pb : int array; msg : Message.t }
+
+let no_pb : int array = [||]
 
 (* Per-(src,dst)-edge clock piggyback state: the last clock shipped on
    the edge (the delta base) and the edge's piggyback sequence number.
    The sender owns one table keyed by the edge; each receiver mirrors it
    from what actually got delivered, keyed the same way. The clock is
-   created at the edge's first frame and overwritten in place after
-   that, so a message allocates no cache or mirror clock. An edge's key is
+   created at the edge's first frame (the sender's as a zero clock,
+   which sizes like no base) and advanced in place after that, so a
+   message allocates no cache or mirror clock. An edge's key is
    the immediate int [src * n + dst] in an {!Int_tbl}, so the lookup
    twice per clock-carrying message builds no tuple and runs no
    polymorphic hash. *)
@@ -86,18 +89,17 @@ type t = {
      every clock-carrying message gets a framed piggyback whose encoding
      is chosen per message — accounting-only; the latency model keeps
      pricing the nominal [Message.wire_words]. *)
-  mutable clock_src : (pid:int -> Dsm_clocks.Vector_clock.t) option;
-  pb_delta_ok : bool;
+  mutable clock_src : Dsm_clocks.Vector_clock.t array option;
+      (* each pid's live clock, read when it sends *)
+  pb_mode : Dsm_clocks.Codec.piggyback_mode;
       (* deltas need per-edge in-order, exactly-once delivery of the
-         piggybacks: true on a fault-free fabric (the FIFO floor gives
-         order, nothing drops or duplicates) or under the fabric's
-         reliable transport (which resequences and dedups); otherwise
-         Delta degrades to the self-contained sparse form *)
+         piggybacks: [Delta] on a fault-free fabric (the FIFO floor
+         gives order, nothing drops or duplicates) or under the
+         fabric's reliable transport (which resequences and dedups);
+         otherwise the self-contained [Sparse] form *)
   pb_sent : pb_edge Int_tbl.t;
   pb_recv : pb_edge Int_tbl.t;
-  mutable pb_dense : int;
-  mutable pb_sparse : int;
-  mutable pb_delta : int;
+  pb_tally : Dsm_clocks.Codec.tally;
 }
 
 type proc = { m : t; p : int }
@@ -140,28 +142,24 @@ let pb_edge_of m tbl ~src ~dst =
       Int_tbl.replace tbl key e;
       e
 
-let pb_count m w =
-  match Dsm_clocks.Codec.piggyback_mode_of w with
-  | Dsm_clocks.Codec.Dense -> m.pb_dense <- m.pb_dense + 1
-  | Dsm_clocks.Codec.Sparse -> m.pb_sparse <- m.pb_sparse + 1
-  | Dsm_clocks.Codec.Delta -> m.pb_delta <- m.pb_delta + 1
-
-(* Sender side: frame the clock for this edge, advance the edge cache to
-   the value just shipped (the next delta's base), and return the
-   frame. *)
+(* Sender side: frame the clock for this edge and return the frame; the
+   encoder advances the edge cache to the value just shipped (the next
+   delta's base) and counts the frame's codec. *)
 let encode_pb m ~src ~dst v =
   let e = pb_edge_of m m.pb_sent ~src ~dst in
-  let mode =
-    if m.pb_delta_ok then Dsm_clocks.Codec.Delta else Dsm_clocks.Codec.Sparse
+  let cache =
+    match e.pb_cache with
+    | Some c -> c
+    | None ->
+        let c = Dsm_clocks.Vector_clock.create ~n:(Dsm_clocks.Vector_clock.dim v) in
+        e.pb_cache <- Some c;
+        c
   in
   let w =
-    Dsm_clocks.Codec.encode_piggyback ~mode ~seq:e.pb_seq ?since:e.pb_cache v
+    Dsm_clocks.Codec.encode_piggyback_edge ~tally:m.pb_tally ~mode:m.pb_mode
+      ~seq:e.pb_seq ~cache v
   in
-  (match e.pb_cache with
-  | Some c -> Dsm_clocks.Vector_clock.assign ~into:c v
-  | None -> e.pb_cache <- Some (Dsm_clocks.Vector_clock.copy v));
   e.pb_seq <- e.pb_seq + 1;
-  pb_count m w;
   w
 
 (* Receiver side: decode against the mirror of the sender's edge cache,
@@ -172,23 +170,23 @@ let encode_pb m ~src ~dst v =
    base. Under the reliable transport only the fabric's resequenced,
    deduplicated frames reach it, so a resent delta decodes against its
    own base. *)
-let absorb_pb m ~node ~src = function
-  | None -> ()
-  | Some w ->
-      let e = pb_edge_of m m.pb_recv ~src ~dst:node in
-      let seq =
-        match e.pb_cache with
-        | Some mirror ->
-            Dsm_clocks.Codec.decode_piggyback_into ~expect_seq:e.pb_seq
-              ?base:e.pb_cache ~into:mirror w
-        | None ->
-            let v, seq =
-              Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq w
-            in
-            e.pb_cache <- Some v;
-            seq
-      in
-      e.pb_seq <- seq + 1
+let absorb_pb m ~node ~src w =
+  if Array.length w > 0 then begin
+    let e = pb_edge_of m m.pb_recv ~src ~dst:node in
+    let seq =
+      match e.pb_cache with
+      | Some mirror ->
+          Dsm_clocks.Codec.decode_piggyback_into ~expect_seq:e.pb_seq
+            ?base:e.pb_cache ~into:mirror w
+      | None ->
+          let v, seq =
+            Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq w
+          in
+          e.pb_cache <- Some v;
+          seq
+    in
+    e.pb_seq <- seq + 1
+  end
 
 let rec handle m ~node ~src msg =
   if m.observers <> [] then
@@ -456,23 +454,21 @@ and transmit m ~src ~dst msg =
   let label =
     Label.v ~node:dst ~origin:(if Message.is_reply msg then dst else src)
   in
-  let pb =
-    match m.clock_src with
-    | Some f when carries_clock msg -> Some (encode_pb m ~src ~dst (f ~pid:src))
-    | _ -> None
-  in
   let words = Message.wire_words msg in
   (* True-bytes accounting: with a clock source installed, the nominal
      [extra_words] allowance is replaced by the framed piggyback (or by
      nothing on messages that carry no clock). Timing still prices
      [words], so the wire encoding cannot perturb the schedule. *)
-  let wire_words, clock_words =
-    match (pb, m.clock_src) with
-    | Some w, _ ->
-        let cw = Array.length w in
-        (Message.wire_words_piggyback ~pb:cw msg, cw)
-    | None, Some _ -> (Message.wire_words_piggyback ~pb:0 msg, 0)
-    | None, None -> (words, 0)
+  let pb =
+    match m.clock_src with
+    | Some clocks when carries_clock msg -> encode_pb m ~src ~dst clocks.(src)
+    | _ -> no_pb
+  in
+  let clock_words = Array.length pb in
+  let wire_words =
+    match m.clock_src with
+    | None -> words
+    | Some _ -> words - Message.extra_words msg + clock_words
   in
   (* Eventual: put frames skip the fabric's FIFO floor, so two puts on
      the same edge can apply out of send order. Everything else (gets,
@@ -531,18 +527,19 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
       control_handlers = Hashtbl.create 8;
       observers = [];
       clock_src = None;
-      pb_delta_ok =
+      pb_mode =
         (* put-lane reordering (Eventual) defeats per-edge in-order
            delivery just like reorder faults do; the reliable transport
            resequences either way *)
-        (Dsm_net.Fault.is_none (Dsm_net.Fabric.faults fabric)
-        && not (Model.hooks model).Model.put_reorder_granules)
-        || reliability <> None;
+        (if
+           (Dsm_net.Fault.is_none (Dsm_net.Fabric.faults fabric)
+           && not (Model.hooks model).Model.put_reorder_granules)
+           || reliability <> None
+         then Dsm_clocks.Codec.Delta
+         else Dsm_clocks.Codec.Sparse);
       pb_sent = Int_tbl.create 32;
       pb_recv = Int_tbl.create 32;
-      pb_dense = 0;
-      pb_sparse = 0;
-      pb_delta = 0;
+      pb_tally = Dsm_clocks.Codec.tally ();
     }
   in
   for node = 0 to n - 1 do
@@ -576,9 +573,9 @@ let reset m =
   m.clock_src <- None;
   Int_tbl.clear m.pb_sent;
   Int_tbl.clear m.pb_recv;
-  m.pb_dense <- 0;
-  m.pb_sparse <- 0;
-  m.pb_delta <- 0
+  m.pb_tally.dense <- 0;
+  m.pb_tally.sparse <- 0;
+  m.pb_tally.delta <- 0
 
 let sim m = m.sim
 
@@ -598,9 +595,11 @@ let wire_words_sent m = Dsm_net.Fabric.wire_words_sent m.fabric
 
 let clock_words_sent m = Dsm_net.Fabric.clock_words_sent m.fabric
 
-let set_clock_source m f = m.clock_src <- Some f
+let set_clock_source m clocks = m.clock_src <- Some clocks
 
-let clock_encodings m = (m.pb_dense, m.pb_sparse, m.pb_delta)
+let clock_encodings m =
+  let t = m.pb_tally in
+  (t.Dsm_clocks.Codec.dense, t.sparse, t.delta)
 
 let transport_retransmits m = Dsm_net.Fabric.retransmits m.fabric
 
@@ -698,11 +697,18 @@ let read_local p (r : Addr.region) = Node_memory.read p.m.nodes.(p.p) r
 let write_local p (r : Addr.region) data =
   Node_memory.write p.m.nodes.(p.p) r data
 
-(* Acquire a lock on the caller's own node, suspending until granted. *)
+(* Acquire a lock on the caller's own node, suspending until granted.
+   An uncontended lock is granted on the spot: awaiting it would only
+   resume the process synchronously inside the effect handler, with no
+   event scheduled either way, so the same code runs in the same order
+   without capturing a continuation. Only a contended lock suspends. *)
 let await_local_lock p ~offset ~len =
   let locks = Node_memory.locks p.m.nodes.(p.p) in
-  Engine.await p.m.sim (fun resume ->
-      Lock_table.acquire locks ~offset ~len resume)
+  let id = Lock_table.try_acquire locks ~offset ~len in
+  if id != Lock_table.refused then id
+  else
+    Engine.await p.m.sim (fun resume ->
+        Lock_table.acquire locks ~offset ~len resume)
 
 (* ---------- data operations ---------- *)
 

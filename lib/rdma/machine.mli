@@ -113,14 +113,16 @@ val clock_words_sent : t -> int
 (** Clock-piggyback words within {!wire_words_sent} — the true cost of
     shipping clocks under the installed {!set_clock_source} encoding. *)
 
-val set_clock_source : t -> (pid:int -> Dsm_clocks.Vector_clock.t) -> unit
-(** [set_clock_source m f] makes every clock-carrying protocol message
-    ([Put], [Put_batch], [Get_reply], [Atomic_reply], [Acc_reply],
-    [Lock_granted]) ship the sender's current clock [f ~pid] as an
-    adaptive [Delta] piggyback against a per-[(src, dst)] edge cache of
-    the last clock sent on that channel (see
-    [Dsm_clocks.Codec.encode_piggyback]). Accounting-only: the latency
-    model still prices the nominal [extra_words] allowance, so
+val set_clock_source : t -> Dsm_clocks.Vector_clock.t array -> unit
+(** [set_clock_source m clocks] makes every clock-carrying protocol
+    message ([Put], [Put_batch], [Get_reply], [Atomic_reply],
+    [Acc_reply], [Lock_granted]) ship the sender's current clock
+    [clocks.(pid)] — read at send time, so the clocks may be advanced in
+    place — as an adaptive [Delta] piggyback against a per-[(src, dst)]
+    edge cache of the last clock sent on that channel. One call of
+    [Dsm_clocks.Codec.encode_piggyback_edge] sizes the frame, writes it
+    and advances the cache in the same walk. Accounting-only: the
+    latency model still prices the nominal [extra_words] allowance, so
     installing a source cannot perturb a schedule. On a faulty fabric
     without [reliability], encoding degrades to the self-contained
     [Sparse] frame — deltas are only sound on in-order exactly-once

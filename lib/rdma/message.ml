@@ -97,7 +97,7 @@ let header_words = 2
    piggyback transports, 0 otherwise). The transport needs it separated
    out so it can price the clock at what the chosen wire encoding
    actually shipped instead of this linear-in-n model. *)
-let extra_words_of = function
+let extra_words = function
   | Put { extra_words; _ }
   | Put_batch { extra_words; _ }
   | Get { extra_words; _ }
@@ -136,12 +136,6 @@ let wire_words = function
   | Unlock _ -> header_words + 1
   | Control { words; _ } -> header_words + 1 + Array.length words
   | Control_reply { words; _ } -> header_words + Array.length words
-
-(* True wire size once a framed piggyback replaces the nominal clock
-   allowance: the message's own words minus its [extra_words] model,
-   plus the actual frame. Timing still uses [wire_words]; this feeds
-   the byte-accounting counters only. *)
-let wire_words_piggyback ~pb msg = wire_words msg - extra_words_of msg + pb
 
 (* The fields a probe event carries, built with no formatting: the
    label is rendered by [Dsm_obs.Msg.label] only where it is printed. *)

@@ -116,13 +116,14 @@ val wire_words : t -> int
 (** Total words the fabric should charge for this message: header plus
     payload plus [extra_words]. This is the {e nominal} size — the one
     the latency model prices — even when a framed piggyback replaces
-    the clock allowance on the wire (see {!wire_words_piggyback}). *)
+    the clock allowance on the wire (see {!extra_words}). *)
 
-val wire_words_piggyback : pb:int -> t -> int
-(** [wire_words_piggyback ~pb msg] is the message's true wire size once
-    a [pb]-word framed clock piggyback replaces the nominal
-    [extra_words] allowance (0 on pure control messages).
-    Feeds the byte-accounting counters only; timing keeps using
+val extra_words : t -> int
+(** The nominal clock allowance [msg] carries: the [extra_words] the
+    detector charged when it issued the operation (0 on messages
+    without one). A framed clock piggyback replaces it in the true wire
+    size, [wire_words msg - extra_words msg + frame words], which feeds
+    the byte-accounting counters only; timing keeps using
     {!wire_words} so schedules are independent of the chosen encoding. *)
 
 val fields : t -> Dsm_obs.Msg.t

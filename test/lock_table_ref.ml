@@ -69,6 +69,13 @@ let acquire t ~offset ~len k =
   if grantable t ~offset ~len then k (grant_now t ~offset ~len)
   else t.queue <- { w_offset = offset; w_len = len; grant = k } :: t.queue
 
+(* [acquire]'s immediate branch alone: the grant it would call back at
+   once, or [None] — nothing queued — when it would wait or raise. *)
+let try_acquire t ~offset ~len =
+  if offset >= 0 && len >= 1 && grantable t ~offset ~len then
+    Some (grant_now t ~offset ~len)
+  else None
+
 let release t id =
   if not (Hashtbl.mem t.held id) then
     failwith "Lock_table.release: unknown or already-released lock";

@@ -772,13 +772,13 @@ let test_codec_piggyback () =
   let v = Vector_clock.of_array [| 2; 0; 1; 0; 0; 0; 0; 0 |] in
   (* dense and sparse frames are self-contained: any expected seq decodes *)
   let wd = Codec.encode_piggyback ~mode:Codec.Dense ~seq:7 v in
-  Alcotest.(check bool) "dense tag" true (Codec.piggyback_mode_of wd = Codec.Dense);
+  Alcotest.(check bool) "dense tag" true (Codec_ref.piggyback_mode_of wd = Codec.Dense);
   let v', s = Codec.decode_piggyback ~expect_seq:99 wd in
   Alcotest.(check bool) "dense roundtrip" true (Vector_clock.equal v v');
   Alcotest.(check int) "dense carried seq" 7 s;
   let ws = Codec.encode_piggyback ~mode:Codec.Sparse ~seq:0 v in
   Alcotest.(check bool) "sparse tag" true
-    (Codec.piggyback_mode_of ws = Codec.Sparse);
+    (Codec_ref.piggyback_mode_of ws = Codec.Sparse);
   let v', _ = Codec.decode_piggyback ~expect_seq:3 ws in
   Alcotest.(check bool) "sparse roundtrip" true (Vector_clock.equal v v');
   (* adaptive: with a near base the delta frame wins and is pinned to
@@ -786,13 +786,13 @@ let test_codec_piggyback () =
   let since = Vector_clock.of_array [| 1; 0; 1; 0; 0; 0; 0; 0 |] in
   let wdl = Codec.encode_piggyback ~mode:Codec.Delta ~seq:3 ~since v in
   Alcotest.(check bool) "delta tag" true
-    (Codec.piggyback_mode_of wdl = Codec.Delta);
+    (Codec_ref.piggyback_mode_of wdl = Codec.Delta);
   let v', _ = Codec.decode_piggyback ~expect_seq:3 ~base:since wdl in
   Alcotest.(check bool) "delta roundtrip" true (Vector_clock.equal v v');
   (* empty-delta edge: unchanged clock ships a two-word payload *)
   let we = Codec.encode_piggyback ~mode:Codec.Delta ~seq:4 ~since:v v in
   Alcotest.(check bool) "empty delta tag" true
-    (Codec.piggyback_mode_of we = Codec.Delta);
+    (Codec_ref.piggyback_mode_of we = Codec.Delta);
   Alcotest.(check int) "empty delta frame" 4 (Array.length we);
   let v', _ = Codec.decode_piggyback ~expect_seq:4 ~base:v we in
   Alcotest.(check bool) "empty delta roundtrip" true (Vector_clock.equal v v');
@@ -803,10 +803,10 @@ let test_codec_piggyback () =
       ~since:(Vector_clock.create ~n:4) v
   in
   Alcotest.(check bool) "mismatched base degrades" true
-    (Codec.piggyback_mode_of wm <> Codec.Delta);
+    (Codec_ref.piggyback_mode_of wm <> Codec.Delta);
   let wn = Codec.encode_piggyback ~mode:Codec.Delta ~seq:5 v in
   Alcotest.(check bool) "no base degrades" true
-    (Codec.piggyback_mode_of wn <> Codec.Delta);
+    (Codec_ref.piggyback_mode_of wn <> Codec.Delta);
   (* rejects *)
   Alcotest.check_raises "negative seq (encode)"
     (Invalid_argument "Codec.encode_piggyback: negative seq") (fun () ->
@@ -1057,6 +1057,97 @@ let prop_decode_into_matches_sized_reference =
                (frame_mutations rng w))
         [ Codec.Dense; Codec.Sparse; Codec.Delta ])
 
+(* ---------- the edge encoder against the build-all-three reference ---------- *)
+
+(* Three frames on one edge: each clock step perturbs [v] in place
+   (components raised, lowered, zeroed or added, so its representation
+   moves as a live clock's would), and [encode_piggyback_edge] must
+   return the reference's frame against the value the cache held, count
+   that frame's tag, and leave the cache equal to [v] — whatever the
+   epoch, sparse or dense shapes of the clock and the cache. *)
+let prop_edge_encoder_matches_reference =
+  QCheck.Test.make ~name:"edge encoder matches the reference and advances its cache"
+    ~count:400
+    QCheck.(
+      make
+        ~print:(fun ((n, vk, vs), (ck, cs), seed) ->
+          Printf.sprintf "(n=%d, clock=%d/%d, cache=%d/%d, seed=%d)" n vk vs ck
+            cs seed)
+        Gen.(
+          triple
+            (triple (oneofl [ 1; 3; 8; 17; 64; 1024 ]) (int_bound 5) (int_bound 2))
+            (pair (int_bound 3) (int_bound 2))
+            (int_bound 1_000_000)))
+    (fun ((n, vk, vs), (ck, cs), seed) ->
+      let rng = Random.State.make [| seed |] in
+      let v = held_as vs (oracle_clock rng ~n vk) in
+      let cache_value =
+        match ck with
+        | 0 -> Vector_clock.create ~n
+        | 1 -> (
+            match oracle_since rng ~n v 1 with
+            | Some c -> c
+            | None -> Vector_clock.create ~n)
+        | 2 -> oracle_clock rng ~n (Random.State.int rng 6)
+        | _ -> Vector_clock.copy v
+      in
+      let step () =
+        for _ = 0 to Random.State.int rng 4 do
+          let p = Random.State.int rng n in
+          let x = Vector_clock.entry v p in
+          Vector_clock.set v p
+            (match Random.State.int rng 3 with
+            | 0 -> 0
+            | 1 -> max 0 (x - 1)
+            | _ -> x + 1 + Random.State.int rng 5)
+        done
+      in
+      List.for_all
+        (fun mode ->
+          let cache = held_as cs cache_value in
+          let tally = Codec.tally () in
+          List.for_all
+            (fun round ->
+              if round > 0 then step ();
+              let seq = Random.State.int rng 1_000 in
+              let before = Vector_clock.to_array v in
+              let expected =
+                Codec_ref.encode_piggyback ~mode ~seq
+                  ~since:(Vector_clock.copy cache) v
+              in
+              let counts () = (tally.dense, tally.sparse, tally.delta) in
+              let d0, s0, l0 = counts () in
+              let w = Codec.encode_piggyback_edge ~tally ~mode ~seq ~cache v in
+              let d1, s1, l1 = counts () in
+              let counted =
+                match Codec_ref.piggyback_mode_of w with
+                | Codec.Dense -> (d1, s1, l1) = (d0 + 1, s0, l0)
+                | Codec.Sparse -> (d1, s1, l1) = (d0, s0 + 1, l0)
+                | Codec.Delta -> (d1, s1, l1) = (d0, s0, l0 + 1)
+              in
+              w = expected && counted
+              && Vector_clock.equal cache v
+              && Vector_clock.to_array v = before)
+            [ 0; 1; 2 ])
+        [ Codec.Dense; Codec.Sparse; Codec.Delta ])
+
+let test_edge_encoder_rejects () =
+  let cache = Vector_clock.create ~n:4 in
+  let tally = Codec.tally () in
+  Alcotest.check_raises "dimension"
+    (Invalid_argument "Codec.encode_piggyback_edge: dimension mismatch")
+    (fun () ->
+      ignore
+        (Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:0 ~cache
+           (Vector_clock.create ~n:5)));
+  Alcotest.check_raises "negative seq"
+    (Invalid_argument "Codec.encode_piggyback: negative seq") (fun () ->
+      ignore
+        (Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:(-1) ~cache
+           (Vector_clock.create ~n:4)));
+  Alcotest.(check (list int)) "nothing counted" [ 0; 0; 0 ]
+    [ tally.dense; tally.sparse; tally.delta ]
+
 (* The walkers and the pair constructor against the dense array: the
    active walk is the nonzeros, the diff scans count them and write the
    differing components, and [of_ascending] picks the representation
@@ -1082,9 +1173,11 @@ let prop_walkers_match_arrays =
         List.rev !acc
       in
       let indices p = List.filter p (List.init n Fun.id) in
-      let k, d = Vector_clock.active_and_changed ~since:a b in
-      let diff = Array.make (2 * d) 0 in
-      Vector_clock.store_diff ~since:a b diff ~off:0;
+      let sizes = Vector_clock.diff_sizes ~since:a b in
+      let k = sizes / (n + 1) and d = sizes mod (n + 1) in
+      let diff = Array.make (1 + (2 * d)) 0 in
+      Vector_clock.write_diff ~since:a b diff ~off:1 ~advance:false;
+      let diff = Array.sub diff 1 (2 * d) in
       let diff_pairs = List.init d (fun j -> (diff.(2 * j), diff.((2 * j) + 1))) in
       let rebuilt =
         Vector_clock.of_ascending ~n (fun f ->
@@ -1145,7 +1238,7 @@ let test_piggyback_round_trip_allocation () =
   Vector_clock.tick v ~me:517;
   let round_trip since () =
     let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:3 ~since v in
-    (Codec.piggyback_mode_of w, fst (Codec.decode_piggyback ~expect_seq:3 ~base:since w))
+    (Codec_ref.piggyback_mode_of w, fst (Codec.decode_piggyback ~expect_seq:3 ~base:since w))
   in
   List.iter
     (fun (name, since, tag) ->
@@ -1172,7 +1265,8 @@ let minor_words_of ~rounds f =
 
 (* The in-place paths allocate nothing once their target has the
    shape: a dense-to-dense [assign], and a delta frame decoded into the
-   dense mirror it was encoded against. *)
+   dense mirror it was encoded against. Encoding a dense delta against
+   the edge cache allocates the frame alone. *)
 let test_in_place_allocation () =
   let n = 64 in
   let dense seed = Vector_clock.of_array (Array.init n (fun i -> 1 + ((i * seed) mod 7))) in
@@ -1184,14 +1278,33 @@ let test_in_place_allocation () =
   let v = Vector_clock.copy mirror in
   List.iter (fun me -> Vector_clock.tick v ~me) [ 4; 9; 9; 40 ];
   let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:11 ~since:mirror v in
-  Alcotest.(check bool) "delta frame" true (Codec.piggyback_mode_of w = Codec.Delta);
+  Alcotest.(check bool) "delta frame" true (Codec_ref.piggyback_mode_of w = Codec.Delta);
   let base = Some mirror in
   let words =
     minor_words_of ~rounds:1_000 (fun () ->
         ignore (Codec.decode_piggyback_into ~expect_seq:11 ?base ~into:mirror w))
   in
   Alcotest.(check bool) "mirror advanced" true (Vector_clock.equal mirror v);
-  Alcotest.(check (float 0.)) "delta decoded into a dense mirror" 0. words
+  Alcotest.(check (float 0.)) "delta decoded into a dense mirror" 0. words;
+  (* The sender's side: a dense→dense delta against the edge cache
+     allocates its frame and nothing else. Two dense clocks three
+     components apart, shipped in turn, make every frame a delta. *)
+  let a = dense 3 in
+  let b = Vector_clock.copy a in
+  List.iter (fun me -> Vector_clock.tick b ~me) [ 4; 9; 40 ];
+  let cache = Vector_clock.copy a and tally = Codec.tally () in
+  let frame_words = ref 0 in
+  let ship v =
+    let w = Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:0 ~cache v in
+    frame_words := Array.length w
+  in
+  let words = minor_words_of ~rounds:1_000 (fun () -> ship b; ship a) in
+  Alcotest.(check int) "one 3-pair delta per frame" 10 !frame_words;
+  Alcotest.(check int) "every frame a delta" 2_002 tally.delta;
+  Alcotest.(check bool) "cache advanced" true (Vector_clock.equal cache a);
+  Alcotest.(check (float 0.)) "dense delta allocates only its frame"
+    (float_of_int (2_000 * (!frame_words + 1)))
+    words
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
@@ -1286,5 +1399,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_matches_reference;
           QCheck_alcotest.to_alcotest prop_decode_into_matches_sized_reference;
           QCheck_alcotest.to_alcotest prop_walkers_match_arrays;
+          QCheck_alcotest.to_alcotest prop_edge_encoder_matches_reference;
+          Alcotest.test_case "edge encoder rejects" `Quick
+            test_edge_encoder_rejects;
         ] );
     ]

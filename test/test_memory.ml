@@ -196,6 +196,33 @@ let test_lock_double_release () =
         (fun () -> Lock_table.release t id)
   | None -> Alcotest.fail "not granted")
 
+(* A refused try-acquire leaves the table as it was: nothing queued, no
+   id spent, so the next grant is the one [acquire] would have made.
+   A degenerate range, which [acquire] rejects, is refused too. *)
+let test_lock_try_acquire_refusal () =
+  let t = Lock_table.create () in
+  let held = Lock_table.try_acquire t ~offset:0 ~len:4 in
+  Alcotest.(check bool) "uncontended granted" true (held != Lock_table.refused);
+  Alcotest.(check bool) "overlap refused" true
+    (Lock_table.try_acquire t ~offset:2 ~len:4 == Lock_table.refused);
+  Alcotest.(check bool) "degenerate refused" true
+    (Lock_table.try_acquire t ~offset:8 ~len:0 == Lock_table.refused);
+  Alcotest.(check int) "nothing queued" 0 (Lock_table.queued_count t);
+  Alcotest.(check int) "one held" 1 (Lock_table.held_count t);
+  let next = ref held in
+  Lock_table.acquire t ~offset:4 ~len:1 (fun id -> next := id);
+  let fresh = Lock_table.create () in
+  let expect = ref held in
+  Lock_table.acquire fresh ~offset:0 ~len:4 ignore;
+  Lock_table.acquire fresh ~offset:4 ~len:1 (fun id -> expect := id);
+  Alcotest.(check bool) "no id spent" true (!next = !expect);
+  (* a free range that overlaps a queued request waits behind it under
+     first fit, so it is refused too *)
+  Lock_table.acquire t ~offset:3 ~len:4 ignore;
+  Alcotest.(check bool) "queued overlap refused" true
+    (Lock_table.try_acquire t ~offset:5 ~len:1 == Lock_table.refused);
+  Alcotest.(check int) "one queued" 1 (Lock_table.queued_count t)
+
 (* Property: under random acquire/release traffic, no two granted locks
    ever overlap, and once everything is released nothing stays queued. *)
 let lock_table_random_invariants discipline (ops : (int * int) list) =
@@ -245,18 +272,23 @@ let prop_lock_table_strict =
     QCheck.(list (pair small_int small_int))
     (lock_table_random_invariants Lock_table.Strict_head)
 
-(* Property: random acquire / release / double-release sequences give
-   the same grant order, the same held, queued and chained counts and
-   the same double-release failure from the array-backed table as from
-   the hashtable one it replaced ([Lock_table_ref]). Requests are named
-   by their index, so the two tables' tokens never need comparing. *)
+(* Property: random acquire / try-acquire / release / double-release
+   sequences give the same grant order, the same held, queued and
+   chained counts and the same double-release failure from the
+   array-backed table as from the hashtable one it replaced
+   ([Lock_table_ref]), and a try-acquire grants what the reference's
+   immediate branch grants or queues nothing. Requests are named by
+   their index; each grant also shows its token's hash, which for the
+   int tokens both tables issue is equal exactly when the ids are. *)
 type lock_op =
   | L_acquire of int * int
+  | L_try_acquire of int * int
   | L_release of int
   | L_double_release of int
 
 let show_lock_op = function
   | L_acquire (o, l) -> Printf.sprintf "acquire %d+%d" o l
+  | L_try_acquire (o, l) -> Printf.sprintf "try-acquire %d+%d" o l
   | L_release j -> Printf.sprintf "release #%d" j
   | L_double_release j -> Printf.sprintf "double release #%d" j
 
@@ -267,6 +299,10 @@ let arb_lock_ops =
       [
         ( 5,
           map2 (fun o l -> L_acquire (o, l)) (int_range 0 15) (int_range 1 4) );
+        ( 3,
+          map2
+            (fun o l -> L_try_acquire (o, l))
+            (int_range 0 15) (int_range 1 4) );
         (4, map (fun j -> L_release j) nat);
         (1, map (fun j -> L_double_release j) nat);
       ]
@@ -277,8 +313,12 @@ let arb_lock_ops =
 
 (* One table's answers to a script: after each op, the requests granted
    during it (in grant order), the counts, and any failure. *)
-let lock_outcomes ~acquire ~release ~held ~queued ~chained ops =
+let lock_outcomes ~acquire ~try_acquire ~release ~held ~queued ~chained ops =
   let ids = Hashtbl.create 16 and released = ref [] and grants = ref [] in
+  let granted i id =
+    Hashtbl.replace ids i id;
+    grants := Printf.sprintf "%d:%d" i (Hashtbl.hash id) :: !grants
+  in
   let live () =
     List.sort compare
       (Hashtbl.fold
@@ -300,10 +340,14 @@ let lock_outcomes ~acquire ~release ~held ~queued ~chained ops =
       let result =
         match op with
         | L_acquire (offset, len) ->
-            acquire ~offset ~len (fun id ->
-                Hashtbl.replace ids i id;
-                grants := i :: !grants);
+            acquire ~offset ~len (granted i);
             ""
+        | L_try_acquire (offset, len) -> (
+            match try_acquire ~offset ~len with
+            | Some id ->
+                granted i id;
+                "granted"
+            | None -> "refused")
         | L_release j -> (
             match pick j (live ()) with
             | None -> "nothing held"
@@ -317,7 +361,7 @@ let lock_outcomes ~acquire ~release ~held ~queued ~chained ops =
       in
       Printf.sprintf "%s -> %s granted [%s] held=%d queued=%d chained=%d"
         (show_lock_op op) result
-        (String.concat " " (List.rev_map string_of_int !grants))
+        (String.concat " " (List.rev !grants))
         (held ()) (queued ()) (chained ()))
     ops
 
@@ -333,6 +377,9 @@ let lock_table_matches_reference discipline ops =
   in
   let got =
     lock_outcomes ~acquire:(Lock_table.acquire live)
+      ~try_acquire:(fun ~offset ~len ->
+        let id = Lock_table.try_acquire live ~offset ~len in
+        if id == Lock_table.refused then None else Some id)
       ~release:(Lock_table.release live)
       ~held:(fun () -> Lock_table.held_count live)
       ~queued:(fun () -> Lock_table.queued_count live)
@@ -340,6 +387,7 @@ let lock_table_matches_reference discipline ops =
       ops
   and expected =
     lock_outcomes ~acquire:(Lock_table_ref.acquire oracle)
+      ~try_acquire:(Lock_table_ref.try_acquire oracle)
       ~release:(Lock_table_ref.release oracle)
       ~held:(fun () -> Lock_table_ref.held_count oracle)
       ~queued:(fun () -> Lock_table_ref.queued_count oracle)
@@ -437,6 +485,8 @@ let () =
           Alcotest.test_case "first-fit skips" `Quick test_lock_first_fit_skips_blocked_head;
           Alcotest.test_case "strict head" `Quick test_lock_strict_head_blocks_all;
           Alcotest.test_case "double release" `Quick test_lock_double_release;
+          Alcotest.test_case "try-acquire refusal" `Quick
+            test_lock_try_acquire_refusal;
         ] );
       ( "lock-properties",
         List.map QCheck_alcotest.to_alcotest

@@ -314,6 +314,79 @@ let test_own_private_lock_is_free () =
   Alcotest.(check int) "no messages for private locks" 0
     (Machine.fabric_messages m)
 
+(* An uncontended lock on the caller's own node is granted on the spot:
+   no event runs between the call and its return, so no other ready
+   process runs in between either — whichever end of the ready set the
+   chooser picks from. *)
+let test_uncontended_local_lock_does_not_yield () =
+  List.iter
+    (fun (name, choose) ->
+      let sim, m = make ~latency:(Dsm_net.Latency.Constant 1.0) () in
+      Engine.set_chooser sim (Some choose);
+      let area = Machine.alloc_public m ~pid:0 ~len:2 () in
+      let log = ref [] in
+      let note s = log := s :: !log in
+      let events_in_lock = ref (-1) in
+      Machine.spawn m ~pid:1 (fun _ -> note "other");
+      Machine.spawn m ~pid:0 (fun p ->
+          note "lock";
+          let before = Engine.events_processed sim in
+          let tok = Machine.lock p area in
+          events_in_lock := Engine.events_processed sim - before;
+          note "locked";
+          Machine.unlock p tok);
+      Machine.spawn m ~pid:2 (fun _ -> note "another");
+      expect_completed m;
+      Alcotest.(check int) (name ^ ": no event inside lock") 0 !events_in_lock;
+      let rec adjacent = function
+        | "lock" :: "locked" :: _ -> true
+        | _ :: rest -> adjacent rest
+        | [] -> false
+      in
+      Alcotest.(check bool)
+        (name ^ ": nothing runs between lock and locked")
+        true
+        (adjacent (List.rev !log));
+      Alcotest.(check bool) (name ^ ": quiescent") true
+        (Machine.locks_quiescent m))
+    [ ("last pick", fun k -> k - 1); ("first pick", fun _ -> 0) ]
+
+(* A contended lock on the caller's own node still queues, behind the
+   holder and behind whatever asked first — another local locker or a
+   remote one — and is granted in arrival order. *)
+let test_contended_local_lock_queues_in_order () =
+  let sim, m = make ~latency:(Dsm_net.Latency.Constant 1.0) () in
+  let area = Machine.alloc_public m ~pid:0 ~len:2 () in
+  let grants = ref [] in
+  let hold name p dt =
+    let tok = Machine.lock p area in
+    grants := (name, Engine.now sim) :: !grants;
+    Machine.compute p dt;
+    Machine.unlock p tok
+  in
+  Machine.spawn m ~pid:0 (fun p -> hold "holder" p 5.0);
+  Machine.spawn m ~pid:0 (fun p ->
+      Machine.compute p 1.0;
+      hold "local A" p 1.0);
+  (* the remote request reaches node 0's NIC at 2.5 *)
+  Machine.spawn m ~pid:1 (fun p ->
+      Machine.compute p 1.5;
+      hold "remote" p 1.0);
+  Machine.spawn m ~pid:0 (fun p ->
+      Machine.compute p 3.0;
+      hold "local B" p 1.0);
+  expect_completed m;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "arrival order"
+    [
+      ("holder", 0.0);
+      ("local A", 5.0);
+      ("remote", 7.0);
+      ("local B", 9.0);
+    ]
+    (List.rev !grants);
+  Alcotest.(check bool) "quiescent" true (Machine.locks_quiescent m)
+
 let test_deadlock_detected_as_blocked () =
   (* Failure injection: opposite lock orders must deadlock, and the engine
      must report it rather than hang. *)
@@ -497,6 +570,10 @@ let () =
           Alcotest.test_case "foreign private" `Quick test_lock_private_foreign_rejected;
           Alcotest.test_case "own private free" `Quick test_own_private_lock_is_free;
           Alcotest.test_case "deadlock -> Blocked" `Quick test_deadlock_detected_as_blocked;
+          Alcotest.test_case "uncontended local lock does not yield" `Quick
+            test_uncontended_local_lock_does_not_yield;
+          Alcotest.test_case "contended local lock queues in order" `Quick
+            test_contended_local_lock_queues_in_order;
         ] );
       ( "faults",
         [
