@@ -269,7 +269,8 @@ let forced_frame ~tally ~mode ~seq v =
   match mode with
   | Dense -> dense_frame ~tally ~seq v
   | Sparse -> sparse_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
-  | Delta -> self_contained_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
+  | Delta ->
+      self_contained_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
 
 (* The adaptive core against a base [since] of [v]'s dimension: one walk
    sizes the three candidates and only the shortest is built. A delta

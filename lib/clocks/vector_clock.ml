@@ -339,8 +339,8 @@ let put_pair w slot i x =
 
 (* The one walk behind the piggyback encoder: the components where [v]
    and [since] differ, in ascending order. A dense pair reads both
-   arrays directly; a dense and a compact clock walk the dimension with
-   a cursor into the compact one's sorted entries; two compact clocks
+   arrays directly; a dense and a compact clock (a transition, rare on
+   one edge) walk the dimension through [get]; two compact clocks
    merge-scan their sorted entries, O(active v + active since). Sizing
    ([w == no_vec]) also counts the nonzero components of [v] and
    returns both counts packed in one immediate int; writing lays the
@@ -364,26 +364,8 @@ let diff_walk ~since v w ~off ~advance =
     done
   end
   else if is_dense v || is_dense since then begin
-    let an = if is_dense v then 0 else live_len v
-    and bn = if is_dense since then 0 else live_len since in
-    let ia = ref 0 and ib = ref 0 in
     for i = 0 to v.dim - 1 do
-      let x =
-        if is_dense v then v.vec.(i)
-        else if !ia < an && live_key v !ia = i then begin
-          incr ia;
-          live_val v (!ia - 1)
-        end
-        else 0
-      in
-      let y =
-        if is_dense since then since.vec.(i)
-        else if !ib < bn && live_key since !ib = i then begin
-          incr ib;
-          live_val since (!ib - 1)
-        end
-        else 0
-      in
+      let x = get v i and y = get since i in
       if x <> 0 then incr k;
       if x <> y then begin
         incr d;

@@ -7,7 +7,9 @@
     requester is the simulated NIC agent, not a coroutine: [acquire]
     either grants synchronously or queues the continuation, and [release]
     hands the lock to eligible waiters — which is exactly how Figure 3's
-    delayed [put] arises. *)
+    delayed [put] arises. A running process that locks its own node asks
+    {!try_acquire} first, and hands over a continuation only when the
+    range is contended. *)
 
 type t
 

@@ -151,7 +151,8 @@ let encode_pb m ~src ~dst v =
     match e.pb_cache with
     | Some c -> c
     | None ->
-        let c = Dsm_clocks.Vector_clock.create ~n:(Dsm_clocks.Vector_clock.dim v) in
+        let n = Dsm_clocks.Vector_clock.dim v in
+        let c = Dsm_clocks.Vector_clock.create ~n in
         e.pb_cache <- Some c;
         c
   in

@@ -278,7 +278,11 @@ val lock : proc -> Dsm_memory.Addr.region -> token
 (** [lock p r] acquires exclusive access to region [r]:
     - private region of [p] itself: free (the paper's "no need of a real
       lock" in private space) — returns immediately;
-    - public region of [p]: local NIC lock, no messages;
+    - public region of [p]: local NIC lock, no messages; granted on
+      the spot when uncontended ([Dsm_memory.Lock_table.try_acquire]),
+      so the process runs on with no event in between, and otherwise
+      suspended in the NIC's queue until a release grants it, in
+      arrival order;
     - public region of another process: one request/grant round trip,
       waiting in the remote NIC's queue if the range is held.
     Raises [Invalid_argument] for a private region of another process. *)

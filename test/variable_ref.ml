@@ -3,8 +3,8 @@
    before it kept an index. [register] re-sorts the list after an
    overlap scan; [iter_granules] checks coverage with one fold over every
    variable, then visits the overlapping ones with a second walk. The
-   live store must visit the same granules in the same order and raise
-   the same exceptions with the same messages. *)
+   live store's granule walk must visit the same granules in the same
+   order and raise the same exceptions with the same messages. *)
 
 open Dsm_memory
 
