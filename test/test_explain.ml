@@ -260,11 +260,13 @@ module Message = Dsm_rdma.Message
 (* One racy-random program shaped like the benchmark's racy workload:
    n=8, 250 ops per process over 32 variables of 4 words, half reads,
    a tenth atomics, constant 1 us latency, a flight recorder attached.
-   Its 256-event window wraps, and its chains hold get, get-reply,
-   atomic and lock-granted messages, and some of its sync edges are RMW
-   serializations. *)
-let racy_report () =
-  let sim = Dsm_sim.Engine.create ~seed:6 () in
+   At seed 6 its 256-event window wraps, and its chains hold get,
+   get-reply, atomic and lock-granted messages, and some of its sync
+   edges are RMW serializations. Seeds 5 and 6 are two of the
+   benchmark's four programs at workload seed 1, and the two whose
+   JSON weighs the most per race. *)
+let racy_report seed =
+  let sim = Dsm_sim.Engine.create ~seed () in
   let machine =
     Dsm_rdma.Machine.create sim ~n:8 ~latency:(Dsm_net.Latency.Constant 1.0) ()
   in
@@ -278,7 +280,7 @@ let racy_report () =
       var_len = 4;
       read_fraction = 0.5;
       atomic_fraction = 0.1;
-      seed = 6;
+      seed;
     };
   ignore (Dsm_rdma.Machine.run machine);
   ( flight,
@@ -286,7 +288,7 @@ let racy_report () =
       (Dsm_core.Detector.report d) )
 
 let test_full_window_report_pinned () =
-  let flight, es = racy_report () in
+  let flight, es = racy_report 6 in
   Alcotest.(check bool) "the window wrapped" true (Flight.dropped flight > 0);
   let labels =
     List.concat_map
@@ -306,6 +308,15 @@ let test_full_window_report_pinned () =
   Alcotest.(check int) "explanations" 1516 (List.length es);
   Alcotest.(check string) "report JSON md5" "8a8ef1e0e8323b176afcb4b0fba9f3bb" (md5 (Explain.list_to_json es));
   Alcotest.(check string) "report text md5" "6891b547fa990c113dffb808d6d78883"
+    (md5 (String.concat "" (List.map Explain.to_text es)))
+
+(* The bench-shaped report at seed 5, pinned like seed 6's above. *)
+let test_bench_report_seed5_pinned () =
+  let _, es = racy_report 5 in
+  Alcotest.(check int) "explanations" 1527 (List.length es);
+  Alcotest.(check string) "report JSON md5" "0c912f718b5d61c212b9498d66e49d4e"
+    (md5 (Explain.list_to_json es));
+  Alcotest.(check string) "report text md5" "c5bbb62128cb693cb0584677170669d5"
     (md5 (String.concat "" (List.map Explain.to_text es)))
 
 (* A small racy program with atomics under the Explicit transport, where
@@ -615,6 +626,8 @@ let () =
         [
           Alcotest.test_case "full-window racy report" `Quick
             test_full_window_report_pinned;
+          Alcotest.test_case "bench-shaped report, seed 5" `Quick
+            test_bench_report_seed5_pinned;
           Alcotest.test_case "explicit and inline reports" `Quick
             test_transport_reports_pinned;
           Alcotest.test_case "message label table" `Quick test_label_table;
