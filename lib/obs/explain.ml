@@ -72,52 +72,80 @@ type t = {
 let component_cap = 8
 let chain_cap = 8
 
-let overlaps ~node ~offset ~len node' offset' len' =
+let overlaps ~(node : int) ~offset ~len node' offset' len' =
   node = node' && offset < offset' + len' && offset' < offset + len
 
 let clock_entry c i = if i < Array.length c then c.(i) else 0
 
 (* Components where one clock is strictly ahead of the other — the
-   exact coordinates that make the pair incomparable. *)
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
+   exact coordinates that make the pair incomparable. [~ahead:true] is
+   the side where the accessor is ahead of the datum, [~ahead:false]
+   the side where it is behind. *)
+let on_side ~ahead (x : int) y = if ahead then x > y else y > x
 
-let split_components a d =
-  let dim = max (Array.length a) (Array.length d) in
-  let ahead = ref [] and behind = ref [] in
-  (* downto + cons leaves both lists in ascending component order *)
-  for i = dim - 1 downto 0 do
-    let x = clock_entry a i and y = clock_entry d i in
-    if x > y then ahead := (i, x, y) :: !ahead
-    else if y > x then behind := (i, x, y) :: !behind
+let side_count ~ahead a d =
+  let n = ref 0 in
+  for i = 0 to Int.max (Array.length a) (Array.length d) - 1 do
+    if on_side ~ahead (clock_entry a i) (clock_entry d i) then incr n
   done;
-  ( take component_cap !ahead,
-    List.length !ahead,
-    take component_cap !behind,
-    List.length !behind )
+  !n
+
+(* The first [component_cap] of a side's [count] components, in
+   ascending order. Scanning down, a component's rank is how many of
+   its side are still below it, so only the kept ones are built. *)
+let side_components ~ahead ~count a d =
+  let rec down i rank acc =
+    if i < 0 then acc
+    else
+      let x = clock_entry a i and y = clock_entry d i in
+      if on_side ~ahead x y then
+        let rank = rank - 1 in
+        down (i - 1) rank
+          (if rank < component_cap then (i, x, y) :: acc else acc)
+      else down (i - 1) rank acc
+  in
+  down (Int.max (Array.length a) (Array.length d) - 1) count []
 
 let involves pid ~p1 ~p2 = pid = p1 || (p2 >= 0 && pid = p2)
 
 (* [involves] is symmetric when [p2 >= 0]: both orders of such a pair
-   name the same endpoints, so they share one key. *)
-let pair_key ~p1 ~p2 = if p2 >= 0 && p2 < p1 then (p2, p1) else (p1, p2)
+   name the same endpoints, so they share one key. So do a delivery's
+   two directions. *)
+let pair_key ~p1 ~p2 =
+  let code lo hi = (lo lsl 31) lor (hi + 1) in
+  if p2 >= 0 && p2 < p1 then code p2 p1 else code p1 p2
 
 (* ---------- the window index ---------- *)
 
-(* What [find_sync] reads of the window, in window order: the lock and
-   RMW events, and every delivery. *)
-type step = Sync of Probe.event | Delivery of msg
+(* Tables keyed by [pair_key]: an int hash and equality, no C call. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int
 
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 31)) land max_int
+end)
+
+(* A delivery and the latest sync-edge candidates, each with its
+   position in the window: the search breaks time ties by position. *)
 type index = {
   deliveries : msg array; (* window order, each paired with its send *)
-  steps : step array;
+  best_message : (int * msg) Pairs.t;
+      (* by [pair_key] of (src, dst): the delivery with the greatest
+         (delivered time, position) *)
+  sync_steps : (int * Probe.event) array array;
+      (* by node: its lock and RMW events, in window order, with their
+         positions *)
   events : int; (* events in the window *)
-  chains : (int * int, msg list) Hashtbl.t;
+  chains : msg list Pairs.t;
       (* [message_chain]'s memo, by [pair_key]: every race of one pair
          in this report shares one list *)
 }
+
+(* [(t, pos)] is later than [(t', pos')]: the order in which a search
+   scanning the window from oldest to newest, keeping a candidate
+   whenever its time is at least the best one's, ends on its choice
+   (simulated times are never NaN). *)
+let later (t : float) pos t' pos' = t > t' || (t = t' && pos > pos')
 
 (* One pass over the window: a delivery is paired with the latest
    earlier send of the same (src, dst, op) — [m_sent = -1.] when that
@@ -125,9 +153,11 @@ type index = {
    for every race that prints it. *)
 let index window =
   let sent : (int * int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let deliveries = ref [] and steps = ref [] and events = ref 0 in
+  let best_message = Pairs.create 16 and by_node = Hashtbl.create 16 in
+  let deliveries = ref [] and events = ref 0 in
   List.iter
     (fun ev ->
+      let pos = !events in
       incr events;
       match (ev : Probe.event) with
       | Msg_sent { time; src; dst; msg } ->
@@ -147,23 +177,38 @@ let index window =
             }
           in
           deliveries := m :: !deliveries;
-          steps := Delivery m :: !steps
-      | Lock_acquired _ | Lock_released _ | Rmw _ -> steps := Sync ev :: !steps
+          let key = pair_key ~p1:src ~p2:dst in
+          (match Pairs.find_opt best_message key with
+          | Some (pos', m') when not (later time pos m'.m_delivered pos') -> ()
+          | _ -> Pairs.replace best_message key (pos, m))
+      | Lock_acquired { node; _ } | Lock_released { node; _ } | Rmw { node; _ }
+        ->
+          let steps =
+            match Hashtbl.find_opt by_node node with Some l -> l | None -> []
+          in
+          Hashtbl.replace by_node node ((pos, ev) :: steps)
       | _ -> ())
     window;
+  let sync_steps =
+    Array.make (Hashtbl.fold (fun node _ n -> Int.max n (node + 1)) by_node 0) [||]
+  in
+  Hashtbl.iter
+    (fun node steps -> sync_steps.(node) <- Array.of_list (List.rev steps))
+    by_node;
   {
     deliveries = Array.of_list (List.rev !deliveries);
-    steps = Array.of_list (List.rev !steps);
+    best_message;
+    sync_steps;
     events = !events;
-    chains = Hashtbl.create 16;
+    chains = Pairs.create 16;
   }
 
 (* Delivered messages touching either endpoint, oldest first: the most
    recent [chain_cap] of them. A function of the window and the pair
    alone, so it is scanned once per pair and the list memoized. *)
 let message_chain idx ~p1 ~p2 =
-  let ((p1, p2) as key) = pair_key ~p1 ~p2 in
-  match Hashtbl.find_opt idx.chains key with
+  let key = pair_key ~p1 ~p2 in
+  match Pairs.find_opt idx.chains key with
   | Some chain -> chain
   | None ->
       let rec back i n acc =
@@ -175,7 +220,7 @@ let message_chain idx ~p1 ~p2 =
           else back (i - 1) n acc
       in
       let chain = back (Array.length idx.deliveries - 1) 0 [] in
-      Hashtbl.add idx.chains key chain;
+      Pairs.add idx.chains key chain;
       chain
 
 let edge_time = function
@@ -183,60 +228,80 @@ let edge_time = function
   | Message m -> m.m_delivered
   | Rmw_serialization { time; _ } -> time
 
-(* On equal times a later-scanned candidate wins, so the choice is a
-   deterministic function of window order. *)
-let better cand best =
-  match best with None -> true | Some b -> edge_time cand >= edge_time b
-
 (* The most recent event in the window that could have ordered the two
    endpoints: a lock hand-off on the racing granule, a protocol message
-   between them, or an RMW serialization on the granule. Only [p1] and
+   between them, or an RMW serialization on the granule. The choice is
+   the candidate with the greatest (edge time, window position), so on
+   equal times the later one in the window wins, whatever order the
+   window's times come in. A delivery between the two endpoints is a
+   candidate wherever the granule is, and the index keeps only the
+   pair's best; a lock hand-off or an RMW must touch the granule, so
+   only the lock and RMW events of its node are scanned. Only [p1] and
    [p2] can release, so two cells stand for a per-pid release table. *)
 let find_sync idx ~p1 ~p2 ~node ~offset ~len =
-  let best = ref None in
-  let consider c = if better c !best then best := Some c in
-  let released1 = ref None and released2 = ref None in
-  Array.iter
-    (function
-      | Sync (Lock_released { time; pid; node = n'; offset = o'; len = l' })
+  let best = ref None and best_pos = ref (-1) in
+  (if p2 >= 0 then
+     match Pairs.find_opt idx.best_message (pair_key ~p1 ~p2) with
+     | Some (pos, m) ->
+         best := Some (Message m);
+         best_pos := pos
+     | None -> ());
+  let steps =
+    if node >= 0 && node < Array.length idx.sync_steps then
+      idx.sync_steps.(node)
+    else [||]
+  in
+  (* the last release by [p1] and by [p2] on the granule; NaN, which no
+     acquisition follows, for none *)
+  let released1 = ref Float.nan and released2 = ref Float.nan in
+  for i = 0 to Array.length steps - 1 do
+    let pos, (ev : Probe.event) = steps.(i) in
+    let candidate =
+      match ev with
+      | Lock_released { time; pid; node = n'; offset = o'; len = l' }
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
-          if pid = p1 then released1 := Some time else released2 := Some time
-      | Sync (Lock_acquired { time; pid; node = n'; offset = o'; len = l' })
-        when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' -> (
+          if pid = p1 then released1 := time else released2 := time;
+          None
+      | Lock_acquired { time; pid; node = n'; offset = o'; len = l' }
+        when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
           let other = if pid = p1 then p2 else p1 in
-          match if other = p1 then !released1 else !released2 with
-          | Some released when released <= time ->
-              consider
-                (Lock_handoff
-                   {
-                     node = n';
-                     offset = o';
-                     len = l';
-                     from_pid = other;
-                     to_pid = pid;
-                     released;
-                     acquired = time;
-                   })
-          | _ -> ())
-      | Delivery m
-        when p2 >= 0
-             && ((m.m_src = p1 && m.m_dst = p2)
-                || (m.m_src = p2 && m.m_dst = p1)) ->
-          consider (Message m)
-      | Sync (Rmw { time; node = n'; origin; offset = o'; len = l'; kind })
+          let released = if other = p1 then !released1 else !released2 in
+          if released <= time then
+            Some
+              (Lock_handoff
+                 {
+                   node = n';
+                   offset = o';
+                   len = l';
+                   from_pid = other;
+                   to_pid = pid;
+                   released;
+                   acquired = time;
+                 })
+          else None
+      | Rmw { time; node = n'; origin; offset = o'; len = l'; kind }
         when overlaps ~node ~offset ~len n' o' l' ->
-          consider
+          Some
             (Rmw_serialization
                { node = n'; origin; offset = o'; len = l'; kind; time })
-      | Sync _ | Delivery _ -> ())
-    idx.steps;
+      | _ -> None
+    in
+    match (candidate, !best) with
+    | Some c, Some b when not (later (edge_time c) pos (edge_time b) !best_pos)
+      ->
+        ()
+    | Some _, _ ->
+        best := candidate;
+        best_pos := pos
+    | None, _ -> ()
+  done;
   !best
 
 let build ~cause ~node ~offset ~len ~against ~flagged ~datum_clock ~prior
     ~index ~detail =
-  let ahead, ahead_count, behind, behind_count =
-    split_components flagged.clock datum_clock
-  in
+  let a = flagged.clock and d = datum_clock in
+  let ahead_count = side_count ~ahead:true a d
+  and behind_count = side_count ~ahead:false a d in
   let p1 = flagged.pid in
   let p2 = match prior with Some p -> p.pid | None -> -1 in
   {
@@ -248,9 +313,9 @@ let build ~cause ~node ~offset ~len ~against ~flagged ~datum_clock ~prior
     flagged;
     datum_clock;
     prior;
-    ahead;
+    ahead = side_components ~ahead:true ~count:ahead_count a d;
     ahead_count;
-    behind;
+    behind = side_components ~ahead:false ~count:behind_count a d;
     behind_count;
     sync_edge = find_sync index ~p1 ~p2 ~node ~offset ~len;
     chain = message_chain index ~p1 ~p2;
@@ -566,22 +631,23 @@ let json_sync_edge buf = function
       Buffer.add_char buf '}'
 
 (* A document writes each distinct chain once: explanations of one pair
-   from one index share its memoized list, so later ones blit the first
-   one's fragment. [chains] maps a pair to the last list written for it
-   and that list's JSON; a hit must be that very list ([==]), so chains
-   of one pair from two windows are each written out. *)
-let json_chain chains buf t =
+   from one index share its memoized list, so later ones copy the first
+   one's fragment. [chains] maps a pair to the last list rendered for
+   it and that list's JSON; a hit must be that very list ([==]), so
+   chains of one pair from two windows are each rendered. *)
+let chain_fragment chains t =
   let key =
     pair_key ~p1:t.flagged.pid
       ~p2:(match t.prior with Some p -> p.pid | None -> -1)
   in
-  match Hashtbl.find_opt chains key with
-  | Some (written, json) when written == t.chain -> add buf json
+  match Pairs.find_opt chains key with
+  | Some (rendered, json) when rendered == t.chain -> json
   | _ ->
-      let start = Buffer.length buf in
+      let buf = Buffer.create 1024 in
       W.list json_msg buf t.chain;
-      Hashtbl.replace chains key
-        (t.chain, Buffer.sub buf start (Buffer.length buf - start))
+      let json = Buffer.contents buf in
+      Pairs.replace chains key (t.chain, json);
+      json
 
 let to_json chains buf t =
   add buf "{\"cause\":";
@@ -611,27 +677,132 @@ let to_json chains buf t =
   add buf "},\"sync_edge\":";
   W.option json_sync_edge buf t.sync_edge;
   add buf ",\"chain\":";
-  json_chain chains buf t;
+  add buf (chain_fragment chains t);
   add buf ",\"window_events\":";
   W.int buf t.window_events;
   add buf ",\"detail\":";
   W.string buf t.detail;
   Buffer.add_char buf '}'
 
-(* An explanation is about 1.5 KiB of JSON: size the buffer for all of
-   them up front so it never regrows. The chain cache lives in this one
+(* ---------- JSON lengths ---------- *)
+
+(* What each writer above writes, in bytes, computed without writing,
+   item for item: [list_to_json] creates its buffer at the document's
+   exact length, so a report of any size is written once, with no
+   regrowth and nothing reserved beyond it. *)
+let lit = String.length
+
+let access_length a =
+  lit "{\"pid\":" + W.int_length a.pid
+  + lit ",\"kind\":" + W.string_length a.kind
+  + lit ",\"time\":" + W.fixed_length 6 a.time
+  + lit ",\"op\":" + W.int_length a.op
+  + lit ",\"event_id\":" + W.int_length a.event_id
+  + lit ",\"clock\":" + W.ints_length a.clock
+  + 1
+
+let component_length (i, x, y) =
+  lit "{\"c\":" + W.int_length i
+  + lit ",\"accessor\":" + W.int_length x
+  + lit ",\"datum\":" + W.int_length y
+  + 1
+
+let msg_members_length m =
+  lit "\"src\":" + W.int_length m.m_src
+  + lit ",\"dst\":" + W.int_length m.m_dst
+  + lit ",\"op\":" + W.int_length m.m_op
+  + lit ",\"label\":" + W.string_length m.m_label
+  + lit ",\"sent\":" + W.fixed_length 6 m.m_sent
+  + lit ",\"delivered\":" + W.fixed_length 6 m.m_delivered
+  + 1
+
+let sync_edge_length = function
+  | Lock_handoff { node; offset; len; from_pid; to_pid; released; acquired }
+    ->
+      lit "{\"type\":\"lock_handoff\",\"node\":" + W.int_length node
+      + lit ",\"offset\":" + W.int_length offset
+      + lit ",\"len\":" + W.int_length len
+      + lit ",\"from_pid\":" + W.int_length from_pid
+      + lit ",\"to_pid\":" + W.int_length to_pid
+      + lit ",\"released\":" + W.fixed_length 6 released
+      + lit ",\"acquired\":" + W.fixed_length 6 acquired
+      + 1
+  | Message m -> lit "{\"type\":\"message\"," + msg_members_length m
+  | Rmw_serialization { node; origin; offset; len; kind; time } ->
+      lit "{\"type\":\"rmw\",\"node\":" + W.int_length node
+      + lit ",\"origin\":" + W.int_length origin
+      + lit ",\"offset\":" + W.int_length offset
+      + lit ",\"len\":" + W.int_length len
+      + lit ",\"kind\":" + W.string_length kind
+      + lit ",\"time\":" + W.fixed_length 6 time
+      + 1
+
+(* [W.list]: brackets, a comma between elements, the elements. *)
+let rec elements_length length n = function
+  | [] -> n
+  | x :: tl -> elements_length length (n + 1 + length x) tl
+
+let list_length length = function
+  | [] -> 2
+  | x :: tl -> elements_length length (2 + length x) tl
+
+let option_length length = function Some x -> length x | None -> 4
+
+let json_length chains t =
+  lit "{\"cause\":" + W.string_length t.cause
+  + lit ",\"granule\":{\"node\":" + W.int_length t.node
+  + lit ",\"offset\":" + W.int_length t.offset
+  + lit ",\"len\":" + W.int_length t.len
+  + lit "},\"against\":" + W.string_length t.against
+  + lit ",\"flagged\":" + access_length t.flagged
+  + lit ",\"prior\":" + option_length access_length t.prior
+  + lit ",\"datum_clock\":" + W.ints_length t.datum_clock
+  + lit ",\"incomparable\":{\"ahead\":" + list_length component_length t.ahead
+  + lit ",\"ahead_count\":" + W.int_length t.ahead_count
+  + lit ",\"behind\":" + list_length component_length t.behind
+  + lit ",\"behind_count\":" + W.int_length t.behind_count
+  + lit "},\"sync_edge\":" + option_length sync_edge_length t.sync_edge
+  + lit ",\"chain\":" + lit (chain_fragment chains t)
+  + lit ",\"window_events\":" + W.int_length t.window_events
+  + lit ",\"detail\":" + W.string_length t.detail
+  + 1
+
+let header = "{\"explanations\":[\n"
+let separator = ",\n"
+let footer = "\n]}\n"
+
+(* The document is allocated once, at its exact length, and each
+   explanation is written into a small scratch buffer and copied into
+   it: a report holds no second document-sized block, never regrows,
+   and reserves nothing beyond its bytes. Each distinct chain is
+   rendered once, by the sizing pass. The chain cache lives in this one
    call: no state outlives the document or crosses domains. *)
 let list_to_json ts =
-  let buf = Buffer.create (32 + (1536 * List.length ts)) in
-  let chains = Hashtbl.create 16 in
-  Buffer.add_string buf "{\"explanations\":[\n";
+  let chains = Pairs.create 16 in
+  let rec size n = function
+    | [] -> n
+    | t :: tl -> size (n + lit separator + json_length chains t) tl
+  in
+  let body = match ts with [] -> 0 | _ -> size 0 ts - lit separator in
+  let doc = Bytes.create (lit header + body + lit footer) in
+  let at = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 doc !at (lit s);
+    at := !at + lit s
+  in
+  let scratch = Buffer.create 4096 in
+  put header;
   List.iteri
     (fun i t ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      to_json chains buf t)
+      if i > 0 then put separator;
+      Buffer.clear scratch;
+      to_json chains scratch t;
+      Buffer.blit scratch 0 doc !at (Buffer.length scratch);
+      at := !at + Buffer.length scratch)
     ts;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  put footer;
+  assert (!at = Bytes.length doc);
+  Bytes.unsafe_to_string doc
 
 (* ---------- Perfetto annotations ---------- *)
 

@@ -5,9 +5,10 @@
 
     The per-value writers allocate nothing in the common case: a
     string with nothing to escape is copied whole after one scan, an
-    int is written digit by digit, an int array element by element,
-    and a fixed-decimal float through an exact integer/fraction path
-    (see {!fixed}). *)
+    int is written two digits at a time from a table, an int array
+    element by element, and a fixed-decimal float through an exact
+    integer/fraction path (see {!fixed}). Every division is by a
+    constant, and no writer calls a closure per byte. *)
 
 type value =
   | Int of int
@@ -29,14 +30,15 @@ val ints : Buffer.t -> int array -> unit
 
 val fixed : int -> Buffer.t -> float -> unit
 (** [fixed n buf f] writes [f] exactly as C's ["%.nf"] does,
-    [0 <= n <= 9]. A finite [f >= 0.] that is not [-0.] and is below
-    [2^52 / 10^n] is written as an integer part and an [n]-digit
-    fraction with no allocation: the product [p = f * 10^n] rounds like
+    [0 <= n <= 9]. A finite [f] whose magnitude is below [2^52 / 10^n]
+    is written as an optional minus sign (negatives and [-0.], as C
+    prints them), an integer part and an [n]-digit fraction, with no
+    allocation: the magnitude's product [p = |f| * 10^n] rounds like
     the exact product unless its fraction is exactly one half, and then
     the product's [Float.fma] residual picks the side. A zero residual
-    — a true half-unit tie — and every other value (negatives, [-0.],
-    NaN, infinities, large values) is formatted by [caml_format_float],
-    the primitive behind [Printf]. *)
+    — a true half-unit tie — and every other value (NaN, infinities,
+    large values) is formatted by [caml_format_float], the primitive
+    behind [Printf]. *)
 
 val value : Buffer.t -> value -> unit
 
@@ -59,3 +61,15 @@ val members : ?spaced:bool -> Buffer.t -> (string * value) list -> unit
 
 val obj : Buffer.t -> (string * value) list -> unit
 (** [{"k1":v1,"k2":v2}], compact. *)
+
+(** {2 Lengths}
+
+    The number of bytes the writer of the same name writes, computed
+    without writing, so that a large document's buffer can be created
+    at its exact length. [fixed_length] allocates only where {!fixed}
+    hands the value to the C library. *)
+
+val int_length : int -> int
+val string_length : string -> int
+val fixed_length : int -> float -> int
+val ints_length : int array -> int

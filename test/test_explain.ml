@@ -287,6 +287,21 @@ let racy_report seed =
     Dsm_core.Diagnose.explain_report ~window:(Flight.events flight)
       (Dsm_core.Detector.report d) )
 
+(* [list_to_json] allocates the document once, at its exact length:
+   no buffer that regrows, and no second document-sized block copied
+   into the result. Major allocations are counted exactly; the small
+   ones (the scratch buffer, one fragment per chain) are a few KiB. *)
+let check_json_allocation es =
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let doc = Explain.list_to_json es in
+  let ratio =
+    (Gc.allocated_bytes () -. before) /. float_of_int (String.length doc)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates %.3fx the document, at most 1.1x" ratio)
+    true (ratio <= 1.1)
+
 let test_full_window_report_pinned () =
   let flight, es = racy_report 6 in
   Alcotest.(check bool) "the window wrapped" true (Flight.dropped flight > 0);
@@ -308,7 +323,8 @@ let test_full_window_report_pinned () =
   Alcotest.(check int) "explanations" 1516 (List.length es);
   Alcotest.(check string) "report JSON md5" "8a8ef1e0e8323b176afcb4b0fba9f3bb" (md5 (Explain.list_to_json es));
   Alcotest.(check string) "report text md5" "6891b547fa990c113dffb808d6d78883"
-    (md5 (String.concat "" (List.map Explain.to_text es)))
+    (md5 (String.concat "" (List.map Explain.to_text es)));
+  check_json_allocation es
 
 (* The bench-shaped report at seed 5, pinned like seed 6's above. *)
 let test_bench_report_seed5_pinned () =
@@ -317,7 +333,8 @@ let test_bench_report_seed5_pinned () =
   Alcotest.(check string) "report JSON md5" "0c912f718b5d61c212b9498d66e49d4e"
     (md5 (Explain.list_to_json es));
   Alcotest.(check string) "report text md5" "c5bbb62128cb693cb0584677170669d5"
-    (md5 (String.concat "" (List.map Explain.to_text es)))
+    (md5 (String.concat "" (List.map Explain.to_text es)));
+  check_json_allocation es
 
 (* A small racy program with atomics under the Explicit transport, where
    a remote granule's clocks travel by control message, and under Inline.
@@ -506,6 +523,116 @@ let test_chain_memo_shares_both_orders () =
   Alcotest.(check bool) "another index scans its own" false
     (fresh.chain == e01.chain)
 
+(* ---------- sync edges against the forward scan ---------- *)
+
+(* A window of arbitrary events over pids 0..3 and nodes 0..1: sends,
+   deliveries (with or without their send), lock acquisitions and
+   releases and RMWs on overlapping or disjoint ranges, and an engine
+   step between them, at times drawn from a handful of values, so that
+   ties and decreasing times are common. *)
+let gen_window =
+  QCheck.Gen.(
+    let pid = int_bound 3 and node = int_bound 1 and offset = int_bound 5 in
+    let len = int_range 1 3 in
+    let time = oneofl [ 0.; -0.; 1.; 2.; 2.5; 3.; 4. ] in
+    let msg src op =
+      { Dsm_obs.Msg.none with kind = Get; op; origin = src; offset = op; len = 1 }
+    in
+    let event =
+      frequency
+        [
+          ( 2,
+            map3
+              (fun time (src, dst) op ->
+                Probe.Msg_sent { time; src; dst; msg = msg src op })
+              time (pair pid pid) (int_bound 3) );
+          ( 3,
+            map3
+              (fun time (src, dst) op ->
+                Probe.Msg_delivered { time; src; dst; msg = msg src op })
+              time (pair pid pid) (int_bound 3) );
+          ( 3,
+            map3
+              (fun time (pid, node) (offset, len) ->
+                Probe.Lock_acquired { time; pid; node; offset; len })
+              time (pair pid node) (pair offset len) );
+          ( 3,
+            map3
+              (fun time (pid, node) (offset, len) ->
+                Probe.Lock_released { time; pid; node; offset; len })
+              time (pair pid node) (pair offset len) );
+          ( 2,
+            map3
+              (fun time (origin, node) (offset, len) ->
+                Probe.Rmw { time; node; origin; offset; len; kind = "fetch_add" })
+              time (pair pid node) (pair offset len) );
+          (1, map (fun time -> Probe.Engine_step { time }) time);
+        ]
+    in
+    list_size (int_bound 30) event)
+
+(* (flagged pid, prior pid or -1, node, offset, len, atomicity): the
+   prior is often the flagged pid itself, and often absent. *)
+let gen_sync_race =
+  QCheck.Gen.(
+    int_bound 3 >>= fun p1 ->
+    frequency [ (3, int_bound 3); (1, return p1); (1, return (-1)) ]
+    >>= fun p2 ->
+    map3
+      (fun node (offset, len) atomicity -> (p1, p2, node, offset, len, atomicity))
+      (int_bound 1) (pair (int_bound 5) (int_range 1 3)) bool)
+
+let print_window window =
+  String.concat "; "
+    (List.map
+       (function
+         | Probe.Msg_sent { time; src; dst; msg } ->
+             Printf.sprintf "S(%g,%d->%d,#%d)" time src dst msg.op
+         | Probe.Msg_delivered { time; src; dst; msg } ->
+             Printf.sprintf "D(%g,%d->%d,#%d)" time src dst msg.op
+         | Probe.Lock_acquired { time; pid; node; offset; len } ->
+             Printf.sprintf "A(%g,P%d,n%d,%d+%d)" time pid node offset len
+         | Probe.Lock_released { time; pid; node; offset; len } ->
+             Printf.sprintf "R(%g,P%d,n%d,%d+%d)" time pid node offset len
+         | Probe.Rmw { time; node; origin; offset; len; _ } ->
+             Printf.sprintf "W(%g,P%d,n%d,%d+%d)" time origin node offset len
+         | ev -> Probe.name ev)
+       window)
+
+(* Every explanation's sync edge, from one index shared by all the
+   races of the window, is the edge the forward scan finds. *)
+let prop_sync_edge_matches_reference =
+  QCheck.Test.make ~name:"sync edge matches the forward scan" ~count:1000
+    (QCheck.make
+       ~print:(fun (window, races) ->
+         print_window window ^ " ; "
+         ^ String.concat " "
+             (List.map
+                (fun (p1, p2, node, offset, len, a) ->
+                  Printf.sprintf "(%d,%d,n%d,%d+%d,%b)" p1 p2 node offset len a)
+                races))
+       QCheck.Gen.(pair gen_window (list_size (int_range 1 12) gen_sync_race)))
+    (fun (window, races) ->
+      let index = Explain.index window in
+      List.for_all
+        (fun (p1, p2, node, offset, len, atomicity) ->
+          let access pid =
+            { Explain.pid; kind = "write"; time = 0.; op = 0; event_id = -1;
+              clock = Array.init 4 (fun i -> if i = pid then 2 else 1) }
+          in
+          let prior = if p2 < 0 then None else Some (access p2) in
+          let e =
+            if atomicity then
+              Explain.of_atomicity ~node ~offset ~len ~flagged:(access p1)
+                ?prior ~index ~detail:"" ()
+            else
+              Explain.of_race ~node ~offset ~len ~against:"write"
+                ~flagged:(access p1) ~datum_clock:(access (max p2 0)).clock
+                ?prior ~index ()
+          in
+          e.sync_edge = Explain_ref.find_sync window ~p1 ~p2 ~node ~offset ~len)
+        races)
+
 (* Every constructor's label, as the renderer must keep printing it. *)
 let label_table =
   [
@@ -634,5 +761,6 @@ let () =
           Alcotest.test_case "chain memo shared across pair orders" `Quick
             test_chain_memo_shares_both_orders;
           QCheck_alcotest.to_alcotest prop_shared_chains;
+          QCheck_alcotest.to_alcotest prop_sync_edge_matches_reference;
         ] );
     ]

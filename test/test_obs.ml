@@ -298,7 +298,9 @@ let fixed_case =
         (4, finite);
         (2, map Float.neg finite);
         (3, tie);
+        (1, map Float.neg tie);
         (2, near_tie);
+        (1, map Float.neg near_tie);
         (1, map (fun x -> 4e9 +. x) (float_bound_inclusive 1e12));
         (1, around_limit);
         (1, map Int64.float_of_bits ui64);
@@ -313,6 +315,79 @@ let prop_fixed_matches_printf =
   QCheck.Test.make ~name:"fixed = Printf %.Nf" ~count:20_000 fixed_case
     (fun (n, f) ->
       render (fun b -> Json_writer.fixed n b f) = Printf.sprintf "%.*f" n f)
+
+(* Every int prints as [string_of_int] does, two digits at a time:
+   the generator aims at the digit-count edges (powers of ten, one
+   either side) and the ends of the range. *)
+let prop_int_matches_string_of_int =
+  QCheck.Test.make ~name:"int = string_of_int" ~count:5_000
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          frequency
+            [
+              (3, int);
+              (3, int_range (-1000) 1000);
+              ( 3,
+                map3
+                  (fun e d neg ->
+                    let x = int_of_float (10. ** float_of_int e) + d in
+                    if neg then -x else x)
+                  (int_bound 18) (int_range (-1) 1) bool );
+              (1, oneofl [ max_int; min_int; min_int + 1; max_int - 1 ]);
+            ]))
+    (fun n -> render (fun b -> Json_writer.int b n) = string_of_int n)
+
+(* The escaper against the byte-by-byte one it replaced. *)
+let prop_string_matches_reference =
+  QCheck.Test.make ~name:"string escaper = reference" ~count:2_000
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          string_size (int_bound 24)
+            ~gen:
+              (frequency
+                 [
+                   (6, printable);
+                   (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; ' '; '\127' ]);
+                   (1, char);
+                 ])))
+    (fun s -> render (fun b -> Json_writer.string b s) = Text_ref.json_string s)
+
+(* Int arrays as the one-store path writes them: every element kind
+   (one digit, several, negative) in every position. *)
+let gen_ints =
+  QCheck.Gen.(
+    array_size (int_bound 10)
+      (frequency [ (4, int_bound 9); (2, int_range (-200) 200); (1, int) ]))
+
+let prop_ints_match_reference =
+  QCheck.Test.make ~name:"ints = bracketed string_of_int" ~count:2_000
+    (QCheck.make
+       ~print:(fun a -> String.concat ";" (Array.to_list (Array.map string_of_int a)))
+       gen_ints)
+    (fun a ->
+      render (fun b -> Json_writer.ints b a)
+      = "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]")
+
+(* Each length is the length of what its writer writes. *)
+let prop_lengths_match_writers =
+  QCheck.Test.make ~name:"lengths = written lengths" ~count:5_000
+    (QCheck.make
+       ~print:(fun (i, s, (d, f), a) ->
+         Printf.sprintf "%d %S %%.%df of %h [%s]" i s d f
+           (String.concat ";" (Array.to_list (Array.map string_of_int a))))
+       QCheck.Gen.(
+         quad
+           (oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int ] ])
+           (string_size ~gen:char (int_bound 12))
+           (QCheck.gen fixed_case) gen_ints))
+    (fun (i, s, (d, f), a) ->
+      let len write = String.length (render write) in
+      Json_writer.int_length i = len (fun b -> Json_writer.int b i)
+      && Json_writer.string_length s = len (fun b -> Json_writer.string b s)
+      && Json_writer.fixed_length d f = len (fun b -> Json_writer.fixed d b f)
+      && Json_writer.ints_length a = len (fun b -> Json_writer.ints b a))
 
 let test_fixed_and_int_bytes () =
   List.iter
@@ -371,6 +446,10 @@ let () =
           Alcotest.test_case "fixed and int bytes" `Quick
             test_fixed_and_int_bytes;
           QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
+          QCheck_alcotest.to_alcotest prop_int_matches_string_of_int;
+          QCheck_alcotest.to_alcotest prop_string_matches_reference;
+          QCheck_alcotest.to_alcotest prop_ints_match_reference;
+          QCheck_alcotest.to_alcotest prop_lengths_match_writers;
         ] );
       ( "explorer",
         [

@@ -41,6 +41,28 @@ let to_csv (races : Report.race list) =
     races;
   Buffer.contents buf
 
+(* The JSON string escaper before it scanned with a direct loop: one
+   closure call per byte to find an escape, then byte by byte, control
+   bytes through [Printf]. *)
+let json_string s =
+  let buf = Buffer.create 16 in
+  let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20 in
+  Buffer.add_char buf '"';
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        if c = '"' || c = '\\' then begin
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c
+        end
+        else if Char.code c < 0x20 then
+          Printf.bprintf buf "\\u%04x" (Char.code c)
+        else Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
 (* ---------- race report JSON, one explanation at a time ---------- *)
 
 module Explain = Dsm_obs.Explain
