@@ -241,12 +241,13 @@ let e7 ppf =
   Format.fprintf ppf "%s@." (Table.render table);
   Format.fprintf ppf
     "Wire words are the fabric's live counters: nominal message sizes with@.\
-     each clock allowance replaced by the piggyback encoding actually@.\
-     chosen (the default --clock-wire delta). §4.3's linear-in-n clock@.\
-     cost is the dense ceiling; the explicit transport (Algorithm 5@.\
-     verbatim) additionally pays two clock messages per remote granule.@.\
-     Detection is a debugging-scale feature: the paper's ~10-process@.\
-     regime (§5.1) is exactly where the ratios sit.@.@.";
+     each clock allowance replaced by the piggyback frame actually sent@.\
+     (dense, sparse, or a delta against the edge's last clock, whichever@.\
+     is smallest). §4.3's linear-in-n clock cost is the dense ceiling;@.\
+     the explicit transport (Algorithm 5 verbatim) additionally pays two@.\
+     clock messages per remote granule. Detection is a debugging-scale@.\
+     feature: the paper's ~10-process regime (§5.1) is exactly where the@.\
+     ratios sit.@.@.";
   (* Granularity ablation at fixed n. *)
   let table2 =
     Table.create ~headers:[ "granularity"; "time"; "wire words"; "storage"; "races" ]
