@@ -125,8 +125,8 @@ module Pairs = Hashtbl.Make (struct
   let hash k = (k lxor (k lsr 31)) land max_int
 end)
 
-(* A delivery and the latest sync-edge candidates, each with its
-   position in the window: the search breaks time ties by position. *)
+(* Positions count the window's events from 0: the sync-edge search
+   breaks time ties by them. *)
 type index = {
   deliveries : msg array; (* window order, each paired with its send *)
   best_message : (int * msg) Pairs.t;
@@ -141,10 +141,10 @@ type index = {
          in this report shares one list *)
 }
 
-(* [(t, pos)] is later than [(t', pos')]: the order in which a search
-   scanning the window from oldest to newest, keeping a candidate
-   whenever its time is at least the best one's, ends on its choice
-   (simulated times are never NaN). *)
+(* [(t, pos)] comes after [(t', pos')]: later in time, or as late and
+   later in the window. A forward scan that keeps a candidate whenever
+   its time is at least the best one's ends on the last candidate in
+   this order, since simulated times are never NaN. *)
 let later (t : float) pos t' pos' = t > t' || (t = t' && pos > pos')
 
 (* One pass over the window: a delivery is paired with the latest
@@ -687,9 +687,9 @@ let to_json chains buf t =
 (* ---------- JSON lengths ---------- *)
 
 (* What each writer above writes, in bytes, computed without writing,
-   item for item: [list_to_json] creates its buffer at the document's
-   exact length, so a report of any size is written once, with no
-   regrowth and nothing reserved beyond it. *)
+   item for item: [list_to_json] allocates the document at its exact
+   length, so a report of any size is written once, with no regrowth
+   and nothing reserved beyond it. *)
 let lit = String.length
 
 let access_length a =
@@ -771,12 +771,17 @@ let header = "{\"explanations\":[\n"
 let separator = ",\n"
 let footer = "\n]}\n"
 
-(* The document is allocated once, at its exact length, and each
+(* An explanation is 1,409 to 1,581 bytes of JSON on the benchmark's
+   racy programs (seeds 4-11), so no constant per race sizes a report
+   without regrowing or over-reserving: a first pass measures it. The
+   document is then allocated once, at its exact length, and each
    explanation is written into a small scratch buffer and copied into
-   it: a report holds no second document-sized block, never regrows,
-   and reserves nothing beyond its bytes. Each distinct chain is
-   rendered once, by the sizing pass. The chain cache lives in this one
-   call: no state outlives the document or crosses domains. *)
+   it. A buffer copied into the result would be a second
+   document-sized block: twice the allocation, and two large blocks
+   that the C allocator can hand back to the system together and fault
+   in again for the next report. Each distinct chain is rendered once,
+   by the sizing pass. The chain cache lives in this one call: no state
+   outlives the document or crosses domains. *)
 let list_to_json ts =
   let chains = Pairs.create 16 in
   let rec size n = function

@@ -90,20 +90,33 @@ type t = {
     the race. *)
 
 type index
-(** One flight-recorder window, indexed once per report: every delivery
-    paired with the time of its send and its label rendered once, and
-    the lock, RMW and delivery events the sync-edge search reads, in
-    window order. Explaining each race of a report then scans these
-    compact arrays instead of re-pairing the whole window. The message
-    chain depends only on the window and the endpoint pair, so the
-    index memoizes it: the first race of a pair (in either order)
+(** One flight-recorder window, indexed once per report in one pass:
+    every delivery paired with the time of its send and its label
+    rendered once; for each endpoint pair, its latest delivery; and for
+    each node, its lock and RMW events in window order. Explaining a
+    race then costs two table lookups and a scan of its granule's node's
+    lock and RMW steps, never a scan of the window.
+
+    The sync edge is the candidate with the greatest (edge time, window
+    position): on equal times the later step in the window wins. That
+    is what a forward scan of the window picks when it keeps a
+    candidate whenever its time is at least the best one's, for any
+    window, in time order or not (simulated times are never NaN). The
+    candidates are a delivery between the two endpoints, a lock
+    hand-off between them on a range overlapping the granule (an
+    acquisition by one after a release by the other), and an RMW on an
+    overlapping range.
+
+    The message chain depends only on the window and the endpoint pair,
+    so the index memoizes it: the first race of a pair (in either order)
     scans for it, and every later one shares that list. The memo makes
     an index mutable: one report, one domain. *)
 
 val index : Probe.event list -> index
 (** Index a window, oldest first ({!Flight.events}). A delivery is
     paired with the latest earlier send of the same (src, dst, op);
-    one whose send predates the window gets [m_sent = -1.]. *)
+    one whose send predates the window gets [m_sent = -1.]. Node ids
+    are non-negative. *)
 
 val of_race :
   node:int ->
@@ -142,11 +155,16 @@ val list_to_json : t list -> string
 (** [{"explanations": [...]}] document, one compact object per
     explanation in a stable field order. Fixed keys are written as
     literals and values through {!Json_writer}'s allocation-free
-    writers, into one buffer. Each distinct chain is rendered once per
-    document: a later explanation whose [chain] is physically the same
-    list (its pair's memo, see {!index}) copies that JSON fragment. The
-    bytes are those of writing every explanation in full, whatever the
-    list mixes; the fragment cache lives and dies in one call. *)
+    writers. A first pass sums each explanation's length through
+    {!Json_writer}'s length functions; the document is then allocated
+    once, at that exact length, and each explanation is written into a
+    small scratch buffer and copied into it. Nothing regrows, nothing
+    is reserved beyond the document, and no second document-sized block
+    is built. Each distinct chain is rendered once per document: a
+    later explanation whose [chain] is physically the same list (its
+    pair's memo, see {!index}) copies that JSON fragment. The bytes are
+    those of writing every explanation in full, whatever the list
+    mixes; the fragment cache lives and dies in one call. *)
 
 val annotate : Timeline.t -> t -> unit
 (** Add instant marks at both endpoints and a flow arrow between them
