@@ -4,7 +4,8 @@
    to the same bytes. The common cases write straight into the buffer
    without allocating: an unescaped string is one blit, an int is its
    digits two at a time, and most fixed-decimal floats are an integer
-   and a zero-padded fraction. Every division is by a constant. *)
+   and a zero-padded fraction. At the precisions in use (3, 6 and 9
+   decimals) every division is by a constant. *)
 
 type value =
   | Int of int
