@@ -609,6 +609,7 @@ let run_source path o ~n ~model ~instrument ~detect =
                   Some (Detector.create machine ~verbose:o.verbose ())
                 else None
               in
+              let* () = Dsm_lang.Exec.check_fit machine ir in
               let rt = Dsm_lang.Exec.setup machine ?detector ir in
               Ok (machine, detector, rt))
             ~report:(fun r rt ->

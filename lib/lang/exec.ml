@@ -105,7 +105,45 @@ let interpret rt ~detector p body =
   in
   exec body
 
+(* Element [i] of every array goes to node [i mod n], so node [pid]
+   holds [ceil ((length - pid) / n)] of a declaration's elements. The
+   check runs before anything is allocated: a declaration too large for
+   memory must fail here, not in building its element table. *)
+let check_fit machine (prog : Ir.program) =
+  let n = Machine.n machine in
+  let public pid =
+    Node_memory.allocator (Machine.node machine pid) Addr.Public
+  in
+  let left =
+    Array.init n (fun pid ->
+        Allocator.capacity (public pid) - Allocator.allocated (public pid))
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | (d : Ast.shared_decl) :: rest ->
+        let rec on_node pid =
+          if pid >= min n d.length then go rest
+          else
+            let need = (d.length - pid + n - 1) / n in
+            if need > left.(pid) then
+              Error
+                (Printf.sprintf
+                   "shared %s[%d] does not fit: %d of its elements go to \
+                    node %d, whose %d-word public segment has %d words left"
+                   d.name d.length need pid
+                   (Allocator.capacity (public pid))
+                   left.(pid))
+            else begin
+              left.(pid) <- left.(pid) - need;
+              on_node (pid + 1)
+            end
+        in
+        on_node 0
+  in
+  go prog.shared
+
 let setup machine ?detector (prog : Ir.program) =
+  Result.iter_error invalid_arg (check_fit machine prog);
   let n = Machine.n machine in
   let env =
     match detector with

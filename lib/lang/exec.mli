@@ -10,11 +10,18 @@
 
 type runtime
 
+val check_fit : Dsm_rdma.Machine.t -> Ir.program -> (unit, string) result
+(** [Ok ()] when every shared array fits the public words the machine's
+    nodes have left; otherwise an error naming the first array that does
+    not fit, its length and the segment's capacity. Allocates nothing. *)
+
 val setup :
   Dsm_rdma.Machine.t -> ?detector:Dsm_core.Detector.t -> Ir.program -> runtime
 (** Allocates the arrays, the collectives and one interpreter process per
     node; run the machine afterwards. [Checked] accesses with no
-    [detector] raise {!Runtime_error} at execution. *)
+    [detector] raise {!Runtime_error} at execution. Raises
+    [Invalid_argument] with {!check_fit}'s message when an array does
+    not fit. *)
 
 val array_contents : runtime -> string -> int array
 (** Meta-level, after the run: the elements of a shared array.

@@ -1,7 +1,5 @@
 type lock_id = int
 
-type discipline = First_fit | Strict_head
-
 type waiter = { w_offset : int; w_len : int; grant : lock_id -> unit }
 
 (* The held set is three parallel arrays: lock [held_id.(i)] covers
@@ -9,7 +7,6 @@ type waiter = { w_offset : int; w_len : int; grant : lock_id -> unit }
    the arrays means nothing (a release swaps the last lock into the
    freed slot); only the queue is ordered. *)
 type t = {
-  discipline : discipline;
   mutable next_id : int;
   mutable held_id : lock_id array;
   mutable held_off : int array;
@@ -23,9 +20,8 @@ type t = {
          explorer samples this monotone counter to detect such events. *)
 }
 
-let create ?(discipline = First_fit) () =
+let create () =
   {
-    discipline;
     next_id = 0;
     held_id = Array.make 8 0;
     held_off = Array.make 8 0;
@@ -91,14 +87,9 @@ let conflicts_queued t ~offset ~len =
 (* Immediate grant when the range conflicts with nothing held — and, for
    fairness, with nothing already waiting for an overlapping range (a
    stream of small requests must not starve a queued large one). Requests
-   for disjoint ranges are never held up by unrelated waiters; under
-   Strict_head any waiter blocks every newcomer. *)
+   for disjoint ranges are never held up by unrelated waiters. *)
 let grantable t ~offset ~len =
-  (not (conflicts t ~offset ~len))
-  &&
-  match t.discipline with
-  | First_fit -> not (conflicts_queued t ~offset ~len)
-  | Strict_head -> t.queue = []
+  (not (conflicts t ~offset ~len)) && not (conflicts_queued t ~offset ~len)
 
 let acquire t ~offset ~len k =
   check_range ~offset ~len "acquire";
@@ -122,19 +113,13 @@ let release t id =
      may acquire or release further locks reentrantly. *)
   let in_order = List.rev t.queue in
   let granted = ref [] and still_waiting = ref [] in
-  let blocked_head = ref false in
   List.iter
     (fun w ->
-      let eligible =
-        (not !blocked_head) && not (conflicts t ~offset:w.w_offset ~len:w.w_len)
-      in
-      if eligible then begin
+      if conflicts t ~offset:w.w_offset ~len:w.w_len then
+        still_waiting := w :: !still_waiting
+      else begin
         let id = grant_now t ~offset:w.w_offset ~len:w.w_len in
         granted := (w.grant, id) :: !granted
-      end
-      else begin
-        if t.discipline = Strict_head then blocked_head := true;
-        still_waiting := w :: !still_waiting
       end)
     in_order;
   t.queue <- !still_waiting;

@@ -16,25 +16,15 @@ type t
 type lock_id
 (** Token identifying one granted lock; needed to release it. *)
 
-type discipline =
-  | First_fit
-      (** waiters are scanned in arrival order and every one that no
-          longer conflicts is granted — fair, no head-of-line blocking *)
-  | Strict_head
-      (** only the head of the queue may be granted; a blocked head blocks
-          everyone behind it — the most conservative NIC *)
-
-val create : ?discipline:discipline -> unit -> t
-(** Default discipline is {!First_fit}. *)
+val create : unit -> t
 
 val acquire : t -> offset:int -> len:int -> (lock_id -> unit) -> unit
 (** [acquire t ~offset ~len k] requests exclusive access to the word range
     [\[offset, offset+len)]. [k] is invoked with the lock token as soon as
     no held lock overlaps — possibly immediately, possibly from a later
-    {!release}. Under {!First_fit} a request also waits behind {e queued}
-    requests for overlapping ranges (fairness), but is never delayed by
-    waiters on disjoint ranges; under {!Strict_head} any waiter blocks
-    every newcomer. Raises [Invalid_argument] on a degenerate range. *)
+    {!release}. A request also waits behind {e queued} requests for
+    overlapping ranges (fairness), but is never delayed by waiters on
+    disjoint ranges. Raises [Invalid_argument] on a degenerate range. *)
 
 val try_acquire : t -> offset:int -> len:int -> lock_id
 (** [try_acquire t ~offset ~len] grants exactly when {!acquire} would
@@ -49,9 +39,9 @@ val refused : lock_id
     a granted lock. Compare with [==]. *)
 
 val release : t -> lock_id -> unit
-(** Releases a held lock and grants eligible waiters, in queue order,
-    according to the discipline. Raises [Failure] if the token is unknown
-    (double release). *)
+(** Releases a held lock and grants, in queue order, every waiter that
+    no longer conflicts with a held lock: no head-of-line blocking.
+    Raises [Failure] if the token is unknown (double release). *)
 
 val chained_grants : t -> int
 (** Monotone count of grants issued from inside {!release} since creation

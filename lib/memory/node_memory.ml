@@ -7,8 +7,7 @@ type t = {
   locks : Lock_table.t;
 }
 
-let create ~pid ?(private_words = 4096) ?(public_words = 4096) ?discipline ()
-    =
+let create ~pid ?(private_words = 4096) ?(public_words = 4096) () =
   if pid < 0 then invalid_arg "Node_memory.create: negative pid";
   {
     pid;
@@ -16,7 +15,7 @@ let create ~pid ?(private_words = 4096) ?(public_words = 4096) ?discipline ()
     public_seg = Segment.create ~words:public_words;
     private_alloc = Allocator.create ~words:private_words;
     public_alloc = Allocator.create ~words:public_words;
-    locks = Lock_table.create ?discipline ();
+    locks = Lock_table.create ();
   }
 
 let pid t = t.pid

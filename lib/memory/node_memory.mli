@@ -11,10 +11,9 @@ val create :
   pid:int ->
   ?private_words:int ->
   ?public_words:int ->
-  ?discipline:Lock_table.discipline ->
   unit ->
   t
-(** Defaults: 4096 words per segment, {!Lock_table.First_fit}. *)
+(** Defaults: 4096 words per segment. *)
 
 val pid : t -> int
 

@@ -5,12 +5,15 @@ open Dsm_sim
    floor is updated in place without boxing. *)
 type floor = { mutable last : float }
 
-type reliability = { timeout : float; max_retries : int }
+type reliability = unit
 
-let reliability ?(timeout = 25.0) ?(max_retries = 30) () =
-  if timeout <= 0. then invalid_arg "Fabric.reliability: timeout";
-  if max_retries < 1 then invalid_arg "Fabric.reliability: max_retries";
-  { timeout; max_retries }
+let reliability () = ()
+
+(* The reliable transport resends an unacked frame every
+   [retransmit_timeout] us and gives up after [max_retries] resends. *)
+let retransmit_timeout = 25.0
+
+let max_retries = 30
 
 (* A frame its sender keeps, as first transmitted, until its ack comes
    back. *)
@@ -35,10 +38,9 @@ type 'msg link = {
 
 type 'msg t = {
   sim : Engine.t;
-  topo : Topology.t;
   model : Latency.t;
   faults : Fault.t;
-  reliability : reliability option;
+  reliable : bool;
   describe : 'msg -> string;
   rng : Prng.t;
   handlers : (src:int -> 'msg -> unit) option array;
@@ -57,16 +59,13 @@ type 'msg t = {
 
 let loopback_delay = 0.05 (* us: memcpy through the local NIC *)
 
-let create sim ~topology ~latency ?(faults = Fault.none) ?reliability ~describe
-    () =
-  let topology = Topology.validate topology in
-  let n = Topology.nodes topology in
+let create sim ~n ~latency ?(faults = Fault.none) ?reliability ~describe () =
+  if n < 1 then invalid_arg "Fabric.create: need at least one node";
   {
     sim;
-    topo = topology;
     model = latency;
     faults;
-    reliability;
+    reliable = Option.is_some reliability;
     describe;
     rng = Prng.split (Engine.rng sim);
     handlers = Array.make n None;
@@ -82,8 +81,6 @@ let create sim ~topology ~latency ?(faults = Fault.none) ?reliability ~describe
   }
 
 let nodes t = Array.length t.handlers
-
-let topology t = t.topo
 
 let faults t = t.faults
 
@@ -147,11 +144,7 @@ let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
   let now = Engine.now t.sim in
   let arrival =
     if src = dst then now +. loopback_delay
-    else begin
-      let hops = Topology.hops t.topo ~src ~dst in
-      let d = Latency.delay t.model t.rng ~words in
-      now +. (d *. float_of_int (max 1 hops))
-    end
+    else now +. Latency.delay t.model t.rng ~words
   in
   let arrival =
     if lf.Fault.jitter > 0. then
@@ -263,23 +256,23 @@ let received t link ~src ~dst ~seq msg =
   end
   else if seq > link.expected then Int_tbl.replace link.held seq msg
 
-(* While frame [seq] is unacked, resend it every [timeout]; once the
-   retry budget is spent the run aborts rather than hangs: a link that
-   drops everything is dead, not slow. *)
-let rec arm_retransmit t cfg link ~src ~dst ~seq =
+(* While frame [seq] is unacked, resend it every [retransmit_timeout];
+   once the retry budget is spent the run aborts rather than hangs: a
+   link that drops everything is dead, not slow. *)
+let rec arm_retransmit t link ~src ~dst ~seq =
   Engine.schedule_at t.sim ~label:Label.unknown
-    ~at:(Engine.now t.sim +. cfg.timeout)
+    ~at:(Engine.now t.sim +. retransmit_timeout)
     (fun () ->
       match Int_tbl.find link.unacked seq with
       | exception Not_found -> ()
       | u ->
           u.u_tries <- u.u_tries + 1;
-          if u.u_tries > cfg.max_retries then
+          if u.u_tries > max_retries then
             failwith
               (Printf.sprintf
                  "Fabric: P%d->P%d frame #%d undeliverable after %d \
                   retransmits (%s)"
-                 src dst seq cfg.max_retries (t.describe u.u_msg));
+                 src dst seq max_retries (t.describe u.u_msg));
           t.retransmits <- t.retransmits + 1;
           (let probe = Engine.probe t.sim in
            if probe.on then
@@ -288,7 +281,7 @@ let rec arm_retransmit t cfg link ~src ~dst ~seq =
           transmit t ~src ~dst ~words:u.u_words ~wire_words:u.u_wire
             ~clock_words:u.u_clock ~fifo:true ~label:Label.unknown
             (fun () -> received t link ~src ~dst ~seq u.u_msg);
-          arm_retransmit t cfg link ~src ~dst ~seq)
+          arm_retransmit t link ~src ~dst ~seq)
 
 let post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label msg =
   if words < 0 then invalid_arg "Fabric.post: negative size";
@@ -301,27 +294,27 @@ let post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label msg =
      time. *)
   if wire_words < 0 then invalid_arg "Fabric.post: negative wire size";
   if clock_words < 0 then invalid_arg "Fabric.post: negative clock size";
-  match t.reliability with
-  | None ->
-      transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label
-        (fun () -> (arrived t ~src ~dst) ~src msg)
-  | Some cfg ->
-      let link = edge_link t ~src ~dst in
-      let seq = link.next_seq in
-      link.next_seq <- seq + 1;
-      Int_tbl.replace link.unacked seq
-        {
-          u_msg = msg;
-          u_words = words;
-          u_wire = wire_words;
-          u_clock = clock_words;
-          u_tries = 0;
-        };
-      (* resequencing restores send order whatever the wire does, so
-         every frame rides the FIFO floor *)
-      transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo:true ~label
-        (fun () -> received t link ~src ~dst ~seq msg);
-      arm_retransmit t cfg link ~src ~dst ~seq
+  if not t.reliable then
+    transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label
+      (fun () -> (arrived t ~src ~dst) ~src msg)
+  else begin
+    let link = edge_link t ~src ~dst in
+    let seq = link.next_seq in
+    link.next_seq <- seq + 1;
+    Int_tbl.replace link.unacked seq
+      {
+        u_msg = msg;
+        u_words = words;
+        u_wire = wire_words;
+        u_clock = clock_words;
+        u_tries = 0;
+      };
+    (* resequencing restores send order whatever the wire does, so
+       every frame rides the FIFO floor *)
+    transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo:true ~label
+      (fun () -> received t link ~src ~dst ~seq msg);
+    arm_retransmit t link ~src ~dst ~seq
+  end
 
 let messages_dropped t = t.dropped
 

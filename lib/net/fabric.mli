@@ -1,12 +1,14 @@
 (** The interconnect: typed point-to-point message delivery.
 
-    A fabric connects [n] nodes over a {!Topology.t} with a {!Latency.t}
-    model. Each node registers one receive handler (its NIC agent — see
-    [dsm_rdma]); {!post} schedules that handler to run at the delivery
-    time. Frames are FIFO per (src, dst) edge unless a frame opts out,
-    matching the in-order delivery of the RDMA fabrics the paper targets
-    (§3.2): two messages from [src] to [dst] are delivered in send order
-    even when the latency model is jittered.
+    A fabric fully connects [n] nodes: every message crosses one link,
+    priced by a {!Latency.t} model (the paper's model works over any
+    interconnection network, §3). Each node registers one receive
+    handler (its NIC agent — see [dsm_rdma]); {!post} schedules that
+    handler to run at the delivery time. Frames are FIFO per (src, dst)
+    edge unless a frame opts out, matching the in-order delivery of the
+    RDMA fabrics the paper targets (§3.2): two messages from [src] to
+    [dst] are delivered in send order even when the latency model is
+    jittered.
 
     A fault plan ({!Fault}) can drop, duplicate, delay and reorder
     frames. Given a {!reliability} config, the fabric runs an RC-style
@@ -21,24 +23,24 @@
 type 'msg t
 
 type reliability
-(** The reliable transport's retransmit timer and retry budget. *)
+(** The reliable transport's configuration. *)
 
-val reliability : ?timeout:float -> ?max_retries:int -> unit -> reliability
-(** [reliability ()] resends an unacked frame every [timeout] (default
-    25 us) and gives up after [max_retries] (default 30) resends. Raises
-    [Invalid_argument] on a non-positive [timeout] or [max_retries]. *)
+val reliability : unit -> reliability
+(** [reliability ()] resends an unacked frame every 25 us and gives up
+    after 30 resends. *)
 
 val create :
   Dsm_sim.Engine.t ->
-  topology:Topology.t ->
+  n:int ->
   latency:Latency.t ->
   ?faults:Fault.t ->
   ?reliability:reliability ->
   describe:('msg -> string) ->
   unit ->
   'msg t
-(** [create sim ~topology ~latency ~describe ()] builds a fabric with no
-    handlers registered.
+(** [create sim ~n ~latency ~describe ()] builds a fabric over [n] nodes
+    with no handlers registered. Raises [Invalid_argument] when
+    [n < 1].
 
     [faults] (default {!Fault.none}) injects per-link drop / duplicate /
     delay (jitter) / reorder, seed-driven (see {!Fault}), for robustness
@@ -64,8 +66,6 @@ val faults : 'msg t -> Fault.t
 (** The active fault plan ({!Fault.none} by default). *)
 
 val nodes : 'msg t -> int
-
-val topology : 'msg t -> Topology.t
 
 val register : 'msg t -> node:int -> (src:int -> 'msg -> unit) -> unit
 (** [register t ~node f] installs [f] as [node]'s receive handler. Raises
@@ -98,9 +98,8 @@ val post :
     exploration. Every argument is required, so a call allocates no
     option box. Sending to an unregistered node raises [Failure] at
     delivery time. A message to self is delivered after a fixed small
-    loopback delay, without touching the interconnect counters' hop
-    accounting. Raises [Invalid_argument] on a negative size or an
-    out-of-range node. *)
+    loopback delay instead of the latency model's. Raises
+    [Invalid_argument] on a negative size or an out-of-range node. *)
 
 val messages_sent : 'msg t -> int
 

@@ -7,29 +7,14 @@ type t = {
   slots : Probe.event array; (* only indices < min total capacity are live *)
   mutable total : int; (* events accepted since the last reset *)
   mutable head : int; (* next slot to write; always total mod capacity *)
-  keep : bool array; (* indexed by Probe.class_id *)
 }
-
-let default_exclude = [ "engine.step" ]
 
 (* Any event works as the fill value; slots past [total] are never read. *)
 let filler = Probe.Run_begin { run = -1 }
 
-(* Compile the name-based exclude list into a per-class bool table once:
-   the per-event filter is then a tag dispatch plus an array load. *)
-let keep_of_exclude exclude =
-  Array.init Probe.class_count (fun i ->
-      not (List.mem Probe.class_names.(i) exclude))
-
-let create ?(capacity = 256) ?(exclude = default_exclude) () =
+let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  {
-    capacity;
-    slots = Array.make capacity filler;
-    total = 0;
-    head = 0;
-    keep = keep_of_exclude exclude;
-  }
+  { capacity; slots = Array.make capacity filler; total = 0; head = 0 }
 
 let capacity t = t.capacity
 let total t = t.total
@@ -40,13 +25,16 @@ let reset t =
   t.total <- 0;
   t.head <- 0
 
-let record t ev =
-  if t.keep.(Probe.class_id ev) then begin
-    t.slots.(t.head) <- ev;
-    let head = t.head + 1 in
-    t.head <- (if head = t.capacity then 0 else head);
-    t.total <- t.total + 1
-  end
+(* [engine.step], the per-event firehose, explains nothing: dropping it
+   lets the window cover meaningful traffic and keeps the attach cost
+   inside the probe-overhead gate. *)
+let record t = function
+  | Probe.Engine_step _ -> ()
+  | ev ->
+      t.slots.(t.head) <- ev;
+      let head = t.head + 1 in
+      t.head <- (if head = t.capacity then 0 else head);
+      t.total <- t.total + 1
 
 (* The sink is arena-reset-aware: the explorer emits [Run_begin] at the
    top of every run it executes in a (possibly reused) arena, so the
@@ -60,8 +48,8 @@ let sink t ev =
   | Probe.Run_end _ -> ()
   | ev -> record t ev
 
-let attach ?capacity ?exclude bus =
-  let t = create ?capacity ?exclude () in
+let attach ?capacity bus =
+  let t = create ?capacity () in
   Probe.attach bus (sink t);
   t
 

@@ -16,22 +16,22 @@
 
 type t
 
-val create : ?capacity:int -> ?exclude:string list -> unit -> t
-(** A detached recorder. [capacity] defaults to 256 and must be ≥ 1;
-    [exclude] is a list of {!Probe.name} classes to filter out (default
-    [["engine.step"]], the per-event firehose with no explanatory value,
-    so the window covers meaningful traffic and the attach cost stays
-    inside the ≤ 3% probe-overhead gate; pass [[]] to keep everything). *)
+val create : ?capacity:int -> unit -> t
+(** A detached recorder. [capacity] defaults to 256 and must be ≥ 1.
+    The ring never records [engine.step] events: that per-event
+    firehose has no explanatory value, and dropping it lets the window
+    cover meaningful traffic and keeps the attach cost inside the ≤ 3%
+    probe-overhead gate. *)
 
-val attach : ?capacity:int -> ?exclude:string list -> Probe.t -> t
+val attach : ?capacity:int -> Probe.t -> t
 (** [create] + [Probe.attach] in one step. *)
 
 val sink : t -> Probe.event -> unit
 (** The raw sink, for attaching by hand (e.g. next to a timeline). *)
 
 val record : t -> Probe.event -> unit
-(** Append one event (subject to the class filter), without the
-    [sink]'s run-begin reset handling. *)
+(** Append one event ([engine.step] excepted), without the [sink]'s
+    run-begin reset handling. *)
 
 val reset : t -> unit
 (** Empty the window in place (no allocation). *)
@@ -42,7 +42,7 @@ val length : t -> int
 (** Events currently retained: [min total capacity]. *)
 
 val total : t -> int
-(** Events accepted (post-filter) since the last reset. *)
+(** Events recorded ([engine.step] excepted) since the last reset. *)
 
 val dropped : t -> int
 (** Accepted events that have already been overwritten. *)

@@ -97,68 +97,31 @@ let emit t ev =
     sinks.(i) ev
   done
 
-(* Dense per-class numbering: [class_id] compiles to a tag dispatch, so
-   per-class filters (the flight recorder's exclude list) can be an
-   array load on the hot path instead of a string comparison. *)
-let class_id = function
-  | Engine_step _ -> 0
-  | Engine_choice _ -> 1
-  | Engine_quiescence _ -> 2
-  | Net_send _ -> 3
-  | Net_deliver _ -> 4
-  | Net_drop _ -> 5
-  | Net_duplicate _ -> 6
-  | Net_reorder _ -> 7
-  | Op_begin _ -> 8
-  | Op_end _ -> 9
-  | Msg_sent _ -> 10
-  | Msg_delivered _ -> 11
-  | Lock_acquired _ -> 12
-  | Lock_released _ -> 13
-  | Retransmit _ -> 14
-  | Batch_flush _ -> 15
-  | Rmw _ -> 16
-  | Coherence_violation _ -> 17
-  | Detector_check _ -> 18
-  | Race_signal _ -> 19
-  | Clock_merge _ -> 20
-  | Run_begin _ -> 21
-  | Run_end _ -> 22
-  | Violation _ -> 23
-  | Domain_claim _ -> 24
-  | Dpor_prune _ -> 25
-  | Minimize_step _ -> 26
-
-let class_names =
-  [|
-    "engine.step";
-    "engine.choice";
-    "engine.quiescence";
-    "net.send";
-    "net.deliver";
-    "net.drop";
-    "net.duplicate";
-    "net.reorder";
-    "rdma.op_begin";
-    "rdma.op_end";
-    "rdma.msg_sent";
-    "rdma.msg_delivered";
-    "rdma.lock_acquired";
-    "rdma.lock_released";
-    "rdma.retransmit";
-    "rdma.batch_flush";
-    "rdma.rmw";
-    "coherence.violation";
-    "detector.check";
-    "detector.race_signal";
-    "detector.clock_merge";
-    "explore.run_begin";
-    "explore.run_end";
-    "explore.violation";
-    "explore.domain_claim";
-    "explore.dpor_prune";
-    "explore.minimize_step";
-  |]
-
-let class_count = Array.length class_names
-let name ev = class_names.(class_id ev)
+let name = function
+  | Engine_step _ -> "engine.step"
+  | Engine_choice _ -> "engine.choice"
+  | Engine_quiescence _ -> "engine.quiescence"
+  | Net_send _ -> "net.send"
+  | Net_deliver _ -> "net.deliver"
+  | Net_drop _ -> "net.drop"
+  | Net_duplicate _ -> "net.duplicate"
+  | Net_reorder _ -> "net.reorder"
+  | Op_begin _ -> "rdma.op_begin"
+  | Op_end _ -> "rdma.op_end"
+  | Msg_sent _ -> "rdma.msg_sent"
+  | Msg_delivered _ -> "rdma.msg_delivered"
+  | Lock_acquired _ -> "rdma.lock_acquired"
+  | Lock_released _ -> "rdma.lock_released"
+  | Retransmit _ -> "rdma.retransmit"
+  | Batch_flush _ -> "rdma.batch_flush"
+  | Rmw _ -> "rdma.rmw"
+  | Coherence_violation _ -> "coherence.violation"
+  | Detector_check _ -> "detector.check"
+  | Race_signal _ -> "detector.race_signal"
+  | Clock_merge _ -> "detector.clock_merge"
+  | Run_begin _ -> "explore.run_begin"
+  | Run_end _ -> "explore.run_end"
+  | Violation _ -> "explore.violation"
+  | Domain_claim _ -> "explore.domain_claim"
+  | Dpor_prune _ -> "explore.dpor_prune"
+  | Minimize_step _ -> "explore.minimize_step"

@@ -158,13 +158,3 @@ val emit : t -> event -> unit
 val name : event -> string
 (** Stable dotted name of the event's emit point, e.g. ["net.send"] —
     the key the {!Meter} counters and the timeline exporter use. *)
-
-val class_id : event -> int
-(** Dense event-class index in [0, class_count): a tag dispatch, for
-    per-class filters that must be an array load on the hot path (the
-    {!Flight} recorder's exclude list). *)
-
-val class_count : int
-
-val class_names : string array
-(** [class_names.(class_id ev) = name ev]. *)

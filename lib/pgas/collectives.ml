@@ -231,8 +231,6 @@ let gather t p ~root ~value =
    request/data round trip) and folds locally with [Message.apply_acc].
    Detection is per element, exactly as if each get were issued alone. *)
 let reduce_onesided t p ?(aop = Dsm_rdma.Message.Add) array =
-  if Shared_array.elem_words array <> 1 then
-    invalid_arg "Collectives.reduce_onesided: single-word elements only";
   let len = Shared_array.length array in
   let m = Env.machine t.env in
   let pid = Machine.pid p in

@@ -49,11 +49,10 @@ val reduce_onesided :
     one-sided gets — "a reduction without any participation of the other
     processes" — generalized to any accumulate operator (default
     {!Dsm_rdma.Message.Add}). Each owner's contiguous span is staged
-    with one batched get ({!Env.get_batch}), then folded locally.
-    Single-word elements only. Any process may call it, at any time;
-    whether that is safe is exactly what the race detector decides (see
-    the tests: unsynchronized calls are flagged, post-barrier calls are
-    clean). *)
+    with one batched get ({!Env.get_batch}), then folded locally. Any
+    process may call it, at any time; whether that is safe is exactly
+    what the race detector decides (see the tests: unsynchronized calls
+    are flagged, post-barrier calls are clean). *)
 
 val reduce_onesided_sum :
   t -> Dsm_rdma.Machine.proc -> Shared_array.t -> int

@@ -7,7 +7,6 @@ type t = {
   env : Env.t;
   name : string;
   len : int;
-  elem_words : int;
   layout : layout;
   n : int;
   block : int; (* ceil(len/n), used by Block *)
@@ -24,10 +23,8 @@ let chunk_size ~len ~n ~block layout node =
   | Cyclic -> ((len - node - 1) / n) + if node < len then 1 else 0
   | On_node p -> if node = p then len else 0
 
-let create env ~name ~len ?(elem_words = 1) ?(layout = Block) () =
+let create env ~name ~len ?(layout = Block) () =
   if len < 1 then invalid_arg "Shared_array.create: len must be positive";
-  if elem_words < 1 then
-    invalid_arg "Shared_array.create: elem_words must be positive";
   let m = Env.machine env in
   let n = Machine.n m in
   (match layout with
@@ -43,15 +40,15 @@ let create env ~name ~len ?(elem_words = 1) ?(layout = Block) () =
           Some
             (Machine.alloc_public m ~pid:node
                ~name:(Printf.sprintf "%s@%d" name node)
-               ~len:(size * elem_words) ()))
+               ~len:size ()))
   in
   let scratch =
     Array.init n (fun node ->
         Machine.alloc_private m ~pid:node
           ~name:(Printf.sprintf "%s.scratch" name)
-          ~len:elem_words ())
+          ~len:1 ())
   in
-  let t = { env; name; len; elem_words; layout; n; block; chunks; scratch } in
+  let t = { env; name; len; layout; n; block; chunks; scratch } in
   (* Register every element as one shared datum. *)
   (match Env.detector env with
   | None -> ()
@@ -60,12 +57,10 @@ let create env ~name ~len ?(elem_words = 1) ?(layout = Block) () =
         match chunks.(node) with
         | None -> ()
         | Some (c : Addr.region) ->
-            let elements = c.len / elem_words in
-            for e = 0 to elements - 1 do
+            for e = 0 to c.len - 1 do
               Env.register env
                 (Addr.region ~pid:node ~space:Addr.Public
-                   ~offset:(c.base.offset + (e * elem_words))
-                   ~len:elem_words)
+                   ~offset:(c.base.offset + e) ~len:1)
             done
       done);
   t
@@ -92,8 +87,6 @@ let local_index t i =
   | Cyclic -> i / t.n
   | On_node _ -> i
 
-let elem_words t = t.elem_words
-
 let region_of t i =
   check_index t i;
   let node = owner t i in
@@ -101,55 +94,27 @@ let region_of t i =
   | None -> assert false (* an owned element implies a non-empty chunk *)
   | Some (c : Addr.region) ->
       Addr.region ~pid:node ~space:Addr.Public
-        ~offset:(c.base.offset + (local_index t i * t.elem_words))
-        ~len:t.elem_words
+        ~offset:(c.base.offset + local_index t i) ~len:1
 
-let check_single t what =
-  if t.elem_words <> 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Shared_array.%s: elements of %S are %d words wide; use %s_elem"
-         what t.name t.elem_words what)
-
-let read_elem t p i =
-  let pid = Machine.pid p in
-  let dst = t.scratch.(pid) in
-  Env.get t.env p ~src:(region_of t i) ~dst;
-  Dsm_memory.Node_memory.read (Machine.node (Env.machine t.env) pid) dst
-
-let write_elem t p i data =
-  if Array.length data <> t.elem_words then
-    invalid_arg "Shared_array.write_elem: wrong element width";
-  let pid = Machine.pid p in
-  let src = t.scratch.(pid) in
-  Dsm_memory.Node_memory.write (Machine.node (Env.machine t.env) pid) src data;
-  Env.put t.env p ~src ~dst:(region_of t i)
+let memory t pid = Machine.node (Env.machine t.env) pid
 
 let read t p i =
-  check_single t "read";
-  (read_elem t p i).(0)
+  let dst = t.scratch.(Machine.pid p) in
+  Env.get t.env p ~src:(region_of t i) ~dst;
+  (Node_memory.read (memory t (Machine.pid p)) dst).(0)
 
 let write t p i v =
-  check_single t "write";
-  write_elem t p i [| v |]
-
-let peek_elem t i =
-  let r = region_of t i in
-  Dsm_memory.Node_memory.read (Machine.node (Env.machine t.env) r.base.pid) r
-
-let poke_elem t i data =
-  if Array.length data <> t.elem_words then
-    invalid_arg "Shared_array.poke_elem: wrong element width";
-  let r = region_of t i in
-  Dsm_memory.Node_memory.write
-    (Machine.node (Env.machine t.env) r.base.pid)
-    r data
+  let src = t.scratch.(Machine.pid p) in
+  Node_memory.write (memory t (Machine.pid p)) src [| v |];
+  Env.put t.env p ~src ~dst:(region_of t i)
 
 let peek t i =
-  check_single t "peek";
-  (peek_elem t i).(0)
+  let r = region_of t i in
+  (Node_memory.read (memory t r.base.pid) r).(0)
 
-let poke t i v = poke_elem t i [| v |]
+let poke t i v =
+  let r = region_of t i in
+  Node_memory.write (memory t r.base.pid) r [| v |]
 
 let my_indices t ~pid =
   List.filter (fun i -> owner t i = pid) (List.init t.len (fun i -> i))

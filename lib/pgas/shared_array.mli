@@ -15,18 +15,13 @@ type layout =
 type t
 
 val create :
-  Env.t -> name:string -> len:int -> ?elem_words:int -> ?layout:layout ->
-  unit -> t
+  Env.t -> name:string -> len:int -> ?layout:layout -> unit -> t
 (** [create env ~name ~len ()] allocates the chunks on every node (default
-    layout {!Block}) and registers each element with the detector as one
-    shared datum. [elem_words] (default 1) makes every element a fixed
-    record of that many words — moved whole by {!read_elem} and
-    {!write_elem}, covered by one clock pair. Also reserves a private
+    layout {!Block}) and registers each one-word element with the
+    detector as one shared datum. Also reserves a private one-word
     scratch buffer per node for staging. Raises [Invalid_argument] when
-    [len < 1], [elem_words < 1] or an [On_node] pid is out of range;
-    [Failure] when a public segment is full. *)
-
-val elem_words : t -> int
+    [len < 1] or an [On_node] pid is out of range,
+    {!Dsm_memory.Allocator.Exhausted} when a public segment is full. *)
 
 val length : t -> int
 
@@ -42,23 +37,14 @@ val region_of : t -> int -> Dsm_memory.Addr.region
 
 val read : t -> Dsm_rdma.Machine.proc -> int -> int
 (** [read a p i] fetches element [i] with a one-sided get (checked under a
-    checked environment) and returns its value. Raises [Invalid_argument]
-    on arrays with [elem_words > 1] — use {!read_elem}. *)
+    checked environment) and returns its value. *)
 
 val write : t -> Dsm_rdma.Machine.proc -> int -> int -> unit
-(** [write a p i v] stores [v] into element [i] with a one-sided put.
-    Single-word arrays only, like {!read}. *)
-
-val read_elem : t -> Dsm_rdma.Machine.proc -> int -> int array
-(** The whole element, any width. *)
-
-val write_elem : t -> Dsm_rdma.Machine.proc -> int -> int array -> unit
-(** Raises [Invalid_argument] when the data width differs from
-    [elem_words]. *)
+(** [write a p i v] stores [v] into element [i] with a one-sided put. *)
 
 val peek : t -> int -> int
 (** Meta-level direct read (no simulation, no messages): for tests and
-    result validation only. Single-word arrays only. *)
+    result validation only. *)
 
 val poke : t -> int -> int -> unit
 (** Meta-level direct write: for initializing test fixtures only. *)

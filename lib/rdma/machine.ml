@@ -490,21 +490,12 @@ and transmit m ~src ~dst msg =
    observes builds no observation record. *)
 and notify m obs = List.iter (fun f -> f obs) m.observers
 
-let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
-    ?private_words ?public_words ?discipline ?faults
-    ?reliability ?(protocol_bugs = [])
+let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
+    ?public_words ?faults ?reliability ?(protocol_bugs = [])
     ?(model = Model.default) () =
   if n < 1 then invalid_arg "Machine.create: need at least one node";
-  let topology =
-    match topology with
-    | None -> Dsm_net.Topology.Fully_connected n
-    | Some t ->
-        if Dsm_net.Topology.nodes t <> n then
-          invalid_arg "Machine.create: topology node count differs from n";
-        t
-  in
   let fabric =
-    Dsm_net.Fabric.create sim ~topology ~latency ?faults ?reliability
+    Dsm_net.Fabric.create sim ~n ~latency ?faults ?reliability
       ~describe:(fun fr -> Message.describe fr.msg)
       ()
   in
@@ -517,7 +508,7 @@ let create sim ~n ?topology ?(latency = Dsm_net.Latency.infiniband_like)
       mh = Model.hooks model;
       nodes =
         Array.init n (fun pid ->
-            Node_memory.create ~pid ?private_words ?public_words ?discipline ());
+            Node_memory.create ~pid ?private_words ?public_words ());
       next_op = 0;
       pending_acks = Int_tbl.create 64;
       pending_data = Int_tbl.create 64;

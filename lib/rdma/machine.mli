@@ -52,19 +52,17 @@ type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 val create :
   Dsm_sim.Engine.t ->
   n:int ->
-  ?topology:Dsm_net.Topology.t ->
   ?latency:Dsm_net.Latency.t ->
   ?private_words:int ->
   ?public_words:int ->
-  ?discipline:Dsm_memory.Lock_table.discipline ->
   ?faults:Dsm_net.Fault.t ->
   ?reliability:Dsm_net.Fabric.reliability ->
   ?protocol_bugs:protocol_bug list ->
   ?model:Model.t ->
   unit ->
   t
-(** Defaults: fully-connected topology over [n], {!Dsm_net.Latency.infiniband_like},
-    4096-word segments, first-fit NIC locks, reliable fabric. The
+(** Defaults: {!Dsm_net.Latency.infiniband_like} over a fully
+    connected fabric, 4096-word segments, a fault-free fabric. The
     [faults] plan and [reliability] are forwarded to [Dsm_net.Fabric]
     for robustness testing: the one-sided protocols assume reliable
     delivery, so without [reliability] drops surface as blocked
@@ -73,8 +71,7 @@ val create :
     [Nic_atomic]) selects the memory-model backend whose protocol hooks
     govern put atomicity, get-delays-put serialization and put-lane
     FIFO ordering — see {!Model.hooks}; the default is bit-identical to
-    the pre-model machine. Raises [Invalid_argument] if [n] disagrees
-    with an explicit topology's node count or [n < 1]. *)
+    the pre-model machine. Raises [Invalid_argument] if [n < 1]. *)
 
 val reset : t -> unit
 (** [reset m] returns the machine to its freshly-[create]d state in

@@ -10,7 +10,9 @@ type mark = { time : float; pid : int; text : string }
 
 type cell = { c_time : float; c_pid : int; c_text : string; c_seq : int }
 
-let render ~n ?(lane_width = 18) ~arrows ~marks () =
+let lane_width = 18
+
+let render ~n ~arrows ~marks () =
   if n < 1 then invalid_arg "Spacetime.render: n must be positive";
   let check_pid p =
     if p < 0 || p >= n then invalid_arg "Spacetime.render: pid out of range"

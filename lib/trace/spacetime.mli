@@ -19,8 +19,8 @@ type mark = { time : float; pid : int; text : string }
 (** A local annotation in one process's lane (an event, a race signal). *)
 
 val render :
-  n:int -> ?lane_width:int -> arrows:arrow list -> marks:mark list -> unit ->
-  string
-(** [render ~n ~arrows ~marks ()] lays out all rows in time order.
+  n:int -> arrows:arrow list -> marks:mark list -> unit -> string
+(** [render ~n ~arrows ~marks ()] lays out all rows in time order, in
+    18-character lanes.
     Raises [Invalid_argument] when [n < 1] or an endpoint is out of
     range. *)

@@ -1,11 +1,18 @@
 (* Interface guard: lists every [val] declared in lib/**/*.mli that no
    file outside its own module names, one per line, tagged [dead] (no
    other file names it) or [test-only] (only files under test/ do).
+   It also lists every optional parameter [?label] of a [val] that no
+   file outside test/ and outside the declaring module passes (as
+   [~label] or [?label]), tagged [dead-option] (no file passes it) or
+   [test-only-option] (only files under test/ do): a knob that only
+   tests turn.
    Files are read from lib/, bin/, bench/, examples/ and test/ under
    ROOT; comments, string and character literals are skipped and names
    are compared as whole identifiers. A name that another module also
-   uses for something else therefore keeps an export alive: confirm a
-   removal with [dune build], not with this list alone.
+   uses for something else therefore keeps an export alive, and a label
+   passed to any function, or declared by another module's own
+   function, keeps every [?label] of that name alive: confirm a removal
+   with [dune build], not with this list alone.
 
    Usage: exports.exe ROOT *)
 
@@ -81,8 +88,17 @@ let tokens src =
 
 let is_value_name s = match s.[0] with 'a' .. 'z' | '_' -> true | _ -> false
 
-(* [(path, name)] for every [val]/[external] of an interface, [path]
-   naming the enclosing [module X : sig] signatures. *)
+(* The optional parameters of the [val] whose type starts [toks]: each
+   [?label:] up to the next item of the signature. *)
+let rec options = function
+  | [] | ("val" | "external" | "type" | "module" | "end" | "exception"
+         | "include" | "open" | "class") :: _ ->
+      []
+  | "?" :: label :: ":" :: rest -> label :: options rest
+  | _ :: rest -> options rest
+
+(* [(path, name, options)] for every [val]/[external] of an interface,
+   [path] naming the enclosing [module X : sig] signatures. *)
 let declared toks =
   let rec go stack pending acc = function
     | [] -> List.rev acc
@@ -94,10 +110,23 @@ let declared toks =
     | "end" :: rest -> go (List.tl stack) None acc rest
     | ("val" | "external") :: name :: rest when is_value_name name ->
         let path = List.filter_map Fun.id (List.rev stack) in
-        go stack pending ((path, name) :: acc) rest
+        go stack pending ((path, name, options rest) :: acc) rest
     | _ :: rest -> go stack pending acc rest
   in
   go [] None [] toks
+
+(* Every label a source passes or declares as [~label] or [?label]. *)
+let passed toks =
+  let labels = Hashtbl.create 64 in
+  let rec go = function
+    | ("~" | "?") :: label :: rest when is_value_name label ->
+        Hashtbl.replace labels label ();
+        go rest
+    | _ :: rest -> go rest
+    | [] -> ()
+  in
+  go toks;
+  labels
 
 (* The .ml/.mli files under [dir], relative to [root], sorted. *)
 let rec sources root dir =
@@ -127,37 +156,44 @@ let () =
            in
            let names = Hashtbl.create 256 in
            List.iter (fun w -> Hashtbl.replace names w ()) toks;
-           (path, toks, names))
+           (path, toks, names, passed toks))
   in
-  let verdict ~stem name =
+  let is_test path = String.starts_with ~prefix:"test/" path in
+  (* [dead] when no file outside [stem] has [name] in the table [of_file]
+     picks, [test-only] when only files under test/ do; both tagged with
+     [suffix]. *)
+  let verdict ~stem ~suffix of_file name =
     let users =
       List.filter
-        (fun (path, _, names) ->
-          Filename.remove_extension path <> stem && Hashtbl.mem names name)
+        (fun ((path, _, _, _) as file) ->
+          Filename.remove_extension path <> stem
+          && Hashtbl.mem (of_file file) name)
         files
     in
-    if users = [] then Some "dead"
-    else if
-      List.for_all
-        (fun (path, _, _) -> String.starts_with ~prefix:"test/" path)
-        users
-    then Some "test-only"
+    if users = [] then Some ("dead" ^ suffix)
+    else if List.for_all (fun (path, _, _, _) -> is_test path) users then
+      Some ("test-only" ^ suffix)
     else None
   in
+  let names (_, _, names, _) = names and labels (_, _, _, labels) = labels in
   List.iter
-    (fun (path, toks, _) ->
+    (fun (path, toks, _, _) ->
       if String.starts_with ~prefix:"lib/" path
          && Filename.extension path = ".mli"
       then
         let stem = Filename.remove_extension path in
         let modname = String.capitalize_ascii (Filename.basename stem) in
         List.iter
-          (fun (inner, name) ->
+          (fun (inner, name, options) ->
+            let value = String.concat "." ((modname :: inner) @ [ name ]) in
             Option.iter
-              (fun v ->
-                Printf.printf "%s %s %s\n" path
-                  (String.concat "." ((modname :: inner) @ [ name ]))
-                  v)
-              (verdict ~stem name))
+              (Printf.printf "%s %s %s\n" path value)
+              (verdict ~stem ~suffix:"" names name);
+            List.iter
+              (fun label ->
+                Option.iter
+                  (Printf.printf "%s %s ?%s %s\n" path value label)
+                  (verdict ~stem ~suffix:"-option" labels label))
+              options)
           (declared toks))
     files

@@ -6,12 +6,9 @@
 
 type lock_id = int
 
-type discipline = First_fit | Strict_head
-
 type waiter = { w_offset : int; w_len : int; grant : lock_id -> unit }
 
 type t = {
-  discipline : discipline;
   mutable next_id : int;
   held : (lock_id, int * int) Hashtbl.t;
   mutable queue : waiter list; (* reversed: newest first *)
@@ -22,14 +19,8 @@ type t = {
          explorer samples this monotone counter to detect such events. *)
 }
 
-let create ?(discipline = First_fit) () =
-  {
-    discipline;
-    next_id = 0;
-    held = Hashtbl.create 16;
-    queue = [];
-    chained = 0;
-  }
+let create () =
+  { next_id = 0; held = Hashtbl.create 16; queue = []; chained = 0 }
 
 let ranges_overlap (o1, l1) (o2, l2) = o1 < o2 + l2 && o2 < o1 + l1
 
@@ -55,14 +46,9 @@ let conflicts_queued t ~offset ~len =
 (* Immediate grant when the range conflicts with nothing held — and, for
    fairness, with nothing already waiting for an overlapping range (a
    stream of small requests must not starve a queued large one). Requests
-   for disjoint ranges are never held up by unrelated waiters; under
-   Strict_head any waiter blocks every newcomer. *)
+   for disjoint ranges are never held up by unrelated waiters. *)
 let grantable t ~offset ~len =
-  (not (conflicts t ~offset ~len))
-  &&
-  match t.discipline with
-  | First_fit -> not (conflicts_queued t ~offset ~len)
-  | Strict_head -> t.queue = []
+  (not (conflicts t ~offset ~len)) && not (conflicts_queued t ~offset ~len)
 
 let acquire t ~offset ~len k =
   check_range ~offset ~len "acquire";
@@ -84,20 +70,13 @@ let release t id =
      may acquire or release further locks reentrantly. *)
   let in_order = List.rev t.queue in
   let granted = ref [] and still_waiting = ref [] in
-  let blocked_head = ref false in
   List.iter
     (fun w ->
-      let eligible =
-        (not !blocked_head) && not (conflicts t ~offset:w.w_offset ~len:w.w_len)
-      in
-      if eligible then begin
+      if not (conflicts t ~offset:w.w_offset ~len:w.w_len) then begin
         let id = grant_now t ~offset:w.w_offset ~len:w.w_len in
         granted := (w.grant, id) :: !granted
       end
-      else begin
-        if t.discipline = Strict_head then blocked_head := true;
-        still_waiting := w :: !still_waiting
-      end)
+      else still_waiting := w :: !still_waiting)
     in_order;
   t.queue <- !still_waiting;
   let grants = List.rev !granted in

@@ -11,12 +11,12 @@ module Explain_run = Dsm_explore.Explain_run
 module Parallel = Dsm_explore.Parallel
 module Token = Dsm_explore.Token
 
-let step i = Probe.Engine_step { time = float_of_int i }
+(* An event class the ring records, stamped [i]. *)
+let step i = Probe.Net_deliver { time = float_of_int i; src = 0; dst = 1 }
 
 (* ---------- ring semantics ---------- *)
 
-(* record every class: the default exclude would drop Engine_step *)
-let fresh ?(capacity = 4) () = Flight.create ~capacity ~exclude:[] ()
+let fresh ?(capacity = 4) () = Flight.create ~capacity ()
 
 let test_ring_capacity_one () =
   let f = fresh ~capacity:1 () in
@@ -27,7 +27,7 @@ let test_ring_capacity_one () =
   Alcotest.(check int) "total" 5 (Flight.total f);
   Alcotest.(check int) "dropped" 4 (Flight.dropped f);
   match Flight.events f with
-  | [ Probe.Engine_step { time } ] ->
+  | [ Probe.Net_deliver { time; _ } ] ->
       Alcotest.(check (float 0.0)) "keeps only the newest" 5.0 time
   | _ -> Alcotest.fail "unexpected event class"
 
@@ -41,7 +41,7 @@ let test_ring_wraparound () =
   let got =
     List.map
       (function
-        | seq, Probe.Engine_step { time } -> (seq, int_of_float time)
+        | seq, Probe.Net_deliver { time; _ } -> (seq, int_of_float time)
         | _ -> Alcotest.fail "unexpected event class")
       (Flight.to_list f)
   in
@@ -57,12 +57,14 @@ let test_ring_capacity_zero_rejected () =
       ignore (Flight.create ~capacity:0 ()))
 
 let test_ring_filter () =
-  let f = Flight.create ~capacity:8 () (* default exclude: engine.step *) in
-  Flight.record f (step 1);
-  Flight.record f
-    (Probe.Engine_quiescence { time = 2.0; events = 1; outcome = "completed" });
-  Alcotest.(check int) "engine.step filtered" 1 (Flight.length f);
-  Alcotest.(check int) "filtered events don't count" 1 (Flight.total f)
+  let f = fresh ~capacity:8 () in
+  Flight.record f (Probe.Engine_step { time = 1.0 });
+  Flight.sink f (Probe.Engine_step { time = 2.0 });
+  Flight.record f (step 3);
+  Alcotest.(check int) "engine.step never recorded" 1 (Flight.length f);
+  Alcotest.(check int) "filtered events don't count" 1 (Flight.total f);
+  Alcotest.(check bool) "the recorded class kept" true
+    (Flight.events f = [ step 3 ])
 
 (* The explorer emits Run_begin at the top of every run in a (possibly
    reused) arena: the window must cover exactly the current run, so two

@@ -170,20 +170,6 @@ let test_lock_first_fit_skips_blocked_head () =
   (match !held10 with Some id -> Lock_table.release t id | None -> ());
   Alcotest.(check bool) "head finally granted" true !got_conflict
 
-let test_lock_strict_head_blocks_all () =
-  let t = Lock_table.create ~discipline:Lock_table.Strict_head () in
-  let held0 = ref None and got_far = ref false and got_conflict = ref false in
-  Lock_table.acquire t ~offset:0 ~len:4 (fun id -> held0 := Some id);
-  let held10 = ref None in
-  Lock_table.acquire t ~offset:10 ~len:4 (fun id -> held10 := Some id);
-  Lock_table.acquire t ~offset:10 ~len:4 (fun _ -> got_conflict := true);
-  Lock_table.acquire t ~offset:20 ~len:4 (fun _ -> got_far := true);
-  (match !held0 with Some id -> Lock_table.release t id | None -> ());
-  Alcotest.(check bool) "blocked head blocks everyone" false !got_far;
-  (match !held10 with Some id -> Lock_table.release t id | None -> ());
-  Alcotest.(check bool) "head granted" true !got_conflict;
-  Alcotest.(check bool) "then the rest" true !got_far
-
 let test_lock_double_release () =
   let t = Lock_table.create () in
   let saved = ref None in
@@ -225,8 +211,8 @@ let test_lock_try_acquire_refusal () =
 
 (* Property: under random acquire/release traffic, no two granted locks
    ever overlap, and once everything is released nothing stays queued. *)
-let lock_table_random_invariants discipline (ops : (int * int) list) =
-  let t = Lock_table.create ~discipline () in
+let lock_table_random_invariants (ops : (int * int) list) =
+  let t = Lock_table.create () in
   (* granted, not yet released *)
   let held : (Lock_table.lock_id * (int * int)) list ref = ref [] in
   let overlap (o1, l1) (o2, l2) = o1 < o2 + l2 && o2 < o1 + l1 in
@@ -265,12 +251,7 @@ let lock_table_random_invariants discipline (ops : (int * int) list) =
 let prop_lock_table_first_fit =
   QCheck.Test.make ~name:"lock table invariants (first fit)" ~count:100
     QCheck.(list (pair small_int small_int))
-    (lock_table_random_invariants Lock_table.First_fit)
-
-let prop_lock_table_strict =
-  QCheck.Test.make ~name:"lock table invariants (strict head)" ~count:100
-    QCheck.(list (pair small_int small_int))
-    (lock_table_random_invariants Lock_table.Strict_head)
+    lock_table_random_invariants
 
 (* Property: random acquire / try-acquire / release / double-release
    sequences give the same grant order, the same held, queued and
@@ -365,16 +346,9 @@ let lock_outcomes ~acquire ~try_acquire ~release ~held ~queued ~chained ops =
         (held ()) (queued ()) (chained ()))
     ops
 
-let lock_table_matches_reference discipline ops =
-  let live = Lock_table.create ~discipline () in
-  let oracle =
-    Lock_table_ref.create
-      ~discipline:
-        (match discipline with
-        | Lock_table.First_fit -> Lock_table_ref.First_fit
-        | Lock_table.Strict_head -> Lock_table_ref.Strict_head)
-      ()
-  in
+let lock_table_matches_reference ops =
+  let live = Lock_table.create () in
+  let oracle = Lock_table_ref.create () in
   let got =
     lock_outcomes ~acquire:(Lock_table.acquire live)
       ~try_acquire:(fun ~offset ~len ->
@@ -402,12 +376,7 @@ let lock_table_matches_reference discipline ops =
 let prop_lock_table_ref_first_fit =
   QCheck.Test.make ~name:"lock table matches the reference (first fit)"
     ~count:300 arb_lock_ops
-    (lock_table_matches_reference Lock_table.First_fit)
-
-let prop_lock_table_ref_strict =
-  QCheck.Test.make ~name:"lock table matches the reference (strict head)"
-    ~count:300 arb_lock_ops
-    (lock_table_matches_reference Lock_table.Strict_head)
+    lock_table_matches_reference
 
 (* ---------- Node_memory ---------- *)
 
@@ -483,7 +452,6 @@ let () =
           Alcotest.test_case "disjoint concurrent" `Quick test_lock_disjoint_ranges_concurrent;
           Alcotest.test_case "fifo order" `Quick test_lock_fifo_grant_order;
           Alcotest.test_case "first-fit skips" `Quick test_lock_first_fit_skips_blocked_head;
-          Alcotest.test_case "strict head" `Quick test_lock_strict_head_blocks_all;
           Alcotest.test_case "double release" `Quick test_lock_double_release;
           Alcotest.test_case "try-acquire refusal" `Quick
             test_lock_try_acquire_refusal;
@@ -492,9 +460,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_lock_table_first_fit;
-            prop_lock_table_strict;
             prop_lock_table_ref_first_fit;
-            prop_lock_table_ref_strict;
           ] );
       ( "node",
         [

@@ -1,5 +1,5 @@
-(* Tests for dsm_net: latency models, topologies, FIFO delivery, fault
-   injection and the reliable transport. *)
+(* Tests for dsm_net: latency models, the fully connected fabric, FIFO
+   delivery, fault injection and the reliable transport. *)
 
 open Dsm_sim
 open Dsm_net
@@ -56,133 +56,10 @@ let test_latency_names () =
   Alcotest.(check bool) "pp renders" true
     (String.length (Format.asprintf "%a" Latency.pp Latency.ethernet_like) > 0)
 
-(* ---------- Topology ---------- *)
-
-let test_topo_full () =
-  let t = Topology.Fully_connected 5 in
-  Alcotest.(check int) "nodes" 5 (Topology.nodes t);
-  Alcotest.(check int) "self" 0 (Topology.hops t ~src:2 ~dst:2);
-  Alcotest.(check int) "one hop" 1 (Topology.hops t ~src:0 ~dst:4);
-  Alcotest.(check int) "diameter" 1 (Topology.diameter t)
-
-let test_topo_ring () =
-  let t = Topology.Ring 6 in
-  Alcotest.(check int) "adjacent" 1 (Topology.hops t ~src:0 ~dst:1);
-  Alcotest.(check int) "wraparound shorter" 1 (Topology.hops t ~src:0 ~dst:5);
-  Alcotest.(check int) "opposite" 3 (Topology.hops t ~src:0 ~dst:3);
-  Alcotest.(check int) "diameter" 3 (Topology.diameter t)
-
-let test_topo_mesh () =
-  let t = Topology.Mesh2d { rows = 3; cols = 4 } in
-  Alcotest.(check int) "nodes" 12 (Topology.nodes t);
-  (* node 0 = (0,0), node 11 = (2,3): manhattan = 5 *)
-  Alcotest.(check int) "corner to corner" 5 (Topology.hops t ~src:0 ~dst:11);
-  Alcotest.(check int) "same row" 2 (Topology.hops t ~src:4 ~dst:6);
-  Alcotest.(check int) "diameter" 5 (Topology.diameter t)
-
-let test_topo_star () =
-  let t = Topology.Star 5 in
-  Alcotest.(check int) "hub to leaf" 1 (Topology.hops t ~src:0 ~dst:3);
-  Alcotest.(check int) "leaf to leaf" 2 (Topology.hops t ~src:1 ~dst:4);
-  Alcotest.(check int) "diameter" 2 (Topology.diameter t)
-
-let test_topo_validate () =
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Topology.validate: degenerate shape") (fun () ->
-      ignore (Topology.validate (Topology.Ring 0)))
-
-let test_topo_out_of_range () =
-  Alcotest.check_raises "src range"
-    (Invalid_argument "Topology.hops: src out of range") (fun () ->
-      ignore (Topology.hops (Topology.Ring 3) ~src:3 ~dst:0))
-
-let test_topo_torus () =
-  let t = Topology.Torus2d { rows = 4; cols = 4 } in
-  Alcotest.(check int) "nodes" 16 (Topology.nodes t);
-  (* corner to corner wraps: (0,0) -> (3,3) is 1+1 hops *)
-  Alcotest.(check int) "wraparound" 2 (Topology.hops t ~src:0 ~dst:15);
-  Alcotest.(check int) "half way" 4 (Topology.hops t ~src:0 ~dst:10);
-  Alcotest.(check int) "diameter" 4 (Topology.diameter t)
-
-let test_topo_hypercube () =
-  let t = Topology.Hypercube 4 in
-  Alcotest.(check int) "nodes" 16 (Topology.nodes t);
-  Alcotest.(check int) "one bit" 1 (Topology.hops t ~src:0 ~dst:8);
-  Alcotest.(check int) "all bits" 4 (Topology.hops t ~src:0 ~dst:15);
-  Alcotest.(check int) "hamming" 2 (Topology.hops t ~src:5 ~dst:6);
-  Alcotest.(check int) "diameter" 4 (Topology.diameter t)
-
-let test_topo_symmetry () =
-  let topos =
-    [
-      Topology.Fully_connected 7;
-      Topology.Ring 7;
-      Topology.Mesh2d { rows = 2; cols = 4 };
-      Topology.Star 7;
-      Topology.Torus2d { rows = 3; cols = 3 };
-      Topology.Hypercube 3;
-    ]
-  in
-  List.iter
-    (fun t ->
-      let n = Topology.nodes t in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Alcotest.(check int)
-            (Printf.sprintf "%s hops %d->%d symmetric" (Topology.name t) i j)
-            (Topology.hops t ~src:i ~dst:j)
-            (Topology.hops t ~src:j ~dst:i)
-        done
-      done)
-    topos
-
-let test_topo_metric_properties () =
-  (* hops is a metric bounded by the diameter on every topology. *)
-  let topos =
-    [
-      Topology.Fully_connected 6;
-      Topology.Ring 8;
-      Topology.Mesh2d { rows = 3; cols = 3 };
-      Topology.Star 6;
-      Topology.Torus2d { rows = 3; cols = 4 };
-      Topology.Hypercube 3;
-    ]
-  in
-  List.iter
-    (fun t ->
-      let n = Topology.nodes t in
-      let d = Topology.diameter t in
-      for i = 0 to n - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "%s self" (Topology.name t))
-          0
-          (Topology.hops t ~src:i ~dst:i);
-        for j = 0 to n - 1 do
-          let hij = Topology.hops t ~src:i ~dst:j in
-          if i <> j then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s positive" (Topology.name t))
-              true (hij >= 1);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s bounded by diameter" (Topology.name t))
-            true (hij <= d);
-          for k = 0 to n - 1 do
-            let hik = Topology.hops t ~src:i ~dst:k in
-            let hjk = Topology.hops t ~src:j ~dst:k in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s triangle" (Topology.name t))
-              true
-              (hik <= hij + hjk)
-          done
-        done
-      done)
-    topos
-
 (* ---------- Fabric ---------- *)
 
 let make_fabric ?faults ?reliability ?(latency = Latency.Constant 1.0) sim n =
-  Fabric.create sim ~topology:(Topology.Fully_connected n) ~latency ?faults
-    ?reliability
+  Fabric.create sim ~n ~latency ?faults ?reliability
     ~describe:(fun _ -> "frame")
     ()
 
@@ -190,6 +67,39 @@ let make_fabric ?faults ?reliability ?(latency = Latency.Constant 1.0) sim n =
 let send ?(fifo = true) fab ~src ~dst ~words msg =
   Fabric.post fab ~src ~dst ~words ~wire_words:words ~clock_words:0 ~fifo
     ~label:Label.unknown msg
+
+(* ---------- Topology: every pair of nodes is one link apart ---------- *)
+
+let test_topo_full () =
+  let sim = Engine.create () in
+  let n = 5 in
+  let fab = make_fabric ~latency:(Latency.Constant 2.0) sim n in
+  let arrivals = ref [] in
+  for node = 0 to n - 1 do
+    Fabric.register fab ~node (fun ~src () ->
+        if src <> node then arrivals := Engine.now sim :: !arrivals)
+  done;
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if src <> dst then send fab ~src ~dst ~words:1 ()
+    done
+  done;
+  ignore (Engine.run sim);
+  Alcotest.(check (list (float 0.))) "one latency for every pair"
+    (List.init (n * (n - 1)) (fun _ -> 2.0))
+    !arrivals
+
+let test_topo_validate () =
+  Alcotest.check_raises "no nodes"
+    (Invalid_argument "Fabric.create: need at least one node") (fun () ->
+      ignore (make_fabric (Engine.create ()) 0))
+
+let test_topo_out_of_range () =
+  let fab = make_fabric (Engine.create ()) 3 in
+  Alcotest.check_raises "src range" (Invalid_argument "Fabric.post: src")
+    (fun () -> send fab ~src:3 ~dst:0 ~words:1 ());
+  Alcotest.check_raises "dst range" (Invalid_argument "Fabric.post: dst")
+    (fun () -> send fab ~src:0 ~dst:(-1) ~words:1 ())
 
 let test_fabric_delivers () =
   let sim = Engine.create () in
@@ -242,23 +152,6 @@ let test_fabric_no_fifo_can_reorder () =
   ignore (Engine.run sim);
   Alcotest.(check bool) "some reordering occurred" true
     (List.rev !log <> List.init 50 (fun i -> i + 1))
-
-let test_fabric_hops_scale_delay () =
-  let sim = Engine.create () in
-  let fab =
-    Fabric.create sim ~topology:(Topology.Ring 6)
-      ~latency:(Latency.Constant 1.0)
-      ~describe:(fun () -> "unit")
-      ()
-  in
-  let t1 = ref 0. and t3 = ref 0. in
-  Fabric.register fab ~node:1 (fun ~src:_ () -> t1 := Engine.now sim);
-  Fabric.register fab ~node:3 (fun ~src:_ () -> t3 := Engine.now sim);
-  send fab ~src:0 ~dst:1 ~words:1 ();
-  send fab ~src:0 ~dst:3 ~words:1 ();
-  ignore (Engine.run sim);
-  Alcotest.(check (float 1e-9)) "1 hop" 1.0 !t1;
-  Alcotest.(check (float 1e-9)) "3 hops" 3.0 !t3
 
 let test_fabric_self_send () =
   let sim = Engine.create () in
@@ -419,9 +312,9 @@ let test_reliable_exactly_once_in_order () =
 let test_reliable_gives_up () =
   let sim = Engine.create () in
   let fab =
-    Fabric.create sim ~topology:(Topology.Fully_connected 2)
-      ~latency:(Latency.Constant 1.0) ~faults:(Fault.of_string "drop=1.0")
-      ~reliability:(Fabric.reliability ~timeout:5.0 ~max_retries:3 ())
+    Fabric.create sim ~n:2 ~latency:(Latency.Constant 1.0)
+      ~faults:(Fault.of_string "drop=1.0")
+      ~reliability:(Fabric.reliability ())
       ~describe:(Printf.sprintf "put #%d")
       ()
   in
@@ -430,10 +323,10 @@ let test_reliable_gives_up () =
   send fab ~src:0 ~dst:1 ~words:1 7;
   Alcotest.check_raises "gives up"
     (Failure
-       "Fabric: P0->P1 frame #0 undeliverable after 3 retransmits (put #7)")
+       "Fabric: P0->P1 frame #0 undeliverable after 30 retransmits (put #7)")
     (fun () -> ignore (Engine.run sim));
-  Alcotest.(check int) "retransmits" 3 (Fabric.retransmits fab);
-  Alcotest.(check int) "every copy dropped" 4 (Fabric.messages_dropped fab)
+  Alcotest.(check int) "retransmits" 30 (Fabric.retransmits fab);
+  Alcotest.(check int) "every copy dropped" 31 (Fabric.messages_dropped fab)
 
 (* A fabric reset mid-run replays the same traffic exactly as a fresh
    one. The first run stops at t=30 us, just past the first retransmit
@@ -503,15 +396,8 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "full" `Quick test_topo_full;
-          Alcotest.test_case "ring" `Quick test_topo_ring;
-          Alcotest.test_case "mesh" `Quick test_topo_mesh;
-          Alcotest.test_case "star" `Quick test_topo_star;
-          Alcotest.test_case "torus" `Quick test_topo_torus;
-          Alcotest.test_case "hypercube" `Quick test_topo_hypercube;
           Alcotest.test_case "validate" `Quick test_topo_validate;
           Alcotest.test_case "out of range" `Quick test_topo_out_of_range;
-          Alcotest.test_case "symmetry" `Quick test_topo_symmetry;
-          Alcotest.test_case "metric properties" `Quick test_topo_metric_properties;
         ] );
       ( "fabric",
         [
@@ -519,7 +405,6 @@ let () =
           Alcotest.test_case "latency applied" `Quick test_fabric_latency_applied;
           Alcotest.test_case "fifo ordering" `Quick test_fabric_fifo_ordering;
           Alcotest.test_case "no-fifo reorders" `Quick test_fabric_no_fifo_can_reorder;
-          Alcotest.test_case "hops scale delay" `Quick test_fabric_hops_scale_delay;
           Alcotest.test_case "self send" `Quick test_fabric_self_send;
           Alcotest.test_case "counters" `Quick test_fabric_counters;
           Alcotest.test_case "double register" `Quick test_fabric_double_register;

@@ -84,48 +84,21 @@ let test_array_checked_access_is_registered () =
     (Report.count (Detector.report d));
   Alcotest.(check int) "value arrived" 7 (Shared_array.peek a 3)
 
-let test_wide_elements_roundtrip () =
-  let m, env = make_plain ~n:3 () in
-  let a =
-    Shared_array.create env ~name:"rec" ~len:5 ~elem_words:3
-      ~layout:Shared_array.Cyclic ()
-  in
-  Alcotest.(check int) "width" 3 (Shared_array.elem_words a);
-  Machine.spawn m ~pid:0 (fun p ->
-      for i = 0 to 4 do
-        Shared_array.write_elem a p i [| i; 10 * i; 100 * i |]
-      done;
-      for i = 0 to 4 do
-        Alcotest.(check (array int))
-          (Printf.sprintf "rec[%d]" i)
-          [| i; 10 * i; 100 * i |]
-          (Shared_array.read_elem a p i)
-      done);
-  expect_completed m;
-  let r = Shared_array.region_of a 4 in
-  Alcotest.(check (array int)) "owner memory" [| 4; 40; 400 |]
-    (Dsm_memory.Node_memory.read (Machine.node m r.Dsm_memory.Addr.base.pid) r)
-
-let test_wide_elements_reject_word_api () =
-  let _, env = make_plain ~n:2 () in
-  let a = Shared_array.create env ~name:"rec" ~len:2 ~elem_words:2 () in
-  Alcotest.check_raises "read"
-    (Invalid_argument
-       "Shared_array.read: elements of \"rec\" are 2 words wide; use read_elem")
-    (fun () ->
-      ignore
-        (Shared_array.read a (Machine.proc (Env.machine env) ~pid:0) 0))
-
-let test_wide_elements_one_clock_per_element () =
-  (* Two writers to DIFFERENT words of the SAME element race (one clock
-     pair covers the record), while different elements do not. *)
+let test_clock_granularity () =
+  (* Two writers to adjacent elements on one node do not race: each
+     element has its own clock pair. *)
   let m, env, d = make_checked ~n:3 () in
-  let a = Shared_array.create env ~name:"rec" ~len:2 ~elem_words:2 () in
-  Machine.spawn m ~pid:0 (fun p -> Shared_array.write_elem a p 0 [| 1; 1 |]);
-  Machine.spawn m ~pid:1 (fun p -> Shared_array.write_elem a p 1 [| 2; 2 |]);
+  let a =
+    Shared_array.create env ~name:"a" ~len:2 ~layout:(Shared_array.On_node 2)
+      ()
+  in
+  Machine.spawn m ~pid:0 (fun p -> Shared_array.write a p 0 1);
+  Machine.spawn m ~pid:1 (fun p -> Shared_array.write a p 1 2);
   expect_completed m;
   Alcotest.(check int) "distinct elements: clean" 0
-    (Report.count (Detector.report d))
+    (Report.count (Detector.report d));
+  Alcotest.(check (list int)) "values arrived" [ 1; 2 ]
+    [ Shared_array.peek a 0; Shared_array.peek a 1 ]
 
 (* Property: under every layout, each index has exactly one owner and a
    distinct global word. *)
@@ -413,9 +386,7 @@ let () =
           Alcotest.test_case "poke/peek" `Quick test_array_poke_peek;
           Alcotest.test_case "bounds" `Quick test_array_bounds;
           Alcotest.test_case "checked access" `Quick test_array_checked_access_is_registered;
-          Alcotest.test_case "wide elements" `Quick test_wide_elements_roundtrip;
-          Alcotest.test_case "wide rejects word api" `Quick test_wide_elements_reject_word_api;
-          Alcotest.test_case "wide clock granularity" `Quick test_wide_elements_one_clock_per_element;
+          Alcotest.test_case "clock granularity" `Quick test_clock_granularity;
         ] );
       ("layout-properties", [ QCheck_alcotest.to_alcotest prop_layout_bijection ]);
       ( "barrier",

@@ -266,13 +266,11 @@ let test_proc_out_of_range () =
     (Invalid_argument "Machine.proc: pid out of range") (fun () ->
       ignore (Machine.proc m ~pid:99))
 
-let test_topology_mismatch_rejected () =
+let test_no_nodes_rejected () =
   let sim = Engine.create () in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Machine.create: topology node count differs from n")
-    (fun () ->
-      ignore
-        (Machine.create sim ~n:4 ~topology:(Dsm_net.Topology.Ring 3) ()))
+  Alcotest.check_raises "no nodes"
+    (Invalid_argument "Machine.create: need at least one node") (fun () ->
+      ignore (Machine.create sim ~n:0 ()))
 
 (* ---------- lock service ---------- *)
 
@@ -549,7 +547,7 @@ let () =
           Alcotest.test_case "concurrent gets" `Quick test_concurrent_gets_serialize_but_complete;
           Alcotest.test_case "control origin" `Quick test_control_handler_sees_origin;
           Alcotest.test_case "proc range" `Quick test_proc_out_of_range;
-          Alcotest.test_case "topology mismatch" `Quick test_topology_mismatch_rejected;
+          Alcotest.test_case "no nodes rejected" `Quick test_no_nodes_rejected;
           Alcotest.test_case "public-to-public copy" `Quick test_copy_within_public_space;
         ] );
       ( "atomicity",
