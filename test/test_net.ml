@@ -153,6 +153,21 @@ let test_fabric_no_fifo_can_reorder () =
   Alcotest.(check bool) "some reordering occurred" true
     (List.rev !log <> List.init 50 (fun i -> i + 1))
 
+(* Delay is the hop count times the link latency. Every remote pair of
+   the fully connected fabric is one hop apart, so a destination far
+   away in node index costs the same single link as a neighbour. *)
+let test_fabric_hops_scale_delay () =
+  let sim = Engine.create () in
+  let fab = make_fabric sim 6 in
+  let t1 = ref 0. and t3 = ref 0. in
+  Fabric.register fab ~node:1 (fun ~src:_ () -> t1 := Engine.now sim);
+  Fabric.register fab ~node:3 (fun ~src:_ () -> t3 := Engine.now sim);
+  send fab ~src:0 ~dst:1 ~words:1 ();
+  send fab ~src:0 ~dst:3 ~words:1 ();
+  ignore (Engine.run sim);
+  Alcotest.(check (float 1e-9)) "neighbour: 1 hop" 1.0 !t1;
+  Alcotest.(check (float 1e-9)) "far index: 1 hop" 1.0 !t3
+
 let test_fabric_self_send () =
   let sim = Engine.create () in
   let fab = make_fabric sim 2 in
@@ -405,6 +420,7 @@ let () =
           Alcotest.test_case "latency applied" `Quick test_fabric_latency_applied;
           Alcotest.test_case "fifo ordering" `Quick test_fabric_fifo_ordering;
           Alcotest.test_case "no-fifo reorders" `Quick test_fabric_no_fifo_can_reorder;
+          Alcotest.test_case "hops scale delay" `Quick test_fabric_hops_scale_delay;
           Alcotest.test_case "self send" `Quick test_fabric_self_send;
           Alcotest.test_case "counters" `Quick test_fabric_counters;
           Alcotest.test_case "double register" `Quick test_fabric_double_register;
