@@ -502,13 +502,7 @@ let run_scale n rounds chunk racy batched model seed detect metrics_file
           Machine.create sim ~n ~private_words:words ~public_words:words
             ~model ()
         in
-        let config =
-          {
-            Config.default with
-            Config.granularity = Config.Word;
-            memory_model = model;
-          }
-        in
+        let config = { Config.default with Config.granularity = Config.Word } in
         let detector =
           if detect then Some (Detector.create machine ~config ()) else None
         in

@@ -14,7 +14,6 @@ type t = {
   ordered_locking : bool;
   lock_aware_clocks : bool;
   provenance_depth : int;
-  memory_model : Dsm_rdma.Model.t;
 }
 
 let default =
@@ -28,7 +27,6 @@ let default =
     ordered_locking = true;
     lock_aware_clocks = false;
     provenance_depth = 4;
-    memory_model = Dsm_rdma.Model.default;
   }
 
 let transport_name = function
@@ -40,15 +38,6 @@ let granularity_name = function
   | Variable -> "var"
   | Block k -> Printf.sprintf "block%d" k
   | Word -> "word"
-
-let name t =
-  Printf.sprintf "%s%s/%s/%s%s"
-    (match t.clock_mode with Vector -> "vector" | Lamport_only -> "lamport")
-    (if t.use_write_clock then "+W" else "")
-    (transport_name t.transport)
-    (granularity_name t.granularity)
-    (if t.memory_model = Dsm_rdma.Model.default then ""
-     else "/model=" ^ Dsm_rdma.Model.name t.memory_model)
 
 let validate t =
   (match t.granularity with

@@ -4,7 +4,12 @@
     The default configuration is the paper's algorithm as published:
     vector clocks, the §4.4 write-clock refinement, clocks piggybacked on
     the data messages, one clock pair per registered shared variable,
-    globally ordered lock acquisition. *)
+    globally ordered lock acquisition.
+
+    The memory model is not a detector setting: the machine owns it
+    ({!Dsm_rdma.Machine.create}'s [?model]), and [Detector.create]
+    reads it from there, so the detector's happens-before edges always
+    match the protocol that produced the messages. *)
 
 type transport =
   | Inline
@@ -64,23 +69,9 @@ type t = {
           endpoints (default 4; [0] disables provenance entirely).
           Observation-only: never changes verdicts, schedules or
           fingerprints *)
-  memory_model : Dsm_rdma.Model.t;
-      (** the memory-model backend whose detector hooks pick the
-          happens-before edges derived per message class — which
-          accesses acquire the granule's write history, whether RMWs
-          serialize through the S clock, whether writes see total store
-          order (see {!Dsm_rdma.Model.hooks}). Default
-          {!Dsm_rdma.Model.default} ([Nic_atomic], the paper's model).
-          Must agree with the machine's model
-          ({!Dsm_rdma.Machine.create}'s [?model]) — [Detector.create]
-          rejects a mismatch *)
 }
 
 val default : t
-
-val name : t -> string
-(** Compact descriptor for bench tables, e.g. ["vector+W/piggyback/var"];
-    a non-default {!memory_model} appends ["/model=<name>"]. *)
 
 val transport_name : transport -> string
 

@@ -141,25 +141,8 @@ let send_vput t p ~node ~offset ~len ~code clock =
   t.clock_words_shipped <- t.clock_words_shipped + t.dim;
   Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
 
-let create machine ?config ?(verbose = false) () =
-  (* An omitted config adopts the machine's memory model — the common
-     "default config, whatever the machine runs" construction; an
-     explicit config must agree with the machine (checked below). *)
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        { Config.default with Config.memory_model = Machine.model machine }
-  in
+let create machine ?(config = Config.default) ?(verbose = false) () =
   let config = Config.validate config in
-  if config.Config.memory_model <> Machine.model machine then
-    invalid_arg
-      (Printf.sprintf
-         "Detector.create: config.memory_model is %s but the machine was \
-          created under %s — the detector's happens-before edges must match \
-          the machine's protocol"
-         (Dsm_rdma.Model.name config.Config.memory_model)
-         (Dsm_rdma.Model.name (Machine.model machine)));
   let n = Machine.n machine in
   let dim =
     match config.Config.clock_mode with
@@ -172,7 +155,7 @@ let create machine ?config ?(verbose = false) () =
     {
       machine;
       config;
-      mh = Dsm_rdma.Model.hooks config.Config.memory_model;
+      mh = Dsm_rdma.Model.hooks (Machine.model machine);
       probe = Dsm_sim.Engine.probe (Machine.sim machine);
       report = Report.create ~verbose ();
       dim;

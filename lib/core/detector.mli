@@ -36,10 +36,9 @@ val create :
 (** One detector per machine. Installs the clock control-plane services
     (explicit transport) on the machine's NICs. [verbose] makes every
     race signal print through [Logs]. An omitted [config] is
-    {!Config.default} with [memory_model] adopted from the machine; an
-    explicit [config] whose [memory_model] disagrees with the machine's
-    raises [Invalid_argument] — the detector's happens-before edges
-    must match the protocol that produced the messages. *)
+    {!Config.default}. The memory model's hooks come from
+    {!Dsm_rdma.Machine.model}, so the detector's happens-before edges
+    match the protocol that produced the messages by construction. *)
 
 val machine : t -> Dsm_rdma.Machine.t
 

@@ -370,12 +370,7 @@ let build_figure name m =
   | "fig4" ->
       let d =
         Detector.create m
-          ~config:
-            {
-              Config.default with
-              Config.use_write_clock = true;
-              memory_model = Machine.model m;
-            }
+          ~config:{ Config.default with Config.use_write_clock = true }
           ()
       in
       let a = Detector.alloc_shared d ~pid:0 ~name:"a" ~len:1 () in

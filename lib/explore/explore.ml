@@ -207,7 +207,7 @@ let check_invariants (spec : spec) (built : Scenario.built) outcome mono
   List.iter (fun m -> add "clock-monotonicity" m) mono;
   List.iter
     (fun detail -> add "rmw-linearizability" detail)
-    (Linearize.violations built.linearize);
+    (Coherence.rmw_violations built.coherence);
   List.iter (fun (name, detail) -> add name detail) monitor_report;
   List.rev !v
 

@@ -10,7 +10,6 @@ type built = {
   machine : Machine.t;
   detector : Detector.t option;
   coherence : Coherence.t;
-  linearize : Linearize.t;
   monitor : unit -> (string * string) list;
 }
 
@@ -70,20 +69,18 @@ let make_machine sim (s : Token.spec) =
    unsynchronized get/put pair signals races whose explanations must
    name both endpoints, and the RMW storm (S-serialized, hence
    race-silent) exercises the provenance-based atomicity fallback. *)
-let checked_config ~model =
-  { Config.default with Config.transport = Config.Inline; memory_model = model }
+let checked_config = { Config.default with Config.transport = Config.Inline }
 
-(* Coherence checker, linearizability oracle, then the detector: pinned
-   fingerprints depend on this attach order. *)
-let builtin_env ~checked ~model machine =
+(* The coherence checker, then the detector: pinned fingerprints depend
+   on this attach order. *)
+let builtin_env ~checked machine =
   let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
   let env =
     if checked then
-      Env.checked (Detector.create machine ~config:(checked_config ~model) ())
+      Env.checked (Detector.create machine ~config:checked_config ())
     else Env.plain machine
   in
-  (coherence, linearize, env)
+  (coherence, env)
 
 (* The built-in scenario behind the planted-bug acceptance test: P0
    repeatedly gets a remote region into its own public region A while P1
@@ -91,8 +88,8 @@ let builtin_env ~checked ~model machine =
    whole round trip — so a put may never be applied to A inside an open
    get window. The monitor watches exactly that; it can only fire when
    [Skip_get_dst_lock] is planted. *)
-let populate_getput ~checked ~model machine =
-  let coherence, linearize, env = builtin_env ~checked ~model machine in
+let populate_getput ~checked machine =
+  let coherence, env = builtin_env ~checked machine in
   let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
   let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
   (* the scenario's declared initial images: first reads of
@@ -140,7 +137,7 @@ let populate_getput ~checked ~model machine =
   let monitor () =
     List.rev_map (fun m -> ("get-window-atomicity", m)) !bad
   in
-  { machine; detector = Env.detector env; coherence; linearize; monitor }
+  { machine; detector = Env.detector env; coherence; monitor }
 
 (* The §5.2 planted-bug acceptance scenario, [Skip_rmw_write_mark]'s
    counterpart to [getput]: every process but 0 fetch_adds the same word
@@ -148,11 +145,11 @@ let populate_getput ~checked ~model machine =
    and with the bug planted the write half of an RMW is deferred to a
    delay-0 event — so the explorer can order a tied delivery between an
    RMW's read and its write, and the second RMW computes from the stale
-   value. The linearizability oracle flags the second apply (its [old]
+   value. The coherence checker's RMW oracle flags the second apply (its [old]
    disagrees with the serial replay) and the sum monitor sees the lost
    increment. Bug-free, every schedule sums exactly. *)
-let populate_rmwlost ~checked ~model machine =
-  let coherence, linearize, env = builtin_env ~checked ~model machine in
+let populate_rmwlost ~checked machine =
+  let coherence, env = builtin_env ~checked machine in
   let n = Machine.n machine in
   let counter = Machine.alloc_public machine ~pid:0 ~name:"C" ~len:1 () in
   Coherence.declare_init coherence ~node:0
@@ -179,7 +176,7 @@ let populate_rmwlost ~checked ~model machine =
           Printf.sprintf "counter holds %d after %d fetch_adds" v (n - 1) );
       ]
   in
-  { machine; detector = Env.detector env; coherence; linearize; monitor }
+  { machine; detector = Env.detector env; coherence; monitor }
 
 let read_file path =
   let ic = open_in path in
@@ -198,24 +195,15 @@ let compile_prog path =
       | Error msg -> invalid_arg (Printf.sprintf "Scenario %s: %s" path msg)
       | Ok ir -> ir)
 
-let detector_config ~model = { Config.default with Config.memory_model = model }
-
-let populate_prog ~model ir machine =
+let populate_prog ir machine =
   let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
-  let detector =
-    Detector.create machine ~config:(detector_config ~model) ()
-  in
+  let detector = Detector.create machine () in
   let (_ : Dsm_lang.Exec.runtime) = Dsm_lang.Exec.setup machine ~detector ir in
-  { machine; detector = Some detector; coherence; linearize;
-    monitor = no_monitor }
+  { machine; detector = Some detector; coherence; monitor = no_monitor }
 
-let populate_workload ~name ~seed ~model machine =
+let populate_workload ~name ~seed machine =
   let coherence = Coherence.attach machine in
-  let linearize = Linearize.attach machine in
-  let detector =
-    Detector.create machine ~config:(detector_config ~model) ()
-  in
+  let detector = Detector.create machine () in
   let env = Env.checked detector in
   let collectives = Collectives.create env in
   let monitor =
@@ -303,13 +291,13 @@ let populate_workload ~name ~seed ~model machine =
             }
         in
         (* the arena is updated only through NIC-visible puts and RMWs,
-           so at quiescence memory must agree with the oracle's serial
+           so at quiescence memory must agree with the shadow's serial
            replay word for word *)
         fun () ->
           List.filter_map
             (fun (r : Dsm_memory.Addr.region) ->
               match
-                Linearize.expected linearize ~node:r.base.pid
+                Coherence.expected coherence ~node:r.base.pid
                   ~offset:r.base.offset
               with
               | None -> None
@@ -330,10 +318,10 @@ let populate_workload ~name ~seed ~model machine =
             arena
     | _ -> invalid_arg (Printf.sprintf "Scenario: unknown workload %S" name)
   in
-  { machine; detector = Some detector; coherence; linearize; monitor }
+  { machine; detector = Some detector; coherence; monitor }
 
 let prepare (s : Token.spec) =
-  let spec = s.scenario and model = s.model in
+  let spec = s.scenario in
   let plan ~min_procs populate =
     if s.n < min_procs then
       invalid_arg
@@ -344,13 +332,13 @@ let prepare (s : Token.spec) =
   in
   match String.index_opt spec ':' with
   | None when spec = "getput" ->
-      plan ~min_procs:2 (populate_getput ~checked:false ~model)
+      plan ~min_procs:2 (populate_getput ~checked:false)
   | None when spec = "getput-checked" ->
-      plan ~min_procs:2 (populate_getput ~checked:true ~model)
+      plan ~min_procs:2 (populate_getput ~checked:true)
   | None when spec = "rmwlost" ->
-      plan ~min_procs:2 (populate_rmwlost ~checked:false ~model)
+      plan ~min_procs:2 (populate_rmwlost ~checked:false)
   | None when spec = "rmwlost-checked" ->
-      plan ~min_procs:2 (populate_rmwlost ~checked:true ~model)
+      plan ~min_procs:2 (populate_rmwlost ~checked:true)
   | None -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec)
   | Some colon -> (
       let kind = String.sub spec 0 colon in
@@ -358,7 +346,7 @@ let prepare (s : Token.spec) =
       match kind with
       | "prog" ->
           let ir = compile_prog arg in
-          plan ~min_procs:1 (populate_prog ~model ir)
+          plan ~min_procs:1 (populate_prog ir)
       | "workload" ->
           if not (List.mem ("workload:" ^ arg) known) then
             invalid_arg (Printf.sprintf "Scenario: unknown workload %S" arg);
@@ -366,7 +354,7 @@ let prepare (s : Token.spec) =
             (* racy scale mode needs distinct ring neighbours *)
             match arg with "scale" | "scale-batched" -> 3 | _ -> 2
           in
-          plan ~min_procs (populate_workload ~name:arg ~seed:s.seed ~model)
+          plan ~min_procs (populate_workload ~name:arg ~seed:s.seed)
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs

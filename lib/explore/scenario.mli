@@ -11,7 +11,7 @@
       one word of node 0 at the same instant. Under constant latency
       the deliveries tie, and only the planted [Skip_rmw_write_mark]
       bug lets a tied delivery slip between an RMW's read and its
-      deferred write — a lost update the linearizability oracle and the
+      deferred write — a lost update the coherence checker and the
       scenario's sum monitor both flag.
     - ["getput-checked"] / ["rmwlost-checked"] — the same two collisions
       with the race detector attached (Inline transport, so the data path
@@ -33,11 +33,11 @@ type built = {
   machine : Dsm_rdma.Machine.t;
   detector : Dsm_core.Detector.t option;
   coherence : Dsm_rdma.Coherence.t;
-  linearize : Linearize.t;
-      (** the RMW serial-specification oracle, attached to every
-          scenario (inert when the run performs no RMWs); the explorer
-          reports its violations as the ["rmw-linearizability"]
-          invariant *)
+      (** the coherence checker, attached to every scenario; the
+          explorer reports its read violations as the ["coherence"]
+          invariant and its RMW serial-specification violations
+          (none when the run performs no RMWs) as the
+          ["rmw-linearizability"] invariant *)
   monitor : unit -> (string * string) list;
       (** scenario-specific invariant violations observed during the run,
           as [(invariant, detail)] pairs; call after the run *)

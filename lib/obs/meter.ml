@@ -1,7 +1,8 @@
 (* A probe sink that turns bus traffic into registry instruments.
 
-   Counter names are the probe point's dotted {!Probe.name}; a few
-   events additionally feed derived instruments (the detector fast/dense
+   Each probe point counts under one dotted name (["net.send"],
+   ["rdma.rmw"], ...), written once, in [create]; a few events
+   additionally feed derived instruments (the detector fast/dense
    path split, op latency, per-run event-count histograms). The sink is
    read-only with respect to the simulation — it only mutates the
    registry it was attached with. *)

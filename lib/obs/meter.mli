@@ -1,6 +1,6 @@
 (** Probe → metrics bridge: a bus sink that counts every probe point
-    into a {!Metrics.t} registry under its dotted {!Probe.name}, plus a
-    few derived instruments:
+    into a {!Metrics.t} registry under a dotted name (["net.send"],
+    ["rdma.rmw"], ...), plus a few derived instruments:
 
     - ["detector.epoch_fast_path"] / ["detector.dense_path"] — the
       {!Probe.Detector_check} fast-path split;

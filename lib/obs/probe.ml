@@ -96,32 +96,3 @@ let emit t ev =
   for i = 0 to Array.length sinks - 1 do
     sinks.(i) ev
   done
-
-let name = function
-  | Engine_step _ -> "engine.step"
-  | Engine_choice _ -> "engine.choice"
-  | Engine_quiescence _ -> "engine.quiescence"
-  | Net_send _ -> "net.send"
-  | Net_deliver _ -> "net.deliver"
-  | Net_drop _ -> "net.drop"
-  | Net_duplicate _ -> "net.duplicate"
-  | Net_reorder _ -> "net.reorder"
-  | Op_begin _ -> "rdma.op_begin"
-  | Op_end _ -> "rdma.op_end"
-  | Msg_sent _ -> "rdma.msg_sent"
-  | Msg_delivered _ -> "rdma.msg_delivered"
-  | Lock_acquired _ -> "rdma.lock_acquired"
-  | Lock_released _ -> "rdma.lock_released"
-  | Retransmit _ -> "rdma.retransmit"
-  | Batch_flush _ -> "rdma.batch_flush"
-  | Rmw _ -> "rdma.rmw"
-  | Coherence_violation _ -> "coherence.violation"
-  | Detector_check _ -> "detector.check"
-  | Race_signal _ -> "detector.race_signal"
-  | Clock_merge _ -> "detector.clock_merge"
-  | Run_begin _ -> "explore.run_begin"
-  | Run_end _ -> "explore.run_end"
-  | Violation _ -> "explore.violation"
-  | Domain_claim _ -> "explore.domain_claim"
-  | Dpor_prune _ -> "explore.dpor_prune"
-  | Minimize_step _ -> "explore.minimize_step"

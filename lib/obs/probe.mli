@@ -154,7 +154,3 @@ val detach_all : t -> unit
 val emit : t -> event -> unit
 (** Deliver [event] to every sink. Callers are expected to guard with
     [t.on] {e before} building the event, so a silent bus costs nothing. *)
-
-val name : event -> string
-(** Stable dotted name of the event's emit point, e.g. ["net.send"] —
-    the key the {!Meter} counters and the timeline exporter use. *)

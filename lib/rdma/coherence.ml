@@ -15,6 +15,7 @@ type t = {
   nodes : int;
   probe : Dsm_obs.Probe.t;
   mutable violations : violation list;
+  mutable rmw_violations : string list; (* newest first *)
   mutable checked : int;
   mutable adopted : int;
 }
@@ -30,6 +31,13 @@ let record t ~node ~offset value =
 let declare_init t ~node ~offset data =
   Array.iteri (fun i v -> record t ~node ~offset:(offset + i) v) data
 
+let violate t ~time ~node ~offset ~origin ~expected observed =
+  t.violations <-
+    { time; node; offset; expected; observed; origin } :: t.violations;
+  if t.probe.on then
+    Dsm_obs.Probe.emit t.probe
+      (Coherence_violation { time; node; offset; origin })
+
 let check t ~time ~node ~offset ~origin observed =
   t.checked <- t.checked + 1;
   match Int_tbl.find t.shadow (key t ~node ~offset) with
@@ -37,13 +45,36 @@ let check t ~time ~node ~offset ~origin observed =
       t.adopted <- t.adopted + 1;
       record t ~node ~offset observed
   | expected ->
-      if expected <> observed then begin
-        t.violations <-
-          { time; node; offset; expected; observed; origin } :: t.violations;
-        if t.probe.on then
-          Dsm_obs.Probe.emit t.probe
-            (Coherence_violation { time; node; offset; origin })
-      end
+      if expected <> observed then
+        violate t ~time ~node ~offset ~origin ~expected observed
+
+let rmw_violate t fmt =
+  Printf.ksprintf (fun s -> t.rmw_violations <- s :: t.rmw_violations) fmt
+
+(* One word of an RMW at its linearization point: [old] is what the NIC
+   claims the cell held, [result] what it left behind, [spec] the serial
+   specification's result for [old]. Its read side is checked like any
+   read; an [old] that disagrees with the shadow is also a lost update,
+   because some earlier apply's effect went missing. Its write side
+   updates the shadow. *)
+let rmw_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
+  t.checked <- t.checked + 1;
+  (match Int_tbl.find t.shadow (key t ~node ~offset) with
+  | exception Not_found -> t.adopted <- t.adopted + 1
+  | expected ->
+      if expected <> old then begin
+        violate t ~time ~node ~offset ~origin ~expected old;
+        rmw_violate t
+          "%s at t=%.3f on %d[%d] by P%d: read %d but the reference heap \
+           holds %d (lost update)"
+          what time node offset origin old expected
+      end);
+  if result <> spec then
+    rmw_violate t
+      "%s at t=%.3f on %d[%d] by P%d: left %d behind but the serial \
+       specification of old=%d gives %d"
+      what time node offset origin result old spec;
+  record t ~node ~offset result
 
 let attach m =
   let t =
@@ -52,6 +83,7 @@ let attach m =
       nodes = Machine.n m;
       probe = Dsm_sim.Engine.probe (Machine.sim m);
       violations = [];
+      rmw_violations = [];
       checked = 0;
       adopted = 0;
     }
@@ -64,21 +96,35 @@ let attach m =
           (fun i v -> check t ~time ~node ~offset:(offset + i) ~origin v)
           data
     | Machine.Atomic_applied
-        { time; node; offset; old_value; new_value; origin; _ } ->
-        (* The atomic's read side must agree with the shadow; its write
-           side updates it. *)
-        check t ~time ~node ~offset ~origin old_value;
-        record t ~node ~offset new_value
-    | Machine.Acc_applied { time; node; offset; old; result; origin; _ } ->
+        { time; node; offset; kind; old_value; new_value; origin } ->
+        let what =
+          match kind with
+          | Message.Fetch_add _ -> "fetch_add"
+          | Message.Compare_and_swap _ -> "cas"
+        in
+        rmw_word t ~what ~time ~node ~offset ~origin ~old:old_value
+          ~result:new_value
+          ~spec:(Message.apply_atomic kind old_value)
+    | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
+      ->
+        let what = "acc:" ^ Message.acc_op_name aop in
         Array.iteri
-          (fun i v ->
-            check t ~time ~node ~offset:(offset + i) ~origin v;
-            record t ~node ~offset:(offset + i) result.(i))
+          (fun i o ->
+            rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
+              ~result:result.(i)
+              ~spec:(Message.apply_acc aop o data.(i)))
           old
     | Machine.Sent _ | Machine.Delivered _ -> ());
   t
 
 let violations t = List.rev t.violations
+
+let rmw_violations t = List.rev t.rmw_violations
+
+let expected t ~node ~offset =
+  match Int_tbl.find t.shadow (key t ~node ~offset) with
+  | v -> Some v
+  | exception Not_found -> None
 
 let checked_words t = t.checked
 

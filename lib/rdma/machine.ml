@@ -294,7 +294,7 @@ let rec handle m ~node ~src msg =
                but the write half is applied only after releasing it, as a
                delay-0 event that ties with concurrent deliveries. A put
                or another RMW can land inside the window, so the value
-               written is stale — the lost update the linearizability
+               written is stale — the lost update [Coherence]'s RMW
                oracle must catch. *)
             Lock_table.release locks id;
             Engine.schedule m.sim ~delay:0.

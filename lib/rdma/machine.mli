@@ -46,8 +46,9 @@ type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
         half still runs under the target region lock, but the write half
         is applied after releasing it, as a separate delay-0 event. A
         concurrent put or RMW can land in between, so the write commits
-        a stale value — the lost update the linearizability oracle
-        ([Dsm_explore.Linearize]) must flag on some explored schedule. *)
+        a stale value — the lost update the coherence checker's RMW
+        oracle ({!Coherence.rmw_violations}) must flag on some explored
+        schedule. *)
 
 val create :
   Dsm_sim.Engine.t ->

@@ -1,4 +1,9 @@
-(* Serial-specification oracle for one-sided RMWs.
+(* Reference serial-specification oracle for one-sided RMWs: the
+   independent checker that [Dsm_rdma.Coherence] absorbed. It keeps its
+   own reference heap, keyed by [(node, offset)], and shares no code
+   with the coherence checker's shadow, so [test_rmw]'s "matches the
+   reference oracle" property can hold the merged checker's RMW
+   violations and final shadow to it.
 
    The NIC applies every RMW on a granule under the target's region
    lock, so within one run the applies on a word are totally ordered.
@@ -15,11 +20,11 @@
    word), so an RMW torn by a concurrent put is also caught; so do get
    landings into public memory (the getter's own write, observed like a
    put). Words first seen via a read or an RMW are adopted rather than
-   checked, so memory initialized out of band before the run needs no
-   declaration. Duplicate applies (raw faulty links without the reliable
-   transport) are each self-consistent against the reference heap, so
-   fault-injected runs stay clean unless atomicity is genuinely
-   broken. *)
+   checked — there is no declared initial image, which is the one place
+   [Coherence] is stricter. Duplicate applies (raw faulty links without
+   the reliable transport) are each self-consistent against the
+   reference heap, so fault-injected runs stay clean unless atomicity
+   is genuinely broken. *)
 
 module Machine = Dsm_rdma.Machine
 module Message = Dsm_rdma.Message

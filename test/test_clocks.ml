@@ -1210,19 +1210,6 @@ let test_of_ascending_rejects () =
   rejects "negative pid" (fun f -> f (-1) 1);
   rejects "negative tick" (fun f -> f 0 (-1))
 
-(* Words allocated while running [f]: minor-heap words plus words
-   allocated straight into the major heap (arrays past the minor-heap
-   size limit). [Gc.allocated_bytes] sums the same counters, but OCaml
-   5.1 under-reports its minor share eightfold, so the minor words come
-   from [Gc.minor_words]. *)
-let allocated_words f =
-  let _, pro0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  let r = f () in
-  let minor1 = Gc.minor_words () in
-  let _, pro1, major1 = Gc.counters () in
-  (r, minor1 -. minor0 +. (major1 -. major0) -. (pro1 -. pro0))
-
 (* Untimed allocation guard: a Delta-mode piggyback round trip of an
    epoch clock at n=1024 against an epoch base costs a handful of words.
    An n-word array anywhere on the path costs over a thousand. Against
@@ -1243,7 +1230,7 @@ let test_piggyback_round_trip_allocation () =
   List.iter
     (fun (name, since, tag) ->
       ignore (round_trip since ());
-      let (mode, v'), words = allocated_words (round_trip since) in
+      let (mode, v'), words = Test_util.allocated_words (round_trip since) in
       Alcotest.(check bool) (name ^ " round trip") true (Vector_clock.equal v v');
       Alcotest.(check bool) (name ^ " frame tag") true (mode = tag);
       if words >= 100. then

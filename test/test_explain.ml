@@ -291,14 +291,15 @@ let racy_report seed =
 
 (* [list_to_json] allocates the document once, at its exact length:
    no buffer that regrows, and no second document-sized block copied
-   into the result. Major allocations are counted exactly; the small
-   ones (the scratch buffer, one fragment per chain) are a few KiB. *)
+   into the result. The small allocations (the scratch buffer, one
+   fragment per chain) are a few KiB. *)
 let check_json_allocation es =
   Gc.full_major ();
-  let before = Gc.allocated_bytes () in
-  let doc = Explain.list_to_json es in
+  let doc, words =
+    Test_util.allocated_words (fun () -> Explain.list_to_json es)
+  in
   let ratio =
-    (Gc.allocated_bytes () -. before) /. float_of_int (String.length doc)
+    words *. float_of_int (Sys.word_size / 8) /. float_of_int (String.length doc)
   in
   Alcotest.(check bool)
     (Printf.sprintf "allocates %.3fx the document, at most 1.1x" ratio)
@@ -598,7 +599,7 @@ let print_window window =
              Printf.sprintf "R(%g,P%d,n%d,%d+%d)" time pid node offset len
          | Probe.Rmw { time; node; origin; offset; len; _ } ->
              Printf.sprintf "W(%g,P%d,n%d,%d+%d)" time origin node offset len
-         | ev -> Probe.name ev)
+         | _ -> "?")
        window)
 
 (* Every explanation's sync edge, from one index shared by all the

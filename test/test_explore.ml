@@ -631,7 +631,8 @@ let test_run_digests_pinned () =
 (* The walk loop reuses the arena's decision buffers: after a warm-up
    batch their capacity must stop growing, and a batch of runs must not
    allocate more than the identical batch before it (runs are
-   deterministic, so any growth is a per-run leak). *)
+   deterministic, so any growth is a per-run leak). Words are counted
+   exactly, so the bound needs no slack. *)
 let test_no_per_run_leak () =
   let spec = { Explore.default_spec with seed = 3 } in
   let ctx = Explore.create_ctx spec in
@@ -642,19 +643,14 @@ let test_no_per_run_leak () =
   in
   batch ();
   let cap = Explore.decision_capacity ctx in
-  let a0 = Gc.allocated_bytes () in
-  batch ();
-  let a1 = Gc.allocated_bytes () in
-  batch ();
-  let a2 = Gc.allocated_bytes () in
+  let (), b1 = Test_util.allocated_words batch in
+  let (), b2 = Test_util.allocated_words batch in
   Alcotest.(check int) "decision buffers stabilized" cap
     (Explore.decision_capacity ctx);
-  let b1 = a1 -. a0 and b2 = a2 -. a1 in
   Alcotest.(check bool)
-    (Printf.sprintf "no per-batch allocation growth (%.0f then %.0f bytes)" b1
+    (Printf.sprintf "no per-batch allocation growth (%.0f then %.0f words)" b1
        b2)
-    true
-    (b2 <= b1 +. 4096.)
+    true (b2 <= b1)
 
 (* ---------- determinism under parallelism ---------- *)
 

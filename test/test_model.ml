@@ -13,7 +13,7 @@
       remaining clock path must reproduce every recorded digest.
 
    2. A 500+-schedule randomized sweep holding the default-model
-      construction (no [~model], no [memory_model]) bit-identical to the
+      construction (no [~model]) bit-identical to the
       explicit [Nic_atomic] construction on every schedule, at process
       counts on both sides of the sparse-to-dense promotion, with every
       race signal re-judged by the dense reference oracle.
@@ -38,8 +38,9 @@ module Token = Dsm_explore.Token
 
 (* Mirrors the pre-refactor golden recorder exactly: same machine, same
    op mix, same fingerprint fields. [model = None] uses the default
-   construction paths (no [~model] on the machine, no [memory_model] in
-   the config) — the paths every pre-refactor caller used. *)
+   construction path (no [~model] on the machine) — the path every
+   pre-refactor caller used. The detector reads the model from the
+   machine. *)
 let run_once ?model ~n ~seed ~ops ~bugs () =
   let sim = Engine.create ~seed () in
   let latency =
@@ -54,11 +55,6 @@ let run_once ?model ~n ~seed ~ops ~bugs () =
   in
   let checker = Coherence.attach m in
   let config = { Config.default with Config.granularity = Config.Word } in
-  let config =
-    match model with
-    | None -> config
-    | Some model -> { config with Config.memory_model = model }
-  in
   let d = Detector.create m ~config () in
   let nvars = max 3 (n / 2) in
   let vars =
@@ -439,23 +435,6 @@ let test_old_tokens_default_model () =
       Alcotest.(check bool) "m= omitted at default" false
         (contains ~affix:"|m=" (Token.to_string t))
 
-(* detector/machine model agreement is enforced *)
-let test_model_mismatch_rejected () =
-  let sim = Engine.create ~seed:1 () in
-  let m = Machine.create sim ~n:2 ~model:Model.Relaxed () in
-  (match Detector.create m () with
-  | d ->
-      Alcotest.(check bool) "omitted config adopts the machine's model"
-        true
-        ((Detector.config d).Config.memory_model = Model.Relaxed));
-  match
-    Detector.create m
-      ~config:{ Config.default with Config.memory_model = Model.Eventual }
-      ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted a detector/machine model mismatch"
-
 (* ---------- coherence: declared init images ---------- *)
 
 let test_declare_init () =
@@ -543,8 +522,6 @@ let () =
             test_cross_model_replay;
           Alcotest.test_case "pre-model tokens default" `Quick
             test_old_tokens_default_model;
-          Alcotest.test_case "machine/detector agreement" `Quick
-            test_model_mismatch_rejected;
         ] );
       ( "coherence-init",
         [ Alcotest.test_case "declared init image" `Quick test_declare_init ] );

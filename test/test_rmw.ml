@@ -13,7 +13,8 @@ module Detector = Dsm_core.Detector
 module Config = Dsm_core.Config
 module Report = Dsm_core.Report
 module Explore = Dsm_explore.Explore
-module Linearize = Dsm_explore.Linearize
+module Scenario = Dsm_explore.Scenario
+module Chooser = Dsm_explore.Chooser
 module Probe = Dsm_obs.Probe
 module Metrics = Dsm_obs.Metrics
 
@@ -25,7 +26,6 @@ let test_accumulate_span () =
   let sim = Engine.create ~seed:7 () in
   let m = Machine.create sim ~n:2 () in
   let checker = Coherence.attach m in
-  let lin = Linearize.attach m in
   let dst = Machine.alloc_public m ~pid:1 ~name:"span" ~len:4 () in
   Node_memory.write (Machine.node m 1) dst [| 5; -2; 12; 6 |];
   let src = Machine.alloc_private m ~pid:0 ~name:"ops" ~len:4 () in
@@ -55,14 +55,15 @@ let test_accumulate_span () =
   Alcotest.(check int)
     "coherent" 0
     (List.length (Coherence.violations checker));
-  Alcotest.(check bool) "oracle clean" true (Linearize.is_clean lin)
+  Alcotest.(check (list string))
+    "oracle clean" [] (Coherence.rmw_violations checker)
 
 (* A get landing in public memory is a write the oracle must replay: an
    RMW that follows it reads the landed value, not the put before it. *)
 let test_rmw_after_get_landing () =
   let sim = Engine.create ~seed:7 () in
   let m = Machine.create sim ~n:3 ~latency:(Dsm_net.Latency.Constant 1.0) () in
-  let lin = Linearize.attach m in
+  let checker = Coherence.attach m in
   let a = Machine.alloc_public m ~pid:0 ~name:"a" ~len:1 () in
   let b = Machine.alloc_public m ~pid:1 ~name:"b" ~len:1 () in
   Node_memory.write (Machine.node m 1) b [| 9 |];
@@ -80,7 +81,8 @@ let test_rmw_after_get_landing () =
   (match Machine.run m with
   | Engine.Completed -> ()
   | _ -> Alcotest.fail "landing run did not complete");
-  Alcotest.(check (list string)) "no lost update" [] (Linearize.violations lin)
+  Alcotest.(check (list string))
+    "no lost update" [] (Coherence.rmw_violations checker)
 
 (* Duplicate- and drop-injected fabric under the reliable transport:
    every RMW must be applied at the target exactly once (the receiver
@@ -95,7 +97,7 @@ let test_rmw_duplicate_delivery_exactly_once () =
       ~reliability:(Dsm_net.Fabric.reliability ())
       ()
   in
-  let lin = Linearize.attach m in
+  let checker = Coherence.attach m in
   let counter = Machine.alloc_public m ~pid:0 ~name:"C" ~len:1 () in
   let target =
     Addr.global ~pid:0 ~space:Addr.Public ~offset:counter.Addr.base.offset
@@ -121,7 +123,8 @@ let test_rmw_duplicate_delivery_exactly_once () =
   Alcotest.(check int)
     "counter sums exactly" (2 * per)
     (Node_memory.read (Machine.node m 0) counter).(0);
-  Alcotest.(check bool) "oracle clean" true (Linearize.is_clean lin)
+  Alcotest.(check (list string))
+    "oracle clean" [] (Coherence.rmw_violations checker)
 
 (* ------------------------------------------------------------------ *)
 (* Detection marking: RMW = read + write under one lock hold; a failed *)
@@ -369,6 +372,95 @@ let test_planted_rmw_bug_found () =
              v.Explore.invariant = "rmw-linearizability")
            r.Explore.violations)
 
+(* [Coherence] absorbed the standalone RMW oracle; [Linearize_ref] is
+   that oracle as it was. One random walk of [scenario] at n=3 with
+   both attached to the same machine: the RMW violations must be the
+   same strings in the same order, and the shadow must agree with the
+   reference heap on every public word at quiescence. [bug] plants the
+   protocol-defect family, [Skip_rmw_write_mark] included. Returns
+   whether the walk violated. *)
+let merged_matches_reference ~scenario ~bug seed =
+  let spec =
+    {
+      Explore.default_spec with
+      scenario;
+      n = 3;
+      seed;
+      latency = Dsm_net.Latency.Constant 1.0;
+      bug;
+    }
+  in
+  let sim = Engine.create ~seed () in
+  let built = Scenario.instantiate (Scenario.prepare spec) sim in
+  let m = built.Scenario.machine in
+  let reference = Linearize_ref.attach m in
+  Engine.set_chooser sim
+    (Some (Chooser.fn (Chooser.random (Prng.create ~seed:(seed + 1)))));
+  ignore (Machine.run ~max_events:200_000 m : Engine.outcome);
+  let what = Printf.sprintf "%s bug=%b seed %d" scenario bug seed in
+  let merged = Coherence.rmw_violations built.Scenario.coherence in
+  Alcotest.(check (list string))
+    (what ^ ": RMW violations") (Linearize_ref.violations reference) merged;
+  for node = 0 to Machine.n m - 1 do
+    let words =
+      Segment.size (Node_memory.segment (Machine.node m node) Addr.Public)
+    in
+    for offset = 0 to words - 1 do
+      let want = Linearize_ref.expected reference ~node ~offset in
+      if Coherence.expected built.Scenario.coherence ~node ~offset <> want then
+        Alcotest.failf "%s: shadow and reference differ at %d[%d]" what node
+          offset
+    done
+  done;
+  merged <> []
+
+let test_merged_oracle_matches_reference () =
+  List.iter
+    (fun (scenario, bug) ->
+      let violating =
+        List.length
+          (List.filter
+             (merged_matches_reference ~scenario ~bug)
+             (List.init 100 (fun i -> i + 1)))
+      in
+      if bug && violating = 0 then
+        Alcotest.failf "%s: no walk of the planted bug violated" scenario;
+      if (not bug) && violating > 0 then
+        Alcotest.failf "%s: %d bug-free walks violated" scenario violating)
+    [
+      ("workload:rmw-mix", false);
+      ("workload:rmw-mix", true);
+      ("rmwlost", false);
+      ("rmwlost", true);
+    ]
+
+(* A declared initial image is the shadow's value from the start, so the
+   first RMW on a declared word is checked against it rather than
+   adopted. Memory that disagrees with the declaration is a lost update
+   as well as a coherence violation. *)
+let test_rmw_checks_declared_init () =
+  let sim = Engine.create ~seed:2 () in
+  let m = Machine.create sim ~n:2 () in
+  let checker = Coherence.attach m in
+  let word = Machine.alloc_public m ~pid:1 ~name:"w" ~len:1 () in
+  Node_memory.write (Machine.node m 1) word [| 5 |];
+  Coherence.declare_init checker ~node:1 ~offset:word.Addr.base.offset [| 3 |];
+  Machine.spawn m ~pid:0 (fun p ->
+      ignore (Machine.fetch_add p ~target:word.Addr.base ~delta:1 () : int));
+  (match Machine.run m with
+  | Engine.Completed -> ()
+  | _ -> Alcotest.fail "declared-init run did not complete");
+  Alcotest.(check int)
+    "one coherence violation" 1
+    (List.length (Coherence.violations checker));
+  match Coherence.rmw_violations checker with
+  | [ v ] ->
+      Alcotest.(check bool)
+        ("a lost update against the declared value: " ^ v)
+        true
+        (Test_util.contains v "read 5 but the reference heap holds 3")
+  | vs -> Alcotest.failf "expected one RMW violation, got %d" (List.length vs)
+
 let test_rmwlost_clean_without_bug () =
   let spec =
     {
@@ -506,6 +598,10 @@ let () =
             test_planted_rmw_bug_found;
           Alcotest.test_case "rmwlost clean without the bug" `Quick
             test_rmwlost_clean_without_bug;
+          Alcotest.test_case "matches the reference oracle" `Quick
+            test_merged_oracle_matches_reference;
+          Alcotest.test_case "first RMW checks the declared init" `Quick
+            test_rmw_checks_declared_init;
         ] );
       ( "schedule-independence",
         [

@@ -13,3 +13,16 @@ let contains haystack needle =
     done;
     !found
   end
+
+(* Words allocated while running [f]: minor-heap words plus words
+   allocated straight into the major heap (arrays past the minor-heap
+   size limit). [Gc.allocated_bytes] sums the same counters, but OCaml
+   5.1 under-reports its minor share eightfold, so the minor words come
+   from [Gc.minor_words]. *)
+let allocated_words f =
+  let _, pro0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, pro1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (pro1 -. pro0))
