@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test exports bench bench-smoke bench-json bench-explore experiments examples clean outputs
+.PHONY: all build test exports bench bench-smoke bench-json bench-explore e2e-trace experiments examples clean outputs
 
 all: build
 
@@ -32,6 +32,16 @@ bench-json:
 # BENCH_explore.json.
 bench-explore:
 	dune exec bench/main.exe -- --json-explore BENCH_explore.json
+
+# One traced dsmbench run per workload (seed 1, 3 s): the per-layer
+# metrics behind ROADMAP.md's traced table, one JSON line each. Counts
+# and minor words per op are deterministic; host times are indicative.
+E2E_WORKLOADS = push-n1024 stencil-n16 racy-random-n8 explore-random-n3
+
+e2e-trace:
+	for w in $(E2E_WORKLOADS); do \
+	  bash bench/e2e/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 || exit 1; \
+	done
 
 # Every experiment section (E1..E17) with its self-checks.
 experiments:

@@ -34,12 +34,11 @@ let write_sparse w off ~k v =
       slot := !slot + 2)
     v
 
-(* Header [n; d], then the [d] changed [(index, value)] pairs; with
-   [advance], [since] becomes [v] in the same walk. *)
-let write_delta w off ~since ~d ~advance v =
+(* Header [n; d], then the [d] changed [(index, value)] pairs. *)
+let write_delta w off ~since ~d v =
   w.(off) <- Vector_clock.dim v;
   w.(off + 1) <- d;
-  Vector_clock.write_diff ~since v w ~off:(off + 2) ~advance
+  Vector_clock.write_diff ~since v w ~off:(off + 2)
 
 (* The dimension. Negative entries are left to [Vector_clock.load_words],
    which rejects them before it writes. *)
@@ -208,9 +207,11 @@ let decode_vector_varint b =
 let encode_vector_delta ~since v =
   if Vector_clock.dim since <> Vector_clock.dim v then
     invalid_arg "Codec.encode_vector_delta: dimension mismatch";
-  let d = Vector_clock.diff_sizes ~since v mod (Vector_clock.dim v + 1) in
+  let d =
+    Vector_clock.diff_sizes ~advance:false ~since v mod (Vector_clock.dim v + 1)
+  in
   let w = Array.make (pairs_len d) 0 in
-  write_delta w 0 ~since ~d ~advance:false v;
+  write_delta w 0 ~since ~d v;
   w
 
 let decode_vector_delta ~base w =
@@ -236,133 +237,110 @@ type tally = { mutable dense : int; mutable sparse : int; mutable delta : int }
 
 let tally () = { dense = 0; sparse = 0; delta = 0 }
 
-(* What {!encode_piggyback} counts into: nothing, by physical identity. *)
-let untallied = tally ()
-
-(* A frame with room for a [len]-word payload at offset 2. *)
-let frame ~tag ~seq len =
-  let w = Array.make (len + 2) 0 in
-  w.(0) <- tag;
-  w.(1) <- seq;
-  w
-
-let dense_frame ~tally ~seq v =
-  if tally != untallied then tally.dense <- tally.dense + 1;
-  let w = frame ~tag:0 ~seq (dense_len v) in
-  write_dense w 2 v;
-  w
-
-let sparse_frame ~tally ~seq ~k v =
-  if tally != untallied then tally.sparse <- tally.sparse + 1;
-  let w = frame ~tag:1 ~seq (pairs_len k) in
-  write_sparse w 2 ~k v;
-  w
-
-(* The shorter self-contained frame; sparse wins ties with dense. *)
-let self_contained_frame ~tally ~seq ~k v =
-  if pairs_len k <= dense_len v then sparse_frame ~tally ~seq ~k v
-  else dense_frame ~tally ~seq v
-
-(* The frame a fixed mode forces; [Delta] without a usable base falls
-   back to the shorter self-contained form. *)
-let forced_frame ~tally ~mode ~seq v =
-  match mode with
-  | Dense -> dense_frame ~tally ~seq v
-  | Sparse -> sparse_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
-  | Delta ->
-      self_contained_frame ~tally ~seq ~k:(Vector_clock.active_entries v) v
-
-(* The adaptive core against a base [since] of [v]'s dimension: one walk
-   sizes the three candidates and only the shortest is built. A delta
-   must be strictly shorter than both self-contained forms. With
-   [advance], [since] is left equal to [v] — patched at the changed
-   components while a delta's pairs are written. *)
-let adaptive_frame ~tally ~seq ~since ~advance v =
-  let n = Vector_clock.dim v in
-  let sizes = Vector_clock.diff_sizes ~since v in
+(* The payload codec of a frame of dimension [n], as its tag, from
+   [sizes = k * (n + 1) + d]: [k] live components and [d] changed since
+   the base, [d = n] without one. A forced mode is its own codec;
+   [Delta] takes a delta only if it is strictly shorter than both
+   self-contained forms (so never without a base), and sparse wins a
+   tie with dense. *)
+let choose ~mode ~n sizes =
   let k = sizes / (n + 1) and d = sizes mod (n + 1) in
-  if pairs_len d < min (pairs_len k) (dense_len v) then begin
-    if tally != untallied then tally.delta <- tally.delta + 1;
-    let w = frame ~tag:2 ~seq (pairs_len d) in
-    write_delta w 2 ~since ~d ~advance v;
-    w
-  end
-  else begin
-    let w = self_contained_frame ~tally ~seq ~k v in
-    if advance then Vector_clock.assign ~into:since v;
-    w
-  end
+  match mode with
+  | Dense -> 0
+  | Sparse -> 1
+  | Delta ->
+      if pairs_len d < min (pairs_len k) (n + 1) then 2
+      else if pairs_len k <= n + 1 then 1
+      else 0
 
-let check_seq seq =
-  if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq"
+let payload_len ~n sizes = function
+  | 0 -> n + 1
+  | 1 -> pairs_len (sizes / (n + 1))
+  | _ -> pairs_len (sizes mod (n + 1))
+
+(* [sizes] with no base to diff against. *)
+let baseless_sizes v =
+  let n = Vector_clock.dim v in
+  (Vector_clock.active_entries v * (n + 1)) + n
 
 let encode_piggyback ~mode ~seq ?since v =
-  check_seq seq;
-  match (mode, since) with
-  | Delta, Some s when Vector_clock.dim s = Vector_clock.dim v ->
-      adaptive_frame ~tally:untallied ~seq ~since:s ~advance:false v
-  | _ -> forced_frame ~tally:untallied ~mode ~seq v
+  if seq < 0 then invalid_arg "Codec.encode_piggyback: negative seq";
+  let n = Vector_clock.dim v in
+  let sizes =
+    match (mode, since) with
+    | Delta, Some s when Vector_clock.dim s = n ->
+        Vector_clock.diff_sizes ~advance:false ~since:s v
+    | _ -> baseless_sizes v
+  in
+  let tag = choose ~mode ~n sizes in
+  let w = Array.make (2 + payload_len ~n sizes tag) 0 in
+  w.(0) <- tag;
+  w.(1) <- seq;
+  (match (tag, since) with
+  | 2, Some s -> write_delta w 2 ~since:s ~d:(sizes mod (n + 1)) v
+  | 0, _ -> write_dense w 2 v
+  | _ -> write_sparse w 2 ~k:(sizes / (n + 1)) v);
+  w
 
-let encode_piggyback_edge ~tally ~mode ~seq ~cache v =
-  check_seq seq;
-  if Vector_clock.dim cache <> Vector_clock.dim v then
-    invalid_arg "Codec.encode_piggyback_edge: dimension mismatch";
-  match mode with
-  | Delta -> adaptive_frame ~tally ~seq ~since:cache ~advance:true v
-  | Dense | Sparse ->
-      let w = forced_frame ~tally ~mode ~seq v in
-      Vector_clock.assign ~into:cache v;
-      w
+let size_piggyback_edge ~tally ~mode ~cache v =
+  let n = Vector_clock.dim v in
+  if Vector_clock.dim cache <> n then
+    invalid_arg "Codec.size_piggyback_edge: dimension mismatch";
+  let sizes =
+    match mode with
+    | Delta -> Vector_clock.diff_sizes ~advance:true ~since:cache v
+    | Dense | Sparse -> baseless_sizes v
+  in
+  let tag = choose ~mode ~n sizes in
+  (match tag with
+  | 0 -> tally.dense <- tally.dense + 1
+  | 1 -> tally.sparse <- tally.sparse + 1
+  | _ -> tally.delta <- tally.delta + 1);
+  ((2 + payload_len ~n sizes tag) * 4) + tag
 
-let piggyback_mode_of w =
+let frame_words sized = sized lsr 2
+
+let header ~seq sized = (seq * 4) + (sized land 3)
+
+let check_header ~expect_seq h =
+  if h < 0 then invalid_arg "Codec.check_header: negative seq";
+  let seq = h lsr 2 in
+  (match h land 3 with
+  | 0 | 1 -> ()
+  | 2 ->
+      if expect_seq < 0 then
+        invalid_arg "Codec.check_header: delta without base";
+      if seq <> expect_seq then
+        invalid_arg "Codec.check_header: out-of-sequence delta"
+  | _ -> invalid_arg "Codec.check_header: unknown tag");
+  seq + 1
+
+let decode_piggyback ~expect_seq ?base w =
   if Array.length w < 2 then
     invalid_arg "Codec.decode_piggyback: truncated frame";
-  match w.(0) with
-  | 0 -> Dense
-  | 1 -> Sparse
-  | 2 -> Delta
-  | _ -> invalid_arg "Codec.decode_piggyback: unknown tag"
-
-let fits into n =
-  if Vector_clock.dim into <> n then
-    invalid_arg "Codec.decode_piggyback: dimension mismatch"
-
-(* Every check runs before the first write into [into], so a rejected
-   frame leaves it as it was. *)
-let decode_piggyback_into ~expect_seq ?base ~into w =
-  let mode = piggyback_mode_of w in
-  let seq = w.(1) in
+  let tag = w.(0) and seq = w.(1) in
+  if tag < 0 || tag > 2 then invalid_arg "Codec.decode_piggyback: unknown tag";
   if seq < 0 then invalid_arg "Codec.decode_piggyback: negative seq";
-  (match mode with
-  | Dense ->
-      fits into (check_dense w 2);
-      Vector_clock.load_words into w ~off:3
-  | Sparse ->
-      let k = check_sparse w 2 in
-      fits into w.(2);
-      Vector_clock.reset into;
-      patch into w 2 k
-  | Delta -> (
-      if seq <> expect_seq then
-        invalid_arg "Codec.decode_piggyback: out-of-sequence delta";
-      match base with
-      | None -> invalid_arg "Codec.decode_piggyback: delta without base"
-      | Some b ->
-          let n = Vector_clock.dim b in
-          let count = check_delta ~n w 2 in
-          fits into n;
-          if b != into then Vector_clock.assign ~into b;
-          patch into w 2 count));
-  seq
-
-(* A fresh clock of the frame's dimension, decoded into. A malformed
-   dimension word fails the decoder's checks before it matters. *)
-let decode_piggyback ~expect_seq ?base w =
-  let n =
-    match (piggyback_mode_of w, base) with
-    | Delta, Some b -> Vector_clock.dim b
-    | _ -> if Array.length w > 2 && w.(2) > 0 then w.(2) else 1
+  let v =
+    match tag with
+    | 0 ->
+        let v = Vector_clock.create ~n:(check_dense w 2) in
+        Vector_clock.load_words v w ~off:3;
+        v
+    | 1 ->
+        let k = check_sparse w 2 in
+        let v = Vector_clock.create ~n:w.(2) in
+        patch v w 2 k;
+        v
+    | _ -> (
+        if seq <> expect_seq then
+          invalid_arg "Codec.decode_piggyback: out-of-sequence delta";
+        match base with
+        | None -> invalid_arg "Codec.decode_piggyback: delta without base"
+        | Some b ->
+            let count = check_delta ~n:(Vector_clock.dim b) w 2 in
+            let v = Vector_clock.copy b in
+            patch v w 2 count;
+            v)
   in
-  let into = Vector_clock.create ~n in
-  let seq = decode_piggyback_into ~expect_seq ?base ~into w in
-  (into, seq)
+  (v, seq)

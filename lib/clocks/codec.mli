@@ -76,21 +76,27 @@ val decode_vector_varint : bytes -> Vector_clock.t
 
 (** {1 Self-framed piggyback}
 
-    The wire form the live transport attaches to clock-carrying
-    messages: [tag; seq; payload...]. The tag records which payload
-    codec was chosen (0 dense, 1 sparse, 2 delta) and [seq] is the
-    per-edge message number the sender's cache was at when it encoded.
-    Dense and sparse payloads are self-contained; a delta payload is
-    relative to the last clock shipped on the same (src, dst) edge, so
-    the decoder demands the expected sequence number and a base clock,
-    and raises [Invalid_argument] otherwise — out-of-order delivery of
-    a delta is detected, never silently mis-applied. *)
+    The wire form of a clock-carrying message's piggyback:
+    [tag; seq; payload...]. The tag records which payload codec was
+    chosen (0 dense, 1 sparse, 2 delta) and [seq] is the per-edge
+    message number the sender's cache was at when it encoded. Dense and
+    sparse payloads are self-contained; a delta payload is relative to
+    the last clock shipped on the same (src, dst) edge, so the decoder
+    demands the expected sequence number and a base clock, and raises
+    [Invalid_argument] otherwise — out-of-order delivery of a delta is
+    detected, never silently mis-applied.
+
+    The live transport prices its piggybacks rather than building them
+    ({!size_piggyback_edge}) and ships only the frame's immediate header
+    ({!header}), which the receiver checks ({!check_header}). *)
 
 type piggyback_mode = Dense | Sparse | Delta
 (** [Dense] and [Sparse] force that payload on every message (the
     paper's fixed encodings as instances); [Delta] is adaptive — the
     smallest of the three candidate payloads per message, falling back
-    to a self-contained form when no cache entry exists yet. *)
+    to a self-contained form when no cache entry exists yet. A delta is
+    chosen only when strictly shorter than both self-contained forms,
+    and sparse wins a tie with dense. *)
 
 val encode_piggyback :
   mode:piggyback_mode ->
@@ -107,48 +113,54 @@ val encode_piggyback :
     frame. Raises [Invalid_argument] on a negative [seq]. *)
 
 type tally = { mutable dense : int; mutable sparse : int; mutable delta : int }
-(** Frames built by {!encode_piggyback_edge}, per payload codec. *)
+(** Frames sized by {!size_piggyback_edge}, per payload codec. *)
 
 val tally : unit -> tally
 (** A zero tally. *)
 
-val encode_piggyback_edge :
+val size_piggyback_edge :
   tally:tally ->
   mode:piggyback_mode ->
-  seq:int ->
   cache:Vector_clock.t ->
   Vector_clock.t ->
-  wire
-(** [encode_piggyback_edge ~tally ~mode ~seq ~cache v] is the frame
-    [encode_piggyback ~mode ~seq ~since:cache v] builds, from the same
-    core, and leaves [cache] — the sender's per-edge cache — equal to
-    [v], the next delta's base. A delta's pairs are written and [cache]
-    patched at the changed components in one walk; a dense→dense delta
-    allocates only its frame. A self-contained frame is followed by an
-    {!Vector_clock.assign}. The branch that builds the frame counts it
-    in [tally]. A zero [cache] sizes like no cache at all, so an edge's
-    first frame is self-contained. Raises [Invalid_argument] on a
-    negative [seq] or when [cache] and [v] differ in dimension. *)
+  int
+(** [size_piggyback_edge ~tally ~mode ~cache v] prices the frame
+    [encode_piggyback ~mode ~seq ~since:cache v] would build, without
+    building it: the same codec, and the same length in words, header
+    included. The result packs both into one immediate int, read with
+    {!frame_words} and {!header}. Under [Delta] one walk
+    ({!Vector_clock.diff_sizes} [~advance:true]) counts [v]'s live
+    components and those changed since [cache], and leaves [cache] —
+    the sender's per-edge cache — equal to [v], the next delta's base.
+    A zero [cache] sizes like no cache at all, so an edge's first frame
+    is self-contained. [Dense] and [Sparse] neither read nor advance
+    [cache]. The frame's codec is counted in [tally]. Allocates nothing
+    once [cache] has held values of [v]'s representations. Raises
+    [Invalid_argument] when [cache] and [v] differ in dimension. *)
 
-val decode_piggyback_into :
-  expect_seq:int -> ?base:Vector_clock.t -> into:Vector_clock.t -> wire -> int
-(** [decode_piggyback_into ~expect_seq ?base ~into w] overwrites [into]
-    with the framed clock and returns the frame's sequence number.
-    Self-contained frames (dense, sparse) decode at any [seq]; a delta
-    frame requires [seq = expect_seq] and [base] to be the receiver's
-    mirror of the sender's cache, and may be [into] itself — the
-    receiver's per-edge mirror advances in place. Every check runs
-    before the first write, so on [Invalid_argument] (the texts of
-    {!decode_piggyback}, or a frame whose dimension is not [into]'s)
-    [into] is unchanged. A delta into a dense clock patches only the
-    changed components, O(changed); otherwise O(active frame + active
-    base), O(n) for a dense frame. Allocates nothing once [into] has
-    held a clock of the frame's shape. *)
+val frame_words : int -> int
+(** [frame_words sized] is the length in words, header included, of
+    the frame {!size_piggyback_edge} priced. *)
+
+val header : seq:int -> int -> int
+(** [header ~seq sized] is the immediate header [seq * 4 + tag] of the
+    priced frame sent as the edge's [seq]-th, [seq >= 0]. *)
+
+val check_header : expect_seq:int -> int -> int
+(** [check_header ~expect_seq h] is the receiver's check of a frame's
+    {!header}: [expect_seq] is one past the seq of the last frame the
+    edge delivered, or [-1] before its first. A self-contained frame
+    passes at any seq; a delta must carry [expect_seq] exactly. Returns
+    the next [expect_seq], one past [h]'s seq. Raises
+    [Invalid_argument] on a negative [h], an unknown tag, a delta on an
+    edge that has delivered no frame, or a delta out of sequence. *)
 
 val decode_piggyback :
   expect_seq:int -> ?base:Vector_clock.t -> wire -> Vector_clock.t * int
-(** [decode_piggyback ~expect_seq ?base w] is {!decode_piggyback_into}
-    into a fresh clock of the frame's dimension, returned with the
-    frame's sequence number. Raises [Invalid_argument] on a truncated
-    frame, an unknown tag, a negative [seq], a malformed payload, or a
-    delta frame out of sequence or without [base]. *)
+(** [decode_piggyback ~expect_seq ?base w] is the framed clock, fresh,
+    and the frame's sequence number. Self-contained frames (dense,
+    sparse) decode at any [seq]; a delta frame requires
+    [seq = expect_seq] and [base], the receiver's mirror of the sender's
+    cache, which it leaves unchanged. Raises [Invalid_argument] on a
+    truncated frame, an unknown tag, a negative [seq], a malformed
+    payload, or a delta frame out of sequence or without [base]. *)

@@ -344,9 +344,9 @@ let put_pair w slot i x =
    merge-scan their sorted entries, O(active v + active since). Sizing
    ([w == no_vec]) also counts the nonzero components of [v] and
    returns both counts packed in one immediate int; writing lays the
-   [(index, value)] pairs out at [w.(off)..] and, with [advance],
-   leaves [since] equal to [v] — a dense [since] is patched at the
-   changed components in the same pass, a compact one takes [v]'s
+   [(index, value)] pairs out at [w.(off)..]. With [advance], [since]
+   is left equal to [v] — a dense [since] is patched at the changed
+   components in the same pass, a compact one takes [v]'s
    representation afterwards. No closure is called per component. *)
 let diff_walk ~since v w ~off ~advance =
   check_dim since v "diff_walk";
@@ -404,11 +404,11 @@ let diff_walk ~since v w ~off ~advance =
   end;
   if w == no_vec then (!k * (v.dim + 1)) + !d else !d
 
-let diff_sizes ~since v = diff_walk ~since v no_vec ~off:0 ~advance:false
+let diff_sizes ~advance ~since v = diff_walk ~since v no_vec ~off:0 ~advance
 
-let write_diff ~since v w ~off ~advance =
+let write_diff ~since v w ~off =
   if w == no_vec then invalid_arg "Vector_clock.write_diff: empty buffer";
-  ignore (diff_walk ~since v w ~off ~advance)
+  ignore (diff_walk ~since v w ~off ~advance:false)
 
 let is_zero c =
   if is_dense c then Array.for_all (fun x -> x = 0) c.vec

@@ -78,23 +78,23 @@ val iter_active : (int -> int -> unit) -> t -> unit
     [c] in ascending pid order. O(active) for epoch and sparse clocks,
     one scan for a dense one. *)
 
-val diff_sizes : since:t -> t -> int
-(** [diff_sizes ~since v] counts, in one walk, [k] the nonzero
+val diff_sizes : advance:bool -> since:t -> t -> int
+(** [diff_sizes ~advance ~since v] counts, in one walk, [k] the nonzero
     components of [v] and [d] the components where [v] and [since]
     differ, and returns them packed as [k * (dim v + 1) + d] — an
-    immediate int, so sizing allocates nothing. It is the sizing half of
-    the piggyback encoder's diff walk: both arrays read directly for two
-    dense clocks, O(active v + active since) when neither is dense.
-    Raises [Invalid_argument] on dimension mismatch. *)
+    immediate int, so sizing allocates nothing. It is what the
+    piggyback encoder prices a frame by: both arrays read directly for
+    two dense clocks, O(active v + active since) when neither is dense.
+    With [advance] it also leaves [since] equal to [v]: a dense [since]
+    is patched at the changed components in the same walk, any other
+    takes [v]'s value and representation as {!assign} would. Raises
+    [Invalid_argument] on dimension mismatch. *)
 
-val write_diff : since:t -> t -> int array -> off:int -> advance:bool -> unit
-(** [write_diff ~since v w ~off ~advance] writes [i; entry v i] at
-    [w.(off)..] for each component where [v] and [since] differ, in
-    ascending [i] — [entry v i] may be 0; the [2d] words for the [d] of
-    {!diff_sizes} must fit. With [advance] it also leaves [since] equal
-    to [v]: a dense [since] is patched at the changed components in the
-    same walk, any other takes [v]'s value and representation as
-    {!assign} would. Same walk and cost as {!diff_sizes}. Raises
+val write_diff : since:t -> t -> int array -> off:int -> unit
+(** [write_diff ~since v w ~off] writes [i; entry v i] at [w.(off)..]
+    for each component where [v] and [since] differ, in ascending [i] —
+    [entry v i] may be 0; the [2d] words for the [d] of {!diff_sizes}
+    must fit. Same walk and cost as {!diff_sizes}. Raises
     [Invalid_argument] on dimension mismatch or an empty [w]. *)
 
 val entry : t -> int -> int

@@ -13,11 +13,10 @@ module Recorder = Dsm_trace.Recorder
    detector. A granule's access history (provenance) is a ring in its
    store entry, so noting an access costs no second lookup, and once
    the ring is full a note overwrites its oldest slot in place. The
-   path still allocates the walk's callback closure per access, a
-   granule's ring slots (each with a copy of the accessor's clock) until
-   the ring has filled, and, under the Explicit transport, its control
-   messages; a race signal allocates its report and the copies of its
-   clocks. Scratch is keyed by accessor pid because
+   path still allocates a granule's ring slots (each with a copy of the
+   accessor's clock) until the ring has filled, and, under the Explicit
+   transport, its control messages; a race signal allocates its report
+   and the copies of its clocks. Scratch is keyed by accessor pid because
    the explicit transport blocks inside an access (control round trip)
    and the simulator may interleave another process's access meanwhile;
    a single process's accesses never nest, so per-pid buffers are safe. *)
@@ -188,9 +187,10 @@ let create machine ?(config = Config.default) ?(verbose = false) () =
   install_control_plane t;
   (* Inline/piggyback transports ship the accessor's clock on the data
      messages themselves: install the machine's clock source so every
-     clock-carrying message carries a real piggyback, adaptively
-     delta-encoded. Accounting-only — the fabric still prices the nominal
-     [extra_words] allowance (see [Machine.set_clock_source]). *)
+     clock-carrying message carries a piggyback, adaptively
+     delta-encoded and priced by its size. Accounting-only — the fabric
+     still prices the nominal [extra_words] allowance (see
+     [Machine.set_clock_source]). *)
   (match config.Config.transport with
   | Config.Inline | Config.Piggyback_txn ->
       Machine.set_clock_source machine t.procs

@@ -38,27 +38,33 @@ type observation =
       origin : int;
     }
 
-(* What travels on the fabric: the protocol message and, when a clock
-   source is installed and the message carries a clock, its framed
-   piggyback — otherwise [no_pb], so a frame boxes no option. *)
-type frame = { pb : int array; msg : Message.t }
-
-let no_pb : int array = [||]
-
-(* Per-(src,dst)-edge clock piggyback state: the last clock shipped on
-   the edge (the delta base) and the edge's piggyback sequence number.
-   The sender owns one table keyed by the edge; each receiver mirrors it
-   from what actually got delivered, keyed the same way. The clock is
-   created at the edge's first frame (the sender's as a zero clock,
-   which sizes like no base) and advanced in place after that, so a
-   message allocates no cache or mirror clock. An edge's key is
-   the immediate int [src * n + dst] in an {!Int_tbl}, so the lookup
-   twice per clock-carrying message builds no tuple and runs no
-   polymorphic hash. *)
+(* Per-(src,dst)-edge clock piggyback state, one record per edge in an
+   {!Int_tbl} keyed by the immediate int [src * n + dst]. The sender
+   owns [cache], the last clock shipped on the edge (the next delta's
+   base, created as a zero clock, which sizes like no base, and
+   advanced in place after that), and [sent], the next frame's seq. The
+   receiver owns [expect], one past the seq of the last frame the edge
+   delivered (-1 before the first); each frame carries its edge's
+   record, so delivery finds it without a second lookup. *)
 type pb_edge = {
-  mutable pb_cache : Dsm_clocks.Vector_clock.t option;
-  mutable pb_seq : int;
+  cache : Dsm_clocks.Vector_clock.t;
+  mutable sent : int;
+  mutable expect : int;
 }
+
+(* What travels on the fabric: the protocol message and, when a clock
+   source is installed and the message carries a clock, its
+   piggyback's immediate header ({!Dsm_clocks.Codec.header}) and edge —
+   otherwise [no_pb] and [no_edge]. The piggyback itself is priced,
+   not built: its length goes to the fabric's accounting. *)
+type frame = { pb : int; edge : pb_edge; msg : Message.t }
+
+let no_pb = -1
+
+let new_edge n =
+  { cache = Dsm_clocks.Vector_clock.create ~n; sent = 0; expect = -1 }
+
+let no_edge = new_edge 1
 
 type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 
@@ -86,9 +92,9 @@ type t = {
     Hashtbl.t;
   mutable observers : (observation -> unit) list;
   (* clock piggyback wiring: when a detector installs a clock source,
-     every clock-carrying message gets a framed piggyback whose encoding
-     is chosen per message — accounting-only; the latency model keeps
-     pricing the nominal [Message.wire_words]. *)
+     every clock-carrying message gets a piggyback whose codec is chosen
+     and whose size is priced per message — accounting-only; the latency
+     model keeps pricing the nominal [Message.wire_words]. *)
   mutable clock_src : Dsm_clocks.Vector_clock.t array option;
       (* each pid's live clock, read when it sends *)
   pb_mode : Dsm_clocks.Codec.piggyback_mode;
@@ -97,8 +103,7 @@ type t = {
          gives order, nothing drops or duplicates) or under the
          fabric's reliable transport (which resequences and dedups);
          otherwise the self-contained [Sparse] form *)
-  pb_sent : pb_edge Int_tbl.t;
-  pb_recv : pb_edge Int_tbl.t;
+  pb_edges : pb_edge Int_tbl.t;
   pb_tally : Dsm_clocks.Codec.tally;
 }
 
@@ -133,61 +138,14 @@ let carries_clock = function
    and the node, packed into one int. *)
 let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
 
-let pb_edge_of m tbl ~src ~dst =
+let pb_edge m ~src ~dst v =
   let key = (src * Array.length m.nodes) + dst in
-  match Int_tbl.find tbl key with
+  match Int_tbl.find m.pb_edges key with
   | e -> e
   | exception Not_found ->
-      let e = { pb_cache = None; pb_seq = 0 } in
-      Int_tbl.replace tbl key e;
+      let e = new_edge (Dsm_clocks.Vector_clock.dim v) in
+      Int_tbl.replace m.pb_edges key e;
       e
-
-(* Sender side: frame the clock for this edge and return the frame; the
-   encoder advances the edge cache to the value just shipped (the next
-   delta's base) and counts the frame's codec. *)
-let encode_pb m ~src ~dst v =
-  let e = pb_edge_of m m.pb_sent ~src ~dst in
-  let cache =
-    match e.pb_cache with
-    | Some c -> c
-    | None ->
-        let n = Dsm_clocks.Vector_clock.dim v in
-        let c = Dsm_clocks.Vector_clock.create ~n in
-        e.pb_cache <- Some c;
-        c
-  in
-  let w =
-    Dsm_clocks.Codec.encode_piggyback_edge ~tally:m.pb_tally ~mode:m.pb_mode
-      ~seq:e.pb_seq ~cache v
-  in
-  e.pb_seq <- e.pb_seq + 1;
-  w
-
-(* Receiver side: decode against the mirror of the sender's edge cache,
-   advancing the mirror to the decoded value. A delta frame that arrives
-   out of sequence (possible only if FIFO-bypass reordering defeated the
-   gating above) fails the decoder's seq check and raises — the run
-   surfaces as crashed rather than silently merging against the wrong
-   base. Under the reliable transport only the fabric's resequenced,
-   deduplicated frames reach it, so a resent delta decodes against its
-   own base. *)
-let absorb_pb m ~node ~src w =
-  if Array.length w > 0 then begin
-    let e = pb_edge_of m m.pb_recv ~src ~dst:node in
-    let seq =
-      match e.pb_cache with
-      | Some mirror ->
-          Dsm_clocks.Codec.decode_piggyback_into ~expect_seq:e.pb_seq
-            ?base:e.pb_cache ~into:mirror w
-      | None ->
-          let v, seq =
-            Dsm_clocks.Codec.decode_piggyback ~expect_seq:e.pb_seq w
-          in
-          e.pb_cache <- Some v;
-          seq
-    in
-    e.pb_seq <- seq + 1
-  end
 
 let rec handle m ~node ~src msg =
   if m.observers <> [] then
@@ -456,21 +414,6 @@ and transmit m ~src ~dst msg =
     Label.v ~node:dst ~origin:(if Message.is_reply msg then dst else src)
   in
   let words = Message.wire_words msg in
-  (* True-bytes accounting: with a clock source installed, the nominal
-     [extra_words] allowance is replaced by the framed piggyback (or by
-     nothing on messages that carry no clock). Timing still prices
-     [words], so the wire encoding cannot perturb the schedule. *)
-  let pb =
-    match m.clock_src with
-    | Some clocks when carries_clock msg -> encode_pb m ~src ~dst clocks.(src)
-    | _ -> no_pb
-  in
-  let clock_words = Array.length pb in
-  let wire_words =
-    match m.clock_src with
-    | None -> words
-    | Some _ -> words - Message.extra_words msg + clock_words
-  in
   (* Eventual: put frames skip the fabric's FIFO floor, so two puts on
      the same edge can apply out of send order. Everything else (gets,
      replies, locks, acks) stays ordered; the reliable transport
@@ -483,8 +426,33 @@ and transmit m ~src ~dst msg =
       | Message.Put _ | Message.Put_batch _ -> true
       | _ -> false)
   in
-  Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words ~clock_words ~fifo
-    ~label { pb; msg }
+  (* True-bytes accounting: with a clock source installed, the nominal
+     [extra_words] allowance is replaced by the priced piggyback (or by
+     nothing on messages that carry no clock). Timing still prices
+     [words], so the wire encoding cannot perturb the schedule. *)
+  match m.clock_src with
+  | None ->
+      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words:words
+        ~clock_words:0 ~fifo ~label
+        { pb = no_pb; edge = no_edge; msg }
+  | Some clocks when carries_clock msg ->
+      let v = clocks.(src) in
+      let e = pb_edge m ~src ~dst v in
+      let sized =
+        Dsm_clocks.Codec.size_piggyback_edge ~tally:m.pb_tally
+          ~mode:m.pb_mode ~cache:e.cache v
+      in
+      let pb = Dsm_clocks.Codec.header ~seq:e.sent sized in
+      e.sent <- e.sent + 1;
+      let clock_words = Dsm_clocks.Codec.frame_words sized in
+      Dsm_net.Fabric.post m.fabric ~src ~dst ~words
+        ~wire_words:(words - Message.extra_words msg + clock_words)
+        ~clock_words ~fifo ~label { pb; edge = e; msg }
+  | Some _ ->
+      Dsm_net.Fabric.post m.fabric ~src ~dst ~words
+        ~wire_words:(words - Message.extra_words msg)
+        ~clock_words:0 ~fifo ~label
+        { pb = no_pb; edge = no_edge; msg }
 
 (* Every call site first checks [m.observers <> []], so a run nobody
    observes builds no observation record. *)
@@ -529,14 +497,17 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
            || reliability <> None
          then Dsm_clocks.Codec.Delta
          else Dsm_clocks.Codec.Sparse);
-      pb_sent = Int_tbl.create 32;
-      pb_recv = Int_tbl.create 32;
+      pb_edges = Int_tbl.create 32;
       pb_tally = Dsm_clocks.Codec.tally ();
     }
   in
   for node = 0 to n - 1 do
     Dsm_net.Fabric.register fabric ~node (fun ~src fr ->
-        absorb_pb m ~node ~src fr.pb;
+        (* the header check is the backstop against a delta that meets
+           the wrong base: it raises, and the run surfaces as crashed *)
+        if fr.pb <> no_pb then
+          fr.edge.expect <-
+            Dsm_clocks.Codec.check_header ~expect_seq:fr.edge.expect fr.pb;
         handle m ~node ~src fr.msg)
   done;
   m
@@ -560,11 +531,10 @@ let reset m =
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
   (* piggyback state is per-run: the next population re-installs its
-     clock source (Detector.create) and both edge tables restart empty,
+     clock source (Detector.create) and the edge table restarts empty,
      so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
-  Int_tbl.clear m.pb_sent;
-  Int_tbl.clear m.pb_recv;
+  Int_tbl.clear m.pb_edges;
   m.pb_tally.dense <- 0;
   m.pb_tally.sparse <- 0;
   m.pb_tally.delta <- 0

@@ -26,10 +26,11 @@
     masters, ...) whose messages are priced by the same fabric.
 
     Delivery is the fabric's business: each protocol message is one
-    [Dsm_net.Fabric.post] of the message and its clock piggyback, and
-    the NIC agent's receive handler decodes the piggyback and runs the
-    message. Under a faulty fabric, [Dsm_net.Fabric.reliability] makes
-    that channel in-order and exactly-once again. *)
+    [Dsm_net.Fabric.post] of the message and its clock piggyback's
+    header, and the NIC agent's receive handler checks the header
+    against its edge and runs the message. Under a faulty fabric,
+    [Dsm_net.Fabric.reliability] makes that channel in-order and
+    exactly-once again. *)
 
 type t
 
@@ -117,16 +118,20 @@ val set_clock_source : t -> Dsm_clocks.Vector_clock.t array -> unit
     [Acc_reply], [Lock_granted]) ship the sender's current clock
     [clocks.(pid)] — read at send time, so the clocks may be advanced in
     place — as an adaptive [Delta] piggyback against a per-[(src, dst)]
-    edge cache of the last clock sent on that channel. One call of
-    [Dsm_clocks.Codec.encode_piggyback_edge] sizes the frame, writes it
-    and advances the cache in the same walk. Accounting-only: the
-    latency model still prices the nominal [extra_words] allowance, so
-    installing a source cannot perturb a schedule. On a faulty fabric
-    without [reliability], encoding degrades to the self-contained
-    [Sparse] frame — deltas are only sound on in-order exactly-once
-    channels, which the reliable transport restores: it drops
-    duplicates and holds back early frames before the piggyback is
-    decoded, so a resent delta decodes against its own base. Cleared by
+    edge cache of the last clock sent on that channel. Accounting-only:
+    the piggyback is priced, not built. One call of
+    [Dsm_clocks.Codec.size_piggyback_edge] picks the codec, sizes the
+    frame for {!clock_words_sent} and advances the cache in the same
+    walk, and the message carries only the frame's header; the latency
+    model still prices the nominal [extra_words] allowance, so
+    installing a source cannot perturb a schedule. The receiver checks
+    each header with [Dsm_clocks.Codec.check_header]: a delta out of
+    sequence on its edge, or on an edge that has delivered nothing,
+    raises. On a faulty fabric without [reliability], encoding degrades
+    to the self-contained [Sparse] frame — deltas are only sound on
+    in-order exactly-once channels, which the reliable transport
+    restores: it drops duplicates and holds back early frames before
+    the handler runs, so a resent delta meets its own base. Cleared by
     {!reset}. *)
 
 val clock_encodings : t -> int * int * int

@@ -166,8 +166,7 @@ let decode_piggyback ~expect_seq ?base w =
    before decoding learnt to write into an existing clock. The encoder
    sizes the three candidates and builds only the shortest; every
    decoder returns a fresh clock. Its [Invalid_argument] texts are the
-   ones [Codec.decode_piggyback_into] must raise, and it must leave its
-   target untouched when it does. *)
+   ones [Codec.decode_piggyback] must raise. *)
 module Sized = struct
   let dense_len v = Vector_clock.dim v + 1
 

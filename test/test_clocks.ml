@@ -936,7 +936,7 @@ let prop_codec_matches_reference =
                   (mutation_sites rng w))
            [ Codec.Dense; Codec.Sparse; Codec.Delta ])
 
-(* ---------- in-place decoding against the sized-first reference ---------- *)
+(* ---------- decoding against the sized-first reference ---------- *)
 
 (* A clock holding [value] whose representation started as an epoch
    (shape 0), a sparse clock (1) or a dense one (2): every component is
@@ -984,32 +984,32 @@ let frame_mutations rng w =
       (fun i -> [ with_word i (w.(i) + 1); with_word i 0 ])
       (mutation_sites rng w)
 
-(* [decode_piggyback_into] overwrites [into] with what the sized-first
-   decoder returns against the same base, or raises its exact text and
-   leaves [into] as it was; a frame of another dimension than [into]'s
-   raises the dimension-mismatch text. [base] is [into] itself (the
-   receiver's mirror), another clock, or absent. *)
-let decode_into_matches ~expect_seq ~base ~into w =
-  let before = Vector_clock.copy into in
-  let ref_base =
-    Option.map (fun b -> if b == into then before else Vector_clock.copy b) base
-  in
+(* [decode_piggyback] returns what the sized-first decoder returns
+   against the same base, or raises its exact text; either way it
+   leaves [base] as it was. *)
+let decode_matches ~expect_seq ~base w =
+  let before = Option.map Vector_clock.copy base in
   let expected =
-    match Codec_ref.Sized.decode_piggyback ~expect_seq ?base:ref_base w with
-    | v, seq when Vector_clock.dim v = Vector_clock.dim into -> Ok (v, seq)
-    | _ -> Error "Codec.decode_piggyback: dimension mismatch"
+    match Codec_ref.Sized.decode_piggyback ~expect_seq ?base:before w with
+    | r -> Ok r
     | exception Invalid_argument msg -> Error msg
   in
-  match (Codec.decode_piggyback_into ~expect_seq ?base ~into w, expected) with
-  | seq, Ok (v, seq') -> seq = seq' && Vector_clock.equal v into
+  let unchanged () =
+    match (base, before) with
+    | Some b, Some b' -> Vector_clock.equal b b'
+    | _ -> true
+  in
+  match (Codec.decode_piggyback ~expect_seq ?base w, expected) with
+  | (v, seq), Ok (v', seq') ->
+      seq = seq' && Vector_clock.equal v v' && unchanged ()
   | _, Error _ -> false
   | exception Invalid_argument msg -> (
       match expected with
-      | Error msg' -> msg = msg' && Vector_clock.equal into before
+      | Error msg' -> msg = msg' && unchanged ()
       | Ok _ -> false)
 
-let prop_decode_into_matches_sized_reference =
-  QCheck.Test.make ~name:"in-place decoding matches the sized-first reference"
+let prop_decode_matches_sized_reference =
+  QCheck.Test.make ~name:"decoding matches the sized-first reference"
     ~count:300
     QCheck.(
       make
@@ -1023,11 +1023,6 @@ let prop_decode_into_matches_sized_reference =
       let v = oracle_clock rng ~n kind in
       let since = oracle_since rng ~n v sk in
       let seq = Random.State.int rng 1_000 in
-      let base_value =
-        match since with
-        | Some s when Vector_clock.dim s = n -> Some s
-        | _ -> None
-      in
       List.for_all
         (fun mode ->
           let w = Codec.encode_piggyback ~mode ~seq ?since v in
@@ -1035,38 +1030,32 @@ let prop_decode_into_matches_sized_reference =
           && List.for_all
                (fun w' ->
                  List.for_all
-                   (fun (shape, separate, expect_seq) ->
-                     let held =
-                       match base_value with
-                       | Some b when not separate -> b
-                       | _ -> oracle_clock rng ~n (Random.State.int rng 6)
-                     in
-                     let into = held_as shape held in
+                   (fun (shape, expect_seq) ->
                      let base =
-                       match base_value with
-                       | None -> None
-                       | Some b when separate ->
-                           Some (held_as (Random.State.int rng 3) b)
-                       | Some _ -> Some into
+                       match (since, shape) with
+                       | None, _ | _, None -> None
+                       | Some s, Some shape -> Some (held_as shape s)
                      in
-                     decode_into_matches ~expect_seq ~base ~into w')
+                     decode_matches ~expect_seq ~base w')
                    [
-                     (0, false, seq); (1, false, seq); (2, false, seq);
-                     (2, true, seq); (2, false, seq + 1);
+                     (None, seq); (Some 0, seq); (Some 1, seq); (Some 2, seq);
+                     (Some 2, seq + 1);
                    ])
                (frame_mutations rng w))
         [ Codec.Dense; Codec.Sparse; Codec.Delta ])
 
-(* ---------- the edge encoder against the build-all-three reference ---------- *)
+(* ---------- the edge sizer against the build-all-three reference ---------- *)
 
 (* Three frames on one edge: each clock step perturbs [v] in place
    (components raised, lowered, zeroed or added, so its representation
-   moves as a live clock's would), and [encode_piggyback_edge] must
-   return the reference's frame against the value the cache held, count
-   that frame's tag, and leave the cache equal to [v] — whatever the
-   epoch, sparse or dense shapes of the clock and the cache. *)
+   moves as a live clock's would), and [size_piggyback_edge] must price
+   the reference's frame against the value the cache held — its length
+   and its tag — count that tag, and leave the cache equal to [v] under
+   [Delta] and untouched under a forced mode, whatever the epoch, sparse
+   or dense shapes of the clock and the cache. *)
 let prop_edge_encoder_matches_reference =
-  QCheck.Test.make ~name:"edge encoder matches the reference and advances its cache"
+  QCheck.Test.make
+    ~name:"edge encoder matches the reference size and advances its cache"
     ~count:400
     QCheck.(
       make
@@ -1111,22 +1100,25 @@ let prop_edge_encoder_matches_reference =
               if round > 0 then step ();
               let seq = Random.State.int rng 1_000 in
               let before = Vector_clock.to_array v in
+              let held = Vector_clock.copy cache in
               let expected =
-                Codec_ref.encode_piggyback ~mode ~seq
-                  ~since:(Vector_clock.copy cache) v
+                Codec_ref.encode_piggyback ~mode ~seq ~since:held v
               in
               let counts () = (tally.dense, tally.sparse, tally.delta) in
               let d0, s0, l0 = counts () in
-              let w = Codec.encode_piggyback_edge ~tally ~mode ~seq ~cache v in
+              let sized = Codec.size_piggyback_edge ~tally ~mode ~cache v in
               let d1, s1, l1 = counts () in
               let counted =
-                match Codec_ref.piggyback_mode_of w with
+                match Codec_ref.piggyback_mode_of expected with
                 | Codec.Dense -> (d1, s1, l1) = (d0 + 1, s0, l0)
                 | Codec.Sparse -> (d1, s1, l1) = (d0, s0 + 1, l0)
                 | Codec.Delta -> (d1, s1, l1) = (d0, s0, l0 + 1)
               in
-              w = expected && counted
-              && Vector_clock.equal cache v
+              Codec.frame_words sized = Array.length expected
+              && Codec.header ~seq sized = (seq * 4) + expected.(0)
+              && counted
+              && Vector_clock.equal cache
+                   (if mode = Codec.Delta then v else held)
               && Vector_clock.to_array v = before)
             [ 0; 1; 2 ])
         [ Codec.Dense; Codec.Sparse; Codec.Delta ])
@@ -1135,23 +1127,54 @@ let test_edge_encoder_rejects () =
   let cache = Vector_clock.create ~n:4 in
   let tally = Codec.tally () in
   Alcotest.check_raises "dimension"
-    (Invalid_argument "Codec.encode_piggyback_edge: dimension mismatch")
+    (Invalid_argument "Codec.size_piggyback_edge: dimension mismatch")
     (fun () ->
       ignore
-        (Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:0 ~cache
+        (Codec.size_piggyback_edge ~tally ~mode:Codec.Delta ~cache
            (Vector_clock.create ~n:5)));
-  Alcotest.check_raises "negative seq"
-    (Invalid_argument "Codec.encode_piggyback: negative seq") (fun () ->
-      ignore
-        (Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:(-1) ~cache
-           (Vector_clock.create ~n:4)));
   Alcotest.(check (list int)) "nothing counted" [ 0; 0; 0 ]
     [ tally.dense; tally.sparse; tally.delta ]
 
+(* The receiver's check of a frame header: self-contained frames pass at
+   any seq, a delta only at the expected one and never on an edge that
+   has delivered nothing; each passing header advances the expectation
+   to one past its seq. *)
+let test_header_check () =
+  let v = Vector_clock.of_array [| 2; 0; 1; 0; 0; 0; 0; 0 |] in
+  let sized mode =
+    Codec.size_piggyback_edge ~tally:(Codec.tally ()) ~mode
+      ~cache:(Vector_clock.copy v) v
+  in
+  let dense = sized Codec.Dense
+  and sparse = sized Codec.Sparse
+  and delta = sized Codec.Delta in
+  Alcotest.(check (list int)) "frame words" [ 11; 8; 4 ]
+    (List.map Codec.frame_words [ dense; sparse; delta ]);
+  let check = Codec.check_header and h = Codec.header in
+  Alcotest.(check int) "dense at any seq" 8
+    (check ~expect_seq:(-1) (h ~seq:7 dense));
+  Alcotest.(check int) "sparse at any seq" 1
+    (check ~expect_seq:5 (h ~seq:0 sparse));
+  Alcotest.(check int) "delta in sequence" 6
+    (check ~expect_seq:5 (h ~seq:5 delta));
+  Alcotest.check_raises "delta out of sequence"
+    (Invalid_argument "Codec.check_header: out-of-sequence delta") (fun () ->
+      ignore (check ~expect_seq:5 (h ~seq:6 delta)));
+  Alcotest.check_raises "delta before any frame"
+    (Invalid_argument "Codec.check_header: delta without base") (fun () ->
+      ignore (check ~expect_seq:(-1) (h ~seq:0 delta)));
+  Alcotest.check_raises "unknown tag"
+    (Invalid_argument "Codec.check_header: unknown tag") (fun () ->
+      ignore (check ~expect_seq:0 (h ~seq:0 delta + 1)));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Codec.check_header: negative seq") (fun () ->
+      ignore (check ~expect_seq:0 (-4)))
+
 (* The walkers and the pair constructor against the dense array: the
    active walk is the nonzeros, the diff scans count them and write the
-   differing components, and [of_ascending] picks the representation
-   [of_array] would. *)
+   differing components (and, advancing, leave the base equal to the
+   clock), and [of_ascending] picks the representation [of_array]
+   would. *)
 let prop_walkers_match_arrays =
   QCheck.Test.make ~name:"live-entry walkers match the dense array"
     ~count:300
@@ -1173,17 +1196,23 @@ let prop_walkers_match_arrays =
         List.rev !acc
       in
       let indices p = List.filter p (List.init n Fun.id) in
-      let sizes = Vector_clock.diff_sizes ~since:a b in
+      let sizes = Vector_clock.diff_sizes ~advance:false ~since:a b in
       let k = sizes / (n + 1) and d = sizes mod (n + 1) in
+      let advanced = Vector_clock.copy a in
+      let advanced_sizes =
+        Vector_clock.diff_sizes ~advance:true ~since:advanced b
+      in
       let diff = Array.make (1 + (2 * d)) 0 in
-      Vector_clock.write_diff ~since:a b diff ~off:1 ~advance:false;
+      Vector_clock.write_diff ~since:a b diff ~off:1;
       let diff = Array.sub diff 1 (2 * d) in
       let diff_pairs = List.init d (fun j -> (diff.(2 * j), diff.((2 * j) + 1))) in
       let rebuilt =
         Vector_clock.of_ascending ~n (fun f ->
             List.iter (fun (i, x) -> f i x) diff_pairs)
       in
-      collect (fun f -> Vector_clock.iter_active f a)
+      advanced_sizes = sizes
+      && Vector_clock.equal advanced b
+      && collect (fun f -> Vector_clock.iter_active f a)
       = List.map (fun i -> (i, aa.(i))) (indices (fun i -> aa.(i) <> 0))
       && k = List.length (indices (fun i -> ba.(i) <> 0))
       && diff_pairs
@@ -1251,9 +1280,9 @@ let minor_words_of ~rounds f =
   Gc.minor_words () -. before
 
 (* The in-place paths allocate nothing once their target has the
-   shape: a dense-to-dense [assign], and a delta frame decoded into the
-   dense mirror it was encoded against. Encoding a dense delta against
-   the edge cache allocates the frame alone. *)
+   shape: a dense-to-dense [assign], and sizing a piggyback against the
+   edge cache, which advances the cache in the same walk — with the
+   clock and the cache each an epoch, sparse or dense clock. *)
 let test_in_place_allocation () =
   let n = 64 in
   let dense seed = Vector_clock.of_array (Array.init n (fun i -> 1 + ((i * seed) mod 7))) in
@@ -1261,37 +1290,37 @@ let test_in_place_allocation () =
   let words = minor_words_of ~rounds:1_000 (fun () -> Vector_clock.assign ~into src) in
   Alcotest.(check bool) "assign copies" true (Vector_clock.equal into src);
   Alcotest.(check (float 0.)) "assign between dense clocks" 0. words;
-  let mirror = dense 3 in
-  let v = Vector_clock.copy mirror in
-  List.iter (fun me -> Vector_clock.tick v ~me) [ 4; 9; 9; 40 ];
-  let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:11 ~since:mirror v in
-  Alcotest.(check bool) "delta frame" true (Codec_ref.piggyback_mode_of w = Codec.Delta);
-  let base = Some mirror in
-  let words =
-    minor_words_of ~rounds:1_000 (fun () ->
-        ignore (Codec.decode_piggyback_into ~expect_seq:11 ?base ~into:mirror w))
+  (* one clock of each shape: a single writer, three, and twenty live
+     components; the caches overlap the clocks, so some sizes pick a
+     delta *)
+  let shaped seed live =
+    Vector_clock.of_array
+      (Array.init n (fun i ->
+           if i >= seed && i < seed + live then 1 + (i mod 5) else 0))
   in
-  Alcotest.(check bool) "mirror advanced" true (Vector_clock.equal mirror v);
-  Alcotest.(check (float 0.)) "delta decoded into a dense mirror" 0. words;
-  (* The sender's side: a dense→dense delta against the edge cache
-     allocates its frame and nothing else. Two dense clocks three
-     components apart, shipped in turn, make every frame a delta. *)
-  let a = dense 3 in
-  let b = Vector_clock.copy a in
-  List.iter (fun me -> Vector_clock.tick b ~me) [ 4; 9; 40 ];
-  let cache = Vector_clock.copy a and tally = Codec.tally () in
-  let frame_words = ref 0 in
-  let ship v =
-    let w = Codec.encode_piggyback_edge ~tally ~mode:Codec.Delta ~seq:0 ~cache v in
-    frame_words := Array.length w
+  let shapes seed = [| shaped seed 1; shaped seed 3; shaped seed 20 |] in
+  let clocks = shapes 1 and caches = shapes 2 in
+  Alcotest.(check (list bool)) "epoch, sparse, dense" [ true; false; false ]
+    (List.map Vector_clock.is_epoch (Array.to_list clocks));
+  Alcotest.(check (list bool)) "sparse" [ false; true; false ]
+    (List.map Vector_clock.is_sparse (Array.to_list caches));
+  let cache = Vector_clock.create ~n and tally = Codec.tally () in
+  let sized = ref 0 in
+  let size_all () =
+    for i = 0 to 2 do
+      for j = 0 to 2 do
+        Vector_clock.assign ~into:cache caches.(j);
+        let v = clocks.(i) in
+        sized := Codec.size_piggyback_edge ~tally ~mode:Codec.Delta ~cache v;
+        sized := Codec.size_piggyback_edge ~tally ~mode:Codec.Sparse ~cache v
+      done
+    done
   in
-  let words = minor_words_of ~rounds:1_000 (fun () -> ship b; ship a) in
-  Alcotest.(check int) "one 3-pair delta per frame" 10 !frame_words;
-  Alcotest.(check int) "every frame a delta" 2_002 tally.delta;
-  Alcotest.(check bool) "cache advanced" true (Vector_clock.equal cache a);
-  Alcotest.(check (float 0.)) "dense delta allocates only its frame"
-    (float_of_int (2_000 * (!frame_words + 1)))
-    words
+  let words = minor_words_of ~rounds:1_000 size_all in
+  Alcotest.(check int) "every pair sized" (2 * 9 * 1_001)
+    (tally.dense + tally.sparse + tally.delta);
+  Alcotest.(check bool) "deltas among them" true (tally.delta > 0);
+  Alcotest.(check (float 0.)) "sizing against the edge cache" 0. words
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
@@ -1384,10 +1413,11 @@ let () =
           Alcotest.test_case "in-place allocation" `Quick
             test_in_place_allocation;
           QCheck_alcotest.to_alcotest prop_codec_matches_reference;
-          QCheck_alcotest.to_alcotest prop_decode_into_matches_sized_reference;
+          QCheck_alcotest.to_alcotest prop_decode_matches_sized_reference;
           QCheck_alcotest.to_alcotest prop_walkers_match_arrays;
           QCheck_alcotest.to_alcotest prop_edge_encoder_matches_reference;
           Alcotest.test_case "edge encoder rejects" `Quick
             test_edge_encoder_rejects;
+          Alcotest.test_case "receiver header check" `Quick test_header_check;
         ] );
     ]

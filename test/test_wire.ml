@@ -11,6 +11,8 @@
 open Dsm_sim
 open Dsm_memory
 module Machine = Dsm_rdma.Machine
+module Message = Dsm_rdma.Message
+module Codec = Dsm_clocks.Codec
 module Detector = Dsm_core.Detector
 module Config = Dsm_core.Config
 module Report = Dsm_core.Report
@@ -279,6 +281,165 @@ let test_reliable_runs_pinned () =
        (fun (s, p, _) -> String.concat " " [ s; p; reliable_batch s p ])
        reliable_pins)
 
+(* ---------- live codec oracle ---------- *)
+
+(* The machine prices each piggyback instead of building it. This
+   oracle shadows real runs with the full reference codec
+   ([Codec_ref]: the build-all-three encoder and the array decoder) and
+   per-edge state of its own. For every clock-carrying send a [Sent]
+   observer builds the reference frame of the sender's clock against
+   the last clock the reference shipped on that edge, and decodes it
+   into the reference's mirror of that edge, which must give the
+   sender's clock. The fabric's [Net_send] that follows must price
+   exactly that frame's length as its clock words, and the machine's
+   tally must have counted that frame's tag. A send that carries no
+   clock must price none. Acks and resends, which no [Sent] precedes,
+   are not checked. *)
+type ref_edge = {
+  mutable cache : Dsm_clocks.Vector_clock.t option;
+  mutable mirror : Dsm_clocks.Vector_clock.t option;
+  mutable seq : int;
+}
+
+let carries_clock = function
+  | Message.Put _ | Message.Put_batch _ | Message.Get_reply _
+  | Message.Atomic_reply _ | Message.Acc_reply _ | Message.Lock_granted _ ->
+      true
+  | _ -> false
+
+(* Attaches the oracle to [m] before its run; returns the frames it
+   checked and the failures it saw, newest first. *)
+let attach_codec_oracle ~mode sim m d =
+  let edges = Hashtbl.create 16 in
+  let pending = ref None and frames = ref 0 and failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let tally = ref (0, 0, 0) in
+  Machine.add_observer m (function
+    | Machine.Sent { src; dst; msg; _ } when carries_clock msg ->
+        let e =
+          match Hashtbl.find_opt edges (src, dst) with
+          | Some e -> e
+          | None ->
+              let e = { cache = None; mirror = None; seq = 0 } in
+              Hashtbl.add edges (src, dst) e;
+              e
+        in
+        let v = Detector.proc_clock d src in
+        let w = Codec_ref.encode_piggyback ~mode ~seq:e.seq ?since:e.cache v in
+        let v', seq =
+          Codec_ref.decode_piggyback ~expect_seq:e.seq ?base:e.mirror w
+        in
+        if not (Dsm_clocks.Vector_clock.equal v v') then
+          fail "%d->%d frame %d decodes to another clock" src dst e.seq;
+        e.cache <- Some v;
+        e.mirror <- Some v';
+        e.seq <- seq + 1;
+        pending := Some (src, dst, Some w)
+    | Machine.Sent { src; dst; _ } -> pending := Some (src, dst, None)
+    | _ -> ());
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Dsm_obs.Probe.Net_send { src; dst; clock_words; _ } -> (
+        match !pending with
+        | None -> ()
+        | Some (s, t, w) ->
+            pending := None;
+            if (s, t) <> (src, dst) then
+              fail "Net_send %d->%d after Sent %d->%d" src dst s t;
+            let words = match w with Some w -> Array.length w | None -> 0 in
+            if clock_words <> words then
+              fail "%d->%d priced %d clock words, reference frame %d" src dst
+                clock_words words;
+            let dense, sparse, delta = !tally in
+            let expected =
+              match Option.map Codec_ref.piggyback_mode_of w with
+              | None -> !tally
+              | Some Codec.Dense -> (dense + 1, sparse, delta)
+              | Some Codec.Sparse -> (dense, sparse + 1, delta)
+              | Some Codec.Delta -> (dense, sparse, delta + 1)
+            in
+            tally := Machine.clock_encodings m;
+            if !tally <> expected then fail "%d->%d tally off the tag" src dst;
+            if w <> None then incr frames)
+    | _ -> ());
+  (frames, failures)
+
+type shape = Push | Stencil | Racy | Explore_random
+
+let shape_name = function
+  | Push -> "push"
+  | Stencil -> "stencil"
+  | Racy -> "racy"
+  | Explore_random -> "explore"
+
+(* The four benchmark workload shapes at small n. *)
+let setup_shape shape env ~seed =
+  match shape with
+  | Push ->
+      Dsm_workload.Scale.setup env
+        { Dsm_workload.Scale.rounds = 2; chunk = 2; racy = false;
+          batched = true; think_mean = 0.; seed }
+  | Stencil ->
+      ignore
+        (Dsm_workload.Stencil.setup env
+           ~collectives:(Dsm_pgas.Collectives.create env)
+           { Dsm_workload.Stencil.cells_per_node = 8; iterations = 2; seed })
+  | Racy ->
+      Dsm_workload.Random_access.setup env
+        { Dsm_workload.Random_access.default with
+          ops_per_proc = 30; vars = 8; read_fraction = 0.5;
+          atomic_fraction = 0.1; seed }
+  | Explore_random ->
+      Dsm_workload.Random_access.setup env
+        { Dsm_workload.Random_access.default with
+          ops_per_proc = 20; think_mean = 1.0; seed }
+
+(* Fabric plans: fault-free, [dup=0.4,drop=0.3] and [reorder] under the
+   reliable transport, an unreliable faulty fabric and the eventual
+   model's reordered put lanes (both on the sparse fallback). *)
+let oracle_plans =
+  let nic = Dsm_rdma.Model.Nic_atomic in
+  [
+    ("fault-free", None, false, nic, Codec.Delta);
+    ("reliable dup/drop", Some "dup=0.4,drop=0.3", true, nic, Codec.Delta);
+    ("reliable reorder", Some "reorder=0.5", true, nic, Codec.Delta);
+    ("unreliable faulty", Some "reorder=0.5,drop=0.05", false, nic, Codec.Sparse);
+    ("eventual", None, false, Dsm_rdma.Model.Eventual, Codec.Sparse);
+  ]
+
+let test_live_codec_oracle () =
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun (plan, faults, reliable, model, mode) ->
+          let n = match shape with Explore_random -> 3 | _ -> 5 in
+          let sim = Engine.create ~seed:3 () in
+          let m =
+            Machine.create sim ~n ~private_words:256 ~public_words:256
+              ?faults:(Option.map Fault.of_string faults)
+              ?reliability:
+                (if reliable then Some (Dsm_net.Fabric.reliability ())
+                 else None)
+              ~model ()
+          in
+          let d = Detector.create m () in
+          setup_shape shape (Dsm_pgas.Env.checked d) ~seed:3;
+          let frames, failures = attach_codec_oracle ~mode sim m d in
+          ignore (Machine.run m);
+          let name = Printf.sprintf "%s, %s" (shape_name shape) plan in
+          Alcotest.(check (list string)) (name ^ ": no failure") []
+            (List.rev !failures);
+          let dense, sparse, delta = Machine.clock_encodings m in
+          Alcotest.(check int) (name ^ ": every frame checked")
+            (dense + sparse + delta) !frames;
+          Alcotest.(check bool) (name ^ ": frames sent") true (!frames > 0);
+          if plan = "reliable dup/drop" then
+            Alcotest.(check bool) (name ^ ": frames resent") true
+              (Machine.transport_retransmits m > 0);
+          if mode = Codec.Sparse then
+            Alcotest.(check int) (name ^ ": no deltas") 0 delta)
+        oracle_plans)
+    [ Push; Stencil; Racy; Explore_random ]
+
 (* ---------- 50-walk explorer batch ---------- *)
 
 (* [token] with a [w=] field spliced in where the old printer put it:
@@ -455,6 +616,7 @@ let () =
             test_reliable_reorder_keeps_deltas;
           Alcotest.test_case "reliable runs pinned" `Quick
             test_reliable_runs_pinned;
+          Alcotest.test_case "live codec oracle" `Quick test_live_codec_oracle;
         ] );
       ( "differential",
         [
