@@ -310,6 +310,7 @@ let run_workload which n seed ops racy detect coherence verbose explain
     one_shot ~seed ~name:"workload" ~n ~min_n:2
       { no_outputs with verbose; explain }
       ~setup:(fun sim ->
+        let* () = Collectives.check_n n in
         let machine = Machine.create sim ~n () in
         let checker =
           if coherence then Some (Dsm_rdma.Coherence.attach machine) else None
@@ -597,6 +598,7 @@ let run_source path o ~n ~model ~instrument ~detect =
       | Ok ir ->
           one_shot ~name:path ~n ~min_n:1 o
             ~setup:(fun sim ->
+              let* () = Collectives.check_n n in
               let machine = Machine.create sim ~n ~model () in
               let detector =
                 if detect then

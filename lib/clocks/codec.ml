@@ -50,12 +50,6 @@ let check_dense w off =
     invalid_arg "Codec.decode_vector: malformed buffer";
   n
 
-(* The [k] pairs of a pairs payload at [off], as a walker. *)
-let walk_pairs w off k f =
-  for j = 0 to k - 1 do
-    f w.(off + 2 + (2 * j)) w.(off + 3 + (2 * j))
-  done
-
 (* The pair count; the dimension is [w.(off)]. *)
 let check_sparse w off =
   let len = Array.length w - off in
@@ -116,22 +110,6 @@ let decode_vector w =
   Vector_clock.load_words v w ~off:1;
   v
 
-(* Sparse encoding: dimension and pair-count headers, then the nonzero
-   components as strictly ascending (pid, tick) pairs — [2k + 2] words
-   for [k] live components, beating the dense [n + 1] words whenever
-   fewer than half the processes have touched the clock. The decoder
-   rejects truncated or padded buffers, out-of-range or unsorted pids,
-   and non-positive ticks. *)
-let encode_vector_sparse v =
-  let k = Vector_clock.active_entries v in
-  let w = Array.make (pairs_len k) 0 in
-  write_sparse w 0 ~k v;
-  w
-
-let decode_vector_sparse w =
-  let k = check_sparse w 0 in
-  Vector_clock.of_ascending ~n:w.(0) (walk_pairs w 0 k)
-
 let encode_matrix m =
   let n = Matrix_clock.dim m in
   let w = Array.make ((n * n) + 2) 0 in
@@ -144,16 +122,6 @@ let encode_matrix m =
   done;
   w
 
-let decode_matrix w =
-  if Array.length w < 2 then invalid_arg "Codec.decode_matrix: empty buffer";
-  let n = w.(0) and me = w.(1) in
-  if n <= 0 || me < 0 || me >= n || Array.length w <> (n * n) + 2 then
-    invalid_arg "Codec.decode_matrix: malformed buffer";
-  let rows =
-    Array.init n (fun i -> Array.init n (fun j -> w.(2 + (i * n) + j)))
-  in
-  Matrix_clock.of_rows ~me rows
-
 let varint_add buf x =
   let rec go x =
     if x < 0x80 then Buffer.add_char buf (Char.chr x)
@@ -164,45 +132,11 @@ let varint_add buf x =
   in
   if x < 0 then invalid_arg "Codec.varint: negative" else go x
 
-let varint_read b pos =
-  let len = Bytes.length b in
-  let rec go pos shift acc =
-    if pos >= len then invalid_arg "Codec.decode_vector_varint: truncated";
-    (* OCaml ints are 63-bit: a continuation chain past 9 groups would
-       shift into (or past) the sign bit and decode a different number
-       than was encoded. *)
-    if shift >= 63 then invalid_arg "Codec.decode_vector_varint: overlong varint";
-    let c = Char.code (Bytes.get b pos) in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
 let encode_vector_varint v =
   let buf = Buffer.create 16 in
   varint_add buf (Vector_clock.dim v);
   Array.iter (varint_add buf) (Vector_clock.to_array v);
   Buffer.to_bytes buf
-
-let decode_vector_varint b =
-  let n, pos = varint_read b 0 in
-  (* Each entry needs at least one byte, so a dimension header larger
-     than the remaining buffer is malformed — reject it before the
-     [Array.make] rather than letting an attacker-sized header allocate
-     gigabytes and then fail on the first truncated entry. *)
-  if n <= 0 then invalid_arg "Codec.decode_vector_varint: bad dimension";
-  if n > Bytes.length b - pos then
-    invalid_arg "Codec.decode_vector_varint: truncated";
-  let a = Array.make n 0 in
-  let pos = ref pos in
-  for i = 0 to n - 1 do
-    let x, next = varint_read b !pos in
-    a.(i) <- x;
-    pos := next
-  done;
-  if !pos <> Bytes.length b then
-    invalid_arg "Codec.decode_vector_varint: trailing bytes";
-  Vector_clock.of_array a
 
 let encode_vector_delta ~since v =
   if Vector_clock.dim since <> Vector_clock.dim v then
@@ -213,12 +147,6 @@ let encode_vector_delta ~since v =
   let w = Array.make (pairs_len d) 0 in
   write_delta w 0 ~since ~d v;
   w
-
-let decode_vector_delta ~base w =
-  let count = check_delta ~n:(Vector_clock.dim base) w 0 in
-  let v = Vector_clock.copy base in
-  patch v w 0 count;
-  v
 
 (* ---------- self-framed piggyback ---------- *)
 

@@ -20,26 +20,8 @@ val decode_vector : wire -> Vector_clock.t
 (** Inverse of {!encode_vector}. Raises [Invalid_argument] on a malformed
     buffer. *)
 
-(** {1 Sparse encoding}
-
-    [2k + 2] words for a clock with [k] nonzero components: dimension and
-    pair-count headers, then strictly ascending [(pid, tick)] pairs —
-    the wire form of the [Sparse] scaling representation. Worst case
-    [2n + 2] words, still linear in [n]: §4.3's bound survives. *)
-
-val encode_vector_sparse : Vector_clock.t -> wire
-(** Any representation encodes; only the nonzero components ship. *)
-
-val decode_vector_sparse : wire -> Vector_clock.t
-(** Inverse of {!encode_vector_sparse}; the result is a [Sparse]-policy
-    clock. Raises [Invalid_argument] on a truncated or padded buffer,
-    a malformed header, unsorted or out-of-range pids, or a
-    non-positive tick. *)
-
 val encode_matrix : Matrix_clock.t -> wire
 (** [n*n + 2] words: dimension and owner headers then rows. *)
-
-val decode_matrix : wire -> Matrix_clock.t
 
 (** {1 Differential encoding}
 
@@ -50,14 +32,7 @@ val decode_matrix : wire -> Matrix_clock.t
     worse than dense, illustrating §4.3. *)
 
 val encode_vector_delta : since:Vector_clock.t -> Vector_clock.t -> wire
-
-val decode_vector_delta : base:Vector_clock.t -> wire -> Vector_clock.t
-(** [decode_vector_delta ~base w] reconstructs the encoded clock given the
-    [base] ([since]) the encoder used. Indices must be strictly
-    ascending; a zero value is legal (a delta may lower a component).
-    Raises [Invalid_argument] if the buffer is malformed, an index is
-    out of range, repeated or out of order, or the dimensions
-    disagree. *)
+(** Raises [Invalid_argument] when the dimensions disagree. *)
 
 (** {1 Byte-level varint encoding}
 
@@ -69,22 +44,21 @@ val decode_vector_delta : base:Vector_clock.t -> wire -> Vector_clock.t
 val encode_vector_varint : Vector_clock.t -> bytes
 (** Varint dimension header followed by varint entries. *)
 
-val decode_vector_varint : bytes -> Vector_clock.t
-(** Raises [Invalid_argument] on malformed or truncated input, including
-    overlong (> 63-bit) varint chains and dimension headers larger than
-    the remaining buffer could possibly encode. *)
-
 (** {1 Self-framed piggyback}
 
     The wire form of a clock-carrying message's piggyback:
     [tag; seq; payload...]. The tag records which payload codec was
     chosen (0 dense, 1 sparse, 2 delta) and [seq] is the per-edge
-    message number the sender's cache was at when it encoded. Dense and
-    sparse payloads are self-contained; a delta payload is relative to
-    the last clock shipped on the same (src, dst) edge, so the decoder
-    demands the expected sequence number and a base clock, and raises
-    [Invalid_argument] otherwise — out-of-order delivery of a delta is
-    detected, never silently mis-applied.
+    message number the sender's cache was at when it encoded. A dense
+    payload is {!encode_vector}'s, a delta payload
+    {!encode_vector_delta}'s, and a sparse payload the [2k + 2] words of
+    the dimension, the count [k] of nonzero components and their
+    ascending [(pid, tick)] pairs (worst case [2n + 2], still linear in
+    [n]). Dense and sparse payloads are self-contained; a delta payload
+    is relative to the last clock shipped on the same (src, dst) edge,
+    so the decoder demands the expected sequence number and a base
+    clock, and raises [Invalid_argument] otherwise — out-of-order
+    delivery of a delta is detected, never silently mis-applied.
 
     The live transport prices its piggybacks rather than building them
     ({!size_piggyback_edge}) and ships only the frame's immediate header

@@ -5,24 +5,9 @@ let create ~n ~me =
   if me < 0 || me >= n then invalid_arg "Matrix_clock.create: owner out of range";
   { me; m = Array.make_matrix n n 0 }
 
-let of_rows ~me rows =
-  let n = Array.length rows in
-  if n = 0 then invalid_arg "Matrix_clock.of_rows: empty";
-  if me < 0 || me >= n then invalid_arg "Matrix_clock.of_rows: owner out of range";
-  let check r =
-    if Array.length r <> n then invalid_arg "Matrix_clock.of_rows: not square";
-    Array.iter
-      (fun x -> if x < 0 then invalid_arg "Matrix_clock.of_rows: negative entry")
-      r
-  in
-  Array.iter check rows;
-  { me; m = Array.map Array.copy rows }
-
 let dim t = Array.length t.m
 
 let owner t = t.me
-
-let copy t = { me = t.me; m = Array.map Array.copy t.m }
 
 let row t j =
   if j < 0 || j >= dim t then invalid_arg "Matrix_clock.row";
@@ -50,14 +35,3 @@ let observe t remote =
   done
 
 let size_words t = dim t * dim t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i r ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%s%a"
-        (if i = t.me then "*" else " ")
-        Vector_clock.pp (Vector_clock.of_array r))
-    t.m;
-  Format.fprintf ppf "@]"

@@ -11,17 +11,10 @@ type t
 val create : n:int -> me:int -> t
 (** [create ~n ~me] is the zero matrix for process [me] of [n]. *)
 
-val of_rows : me:int -> int array array -> t
-(** [of_rows ~me rows] builds a matrix from a square array of rows (copied).
-    Used by the wire decoder. Raises [Invalid_argument] if [rows] is not
-    square, [me] is out of range, or an entry is negative. *)
-
 val dim : t -> int
 
 val owner : t -> int
 (** The process this matrix belongs to. *)
-
-val copy : t -> t
 
 val row : t -> int -> Vector_clock.t
 (** [row m j] is a snapshot of row [j]. *)
@@ -39,5 +32,3 @@ val observe : t -> t -> unit
 
 val size_words : t -> int
 (** [n * n]: wire cost measured by E6. *)
-
-val pp : Format.formatter -> t -> unit

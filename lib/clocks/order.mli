@@ -21,6 +21,4 @@ val flip : t -> t
     [Before] becomes [After] and conversely; [Equal] and [Concurrent]
     are symmetric and unchanged. *)
 
-val to_string : t -> string
-
 val pp : Format.formatter -> t -> unit

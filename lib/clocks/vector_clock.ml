@@ -295,19 +295,6 @@ let set c i x =
         sparse_set c i x
       end
 
-(* Validate every pair, then fill a fresh clock through [set]: ascending
-   pids build exactly the representation [of_array] would pick. *)
-let of_ascending ~n walk =
-  let t = create ~n in
-  let prev = ref (-1) in
-  walk (fun p x ->
-      if p <= !prev || p >= n then
-        invalid_arg "Vector_clock.of_ascending: pids not ascending in range";
-      if x < 0 then invalid_arg "Vector_clock.of_ascending: negative entry";
-      prev := p);
-  walk (fun p x -> if x <> 0 then set t p x);
-  t
-
 let assign ~into src =
   check_dim into src "assign";
   (match src.rep with

@@ -63,16 +63,6 @@ val of_array : int array -> t
 val to_array : t -> int array
 (** Fresh array with the clock's entries — the wire representation. *)
 
-val of_ascending : n:int -> ((int -> int -> unit) -> unit) -> t
-(** [of_ascending ~n walk] is the clock of dimension [n] whose
-    components are the [(pid, tick)] pairs [walk f] passes to [f], in the
-    form {!of_array} would pick for them. Pids must be strictly
-    ascending and below [n]; zero ticks are legal and skipped. [walk] is
-    called more than once and must yield the same pairs each time; it
-    fills a fresh clock through {!set}. O(pairs log pairs) unless the
-    result is dense. Raises [Invalid_argument] on an
-    unsorted or out-of-range pid or a negative tick. *)
-
 val iter_active : (int -> int -> unit) -> t -> unit
 (** [iter_active f c] calls [f pid tick] on each nonzero component of
     [c] in ascending pid order. O(active) for epoch and sparse clocks,

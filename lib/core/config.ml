@@ -11,7 +11,6 @@ type t = {
   granularity : granularity;
   record_trace : bool;
   trace_reads_from : [ `All_writers | `Last_writer ];
-  ordered_locking : bool;
   lock_aware_clocks : bool;
   provenance_depth : int;
 }
@@ -24,7 +23,6 @@ let default =
     granularity = Variable;
     record_trace = false;
     trace_reads_from = `All_writers;
-    ordered_locking = true;
     lock_aware_clocks = false;
     provenance_depth = 4;
   }

@@ -3,8 +3,9 @@
 
     The default configuration is the paper's algorithm as published:
     vector clocks, the §4.4 write-clock refinement, clocks piggybacked on
-    the data messages, one clock pair per registered shared variable,
-    globally ordered lock acquisition.
+    the data messages, one clock pair per registered shared variable.
+    A transaction always takes its locks in global (pid, offset) order,
+    so two crossed transfers cannot deadlock.
 
     The memory model is not a detector setting: the machine owns it
     ({!Dsm_rdma.Machine.create}'s [?model]), and [Detector.create]
@@ -52,10 +53,6 @@ type t = {
           matches the clocks' own causality (a reader absorbs the whole
           write clock), [`Last_writer] is strict happens-before — the
           E8 gap measurement *)
-  ordered_locking : bool;
-      (** acquire transaction locks in global (pid, offset) order to avoid
-          distributed deadlock; [false] reproduces the paper's literal
-          src-then-dst order, which can deadlock (see the test suite) *)
   lock_aware_clocks : bool;
       (** extension beyond the paper: propagate causality through
           user-level locks ([Detector.lock]/[Detector.unlock]) by keeping

@@ -199,8 +199,6 @@ let create machine ?(config = Config.default) ?(verbose = false) () =
 
 let machine t = t.machine
 
-let config t = t.config
-
 let report t = t.report
 
 let register t (r : Addr.region) = Clock_store.register t.stores.(r.base.pid) r
@@ -492,17 +490,15 @@ type span =
 
 let nic_locks = function Nic_locks -> true | One _ | Two _ -> false
 
-(* The read and write regions in the global order under
-   [ordered_locking], else in the paper's literal read-then-write order
-   (which can deadlock). *)
+(* The read and write regions in the global (pid, offset) order: the
+   paper's literal read-then-write order can deadlock two crossed
+   transfers. *)
 let lock_two t p ~read_region ~write_region =
   if not (txn_locks t) then Nic_locks
   else
     let first, second =
-      if
-        t.config.Config.ordered_locking
-        && region_before write_region read_region
-      then (write_region, read_region)
+      if region_before write_region read_region then
+        (write_region, read_region)
       else (read_region, write_region)
     in
     let tk1 = Machine.lock p first in

@@ -42,8 +42,6 @@ val create :
 
 val machine : t -> Dsm_rdma.Machine.t
 
-val config : t -> Config.t
-
 val report : t -> Report.t
 
 (** {1 Shared-data declaration} *)

@@ -345,12 +345,11 @@ let rec merge ~max_runs runs = function
          and the merge stops at that lower rank (or at the cap) first *)
       failwith "Parallel.explore_exhaustive: merge read a skipped subtree"
 
-let explore_exhaustive ?(check_determinism = false) ?(max_runs = 500) ?metrics
-    ?pool ~jobs spec ~depth =
+let explore_exhaustive ?(max_runs = 500) ?metrics ?pool ~jobs spec ~depth =
   batch ?pool ~jobs ~metrics @@ fun pool ->
   let ctx0 = slot_ctx pool ~metrics spec 0 in
   if Pool.size pool = 1 then
-    Explore.explore_exhaustive_in ~check_determinism ~max_runs ctx0 ~depth
+    Explore.explore_exhaustive_in ~max_runs ctx0 ~depth
   else begin
     let max_runs = max 0 max_runs in
     let best_rank = Atomic.make max_int in
@@ -361,7 +360,7 @@ let explore_exhaustive ?(check_determinism = false) ?(max_runs = 500) ?metrics
       let count = ref 0 in
       let found = ref None in
       let aborted = ref false in
-      Explore.dfs_in ~check_determinism ctx ~root:prefix0 ~prefix:Fun.id
+      Explore.dfs_in ctx ~root:prefix0 ~prefix:Fun.id
         ~until:(fun () ->
           Option.is_some !found || !count >= max_runs
           || (Atomic.get best_rank < rank && (aborted := true; true)))

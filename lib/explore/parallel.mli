@@ -93,7 +93,6 @@ val explore_random :
     heartbeat. *)
 
 val explore_exhaustive :
-  ?check_determinism:bool ->
   ?max_runs:int ->
   ?metrics:Dsm_obs.Metrics.t ->
   ?pool:Pool.t ->
@@ -103,8 +102,8 @@ val explore_exhaustive :
   Explore.stats
 (** Bounded-exhaustive DFS with the first-level decision subtrees
     claimed one at a time by pool workers, each searched by
-    [Explore.dfs_in] ([check_determinism] defaults to [false],
-    [max_runs] to 500, as sequentially). The root runs first, under the
+    [Explore.dfs_in] (without the determinism re-check, and [max_runs]
+    defaulting to 500, as sequentially). The root runs first, under the
     same cap. Workers stop claiming, and abort a subtree, once a
     lower-ranked subtree has violated; the merge replays the sequential
     visit order over the per-subtree summaries, so the result —

@@ -53,8 +53,6 @@ let observe t view =
 
 let finish t = t.final_mark <- t.sample ()
 
-let length t = t.len
-
 let view t i =
   if i < 0 || i >= t.len then invalid_arg "Ready_log.view: out of range";
   t.views.(i)

@@ -26,9 +26,6 @@ val finish : t -> unit
 (** Record the end-of-run counter sample; must be called after the run
     so {!chain_delta} is defined for the last point. *)
 
-val length : t -> int
-(** Choice points recorded since the last {!reset}. *)
-
 val view : t -> int -> (int * Dsm_sim.Label.t) array
 (** The ready set at point [i]: [(seq, label)] sorted by seq, index [k]
     being the event the chooser's pick [k] would fire. *)

@@ -36,6 +36,11 @@ let rec trim_trailing_zeros = function
 
 let make spec decisions = { spec; decisions = trim_trailing_zeros decisions }
 
+(* Programs and workloads build the collectives; [getput] does not. *)
+let builds_collectives scenario =
+  String.starts_with ~prefix:"workload:" scenario
+  || String.starts_with ~prefix:"prog:" scenario
+
 let validate t =
   if t.spec.n < 1 then
     Error (Printf.sprintf "process count must be at least 1, got %d" t.spec.n)
@@ -47,7 +52,10 @@ let validate t =
     match List.find_opt (fun d -> d < 0) t.decisions with
     | Some d ->
         Error (Printf.sprintf "decisions must be non-negative, got %d" d)
-    | None -> Ok t
+    | None ->
+        if builds_collectives t.spec.scenario then
+          Result.map (fun () -> t) (Dsm_pgas.Collectives.check_n t.spec.n)
+        else Ok t
 
 let to_string { spec = s; decisions } =
   (* [l=] and [m=] are omitted at their defaults, so tokens minted before
@@ -154,5 +162,3 @@ let of_string s =
         Error
           (Printf.sprintf "expected prefix %S (got %S)" magic
              (if String.length s > 16 then String.sub s 0 16 else s)))
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

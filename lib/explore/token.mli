@@ -56,9 +56,11 @@ val make : spec -> int list -> t
 (** The token for a run: the spec plus its trimmed decisions. *)
 
 val validate : t -> (t, string) result
-(** The rules every run spec obeys: [n >= 1], [max_events >= 1] and
-    every decision [>= 0]. {!of_string} applies them, and so does the
-    CLI to the spec its flags describe. *)
+(** The rules every run spec obeys: [n >= 1], [max_events >= 1], every
+    decision [>= 0], and for a [workload:] or [prog:] scenario, which
+    builds the collectives, {!Dsm_pgas.Collectives.check_n}.
+    {!of_string} applies them, and so does the CLI to the spec its flags
+    describe. *)
 
 val to_string : t -> string
 
@@ -66,5 +68,3 @@ val of_string : string -> (t, string) result
 (** Inverse of {!to_string}: tolerant of field order, explicit about
     what is malformed — an unknown or repeated field, a bad value, or a
     spec {!validate} rejects. Never raises. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,10 @@ type t = {
   locks : Lock_table.t;
 }
 
-let create ~pid ?(private_words = 4096) ?(public_words = 4096) () =
+let default_words = 4096
+
+let create ~pid ?(private_words = default_words) ?(public_words = default_words)
+    () =
   if pid < 0 then invalid_arg "Node_memory.create: negative pid";
   {
     pid;
@@ -17,8 +20,6 @@ let create ~pid ?(private_words = 4096) ?(public_words = 4096) () =
     public_alloc = Allocator.create ~words:public_words;
     locks = Lock_table.create ();
   }
-
-let pid t = t.pid
 
 (* Arena reuse: zero only the allocated prefix of each segment (the rest
    never left its [create]-time zero state), then forget allocations and

@@ -7,15 +7,16 @@
 
 type t
 
+val default_words : int
+(** Words in each segment unless {!create} is told otherwise: 4096. *)
+
 val create :
   pid:int ->
   ?private_words:int ->
   ?public_words:int ->
   unit ->
   t
-(** Defaults: 4096 words per segment. *)
-
-val pid : t -> int
+(** Defaults: {!default_words} words per segment. *)
 
 val reset : t -> unit
 (** [reset t] returns the node to its freshly-[create]d state in place:

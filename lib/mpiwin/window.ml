@@ -59,8 +59,6 @@ let create env ~collectives ~name ~len_per_rank =
     t.exposure;
   t
 
-let len_per_rank t = t.len
-
 let region_of_rank t rank =
   if rank < 0 || rank >= t.n then invalid_arg "Window.region_of_rank";
   t.exposure.(rank)

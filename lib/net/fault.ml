@@ -28,25 +28,6 @@ let validate_link l =
   check_delay "reorder window" l.reorder_window;
   l
 
-let link_of ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.) ?(jitter = 0.)
-    ?(reorder_window = 4.0) () =
-  validate_link { drop; duplicate; reorder; jitter; reorder_window }
-
-let uniform ?drop ?duplicate ?reorder ?jitter ?reorder_window () =
-  {
-    default = link_of ?drop ?duplicate ?reorder ?jitter ?reorder_window ();
-    overrides = [];
-  }
-
-let on_link t ~src ~dst l =
-  if src < 0 || dst < 0 then invalid_arg "Fault.on_link: negative node";
-  {
-    t with
-    overrides =
-      ((src, dst), validate_link l)
-      :: List.remove_assoc (src, dst) t.overrides;
-  }
-
 (* Called on every send: a plan with no per-link override answers
    without building the (src, dst) key. *)
 let link t ~src ~dst =
@@ -131,9 +112,18 @@ let of_string s =
                         (String.sub linkspec (gt + 1)
                            (String.length linkspec - gt - 1))
                     in
-                    let cur = link t ~src ~dst in
-                    on_link t ~src ~dst
-                      (validate_link (apply_clause cur key value)))
+                    if src < 0 || dst < 0 then
+                      invalid_arg "Fault.of_string: negative node";
+                    let l =
+                      validate_link
+                        (apply_clause (link t ~src ~dst) key value)
+                    in
+                    {
+                      t with
+                      overrides =
+                        ((src, dst), l)
+                        :: List.remove_assoc (src, dst) t.overrides;
+                    })
             | None ->
                 { t with default = validate_link (apply_clause t.default key value) }))
       none
@@ -165,5 +155,3 @@ let to_string t =
         (List.rev t.overrides)
     in
     String.concat "," (List.rev clauses)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

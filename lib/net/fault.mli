@@ -30,30 +30,6 @@ val none : t
 
 val is_none : t -> bool
 
-val link_of :
-  ?drop:float ->
-  ?duplicate:float ->
-  ?reorder:float ->
-  ?jitter:float ->
-  ?reorder_window:float ->
-  unit ->
-  link
-(** Build a link config; raises [Invalid_argument] on probabilities
-    outside [0,1] or negative delays. *)
-
-val uniform :
-  ?drop:float ->
-  ?duplicate:float ->
-  ?reorder:float ->
-  ?jitter:float ->
-  ?reorder_window:float ->
-  unit ->
-  t
-(** Same faults on every link. *)
-
-val on_link : t -> src:int -> dst:int -> link -> t
-(** Override one directed link. *)
-
 val link : t -> src:int -> dst:int -> link
 (** The effective config for a directed link. *)
 
@@ -66,9 +42,8 @@ val link : t -> src:int -> dst:int -> link
     [dsmcheck explore --faults]. *)
 
 val of_string : string -> t
-(** Raises [Invalid_argument] on a malformed plan. *)
+(** Raises [Invalid_argument] on a malformed plan, including a
+    probability outside [0,1], a negative delay or a negative node. *)
 
 val to_string : t -> string
 (** Round-trips through {!of_string} exactly. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
   { capacity; slots = Array.make capacity filler; total = 0; head = 0 }
 
-let capacity t = t.capacity
 let total t = t.total
 let length t = min t.total t.capacity
 let dropped t = t.total - length t

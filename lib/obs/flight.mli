@@ -33,11 +33,6 @@ val record : t -> Probe.event -> unit
 (** Append one event ([engine.step] excepted), without the [sink]'s
     run-begin reset handling. *)
 
-val reset : t -> unit
-(** Empty the window in place (no allocation). *)
-
-val capacity : t -> int
-
 val length : t -> int
 (** Events currently retained: [min total capacity]. *)
 
@@ -46,10 +41,6 @@ val total : t -> int
 
 val dropped : t -> int
 (** Accepted events that have already been overwritten. *)
-
-val iter : t -> f:(seq:int -> Probe.event -> unit) -> unit
-(** Oldest → newest; [seq] is the event's global index since the last
-    reset (so [seq = total - 1] for the newest). *)
 
 val to_list : t -> (int * Probe.event) list
 (** [(seq, event)] pairs, oldest first. *)

@@ -95,8 +95,6 @@ let create registry =
     lock_pending = Hashtbl.create 8;
   }
 
-let registry t = t.registry
-
 let us f = int_of_float (Float.round f)
 
 let sink t (ev : Probe.event) =

@@ -18,9 +18,3 @@ val attach : Metrics.t -> Probe.t -> t
 (** Create a meter over [registry] and subscribe it to the bus. The
     registry may be shared with other readers; reset it between runs via
     {!Metrics.reset} (handles inside the meter stay valid). *)
-
-val create : Metrics.t -> t
-(** The meter without subscribing — pair with {!sink}. *)
-
-val sink : t -> Probe.event -> unit
-val registry : t -> Metrics.t

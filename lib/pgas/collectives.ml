@@ -13,9 +13,7 @@ type t = {
   gen_of_pid : int array; (* barriers entered so far, per process *)
   arrivals : (int, int) Hashtbl.t; (* generation -> count at coordinator *)
   releases : (int * int, unit Ivar.t) Hashtbl.t; (* (generation, pid) *)
-  bcast_cell : Addr.region array; (* one public word per node *)
   reduce_slots : Addr.region array; (* n public words per node *)
-  xfer : Addr.region array; (* n public words per node: scatter *)
   scratch : Addr.region array; (* private staging word per node *)
 }
 
@@ -28,22 +26,30 @@ let release_ivar t ~generation ~pid =
       Hashtbl.add t.releases key iv;
       iv
 
+let check_n n =
+  let words = Node_memory.default_words in
+  if n <= words then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "-n %d does not fit: a %d-word public segment holds one reduction \
+          slot per process, so -n is at most %d"
+         n words words)
+
 let create env =
   let m = Env.machine env in
   let n = Machine.n m in
-  let alloc ~name ~len =
-    Array.init n (fun pid -> Machine.alloc_public m ~pid ~name ~len ())
-  in
-  (* Allocation order fixes the layout: xfer, reduce, then bcast in the
-     public segment. Every offset after them, which reports and pinned
-     outputs print, depends on it. *)
+  (* Allocation order fixes the layout: the reduce slots open the public
+     segment. Every offset after them, which reports and pinned outputs
+     print, depends on it. *)
   let scratch =
     Array.init n (fun pid ->
         Machine.alloc_private m ~pid ~name:"pgas.scratch" ~len:1 ())
   in
-  let xfer = alloc ~name:"pgas.xfer" ~len:n in
-  let reduce_slots = alloc ~name:"pgas.reduce" ~len:n in
-  let bcast_cell = alloc ~name:"pgas.bcast" ~len:1 in
+  let reduce_slots =
+    Array.init n (fun pid ->
+        Machine.alloc_public m ~pid ~name:"pgas.reduce" ~len:n ())
+  in
   let t =
     {
       env;
@@ -51,9 +57,7 @@ let create env =
       gen_of_pid = Array.make n 0;
       arrivals = Hashtbl.create 16;
       releases = Hashtbl.create 16;
-      bcast_cell;
       reduce_slots;
-      xfer;
       scratch;
     }
   in
@@ -68,9 +72,7 @@ let create env =
            ~offset:(r.base.offset + off) ~len:1)
     done
   in
-  Array.iter register_per_word xfer;
   Array.iter register_per_word reduce_slots;
-  Array.iter (Env.register env) bcast_cell;
   let sim = Machine.sim m in
   Machine.set_control_handler m ~tag:arrive_tag
     (fun ~node:_ ~origin:_ words ->
@@ -102,8 +104,6 @@ let create env =
       None);
   t
 
-let env t = t.env
-
 let barrier t p =
   let pid = Machine.pid p in
   let generation = t.gen_of_pid.(pid) in
@@ -134,27 +134,6 @@ let read_scratch t p =
      (Machine.node (Env.machine t.env) pid)
      t.scratch.(pid)).(0)
 
-let broadcast t p ~root value =
-  let pid = Machine.pid p in
-  (match (pid = root, value) with
-  | true, None -> invalid_arg "Collectives.broadcast: root must supply a value"
-  | false, Some _ ->
-      invalid_arg "Collectives.broadcast: only the root supplies a value"
-  | true, Some v -> Env.put t.env p ~src:(staged t p v) ~dst:t.bcast_cell.(root)
-  | false, None -> ());
-  barrier t p;
-  let result =
-    match value with
-    | Some v -> v
-    | None ->
-        Env.get t.env p ~src:t.bcast_cell.(root) ~dst:t.scratch.(pid);
-        read_scratch t p
-  in
-  (* Close the read phase so a subsequent broadcast's publish cannot race
-     with a straggler's get. *)
-  barrier t p;
-  result
-
 let slot t ~root ~pid =
   let (r : Addr.region) = t.reduce_slots.(root) in
   Addr.region ~pid:r.base.pid ~space:Addr.Public ~offset:(r.base.offset + pid)
@@ -175,50 +154,6 @@ let reduce_gather t p ~root ~value =
       done;
       Some !sum
     end
-  in
-  barrier t p;
-  result
-
-(* Word [sender] of [node]'s transfer area. *)
-let xfer_slot t ~node ~sender =
-  let (r : Addr.region) = t.xfer.(node) in
-  Addr.region ~pid:r.base.pid ~space:Addr.Public
-    ~offset:(r.base.offset + sender) ~len:1
-
-let read_slot t p r =
-  let pid = Machine.pid p in
-  Env.get t.env p ~src:r ~dst:t.scratch.(pid);
-  read_scratch t p
-
-let scatter t p ~root values =
-  let pid = Machine.pid p in
-  (match (pid = root, values) with
-  | true, None -> invalid_arg "Collectives.scatter: root must supply values"
-  | false, Some _ ->
-      invalid_arg "Collectives.scatter: only the root supplies values"
-  | true, Some v when Array.length v <> t.n ->
-      invalid_arg "Collectives.scatter: need one value per process"
-  | true, Some v ->
-      for j = 0 to t.n - 1 do
-        Env.put t.env p ~src:(staged t p v.(j))
-          ~dst:(xfer_slot t ~node:j ~sender:root)
-      done
-  | false, None -> ());
-  barrier t p;
-  let mine = read_slot t p (xfer_slot t ~node:pid ~sender:root) in
-  barrier t p;
-  mine
-
-let gather t p ~root ~value =
-  let pid = Machine.pid p in
-  Env.put t.env p ~src:(staged t p value) ~dst:(slot t ~root ~pid);
-  barrier t p;
-  let result =
-    if pid <> root then None
-    else
-      Some
-        (Array.init t.n (fun contributor ->
-             read_slot t p (slot t ~root ~pid:contributor)))
   in
   barrier t p;
   result
@@ -261,8 +196,3 @@ let reduce_onesided t p ?(aop = Dsm_rdma.Message.Add) array =
 
 let reduce_onesided_sum t p array =
   reduce_onesided t p ~aop:Dsm_rdma.Message.Add array
-
-let allreduce t p ~value =
-  match reduce_gather t p ~root:0 ~value with
-  | Some sum -> broadcast t p ~root:0 (Some sum)
-  | None -> broadcast t p ~root:0 None

@@ -15,12 +15,18 @@
 
 type t
 
+val check_n : int -> (unit, string) result
+(** [check_n n] accepts a process count up to
+    {!Dsm_memory.Node_memory.default_words}: {!create} gives each node one
+    reduction slot per process in its public segment, so a larger [n]
+    cannot fit a default-sized segment. The error names [-n] and the
+    segment size. Callers check it before a machine allocates its
+    segments. *)
+
 val create : Env.t -> t
 (** Installs the coordinator services on the machine's NICs and allocates
     the collective staging cells. At most one per machine. All [n] nodes
     are participants in every collective. *)
-
-val env : t -> Env.t
 
 val barrier : t -> Dsm_rdma.Machine.proc -> unit
 (** Blocks until every process has entered the same barrier generation.
@@ -28,13 +34,6 @@ val barrier : t -> Dsm_rdma.Machine.proc -> unit
 
 val generation : t -> pid:int -> int
 (** Barrier generations completed by [pid] so far. *)
-
-val broadcast : t -> Dsm_rdma.Machine.proc -> root:int -> int option -> int
-(** [broadcast c p ~root v] returns the root's value on every process.
-    The root passes [Some value]; the others pass [None]. Implemented as
-    a root publish + barrier + one-sided gets + barrier.
-    Raises [Invalid_argument] if the root does not supply a value or a
-    non-root does. *)
 
 val reduce_gather :
   t -> Dsm_rdma.Machine.proc -> root:int -> value:int -> int option
@@ -57,21 +56,3 @@ val reduce_onesided :
 val reduce_onesided_sum :
   t -> Dsm_rdma.Machine.proc -> Shared_array.t -> int
 (** [reduce_onesided ~aop:Add]. *)
-
-val allreduce : t -> Dsm_rdma.Machine.proc -> value:int -> int
-(** Sum reduction whose result reaches every process: a gather to node 0
-    followed by a broadcast. *)
-
-val scatter :
-  t -> Dsm_rdma.Machine.proc -> root:int -> int array option -> int
-(** [scatter c p ~root v] distributes one value per process from the
-    root's array ([Some values] of length [n] at the root, [None]
-    elsewhere); returns this process's element. One-sided: the root
-    pushes each slot; a barrier closes the phase.
-    Raises [Invalid_argument] on a wrong-length array or a non-root
-    supplying values. *)
-
-val gather :
-  t -> Dsm_rdma.Machine.proc -> root:int -> value:int -> int array option
-(** Inverse of {!scatter}: everyone pushes its value to the root's slot
-    array; [Some values] at the root after a closing barrier. *)

@@ -11,8 +11,6 @@ let machine = function Plain m -> m | Checked d -> Detector.machine d
 
 let detector = function Plain _ -> None | Checked d -> Some d
 
-let n t = Machine.n (machine t)
-
 let put t p ~src ~dst =
   match t with
   | Plain _ -> Machine.put p ~src ~dst ()

@@ -18,8 +18,6 @@ val machine : t -> Dsm_rdma.Machine.t
 
 val detector : t -> Dsm_core.Detector.t option
 
-val n : t -> int
-
 val put :
   t -> Dsm_rdma.Machine.proc ->
   src:Dsm_memory.Addr.region -> dst:Dsm_memory.Addr.region -> unit

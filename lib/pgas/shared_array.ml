@@ -67,10 +67,6 @@ let create env ~name ~len ?(layout = Block) () =
 
 let length t = t.len
 
-let name t = t.name
-
-let layout t = t.layout
-
 let check_index t i =
   if i < 0 || i >= t.len then invalid_arg "Shared_array: index out of bounds"
 

@@ -25,10 +25,6 @@ val create :
 
 val length : t -> int
 
-val name : t -> string
-
-val layout : t -> layout
-
 val owner : t -> int -> int
 (** Affinity of element [i]. Raises [Invalid_argument] out of bounds. *)
 

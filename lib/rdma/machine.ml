@@ -165,23 +165,13 @@ let rec handle m ~node ~src msg =
          word, each word its own locked step with a scheduling point in
          between, so a concurrent get over the span can observe a torn
          write — exactly the window the paper's NIC-atomic model closes. *)
-      non_atomic_put m ~node ~origin ~locked
-        ~words:(Array.to_list (Array.mapi (fun i v -> (offset + i, v)) data))
-        ~finish:(fun () ->
-          if want_ack then
-            transmit m ~src:node ~dst:origin (Message.Put_ack { op }))
+      non_atomic_put m ~node ~origin ~op ~locked ~want_ack
+        [| (offset, data) |]
   | Message.Put_batch { op; origin; parts; locked; want_ack; _ }
     when not m.mh.Model.atomic_puts ->
       (* Non-atomic batches lose the union-span lock too: parts land word
          by word, interleaving with whatever else the schedule delivers. *)
-      let words =
-        Array.to_list parts
-        |> List.concat_map (fun (offset, data) ->
-               Array.to_list (Array.mapi (fun i v -> (offset + i, v)) data))
-      in
-      non_atomic_put m ~node ~origin ~locked ~words ~finish:(fun () ->
-          if want_ack then
-            transmit m ~src:node ~dst:origin (Message.Put_ack { op }))
+      non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts
   | Message.Put { op; origin; offset; data; locked; want_ack; _ } ->
       if locked then
         Lock_table.acquire locks ~offset ~len:(Array.length data) (fun id ->
@@ -376,27 +366,39 @@ and fill_pending : 'a. 'a Ivar.t Int_tbl.t -> int -> 'a -> t -> node:int -> unit
   | exception Not_found ->
       failwith (Printf.sprintf "NIC: reply for unknown op #%d" op)
 
-and non_atomic_put m ~node ~origin ~locked ~words ~finish =
+(* Applies the parts' words in order, word [i] of part [p] at
+   [(p, i)], each its own (locked) write, with a delay-0 scheduling point
+   between consecutive words; acks after the last. *)
+and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
   let nm = m.nodes.(node) in
   let locks = Node_memory.locks nm in
   let public = Node_memory.segment nm Addr.Public in
-  let rec step = function
-    | [] -> finish ()
-    | (offset, v) :: rest ->
-        let apply id =
-          write_part m ~node ~origin ~public ~offset [| v |];
-          (match id with Some id -> Lock_table.release locks id | None -> ());
-          match rest with
-          | [] -> finish ()
-          | _ ->
-              Engine.schedule m.sim ~delay:0. ~label:(Label.v ~node ~origin)
-                (fun () -> step rest)
-        in
-        if locked then
-          Lock_table.acquire locks ~offset ~len:1 (fun id -> apply (Some id))
-        else apply None
+  (* The first word at or after [(p, i)], skipping empty parts. *)
+  let rec next p i =
+    if p = Array.length parts then None
+    else if i < Array.length (snd parts.(p)) then Some (p, i)
+    else next (p + 1) 0
   in
-  step words
+  let finish () =
+    if want_ack then transmit m ~src:node ~dst:origin (Message.Put_ack { op })
+  in
+  let rec step p i =
+    let offset, data = parts.(p) in
+    let offset = offset + i in
+    let apply id =
+      write_part m ~node ~origin ~public ~offset [| data.(i) |];
+      (match id with Some id -> Lock_table.release locks id | None -> ());
+      match next p (i + 1) with
+      | None -> finish ()
+      | Some (p, i) ->
+          Engine.schedule m.sim ~delay:0. ~label:(Label.v ~node ~origin)
+            (fun () -> step p i)
+    in
+    if locked then
+      Lock_table.acquire locks ~offset ~len:1 (fun id -> apply (Some id))
+    else apply None
+  in
+  match next 0 0 with None -> finish () | Some (p, i) -> step p i
 
 and transmit m ~src ~dst msg =
   if m.observers <> [] then
@@ -603,12 +605,10 @@ let spawn_all m ?name body =
 
 let pid p = p.p
 
-let machine p = p.m
-
 let compute p dt =
   Engine.sleep ~label:(Label.v ~node:p.p ~origin:p.p) p.m.sim dt
 
-let run ?until ?max_events m = Engine.run ?until ?max_events m.sim
+let run ?max_events m = Engine.run ?max_events m.sim
 
 (* ---------- allocation ---------- *)
 
@@ -795,10 +795,10 @@ let rec read_put_parts p parts i = function
       read_put_parts p parts (i + 1) rest
 
 let put_batch p ~(pairs : (Addr.region * Addr.region) list)
-    ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
+    ?(extra_words = 0) ?(locked = true) () =
   match pairs with
   | [] -> invalid_arg "Machine.put_batch: empty batch"
-  | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~ack ~locked ()
+  | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~locked ()
   | (_, (dst0 : Addr.region)) :: _ ->
       let target = dst0.base.pid in
       check_put_parts p ~target ~prev_end:(-1) pairs;
@@ -808,17 +808,15 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
         Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
       in
       let op = fresh_op p.m in
-      let iv = if ack then Some (Ivar.create ()) else None in
-      (match iv with
-      | Some iv -> Int_tbl.replace p.m.pending_acks op iv
-      | None -> ());
+      let iv = Ivar.create () in
+      Int_tbl.replace p.m.pending_acks op iv;
       op_begin p ~op ~kind:"put" ~target;
       batch_flush p ~node:target ~kind:"put" ~parts:(Array.length parts)
         ~words;
       transmit p.m ~src:p.p ~dst:target
         (Message.Put_batch
-           { op; origin = p.p; parts; extra_words; locked; want_ack = ack });
-      (match iv with Some iv -> Ivar.read p.m.sim iv | None -> ());
+           { op; origin = p.p; parts; extra_words; locked; want_ack = true });
+      Ivar.read p.m.sim iv;
       op_end p ~op ~kind:"put"
 
 (* Gets need no new message: contiguous sources collapse into a single

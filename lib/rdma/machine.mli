@@ -174,12 +174,10 @@ val proc : t -> pid:int -> proc
 
 val pid : proc -> int
 
-val machine : proc -> t
-
 val compute : proc -> float -> unit
 (** Model [dt] microseconds of local computation. *)
 
-val run : ?until:float -> ?max_events:int -> t -> Dsm_sim.Engine.outcome
+val run : ?max_events:int -> t -> Dsm_sim.Engine.outcome
 (** Convenience: run the underlying engine. *)
 
 (** {1 Allocation} *)
@@ -227,7 +225,7 @@ val get :
 val put_batch :
   proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> ?ack:bool -> ?locked:bool -> unit -> unit
+  ?extra_words:int -> ?locked:bool -> unit -> unit
 (** [put_batch p ~pairs ()] performs every [(src, dst)] put of [pairs]
     as {e one} fabric message: all destinations must be public regions
     of the same node, in ascending non-overlapping address order; the

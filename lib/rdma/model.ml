@@ -53,8 +53,6 @@ let name = function
   | Eventual -> "eventual"
   | Seq_consistent -> "seq_consistent"
 
-let all = [ Nic_atomic; Relaxed; Eventual; Seq_consistent ]
-
 let default = Nic_atomic
 
 let of_name s =
@@ -69,5 +67,3 @@ let of_name s =
            "unknown memory model %S (expected nic_atomic, relaxed, eventual \
             or seq_consistent)"
            s)
-
-let pp ppf m = Format.pp_print_string ppf (name m)

@@ -71,9 +71,5 @@ val of_name : string -> (t, string) result
 (** Inverse of {!name}; also accepts ["nic-atomic"] / ["seq-consistent"]
     spellings and the ["sc"] shorthand. *)
 
-val all : t list
-
 val default : t
 (** [Nic_atomic] — the paper's model. *)
-
-val pp : Format.formatter -> t -> unit

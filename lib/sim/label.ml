@@ -38,7 +38,3 @@ let is_known l = l <> unknown
 let node l = (l lsr field_bits) - 1
 
 let origin l = (l land field_mask) - 1
-
-let pp ppf l =
-  if l = unknown then Format.pp_print_string ppf "?"
-  else Format.fprintf ppf "n%d/o%d" (node l) (origin l)

@@ -28,5 +28,3 @@ val node : t -> int
 
 val origin : t -> int
 (** The origin component; meaningless on {!unknown}. *)
-
-val pp : Format.formatter -> t -> unit

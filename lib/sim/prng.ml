@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy g = { state = g.state }
-
 let reseed g ~seed = g.state <- Int64.of_int seed
 
 (* splitmix64 finalizer (Steele, Lea & Flood 2014). *)

@@ -12,8 +12,6 @@ val create : seed:int -> t
 (** [create ~seed] is a fresh generator. Distinct seeds give independent
     streams; the same seed always yields the same sequence. *)
 
-val copy : t -> t
-
 val reseed : t -> seed:int -> unit
 (** [reseed g ~seed] resets [g] in place to the state of
     [create ~seed] — the arena-reuse path of [Engine.reset]. *)

@@ -37,7 +37,3 @@ let percentile xs ~p =
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
   let frac = rank -. floor rank in
   (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
-let pp ppf t =
-  Format.fprintf ppf "%.3f ± %.3f (%.3f .. %.3f, n=%d)" t.mean t.stddev t.min
-    t.max t.count

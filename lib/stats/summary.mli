@@ -11,12 +11,7 @@ type t = {
 val of_list : float list -> t
 (** Raises [Invalid_argument] on an empty list. *)
 
-val of_array : float array -> t
-
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [0..100], linear interpolation between
     order statistics. Does not modify [xs]. Raises [Invalid_argument] on
     an empty array or [p] outside the range. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [mean ± stddev (min .. max, n=count)]. *)

@@ -53,8 +53,6 @@ let pid = function
       | Rmw_sync { pid; _ } ) ->
       pid
 
-let is_write = function Access { kind = Write; _ } -> true | _ -> false
-
 let access_opt = function Access a -> Some a | Sync _ -> None
 
 let conflict a b =

@@ -56,9 +56,6 @@ val time : t -> float
 
 val pid : t -> int
 
-val is_write : t -> bool
-(** [true] only for write accesses. *)
-
 val access_opt : t -> access option
 
 val conflict : access -> access -> bool

@@ -123,8 +123,6 @@ let barrier_exit t ~time ~pid ~generation =
   push t (Event.Sync (Event.Barrier_exit { id; time; pid; generation })) preds;
   id
 
-let size t = t.count
-
 let finish t =
   let events = Array.of_list (List.rev t.events) in
   let preds = Array.of_list (List.rev t.preds) in

@@ -69,9 +69,6 @@ val barrier_exit : t -> time:float -> pid:int -> generation:int -> int
 (** Ordered after every {!barrier_enter} of the same generation recorded
     so far — which is all of them, if called at barrier release time. *)
 
-val size : t -> int
-(** Events recorded so far. *)
-
 val finish : t -> Trace.t
 (** Freezes into a queryable trace. The recorder stays usable; a later
     [finish] returns a longer trace. *)

@@ -50,8 +50,6 @@ let build ~n ~events ~preds =
   done;
   { n; events; preds; clocks; own_seq; prog_pred }
 
-let n t = t.n
-
 let length t = Array.length t.events
 
 let events t = t.events
@@ -156,11 +154,3 @@ let to_dot t =
     t.events;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp_summary ppf t =
-  let accs = accesses t in
-  let writes = List.length (List.filter (fun a -> a.Event.kind = Event.Write) accs) in
-  let rs = races t in
-  Format.fprintf ppf
-    "@[<v>trace: %d events (%d accesses, %d writes) over %d processes;@ %d ground-truth race pair(s)@]"
-    (length t) (List.length accs) writes t.n (List.length rs)

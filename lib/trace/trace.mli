@@ -26,17 +26,11 @@ val build : n:int -> events:Event.t array -> preds:int list array -> t
     of event [i], each [< i]. Raises [Invalid_argument] if an invariant is
     broken. Normally called by [Recorder.finish], not directly. *)
 
-val n : t -> int
-(** Number of processes. *)
-
 val length : t -> int
 (** Number of events. *)
 
 val events : t -> Event.t array
 (** The events, by id. Do not mutate. *)
-
-val accesses : t -> Event.access list
-(** Access events only, in id order. *)
 
 val vector_clock : t -> int -> Dsm_clocks.Vector_clock.t
 (** The HB vector clock assigned to an event (snapshot). *)
@@ -68,5 +62,3 @@ val racy_access_ids : t -> (int, unit) Hashtbl.t
 val to_dot : t -> string
 (** Graphviz rendering of events and HB edges (program order solid,
     reads-from dashed, sync dotted). *)
-
-val pp_summary : Format.formatter -> t -> unit

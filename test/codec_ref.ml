@@ -3,7 +3,9 @@
    codec learnt to size its candidates first. Every payload goes through
    a full [int array] of n entries; the adaptive encoder builds the
    dense, sparse and delta payloads and frames the shortest. The live
-   [Codec] must produce the same words and accept the same frames.
+   [Codec] must produce the same words and accept the same frames. The
+   varint and matrix decoders are the inverses of the live encoders E6
+   prices, which ship no decoder of their own.
 
    One deliberate difference from the historical code: the delta
    decoder rejects non-ascending indices, as the live decoder does. *)
@@ -102,6 +104,46 @@ let decode_vector_delta ~base w =
     prev := i
   done;
   Vector_clock.of_array a
+
+let varint_read b pos =
+  let len = Bytes.length b in
+  let rec go pos shift acc =
+    if pos >= len then invalid_arg "Codec.decode_vector_varint: truncated";
+    (* OCaml ints are 63-bit: a continuation chain past 9 groups would
+       shift into (or past) the sign bit and decode a different number
+       than was encoded. *)
+    if shift >= 63 then invalid_arg "Codec.decode_vector_varint: overlong varint";
+    let c = Char.code (Bytes.get b pos) in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+  in
+  go pos 0 0
+
+let decode_vector_varint b =
+  let n, pos = varint_read b 0 in
+  (* each entry needs at least one byte: a larger header is malformed,
+     rejected before it sizes an array *)
+  if n <= 0 then invalid_arg "Codec.decode_vector_varint: bad dimension";
+  if n > Bytes.length b - pos then
+    invalid_arg "Codec.decode_vector_varint: truncated";
+  let a = Array.make n 0 in
+  let pos = ref pos in
+  for i = 0 to n - 1 do
+    let x, next = varint_read b !pos in
+    a.(i) <- x;
+    pos := next
+  done;
+  if !pos <> Bytes.length b then
+    invalid_arg "Codec.decode_vector_varint: trailing bytes";
+  Vector_clock.of_array a
+
+(* The owner and the rows of an encoded matrix clock. *)
+let decode_matrix w =
+  if Array.length w < 2 then invalid_arg "Codec.decode_matrix: empty buffer";
+  let n = w.(0) and me = w.(1) in
+  if n <= 0 || me < 0 || me >= n || Array.length w <> (n * n) + 2 then
+    invalid_arg "Codec.decode_matrix: malformed buffer";
+  (me, Array.init n (fun i -> Array.sub w (2 + (i * n)) n))
 
 let frame ~tag ~seq payload =
   let n = Array.length payload in
@@ -222,6 +264,7 @@ module Sized = struct
       invalid_arg "Codec.decode_vector_sparse: truncated buffer";
     if len > pairs_len k then
       invalid_arg "Codec.decode_vector_sparse: trailing words";
+    let a = Array.make n 0 in
     let prev = ref (-1) in
     for j = 0 to k - 1 do
       let pid = w.(off + 2 + (2 * j)) and tick = w.(off + 3 + (2 * j)) in
@@ -229,9 +272,10 @@ module Sized = struct
         invalid_arg "Codec.decode_vector_sparse: pids not ascending in range";
       if tick <= 0 then
         invalid_arg "Codec.decode_vector_sparse: non-positive tick";
+      a.(pid) <- tick;
       prev := pid
     done;
-    Vector_clock.of_ascending ~n (walk_pairs w off k)
+    Vector_clock.of_array a
 
   let decode_delta_at ~base w off =
     let len = Array.length w - off in
@@ -239,7 +283,6 @@ module Sized = struct
     let n = w.(off) and count = w.(off + 1) in
     if n <> Vector_clock.dim base || count < 0 || len <> pairs_len count then
       invalid_arg "Codec.decode_vector_delta: malformed buffer";
-    let stop = off + len in
     let prev = ref (-1) in
     for j = 0 to count - 1 do
       let i = w.(off + 2 + (2 * j)) and x = w.(off + 3 + (2 * j)) in
@@ -247,30 +290,9 @@ module Sized = struct
         invalid_arg "Codec.decode_vector_delta: malformed entry";
       prev := i
     done;
-    if Vector_clock.is_epoch base || Vector_clock.is_sparse base then
-      Vector_clock.of_ascending ~n (fun f ->
-          let s = ref (off + 2) in
-          Vector_clock.iter_active
-            (fun p x ->
-              while !s < stop && w.(!s) < p do
-                f w.(!s) w.(!s + 1);
-                s := !s + 2
-              done;
-              if !s < stop && w.(!s) = p then begin
-                f p w.(!s + 1);
-                s := !s + 2
-              end
-              else f p x)
-            base;
-          while !s < stop do
-            f w.(!s) w.(!s + 1);
-            s := !s + 2
-          done)
-    else begin
-      let a = Vector_clock.to_array base in
-      walk_pairs w off count (fun i x -> a.(i) <- x);
-      Vector_clock.of_array a
-    end
+    let a = Vector_clock.to_array base in
+    walk_pairs w off count (fun i x -> a.(i) <- x);
+    Vector_clock.of_array a
 
   let frame ~tag ~seq len =
     let w = Array.make (len + 2) 0 in

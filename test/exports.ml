@@ -1,18 +1,20 @@
 (* Interface guard: lists every [val] declared in lib/**/*.mli that no
-   file outside its own module names, one per line, tagged [dead] (no
-   other file names it) or [test-only] (only files under test/ do).
+   file outside its own module uses, one per line, tagged [dead] (no
+   other file uses it) or [test-only] (only files under test/ do).
    It also lists every optional parameter [?label] of a [val] that no
    file outside test/ and outside the declaring module passes (as
-   [~label] or [?label]), tagged [dead-option] (no file passes it) or
-   [test-only-option] (only files under test/ do): a knob that only
-   tests turn.
+   [~label] or [?label]) in a file that uses the value, tagged
+   [dead-option] (no such file passes it) or [test-only-option] (only
+   files under test/ do): a knob that only tests turn.
    Files are read from lib/, bin/, bench/, examples/ and test/ under
-   ROOT; comments, string and character literals are skipped and names
-   are compared as whole identifiers. A name that another module also
-   uses for something else therefore keeps an export alive, and a label
-   passed to any function, or declared by another module's own
-   function, keeps every [?label] of that name alive: confirm a removal
-   with [dune build], not with this list alone.
+   ROOT; comments, string and character literals are skipped. A use
+   counts only where the module is named: [M.name], [Q.name] for an
+   alias [module Q = ... M] or a module [Q] whose file includes [M], or
+   a bare [name] in a file that opens or includes [M] (or an alias of
+   it), or opens it locally as [M.( ... )]. A local open counts for the
+   whole file, and a type that
+   shares a value's name keeps the value alive: confirm a removal with
+   [dune build], not with this list alone.
 
    Usage: exports.exe ROOT *)
 
@@ -128,6 +130,88 @@ let passed toks =
   go toks;
   labels
 
+let is_module_name s = match s.[0] with 'A' .. 'Z' -> true | _ -> false
+
+(* The last component of the module path [A . B . M] that starts
+   [toks], unless the path is applied to a functor argument. *)
+let rec path_end = function
+  | m :: "." :: (next :: _ as rest) when is_module_name m && is_module_name next
+    ->
+      path_end rest
+  | m :: "(" :: _ when is_module_name m -> None
+  | m :: _ when is_module_name m -> Some m
+  | _ -> None
+
+(* What a source names through modules: [qualified] holds [(M, name)]
+   for each [M.name] (an alias resolved to the module it names),
+   [opened] every module the file opens, includes or opens locally,
+   [included] the modules it includes (and so re-exports), and [bare]
+   every unqualified value name. *)
+type uses = {
+  qualified : (string * string, unit) Hashtbl.t;
+  opened : (string, unit) Hashtbl.t;
+  mutable included : string list;
+  bare : (string, unit) Hashtbl.t;
+}
+
+let uses toks =
+  let alias = Hashtbl.create 8 in
+  let rec aliases = function
+    | "module" :: q :: "=" :: rest when is_module_name q ->
+        Option.iter (Hashtbl.replace alias q) (path_end rest);
+        aliases rest
+    | _ :: rest -> aliases rest
+    | [] -> ()
+  in
+  aliases toks;
+  (* [module Q = M] chains, cut off where an alias names itself *)
+  let rec resolve fuel q =
+    match Hashtbl.find_opt alias q with
+    | Some m when m <> q && fuel > 0 -> resolve (fuel - 1) m
+    | _ -> q
+  in
+  let resolve = resolve 8 in
+  let u =
+    {
+      qualified = Hashtbl.create 64;
+      opened = Hashtbl.create 8;
+      included = [];
+      bare = Hashtbl.create 256;
+    }
+  in
+  let rec go prev = function
+    | [] -> ()
+    | tok :: rest ->
+        (match (tok, rest) with
+        | ("open" | "include"), rest ->
+            let rest = match rest with "!" :: r -> r | r -> r in
+            Option.iter
+              (fun m ->
+                let m = resolve m in
+                Hashtbl.replace u.opened m ();
+                if tok = "include" then u.included <- m :: u.included)
+              (path_end rest)
+        | q, "." :: x :: _ when is_module_name q ->
+            if is_value_name x then
+              Hashtbl.replace u.qualified (resolve q, x) ()
+            else if x = "(" || x = "[" || x = "{" then
+              Hashtbl.replace u.opened (resolve q) ()
+        | x, _ when is_value_name x && prev <> "." ->
+            Hashtbl.replace u.bare x ()
+        | _ -> ());
+        go tok rest
+  in
+  go "" toks;
+  u
+
+(* Whether [u] names [name] through any module in [ms]. *)
+let names u ~ms name =
+  List.exists
+    (fun m ->
+      Hashtbl.mem u.qualified (m, name)
+      || (Hashtbl.mem u.opened m && Hashtbl.mem u.bare name))
+    ms
+
 (* The .ml/.mli files under [dir], relative to [root], sorted. *)
 let rec sources root dir =
   Sys.readdir (Filename.concat root dir)
@@ -154,20 +238,27 @@ let () =
                In_channel.input_all
              |> tokens
            in
-           let names = Hashtbl.create 256 in
-           List.iter (fun w -> Hashtbl.replace names w ()) toks;
-           (path, toks, names, passed toks))
+           (path, toks, uses toks, passed toks))
   in
   let is_test path = String.starts_with ~prefix:"test/" path in
-  (* [dead] when no file outside [stem] has [name] in the table [of_file]
-     picks, [test-only] when only files under test/ do; both tagged with
-     [suffix]. *)
-  let verdict ~stem ~suffix of_file name =
+  let module_of path =
+    String.capitalize_ascii (Filename.basename (Filename.remove_extension path))
+  in
+  (* [m] and every module whose file includes it *)
+  let qualifiers m =
+    m
+    :: List.filter_map
+         (fun (path, _, u, _) ->
+           if List.mem m u.included then Some (module_of path) else None)
+         files
+  in
+  (* [dead] when no file outside [stem] passes [counts], [test-only] when
+     only files under test/ do; both tagged with [suffix]. *)
+  let verdict ~stem ~suffix counts =
     let users =
       List.filter
         (fun ((path, _, _, _) as file) ->
-          Filename.remove_extension path <> stem
-          && Hashtbl.mem (of_file file) name)
+          Filename.remove_extension path <> stem && counts file)
         files
     in
     if users = [] then Some ("dead" ^ suffix)
@@ -175,25 +266,28 @@ let () =
       Some ("test-only" ^ suffix)
     else None
   in
-  let names (_, _, names, _) = names and labels (_, _, _, labels) = labels in
   List.iter
     (fun (path, toks, _, _) ->
       if String.starts_with ~prefix:"lib/" path
          && Filename.extension path = ".mli"
       then
         let stem = Filename.remove_extension path in
-        let modname = String.capitalize_ascii (Filename.basename stem) in
+        let modname = module_of path in
         List.iter
           (fun (inner, name, options) ->
+            let ms = qualifiers (List.fold_left (fun _ m -> m) modname inner) in
+            let uses_value (_, _, u, _) = names u ~ms name in
             let value = String.concat "." ((modname :: inner) @ [ name ]) in
             Option.iter
               (Printf.printf "%s %s %s\n" path value)
-              (verdict ~stem ~suffix:"" names name);
+              (verdict ~stem ~suffix:"" uses_value);
             List.iter
               (fun label ->
                 Option.iter
                   (Printf.printf "%s %s ?%s %s\n" path value label)
-                  (verdict ~stem ~suffix:"-option" labels label))
+                  (verdict ~stem ~suffix:"-option" (fun file ->
+                       let _, _, _, labels = file in
+                       uses_value file && Hashtbl.mem labels label)))
               options)
           (declared toks))
     files

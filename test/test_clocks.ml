@@ -22,28 +22,6 @@ let test_order_predicates () =
   Alcotest.(check bool) "equal not concurrent" false
     (Order.concurrent Order.Equal)
 
-(* ---------- Lamport ---------- *)
-
-let test_lamport_tick () =
-  let c = Lamport.create () in
-  Alcotest.(check int) "initial" 0 (Lamport.value c);
-  Alcotest.(check int) "tick 1" 1 (Lamport.tick c);
-  Alcotest.(check int) "tick 2" 2 (Lamport.tick c)
-
-let test_lamport_observe () =
-  let c = Lamport.create () in
-  ignore (Lamport.tick c);
-  Alcotest.(check int) "observe larger" 11 (Lamport.observe c 10);
-  Alcotest.(check int) "observe smaller keeps max+1" 12 (Lamport.observe c 3)
-
-let test_lamport_copy_independent () =
-  let c = Lamport.create () in
-  ignore (Lamport.tick c);
-  let d = Lamport.copy c in
-  ignore (Lamport.tick c);
-  Alcotest.(check int) "copy frozen" 1 (Lamport.value d);
-  Alcotest.(check int) "original moved" 2 (Lamport.value c)
-
 (* ---------- Vector clocks: directed cases ---------- *)
 
 let vc l = Vector_clock.of_array (Array.of_list l)
@@ -391,7 +369,7 @@ let prop_varint_codec_roundtrip =
   QCheck.Test.make ~name:"varint codec roundtrip" ~count:500 arb_vc_pair
     (fun (a, _) ->
       Vector_clock.equal a
-        (Codec.decode_vector_varint (Codec.encode_vector_varint a)))
+        (Codec_ref.decode_vector_varint (Codec.encode_vector_varint a)))
 
 let prop_varint_at_least_one_byte_per_entry =
   QCheck.Test.make ~name:"varint lower bound (>= n+1 bytes)" ~count:500
@@ -614,7 +592,7 @@ let prop_delta_codec_roundtrip =
   QCheck.Test.make ~name:"delta codec roundtrip" ~count:500 arb_vc_pair
     (fun (base, v) ->
       let w = Codec.encode_vector_delta ~since:base v in
-      Vector_clock.equal v (Codec.decode_vector_delta ~base w))
+      Vector_clock.equal v (Codec_ref.decode_vector_delta ~base w))
 
 (* ---------- Matrix clocks ---------- *)
 
@@ -653,18 +631,13 @@ let test_mc_codec_roundtrip () =
   let b = Matrix_clock.create ~n:3 ~me:0 in
   Matrix_clock.tick b;
   Matrix_clock.observe a b;
-  let a' = Codec.decode_matrix (Codec.encode_matrix a) in
-  Alcotest.(check int) "owner" (Matrix_clock.owner a) (Matrix_clock.owner a');
+  let owner, rows = Codec_ref.decode_matrix (Codec.encode_matrix a) in
+  Alcotest.(check int) "owner" (Matrix_clock.owner a) owner;
   for i = 0 to 2 do
-    Alcotest.(check vc_testable)
+    Alcotest.(check (array int))
       (Printf.sprintf "row %d" i)
-      (Matrix_clock.row a i) (Matrix_clock.row a' i)
+      (Vector_clock.to_array (Matrix_clock.row a i)) rows.(i)
   done
-
-let test_mc_of_rows_invalid () =
-  Alcotest.check_raises "not square"
-    (Invalid_argument "Matrix_clock.of_rows: not square") (fun () ->
-      ignore (Matrix_clock.of_rows ~me:0 [| [| 1; 2 |]; [| 3 |] |]))
 
 let test_mc_size_words () =
   let m = Matrix_clock.create ~n:5 ~me:0 in
@@ -675,16 +648,16 @@ let test_mc_size_words () =
 let test_codec_varint_malformed () =
   Alcotest.check_raises "truncated"
     (Invalid_argument "Codec.decode_vector_varint: truncated") (fun () ->
-      ignore (Codec.decode_vector_varint (Bytes.of_string "\x02\x01")));
+      ignore (Codec_ref.decode_vector_varint (Bytes.of_string "\x02\x01")));
   Alcotest.check_raises "trailing"
     (Invalid_argument "Codec.decode_vector_varint: trailing bytes") (fun () ->
-      ignore (Codec.decode_vector_varint (Bytes.of_string "\x01\x01\x01")))
+      ignore (Codec_ref.decode_vector_varint (Bytes.of_string "\x01\x01\x01")))
 
 let test_codec_varint_large_values () =
   let v = Vector_clock.of_array [| 0; 127; 128; 300; 1_000_000 |] in
   Alcotest.(check bool) "roundtrip big counters" true
     (Vector_clock.equal v
-       (Codec.decode_vector_varint (Codec.encode_vector_varint v)))
+       (Codec_ref.decode_vector_varint (Codec.encode_vector_varint v)))
 
 let test_codec_malformed () =
   Alcotest.check_raises "empty"
@@ -697,10 +670,10 @@ let test_codec_malformed () =
 let test_codec_matrix_malformed () =
   Alcotest.check_raises "empty"
     (Invalid_argument "Codec.decode_matrix: empty buffer") (fun () ->
-      ignore (Codec.decode_matrix [||]));
+      ignore (Codec_ref.decode_matrix [||]));
   Alcotest.check_raises "bad owner"
     (Invalid_argument "Codec.decode_matrix: malformed buffer") (fun () ->
-      ignore (Codec.decode_matrix [| 2; 5; 0; 0; 0; 0 |]))
+      ignore (Codec_ref.decode_matrix [| 2; 5; 0; 0; 0; 0 |]))
 
 let test_codec_sizes () =
   let v = Vector_clock.create ~n:8 in
@@ -712,41 +685,45 @@ let test_codec_sizes () =
 
 (* The delta decoder gets the same reject coverage as the sparse one:
    every malformed shape is a clean [Invalid_argument], never an
-   out-of-bounds access or an attacker-sized allocation. *)
+   out-of-bounds access or an attacker-sized allocation. Each payload is
+   decoded as the delta frame that carries it. *)
 let test_codec_delta_malformed () =
   let base = Vector_clock.of_array [| 1; 0; 2 |] in
+  let decode_delta ~base w =
+    fst (Codec.decode_piggyback ~expect_seq:0 ~base (Array.append [| 2; 0 |] w))
+  in
   Alcotest.check_raises "empty"
     (Invalid_argument "Codec.decode_vector_delta: empty") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [||]));
+      ignore (decode_delta ~base [||]));
   Alcotest.check_raises "dimension mismatch vs base"
     (Invalid_argument "Codec.decode_vector_delta: malformed buffer") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 4; 0 |]));
+      ignore (decode_delta ~base [| 4; 0 |]));
   Alcotest.check_raises "negative entry count"
     (Invalid_argument "Codec.decode_vector_delta: malformed buffer") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; -1 |]));
+      ignore (decode_delta ~base [| 3; -1 |]));
   Alcotest.check_raises "truncated pair list"
     (Invalid_argument "Codec.decode_vector_delta: malformed buffer") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 1 |]));
+      ignore (decode_delta ~base [| 3; 1 |]));
   Alcotest.check_raises "padded pair list"
     (Invalid_argument "Codec.decode_vector_delta: malformed buffer") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 1; 0; 5; 0 |]));
+      ignore (decode_delta ~base [| 3; 1; 0; 5; 0 |]));
   Alcotest.check_raises "pid out of range"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 1; 3; 5 |]));
+      ignore (decode_delta ~base [| 3; 1; 3; 5 |]));
   Alcotest.check_raises "negative pid"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 1; -1; 5 |]));
+      ignore (decode_delta ~base [| 3; 1; -1; 5 |]));
   Alcotest.check_raises "negative component"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 1; 0; -2 |]));
+      ignore (decode_delta ~base [| 3; 1; 0; -2 |]));
   (* indices must be strictly ascending, as in the sparse payload: no
      last-duplicate-wins, no reordering *)
   Alcotest.check_raises "unsorted indices"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 2; 2; 5; 0; 1 |]));
+      ignore (decode_delta ~base [| 3; 2; 2; 5; 0; 1 |]));
   Alcotest.check_raises "duplicate indices"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
-      ignore (Codec.decode_vector_delta ~base [| 3; 2; 1; 5; 1; 6 |]));
+      ignore (decode_delta ~base [| 3; 2; 1; 5; 1; 6 |]));
   Alcotest.check_raises "framed duplicate indices"
     (Invalid_argument "Codec.decode_vector_delta: malformed entry") (fun () ->
       ignore
@@ -756,7 +733,7 @@ let test_codec_delta_malformed () =
   Alcotest.(check (array int))
     "zero override lowers" [| 0; 7; 2 |]
     (Vector_clock.to_array
-       (Codec.decode_vector_delta ~base [| 3; 2; 0; 0; 1; 7 |]));
+       (decode_delta ~base [| 3; 2; 0; 0; 1; 7 |]));
   Alcotest.check_raises "encode dimension mismatch"
     (Invalid_argument "Codec.encode_vector_delta: dimension mismatch")
     (fun () ->
@@ -910,7 +887,6 @@ let prop_codec_matches_reference =
       let seq = Random.State.int rng 1_000 in
       let unframed_ok =
         Codec.encode_vector v = Codec_ref.encode_vector v
-        && Codec.encode_vector_sparse v = Codec_ref.encode_vector_sparse v
         &&
         match since with
         | Some s when Vector_clock.dim s = n ->
@@ -1170,11 +1146,9 @@ let test_header_check () =
     (Invalid_argument "Codec.check_header: negative seq") (fun () ->
       ignore (check ~expect_seq:0 (-4)))
 
-(* The walkers and the pair constructor against the dense array: the
-   active walk is the nonzeros, the diff scans count them and write the
-   differing components (and, advancing, leave the base equal to the
-   clock), and [of_ascending] picks the representation [of_array]
-   would. *)
+(* The walkers against the dense array: the active walk is the
+   nonzeros, and the diff scans count them and write the differing
+   components (and, advancing, leave the base equal to the clock). *)
 let prop_walkers_match_arrays =
   QCheck.Test.make ~name:"live-entry walkers match the dense array"
     ~count:300
@@ -1206,10 +1180,6 @@ let prop_walkers_match_arrays =
       Vector_clock.write_diff ~since:a b diff ~off:1;
       let diff = Array.sub diff 1 (2 * d) in
       let diff_pairs = List.init d (fun j -> (diff.(2 * j), diff.((2 * j) + 1))) in
-      let rebuilt =
-        Vector_clock.of_ascending ~n (fun f ->
-            List.iter (fun (i, x) -> f i x) diff_pairs)
-      in
       advanced_sizes = sizes
       && Vector_clock.equal advanced b
       && collect (fun f -> Vector_clock.iter_active f a)
@@ -1218,26 +1188,7 @@ let prop_walkers_match_arrays =
       && diff_pairs
          = List.map
              (fun i -> (i, ba.(i)))
-             (indices (fun i -> aa.(i) <> ba.(i)))
-      &&
-      let expect =
-        Vector_clock.of_array (Array.mapi (fun i x -> if x <> aa.(i) then x else 0) ba)
-      in
-      Vector_clock.to_array rebuilt = Vector_clock.to_array expect
-      && Vector_clock.is_epoch rebuilt = Vector_clock.is_epoch expect
-      && Vector_clock.is_sparse rebuilt = Vector_clock.is_sparse expect)
-
-let test_of_ascending_rejects () =
-  let rejects name walk =
-    match Vector_clock.of_ascending ~n:4 walk with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: accepted" name
-  in
-  rejects "unsorted" (fun f -> f 2 1; f 1 1);
-  rejects "duplicate" (fun f -> f 1 1; f 1 2);
-  rejects "out of range" (fun f -> f 4 1);
-  rejects "negative pid" (fun f -> f (-1) 1);
-  rejects "negative tick" (fun f -> f 0 (-1))
+             (indices (fun i -> aa.(i) <> ba.(i))))
 
 (* Untimed allocation guard: a Delta-mode piggyback round trip of an
    epoch clock at n=1024 against an epoch base costs a handful of words.
@@ -1350,12 +1301,6 @@ let () =
           Alcotest.test_case "flip" `Quick test_order_flip;
           Alcotest.test_case "predicates" `Quick test_order_predicates;
         ] );
-      ( "lamport",
-        [
-          Alcotest.test_case "tick" `Quick test_lamport_tick;
-          Alcotest.test_case "observe" `Quick test_lamport_observe;
-          Alcotest.test_case "copy" `Quick test_lamport_copy_independent;
-        ] );
       ( "vector",
         [
           Alcotest.test_case "create zero" `Quick test_vc_create_zero;
@@ -1394,7 +1339,6 @@ let () =
           Alcotest.test_case "tick" `Quick test_mc_tick;
           Alcotest.test_case "observe" `Quick test_mc_observe;
           Alcotest.test_case "codec roundtrip" `Quick test_mc_codec_roundtrip;
-          Alcotest.test_case "of_rows invalid" `Quick test_mc_of_rows_invalid;
           Alcotest.test_case "size_words" `Quick test_mc_size_words;
         ] );
       ( "codec",
@@ -1406,8 +1350,6 @@ let () =
           Alcotest.test_case "sizes" `Quick test_codec_sizes;
           Alcotest.test_case "delta malformed" `Quick test_codec_delta_malformed;
           Alcotest.test_case "piggyback" `Quick test_codec_piggyback;
-          Alcotest.test_case "of_ascending rejects" `Quick
-            test_of_ascending_rejects;
           Alcotest.test_case "piggyback allocation" `Quick
             test_piggyback_round_trip_allocation;
           Alcotest.test_case "in-place allocation" `Quick

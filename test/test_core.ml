@@ -325,31 +325,21 @@ let test_report_clear () =
   Report.clear (Detector.report d);
   Alcotest.(check int) "cleared" 0 (races d)
 
-(* ---------- deadlock ablation ---------- *)
+(* ---------- lock order ---------- *)
 
-let deadlock_scenario ~ordered =
-  let m, d =
-    make ~n:2
-      ~config:{ Config.default with Config.ordered_locking = ordered }
-      ()
-  in
+let deadlock_scenario () =
+  let m, d = make ~n:2 ~config:Config.default () in
   let x = Detector.alloc_shared d ~pid:0 ~name:"x" ~len:1 () in
   let y = Detector.alloc_shared d ~pid:1 ~name:"y" ~len:1 () in
-  (* P0: put x -> y locks x then y (paper order); P1: put y -> x locks y
-     then x. Opposite orders deadlock unless globally ordered. *)
+  (* P0: put x -> y and P1: put y -> x lock the same two regions; in the
+     paper's literal src-then-dst order they would deadlock, so both take
+     them in global order. *)
   Machine.spawn m ~pid:0 (fun p -> Detector.put d p ~src:x ~dst:y);
   Machine.spawn m ~pid:1 (fun p -> Detector.put d p ~src:y ~dst:x);
   Machine.run m
 
-let test_paper_lock_order_can_deadlock () =
-  match deadlock_scenario ~ordered:false with
-  | Engine.Blocked 2 -> ()
-  | Engine.Completed ->
-      Alcotest.fail "expected the literal src-then-dst order to deadlock"
-  | _ -> Alcotest.fail "unexpected outcome"
-
 let test_ordered_locking_avoids_deadlock () =
-  match deadlock_scenario ~ordered:true with
+  match deadlock_scenario () with
   | Engine.Completed -> ()
   | Engine.Blocked k -> Alcotest.failf "deadlocked with %d" k
   | _ -> Alcotest.fail "unexpected outcome"
@@ -1241,12 +1231,12 @@ let test_checked_scale_minor_words () =
    gets with private and public local sides, batchable put/get runs,
    runs that fall back to per-op transfers because a local side is
    public, and pairs whose write region sorts before their read region
-   (with and without [ordered_locking]) — run under every transport on
+   — run under every transport on
    a jittered fabric. The digests were recorded before the put/get,
    run and batch paths were each written once; any change to message
    order, lock order, ticks or checks moves the race fingerprint, the
    traffic counters, the final simulated time or the final memory. *)
-let transfer_digest ~transport ~ordered case =
+let transfer_digest ~transport case =
   let sim = Engine.create ~seed:7 () in
   let latency =
     Dsm_net.Latency.Jittered
@@ -1255,8 +1245,7 @@ let transfer_digest ~transport ~ordered case =
   let m = Machine.create sim ~n:3 ~latency () in
   let d =
     Detector.create m
-      ~config:
-        { Config.default with Config.transport; ordered_locking = ordered }
+      ~config:{ Config.default with Config.transport }
       ()
   in
   let regions = ref [] in
@@ -1359,7 +1348,8 @@ let transfer_digest ~transport ~ordered case =
       spawn 0 (fun p -> Detector.get d p ~src:s ~dst:a)
   | "crossed-pair" ->
       (* opposite transfers over the same two regions: the literal
-         read-then-write order deadlocks under a transaction transport *)
+         read-then-write order would deadlock under a transaction
+         transport *)
       let x = shared 0 "x" 1 and y = shared 1 "y" 1 in
       spawn 0 (fun p -> Detector.put d p ~src:x ~dst:y);
       spawn 1 (fun p -> Detector.put d p ~src:y ~dst:x)
@@ -1386,95 +1376,75 @@ let transfer_digest ~transport ~ordered case =
 
 let transfer_goldens =
   [
-    (Config.Inline, true, "put-private",
+    (Config.Inline, "put-private",
      "done races=1 msgs=4 wire=24 clock=12 t=7.818 mem=3,4,1,2,3,4 fp=10ce7e319e89a77871ec8347ff7f65cb");
-    (Config.Inline, true, "put-public",
+    (Config.Inline, "put-public",
      "done races=1 msgs=4 wire=22 clock=10 t=7.818 mem=5,6,5,6,5,6 fp=1c7ef331c8ff7b3c4c64c9caa7850f10");
-    (Config.Inline, true, "get-private",
+    (Config.Inline, "get-private",
      "done races=1 msgs=4 wire=22 clock=10 t=7.818 mem=9,9,7,8,9,9 fp=10ce7e319e89a77871ec8347ff7f65cb");
-    (Config.Inline, true, "get-public",
+    (Config.Inline, "get-public",
      "done races=2 msgs=6 wire=36 clock=18 t=8.872 mem=4,4,3,3,3,3,4,4 fp=b9ffc3d80369d82e4164123628ad049b");
-    (Config.Inline, true, "put-batch",
+    (Config.Inline, "put-batch",
      "done races=3 msgs=8 wire=55 clock=24 t=14.331 mem=1,8,6,3,4,5,6,5,4,3,2,1,9,8 fp=15c42809588a94c2a90d04eb3ff24a33");
-    (Config.Inline, true, "get-batch",
+    (Config.Inline, "get-batch",
      "done races=2 msgs=6 wire=31 clock=14 t=8.601 mem=1,2,9,4,1,3,2,1,9 fp=ac8c28766df318eb137c7014060307f8");
-    (Config.Inline, true, "put-batch-fallback",
+    (Config.Inline, "put-batch-fallback",
      "done races=1 msgs=8 wire=44 clock=24 t=14.331 mem=1,6,3,6,3,1,6 fp=b0c32b65aa06cebe458b41ecbaf8570d");
-    (Config.Inline, true, "get-batch-fallback",
+    (Config.Inline, "get-batch-fallback",
      "done races=1 msgs=8 wire=38 clock=18 t=14.331 mem=1,2,3,2,3,1,0 fp=23290ea59c97e651865648f3a5ce83da");
-    (Config.Inline, true, "write-sorts-first",
+    (Config.Inline, "write-sorts-first",
      "done races=1 msgs=4 wire=20 clock=10 t=9.026 mem=4,4 fp=58cbd64770737a674584ee9c79e0afc9");
-    (Config.Inline, true, "crossed-pair",
+    (Config.Inline, "crossed-pair",
      "done races=1 msgs=4 wire=22 clock=12 t=7.818 mem=0,0 fp=e08c0f7e12094662733f36ebec90f66c");
-    (Config.Piggyback_txn, true, "put-private",
+    (Config.Piggyback_txn, "put-private",
      "done races=1 msgs=10 wire=52 clock=20 t=24.007 mem=3,4,1,2,3,4 fp=9fc9e08ddd80df3939a63b299e02251e");
-    (Config.Piggyback_txn, true, "put-public",
+    (Config.Piggyback_txn, "put-public",
      "done races=1 msgs=10 wire=50 clock=18 t=24.007 mem=5,6,5,6,5,6 fp=52c5e40b34269b6ef1099ceff0601786");
-    (Config.Piggyback_txn, true, "get-private",
+    (Config.Piggyback_txn, "get-private",
      "done races=1 msgs=10 wire=50 clock=18 t=24.007 mem=9,9,7,8,9,9 fp=9fc9e08ddd80df3939a63b299e02251e");
-    (Config.Piggyback_txn, true, "get-public",
+    (Config.Piggyback_txn, "get-public",
      "done races=2 msgs=12 wire=64 clock=26 t=22.953 mem=4,4,4,4,3,3,4,4 fp=17e3efc95c47ea719169023e5b02afe2");
-    (Config.Piggyback_txn, true, "put-batch",
+    (Config.Piggyback_txn, "put-batch",
      "done races=3 msgs=20 wire=111 clock=40 t=31.079 mem=1,8,6,3,4,5,6,5,4,3,2,1,9,8 fp=166461eca167129a376bbf11d07077b8");
-    (Config.Piggyback_txn, true, "get-batch",
+    (Config.Piggyback_txn, "get-batch",
      "done races=1 msgs=15 wire=73 clock=26 t=25.705 mem=1,2,9,4,1,3,2,1,9 fp=9c63f1eb93a3e6bf1f8eba0f24abe82e");
-    (Config.Piggyback_txn, true, "put-batch-fallback",
+    (Config.Piggyback_txn, "put-batch-fallback",
      "done races=1 msgs=20 wire=100 clock=40 t=31.752 mem=1,6,3,6,3,1,6 fp=6892b440c148eb6750c7a97e4b479daa");
-    (Config.Piggyback_txn, true, "get-batch-fallback",
+    (Config.Piggyback_txn, "get-batch-fallback",
      "done races=1 msgs=20 wire=94 clock=34 t=31.752 mem=1,2,3,2,3,1,0 fp=6d07c227a1f0d455d927ad6bc492573d");
-    (Config.Piggyback_txn, true, "write-sorts-first",
+    (Config.Piggyback_txn, "write-sorts-first",
      "done races=1 msgs=10 wire=50 clock=20 t=20.195 mem=4,4 fp=ee3e3d9ef4bd3d72dd660a3413747fec");
-    (Config.Piggyback_txn, true, "crossed-pair",
+    (Config.Piggyback_txn, "crossed-pair",
      "done races=1 msgs=10 wire=50 clock=20 t=20.041 mem=0,0 fp=73398c3c42081aa0e7fbc8e1ddfcf21d");
-    (Config.Explicit_txn, true, "put-private",
+    (Config.Explicit_txn, "put-private",
      "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=3,4,1,2,3,4 fp=2716c282a7bc4994267c4a2fb9633851");
-    (Config.Explicit_txn, true, "put-public",
+    (Config.Explicit_txn, "put-public",
      "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=5,6,5,6,5,6 fp=39e77f403b1e9312b2482ffdab98e683");
-    (Config.Explicit_txn, true, "get-private",
+    (Config.Explicit_txn, "get-private",
      "done races=1 msgs=16 wire=82 clock=0 t=32.697 mem=9,9,7,8,9,9 fp=2716c282a7bc4994267c4a2fb9633851");
-    (Config.Explicit_txn, true, "get-public",
+    (Config.Explicit_txn, "get-public",
      "done races=2 msgs=18 wire=88 clock=0 t=33.845 mem=4,4,4,4,3,3,4,4 fp=152f324037cd84050d2dfbc18e09fa80");
-    (Config.Explicit_txn, true, "put-batch",
+    (Config.Explicit_txn, "put-batch",
      "done races=5 msgs=64 wire=320 clock=0 t=126.073 mem=1,2,6,3,4,5,6,5,4,3,2,1,9,8 fp=b568c2af549cc57ba3d4fd8888d78a11");
-    (Config.Explicit_txn, true, "get-batch",
+    (Config.Explicit_txn, "get-batch",
      "done races=2 msgs=40 wire=200 clock=0 t=79.988 mem=1,2,9,4,1,9,2,1,9 fp=ad64fdbbf4a3b13562753a54c6314024");
-    (Config.Explicit_txn, true, "put-batch-fallback",
+    (Config.Explicit_txn, "put-batch-fallback",
      "done races=1 msgs=32 wire=160 clock=0 t=68.196 mem=1,6,3,6,3,1,6 fp=af8055c533bd47947e5b9a5694fe93a8");
-    (Config.Explicit_txn, true, "get-batch-fallback",
+    (Config.Explicit_txn, "get-batch-fallback",
      "done races=1 msgs=32 wire=160 clock=0 t=68.196 mem=1,2,3,2,3,1,0 fp=cc055ef6a45f90d24c3b023fa118f073");
-    (Config.Explicit_txn, true, "write-sorts-first",
+    (Config.Explicit_txn, "write-sorts-first",
      "done races=1 msgs=16 wire=80 clock=0 t=31.625 mem=4,4 fp=525522871ca28051eaa76aadd7feaec7");
-    (Config.Explicit_txn, true, "crossed-pair",
-     "done races=1 msgs=16 wire=80 clock=0 t=31.471 mem=0,0 fp=390b05ee3901fb270564914785607249");
-    (Config.Inline, false, "put-batch-fallback",
-     "done races=1 msgs=8 wire=44 clock=24 t=14.331 mem=1,6,3,6,3,1,6 fp=b0c32b65aa06cebe458b41ecbaf8570d");
-    (Config.Inline, false, "write-sorts-first",
-     "done races=1 msgs=4 wire=20 clock=10 t=9.026 mem=4,4 fp=58cbd64770737a674584ee9c79e0afc9");
-    (Config.Inline, false, "crossed-pair",
-     "done races=1 msgs=4 wire=22 clock=12 t=7.818 mem=0,0 fp=e08c0f7e12094662733f36ebec90f66c");
-    (Config.Piggyback_txn, false, "put-batch-fallback",
-     "done races=1 msgs=20 wire=100 clock=40 t=34.867 mem=1,6,3,6,3,1,6 fp=bea66cd5b23316502a9a9f8201161591");
-    (Config.Piggyback_txn, false, "write-sorts-first",
-     "done races=1 msgs=10 wire=48 clock=18 t=20.041 mem=4,4 fp=7c5b4ff46ea5767cd0c9636206b9baac");
-    (Config.Piggyback_txn, false, "crossed-pair",
-     "blocked:2 races=0 msgs=2 wire=8 clock=0 t=1.256 mem=0,0 fp=fdd73622d6dcab3e995bca53fee6ba14");
-    (Config.Explicit_txn, false, "put-batch-fallback",
-     "done races=1 msgs=32 wire=160 clock=0 t=71.828 mem=1,6,3,6,3,1,6 fp=8204dce612a8e510fd93a5e23a5274c0");
-    (Config.Explicit_txn, false, "write-sorts-first",
-     "done races=1 msgs=16 wire=80 clock=0 t=31.471 mem=4,4 fp=fd846c769d345288e5a666f3bba343bc");
-    (Config.Explicit_txn, false, "crossed-pair",
-     "blocked:2 races=0 msgs=2 wire=8 clock=0 t=1.256 mem=0,0 fp=fdd73622d6dcab3e995bca53fee6ba14")
+    (Config.Explicit_txn, "crossed-pair",
+     "done races=1 msgs=16 wire=80 clock=0 t=31.471 mem=0,0 fp=390b05ee3901fb270564914785607249")
   ]
 
 let test_transfer_path_pins () =
   List.iter
-    (fun (transport, ordered, case, expected) ->
+    (fun (transport, case, expected) ->
       Alcotest.(check string)
-        (Printf.sprintf "%s%s %s" (Config.transport_name transport)
-           (if ordered then "" else " unordered")
-           case)
+        (Printf.sprintf "%s %s" (Config.transport_name transport) case)
         expected
-        (transfer_digest ~transport ~ordered case))
+        (transfer_digest ~transport case))
     transfer_goldens
 
 (* The same equivalence as a property over arbitrary seeds. *)
@@ -1628,7 +1598,6 @@ let () =
         ] );
       ( "locking",
         [
-          Alcotest.test_case "paper order deadlocks" `Quick test_paper_lock_order_can_deadlock;
           Alcotest.test_case "ordered locking safe" `Quick test_ordered_locking_avoids_deadlock;
           Alcotest.test_case "contended puts race once" `Quick
             test_contended_puts_race_once;

@@ -142,8 +142,22 @@ let gen_token =
     map
       (fun ((drop, duplicate), (reorder, jitter, window)) ->
         let reorder_window = if reorder > 0. then window else 4.0 in
-        Fault.link_of ~drop ~duplicate ~reorder ~jitter ~reorder_window ())
+        { Fault.drop; duplicate; reorder; jitter; reorder_window })
       (pair (pair prob prob) (triple prob (dec 5) (dec 10)))
+  in
+  (* plans are written in the fault-plan grammar, as the CLI takes them;
+     [%h] keeps every float exact *)
+  let clauses prefix (l : Fault.link) =
+    String.concat ","
+      (List.map
+         (fun (key, v) -> Printf.sprintf "%s%s=%h" prefix key v)
+         [
+           ("drop", l.drop);
+           ("dup", l.duplicate);
+           ("reorder", l.reorder);
+           ("jitter", l.jitter);
+           ("window", l.reorder_window);
+         ])
   in
   let faults =
     frequency
@@ -151,17 +165,19 @@ let gen_token =
         (2, return Fault.none);
         ( 3,
           map2
-            (fun (d : Fault.link) overrides ->
-              let plan =
-                Fault.uniform ~drop:d.drop ~duplicate:d.duplicate
-                  ~reorder:d.reorder ~jitter:d.jitter
-                  ~reorder_window:d.reorder_window ()
-              in
+            (fun d overrides ->
+              let text = clauses "" d in
               List.fold_left
-                (fun plan ((src, dst), l) ->
-                  if l = Fault.link plan ~src ~dst then plan
-                  else Fault.on_link plan ~src ~dst l)
-                plan overrides)
+                (fun (plan, text) ((src, dst), l) ->
+                  if l = Fault.link plan ~src ~dst then (plan, text)
+                  else
+                    let text =
+                      text ^ "," ^ clauses (Printf.sprintf "%d>%d:" src dst) l
+                    in
+                    (Fault.of_string text, text))
+                (Fault.of_string text, text)
+                overrides
+              |> fst)
             link
             (list_size (int_bound 2)
                (pair (pair (int_bound 3) (int_bound 3)) link))
@@ -583,7 +599,7 @@ let test_run_digests_pinned () =
   ignore
     (pin_digests "workload:random n=3, walks 0-49"
        { Explore.default_spec with scenario = "workload:random"; n = 3 }
-       ~walks:50 "9046f85a088422e00857354f9718e1fa");
+       ~walks:50 "57768d500b5e83336ce290966d99dca2");
   let bug =
     pin_digests "getput-checked bug"
       {
@@ -613,7 +629,7 @@ let test_run_digests_pinned () =
   ignore
     (pin_digests "workload:rmw-mix n=3"
        { Explore.default_spec with scenario = "workload:rmw-mix"; n = 3 }
-       ~walks:10 "23ac187afa78fe60958bcd327dbe5a7a");
+       ~walks:10 "f853e45c5c1bf52954eb361ad1ba1c4c");
   let cut =
     pin_digests "workload:random n=3, max_events 100"
       {
@@ -622,7 +638,7 @@ let test_run_digests_pinned () =
         n = 3;
         max_events = 100;
       }
-      ~walks:1 "26683f327331156aff8f69109cc9f158"
+      ~walks:1 "717a350139649bce09450fca0577eeb2"
   in
   Alcotest.(check bool) "cut run ends at the event limit" true
     (List.map (fun (r : Explore.run_result) -> r.outcome) cut

@@ -174,9 +174,18 @@ let prop_epoch_dense_equivalent =
 module Vector_clock = Dsm_clocks.Vector_clock
 module Codec = Dsm_clocks.Codec
 
+(* The sparse payload travels as the sparse piggyback frame: two header
+   words (tag 1, seq 0), then the payload. *)
+let sparse_payload c =
+  let w = Codec.encode_piggyback ~mode:Codec.Sparse ~seq:0 c in
+  Array.sub w 2 (Array.length w - 2)
+
+let decode_sparse w =
+  fst (Codec.decode_piggyback ~expect_seq:0 (Array.append [| 1; 0 |] w))
+
 let check_roundtrip name c =
-  let w = Codec.encode_vector_sparse c in
-  let c' = Codec.decode_vector_sparse w in
+  let w = sparse_payload c in
+  let c' = decode_sparse w in
   Alcotest.(check (array int))
     (name ^ " round-trips")
     (Vector_clock.to_array c) (Vector_clock.to_array c')
@@ -187,14 +196,14 @@ let test_codec_sparse_directed () =
   check_roundtrip "zero clock" zero;
   Alcotest.(check int)
     "zero clock ships headers only" 2
-    (Array.length (Codec.encode_vector_sparse zero));
+    (Array.length (sparse_payload zero));
   (* single entry *)
   let single = Vector_clock.create ~n:8 in
   Vector_clock.tick single ~me:3;
   check_roundtrip "single entry" single;
   Alcotest.(check int)
     "single entry ships one pair" 4
-    (Array.length (Codec.encode_vector_sparse single));
+    (Array.length (sparse_payload single));
   (* promotion boundary: exactly threshold live components, then one
      past it (the clock flips to dense storage; the codec must not
      care which side of the boundary it is on) *)
@@ -221,9 +230,9 @@ let test_codec_sparse_directed () =
   Vector_clock.tick last ~me:63;
   check_roundtrip "max-pid entry" last;
   (* rejection: truncated, padded, and corrupted buffers all raise *)
-  let w = Codec.encode_vector_sparse past in
+  let w = sparse_payload past in
   let rejects name w =
-    match Codec.decode_vector_sparse w with
+    match decode_sparse w with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: malformed buffer was accepted" name
   in
@@ -253,9 +262,8 @@ let prop_codec_sparse_roundtrip =
             if Prng.int g 4 = 0 then 1 + Prng.int g 1_000 else 0)
       in
       let c = Vector_clock.of_array a in
-      let w = Codec.encode_vector_sparse c in
-      Array.length w <= (2 * n) + 2
-      && Vector_clock.equal c (Codec.decode_vector_sparse w))
+      let w = sparse_payload c in
+      Array.length w <= (2 * n) + 2 && Vector_clock.equal c (decode_sparse w))
 
 (* --- Delta / varint / piggyback codec fuzz (ISSUE 8). -------------- *)
 
@@ -287,7 +295,7 @@ let prop_codec_delta_roundtrip =
       let v = Vector_clock.of_array b in
       let w = Codec.encode_vector_delta ~since:base v in
       Array.length w = 2 + (2 * !changed)
-      && Vector_clock.equal v (Codec.decode_vector_delta ~base w))
+      && Vector_clock.equal v (Codec_ref.decode_vector_delta ~base w))
 
 (* A delta decoded against the wrong base silently reconstructs the
    wrong clock — the reason the piggyback layer refuses deltas outside
@@ -297,15 +305,16 @@ let test_codec_delta_since_mismatch () =
   let base = Vector_clock.of_array [| 1; 2; 3 |] in
   let v = Vector_clock.of_array [| 1; 5; 3 |] in
   let w = Codec.encode_vector_delta ~since:base v in
-  (match
-     Codec.decode_vector_delta ~base:(Vector_clock.create ~n:5) w
-   with
+  let decode_delta ~base w =
+    fst (Codec.decode_piggyback ~expect_seq:0 ~base (Array.append [| 2; 0 |] w))
+  in
+  (match decode_delta ~base:(Vector_clock.create ~n:5) w with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong-dimension base was accepted");
   (* same dimension, different value: decodes, but to the value implied
      by that base — never to the sender's clock *)
   let other = Vector_clock.of_array [| 9; 2; 9 |] in
-  let v' = Codec.decode_vector_delta ~base:other w in
+  let v' = decode_delta ~base:other w in
   Alcotest.(check bool) "drifted base reconstructs a drifted clock" false
     (Vector_clock.equal v v')
 
@@ -327,7 +336,7 @@ let prop_codec_varint_roundtrip_random =
       in
       let c = Vector_clock.of_array a in
       Vector_clock.equal c
-        (Codec.decode_vector_varint (Codec.encode_vector_varint c)))
+        (Codec_ref.decode_vector_varint (Codec.encode_vector_varint c)))
 
 (* Self-framed piggybacks under every mode: the frame round-trips, the
    adaptive mode's frame is never larger than either self-contained

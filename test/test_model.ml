@@ -215,7 +215,9 @@ let test_direct_goldens () =
 
 (* Explorer fingerprints recorded on the same pre-refactor tree:
    (scenario, n, planted bug, walk, fingerprint); seed 7, constant
-   latency. *)
+   latency. The workload:rmw-mix ones were re-recorded when the unused
+   broadcast and scatter regions left the collectives' layout, which
+   moved its public offsets and nothing else. *)
 let explore_goldens =
   [
     ("getput", 2, false, 0, "dce2b15b4348bd19604278c56413588b");
@@ -243,11 +245,11 @@ let explore_goldens =
     ("rmwlost-checked", 3, true, 2, "4a1d8fb4553d1c723e0870d9f7be61ea");
     ("rmwlost-checked", 3, true, 3, "4a1d8fb4553d1c723e0870d9f7be61ea");
     ("rmwlost-checked", 3, true, 4, "4a1d8fb4553d1c723e0870d9f7be61ea");
-    ("workload:rmw-mix", 3, false, 0, "dd636bd3663fe07b88f86381ffa3a2c5");
-    ("workload:rmw-mix", 3, false, 1, "dd636bd3663fe07b88f86381ffa3a2c5");
-    ("workload:rmw-mix", 3, false, 2, "dd636bd3663fe07b88f86381ffa3a2c5");
-    ("workload:rmw-mix", 3, false, 3, "dd636bd3663fe07b88f86381ffa3a2c5");
-    ("workload:rmw-mix", 3, false, 4, "dd636bd3663fe07b88f86381ffa3a2c5");
+    ("workload:rmw-mix", 3, false, 0, "ad7238ae4137cf716e2fa41d0c0221b7");
+    ("workload:rmw-mix", 3, false, 1, "ad7238ae4137cf716e2fa41d0c0221b7");
+    ("workload:rmw-mix", 3, false, 2, "ad7238ae4137cf716e2fa41d0c0221b7");
+    ("workload:rmw-mix", 3, false, 3, "ad7238ae4137cf716e2fa41d0c0221b7");
+    ("workload:rmw-mix", 3, false, 4, "ad7238ae4137cf716e2fa41d0c0221b7");
   ]
 
 let test_explore_goldens () =

@@ -237,7 +237,7 @@ let test_fabric_floor_far_in_time () =
 
 let test_fabric_drop_rate () =
   let sim = Engine.create ~seed:21 () in
-  let fab = make_fabric ~faults:(Fault.uniform ~drop:0.3 ()) sim 2 in
+  let fab = make_fabric ~faults:(Fault.of_string "drop=0.3") sim 2 in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 1000 do
@@ -250,7 +250,7 @@ let test_fabric_drop_rate () =
 
 let test_fabric_duplicates () =
   let sim = Engine.create ~seed:22 () in
-  let fab = make_fabric ~faults:(Fault.uniform ~duplicate:0.5 ()) sim 2 in
+  let fab = make_fabric ~faults:(Fault.of_string "dup=0.5") sim 2 in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 200 do
@@ -265,7 +265,7 @@ let test_fabric_duplicates () =
 let test_fabric_bad_probability () =
   Alcotest.check_raises "range"
     (Invalid_argument "Fault: drop out of range [0,1]")
-    (fun () -> ignore (Fault.uniform ~drop:1.5 () : Fault.t))
+    (fun () -> ignore (Fault.of_string "drop=1.5" : Fault.t))
 
 (* ---------- the reliable transport ---------- *)
 

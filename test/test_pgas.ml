@@ -176,38 +176,6 @@ let test_barrier_repeated_generations () =
   expect_completed m;
   Alcotest.(check (list int)) "three rounds" [ 1; 2; 3 ] (List.rev !log)
 
-(* ---------- broadcast ---------- *)
-
-let test_broadcast_delivers_root_value () =
-  let m, env = make_plain ~n:4 () in
-  let c = Collectives.create env in
-  let got = Array.make 4 0 in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      let v = Collectives.broadcast c p ~root:2 (if pid = 2 then Some 99 else None) in
-      got.(pid) <- v);
-  expect_completed m;
-  Alcotest.(check (array int)) "everyone has 99" [| 99; 99; 99; 99 |] got
-
-let test_broadcast_validates_root () =
-  let m, env = make_plain ~n:2 () in
-  let c = Collectives.create env in
-  let failed = ref false in
-  Machine.spawn m ~pid:0 (fun p ->
-      try ignore (Collectives.broadcast c p ~root:0 None)
-      with Invalid_argument _ -> failed := true);
-  ignore (Machine.run m);
-  Alcotest.(check bool) "root must supply value" true !failed
-
-let test_broadcast_clean_under_detection () =
-  let m, env, d = make_checked ~n:3 () in
-  let c = Collectives.create env in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      ignore (Collectives.broadcast c p ~root:0 (if pid = 0 then Some 7 else None)));
-  expect_completed m;
-  Alcotest.(check int) "no false positives" 0 (Report.count (Detector.report d))
-
 (* ---------- reductions ---------- *)
 
 let test_reduce_gather_sums () =
@@ -229,66 +197,6 @@ let test_reduce_gather_clean_under_detection () =
       ignore (Collectives.reduce_gather c p ~root:0 ~value:1));
   expect_completed m;
   Alcotest.(check int) "no false positives" 0 (Report.count (Detector.report d))
-
-let test_allreduce_everyone_gets_sum () =
-  let m, env = make_plain ~n:4 () in
-  let c = Collectives.create env in
-  let got = Array.make 4 0 in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      got.(pid) <- Collectives.allreduce c p ~value:(10 * (pid + 1)));
-  expect_completed m;
-  Alcotest.(check (array int)) "sum everywhere" [| 100; 100; 100; 100 |] got
-
-let test_scatter_distributes () =
-  let m, env = make_plain ~n:4 () in
-  let c = Collectives.create env in
-  let got = Array.make 4 0 in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      got.(pid) <-
-        Collectives.scatter c p ~root:1
-          (if pid = 1 then Some [| 10; 20; 30; 40 |] else None));
-  expect_completed m;
-  Alcotest.(check (array int)) "each got its slice" [| 10; 20; 30; 40 |] got
-
-let test_scatter_validates () =
-  let m, env = make_plain ~n:2 () in
-  let c = Collectives.create env in
-  let failed = ref false in
-  Machine.spawn m ~pid:0 (fun p ->
-      try ignore (Collectives.scatter c p ~root:0 (Some [| 1 |]))
-      with Invalid_argument _ -> failed := true);
-  ignore (Machine.run m);
-  Alcotest.(check bool) "wrong length rejected" true !failed
-
-let test_gather_collects () =
-  let m, env = make_plain ~n:4 () in
-  let c = Collectives.create env in
-  let at_root = ref None in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      match Collectives.gather c p ~root:2 ~value:(pid * pid) with
-      | Some arr -> at_root := Some arr
-      | None -> ());
-  expect_completed m;
-  Alcotest.(check (option (array int))) "contributions in pid order"
-    (Some [| 0; 1; 4; 9 |])
-    !at_root
-
-let test_new_collectives_clean_under_detection () =
-  let m, env, d = make_checked ~n:4 () in
-  let c = Collectives.create env in
-  Machine.spawn_all m (fun p ->
-      let pid = Machine.pid p in
-      ignore (Collectives.allreduce c p ~value:pid);
-      ignore
-        (Collectives.scatter c p ~root:0
-           (if pid = 0 then Some [| 1; 2; 3; 4 |] else None));
-      ignore (Collectives.gather c p ~root:3 ~value:pid));
-  expect_completed m;
-  Alcotest.(check int) "collectives are race-free" 0
-    (Report.count (Detector.report d))
 
 let test_reduce_onesided_no_participation () =
   (* The §5.2 scenario: contributions are pre-published; only node 0 runs
@@ -394,21 +302,6 @@ let () =
           Alcotest.test_case "releases everyone" `Quick test_barrier_releases_everyone;
           Alcotest.test_case "waits for slowest" `Quick test_barrier_waits_for_slowest;
           Alcotest.test_case "repeated" `Quick test_barrier_repeated_generations;
-        ] );
-      ( "broadcast",
-        [
-          Alcotest.test_case "delivers" `Quick test_broadcast_delivers_root_value;
-          Alcotest.test_case "validates" `Quick test_broadcast_validates_root;
-          Alcotest.test_case "clean under detection" `Quick test_broadcast_clean_under_detection;
-        ] );
-      ( "collectives",
-        [
-          Alcotest.test_case "allreduce" `Quick test_allreduce_everyone_gets_sum;
-          Alcotest.test_case "scatter" `Quick test_scatter_distributes;
-          Alcotest.test_case "scatter validates" `Quick test_scatter_validates;
-          Alcotest.test_case "gather" `Quick test_gather_collects;
-          Alcotest.test_case "clean under detection" `Quick
-            test_new_collectives_clean_under_detection;
         ] );
       ( "task-pool",
         [

@@ -415,7 +415,7 @@ let test_lossy_fabric_blocks_operations () =
   let sim = Engine.create ~seed:5 () in
   let m =
     Machine.create sim ~n:2 ~latency:(Dsm_net.Latency.Constant 1.0)
-      ~faults:(Dsm_net.Fault.uniform ~drop:0.4 ()) ()
+      ~faults:(Dsm_net.Fault.of_string "drop=0.4") ()
   in
   let dst = Machine.alloc_public m ~pid:1 ~len:1 () in
   Machine.spawn m ~pid:0 (fun p ->

@@ -201,13 +201,13 @@ let reliable_pins =
       "ff10914537d6b265130478da1781760a msgs=1480 words=5600 retransmits=280" );
     ( "workload:random",
       "drop=0.3",
-      "d400ed64fa302fecb04f60c48de344df msgs=9054 words=30081 retransmits=2370" );
+      "6cc578177cac2e5d2058f642a528da3d msgs=9054 words=30081 retransmits=2370" );
     ( "workload:random",
       "dup=0.4,drop=0.3",
-      "8bb41122c0827d8f581b9f5e084e0e64 msgs=9994 words=29861 retransmits=2255" );
+      "658d461aaa0436c1bbe42b875a25ea4f msgs=9994 words=29861 retransmits=2255" );
     ( "workload:random",
       "reorder=0.5,drop=0.2",
-      "6b6b7652a19003c93db438ba44888552 msgs=8468 words=30998 retransmits=2017" );
+      "6f2aed466495a507c1795173c9055e18 msgs=8468 words=30998 retransmits=2017" );
     ( "rmwlost-checked",
       "drop=0.3",
       "846bfe4fe763786e165e1b76e22f446e msgs=440 words=1520 retransmits=80" );
@@ -219,22 +219,22 @@ let reliable_pins =
       "cca9f8b2a8ac4512dde7151f05cd4f70 msgs=320 words=1040 retransmits=0" );
     ( "workload:scale",
       "drop=0.3",
-      "9943314a807091d9560831ac9b8a3983 msgs=35257 words=93214 retransmits=11539" );
+      "a603416bdd86b87db04a5d0498801211 msgs=35257 words=93214 retransmits=11539" );
     ( "workload:scale",
       "dup=0.4,drop=0.3",
-      "c9bfc6af8dacf41543a3d77444e06a8b msgs=35879 words=86891 retransmits=8738" );
+      "51d96c6fcd6b16c4c2ed0771f9e13888 msgs=35879 words=86891 retransmits=8738" );
     ( "workload:scale",
       "reorder=0.5,drop=0.2",
-      "43bdb961046a15028e50273ccb79d8cb msgs=29554 words=76568 retransmits=7237" );
+      "f5308e4131991be88b1bffa26e706a83 msgs=29554 words=76568 retransmits=7237" );
     ( "workload:histogram-racy",
       "drop=0.3",
-      "25aedc4105a7298df010187b63cd2faf msgs=2000 words=6400 retransmits=320" );
+      "602470dffdcd20bbeeca6b0f3721c2cc msgs=2000 words=6400 retransmits=320" );
     ( "workload:histogram-racy",
       "dup=0.4,drop=0.3",
-      "5d8700a971c7362d07dcefb610082990 msgs=2080 words=6920 retransmits=320" );
+      "bd01f71f569fd07b91d4e2ebcf4859e3 msgs=2080 words=6920 retransmits=320" );
     ( "workload:histogram-racy",
       "reorder=0.5,drop=0.2",
-      "fd5d38d740e2dee4b15bbaf7b11e909d msgs=2040 words=6522 retransmits=360" );
+      "0bd0d2ea146ea563f753370ed1f4c1d9 msgs=2040 words=6522 retransmits=360" );
   ]
 
 let reliable_batch scenario plan =
@@ -514,7 +514,10 @@ let test_explore_differential () =
 (* Every [w=] token minted while the wire encoding was selectable — the
    forms in the test rules, the docs and this suite — with the
    fingerprint its run had then. Each must replay to that fingerprint,
-   exactly as its [w]-less form does, and print without the field. *)
+   exactly as its [w]-less form does, and print without the field.
+   The master-worker token's fingerprint was re-recorded when the
+   unused broadcast and scatter regions left the collectives' layout,
+   which moved its public offsets and nothing else. *)
 let old_tokens =
   [
     ( "dsm1|s=getput|n=2|seed=1|w=delta|f=none|r=0|b=0|me=200000|d=",
@@ -532,7 +535,7 @@ let old_tokens =
     ( "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|w=delta|m=relaxed|f=none|r=0|b=0|me=200000|d=1,1,1",
       "e51ac3513c1ac5cb477bb7aea1feb2fd" );
     ( "dsm1|s=workload:master-worker-racy|n=3|seed=4|w=dense|f=none|r=0|b=0|me=200000|d=2,1",
-      "36cafeea3352c9af06c5ba1f823d063b" );
+      "9de258580039f20d8f11ea023003bd77" );
   ]
 
 let replay_exn token =
