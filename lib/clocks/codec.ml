@@ -165,14 +165,13 @@ type tally = { mutable dense : int; mutable sparse : int; mutable delta : int }
 
 let tally () = { dense = 0; sparse = 0; delta = 0 }
 
-(* The payload codec of a frame of dimension [n], as its tag, from
-   [sizes = k * (n + 1) + d]: [k] live components and [d] changed since
-   the base, [d = n] without one. A forced mode is its own codec;
-   [Delta] takes a delta only if it is strictly shorter than both
-   self-contained forms (so never without a base), and sparse wins a
-   tie with dense. *)
-let choose ~mode ~n sizes =
-  let k = sizes / (n + 1) and d = sizes mod (n + 1) in
+(* The payload codec of a frame of dimension [n], as its tag, from [k]
+   live components and [d] changed since the base, [d = n] without one
+   (the walk returns them packed as [sizes = k * (n + 1) + d]). A
+   forced mode is its own codec; [Delta] takes a delta only if it is
+   strictly shorter than both self-contained forms (so never without a
+   base), and sparse wins a tie with dense. *)
+let choose ~mode ~n ~k ~d =
   match mode with
   | Dense -> 0
   | Sparse -> 1
@@ -181,10 +180,10 @@ let choose ~mode ~n sizes =
       else if pairs_len k <= n + 1 then 1
       else 0
 
-let payload_len ~n sizes = function
+let payload_len ~n ~k ~d = function
   | 0 -> n + 1
-  | 1 -> pairs_len (sizes / (n + 1))
-  | _ -> pairs_len (sizes mod (n + 1))
+  | 1 -> pairs_len k
+  | _ -> pairs_len d
 
 (* [sizes] with no base to diff against. *)
 let baseless_sizes v =
@@ -200,15 +199,29 @@ let encode_piggyback ~mode ~seq ?since v =
         Vector_clock.diff_sizes ~advance:false ~since:s v
     | _ -> baseless_sizes v
   in
-  let tag = choose ~mode ~n sizes in
-  let w = Array.make (2 + payload_len ~n sizes tag) 0 in
+  let k = sizes / (n + 1) and d = sizes mod (n + 1) in
+  let tag = choose ~mode ~n ~k ~d in
+  let w = Array.make (2 + payload_len ~n ~k ~d tag) 0 in
   w.(0) <- tag;
   w.(1) <- seq;
   (match (tag, since) with
-  | 2, Some s -> write_delta w 2 ~since:s ~d:(sizes mod (n + 1)) v
+  | 2, Some s -> write_delta w 2 ~since:s ~d v
   | 0, _ -> write_dense w 2 v
-  | _ -> write_sparse w 2 ~k:(sizes / (n + 1)) v);
+  | _ -> write_sparse w 2 ~k v);
   w
+
+(* A priced frame, in one immediate int: the live components [k] of
+   the clock it carries from bit 32, its length in words from bit 2,
+   its tag in the low two bits. *)
+let len_mask = (1 lsl 30) - 1
+
+let priced ~tally ~mode ~n ~k ~d =
+  let tag = choose ~mode ~n ~k ~d in
+  (match tag with
+  | 0 -> tally.dense <- tally.dense + 1
+  | 1 -> tally.sparse <- tally.sparse + 1
+  | _ -> tally.delta <- tally.delta + 1);
+  (k lsl 32) lor ((2 + payload_len ~n ~k ~d tag) lsl 2) lor tag
 
 let size_piggyback_edge ~tally ~mode ~cache v =
   let n = Vector_clock.dim v in
@@ -219,14 +232,22 @@ let size_piggyback_edge ~tally ~mode ~cache v =
     | Delta -> Vector_clock.diff_sizes ~advance:true ~since:cache v
     | Dense | Sparse -> baseless_sizes v
   in
-  let tag = choose ~mode ~n sizes in
-  (match tag with
-  | 0 -> tally.dense <- tally.dense + 1
-  | 1 -> tally.sparse <- tally.sparse + 1
-  | _ -> tally.delta <- tally.delta + 1);
-  ((2 + payload_len ~n sizes tag) * 4) + tag
+  priced ~tally ~mode ~n ~k:(sizes / (n + 1)) ~d:(sizes mod (n + 1))
 
-let frame_words sized = sized lsr 2
+let frame_live sized = sized lsr 32
+
+(* [cache] holds [v] but perhaps at [own], which only ticks raised:
+   the diff is that one component or nothing, and [v] has one more live
+   component than the last frame's clock when [own] left zero. *)
+let size_piggyback_ticked ~tally ~cache ~last ~own v =
+  let n = Vector_clock.dim v in
+  let x = Vector_clock.entry v own and y = Vector_clock.entry cache own in
+  let k = frame_live last + if y = 0 && x > 0 then 1 else 0 in
+  let d = if x <> y then 1 else 0 in
+  if d = 1 then Vector_clock.set cache own x;
+  priced ~tally ~mode:Delta ~n ~k ~d
+
+let frame_words sized = (sized lsr 2) land len_mask
 
 let header ~seq sized = (seq * 4) + (sized land 3)
 

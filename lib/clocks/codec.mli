@@ -102,7 +102,8 @@ val size_piggyback_edge :
     [encode_piggyback ~mode ~seq ~since:cache v] would build, without
     building it: the same codec, and the same length in words, header
     included. The result packs both into one immediate int, read with
-    {!frame_words} and {!header}. Under [Delta] one walk
+    {!frame_words} and {!header}, beside the count of [v]'s nonzero
+    components. Under [Delta] one walk
     ({!Vector_clock.diff_sizes} [~advance:true]) counts [v]'s live
     components and those changed since [cache], and leaves [cache] —
     the sender's per-edge cache — equal to [v], the next delta's base.
@@ -111,6 +112,17 @@ val size_piggyback_edge :
     [cache]. The frame's codec is counted in [tally]. Allocates nothing
     once [cache] has held values of [v]'s representations. Raises
     [Invalid_argument] when [cache] and [v] differ in dimension. *)
+
+val size_piggyback_ticked :
+  tally:tally -> cache:Vector_clock.t -> last:int -> own:int ->
+  Vector_clock.t -> int
+(** [size_piggyback_ticked ~tally ~cache ~last ~own v] is
+    [size_piggyback_edge ~tally ~mode:Delta ~cache v] in O(1), for a
+    [v] that has changed since the edge's last frame only by ticks of
+    component [own]: [cache] equals the last frame's clock and [last]
+    is that frame's priced result. The length, tag, tally and advanced
+    [cache] come out as the walk would leave them; with any other
+    change to [v] they are wrong. *)
 
 val frame_words : int -> int
 (** [frame_words sized] is the length in words, header included, of

@@ -12,39 +12,47 @@
    The abstract value, and hence every detection verdict, is that of the
    dense vector.
 
-   [rep] names the live representation. The sparse key/value arrays and
-   the dense array are allocated on first use and retained whatever the
-   clock holds later ([reset], [load_words], [assign]), so a warmed-up
-   scratch clock or overwritten copy never allocates again. The
-   canonical zero epoch is [count = 0] with [pid = 0]. Sparse values are
-   always positive: zero components are simply absent. *)
+   [pid] also names the live representation: an epoch's owner (>= 0),
+   or [sparse] or [dense] for the other two. The sparse key/value
+   arrays and the dense array are allocated on first use and retained
+   whatever the clock holds later ([reset], [load_words], [assign]), so
+   a warmed-up scratch clock or overwritten copy never allocates again.
+   The canonical zero epoch is [count = 0] with [pid = 0]. Sparse values
+   are always positive: zero components are simply absent.
 
-type rep = Epoch | Sparse | Dense
+   [gen] counts the changes that are not ticks: a merge that raises a
+   component, [assign], [set], [reset], [load_words]. A tick leaves it
+   alone, so a clock whose [gen] still reads what it read at some
+   earlier moment has changed since only through [tick]s. Promotions
+   change the representation, not the value, and leave it alone too. *)
 
 type t = {
-  mutable pid : int;  (* epoch owner; meaningful only in epoch mode *)
-  mutable count : int;  (* epoch count; 0 = the zero clock *)
+  mutable pid : int;  (* epoch owner, or [sparse] or [dense] *)
+  mutable count : int;  (* epoch count, 0 = the zero clock; stale otherwise *)
   dim : int;
-  mutable rep : rep;
   mutable vec : int array;  (* dense components; == no_vec until allocated *)
   mutable nactive : int;  (* live entries in keys/vals *)
   mutable keys : int array;  (* sorted pids; == no_vec until allocated *)
   mutable vals : int array;  (* ticks, parallel to keys; all > 0 *)
-  threshold : int;  (* sparse -> dense promotion bound *)
+  mutable gen : int;  (* non-tick changes so far *)
 }
 
 let no_vec : int array = [||]
 
 (* More than [max 4 (n/8)] active writers and the sorted-pair scans stop
-   paying for themselves against a flat array — promote. Exposed so the
-   promotion-boundary tests can aim exactly at it. *)
-let sparse_threshold ~n = max 4 (n / 8)
+   paying for themselves against a flat array — promote. Computed from
+   [dim] rather than kept in every clock. *)
+let threshold t = max 4 (t.dim lsr 3)
 
-let is_dense t = match t.rep with Dense -> true | Epoch | Sparse -> false
+let sparse = -1
 
-let is_sparse t = match t.rep with Sparse -> true | Epoch | Dense -> false
+let dense = -2
 
-let is_epoch t = match t.rep with Epoch -> true | Sparse | Dense -> false
+let is_dense t = t.pid = dense
+
+let is_sparse t = t.pid = sparse
+
+let is_epoch t = t.pid >= 0
 
 let create ~n =
   if n <= 0 then invalid_arg "Vector_clock.create: dimension must be positive";
@@ -52,15 +60,18 @@ let create ~n =
     pid = 0;
     count = 0;
     dim = n;
-    rep = Epoch;
     vec = no_vec;
     nactive = 0;
     keys = no_vec;
     vals = no_vec;
-    threshold = sparse_threshold ~n;
+    gen = 0;
   }
 
 let dim t = t.dim
+
+let generation t = t.gen
+
+let changed t = t.gen <- t.gen + 1
 
 (* ---------- sparse plumbing ---------- *)
 
@@ -81,7 +92,7 @@ let sparse_get t p =
    (retained across [reset]) serves the clock's whole lifetime. *)
 let sparse_ensure_arrays t =
   if t.keys == no_vec then begin
-    let cap = t.threshold + 1 in
+    let cap = threshold t + 1 in
     t.keys <- Array.make cap 0;
     t.vals <- Array.make cap 0
   end
@@ -89,6 +100,16 @@ let sparse_ensure_arrays t =
 (* The dense array, allocated once and kept for the clock's lifetime.
    Its contents are stale outside dense mode. *)
 let ensure_vec t = if t.vec == no_vec then t.vec <- Array.make t.dim 0
+
+(* [len] words from [src.(src_off)] to [dst.(0)], [src != dst]. A loop,
+   not [Array.blit]: a clock's arrays soon live in the major heap, where
+   the runtime's blit runs the write barrier on every word; an [int
+   array] store needs none. Every caller has checked both ranges (equal
+   dimensions, a checked slice, [nactive] within the pair capacity). *)
+let copy_words (src : int array) ~src_off (dst : int array) len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src (src_off + i))
+  done
 
 (* ---------- promotions ---------- *)
 
@@ -105,7 +126,7 @@ let promote t =
       done
     else if t.count > 0 then v.(t.pid) <- t.count;
     t.nactive <- 0;
-    t.rep <- Dense
+    t.pid <- dense
   end
 
 (* Epoch -> sparse, the cross-process promotion: carry the epoch entry
@@ -118,14 +139,14 @@ let promote_sparse t =
     t.vals.(0) <- t.count;
     t.nactive <- 1
   end;
-  t.rep <- Sparse
+  t.pid <- sparse
 
 (* Set component [p] to [v > 0] in sparse mode, inserting and
    dense-promoting past the threshold as needed. *)
 let sparse_set t p v =
   let i = sparse_find t p in
   if i >= 0 then t.vals.(i) <- v
-  else if t.nactive >= t.threshold then begin
+  else if t.nactive >= threshold t then begin
     promote t;
     t.vec.(p) <- v
   end
@@ -139,19 +160,27 @@ let sparse_set t p v =
   end
 
 (* Componentwise max against a single [(p, v)] entry, [v > 0] — the
-   building block for epoch sources and word-slice merges. *)
+   building block for epoch sources and word-slice merges. A raise
+   counts as a change. *)
 let rec bump t p v =
   if is_dense t then begin
-    if v > t.vec.(p) then t.vec.(p) <- v
+    if v > t.vec.(p) then begin
+      t.vec.(p) <- v;
+      changed t
+    end
   end
   else if is_sparse t then begin
     let i = sparse_find t p in
     if i >= 0 then begin
-      if v > t.vals.(i) then t.vals.(i) <- v
+      if v > t.vals.(i) then begin
+        t.vals.(i) <- v;
+        changed t
+      end
     end
-    else if t.nactive >= t.threshold then begin
+    else if t.nactive >= threshold t then begin
       promote t;
-      if v > t.vec.(p) then t.vec.(p) <- v
+      t.vec.(p) <- v;
+      changed t
     end
     else begin
       let at = -i - 1 in
@@ -159,15 +188,20 @@ let rec bump t p v =
       Array.blit t.vals at t.vals (at + 1) (t.nactive - at);
       t.keys.(at) <- p;
       t.vals.(at) <- v;
-      t.nactive <- t.nactive + 1
+      t.nactive <- t.nactive + 1;
+      changed t
     end
   end
   else if t.count = 0 then begin
     t.pid <- p;
-    t.count <- v
+    t.count <- v;
+    changed t
   end
   else if t.pid = p then begin
-    if v > t.count then t.count <- v
+    if v > t.count then begin
+      t.count <- v;
+      changed t
+    end
   end
   else begin
     promote_sparse t;
@@ -180,12 +214,11 @@ let copy t =
     pid = t.pid;
     count = t.count;
     dim = t.dim;
-    rep = t.rep;
     vec = (if is_dense t then Array.copy t.vec else no_vec);
     nactive = t.nactive;
     keys = (if is_sparse t then Array.copy t.keys else no_vec);
     vals = (if is_sparse t then Array.copy t.vals else no_vec);
-    threshold = t.threshold;
+    gen = 0;
   }
 
 (* Adopt the compact representation [a] warrants: <=1 nonzero -> epoch;
@@ -209,7 +242,7 @@ let of_array a =
     end;
     t
   end
-  else if !nonzeros <= t.threshold then begin
+  else if !nonzeros <= threshold t then begin
     sparse_ensure_arrays t;
     let k = ref 0 in
     for i = 0 to n - 1 do
@@ -220,12 +253,12 @@ let of_array a =
       end
     done;
     t.nactive <- !k;
-    t.rep <- Sparse;
+    t.pid <- sparse;
     t
   end
   else begin
     t.vec <- Array.copy a;
-    t.rep <- Dense;
+    t.pid <- dense;
     t
   end
 
@@ -274,44 +307,45 @@ let live_val c j = if is_sparse c then c.vals.(j) else c.count
 let set c i x =
   if i < 0 || i >= c.dim then invalid_arg "Vector_clock.set: index out of range";
   if x < 0 then invalid_arg "Vector_clock.set: negative entry";
-  match c.rep with
-  | Dense -> c.vec.(i) <- x
-  | Sparse ->
-      if x > 0 then sparse_set c i x
-      else
-        let j = sparse_find c i in
-        if j >= 0 then begin
-          Array.blit c.keys (j + 1) c.keys j (c.nactive - j - 1);
-          Array.blit c.vals (j + 1) c.vals j (c.nactive - j - 1);
-          c.nactive <- c.nactive - 1
-        end
-  | Epoch ->
-      if c.count = 0 || c.pid = i then begin
-        c.pid <- (if x > 0 then i else 0);
-        c.count <- x
+  changed c;
+  if is_dense c then c.vec.(i) <- x
+  else if is_sparse c then begin
+    if x > 0 then sparse_set c i x
+    else
+      let j = sparse_find c i in
+      if j >= 0 then begin
+        Array.blit c.keys (j + 1) c.keys j (c.nactive - j - 1);
+        Array.blit c.vals (j + 1) c.vals j (c.nactive - j - 1);
+        c.nactive <- c.nactive - 1
       end
-      else if x > 0 then begin
-        promote_sparse c;
-        sparse_set c i x
-      end
+  end
+  else if c.count = 0 || c.pid = i then begin
+    c.pid <- (if x > 0 then i else 0);
+    c.count <- x
+  end
+  else if x > 0 then begin
+    promote_sparse c;
+    sparse_set c i x
+  end
 
 let assign ~into src =
   check_dim into src "assign";
-  (match src.rep with
-  | Epoch ->
-      into.pid <- src.pid;
-      into.count <- src.count;
-      into.nactive <- 0
-  | Sparse ->
-      sparse_ensure_arrays into;
-      Array.blit src.keys 0 into.keys 0 src.nactive;
-      Array.blit src.vals 0 into.vals 0 src.nactive;
-      into.nactive <- src.nactive
-  | Dense ->
+  if is_sparse src then begin
+    sparse_ensure_arrays into;
+    copy_words src.keys ~src_off:0 into.keys src.nactive;
+    copy_words src.vals ~src_off:0 into.vals src.nactive;
+    into.nactive <- src.nactive
+  end
+  else begin
+    if is_dense src then begin
       ensure_vec into;
-      Array.blit src.vec 0 into.vec 0 into.dim;
-      into.nactive <- 0);
-  into.rep <- src.rep
+      copy_words src.vec ~src_off:0 into.vec into.dim
+    end
+    else into.count <- src.count;
+    into.nactive <- 0
+  end;
+  into.pid <- src.pid;
+  changed into
 
 (* ---------- the piggyback diff walk ---------- *)
 
@@ -389,6 +423,7 @@ let diff_walk ~since v w ~off ~advance =
     done;
     if advance then assign ~into:since v
   end;
+  if advance && !d > 0 then changed since;
   if w == no_vec then (!k * (v.dim + 1)) + !d else !d
 
 let diff_sizes ~advance ~since v = diff_walk ~since v no_vec ~off:0 ~advance
@@ -435,27 +470,38 @@ let tick c ~me =
 
 (* Merge a sparse [src] into a sparse [into] by a single backwards merge
    scan over the two sorted key runs — O(active + active), in place, no
-   allocation. The union size is counted first; past the threshold the
-   destination promotes to dense instead. *)
+   allocation. The union size is counted first, with whether [src]
+   raises a shared component and whether [into] is above [src]
+   anywhere, which is the result: [true] unless [into <= src] held.
+   Past the threshold the destination promotes to dense instead. *)
 let sparse_merge_sparse ~into src =
   let an = into.nactive and bn = src.nactive in
   (* union cardinality *)
-  let union = ref 0 in
+  let union = ref 0 and raises = ref false and above = ref false in
   let i = ref 0 and j = ref 0 in
   while !i < an || !j < bn do
-    (if !j >= bn then incr i
+    (if !j >= bn then begin
+       above := true;
+       incr i
+     end
      else if !i >= an then incr j
      else
        let ka = into.keys.(!i) and kb = src.keys.(!j) in
-       if ka < kb then incr i
+       if ka < kb then begin
+         above := true;
+         incr i
+       end
        else if kb < ka then incr j
        else begin
+         let x = src.vals.(!j) and y = into.vals.(!i) in
+         if x > y then raises := true else if y > x then above := true;
          incr i;
          incr j
        end);
     incr union
   done;
-  if !union > into.threshold then begin
+  if !raises || !union > an then changed into;
+  if !union > threshold into then begin
     promote into;
     for k = 0 to bn - 1 do
       let p = src.keys.(k) and v = src.vals.(k) in
@@ -485,7 +531,8 @@ let sparse_merge_sparse ~into src =
       decr k
     done;
     into.nactive <- !union
-  end
+  end;
+  !above
 
 let merge_into ~into src =
   check_dim into src "merge_into";
@@ -493,25 +540,37 @@ let merge_into ~into src =
     if src.count > 0 then bump into src.pid src.count
   end
   else if is_sparse src then begin
-    if is_dense into then
+    if is_dense into then begin
+      let raised = ref false in
       for k = 0 to src.nactive - 1 do
         let p = src.keys.(k) and v = src.vals.(k) in
-        if v > into.vec.(p) then into.vec.(p) <- v
-      done
-    else if is_sparse into then sparse_merge_sparse ~into src
+        if v > into.vec.(p) then begin
+          into.vec.(p) <- v;
+          raised := true
+        end
+      done;
+      if !raised then changed into
+    end
+    else if is_sparse into then ignore (sparse_merge_sparse ~into src)
     else begin
       (* epoch destination: take the cross-process (sparse) shape first *)
       promote_sparse into;
-      sparse_merge_sparse ~into src
+      ignore (sparse_merge_sparse ~into src)
     end
   end
   else begin
     (* dense source: the destination sees up to [dim] live components *)
     promote into;
     let v = into.vec and s = src.vec in
+    let raised = ref false in
     for i = 0 to into.dim - 1 do
-      if s.(i) > v.(i) then v.(i) <- s.(i)
-    done
+      let x = s.(i) in
+      if x > v.(i) then begin
+        v.(i) <- x;
+        raised := true
+      end
+    done;
+    if !raised then changed into
   end
 
 let merge a b =
@@ -678,18 +737,32 @@ let leq a b =
 
 let concurrent a b = Order.concurrent (compare a b)
 
-let equal a b = compare a b = Order.Equal
-
-let sum c =
-  if is_dense c then Array.fold_left ( + ) 0 c.vec
-  else if is_sparse c then begin
-    let acc = ref 0 in
-    for i = 0 to c.nactive - 1 do
-      acc := !acc + c.vals.(i)
+(* One walk when both clocks are dense or both sparse: raise [into]
+   where [src] is higher and note where [into] is higher. Otherwise
+   [leq], then the merge. *)
+let merge_into_equal ~into src =
+  check_dim into src "merge_into_equal";
+  if is_dense into && is_dense src then begin
+    let v = into.vec and s = src.vec in
+    let raised = ref false and above = ref false in
+    for i = 0 to into.dim - 1 do
+      let x = s.(i) and y = v.(i) in
+      if x > y then begin
+        v.(i) <- x;
+        raised := true
+      end
+      else if y > x then above := true
     done;
-    !acc
+    if !raised then changed into;
+    not !above
   end
-  else c.count
+  else if is_sparse into && is_sparse src then
+    not (sparse_merge_sparse ~into src)
+  else begin
+    let covered = leq into src in
+    merge_into ~into src;
+    covered
+  end
 
 (* Wire/storage accounting is representation-independent: a clock always
    costs [dim] words on the wire and in the §5.1 storage model. *)
@@ -702,8 +775,8 @@ let snapshot = copy
 let reset t =
   t.pid <- 0;
   t.count <- 0;
-  t.rep <- Epoch;
-  t.nactive <- 0
+  t.nactive <- 0;
+  changed t
 
 let check_slice t w off name =
   if off < 0 || off + t.dim > Array.length w then
@@ -711,6 +784,7 @@ let check_slice t w off name =
 
 let load_words t w ~off =
   check_slice t w off "load_words";
+  changed t;
   let nonzeros = ref 0 and last = ref 0 in
   for i = 0 to t.dim - 1 do
     let x = w.(off + i) in
@@ -721,12 +795,11 @@ let load_words t w ~off =
     end
   done;
   if !nonzeros <= 1 then begin
-    t.rep <- Epoch;
     t.nactive <- 0;
     t.pid <- (if !nonzeros = 1 then !last else 0);
     t.count <- (if !nonzeros = 1 then w.(off + !last) else 0)
   end
-  else if !nonzeros <= t.threshold then begin
+  else if !nonzeros <= threshold t then begin
     sparse_ensure_arrays t;
     let k = ref 0 in
     for i = 0 to t.dim - 1 do
@@ -738,13 +811,13 @@ let load_words t w ~off =
       end
     done;
     t.nactive <- !k;
-    t.rep <- Sparse
+    t.pid <- sparse
   end
   else begin
     ensure_vec t;
-    Array.blit w off t.vec 0 t.dim;
+    copy_words w ~src_off:off t.vec t.dim;
     t.nactive <- 0;
-    t.rep <- Dense
+    t.pid <- dense
   end
 
 let store_words t w ~off =
@@ -777,12 +850,16 @@ let merge_words ~into w ~off =
   done;
   if !nonzeros = 0 then ()
   else if !nonzeros = 1 then bump into !last w.(off + !last)
-  else if is_dense into || !nonzeros > into.threshold then begin
+  else if is_dense into || !nonzeros > threshold into then begin
     promote into;
-    let v = into.vec in
+    let v = into.vec and raised = ref false in
     for i = 0 to into.dim - 1 do
-      if w.(off + i) > v.(i) then v.(i) <- w.(off + i)
-    done
+      if w.(off + i) > v.(i) then begin
+        v.(i) <- w.(off + i);
+        raised := true
+      end
+    done;
+    if !raised then changed into
   end
   else
     (* stays within the sparse budget: bump each nonzero component *)

@@ -19,7 +19,7 @@
     vector that is [count] at [pid] and zero elsewhere. The first
     cross-process merge or tick promotes it to sorted parallel
     [(pid, tick)] arrays holding only the nonzero components, and past
-    {!sparse_threshold} live components to a dense array. Epoch operands
+    [max 4 (n/8)] live components to a dense array. Epoch operands
     give {!tick}, {!merge_into}, {!compare} and {!leq} O(1),
     allocation-free fast paths; sparse operands make compare/merge merge
     scans over the sorted pids, O(active writers) instead of O(n). The
@@ -32,13 +32,15 @@ val create : n:int -> t
 (** [create ~n] is the zero clock of dimension [n] (all entries 0 —
     the paper's initial value, §4.2), held as the zero epoch. *)
 
-val sparse_threshold : n:int -> int
-(** Number of live components beyond which a clock of dimension [n]
-    promotes from sorted pairs to the dense array ([max 4 (n/8)]) —
-    exposed so tests can aim at the promotion boundary exactly. *)
-
 val dim : t -> int
 (** Number of processes the clock covers. *)
+
+val generation : t -> int
+(** How many times the clock has changed other than by {!tick}: a
+    {!merge_into} (or {!merge_words}, {!merge_into_equal}) that raised a
+    component, {!assign}, {!set}, {!reset} or {!load_words}. While it
+    reads what it read at an earlier moment, the clock has changed since
+    only through ticks. O(1). *)
 
 val copy : t -> t
 
@@ -113,6 +115,12 @@ val merge_into : into:t -> t -> unit
     [into] and [src] — Algorithm 4 ([max_clock]) applied in place.
     Raises [Invalid_argument] on dimension mismatch. *)
 
+val merge_into_equal : into:t -> t -> bool
+(** [merge_into_equal ~into src] is {!merge_into} that also tells
+    whether [into] now equals [src] — whether [into <= src] held before.
+    One walk when both clocks are dense or both sparse, O(active)
+    otherwise. *)
+
 val merge : t -> t -> t
 (** Pure Algorithm 4: fresh componentwise maximum. *)
 
@@ -132,11 +140,6 @@ val leq : t -> t -> bool
 
 val concurrent : t -> t -> bool
 (** [concurrent a b] iff no causal order exists between [a] and [b]. *)
-
-val equal : t -> t -> bool
-
-val sum : t -> int
-(** Sum of components — a convenient progress measure for tests. *)
 
 val size_words : t -> int
 (** Words needed on the wire (the §4.3 linear-in-[n] cost measured by

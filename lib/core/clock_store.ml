@@ -5,7 +5,10 @@ module Int_tbl = Dsm_sim.Int_tbl
 type entry = {
   v : Vector_clock.t;
   w : Vector_clock.t;
-  s : Vector_clock.t;
+  mutable s : Vector_clock.t;
+  mutable vs : Stamp.t;
+  mutable ws : Stamp.t;
+  mutable ss : Stamp.t;
   mutable history : Provenance.ring;
 }
 
@@ -37,6 +40,9 @@ type t = {
   mutable var_off : int array;
   mutable var_len : int array;
   mutable vars : int;
+  (* the S clock of every entry no release has touched: zero, and never
+     written *)
+  zero : Vector_clock.t;
 }
 
 let create ~node ~clock_dim ~granularity =
@@ -51,6 +57,7 @@ let create ~node ~clock_dim ~granularity =
     var_off = [||];
     var_len = [||];
     vars = 0;
+    zero = Vector_clock.create ~n:clock_dim;
   }
 
 (* The index of the first variable that ends at or after [offset] —
@@ -152,9 +159,23 @@ let entry_at t ~offset ~len =
   | e -> e
   | exception Not_found ->
       let mk () = Vector_clock.create ~n:t.clock_dim in
-      let e = { v = mk (); w = mk (); s = mk (); history = Provenance.empty } in
+      let e =
+        {
+          v = mk ();
+          w = mk ();
+          s = t.zero;
+          vs = Stamp.none;
+          ws = Stamp.none;
+          ss = Stamp.none;
+          history = Provenance.empty;
+        }
+      in
       Int_tbl.replace t.table key e;
       e
+
+let sync_clock t e =
+  if e.s == t.zero then e.s <- Vector_clock.create ~n:t.clock_dim;
+  e.s
 
 let fold_entries t ~init ~f = Int_tbl.fold (fun _ e acc -> f e acc) t.table init
 
@@ -169,8 +190,6 @@ let iter_history t ~f =
           let offset, len = unpack_key key in
           f ~offset ~len entries)
     (List.sort Int.compare keys)
-
-let entries t = Int_tbl.length t.table
 
 (* The paper's accounting (§5.1): V plus the W refinement = 2 clocks per
    datum. The sync clock is an extension and is only charged once an

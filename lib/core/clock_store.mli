@@ -9,9 +9,9 @@
     ({!Provenance.ring}), so the store is the one place that knows how
     granules are keyed.
 
-    Entries are created lazily with zero clocks — the paper's initial
-    value — and updated in place while the NIC lock on the covering
-    region is held (§4.2's no-self-race argument).
+    Entries are created lazily with zero, unstamped clocks — the
+    paper's initial value — and updated in place while the NIC lock on
+    the covering region is held (§4.2's no-self-race argument).
 
     The table is keyed by the granule's [(offset, len)] packed into a
     single immediate [int] and hashed by an int-specialized hashtable, so
@@ -25,12 +25,19 @@ type entry = {
   v : Dsm_clocks.Vector_clock.t;
       (** general-purpose clock: all plain accesses *)
   w : Dsm_clocks.Vector_clock.t;  (** write clock: plain writes only (§4.4) *)
-  s : Dsm_clocks.Vector_clock.t;
+  mutable s : Dsm_clocks.Vector_clock.t;
       (** synchronization clock: atomic read-modify-writes. Atomics are
           NIC-serialized, so they never race with each other; they act as
           writes towards plain accesses and as release/acquire points for
           causality (extension beyond the paper, see
-          [Detector.fetch_add]) *)
+          [Detector.fetch_add]). Until the first release it is the
+          store's shared zero clock: write it only through
+          {!sync_clock} *)
+  mutable vs : Dsm_clocks.Stamp.t;
+      (** [v]'s owner stamp, {!Dsm_clocks.Stamp.none} when unknown: the
+          detector keeps it as it merges into [v] *)
+  mutable ws : Dsm_clocks.Stamp.t;  (** [w]'s owner stamp *)
+  mutable ss : Dsm_clocks.Stamp.t;  (** [s]'s owner stamp *)
   mutable history : Provenance.ring;
       (** the granule's recent checked accesses, {!Provenance.empty}
           until the detector notes one (never at
@@ -85,16 +92,18 @@ val entry_at : t -> offset:int -> len:int -> entry
     Raises [Invalid_argument] outside [0 <= offset <= 2^40],
     [0 <= len < 2^21], the range the table's packed key holds. *)
 
+val sync_clock : t -> entry -> Dsm_clocks.Vector_clock.t
+(** [sync_clock t e] is [e.s], ready to be merged into: the shared zero
+    clock an entry starts with is replaced here, on the first release,
+    by a clock of the entry's own. *)
+
 val iter_history :
   t -> f:(offset:int -> len:int -> Provenance.entry list -> unit) -> unit
 (** Visit every granule with retained history in (offset, len) order;
     entries newest first. Granules with empty history are skipped. *)
 
-val entries : t -> int
-(** Number of granules that have materialized clocks. *)
-
 val storage_words : t -> int
-(** Total words of clock metadata held: [entries × 2 × clock_dim], plus
+(** Total words of clock metadata held: [2 × clock_dim] per entry, plus
     [clock_dim] per entry whose [S] an atomic touched — the §5.1
     storage-overhead numerator measured in E7. Representation-
     independent (an epoch still models a full vector). The access

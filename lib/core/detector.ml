@@ -10,7 +10,10 @@ module Recorder = Dsm_trace.Recorder
    merges run on adaptive epoch/vector clocks in place, a granule's
    clocks are compared where they live (no copy), and every intermediate
    clock value lives in a per-process scratch buffer owned by the
-   detector. A granule's access history (provenance) is a ring in its
+   detector. A granule clock that equals a clean process clock carries
+   that clock's owner stamp ({!Dsm_clocks.Stamp}), so checking it,
+   absorbing it and merging into it cost O(1) or one copy instead of a
+   walk. A granule's access history (provenance) is a ring in its
    store entry, so noting an access costs no second lookup, and once
    the ring is full a note overwrites its oldest slot in place. The
    path still allocates a granule's ring slots (each with a copy of the
@@ -31,6 +34,10 @@ type t = {
   report : Report.t;
   dim : int; (* vector dimension: n, or 1 in the Lamport ablation *)
   procs : Vector_clock.t array;
+  owners : Stamp.owners; (* the clean spans of [procs] *)
+  stamped : bool;
+      (* every process ticks its own component, so stamps hold: false
+         in the Lamport ablation, where all tick component 0 *)
   stores : Clock_store.t array;
   recorder : Recorder.t option;
   (* clock per user-level lock, keyed by the locked region's full
@@ -47,7 +54,6 @@ type t = {
      completion without blocking, so one buffer serves every node *)
   scratch_vput : Vector_clock.t;
   mutable checked_ops : int;
-  mutable meta_messages : int;
   mutable clock_words_shipped : int;
 }
 
@@ -85,24 +91,40 @@ let class_of_code = function
   | 3 -> Rmw { wrote = false }
   | c -> invalid_arg (Printf.sprintf "Detector: bad access class %d" c)
 
-(* Release [clock] into the granule's S clock: an RMW's early release
-   (see [release_rmw_history]) and its detection-time S mark. *)
-let release_s (mh : Dsm_rdma.Model.hooks) (e : Clock_store.entry) clock =
-  if mh.rmw_acquires_order then Vector_clock.merge_into ~into:e.s clock
+(* Release [clock], stamped [cur], into the granule's S clock: an
+   RMW's early release (see [release_rmw_history]) and its
+   detection-time S mark. *)
+let release_s (mh : Dsm_rdma.Model.hooks) store (e : Clock_store.entry) clock
+    ~cur =
+  if mh.rmw_acquires_order then
+    e.ss <-
+      Stamp.merge_into
+        ~into:(Clock_store.sync_clock store e)
+        ~stamp:e.ss clock ~cur
 
 (* The access class -> V/W/S merge rule, the one place it is written:
-   the local path applies it in place, the [vput] handler applies it at
-   the datum's node. *)
-let merge_entry mh (e : Clock_store.entry) cls clock =
+   the local path applies it in place with the accessor's stamp [cur],
+   the [vput] handler applies it at the datum's node unstamped. A write
+   whose V the stamp shows below [clock] copies [clock] into V and W
+   (W <= V always). *)
+let merge_entry mh store (e : Clock_store.entry) cls clock ~cur =
   match cls with
-  | Plain_read -> Vector_clock.merge_into ~into:e.v clock
+  | Plain_read -> e.vs <- Stamp.merge_into ~into:e.v ~stamp:e.vs clock ~cur
   | Plain_write ->
-      Vector_clock.merge_into ~into:e.v clock;
-      Vector_clock.merge_into ~into:e.w clock
+      if Stamp.leq e.vs clock then begin
+        Vector_clock.assign ~into:e.v clock;
+        Vector_clock.assign ~into:e.w clock;
+        e.vs <- cur;
+        e.ws <- cur
+      end
+      else begin
+        e.vs <- Stamp.merge_into ~into:e.v ~stamp:e.vs clock ~cur;
+        e.ws <- Stamp.merge_into ~into:e.w ~stamp:e.ws clock ~cur
+      end
   | Rmw { wrote } ->
-      Vector_clock.merge_into ~into:e.v clock;
-      if wrote then Vector_clock.merge_into ~into:e.w clock;
-      release_s mh e clock
+      e.vs <- Stamp.merge_into ~into:e.v ~stamp:e.vs clock ~cur;
+      if wrote then e.ws <- Stamp.merge_into ~into:e.w ~stamp:e.ws clock ~cur;
+      release_s mh store e clock ~cur
 
 let install_control_plane t =
   Machine.set_control_handler t.machine ~tag:vget_tag
@@ -117,13 +139,12 @@ let install_control_plane t =
       Some reply);
   Machine.set_control_handler t.machine ~tag:vput_tag
     (fun ~node ~origin:_ words ->
-      let e =
-        Clock_store.entry_at t.stores.(node) ~offset:words.(0) ~len:words.(1)
-      in
-      let clock = t.scratch_vput in
+      let store = t.stores.(node) in
+      let e = Clock_store.entry_at store ~offset:words.(0) ~len:words.(1) in
+      let clock = t.scratch_vput and cur = Stamp.none in
       Vector_clock.load_words clock words ~off:3;
-      if words.(2) = s_release_code then release_s t.mh e clock
-      else merge_entry t.mh e (class_of_code words.(2)) clock;
+      if words.(2) = s_release_code then release_s t.mh store e clock ~cur
+      else merge_entry t.mh store e (class_of_code words.(2)) clock ~cur;
       None)
 
 (* Algorithm 5's clock write: ship [clock] to the granule's node, whose
@@ -136,7 +157,6 @@ let send_vput t p ~node ~offset ~len ~code clock =
   payload.(1) <- len;
   payload.(2) <- code;
   Vector_clock.store_words clock payload ~off:3;
-  t.meta_messages <- t.meta_messages + 1;
   t.clock_words_shipped <- t.clock_words_shipped + t.dim;
   Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
 
@@ -150,6 +170,7 @@ let create machine ?(config = Config.default) ?(verbose = false) () =
   in
   let mk () = Vector_clock.create ~n:dim in
   let clock_array () = Array.init n (fun _ -> mk ()) in
+  let procs = clock_array () in
   let t =
     {
       machine;
@@ -158,7 +179,12 @@ let create machine ?(config = Config.default) ?(verbose = false) () =
       probe = Dsm_sim.Engine.probe (Machine.sim machine);
       report = Report.create ~verbose ();
       dim;
-      procs = clock_array ();
+      procs;
+      owners = Stamp.owners procs;
+      stamped =
+        (match config.Config.clock_mode with
+        | Config.Vector -> true
+        | Config.Lamport_only -> false);
       stores =
         Array.init n (fun node ->
             Clock_store.create ~node ~clock_dim:dim
@@ -180,7 +206,6 @@ let create machine ?(config = Config.default) ?(verbose = false) () =
            Some (Recorder.create ~reads_from ~n ())
          else None);
       checked_ops = 0;
-      meta_messages = 0;
       clock_words_shipped = 0;
     }
   in
@@ -208,12 +233,17 @@ let alloc_shared t ~pid ?name ~len () =
   register t r;
   r
 
-(* The component this process ticks: its pid, or 0 when every process
-   shares the single Lamport component. *)
-let me t p =
-  match t.config.Config.clock_mode with
-  | Config.Vector -> Machine.pid p
-  | Config.Lamport_only -> 0
+(* [update_local_clock]: a process ticks its own component, which
+   starts a clean span; in the Lamport ablation every process ticks the
+   single component 0. *)
+let tick t p =
+  if t.stamped then Stamp.tick t.owners (Machine.pid p)
+  else Vector_clock.tick t.procs.(Machine.pid p) ~me:0
+
+(* The stamp of process [pid]'s clock, {!Stamp.none} once something was
+   merged into it since its last tick. *)
+let own_stamp t pid =
+  if t.stamped then Stamp.current t.owners pid else Stamp.none
 
 let now t = Dsm_sim.Engine.now (Machine.sim t.machine)
 
@@ -308,9 +338,14 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
      read-only RMW (failed compare-and-swap) checks only W, like a plain
      read. The acquire is what keeps RMW/RMW pairs silent while leaving
      every RMW/plain pair visible: plain accesses never release into S,
-     so their marks stay concurrent with the acquirer. *)
-let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
-    ~(entry : Clock_store.entry) ~absorb =
+     so their marks stay concurrent with the acquirer.
+
+   [vs]/[ws]/[ss] are the clocks' owner stamps ({!Stamp.none} for the
+   Explicit transport's copies). A stamp that shows a clock below [v0]
+   decides its check in O(1) and drops it from [absorb], where it would
+   add nothing to [v0]; so does a compare that finds it below. *)
+let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs ~vs
+    ~ws ~ss ~(entry : Clock_store.entry) ~absorb =
   let against =
     match cls with
     | Plain_read ->
@@ -318,17 +353,31 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
         else Report.General_clock
     | Plain_write -> Report.General_clock
     | Rmw { wrote } ->
-        if t.mh.rmw_acquires_order then Vector_clock.merge_into ~into:v0 fs;
+        if t.mh.rmw_acquires_order && not (Stamp.leq ss v0) then
+          Vector_clock.merge_into ~into:v0 fs;
         if wrote || not t.config.Config.use_write_clock then
           Report.General_clock
         else Report.Write_clock
   in
-  let datum =
-    match against with Report.Write_clock -> fw | Report.General_clock -> fv
+  let v_checked =
+    match against with
+    | Report.General_clock -> true
+    | Report.Write_clock -> false
   in
-  if Vector_clock.concurrent v0 datum then
-    signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
-      ~history:entry.history;
+  let datum = if v_checked then fv else fw in
+  (* [below]: datum <= v0 *)
+  let below =
+    Stamp.leq (if v_checked then vs else ws) v0
+    ||
+    match Vector_clock.compare v0 datum with
+    | Order.After | Order.Equal -> true
+    | Order.Before -> false
+    | Order.Concurrent ->
+        signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum
+          ~against ~history:entry.history;
+        false
+  in
+  let v_below = v_checked && below in
   let depth = t.config.Config.provenance_depth in
   if depth > 0 then
     entry.history <-
@@ -336,18 +385,20 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
         ~time:(now t) ~op:t.checked_ops
         ~event_id:(match event_id with Some id -> id | None -> -1)
         v0;
+  (* W <= V, so V below v0 puts W below it too *)
   match cls with
   | Plain_read | Rmw _ ->
       if t.mh.read_acquires_writes then begin
-        Vector_clock.merge_into ~into:absorb fw;
-        Vector_clock.merge_into ~into:absorb fs
+        if not (below || Stamp.leq ws v0) then
+          Vector_clock.merge_into ~into:absorb fw;
+        if not (Stamp.leq ss v0) then Vector_clock.merge_into ~into:absorb fs
       end;
       (* total store order: every access additionally acquires the
          granule's full history *)
-      if t.mh.write_acquires_order then
+      if t.mh.write_acquires_order && not (v_below || Stamp.leq vs v0) then
         Vector_clock.merge_into ~into:absorb fv
   | Plain_write ->
-      if t.mh.write_acquires_order then
+      if t.mh.write_acquires_order && not (v_below || Stamp.leq vs v0) then
         Vector_clock.merge_into ~into:absorb fv
 
 (* Under Explicit, an access to another node's granules exchanges clocks
@@ -385,7 +436,6 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
       let words =
         Machine.control p ~target:node ~tag:vget_tag ~words:[| offset; len |]
       in
-      t.meta_messages <- t.meta_messages + 2;
       t.clock_words_shipped <- t.clock_words_shipped + Array.length words;
       let fv = t.scratch_fv.(pid)
       and fw = t.scratch_fw.(pid)
@@ -394,14 +444,15 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
       Vector_clock.load_words fw words ~off:t.dim;
       Vector_clock.load_words fs words ~off:(2 * t.dim);
       check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
+        ~vs:Stamp.none ~ws:Stamp.none ~ss:Stamp.none
         ~entry:(Clock_store.entry_at store ~offset ~len) ~absorb;
       send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
     end
     else begin
       let e = Clock_store.entry_at store ~offset ~len in
       check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv:e.v
-        ~fw:e.w ~fs:e.s ~entry:e ~absorb;
-      merge_entry t.mh e cls v0
+        ~fw:e.w ~fs:e.s ~vs:e.vs ~ws:e.ws ~ss:e.ss ~entry:e ~absorb;
+      merge_entry t.mh store e cls v0 ~cur:(own_stamp t pid)
     end;
     g := Clock_store.next_granule store region !g
   done;
@@ -447,7 +498,7 @@ let count_check t p ~kind =
    interleave several inside a single span. *)
 let check_op t p ~read_region ~write_region =
   let v0 = t.procs.(Machine.pid p) in
-  Vector_clock.tick v0 ~me:(me t p);
+  tick t p;
   if Addr.is_public read_region then begin
     let event_id = record_access t p ~kind:Event.Read ~target:read_region in
     let absorbed =
@@ -696,7 +747,9 @@ let release_rmw_history t p ~(region : Addr.region) =
       let offset = Clock_store.granule_offset !g
       and len = Clock_store.granule_len !g in
       if remote then send_vput t p ~node ~offset ~len ~code:s_release_code v0
-      else release_s t.mh (Clock_store.entry_at store ~offset ~len) v0;
+      else
+        release_s t.mh store (Clock_store.entry_at store ~offset ~len) v0
+          ~cur:(own_stamp t pid);
       g := Clock_store.next_granule store region !g
     done
   end
@@ -707,7 +760,7 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
   count_check t p ~kind:"atomic";
   let pid = Machine.pid p in
   let v0 = t.procs.(pid) in
-  Vector_clock.tick v0 ~me:(me t p);
+  tick t p;
   (match read_src with
   | Some r when Addr.is_public r ->
       let event_id = record_access t p ~kind:Event.Read ~target:r in
@@ -783,7 +836,7 @@ let lock t p (r : Addr.region) =
       ~lock:(Addr.to_string r) ~time:(now t);
   if t.config.Config.lock_aware_clocks then begin
     let v0 = t.procs.(Machine.pid p) in
-    Vector_clock.tick v0 ~me:(me t p);
+    tick t p;
     Vector_clock.merge_into ~into:v0 (lock_clock t r);
     if t.probe.on then
       Dsm_obs.Probe.emit t.probe
@@ -794,7 +847,7 @@ let lock t p (r : Addr.region) =
 let unlock t p h =
   if t.config.Config.lock_aware_clocks then begin
     let v0 = t.procs.(Machine.pid p) in
-    Vector_clock.tick v0 ~me:(me t p);
+    tick t p;
     Vector_clock.merge_into ~into:(lock_clock t h.lock_region) v0
   end;
   if t.recorder <> None then
@@ -830,8 +883,6 @@ let iter_provenance t ~f =
 let trace t = Option.map Recorder.finish t.recorder
 
 let checked_ops t = t.checked_ops
-
-let meta_messages t = t.meta_messages
 
 (* Under the piggyback transports the true cost is what the machine's
    adaptive encoder actually shipped (delta, sparse or dense); the

@@ -171,9 +171,6 @@ val trace : t -> Dsm_trace.Trace.t option
 
 val checked_ops : t -> int
 
-val meta_messages : t -> int
-(** Clock-plane control messages issued (explicit transport). *)
-
 val clock_words_shipped : t -> int
 (** Clock words that travelled on the wire. Under the piggyback
     transports this is the {e true} size of the adaptive delta/sparse/

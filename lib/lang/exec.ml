@@ -106,7 +106,8 @@ let interpret rt ~detector p body =
   exec body
 
 (* Element [i] of every array goes to node [i mod n], so node [pid]
-   holds [ceil ((length - pid) / n)] of a declaration's elements. The
+   holds [ceil ((length - pid) / n)] of a declaration's elements, and
+   the collectives then take [n] reduction words on every node. The
    check runs before anything is allocated: a declaration too large for
    memory must fail here, not in building its element table. *)
 let check_fit machine (prog : Ir.program) =
@@ -125,14 +126,18 @@ let check_fit machine (prog : Ir.program) =
           if pid >= min n d.length then go rest
           else
             let need = (d.length - pid + n - 1) / n in
-            if need > left.(pid) then
+            if need > left.(pid) - n then
               Error
                 (Printf.sprintf
                    "shared %s[%d] does not fit: %d of its elements go to \
-                    node %d, whose %d-word public segment has %d words left"
+                    node %d, whose %d-word public segment has %d words left%s"
                    d.name d.length need pid
                    (Allocator.capacity (public pid))
-                   left.(pid))
+                   left.(pid)
+                   (if need > left.(pid) then ""
+                    else
+                      Printf.sprintf
+                        ", %d of them for the collectives' reduction slots" n))
             else begin
               left.(pid) <- left.(pid) - need;
               on_node (pid + 1)

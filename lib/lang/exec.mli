@@ -12,8 +12,9 @@ type runtime
 
 val check_fit : Dsm_rdma.Machine.t -> Ir.program -> (unit, string) result
 (** [Ok ()] when every shared array fits the public words the machine's
-    nodes have left; otherwise an error naming the first array that does
-    not fit, its length and the segment's capacity. Allocates nothing. *)
+    nodes have left beside the collectives' [n] reduction words per
+    node; otherwise an error naming the first array that does not fit,
+    its length and the segment's capacity. Allocates nothing. *)
 
 val setup :
   Dsm_rdma.Machine.t -> ?detector:Dsm_core.Detector.t -> Ir.program -> runtime

@@ -42,13 +42,17 @@ type observation =
    {!Int_tbl} keyed by the immediate int [src * n + dst]. The sender
    owns [cache], the last clock shipped on the edge (the next delta's
    base, created as a zero clock, which sizes like no base, and
-   advanced in place after that), and [sent], the next frame's seq. The
-   receiver owns [expect], one past the seq of the last frame the edge
-   delivered (-1 before the first); each frame carries its edge's
-   record, so delivery finds it without a second lookup. *)
+   advanced in place after that), [sent], the next frame's seq, and,
+   from the last frame, the sender clock's generation ([gen], -1 before
+   the first frame or after a new clock source) and the priced result
+   ([sized]). The receiver owns [expect], one past the seq of the last
+   frame the edge delivered (-1 before the first); each frame carries
+   its edge's record, so delivery finds it without a second lookup. *)
 type pb_edge = {
   cache : Dsm_clocks.Vector_clock.t;
   mutable sent : int;
+  mutable gen : int;
+  mutable sized : int;
   mutable expect : int;
 }
 
@@ -62,7 +66,13 @@ type frame = { pb : int; edge : pb_edge; msg : Message.t }
 let no_pb = -1
 
 let new_edge n =
-  { cache = Dsm_clocks.Vector_clock.create ~n; sent = 0; expect = -1 }
+  {
+    cache = Dsm_clocks.Vector_clock.create ~n;
+    sent = 0;
+    gen = -1;
+    sized = 0;
+    expect = -1;
+  }
 
 let no_edge = new_edge 1
 
@@ -440,10 +450,22 @@ and transmit m ~src ~dst msg =
   | Some clocks when carries_clock msg ->
       let v = clocks.(src) in
       let e = pb_edge m ~src ~dst v in
+      let gen = Dsm_clocks.Vector_clock.generation v in
+      (* Under [Delta] a clock that only its owner's ticks changed since
+         the edge's last frame differs from the cache at most in its
+         own component: [src], or 0 for a one-component clock. *)
       let sized =
-        Dsm_clocks.Codec.size_piggyback_edge ~tally:m.pb_tally
-          ~mode:m.pb_mode ~cache:e.cache v
+        if gen = e.gen && m.pb_mode = Dsm_clocks.Codec.Delta then
+          Dsm_clocks.Codec.size_piggyback_ticked ~tally:m.pb_tally
+            ~cache:e.cache ~last:e.sized
+            ~own:(if Dsm_clocks.Vector_clock.dim v = 1 then 0 else src)
+            v
+        else
+          Dsm_clocks.Codec.size_piggyback_edge ~tally:m.pb_tally
+            ~mode:m.pb_mode ~cache:e.cache v
       in
+      e.gen <- gen;
+      e.sized <- sized;
       let pb = Dsm_clocks.Codec.header ~seq:e.sent sized in
       e.sent <- e.sent + 1;
       let clock_words = Dsm_clocks.Codec.frame_words sized in
@@ -559,7 +581,10 @@ let wire_words_sent m = Dsm_net.Fabric.wire_words_sent m.fabric
 
 let clock_words_sent m = Dsm_net.Fabric.clock_words_sent m.fabric
 
-let set_clock_source m clocks = m.clock_src <- Some clocks
+let set_clock_source m clocks =
+  m.clock_src <- Some clocks;
+  (* generations of the old source's clocks say nothing of the new *)
+  Int_tbl.fold (fun _ e () -> e.gen <- -1) m.pb_edges ()
 
 let clock_encodings m =
   let t = m.pb_tally in

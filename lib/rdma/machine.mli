@@ -132,7 +132,15 @@ val set_clock_source : t -> Dsm_clocks.Vector_clock.t array -> unit
     in-order exactly-once channels, which the reliable transport
     restores: it drops duplicates and holds back early frames before
     the handler runs, so a resent delta meets its own base. Cleared by
-    {!reset}. *)
+    {!reset}.
+
+    Each edge remembers the sender clock's
+    [Dsm_clocks.Vector_clock.generation] at its last frame. Between two
+    frames, clock [clocks.(p)] must change without a generation step
+    only through ticks of its own component [p] (of component 0 when
+    it has one component), as the detector's process clocks do: then an
+    unchanged generation lets a [Delta] edge price the frame in O(1)
+    ([Dsm_clocks.Codec.size_piggyback_ticked]) with the same result. *)
 
 val clock_encodings : t -> int * int * int
 (** [(dense, sparse, delta)] piggybacks encoded since creation (or

@@ -5,7 +5,7 @@ open Dsm_clocks
 let order_testable = Alcotest.testable Order.pp Order.equal
 
 let vc_testable =
-  Alcotest.testable Vector_clock.pp (fun a b -> Vector_clock.equal a b)
+  Alcotest.testable Vector_clock.pp (fun a b -> Test_util.vc_equal a b)
 
 (* ---------- Order ---------- *)
 
@@ -80,7 +80,7 @@ let test_vc_snapshot_independent () =
 
 let test_vc_sum_entry () =
   let a = vc [ 4; 0; 2 ] in
-  Alcotest.(check int) "sum" 6 (Vector_clock.sum a);
+  Alcotest.(check int) "sum" 6 (Test_util.vc_sum a);
   Alcotest.(check int) "entry" 2 (Vector_clock.entry a 2);
   Alcotest.(check int) "size_words" 3 (Vector_clock.size_words a)
 
@@ -218,7 +218,7 @@ let test_epoch_words_roundtrip () =
 
 let test_sparse_lifecycle () =
   let n = 64 in
-  let thr = Vector_clock.sparse_threshold ~n in
+  let thr = Test_util.sparse_threshold ~n in
   Alcotest.(check bool) "threshold scales with n" true (thr >= 4 && thr < n);
   let c = Vector_clock.create ~n in
   Alcotest.(check bool) "born epoch" true (Vector_clock.is_epoch c);
@@ -344,8 +344,8 @@ let prop_merge_least =
 let prop_merge_commutative_idempotent =
   QCheck.Test.make ~name:"merge commutative and idempotent" ~count:500
     arb_vc_pair (fun (a, b) ->
-      Vector_clock.equal (Vector_clock.merge a b) (Vector_clock.merge b a)
-      && Vector_clock.equal (Vector_clock.merge a a) a)
+      Test_util.vc_equal (Vector_clock.merge a b) (Vector_clock.merge b a)
+      && Test_util.vc_equal (Vector_clock.merge a a) a)
 
 let prop_tick_strictly_after =
   QCheck.Test.make ~name:"tick moves strictly after" ~count:500 arb_vc_pair
@@ -363,12 +363,12 @@ let prop_leq_transitive =
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"dense codec roundtrip" ~count:500 arb_vc_pair
     (fun (a, _) ->
-      Vector_clock.equal a (Codec.decode_vector (Codec.encode_vector a)))
+      Test_util.vc_equal a (Codec.decode_vector (Codec.encode_vector a)))
 
 let prop_varint_codec_roundtrip =
   QCheck.Test.make ~name:"varint codec roundtrip" ~count:500 arb_vc_pair
     (fun (a, _) ->
-      Vector_clock.equal a
+      Test_util.vc_equal a
         (Codec_ref.decode_vector_varint (Codec.encode_vector_varint a)))
 
 let prop_varint_at_least_one_byte_per_entry =
@@ -471,7 +471,7 @@ let shape_ok c =
   let k = Vector_clock.active_entries c in
   ((not (Vector_clock.is_epoch c)) || k <= 1)
   && ((not (Vector_clock.is_sparse c))
-     || k <= Vector_clock.sparse_threshold ~n:(Vector_clock.dim c))
+     || k <= Test_util.sparse_threshold ~n:(Vector_clock.dim c))
 
 let agrees cs rs =
   let a = cs.(0) and b = cs.(1) and ra = rs.(0) and rb = rs.(1) in
@@ -482,7 +482,7 @@ let agrees cs rs =
   && Order.equal (Vector_clock.compare b a) (Dense_ref.compare rb ra)
   && Vector_clock.leq a b = Dense_ref.leq ra rb
   && Vector_clock.leq b a = Dense_ref.leq rb ra
-  && Vector_clock.equal a b = (ra = rb)
+  && Test_util.vc_equal a b = (ra = rb)
 
 let run_history (n, ops) =
   let cs = Array.init 2 (fun _ -> Vector_clock.create ~n) in
@@ -546,7 +546,7 @@ let prop_words_roundtrip =
       Vector_clock.store_words x w ~off:1;
       let c = Vector_clock.create ~n:(Vector_clock.dim x) in
       Vector_clock.load_words c w ~off:1;
-      Vector_clock.equal x c)
+      Test_util.vc_equal x c)
 
 (* Word slices embedded at an arbitrary position inside a larger buffer —
    the layout Clock_store entries and piggybacked NIC frames rely on.
@@ -574,7 +574,7 @@ let prop_slice_roundtrip_mid_buffer =
         w;
       let c = Vector_clock.create ~n in
       Vector_clock.load_words c w ~off;
-      !frame_ok && Vector_clock.equal x c)
+      !frame_ok && Test_util.vc_equal x c)
 
 let prop_merge_words_equals_merge_into =
   QCheck.Test.make ~name:"merge_words = merge_into of decoded slice"
@@ -586,13 +586,13 @@ let prop_merge_words_equals_merge_into =
       Vector_clock.merge_words ~into:via_words w ~off;
       let via_merge = Vector_clock.copy x in
       Vector_clock.merge_into ~into:via_merge y;
-      Vector_clock.equal via_words via_merge)
+      Test_util.vc_equal via_words via_merge)
 
 let prop_delta_codec_roundtrip =
   QCheck.Test.make ~name:"delta codec roundtrip" ~count:500 arb_vc_pair
     (fun (base, v) ->
       let w = Codec.encode_vector_delta ~since:base v in
-      Vector_clock.equal v (Codec_ref.decode_vector_delta ~base w))
+      Test_util.vc_equal v (Codec_ref.decode_vector_delta ~base w))
 
 (* ---------- Matrix clocks ---------- *)
 
@@ -656,7 +656,7 @@ let test_codec_varint_malformed () =
 let test_codec_varint_large_values () =
   let v = Vector_clock.of_array [| 0; 127; 128; 300; 1_000_000 |] in
   Alcotest.(check bool) "roundtrip big counters" true
-    (Vector_clock.equal v
+    (Test_util.vc_equal v
        (Codec_ref.decode_vector_varint (Codec.encode_vector_varint v)))
 
 let test_codec_malformed () =
@@ -751,13 +751,13 @@ let test_codec_piggyback () =
   let wd = Codec.encode_piggyback ~mode:Codec.Dense ~seq:7 v in
   Alcotest.(check bool) "dense tag" true (Codec_ref.piggyback_mode_of wd = Codec.Dense);
   let v', s = Codec.decode_piggyback ~expect_seq:99 wd in
-  Alcotest.(check bool) "dense roundtrip" true (Vector_clock.equal v v');
+  Alcotest.(check bool) "dense roundtrip" true (Test_util.vc_equal v v');
   Alcotest.(check int) "dense carried seq" 7 s;
   let ws = Codec.encode_piggyback ~mode:Codec.Sparse ~seq:0 v in
   Alcotest.(check bool) "sparse tag" true
     (Codec_ref.piggyback_mode_of ws = Codec.Sparse);
   let v', _ = Codec.decode_piggyback ~expect_seq:3 ws in
-  Alcotest.(check bool) "sparse roundtrip" true (Vector_clock.equal v v');
+  Alcotest.(check bool) "sparse roundtrip" true (Test_util.vc_equal v v');
   (* adaptive: with a near base the delta frame wins and is pinned to
      its seq and base *)
   let since = Vector_clock.of_array [| 1; 0; 1; 0; 0; 0; 0; 0 |] in
@@ -765,14 +765,14 @@ let test_codec_piggyback () =
   Alcotest.(check bool) "delta tag" true
     (Codec_ref.piggyback_mode_of wdl = Codec.Delta);
   let v', _ = Codec.decode_piggyback ~expect_seq:3 ~base:since wdl in
-  Alcotest.(check bool) "delta roundtrip" true (Vector_clock.equal v v');
+  Alcotest.(check bool) "delta roundtrip" true (Test_util.vc_equal v v');
   (* empty-delta edge: unchanged clock ships a two-word payload *)
   let we = Codec.encode_piggyback ~mode:Codec.Delta ~seq:4 ~since:v v in
   Alcotest.(check bool) "empty delta tag" true
     (Codec_ref.piggyback_mode_of we = Codec.Delta);
   Alcotest.(check int) "empty delta frame" 4 (Array.length we);
   let v', _ = Codec.decode_piggyback ~expect_seq:4 ~base:v we in
-  Alcotest.(check bool) "empty delta roundtrip" true (Vector_clock.equal v v');
+  Alcotest.(check bool) "empty delta roundtrip" true (Test_util.vc_equal v v');
   (* since-mismatch edge: a base of the wrong dimension cannot be
      diffed against, so the encoder degrades to self-contained *)
   let wm =
@@ -811,7 +811,7 @@ let test_codec_piggyback () =
    epoch, sparse below and exactly at [sparse_threshold], one past it
    (dense), and dense at a random density up to full. *)
 let oracle_clock rng ~n kind =
-  let thr = Vector_clock.sparse_threshold ~n in
+  let thr = Test_util.sparse_threshold ~n in
   let live =
     match kind with
     | 0 -> 0
@@ -972,12 +972,12 @@ let decode_matches ~expect_seq ~base w =
   in
   let unchanged () =
     match (base, before) with
-    | Some b, Some b' -> Vector_clock.equal b b'
+    | Some b, Some b' -> Test_util.vc_equal b b'
     | _ -> true
   in
   match (Codec.decode_piggyback ~expect_seq ?base w, expected) with
   | (v, seq), Ok (v', seq') ->
-      seq = seq' && Vector_clock.equal v v' && unchanged ()
+      seq = seq' && Test_util.vc_equal v v' && unchanged ()
   | _, Error _ -> false
   | exception Invalid_argument msg -> (
       match expected with
@@ -1093,7 +1093,7 @@ let prop_edge_encoder_matches_reference =
               Codec.frame_words sized = Array.length expected
               && Codec.header ~seq sized = (seq * 4) + expected.(0)
               && counted
-              && Vector_clock.equal cache
+              && Test_util.vc_equal cache
                    (if mode = Codec.Delta then v else held)
               && Vector_clock.to_array v = before)
             [ 0; 1; 2 ])
@@ -1181,7 +1181,7 @@ let prop_walkers_match_arrays =
       let diff = Array.sub diff 1 (2 * d) in
       let diff_pairs = List.init d (fun j -> (diff.(2 * j), diff.((2 * j) + 1))) in
       advanced_sizes = sizes
-      && Vector_clock.equal advanced b
+      && Test_util.vc_equal advanced b
       && collect (fun f -> Vector_clock.iter_active f a)
       = List.map (fun i -> (i, aa.(i))) (indices (fun i -> aa.(i) <> 0))
       && k = List.length (indices (fun i -> ba.(i) <> 0))
@@ -1211,7 +1211,7 @@ let test_piggyback_round_trip_allocation () =
     (fun (name, since, tag) ->
       ignore (round_trip since ());
       let (mode, v'), words = Test_util.allocated_words (round_trip since) in
-      Alcotest.(check bool) (name ^ " round trip") true (Vector_clock.equal v v');
+      Alcotest.(check bool) (name ^ " round trip") true (Test_util.vc_equal v v');
       Alcotest.(check bool) (name ^ " frame tag") true (mode = tag);
       if words >= 100. then
         Alcotest.failf "%s: round trip allocated %.0f words (limit 100)" name
@@ -1239,7 +1239,7 @@ let test_in_place_allocation () =
   let dense seed = Vector_clock.of_array (Array.init n (fun i -> 1 + ((i * seed) mod 7))) in
   let src = dense 3 and into = dense 5 in
   let words = minor_words_of ~rounds:1_000 (fun () -> Vector_clock.assign ~into src) in
-  Alcotest.(check bool) "assign copies" true (Vector_clock.equal into src);
+  Alcotest.(check bool) "assign copies" true (Test_util.vc_equal into src);
   Alcotest.(check (float 0.)) "assign between dense clocks" 0. words;
   (* one clock of each shape: a single writer, three, and twenty live
      components; the caches overlap the clocks, so some sizes pick a
@@ -1273,6 +1273,165 @@ let test_in_place_allocation () =
   Alcotest.(check bool) "deltas among them" true (tally.delta > 0);
   Alcotest.(check (float 0.)) "sizing against the edge cache" 0. words
 
+(* Owner stamps against the dense reference: a small system of process
+   clocks and datum clocks driven through the detector's moves — a
+   process ticks ([Stamp.tick]), absorbs a datum or another process's
+   clock without ticking (a read's absorption, a barrier, a lock
+   acquire), ships its clock into a datum ([Stamp.merge_into] with its
+   current stamp), or has a snapshot of its clock shipped later and
+   unstamped (the Explicit transport's [vput]). After every move each
+   stamp must answer [leq] against every clock of the system exactly as
+   the dense comparison does, each process's current stamp likewise,
+   and every value must equal the reference's. *)
+
+type stamp_op =
+  | S_tick of int  (** process *)
+  | S_absorb of int * int  (** process, datum: merge without a tick *)
+  | S_join of int * int  (** process, process: merge without a tick *)
+  | S_ship of int * int  (** process into datum, with its stamp *)
+  | S_snapshot of int  (** copy a process clock into the pending slot *)
+  | S_deliver of int  (** pending slot into datum, unstamped *)
+
+let data_clocks = 3
+
+let gen_stamp_ops n =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (int_bound (n - 1) >>= fun p ->
+       int_bound (data_clocks - 1) >>= fun d ->
+       int_bound (n - 1) >>= fun q ->
+       frequency
+         [
+           (5, return (S_tick p));
+           (2, return (S_absorb (p, d)));
+           (1, return (S_join (p, q)));
+           (4, return (S_ship (p, d)));
+           (1, return (S_snapshot p));
+           (1, return (S_deliver d));
+         ]))
+
+let print_stamp_ops (n, ops) =
+  Printf.sprintf "n=%d " n
+  ^ String.concat ";"
+      (List.map
+         (function
+           | S_tick p -> Printf.sprintf "P%d tick" p
+           | S_absorb (p, d) -> Printf.sprintf "P%d absorbs D%d" p d
+           | S_join (p, q) -> Printf.sprintf "P%d absorbs P%d" p q
+           | S_ship (p, d) -> Printf.sprintf "P%d ships into D%d" p d
+           | S_snapshot p -> Printf.sprintf "snapshot P%d" p
+           | S_deliver d -> Printf.sprintf "deliver into D%d" d)
+         ops)
+
+let run_stamp_ops (n, ops) =
+  let procs = Array.init n (fun _ -> Vector_clock.create ~n) in
+  let owners = Stamp.owners procs in
+  let data = Array.init data_clocks (fun _ -> Vector_clock.create ~n) in
+  let stamps = Array.make data_clocks Stamp.none in
+  let pending = ref (Vector_clock.create ~n) in
+  let rprocs = Array.init n (fun _ -> Dense_ref.create ~n) in
+  let rdata = Array.init data_clocks (fun _ -> Dense_ref.create ~n) in
+  let rpending = ref (Dense_ref.create ~n) in
+  let ship d clock rclock ~cur =
+    stamps.(d) <- Stamp.merge_into ~into:data.(d) ~stamp:stamps.(d) clock ~cur;
+    Dense_ref.merge_into ~into:rdata.(d) rclock
+  in
+  let apply = function
+    | S_tick p ->
+        Stamp.tick owners p;
+        Dense_ref.tick rprocs.(p) ~me:p
+    | S_absorb (p, d) ->
+        Vector_clock.merge_into ~into:procs.(p) data.(d);
+        Dense_ref.merge_into ~into:rprocs.(p) rdata.(d)
+    | S_join (p, q) ->
+        Vector_clock.merge_into ~into:procs.(p) procs.(q);
+        Dense_ref.merge_into ~into:rprocs.(p) rprocs.(q)
+    | S_ship (p, d) ->
+        ship d procs.(p) rprocs.(p) ~cur:(Stamp.current owners p)
+    | S_snapshot p ->
+        pending := Vector_clock.copy procs.(p);
+        rpending := Dense_ref.copy rprocs.(p)
+    | S_deliver d -> ship d !pending !rpending ~cur:Stamp.none
+  in
+  let all = Array.append procs data and rall = Array.append rprocs rdata in
+  (* a stamp, where there is one, decides [leq] like the dense clock it
+     stands for *)
+  let exact st r =
+    st = Stamp.none
+    || Array.for_all2 (fun c rc -> Stamp.leq st c = Dense_ref.leq r rc) all rall
+  in
+  List.for_all
+    (fun op ->
+      apply op;
+      Array.for_all2 (fun c r -> Vector_clock.to_array c = r) all rall
+      && Array.for_all2 exact stamps rdata
+      && List.for_all
+           (fun p -> exact (Stamp.current owners p) rprocs.(p))
+           (List.init n Fun.id)
+      && not (Stamp.leq Stamp.none procs.(0)))
+    ops
+
+let prop_stamps_match_dense =
+  QCheck.Test.make ~name:"owner stamps decide leq as the dense clocks do"
+    ~count:1000
+    (QCheck.make ~print:print_stamp_ops
+       QCheck.Gen.(int_range 1 8 >>= fun n -> pair (return n) (gen_stamp_ops n)))
+    run_stamp_ops
+
+(* [merge_into_equal] tells whether [into <= src] held, on every pair of
+   representations, and leaves the merge's value. *)
+let arb_array_pair =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let arr a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf "[%s] / [%s]" (arr a) (arr b))
+    QCheck.Gen.(
+      oneofl [ 1; 3; 8; 16; 40 ] >>= fun n ->
+      pair (gen_clock_array n) (gen_clock_array n))
+
+let prop_merge_into_equal =
+  QCheck.Test.make ~name:"merge_into_equal reports into <= src" ~count:500
+    arb_array_pair (fun (ra, rb) ->
+      let into = Vector_clock.of_array ra in
+      let covered = Vector_clock.merge_into_equal ~into (Vector_clock.of_array rb) in
+      let rm = Dense_ref.copy ra in
+      Dense_ref.merge_into ~into:rm rb;
+      covered = Dense_ref.leq ra rb && Vector_clock.to_array into = rm)
+
+(* The O(1) pricing of a clock its owner only ticked since the edge's
+   last frame: the same priced frame, tally and advanced cache as the
+   walk. The clock is priced once by the walk (the edge's last frame),
+   ticked [k] times at [own], then priced both ways from equal caches. *)
+let prop_ticked_pricing_matches_walk =
+  QCheck.Test.make ~name:"ticked pricing = walk pricing" ~count:500
+    QCheck.(
+      pair arb_array_pair (make Gen.(pair (int_bound 39) (int_bound 3))))
+    (fun ((ra, rb), (own, k)) ->
+      let cache0 = Vector_clock.of_array ra and v = Vector_clock.of_array rb in
+      let own = own mod Array.length ra in
+      let tally0 = Codec.tally () in
+      let last = Codec.size_piggyback_edge ~tally:tally0 ~mode:Codec.Delta
+          ~cache:cache0 v in
+      for _ = 1 to k do
+        Vector_clock.tick v ~me:own
+      done;
+      let walk_cache = Vector_clock.copy cache0
+      and fast_cache = Vector_clock.copy cache0 in
+      let walk_tally = Codec.tally () and fast_tally = Codec.tally () in
+      let walk =
+        Codec.size_piggyback_edge ~tally:walk_tally ~mode:Codec.Delta
+          ~cache:walk_cache v
+      and fast =
+        Codec.size_piggyback_ticked ~tally:fast_tally ~cache:fast_cache ~last
+          ~own v
+      in
+      let counts (t : Codec.tally) = (t.dense, t.sparse, t.delta) in
+      Codec.frame_words walk = Codec.frame_words fast
+      && Codec.header ~seq:3 walk = Codec.header ~seq:3 fast
+      && counts walk_tally = counts fast_tally
+      && Vector_clock.to_array walk_cache = Vector_clock.to_array fast_cache
+      && Vector_clock.to_array fast_cache = Vector_clock.to_array v)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
     prop_compare_antisymmetric;
@@ -1291,6 +1450,8 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     prop_delta_codec_roundtrip;
     prop_varint_codec_roundtrip;
     prop_varint_at_least_one_byte_per_entry;
+    prop_stamps_match_dense;
+    prop_merge_into_equal;
   ]
 
 let () =
@@ -1358,6 +1519,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_matches_sized_reference;
           QCheck_alcotest.to_alcotest prop_walkers_match_arrays;
           QCheck_alcotest.to_alcotest prop_edge_encoder_matches_reference;
+          QCheck_alcotest.to_alcotest prop_ticked_pricing_matches_walk;
           Alcotest.test_case "edge encoder rejects" `Quick
             test_edge_encoder_rejects;
           Alcotest.test_case "receiver header check" `Quick test_header_check;

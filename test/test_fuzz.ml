@@ -208,7 +208,7 @@ let test_codec_sparse_directed () =
      past it (the clock flips to dense storage; the codec must not
      care which side of the boundary it is on) *)
   let n = 32 in
-  let thr = Vector_clock.sparse_threshold ~n in
+  let thr = Test_util.sparse_threshold ~n in
   let at = Vector_clock.create ~n in
   for pid = 0 to thr - 1 do
     let other = Vector_clock.create ~n in
@@ -263,7 +263,7 @@ let prop_codec_sparse_roundtrip =
       in
       let c = Vector_clock.of_array a in
       let w = sparse_payload c in
-      Array.length w <= (2 * n) + 2 && Vector_clock.equal c (decode_sparse w))
+      Array.length w <= (2 * n) + 2 && Test_util.vc_equal c (decode_sparse w))
 
 (* --- Delta / varint / piggyback codec fuzz (ISSUE 8). -------------- *)
 
@@ -295,7 +295,7 @@ let prop_codec_delta_roundtrip =
       let v = Vector_clock.of_array b in
       let w = Codec.encode_vector_delta ~since:base v in
       Array.length w = 2 + (2 * !changed)
-      && Vector_clock.equal v (Codec_ref.decode_vector_delta ~base w))
+      && Test_util.vc_equal v (Codec_ref.decode_vector_delta ~base w))
 
 (* A delta decoded against the wrong base silently reconstructs the
    wrong clock — the reason the piggyback layer refuses deltas outside
@@ -316,7 +316,7 @@ let test_codec_delta_since_mismatch () =
   let other = Vector_clock.of_array [| 9; 2; 9 |] in
   let v' = decode_delta ~base:other w in
   Alcotest.(check bool) "drifted base reconstructs a drifted clock" false
-    (Vector_clock.equal v v')
+    (Test_util.vc_equal v v')
 
 let prop_codec_varint_roundtrip_random =
   QCheck.Test.make ~name:"varint codec round-trips random clocks" ~count:200
@@ -335,7 +335,7 @@ let prop_codec_varint_roundtrip_random =
             | _ -> Prng.int g 1_000_000_000)
       in
       let c = Vector_clock.of_array a in
-      Vector_clock.equal c
+      Test_util.vc_equal c
         (Codec_ref.decode_vector_varint (Codec.encode_vector_varint c)))
 
 (* Self-framed piggybacks under every mode: the frame round-trips, the
@@ -366,7 +366,7 @@ let prop_codec_piggyback_roundtrip =
       let adaptive = Codec.encode_piggyback ~mode:Codec.Delta ~seq ~since v in
       let ok_roundtrip w =
         let v', s = Codec.decode_piggyback ~expect_seq:seq ~base:since w in
-        Vector_clock.equal v v' && s = seq
+        Test_util.vc_equal v v' && s = seq
       in
       ok_roundtrip dense && ok_roundtrip sparse && ok_roundtrip adaptive
       && Array.length adaptive <= Array.length dense

@@ -226,6 +226,7 @@ let explicit_rmw_digest ~workload ~n ~seed =
       ~config:{ Config.default with Config.transport = Config.Explicit_txn }
       ()
   in
+  let meta_messages = Test_util.meta_messages m in
   let env = Dsm_pgas.Env.checked d in
   let racy = String.ends_with ~suffix:"-racy" workload in
   let post_check =
@@ -257,7 +258,7 @@ let explicit_rmw_digest ~workload ~n ~seed =
     (post_check ());
   let r = Detector.report d in
   Printf.sprintf "races=%d meta=%d words=%d storage=%d fp=%s" (Report.count r)
-    (Detector.meta_messages d)
+    (meta_messages ())
     (Detector.clock_words_shipped d)
     (Detector.storage_words d) (Report.fingerprint r)
 

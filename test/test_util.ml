@@ -26,3 +26,27 @@ let allocated_words f =
   let minor1 = Gc.minor_words () in
   let _, pro1, major1 = Gc.counters () in
   (r, minor1 -. minor0 +. (major1 -. major0) -. (pro1 -. pro0))
+
+(* Clock helpers the library does not export: value equality and the
+   sum of the components, read through the dense form, and the
+   sparse -> dense promotion bound [Vector_clock]'s interface states
+   ([max 4 (n/8)] live components), for tests aimed at it. *)
+let vc_equal a b = Dsm_clocks.Vector_clock.(to_array a = to_array b)
+
+let vc_sum c = Array.fold_left ( + ) 0 (Dsm_clocks.Vector_clock.to_array c)
+
+let sparse_threshold ~n = max 4 (n / 8)
+
+(* Counts the clock-plane control messages an Explicit-transport
+   detector sends on machine [m] from now on: a [dsm.vget] round trip
+   is its request and its reply, a [dsm.vput] one message. Returns the
+   reader. *)
+let meta_messages m =
+  let count = ref 0 in
+  Dsm_rdma.Machine.add_observer m (function
+    | Dsm_rdma.Machine.Sent { msg = Dsm_rdma.Message.Control { tag; _ }; _ }
+      ->
+        if tag = "dsm.vget" then count := !count + 2
+        else if tag = "dsm.vput" then incr count
+    | _ -> ());
+  fun () -> !count

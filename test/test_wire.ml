@@ -329,7 +329,7 @@ let attach_codec_oracle ~mode sim m d =
         let v', seq =
           Codec_ref.decode_piggyback ~expect_seq:e.seq ?base:e.mirror w
         in
-        if not (Dsm_clocks.Vector_clock.equal v v') then
+        if not (Test_util.vc_equal v v') then
           fail "%d->%d frame %d decodes to another clock" src dst e.seq;
         e.cache <- Some v;
         e.mirror <- Some v';
