@@ -24,15 +24,15 @@ let read_block t ~offset ~len =
   check t ~offset ~len "read_block";
   Array.sub t offset len
 
-let write_block t ~offset data =
+(* A loop, not [Array.blit]: a segment soon lives in the major heap,
+   where the runtime's blit runs the write barrier on every word; an
+   [int array] store needs none. *)
+let write_block t ~offset (data : int array) =
   check t ~offset ~len:(Array.length data) "write_block";
-  Array.blit data 0 t offset (Array.length data)
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set t (offset + i) (Array.unsafe_get data i)
+  done
 
 let fill t ~offset ~len v =
   check t ~offset ~len "fill";
   Array.fill t offset len v
-
-let blit ~src ~src_offset ~dst ~dst_offset ~len =
-  check src ~offset:src_offset ~len "blit(src)";
-  check dst ~offset:dst_offset ~len "blit(dst)";
-  Array.blit src src_offset dst dst_offset len

@@ -24,6 +24,3 @@ val read_block : t -> offset:int -> len:int -> int array
 val write_block : t -> offset:int -> int array -> unit
 
 val fill : t -> offset:int -> len:int -> int -> unit
-
-val blit : src:t -> src_offset:int -> dst:t -> dst_offset:int -> len:int -> unit
-(** Word copy between segments — the data path of a local [memcpy]. *)

@@ -14,6 +14,9 @@ type t = {
   arrivals : (int, int) Hashtbl.t; (* generation -> count at coordinator *)
   releases : (int * int, unit Ivar.t) Hashtbl.t; (* (generation, pid) *)
   reduce_slots : Addr.region array; (* n public words per node *)
+  mutable slots_registered : bool;
+      (* the reduce slots are registered with the detector by the first
+         [reduce_gather], the only collective that touches them *)
   scratch : Addr.region array; (* private staging word per node *)
 }
 
@@ -58,21 +61,10 @@ let create env =
       arrivals = Hashtbl.create 16;
       releases = Hashtbl.create 16;
       reduce_slots;
+      slots_registered = false;
       scratch;
     }
   in
-  (* Register staging slots per word: each slot is written by one process,
-     so per-slot clocks avoid false sharing between contributors. Variables
-     are registered in ascending offset order, so each one appends to its
-     store's sorted index instead of shifting it. *)
-  let register_per_word (r : Addr.region) =
-    for off = 0 to r.len - 1 do
-      Env.register env
-        (Addr.region ~pid:r.base.pid ~space:Addr.Public
-           ~offset:(r.base.offset + off) ~len:1)
-    done
-  in
-  Array.iter register_per_word reduce_slots;
   let sim = Machine.sim m in
   Machine.set_control_handler m ~tag:arrive_tag
     (fun ~node:_ ~origin:_ words ->
@@ -139,7 +131,25 @@ let slot t ~root ~pid =
   Addr.region ~pid:r.base.pid ~space:Addr.Public ~offset:(r.base.offset + pid)
     ~len:1
 
+(* Register the staging slots per word: each slot is written by one
+   process, so per-slot clocks avoid false sharing between contributors.
+   Every slot is registered at once, before any process's first put to
+   one, so a run that never reduces registers none of them. *)
+let register_slots t =
+  if not t.slots_registered then begin
+    t.slots_registered <- true;
+    Array.iter
+      (fun (r : Addr.region) ->
+        for off = 0 to r.len - 1 do
+          Env.register t.env
+            (Addr.region ~pid:r.base.pid ~space:Addr.Public
+               ~offset:(r.base.offset + off) ~len:1)
+        done)
+      t.reduce_slots
+  end
+
 let reduce_gather t p ~root ~value =
+  register_slots t;
   let pid = Machine.pid p in
   Env.put t.env p ~src:(staged t p value) ~dst:(slot t ~root ~pid);
   barrier t p;

@@ -39,7 +39,9 @@ val reduce_gather :
   t -> Dsm_rdma.Machine.proc -> root:int -> value:int -> int option
 (** Conventional sum reduction: every process pushes its contribution into
     the root's slot array, a barrier closes the gather phase, and the root
-    folds locally. [Some sum] at the root, [None] elsewhere. *)
+    folds locally. [Some sum] at the root, [None] elsewhere. The first
+    call registers every slot with the detector, one variable per word;
+    {!create} only allocates them. *)
 
 val reduce_onesided :
   t -> Dsm_rdma.Machine.proc -> ?aop:Dsm_rdma.Message.acc_op ->

@@ -1,3 +1,16 @@
+(* The events scheduled for the current instant, in schedule order: a
+   ring of parallel arrays whose capacity is a power of two, doubled when
+   full and kept across [reset]. A slot past the live range holds
+   [ignore], never a fired action, so the ring keeps no dead closure
+   reachable. *)
+type fifo = {
+  mutable actions : (unit -> unit) array;
+  mutable seqs : int array;
+  mutable labels : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type t = {
   mutable now : float;
   mutable seq : int;
@@ -16,6 +29,12 @@ type t = {
          ready set's (seq, label) pairs in seq order — index-aligned with
          the chooser's pick. The DPOR layer's window into footprints. *)
   heap : (unit -> unit) Heap.t;
+      (* events scheduled for a later instant than the one they were
+         scheduled in *)
+  fifo : fifo;
+      (* events scheduled for the instant they were scheduled in
+         ([schedule_at ~at:now]); see [run] for why firing the heap's
+         entries at [now] first, then these, is [(time, seq)] order *)
   rng : Prng.t;
   probe : Dsm_obs.Probe.t;
       (* the simulation's one telemetry bus; survives [reset] so sinks
@@ -37,15 +56,79 @@ let create ?(seed = 0x5eed) () =
     chooser = None;
     choice_view = None;
     heap = Heap.create ~dummy:ignore;
+    fifo = { actions = [||]; seqs = [||]; labels = [||]; head = 0; len = 0 };
     rng = Prng.create ~seed;
     probe = Dsm_obs.Probe.create ();
   }
 
+(* ---------- the current instant's FIFO ---------- *)
+
+let fifo_push q ~seq ~label action =
+  let cap = Array.length q.actions in
+  if q.len = cap then begin
+    let cap' = if cap = 0 then 16 else 2 * cap in
+    let actions = Array.make cap' ignore and seqs = Array.make cap' 0 in
+    let labels = Array.make cap' Label.unknown in
+    (* A full ring runs from [head] to the end, then from 0 to [head]. *)
+    let unwrap src dst =
+      Array.blit src q.head dst 0 (cap - q.head);
+      Array.blit src 0 dst (cap - q.head) q.head
+    in
+    unwrap q.actions actions;
+    unwrap q.seqs seqs;
+    unwrap q.labels labels;
+    q.actions <- actions;
+    q.seqs <- seqs;
+    q.labels <- labels;
+    q.head <- 0
+  end;
+  let i = (q.head + q.len) land (Array.length q.actions - 1) in
+  Array.unsafe_set q.actions i action;
+  Array.unsafe_set q.seqs i seq;
+  Array.unsafe_set q.labels i label;
+  q.len <- q.len + 1
+
+let fifo_take q =
+  let i = q.head in
+  let action = Array.unsafe_get q.actions i in
+  Array.unsafe_set q.actions i ignore;
+  q.head <- (i + 1) land (Array.length q.actions - 1);
+  q.len <- q.len - 1;
+  action
+
+(* Removes the [j]-th queued event and closes the gap: later entries
+   move one place towards the head. Schedule exploration only. *)
+let fifo_remove q j =
+  let mask = Array.length q.actions - 1 in
+  let at j = (q.head + j) land mask in
+  let action = q.actions.(at j) in
+  for j = j to q.len - 2 do
+    q.actions.(at j) <- q.actions.(at (j + 1));
+    q.seqs.(at j) <- q.seqs.(at (j + 1));
+    q.labels.(at j) <- q.labels.(at (j + 1))
+  done;
+  q.actions.(at (q.len - 1)) <- ignore;
+  q.len <- q.len - 1;
+  action
+
+let fifo_view q =
+  let mask = Array.length q.actions - 1 in
+  Array.init q.len (fun j ->
+      let i = (q.head + j) land mask in
+      (q.seqs.(i), q.labels.(i)))
+
+let fifo_clear q =
+  for j = 0 to q.len - 1 do
+    q.actions.((q.head + j) land (Array.length q.actions - 1)) <- ignore
+  done;
+  q.head <- 0;
+  q.len <- 0
+
 (* Arena-style reuse: put an engine back in the [create ~seed ()] state
-   without reallocating. The heap keeps its capacity ([Heap.clear]), the
+   without reallocating. The heap and the FIFO keep their capacity, the
    generator object is reseeded in place, and any suspended process
-   continuations from the previous run are simply dropped with the heap
-   entries that would have resumed them: [Heap.clear] overwrites their
+   continuations from the previous run are simply dropped with the
+   entries that would have resumed them: clearing overwrites their
    slots, so they are unreachable and get collected. *)
 let reset ?(seed = 0x5eed) sim =
   sim.now <- 0.;
@@ -57,6 +140,7 @@ let reset ?(seed = 0x5eed) sim =
   sim.chooser <- None;
   sim.choice_view <- None;
   Heap.clear sim.heap;
+  fifo_clear sim.fifo;
   Prng.reseed sim.rng ~seed
 
 let now sim = sim.now
@@ -72,7 +156,9 @@ let next_seq sim =
 
 let schedule_at sim ~at ~label f =
   if at < sim.now then invalid_arg "Engine.schedule_at: time in the past";
-  Heap.add sim.heap ~time:at ~seq:(next_seq sim) ~label f
+  let seq = next_seq sim in
+  if at = sim.now then fifo_push sim.fifo ~seq ~label f
+  else Heap.add sim.heap ~time:at ~seq ~label f
 
 let schedule sim ?(delay = 0.) ?(label = Label.unknown) f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
@@ -161,24 +247,47 @@ let set_chooser sim f = sim.chooser <- f
 let set_choice_view sim f = sim.choice_view <- f
 
 (* A choice point: ties on simulated time become explicit, and the
-   chooser picks which of the ready events fires next. With exactly one
-   event ready this is the production pop. *)
-let pop_chosen sim choose =
-  match Heap.ready_count sim.heap with
-  | 1 -> Heap.pop_min sim.heap
-  | r -> (
+   chooser picks which of the ready events fires next. The ready set at
+   [time] is the heap's entries at [time], in seq order, followed by the
+   FIFO when [time] is [now]: that is seq order too (see [run]). With
+   exactly one event ready this is the production pop. *)
+let pop_chosen sim choose time =
+  let q = sim.fifo in
+  let in_heap =
+    if Heap.min_at sim.heap time then Heap.ready_count sim.heap else 0
+  in
+  match in_heap + q.len with
+  | 1 -> if in_heap = 1 then Heap.pop_min sim.heap else fifo_take q
+  | r ->
       (match sim.choice_view with
-      | Some view -> view (Heap.ready_view sim.heap)
+      | Some view ->
+          view
+            (Array.append
+               (if in_heap = 0 then [||] else Heap.ready_view sim.heap)
+               (fifo_view q))
       | None -> ());
       let k = choose r in
-      match Heap.pop_kth sim.heap k with
-      | Some (time, _, action) ->
-          if sim.probe.on then
-            Dsm_obs.Probe.emit sim.probe
-              (Engine_choice { time; ready = r; chosen = k });
-          action
-      | None -> invalid_arg "Engine: choice point on an empty heap")
+      let i = if k < 0 then 0 else if k >= r then r - 1 else k in
+      let action =
+        if i >= in_heap then fifo_remove q (i - in_heap)
+        else
+          match Heap.pop_kth sim.heap i with
+          | Some (_, _, action) -> action
+          | None -> invalid_arg "Engine: choice point on an empty heap"
+      in
+      if sim.probe.on then
+        Dsm_obs.Probe.emit sim.probe
+          (Engine_choice { time; ready = r; chosen = k });
+      action
 
+(* The FIFO holds the events scheduled for [now] while the clock stood
+   at [now]; the heap's entries at [now] were all scheduled before the
+   clock reached it. Seqs grow with every schedule, so every FIFO entry
+   has a larger seq than every heap entry at [now], and the FIFO is in
+   seq order: firing the heap's entries at [now], then the FIFO, then
+   the rest of the heap is exactly [(time, seq)] order. The clock moves
+   only when the FIFO is empty, so the FIFO never holds an earlier
+   instant. *)
 let run ?until ?max_events sim =
   sim.stopping <- false;
   let budget = match max_events with None -> max_int | Some m -> m in
@@ -203,10 +312,20 @@ let run ?until ?max_events sim =
   (* The next event's time is read before anything is popped, so an
      event past the horizon stays queued for a later [run]. With no
      chooser the pop is exactly (time, seq) order, the deterministic
-     production path. *)
+     production path. A FIFO event fires at [now] and reads no time
+     from the heap. *)
   let rec loop () =
     if sim.stopping then Stopped
     else if sim.events >= budget then Event_limit_reached
+    else if sim.fifo.len > 0 then
+      if sim.now > horizon then Time_limit_reached
+      else
+        fire sim.now
+          (match sim.chooser with
+          | None ->
+              if Heap.min_at sim.heap sim.now then Heap.pop_min sim.heap
+              else fifo_take sim.fifo
+          | Some choose -> pop_chosen sim choose sim.now)
     else if Heap.is_empty sim.heap then
       if sim.live > 0 then quiescence (Blocked sim.live) "blocked"
       else quiescence Completed "completed"
@@ -217,16 +336,17 @@ let run ?until ?max_events sim =
         let action =
           match sim.chooser with
           | None -> Heap.pop_min sim.heap
-          | Some choose -> pop_chosen sim choose
+          | Some choose -> pop_chosen sim choose time
         in
         sim.now <- time;
-        sim.events <- sim.events + 1;
-        if sim.probe.on then
-          Dsm_obs.Probe.emit sim.probe (Engine_step { time });
-        action ();
-        check_failed ();
-        loop ()
+        fire time action
       end
+  and fire time action =
+    sim.events <- sim.events + 1;
+    if sim.probe.on then Dsm_obs.Probe.emit sim.probe (Engine_step { time });
+    action ();
+    check_failed ();
+    loop ()
   in
   loop ()
 

@@ -2,9 +2,10 @@
 
     Simulated processes are ordinary OCaml functions running as effect-based
     coroutines: they suspend with {!await} / {!sleep} and are resumed by
-    scheduled events. All scheduling is driven by a single event heap keyed
-    by [(time, sequence)], so a simulation is a pure function of its seed
-    and its program — the property every race-detection experiment in this
+    scheduled events. Events fire in [(time, sequence)] order: those for
+    a later instant wait in a heap, those for the current instant in a
+    FIFO beside it. So a simulation is a pure function of its seed and
+    its program — the property every race-detection experiment in this
     repository relies on for reproducibility.
 
     The engine knows nothing about networks, memory or clocks; those live in
@@ -23,7 +24,7 @@ val create : ?seed:int -> unit -> t
 val reset : ?seed:int -> t -> unit
 (** [reset ~seed sim] puts [sim] back in the [create ~seed ()] state
     without reallocating: time, counters and the failure slot are zeroed,
-    the chooser is uninstalled, the event heap is emptied (capacity kept),
+    the chooser is uninstalled, the event queues are emptied (capacity kept),
     and {!rng} is reseeded in place. Suspended processes from the previous
     run are dropped along with their pending events. The arena-reuse hook
     of the [dsm_explore] driver: a fresh [create] and a [reset] engine are
@@ -79,8 +80,8 @@ val sleep : ?label:Label.t -> t -> float -> unit
     [label] is the footprint of the wake-up event. *)
 
 type outcome =
-  | Completed                 (** heap drained, every process finished *)
-  | Blocked of int            (** heap drained with [k] processes suspended
+  | Completed                 (** no event left, every process finished *)
+  | Blocked of int            (** no event left, [k] processes suspended
                                   forever — e.g. a lock deadlock *)
   | Time_limit_reached        (** stopped at the [until] horizon; the
                                   first event past it stays queued, so a
@@ -94,7 +95,7 @@ val run : ?until:float -> ?max_events:int -> t -> outcome
     A process body that raises surfaces as {!Process_failure} — raised by
     the run loop {e after} the current event action has finished, so
     sibling callbacks fired by the same event (queued lock grants, other
-    ivar waiters) still run and the heap stays consistent: the engine can
+    ivar waiters) still run and the queues stay consistent: the engine can
     keep being {!run} after catching the failure. *)
 
 val set_chooser : t -> (int -> int) option -> unit

@@ -1,55 +1,74 @@
-(* The heap is four parallel arrays indexed by slot: a flat float array
-   of times, the seqs and labels as immediate ints, and the values. An
-   entry is never a record of its own, so adding one allocates nothing
-   and reading the minimum time boxes no float. Slots at and past
-   [size] hold [dummy] in [values], never a popped or cleared value, so
-   the heap keeps no dead value reachable. *)
+(* The heap orders four parallel arrays indexed by heap position: a
+   flat float array of times, and the seqs, labels and slots as
+   immediate ints. The values live apart, in [values], indexed by slot:
+   [add] writes a value once into a free slot and its removal clears
+   that slot once, so a sift moves only floats and immediates and runs
+   no write barrier. The free slots are a stack, [free.(0 ..
+   capacity - size - 1)]. A slot not holding a live value holds
+   [dummy], never a popped or cleared value, so the heap keeps no dead
+   value reachable. *)
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable labels : int array;
+  mutable slots : int array;
   mutable values : 'a array;
+  mutable free : int array;
   mutable size : int;
   dummy : 'a;
 }
 
 let create ~dummy =
-  { times = [||]; seqs = [||]; labels = [||]; values = [||]; size = 0; dummy }
+  {
+    times = [||];
+    seqs = [||];
+    labels = [||];
+    slots = [||];
+    values = [||];
+    free = [||];
+    size = 0;
+    dummy;
+  }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
+(* Called only when every slot is taken, so the free stack is empty and
+   becomes the new slots, lowest on top. *)
 let grow h =
   let cap = Array.length h.times in
   let cap' = if cap = 0 then 16 else cap * 2 in
   let times = Array.make cap' 0. and seqs = Array.make cap' 0 in
-  let labels = Array.make cap' Label.unknown in
+  let labels = Array.make cap' Label.unknown and slots = Array.make cap' 0 in
   let values = Array.make cap' h.dummy in
   Array.blit h.times 0 times 0 h.size;
   Array.blit h.seqs 0 seqs 0 h.size;
   Array.blit h.labels 0 labels 0 h.size;
-  Array.blit h.values 0 values 0 h.size;
+  Array.blit h.slots 0 slots 0 h.size;
+  Array.blit h.values 0 values 0 cap;
   h.times <- times;
   h.seqs <- seqs;
   h.labels <- labels;
-  h.values <- values
+  h.slots <- slots;
+  h.values <- values;
+  h.free <- Array.init cap' (fun i -> cap' - 1 - i)
 
-let set h i time seq label value =
+let set h i time seq label slot =
   Array.unsafe_set h.times i time;
   Array.unsafe_set h.seqs i seq;
   Array.unsafe_set h.labels i label;
-  Array.unsafe_set h.values i value
+  Array.unsafe_set h.slots i slot
 
-(* Copies slot [src] to slot [dst] field by field: the time goes from
-   one flat float array to the same array, never through a box. *)
+(* Copies position [src] to position [dst] field by field: the time goes
+   from one flat float array to the same array, never through a box. *)
 let move h ~src ~dst =
   Array.unsafe_set h.times dst (Array.unsafe_get h.times src);
   Array.unsafe_set h.seqs dst (Array.unsafe_get h.seqs src);
   Array.unsafe_set h.labels dst (Array.unsafe_get h.labels src);
-  Array.unsafe_set h.values dst (Array.unsafe_get h.values src)
+  Array.unsafe_set h.slots dst (Array.unsafe_get h.slots src)
 
-(* Slot [a] sorts before slot [b] in [(time, seq)] order. *)
+(* Position [a] sorts before position [b] in [(time, seq)] order. *)
 let slot_lt h a b =
   let ta = Array.unsafe_get h.times a and tb = Array.unsafe_get h.times b in
   ta < tb
@@ -60,7 +79,7 @@ let slot_lt h a b =
    comparison is the one a swapping sift makes, so entries land where it
    put them. [sift_up] takes the entry's fields; [add] passes its own
    arguments, so no float is boxed. *)
-let sift_up h i time seq label value =
+let sift_up h i time seq label slot =
   let i = ref i and placed = ref false in
   while not !placed do
     if !i = 0 then placed := true
@@ -75,10 +94,10 @@ let sift_up h i time seq label value =
       else placed := true
     end
   done;
-  set h !i time seq label value
+  set h !i time seq label slot
 
-(* [sift_down] places the entry held in slot [src], a slot past the live
-   range that no move of the sift writes: it reads the entry's time
+(* [sift_down] places the entry held at position [src], one past the
+   live range that no move of the sift writes: it reads the entry's time
    from the array at each level instead of carrying a float. This is
    the loop every pop runs, so it works on the arrays directly. *)
 let sift_down h i ~src =
@@ -113,33 +132,40 @@ let sift_down h i ~src =
 
 let add h ~time ~seq ~label value =
   if h.size = Array.length h.times then grow h;
+  let slot = Array.unsafe_get h.free (Array.length h.times - h.size - 1) in
+  Array.unsafe_set h.values slot value;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1) time seq label value
+  sift_up h (h.size - 1) time seq label slot
 
-(* Remove the entry at slot [i]: the last entry fills the hole, sifted
-   whichever way the heap property needs. *)
+(* Remove the entry at position [i] and return its value: its slot is
+   cleared and goes back on the free stack, and the last entry fills the
+   hole, sifted whichever way the heap property needs. *)
 let remove_index h i =
+  let slot = Array.unsafe_get h.slots i in
+  let v = Array.unsafe_get h.values slot in
+  Array.unsafe_set h.values slot h.dummy;
   let last = h.size - 1 in
   h.size <- last;
+  Array.unsafe_set h.free (Array.length h.times - last - 1) slot;
   if i < last then
     if i > 0 && slot_lt h last ((i - 1) / 2) then
       sift_up h i
         (Array.unsafe_get h.times last)
         (Array.unsafe_get h.seqs last)
         (Array.unsafe_get h.labels last)
-        (Array.unsafe_get h.values last)
+        (Array.unsafe_get h.slots last)
     else sift_down h i ~src:last;
-  Array.unsafe_set h.values last h.dummy
+  v
 
 let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
   Array.unsafe_get h.times 0
 
+let min_at h time = h.size > 0 && Array.unsafe_get h.times 0 = time
+
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let v = Array.unsafe_get h.values 0 in
-  remove_index h 0;
-  v
+  remove_index h 0
 
 let pop h =
   if h.size = 0 then None
@@ -164,8 +190,8 @@ let pop_kth h k =
   else begin
     let tmin = h.times.(0) in
     (* Collect the ready set — every entry at the minimum time — as
-       (seq, slot) pairs, then select the k-th in seq order. The scan is
-       O(size); exploration runs are small by construction. *)
+       (seq, position) pairs, then select the k-th in seq order. The
+       scan is O(size); exploration runs are small by construction. *)
     let ready = ref [] and count = ref 0 in
     for i = h.size - 1 downto 0 do
       if h.times.(i) = tmin then begin
@@ -177,9 +203,8 @@ let pop_kth h k =
     Array.sort compare arr;
     let k = if k < 0 then 0 else if k >= !count then !count - 1 else k in
     let _, i = arr.(k) in
-    let time = h.times.(i) and seq = h.seqs.(i) and v = h.values.(i) in
-    remove_index h i;
-    Some (time, seq, v)
+    let time = h.times.(i) and seq = h.seqs.(i) in
+    Some (time, seq, remove_index h i)
   end
 
 let ready_view h =
@@ -195,6 +220,13 @@ let ready_view h =
     arr
   end
 
+(* Each live slot is cleared and pushed back, so the free stack again
+   holds every slot. *)
 let clear h =
-  Array.fill h.values 0 h.size h.dummy;
+  let cap = Array.length h.times in
+  for i = 0 to h.size - 1 do
+    let slot = Array.unsafe_get h.slots i in
+    Array.unsafe_set h.values slot h.dummy;
+    Array.unsafe_set h.free (cap - h.size + i) slot
+  done;
   h.size <- 0

@@ -6,8 +6,10 @@
     order they were scheduled.
 
     The entries live in parallel arrays (a flat [float array] of times,
-    [int array]s of sequence numbers and labels, and the values), so
-    {!add}, {!min_time} and {!pop_min} allocate nothing. *)
+    [int array]s of sequence numbers, labels and value slots), so {!add}
+    and {!pop_min} allocate nothing. Each value is written once into a
+    slot array when added and cleared once when removed; the sifts move
+    only the flat arrays and run no write barrier. *)
 
 type 'a t
 
@@ -28,6 +30,11 @@ val add : 'a t -> time:float -> seq:int -> label:Label.t -> 'a -> unit
 val min_time : 'a t -> float
 (** The time of the minimum entry. Raises [Invalid_argument] on an empty
     heap. *)
+
+val min_at : 'a t -> float -> bool
+(** [min_at h t] holds when [h] is not empty and its minimum entry is at
+    time [t]: the test {!min_time} would answer, without returning a
+    float. *)
 
 val pop_min : 'a t -> 'a
 (** Removes the minimum entry and returns its value: {!pop} without the

@@ -57,13 +57,6 @@ let test_segment_block_ops () =
   Alcotest.(check (array int)) "fill" [| 9; 9 |]
     (Segment.read_block s ~offset:0 ~len:2)
 
-let test_segment_blit () =
-  let a = Segment.create ~words:4 and b = Segment.create ~words:4 in
-  Segment.write_block a ~offset:0 [| 7; 8; 9; 10 |];
-  Segment.blit ~src:a ~src_offset:1 ~dst:b ~dst_offset:2 ~len:2;
-  Alcotest.(check (array int)) "copied" [| 0; 0; 8; 9 |]
-    (Segment.read_block b ~offset:0 ~len:4)
-
 (* ---------- Allocator ---------- *)
 
 let test_allocator_bump () =
@@ -435,7 +428,6 @@ let () =
           Alcotest.test_case "read/write" `Quick test_segment_read_write;
           Alcotest.test_case "bounds" `Quick test_segment_bounds;
           Alcotest.test_case "blocks" `Quick test_segment_block_ops;
-          Alcotest.test_case "blit" `Quick test_segment_blit;
         ] );
       ( "allocator",
         [

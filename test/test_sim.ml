@@ -609,6 +609,194 @@ let test_engine_sleep_negative_rejected () =
           Engine.sleep sim (-1.0)));
   ignore (Engine.run sim)
 
+(* Property: random event programs fire in the same order on the live
+   engine as on the single-heap loop it replaced ([Engine_ref]). Each
+   event, the [j]-th scheduled since the last reset (so its seq is [j]),
+   logs [(now, j, label)] and schedules children by plan [j mod
+   plans]: at [now] (the FIFO), or some half-units later, so that events
+   scheduled at different instants tie. Phases schedule from outside,
+   run to an event budget (possibly stopping inside an instant with both
+   the FIFO and the heap's entries at [now] pending) or to a horizon,
+   and reset mid-run. With a chooser, its picks (out-of-range ones too)
+   come from a seeded generator, and every choice point's ready set,
+   ready count and pick are logged. *)
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val reset : t -> unit
+  val now : t -> float
+  val schedule_at : t -> at:float -> label:Label.t -> (unit -> unit) -> unit
+  val run : ?until:float -> ?max_events:int -> t -> Engine.outcome
+  val stop : t -> unit
+  val set_chooser : t -> (int -> int) option -> unit
+  val set_choice_view : t -> ((int * Label.t) array -> unit) option -> unit
+  val events_processed : t -> int
+end
+
+module Live_engine = struct
+  include Engine
+
+  let create () = create ()
+  let reset sim = reset sim
+end
+
+(* [half] half-units after the scheduling instant; 0 is [now]. *)
+type child = { half : int; label : Label.t }
+
+type plan = { children : child list; stops : bool }
+
+type phase =
+  | P_schedule of child list
+  | P_run of int option * float option  (* event budget, horizon *)
+  | P_reset
+
+type engine_program = {
+  plans : plan array;
+  chooser : int option;  (* seed of the pick generator *)
+  phases : phase list;
+}
+
+let show_children cs =
+  String.concat " "
+    (List.map (fun c -> Printf.sprintf "+%d:%d" c.half c.label) cs)
+
+let show_engine_program p =
+  String.concat "\n"
+    ((match p.chooser with
+     | None -> "no chooser"
+     | Some s -> Printf.sprintf "chooser seed %d" s)
+     :: Array.to_list
+          (Array.mapi
+             (fun i pl ->
+               Printf.sprintf "plan %d: %s%s" i (show_children pl.children)
+                 (if pl.stops then " stop" else ""))
+             p.plans)
+    @ List.map
+        (function
+          | P_schedule cs -> "schedule " ^ show_children cs
+          | P_run (m, u) ->
+              Printf.sprintf "run max_events=%s until=%s"
+                (Option.fold ~none:"-" ~some:string_of_int m)
+                (Option.fold ~none:"-" ~some:(Printf.sprintf "%g") u)
+          | P_reset -> "reset")
+        p.phases)
+
+let arb_engine_program =
+  let open QCheck.Gen in
+  let child =
+    map2
+      (fun half label -> { half; label })
+      (frequency [ (3, return 0); (2, int_range 1 2); (1, int_range 3 6) ])
+      (int_range (-1) 3)
+  in
+  let plan =
+    map2
+      (fun children stop -> { children; stops = stop = 0 })
+      (list_size (int_range 0 3) child)
+      (int_range 0 15)
+  in
+  let phase =
+    frequency
+      [
+        (2, map (fun cs -> P_schedule cs) (list_size (int_range 1 4) child));
+        ( 3,
+          map2
+            (fun m u -> P_run (m, Option.map (fun h -> float_of_int h /. 2.) u))
+            (opt (int_range 0 40)) (opt (int_range 0 12)) );
+        (1, return P_reset);
+      ]
+  in
+  let program =
+    map3
+      (fun plans chooser (first, phases) ->
+        { plans = Array.of_list plans; chooser; phases = first :: phases })
+      (list_size (int_range 1 6) plan)
+      (opt small_nat)
+      (pair
+         (map (fun cs -> P_schedule cs) (list_size (int_range 1 4) child))
+         (list_size (int_range 1 8) phase))
+  in
+  QCheck.make ~print:show_engine_program program
+
+(* Every epoch (between resets) schedules at most this many events, so
+   each program ends. *)
+let engine_epoch_events = 150
+
+let run_engine_program (module E : ENGINE) p =
+  let sim = E.create () in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let scheduled = ref 0 in
+  let rec schedule (c : child) =
+    if !scheduled < engine_epoch_events then begin
+      let j = !scheduled in
+      incr scheduled;
+      let at = E.now sim +. (float_of_int c.half /. 2.) in
+      E.schedule_at sim ~at ~label:c.label (fun () ->
+          note "fire %g #%d label %d" (E.now sim) j c.label;
+          let plan = p.plans.(j mod Array.length p.plans) in
+          List.iter schedule plan.children;
+          if plan.stops then E.stop sim)
+    end
+  in
+  let install () =
+    match p.chooser with
+    | None -> ()
+    | Some seed ->
+        let g = Prng.create ~seed in
+        E.set_chooser sim
+          (Some
+             (fun ready ->
+               let k = Prng.int g (ready + 2) - 1 in
+               note "choose %d of %d" k ready;
+               k));
+        E.set_choice_view sim
+          (Some
+             (fun view ->
+               note "ready %s"
+                 (String.concat " "
+                    (Array.to_list
+                       (Array.map
+                          (fun (s, l) -> Printf.sprintf "%d:%d" s l)
+                          view)))))
+  in
+  install ();
+  List.iter
+    (function
+      | P_schedule cs -> List.iter schedule cs
+      | P_run (max_events, until) ->
+          let outcome =
+            match E.run ?until ?max_events sim with
+            | Engine.Completed -> "completed"
+            | Engine.Blocked k -> Printf.sprintf "blocked %d" k
+            | Engine.Time_limit_reached -> "time limit"
+            | Engine.Event_limit_reached -> "event limit"
+            | Engine.Stopped -> "stopped"
+          in
+          note "run -> %s at %g after %d events" outcome (E.now sim)
+            (E.events_processed sim)
+      | P_reset ->
+          E.reset sim;
+          scheduled := 0;
+          install ();
+          note "reset")
+    p.phases;
+  let outcome = match E.run sim with Engine.Completed -> "completed" | _ -> "other" in
+  note "drain -> %s at %g after %d events" outcome (E.now sim)
+    (E.events_processed sim);
+  List.rev !log
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine order matches the single-heap reference"
+    ~count:500 arb_engine_program (fun p ->
+      let live = run_engine_program (module Live_engine) p
+      and oracle = run_engine_program (module Engine_ref) p in
+      if live = oracle then true
+      else
+        QCheck.Test.fail_reportf "live:\n%s\nreference:\n%s"
+          (String.concat "\n" live) (String.concat "\n" oracle))
+
 (* ---------- Ivar ---------- *)
 
 let test_ivar_fill_then_read () =
@@ -832,6 +1020,7 @@ let () =
           Alcotest.test_case "schedule_at past" `Quick test_engine_schedule_at_past_rejected;
           Alcotest.test_case "event count" `Quick test_engine_counts_events;
           Alcotest.test_case "negative sleep" `Quick test_engine_sleep_negative_rejected;
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         ] );
       ( "ivar",
         [
