@@ -526,6 +526,8 @@ let run_scale n rounds chunk racy batched model seed detect metrics_file
               (Report.count (Detector.report d));
             Format.printf "clock storage  : %d words, %d compact clock(s)@."
               (Detector.storage_words d) (Detector.epoch_clocks d);
+            Format.printf "clock heap     : %d words reachable@."
+              (Detector.clock_heap_words d);
             let dense, sparse, delta = Machine.clock_encodings r.machine in
             Format.printf
               "clock traffic  : %d piggybacked words (%d dense, %d sparse, \

@@ -896,6 +896,10 @@ let storage_words t =
   Array.fold_left (fun acc s -> acc + Clock_store.storage_words s) 0 t.stores
   + Array.fold_left (fun acc c -> acc + Vector_clock.size_words c) 0 t.procs
 
+(* Neither the stores nor the process clocks point back into the
+   machine, so the traversal counts the clock state alone. *)
+let clock_heap_words t = Obj.reachable_words (Obj.repr (t.stores, t.procs))
+
 let epoch_clocks t =
   Array.fold_left (fun acc s -> acc + Clock_store.epoch_clocks s) 0 t.stores
   + Array.fold_left

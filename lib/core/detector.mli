@@ -182,6 +182,14 @@ val storage_words : t -> int
     overhead. Representation-independent (an epoch clock is still
     charged as a full vector — the paper's cost model). *)
 
+val clock_heap_words : t -> int
+(** Heap words the clock state keeps reachable, headers included: every
+    node's clock store (its V/W/S clocks, stamps, access-history rings
+    and variable index) and the process clocks. The measured
+    counterpart of {!storage_words}'s formula; it counts what a
+    representation really holds, arrays kept across [reset] included.
+    Deterministic for a deterministic run. *)
+
 val epoch_clocks : t -> int
 (** How many clocks (per-datum and per-process) are currently held in
     the compact epoch representation — the fraction of the clock

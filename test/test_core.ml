@@ -1314,6 +1314,38 @@ let test_checked_scale_minor_words () =
   if per_op > 81.9 then
     Alcotest.failf "%.1f minor words per checked op (ceiling 81.9)" per_op
 
+(* The words the detector's clock state (every node's store and the
+   process clocks) keeps reachable at the end of a run, after a full
+   major collection. The run is deterministic and so is the figure: it
+   may not rise. *)
+let retained_clock_words d =
+  Gc.full_major ();
+  Detector.clock_heap_words d
+
+let check_retained ~ceiling d =
+  let words = retained_clock_words d in
+  if words > ceiling then
+    Alcotest.failf "%d retained clock words (ceiling %d)" words ceiling
+
+(* The checked stencil run above: 21,134 words when this ceiling was
+   set. *)
+let test_checked_stencil_retained () =
+  let _, m, d = checked_stencil () in
+  expect_completed m;
+  check_retained ~ceiling:21_134 d
+
+(* The push shape of [test_checked_scale_minor_words]: 38,150 words
+   when this ceiling was set. *)
+let test_checked_scale_retained () =
+  let sim = Engine.create ~seed:5 () in
+  let m = Machine.create sim ~n:256 ~private_words:64 ~public_words:64 () in
+  let d = Detector.create m () in
+  Dsm_workload.Scale.setup (Dsm_pgas.Env.checked d)
+    { Dsm_workload.Scale.rounds = 4; chunk = 4; racy = false; batched = true;
+      think_mean = 0.; seed = 5 };
+  expect_completed m;
+  check_retained ~ceiling:38_150 d
+
 (* ---------- transfer-path pins ---------- *)
 
 (* One scripted program per checked transfer path — single puts and
@@ -1705,6 +1737,10 @@ let () =
             test_checked_stencil_counters;
           Alcotest.test_case "checked scale minor words per op" `Quick
             test_checked_scale_minor_words;
+          Alcotest.test_case "checked stencil retained clock words" `Quick
+            test_checked_stencil_retained;
+          Alcotest.test_case "checked scale retained clock words" `Quick
+            test_checked_scale_retained;
         ] );
       ( "introspection",
         [
