@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test exports bench bench-smoke bench-json bench-explore e2e-trace experiments examples clean outputs
+.PHONY: all build test exports loc bench bench-smoke bench-json bench-explore e2e-trace experiments examples clean outputs
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 # `dune promote` refreshes the expected list.
 exports:
 	dune build @exports
+
+# Lines of OCaml under lib/ (.ml and .mli): the figure ROADMAP.md and
+# CHANGES.md quote when a change adds or deletes library code.
+loc:
+	@find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
 
 bench:
 	dune exec bench/main.exe

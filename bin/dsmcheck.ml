@@ -538,7 +538,7 @@ let run_scale n rounds chunk racy batched model seed detect metrics_file
 
 let scale_cmd =
   let doc =
-    "Run the neighbour-push scaling workload: sparse clocks and batched \
+    "Run the neighbour-push scaling workload: epoch clocks and batched \
      coherence at process counts far past the paper's ~10."
   in
   let n =

@@ -10,9 +10,9 @@ let bytes_of_words w = w * word_bytes
    check, which raises [Invalid_argument] on a malformed payload at
    [off] and returns its size; a fill then writes the checked payload
    into a clock. The unframed codecs use offset 0, the piggyback frame
-   offset 2. Writers, checks and fills walk live entries or changed
-   components, so sparse and delta payloads cost O(active), never
-   O(n). *)
+   offset 2. Checks and fills walk the payload's pairs, O(pairs).
+   Writers walk the clock: O(1) for an epoch, one O(n) scan for a
+   clock held dense, whichever payload they write. *)
 
 let dense_len v = Vector_clock.dim v + 1
 

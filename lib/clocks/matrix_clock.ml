@@ -9,10 +9,6 @@ let dim t = Array.length t.m
 
 let owner t = t.me
 
-let row t j =
-  if j < 0 || j >= dim t then invalid_arg "Matrix_clock.row";
-  Vector_clock.of_array t.m.(j)
-
 let tick t = t.m.(t.me).(t.me) <- t.m.(t.me).(t.me) + 1
 
 let entry t i j =
@@ -33,5 +29,3 @@ let observe t remote =
   for j = 0 to n - 1 do
     if theirs.(j) > own.(j) then own.(j) <- theirs.(j)
   done
-
-let size_words t = dim t * dim t

@@ -16,9 +16,6 @@ val dim : t -> int
 val owner : t -> int
 (** The process this matrix belongs to. *)
 
-val row : t -> int -> Vector_clock.t
-(** [row m j] is a snapshot of row [j]. *)
-
 val tick : t -> unit
 (** Local-event rule: increment the diagonal entry [me,me]. *)
 
@@ -29,6 +26,3 @@ val observe : t -> t -> unit
     the componentwise max with the corresponding row of [remote], and the
     principal row additionally absorbs [remote]'s principal row.
     Raises [Invalid_argument] on dimension mismatch. *)
-
-val size_words : t -> int
-(** [n * n]: wire cost measured by E6. *)

@@ -11,8 +11,6 @@ type t =
   | After       (** right happened-before left *)
   | Concurrent  (** incomparable: no causal order — the race case *)
 
-val equal : t -> t -> bool
-
 val concurrent : t -> bool
 (** [concurrent o] is [true] iff [o] is {!Concurrent}. *)
 
@@ -20,5 +18,3 @@ val flip : t -> t
 (** [flip o] is the verdict with the operands swapped:
     [Before] becomes [After] and conversely; [Equal] and [Concurrent]
     are symmetric and unchanged. *)
-
-val pp : Format.formatter -> t -> unit

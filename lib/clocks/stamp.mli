@@ -25,8 +25,7 @@ val none : t
 
 val leq : t -> Vector_clock.t -> bool
 (** [leq st c] is [D <= c] for the clock [D] that [st] stands for, in
-    O(1) (O(log active) on a sparse [c]); [false] for {!none}, where
-    nothing is known. *)
+    O(1); [false] for {!none}, where nothing is known. *)
 
 val merge_into : into:Vector_clock.t -> stamp:t -> Vector_clock.t -> cur:t -> t
 (** [merge_into ~into ~stamp src ~cur] merges [src] into [into], whose

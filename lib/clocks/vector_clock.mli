@@ -13,18 +13,17 @@
 
     {2 Representation}
 
-    One representation with two promotions. A clock that has only ever
+    Two representations and one promotion. A clock that has only ever
     been advanced by a single process is held as a compact
     FastTrack-style {e epoch} — a [(pid, count)] pair denoting the
-    vector that is [count] at [pid] and zero elsewhere. The first
-    cross-process merge or tick promotes it to sorted parallel
-    [(pid, tick)] arrays holding only the nonzero components, and past
-    [max 4 (n/8)] live components to a dense array. Epoch operands
-    give {!tick}, {!merge_into}, {!compare} and {!leq} O(1),
-    allocation-free fast paths; sparse operands make compare/merge merge
-    scans over the sorted pids, O(active writers) instead of O(n). The
-    abstract value, and therefore every detection verdict, is the dense
-    vector of Algorithms 3–4. *)
+    vector that is [count] at [pid] and zero elsewhere. The first entry
+    of a second process (a cross-process merge, tick or {!set})
+    promotes it to a dense array of {!dim} components, which it stays
+    until {!reset}, {!assign} or {!load_words} gives it an epoch value.
+    Epoch operands give {!tick}, {!merge_into}, {!compare} and {!leq}
+    O(1), allocation-free fast paths; dense operands cost O(n), the
+    paper's bound. The abstract value, and therefore every detection
+    verdict, is the dense vector of Algorithms 3–4. *)
 
 type t
 
@@ -46,20 +45,21 @@ val copy : t -> t
 
 val assign : into:t -> t -> unit
 (** [assign ~into src] makes [into] hold [src]'s value in [src]'s
-    representation — {!copy} in place. [into] keeps its arrays, so once
-    it has held a sparse and a dense value an [assign] allocates
-    nothing. O(active src), O(dim) when [src] is dense. Raises
+    representation — {!copy} in place. [into] keeps its dense array, so
+    once it has held a dense value an [assign] allocates nothing. O(1)
+    when [src] is an epoch, O(dim) when it is dense. Raises
     [Invalid_argument] on dimension mismatch. *)
 
 val set : t -> int -> int -> unit
 (** [set c i x] sets component [i] to [x], raising or lowering it.
-    O(1) on a dense clock, O(active) on a sparse one. Lowering never
-    demotes a sparse or dense clock; raising promotes as {!tick} does.
-    Raises [Invalid_argument] when [i] is out of bounds or [x < 0]. *)
+    O(1), unless it promotes. Lowering never demotes a dense clock
+    (lowering an epoch's one entry to 0 gives the zero epoch); a second
+    process's entry promotes as {!tick} does. Raises [Invalid_argument]
+    when [i] is out of bounds or [x < 0]. *)
 
 val of_array : int array -> t
-(** [of_array a] is a clock holding [a]'s entries, in the most compact
-    form they allow (epoch, sparse pairs, dense). Raises
+(** [of_array a] is a clock holding [a]'s entries: an epoch when at
+    most one is nonzero, a dense copy otherwise. Raises
     [Invalid_argument] if [a] is empty or contains a negative entry. *)
 
 val to_array : t -> int array
@@ -67,8 +67,8 @@ val to_array : t -> int array
 
 val iter_active : (int -> int -> unit) -> t -> unit
 (** [iter_active f c] calls [f pid tick] on each nonzero component of
-    [c] in ascending pid order. O(active) for epoch and sparse clocks,
-    one scan for a dense one. *)
+    [c] in ascending pid order. O(1) for an epoch, one scan for a dense
+    clock. *)
 
 val diff_sizes : advance:bool -> since:t -> t -> int
 (** [diff_sizes ~advance ~since v] counts, in one walk, [k] the nonzero
@@ -76,7 +76,8 @@ val diff_sizes : advance:bool -> since:t -> t -> int
     differ, and returns them packed as [k * (dim v + 1) + d] — an
     immediate int, so sizing allocates nothing. It is what the
     piggyback encoder prices a frame by: both arrays read directly for
-    two dense clocks, O(active v + active since) when neither is dense.
+    two dense clocks, O(1) for two epochs, one scan of the dimension
+    otherwise.
     With [advance] it also leaves [since] equal to [v]: a dense [since]
     is patched at the changed components in the same walk, any other
     takes [v]'s value and representation as {!assign} would. Raises
@@ -97,14 +98,12 @@ val is_zero : t -> bool
 
 val is_epoch : t -> bool
 (** True while the clock is held in the compact epoch representation
-    (introspection for tests, benchmarks and storage statistics). *)
-
-val is_sparse : t -> bool
-(** True while the clock is held as sorted [(pid, tick)] pairs. *)
+    (introspection for tests, benchmarks and storage statistics); a
+    dense clock otherwise. *)
 
 val active_entries : t -> int
-(** Number of nonzero components — what the sparse scans are linear in.
-    O(1) for epoch and sparse clocks, O(dim) for dense ones. *)
+(** Number of nonzero components — the pairs a sparse wire payload
+    carries. O(1) for an epoch, O(dim) for a dense clock. *)
 
 val tick : t -> me:int -> unit
 (** [tick c ~me] increments component [me]: the paper's
@@ -118,8 +117,8 @@ val merge_into : into:t -> t -> unit
 val merge_into_equal : into:t -> t -> bool
 (** [merge_into_equal ~into src] is {!merge_into} that also tells
     whether [into] now equals [src] — whether [into <= src] held before.
-    One walk when both clocks are dense or both sparse, O(active)
-    otherwise. *)
+    One walk when both clocks are dense; otherwise {!leq}, then the
+    merge. *)
 
 val merge : t -> t -> t
 (** Pure Algorithm 4: fresh componentwise maximum. *)
@@ -151,8 +150,8 @@ val snapshot : t -> t
 
 val reset : t -> unit
 (** Zero every component in place, restoring the compact epoch
-    representation. O(1) (the pair arrays and the dense array keep
-    their capacity, so a warmed-up scratch clock never allocates again); the
+    representation. O(1) (the dense array keeps its capacity, so a
+    warmed-up scratch clock never allocates again); the
     scratch-buffer discipline of the detector's hot path
     ([Detector.check_access]) relies on this being cheap. *)
 
@@ -160,7 +159,7 @@ val load_words : t -> int array -> off:int -> unit
 (** [load_words c w ~off] overwrites [c] with the [dim c] words at
     [w.(off) ..] — the allocation-free counterpart of {!of_array} used to
     decode clocks arriving on the wire into a scratch clock. Re-derives
-    the most compact representation, as {!of_array} does. Raises
+    the representation, as {!of_array} does. Raises
     [Invalid_argument] on a short slice or negative entry. *)
 
 val store_words : t -> int array -> off:int -> unit

@@ -201,13 +201,10 @@ let storage_words t =
       acc + (2 * t.clock_dim)
       + (if Vector_clock.is_zero e.s then 0 else t.clock_dim))
 
-(* How many of the materialized clocks are still compact (epoch or
-   sparse pairs) — the fraction the E7-style storage model could
-   exploit; reported by the detector benchmarks. *)
+(* How many of the materialized clocks are still epochs — the fraction
+   the E7-style storage model could exploit; reported by the detector
+   benchmarks. *)
 let epoch_clocks t =
-  let compact c = Vector_clock.is_epoch c || Vector_clock.is_sparse c in
+  let epoch c = if Vector_clock.is_epoch c then 1 else 0 in
   fold_entries t ~init:0 ~f:(fun e acc ->
-      acc
-      + (if compact e.v then 1 else 0)
-      + (if compact e.w then 1 else 0)
-      + if compact e.s then 1 else 0)
+      acc + epoch e.v + epoch e.w + epoch e.s)

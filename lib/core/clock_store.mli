@@ -111,5 +111,5 @@ val storage_words : t -> int
 
 val epoch_clocks : t -> int
 (** How many of the materialized clocks (3 per entry) are currently held
-    in a compact (epoch or sparse-pair) form — introspection for
-    benchmarks and tests. *)
+    in the compact epoch form — introspection for benchmarks and
+    tests. *)

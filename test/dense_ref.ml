@@ -1,8 +1,8 @@
 (* Reference oracle for [Vector_clock]: the paper's Algorithms 3-4 taken
    literally. A clock is a plain [int array] of n entries, always dense,
    compared and merged componentwise with no fast path of any kind. The
-   adaptive library clock (epoch -> sparse pairs -> dense) must agree
-   with it on every value and every verdict. *)
+   adaptive library clock (epoch -> dense) must agree with it on every
+   value and every verdict. *)
 
 open Dsm_clocks
 

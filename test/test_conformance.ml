@@ -1,5 +1,5 @@
-(* Clock conformance: the detector's adaptive clocks (epoch -> sparse
-   pairs -> dense) must behave exactly like the paper's dense vectors.
+(* Clock conformance: the detector's adaptive clocks (epoch -> dense)
+   must behave exactly like the paper's dense vectors.
    Directed seeds reproduce the fingerprints — race set, message trace,
    memory, final clocks — that the epoch, always-dense and sparse
    representations all produced when each was still selectable; every
@@ -36,9 +36,9 @@ type fingerprint = {
 (* One random run over [n] processes and [max 3 (n/2)] shared variables:
    puts, gets, atomics (fetch_add / CAS), whole-variable accumulates and
    mutex-protected RMWs. Gets and atomics absorb remote clocks, so at
-   larger [n] accessor clocks accumulate many active components and
-   cross the sparse pairs' dense-promotion threshold — the regime Part 1
-   must also cover, including RMW S-clock traffic across that boundary.
+   larger [n] accessor clocks accumulate many active components, far
+   past the epoch -> dense promotion — the regime Part 1 must also
+   cover, including RMW S-clock traffic across that boundary.
    Every race signal is re-judged by the dense reference. *)
 let run_once ~n ~seed ~ops () =
   let sim = Engine.create ~seed () in
@@ -197,8 +197,8 @@ let test_conformance_promotion () = check_golden ~n:16 ~ops:8 golden_n16
    QCheck case is one schedule, run twice: the two runs must agree bit
    for bit, and every race signal must hold under the dense reference
    (checked inside [run_once]). The names keep the epoch = dense =
-   sparse sweep they replace: the one clock path passes through all
-   three shapes. *)
+   sparse sweep they replace; the one clock path passes through the
+   epoch and dense shapes. *)
 let conformant ~n ~ops seed =
   let fp = run_once ~n ~seed ~ops () in
   fp = run_once ~n ~seed ~ops () && fp.violations = 0

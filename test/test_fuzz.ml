@@ -169,7 +169,7 @@ let prop_epoch_dense_equivalent =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 101 1_000_000))
     (fun seed -> (run_once ~seed ~ops:10 ()).violations = 0)
 
-(* --- Sparse wire codec fuzz (ISSUE 5): round-trip + rejection. ------ *)
+(* --- Sparse wire codec fuzz: round-trip + rejection. -------------- *)
 
 module Vector_clock = Dsm_clocks.Vector_clock
 module Codec = Dsm_clocks.Codec
@@ -204,27 +204,26 @@ let test_codec_sparse_directed () =
   Alcotest.(check int)
     "single entry ships one pair" 4
     (Array.length (sparse_payload single));
-  (* promotion boundary: exactly threshold live components, then one
-     past it (the clock flips to dense storage; the codec must not
-     care which side of the boundary it is on) *)
+  (* promotion boundary: two live components (the clock flips from an
+     epoch to dense storage; the codec must not care which side of the
+     boundary it is on), then a few more *)
   let n = 32 in
-  let thr = Test_util.sparse_threshold ~n in
   let at = Vector_clock.create ~n in
-  for pid = 0 to thr - 1 do
-    let other = Vector_clock.create ~n in
-    Vector_clock.tick other ~me:pid;
-    Vector_clock.merge_into ~into:at other
-  done;
-  Alcotest.(check bool) "at threshold still sparse" true
-    (Vector_clock.is_sparse at);
-  check_roundtrip "at promotion threshold" at;
+  Vector_clock.tick at ~me:5;
+  Alcotest.(check bool) "one writer is an epoch" true
+    (Vector_clock.is_epoch at);
+  check_roundtrip "before promotion" at;
   let past = Vector_clock.copy at in
   let other = Vector_clock.create ~n in
-  Vector_clock.tick other ~me:thr;
+  Vector_clock.tick other ~me:17;
   Vector_clock.merge_into ~into:past other;
-  Alcotest.(check bool) "past threshold promoted" false
-    (Vector_clock.is_sparse past);
-  check_roundtrip "past promotion threshold" past;
+  Alcotest.(check bool) "second writer promoted" false
+    (Vector_clock.is_epoch past);
+  check_roundtrip "past promotion" past;
+  for pid = 0 to 3 do
+    Vector_clock.tick past ~me:pid
+  done;
+  check_roundtrip "a few live components" past;
   (* max pid *)
   let last = Vector_clock.create ~n:64 in
   Vector_clock.tick last ~me:63;

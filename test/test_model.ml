@@ -15,8 +15,8 @@
    2. A 500+-schedule randomized sweep holding the default-model
       construction (no [~model]) bit-identical to the
       explicit [Nic_atomic] construction on every schedule, at process
-      counts on both sides of the sparse-to-dense promotion, with every
-      race signal re-judged by the dense reference oracle.
+      counts 3, 6 and 12, with every race signal re-judged by the dense
+      reference oracle.
 
    3. Differential properties: the sequentially-consistent reference
       never races where every weaker backend is silent (union over a
@@ -284,9 +284,9 @@ let test_explore_goldens () =
 
 (* 3 process counts x 2 bug settings x 42 seeds x 2 constructions = 504
    schedules, each default construction held bit-identical to the
-   explicit nic_atomic one. At n = 3 clocks stay epochs or sorted pairs;
-   at n = 6 and 12 they also cross [sparse_threshold] into dense arrays,
-   so the one clock path is exercised in all three shapes. *)
+   explicit nic_atomic one. Clocks start as epochs and promote to dense
+   arrays at their second writer, at every process count, so the one
+   clock path is exercised in both shapes. *)
 let test_sweep_default_vs_explicit () =
   for i = 0 to 41 do
     let seed = 101 + (13 * i) in

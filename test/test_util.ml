@@ -28,14 +28,24 @@ let allocated_words f =
   (r, minor1 -. minor0 +. (major1 -. major0) -. (pro1 -. pro0))
 
 (* Clock helpers the library does not export: value equality and the
-   sum of the components, read through the dense form, and the
-   sparse -> dense promotion bound [Vector_clock]'s interface states
-   ([max 4 (n/8)] live components), for tests aimed at it. *)
+   sum of the components, read through the dense form, a printer for
+   [Order] verdicts, and a matrix clock's row [j] as a vector clock. *)
 let vc_equal a b = Dsm_clocks.Vector_clock.(to_array a = to_array b)
 
 let vc_sum c = Array.fold_left ( + ) 0 (Dsm_clocks.Vector_clock.to_array c)
 
-let sparse_threshold ~n = max 4 (n / 8)
+let order_pp ppf (o : Dsm_clocks.Order.t) =
+  Format.pp_print_string ppf
+    (match o with
+    | Equal -> "equal"
+    | Before -> "before"
+    | After -> "after"
+    | Concurrent -> "concurrent")
+
+let matrix_row m j =
+  let open Dsm_clocks in
+  Vector_clock.of_array
+    (Array.init (Matrix_clock.dim m) (fun k -> Matrix_clock.entry m j k))
 
 (* Counts the clock-plane control messages an Explicit-transport
    detector sends on machine [m] from now on: a [dsm.vget] round trip
