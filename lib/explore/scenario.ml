@@ -54,8 +54,7 @@ let no_monitor () = []
    so one [bug] flag plants the whole defect family. *)
 let make_machine sim (s : Token.spec) =
   Machine.create sim ~n:s.n ~latency:s.latency ~faults:s.faults
-    ?reliability:
-      (if s.reliable then Some (Dsm_net.Fabric.reliability ()) else None)
+    ~reliable:s.reliable
     ~protocol_bugs:
       (if s.bug then [ Machine.Skip_get_dst_lock; Machine.Skip_rmw_write_mark ]
        else [])

@@ -1,82 +1,88 @@
 open Dsm_sim
 
-(* The FIFO delivery floor of one (src, dst) edge: the latest arrival
-   scheduled for in-order traffic on it. A float-only record, so the
-   floor is updated in place without boxing. *)
+(* The FIFO delivery floor of an edge: the latest arrival scheduled for
+   in-order traffic on it. A float-only record, so the floor is updated
+   in place without boxing. *)
 type floor = { mutable last : float }
 
-type reliability = unit
-
-let reliability () = ()
-
-(* The reliable transport resends an unacked frame every
-   [retransmit_timeout] us and gives up after [max_retries] resends. *)
+(* The reliable transport resends an unacked frame [retransmit_timeout]
+   us after its last transmission and gives up after [max_retries]
+   resends. *)
 let retransmit_timeout = 25.0
 
 let max_retries = 30
 
-(* A frame its sender keeps, as first transmitted, until its ack comes
-   back. *)
-type 'msg unacked = {
-  u_msg : 'msg;
-  u_words : int;
-  u_wire : int;
-  u_clock : int;
-  mutable u_tries : int;
+(* A frame of the reliable transport, as first transmitted. Its copies
+   carry it to the receiver, whose ack of [seq] marks it [acked]; its
+   sender keeps it until the edge's timer finds it so. [due] is when
+   its next resend falls due. *)
+type 'msg frame = {
+  seq : int;
+  msg : 'msg;
+  words : int;
+  wire_words : int;
+  clock_words : int;
+  mutable tries : int;
+  mutable due : float;
+  mutable acked : bool;
 }
 
-(* The reliable transport's state for one (src, dst) edge: the sender's
-   next sequence number and unacked frames, the receiver's next expected
-   sequence number and the frames that arrived ahead of it. Both tables
-   are keyed by sequence number. *)
-type 'msg link = {
+(* One (src, dst) edge: the FIFO floor, the caller's per-edge [state],
+   and the reliable transport's state, which an unreliable fabric never
+   touches. The sender numbers frames from [next_seq] and keeps them in
+   [unacked], newest first; the edge's one retransmit timer is armed
+   exactly while [unacked] is not empty, and drops the acked frames when
+   it fires. The receiver delivers frame [expected] next and holds the
+   frames that arrived ahead of it in [held], in seq order. *)
+type ('msg, 'e) edge = {
+  src : int;
+  dst : int;
+  floor : floor;
+  state : 'e;
   mutable next_seq : int;
-  unacked : 'msg unacked Int_tbl.t;
+  mutable unacked : 'msg frame list;
   mutable expected : int;
-  held : 'msg Int_tbl.t;
+  mutable held : 'msg frame list;
 }
 
-type 'msg t = {
+type ('msg, 'e) t = {
   sim : Engine.t;
   model : Latency.t;
   faults : Fault.t;
   reliable : bool;
   describe : 'msg -> string;
+  new_state : unit -> 'e;
   rng : Prng.t;
   handlers : (src:int -> 'msg -> unit) option array;
-  (* both keyed by the packed edge [src * n + dst]: only edges that
-     carry traffic cost memory *)
-  last_delivery : floor Int_tbl.t;
-  links : 'msg link Int_tbl.t;
+  (* keyed by the packed edge [src * n + dst]: only edges that carry
+     traffic cost memory *)
+  edges : ('msg, 'e) edge Int_tbl.t;
   mutable messages : int;
   mutable words : int;
   mutable wire_words : int;
   mutable clock_words : int;
-  mutable dropped : int;
-  mutable duplicated : int;
   mutable retransmits : int;
 }
 
 let loopback_delay = 0.05 (* us: memcpy through the local NIC *)
 
-let create sim ~n ~latency ?(faults = Fault.none) ?reliability ~describe () =
+let create sim ~n ~latency ?(faults = Fault.none) ?(reliable = false) ~describe
+    ~state () =
   if n < 1 then invalid_arg "Fabric.create: need at least one node";
   {
     sim;
     model = latency;
     faults;
-    reliable = Option.is_some reliability;
+    reliable;
     describe;
+    new_state = state;
     rng = Prng.split (Engine.rng sim);
     handlers = Array.make n None;
-    last_delivery = Int_tbl.create 64;
-    links = Int_tbl.create 64;
+    edges = Int_tbl.create 64;
     messages = 0;
     words = 0;
     wire_words = 0;
     clock_words = 0;
-    dropped = 0;
-    duplicated = 0;
     retransmits = 0;
   }
 
@@ -89,6 +95,24 @@ let register t ~node f =
   match t.handlers.(node) with
   | Some _ -> invalid_arg "Fabric.register: handler already registered"
   | None -> t.handlers.(node) <- Some f
+
+(* An edge is made on its first send; its floor starts at 0.0, so
+   nothing sent earlier can hold that send back. *)
+let edge t ~src ~dst =
+  if src < 0 || src >= nodes t then invalid_arg "Fabric.edge: src";
+  if dst < 0 || dst >= nodes t then invalid_arg "Fabric.edge: dst";
+  let key = (src * nodes t) + dst in
+  match Int_tbl.find t.edges key with
+  | e -> e
+  | exception Not_found ->
+      let e =
+        { src; dst; floor = { last = 0. }; state = t.new_state ();
+          next_seq = 0; unacked = []; expected = 0; held = [] }
+      in
+      Int_tbl.replace t.edges key e;
+      e
+
+let state e = e.state
 
 let net_deliver t ~src ~dst =
   let probe = Engine.probe t.sim in
@@ -103,25 +127,14 @@ let arrived t ~src ~dst =
       net_deliver t ~src ~dst;
       f
 
-(* An edge's floor is made on its first in-order send and starts at
-   0.0: nothing sent earlier can hold that send back. *)
-let edge_floor t ~src ~dst =
-  let key = (src * nodes t) + dst in
-  match Int_tbl.find t.last_delivery key with
-  | floor -> floor
-  | exception Not_found ->
-      let floor = { last = 0. } in
-      Int_tbl.replace t.last_delivery key floor;
-      floor
-
 (* The arrival of an in-order frame never precedes an earlier in-order
-   send on the same (src, dst) pair, and never ties with it: past 2^24
-   us a 1e-9 step rounds away, so the floor steps by at least one ulp.
-   Reordered frames skip both the floor and the floor update: they
-   overtake and are overtaken. *)
-let floored t ~src ~dst ~in_order arrival =
+   send on the same edge, and never ties with it: past 2^24 us a 1e-9
+   step rounds away, so the floor steps by at least one ulp. Reordered
+   frames skip both the floor and the floor update: they overtake and
+   are overtaken. *)
+let floored e ~in_order arrival =
   if in_order then begin
-    let floor = edge_floor t ~src ~dst in
+    let floor = e.floor in
     let a =
       if arrival <= floor.last then
         Float.max (floor.last +. 1e-9) (Float.succ floor.last)
@@ -132,10 +145,11 @@ let floored t ~src ~dst ~in_order arrival =
   end
   else arrival
 
-(* One physical transmission: the counters, the latency model and the
-   fault plan's draws, then the delivery event (and any duplicate of
-   it) running [arrive]. *)
-let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
+(* One physical transmission on edge [e]: the counters, the latency
+   model and the fault plan's draws, then the delivery event (and any
+   duplicate of it) running [arrive]. *)
+let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
+  let src = e.src and dst = e.dst in
   t.messages <- t.messages + 1;
   t.words <- t.words + words;
   t.wire_words <- t.wire_words + wire_words;
@@ -153,7 +167,6 @@ let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
   in
   let probe = Engine.probe t.sim in
   if lf.Fault.drop > 0. && Prng.bernoulli t.rng ~p:lf.Fault.drop then begin
-    t.dropped <- t.dropped + 1;
     if probe.on then begin
       Dsm_obs.Probe.emit probe
         (Net_send
@@ -165,7 +178,7 @@ let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
     let reorder =
       lf.Fault.reorder > 0. && Prng.bernoulli t.rng ~p:lf.Fault.reorder
     in
-    let arrival =
+    let drawn =
       if reorder then arrival +. Prng.float t.rng lf.Fault.reorder_window
       else arrival
     in
@@ -173,32 +186,23 @@ let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
        backends reorder put lanes this way); it still never overtakes
        the floor update of ordered traffic it was sent after. *)
     let in_order = (not reorder) && fifo in
-    let at = floored t ~src ~dst ~in_order arrival in
+    let arrival = floored e ~in_order drawn in
     if probe.on then begin
       Dsm_obs.Probe.emit probe
         (Net_send
-           {
-             time = now;
-             src;
-             dst;
-             words;
-             wire_words;
-             clock_words;
-             arrival = at;
-           });
+           { time = now; src; dst; words; wire_words; clock_words; arrival });
       if reorder then
         Dsm_obs.Probe.emit probe (Net_reorder { time = now; src; dst })
     end;
-    Engine.schedule_at t.sim ~label ~at arrive;
+    Engine.schedule_at t.sim ~label ~at:arrival arrive;
     if
       lf.Fault.duplicate > 0.
       && Prng.bernoulli t.rng ~p:lf.Fault.duplicate
     then begin
-      t.duplicated <- t.duplicated + 1;
       if probe.on then
         Dsm_obs.Probe.emit probe (Net_duplicate { time = now; src; dst });
       Engine.schedule_at t.sim ~label
-        ~at:(floored t ~src ~dst ~in_order (arrival +. 1e-9))
+        ~at:(floored e ~in_order (drawn +. 1e-9))
         arrive
     end
   end
@@ -212,113 +216,103 @@ let transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label arrive =
    handler therefore sees each posted frame exactly once, in per-edge
    send order. *)
 
-let edge_link t ~src ~dst =
-  let key = (src * nodes t) + dst in
-  match Int_tbl.find t.links key with
-  | link -> link
-  | exception Not_found ->
-      let link =
-        {
-          next_seq = 0;
-          unacked = Int_tbl.create 8;
-          expected = 0;
-          held = Int_tbl.create 8;
-        }
-      in
-      Int_tbl.replace t.links key link;
-      link
+(* [held] with [fr] in its seq-order place, unless a copy is there. *)
+let rec hold fr = function
+  | h :: rest when h.seq < fr.seq -> h :: hold fr rest
+  | h :: _ as held when h.seq = fr.seq -> held
+  | held -> fr :: held
 
-let rec drain_held link f ~src =
-  match Int_tbl.find link.held link.expected with
-  | exception Not_found -> ()
-  | msg ->
-      Int_tbl.remove link.held link.expected;
-      link.expected <- link.expected + 1;
-      f ~src msg;
-      drain_held link f ~src
+let rec drain_held e f =
+  match e.held with
+  | fr :: rest when fr.seq = e.expected ->
+      e.held <- rest;
+      e.expected <- fr.seq + 1;
+      f ~src:e.src fr.msg;
+      drain_held e f
+  | _ -> ()
 
-(* Frame [seq] of [link], the edge [src -> dst], reaches [dst]: ack this
-   copy (the ack of an earlier one may have been lost), then deliver it
-   and whatever it unblocks, or drop it as a duplicate, or hold it
-   back. *)
-let received t link ~src ~dst ~seq msg =
-  let f = arrived t ~src ~dst in
-  transmit t ~src:dst ~dst:src ~words:1 ~wire_words:1 ~clock_words:0
-    ~fifo:true
-    ~label:(Label.v ~node:src ~origin:src)
+(* A copy of [fr] reaches the receiver of [e]: ack this copy (the ack
+   of an earlier one may have been lost), drop it if it was delivered
+   already, and deliver what it unblocks: itself, when it is next in
+   turn, and the held frames after it. *)
+let received t e fr =
+  let f = arrived t ~src:e.src ~dst:e.dst in
+  transmit t
+    (edge t ~src:e.dst ~dst:e.src)
+    ~words:1 ~wire_words:1 ~clock_words:0 ~fifo:true
+    ~label:(Label.v ~node:e.src ~origin:e.src)
     (fun () ->
-      net_deliver t ~src:dst ~dst:src;
-      Int_tbl.remove link.unacked seq);
-  if seq = link.expected then begin
-    link.expected <- seq + 1;
-    f ~src msg;
-    drain_held link f ~src
-  end
-  else if seq > link.expected then Int_tbl.replace link.held seq msg
+      net_deliver t ~src:e.dst ~dst:e.src;
+      fr.acked <- true);
+  if fr.seq >= e.expected then e.held <- hold fr e.held;
+  drain_held e f
 
-(* While frame [seq] is unacked, resend it every [retransmit_timeout];
-   once the retry budget is spent the run aborts rather than hangs: a
-   link that drops everything is dead, not slow. *)
-let rec arm_retransmit t link ~src ~dst ~seq =
-  Engine.schedule_at t.sim ~label:Label.unknown
-    ~at:(Engine.now t.sim +. retransmit_timeout)
-    (fun () ->
-      match Int_tbl.find link.unacked seq with
-      | exception Not_found -> ()
-      | u ->
-          u.u_tries <- u.u_tries + 1;
-          if u.u_tries > max_retries then
-            failwith
-              (Printf.sprintf
-                 "Fabric: P%d->P%d frame #%d undeliverable after %d \
-                  retransmits (%s)"
-                 src dst seq max_retries (t.describe u.u_msg));
-          t.retransmits <- t.retransmits + 1;
-          (let probe = Engine.probe t.sim in
-           if probe.on then
-             Dsm_obs.Probe.emit probe
-               (Retransmit { time = Engine.now t.sim; src; dst; seq }));
-          transmit t ~src ~dst ~words:u.u_words ~wire_words:u.u_wire
-            ~clock_words:u.u_clock ~fifo:true ~label:Label.unknown
-            (fun () -> received t link ~src ~dst ~seq u.u_msg);
-          arm_retransmit t link ~src ~dst ~seq)
+(* One transmission of [fr], whose next resend falls due
+   [retransmit_timeout] later. *)
+let send_frame t e fr ~label =
+  fr.due <- Engine.now t.sim +. retransmit_timeout;
+  (* resequencing restores send order whatever the wire does, so every
+     frame rides the FIFO floor *)
+  transmit t e ~words:fr.words ~wire_words:fr.wire_words
+    ~clock_words:fr.clock_words ~fifo:true ~label (fun () -> received t e fr)
 
-let post t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label msg =
-  if words < 0 then invalid_arg "Fabric.post: negative size";
-  if src < 0 || src >= nodes t then invalid_arg "Fabric.post: src";
-  if dst < 0 || dst >= nodes t then invalid_arg "Fabric.post: dst";
+(* The edge's retransmit timer fires: resend, in seq order, every
+   unacked frame now due, then re-arm at the earliest due time left, or
+   stay disarmed once every frame is acked. Once a frame's retry budget
+   is spent the run aborts rather than hangs: a link that drops
+   everything is dead, not slow. *)
+let rec expire t e () =
+  let now = Engine.now t.sim in
+  let live = List.filter (fun fr -> not fr.acked) e.unacked in
+  e.unacked <- live;
+  List.iter
+    (fun fr ->
+      if fr.due <= now then begin
+        fr.tries <- fr.tries + 1;
+        if fr.tries > max_retries then
+          failwith
+            (Printf.sprintf
+               "Fabric: P%d->P%d frame #%d undeliverable after %d \
+                retransmits (%s)"
+               e.src e.dst fr.seq max_retries (t.describe fr.msg));
+        t.retransmits <- t.retransmits + 1;
+        (let probe = Engine.probe t.sim in
+         if probe.on then
+           Dsm_obs.Probe.emit probe
+             (Retransmit
+                { time = now; src = e.src; dst = e.dst; seq = fr.seq }));
+        send_frame t e fr ~label:Label.unknown
+      end)
+    (List.rev live);
+  match live with
+  | [] -> ()
+  | _ ->
+      arm t e (List.fold_left (fun at fr -> Float.min at fr.due) infinity live)
+
+and arm t e at = Engine.schedule_at t.sim ~label:Label.unknown ~at (expire t e)
+
+let post t e ~words ~wire_words ~clock_words ~fifo ~label msg =
   (* [words] is the nominal size the latency model prices; [wire_words]
      is what the chosen encoding actually put on the wire, of which
      [clock_words] were clock piggyback. Keeping the two apart is what
      lets the wire encoding vary without perturbing a single delivery
      time. *)
+  if words < 0 then invalid_arg "Fabric.post: negative size";
   if wire_words < 0 then invalid_arg "Fabric.post: negative wire size";
   if clock_words < 0 then invalid_arg "Fabric.post: negative clock size";
   if not t.reliable then
-    transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo ~label
-      (fun () -> (arrived t ~src ~dst) ~src msg)
+    transmit t e ~words ~wire_words ~clock_words ~fifo ~label (fun () ->
+        (arrived t ~src:e.src ~dst:e.dst) ~src:e.src msg)
   else begin
-    let link = edge_link t ~src ~dst in
-    let seq = link.next_seq in
-    link.next_seq <- seq + 1;
-    Int_tbl.replace link.unacked seq
-      {
-        u_msg = msg;
-        u_words = words;
-        u_wire = wire_words;
-        u_clock = clock_words;
-        u_tries = 0;
-      };
-    (* resequencing restores send order whatever the wire does, so
-       every frame rides the FIFO floor *)
-    transmit t ~src ~dst ~words ~wire_words ~clock_words ~fifo:true ~label
-      (fun () -> received t link ~src ~dst ~seq msg);
-    arm_retransmit t link ~src ~dst ~seq
+    let fr =
+      { seq = e.next_seq; msg; words; wire_words; clock_words; tries = 0;
+        due = 0.; acked = false }
+    in
+    e.next_seq <- fr.seq + 1;
+    send_frame t e fr ~label;
+    (match e.unacked with [] -> arm t e fr.due | _ -> ());
+    e.unacked <- fr :: e.unacked
   end
-
-let messages_dropped t = t.dropped
-
-let messages_duplicated t = t.duplicated
 
 let messages_sent t = t.messages
 
@@ -337,12 +331,9 @@ let retransmits t = t.retransmits
    one. *)
 let reset t =
   Prng.resplit (Engine.rng t.sim) ~into:t.rng;
-  Int_tbl.clear t.last_delivery;
-  Int_tbl.clear t.links;
+  Int_tbl.clear t.edges;
   t.messages <- 0;
   t.words <- 0;
   t.wire_words <- 0;
   t.clock_words <- 0;
-  t.dropped <- 0;
-  t.duplicated <- 0;
   t.retransmits <- 0

@@ -38,49 +38,46 @@ type observation =
       origin : int;
     }
 
-(* Per-(src,dst)-edge clock piggyback state, one record per edge in an
-   {!Int_tbl} keyed by the immediate int [src * n + dst]. The sender
-   owns [cache], the last clock shipped on the edge (the next delta's
-   base, created as a zero clock, which sizes like no base, and
-   advanced in place after that), [sent], the next frame's seq, and,
-   from the last frame, the sender clock's generation ([gen], -1 before
-   the first frame or after a new clock source) and the priced result
-   ([sized]). The receiver owns [expect], one past the seq of the last
-   frame the edge delivered (-1 before the first); each frame carries
-   its edge's record, so delivery finds it without a second lookup. *)
+(* The machine's clock piggyback state of one (src, dst) edge, kept on
+   the fabric's edge record. The sender owns [cache], the last clock
+   shipped on the edge (the next delta's base: [no_cache] until the
+   edge's first clock frame, then a zero clock of the source's
+   dimension, which sizes like no base, advanced in place), [sent], the
+   next frame's seq, the clock source it last priced against
+   ([source], 0 before the first frame) and, from the last frame, the
+   sender clock's generation ([gen], -1 before the first frame from
+   this source) and the priced result ([sized]). The receiver
+   owns [expect], one past the seq of the last frame the edge delivered
+   (-1 before the first); each frame carries its edge's record, so
+   delivery finds it without a lookup. *)
 type pb_edge = {
-  cache : Dsm_clocks.Vector_clock.t;
+  mutable cache : Dsm_clocks.Vector_clock.t;
   mutable sent : int;
   mutable gen : int;
+  mutable source : int;
   mutable sized : int;
   mutable expect : int;
 }
 
-(* What travels on the fabric: the protocol message and, when a clock
-   source is installed and the message carries a clock, its
-   piggyback's immediate header ({!Dsm_clocks.Codec.header}) and edge —
-   otherwise [no_pb] and [no_edge]. The piggyback itself is priced,
-   not built: its length goes to the fabric's accounting. *)
+(* What travels on the fabric: the protocol message, its edge's
+   piggyback state and, when a clock source is installed and the message
+   carries a clock, its piggyback's immediate header
+   ({!Dsm_clocks.Codec.header}) — otherwise [no_pb]. The piggyback itself
+   is priced, not built: its length goes to the fabric's accounting. *)
 type frame = { pb : int; edge : pb_edge; msg : Message.t }
 
 let no_pb = -1
 
-let new_edge n =
-  {
-    cache = Dsm_clocks.Vector_clock.create ~n;
-    sent = 0;
-    gen = -1;
-    sized = 0;
-    expect = -1;
-  }
+let no_cache = Dsm_clocks.Vector_clock.create ~n:1
 
-let no_edge = new_edge 1
+let new_edge () =
+  { cache = no_cache; sent = 0; gen = -1; source = 0; sized = 0; expect = -1 }
 
 type protocol_bug = Skip_get_dst_lock | Skip_rmw_write_mark
 
 type t = {
   sim : Engine.t;
-  fabric : frame Dsm_net.Fabric.t;
+  fabric : (frame, pb_edge) Dsm_net.Fabric.t;
   bugs : protocol_bug list;
   model : Model.t;
   mh : Model.hooks;
@@ -107,13 +104,13 @@ type t = {
      model keeps pricing the nominal [Message.wire_words]. *)
   mutable clock_src : Dsm_clocks.Vector_clock.t array option;
       (* each pid's live clock, read when it sends *)
+  mutable source : int;  (* {!set_clock_source} calls so far *)
   pb_mode : Dsm_clocks.Codec.piggyback_mode;
       (* deltas need per-edge in-order, exactly-once delivery of the
          piggybacks: [Delta] on a fault-free fabric (the FIFO floor
          gives order, nothing drops or duplicates) or under the
          fabric's reliable transport (which resequences and dedups);
          otherwise the self-contained [Sparse] form *)
-  pb_edges : pb_edge Int_tbl.t;
   pb_tally : Dsm_clocks.Codec.tally;
 }
 
@@ -147,15 +144,6 @@ let carries_clock = function
 (* A lock held on [node] for a remote owner is keyed by its grant token
    and the node, packed into one int. *)
 let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
-
-let pb_edge m ~src ~dst v =
-  let key = (src * Array.length m.nodes) + dst in
-  match Int_tbl.find m.pb_edges key with
-  | e -> e
-  | exception Not_found ->
-      let e = new_edge (Dsm_clocks.Vector_clock.dim v) in
-      Int_tbl.replace m.pb_edges key e;
-      e
 
 let rec handle m ~node ~src msg =
   if m.observers <> [] then
@@ -442,14 +430,24 @@ and transmit m ~src ~dst msg =
      [extra_words] allowance is replaced by the priced piggyback (or by
      nothing on messages that carry no clock). Timing still prices
      [words], so the wire encoding cannot perturb the schedule. *)
+  let edge = Dsm_net.Fabric.edge m.fabric ~src ~dst in
+  let e = Dsm_net.Fabric.state edge in
   match m.clock_src with
   | None ->
-      Dsm_net.Fabric.post m.fabric ~src ~dst ~words ~wire_words:words
+      Dsm_net.Fabric.post m.fabric edge ~words ~wire_words:words
         ~clock_words:0 ~fifo ~label
-        { pb = no_pb; edge = no_edge; msg }
+        { pb = no_pb; edge = e; msg }
   | Some clocks when carries_clock msg ->
       let v = clocks.(src) in
-      let e = pb_edge m ~src ~dst v in
+      if e.source <> m.source then begin
+        (* first frame since this source was installed: the edge's
+           generation speaks of another source's clock *)
+        if e.cache == no_cache then
+          e.cache <-
+            Dsm_clocks.Vector_clock.create ~n:(Dsm_clocks.Vector_clock.dim v);
+        e.source <- m.source;
+        e.gen <- -1
+      end;
       let gen = Dsm_clocks.Vector_clock.generation v in
       (* Under [Delta] a clock that only its owner's ticks changed since
          the edge's last frame differs from the cache at most in its
@@ -469,27 +467,27 @@ and transmit m ~src ~dst msg =
       let pb = Dsm_clocks.Codec.header ~seq:e.sent sized in
       e.sent <- e.sent + 1;
       let clock_words = Dsm_clocks.Codec.frame_words sized in
-      Dsm_net.Fabric.post m.fabric ~src ~dst ~words
+      Dsm_net.Fabric.post m.fabric edge ~words
         ~wire_words:(words - Message.extra_words msg + clock_words)
         ~clock_words ~fifo ~label { pb; edge = e; msg }
   | Some _ ->
-      Dsm_net.Fabric.post m.fabric ~src ~dst ~words
+      Dsm_net.Fabric.post m.fabric edge ~words
         ~wire_words:(words - Message.extra_words msg)
         ~clock_words:0 ~fifo ~label
-        { pb = no_pb; edge = no_edge; msg }
+        { pb = no_pb; edge = e; msg }
 
 (* Every call site first checks [m.observers <> []], so a run nobody
    observes builds no observation record. *)
 and notify m obs = List.iter (fun f -> f obs) m.observers
 
 let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
-    ?public_words ?faults ?reliability ?(protocol_bugs = [])
+    ?public_words ?faults ?(reliable = false) ?(protocol_bugs = [])
     ?(model = Model.default) () =
   if n < 1 then invalid_arg "Machine.create: need at least one node";
   let fabric =
-    Dsm_net.Fabric.create sim ~n ~latency ?faults ?reliability
+    Dsm_net.Fabric.create sim ~n ~latency ?faults ~reliable
       ~describe:(fun fr -> Message.describe fr.msg)
-      ()
+      ~state:new_edge ()
   in
   let m =
     {
@@ -511,6 +509,7 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
       control_handlers = Hashtbl.create 8;
       observers = [];
       clock_src = None;
+      source = 0;
       pb_mode =
         (* put-lane reordering (Eventual) defeats per-edge in-order
            delivery just like reorder faults do; the reliable transport
@@ -518,10 +517,9 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
         (if
            (Dsm_net.Fault.is_none (Dsm_net.Fabric.faults fabric)
            && not (Model.hooks model).Model.put_reorder_granules)
-           || reliability <> None
+           || reliable
          then Dsm_clocks.Codec.Delta
          else Dsm_clocks.Codec.Sparse);
-      pb_edges = Int_tbl.create 32;
       pb_tally = Dsm_clocks.Codec.tally ();
     }
   in
@@ -555,10 +553,9 @@ let reset m =
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
   (* piggyback state is per-run: the next population re-installs its
-     clock source (Detector.create) and the edge table restarts empty,
-     so a reset arena is bit-identical to a fresh machine *)
+     clock source (Detector.create) and [Fabric.reset] drops every
+     edge, so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
-  Int_tbl.clear m.pb_edges;
   m.pb_tally.dense <- 0;
   m.pb_tally.sparse <- 0;
   m.pb_tally.delta <- 0
@@ -584,7 +581,7 @@ let clock_words_sent m = Dsm_net.Fabric.clock_words_sent m.fabric
 let set_clock_source m clocks =
   m.clock_src <- Some clocks;
   (* generations of the old source's clocks say nothing of the new *)
-  Int_tbl.fold (fun _ e () -> e.gen <- -1) m.pb_edges ()
+  m.source <- m.source + 1
 
 let clock_encodings m =
   let t = m.pb_tally in

@@ -28,8 +28,8 @@
     Delivery is the fabric's business: each protocol message is one
     [Dsm_net.Fabric.post] of the message and its clock piggyback's
     header, and the NIC agent's receive handler checks the header
-    against its edge and runs the message. Under a faulty fabric,
-    [Dsm_net.Fabric.reliability] makes that channel in-order and
+    against its edge and runs the message. Under a faulty fabric, the
+    fabric's [reliable] transport makes that channel in-order and
     exactly-once again. *)
 
 type t
@@ -58,17 +58,18 @@ val create :
   ?private_words:int ->
   ?public_words:int ->
   ?faults:Dsm_net.Fault.t ->
-  ?reliability:Dsm_net.Fabric.reliability ->
+  ?reliable:bool ->
   ?protocol_bugs:protocol_bug list ->
   ?model:Model.t ->
   unit ->
   t
 (** Defaults: {!Dsm_net.Latency.infiniband_like} over a fully
     connected fabric, 4096-word segments, a fault-free fabric. The
-    [faults] plan and [reliability] are forwarded to [Dsm_net.Fabric]
-    for robustness testing: the one-sided protocols assume reliable
-    delivery, so without [reliability] drops surface as blocked
-    operations, and with it the fabric's transport rides them out.
+    [faults] plan and [reliable] (default [false]) are forwarded to
+    [Dsm_net.Fabric] for robustness testing: the one-sided protocols
+    assume reliable delivery, so without [reliable] drops surface as
+    blocked operations, and with it the fabric's transport rides them
+    out.
     [protocol_bugs] defaults to none. [model] (default {!Model.default}, the paper's
     [Nic_atomic]) selects the memory-model backend whose protocol hooks
     govern put atomicity, get-delays-put serialization and put-lane
@@ -127,7 +128,7 @@ val set_clock_source : t -> Dsm_clocks.Vector_clock.t array -> unit
     installing a source cannot perturb a schedule. The receiver checks
     each header with [Dsm_clocks.Codec.check_header]: a delta out of
     sequence on its edge, or on an edge that has delivered nothing,
-    raises. On a faulty fabric without [reliability], encoding degrades
+    raises. On a faulty fabric without [reliable], encoding degrades
     to the self-contained [Sparse] frame — deltas are only sound on
     in-order exactly-once channels, which the reliable transport
     restores: it drops duplicates and holds back early frames before

@@ -1,8 +1,8 @@
 (** Hashtables keyed by immediate ints.
 
     The one int-keyed table of the message path: the NIC's pending
-    operations and remote locks, the piggyback edge caches, the fabric's
-    FIFO floors, each node's clock store and the coherence shadow. A
+    operations and remote locks, the fabric's edges, each node's clock
+    store and the coherence shadow. A
     lookup hashes the key inline, with no call into the runtime's
     polymorphic hash and no boxed key.
 

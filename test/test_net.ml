@@ -58,15 +58,24 @@ let test_latency_names () =
 
 (* ---------- Fabric ---------- *)
 
-let make_fabric ?faults ?reliability ?(latency = Latency.Constant 1.0) sim n =
-  Fabric.create sim ~n ~latency ?faults ?reliability
+let make_fabric ?faults ?reliable ?(latency = Latency.Constant 1.0) sim n =
+  Fabric.create sim ~n ~latency ?faults ?reliable
     ~describe:(fun _ -> "frame")
-    ()
+    ~state:ignore ()
 
 (* A frame with the nominal encoding and no footprint. *)
 let send ?(fifo = true) fab ~src ~dst ~words msg =
-  Fabric.post fab ~src ~dst ~words ~wire_words:words ~clock_words:0 ~fifo
-    ~label:Label.unknown msg
+  Fabric.post fab (Fabric.edge fab ~src ~dst) ~words ~wire_words:words
+    ~clock_words:0 ~fifo ~label:Label.unknown msg
+
+(* The drops and duplicates the fabric publishes on [sim]'s bus. *)
+let fault_counts sim =
+  let dropped = ref 0 and duplicated = ref 0 in
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Dsm_obs.Probe.Net_drop _ -> incr dropped
+    | Dsm_obs.Probe.Net_duplicate _ -> incr duplicated
+    | _ -> ());
+  (dropped, duplicated)
 
 (* ---------- Topology: every pair of nodes is one link apart ---------- *)
 
@@ -96,9 +105,9 @@ let test_topo_validate () =
 
 let test_topo_out_of_range () =
   let fab = make_fabric (Engine.create ()) 3 in
-  Alcotest.check_raises "src range" (Invalid_argument "Fabric.post: src")
+  Alcotest.check_raises "src range" (Invalid_argument "Fabric.edge: src")
     (fun () -> send fab ~src:3 ~dst:0 ~words:1 ());
-  Alcotest.check_raises "dst range" (Invalid_argument "Fabric.post: dst")
+  Alcotest.check_raises "dst range" (Invalid_argument "Fabric.edge: dst")
     (fun () -> send fab ~src:0 ~dst:(-1) ~words:1 ())
 
 let test_fabric_delivers () =
@@ -238,29 +247,29 @@ let test_fabric_floor_far_in_time () =
 let test_fabric_drop_rate () =
   let sim = Engine.create ~seed:21 () in
   let fab = make_fabric ~faults:(Fault.of_string "drop=0.3") sim 2 in
+  let dropped, _ = fault_counts sim in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 1000 do
     send fab ~src:0 ~dst:1 ~words:1 ()
   done;
   ignore (Engine.run sim);
-  let dropped = Fabric.messages_dropped fab in
+  let dropped = !dropped in
   Alcotest.(check int) "conservation" 1000 (!received + dropped);
   Alcotest.(check bool) "rate plausible" true (dropped > 200 && dropped < 400)
 
 let test_fabric_duplicates () =
   let sim = Engine.create ~seed:22 () in
   let fab = make_fabric ~faults:(Fault.of_string "dup=0.5") sim 2 in
+  let _, duplicated = fault_counts sim in
   let received = ref 0 in
   Fabric.register fab ~node:1 (fun ~src:_ () -> incr received);
   for _ = 1 to 200 do
     send fab ~src:0 ~dst:1 ~words:1 ()
   done;
   ignore (Engine.run sim);
-  Alcotest.(check int) "each duplicate delivered" (200 + Fabric.messages_duplicated fab)
-    !received;
-  Alcotest.(check bool) "some duplicates" true
-    (Fabric.messages_duplicated fab > 50)
+  Alcotest.(check int) "each duplicate delivered" (200 + !duplicated) !received;
+  Alcotest.(check bool) "some duplicates" true (!duplicated > 50)
 
 let test_fabric_bad_probability () =
   Alcotest.check_raises "range"
@@ -272,8 +281,7 @@ let test_fabric_bad_probability () =
 (* [frames] frames on every edge of a 3-node fabric, every third one
    opting out of the FIFO floor; returns what each node's handler saw,
    per sender, in arrival order. *)
-let reliable_traffic fab ~frames =
-  let n = Fabric.nodes fab in
+let reliable_traffic fab ~n ~frames =
   let seen = Array.make (n * n) [] in
   for node = 0 to n - 1 do
     Fabric.register fab ~node (fun ~src i ->
@@ -294,14 +302,14 @@ let test_reliable_exactly_once_in_order () =
     (fun plan ->
       let sim = Engine.create ~seed:5 () in
       let fab =
-        make_fabric ~faults:(Fault.of_string plan)
-          ~reliability:(Fabric.reliability ())
+        make_fabric ~faults:(Fault.of_string plan) ~reliable:true
           ~latency:
             (Latency.Jittered
                { model = Latency.Constant 1.0; mean_jitter = 2.0 })
           sim 3
       in
-      let seen = reliable_traffic fab ~frames:40 in
+      let dropped, duplicated = fault_counts sim in
+      let seen = reliable_traffic fab ~n:3 ~frames:40 in
       (match Engine.run sim with
       | Engine.Completed -> ()
       | _ -> Alcotest.failf "%s: run did not complete" plan);
@@ -312,9 +320,7 @@ let test_reliable_exactly_once_in_order () =
               (Printf.sprintf "%s: edge %d->%d" plan (edge / 3) (edge mod 3))
               (List.init 40 Fun.id) (List.rev got))
         seen;
-      let faulted =
-        Fabric.messages_dropped fab + Fabric.messages_duplicated fab
-      in
+      let faulted = !dropped + !duplicated in
       Alcotest.(check bool)
         (Printf.sprintf "%s: the plan struck (%d faults, %d retransmits)" plan
            faulted (Fabric.retransmits fab))
@@ -324,24 +330,73 @@ let test_reliable_exactly_once_in_order () =
       "drop=0.3"; "dup=0.4,drop=0.3"; "reorder=0.5,drop=0.2"; "dup=0.5,jitter=3";
     ]
 
-let test_reliable_gives_up () =
-  let sim = Engine.create () in
+(* A reliable edge 0 -> 1 that drops every copy, and the failure that
+   ends its run once frame #0 (put #7) has spent its retries. *)
+let dead_link sim =
   let fab =
     Fabric.create sim ~n:2 ~latency:(Latency.Constant 1.0)
       ~faults:(Fault.of_string "drop=1.0")
-      ~reliability:(Fabric.reliability ())
+      ~reliable:true
       ~describe:(Printf.sprintf "put #%d")
-      ()
+      ~state:ignore ()
   in
   Fabric.register fab ~node:0 (fun ~src:_ _ -> ());
   Fabric.register fab ~node:1 (fun ~src:_ _ -> Alcotest.fail "delivered");
-  send fab ~src:0 ~dst:1 ~words:1 7;
+  fab
+
+let gives_up sim =
   Alcotest.check_raises "gives up"
     (Failure
        "Fabric: P0->P1 frame #0 undeliverable after 30 retransmits (put #7)")
-    (fun () -> ignore (Engine.run sim));
+    (fun () -> ignore (Engine.run sim))
+
+let test_reliable_gives_up () =
+  let sim = Engine.create () in
+  let fab = dead_link sim in
+  let dropped, _ = fault_counts sim in
+  send fab ~src:0 ~dst:1 ~words:1 7;
+  gives_up sim;
   Alcotest.(check int) "retransmits" 30 (Fabric.retransmits fab);
-  Alcotest.(check int) "every copy dropped" 31 (Fabric.messages_dropped fab)
+  Alcotest.(check int) "every copy dropped" 31 !dropped
+
+(* Each edge has one retransmit timer, and an acked frame leaves no
+   event behind: k frames sent together on a fault-free edge cost k
+   deliveries, k acks and one timer fire, which finds every frame acked
+   and leaves the timer disarmed. *)
+let test_reliable_one_timer_per_edge () =
+  let k = 8 in
+  let sim = Engine.create () in
+  let fab = make_fabric ~reliable:true sim 2 in
+  Fabric.register fab ~node:0 (fun ~src:_ _ -> ());
+  Fabric.register fab ~node:1 (fun ~src:_ _ -> ());
+  for i = 1 to k do
+    send fab ~src:0 ~dst:1 ~words:1 i
+  done;
+  ignore (Engine.run sim);
+  Alcotest.(check int) "events" ((2 * k) + 1) (Engine.events_processed sim)
+
+(* Retransmit instants: each unacked frame is resent 25 us after its
+   last transmission, in sequence order within an instant, until frame
+   #0 spends its 30 retries. *)
+let test_reliable_retransmit_instants () =
+  let sim = Engine.create () in
+  let fab = dead_link sim in
+  let resent = ref [] in
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Dsm_obs.Probe.Retransmit { time; seq; _ } ->
+        resent := (time, seq) :: !resent
+    | _ -> ());
+  send fab ~src:0 ~dst:1 ~words:1 7;
+  Engine.schedule sim ~delay:10. (fun () -> send fab ~src:0 ~dst:1 ~words:1 8);
+  gives_up sim;
+  Alcotest.(check (float 0.)) "gave up at" 775. (Engine.now sim);
+  Alcotest.(check (list (pair (float 0.) int)))
+    "resent (time, seq)"
+    (List.concat
+       (List.init 30 (fun j ->
+            let t = 25. *. float_of_int (j + 1) in
+            [ (t, 0); (t +. 10., 1) ])))
+    (List.rev !resent)
 
 (* A fabric reset mid-run replays the same traffic exactly as a fresh
    one. The first run stops at t=30 us, just past the first retransmit
@@ -351,15 +406,14 @@ let test_reliable_reset_is_fresh () =
   let plan = Fault.of_string "dup=0.3,drop=0.3,reorder=0.3" in
   let build () =
     let sim = Engine.create ~seed:9 () in
-    let fab =
-      make_fabric ~faults:plan ~reliability:(Fabric.reliability ()) sim 3
-    in
+    let fab = make_fabric ~faults:plan ~reliable:true sim 3 in
+    let faults = fault_counts sim in
     let log = ref [] in
     for node = 0 to 2 do
       Fabric.register fab ~node (fun ~src i ->
           log := (Engine.now sim, src, node, i) :: !log)
     done;
-    (sim, fab, log)
+    (sim, fab, log, faults)
   in
   let sends fab =
     for i = 0 to 19 do
@@ -367,8 +421,10 @@ let test_reliable_reset_is_fresh () =
       send fab ~src:((i + 2) mod 3) ~dst:(i mod 3) ~words:2 (100 + i)
     done
   in
-  let traffic sim fab log =
+  let traffic sim fab log (dropped, duplicated) =
     log := [];
+    dropped := 0;
+    duplicated := 0;
     sends fab;
     ignore (Engine.run sim);
     ( List.rev !log,
@@ -377,19 +433,19 @@ let test_reliable_reset_is_fresh () =
         Fabric.words_sent fab;
         Fabric.wire_words_sent fab;
         Fabric.clock_words_sent fab;
-        Fabric.messages_dropped fab;
-        Fabric.messages_duplicated fab;
+        !dropped;
+        !duplicated;
         Fabric.retransmits fab;
       ] )
   in
-  let sim, fab, log = build () in
-  let fresh_log, fresh_counts = traffic sim fab log in
-  let sim', fab', log' = build () in
+  let sim, fab, log, faults = build () in
+  let fresh_log, fresh_counts = traffic sim fab log faults in
+  let sim', fab', log', faults' = build () in
   sends fab';
   ignore (Engine.run ~until:30. sim');
   Engine.reset ~seed:9 sim';
   Fabric.reset fab';
-  let reset_log, reset_counts = traffic sim' fab' log' in
+  let reset_log, reset_counts = traffic sim' fab' log' faults' in
   Alcotest.(check bool) "frames delivered" true (List.length fresh_log = 40);
   Alcotest.(check bool) "same deliveries" true (fresh_log = reset_log);
   Alcotest.(check (list int)) "same counters" fresh_counts reset_counts
@@ -438,6 +494,10 @@ let () =
           Alcotest.test_case "exactly once, in order" `Quick
             test_reliable_exactly_once_in_order;
           Alcotest.test_case "gives up" `Quick test_reliable_gives_up;
+          Alcotest.test_case "one timer per edge" `Quick
+            test_reliable_one_timer_per_edge;
+          Alcotest.test_case "retransmit instants" `Quick
+            test_reliable_retransmit_instants;
           Alcotest.test_case "reset is fresh" `Quick test_reliable_reset_is_fresh;
         ] );
     ]

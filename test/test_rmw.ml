@@ -94,7 +94,7 @@ let test_rmw_duplicate_delivery_exactly_once () =
     Machine.create sim ~n:3
       ~latency:(Dsm_net.Latency.Constant 2.0)
       ~faults:(Dsm_net.Fault.of_string "dup=0.4,drop=0.2")
-      ~reliability:(Dsm_net.Fabric.reliability ())
+      ~reliable:true
       ()
   in
   let checker = Coherence.attach m in
