@@ -10,9 +10,9 @@ build:
 test:
 	dune runtest
 
-# The lib/ export guard alone: lists every val no other module names and
-# diffs it against test/exports.expected. After an intended change,
-# `dune promote` refreshes the expected list.
+# The lib/ export guard alone: fails, listing each one, on any val in
+# lib/**/*.mli or optional parameter of one that has no user outside
+# test/ and its own module. Prints nothing when there is none.
 exports:
 	dune build @exports
 

@@ -266,8 +266,7 @@ let sample_trace () =
               ~pid:(Dsm_sim.Prng.int g 4)
               ~space:Dsm_memory.Addr.Public
               ~offset:(Dsm_sim.Prng.int g 16)
-              ~len:(1 + Dsm_sim.Prng.int g 4))
-         ())
+              ~len:(1 + Dsm_sim.Prng.int g 4)))
   done;
   r
 

@@ -4,6 +4,8 @@
    same program with one bug of each kind: an RMA call outside the epoch
    (caught by the MARMOT-style usage checker) and two conflicting puts
    inside a legal epoch (caught by the paper's clock-based detector).
+   Last, a passive-target counter: each rank locks rank 0's window and
+   accumulates into it, with no fence around the updates (clean too).
 
    Run with: dune exec examples/mpi_windows.exe *)
 
@@ -53,11 +55,27 @@ let race_bug w p pid =
   if pid = 1 || pid = 2 then Window.put w p ~rank:0 ~offset:2 pid;
   Window.fence w p
 
+(* Passive target: the lock, not a fence, opens each rank's access
+   epoch on rank 0, and accumulate is atomic, so the updates neither
+   break the usage rules nor race. A closing fence epoch lets rank 0
+   read the total. *)
+let total = ref 0
+
+let passive_counter w p pid =
+  Window.lock w p ~rank:0;
+  Window.accumulate w p ~rank:0 ~offset:3 ~delta:(pid + 1);
+  Window.unlock w p ~rank:0;
+  Window.fence w p;
+  if pid = 0 then total := Window.get w p ~rank:0 ~offset:3;
+  Window.fence w p
+
 let () =
   Format.printf "--- MPI-2 windows: two checkers, two bug classes ---@.@.";
   run "correct exchange" clean;
   run "RMA outside the epoch" epoch_bug;
   run "race inside a legal epoch" race_bug;
+  run "passive-target counter" passive_counter;
+  Format.printf "  rank 0's counter: %d (= 1 + 2 + 3 + 4)@." !total;
   Format.printf
     "@.The usage checker audits the synchronization API; the clocks audit@.\
      the accesses it allows. A debugged program passes both.@."

@@ -252,8 +252,7 @@ let record_access t p ~kind ~target =
   | None -> None
   | Some rec_ ->
       Some
-        (Recorder.access rec_ ~time:(now t) ~pid:(Machine.pid p) ~kind ~target
-           ())
+        (Recorder.access rec_ ~time:(now t) ~pid:(Machine.pid p) ~kind ~target)
 
 (* The S clock's release (at issue) and acquire (at the RMW's check), as
    trace events — the ground truth mirrors the detector's RMW model. *)

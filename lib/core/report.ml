@@ -56,10 +56,6 @@ let count t = t.count
 
 let races t = List.rev t.races
 
-let clear t =
-  t.races <- [];
-  t.count <- 0
-
 type group = {
   g_granule : Dsm_memory.Addr.region;
   g_pids : int list;

@@ -48,8 +48,6 @@ val count : t -> int
 val races : t -> race list
 (** In signal order. *)
 
-val clear : t -> unit
-
 type group = {
   g_granule : Dsm_memory.Addr.region;
   g_pids : int list;  (** distinct accessors involved, ascending *)

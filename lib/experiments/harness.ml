@@ -12,9 +12,9 @@ let section ppf e =
   e.run ppf;
   Format.pp_print_flush ppf ()
 
-let fresh_machine ?(n = 3) ?(latency = Dsm_net.Latency.Constant 1.0) ?seed
-    ?model () =
-  let sim = Engine.create ?seed () in
+let fresh_machine ?(n = 3) ?(latency = Dsm_net.Latency.Constant 1.0) ?model
+    () =
+  let sim = Engine.create () in
   Machine.create sim ~n ~latency ?model ()
 
 let run_to_completion m =

@@ -20,7 +20,6 @@ val section : Format.formatter -> experiment -> unit
 val fresh_machine :
   ?n:int ->
   ?latency:Dsm_net.Latency.t ->
-  ?seed:int ->
   ?model:Dsm_rdma.Model.t ->
   unit ->
   Dsm_rdma.Machine.t

@@ -2,10 +2,8 @@
 
 val all : Harness.experiment list
 
-val find : string -> Harness.experiment option
-(** Case-insensitive lookup by id ("e7" finds E7). *)
-
 val run_all : Format.formatter -> unit
 
 val run_only : Format.formatter -> string -> (unit, string) result
-(** Run a single experiment by id; [Error] names the unknown id. *)
+(** Run a single experiment by id, matched case-insensitively ("e7"
+    runs E7); [Error] names the unknown id. *)

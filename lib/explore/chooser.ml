@@ -25,8 +25,6 @@ let make policy =
     chosen_buf = Array.make initial_capacity 0;
   }
 
-let random rng = make (Random rng)
-
 let scripted decisions =
   let a = Array.of_list decisions in
   make (Scripted (a, Array.length a))
@@ -85,5 +83,3 @@ let chosen_at t i =
 let decisions t = List.init t.taken (fun i -> t.chosen_buf.(i))
 
 let trace t = List.init t.taken (fun i -> (t.ready_buf.(i), t.chosen_buf.(i)))
-
-let capacity t = Array.length t.ready_buf

@@ -8,10 +8,6 @@
 
 type t
 
-val random : Dsm_sim.Prng.t -> t
-(** Uniform choice among the ready events, drawn from the given stream
-    (independent from the engine's own PRNG). *)
-
 val scripted : int list -> t
 (** Follow a recorded decision list. Decisions past the end of the list
     pick 0 (the default (time, seq) schedule order); out-of-range
@@ -58,7 +54,3 @@ val ready_at : t -> int -> int
 
 val chosen_at : t -> int -> int
 (** Decision taken at choice point [i] (after clamping). *)
-
-val capacity : t -> int
-(** Current recording-buffer capacity in decisions — exposed so tests
-    can assert the buffers stop growing across reused runs. *)

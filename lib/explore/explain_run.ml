@@ -39,11 +39,11 @@ let explanations_of ~window ~(result : Explore.run_result) built =
               | None -> []
               | Some e -> [ e ])))
 
-let of_token ?capacity ?timeline (t : Token.t) =
+let of_token ?timeline (t : Token.t) =
   match Explore.create_ctx t.spec with
   | ctx ->
       let bus = Explore.ctx_probe ctx in
-      let flight = Flight.attach ?capacity bus in
+      let flight = Flight.attach bus in
       (match timeline with
       | None -> ()
       | Some tl -> Probe.attach bus (Timeline.sink tl));

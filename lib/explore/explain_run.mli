@@ -19,11 +19,8 @@ type outcome = {
 }
 
 val of_token :
-  ?capacity:int ->
-  ?timeline:Dsm_obs.Timeline.t ->
-  Token.t ->
-  (outcome, string) result
-(** [capacity] sizes the flight recorder (default 256 events). With
+  ?timeline:Dsm_obs.Timeline.t -> Token.t -> (outcome, string) result
+(** The flight recorder keeps the run's last 256 events. With
     [timeline], the replay is also captured as a Perfetto trace and each
     explanation's endpoints are annotated into it
     ({!Dsm_obs.Explain.annotate}) — the caller writes the file.

@@ -116,8 +116,6 @@ let last_built ctx = ctx.last_built
 
 let set_ready_log ctx log = ctx.ready_log <- log
 
-let decision_capacity ctx = Chooser.capacity ctx.chooser
-
 (* Reset the arena and populate it for the next run. Order matters:
    [Engine.reset] first (restores the root PRNG), then the machine reset
    inside [repopulate] re-splits the fabric stream from the same root
@@ -420,8 +418,7 @@ let result_of ctx (r : raw) =
 let run_once_in ?(check_determinism = false) ctx mode =
   result_of ctx (exec_checked ~check_determinism ctx mode)
 
-let run_once ?(check_determinism = false) spec mode =
-  run_once_in ~check_determinism (create_ctx spec) mode
+let run_once spec mode = run_once_in (create_ctx spec) mode
 
 type stats = {
   runs : int;
@@ -474,10 +471,10 @@ let last_children ctx ~plen ~depth =
    prefix as a [Script], and push the children [step] returns ahead of
    the rest of the stack, in the order given. [until] is asked before
    every run; the search ends when it holds or the stack is empty. *)
-let dfs_in ?(check_determinism = false) ctx ~root ~prefix ~until step =
+let dfs_in ctx ~root ~prefix ~until step =
   let rec loop = function
     | node :: rest when not (until ()) ->
-        let r = exec_checked ~check_determinism ctx (Script (prefix node)) in
+        let r = exec_mode ctx (Script (prefix node)) in
         loop (step node r @ rest)
     | _ -> ()
   in
@@ -487,11 +484,10 @@ let dfs_in ?(check_determinism = false) ctx ~root ~prefix ~until step =
    prefix, read the (ready, chosen) trace it actually produced, and push
    one child per untaken branch at every choice point past the prefix
    (up to [depth] choice points into the run). *)
-let explore_exhaustive_in ?(check_determinism = false) ?(max_runs = 500) ctx
-    ~depth =
+let explore_exhaustive_in ?(max_runs = 500) ctx ~depth =
   let runs = ref 0 in
   let first = ref None in
-  dfs_in ~check_determinism ctx ~root:[] ~prefix:Fun.id
+  dfs_in ctx ~root:[] ~prefix:Fun.id
     ~until:(fun () -> !runs >= max_runs || Option.is_some !first)
     (fun prefix r ->
       incr runs;

@@ -103,16 +103,12 @@ val set_ready_log : ctx -> Ready_log.t option -> unit
     run; the DPOR driver runs with the check off. *)
 
 val run_once_in : ?check_determinism:bool -> ctx -> mode -> run_result
-(** {!run_once} in a reusable arena. *)
+(** One run in a reusable arena. With [check_determinism] (default
+    false) the run is re-executed from its recorded decisions and a
+    ["determinism"] violation is added if the fingerprints differ. *)
 
-val decision_capacity : ctx -> int
-(** Capacity of the arena's decision-recording buffers — exposed so the
-    no-per-run-leak test can assert it stabilizes across runs. *)
-
-val run_once : ?check_determinism:bool -> spec -> mode -> run_result
-(** One run. With [check_determinism] (default false) the run is
-    re-executed from its recorded decisions and a ["determinism"]
-    violation is added if the fingerprints differ. *)
+val run_once : spec -> mode -> run_result
+(** {!run_once_in} a fresh arena, without the determinism check. *)
 
 type stats = {
   runs : int;  (** schedules executed *)
@@ -130,8 +126,7 @@ val explore_random_in :
     arena's reusable buffers and a full {!run_result} is only
     materialized for the first violating run. *)
 
-val explore_exhaustive_in :
-  ?check_determinism:bool -> ?max_runs:int -> ctx -> depth:int -> stats
+val explore_exhaustive_in : ?max_runs:int -> ctx -> depth:int -> stats
 (** Bounded-exhaustive enumeration ({!dfs_in}): all decision prefixes
     that deviate from the default schedule within the first [depth]
     choice points, capped at [max_runs] (default 500) schedules. Stops
@@ -191,7 +186,6 @@ val last_children : ctx -> plen:int -> depth:int -> int list list
     shared order is what makes the parallel merge bit-identical. *)
 
 val dfs_in :
-  ?check_determinism:bool ->
   ctx ->
   root:'node ->
   prefix:('node -> int list) ->
@@ -206,8 +200,8 @@ val dfs_in :
     while the arena still holds that run, so it may read
     {!last_children} or {!result_of}. {!explore_exhaustive_in}, the
     parallel subtree search, [Diff.run ~depth] and the DPOR search
-    (whose nodes carry sleep sets) are all this loop.
-    [check_determinism] defaults to [false]. *)
+    (whose nodes carry sleep sets) are all this loop. No run is
+    re-executed for the determinism check. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

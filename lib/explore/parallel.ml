@@ -345,8 +345,8 @@ let rec merge ~max_runs runs = function
          and the merge stops at that lower rank (or at the cap) first *)
       failwith "Parallel.explore_exhaustive: merge read a skipped subtree"
 
-let explore_exhaustive ?(max_runs = 500) ?metrics ?pool ~jobs spec ~depth =
-  batch ?pool ~jobs ~metrics @@ fun pool ->
+let explore_exhaustive ?(max_runs = 500) ?metrics ~jobs spec ~depth =
+  batch ~jobs ~metrics @@ fun pool ->
   let ctx0 = slot_ctx pool ~metrics spec 0 in
   if Pool.size pool = 1 then
     Explore.explore_exhaustive_in ~max_runs ctx0 ~depth

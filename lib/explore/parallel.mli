@@ -40,13 +40,10 @@
 module Pool : sig
   type t
 
-  val size : t -> int
-  (** Workers in the pool, including the caller. *)
-
   val with_pool : jobs:int -> (t -> 'a) -> 'a
   (** [with_pool ~jobs f] spawns
       [min jobs (Domain.recommended_domain_count ())] workers (at least
-      1; the calling domain is worker 0, so [size - 1] domains are
+      1; the calling domain is worker 0, so one domain fewer is
       spawned), runs [f], and always wakes and joins every worker
       afterwards. Clamping to the host's core count is
       semantically invisible — findings are bit-identical for every
@@ -95,7 +92,6 @@ val explore_random :
 val explore_exhaustive :
   ?max_runs:int ->
   ?metrics:Dsm_obs.Metrics.t ->
-  ?pool:Pool.t ->
   jobs:int ->
   Explore.spec ->
   depth:int ->
@@ -108,8 +104,8 @@ val explore_exhaustive :
     lower-ranked subtree has violated; the merge replays the sequential
     visit order over the per-subtree summaries, so the result —
     including the [max_runs] cutoff — is bit-identical to
-    [Explore.explore_exhaustive_in]. [pool] / [jobs] behave as in
-    {!explore_random}. [metrics] aggregates per-worker registries as in
-    {!explore_random}; note that the aggregate counts every run workers
-    actually executed, including subtree work the deterministic merge
-    later discards. *)
+    [Explore.explore_exhaustive_in]. The batch runs on a pool of [jobs]
+    workers created and shut down around it. [metrics] aggregates
+    per-worker registries as in {!explore_random}; note that the
+    aggregate counts every run workers actually executed, including
+    subtree work the deterministic merge later discards. *)

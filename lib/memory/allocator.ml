@@ -43,9 +43,6 @@ let alloc a ?name ~len () =
 
 let lookup a name = Hashtbl.find_opt a.names name
 
-let find a name =
-  match lookup a name with Some x -> x | None -> raise Not_found
-
 let symbols a = List.rev a.order
 
 let reset a =

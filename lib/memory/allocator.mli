@@ -29,9 +29,6 @@ val alloc : t -> ?name:string -> len:int -> unit -> int
 val lookup : t -> string -> (int * int) option
 (** [lookup a name] is [Some (offset, len)] for a named allocation. *)
 
-val find : t -> string -> int * int
-(** Like {!lookup} but raises [Not_found]. *)
-
 val symbols : t -> (string * int * int) list
 (** All named allocations, in allocation order — used to print Figure 1's
     memory map in experiment E1. *)

@@ -4,7 +4,6 @@ let create ~words =
   if words < 0 then invalid_arg "Segment.create: negative size";
   Array.make words 0
 
-let size = Array.length
 
 let check t ~offset ~len op =
   if offset < 0 || len < 0 || offset + len > Array.length t then

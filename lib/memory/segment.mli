@@ -11,8 +11,6 @@ val create : words:int -> t
 (** [create ~words] is a zero-filled segment. Raises [Invalid_argument]
     when [words < 0]. *)
 
-val size : t -> int
-
 val read : t -> offset:int -> int
 (** Raises [Invalid_argument] out of bounds. *)
 

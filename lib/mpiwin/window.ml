@@ -59,10 +59,6 @@ let create env ~collectives ~name ~len_per_rank =
     t.exposure;
   t
 
-let region_of_rank t rank =
-  if rank < 0 || rank >= t.n then invalid_arg "Window.region_of_rank";
-  t.exposure.(rank)
-
 let now t = Dsm_sim.Engine.now (Machine.sim (Env.machine t.env))
 
 let violate t p what =

@@ -33,9 +33,6 @@ val create :
 (** Collective creation (call once from setup code, before spawning).
     Allocates and registers the exposure regions and per-rank mutexes. *)
 
-val region_of_rank : t -> int -> Dsm_memory.Addr.region
-(** The exposure region of [rank] (for validation in tests). *)
-
 (** {1 Synchronization} *)
 
 val fence : t -> Dsm_rdma.Machine.proc -> unit

@@ -25,15 +25,6 @@ let rec delay model rng ~words =
   in
   max d min_delay
 
-let rec pp ppf = function
-  | Constant c -> Format.fprintf ppf "constant(%g us)" c
-  | Linear { base; per_word } ->
-      Format.fprintf ppf "linear(%g + %g/word us)" base per_word
-  | Logp { latency; overhead; gap_per_word } ->
-      Format.fprintf ppf "logp(L=%g o=%g G=%g us)" latency overhead gap_per_word
-  | Jittered { model; mean_jitter } ->
-      Format.fprintf ppf "%a + exp(%g us)" pp model mean_jitter
-
 let rec to_string = function
   | Constant c -> Printf.sprintf "constant:%g" c
   | Linear { base; per_word } -> Printf.sprintf "linear:%g:%g" base per_word
@@ -97,9 +88,3 @@ let of_string s =
               jitter:MEAN:MODEL)" s)
   in
   parse (String.trim s)
-
-let rec name = function
-  | Constant _ -> "constant"
-  | Linear _ -> "linear"
-  | Logp _ -> "logp"
-  | Jittered { model; _ } -> name model ^ "+jitter"

@@ -44,8 +44,3 @@ val of_string : string -> (t, string) result
     ["linear:BASE:PER_WORD"], ["logp:L:O:G"] or ["jitter:MEAN:MODEL"]
     (recursively). All numbers are non-negative microseconds (per word
     for gaps). *)
-
-val pp : Format.formatter -> t -> unit
-
-val name : t -> string
-(** Short label for bench tables, e.g. ["logp"]. *)

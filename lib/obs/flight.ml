@@ -2,8 +2,9 @@
    of the most recent events, O(1) append, reset in place when the
    explorer starts a new run in the same arena. *)
 
+let capacity = 256
+
 type t = {
-  capacity : int;
   slots : Probe.event array; (* only indices < min total capacity are live *)
   mutable total : int; (* events accepted since the last reset *)
   mutable head : int; (* next slot to write; always total mod capacity *)
@@ -11,14 +12,6 @@ type t = {
 
 (* Any event works as the fill value; slots past [total] are never read. *)
 let filler = Probe.Run_begin { run = -1 }
-
-let create ?(capacity = 256) () =
-  if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  { capacity; slots = Array.make capacity filler; total = 0; head = 0 }
-
-let total t = t.total
-let length t = min t.total t.capacity
-let dropped t = t.total - length t
 
 let reset t =
   t.total <- 0;
@@ -32,7 +25,7 @@ let record t = function
   | ev ->
       t.slots.(t.head) <- ev;
       let head = t.head + 1 in
-      t.head <- (if head = t.capacity then 0 else head);
+      t.head <- (if head = capacity then 0 else head);
       t.total <- t.total + 1
 
 (* The sink is arena-reset-aware: the explorer emits [Run_begin] at the
@@ -47,21 +40,12 @@ let sink t ev =
   | Probe.Run_end _ -> ()
   | ev -> record t ev
 
-let attach ?capacity bus =
-  let t = create ?capacity () in
+let attach bus =
+  let t = { slots = Array.make capacity filler; total = 0; head = 0 } in
   Probe.attach bus (sink t);
   t
 
-let iter t ~f =
-  let n = length t in
+let events t =
+  let n = min t.total capacity in
   let first = t.total - n in
-  for i = 0 to n - 1 do
-    f ~seq:(first + i) t.slots.((first + i) mod t.capacity)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t ~f:(fun ~seq ev -> acc := (seq, ev) :: !acc);
-  List.rev !acc
-
-let events t = List.map snd (to_list t)
+  List.init n (fun i -> t.slots.((first + i) mod capacity))

@@ -1,5 +1,5 @@
 (** A bounded per-run flight recorder: an ordinary probe sink that
-    retains the last K events in a fixed-capacity ring.
+    retains the last 256 events in a fixed-capacity ring.
 
     Appends are O(1) and allocation-free (one array store + counter
     bump); once full, the oldest event is overwritten. The sink is
@@ -16,34 +16,12 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A detached recorder. [capacity] defaults to 256 and must be ≥ 1.
-    The ring never records [engine.step] events: that per-event
-    firehose has no explanatory value, and dropping it lets the window
-    cover meaningful traffic and keeps the attach cost inside the ≤ 3%
-    probe-overhead gate. *)
-
-val attach : ?capacity:int -> Probe.t -> t
-(** [create] + [Probe.attach] in one step. *)
-
-val sink : t -> Probe.event -> unit
-(** The raw sink, for attaching by hand (e.g. next to a timeline). *)
-
-val record : t -> Probe.event -> unit
-(** Append one event ([engine.step] excepted), without the [sink]'s
-    run-begin reset handling. *)
-
-val length : t -> int
-(** Events currently retained: [min total capacity]. *)
-
-val total : t -> int
-(** Events recorded ([engine.step] excepted) since the last reset. *)
-
-val dropped : t -> int
-(** Accepted events that have already been overwritten. *)
-
-val to_list : t -> (int * Probe.event) list
-(** [(seq, event)] pairs, oldest first. *)
+val attach : Probe.t -> t
+(** A recorder of the last 256 events, subscribed to the bus. The ring
+    never records [engine.step] events: that per-event firehose has no
+    explanatory value, and dropping it lets the window cover meaningful
+    traffic and keeps the attach cost inside the ≤ 3% probe-overhead
+    gate. *)
 
 val events : t -> Probe.event list
 (** The retained window, oldest first. *)

@@ -7,6 +7,8 @@
    read-only with respect to the simulation — it only mutates the
    registry it was attached with. *)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   registry : Metrics.t;
   (* cached handles: one per probe point, resolved once *)
@@ -46,9 +48,10 @@ type t = {
   op_latency : Metrics.histogram;
   run_events : Metrics.histogram;
   lock_wait : Metrics.histogram;
-  (* (pid, op) -> begin time, for op latency; (pid) -> lock request time *)
-  inflight : (int * int, float) Hashtbl.t;
-  lock_pending : (int, float) Hashtbl.t;
+  (* op -> begin time, for op latency (an op id is unique per machine:
+     [Machine.fresh_op] is one counter); pid -> lock request time *)
+  inflight : float Int_tbl.t;
+  lock_pending : float Int_tbl.t;
 }
 
 let create registry =
@@ -91,8 +94,8 @@ let create registry =
     op_latency = h "rdma.op_latency_us";
     run_events = h "explore.run_events";
     lock_wait = h "rdma.lock_wait_us";
-    inflight = Hashtbl.create 32;
-    lock_pending = Hashtbl.create 8;
+    inflight = Int_tbl.create 32;
+    lock_pending = Int_tbl.create 8;
   }
 
 let us f = int_of_float (Float.round f)
@@ -116,23 +119,23 @@ let sink t (ev : Probe.event) =
   | Net_reorder _ -> Metrics.incr t.net_reorder
   | Op_begin { time; pid; op; kind; _ } ->
       Metrics.incr t.op_begin;
-      Hashtbl.replace t.inflight (pid, op) time;
-      if String.equal kind "lock" then Hashtbl.replace t.lock_pending pid time
-  | Op_end { time; pid; op; _ } -> (
+      Int_tbl.replace t.inflight op time;
+      if String.equal kind "lock" then Int_tbl.replace t.lock_pending pid time
+  | Op_end { time; op; _ } -> (
       Metrics.incr t.op_end;
-      match Hashtbl.find_opt t.inflight (pid, op) with
+      match Int_tbl.find_opt t.inflight op with
       | None -> ()
       | Some t0 ->
-          Hashtbl.remove t.inflight (pid, op);
+          Int_tbl.remove t.inflight op;
           Metrics.observe t.op_latency (us (time -. t0)))
   | Msg_sent _ -> Metrics.incr t.msg_sent
   | Msg_delivered _ -> Metrics.incr t.msg_delivered
   | Lock_acquired { time; pid; _ } -> (
       Metrics.incr t.lock_acquired;
-      match Hashtbl.find_opt t.lock_pending pid with
+      match Int_tbl.find_opt t.lock_pending pid with
       | None -> ()
       | Some t0 ->
-          Hashtbl.remove t.lock_pending pid;
+          Int_tbl.remove t.lock_pending pid;
           Metrics.observe t.lock_wait (us (time -. t0)))
   | Lock_released _ -> Metrics.incr t.lock_released
   | Retransmit _ -> Metrics.incr t.retransmit
@@ -147,8 +150,8 @@ let sink t (ev : Probe.event) =
   | Race_signal _ -> Metrics.incr t.race_signal
   | Clock_merge _ -> Metrics.incr t.clock_merge
   | Run_begin _ ->
-      Hashtbl.reset t.inflight;
-      Hashtbl.reset t.lock_pending
+      Int_tbl.reset t.inflight;
+      Int_tbl.reset t.lock_pending
   | Run_end { events; _ } ->
       Metrics.incr t.runs;
       Metrics.observe t.run_events events

@@ -7,12 +7,11 @@
    hence commutative and associative — the parallel explorer merges its
    per-domain registries in whatever order workers finish. *)
 
-type counter = { c_name : string; mutable n : int }
+type counter = { mutable n : int }
 
 let buckets = 63 (* bucket i counts values v with bit_length v = i *)
 
 type histogram = {
-  h_name : string;
   mutable count : int;
   mutable sum : int;
   mutable min : int;
@@ -32,7 +31,7 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; n = 0 } in
+      let c = { n = 0 } in
       Hashtbl.add t.counters name c;
       c
 
@@ -42,7 +41,6 @@ let histogram t name =
   | None ->
       let h =
         {
-          h_name = name;
           count = 0;
           sum = 0;
           min = max_int;
@@ -60,8 +58,6 @@ let add c k =
   c.n <- c.n + k
 
 let value c = c.n
-
-let counter_name c = c.c_name
 
 (* bucket of v: 0 for v <= 0, otherwise the bit length of v, so bucket i
    (i >= 1) holds values in [2^(i-1), 2^i). *)

@@ -27,7 +27,6 @@ val add : counter -> int -> unit
 (** Raises [Invalid_argument] on a negative increment. *)
 
 val value : counter -> int
-val counter_name : counter -> string
 
 (** {1 Histograms}
 

@@ -87,10 +87,6 @@ let attach t sink =
   t.sinks <- Array.append t.sinks [| sink |];
   t.on <- true
 
-let detach_all t =
-  t.sinks <- [||];
-  t.on <- false
-
 let emit t ev =
   let sinks = t.sinks in
   for i = 0 to Array.length sinks - 1 do

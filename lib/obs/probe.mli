@@ -138,7 +138,7 @@ type t = {
   mutable on : bool;
       (** [true] iff at least one sink is attached. Read this field
           directly in hot paths (single load + branch); treat it as
-          read-only — it is maintained by {!attach} / {!detach_all}. *)
+          read-only — it is maintained by {!attach}. *)
   mutable sinks : (event -> unit) array;
 }
 
@@ -147,9 +147,6 @@ val create : unit -> t
 
 val attach : t -> (event -> unit) -> unit
 (** Subscribe a sink (sinks run in attach order). Sets [on]. *)
-
-val detach_all : t -> unit
-(** Remove every sink and clear [on]. *)
 
 val emit : t -> event -> unit
 (** Deliver [event] to every sink. Callers are expected to guard with

@@ -111,8 +111,6 @@ let barrier t p =
   | Some d -> Detector.on_barrier d ~pid ~phase:`Exit ~generation ~time:(time ())
   | None -> ()
 
-let generation t ~pid = t.gen_of_pid.(pid)
-
 let staged t p v =
   let pid = Machine.pid p in
   Dsm_memory.Node_memory.write

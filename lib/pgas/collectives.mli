@@ -32,9 +32,6 @@ val barrier : t -> Dsm_rdma.Machine.proc -> unit
 (** Blocks until every process has entered the same barrier generation.
     Every process must call barriers the same number of times (SPMD). *)
 
-val generation : t -> pid:int -> int
-(** Barrier generations completed by [pid] so far. *)
-
 val reduce_gather :
   t -> Dsm_rdma.Machine.proc -> root:int -> value:int -> int option
 (** Conventional sum reduction: every process pushes its contribution into

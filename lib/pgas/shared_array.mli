@@ -25,11 +25,10 @@ val create :
 
 val length : t -> int
 
-val owner : t -> int -> int
-(** Affinity of element [i]. Raises [Invalid_argument] out of bounds. *)
-
 val region_of : t -> int -> Dsm_memory.Addr.region
-(** The element's public region: the resolved global address. *)
+(** The element's public region: the resolved global address; its
+    [pid] is the element's affinity. Raises [Invalid_argument] out of
+    bounds. *)
 
 val read : t -> Dsm_rdma.Machine.proc -> int -> int
 (** [read a p i] fetches element [i] with a one-sided get (checked under a

@@ -17,7 +17,6 @@ type t = {
   mutable violations : violation list;
   mutable rmw_violations : string list; (* newest first *)
   mutable checked : int;
-  mutable adopted : int;
 }
 
 let key t ~node ~offset = (offset * t.nodes) + node
@@ -41,9 +40,7 @@ let violate t ~time ~node ~offset ~origin ~expected observed =
 let check t ~time ~node ~offset ~origin observed =
   t.checked <- t.checked + 1;
   match Int_tbl.find t.shadow (key t ~node ~offset) with
-  | exception Not_found ->
-      t.adopted <- t.adopted + 1;
-      record t ~node ~offset observed
+  | exception Not_found -> record t ~node ~offset observed
   | expected ->
       if expected <> observed then
         violate t ~time ~node ~offset ~origin ~expected observed
@@ -60,7 +57,7 @@ let rmw_violate t fmt =
 let rmw_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
   t.checked <- t.checked + 1;
   (match Int_tbl.find t.shadow (key t ~node ~offset) with
-  | exception Not_found -> t.adopted <- t.adopted + 1
+  | exception Not_found -> ()
   | expected ->
       if expected <> old then begin
         violate t ~time ~node ~offset ~origin ~expected old;
@@ -85,7 +82,6 @@ let attach m =
       violations = [];
       rmw_violations = [];
       checked = 0;
-      adopted = 0;
     }
   in
   Machine.add_observer m (function
@@ -127,8 +123,6 @@ let expected t ~node ~offset =
   | exception Not_found -> None
 
 let checked_words t = t.checked
-
-let adopted_words t = t.adopted
 
 let is_clean t = t.violations = []
 

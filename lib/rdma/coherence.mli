@@ -69,9 +69,6 @@ val expected : t -> node:int -> offset:int -> int option
 val checked_words : t -> int
 (** Words of read data compared so far, an RMW's old value included. *)
 
-val adopted_words : t -> int
-(** Words first seen through a read (initialized out-of-band). *)
-
 val is_clean : t -> bool
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -620,9 +620,9 @@ let spawn m ~pid ?name body =
   Engine.spawn m.sim ~name ~label:(Label.v ~node:pid ~origin:pid) (fun () ->
       body p)
 
-let spawn_all m ?name body =
+let spawn_all m body =
   for pid = 0 to n m - 1 do
-    spawn m ~pid ?name body
+    spawn m ~pid body
   done
 
 let pid p = p.p
@@ -630,7 +630,7 @@ let pid p = p.p
 let compute p dt =
   Engine.sleep ~label:(Label.v ~node:p.p ~origin:p.p) p.m.sim dt
 
-let run ?max_events m = Engine.run ?max_events m.sim
+let run m = Engine.run m.sim
 
 (* ---------- allocation ---------- *)
 

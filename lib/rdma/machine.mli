@@ -175,7 +175,7 @@ val spawn : t -> pid:int -> ?name:string -> (proc -> unit) -> unit
     Several programs may share a pid only in tests; normal setups spawn
     one per node. *)
 
-val spawn_all : t -> ?name:string -> (proc -> unit) -> unit
+val spawn_all : t -> (proc -> unit) -> unit
 (** SPMD helper: spawn the same program on every node. *)
 
 val proc : t -> pid:int -> proc
@@ -186,8 +186,8 @@ val pid : proc -> int
 val compute : proc -> float -> unit
 (** Model [dt] microseconds of local computation. *)
 
-val run : ?max_events:int -> t -> Dsm_sim.Engine.outcome
-(** Convenience: run the underlying engine. *)
+val run : t -> Dsm_sim.Engine.outcome
+(** Convenience: run the underlying engine to its end. *)
 
 (** {1 Allocation} *)
 

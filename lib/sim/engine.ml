@@ -16,7 +16,6 @@ type t = {
   mutable seq : int;
   mutable events : int;
   mutable live : int;
-  mutable stopping : bool;
   mutable failed : (string * exn) option;
       (* first process failure inside the current event; raised as
          Process_failure by the run loop once the event action has
@@ -51,7 +50,6 @@ let create ?(seed = 0x5eed) () =
     seq = 0;
     events = 0;
     live = 0;
-    stopping = false;
     failed = None;
     chooser = None;
     choice_view = None;
@@ -135,7 +133,6 @@ let reset ?(seed = 0x5eed) sim =
   sim.seq <- 0;
   sim.events <- 0;
   sim.live <- 0;
-  sim.stopping <- false;
   sim.failed <- None;
   sim.chooser <- None;
   sim.choice_view <- None;
@@ -222,10 +219,9 @@ let start_process sim name body =
   in
   match_with body () handler
 
-let spawn sim ?at ?(name = "process") ?(label = Label.unknown) body =
-  let at = match at with None -> sim.now | Some t -> t in
+let spawn sim ?(name = "process") ?(label = Label.unknown) body =
   sim.live <- sim.live + 1;
-  schedule_at sim ~at ~label (fun () -> start_process sim name body)
+  schedule_at sim ~at:sim.now ~label (fun () -> start_process sim name body)
 
 let await _sim register = Effect.perform (Await register)
 
@@ -239,8 +235,6 @@ type outcome =
   | Time_limit_reached
   | Event_limit_reached
   | Stopped
-
-let stop sim = sim.stopping <- true
 
 let set_chooser sim f = sim.chooser <- f
 
@@ -288,10 +282,8 @@ let pop_chosen sim choose time =
    the rest of the heap is exactly [(time, seq)] order. The clock moves
    only when the FIFO is empty, so the FIFO never holds an earlier
    instant. *)
-let run ?until ?max_events sim =
-  sim.stopping <- false;
+let run ?max_events sim =
   let budget = match max_events with None -> max_int | Some m -> m in
-  let horizon = match until with None -> infinity | Some h -> h in
   let check_failed () =
     match sim.failed with
     | Some (name, e) ->
@@ -299,9 +291,9 @@ let run ?until ?max_events sim =
         raise (Process_failure (name, e))
     | None -> ()
   in
-  (* Completed/Blocked are the true quiescent ends of a run; budget and
-     horizon stops are checkpoints (the explorer steps runs in fixed
-     event strides), so only the former are worth a probe event. *)
+  (* Completed/Blocked are the true quiescent ends of a run; budget
+     stops are checkpoints (the explorer steps runs in fixed event
+     strides), so only the former are worth a probe event. *)
   let quiescence outcome name =
     if sim.probe.on then
       Dsm_obs.Probe.emit sim.probe
@@ -309,38 +301,30 @@ let run ?until ?max_events sim =
            { time = sim.now; events = sim.events; outcome = name });
     outcome
   in
-  (* The next event's time is read before anything is popped, so an
-     event past the horizon stays queued for a later [run]. With no
-     chooser the pop is exactly (time, seq) order, the deterministic
-     production path. A FIFO event fires at [now] and reads no time
-     from the heap. *)
+  (* With no chooser the pop is exactly (time, seq) order, the
+     deterministic production path. A FIFO event fires at [now] and
+     reads no time from the heap. *)
   let rec loop () =
-    if sim.stopping then Stopped
-    else if sim.events >= budget then Event_limit_reached
+    if sim.events >= budget then Event_limit_reached
     else if sim.fifo.len > 0 then
-      if sim.now > horizon then Time_limit_reached
-      else
-        fire sim.now
-          (match sim.chooser with
-          | None ->
-              if Heap.min_at sim.heap sim.now then Heap.pop_min sim.heap
-              else fifo_take sim.fifo
-          | Some choose -> pop_chosen sim choose sim.now)
+      fire sim.now
+        (match sim.chooser with
+        | None ->
+            if Heap.min_at sim.heap sim.now then Heap.pop_min sim.heap
+            else fifo_take sim.fifo
+        | Some choose -> pop_chosen sim choose sim.now)
     else if Heap.is_empty sim.heap then
       if sim.live > 0 then quiescence (Blocked sim.live) "blocked"
       else quiescence Completed "completed"
     else
       let time = Heap.min_time sim.heap in
-      if time > horizon then Time_limit_reached
-      else begin
-        let action =
-          match sim.chooser with
-          | None -> Heap.pop_min sim.heap
-          | Some choose -> pop_chosen sim choose time
-        in
-        sim.now <- time;
-        fire time action
-      end
+      let action =
+        match sim.chooser with
+        | None -> Heap.pop_min sim.heap
+        | Some choose -> pop_chosen sim choose time
+      in
+      sim.now <- time;
+      fire time action
   and fire time action =
     sim.events <- sim.events + 1;
     if sim.probe.on then Dsm_obs.Probe.emit sim.probe (Engine_step { time });
@@ -351,5 +335,3 @@ let run ?until ?max_events sim =
   loop ()
 
 let events_processed sim = sim.events
-
-let live_processes sim = sim.live

@@ -58,10 +58,10 @@ val schedule_at : t -> at:float -> label:Label.t -> (unit -> unit) -> unit
     when there is none) so the per-frame callers allocate no option box.
     Raises [Invalid_argument] when [at < now]. *)
 
-val spawn :
-  t -> ?at:float -> ?name:string -> ?label:Label.t -> (unit -> unit) -> unit
-(** [spawn sim ~name body] creates a process whose [body] starts at time
-    [at] (default: now). The body may use {!await} and {!sleep}.
+val spawn : t -> ?name:string -> ?label:Label.t -> (unit -> unit) -> unit
+(** [spawn sim ~name body] creates a process whose [body] starts now,
+    later in the current instant. The body may use {!await} and
+    {!sleep}.
     An exception escaping [body] aborts the simulation with
     {!Process_failure}. *)
 
@@ -83,14 +83,17 @@ type outcome =
   | Completed                 (** no event left, every process finished *)
   | Blocked of int            (** no event left, [k] processes suspended
                                   forever — e.g. a lock deadlock *)
-  | Time_limit_reached        (** stopped at the [until] horizon; the
-                                  first event past it stays queued, so a
-                                  later {!run} resumes with it *)
+  | Time_limit_reached        (** never produced: {!run} has no time
+                                  horizon. Kept for matches outside
+                                  [lib/] that still name it. *)
   | Event_limit_reached       (** stopped after [max_events] events *)
-  | Stopped                   (** {!stop} was called *)
+  | Stopped                   (** never produced: the engine has no
+                                  stop request. Kept for matches outside
+                                  [lib/] that still name it. *)
 
-val run : ?until:float -> ?max_events:int -> t -> outcome
-(** Executes events in order until one of the stop conditions holds.
+val run : ?max_events:int -> t -> outcome
+(** Executes events in order until no event is left or [max_events]
+    events have fired.
 
     A process body that raises surfaces as {!Process_failure} — raised by
     the run loop {e after} the current event action has finished, so
@@ -116,10 +119,4 @@ val set_choice_view : t -> ((int * Label.t) array -> unit) option -> unit
     {!reset} and ignored on the production path. The footprint feed of
     the [dsm_explore] DPOR layer. *)
 
-val stop : t -> unit
-(** Makes the current {!run} return {!Stopped} after the current event. *)
-
 val events_processed : t -> int
-
-val live_processes : t -> int
-(** Processes spawned and not yet finished (running or suspended). *)

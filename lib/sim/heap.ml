@@ -30,8 +30,6 @@ let create ~dummy =
     dummy;
   }
 
-let length h = h.size
-
 let is_empty h = h.size = 0
 
 (* Called only when every slot is taken, so the free stack is empty and

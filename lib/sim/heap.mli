@@ -17,8 +17,6 @@ val create : dummy:'a -> 'a t
 (** An empty heap. [dummy] fills the slots no entry occupies: a popped
     or cleared value is not kept reachable by the heap. *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> time:float -> seq:int -> label:Label.t -> 'a -> unit

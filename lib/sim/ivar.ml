@@ -13,8 +13,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty }
 
-let peek iv = match iv.state with Filled v -> Some v | _ -> None
-
 let fill ~label sim iv v =
   match iv.state with
   | Filled _ -> failwith "Ivar.fill: already filled"
@@ -41,9 +39,3 @@ let rec read sim iv =
           | Waiting_many waiters ->
               iv.state <- Waiting_many (resume :: waiters));
       read sim iv
-
-let waiters iv =
-  match iv.state with
-  | Empty | Filled _ -> 0
-  | Waiting _ -> 1
-  | Waiting_many ws -> List.length ws

@@ -9,9 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val peek : 'a t -> 'a option
-(** The value, if already filled; never blocks. *)
-
 val fill : label:Label.t -> Engine.t -> 'a t -> 'a -> unit
 (** [fill ~label sim iv v] sets the value and schedules every waiter's
     resumption at the current instant; [label] is the footprint attached
@@ -21,6 +18,3 @@ val fill : label:Label.t -> Engine.t -> 'a t -> 'a -> unit
 val read : Engine.t -> 'a t -> 'a
 (** [read sim iv] returns the value, suspending the calling process until
     {!fill} if necessary. *)
-
-val waiters : 'a t -> int
-(** Number of processes currently suspended on this ivar. *)

@@ -26,9 +26,6 @@ val resplit : t -> into:t -> unit
     step. Lets a component reuse its generator object across resets while
     reproducing the fresh-construction stream bit-identically. *)
 
-val next_int64 : t -> int64
-(** Uniform over all 2^64 bit patterns. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     when [bound <= 0]. *)

@@ -24,7 +24,6 @@ type t = {
   waiting : (int * int, unit Ivar.t) Hashtbl.t; (* (pid, page) *)
   mutable read_faults : int;
   mutable write_faults : int;
-  mutable invalidations : int;
 }
 
 let fault_tag = "svm.fault"
@@ -68,7 +67,6 @@ let rec start_next t page =
         else
           List.iter
             (fun node ->
-              t.invalidations <- t.invalidations + 1;
               Machine.control_notify t.machine ~src:manager ~dst:node
                 ~tag:inv_tag
                 ~words:[| page; f.f_requestor; 1 |])
@@ -131,7 +129,6 @@ let create machine ?(page_words = 64) ~num_pages () =
       waiting = Hashtbl.create 16;
       read_faults = 0;
       write_faults = 0;
-      invalidations = 0;
     }
   in
   let sim = Machine.sim machine in
@@ -202,14 +199,9 @@ let create machine ?(page_words = 64) ~num_pages () =
       None);
   t
 
-let page_words t = t.page_words
-
-let num_pages t = t.num_pages
-
-let words t = t.num_pages * t.page_words
-
 let check_addr t addr =
-  if addr < 0 || addr >= words t then invalid_arg "Svm: address out of range"
+  if addr < 0 || addr >= t.num_pages * t.page_words then
+    invalid_arg "Svm: address out of range"
 
 let fault t p ~page ~write =
   let pid = Machine.pid p in
@@ -243,13 +235,6 @@ let store t p ~addr v =
   words.(addr mod t.page_words) <- v;
   frame_write t ~node:pid ~page words
 
-let peek t ~addr =
-  check_addr t addr;
-  let page = addr / t.page_words in
-  (frame_data t ~node:(t.owner.(page)) ~page).(addr mod t.page_words)
-
 let read_faults t = t.read_faults
 
 let write_faults t = t.write_faults
-
-let invalidations t = t.invalidations

@@ -29,13 +29,6 @@ val create :
     owned by node [p mod n]. Default page size: 64 words. At most one
     SVM instance per machine. *)
 
-val page_words : t -> int
-
-val num_pages : t -> int
-
-val words : t -> int
-(** Total global words: [num_pages * page_words]. *)
-
 val load : t -> Dsm_rdma.Machine.proc -> addr:int -> int
 (** [load t p ~addr] reads global word [addr], faulting the page in if
     needed. Raises [Invalid_argument] when out of range. *)
@@ -44,14 +37,8 @@ val store : t -> Dsm_rdma.Machine.proc -> addr:int -> int -> unit
 (** [store t p ~addr v] writes global word [addr], acquiring page
     ownership (and invalidating all other copies) if needed. *)
 
-val peek : t -> addr:int -> int
-(** Meta-level: the owner's current copy of the word (for validation). *)
-
 (** {1 Protocol counters} *)
 
 val read_faults : t -> int
 
 val write_faults : t -> int
-
-val invalidations : t -> int
-(** Copies invalidated by write faults. *)

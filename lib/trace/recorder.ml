@@ -49,7 +49,7 @@ let ids_on tbl keys =
     (fun k -> match Hashtbl.find_opt tbl k with None -> [] | Some ids -> ids)
     keys
 
-let access t ~time ~pid ~kind ~target ?(label = "") () =
+let access t ~time ~pid ~kind ~target =
   let id = t.count in
   let keys = word_keys target in
   let preds =
@@ -61,7 +61,7 @@ let access t ~time ~pid ~kind ~target ?(label = "") () =
         dedup_sorted (ids_on t.writers keys @ ids_on t.rmw_syncs keys)
     | Event.Write -> []
   in
-  push t (Event.Access { id; time; pid; kind; target; label }) preds;
+  push t (Event.Access { id; time; pid; kind; target; label = "" }) preds;
   if kind = Event.Write || kind = Event.Atomic_update then
     List.iter
       (fun k ->

@@ -31,10 +31,8 @@ val access :
   pid:int ->
   kind:Event.kind ->
   target:Dsm_memory.Addr.region ->
-  ?label:string ->
-  unit ->
   int
-(** Records one access and returns its event id. A [Read] or
+(** Records one access and returns its event id; its [label] is empty. A [Read] or
     [Atomic_update] picks up reads-from edges to the writers of every
     word it covers and to every {!rmw_sync} recorded on those words; a
     [Write] or [Atomic_update] becomes a writer of its words. *)

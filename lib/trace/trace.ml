@@ -1,7 +1,4 @@
-open Dsm_clocks
-
 type t = {
-  n : int;
   events : Event.t array;
   preds : int list array;
   clocks : int array array; (* HB vector clock per event *)
@@ -48,7 +45,7 @@ let build ~n ~events ~preds =
     own_seq.(i) <- seq.(p);
     last_of_pid.(p) <- i
   done;
-  { n; events; preds; clocks; own_seq; prog_pred }
+  { events; preds; clocks; own_seq; prog_pred }
 
 let length t = Array.length t.events
 
@@ -57,17 +54,10 @@ let events t = t.events
 let accesses t =
   Array.to_list t.events |> List.filter_map Event.access_opt
 
-let vector_clock t i =
-  if i < 0 || i >= length t then invalid_arg "Trace.vector_clock";
-  Vector_clock.of_array t.clocks.(i)
-
 let happens_before t a b =
   if a < 0 || a >= length t || b < 0 || b >= length t then
     invalid_arg "Trace.happens_before";
   a <> b && t.clocks.(b).(Event.pid t.events.(a)) >= t.own_seq.(a)
-
-let concurrent t a b =
-  a <> b && (not (happens_before t a b)) && not (happens_before t b a)
 
 type race_pair = { first : Event.access; second : Event.access }
 

@@ -16,7 +16,7 @@
 
     Internally each event gets a vector clock of dimension [n] computed in
     one pass (edges always point from older to newer ids, a recorder
-    invariant), so {!happens_before} is O(1) per query. *)
+    invariant), so a happens-before query is O(1). *)
 
 type t
 
@@ -26,21 +26,8 @@ val build : n:int -> events:Event.t array -> preds:int list array -> t
     of event [i], each [< i]. Raises [Invalid_argument] if an invariant is
     broken. Normally called by [Recorder.finish], not directly. *)
 
-val length : t -> int
-(** Number of events. *)
-
 val events : t -> Event.t array
 (** The events, by id. Do not mutate. *)
-
-val vector_clock : t -> int -> Dsm_clocks.Vector_clock.t
-(** The HB vector clock assigned to an event (snapshot). *)
-
-val happens_before : t -> int -> int -> bool
-(** [happens_before t a b] iff event [a] causally precedes event [b]. *)
-
-val concurrent : t -> int -> int -> bool
-(** Neither [happens_before t a b] nor [happens_before t b a], and
-    [a <> b]. *)
 
 type race_pair = { first : Event.access; second : Event.access }
 (** A ground-truth race: conflicting accesses, [first.id < second.id],

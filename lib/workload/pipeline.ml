@@ -10,18 +10,7 @@ type params = {
 
 let default = { batches = 3; batch_words = 4; poll_interval = 2.0; seed = 1 }
 
-let checksum_name = "pipe.checksum"
-
 let batch_value params b i = (100 * (b + 1)) + i + params.seed
-
-let expected_checksum params =
-  let sum = ref 0 in
-  for b = 0 to params.batches - 1 do
-    for i = 0 to params.batch_words - 1 do
-      sum := !sum + batch_value params b i
-    done
-  done;
-  !sum
 
 let setup env params =
   if params.batches < 1 || params.batch_words < 1 then
@@ -37,7 +26,7 @@ let setup env params =
   let flag = Machine.alloc_public m ~pid:1 ~name:"pipe.flag" ~len:1 () in
   Env.register env flag;
   let checksum =
-    Machine.alloc_public m ~pid:1 ~name:checksum_name ~len:1 ()
+    Machine.alloc_public m ~pid:1 ~name:"pipe.checksum" ~len:1 ()
   in
   Env.register env checksum;
   (* Producer: fill the batch, then raise the flag. *)
@@ -83,17 +72,3 @@ let setup env params =
       let stage = Machine.alloc_private m ~pid:1 ~len:1 () in
       Dsm_memory.Node_memory.write (Machine.node m 1) stage [| !sum |];
       Env.put env p ~src:stage ~dst:checksum)
-
-let consumed_checksum env =
-  let m = Env.machine env in
-  let node = Machine.node m 1 in
-  match
-    Dsm_memory.Allocator.lookup
-      (Dsm_memory.Node_memory.allocator node Dsm_memory.Addr.Public)
-      checksum_name
-  with
-  | None -> failwith "Pipeline.consumed_checksum: workload was not set up"
-  | Some (offset, len) ->
-      (Dsm_memory.Node_memory.read node
-         (Dsm_memory.Addr.region ~pid:1 ~space:Dsm_memory.Addr.Public ~offset
-            ~len)).(0)

@@ -24,10 +24,6 @@ val default : params
 
 val setup : Dsm_pgas.Env.t -> params -> unit
 (** Node 0 produces, node 1 consumes (needs exactly >= 2 nodes; others
-    idle). The caller runs the machine. *)
-
-val consumed_checksum : Dsm_pgas.Env.t -> int
-(** After the run: checksum of everything the consumer read — must equal
-    {!expected_checksum} when the hand-off worked. *)
-
-val expected_checksum : params -> int
+    idle). The caller runs the machine. Word [i] of batch [b] (both from
+    0) carries [100 (b + 1) + i + seed]; at the end the consumer puts
+    the sum of every word it read into node 1's ["pipe.checksum"]. *)

@@ -12,7 +12,6 @@ type t = {
   mutable now : float;
   mutable seq : int;
   mutable events : int;
-  mutable stopping : bool;
   mutable chooser : (int -> int) option;
   mutable choice_view : ((int * Label.t) array -> unit) option;
   heap : (unit -> unit) Heap_ref.t;
@@ -23,7 +22,6 @@ let create () =
     now = 0.;
     seq = 0;
     events = 0;
-    stopping = false;
     chooser = None;
     choice_view = None;
     heap = Heap_ref.create ~dummy:ignore;
@@ -33,7 +31,6 @@ let reset sim =
   sim.now <- 0.;
   sim.seq <- 0;
   sim.events <- 0;
-  sim.stopping <- false;
   sim.chooser <- None;
   sim.choice_view <- None;
   Heap_ref.clear sim.heap
@@ -45,8 +42,6 @@ let schedule_at sim ~at ~label f =
   let seq = sim.seq in
   sim.seq <- seq + 1;
   Heap_ref.add sim.heap ~time:at ~seq ~label f
-
-let stop sim = sim.stopping <- true
 
 let set_chooser sim f = sim.chooser <- f
 
@@ -70,27 +65,21 @@ let pop_chosen sim choose =
 
 (* No process is ever spawned on the reference, so a drained heap is
    always [Completed]. *)
-let run ?until ?max_events sim : Engine.outcome =
-  sim.stopping <- false;
+let run ?max_events sim : Engine.outcome =
   let budget = match max_events with None -> max_int | Some m -> m in
-  let horizon = match until with None -> infinity | Some h -> h in
   let rec loop () : Engine.outcome =
-    if sim.stopping then Stopped
-    else if sim.events >= budget then Event_limit_reached
+    if sim.events >= budget then Event_limit_reached
     else if Heap_ref.is_empty sim.heap then Completed
     else
       let time = sim.heap.data.(0).time in
-      if time > horizon then Time_limit_reached
-      else begin
-        let action =
-          match sim.chooser with
-          | None -> pop_value (Heap_ref.pop sim.heap)
-          | Some choose -> pop_chosen sim choose
-        in
-        sim.now <- time;
-        sim.events <- sim.events + 1;
-        action ();
-        loop ()
-      end
+      let action =
+        match sim.chooser with
+        | None -> pop_value (Heap_ref.pop sim.heap)
+        | Some choose -> pop_chosen sim choose
+      in
+      sim.now <- time;
+      sim.events <- sim.events + 1;
+      action ();
+      loop ()
   in
   loop ()

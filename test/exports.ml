@@ -2,10 +2,11 @@
    file outside its own module uses, one per line, tagged [dead] (no
    other file uses it) or [test-only] (only files under test/ do).
    It also lists every optional parameter [?label] of a [val] that no
-   file outside test/ and outside the declaring module passes (as
-   [~label] or [?label]) in a file that uses the value, tagged
+   file outside test/ and outside the declaring module passes, tagged
    [dead-option] (no such file passes it) or [test-only-option] (only
-   files under test/ do): a knob that only tests turn.
+   files under test/ do): a knob that only tests turn. A label counts
+   as passed only where [~label] or [?label] is an argument of an
+   application of the value itself, not of a function nested in it.
    Files are read from lib/, bin/, bench/, examples/ and test/ under
    ROOT; comments, string and character literals are skipped. A use
    counts only where the module is named: [M.name], [Q.name] for an
@@ -16,7 +17,8 @@
    shares a value's name keeps the value alive: confirm a removal with
    [dune build], not with this list alone.
 
-   Usage: exports.exe ROOT *)
+   Usage: exports.exe ROOT. Exits 1 when it lists anything, 0 when every
+   value and option has a user outside test/. *)
 
 let is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
@@ -117,19 +119,6 @@ let declared toks =
   in
   go [] None [] toks
 
-(* Every label a source passes or declares as [~label] or [?label]. *)
-let passed toks =
-  let labels = Hashtbl.create 64 in
-  let rec go = function
-    | ("~" | "?") :: label :: rest when is_value_name label ->
-        Hashtbl.replace labels label ();
-        go rest
-    | _ :: rest -> go rest
-    | [] -> ()
-  in
-  go toks;
-  labels
-
 let is_module_name s = match s.[0] with 'A' .. 'Z' -> true | _ -> false
 
 (* The last component of the module path [A . B . M] that starts
@@ -142,16 +131,45 @@ let rec path_end = function
   | m :: _ when is_module_name m -> Some m
   | _ -> None
 
-(* What a source names through modules: [qualified] holds [(M, name)]
-   for each [M.name] (an alias resolved to the module it names),
-   [opened] every module the file opens, includes or opens locally,
-   [included] the modules it includes (and so re-exports), and [bare]
-   every unqualified value name. *)
+(* Tokens that end an application when they stand outside its
+   brackets: infix operators, separators and keywords. *)
+let ends_application = function
+  | ";" | "," | "|" | "&" | "=" | "<" | ">" | "@" | "^" | "+" | "-" | "*"
+  | "/" | "$" | "%" | "in" | "let" | "then" | "else" | "with" | "and" | "do"
+  | "done" | "to" | "downto" | "match" | "if" | "fun" | "function" | "when"
+  | "val" | "type" | "module" | "open" | "include" | "or" | "mod" | "land"
+  | "lor" | "lxor" | "lsl" | "lsr" | "asr" | "try" | "external" | "exception"
+  | "struct" | "sig" | "method" | "object" ->
+      true
+  | _ -> false
+
+(* The labels [~label] and [?label] of the application whose arguments
+   start [toks]: those outside any bracket, up to the token that ends
+   the application. *)
+let applied toks =
+  let rec go depth acc = function
+    | [] -> acc
+    | ("(" | "[" | "{" | "begin") :: rest -> go (depth + 1) acc rest
+    | (")" | "]" | "}" | "end") :: rest ->
+        if depth = 0 then acc else go (depth - 1) acc rest
+    | ("~" | "?") :: label :: rest when depth = 0 && is_value_name label ->
+        go depth (label :: acc) rest
+    | tok :: _ when depth = 0 && ends_application tok -> acc
+    | _ :: rest -> go depth acc rest
+  in
+  go 0 [] toks
+
+(* What a source names through modules: [qualified] maps [(M, name)]
+   for each [M.name] (an alias resolved to the module it names) to the
+   labels passed where it is applied, [opened] holds every module the
+   file opens, includes or opens locally, [included] the modules it
+   includes (and so re-exports), and [bare] maps every unqualified
+   value name to the labels passed where it is applied. *)
 type uses = {
-  qualified : (string * string, unit) Hashtbl.t;
+  qualified : (string * string, (string, unit) Hashtbl.t) Hashtbl.t;
   opened : (string, unit) Hashtbl.t;
   mutable included : string list;
-  bare : (string, unit) Hashtbl.t;
+  bare : (string, (string, unit) Hashtbl.t) Hashtbl.t;
 }
 
 let uses toks =
@@ -179,6 +197,20 @@ let uses toks =
       bare = Hashtbl.create 256;
     }
   in
+  (* Records a use of [key] in [tbl], with the labels of [args] unless
+     the name is being defined rather than applied. *)
+  let use tbl key ~define args =
+    let labels =
+      match Hashtbl.find_opt tbl key with
+      | Some labels -> labels
+      | None ->
+          let labels = Hashtbl.create 4 in
+          Hashtbl.replace tbl key labels;
+          labels
+    in
+    if not define then
+      List.iter (fun l -> Hashtbl.replace labels l ()) (applied args)
+  in
   let rec go prev = function
     | [] -> ()
     | tok :: rest ->
@@ -191,25 +223,39 @@ let uses toks =
                 Hashtbl.replace u.opened m ();
                 if tok = "include" then u.included <- m :: u.included)
               (path_end rest)
-        | q, "." :: x :: _ when is_module_name q ->
+        | q, "." :: x :: args when is_module_name q ->
             if is_value_name x then
-              Hashtbl.replace u.qualified (resolve q, x) ()
+              use u.qualified (resolve q, x) ~define:false args
             else if x = "(" || x = "[" || x = "{" then
               Hashtbl.replace u.opened (resolve q) ()
-        | x, _ when is_value_name x && prev <> "." ->
-            Hashtbl.replace u.bare x ()
+        | x, args when is_value_name x && prev <> "." ->
+            let define =
+              match prev with
+              | "let" | "and" | "rec" | "val" | "external" | "method" | "~"
+              | "?" ->
+                  true
+              | _ -> false
+            in
+            use u.bare x ~define args
         | _ -> ());
         go tok rest
   in
   go "" toks;
   u
 
-(* Whether [u] names [name] through any module in [ms]. *)
-let names u ~ms name =
+(* Whether [u] names [name] through any module in [ms], and, given
+   [label], passes it where [name] is applied. *)
+let names ?label u ~ms name =
+  let passes tbl key =
+    match (Hashtbl.find_opt tbl key, label) with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some labels, Some label -> Hashtbl.mem labels label
+  in
   List.exists
     (fun m ->
-      Hashtbl.mem u.qualified (m, name)
-      || (Hashtbl.mem u.opened m && Hashtbl.mem u.bare name))
+      passes u.qualified (m, name)
+      || (Hashtbl.mem u.opened m && passes u.bare name))
     ms
 
 (* The .ml/.mli files under [dir], relative to [root], sorted. *)
@@ -238,7 +284,7 @@ let () =
                In_channel.input_all
              |> tokens
            in
-           (path, toks, uses toks, passed toks))
+           (path, toks, uses toks))
   in
   let is_test path = String.starts_with ~prefix:"test/" path in
   let module_of path =
@@ -248,7 +294,7 @@ let () =
   let qualifiers m =
     m
     :: List.filter_map
-         (fun (path, _, u, _) ->
+         (fun (path, _, u) ->
            if List.mem m u.included then Some (module_of path) else None)
          files
   in
@@ -257,17 +303,22 @@ let () =
   let verdict ~stem ~suffix counts =
     let users =
       List.filter
-        (fun ((path, _, _, _) as file) ->
+        (fun ((path, _, _) as file) ->
           Filename.remove_extension path <> stem && counts file)
         files
     in
     if users = [] then Some ("dead" ^ suffix)
-    else if List.for_all (fun (path, _, _, _) -> is_test path) users then
+    else if List.for_all (fun (path, _, _) -> is_test path) users then
       Some ("test-only" ^ suffix)
     else None
   in
+  let reported = ref false in
+  let report line =
+    reported := true;
+    print_endline line
+  in
   List.iter
-    (fun (path, toks, _, _) ->
+    (fun (path, toks, _) ->
       if String.starts_with ~prefix:"lib/" path
          && Filename.extension path = ".mli"
       then
@@ -276,18 +327,19 @@ let () =
         List.iter
           (fun (inner, name, options) ->
             let ms = qualifiers (List.fold_left (fun _ m -> m) modname inner) in
-            let uses_value (_, _, u, _) = names u ~ms name in
+            let uses_value (_, _, u) = names u ~ms name in
             let value = String.concat "." ((modname :: inner) @ [ name ]) in
             Option.iter
-              (Printf.printf "%s %s %s\n" path value)
+              (fun tag -> report (String.concat " " [ path; value; tag ]))
               (verdict ~stem ~suffix:"" uses_value);
             List.iter
               (fun label ->
                 Option.iter
-                  (Printf.printf "%s %s ?%s %s\n" path value label)
-                  (verdict ~stem ~suffix:"-option" (fun file ->
-                       let _, _, _, labels = file in
-                       uses_value file && Hashtbl.mem labels label)))
+                  (fun tag ->
+                    report (String.concat " " [ path; value; "?" ^ label; tag ]))
+                  (verdict ~stem ~suffix:"-option" (fun (_, _, u) ->
+                       names ~label u ~ms name)))
               options)
           (declared toks))
-    files
+    files;
+  if !reported then exit 1

@@ -24,8 +24,6 @@ let create ~dummy =
     vacant = { time = 0.; seq = 0; label = Label.unknown; value = dummy };
   }
 
-let length h = h.size
-
 let is_empty h = h.size = 0
 
 let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

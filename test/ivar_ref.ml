@@ -2,8 +2,7 @@
    preceded the single-waiter state. Waiters are consed as they register
    and reversed on fill, so they resume in registration order. The live
    [Dsm_sim.Ivar] must hand out the same values, resume its readers in
-   the same order at the same instants (same event seqs and labels), and
-   report the same [peek] and [waiters]. *)
+   the same order at the same instants (same event seqs and labels). *)
 
 open Dsm_sim
 
@@ -12,8 +11,6 @@ type 'a state = Empty of ('a -> unit) list | Filled of 'a
 type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
-
-let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 
 let fill ~label sim iv v =
   match iv.state with
@@ -32,6 +29,3 @@ let read sim iv =
           match iv.state with
           | Filled v -> resume v
           | Empty waiters -> iv.state <- Empty (resume :: waiters))
-
-let waiters iv =
-  match iv.state with Filled _ -> 0 | Empty ws -> List.length ws

@@ -6,7 +6,7 @@ open Dsm_baselines
 
 let reg ?(pid = 0) offset len = Addr.region ~pid ~space:Addr.Public ~offset ~len
 
-let acc r ~t ~pid ~kind ~target = Recorder.access r ~time:t ~pid ~kind ~target ()
+let acc r ~t ~pid ~kind ~target = Recorder.access r ~time:t ~pid ~kind ~target
 
 (* ---------- lockset ---------- *)
 

@@ -322,12 +322,6 @@ let test_report_csv_event_id () =
         (cols line))
     lines
 
-let test_report_clear () =
-  let d = scenario_5a Config.default in
-  Alcotest.(check int) "had one" 1 (races d);
-  Report.clear (Detector.report d);
-  Alcotest.(check int) "cleared" 0 (races d)
-
 (* ---------- lock order ---------- *)
 
 let deadlock_scenario () =
@@ -1690,7 +1684,6 @@ let () =
       ( "report",
         [
           Alcotest.test_case "grouping" `Quick test_report_grouping;
-          Alcotest.test_case "clear" `Quick test_report_clear;
           Alcotest.test_case "csv" `Quick test_report_csv;
           Alcotest.test_case "csv event_id" `Quick test_report_csv_event_id;
         ] );

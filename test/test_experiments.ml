@@ -18,10 +18,16 @@ let test_registry_complete () =
     (List.map (fun e -> e.Harness.id) Registry.all)
 
 let test_find () =
-  (match Registry.find "e7" with
-  | Some e -> Alcotest.(check string) "case-insensitive" "E7" e.Harness.id
-  | None -> Alcotest.fail "E7 not found");
-  Alcotest.(check bool) "unknown" true (Registry.find "E99" = None)
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  Alcotest.(check (result unit string)) "case-insensitive" (Ok ())
+    (Registry.run_only ppf "e7");
+  Format.pp_print_flush ppf ();
+  Alcotest.(check bool) "ran E7" true
+    (String.starts_with ~prefix:"\n=== E7 " (Buffer.contents buf));
+  Alcotest.(check (result unit string)) "unknown"
+    (Error "unknown experiment \"E99\"")
+    (Registry.run_only ppf "E99")
 
 let check_experiment e () =
   let out = render e in
@@ -56,7 +62,7 @@ let expected_markers =
 let test_markers () =
   List.iter
     (fun (id, marker) ->
-      match Registry.find id with
+      match List.find_opt (fun e -> e.Harness.id = id) Registry.all with
       | None -> Alcotest.failf "%s missing" id
       | Some e ->
           Alcotest.(check bool)

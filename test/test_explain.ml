@@ -16,55 +16,58 @@ let step i = Probe.Net_deliver { time = float_of_int i; src = 0; dst = 1 }
 
 (* ---------- ring semantics ---------- *)
 
-let fresh ?(capacity = 4) () = Flight.create ~capacity ()
+(* A recorder on a bus of its own, fed by hand. *)
+let recorder () =
+  let bus = Probe.create () in
+  (bus, Flight.attach bus)
 
-let test_ring_capacity_one () =
-  let f = fresh ~capacity:1 () in
-  for i = 1 to 5 do
-    Flight.record f (step i)
-  done;
-  Alcotest.(check int) "length" 1 (Flight.length f);
-  Alcotest.(check int) "total" 5 (Flight.total f);
-  Alcotest.(check int) "dropped" 4 (Flight.dropped f);
-  match Flight.events f with
-  | [ Probe.Net_deliver { time; _ } ] ->
-      Alcotest.(check (float 0.0)) "keeps only the newest" 5.0 time
-  | _ -> Alcotest.fail "unexpected event class"
+let emit_steps bus ~from ~upto =
+  for i = from to upto do
+    Probe.emit bus (step i)
+  done
+
+(* The stamps of the window's events, oldest first. *)
+let stamps f =
+  List.map
+    (function
+      | Probe.Net_deliver { time; _ } -> int_of_float time
+      | _ -> Alcotest.fail "unexpected event class")
+    (Flight.events f)
+
+let test_ring_fills_then_wraps () =
+  let bus, f = recorder () in
+  emit_steps bus ~from:1 ~upto:3;
+  Alcotest.(check (list int)) "partial window" [ 1; 2; 3 ] (stamps f);
+  emit_steps bus ~from:4 ~upto:256;
+  Alcotest.(check (list int)) "full window, nothing dropped"
+    (List.init 256 (fun i -> i + 1))
+    (stamps f);
+  emit_steps bus ~from:257 ~upto:257;
+  Alcotest.(check (list int)) "one past full drops the oldest"
+    (List.init 256 (fun i -> i + 2))
+    (stamps f)
 
 let test_ring_wraparound () =
-  let f = fresh ~capacity:4 () in
-  for i = 1 to 10 do
-    Flight.record f (step i)
-  done;
-  Alcotest.(check int) "length" 4 (Flight.length f);
-  Alcotest.(check int) "dropped" 6 (Flight.dropped f);
-  let got =
-    List.map
-      (function
-        | seq, Probe.Net_deliver { time; _ } -> (seq, int_of_float time)
-        | _ -> Alcotest.fail "unexpected event class")
-      (Flight.to_list f)
-  in
-  (* global sequence numbers survive the wrap; events oldest first *)
-  Alcotest.(check (list (pair int int)))
-    "last four, oldest first, with global seq"
-    [ (6, 7); (7, 8); (8, 9); (9, 10) ]
-    got
-
-let test_ring_capacity_zero_rejected () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Flight.create: capacity must be >= 1") (fun () ->
-      ignore (Flight.create ~capacity:0 ()))
+  let bus, f = recorder () in
+  emit_steps bus ~from:1 ~upto:1000;
+  (* 744 overwritten; the newest 256 remain, oldest first *)
+  Alcotest.(check (list int)) "last 256, oldest first"
+    (List.init 256 (fun i -> i + 745))
+    (stamps f)
 
 let test_ring_filter () =
-  let f = fresh ~capacity:8 () in
-  Flight.record f (Probe.Engine_step { time = 1.0 });
-  Flight.sink f (Probe.Engine_step { time = 2.0 });
-  Flight.record f (step 3);
-  Alcotest.(check int) "engine.step never recorded" 1 (Flight.length f);
-  Alcotest.(check int) "filtered events don't count" 1 (Flight.total f);
-  Alcotest.(check bool) "the recorded class kept" true
-    (Flight.events f = [ step 3 ])
+  let bus, f = recorder () in
+  Probe.emit bus (Probe.Engine_step { time = 1.0 });
+  Probe.emit bus (step 3);
+  Alcotest.(check bool) "engine.step never recorded" true
+    (Flight.events f = [ step 3 ]);
+  emit_steps bus ~from:4 ~upto:258;
+  for i = 1 to 10 do
+    Probe.emit bus (Probe.Engine_step { time = float_of_int i })
+  done;
+  Alcotest.(check (list int)) "filtered events don't count"
+    (List.init 256 (fun i -> i + 3))
+    (stamps f)
 
 (* The explorer emits Run_begin at the top of every run in a (possibly
    reused) arena: the window must cover exactly the current run, so two
@@ -72,17 +75,17 @@ let test_ring_filter () =
 let test_ring_resets_across_arena_runs () =
   let spec = { Explore.default_spec with seed = 3 } in
   let ctx = Explore.create_ctx spec in
-  let f = Flight.attach ~capacity:1024 (Explore.ctx_probe ctx) in
+  let f = Flight.attach (Explore.ctx_probe ctx) in
   ignore (Explore.run_once_in ctx (Explore.Walk 1));
   let first = Flight.events f in
-  let first_total = Flight.total f in
   ignore (Explore.run_once_in ctx (Explore.Walk 1));
   Alcotest.(check bool) "first run recorded something" true (first <> []);
-  Alcotest.(check int) "window covers one run, not two" first_total
-    (Flight.total f);
+  Alcotest.(check bool) "one run fits the window" true
+    (List.length first < 256);
+  Alcotest.(check int) "window covers one run, not two" (List.length first)
+    (List.length (Flight.events f));
   Alcotest.(check bool) "identical run, identical window" true
-    (Flight.events f = first);
-  Probe.detach_all (Explore.ctx_probe ctx)
+    (Flight.events f = first)
 
 (* ---------- fingerprint invariance ---------- *)
 
@@ -90,15 +93,13 @@ let test_ring_resets_across_arena_runs () =
    schedule, the fingerprint, or the race verdicts of any run. *)
 let prop_flight_fingerprint_invariance =
   QCheck.Test.make ~name:"flight recorder never changes a run" ~count:25
-    QCheck.(pair (int_bound 500) (int_bound 2))
-    (fun (walk, cap_sel) ->
+    QCheck.(int_bound 500)
+    (fun walk ->
       let spec = { Explore.default_spec with seed = 7 } in
       let plain = Explore.run_once spec (Explore.Walk walk) in
       let ctx = Explore.create_ctx spec in
-      let capacity = [| 1; 8; 512 |].(cap_sel) in
-      ignore (Flight.attach ~capacity (Explore.ctx_probe ctx));
+      ignore (Flight.attach (Explore.ctx_probe ctx));
       let recorded = Explore.run_once_in ctx (Explore.Walk walk) in
-      Probe.detach_all (Explore.ctx_probe ctx);
       plain.Explore.fingerprint = recorded.Explore.fingerprint
       && plain.Explore.decisions = recorded.Explore.decisions
       && plain.Explore.races = recorded.Explore.races)
@@ -261,7 +262,8 @@ module Message = Dsm_rdma.Message
 
 (* One racy-random program shaped like the benchmark's racy workload:
    n=8, 250 ops per process over 32 variables of 4 words, half reads,
-   a tenth atomics, constant 1 us latency, a flight recorder attached.
+   a tenth atomics, constant 1 us latency, a flight recorder attached
+   beside a sink counting the events it accepts.
    At seed 6 its 256-event window wraps, and its chains hold get,
    get-reply, atomic and lock-granted messages, and some of its sync
    edges are RMW serializations. Seeds 5 and 6 are two of the
@@ -273,7 +275,12 @@ let racy_report seed =
     Dsm_rdma.Machine.create sim ~n:8 ~latency:(Dsm_net.Latency.Constant 1.0) ()
   in
   let d = Dsm_core.Detector.create machine () in
-  let flight = Flight.attach (Dsm_sim.Engine.probe sim) in
+  let bus = Dsm_sim.Engine.probe sim in
+  let flight = Flight.attach bus in
+  let accepted = ref 0 in
+  Probe.attach bus (function
+    | Probe.Engine_step _ | Probe.Run_begin _ | Probe.Run_end _ -> ()
+    | _ -> incr accepted);
   Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
     {
       Dsm_workload.Random_access.default with
@@ -285,7 +292,7 @@ let racy_report seed =
       seed;
     };
   ignore (Dsm_rdma.Machine.run machine);
-  ( flight,
+  ( !accepted,
     Dsm_core.Diagnose.explain_report ~window:(Flight.events flight)
       (Dsm_core.Detector.report d) )
 
@@ -306,8 +313,8 @@ let check_json_allocation es =
     true (ratio <= 1.1)
 
 let test_full_window_report_pinned () =
-  let flight, es = racy_report 6 in
-  Alcotest.(check bool) "the window wrapped" true (Flight.dropped flight > 0);
+  let accepted, es = racy_report 6 in
+  Alcotest.(check bool) "the window wrapped" true (accepted > 256);
   let labels =
     List.concat_map
       (fun (e : Explain.t) -> List.map (fun m -> m.Explain.m_label) e.chain)
@@ -730,10 +737,8 @@ let () =
     [
       ( "ring",
         [
-          Alcotest.test_case "capacity one" `Quick test_ring_capacity_one;
+          Alcotest.test_case "fills then wraps" `Quick test_ring_fills_then_wraps;
           Alcotest.test_case "wrap-around" `Quick test_ring_wraparound;
-          Alcotest.test_case "capacity zero rejected" `Quick
-            test_ring_capacity_zero_rejected;
           Alcotest.test_case "class filter" `Quick test_ring_filter;
           Alcotest.test_case "arena reset" `Quick
             test_ring_resets_across_arena_runs;

@@ -485,7 +485,8 @@ let differential_one which ~schedule =
   let env = Env.checked detector in
   let collectives = Collectives.create env in
   setup_workload which env collectives ~seed:23;
-  let chooser = Chooser.random (Prng.create ~seed:((schedule * 2654435761) + 97)) in
+  let chooser = Chooser.scripted [] in
+  Chooser.reset_random chooser (Prng.create ~seed:((schedule * 2654435761) + 97));
   Engine.set_chooser sim (Some (Chooser.fn chooser));
   (match Machine.run machine with
   | Engine.Completed -> ()
@@ -645,10 +646,10 @@ let test_run_digests_pinned () =
     = [ Explore.Event_limit ])
 
 (* The walk loop reuses the arena's decision buffers: after a warm-up
-   batch their capacity must stop growing, and a batch of runs must not
-   allocate more than the identical batch before it (runs are
-   deterministic, so any growth is a per-run leak). Words are counted
-   exactly, so the bound needs no slack. *)
+   batch a batch of runs must allocate exactly as much as the identical
+   batch before it (runs are deterministic, so a buffer that still grows
+   or any per-run leak shows as extra words). Words are counted
+   exactly, so the check needs no slack. *)
 let test_no_per_run_leak () =
   let spec = { Explore.default_spec with seed = 3 } in
   let ctx = Explore.create_ctx spec in
@@ -658,15 +659,9 @@ let test_no_per_run_leak () =
     done
   in
   batch ();
-  let cap = Explore.decision_capacity ctx in
   let (), b1 = Test_util.allocated_words batch in
   let (), b2 = Test_util.allocated_words batch in
-  Alcotest.(check int) "decision buffers stabilized" cap
-    (Explore.decision_capacity ctx);
-  Alcotest.(check bool)
-    (Printf.sprintf "no per-batch allocation growth (%.0f then %.0f words)" b1
-       b2)
-    true (b2 <= b1)
+  Alcotest.(check (float 0.)) "no per-batch allocation growth" b1 b2
 
 (* ---------- determinism under parallelism ---------- *)
 
@@ -853,12 +848,7 @@ let test_pool_reused_across_batches () =
   let seq_bug =
     Explore.explore_random_in (Explore.create_ctx planted_bug_spec) ~runs:30
   in
-  let seq_dfs =
-    Explore.explore_exhaustive_in (Explore.create_ctx clean)
-      ~depth:6 ~max_runs:50
-  in
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check bool) "pool size >= 1" true (Parallel.Pool.size pool >= 1);
       let p1 = Parallel.explore_random ~pool ~jobs:4 clean ~runs:25 in
       check_stats_equal "pool, batch 1" seq_clean p1;
       let p2 = Parallel.explore_random ~pool ~jobs:4 ~chunk:1 clean ~runs:25 in
@@ -866,11 +856,7 @@ let test_pool_reused_across_batches () =
       let p3 =
         Parallel.explore_random ~pool ~jobs:4 planted_bug_spec ~runs:30
       in
-      check_stats_equal "pool, batch 3 (spec change)" seq_bug p3;
-      let p4 =
-        Parallel.explore_exhaustive ~pool ~jobs:4 clean ~depth:6 ~max_runs:50
-      in
-      check_stats_equal "pool, batch 4 (exhaustive)" seq_dfs p4)
+      check_stats_equal "pool, batch 3 (spec change)" seq_bug p3)
 
 (* ---------- sleep-set DPOR ---------- *)
 

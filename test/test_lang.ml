@@ -270,7 +270,7 @@ let prop_exec_fails_typed =
           let d = Detector.create m () in
           let ir = Compile.lower_exn ~instrument:true prog in
           ignore (Exec.setup m ~detector:d ir);
-          match Machine.run ~max_events:20_000 m with
+          match Engine.run ~max_events:20_000 sim with
           | _ -> true
           | exception Engine.Process_failure (_, Exec.Runtime_error _) -> true))
 

@@ -48,14 +48,6 @@ let test_latency_positive_even_at_zero () =
   let d = Latency.delay (Latency.Constant 0.) (rng ()) ~words:0 in
   Alcotest.(check bool) "floored above zero" true (d > 0.)
 
-let test_latency_names () =
-  Alcotest.(check string) "logp" "logp" (Latency.name Latency.infiniband_like);
-  Alcotest.(check string) "jittered" "constant+jitter"
-    (Latency.name
-       (Latency.Jittered { model = Latency.Constant 1.; mean_jitter = 1. }));
-  Alcotest.(check bool) "pp renders" true
-    (String.length (Format.asprintf "%a" Latency.pp Latency.ethernet_like) > 0)
-
 (* ---------- Fabric ---------- *)
 
 let make_fabric ?faults ?reliable ?(latency = Latency.Constant 1.0) sim n =
@@ -399,9 +391,10 @@ let test_reliable_retransmit_instants () =
     (List.rev !resent)
 
 (* A fabric reset mid-run replays the same traffic exactly as a fresh
-   one. The first run stops at t=30 us, just past the first retransmit
-   timeouts, so sequence numbers, unacked and held-back frames, floors
-   and counters are all in use when it is reset. *)
+   one. The first run stops after 103 events, at t=28.39 us, just past
+   the first retransmit timeouts, so sequence numbers, unacked and
+   held-back frames, floors and counters are all in use when it is
+   reset. *)
 let test_reliable_reset_is_fresh () =
   let plan = Fault.of_string "dup=0.3,drop=0.3,reorder=0.3" in
   let build () =
@@ -442,7 +435,7 @@ let test_reliable_reset_is_fresh () =
   let fresh_log, fresh_counts = traffic sim fab log faults in
   let sim', fab', log', faults' = build () in
   sends fab';
-  ignore (Engine.run ~until:30. sim');
+  ignore (Engine.run ~max_events:103 sim');
   Engine.reset ~seed:9 sim';
   Fabric.reset fab';
   let reset_log, reset_counts = traffic sim' fab' log' faults' in
@@ -462,7 +455,6 @@ let () =
           Alcotest.test_case "jitter" `Quick test_latency_jitter_adds;
           Alcotest.test_case "negative size" `Quick test_latency_negative_size;
           Alcotest.test_case "positive floor" `Quick test_latency_positive_even_at_zero;
-          Alcotest.test_case "names" `Quick test_latency_names;
         ] );
       ( "topology",
         [

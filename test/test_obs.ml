@@ -28,7 +28,8 @@ let test_counter_semantics () =
   let c' = Metrics.counter r "a.count" in
   Metrics.incr c';
   Alcotest.(check int) "same instrument" 6 (Metrics.value c);
-  Alcotest.(check string) "name" "a.count" (Metrics.counter_name c);
+  Alcotest.(check (list (pair string int))) "named" [ ("a.count", 6) ]
+    (Metrics.snapshot r).Metrics.counters;
   Alcotest.check_raises "negative add"
     (Invalid_argument "Metrics.add: counters are monotonic") (fun () ->
       Metrics.add c (-1))
@@ -109,7 +110,7 @@ let test_merge_order_insensitive () =
 
 (* ---------- probe bus basics ---------- *)
 
-let test_probe_attach_detach () =
+let test_probe_attach () =
   let bus = Probe.create () in
   Alcotest.(check bool) "silent" false bus.Probe.on;
   let hits = ref 0 in
@@ -117,9 +118,7 @@ let test_probe_attach_detach () =
   Probe.attach bus (fun _ -> incr hits);
   Alcotest.(check bool) "on" true bus.Probe.on;
   Probe.emit bus (Probe.Engine_step { time = 1.0 });
-  Alcotest.(check int) "both sinks" 2 !hits;
-  Probe.detach_all bus;
-  Alcotest.(check bool) "off again" false bus.Probe.on
+  Alcotest.(check int) "both sinks" 2 !hits
 
 (* ---------- Perfetto exporter: golden figure scenario ---------- *)
 
@@ -198,14 +197,9 @@ let prop_sink_invariance =
       let ctx = Explore.create_ctx ~metrics:(Metrics.create ()) spec in
       ignore (Timeline.attach (Explore.ctx_probe ctx));
       let observed = Explore.run_once_in ctx (Explore.Walk walk) in
-      (* and detaching mid-arena restores the silent bus without
-         disturbing subsequent runs *)
-      Probe.detach_all (Explore.ctx_probe ctx);
-      let detached = Explore.run_once_in ctx (Explore.Walk walk) in
       plain.Explore.fingerprint = observed.Explore.fingerprint
       && plain.Explore.decisions = observed.Explore.decisions
-      && plain.Explore.races = observed.Explore.races
-      && plain.Explore.fingerprint = detached.Explore.fingerprint)
+      && plain.Explore.races = observed.Explore.races)
 
 (* ---------- metrics across the explorer ---------- *)
 
@@ -431,7 +425,7 @@ let () =
         ] );
       ( "probe",
         [
-          Alcotest.test_case "attach/detach" `Quick test_probe_attach_detach;
+          Alcotest.test_case "attach" `Quick test_probe_attach;
           QCheck_alcotest.to_alcotest prop_sink_invariance;
         ] );
       ( "perfetto",

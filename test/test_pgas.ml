@@ -27,6 +27,9 @@ let expect_completed m =
 
 (* ---------- shared arrays ---------- *)
 
+(* The affinity of element [i]: the node its region lives on. *)
+let owner a i = (Shared_array.region_of a i).Dsm_memory.Addr.base.pid
+
 let test_array_layouts () =
   let _, env = make_plain ~n:4 () in
   let block = Shared_array.create env ~name:"b" ~len:8 () in
@@ -36,13 +39,13 @@ let test_array_layouts () =
   in
   Alcotest.(check (list int)) "block owners"
     [ 0; 0; 1; 1; 2; 2; 3; 3 ]
-    (List.init 8 (Shared_array.owner block));
+    (List.init 8 (owner block));
   Alcotest.(check (list int)) "cyclic owners"
     [ 0; 1; 2; 3; 0; 1; 2; 3 ]
-    (List.init 8 (Shared_array.owner cyclic));
+    (List.init 8 (owner cyclic));
   Alcotest.(check (list int)) "hosted owners"
     [ 2; 2; 2; 2; 2; 2; 2; 2 ]
-    (List.init 8 (Shared_array.owner hosted))
+    (List.init 8 (owner hosted))
 
 let test_array_my_indices () =
   let _, env = make_plain ~n:4 () in
@@ -73,7 +76,7 @@ let test_array_bounds () =
   let _, env = make_plain ~n:2 () in
   let a = Shared_array.create env ~name:"a" ~len:4 () in
   Alcotest.check_raises "oob" (Invalid_argument "Shared_array: index out of bounds")
-    (fun () -> ignore (Shared_array.owner a 4))
+    (fun () -> ignore (Shared_array.region_of a 4))
 
 let test_array_checked_access_is_registered () =
   let m, env, d = make_checked ~n:2 () in
@@ -122,10 +125,9 @@ let prop_layout_bijection =
       let seen = Hashtbl.create 16 in
       let ok = ref true in
       for i = 0 to len - 1 do
-        let owner = Shared_array.owner a i in
-        if owner < 0 || owner >= n then ok := false;
         let r = Shared_array.region_of a i in
-        if r.Dsm_memory.Addr.base.pid <> owner then ok := false;
+        let owner = r.Dsm_memory.Addr.base.pid in
+        if owner < 0 || owner >= n then ok := false;
         let key = (r.Dsm_memory.Addr.base.pid, r.Dsm_memory.Addr.base.offset) in
         if Hashtbl.mem seen key then ok := false;
         Hashtbl.add seen key ()
@@ -144,9 +146,14 @@ let test_barrier_releases_everyone () =
       incr released);
   expect_completed m;
   Alcotest.(check int) "all released" 4 !released;
-  for pid = 0 to 3 do
-    Alcotest.(check int) "generation advanced" 1 (Collectives.generation c ~pid)
-  done
+  (* each process's generation advanced: the same barrier releases
+     everyone again, not a stale generation's waiters *)
+  Machine.spawn_all m (fun p ->
+      Machine.compute p (float_of_int (3 - Machine.pid p) *. 10.);
+      Collectives.barrier c p;
+      incr released);
+  expect_completed m;
+  Alcotest.(check int) "all released again" 8 !released
 
 let test_barrier_waits_for_slowest () =
   let m, env = make_plain ~n:2 () in

@@ -398,16 +398,17 @@ let merged_matches_reference ~scenario ~bug seed =
   let built = Scenario.instantiate (Scenario.prepare spec) sim in
   let m = built.Scenario.machine in
   let reference = Linearize_ref.attach m in
-  Engine.set_chooser sim
-    (Some (Chooser.fn (Chooser.random (Prng.create ~seed:(seed + 1)))));
-  ignore (Machine.run ~max_events:200_000 m : Engine.outcome);
+  let chooser = Chooser.scripted [] in
+  Chooser.reset_random chooser (Prng.create ~seed:(seed + 1));
+  Engine.set_chooser sim (Some (Chooser.fn chooser));
+  ignore (Engine.run ~max_events:200_000 sim : Engine.outcome);
   let what = Printf.sprintf "%s bug=%b seed %d" scenario bug seed in
   let merged = Coherence.rmw_violations built.Scenario.coherence in
   Alcotest.(check (list string))
     (what ^ ": RMW violations") (Linearize_ref.violations reference) merged;
   for node = 0 to Machine.n m - 1 do
     let words =
-      Segment.size (Node_memory.segment (Machine.node m node) Addr.Public)
+      Allocator.capacity (Node_memory.allocator (Machine.node m node) Addr.Public)
     in
     for offset = 0 to words - 1 do
       let want = Linearize_ref.expected reference ~node ~offset in

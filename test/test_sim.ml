@@ -7,13 +7,13 @@ open Dsm_sim
 let test_prng_deterministic () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.next_int64 a) (Prng.next_int64 b)
+    Alcotest.(check int) "same stream" (Prng.int a max_int) (Prng.int b max_int)
   done
 
 let test_prng_seed_sensitivity () =
   let a = Prng.create ~seed:1 and b = Prng.create ~seed:2 in
   Alcotest.(check bool) "different streams" true
-    (Prng.next_int64 a <> Prng.next_int64 b)
+    (Prng.int a max_int <> Prng.int b max_int)
 
 let test_prng_int_bounds () =
   let g = Prng.create ~seed:7 in
@@ -35,8 +35,8 @@ let test_prng_float_bounds () =
 let test_prng_split_independent () =
   let g = Prng.create ~seed:3 in
   let h = Prng.split g in
-  let xs = List.init 10 (fun _ -> Prng.next_int64 g) in
-  let ys = List.init 10 (fun _ -> Prng.next_int64 h) in
+  let xs = List.init 10 (fun _ -> Prng.int g max_int) in
+  let ys = List.init 10 (fun _ -> Prng.int h max_int) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
 let test_prng_bernoulli_extremes () =
@@ -231,10 +231,10 @@ let prop_heap_matches_reference =
               ("", "")
         in
         let l, r = answer in
-        let show answer len =
-          Printf.sprintf "%s -> %s len=%d" (show_heap_op op) answer len
+        let show answer empty =
+          Printf.sprintf "%s -> %s empty=%b" (show_heap_op op) answer empty
         in
-        (show l (Heap.length live), show r (Heap_ref.length oracle))
+        (show l (Heap.is_empty live), show r (Heap_ref.is_empty oracle))
       in
       let both = List.mapi step ops in
       (* drain what is left *)
@@ -402,7 +402,8 @@ let test_engine_failure_spares_siblings () =
       | Some l -> L.release locks l
       | None -> Alcotest.fail "holder never granted");
   (* queued behind holder; granted at t=5, then blows up *)
-  Engine.spawn sim ~at:1.0 ~name:"crasher" (fun () ->
+  Engine.spawn sim ~name:"crasher" (fun () ->
+      Engine.sleep sim 1.0;
       let got = Ivar.create () in
       L.acquire locks ~offset:0 ~len:2 (fun l ->
           Ivar.fill ~label:Label.unknown sim got l);
@@ -410,7 +411,8 @@ let test_engine_failure_spares_siblings () =
       L.release locks l;
       failwith "crash mid-run");
   (* disjoint range, but also queued behind holder's [0,10) *)
-  Engine.spawn sim ~at:2.0 ~name:"survivor" (fun () ->
+  Engine.spawn sim ~name:"survivor" (fun () ->
+      Engine.sleep sim 2.0;
       let got = Ivar.create () in
       L.acquire locks ~offset:5 ~len:2 (fun l ->
           Ivar.fill ~label:Label.unknown sim got l);
@@ -450,7 +452,8 @@ let test_engine_resumed_twice () =
   Alcotest.(check (list string)) "second resume fails"
     [ "Engine: process \"twice\" resumed twice" ]
     !errors;
-  Alcotest.(check int) "none live" 0 (Engine.live_processes sim)
+  (* a drained engine runs to [Blocked k] while [k] processes live *)
+  Alcotest.(check bool) "none live" true (Engine.run sim = Engine.Completed)
 
 (* A register function that raises before handing off its resumer
    delivers the exception at the await point: a process that catches it
@@ -466,14 +469,15 @@ let test_engine_register_raises () =
   Alcotest.(check bool) "catcher completes" true
     (Engine.run sim = Engine.Completed);
   Alcotest.(check string) "raised at the await" "no resumer" !caught;
-  Alcotest.(check int) "catcher not live" 0 (Engine.live_processes sim);
+  Alcotest.(check bool) "catcher not live" true
+    (Engine.run sim = Engine.Completed);
   Engine.spawn sim ~name:"faller" (fun () ->
       Engine.await sim (fun _ -> failwith "no resumer"));
   Alcotest.check_raises "faller fails"
     (Engine.Process_failure ("faller", Failure "no resumer")) (fun () ->
       ignore (Engine.run sim));
-  Alcotest.(check int) "faller not live" 0 (Engine.live_processes sim);
-  Alcotest.(check bool) "drained" true (Engine.run sim = Engine.Completed)
+  Alcotest.(check bool) "drained, faller not live" true
+    (Engine.run sim = Engine.Completed)
 
 (* A register function that resumes its process and then raises cannot
    hand the exception to the process, which has already run on: the
@@ -489,8 +493,8 @@ let test_engine_register_resumes_then_raises () =
   Alcotest.check_raises "re-raised" (Failure "after resume") (fun () ->
       ignore (Engine.run sim));
   Alcotest.(check int) "resumed with the value" 7 !got;
-  Alcotest.(check int) "none live" 0 (Engine.live_processes sim);
-  Alcotest.(check bool) "drained" true (Engine.run sim = Engine.Completed)
+  Alcotest.(check bool) "drained, none live" true
+    (Engine.run sim = Engine.Completed)
 
 let test_engine_event_limit () =
   let sim = Engine.create () in
@@ -501,45 +505,6 @@ let test_engine_event_limit () =
   Engine.spawn sim forever;
   let outcome = Engine.run ~max_events:10 sim in
   Alcotest.(check bool) "limited" true (outcome = Engine.Event_limit_reached)
-
-let test_engine_until_horizon () =
-  let sim = Engine.create () in
-  let count = ref 0 in
-  let rec tickloop () =
-    Engine.sleep sim 1.0;
-    incr count;
-    tickloop ()
-  in
-  Engine.spawn sim tickloop;
-  let outcome = Engine.run ~until:5.5 sim in
-  Alcotest.(check bool) "horizon" true (outcome = Engine.Time_limit_reached);
-  Alcotest.(check int) "five wakes" 5 !count
-
-(* A run stopped at a horizon leaves the first event past it queued: a
-   second run to a later horizon resumes with it and misses no wake. *)
-let test_engine_until_resumes () =
-  let sim = Engine.create () in
-  let count = ref 0 in
-  let rec tickloop () =
-    Engine.sleep sim 1.0;
-    incr count;
-    tickloop ()
-  in
-  Engine.spawn sim tickloop;
-  ignore (Engine.run ~until:5.5 sim);
-  let outcome = Engine.run ~until:7.5 sim in
-  Alcotest.(check bool) "horizon" true (outcome = Engine.Time_limit_reached);
-  Alcotest.(check int) "seven wakes" 7 !count;
-  Alcotest.(check (float 0.)) "now at the last wake" 7.0 (Engine.now sim)
-
-let test_engine_stop () =
-  let sim = Engine.create () in
-  let after_stop = ref false in
-  Engine.schedule sim ~delay:1.0 (fun () -> Engine.stop sim);
-  Engine.schedule sim ~delay:2.0 (fun () -> after_stop := true);
-  let outcome = Engine.run sim in
-  Alcotest.(check bool) "stopped" true (outcome = Engine.Stopped);
-  Alcotest.(check bool) "later event not run" false !after_stop
 
 let test_engine_negative_delay_rejected () =
   let sim = Engine.create () in
@@ -562,13 +527,17 @@ let test_engine_deterministic_trace () =
   let a = run_once () and b = run_once () in
   Alcotest.(check bool) "identical traces" true (a = b)
 
+(* Processes spawned and not yet finished are live: two that suspend
+   forever leave the run [Blocked 2], and once they finish none is. *)
 let test_engine_live_processes () =
   let sim = Engine.create () in
-  Engine.spawn sim (fun () -> Engine.sleep sim 1.0);
-  Engine.spawn sim (fun () -> Engine.sleep sim 2.0);
-  Alcotest.(check int) "two live" 2 (Engine.live_processes sim);
-  ignore (Engine.run sim);
-  Alcotest.(check int) "none live" 0 (Engine.live_processes sim)
+  let resumers = ref [] in
+  let park () = Engine.await sim (fun resume -> resumers := resume :: !resumers) in
+  Engine.spawn sim park;
+  Engine.spawn sim park;
+  Alcotest.(check bool) "two live" true (Engine.run sim = Engine.Blocked 2);
+  List.iter (fun resume -> Engine.schedule sim (fun () -> resume ())) !resumers;
+  Alcotest.(check bool) "none live" true (Engine.run sim = Engine.Completed)
 
 let test_engine_nested_spawn () =
   let sim = Engine.create () in
@@ -616,8 +585,8 @@ let test_engine_sleep_negative_rejected () =
    plans]: at [now] (the FIFO), or some half-units later, so that events
    scheduled at different instants tie. Phases schedule from outside,
    run to an event budget (possibly stopping inside an instant with both
-   the FIFO and the heap's entries at [now] pending) or to a horizon,
-   and reset mid-run. With a chooser, its picks (out-of-range ones too)
+   the FIFO and the heap's entries at [now] pending) or to the end, and
+   reset mid-run. With a chooser, its picks (out-of-range ones too)
    come from a seeded generator, and every choice point's ready set,
    ready count and pick are logged. *)
 module type ENGINE = sig
@@ -627,8 +596,7 @@ module type ENGINE = sig
   val reset : t -> unit
   val now : t -> float
   val schedule_at : t -> at:float -> label:Label.t -> (unit -> unit) -> unit
-  val run : ?until:float -> ?max_events:int -> t -> Engine.outcome
-  val stop : t -> unit
+  val run : ?max_events:int -> t -> Engine.outcome
   val set_chooser : t -> (int -> int) option -> unit
   val set_choice_view : t -> ((int * Label.t) array -> unit) option -> unit
   val events_processed : t -> int
@@ -644,11 +612,11 @@ end
 (* [half] half-units after the scheduling instant; 0 is [now]. *)
 type child = { half : int; label : Label.t }
 
-type plan = { children : child list; stops : bool }
+type plan = { children : child list }
 
 type phase =
   | P_schedule of child list
-  | P_run of int option * float option  (* event budget, horizon *)
+  | P_run of int option  (* event budget *)
   | P_reset
 
 type engine_program = {
@@ -669,16 +637,14 @@ let show_engine_program p =
      :: Array.to_list
           (Array.mapi
              (fun i pl ->
-               Printf.sprintf "plan %d: %s%s" i (show_children pl.children)
-                 (if pl.stops then " stop" else ""))
+               Printf.sprintf "plan %d: %s" i (show_children pl.children))
              p.plans)
     @ List.map
         (function
           | P_schedule cs -> "schedule " ^ show_children cs
-          | P_run (m, u) ->
-              Printf.sprintf "run max_events=%s until=%s"
+          | P_run m ->
+              Printf.sprintf "run max_events=%s"
                 (Option.fold ~none:"-" ~some:string_of_int m)
-                (Option.fold ~none:"-" ~some:(Printf.sprintf "%g") u)
           | P_reset -> "reset")
         p.phases)
 
@@ -690,20 +656,12 @@ let arb_engine_program =
       (frequency [ (3, return 0); (2, int_range 1 2); (1, int_range 3 6) ])
       (int_range (-1) 3)
   in
-  let plan =
-    map2
-      (fun children stop -> { children; stops = stop = 0 })
-      (list_size (int_range 0 3) child)
-      (int_range 0 15)
-  in
+  let plan = map (fun children -> { children }) (list_size (int_range 0 3) child) in
   let phase =
     frequency
       [
         (2, map (fun cs -> P_schedule cs) (list_size (int_range 1 4) child));
-        ( 3,
-          map2
-            (fun m u -> P_run (m, Option.map (fun h -> float_of_int h /. 2.) u))
-            (opt (int_range 0 40)) (opt (int_range 0 12)) );
+        (3, map (fun m -> P_run m) (opt (int_range 0 40)));
         (1, return P_reset);
       ]
   in
@@ -736,8 +694,7 @@ let run_engine_program (module E : ENGINE) p =
       E.schedule_at sim ~at ~label:c.label (fun () ->
           note "fire %g #%d label %d" (E.now sim) j c.label;
           let plan = p.plans.(j mod Array.length p.plans) in
-          List.iter schedule plan.children;
-          if plan.stops then E.stop sim)
+          List.iter schedule plan.children)
     end
   in
   let install () =
@@ -765,14 +722,13 @@ let run_engine_program (module E : ENGINE) p =
   List.iter
     (function
       | P_schedule cs -> List.iter schedule cs
-      | P_run (max_events, until) ->
+      | P_run max_events ->
           let outcome =
-            match E.run ?until ?max_events sim with
+            match E.run ?max_events sim with
             | Engine.Completed -> "completed"
             | Engine.Blocked k -> Printf.sprintf "blocked %d" k
-            | Engine.Time_limit_reached -> "time limit"
             | Engine.Event_limit_reached -> "event limit"
-            | Engine.Stopped -> "stopped"
+            | Engine.Time_limit_reached | Engine.Stopped -> "never produced"
           in
           note "run -> %s at %g after %d events" outcome (E.now sim)
             (E.events_processed sim)
@@ -846,46 +802,41 @@ let test_ivar_double_fill () =
   Alcotest.check_raises "double" (Failure "Ivar.fill: already filled")
     (fun () -> Ivar.fill ~label:Label.unknown sim iv 2)
 
-let test_ivar_peek_waiters () =
+(* A reader of an empty ivar stays suspended, so the run ends [Blocked 1];
+   the fill resumes it with the value. *)
+let test_ivar_reader_waits_for_fill () =
   let sim = Engine.create () in
   let iv = Ivar.create () in
-  Alcotest.(check (option int)) "empty" None (Ivar.peek iv);
-  Alcotest.(check int) "no waiters" 0 (Ivar.waiters iv);
-  Engine.spawn sim (fun () -> ignore (Ivar.read sim iv));
-  ignore (Engine.run ~max_events:1 sim);
-  Alcotest.(check int) "one waiter" 1 (Ivar.waiters iv);
+  let got = ref None in
+  Engine.spawn sim (fun () -> got := Some (Ivar.read sim iv));
+  Alcotest.(check bool) "one waiter" true (Engine.run sim = Engine.Blocked 1);
+  Alcotest.(check (option int)) "empty" None !got;
   Ivar.fill ~label:Label.unknown sim iv 5;
-  Alcotest.(check (option int)) "filled" (Some 5) (Ivar.peek iv);
-  ignore (Engine.run sim)
+  Alcotest.(check bool) "resumed" true (Engine.run sim = Engine.Completed);
+  Alcotest.(check (option int)) "filled" (Some 5) !got
 
-(* Property: under random reader spawn times, fills (the second one
-   fails), [peek] and [waiters], the live ivar behaves like the
-   list-based reference: same values, same resume order at the same
-   instants, same waiter counts, and the same ready sets (seqs and
-   labels) at every choice point. *)
+(* Property: under random reader spawn times and fills (the second one
+   fails), the live ivar behaves like the list-based reference: same
+   values, same resume order at the same instants, the same readers
+   left waiting, and the same ready sets (seqs and labels) at every
+   choice point. *)
 module type IVAR = sig
   type 'a t
 
   val create : unit -> 'a t
-  val peek : 'a t -> 'a option
   val fill : label:Label.t -> Engine.t -> 'a t -> 'a -> unit
   val read : Engine.t -> 'a t -> 'a
-  val waiters : 'a t -> int
 end
 
 type ivar_op =
   | I_reader of float * int  (* spawn time, reads in a row *)
   | I_fill of float * int * Label.t option
-  | I_peek of float
-  | I_waiters of float
 
 let show_ivar_op = function
   | I_reader (t, k) -> Printf.sprintf "reader at %g reads %d" t k
   | I_fill (t, v, l) ->
       Printf.sprintf "fill at %g with %d label %s" t v
         (match l with None -> "-" | Some l -> string_of_int l)
-  | I_peek t -> Printf.sprintf "peek at %g" t
-  | I_waiters t -> Printf.sprintf "waiters at %g" t
 
 let arb_ivar_ops =
   let open QCheck.Gen in
@@ -900,8 +851,6 @@ let arb_ivar_ops =
             time small_nat
             (opt (map2 (fun node origin -> Label.v ~node ~origin)
                     (int_range 0 3) (int_range 0 3))) );
-        (1, map (fun t -> I_peek t) time);
-        (1, map (fun t -> I_waiters t) time);
       ]
   in
   QCheck.make
@@ -928,26 +877,18 @@ let run_ivar_ops (module I : IVAR) ops =
   List.iteri
     (fun i op ->
       match op with
-      | I_reader (at, k) ->
-          Engine.spawn sim ~at ~name:(Printf.sprintf "r%d" i) (fun () ->
-              for j = 1 to k do
-                note "r%d read %d got %d" i j (I.read sim iv)
-              done)
+      | I_reader (delay, k) ->
+          Engine.schedule sim ~delay (fun () ->
+              Engine.spawn sim ~name:(Printf.sprintf "r%d" i) (fun () ->
+                  for j = 1 to k do
+                    note "r%d read %d got %d" i j (I.read sim iv)
+                  done))
       | I_fill (delay, v, label) ->
           Engine.schedule sim ~delay (fun () ->
               let label = Option.value label ~default:Label.unknown in
               match I.fill ~label sim iv v with
               | () -> note "fill %d" v
-              | exception Failure msg -> note "fill %d failed: %s" v msg)
-      | I_peek delay ->
-          Engine.schedule sim ~delay (fun () ->
-              note "peek %s"
-                (match I.peek iv with
-                | None -> "none"
-                | Some v -> string_of_int v))
-      | I_waiters delay ->
-          Engine.schedule sim ~delay (fun () ->
-              note "waiters %d" (I.waiters iv)))
+              | exception Failure msg -> note "fill %d failed: %s" v msg))
     ops;
   let outcome =
     match Engine.run sim with
@@ -956,8 +897,7 @@ let run_ivar_ops (module I : IVAR) ops =
     | _ -> "other"
   in
   List.rev
-    (Printf.sprintf "%s, %d waiting, %d events" outcome (I.waiters iv)
-       (Engine.events_processed sim)
+    (Printf.sprintf "%s, %d events" outcome (Engine.events_processed sim)
     :: !log)
 
 let prop_ivar_matches_reference =
@@ -1010,9 +950,6 @@ let () =
           Alcotest.test_case "register resumes then raises" `Quick
             test_engine_register_resumes_then_raises;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
-          Alcotest.test_case "until horizon" `Quick test_engine_until_horizon;
-          Alcotest.test_case "until resumes" `Quick test_engine_until_resumes;
-          Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
           Alcotest.test_case "deterministic trace" `Quick test_engine_deterministic_trace;
           Alcotest.test_case "live processes" `Quick test_engine_live_processes;
@@ -1028,7 +965,8 @@ let () =
           Alcotest.test_case "read then fill" `Quick test_ivar_read_then_fill;
           Alcotest.test_case "waiter order" `Quick test_ivar_multiple_waiters_in_order;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
-          Alcotest.test_case "peek/waiters" `Quick test_ivar_peek_waiters;
+          Alcotest.test_case "reader waits for fill" `Quick
+            test_ivar_reader_waits_for_fill;
           QCheck_alcotest.to_alcotest prop_ivar_matches_reference;
         ] );
     ]

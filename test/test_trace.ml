@@ -6,7 +6,35 @@ open Dsm_trace
 
 let reg ?(pid = 0) offset len = Addr.region ~pid ~space:Addr.Public ~offset ~len
 
-let acc r ~t ~pid ~kind ~target = Recorder.access r ~time:t ~pid ~kind ~target ()
+let acc r ~t ~pid ~kind ~target = Recorder.access r ~time:t ~pid ~kind ~target
+
+(* ---------- happens-before oracle ---------- *)
+
+(* The edges [Trace.to_dot] draws: program order, reads-from and sync. *)
+let edges t =
+  List.filter_map
+    (fun line ->
+      match Scanf.sscanf line "  e%d -> e%d" (fun a b -> (a, b)) with
+      | edge -> Some edge
+      | exception (Scanf.Scan_failure _ | End_of_file) -> None)
+    (String.split_on_char '\n' (Trace.to_dot t))
+
+(* [a] happens before [b] iff [b] is reachable from [a] along the drawn
+   edges: a graph search, independent of the trace's vector clocks. *)
+let happens_before t =
+  let es = edges t in
+  let next x = List.filter_map (fun (s, d) -> if s = x then Some d else None) es in
+  fun a b ->
+    let rec reach seen = function
+      | [] -> false
+      | x :: _ when x = b -> true
+      | x :: rest when List.mem x seen -> reach seen rest
+      | x :: rest -> reach (x :: seen) (next x @ rest)
+    in
+    a <> b && reach [] (next a)
+
+let concurrent t a b =
+  a <> b && (not (happens_before t a b)) && not (happens_before t b a)
 
 (* ---------- event basics ---------- *)
 
@@ -39,9 +67,9 @@ let test_program_order () =
   let b = acc r ~t:2. ~pid:0 ~kind:Event.Write ~target:(reg 4 1) in
   let c = acc r ~t:3. ~pid:1 ~kind:Event.Write ~target:(reg 8 1) in
   let t = Recorder.finish r in
-  Alcotest.(check bool) "a before b" true (Trace.happens_before t a b);
-  Alcotest.(check bool) "b not before a" false (Trace.happens_before t b a);
-  Alcotest.(check bool) "a concurrent c" true (Trace.concurrent t a c)
+  Alcotest.(check bool) "a before b" true (happens_before t a b);
+  Alcotest.(check bool) "b not before a" false (happens_before t b a);
+  Alcotest.(check bool) "a concurrent c" true (concurrent t a c)
 
 let test_reads_from_edge () =
   let r = Recorder.create ~n:3 () in
@@ -50,16 +78,16 @@ let test_reads_from_edge () =
   let after = acc r ~t:3. ~pid:1 ~kind:Event.Write ~target:(reg ~pid:2 8 1) in
   let t = Recorder.finish r in
   Alcotest.(check bool) "write before read (value flow)" true
-    (Trace.happens_before t w rd);
+    (happens_before t w rd);
   Alcotest.(check bool) "transitive to later events" true
-    (Trace.happens_before t w after)
+    (happens_before t w after)
 
 let test_read_of_unwritten_has_no_edge () =
   let r = Recorder.create ~n:2 () in
   let w = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg ~pid:1 0 2) in
   let rd = acc r ~t:2. ~pid:1 ~kind:Event.Read ~target:(reg ~pid:1 4 2) in
   let t = Recorder.finish r in
-  Alcotest.(check bool) "disjoint words: no edge" true (Trace.concurrent t w rd)
+  Alcotest.(check bool) "disjoint words: no edge" true (concurrent t w rd)
 
 let test_last_writer_wins () =
   let r = Recorder.create ~n:3 () in
@@ -68,11 +96,11 @@ let test_last_writer_wins () =
   let rd = acc r ~t:3. ~pid:0 ~kind:Event.Read ~target:(reg ~pid:2 0 1) in
   let t = Recorder.finish r in
   (* The read observes w2 (last writer), not w1. *)
-  Alcotest.(check bool) "w2 -> rd" true (Trace.happens_before t w2 rd);
+  Alcotest.(check bool) "w2 -> rd" true (happens_before t w2 rd);
   Alcotest.(check bool) "w1 -/-> rd directly" true
     (* w1 and rd are same pid, so program order orders them anyway *)
-    (Trace.happens_before t w1 rd);
-  Alcotest.(check bool) "w1 concurrent w2" true (Trace.concurrent t w1 w2)
+    (happens_before t w1 rd);
+  Alcotest.(check bool) "w1 concurrent w2" true (concurrent t w1 w2)
 
 (* ---------- locks ---------- *)
 
@@ -84,9 +112,9 @@ let test_lock_edges () =
   let a2 = Recorder.lock_acquire r ~time:4. ~pid:1 ~lock:"m" in
   let w2 = acc r ~t:5. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
   let t = Recorder.finish r in
-  Alcotest.(check bool) "release -> acquire" true (Trace.happens_before t a1 a2);
+  Alcotest.(check bool) "release -> acquire" true (happens_before t a1 a2);
   Alcotest.(check bool) "critical sections ordered" true
-    (Trace.happens_before t w w2);
+    (happens_before t w w2);
   Alcotest.(check int) "no race thanks to the lock" 0
     (List.length (Trace.races t))
 
@@ -98,7 +126,7 @@ let test_different_locks_do_not_order () =
   let _ = Recorder.lock_acquire r ~time:4. ~pid:1 ~lock:"m2" in
   let w2 = acc r ~t:5. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
   let t = Recorder.finish r in
-  Alcotest.(check bool) "still concurrent" true (Trace.concurrent t w w2);
+  Alcotest.(check bool) "still concurrent" true (concurrent t w w2);
   Alcotest.(check int) "one race" 1 (List.length (Trace.races t))
 
 (* ---------- barriers ---------- *)
@@ -113,7 +141,7 @@ let test_barrier_orders_phases () =
   let after1 = acc r ~t:4. ~pid:1 ~kind:Event.Read ~target:(reg 0 1) in
   let t = Recorder.finish r in
   Alcotest.(check bool) "pre-barrier write HB post-barrier read" true
-    (Trace.happens_before t before0 after1);
+    (happens_before t before0 after1);
   Alcotest.(check int) "no race across barrier" 0 (List.length (Trace.races t))
 
 let test_barrier_generations_independent () =
@@ -129,7 +157,7 @@ let test_barrier_generations_independent () =
   let w1 = acc r ~t:4. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
   let t = Recorder.finish r in
   Alcotest.(check bool) "different generations do not sync" true
-    (Trace.concurrent t w0 w1)
+    (concurrent t w0 w1)
 
 (* ---------- races ---------- *)
 
@@ -162,16 +190,103 @@ let test_racy_access_ids () =
   Alcotest.(check bool) "w1 racy" true (Hashtbl.mem set w1);
   Alcotest.(check bool) "safe not racy" false (Hashtbl.mem set safe)
 
-let test_vector_clock_shape () =
-  let r = Recorder.create ~n:2 () in
-  let a = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
-  let b = acc r ~t:2. ~pid:1 ~kind:Event.Read ~target:(reg 0 1) in
-  let t = Recorder.finish r in
-  let open Dsm_clocks in
-  Alcotest.(check int) "a clock own" 1 (Vector_clock.entry (Trace.vector_clock t a) 0);
-  (* b read a's write: clock = <1,1> *)
-  Alcotest.(check int) "b absorbed a" 1 (Vector_clock.entry (Trace.vector_clock t b) 0);
-  Alcotest.(check int) "b own" 1 (Vector_clock.entry (Trace.vector_clock t b) 1)
+(* Property: on random recorded traces, [Trace.races], computed from the
+   trace's vector clocks, names exactly the pairs the reachability
+   oracle does: conflicting accesses whose first is not before the
+   second's program predecessor. *)
+type trace_op =
+  | T_access of int * Event.kind * int * int  (* pid, kind, offset, len *)
+  | T_lock of int * bool * int  (* pid, acquire, lock *)
+  | T_barrier of int * bool * int  (* pid, enter, generation *)
+  | T_rmw_sync of int * bool * int  (* pid, acquire, offset *)
+
+let show_trace_op = function
+  | T_access (pid, kind, offset, len) ->
+      Printf.sprintf "P%d %s [%d,+%d)" pid
+        (match kind with
+        | Event.Read -> "read"
+        | Event.Write -> "write"
+        | Event.Atomic_update -> "atomic")
+        offset len
+  | T_lock (pid, acquire, lock) ->
+      Printf.sprintf "P%d %s m%d" pid (if acquire then "acquire" else "release") lock
+  | T_barrier (pid, enter, g) ->
+      Printf.sprintf "P%d barrier %s %d" pid (if enter then "enter" else "exit") g
+  | T_rmw_sync (pid, acquire, offset) ->
+      Printf.sprintf "P%d rmw-sync %s %d" pid
+        (if acquire then "acquire" else "release") offset
+
+let arb_trace_ops =
+  let open QCheck.Gen in
+  let pid = int_range 0 2 in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun pid kind (offset, len) -> T_access (pid, kind, offset, len))
+            pid
+            (oneofl [ Event.Read; Event.Write; Event.Atomic_update ])
+            (pair (int_range 0 5) (int_range 1 2)) );
+        (2, map3 (fun pid a l -> T_lock (pid, a, l)) pid bool (int_range 0 1));
+        (1, map3 (fun pid e g -> T_barrier (pid, e, g)) pid bool (int_range 0 1));
+        (1, map3 (fun pid a o -> T_rmw_sync (pid, a, o)) pid bool (int_range 0 5));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_trace_op ops))
+    (list_size (int_range 0 30) op)
+
+let record_ops ops =
+  let r = Recorder.create ~n:3 () in
+  List.iteri
+    (fun i op ->
+      let time = float_of_int i in
+      ignore
+        (match op with
+        | T_access (pid, kind, offset, len) ->
+            Recorder.access r ~time ~pid ~kind ~target:(reg ~pid:2 offset len)
+        | T_lock (pid, true, l) ->
+            Recorder.lock_acquire r ~time ~pid ~lock:(Printf.sprintf "m%d" l)
+        | T_lock (pid, false, l) ->
+            Recorder.lock_release r ~time ~pid ~lock:(Printf.sprintf "m%d" l)
+        | T_barrier (pid, true, generation) ->
+            Recorder.barrier_enter r ~time ~pid ~generation
+        | T_barrier (pid, false, generation) ->
+            Recorder.barrier_exit r ~time ~pid ~generation
+        | T_rmw_sync (pid, acquire, offset) ->
+            Recorder.rmw_sync r ~time ~pid ~target:(reg ~pid:2 offset 1)
+              ~acquire))
+    ops;
+  Recorder.finish r
+
+(* [(first, second)] ids of every race, ordered like [Trace.races]. *)
+let oracle_races t =
+  let events = Trace.events t in
+  let hb = happens_before t in
+  let rec prog_pred pid j =
+    if j < 0 || Event.pid events.(j) = pid then j else prog_pred pid (j - 1)
+  in
+  let accesses = List.filter_map Event.access_opt (Array.to_list events) in
+  List.concat_map
+    (fun (b : Event.access) ->
+      let q = prog_pred b.pid (b.id - 1) in
+      List.filter_map
+        (fun (a : Event.access) ->
+          if a.id < b.id && Event.conflict a b && not (q >= 0 && hb a.id q) then
+            Some (a.id, b.id)
+          else None)
+        accesses)
+    accesses
+
+let prop_races_match_oracle =
+  QCheck.Test.make ~name:"races match the reachability oracle" ~count:300
+    arb_trace_ops (fun ops ->
+      let t = record_ops ops in
+      List.map
+        (fun { Trace.first; second } -> (first.Event.id, second.Event.id))
+        (Trace.races t)
+      = oracle_races t)
 
 let test_build_rejects_forward_edges () =
   let events =
@@ -229,11 +344,15 @@ let test_export_csv_shape () =
 
 let test_export_csv_escaping () =
   let r = Recorder.create ~n:1 () in
-  let _ =
-    Recorder.access r ~time:0. ~pid:0 ~kind:Event.Write ~target:(reg 0 1)
-      ~label:"has,comma" ()
+  let _ = acc r ~t:0. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
+  let events =
+    Array.map
+      (function
+        | Event.Access a -> Event.Access { a with label = "has,comma" }
+        | e -> e)
+      (Trace.events (Recorder.finish r))
   in
-  let csv = Export.to_csv (Recorder.finish r) in
+  let csv = Export.to_csv (Trace.build ~n:1 ~events ~preds:[| [] |]) in
   Alcotest.(check bool) "quoted" true (Test_util.contains csv "\"has,comma\"")
 
 (* ---------- spacetime ---------- *)
@@ -261,15 +380,10 @@ let test_spacetime_renders () =
 
 let test_empty_trace () =
   let t = Recorder.finish (Recorder.create ~n:2 ()) in
-  Alcotest.(check int) "no events" 0 (Trace.length t);
+  Alcotest.(check int) "no events" 0 (Array.length (Trace.events t));
   Alcotest.(check int) "no races" 0 (List.length (Trace.races t));
   let s = Export.summary t in
   Alcotest.(check (float 1e-9)) "zero span" 0. s.Export.span
-
-let test_trace_vector_clock_bounds () =
-  let t = Recorder.finish (Recorder.create ~n:2 ()) in
-  Alcotest.check_raises "oob" (Invalid_argument "Trace.vector_clock")
-    (fun () -> ignore (Trace.vector_clock t 0))
 
 let test_spacetime_self_arrow () =
   let s =
@@ -317,7 +431,7 @@ let () =
           Alcotest.test_case "found" `Quick test_races_found;
           Alcotest.test_case "read-read" `Quick test_read_read_not_a_race;
           Alcotest.test_case "racy ids" `Quick test_racy_access_ids;
-          Alcotest.test_case "vector clocks" `Quick test_vector_clock_shape;
+          QCheck_alcotest.to_alcotest prop_races_match_oracle;
           Alcotest.test_case "build validation" `Quick test_build_rejects_forward_edges;
           Alcotest.test_case "to_dot" `Quick test_to_dot_mentions_events;
         ] );
@@ -333,6 +447,5 @@ let () =
           Alcotest.test_case "validates" `Quick test_spacetime_validates;
           Alcotest.test_case "self arrow" `Quick test_spacetime_self_arrow;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
-          Alcotest.test_case "clock bounds" `Quick test_trace_vector_clock_bounds;
         ] );
     ]
