@@ -48,6 +48,23 @@ let test_latency_positive_even_at_zero () =
   let d = Latency.delay (Latency.Constant 0.) (rng ()) ~words:0 in
   Alcotest.(check bool) "floored above zero" true (d > 0.)
 
+(* Each model is named by its compact form, and the two presets by the
+   names [of_string] accepts for them. *)
+let test_latency_names () =
+  Alcotest.(check string) "logp" "logp:1.5:0.4:0.0025"
+    (Latency.to_string Latency.infiniband_like);
+  Alcotest.(check string) "jittered" "jitter:1:constant:1"
+    (Latency.to_string
+       (Latency.Jittered { model = Latency.Constant 1.; mean_jitter = 1. }));
+  List.iter
+    (fun (name, preset) ->
+      Alcotest.(check bool) name true (Latency.of_string name = Ok preset))
+    [
+      ("infiniband", Latency.infiniband_like);
+      ("ib", Latency.infiniband_like);
+      ("ethernet", Latency.ethernet_like);
+    ]
+
 (* ---------- Fabric ---------- *)
 
 let make_fabric ?faults ?reliable ?(latency = Latency.Constant 1.0) sim n =
@@ -455,6 +472,7 @@ let () =
           Alcotest.test_case "jitter" `Quick test_latency_jitter_adds;
           Alcotest.test_case "negative size" `Quick test_latency_negative_size;
           Alcotest.test_case "positive floor" `Quick test_latency_positive_even_at_zero;
+          Alcotest.test_case "names" `Quick test_latency_names;
         ] );
       ( "topology",
         [

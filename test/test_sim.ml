@@ -506,6 +506,26 @@ let test_engine_event_limit () =
   let outcome = Engine.run ~max_events:10 sim in
   Alcotest.(check bool) "limited" true (outcome = Engine.Event_limit_reached)
 
+(* A run stopped at an event budget leaves the next event queued: a
+   second run resumes with it and misses no wake. A budget counts every
+   event the engine has fired: the first run's 6 are the process start
+   and five wakes, the second's 8 add two more wakes. *)
+let test_engine_until_resumes () =
+  let sim = Engine.create () in
+  let count = ref 0 in
+  let rec tickloop () =
+    Engine.sleep sim 1.0;
+    incr count;
+    tickloop ()
+  in
+  Engine.spawn sim tickloop;
+  ignore (Engine.run ~max_events:6 sim);
+  Alcotest.(check int) "five wakes" 5 !count;
+  let outcome = Engine.run ~max_events:8 sim in
+  Alcotest.(check bool) "budget" true (outcome = Engine.Event_limit_reached);
+  Alcotest.(check int) "seven wakes" 7 !count;
+  Alcotest.(check (float 0.)) "now at the last wake" 7.0 (Engine.now sim)
+
 let test_engine_negative_delay_rejected () =
   let sim = Engine.create () in
   Alcotest.check_raises "negative"
@@ -802,9 +822,10 @@ let test_ivar_double_fill () =
   Alcotest.check_raises "double" (Failure "Ivar.fill: already filled")
     (fun () -> Ivar.fill ~label:Label.unknown sim iv 2)
 
-(* A reader of an empty ivar stays suspended, so the run ends [Blocked 1];
-   the fill resumes it with the value. *)
-let test_ivar_reader_waits_for_fill () =
+(* An ivar's contents and its waiters, seen from the run: a reader of an
+   empty ivar stays suspended, so the run ends [Blocked 1]; the fill
+   resumes it with the value. *)
+let test_ivar_peek_waiters () =
   let sim = Engine.create () in
   let iv = Ivar.create () in
   let got = ref None in
@@ -950,6 +971,7 @@ let () =
           Alcotest.test_case "register resumes then raises" `Quick
             test_engine_register_resumes_then_raises;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
+          Alcotest.test_case "until resumes" `Quick test_engine_until_resumes;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
           Alcotest.test_case "deterministic trace" `Quick test_engine_deterministic_trace;
           Alcotest.test_case "live processes" `Quick test_engine_live_processes;
@@ -965,8 +987,7 @@ let () =
           Alcotest.test_case "read then fill" `Quick test_ivar_read_then_fill;
           Alcotest.test_case "waiter order" `Quick test_ivar_multiple_waiters_in_order;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
-          Alcotest.test_case "reader waits for fill" `Quick
-            test_ivar_reader_waits_for_fill;
+          Alcotest.test_case "peek/waiters" `Quick test_ivar_peek_waiters;
           QCheck_alcotest.to_alcotest prop_ivar_matches_reference;
         ] );
     ]

@@ -190,6 +190,20 @@ let test_racy_access_ids () =
   Alcotest.(check bool) "w1 racy" true (Hashtbl.mem set w1);
   Alcotest.(check bool) "safe not racy" false (Hashtbl.mem set safe)
 
+(* A read absorbs the clock of the write it observed: that read is
+   itself racy (it races with the write it reads), but the reader's
+   next write is ordered after the first write and does not race. *)
+let test_vector_clock_shape () =
+  let r = Recorder.create ~n:2 () in
+  let a = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
+  let b = acc r ~t:2. ~pid:1 ~kind:Event.Read ~target:(reg 0 1) in
+  let _ = acc r ~t:3. ~pid:1 ~kind:Event.Write ~target:(reg 0 1) in
+  let t = Recorder.finish r in
+  Alcotest.(check (list (pair int int))) "only the read races" [ (a, b) ]
+    (List.map
+       (fun { Trace.first; second } -> (first.Event.id, second.Event.id))
+       (Trace.races t))
+
 (* Property: on random recorded traces, [Trace.races], computed from the
    trace's vector clocks, names exactly the pairs the reachability
    oracle does: conflicting accesses whose first is not before the
@@ -403,6 +417,19 @@ let test_spacetime_self_arrow () =
   Alcotest.(check bool) "rendered as self" true
     (Test_util.contains s "loopback (self)")
 
+(* The vector clocks have one entry per process: a trace whose event
+   names a process outside [0, n) or whose [n] is not positive is
+   rejected before any clock is built. *)
+let test_trace_vector_clock_bounds () =
+  let write pid =
+    Event.Access
+      { id = 0; time = 0.; pid; kind = Event.Write; target = reg 0 1; label = "" }
+  in
+  Alcotest.check_raises "pid past n" (Invalid_argument "Trace.build: pid out of range")
+    (fun () -> ignore (Trace.build ~n:2 ~events:[| write 2 |] ~preds:[| [] |]));
+  Alcotest.check_raises "n = 0" (Invalid_argument "Trace.build: n must be positive")
+    (fun () -> ignore (Trace.build ~n:0 ~events:[||] ~preds:[||]))
+
 let test_spacetime_validates () =
   Alcotest.check_raises "bad pid"
     (Invalid_argument "Spacetime.render: pid out of range") (fun () ->
@@ -431,6 +458,7 @@ let () =
           Alcotest.test_case "found" `Quick test_races_found;
           Alcotest.test_case "read-read" `Quick test_read_read_not_a_race;
           Alcotest.test_case "racy ids" `Quick test_racy_access_ids;
+          Alcotest.test_case "vector clocks" `Quick test_vector_clock_shape;
           QCheck_alcotest.to_alcotest prop_races_match_oracle;
           Alcotest.test_case "build validation" `Quick test_build_rejects_forward_edges;
           Alcotest.test_case "to_dot" `Quick test_to_dot_mentions_events;
@@ -445,6 +473,7 @@ let () =
         [
           Alcotest.test_case "renders" `Quick test_spacetime_renders;
           Alcotest.test_case "validates" `Quick test_spacetime_validates;
+          Alcotest.test_case "clock bounds" `Quick test_trace_vector_clock_bounds;
           Alcotest.test_case "self arrow" `Quick test_spacetime_self_arrow;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
         ] );
