@@ -531,6 +531,246 @@ let test_spawn_all_spmd () =
   Alcotest.(check (array int)) "all ran" [| 4 |]
     (Node_memory.read (Machine.node m 0) counter)
 
+(* ---------- per-verb steps ---------- *)
+
+(* Every verb's NIC steps, pinned in [machine_steps.expected]: for each
+   scenario below, under [nic_atomic] and under [relaxed], the probe
+   events the machine fires (op lifecycle, messages, locks, RMW
+   linearization points, batch flushes) and the observation records, in
+   emission order, then the run's outcome and its engine event count. A
+   refactor of the machine must leave every line where it was. *)
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let step_lines ~model ~bugs setup =
+  let sim = Engine.create () in
+  let m = Machine.create sim ~n:3 ~model ~protocol_bugs:bugs () in
+  let lines = ref [] and events = ref 0 in
+  let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Engine_step _ -> incr events
+    | Op_begin { time; pid; op; kind; target } ->
+        add "%.4f op_begin P%d #%d %s -> P%d" time pid op kind target
+    | Op_end { time; pid; op; kind } ->
+        add "%.4f op_end P%d #%d %s" time pid op kind
+    | Msg_sent { time; src; dst; msg } ->
+        add "%.4f msg_sent P%d -> P%d %s" time src dst (Dsm_obs.Msg.label msg)
+    | Msg_delivered { time; src; dst; msg } ->
+        add "%.4f msg_delivered P%d -> P%d %s" time src dst
+          (Dsm_obs.Msg.label msg)
+    | Lock_acquired { time; pid; node; offset; len } ->
+        add "%.4f lock_acquired P%d at P%d [%d..+%d)" time pid node offset len
+    | Lock_released { time; pid; node; offset; len } ->
+        add "%.4f lock_released P%d at P%d [%d..+%d)" time pid node offset len
+    | Rmw { time; node; origin; offset; len; kind } ->
+        add "%.4f rmw %s at P%d [%d..+%d) from P%d" time kind node offset len
+          origin
+    | Batch_flush { time; pid; node; kind; parts; words } ->
+        add "%.4f batch_flush P%d %s -> P%d parts=%d words=%d" time pid kind
+          node parts words
+    | _ -> ());
+  Machine.add_observer m (function
+    | Machine.Sent { time; src; dst; msg } ->
+        add "%.4f obs sent P%d -> P%d %s" time src dst (Message.describe msg)
+    | Machine.Delivered { time; src; dst; msg } ->
+        add "%.4f obs delivered P%d -> P%d %s" time src dst
+          (Message.describe msg)
+    | Machine.Write_applied { time; node; offset; data; origin } ->
+        add "%.4f obs write P%d [%d]=%s from P%d" time node offset (ints data)
+          origin
+    | Machine.Read_served { time; node; offset; data; origin } ->
+        add "%.4f obs read P%d [%d]=%s for P%d" time node offset (ints data)
+          origin
+    | Machine.Atomic_applied
+        { time; node; offset; kind = _; old_value; new_value; origin } ->
+        add "%.4f obs atomic P%d [%d] %d -> %d from P%d" time node offset
+          old_value new_value origin
+    | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
+      ->
+        add "%.4f obs acc %s P%d [%d] %s (+) %s = %s from P%d" time
+          (Message.acc_op_name aop) node offset (ints old) (ints data)
+          (ints result) origin);
+  setup m;
+  let outcome =
+    match Machine.run m with
+    | Engine.Completed -> "completed"
+    | Engine.Blocked k -> Printf.sprintf "blocked(%d)" k
+    | _ -> "other"
+  in
+  add "%s after %d events, %d pending" outcome !events (Machine.pending_ops m);
+  List.rev !lines
+
+(* A [len]-word region of [pid]'s memory holding [v], [v + 1], ... *)
+let filled m ~pid ~space ~len v =
+  let r =
+    match space with
+    | Addr.Public -> Machine.alloc_public m ~pid ~len ()
+    | Addr.Private -> Machine.alloc_private m ~pid ~len ()
+  in
+  Node_memory.write (Machine.node m pid) r (Array.init len (fun i -> v + i));
+  r
+
+let sub (r : Addr.region) ~off ~len =
+  Addr.region ~pid:r.base.pid ~space:r.base.space ~offset:(r.base.offset + off)
+    ~len
+
+let put_scenario ?ack ?locked () m =
+  let dst = filled m ~pid:2 ~space:Addr.Public ~len:2 0 in
+  Machine.spawn m ~pid:0 (fun p ->
+      let src = filled m ~pid:0 ~space:Addr.Private ~len:2 10 in
+      Machine.put p ~src ~dst ?ack ?locked ())
+
+let put_batch_scenario ?locked () m =
+  let dst = filled m ~pid:2 ~space:Addr.Public ~len:4 0 in
+  Machine.spawn m ~pid:0 (fun p ->
+      let src = filled m ~pid:0 ~space:Addr.Private ~len:3 10 in
+      Machine.put_batch p
+        ~pairs:
+          [
+            (sub src ~off:0 ~len:2, sub dst ~off:0 ~len:2);
+            (sub src ~off:2 ~len:1, sub dst ~off:3 ~len:1);
+          ]
+        ?locked ())
+
+let get_scenario ?locked () m =
+  let src = filled m ~pid:2 ~space:Addr.Public ~len:2 20 in
+  Machine.spawn m ~pid:0 (fun p ->
+      let dst = filled m ~pid:0 ~space:Addr.Public ~len:2 0 in
+      Machine.get p ~src ~dst ?locked ())
+
+let get_batch_scenario ?locked () m =
+  let src = filled m ~pid:2 ~space:Addr.Public ~len:3 20 in
+  Machine.spawn m ~pid:0 (fun p ->
+      let dst = filled m ~pid:0 ~space:Addr.Public ~len:3 0 in
+      let priv = filled m ~pid:0 ~space:Addr.Private ~len:1 0 in
+      Machine.get_batch p
+        ~pairs:[ (sub src ~off:0 ~len:2, sub dst ~off:1 ~len:2);
+                 (sub src ~off:2 ~len:1, priv) ]
+        ?locked ())
+
+let rmw_scenario m =
+  let cell = filled m ~pid:2 ~space:Addr.Public ~len:2 5 in
+  Machine.spawn m ~pid:0 (fun p ->
+      ignore (Machine.fetch_add p ~target:cell.base ~delta:3 ());
+      ignore (Machine.cas p ~target:cell.base ~expected:8 ~desired:1 ());
+      ignore (Machine.cas p ~target:cell.base ~expected:8 ~desired:2 ());
+      let src = filled m ~pid:0 ~space:Addr.Private ~len:2 4 in
+      ignore (Machine.accumulate p ~src ~dst:cell ~aop:Message.Max ()))
+
+let lock_scenario m =
+  let own = filled m ~pid:0 ~space:Addr.Public ~len:2 0 in
+  let remote = filled m ~pid:2 ~space:Addr.Public ~len:2 0 in
+  let priv = filled m ~pid:0 ~space:Addr.Private ~len:1 0 in
+  Machine.spawn m ~pid:0 (fun p ->
+      Machine.unlock p (Machine.lock p priv);
+      let t = Machine.lock p own in
+      Machine.compute p 1.0;
+      Machine.unlock p t;
+      let t = Machine.lock p remote in
+      Machine.compute p 1.0;
+      Machine.unlock p t)
+
+let control_scenario m =
+  Machine.set_control_handler m ~tag:"echo" (fun ~node ~origin:_ words ->
+      Some (Array.map (fun w -> w + node) words));
+  Machine.set_control_handler m ~tag:"fwd" (fun ~node ~origin:_ words ->
+      Machine.control_notify m ~src:node ~dst:2 ~tag:"sink" ~words;
+      None);
+  Machine.set_control_handler m ~tag:"sink" (fun ~node:_ ~origin:_ _ -> None);
+  Machine.spawn m ~pid:0 (fun p ->
+      ignore (Machine.control p ~target:2 ~tag:"echo" ~words:[| 1; 2 |]);
+      Machine.control_async p ~target:1 ~tag:"fwd" ~words:[| 7 |])
+
+(* Two processes put and get the same span while its owner locks it:
+   the NIC lock queues, and under relaxed the word-by-word put. *)
+let contended_scenario m =
+  let area = filled m ~pid:2 ~space:Addr.Public ~len:2 0 in
+  let worker p =
+    let pid = Machine.pid p in
+    let src = filled m ~pid ~space:Addr.Private ~len:2 (10 * (pid + 1)) in
+    let dst = filled m ~pid ~space:Addr.Public ~len:2 0 in
+    Machine.put p ~src ~dst:area ();
+    Machine.get p ~src:area ~dst ()
+  in
+  Machine.spawn m ~pid:0 worker;
+  Machine.spawn m ~pid:1 worker;
+  Machine.spawn m ~pid:2 (fun p ->
+      let t = Machine.lock p area in
+      Machine.compute p 3.0;
+      Machine.unlock p t)
+
+let racing_rmw_scenario m =
+  let cell = filled m ~pid:2 ~space:Addr.Public ~len:1 0 in
+  let body p = ignore (Machine.fetch_add p ~target:cell.base ~delta:1 ()) in
+  Machine.spawn m ~pid:0 body;
+  Machine.spawn m ~pid:1 body
+
+let racing_get_scenario m =
+  let src = filled m ~pid:2 ~space:Addr.Public ~len:1 20 in
+  let dst = filled m ~pid:0 ~space:Addr.Public ~len:1 0 in
+  Machine.spawn m ~pid:0 (fun p -> Machine.get p ~src ~dst ());
+  Machine.spawn m ~pid:1 (fun p ->
+      let src = filled m ~pid:1 ~space:Addr.Private ~len:1 9 in
+      Machine.put p ~src ~dst ())
+
+let step_scenarios =
+  [
+    ("put", [], put_scenario ());
+    ("put unacked", [], put_scenario ~ack:false ());
+    ("put unlocked", [], put_scenario ~locked:false ());
+    ("put unacked unlocked", [], put_scenario ~ack:false ~locked:false ());
+    ("put_batch", [], put_batch_scenario ());
+    ("put_batch unlocked", [], put_batch_scenario ~locked:false ());
+    ("get", [], get_scenario ());
+    ("get unlocked", [], get_scenario ~locked:false ());
+    ("get_batch", [], get_batch_scenario ());
+    ("get_batch unlocked", [], get_batch_scenario ~locked:false ());
+    ("fetch_add cas accumulate", [], rmw_scenario);
+    ("lock unlock", [], lock_scenario);
+    ("control", [], control_scenario);
+    ("contended", [], contended_scenario);
+    ("racing rmw", [], racing_rmw_scenario);
+    ("racing rmw, write after release", [ Machine.Skip_rmw_write_mark ],
+     racing_rmw_scenario);
+    ("racing get", [], racing_get_scenario);
+    ("racing get, no destination lock", [ Machine.Skip_get_dst_lock ],
+     racing_get_scenario);
+  ]
+
+let test_steps_pinned () =
+  let got =
+    List.concat_map
+      (fun model ->
+        List.concat_map
+          (fun (name, bugs, setup) ->
+            Printf.sprintf "== %s under %s" name (Model.name model)
+            :: step_lines ~model ~bugs setup)
+          step_scenarios)
+      [ Model.Nic_atomic; Model.Relaxed ]
+  in
+  let expected =
+    In_channel.with_open_text "machine_steps.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if got <> expected then begin
+    Out_channel.with_open_text "machine_steps.out" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got);
+    let rec first i = function
+      | g :: gs, e :: es -> if g = e then first (i + 1) (gs, es) else (i, g, e)
+      | g :: _, [] -> (i, g, "<end>")
+      | [], e :: _ -> (i, "<end>", e)
+      | [], [] -> (i, "", "")
+    in
+    let i, g, e = first 1 (got, expected) in
+    Alcotest.failf
+      "steps differ from machine_steps.expected at line %d:\n\
+      \  expected %s\n\
+      \  got      %s\n\
+       (whole run written to machine_steps.out)"
+      i e g
+  end
+
 let () =
   Alcotest.run "rdma"
     [
@@ -595,5 +835,6 @@ let () =
         [
           Alcotest.test_case "observer" `Quick test_observer_sees_messages;
           Alcotest.test_case "spawn_all" `Quick test_spawn_all_spmd;
+          Alcotest.test_case "per-verb steps pinned" `Quick test_steps_pinned;
         ] );
     ]
