@@ -85,12 +85,8 @@ type t = {
          per-message paths read plain booleans *)
   nodes : Node_memory.t array;
   mutable next_op : int;
-  (* operation id -> the initiator's ivar awaiting the reply *)
-  pending_acks : unit Ivar.t Int_tbl.t;
-  pending_data : int array Ivar.t Int_tbl.t;
-  pending_atomic : int Ivar.t Int_tbl.t;
-  pending_lock : int Ivar.t Int_tbl.t;
-  pending_control : int array Ivar.t Int_tbl.t;
+  (* operation id -> the initiator's ivar awaiting the reply message *)
+  pending : Message.t Ivar.t Int_tbl.t;
   (* [token * n + node] -> the lock id held on that node for a remote
      owner ([remote_lock_key]) *)
   remote_locks : Lock_table.lock_id Int_tbl.t;
@@ -145,6 +141,9 @@ let carries_clock = function
    and the node, packed into one int. *)
 let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
 
+(* [apply]'s answer to a request that wants no reply (an unacked put). *)
+let no_reply = Message.Put_ack { op = -1 }
+
 let rec handle m ~node ~src msg =
   if m.observers <> [] then
     notify m (Delivered { time = Engine.now m.sim; src; dst = node; msg });
@@ -153,9 +152,6 @@ let rec handle m ~node ~src msg =
      Dsm_obs.Probe.emit probe
        (Msg_delivered
           { time = Engine.now m.sim; src; dst = node; msg = Message.fields msg }));
-  let nm = m.nodes.(node) in
-  let locks = Node_memory.locks nm in
-  let public = Node_memory.segment nm Addr.Public in
   match msg with
   | Message.Put { op; origin; offset; data; locked; want_ack; _ }
     when (not m.mh.Model.atomic_puts) && Array.length data > 1 ->
@@ -170,123 +166,48 @@ let rec handle m ~node ~src msg =
       (* Non-atomic batches lose the union-span lock too: parts land word
          by word, interleaving with whatever else the schedule delivers. *)
       non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts
-  | Message.Put { op; origin; offset; data; locked; want_ack; _ } ->
-      if locked then
-        Lock_table.acquire locks ~offset ~len:(Array.length data) (fun id ->
-            write_part m ~node ~origin ~public ~offset data;
-            Lock_table.release locks id;
-            ack_put m ~node ~origin ~op want_ack)
-      else begin
-        write_part m ~node ~origin ~public ~offset data;
-        ack_put m ~node ~origin ~op want_ack
-      end
-  | Message.Put_batch { op; origin; parts; locked; want_ack; _ } ->
+  | Message.Put { origin; offset; data; locked; _ } ->
+      lock_step m ~node ~origin ~locked ~offset ~len:(Array.length data) msg
+  | Message.Put_batch { origin; parts; locked; _ } ->
       (* the whole batch lands under one lock spanning its parts — a
          single acquisition instead of one per put — and answers with a
-         single ack; each part is still applied (and observed) as its
-         own write so the coherence shadow checker sees the same
-         write-set an unbatched run produces *)
-      if locked then begin
-        let lo, _ = parts.(0) in
-        let hi_off, hi_data = parts.(Array.length parts - 1) in
-        let len = hi_off + Array.length hi_data - lo in
-        Lock_table.acquire locks ~offset:lo ~len (fun id ->
-            write_parts m ~node ~origin ~public parts;
-            Lock_table.release locks id;
-            ack_put m ~node ~origin ~op want_ack)
-      end
-      else begin
-        write_parts m ~node ~origin ~public parts;
-        ack_put m ~node ~origin ~op want_ack
-      end
-  | Message.Get { op; origin; offset; len; locked; extra_words } ->
-      if locked then
-        Lock_table.acquire locks ~offset ~len (fun id ->
-            let data = read_span m ~node ~origin ~public ~offset ~len in
-            Lock_table.release locks id;
-            transmit m ~src:node ~dst:origin
-              (Message.Get_reply { op; data; extra_words }))
-      else begin
-        let data = read_span m ~node ~origin ~public ~offset ~len in
-        transmit m ~src:node ~dst:origin
-          (Message.Get_reply { op; data; extra_words })
-      end
-  | Message.Atomic { op; origin; offset; kind; _ } ->
+         single ack *)
+      let lo, _ = parts.(0) in
+      let hi_off, hi_data = parts.(Array.length parts - 1) in
+      lock_step m ~node ~origin ~locked ~offset:lo
+        ~len:(hi_off + Array.length hi_data - lo)
+        msg
+  | Message.Get { origin; offset; len; locked; _ } ->
+      lock_step m ~node ~origin ~locked ~offset ~len msg
+  | Message.Atomic { op; origin; offset; kind; _ }
+    when List.mem Skip_rmw_write_mark m.bugs ->
+      (* Planted §5.2 bug: the read half runs under the region lock but
+         the write half is applied only after releasing it, as a delay-0
+         event that ties with concurrent deliveries. A put or another RMW
+         can land inside the window, so the value written is stale — the
+         lost update [Coherence]'s RMW oracle must catch. *)
+      let locks = Node_memory.locks m.nodes.(node) in
+      let public = Node_memory.segment m.nodes.(node) Addr.Public in
       Lock_table.acquire locks ~offset ~len:1 (fun id ->
           let old_value = Segment.read public ~offset in
-          let new_value = Message.apply_atomic kind old_value in
-          let apply () =
-            Segment.write public ~offset new_value;
-            if m.observers <> [] then
-              notify m
-                (Atomic_applied
-                   {
-                     time = Engine.now m.sim;
-                     node;
-                     offset;
-                     kind;
-                     old_value;
-                     new_value;
-                     origin;
-                   });
-            rmw_probe m ~node ~origin ~offset ~len:1
-              ~kind:
-                (match kind with
-                | Message.Fetch_add _ -> "fetch_add"
-                | Message.Compare_and_swap _ -> "cas")
-          in
-          if List.mem Skip_rmw_write_mark m.bugs then begin
-            (* Planted §5.2 bug: the read half runs under the region lock
-               but the write half is applied only after releasing it, as a
-               delay-0 event that ties with concurrent deliveries. A put
-               or another RMW can land inside the window, so the value
-               written is stale — the lost update [Coherence]'s RMW
-               oracle must catch. *)
-            Lock_table.release locks id;
-            Engine.schedule m.sim ~delay:0.
-              ~label:(Label.v ~node ~origin) (fun () ->
-                apply ();
-                transmit m ~src:node ~dst:origin
-                  (Message.Atomic_reply { op; old_value }))
-          end
-          else begin
-            apply ();
-            Lock_table.release locks id;
-            transmit m ~src:node ~dst:origin
-              (Message.Atomic_reply { op; old_value })
-          end)
-  | Message.Accumulate { op; origin; offset; aop; data; extra_words } ->
+          Lock_table.release locks id;
+          Engine.schedule m.sim ~delay:0. ~label:(Label.v ~node ~origin)
+            (fun () ->
+              write_atomic m ~node ~origin ~public ~offset kind old_value;
+              transmit m ~src:node ~dst:origin
+                (Message.Atomic_reply { op; old_value })))
+  | Message.Atomic { origin; offset; _ } ->
+      lock_step m ~node ~origin ~locked:true ~offset ~len:1 msg
+  | Message.Accumulate { origin; offset; data; _ } ->
       (* The generalized one-sided RMW: the whole span is read, combined
          element-wise and written back under a single region lock hold,
          so it is atomic against puts, gets and other RMWs over any part
          of the span. *)
-      let len = Array.length data in
-      Lock_table.acquire locks ~offset ~len (fun id ->
-          let old = Segment.read_block public ~offset ~len in
-          let result =
-            Array.init len (fun i -> Message.apply_acc aop old.(i) data.(i))
-          in
-          Segment.write_block public ~offset result;
-          if m.observers <> [] then
-            notify m
-              (Acc_applied
-                 {
-                   time = Engine.now m.sim;
-                   node;
-                   offset;
-                   aop;
-                   old;
-                   data;
-                   result;
-                   origin;
-                 });
-          rmw_probe m ~node ~origin ~offset ~len
-            ~kind:("acc:" ^ Message.acc_op_name aop);
-          Lock_table.release locks id;
-          transmit m ~src:node ~dst:origin
-            (Message.Acc_reply { op; old; extra_words }))
+      lock_step m ~node ~origin ~locked:true ~offset ~len:(Array.length data)
+        msg
   | Message.Lock_request { op; origin; offset; len } ->
-      Lock_table.acquire locks ~offset ~len (fun id ->
+      Lock_table.acquire (Node_memory.locks m.nodes.(node)) ~offset ~len
+        (fun id ->
           Int_tbl.replace m.remote_locks (remote_lock_key m ~node ~token:op) id;
           transmit m ~src:node ~dst:origin
             (Message.Lock_granted { op; token = op }))
@@ -295,7 +216,7 @@ let rec handle m ~node ~src msg =
       match Int_tbl.find m.remote_locks key with
       | id ->
           Int_tbl.remove m.remote_locks key;
-          Lock_table.release locks id
+          Lock_table.release (Node_memory.locks m.nodes.(node)) id
       | exception Not_found ->
           failwith (Printf.sprintf "NIC P%d: unknown unlock token" node))
   | Message.Control { op; origin; tag; words; want_reply } -> (
@@ -314,53 +235,122 @@ let rec handle m ~node ~src msg =
                 (Printf.sprintf
                    "NIC P%d: control handler %S did not reply as requested"
                    node tag)))
-  | Message.Put_ack { op } -> fill_pending m.pending_acks op () m ~node
-  | Message.Get_reply { op; data; _ } ->
-      fill_pending m.pending_data op data m ~node
-  | Message.Atomic_reply { op; old_value } ->
-      fill_pending m.pending_atomic op old_value m ~node
-  | Message.Acc_reply { op; old; _ } -> fill_pending m.pending_data op old m ~node
-  | Message.Lock_granted { op; token } ->
-      fill_pending m.pending_lock op token m ~node
-  | Message.Control_reply { op; words } ->
-      fill_pending m.pending_control op words m ~node
+  | Message.Put_ack { op }
+  | Message.Get_reply { op; _ }
+  | Message.Atomic_reply { op; _ }
+  | Message.Acc_reply { op; _ }
+  | Message.Lock_granted { op; _ }
+  | Message.Control_reply { op; _ } ->
+      complete m ~node op msg
 
-(* The data halves of the put, batch and get handlers, written as
-   functions of their own so a handler that needs no lock (the caller
-   already holds it) builds no closure, and one that does builds just
-   the lock-grant callback. *)
+(* Step 2, lock: the target NIC applies [msg] under the range lock when
+   [locked], releases it, then answers. Unlocked (the caller already
+   holds the lock), it applies at once and builds no closure; locked, it
+   builds only the lock-grant callback. *)
+and lock_step m ~node ~origin ~locked ~offset ~len msg =
+  if locked then begin
+    let locks = Node_memory.locks m.nodes.(node) in
+    Lock_table.acquire locks ~offset ~len (fun id ->
+        let reply = apply m ~node msg in
+        Lock_table.release locks id;
+        respond m ~node ~origin reply)
+  end
+  else respond m ~node ~origin (apply m ~node msg)
+
+and respond m ~node ~origin reply =
+  if reply != no_reply then transmit m ~src:node ~dst:origin reply
+
+(* Step 3, apply: the request's effect on [node]'s public memory, with
+   its observation and probe, at the instant the NIC commits it (inside
+   the lock hold). Returns the reply to send, or [no_reply]. *)
+and apply m ~node msg =
+  let public = Node_memory.segment m.nodes.(node) Addr.Public in
+  match msg with
+  | Message.Put { op; origin; offset; data; want_ack; _ } ->
+      write_part m ~node ~origin ~public ~offset data;
+      if want_ack then Message.Put_ack { op } else no_reply
+  | Message.Put_batch { op; origin; parts; want_ack; _ } ->
+      (* each part is applied (and observed) as its own write so the
+         coherence shadow checker sees the same write-set an unbatched
+         run produces *)
+      for i = 0 to Array.length parts - 1 do
+        let offset, data = parts.(i) in
+        write_part m ~node ~origin ~public ~offset data
+      done;
+      if want_ack then Message.Put_ack { op } else no_reply
+  | Message.Get { op; origin; offset; len; extra_words; _ } ->
+      let data = Segment.read_block public ~offset ~len in
+      if m.observers <> [] then
+        notify m
+          (Read_served { time = Engine.now m.sim; node; offset; data; origin });
+      Message.Get_reply { op; data; extra_words }
+  | Message.Atomic { op; origin; offset; kind; _ } ->
+      let old_value = Segment.read public ~offset in
+      write_atomic m ~node ~origin ~public ~offset kind old_value;
+      Message.Atomic_reply { op; old_value }
+  | Message.Accumulate { op; origin; offset; aop; data; extra_words } ->
+      let len = Array.length data in
+      let old = Segment.read_block public ~offset ~len in
+      let result =
+        Array.init len (fun i -> Message.apply_acc aop old.(i) data.(i))
+      in
+      Segment.write_block public ~offset result;
+      if m.observers <> [] then
+        notify m
+          (Acc_applied
+             {
+               time = Engine.now m.sim;
+               node;
+               offset;
+               aop;
+               old;
+               data;
+               result;
+               origin;
+             });
+      rmw_probe m ~node ~origin ~offset ~len
+        ~kind:("acc:" ^ Message.acc_op_name aop);
+      Message.Acc_reply { op; old; extra_words }
+  | _ -> invalid_arg "Machine.apply: not a data or RMW request"
+
 and write_part m ~node ~origin ~public ~offset data =
   Segment.write_block public ~offset data;
   if m.observers <> [] then
     notify m
       (Write_applied { time = Engine.now m.sim; node; offset; data; origin })
 
-and write_parts m ~node ~origin ~public parts =
-  for i = 0 to Array.length parts - 1 do
-    let offset, data = parts.(i) in
-    write_part m ~node ~origin ~public ~offset data
-  done
-
-and ack_put m ~node ~origin ~op want_ack =
-  if want_ack then transmit m ~src:node ~dst:origin (Message.Put_ack { op })
-
-and read_span m ~node ~origin ~public ~offset ~len =
-  let data = Segment.read_block public ~offset ~len in
+(* The write half of a single-word RMW whose read returned [old_value]. *)
+and write_atomic m ~node ~origin ~public ~offset kind old_value =
+  let new_value = Message.apply_atomic kind old_value in
+  Segment.write public ~offset new_value;
   if m.observers <> [] then
     notify m
-      (Read_served { time = Engine.now m.sim; node; offset; data; origin });
-  data
+      (Atomic_applied
+         {
+           time = Engine.now m.sim;
+           node;
+           offset;
+           kind;
+           old_value;
+           new_value;
+           origin;
+         });
+  rmw_probe m ~node ~origin ~offset ~len:1
+    ~kind:
+      (match kind with
+      | Message.Fetch_add _ -> "fetch_add"
+      | Message.Compare_and_swap _ -> "cas")
 
-and fill_pending : 'a. 'a Ivar.t Int_tbl.t -> int -> 'a -> t -> node:int -> unit
-    =
- fun table op v m ~node ->
-  match Int_tbl.find table op with
+(* Step 4, complete: the reply reaches the initiator's NIC and fills the
+   ivar [issue] awaits. *)
+and complete m ~node op reply =
+  match Int_tbl.find m.pending op with
   | iv ->
-      Int_tbl.remove table op;
+      Int_tbl.remove m.pending op;
       (* The resumed initiator lives on this node (pid = node), so its
          continuation's footprint is the node's own state plus its own
          process — the (node, node) label. *)
-      Ivar.fill ~label:(Label.v ~node ~origin:node) m.sim iv v
+      Ivar.fill ~label:(Label.v ~node ~origin:node) m.sim iv reply
   | exception Not_found ->
       failwith (Printf.sprintf "NIC: reply for unknown op #%d" op)
 
@@ -368,9 +358,8 @@ and fill_pending : 'a. 'a Ivar.t Int_tbl.t -> int -> 'a -> t -> node:int -> unit
    [(p, i)], each its own (locked) write, with a delay-0 scheduling point
    between consecutive words; acks after the last. *)
 and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
-  let nm = m.nodes.(node) in
-  let locks = Node_memory.locks nm in
-  let public = Node_memory.segment nm Addr.Public in
+  let locks = Node_memory.locks m.nodes.(node) in
+  let public = Node_memory.segment m.nodes.(node) Addr.Public in
   (* The first word at or after [(p, i)], skipping empty parts. *)
   let rec next p i =
     if p = Array.length parts then None
@@ -385,16 +374,15 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
     let offset = offset + i in
     let apply id =
       write_part m ~node ~origin ~public ~offset [| data.(i) |];
-      (match id with Some id -> Lock_table.release locks id | None -> ());
+      if id != Lock_table.refused then Lock_table.release locks id;
       match next p (i + 1) with
       | None -> finish ()
       | Some (p, i) ->
           Engine.schedule m.sim ~delay:0. ~label:(Label.v ~node ~origin)
             (fun () -> step p i)
     in
-    if locked then
-      Lock_table.acquire locks ~offset ~len:1 (fun id -> apply (Some id))
-    else apply None
+    if locked then Lock_table.acquire locks ~offset ~len:1 apply
+    else apply Lock_table.refused
   in
   match next 0 0 with None -> finish () | Some (p, i) -> step p i
 
@@ -500,11 +488,7 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
         Array.init n (fun pid ->
             Node_memory.create ~pid ?private_words ?public_words ());
       next_op = 0;
-      pending_acks = Int_tbl.create 64;
-      pending_data = Int_tbl.create 64;
-      pending_atomic = Int_tbl.create 64;
-      pending_lock = Int_tbl.create 64;
-      pending_control = Int_tbl.create 64;
+      pending = Int_tbl.create 64;
       remote_locks = Int_tbl.create 64;
       control_handlers = Hashtbl.create 8;
       observers = [];
@@ -544,11 +528,7 @@ let reset m =
   Dsm_net.Fabric.reset m.fabric;
   Array.iter Node_memory.reset m.nodes;
   m.next_op <- 0;
-  Int_tbl.clear m.pending_acks;
-  Int_tbl.clear m.pending_data;
-  Int_tbl.clear m.pending_atomic;
-  Int_tbl.clear m.pending_lock;
-  Int_tbl.clear m.pending_control;
+  Int_tbl.clear m.pending;
   Int_tbl.clear m.remote_locks;
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
@@ -589,12 +569,7 @@ let clock_encodings m =
 
 let transport_retransmits m = Dsm_net.Fabric.retransmits m.fabric
 
-let pending_ops m =
-  Int_tbl.length m.pending_acks
-  + Int_tbl.length m.pending_data
-  + Int_tbl.length m.pending_atomic
-  + Int_tbl.length m.pending_lock
-  + Int_tbl.length m.pending_control
+let pending_ops m = Int_tbl.length m.pending
 
 let locks_quiescent m =
   Array.for_all
@@ -662,24 +637,7 @@ let check_public (r : Addr.region) what =
     invalid_arg
       (Printf.sprintf "Machine.%s: %s is not public" what (Addr.to_string r))
 
-(* op-lifecycle probe points: [op_begin] before the request leaves the
-   initiator, [op_end] once the reply (if any) has been absorbed *)
-let op_begin p ~op ~kind ~target =
-  let probe = Engine.probe p.m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
-      (Op_begin { time = Engine.now p.m.sim; pid = p.p; op; kind; target })
-
-let op_end p ~op ~kind =
-  let probe = Engine.probe p.m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
-      (Op_end { time = Engine.now p.m.sim; pid = p.p; op; kind })
-
 let read_local p (r : Addr.region) = Node_memory.read p.m.nodes.(p.p) r
-
-let write_local p (r : Addr.region) data =
-  Node_memory.write p.m.nodes.(p.p) r data
 
 (* Acquire a lock on the caller's own node, suspending until granted.
    An uncontended lock is granted on the spot: awaiting it would only
@@ -694,6 +652,61 @@ let await_local_lock p ~offset ~len =
     Engine.await p.m.sim (fun resume ->
         Lock_table.acquire locks ~offset ~len resume)
 
+(* [Batch_flush] probe point: a batch coalesced [parts] operations into
+   one request. *)
+let batch_flush p ~node ~kind ~parts ~words =
+  let probe = Engine.probe p.m.sim in
+  if probe.on then
+    Dsm_obs.Probe.emit probe
+      (Batch_flush
+         { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
+
+(* Step 1, issue: [Op_begin] ([Batch_flush] too for a coalesced put),
+   [msg] (its id [op] from [fresh_op]) sent to [target], the wait for
+   the reply [complete] delivers when [awaits], then [Op_end]. Returns
+   the reply, or [msg]. Control requests pass kind [""]: no op probe. *)
+let issue p ~op ~kind ~target ~awaits msg =
+  let m = p.m and probe = Engine.probe p.m.sim in
+  if probe.on && kind <> "" then
+    Dsm_obs.Probe.emit probe
+      (Op_begin { time = Engine.now m.sim; pid = p.p; op; kind; target });
+  (match msg with
+  | Message.Put_batch { parts; _ } ->
+      batch_flush p ~node:target ~kind ~parts:(Array.length parts)
+        ~words:
+          (Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts)
+  | _ -> ());
+  let reply =
+    if awaits then begin
+      let iv = Ivar.create () in
+      Int_tbl.replace m.pending op iv;
+      transmit m ~src:p.p ~dst:target msg;
+      Ivar.read m.sim iv
+    end
+    else begin
+      transmit m ~src:p.p ~dst:target msg;
+      msg
+    end
+  in
+  if probe.on && kind <> "" then
+    Dsm_obs.Probe.emit probe
+      (Op_end { time = Engine.now m.sim; pid = p.p; op; kind });
+  reply
+
+(* What a reply hands back to the verb that issued its request. *)
+let reply_words = function
+  | Message.Get_reply { data = w; _ }
+  | Message.Acc_reply { old = w; _ }
+  | Message.Control_reply { words = w; _ } ->
+      w
+  | _ -> invalid_arg "Machine.reply_words: not a data reply"
+
+let reply_int = function
+  | Message.Atomic_reply { old_value = v; _ }
+  | Message.Lock_granted { token = v; _ } ->
+      v
+  | _ -> invalid_arg "Machine.reply_int: not an atomic reply or lock grant"
+
 (* ---------- data operations ---------- *)
 
 let put p ~src ~dst ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
@@ -702,44 +715,33 @@ let put p ~src ~dst ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   check_same_len src dst "put";
   let data = read_local p src in
   let op = fresh_op p.m in
-  let iv = if ack then Some (Ivar.create ()) else None in
-  (match iv with
-  | Some iv -> Int_tbl.replace p.m.pending_acks op iv
-  | None -> ());
-  op_begin p ~op ~kind:"put" ~target:dst.base.pid;
-  transmit p.m ~src:p.p ~dst:dst.base.pid
-    (Message.Put
-       {
-         op;
-         origin = p.p;
-         offset = dst.base.offset;
-         data;
-         extra_words;
-         locked;
-         want_ack = ack;
-       });
-  (match iv with Some iv -> Ivar.read p.m.sim iv | None -> ());
-  op_end p ~op ~kind:"put"
+  ignore
+    (issue p ~op ~kind:"put" ~target:dst.base.pid ~awaits:ack
+       (Message.Put
+          {
+            op;
+            origin = p.p;
+            offset = dst.base.offset;
+            data;
+            extra_words;
+            locked;
+            want_ack = ack;
+          }))
 
 let send_get p ~(src : Addr.region) ~extra_words ~locked =
   check_public src "get";
   let op = fresh_op p.m in
-  let iv = Ivar.create () in
-  Int_tbl.replace p.m.pending_data op iv;
-  op_begin p ~op ~kind:"get" ~target:src.base.pid;
-  transmit p.m ~src:p.p ~dst:src.base.pid
-    (Message.Get
-       {
-         op;
-         origin = p.p;
-         offset = src.base.offset;
-         len = src.len;
-         extra_words;
-         locked;
-       });
-  let data = Ivar.read p.m.sim iv in
-  op_end p ~op ~kind:"get";
-  data
+  reply_words
+    (issue p ~op ~kind:"get" ~target:src.base.pid ~awaits:true
+       (Message.Get
+          {
+            op;
+            origin = p.p;
+            offset = src.base.offset;
+            len = src.len;
+            extra_words;
+            locked;
+          }))
 
 (* Figure 3: a public destination stays locked for the whole round trip,
    so a concurrent put to it is delayed until the get finishes.
@@ -758,17 +760,12 @@ let dst_lock p (dst : Addr.region) =
 (* A get's data lands in the getter's own memory. Landing in public
    memory is a write like any the NIC applies, so observers see it. *)
 let land_data p (dst : Addr.region) data =
-  write_local p dst data;
-  if p.m.observers <> [] && Addr.is_public dst then
-    notify p.m
-      (Write_applied
-         {
-           time = Engine.now p.m.sim;
-           node = p.p;
-           offset = dst.base.offset;
-           data;
-           origin = p.p;
-         })
+  let nm = p.m.nodes.(p.p) in
+  if Addr.is_public dst then
+    write_part p.m ~node:p.p ~origin:p.p
+      ~public:(Node_memory.segment nm Addr.Public)
+      ~offset:dst.base.offset data
+  else Node_memory.write nm dst data
 
 let get p ~src ~(dst : Addr.region) ?(extra_words = 0) ?(locked = true) () =
   check_local p dst "get";
@@ -786,13 +783,6 @@ let get p ~src ~(dst : Addr.region) ?(extra_words = 0) ?(locked = true) () =
    message: one header, one lock acquisition over the union span, one
    reply. Singleton batches fall back to the plain per-op path so the
    [Batch_flush] probe fires only when coalescing actually happened. *)
-
-let batch_flush p ~node ~kind ~parts ~words =
-  let probe = Engine.probe p.m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
-      (Batch_flush
-         { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
 
 let rec check_put_parts p ~target ~prev_end = function
   | [] -> ()
@@ -826,20 +816,18 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
       check_put_parts p ~target ~prev_end:(-1) pairs;
       let parts = Array.make (List.length pairs) (0, [||]) in
       read_put_parts p parts 0 pairs;
-      let words =
-        Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
-      in
       let op = fresh_op p.m in
-      let iv = Ivar.create () in
-      Int_tbl.replace p.m.pending_acks op iv;
-      op_begin p ~op ~kind:"put" ~target;
-      batch_flush p ~node:target ~kind:"put" ~parts:(Array.length parts)
-        ~words;
-      transmit p.m ~src:p.p ~dst:target
-        (Message.Put_batch
-           { op; origin = p.p; parts; extra_words; locked; want_ack = true });
-      Ivar.read p.m.sim iv;
-      op_end p ~op ~kind:"put"
+      ignore
+        (issue p ~op ~kind:"put" ~target ~awaits:true
+           (Message.Put_batch
+              {
+                op;
+                origin = p.p;
+                parts;
+                extra_words;
+                locked;
+                want_ack = true;
+              }))
 
 (* Gets need no new message: contiguous sources collapse into a single
    [Get] over the union span, scattered into the destinations locally. *)
@@ -886,15 +874,10 @@ let atomic p ~(target : Addr.global) ~extra_words kind =
   if target.space <> Addr.Public then
     invalid_arg "Machine.atomic: target is not public";
   let op = fresh_op p.m in
-  let iv = Ivar.create () in
-  Int_tbl.replace p.m.pending_atomic op iv;
-  op_begin p ~op ~kind:"atomic" ~target:target.pid;
-  transmit p.m ~src:p.p ~dst:target.pid
-    (Message.Atomic
-       { op; origin = p.p; offset = target.offset; kind; extra_words });
-  let old = Ivar.read p.m.sim iv in
-  op_end p ~op ~kind:"atomic";
-  old
+  reply_int
+    (issue p ~op ~kind:"atomic" ~target:target.pid ~awaits:true
+       (Message.Atomic
+          { op; origin = p.p; offset = target.offset; kind; extra_words }))
 
 let fetch_add p ~target ?(extra_words = 0) ~delta () =
   atomic p ~target ~extra_words (Message.Fetch_add delta)
@@ -918,15 +901,17 @@ let accumulate p ~(src : Addr.region) ~(dst : Addr.region)
   if Array.length data = 0 then
     invalid_arg "Machine.accumulate: empty region";
   let op = fresh_op p.m in
-  let iv = Ivar.create () in
-  Int_tbl.replace p.m.pending_data op iv;
-  op_begin p ~op ~kind:"atomic" ~target:dst.base.pid;
-  transmit p.m ~src:p.p ~dst:dst.base.pid
-    (Message.Accumulate
-       { op; origin = p.p; offset = dst.base.offset; aop; data; extra_words });
-  let old = Ivar.read p.m.sim iv in
-  op_end p ~op ~kind:"atomic";
-  old
+  reply_words
+    (issue p ~op ~kind:"atomic" ~target:dst.base.pid ~awaits:true
+       (Message.Accumulate
+          {
+            op;
+            origin = p.p;
+            offset = dst.base.offset;
+            aop;
+            data;
+            extra_words;
+          }))
 
 (* ---------- lock service ---------- *)
 
@@ -935,19 +920,14 @@ type token =
   | Local of { id : Lock_table.lock_id; offset : int; len : int }
   | Remote of { node : int; tok : int; offset : int; len : int }
 
-let lock_acquired p ~node ~offset ~len =
+let lock_probe p ~acquired ~node ~offset ~len =
   let probe = Engine.probe p.m.sim in
-  if probe.on then
+  if probe.on then begin
+    let time = Engine.now p.m.sim in
     Dsm_obs.Probe.emit probe
-      (Lock_acquired
-         { time = Engine.now p.m.sim; pid = p.p; node; offset; len })
-
-let lock_released p ~node ~offset ~len =
-  let probe = Engine.probe p.m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
-      (Lock_released
-         { time = Engine.now p.m.sim; pid = p.p; node; offset; len })
+      (if acquired then Lock_acquired { time; pid = p.p; node; offset; len }
+       else Lock_released { time; pid = p.p; node; offset; len })
+  end
 
 let lock p (r : Addr.region) =
   match (r.base.space, r.base.pid = p.p) with
@@ -956,29 +936,28 @@ let lock p (r : Addr.region) =
       invalid_arg "Machine.lock: cannot lock another process's private memory"
   | Addr.Public, true ->
       let id = await_local_lock p ~offset:r.base.offset ~len:r.len in
-      lock_acquired p ~node:p.p ~offset:r.base.offset ~len:r.len;
+      lock_probe p ~acquired:true ~node:p.p ~offset:r.base.offset ~len:r.len;
       Local { id; offset = r.base.offset; len = r.len }
   | Addr.Public, false ->
       let op = fresh_op p.m in
-      let iv = Ivar.create () in
-      Int_tbl.replace p.m.pending_lock op iv;
-      op_begin p ~op ~kind:"lock" ~target:r.base.pid;
-      transmit p.m ~src:p.p ~dst:r.base.pid
-        (Message.Lock_request
-           { op; origin = p.p; offset = r.base.offset; len = r.len });
-      let tok = Ivar.read p.m.sim iv in
-      op_end p ~op ~kind:"lock";
-      lock_acquired p ~node:r.base.pid ~offset:r.base.offset ~len:r.len;
+      let tok =
+        reply_int
+          (issue p ~op ~kind:"lock" ~target:r.base.pid ~awaits:true
+             (Message.Lock_request
+                { op; origin = p.p; offset = r.base.offset; len = r.len }))
+      in
+      lock_probe p ~acquired:true ~node:r.base.pid ~offset:r.base.offset
+        ~len:r.len;
       Remote { node = r.base.pid; tok; offset = r.base.offset; len = r.len }
 
 let unlock p = function
   | No_lock -> ()
   | Local { id; offset; len } ->
       Lock_table.release (Node_memory.locks p.m.nodes.(p.p)) id;
-      lock_released p ~node:p.p ~offset ~len
+      lock_probe p ~acquired:false ~node:p.p ~offset ~len
   | Remote { node; tok; offset; len } ->
       transmit p.m ~src:p.p ~dst:node (Message.Unlock { token = tok });
-      lock_released p ~node ~offset ~len
+      lock_probe p ~acquired:false ~node ~offset ~len
 
 (* ---------- control plane ---------- *)
 
@@ -990,16 +969,15 @@ let set_control_handler m ~tag f =
 
 let control p ~target ~tag ~words =
   let op = fresh_op p.m in
-  let iv = Ivar.create () in
-  Int_tbl.replace p.m.pending_control op iv;
-  transmit p.m ~src:p.p ~dst:target
-    (Message.Control { op; origin = p.p; tag; words; want_reply = true });
-  Ivar.read p.m.sim iv
+  reply_words
+    (issue p ~op ~kind:"" ~target ~awaits:true
+       (Message.Control { op; origin = p.p; tag; words; want_reply = true }))
 
 let control_async p ~target ~tag ~words =
   let op = fresh_op p.m in
-  transmit p.m ~src:p.p ~dst:target
-    (Message.Control { op; origin = p.p; tag; words; want_reply = false })
+  ignore
+    (issue p ~op ~kind:"" ~target ~awaits:false
+       (Message.Control { op; origin = p.p; tag; words; want_reply = false }))
 
 let control_notify m ~src ~dst ~tag ~words =
   let op = fresh_op m in

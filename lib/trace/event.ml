@@ -6,7 +6,6 @@ type access = {
   pid : int;
   kind : kind;
   target : Dsm_memory.Addr.region;
-  label : string;
 }
 
 type sync =
@@ -71,9 +70,8 @@ let kind_name = function
 
 let pp ppf = function
   | Access a ->
-      Format.fprintf ppf "#%d t=%.2f P%d %s %a%s" a.id a.time a.pid
+      Format.fprintf ppf "#%d t=%.2f P%d %s %a" a.id a.time a.pid
         (kind_name a.kind) Dsm_memory.Addr.pp_region a.target
-        (if a.label = "" then "" else " (" ^ a.label ^ ")")
   | Sync (Lock_acquire { id; time; pid; lock }) ->
       Format.fprintf ppf "#%d t=%.2f P%d acquire %s" id time pid lock
   | Sync (Lock_release { id; time; pid; lock }) ->

@@ -25,7 +25,6 @@ type access = {
   pid : int;  (** the initiating process *)
   kind : kind;
   target : Dsm_memory.Addr.region;  (** the shared words touched *)
-  label : string;  (** free-form: which op/variable, for reports *)
 }
 
 type sync =

@@ -57,9 +57,9 @@ let to_csv t =
       let row =
         match e with
         | Event.Access a ->
-            Printf.sprintf "%d,%.6f,%d,access,%s,%d,%d,%d,%s" id time pid
+            Printf.sprintf "%d,%.6f,%d,access,%s,%d,%d,%d," id time pid
               (Event.kind_name a.kind) a.target.base.pid a.target.base.offset
-              a.target.len (csv_escape a.label)
+              a.target.len
         | Event.Sync (Event.Lock_acquire { lock; _ }) ->
             Printf.sprintf "%d,%.6f,%d,lock-acquire,,,,,%s" id time pid
               (csv_escape lock)

@@ -61,7 +61,7 @@ let access t ~time ~pid ~kind ~target =
         dedup_sorted (ids_on t.writers keys @ ids_on t.rmw_syncs keys)
     | Event.Write -> []
   in
-  push t (Event.Access { id; time; pid; kind; target; label = "" }) preds;
+  push t (Event.Access { id; time; pid; kind; target }) preds;
   if kind = Event.Write || kind = Event.Atomic_update then
     List.iter
       (fun k ->

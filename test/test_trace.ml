@@ -46,7 +46,6 @@ let test_event_conflict () =
       pid;
       kind;
       target = reg ~pid:2 offset 2;
-      label = "";
     }
   in
   let w0 = mk 0 0 Event.Write 0 in
@@ -306,7 +305,7 @@ let test_build_rejects_forward_edges () =
   let events =
     [|
       Event.Access
-        { id = 0; time = 0.; pid = 0; kind = Event.Write; target = reg 0 1; label = "" };
+        { id = 0; time = 0.; pid = 0; kind = Event.Write; target = reg 0 1 };
     |]
   in
   Alcotest.check_raises "forward edge"
@@ -358,15 +357,8 @@ let test_export_csv_shape () =
 
 let test_export_csv_escaping () =
   let r = Recorder.create ~n:1 () in
-  let _ = acc r ~t:0. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
-  let events =
-    Array.map
-      (function
-        | Event.Access a -> Event.Access { a with label = "has,comma" }
-        | e -> e)
-      (Trace.events (Recorder.finish r))
-  in
-  let csv = Export.to_csv (Trace.build ~n:1 ~events ~preds:[| [] |]) in
+  let _ = Recorder.lock_acquire r ~time:0. ~pid:0 ~lock:"has,comma" in
+  let csv = Export.to_csv (Recorder.finish r) in
   Alcotest.(check bool) "quoted" true (Test_util.contains csv "\"has,comma\"")
 
 (* ---------- spacetime ---------- *)
@@ -423,7 +415,7 @@ let test_spacetime_self_arrow () =
 let test_trace_vector_clock_bounds () =
   let write pid =
     Event.Access
-      { id = 0; time = 0.; pid; kind = Event.Write; target = reg 0 1; label = "" }
+      { id = 0; time = 0.; pid; kind = Event.Write; target = reg 0 1 }
   in
   Alcotest.check_raises "pid past n" (Invalid_argument "Trace.build: pid out of range")
     (fun () -> ignore (Trace.build ~n:2 ~events:[| write 2 |] ~preds:[| [] |]));
