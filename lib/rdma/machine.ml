@@ -85,8 +85,13 @@ type t = {
          per-message paths read plain booleans *)
   nodes : Node_memory.t array;
   mutable next_op : int;
-  (* operation id -> the initiator's ivar awaiting the reply message *)
-  pending : Message.t Ivar.t Int_tbl.t;
+  (* operation id -> the initiator's ivar awaiting the reply: the words
+     of a get, accumulate or control reply ([[||]] for a put's ack), or
+     the one value of an atomic reply or lock grant. Two tables by
+     payload type, so a reply fills its ivar with what it carries and
+     no message outlives its delivery. *)
+  pending_words : int array Ivar.t Int_tbl.t;
+  pending_values : int Ivar.t Int_tbl.t;
   (* [token * n + node] -> the lock id held on that node for a remote
      owner ([remote_lock_key]) *)
   remote_locks : Lock_table.lock_id Int_tbl.t;
@@ -235,13 +240,14 @@ let rec handle m ~node ~src msg =
                 (Printf.sprintf
                    "NIC P%d: control handler %S did not reply as requested"
                    node tag)))
-  | Message.Put_ack { op }
-  | Message.Get_reply { op; _ }
-  | Message.Atomic_reply { op; _ }
-  | Message.Acc_reply { op; _ }
-  | Message.Lock_granted { op; _ }
-  | Message.Control_reply { op; _ } ->
-      complete m ~node op msg
+  | Message.Put_ack { op } -> fill_reply m ~node m.pending_words op [||]
+  | Message.Get_reply { op; data = w; _ }
+  | Message.Acc_reply { op; old = w; _ }
+  | Message.Control_reply { op; words = w } ->
+      fill_reply m ~node m.pending_words op w
+  | Message.Atomic_reply { op; old_value = v }
+  | Message.Lock_granted { op; token = v } ->
+      fill_reply m ~node m.pending_values op v
 
 (* Step 2, lock: the target NIC applies [msg] under the range lock when
    [locked], releases it, then answers. Unlocked (the caller already
@@ -341,16 +347,18 @@ and write_atomic m ~node ~origin ~public ~offset kind old_value =
       | Message.Fetch_add _ -> "fetch_add"
       | Message.Compare_and_swap _ -> "cas")
 
-(* Step 4, complete: the reply reaches the initiator's NIC and fills the
-   ivar [issue] awaits. *)
-and complete m ~node op reply =
-  match Int_tbl.find m.pending op with
+(* Step 4, complete, at the initiator's NIC: the reply fills the ivar
+   [complete] waits on. *)
+and fill_reply : 'a. t -> node:int -> 'a Ivar.t Int_tbl.t -> int -> 'a -> unit
+    =
+ fun m ~node pending op v ->
+  match Int_tbl.find pending op with
   | iv ->
-      Int_tbl.remove m.pending op;
+      Int_tbl.remove pending op;
       (* The resumed initiator lives on this node (pid = node), so its
          continuation's footprint is the node's own state plus its own
          process — the (node, node) label. *)
-      Ivar.fill ~label:(Label.v ~node ~origin:node) m.sim iv reply
+      Ivar.fill ~label:(Label.v ~node ~origin:node) m.sim iv v
   | exception Not_found ->
       failwith (Printf.sprintf "NIC: reply for unknown op #%d" op)
 
@@ -372,7 +380,7 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
   let rec step p i =
     let offset, data = parts.(p) in
     let offset = offset + i in
-    let apply id =
+    let write_word id =
       write_part m ~node ~origin ~public ~offset [| data.(i) |];
       if id != Lock_table.refused then Lock_table.release locks id;
       match next p (i + 1) with
@@ -381,8 +389,8 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
           Engine.schedule m.sim ~delay:0. ~label:(Label.v ~node ~origin)
             (fun () -> step p i)
     in
-    if locked then Lock_table.acquire locks ~offset ~len:1 apply
-    else apply Lock_table.refused
+    if locked then Lock_table.acquire locks ~offset ~len:1 write_word
+    else write_word Lock_table.refused
   in
   match next 0 0 with None -> finish () | Some (p, i) -> step p i
 
@@ -488,7 +496,8 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
         Array.init n (fun pid ->
             Node_memory.create ~pid ?private_words ?public_words ());
       next_op = 0;
-      pending = Int_tbl.create 64;
+      pending_words = Int_tbl.create 64;
+      pending_values = Int_tbl.create 64;
       remote_locks = Int_tbl.create 64;
       control_handlers = Hashtbl.create 8;
       observers = [];
@@ -528,7 +537,8 @@ let reset m =
   Dsm_net.Fabric.reset m.fabric;
   Array.iter Node_memory.reset m.nodes;
   m.next_op <- 0;
-  Int_tbl.clear m.pending;
+  Int_tbl.clear m.pending_words;
+  Int_tbl.clear m.pending_values;
   Int_tbl.clear m.remote_locks;
   Hashtbl.reset m.control_handlers;
   m.observers <- [];
@@ -569,7 +579,8 @@ let clock_encodings m =
 
 let transport_retransmits m = Dsm_net.Fabric.retransmits m.fabric
 
-let pending_ops m = Int_tbl.length m.pending
+let pending_ops m =
+  Int_tbl.length m.pending_words + Int_tbl.length m.pending_values
 
 let locks_quiescent m =
   Array.for_all
@@ -661,51 +672,38 @@ let batch_flush p ~node ~kind ~parts ~words =
       (Batch_flush
          { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
 
-(* Step 1, issue: [Op_begin] ([Batch_flush] too for a coalesced put),
-   [msg] (its id [op] from [fresh_op]) sent to [target], the wait for
-   the reply [complete] delivers when [awaits], then [Op_end]. Returns
-   the reply, or [msg]. Control requests pass kind [""]: no op probe. *)
-let issue p ~op ~kind ~target ~awaits msg =
-  let m = p.m and probe = Engine.probe p.m.sim in
+(* Step 1, issue: [Op_begin] ([Batch_flush] too for a coalesced put) and
+   the request [msg], its id [op] from [fresh_op], on the wire to
+   [target]. Control requests pass kind [""]: they fire no op probe. *)
+let issue p ~op ~kind ~target msg =
+  let probe = Engine.probe p.m.sim in
   if probe.on && kind <> "" then
     Dsm_obs.Probe.emit probe
-      (Op_begin { time = Engine.now m.sim; pid = p.p; op; kind; target });
+      (Op_begin { time = Engine.now p.m.sim; pid = p.p; op; kind; target });
   (match msg with
   | Message.Put_batch { parts; _ } ->
       batch_flush p ~node:target ~kind ~parts:(Array.length parts)
         ~words:
           (Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts)
   | _ -> ());
-  let reply =
-    if awaits then begin
-      let iv = Ivar.create () in
-      Int_tbl.replace m.pending op iv;
-      transmit m ~src:p.p ~dst:target msg;
-      Ivar.read m.sim iv
-    end
-    else begin
-      transmit m ~src:p.p ~dst:target msg;
-      msg
-    end
-  in
+  transmit p.m ~src:p.p ~dst:target msg
+
+let op_end p ~op ~kind =
+  let probe = Engine.probe p.m.sim in
   if probe.on && kind <> "" then
     Dsm_obs.Probe.emit probe
-      (Op_end { time = Engine.now m.sim; pid = p.p; op; kind });
-  reply
+      (Op_end { time = Engine.now p.m.sim; pid = p.p; op; kind })
 
-(* What a reply hands back to the verb that issued its request. *)
-let reply_words = function
-  | Message.Get_reply { data = w; _ }
-  | Message.Acc_reply { old = w; _ }
-  | Message.Control_reply { words = w; _ } ->
-      w
-  | _ -> invalid_arg "Machine.reply_words: not a data reply"
-
-let reply_int = function
-  | Message.Atomic_reply { old_value = v; _ }
-  | Message.Lock_granted { token = v; _ } ->
-      v
-  | _ -> invalid_arg "Machine.reply_int: not an atomic reply or lock grant"
+(* Step 4, complete, on the initiator: waits for the reply to [op] that
+   [fill_reply] files in [pending] at the initiator's NIC, then fires
+   [Op_end]. The ivar is registered after [issue] sent the request, but
+   before any delivery can run. *)
+let complete p ~op ~kind pending =
+  let iv = Ivar.create () in
+  Int_tbl.replace pending op iv;
+  let v = Ivar.read p.m.sim iv in
+  op_end p ~op ~kind;
+  v
 
 (* ---------- data operations ---------- *)
 
@@ -715,33 +713,34 @@ let put p ~src ~dst ?(extra_words = 0) ?(ack = true) ?(locked = true) () =
   check_same_len src dst "put";
   let data = read_local p src in
   let op = fresh_op p.m in
-  ignore
-    (issue p ~op ~kind:"put" ~target:dst.base.pid ~awaits:ack
-       (Message.Put
-          {
-            op;
-            origin = p.p;
-            offset = dst.base.offset;
-            data;
-            extra_words;
-            locked;
-            want_ack = ack;
-          }))
+  issue p ~op ~kind:"put" ~target:dst.base.pid
+    (Message.Put
+       {
+         op;
+         origin = p.p;
+         offset = dst.base.offset;
+         data;
+         extra_words;
+         locked;
+         want_ack = ack;
+       });
+  if ack then ignore (complete p ~op ~kind:"put" p.m.pending_words)
+  else op_end p ~op ~kind:"put"
 
 let send_get p ~(src : Addr.region) ~extra_words ~locked =
   check_public src "get";
   let op = fresh_op p.m in
-  reply_words
-    (issue p ~op ~kind:"get" ~target:src.base.pid ~awaits:true
-       (Message.Get
-          {
-            op;
-            origin = p.p;
-            offset = src.base.offset;
-            len = src.len;
-            extra_words;
-            locked;
-          }))
+  issue p ~op ~kind:"get" ~target:src.base.pid
+    (Message.Get
+       {
+         op;
+         origin = p.p;
+         offset = src.base.offset;
+         len = src.len;
+         extra_words;
+         locked;
+       });
+  complete p ~op ~kind:"get" p.m.pending_words
 
 (* Figure 3: a public destination stays locked for the whole round trip,
    so a concurrent put to it is delayed until the get finishes.
@@ -817,17 +816,10 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
       let parts = Array.make (List.length pairs) (0, [||]) in
       read_put_parts p parts 0 pairs;
       let op = fresh_op p.m in
-      ignore
-        (issue p ~op ~kind:"put" ~target ~awaits:true
-           (Message.Put_batch
-              {
-                op;
-                origin = p.p;
-                parts;
-                extra_words;
-                locked;
-                want_ack = true;
-              }))
+      issue p ~op ~kind:"put" ~target
+        (Message.Put_batch
+           { op; origin = p.p; parts; extra_words; locked; want_ack = true });
+      ignore (complete p ~op ~kind:"put" p.m.pending_words)
 
 (* Gets need no new message: contiguous sources collapse into a single
    [Get] over the union span, scattered into the destinations locally. *)
@@ -874,10 +866,10 @@ let atomic p ~(target : Addr.global) ~extra_words kind =
   if target.space <> Addr.Public then
     invalid_arg "Machine.atomic: target is not public";
   let op = fresh_op p.m in
-  reply_int
-    (issue p ~op ~kind:"atomic" ~target:target.pid ~awaits:true
-       (Message.Atomic
-          { op; origin = p.p; offset = target.offset; kind; extra_words }))
+  issue p ~op ~kind:"atomic" ~target:target.pid
+    (Message.Atomic
+       { op; origin = p.p; offset = target.offset; kind; extra_words });
+  complete p ~op ~kind:"atomic" p.m.pending_values
 
 let fetch_add p ~target ?(extra_words = 0) ~delta () =
   atomic p ~target ~extra_words (Message.Fetch_add delta)
@@ -901,17 +893,10 @@ let accumulate p ~(src : Addr.region) ~(dst : Addr.region)
   if Array.length data = 0 then
     invalid_arg "Machine.accumulate: empty region";
   let op = fresh_op p.m in
-  reply_words
-    (issue p ~op ~kind:"atomic" ~target:dst.base.pid ~awaits:true
-       (Message.Accumulate
-          {
-            op;
-            origin = p.p;
-            offset = dst.base.offset;
-            aop;
-            data;
-            extra_words;
-          }))
+  issue p ~op ~kind:"atomic" ~target:dst.base.pid
+    (Message.Accumulate
+       { op; origin = p.p; offset = dst.base.offset; aop; data; extra_words });
+  complete p ~op ~kind:"atomic" p.m.pending_words
 
 (* ---------- lock service ---------- *)
 
@@ -940,12 +925,10 @@ let lock p (r : Addr.region) =
       Local { id; offset = r.base.offset; len = r.len }
   | Addr.Public, false ->
       let op = fresh_op p.m in
-      let tok =
-        reply_int
-          (issue p ~op ~kind:"lock" ~target:r.base.pid ~awaits:true
-             (Message.Lock_request
-                { op; origin = p.p; offset = r.base.offset; len = r.len }))
-      in
+      issue p ~op ~kind:"lock" ~target:r.base.pid
+        (Message.Lock_request
+           { op; origin = p.p; offset = r.base.offset; len = r.len });
+      let tok = complete p ~op ~kind:"lock" p.m.pending_values in
       lock_probe p ~acquired:true ~node:r.base.pid ~offset:r.base.offset
         ~len:r.len;
       Remote { node = r.base.pid; tok; offset = r.base.offset; len = r.len }
@@ -969,15 +952,14 @@ let set_control_handler m ~tag f =
 
 let control p ~target ~tag ~words =
   let op = fresh_op p.m in
-  reply_words
-    (issue p ~op ~kind:"" ~target ~awaits:true
-       (Message.Control { op; origin = p.p; tag; words; want_reply = true }))
+  issue p ~op ~kind:"" ~target
+    (Message.Control { op; origin = p.p; tag; words; want_reply = true });
+  complete p ~op ~kind:"" p.m.pending_words
 
 let control_async p ~target ~tag ~words =
   let op = fresh_op p.m in
-  ignore
-    (issue p ~op ~kind:"" ~target ~awaits:false
-       (Message.Control { op; origin = p.p; tag; words; want_reply = false }))
+  issue p ~op ~kind:"" ~target
+    (Message.Control { op; origin = p.p; tag; words; want_reply = false })
 
 let control_notify m ~src ~dst ~tag ~words =
   let op = fresh_op m in

@@ -21,14 +21,14 @@
     paper's Algorithm 1/2 transactions. RMWs ({!fetch_add}, {!cas},
     {!accumulate}) always lock at the target NIC.
 
-    Every verb runs as four steps. {b Issue}: [Op_begin], the request
-    sent ({!Sent}), the wait for its reply. {b Lock}: once the request
-    is {!Delivered}, the target NIC takes the range lock when the
-    request is locked. {b Apply}: the memory effect and its observation
-    ({!Write_applied}, {!Read_served}, {!Atomic_applied},
-    {!Acc_applied}; an RMW also fires the [Rmw] probe), then the release
-    and the reply. {b Complete}: the reply resumes the initiator, which
-    fires [Op_end]. DESIGN.md §14 places every probe.
+    Every verb runs as four steps. {b Issue}: [Op_begin] and the
+    request sent ({!Sent}). {b Lock}: once the request is {!Delivered},
+    the target NIC takes the range lock when the request is locked.
+    {b Apply}: the memory effect and its observation ({!Write_applied},
+    {!Read_served}, {!Atomic_applied}, {!Acc_applied}; an RMW also fires
+    the [Rmw] probe), then the release and the reply. {b Complete}: the
+    reply fills the initiator's pending operation, and the resumed
+    process fires [Op_end]. DESIGN.md §14 places every probe.
 
     The [Control] plane ({!control}, {!set_control_handler}) lets upper
     layers install named services on every node (clock storage, barrier
