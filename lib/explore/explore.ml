@@ -311,7 +311,9 @@ let raw_violating r = r.r_violations <> []
 
 let raw_canon r = r.r_canon
 
-let exec_with ctx chooser =
+(* [~canon:false] leaves [r_canon] empty: the determinism replay reads
+   only the fingerprint. *)
+let exec_with ~canon ctx chooser =
   let probe = Engine.probe ctx.sim in
   let run = ctx.runs_executed in
   ctx.runs_executed <- run + 1;
@@ -363,7 +365,7 @@ let exec_with ctx chooser =
     r_retransmits = Machine.transport_retransmits built.machine;
     r_violations = violations;
     r_fingerprint = fingerprint_of ctx built outcome ~races ~monitor_report;
-    r_canon = canon_of ctx built outcome violations;
+    r_canon = (if canon then canon_of ctx built outcome violations else "");
   }
 
 let exec_mode ctx mode =
@@ -372,7 +374,7 @@ let exec_mode ctx mode =
       Prng.reseed ctx.walk_rng ~seed:(mix_seed ctx.spec.seed salt);
       Chooser.reset_random ctx.chooser ctx.walk_rng
   | Script ds -> Chooser.reset_scripted ctx.chooser ds);
-  exec_with ctx ctx.chooser
+  exec_with ~canon:true ctx ctx.chooser
 
 (* Determinism check: replay the decisions just recorded (shared buffer,
    no copy) through the second chooser, leaving the original recording
@@ -382,7 +384,7 @@ let exec_checked ?(check_determinism = false) ctx mode =
   if not check_determinism then r
   else begin
     Chooser.reset_replay_of ctx.replay_chooser ~src:ctx.chooser;
-    let r2 = exec_with ctx ctx.replay_chooser in
+    let r2 = exec_with ~canon:false ctx ctx.replay_chooser in
     if String.equal r2.r_fingerprint r.r_fingerprint then r
     else
       {

@@ -81,8 +81,13 @@ let remove_held t id =
     true
   end
 
-let conflicts_queued t ~offset ~len =
-  List.exists (fun w -> overlaps w.w_offset w.w_len offset len) t.queue
+(* A recursion rather than [List.exists]: no closure per grant check. *)
+let rec overlaps_any offset len = function
+  | [] -> false
+  | w :: rest ->
+      overlaps w.w_offset w.w_len offset len || overlaps_any offset len rest
+
+let conflicts_queued t ~offset ~len = overlaps_any offset len t.queue
 
 (* Immediate grant when the range conflicts with nothing held — and, for
    fairness, with nothing already waiting for an overlapping range (a
@@ -106,11 +111,9 @@ let try_acquire t ~offset ~len =
     grant_now t ~offset ~len
   else refused
 
-let release t id =
-  if not (remove_held t id) then
-    failwith "Lock_table.release: unknown or already-released lock";
-  (* Grant waiters in arrival order. Collect grants first: a grant callback
-     may acquire or release further locks reentrantly. *)
+(* Grant waiters in arrival order. Collect grants first: a grant callback
+   may acquire or release further locks reentrantly. *)
+let grant_waiters t =
   let in_order = List.rev t.queue in
   let granted = ref [] and still_waiting = ref [] in
   List.iter
@@ -126,6 +129,13 @@ let release t id =
   let grants = List.rev !granted in
   t.chained <- t.chained + List.length grants;
   List.iter (fun (grant, id) -> grant id) grants
+
+(* With nobody waiting there is nothing to grant: the common case
+   allocates nothing. *)
+let release t id =
+  if not (remove_held t id) then
+    failwith "Lock_table.release: unknown or already-released lock";
+  match t.queue with [] -> () | _ :: _ -> grant_waiters t
 
 let chained_grants t = t.chained
 

@@ -93,17 +93,12 @@ let attach m =
           data
     | Machine.Atomic_applied
         { time; node; offset; kind; old_value; new_value; origin } ->
-        let what =
-          match kind with
-          | Message.Fetch_add _ -> "fetch_add"
-          | Message.Compare_and_swap _ -> "cas"
-        in
-        rmw_word t ~what ~time ~node ~offset ~origin ~old:old_value
-          ~result:new_value
+        rmw_word t ~what:(Message.atomic_rmw_name kind) ~time ~node ~offset
+          ~origin ~old:old_value ~result:new_value
           ~spec:(Message.apply_atomic kind old_value)
     | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
       ->
-        let what = "acc:" ^ Message.acc_op_name aop in
+        let what = Message.acc_rmw_name aop in
         Array.iteri
           (fun i o ->
             rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o

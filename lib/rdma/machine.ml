@@ -314,8 +314,7 @@ and apply m ~node msg =
                result;
                origin;
              });
-      rmw_probe m ~node ~origin ~offset ~len
-        ~kind:("acc:" ^ Message.acc_op_name aop);
+      rmw_probe m ~node ~origin ~offset ~len ~kind:(Message.acc_rmw_name aop);
       Message.Acc_reply { op; old; extra_words }
   | _ -> invalid_arg "Machine.apply: not a data or RMW request"
 
@@ -341,11 +340,7 @@ and write_atomic m ~node ~origin ~public ~offset kind old_value =
            new_value;
            origin;
          });
-  rmw_probe m ~node ~origin ~offset ~len:1
-    ~kind:
-      (match kind with
-      | Message.Fetch_add _ -> "fetch_add"
-      | Message.Compare_and_swap _ -> "cas")
+  rmw_probe m ~node ~origin ~offset ~len:1 ~kind:(Message.atomic_rmw_name kind)
 
 (* Step 4, complete, at the initiator's NIC: the reply fills the ivar
    [complete] waits on. *)
@@ -747,14 +742,24 @@ let send_get p ~(src : Addr.region) ~extra_words ~locked =
    [Skip_get_dst_lock] plants the protocol bug the explorer's acceptance
    test hunts for: eliding this lock lets a concurrent put land inside
    the get window — which is also the {e legal} behavior of models
-   without get-delays-put serialization (Relaxed and weaker). *)
+   without get-delays-put serialization (Relaxed and weaker).
+   [Lock_table.refused] stands for "no lock". *)
 let dst_lock p (dst : Addr.region) =
   if
     Addr.is_public dst
     && p.m.mh.Model.get_delays_put
     && not (List.mem Skip_get_dst_lock p.m.bugs)
-  then Some (await_local_lock p ~offset:dst.base.offset ~len:dst.len)
-  else None
+  then await_local_lock p ~offset:dst.base.offset ~len:dst.len
+  else Lock_table.refused
+
+(* The destination locks of a batch's pairs, taken in order; only the
+   granted ones are kept. *)
+let rec dst_locks p = function
+  | [] -> []
+  | (_, dst) :: rest ->
+      let id = dst_lock p dst in
+      if id == Lock_table.refused then dst_locks p rest
+      else id :: dst_locks p rest
 
 (* A get's data lands in the getter's own memory. Landing in public
    memory is a write like any the NIC applies, so observers see it. *)
@@ -769,12 +774,11 @@ let land_data p (dst : Addr.region) data =
 let get p ~src ~(dst : Addr.region) ?(extra_words = 0) ?(locked = true) () =
   check_local p dst "get";
   check_same_len src dst "get";
-  let held = if locked then dst_lock p dst else None in
+  let held = if locked then dst_lock p dst else Lock_table.refused in
   let data = send_get p ~src ~extra_words ~locked in
   land_data p dst data;
-  match held with
-  | Some id -> Lock_table.release (Node_memory.locks p.m.nodes.(p.p)) id
-  | None -> ()
+  if held != Lock_table.refused then
+    Lock_table.release (Node_memory.locks p.m.nodes.(p.p)) held
 
 (* ---------- batched data operations ----------
 
@@ -847,10 +851,7 @@ let get_batch p ~(pairs : (Addr.region * Addr.region) list)
         pairs;
       let len = !prev_end - lo in
       (* Figure 3 for every public destination *)
-      let held =
-        if locked then List.filter_map (fun (_, dst) -> dst_lock p dst) pairs
-        else []
-      in
+      let held = if locked then dst_locks p pairs else [] in
       batch_flush p ~node:target ~kind:"get" ~parts:(List.length pairs)
         ~words:len;
       let span = Addr.region ~pid:target ~space:Addr.Public ~offset:lo ~len in

@@ -68,6 +68,17 @@ let acc_op_name = function
   | Band -> "band"
   | Bor -> "bor"
 
+let atomic_rmw_name = function
+  | Fetch_add _ -> "fetch_add"
+  | Compare_and_swap _ -> "cas"
+
+let acc_rmw_name = function
+  | Add -> "acc:add"
+  | Min -> "acc:min"
+  | Max -> "acc:max"
+  | Band -> "acc:band"
+  | Bor -> "acc:bor"
+
 let apply_acc aop old operand =
   match aop with
   | Add -> old + operand

@@ -83,7 +83,14 @@ let observe t (obs : Machine.observation) =
         ~result:new_value
         ~spec:(Message.apply_atomic kind old_value)
   | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin } ->
-      let what = "acc:" ^ Message.acc_op_name aop in
+      let what =
+        match aop with
+        | Message.Add -> "acc:add"
+        | Min -> "acc:min"
+        | Max -> "acc:max"
+        | Band -> "acc:band"
+        | Bor -> "acc:bor"
+      in
       Array.iteri
         (fun i o ->
           step_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o

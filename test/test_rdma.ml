@@ -542,6 +542,13 @@ let test_spawn_all_spmd () =
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
+let acc_op_name = function
+  | Message.Add -> "add"
+  | Min -> "min"
+  | Max -> "max"
+  | Band -> "band"
+  | Bor -> "bor"
+
 let step_lines ~model ~bugs setup =
   let sim = Engine.create () in
   let m = Machine.create sim ~n:3 ~model ~protocol_bugs:bugs () in
@@ -588,7 +595,7 @@ let step_lines ~model ~bugs setup =
     | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
       ->
         add "%.4f obs acc %s P%d [%d] %s (+) %s = %s from P%d" time
-          (Message.acc_op_name aop) node offset (ints old) (ints data)
+          (acc_op_name aop) node offset (ints old) (ints data)
           (ints result) origin);
   setup m;
   let outcome =
