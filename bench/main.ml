@@ -720,7 +720,8 @@ let probe_overhead ~smoke () =
   let guarded () =
     for i = 1 to iters do
       if bus.Dsm_obs.Probe.on then
-        Dsm_obs.Probe.emit bus (Dsm_obs.Probe.Engine_step { time = 0.0 });
+        Dsm_obs.Probe.emit bus
+          (Dsm_obs.Probe.Clock_merge { time = 0.0; pid = 0 });
       acc := !acc + i
     done
   in
@@ -758,8 +759,8 @@ let probe_overhead_pct = ref None
    from the OLS confidence gate). Any sink flips the bus on, and a hot
    bus pays event-payload construction at every emit site — that is the
    price of observing at all, common to meters, timelines and rings
-   alike. What the ring itself adds on top is its record path: the
-   engine.step filter, one slot store. So the row compares
+   alike. What the ring itself adds on top is its record path: one
+   slot store. So the row compares
    a run observed by a no-op sink against a run observed by the ring,
    and the --json run gates that marginal cost at the same <= 3% bar as
    the disabled-guard row: wherever telemetry is already attached,

@@ -23,25 +23,9 @@ let () =
      paper assigns to the PGAS compiler. *)
   let a = Detector.alloc_shared detector ~pid:2 ~name:"a" ~len:1 () in
 
-  (* Collect the message timeline for a space-time rendering. *)
-  let arrows = ref [] in
-  let pending = Hashtbl.create 8 in
-  Machine.add_observer machine (function
-    | Machine.Sent { time; src; dst; msg } ->
-        Hashtbl.replace pending (Dsm_rdma.Message.describe msg) (time, src, dst)
-    | Machine.Delivered { time; msg; _ } -> (
-        let key = Dsm_rdma.Message.describe msg in
-        match Hashtbl.find_opt pending key with
-        | Some (t0, src, dst) ->
-            Hashtbl.remove pending key;
-            arrows :=
-              { Dsm_trace.Spacetime.send_time = t0; recv_time = time; src;
-                dst; label = key }
-              :: !arrows
-        | None -> ())
-    | Machine.Write_applied _ | Machine.Read_served _
-    | Machine.Atomic_applied _ | Machine.Acc_applied _ ->
-        ());
+  (* Collect the message timeline from the probe bus for a space-time
+     rendering. *)
+  let arrows = Dsm_experiments.Harness.collect_arrows (Engine.probe sim) in
 
   (* 4. Two processes put to [a] with no synchronization: Figure 5a. *)
   let writer pid value =
@@ -60,7 +44,7 @@ let () =
 
   Format.printf "--- Quickstart: Figure 5a (two concurrent puts) ---@.@.";
   Format.printf "%s@."
-    (Dsm_trace.Spacetime.render ~n:3 ~arrows:(List.rev !arrows) ~marks:[] ());
+    (Dsm_trace.Spacetime.render ~n:3 ~arrows:(arrows ()) ~marks:[] ());
   Format.printf "final value of a = %d (last writer wins)@.@."
     (Node_memory.read (Machine.node machine 2) a).(0);
   Format.printf "%a@." Report.pp_summary (Detector.report detector);

@@ -37,11 +37,11 @@ let run_onesided ~others ~n =
     Shared_array.poke slots i (contribution i)
   done;
   let c = Collectives.create env in
-  Machine.add_observer m (function
-    | Machine.Sent { src = 0; msg = Dsm_rdma.Message.Get _; _ }
-    | Machine.Sent { dst = 0; msg = Dsm_rdma.Message.Get_reply _; _ } ->
+  Dsm_obs.Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) (function
+    | Dsm_obs.Probe.Msg_sent { src = 0; msg = { kind = Get; _ }; _ }
+    | Msg_sent { dst = 0; msg = { kind = Get_reply; _ }; _ } ->
         ()
-    | Machine.Sent _ -> incr others
+    | Msg_sent _ -> incr others
     | _ -> ());
   let result = ref 0 in
   Machine.spawn m ~pid:0 (fun p ->

@@ -1,5 +1,4 @@
 module Machine = Dsm_rdma.Machine
-module Message = Dsm_rdma.Message
 module Coherence = Dsm_rdma.Coherence
 module Detector = Dsm_core.Detector
 module Config = Dsm_core.Config
@@ -81,13 +80,23 @@ let builtin_env ~checked machine =
   in
   (coherence, env)
 
+(* P0's gets in flight, by op id, from send to reply: one sink per engine
+   (the bus outlives [Machine.reset]); [populate_getput] empties it. *)
+let watch_open_gets open_gets sim =
+  Dsm_obs.Probe.attach (Dsm_sim.Engine.probe sim) (function
+    | Dsm_obs.Probe.Msg_sent { src = 0; msg = { kind = Get; op; _ }; _ } ->
+        Hashtbl.replace open_gets op ()
+    | Msg_delivered { dst = 0; msg = { kind = Get_reply; op; _ }; _ } ->
+        Hashtbl.remove open_gets op
+    | _ -> ())
+
 (* The built-in scenario behind the planted-bug acceptance test: P0
    repeatedly gets a remote region into its own public region A while P1
    puts into A. Figure 3 makes each get atomic — A stays locked for the
    whole round trip — so a put may never be applied to A inside an open
    get window. The monitor watches exactly that; it can only fire when
    [Skip_get_dst_lock] is planted. *)
-let populate_getput ~checked machine =
+let populate_getput ~checked open_gets machine =
   let coherence, env = builtin_env ~checked machine in
   let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
   let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
@@ -101,15 +110,11 @@ let populate_getput ~checked machine =
     (Dsm_memory.Node_memory.read (Machine.node machine 1) b);
   Env.register env a;
   Env.register env b;
-  let open_gets : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  Hashtbl.clear open_gets;
   let bad = ref [] in
   let a_lo = a.Dsm_memory.Addr.base.offset in
   let a_len = a.Dsm_memory.Addr.len in
   Machine.add_observer machine (function
-    | Machine.Sent { src = 0; msg = Message.Get { op; _ }; _ } ->
-        Hashtbl.replace open_gets op ()
-    | Machine.Delivered { dst = 0; msg = Message.Get_reply { op; _ }; _ } ->
-        Hashtbl.remove open_gets op
     | Machine.Write_applied { node = 0; offset; data; origin; time } ->
         let len = Array.length data in
         let overlaps = offset < a_lo + a_len && a_lo < offset + len in
@@ -321,19 +326,23 @@ let populate_workload ~name ~seed machine =
 
 let prepare (s : Token.spec) =
   let spec = s.scenario in
-  let plan ~min_procs populate =
+  let plan ?(watch = ignore) ~min_procs populate =
     if s.n < min_procs then
       invalid_arg
         (Printf.sprintf
            "Scenario %s: needs at least %d processes, token/spec declares %d"
            spec min_procs s.n);
-    { procs = s.n; mk_machine = (fun sim -> make_machine sim s); populate }
+    let mk_machine sim =
+      watch sim;
+      make_machine sim s
+    in
+    { procs = s.n; mk_machine; populate }
   in
   match String.index_opt spec ':' with
-  | None when spec = "getput" ->
-      plan ~min_procs:2 (populate_getput ~checked:false)
-  | None when spec = "getput-checked" ->
-      plan ~min_procs:2 (populate_getput ~checked:true)
+  | None when spec = "getput" || spec = "getput-checked" ->
+      let open_gets = Hashtbl.create 8 in
+      plan ~watch:(watch_open_gets open_gets) ~min_procs:2
+        (populate_getput ~checked:(spec = "getput-checked") open_gets)
   | None when spec = "rmwlost" ->
       plan ~min_procs:2 (populate_rmwlost ~checked:false)
   | None when spec = "rmwlost-checked" ->

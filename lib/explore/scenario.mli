@@ -3,7 +3,7 @@
     A scenario spec is a short string carried inside replay tokens:
 
     - ["getput"] — the built-in two-process get/put collision used by the
-      planted-bug acceptance test. It installs a machine observer that
+      planted-bug acceptance test. It reads P0's gets off the probe bus and
       flags any put applied to P0's region A inside an open get window —
       impossible under Figure 3's semantics, reachable only when the
       [Skip_get_dst_lock] protocol bug is planted.

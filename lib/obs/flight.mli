@@ -17,11 +17,8 @@
 type t
 
 val attach : Probe.t -> t
-(** A recorder of the last 256 events, subscribed to the bus. The ring
-    never records [engine.step] events: that per-event firehose has no
-    explanatory value, and dropping it lets the window cover meaningful
-    traffic and keeps the attach cost inside the ≤ 3% probe-overhead
-    gate. *)
+(** A recorder of the last 256 events, subscribed to the bus. Every
+    event but the run-boundary markers takes a slot. *)
 
 val events : t -> Probe.event list
 (** The retained window, oldest first. *)

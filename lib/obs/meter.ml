@@ -52,6 +52,7 @@ type t = {
      [Machine.fresh_op] is one counter); pid -> lock request time *)
   inflight : float Int_tbl.t;
   lock_pending : float Int_tbl.t;
+  mutable in_run : bool;  (* between an explorer's Run_begin and Run_end *)
 }
 
 let create registry =
@@ -96,17 +97,20 @@ let create registry =
     lock_wait = h "rdma.lock_wait_us";
     inflight = Int_tbl.create 32;
     lock_pending = Int_tbl.create 8;
+    in_run = false;
   }
 
 let us f = int_of_float (Float.round f)
 
 let sink t (ev : Probe.event) =
   match ev with
-  | Engine_step _ -> Metrics.incr t.engine_step
   | Engine_choice { ready; _ } ->
       Metrics.incr t.engine_choice;
       Metrics.observe t.choice_ready ready
-  | Engine_quiescence _ -> Metrics.incr t.engine_quiescence
+  | Engine_quiescence { events; _ } ->
+      Metrics.incr t.engine_quiescence;
+      (* an explored run counts at [Run_end], which an event limit still sends *)
+      if not t.in_run then Metrics.add t.engine_step events
   | Net_send { wire_words; clock_words; _ } ->
       Metrics.incr t.net_send;
       Metrics.observe t.net_wire_words wire_words;
@@ -150,9 +154,12 @@ let sink t (ev : Probe.event) =
   | Race_signal _ -> Metrics.incr t.race_signal
   | Clock_merge _ -> Metrics.incr t.clock_merge
   | Run_begin _ ->
+      t.in_run <- true;
       Int_tbl.reset t.inflight;
       Int_tbl.reset t.lock_pending
   | Run_end { events; _ } ->
+      t.in_run <- false;
+      Metrics.add t.engine_step events;
       Metrics.incr t.runs;
       Metrics.observe t.run_events events
   | Violation _ -> Metrics.incr t.violations

@@ -7,7 +7,9 @@
     - ["rdma.op_latency_us"] — Op_begin→Op_end latency histogram;
     - ["rdma.lock_wait_us"] — lock request→grant wait histogram;
     - ["engine.choice_ready"] — ready-set size at each choice point;
-    - ["explore.run_events"] — events per explored run.
+    - ["explore.run_events"] — events per explored run;
+    - ["engine.step"] — events executed: each explored run's
+      [Run_end.events], and [Engine_quiescence.events] outside a run.
 
     The sink mutates only its registry, never the simulation — safe
     under the explorer's sink-invariance property. *)

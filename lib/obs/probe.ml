@@ -1,6 +1,5 @@
 type event =
   (* engine *)
-  | Engine_step of { time : float }
   | Engine_choice of { time : float; ready : int; chosen : int }
   | Engine_quiescence of { time : float; events : int; outcome : string }
   (* fabric *)

@@ -14,7 +14,10 @@
     so with no sink attached the cost per site is one field load and one
     conditional branch — the event payload is never even allocated. The
     benchmark suite's [probe_disabled_overhead] row holds this to ≤ 3%
-    of a detector-check-shaped hot loop ([bench/main.ml]).
+    of a detector-check-shaped hot loop ([bench/main.ml]). No event is
+    emitted per engine step: the engine's event total rides on
+    [Engine_quiescence] and the explorer's [Run_end]. A protocol message
+    is published only here, never as a machine observation.
 
     Events are plain data — ints, floats, strings, bools and records of
     them, never closures or [Lazy.t] — so [=] and [compare] work on them:
@@ -29,11 +32,11 @@
 
 (** One telemetry event. Times are simulated microseconds. *)
 type event =
-  | Engine_step of { time : float }  (** one event popped and executed *)
   | Engine_choice of { time : float; ready : int; chosen : int }
       (** a scheduler tie turned into an explicit choice point *)
   | Engine_quiescence of { time : float; events : int; outcome : string }
-      (** the run loop reached a terminal outcome (completed/blocked) *)
+      (** the run loop reached a terminal outcome (completed/blocked);
+          [events] is the engine's event total since its last reset *)
   | Net_send of {
       time : float;
       src : int;

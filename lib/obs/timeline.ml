@@ -107,7 +107,6 @@ let stub_dur = 0.2
 
 let sink t (ev : Probe.event) =
   match ev with
-  | Engine_step _ -> ()
   | Engine_choice { time; ready; chosen } ->
       instant t ~pid:scheduler_pid ~name:"choice" ~cat:"sched" ~ts:time
         ~args:[ ("ready", Int ready); ("chosen", Int chosen) ]

@@ -104,8 +104,7 @@ let attach m =
             rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
               ~result:result.(i)
               ~spec:(Message.apply_acc aop o data.(i)))
-          old
-    | Machine.Sent _ | Machine.Delivered _ -> ());
+          old);
   t
 
 let violations t = List.rev t.violations

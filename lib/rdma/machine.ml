@@ -2,8 +2,6 @@ open Dsm_sim
 open Dsm_memory
 
 type observation =
-  | Sent of { time : float; src : int; dst : int; msg : Message.t }
-  | Delivered of { time : float; src : int; dst : int; msg : Message.t }
   | Write_applied of {
       time : float;
       node : int;
@@ -149,9 +147,16 @@ let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
 (* [apply]'s answer to a request that wants no reply (an unacked put). *)
 let no_reply = Message.Put_ack { op = -1 }
 
+(* Every call site first checks [m.observers <> []], so a run nobody
+   observes builds no observation record; the direct walk adds no closure. *)
+let rec notify observers obs =
+  match observers with
+  | [] -> ()
+  | f :: rest ->
+      f obs;
+      notify rest obs
+
 let rec handle m ~node ~src msg =
-  if m.observers <> [] then
-    notify m (Delivered { time = Engine.now m.sim; src; dst = node; msg });
   (let probe = Engine.probe m.sim in
    if probe.on then
      Dsm_obs.Probe.emit probe
@@ -287,7 +292,7 @@ and apply m ~node msg =
   | Message.Get { op; origin; offset; len; extra_words; _ } ->
       let data = Segment.read_block public ~offset ~len in
       if m.observers <> [] then
-        notify m
+        notify m.observers
           (Read_served { time = Engine.now m.sim; node; offset; data; origin });
       Message.Get_reply { op; data; extra_words }
   | Message.Atomic { op; origin; offset; kind; _ } ->
@@ -302,7 +307,7 @@ and apply m ~node msg =
       in
       Segment.write_block public ~offset result;
       if m.observers <> [] then
-        notify m
+        notify m.observers
           (Acc_applied
              {
                time = Engine.now m.sim;
@@ -321,7 +326,7 @@ and apply m ~node msg =
 and write_part m ~node ~origin ~public ~offset data =
   Segment.write_block public ~offset data;
   if m.observers <> [] then
-    notify m
+    notify m.observers
       (Write_applied { time = Engine.now m.sim; node; offset; data; origin })
 
 (* The write half of a single-word RMW whose read returned [old_value]. *)
@@ -329,7 +334,7 @@ and write_atomic m ~node ~origin ~public ~offset kind old_value =
   let new_value = Message.apply_atomic kind old_value in
   Segment.write public ~offset new_value;
   if m.observers <> [] then
-    notify m
+    notify m.observers
       (Atomic_applied
          {
            time = Engine.now m.sim;
@@ -390,8 +395,6 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
   match next 0 0 with None -> finish () | Some (p, i) -> step p i
 
 and transmit m ~src ~dst msg =
-  if m.observers <> [] then
-    notify m (Sent { time = Engine.now m.sim; src; dst; msg });
   (let probe = Engine.probe m.sim in
    if probe.on then
      Dsm_obs.Probe.emit probe
@@ -466,10 +469,6 @@ and transmit m ~src ~dst msg =
         ~wire_words:(words - Message.extra_words msg)
         ~clock_words:0 ~fifo ~label
         { pb = no_pb; edge = e; msg }
-
-(* Every call site first checks [m.observers <> []], so a run nobody
-   observes builds no observation record. *)
-and notify m obs = List.iter (fun f -> f obs) m.observers
 
 let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
     ?public_words ?faults ?(reliable = false) ?(protocol_bugs = [])

@@ -22,8 +22,8 @@
     {!accumulate}) always lock at the target NIC.
 
     Every verb runs as four steps. {b Issue}: [Op_begin] and the
-    request sent ({!Sent}). {b Lock}: once the request is {!Delivered},
-    the target NIC takes the range lock when the request is locked.
+    request sent ([Msg_sent]). {b Lock}: once it is delivered
+    ([Msg_delivered]), the target NIC takes the range lock if locked.
     {b Apply}: the memory effect and its observation ({!Write_applied},
     {!Read_served}, {!Atomic_applied}, {!Acc_applied}; an RMW also fires
     the [Rmw] probe), then the release and the reply. {b Complete}: the
@@ -340,8 +340,6 @@ val control_notify :
 (** {1 Observation} *)
 
 type observation =
-  | Sent of { time : float; src : int; dst : int; msg : Message.t }
-  | Delivered of { time : float; src : int; dst : int; msg : Message.t }
   | Write_applied of {
       time : float;
       node : int;
@@ -389,6 +387,7 @@ type observation =
           lock hold over the whole span *)
 
 val add_observer : t -> (observation -> unit) -> unit
-(** Observers see every message send/delivery, every NIC memory
-    application and every get landing in public memory — the feeds for [dsm_trace]'s space-time diagrams and for
-    {!Coherence}. *)
+(** Observers see memory effects only, with the values the probe bus
+    does not carry: every NIC memory application and every get landing
+    in public memory — the feed for {!Coherence}. Messages reach
+    consumers only as the bus's [Msg_sent] and [Msg_delivered]. *)

@@ -307,7 +307,7 @@ let run ?max_events sim =
   let rec loop () =
     if sim.events >= budget then Event_limit_reached
     else if sim.fifo.len > 0 then
-      fire sim.now
+      fire
         (match sim.chooser with
         | None ->
             if Heap.min_at sim.heap sim.now then Heap.pop_min sim.heap
@@ -324,10 +324,9 @@ let run ?max_events sim =
         | Some choose -> pop_chosen sim choose time
       in
       sim.now <- time;
-      fire time action
-  and fire time action =
+      fire action
+  and fire action =
     sim.events <- sim.events + 1;
-    if sim.probe.on then Dsm_obs.Probe.emit sim.probe (Engine_step { time });
     action ();
     check_failed ();
     loop ()

@@ -97,7 +97,6 @@ let observe t (obs : Machine.observation) =
             ~result:result.(i)
             ~spec:(Message.apply_acc aop o data.(i)))
         old
-  | Machine.Sent _ | Machine.Delivered _ -> ()
 
 let attach m =
   let t = { heap = Hashtbl.create 64; violations = []; checked = 0 } in

@@ -1349,6 +1349,39 @@ let test_checked_scale_retained () =
   expect_completed m;
   check_retained ~ceiling:32_006 d
 
+(* The explorer's walk loop: [workload:random] at n=3, seed 1, each walk
+   replayed for the determinism check, in an arena whose machine the
+   first run already built. Its mean minor words per walk may not rise:
+   14,687.1 in the default build and 16,219.1 under --profile dev when
+   this ceiling was set at the higher of the two (17,665.1 before, with
+   18,849.1 under dev, when every message was also published as a
+   [Sent] or [Delivered] observation that no observer of this run reads,
+   and every observation was handed out through a [List.iter] closure). *)
+let test_explored_walk_minor_words () =
+  let spec =
+    {
+      Dsm_explore.Explore.default_spec with
+      scenario = "workload:random";
+      n = 3;
+      seed = 1;
+    }
+  in
+  let ctx = Dsm_explore.Explore.create_ctx spec in
+  ignore (Dsm_explore.Explore.run_once_in ctx (Dsm_explore.Explore.Walk 0));
+  let runs = 100 in
+  let before = Gc.minor_words () in
+  let stats =
+    Dsm_explore.Explore.explore_random_in ~check_determinism:true
+      ~stop_on_first:false ctx ~runs
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "walks" runs stats.Dsm_explore.Explore.runs;
+  Alcotest.(check int) "no walk violates" 0 stats.violated;
+  let per_walk = words /. float_of_int runs in
+  if per_walk > 16_219.2 then
+    Alcotest.failf "%.1f minor words per explored walk (ceiling 16219.2)"
+      per_walk
+
 (* ---------- transfer-path pins ---------- *)
 
 (* One scripted program per checked transfer path — single puts and
@@ -1733,6 +1766,8 @@ let () =
             test_checked_stencil_retained;
           Alcotest.test_case "checked scale retained clock words" `Quick
             test_checked_scale_retained;
+          Alcotest.test_case "explored walk minor words" `Quick
+            test_explored_walk_minor_words;
         ] );
       ( "introspection",
         [

@@ -117,7 +117,7 @@ let test_probe_attach () =
   Probe.attach bus (fun _ -> incr hits);
   Probe.attach bus (fun _ -> incr hits);
   Alcotest.(check bool) "on" true bus.Probe.on;
-  Probe.emit bus (Probe.Engine_step { time = 1.0 });
+  Probe.emit bus (Probe.Clock_merge { time = 1.0; pid = 0 });
   Alcotest.(check int) "both sinks" 2 !hits
 
 (* ---------- Perfetto exporter: golden figure scenario ---------- *)
@@ -234,6 +234,48 @@ let test_parallel_merge_matches_sequential () =
   Alcotest.(check int) "runs" s1.Explore.runs s4.Explore.runs;
   Alcotest.(check int) "violated" s1.Explore.violated s4.Explore.violated;
   Alcotest.(check string) "metrics identical" m1 m4
+
+(* [engine.step] counts the events the engine executed, read from the
+   totals the engine keeps rather than from an event per step: the
+   quiescence of a one-shot run, and the end of each explored run,
+   including one its event limit cuts short. *)
+let engine_step reg = Metrics.value (Metrics.counter reg "engine.step")
+
+let test_engine_step_one_shot () =
+  let sim = Dsm_sim.Engine.create ~seed:3 () in
+  let m = Machine.create sim ~n:3 () in
+  let reg = Metrics.create () in
+  ignore (Meter.attach reg (Dsm_sim.Engine.probe sim));
+  let d = Dsm_core.Detector.create m () in
+  Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
+    { Dsm_workload.Random_access.default with ops_per_proc = 8; seed = 3 };
+  (match Machine.run m with
+  | Dsm_sim.Engine.Completed -> ()
+  | _ -> Alcotest.fail "run did not complete");
+  let events = Dsm_sim.Engine.events_processed sim in
+  Alcotest.(check bool) "events ran" true (events > 0);
+  Alcotest.(check int) "engine.step" events (engine_step reg)
+
+let test_engine_step_event_limit () =
+  let reg = Metrics.create () in
+  let spec =
+    {
+      Explore.default_spec with
+      scenario = "workload:random";
+      n = 3;
+      seed = 1;
+      max_events = 40;
+    }
+  in
+  let ctx = Explore.create_ctx ~metrics:reg spec in
+  let walk i = Explore.run_once_in ctx (Explore.Walk i) in
+  let first = walk 0 in
+  Alcotest.(check bool) "cut by the limit" true (first.outcome = Event_limit);
+  Alcotest.(check int) "engine.step, one walk" 40 (engine_step reg);
+  let second = walk 1 in
+  Alcotest.(check int) "engine.step, two walks"
+    (first.events + second.events)
+    (engine_step reg)
 
 (* ---------- the JSON writer ---------- *)
 
@@ -449,6 +491,10 @@ let () =
         [
           Alcotest.test_case "arena metrics reset" `Quick
             test_arena_metrics_reset_in_place;
+          Alcotest.test_case "engine.step = engine events, one-shot" `Quick
+            test_engine_step_one_shot;
+          Alcotest.test_case "engine.step = engine events, event limit"
+            `Quick test_engine_step_event_limit;
           Alcotest.test_case "parallel merge = sequential" `Quick
             test_parallel_merge_matches_sequential;
         ] );

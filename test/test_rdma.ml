@@ -505,14 +505,19 @@ let test_duplicate_control_tag_rejected () =
 
 (* ---------- observation ---------- *)
 
-let test_observer_sees_messages () =
-  let _, m = make () in
-  let sent = ref 0 and delivered = ref 0 in
+(* Messages reach consumers on the probe bus; observers see the memory
+   effect only. *)
+let test_bus_sees_messages () =
+  let sim, m = make () in
+  let sent = ref 0 and delivered = ref 0 and writes = ref 0 in
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Msg_sent _ -> incr sent
+    | Msg_delivered _ -> incr delivered
+    | _ -> ());
   Machine.add_observer m (function
-    | Machine.Sent _ -> incr sent
-    | Machine.Delivered _ -> incr delivered
-    | Machine.Write_applied _ | Machine.Read_served _
-    | Machine.Atomic_applied _ | Machine.Acc_applied _ ->
+    | Machine.Write_applied _ -> incr writes
+    | Machine.Read_served _ | Machine.Atomic_applied _
+    | Machine.Acc_applied _ ->
         ());
   let dst = Machine.alloc_public m ~pid:1 ~len:1 () in
   Machine.spawn m ~pid:0 (fun p ->
@@ -520,7 +525,8 @@ let test_observer_sees_messages () =
       Machine.put p ~src ~dst ());
   expect_completed m;
   Alcotest.(check int) "2 sends (put + ack)" 2 !sent;
-  Alcotest.(check int) "2 deliveries" 2 !delivered
+  Alcotest.(check int) "2 deliveries" 2 !delivered;
+  Alcotest.(check int) "1 write applied" 1 !writes
 
 let test_spawn_all_spmd () =
   let _, m = make ~n:4 () in
@@ -536,8 +542,9 @@ let test_spawn_all_spmd () =
 (* Every verb's NIC steps, pinned in [machine_steps.expected]: for each
    scenario below, under [nic_atomic] and under [relaxed], the probe
    events the machine fires (op lifecycle, messages, locks, RMW
-   linearization points, batch flushes) and the observation records, in
-   emission order, then the run's outcome and its engine event count. A
+   linearization points, batch flushes) and the observation records
+   (memory effects), in emission order, then the run's outcome and its
+   engine event count. A
    refactor of the machine must leave every line where it was. *)
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
@@ -552,10 +559,9 @@ let acc_op_name = function
 let step_lines ~model ~bugs setup =
   let sim = Engine.create () in
   let m = Machine.create sim ~n:3 ~model ~protocol_bugs:bugs () in
-  let lines = ref [] and events = ref 0 in
+  let lines = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   Dsm_obs.Probe.attach (Engine.probe sim) (function
-    | Engine_step _ -> incr events
     | Op_begin { time; pid; op; kind; target } ->
         add "%.4f op_begin P%d #%d %s -> P%d" time pid op kind target
     | Op_end { time; pid; op; kind } ->
@@ -577,11 +583,6 @@ let step_lines ~model ~bugs setup =
           node parts words
     | _ -> ());
   Machine.add_observer m (function
-    | Machine.Sent { time; src; dst; msg } ->
-        add "%.4f obs sent P%d -> P%d %s" time src dst (Message.describe msg)
-    | Machine.Delivered { time; src; dst; msg } ->
-        add "%.4f obs delivered P%d -> P%d %s" time src dst
-          (Message.describe msg)
     | Machine.Write_applied { time; node; offset; data; origin } ->
         add "%.4f obs write P%d [%d]=%s from P%d" time node offset (ints data)
           origin
@@ -604,7 +605,8 @@ let step_lines ~model ~bugs setup =
     | Engine.Blocked k -> Printf.sprintf "blocked(%d)" k
     | _ -> "other"
   in
-  add "%s after %d events, %d pending" outcome !events (Machine.pending_ops m);
+  add "%s after %d events, %d pending" outcome (Engine.events_processed sim)
+    (Machine.pending_ops m);
   List.rev !lines
 
 (* A [len]-word region of [pid]'s memory holding [v], [v + 1], ... *)
@@ -840,7 +842,7 @@ let () =
         ] );
       ( "misc",
         [
-          Alcotest.test_case "observer" `Quick test_observer_sees_messages;
+          Alcotest.test_case "observer" `Quick test_bus_sees_messages;
           Alcotest.test_case "spawn_all" `Quick test_spawn_all_spmd;
           Alcotest.test_case "per-verb steps pinned" `Quick test_steps_pinned;
         ] );

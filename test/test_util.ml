@@ -53,10 +53,11 @@ let matrix_row m j =
    reader. *)
 let meta_messages m =
   let count = ref 0 in
-  Dsm_rdma.Machine.add_observer m (function
-    | Dsm_rdma.Machine.Sent { msg = Dsm_rdma.Message.Control { tag; _ }; _ }
-      ->
-        if tag = "dsm.vget" then count := !count + 2
-        else if tag = "dsm.vput" then incr count
-    | _ -> ());
+  Dsm_obs.Probe.attach
+    (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))
+    (function
+      | Dsm_obs.Probe.Msg_sent { msg = { kind = Control; name; _ }; _ } ->
+          if name = "dsm.vget" then count := !count + 2
+          else if name = "dsm.vput" then incr count
+      | _ -> ());
   fun () -> !count

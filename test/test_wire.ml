@@ -289,24 +289,24 @@ let test_reliable_runs_pinned () =
 (* The machine prices each piggyback instead of building it. This
    oracle shadows real runs with the full reference codec
    ([Codec_ref]: the build-all-three encoder and the array decoder) and
-   per-edge state of its own. For every clock-carrying send a [Sent]
-   observer builds the reference frame of the sender's clock against
+   per-edge state of its own. For every clock-carrying [Msg_sent] the
+   oracle builds the reference frame of the sender's clock against
    the last clock the reference shipped on that edge, and decodes it
    into the reference's mirror of that edge, which must give the
    sender's clock. The fabric's [Net_send] that follows must price
    exactly that frame's length as its clock words, and the machine's
    tally must have counted that frame's tag. A send that carries no
-   clock must price none. Acks and resends, which no [Sent] precedes,
-   are not checked. *)
+   clock must price none. Acks and resends, which no [Msg_sent]
+   precedes, are not checked. *)
 type ref_edge = {
   mutable cache : Dsm_clocks.Vector_clock.t option;
   mutable mirror : Dsm_clocks.Vector_clock.t option;
   mutable seq : int;
 }
 
-let carries_clock = function
-  | Message.Put _ | Message.Put_batch _ | Message.Get_reply _
-  | Message.Atomic_reply _ | Message.Acc_reply _ | Message.Lock_granted _ ->
+let carries_clock (msg : Dsm_obs.Msg.t) =
+  match msg.kind with
+  | Put | Put_batch | Get_reply | Atomic_reply | Acc_reply | Lock_granted ->
       true
   | _ -> false
 
@@ -317,8 +317,8 @@ let attach_codec_oracle ~mode sim m d =
   let pending = ref None and frames = ref 0 and failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let tally = ref (0, 0, 0) in
-  Machine.add_observer m (function
-    | Machine.Sent { src; dst; msg; _ } when carries_clock msg ->
+  Dsm_obs.Probe.attach (Engine.probe sim) (function
+    | Dsm_obs.Probe.Msg_sent { src; dst; msg; _ } when carries_clock msg ->
         let e =
           match Hashtbl.find_opt edges (src, dst) with
           | Some e -> e
@@ -338,16 +338,14 @@ let attach_codec_oracle ~mode sim m d =
         e.mirror <- Some v';
         e.seq <- seq + 1;
         pending := Some (src, dst, Some w)
-    | Machine.Sent { src; dst; _ } -> pending := Some (src, dst, None)
-    | _ -> ());
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
-    | Dsm_obs.Probe.Net_send { src; dst; clock_words; _ } -> (
+    | Msg_sent { src; dst; _ } -> pending := Some (src, dst, None)
+    | Net_send { src; dst; clock_words; _ } -> (
         match !pending with
         | None -> ()
         | Some (s, t, w) ->
             pending := None;
             if (s, t) <> (src, dst) then
-              fail "Net_send %d->%d after Sent %d->%d" src dst s t;
+              fail "Net_send %d->%d after Msg_sent %d->%d" src dst s t;
             let words = match w with Some w -> Array.length w | None -> 0 in
             if clock_words <> words then
               fail "%d->%d priced %d clock words, reference frame %d" src dst
