@@ -109,7 +109,7 @@ let sink t (ev : Probe.event) =
       Metrics.observe t.choice_ready ready
   | Engine_quiescence { events; _ } ->
       Metrics.incr t.engine_quiescence;
-      (* an explored run counts at [Run_end], which an event limit still sends *)
+      (* an explored run counts at [Run_end], sent even at an event limit *)
       if not t.in_run then Metrics.add t.engine_step events
   | Net_send { wire_words; clock_words; _ } ->
       Metrics.incr t.net_send;

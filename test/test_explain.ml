@@ -536,8 +536,9 @@ let test_chain_memo_shares_both_orders () =
 (* A window of arbitrary events over pids 0..3 and nodes 0..1: sends,
    deliveries (with or without their send), lock acquisitions and
    releases and RMWs on overlapping or disjoint ranges, and a clock
-   merge (an event the explainer ignores) between them, at times drawn from a handful of values, so that
-   ties and decreasing times are common. *)
+   merge (an event the explainer ignores) between them, at times drawn
+   from a handful of values, so that ties and decreasing times are
+   common. *)
 let gen_window =
   QCheck.Gen.(
     let pid = int_bound 3 and node = int_bound 1 and offset = int_bound 5 in
