@@ -290,25 +290,8 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
            offset;
            len;
            kind = Event.kind_name kind;
-           against =
-             (match against with
-             | Report.General_clock -> "general"
-             | Report.Write_clock -> "write");
+           against = Report.against_tag against;
          });
-  let prior =
-    Option.map
-      (fun (e : Provenance.entry) ->
-        {
-          Report.p_pid = e.pid;
-          p_kind = e.kind;
-          p_time = e.time;
-          p_op = e.op;
-          p_event_id = (if e.event_id >= 0 then Some e.event_id else None);
-          p_clock = e.clock;
-        })
-      (Provenance.find_prior history ~pid ~write:(is_writing_class cls)
-         ~clock:v0)
-  in
   Report.signal t.report
     {
       Report.event_id;
@@ -319,7 +302,9 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
       accessor_clock = Vector_clock.snapshot v0;
       datum_clock = Vector_clock.snapshot datum;
       against;
-      prior;
+      prior =
+        Provenance.find_prior history ~pid ~write:(is_writing_class cls)
+          ~clock:v0;
     }
 
 (* Check the accessor's clock [v0] against one granule's clocks
@@ -573,7 +558,7 @@ let unlock_span p = function
       Machine.unlock p tk1
 
 (* A transfer's direction: which side of a (src, dst) pair is remote. *)
-type dir = Put | Get
+type dir = Machine.dir = Put | Get
 
 let kind_name = function Put -> "put" | Get -> "get"
 
@@ -595,46 +580,12 @@ let get t p ~src ~dst = checked_op t p Get ~src ~dst
 
 (* ---------- batched checked operations ----------
 
-   Group maximal runs of same-destination, address-ascending operations
-   and move each run's data in one fabric message. Detection stays
-   strictly per-operation — the same ticks, granule checks and merges as
-   the unbatched path, so the race verdicts are identical — only the
-   transport is coalesced: one message, one lock span, one piggybacked
-   clock per run instead of one per op. *)
-
-let rec one_run ~key prev = function
-  | [] -> true
-  | pair :: rest -> key prev pair && one_run ~key pair rest
-
-(* Maximal runs of consecutive pairs satisfying [key prev cur]. A batch
-   that is one run, the common case, is returned as it is. *)
-let group_runs ~key pairs =
-  match pairs with
-  | [] -> []
-  | first :: rest when one_run ~key first rest -> [ pairs ]
-  | first :: rest ->
-      let runs = ref [] and cur = ref [ first ] and prev = ref first in
-      List.iter
-        (fun pair ->
-          if key !prev pair then cur := pair :: !cur
-          else begin
-            runs := List.rev !cur :: !runs;
-            cur := [ pair ]
-          end;
-          prev := pair)
-        rest;
-      runs := List.rev !cur :: !runs;
-      List.rev !runs
-
-(* Put runs: destinations on one node in ascending non-overlapping
-   order. Get runs: contiguous ascending sources on one node. *)
-let put_key (_, (prev : Addr.region)) (_, (cur : Addr.region)) =
-  cur.base.pid = prev.base.pid
-  && Addr.is_public cur
-  && cur.base.offset >= prev.base.offset + prev.len
-
-let get_key ((prev : Addr.region), _) ((cur : Addr.region), _) =
-  cur.base.pid = prev.base.pid && cur.base.offset = prev.base.offset + prev.len
+   A batch is one run ({!Machine.check_batch}), and its data moves in
+   one fabric message. Detection stays strictly per-operation — the
+   same ticks, granule checks and merges as the unbatched path, so the
+   race verdicts are identical — only the transport is coalesced: one
+   message, one lock span, one piggybacked clock per run instead of one
+   per op. *)
 
 let remote dir ((src, dst) : Addr.region * Addr.region) =
   match dir with Put -> dst | Get -> src
@@ -664,16 +615,17 @@ let rec last_pair = function
   | _ :: rest -> last_pair rest
   | [] -> invalid_arg "Detector.last_pair: empty run"
 
-(* One run under one lock span over its remote side. A public local side
-   (a put's source, a get's destination) would need its own lock —
-   a read-side lock or Figure 3's — breaking the single-span scheme, so
-   such runs fall back to per-op transfers. *)
+(* A run checked and moved under one lock span over its remote side.
+   A singleton is a plain {!checked_op}. A public local side (a put's
+   source, a get's destination) would need its own lock — a read-side
+   lock or Figure 3's — breaking the single-span scheme, so such runs
+   fall back to per-op transfers; the explicit transport pays its
+   control round trips per granule either way, so batching its data
+   message would change nothing and it goes per-op too. *)
 let checked_run t p dir run =
-  match run with
-  | [] -> ()
-  | [ (src, dst) ] -> checked_op t p dir ~src ~dst
-  | _ when any_public_local dir run -> per_op t p dir run
-  | first :: _ ->
+  match (run, t.config.Config.transport) with
+  | first :: _ :: _, (Config.Inline | Config.Piggyback_txn)
+    when not (any_public_local dir run) ->
       let span =
         lock_one t p ~first:(remote dir first)
           ~last:(remote dir (last_pair run))
@@ -684,25 +636,17 @@ let checked_run t p dir run =
       | Put -> Machine.put_batch p ~pairs:run ~extra_words ~locked ()
       | Get -> Machine.get_batch p ~pairs:run ~extra_words ~locked ());
       unlock_span p span
+  | _ -> per_op t p dir run
 
-let rec checked_runs t p dir = function
-  | [] -> ()
-  | run :: rest ->
-      checked_run t p dir run;
-      checked_runs t p dir rest
+(* The shape is checked before anything is counted, ticked or locked:
+   a rejected batch leaves no trace. *)
+let checked_batch t p dir pairs =
+  Machine.check_batch p dir ~pairs;
+  checked_run t p dir pairs
 
-let checked_batch t p dir ~key pairs =
-  match t.config.Config.transport with
-  | Config.Explicit_txn ->
-      (* the explicit transport pays its control round trips per granule
-         either way; batching the data message would not change them *)
-      per_op t p dir pairs
-  | Config.Inline | Config.Piggyback_txn ->
-      checked_runs t p dir (group_runs ~key pairs)
+let put_batch t p ~pairs = checked_batch t p Put pairs
 
-let put_batch t p ~pairs = checked_batch t p Put ~key:put_key pairs
-
-let get_batch t p ~pairs = checked_batch t p Get ~key:get_key pairs
+let get_batch t p ~pairs = checked_batch t p Get pairs
 
 (* Checked one-sided read-modify-writes (extension beyond the paper).
 

@@ -69,23 +69,27 @@ val get :
 val put_batch :
   t -> Dsm_rdma.Machine.proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
-(** Checked puts with batched coherence: maximal runs of consecutive
-    pairs whose destinations sit on one node in ascending
-    non-overlapping order (and whose sources are private) travel as a
+(** Checked puts with batched coherence. A batch is one run — its
+    destinations public regions of one node in ascending non-overlapping
+    order, as {!Dsm_rdma.Machine.check_batch} defines it — or the call
+    raises that check's [Invalid_argument] before anything is counted,
+    ticked, locked or sent. A run with private sources travels as a
     single fabric message under a single lock span, shipping one
     piggybacked clock for the whole run. Detection is per-operation and
-    bit-identical to issuing each {!put} separately — only the
-    transport is coalesced. Pairs that don't extend a run (node change,
-    descending address, public source, Explicit transport) fall back to
-    {!put}. *)
+    bit-identical to issuing each {!put} separately — only the transport
+    is coalesced. A singleton, a run with a public source and every run
+    under the Explicit transport go as separate {!put}s. *)
 
 val get_batch :
   t -> Dsm_rdma.Machine.proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
-(** Checked gets with batched coherence: maximal runs of contiguous
-    ascending same-node sources (with private destinations) collapse
-    into one request/data round trip over the union span. Detection is
-    per-operation, identical to {!get}. *)
+(** Checked gets with batched coherence. A batch is one run — its
+    sources contiguous ascending public regions of one node — or the
+    call raises {!Dsm_rdma.Machine.check_batch}'s [Invalid_argument]
+    before anything is checked. A run with private destinations
+    collapses into one request/data round trip over the union span.
+    Detection is per-operation, identical to {!get}; the same runs as
+    {!put_batch}'s go as separate {!get}s. *)
 
 (** {1 Checked one-sided RMW operations (extension beyond the paper)}
 

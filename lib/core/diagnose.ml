@@ -7,16 +7,6 @@ open Dsm_clocks
 module Event = Dsm_trace.Event
 module Explain = Dsm_obs.Explain
 
-let access_of_prior (p : Report.prior_access) =
-  {
-    Explain.pid = p.p_pid;
-    kind = Event.kind_name p.p_kind;
-    time = p.p_time;
-    op = p.p_op;
-    event_id = (match p.p_event_id with Some id -> id | None -> -1);
-    clock = Vector_clock.to_array p.p_clock;
-  }
-
 let access_of_entry (e : Provenance.entry) =
   {
     Explain.pid = e.pid;
@@ -32,10 +22,7 @@ let explain_race index (r : Report.race) =
   Explain.of_race ~node:granule.Dsm_memory.Addr.base.pid
     ~offset:granule.Dsm_memory.Addr.base.offset
     ~len:granule.Dsm_memory.Addr.len
-    ~against:
-      (match r.against with
-      | Report.General_clock -> "general"
-      | Report.Write_clock -> "write")
+    ~against:(Report.against_tag r.against)
     ~flagged:
       {
         Explain.pid = r.accessor;
@@ -46,7 +33,7 @@ let explain_race index (r : Report.race) =
         clock = Vector_clock.to_array r.accessor_clock;
       }
     ~datum_clock:(Vector_clock.to_array r.datum_clock)
-    ?prior:(Option.map access_of_prior r.prior)
+    ?prior:(Option.map access_of_entry r.prior)
     ~index ()
 
 (* The window is indexed once and shared by every race of the report. *)

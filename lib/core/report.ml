@@ -1,14 +1,5 @@
 type against = General_clock | Write_clock
 
-type prior_access = {
-  p_pid : int;
-  p_kind : Dsm_trace.Event.kind;
-  p_time : float;
-  p_op : int;
-  p_event_id : int option;
-  p_clock : Dsm_clocks.Vector_clock.t;
-}
-
 type race = {
   event_id : int option;
   time : float;
@@ -18,7 +9,7 @@ type race = {
   accessor_clock : Dsm_clocks.Vector_clock.t;
   datum_clock : Dsm_clocks.Vector_clock.t;
   against : against;
-  prior : prior_access option;
+  prior : Provenance.entry option;
 }
 
 type t = {
@@ -34,9 +25,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let create ?(verbose = false) () =
   { races = []; count = 0; verbose }
 
-let against_name = function
-  | General_clock -> "general clock"
-  | Write_clock -> "write clock"
+let against_tag = function General_clock -> "general" | Write_clock -> "write"
+
+let against_name a = against_tag a ^ " clock"
 
 let pp_race ppf r =
   Format.fprintf ppf
@@ -137,10 +128,9 @@ let write_row buf r =
   W.int buf r.granule.Dsm_memory.Addr.base.offset;
   sep ();
   W.int buf r.granule.Dsm_memory.Addr.len;
-  add
-    (match r.against with
-    | General_clock -> ",general,\""
-    | Write_clock -> ",write,\"");
+  sep ();
+  add (against_tag r.against);
+  add ",\"";
   Dsm_clocks.Vector_clock.write buf r.accessor_clock;
   add "\",\"";
   Dsm_clocks.Vector_clock.write buf r.datum_clock;

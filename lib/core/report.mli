@@ -7,17 +7,9 @@
 type against = General_clock | Write_clock
 (** Which per-datum clock the accessor's clock was incomparable with. *)
 
-type prior_access = {
-  p_pid : int;
-  p_kind : Dsm_trace.Event.kind;
-  p_time : float;
-  p_op : int;  (** detector checked-op ordinal *)
-  p_event_id : int option;
-  p_clock : Dsm_clocks.Vector_clock.t;
-}
-(** The race's {e other} endpoint, recovered from the detector's
-    per-granule provenance ring (see {!Provenance}): the most recent
-    conflicting access by another process. *)
+val against_tag : against -> string
+(** ["general"] or ["write"]: how the race CSV, the probe's race signal
+    and the race explanation spell {!against}. *)
 
 type race = {
   event_id : int option;
@@ -29,9 +21,12 @@ type race = {
   accessor_clock : Dsm_clocks.Vector_clock.t;
   datum_clock : Dsm_clocks.Vector_clock.t;
   against : against;
-  prior : prior_access option;
-      (** [None] when provenance is disabled ([provenance_depth = 0]) or
-          no conflicting access is retained *)
+  prior : Provenance.entry option;
+      (** The race's {e other} endpoint, {!Provenance.find_prior}'s
+          answer from the granule's provenance ring: the most recent
+          conflicting access by another process. [None] when provenance
+          is disabled ([provenance_depth = 0]) or no conflicting access
+          is retained. *)
 }
 
 type t

@@ -25,34 +25,23 @@ let run_to_completion m =
   | Engine.Stopped | Engine.Time_limit_reached | Engine.Event_limit_reached ->
       failwith "experiment was cut off"
 
-(* Arrows match sends to deliveries FIFO per (src, dst, label): exact
-   under in-order delivery, best-effort under reordering faults. *)
+(* Arrows pair sends with deliveries through [Dsm_obs.Msg.pending], as
+   the Perfetto timeline's flows do; a delivery with no queued send
+   draws no arrow. *)
 let collect_arrows bus =
-  let arrows = ref [] in
-  let pending : (int * int * string, float Queue.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
+  let arrows = ref [] and sent = Dsm_obs.Msg.pending () in
   Dsm_obs.Probe.attach bus (function
     | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
-        let key = (src, dst, Dsm_obs.Msg.label msg) in
-        let q =
-          match Hashtbl.find_opt pending key with
-          | Some q -> q
-          | None ->
-              let q = Queue.create () in
-              Hashtbl.add pending key q;
-              q
-        in
-        Queue.push time q
+        Dsm_obs.Msg.push_sent sent ~src ~dst (Dsm_obs.Msg.label msg) time
     | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (
         let label = Dsm_obs.Msg.label msg in
-        match Hashtbl.find_opt pending (src, dst, label) with
-        | Some q when not (Queue.is_empty q) ->
+        match Dsm_obs.Msg.pop_sent sent ~src ~dst label with
+        | Some send_time ->
             arrows :=
-              { Dsm_trace.Spacetime.send_time = Queue.pop q; recv_time = time;
-                src; dst; label }
+              { Dsm_trace.Spacetime.send_time; recv_time = time; src; dst;
+                label }
               :: !arrows
-        | _ -> ())
+        | None -> ())
     | _ -> ());
   fun () -> List.rev !arrows
 

@@ -33,7 +33,8 @@ val collect_arrows :
   Dsm_obs.Probe.t -> unit -> Dsm_trace.Spacetime.arrow list
 (** [let arrows = collect_arrows bus in ... run ...; arrows ()] attaches
     a probe sink to [bus] that records every delivered message as a
-    space-time arrow, in delivery order. The figures and the explorer's
+    space-time arrow, in delivery order, paired with its send by
+    {!Dsm_obs.Msg.pending}. The figures and the explorer's
     replay diagram both draw their arrows with it. *)
 
 val private_with :

@@ -83,3 +83,22 @@ let label m =
       Printf.sprintf "control#%d from P%d tag=%s (%d words)" m.op m.origin
         m.name m.len
   | Control_reply -> Printf.sprintf "control-reply#%d (%d words)" m.op m.len
+
+(* Sends waiting for their delivery, FIFO per (src, dst, label). *)
+type 'a pending = (int * int * string, 'a Queue.t) Hashtbl.t
+
+let pending () = Hashtbl.create 32
+
+let push_sent pending ~src ~dst label x =
+  let key = (src, dst, label) in
+  match Hashtbl.find_opt pending key with
+  | Some q -> Queue.push x q
+  | None ->
+      let q = Queue.create () in
+      Queue.push x q;
+      Hashtbl.add pending key q
+
+let pop_sent pending ~src ~dst label =
+  match Hashtbl.find_opt pending (src, dst, label) with
+  | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
+  | Some _ | None -> None

@@ -55,3 +55,23 @@ val none : t
 val label : t -> string
 (** The one-line rendering, e.g. ["put#3 from P1 -> pub\[8..+2) (acked)"]
     — exactly what [Dsm_rdma.Message.describe] has always printed. *)
+
+(** {1 Pairing sends with deliveries} *)
+
+type 'a pending
+(** What each send still waiting for its delivery left behind (a flow
+    id, a send time), FIFO per (src, dst, label). The one send–delivery
+    pairing of the Perfetto timeline's flows and the space-time
+    diagram's arrows: exact under in-order delivery, best-effort under
+    reordering faults. *)
+
+val pending : unit -> 'a pending
+
+val push_sent : 'a pending -> src:int -> dst:int -> string -> 'a -> unit
+(** [push_sent pending ~src ~dst label x] queues [x] for the message
+    [label] sent from [src] to [dst]. *)
+
+val pop_sent : 'a pending -> src:int -> dst:int -> string -> 'a option
+(** The oldest value queued for a delivery of [label] from [src] to
+    [dst], removed; [None] when no send is queued, and the consumer
+    skips that delivery. *)

@@ -8,12 +8,15 @@
    Events used:
    - "X" complete slices — op lifetimes (Op_begin..Op_end), lock-held
      spans (Lock_acquired..Lock_released), message send/deliver stubs;
-   - "s"/"f" flow events — protocol-message arrows, one id per matched
-     Msg_sent/Msg_delivered pair (FIFO per (src, dst, label), mirroring
-     the offline trace checker's arrow collection);
+   - "s"/"f" flow events — protocol-message arrows, one id per
+     Msg_sent/Msg_delivered pair as [Msg.pending] pairs them (FIFO per
+     (src, dst, label), the same table the space-time diagram's arrows
+     read); a delivery with no queued send draws nothing;
    - "i" instant events — race signals, coherence violations, fault
      injections (drop/dup/reorder), retransmits, scheduler choices;
    - "M" metadata — lazy process_name records, emitted once per lane. *)
+
+module Int_tbl = Hashtbl.Make (Int)
 
 let scheduler_pid = 9990
 let domain_pid d = 9000 + d
@@ -23,10 +26,9 @@ type t = {
   mutable n_events : int;
   mutable named : int list; (* lanes that already have process_name metadata *)
   mutable next_flow : int;
-  flows : (int * int * string, int Queue.t) Hashtbl.t;
-      (* (src, dst, label) -> pending flow ids *)
-  ops : (int * int, float * string * int) Hashtbl.t;
-      (* (pid, op) -> begin time, kind, target *)
+  flows : int Msg.pending; (* flow ids of the sends not yet delivered *)
+  ops : (float * int) Int_tbl.t;
+      (* op -> begin time, target; op ids are unique per machine *)
   locks : (int, float) Hashtbl.t; (* pid -> acquire time *)
 }
 
@@ -36,8 +38,8 @@ let create () =
     n_events = 0;
     named = [];
     next_flow = 0;
-    flows = Hashtbl.create 32;
-    ops = Hashtbl.create 32;
+    flows = Msg.pending ();
+    ops = Int_tbl.create 32;
     locks = Hashtbl.create 8;
   }
 
@@ -123,13 +125,13 @@ let sink t (ev : Probe.event) =
   | Net_reorder { time; src; dst } ->
       instant t ~pid:src ~name:"reorder" ~cat:"fault" ~ts:time
         ~args:[ ("dst", Int dst) ]
-  | Op_begin { time; pid; op; kind; target } ->
-      Hashtbl.replace t.ops (pid, op) (time, kind, target)
+  | Op_begin { time; pid = _; op; kind = _; target } ->
+      Int_tbl.replace t.ops op (time, target)
   | Op_end { time; pid; op; kind } -> (
-      match Hashtbl.find_opt t.ops (pid, op) with
+      match Int_tbl.find_opt t.ops op with
       | None -> ()
-      | Some (t0, _, target) ->
-          Hashtbl.remove t.ops (pid, op);
+      | Some (t0, target) ->
+          Int_tbl.remove t.ops op;
           slice t ~pid
             ~name:(Printf.sprintf "%s → %d" kind target)
             ~cat:"op" ~ts:t0
@@ -139,25 +141,14 @@ let sink t (ev : Probe.event) =
       let label = Msg.label msg in
       let id = t.next_flow in
       t.next_flow <- id + 1;
-      let key = (src, dst, label) in
-      let q =
-        match Hashtbl.find_opt t.flows key with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.add t.flows key q;
-            q
-      in
-      Queue.push id q;
+      Msg.push_sent t.flows ~src ~dst label id;
       slice t ~pid:src ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur ~args:[];
       flow t ~pid:src ~phase:"s" ~id ~name:label ~ts:time
   | Msg_delivered { time; src; dst; msg } -> (
       let label = Msg.label msg in
-      match Hashtbl.find_opt t.flows (src, dst, label) with
+      match Msg.pop_sent t.flows ~src ~dst label with
       | None -> ()
-      | Some q when Queue.is_empty q -> ()
-      | Some q ->
-          let id = Queue.pop q in
+      | Some id ->
           slice t ~pid:dst ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur
             ~args:[];
           flow t ~pid:dst ~phase:"f" ~id ~name:label ~ts:time)

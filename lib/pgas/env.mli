@@ -30,15 +30,15 @@ val put_batch :
   t -> Dsm_rdma.Machine.proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
 (** Batched-coherence puts: see [Dsm_core.Detector.put_batch] (checked)
-    and [Dsm_rdma.Machine.put_batch] (plain). Pairs must satisfy the
-    machine's batching preconditions under a plain environment; the
-    checked path additionally falls back to per-op puts for
-    non-batchable runs. *)
+    and [Dsm_rdma.Machine.put_batch] (plain). Both take the same
+    batches, one run as [Dsm_rdma.Machine.check_batch] defines it, and
+    raise the same [Invalid_argument] on any other list. *)
 
 val get_batch :
   t -> Dsm_rdma.Machine.proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
-(** Batched-coherence gets over contiguous source spans. *)
+(** Batched-coherence gets over one contiguous source span, with
+    {!put_batch}'s contract. *)
 
 val fetch_add :
   t -> Dsm_rdma.Machine.proc -> target:Dsm_memory.Addr.global -> delta:int ->

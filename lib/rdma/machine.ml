@@ -781,14 +781,23 @@ let get p ~src ~(dst : Addr.region) ?(extra_words = 0) ?(locked = true) () =
 
 (* ---------- batched data operations ----------
 
-   Contiguous same-destination operations coalesce into one fabric
-   message: one header, one lock acquisition over the union span, one
-   reply. Singleton batches fall back to the plain per-op path so the
-   [Batch_flush] probe fires only when coalescing actually happened. *)
+   A batch is one run: its pairs' remote sides (a put's destinations, a
+   get's sources) sit on one node in ascending address order. The run
+   coalesces into one fabric message: one header, one lock acquisition
+   over the union span, one reply. Singleton batches fall back to the
+   plain per-op path so the [Batch_flush] probe fires only when
+   coalescing actually happened. *)
 
-let rec check_put_parts p ~target ~prev_end = function
-  | [] -> ()
-  | ((src : Addr.region), (dst : Addr.region)) :: rest ->
+type dir = Put | Get
+
+(* Checks one pair of a batch against the remote side of the pair
+   before it, which ended at [prev_end] on node [target], and returns
+   where this pair's remote side ends. Put destinations ascend without
+   overlapping; get sources are contiguous. *)
+let check_part p dir ~target prev_end
+    ((src : Addr.region), (dst : Addr.region)) =
+  match dir with
+  | Put ->
       check_local p src "put_batch";
       check_public dst "put_batch";
       check_same_len src dst "put_batch";
@@ -798,7 +807,37 @@ let rec check_put_parts p ~target ~prev_end = function
         invalid_arg
           "Machine.put_batch: parts must be in ascending, \
            non-overlapping address order";
-      check_put_parts p ~target ~prev_end:(dst.base.offset + dst.len) rest
+      dst.base.offset + dst.len
+  | Get ->
+      check_public src "get_batch";
+      check_local p dst "get_batch";
+      check_same_len src dst "get_batch";
+      if src.base.pid <> target then
+        invalid_arg "Machine.get_batch: parts target different nodes";
+      if src.base.offset <> prev_end then
+        invalid_arg
+          "Machine.get_batch: source parts must be contiguous and ascending";
+      src.base.offset + src.len
+
+let rec check_parts p dir ~target prev_end = function
+  | [] -> prev_end
+  | pair :: rest ->
+      check_parts p dir ~target (check_part p dir ~target prev_end pair) rest
+
+(* Where the batch's remote span ends; raises [Invalid_argument] unless
+   [pairs] is one run. *)
+let check_run p dir (pairs : (Addr.region * Addr.region) list) =
+  match pairs with
+  | [] ->
+      invalid_arg
+        (match dir with
+        | Put -> "Machine.put_batch: empty batch"
+        | Get -> "Machine.get_batch: empty batch")
+  | (src0, dst0) :: _ ->
+      let first = match dir with Put -> dst0 | Get -> src0 in
+      check_parts p dir ~target:first.base.pid first.base.offset pairs
+
+let check_batch p dir ~pairs = ignore (check_run p dir pairs : int)
 
 (* Fills [parts] from slot [i] on with each pair's destination offset
    and source data. *)
@@ -810,12 +849,12 @@ let rec read_put_parts p parts i = function
 
 let put_batch p ~(pairs : (Addr.region * Addr.region) list)
     ?(extra_words = 0) ?(locked = true) () =
+  check_batch p Put ~pairs;
   match pairs with
-  | [] -> invalid_arg "Machine.put_batch: empty batch"
   | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~locked ()
+  | [] -> () (* rejected by the check *)
   | (_, (dst0 : Addr.region)) :: _ ->
       let target = dst0.base.pid in
-      check_put_parts p ~target ~prev_end:(-1) pairs;
       let parts = Array.make (List.length pairs) (0, [||]) in
       read_put_parts p parts 0 pairs;
       let op = fresh_op p.m in
@@ -828,27 +867,13 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
    [Get] over the union span, scattered into the destinations locally. *)
 let get_batch p ~(pairs : (Addr.region * Addr.region) list)
     ?(extra_words = 0) ?(locked = true) () =
+  let hi = check_run p Get pairs in
   match pairs with
-  | [] -> invalid_arg "Machine.get_batch: empty batch"
   | [ (src, dst) ] -> get p ~src ~dst ~extra_words ~locked ()
+  | [] -> () (* rejected by the check *)
   | ((src0 : Addr.region), _) :: _ ->
-      let target = src0.base.pid in
-      let lo = src0.base.offset in
-      let prev_end = ref lo in
-      List.iter
-        (fun ((src : Addr.region), (dst : Addr.region)) ->
-          check_public src "get_batch";
-          check_local p dst "get_batch";
-          check_same_len src dst "get_batch";
-          if src.base.pid <> target then
-            invalid_arg "Machine.get_batch: parts target different nodes";
-          if src.base.offset <> !prev_end then
-            invalid_arg
-              "Machine.get_batch: source parts must be contiguous and \
-               ascending";
-          prev_end := src.base.offset + src.len)
-        pairs;
-      let len = !prev_end - lo in
+      let target = src0.base.pid and lo = src0.base.offset in
+      let len = hi - lo in
       (* Figure 3 for every public destination *)
       let held = if locked then dst_locks p pairs else [] in
       batch_flush p ~node:target ~kind:"get" ~parts:(List.length pairs)

@@ -240,30 +240,53 @@ val get :
     the same place is delayed — Figure 3. Landing in a public [dst] is
     reported to observers as a {!Write_applied} by [p] on its own node. *)
 
+(** {2 Batches}
+
+    A batch is one {e run}: a list of [(src, dst)] pairs whose remote
+    sides (a put's destinations, a get's sources) all sit on one node
+    in ascending address order. {!check_batch} is the one definition of
+    that shape; {!put_batch} and {!get_batch} run it before anything
+    else, and so does the checked layer before it counts, ticks or
+    locks anything. *)
+
+type dir = Put | Get  (** which side of a pair is remote *)
+
+val check_batch :
+  proc -> dir ->
+  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
+(** Raises [Invalid_argument], naming [put_batch] or [get_batch], unless
+    [pairs] is non-empty, every pair meets its verb's preconditions
+    (local source and public destination for a put, public source and
+    local destination for a get, equal lengths), every remote side is
+    on the first pair's node, and the remote sides ascend: put
+    destinations without overlapping, get sources contiguously. Has no
+    other effect. *)
+
 val put_batch :
   proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
   ?extra_words:int -> ?locked:bool -> unit -> unit
-(** [put_batch p ~pairs ()] performs every [(src, dst)] put of [pairs]
-    as {e one} fabric message: all destinations must be public regions
-    of the same node, in ascending non-overlapping address order; the
-    target NIC takes a single lock spanning the batch, applies each
-    part as its own write, and answers with a single ack. A singleton
-    batch degenerates to {!put}. With [~locked:false] the caller holds a
-    lock covering the batch's span. Raises [Invalid_argument] on an
-    empty batch or any violated per-put precondition. *)
+(** [put_batch p ~pairs ()] performs every [(src, dst)] put of a
+    {!check_batch}-valid run [pairs] as {e one} fabric message: the
+    target NIC takes a single lock spanning the batch, applies each part
+    as its own write, and answers with a single ack. A singleton batch
+    degenerates to {!put}. With [~locked:false] the caller holds a lock
+    covering the batch's span. Raises {!check_batch}'s
+    [Invalid_argument] before anything is sent. *)
 
 val get_batch :
   proc ->
   pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
   ?extra_words:int -> ?locked:bool -> unit -> unit
-(** [get_batch p ~pairs ()] performs every [(src, dst)] get of [pairs]
-    with one request/data round trip: the sources must be {e contiguous}
-    ascending public regions of one node, fetched as a single span and
-    scattered into the destinations locally. With [locked], Figure 3
-    locks are held on every public destination for the whole round
-    trip; with [~locked:false] the caller holds the source span's lock
-    and every destination's. A singleton batch degenerates to {!get}. *)
+(** [get_batch p ~pairs ()] performs every [(src, dst)] get of a
+    {!check_batch}-valid run [pairs] with one request/data round trip:
+    the contiguous sources are fetched as a single span and scattered
+    into the destinations locally. With [locked], Figure 3 locks are
+    held on every public destination for the whole round trip; with
+    [~locked:false] the caller holds the source span's lock and every
+    destination's. A singleton batch degenerates to {!get}. Raises
+    {!check_batch}'s [Invalid_argument] before anything is locked or
+    sent. *)
 
 val fetch_add :
   proc -> target:Dsm_memory.Addr.global -> ?extra_words:int -> delta:int ->

@@ -786,7 +786,7 @@ let provenance_run depth =
         :: !walk);
   ( List.map
       (fun (r : Report.race) ->
-        Option.map (fun (p : Report.prior_access) -> p.p_pid) r.prior)
+        Option.map (fun (e : Provenance.entry) -> e.pid) r.prior)
       (Report.races (Detector.report d)),
     List.rev !walk )
 
@@ -1444,34 +1444,40 @@ let transfer_digest ~transport case =
       spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 3; 3 |]) ~dst:c);
       spawn 0 (fun p -> Detector.put d p ~src:(priv 0 [| 4; 4 |]) ~dst:a)
   | "put-batch" ->
+      (* three runs, [a0; a1; a3], [b0; b1] and [a2]: what one mixed
+         six-pair batch split into when batches were regrouped. The
+         private buffers are allocated up front in the order that
+         batch's list literal allocated them, right to left. *)
       let a = shared 0 "a" 4 and b = shared 2 "b" 2 in
+      let s6 = priv 1 [| 6 |] in
+      let s5 = priv 1 [| 5 |] in
+      let s4 = priv 1 [| 4 |] in
+      let s3 = priv 1 [| 3 |] in
+      let s2 = priv 1 [| 2 |] in
+      let s1 = priv 1 [| 1 |] in
+      let s9 = priv 2 [| 9 |] in
+      let s8 = priv 2 [| 8 |] in
       spawn 1 (fun p ->
           Detector.put_batch d p
-            ~pairs:
-              [
-                (priv 1 [| 1 |], sub a 0);
-                (priv 1 [| 2 |], sub a 1);
-                (priv 1 [| 3 |], sub a 3);
-                (priv 1 [| 4 |], sub b 0);
-                (priv 1 [| 5 |], sub b 1);
-                (priv 1 [| 6 |], sub a 2);
-              ]);
+            ~pairs:[ (s1, sub a 0); (s2, sub a 1); (s3, sub a 3) ];
+          Detector.put_batch d p ~pairs:[ (s4, sub b 0); (s5, sub b 1) ];
+          Detector.put_batch d p ~pairs:[ (s6, sub a 2) ]);
       spawn 2 (fun p ->
-          Detector.put_batch d p
-            ~pairs:[ (priv 2 [| 8 |], sub a 1); (priv 2 [| 9 |], sub a 2) ])
+          Detector.put_batch d p ~pairs:[ (s8, sub a 1); (s9, sub a 2) ])
   | "get-batch" ->
+      (* two runs, [a0; a1; a2] and [a0], allocated like "put-batch" *)
       let a = shared 0 "a" 4 in
       init a [| 1; 2; 3; 4 |];
+      let d4 = priv 1 [| 0 |] in
+      let d3 = priv 1 [| 0 |] in
+      let d2 = priv 1 [| 0 |] in
+      let d1 = priv 1 [| 0 |] in
+      let s9 = priv 2 [| 9 |] in
       spawn 1 (fun p ->
           Detector.get_batch d p
-            ~pairs:
-              [
-                (sub a 0, priv 1 [| 0 |]);
-                (sub a 1, priv 1 [| 0 |]);
-                (sub a 2, priv 1 [| 0 |]);
-                (sub a 0, priv 1 [| 0 |]);
-              ]);
-      spawn 2 (fun p -> Detector.put d p ~src:(priv 2 [| 9 |]) ~dst:(sub a 2))
+            ~pairs:[ (sub a 0, d1); (sub a 1, d2); (sub a 2, d3) ];
+          Detector.get_batch d p ~pairs:[ (sub a 0, d4) ]);
+      spawn 2 (fun p -> Detector.put d p ~src:s9 ~dst:(sub a 2))
   | "put-batch-fallback" ->
       let a = shared 0 "a" 3 and b = shared 1 "b" 1 in
       init b [| 5 |];

@@ -257,6 +257,71 @@ let test_reduce_onesided_clean_after_barrier () =
   Alcotest.(check int) "sum" 6 !sum;
   Alcotest.(check int) "clean after barrier" 0 (Report.count (Detector.report d))
 
+(* ---------- batches ---------- *)
+
+(* Plain and checked environments take the same batches: one run, as
+   [Machine.check_batch] defines it. Each malformed batch raises the
+   same [Invalid_argument] under both, and the checked call raises
+   before it counts, ticks, locks or sends anything. *)
+let malformed_batches =
+  [
+    ("empty put_batch", "Machine.put_batch: empty batch");
+    ("two-node put_batch", "Machine.put_batch: parts target different nodes");
+    ( "non-contiguous get_batch",
+      "Machine.get_batch: source parts must be contiguous and ascending" );
+  ]
+
+(* Runs [case] from P0 of a fresh three-node machine under [env] and
+   returns what the call raised. *)
+let raise_batch m env case =
+  let pub pid off =
+    let r = Machine.alloc_public m ~pid ~len:4 () in
+    Dsm_memory.Addr.region ~pid ~space:Dsm_memory.Addr.Public
+      ~offset:(r.base.offset + off) ~len:1
+  and priv () = Machine.alloc_private m ~pid:0 ~len:1 () in
+  let raised = ref "nothing" in
+  Machine.spawn m ~pid:0 (fun p ->
+      try
+        match case with
+        | "empty put_batch" -> Env.put_batch env p ~pairs:[]
+        | "two-node put_batch" ->
+            Env.put_batch env p
+              ~pairs:[ (priv (), pub 1 0); (priv (), pub 2 0) ]
+        | "non-contiguous get_batch" ->
+            let a0 = pub 1 0 in
+            let a2 =
+              Dsm_memory.Addr.region ~pid:1 ~space:Dsm_memory.Addr.Public
+                ~offset:(a0.base.offset + 2) ~len:1
+            in
+            Env.get_batch env p ~pairs:[ (a0, priv ()); (a2, priv ()) ]
+        | c -> Alcotest.failf "unknown batch case %s" c
+      with Invalid_argument msg -> raised := msg);
+  expect_completed m;
+  !raised
+
+let test_batches_plain_checked_agree () =
+  List.iter
+    (fun (case, want) ->
+      let m, env = make_plain ~n:3 () in
+      Alcotest.(check string) ("plain " ^ case) want (raise_batch m env case);
+      List.iter
+        (fun transport ->
+          let config = { Config.default with Config.transport } in
+          let m, env, d = make_checked ~n:3 ~config () in
+          let clock = Dsm_clocks.Vector_clock.to_array (Detector.proc_clock d 0) in
+          Alcotest.(check string) ("checked " ^ case) want
+            (raise_batch m env case);
+          Alcotest.(check int) (case ^ ": nothing counted") 0
+            (Detector.checked_ops d);
+          Alcotest.(check (array int)) (case ^ ": no tick") clock
+            (Dsm_clocks.Vector_clock.to_array (Detector.proc_clock d 0));
+          Alcotest.(check bool) (case ^ ": no lock left") true
+            (Machine.locks_quiescent m);
+          Alcotest.(check int) (case ^ ": no message") 0
+            (Machine.fabric_messages m))
+        [ Config.Inline; Config.Piggyback_txn; Config.Explicit_txn ])
+    malformed_batches
+
 (* ---------- task pool ---------- *)
 
 let test_task_pool_executes_everything () =
@@ -322,5 +387,10 @@ let () =
           Alcotest.test_case "one-sided (5.2)" `Quick test_reduce_onesided_no_participation;
           Alcotest.test_case "one-sided races" `Quick test_reduce_onesided_flags_unsynchronized;
           Alcotest.test_case "one-sided after barrier" `Quick test_reduce_onesided_clean_after_barrier;
+        ] );
+      ( "batches",
+        [
+          Alcotest.test_case "plain and checked agree" `Quick
+            test_batches_plain_checked_agree;
         ] );
     ]
