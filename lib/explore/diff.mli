@@ -44,13 +44,6 @@ type outcome = {
                                differing one *)
 }
 
-val missing_edges :
-  weak:Dsm_rdma.Model.t -> strong:Dsm_rdma.Model.t -> string list
-(** The sync edges [strong]'s hook record guarantees and [weak]'s does
-    not, each described in one sentence (e.g. the RMW S-serialization
-    edge [Relaxed] drops). Empty when [weak] guarantees everything
-    [strong] does. *)
-
 val run :
   ?runs:int ->
   ?depth:int ->

@@ -40,23 +40,17 @@ let explanations_of ~window ~(result : Explore.run_result) built =
               | Some e -> [ e ])))
 
 let of_token ?timeline (t : Token.t) =
-  match Explore.create_ctx t.spec with
-  | ctx ->
-      let bus = Explore.ctx_probe ctx in
-      let flight = Flight.attach bus in
-      (match timeline with
-      | None -> ()
-      | Some tl -> Probe.attach bus (Timeline.sink tl));
-      let result = Explore.run_once_in ctx (Explore.Script t.decisions) in
-      let window = Flight.events flight in
-      let explanations =
-        explanations_of ~window ~result (Explore.last_built ctx)
-      in
-      (match timeline with
-      | None -> ()
-      | Some tl -> List.iter (Explain.annotate tl) explanations);
-      let text = String.concat "" (List.map Explain.to_text explanations) in
-      let json = Explain.list_to_json explanations in
-      Ok { result; explanations; text; json }
-  | exception Invalid_argument msg -> Error msg
-  | exception Sys_error msg -> Error msg
+  let ctx = Explore.create_ctx t.spec in
+  let bus = Explore.ctx_probe ctx in
+  let flight = Flight.attach bus in
+  (match timeline with
+  | None -> ()
+  | Some tl -> Probe.attach bus (Timeline.sink tl));
+  let result = Explore.run_once_in ctx (Explore.Script t.decisions) in
+  let window = Flight.events flight in
+  let explanations = explanations_of ~window ~result (Explore.last_built ctx) in
+  (match timeline with
+  | None -> ()
+  | Some tl -> List.iter (Explain.annotate tl) explanations);
+  let text = String.concat "" (List.map Explain.to_text explanations) in
+  { result; explanations; text; json = Explain.list_to_json explanations }

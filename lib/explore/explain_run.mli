@@ -18,11 +18,9 @@ type outcome = {
   json : string;  (** {!Dsm_obs.Explain.list_to_json} document *)
 }
 
-val of_token :
-  ?timeline:Dsm_obs.Timeline.t -> Token.t -> (outcome, string) result
+val of_token : ?timeline:Dsm_obs.Timeline.t -> Token.t -> outcome
 (** The flight recorder keeps the run's last 256 events. With
     [timeline], the replay is also captured as a Perfetto trace and each
     explanation's endpoints are annotated into it
-    ({!Dsm_obs.Explain.annotate}) — the caller writes the file.
-    [Error msg] mirrors {!Explore.replay}: unknown scenario, unreadable
-    program file, or an invalid process count. *)
+    ({!Dsm_obs.Explain.annotate}) — the caller writes the file. Raises
+    as {!Explore.create_ctx} does on a token it cannot instantiate. *)

@@ -182,22 +182,12 @@ let populate_rmwlost ~checked machine =
   in
   { machine; detector = Env.detector env; coherence; monitor }
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Parsing and lowering happen at [prepare] time; per run we only attach
    the detector and spawn the compiled program. *)
 let compile_prog path =
-  let source = read_file path in
-  match Dsm_lang.Parser.parse source with
-  | Error msg -> invalid_arg (Printf.sprintf "Scenario %s: %s" path msg)
-  | Ok prog -> (
-      match Dsm_lang.Compile.lower ~instrument:true prog with
-      | Error msg -> invalid_arg (Printf.sprintf "Scenario %s: %s" path msg)
-      | Ok ir -> ir)
+  match Dsm_lang.Compile.load ~instrument:true path with
+  | Ok ir -> ir
+  | Error msg -> invalid_arg ("Scenario " ^ msg)
 
 let populate_prog ir machine =
   let coherence = Coherence.attach machine in
@@ -324,14 +314,23 @@ let populate_workload ~name ~seed machine =
   in
   { machine; detector = Some detector; coherence; monitor }
 
+(* The one table of process minimums, read by [prepare] and by the
+   one-shot commands: the racy ring of [scale] needs distinct
+   neighbours, a program runs on one process, everything else on two. *)
+let min_procs = function
+  | "workload:scale" | "workload:scale-batched" -> 3
+  | s when String.starts_with ~prefix:"prog:" s -> 1
+  | _ -> 2
+
 let prepare (s : Token.spec) =
   let spec = s.scenario in
-  let plan ?(watch = ignore) ~min_procs populate =
-    if s.n < min_procs then
+  let plan ?(watch = ignore) populate =
+    let min = min_procs spec in
+    if s.n < min then
       invalid_arg
         (Printf.sprintf
            "Scenario %s: needs at least %d processes, token/spec declares %d"
-           spec min_procs s.n);
+           spec min s.n);
     let mk_machine sim =
       watch sim;
       make_machine sim s
@@ -341,28 +340,20 @@ let prepare (s : Token.spec) =
   match String.index_opt spec ':' with
   | None when spec = "getput" || spec = "getput-checked" ->
       let open_gets = Hashtbl.create 8 in
-      plan ~watch:(watch_open_gets open_gets) ~min_procs:2
+      plan ~watch:(watch_open_gets open_gets)
         (populate_getput ~checked:(spec = "getput-checked") open_gets)
-  | None when spec = "rmwlost" ->
-      plan ~min_procs:2 (populate_rmwlost ~checked:false)
-  | None when spec = "rmwlost-checked" ->
-      plan ~min_procs:2 (populate_rmwlost ~checked:true)
+  | None when spec = "rmwlost" -> plan (populate_rmwlost ~checked:false)
+  | None when spec = "rmwlost-checked" -> plan (populate_rmwlost ~checked:true)
   | None -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec)
   | Some colon -> (
       let kind = String.sub spec 0 colon in
       let arg = String.sub spec (colon + 1) (String.length spec - colon - 1) in
       match kind with
-      | "prog" ->
-          let ir = compile_prog arg in
-          plan ~min_procs:1 (populate_prog ir)
+      | "prog" -> plan (populate_prog (compile_prog arg))
       | "workload" ->
           if not (List.mem ("workload:" ^ arg) known) then
             invalid_arg (Printf.sprintf "Scenario: unknown workload %S" arg);
-          let min_procs =
-            (* racy scale mode needs distinct ring neighbours *)
-            match arg with "scale" | "scale-batched" -> 3 | _ -> 2
-          in
-          plan ~min_procs (populate_workload ~name:arg ~seed:s.seed)
+          plan (populate_workload ~name:arg ~seed:s.seed)
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs

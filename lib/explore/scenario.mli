@@ -64,10 +64,17 @@ val prepare : Token.spec -> plan
     family ([Skip_get_dst_lock] and [Skip_rmw_write_mark] — each inert
     on scenarios that never exercise the affected path). Raises
     [Invalid_argument] on an unknown scenario, an unparsable program,
-    or a process count below the scenario's minimum ([getput] and the
-    workloads need at least 2; programs at least 1) — the validation
-    that lets [dsmcheck explore --replay] reject a token whose declared
-    process count mismatches the scenario instead of misbehaving. *)
+    or a process count below {!min_procs} — the validation that lets
+    [dsmcheck explore --replay] reject a token whose declared process
+    count mismatches the scenario instead of misbehaving. *)
+
+val min_procs : string -> int
+(** The fewest processes the program named [s] runs on: 1 for
+    [prog:FILE], 3 for the racy rings [workload:scale] and
+    [workload:scale-batched], 2 for every other name. The one table of
+    process minimums: {!prepare} reads it, and so do the one-shot
+    commands under the same names ([workload:NAME], [prog:FILE], and
+    [scale] for the plain ring). *)
 
 val procs : plan -> int
 (** The effective process count: the spec's [n]. *)

@@ -103,10 +103,9 @@ let field t key v =
   | "m" ->
       let* model = Dsm_rdma.Model.of_name v in
       spec { s with model }
-  | "f" -> (
-      match Dsm_net.Fault.of_string v with
-      | faults -> spec { s with faults }
-      | exception Invalid_argument msg -> Error msg)
+  | "f" ->
+      let* faults = Dsm_net.Fault.parse v in
+      spec { s with faults }
   | "r" ->
       let* reliable = bool_field key v in
       spec { s with reliable }

@@ -31,3 +31,9 @@ let lower_exn ~instrument prog =
   match lower ~instrument prog with
   | Ok p -> p
   | Error msg -> invalid_arg ("Compile.lower: " ^ msg)
+
+let load ~instrument path =
+  let source = In_channel.with_open_text path In_channel.input_all in
+  Result.map_error
+    (fun msg -> path ^ ": " ^ msg)
+    (Result.bind (Parser.parse source) (lower ~instrument))

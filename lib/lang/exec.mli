@@ -10,19 +10,15 @@
 
 type runtime
 
-val check_fit : Dsm_rdma.Machine.t -> Ir.program -> (unit, string) result
-(** [Ok ()] when every shared array fits the public words the machine's
-    nodes have left beside the collectives' [n] reduction words per
-    node; otherwise an error naming the first array that does not fit,
-    its length and the segment's capacity. Allocates nothing. *)
-
 val setup :
   Dsm_rdma.Machine.t -> ?detector:Dsm_core.Detector.t -> Ir.program -> runtime
 (** Allocates the arrays, the collectives and one interpreter process per
     node; run the machine afterwards. [Checked] accesses with no
-    [detector] raise {!Runtime_error} at execution. Raises
-    [Invalid_argument] with {!check_fit}'s message when an array does
-    not fit. *)
+    [detector] raise {!Runtime_error} at execution. Before allocating
+    anything it checks that every shared array fits the public words the
+    nodes have left beside the collectives' [n] reduction words per
+    node, and raises [Invalid_argument] naming the first array that
+    does not, its length and the segment's capacity. *)
 
 val array_contents : runtime -> string -> int array
 (** Meta-level, after the run: the elements of a shared array.

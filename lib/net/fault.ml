@@ -155,3 +155,5 @@ let to_string t =
         (List.rev t.overrides)
     in
     String.concat "," (List.rev clauses)
+
+let parse s = try Ok (of_string s) with Invalid_argument msg -> Error msg

@@ -45,5 +45,9 @@ val of_string : string -> t
 (** Raises [Invalid_argument] on a malformed plan, including a
     probability outside [0,1], a negative delay or a negative node. *)
 
+val parse : string -> (t, string) result
+(** {!of_string} with the malformed plan's message as [Error]: what the
+    token codec and [dsmcheck explore --faults] read. *)
+
 val to_string : t -> string
 (** Round-trips through {!of_string} exactly. *)

@@ -29,7 +29,9 @@ type t = {
   flows : int Msg.pending; (* flow ids of the sends not yet delivered *)
   ops : (float * int) Int_tbl.t;
       (* op -> begin time, target; op ids are unique per machine *)
-  locks : (int, float) Hashtbl.t; (* pid -> acquire time *)
+  locks : (int * int * int, float) Hashtbl.t;
+      (* (pid, node, offset) -> acquire time: a transfer under a _txn
+         transport holds its read and write locks together *)
 }
 
 let create () =
@@ -153,14 +155,14 @@ let sink t (ev : Probe.event) =
             ~args:[];
           flow t ~pid:dst ~phase:"f" ~id ~name:label ~ts:time)
   | Lock_acquired { time; pid; node; offset; len } ->
-      Hashtbl.replace t.locks pid time;
+      Hashtbl.replace t.locks (pid, node, offset) time;
       instant t ~pid ~name:"lock acquired" ~cat:"lock" ~ts:time
         ~args:[ ("node", Int node); ("offset", Int offset); ("len", Int len) ]
   | Lock_released { time; pid; node; offset; len } -> (
-      match Hashtbl.find_opt t.locks pid with
+      match Hashtbl.find_opt t.locks (pid, node, offset) with
       | None -> ()
       | Some t0 ->
-          Hashtbl.remove t.locks pid;
+          Hashtbl.remove t.locks (pid, node, offset);
           slice t ~pid
             ~name:(Printf.sprintf "lock %d[%d..%d]" node offset (offset + len))
             ~cat:"lock" ~ts:t0

@@ -114,17 +114,12 @@ let checked_spec =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let explain_ok token =
-  match Explain_run.of_token token with
-  | Ok o -> o
-  | Error msg -> Alcotest.fail ("explanation replay failed: " ^ msg)
-
 let test_getput_checked_names_both_endpoints () =
   let r = Explore.run_once checked_spec (Explore.Script []) in
   Alcotest.(check bool) "the planted bug violates" true
     (r.Explore.violations <> []);
   let token = Token.make checked_spec r.Explore.decisions in
-  let o = explain_ok token in
+  let o = Explain_run.of_token token in
   Alcotest.(check bool) "has explanations" true (o.Explain_run.explanations <> []);
   List.iter
     (fun (e : Explain.t) ->
@@ -162,8 +157,8 @@ let test_getput_checked_names_both_endpoints () =
 let test_explanations_deterministic () =
   let r = Explore.run_once checked_spec (Explore.Script []) in
   let token = Token.make checked_spec r.Explore.decisions in
-  let a = explain_ok token in
-  let b = explain_ok token in
+  let a = Explain_run.of_token token in
+  let b = Explain_run.of_token token in
   Alcotest.(check string) "text byte-identical across replays"
     a.Explain_run.text b.Explain_run.text;
   Alcotest.(check string) "json byte-identical across replays"
@@ -187,7 +182,7 @@ let test_explanations_identical_across_jobs_and_chunk () =
         | Some (_, r) ->
             let decisions = Token.trim_trailing_zeros r.Explore.decisions in
             let token = Token.make checked_spec decisions in
-            (explain_ok token).Explain_run.text)
+            (Explain_run.of_token token).Explain_run.text)
       [ (1, 1); (2, 1); (2, 64); (4, 64) ]
   in
   match texts with
@@ -221,7 +216,7 @@ let test_rmwlost_checked_atomicity_fallback () =
   | None -> Alcotest.fail "the planted RMW bug never violated"
   | Some (_, r) ->
       let token = Token.make rmw_spec r.Explore.decisions in
-      let o = explain_ok token in
+      let o = Explain_run.of_token token in
       (match o.Explain_run.explanations with
       | [ e ] ->
           Alcotest.(check string) "cause" "atomicity" e.Explain.cause;
@@ -249,7 +244,7 @@ let test_clean_run_explains_nothing () =
   let spec = { rmw_spec with bug = false } in
   let r = Explore.run_once spec (Explore.Script []) in
   Alcotest.(check bool) "clean" true (r.Explore.violations = []);
-  let o = explain_ok (Token.make spec r.Explore.decisions) in
+  let o = Explain_run.of_token (Token.make spec r.Explore.decisions) in
   Alcotest.(check int) "no explanations" 0
     (List.length o.Explain_run.explanations);
   Alcotest.(check string) "empty text" "" o.Explain_run.text

@@ -331,11 +331,11 @@ let test_lowering_counts_wrappers () =
 let test_lower_rejects_invalid () =
   Alcotest.(check bool) "error" true
     (match
-       Compile.lower ~instrument:true
+       Compile.lower_exn ~instrument:true
          { Ast.shared = []; body = Ast.Store ("ghost", Ast.Int 0, Ast.Int 1) }
      with
-    | Error _ -> true
-    | Ok _ -> false)
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 (* ---------- execution ---------- *)
 

@@ -160,6 +160,39 @@ let test_perfetto_golden () =
          in
          mem_race (Trace_json.parse doc))
 
+(* A checked put from public b@P1 to a@P0 under Piggyback_txn holds its
+   read lock on b and its write lock on a at the same time: the timeline
+   must draw one lock slice per range, not one per process. *)
+let test_txn_locks_two_slices () =
+  let sim = Dsm_sim.Engine.create () in
+  let m = Machine.create sim ~n:2 () in
+  let tl = Timeline.attach (Dsm_sim.Engine.probe sim) in
+  let d =
+    Dsm_core.Detector.create m
+      ~config:
+        {
+          Dsm_core.Config.default with
+          transport = Dsm_core.Config.Piggyback_txn;
+        }
+      ()
+  in
+  let a = Machine.alloc_public m ~pid:0 ~name:"a" ~len:1 () in
+  let b = Machine.alloc_public m ~pid:1 ~name:"b" ~len:1 () in
+  Dsm_core.Detector.register d a;
+  Dsm_core.Detector.register d b;
+  Machine.spawn m ~pid:1 ~name:"putter" (fun p ->
+      Dsm_core.Detector.put d p ~src:b ~dst:a);
+  (match Machine.run m with
+  | Dsm_sim.Engine.Completed -> ()
+  | _ -> Alcotest.fail "put did not complete");
+  let lock_slices =
+    String.split_on_char '\n' (Timeline.to_json_string tl)
+    |> List.filter (fun line ->
+           String.starts_with ~prefix:{|{"ph":"X"|} line
+           && Test_util.contains line {|"cat":"lock"|})
+  in
+  Alcotest.(check int) "lock slices" 2 (List.length lock_slices)
+
 let test_validator_rejects_malformed () =
   List.iter
     (fun (label, doc) ->
@@ -473,6 +506,8 @@ let () =
       ( "perfetto",
         [
           Alcotest.test_case "golden fig5a" `Quick test_perfetto_golden;
+          Alcotest.test_case "txn transfer draws two lock slices" `Quick
+            test_txn_locks_two_slices;
           Alcotest.test_case "validator rejects malformed" `Quick
             test_validator_rejects_malformed;
         ] );
