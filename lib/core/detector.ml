@@ -622,27 +622,27 @@ let rec last_pair = function
    fall back to per-op transfers; the explicit transport pays its
    control round trips per granule either way, so batching its data
    message would change nothing and it goes per-op too. *)
-let checked_run t p dir run =
-  match (run, t.config.Config.transport) with
+let checked_run t p dir pairs run =
+  match (pairs, t.config.Config.transport) with
   | first :: _ :: _, (Config.Inline | Config.Piggyback_txn)
-    when not (any_public_local dir run) ->
+    when not (any_public_local dir pairs) ->
       let span =
         lock_one t p ~first:(remote dir first)
-          ~last:(remote dir (last_pair run))
+          ~last:(remote dir (last_pair pairs))
       in
-      check_run t p dir run;
+      check_run t p dir pairs;
       let extra_words = piggyback_words t and locked = nic_locks span in
       (match dir with
-      | Put -> Machine.put_batch p ~pairs:run ~extra_words ~locked ()
-      | Get -> Machine.get_batch p ~pairs:run ~extra_words ~locked ());
+      | Put -> Machine.put_batch p run ~extra_words ~locked ()
+      | Get -> Machine.get_batch p run ~extra_words ~locked ());
       unlock_span p span
-  | _ -> per_op t p dir run
+  | _ -> per_op t p dir pairs
 
-(* The shape is checked before anything is counted, ticked or locked:
-   a rejected batch leaves no trace. *)
+(* The shape is checked once, before anything is counted, ticked or
+   locked: a rejected batch leaves no trace, and the verb takes the
+   checked run without walking it again. *)
 let checked_batch t p dir pairs =
-  Machine.check_batch p dir ~pairs;
-  checked_run t p dir pairs
+  checked_run t p dir pairs (Machine.check_batch p dir ~pairs)
 
 let put_batch t p ~pairs = checked_batch t p Put pairs
 

@@ -149,6 +149,29 @@ let to_csv t =
 let fingerprint t =
   Digest.to_hex (Digest.string (to_csv t))
 
+(* Equal bits print equally, to any number of decimals. *)
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let same_clock a b =
+  Dsm_clocks.Vector_clock.dim a = Dsm_clocks.Vector_clock.dim b
+  && Dsm_clocks.Vector_clock.compare a b = Dsm_clocks.Order.Equal
+
+(* Every field [write_row] renders, unrounded. *)
+let same_race a b =
+  same_float a.time b.time
+  && a.accessor = b.accessor
+  && a.kind = b.kind
+  && a.granule.Dsm_memory.Addr.base.pid = b.granule.Dsm_memory.Addr.base.pid
+  && a.granule.base.offset = b.granule.base.offset
+  && a.granule.len = b.granule.len
+  && a.against = b.against
+  && same_clock a.accessor_clock b.accessor_clock
+  && same_clock a.datum_clock b.datum_clock
+  && Option.equal Int.equal a.event_id b.event_id
+
+let same_races a b =
+  a.count = b.count && List.for_all2 same_race a.races b.races
+
 let pp_summary ppf t =
   if t.count = 0 then Format.fprintf ppf "no race condition signaled"
   else

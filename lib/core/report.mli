@@ -71,6 +71,13 @@ val fingerprint : t -> string
     The schedule explorer compares these to check per-schedule detector
     determinism and to validate replays. *)
 
+val same_races : t -> t -> bool
+(** Whether both reports hold the same signals in the same order, equal
+    on every field {!to_csv} renders: times exactly, clocks by value.
+    Equal reports have equal {!fingerprint}s, with nothing rounded or
+    hashed; the explorer's determinism replay compares reports this
+    way. *)
+
 val pp_race : Format.formatter -> race -> unit
 
 val pp_summary : Format.formatter -> t -> unit

@@ -79,7 +79,7 @@ type ctx = {
   mutable last_built : Scenario.built option;
       (* the machine/detector/monitor set of the most recent run, for
          post-run inspection (race explanations) *)
-  digest : Buffer.t;  (* each run's fingerprint payload and canon *)
+  digest : Buffer.t;  (* a fingerprint's payload *)
 }
 
 let create_ctx ?metrics spec =
@@ -209,6 +209,46 @@ let check_invariants (spec : spec) (built : Scenario.built) outcome mono
   List.iter (fun (name, detail) -> add name detail) monitor_report;
   List.rev !v
 
+(* The allocation-tight per-run summary: everything a caller needs to
+   classify a run, and every value its fingerprint and canon are built
+   from, captured at run end — the engine's time and event count
+   describe the next run once the arena is reused. The schedule itself
+   stays in the ctx's reusable buffers. Digests are built on demand:
+   [result_of] for the rare runs that get surfaced, [raw_canon] for the
+   DPOR and soundness callers. *)
+type raw = {
+  r_outcome : outcome;
+  r_sim_time : float;
+  r_events : int;
+  r_races : int;
+  r_report : Report.t option;  (* the detector's report, if any *)
+  r_incoherent : int;  (* coherence violations *)
+  r_monitor : (string * string) list;
+  r_retransmits : int;
+  r_violations : violation list;
+}
+
+let raw_violating r = r.r_violations <> []
+
+(* Equal bits print equally, to any number of decimals. *)
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Whether [a] and [b] agree on every value [fingerprint_of] renders —
+   outcome, final time (exactly), event and race counts, each race
+   field by field, coherence violation count, monitor report — so
+   equal runs have equal fingerprints, with nothing rounded or hashed. *)
+let same_run a b =
+  a.r_outcome = b.r_outcome
+  && same_float a.r_sim_time b.r_sim_time
+  && a.r_events = b.r_events
+  && a.r_races = b.r_races
+  && (match (a.r_report, b.r_report) with
+     | Some ra, Some rb -> Report.same_races ra rb
+     | None, None -> true
+     | _ -> false)
+  && a.r_incoherent = b.r_incoherent
+  && a.r_monitor = b.r_monitor
+
 (* [xs] separated by [sep], each written by [write]. *)
 let add_joined buf sep write xs =
   List.iteri
@@ -221,35 +261,31 @@ let add_joined buf sep write xs =
    monitor], the time with 9 decimals and the monitor report as
    [name=detail;...]; the scenario keeps tokens for different scenarios
    from colliding. The payload is written into the ctx's buffer. *)
-let fingerprint_of ctx (built : Scenario.built) outcome ~races
-    ~monitor_report =
-  let sim = Machine.sim built.machine in
+let fingerprint_of ctx r =
   let buf = ctx.digest in
   let sep () = Buffer.add_char buf '|' in
   Buffer.clear buf;
   Buffer.add_string buf ctx.spec.scenario;
   Buffer.add_char buf '\x00';
-  write_outcome buf outcome;
+  write_outcome buf r.r_outcome;
   sep ();
-  W.fixed 9 buf (Engine.now sim);
+  W.fixed 9 buf r.r_sim_time;
   sep ();
-  W.int buf (Engine.events_processed sim);
+  W.int buf r.r_events;
   sep ();
-  W.int buf races;
+  W.int buf r.r_races;
   sep ();
   Buffer.add_string buf
-    (match (built.detector : Detector.t option) with
-    | Some d -> Report.fingerprint (Detector.report d)
-    | None -> "-");
+    (match r.r_report with Some rep -> Report.fingerprint rep | None -> "-");
   sep ();
-  W.int buf (List.length (Coherence.violations built.coherence));
+  W.int buf r.r_incoherent;
   sep ();
   add_joined buf ';'
     (fun buf (name, detail) ->
       Buffer.add_string buf name;
       Buffer.add_char buf '=';
       Buffer.add_string buf detail)
-    monitor_report;
+    r.r_monitor;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Order-insensitive summary of what a run {e found}: outcome, the set
@@ -260,16 +296,16 @@ let fingerprint_of ctx (built : Scenario.built) outcome ~races
    while their canonical fingerprints must agree; the DPOR soundness
    suite compares exactly this. A raced granule's key is
    [pid:offset+len:p1,p2,...]; keys are sorted as strings. *)
-let canon_of ctx (built : Scenario.built) outcome violations =
-  let buf = ctx.digest in
+let raw_canon r =
+  let buf = Buffer.create 64 in
   let vnames =
     List.sort_uniq compare
-      (List.map (fun v -> v.invariant) violations)
+      (List.map (fun v -> v.invariant) r.r_violations)
   in
   let groups =
-    match built.detector with
+    match r.r_report with
     | None -> []
-    | Some d ->
+    | Some rep ->
         List.sort_uniq compare
           (List.map
              (fun (g : Report.group) ->
@@ -282,38 +318,17 @@ let canon_of ctx (built : Scenario.built) outcome violations =
                Buffer.add_char buf ':';
                add_joined buf ',' W.int g.g_pids;
                Buffer.contents buf)
-             (Report.grouped (Detector.report d)))
+             (Report.grouped rep))
   in
   Buffer.clear buf;
-  write_outcome buf outcome;
+  write_outcome buf r.r_outcome;
   Buffer.add_char buf '|';
   add_joined buf ',' Buffer.add_string vnames;
   Buffer.add_char buf '|';
   add_joined buf ';' Buffer.add_string groups;
   Buffer.contents buf
 
-(* The allocation-tight per-run summary: everything a caller needs to
-   classify a run, with the schedule itself left in the ctx's reusable
-   buffers. [result_of] materializes the full {!run_result} for the rare
-   runs that get surfaced. *)
-type raw = {
-  r_outcome : outcome;
-  r_sim_time : float;
-  r_events : int;
-  r_races : int;
-  r_retransmits : int;
-  r_violations : violation list;
-  r_fingerprint : string;
-  r_canon : string;
-}
-
-let raw_violating r = r.r_violations <> []
-
-let raw_canon r = r.r_canon
-
-(* [~canon:false] leaves [r_canon] empty: the determinism replay reads
-   only the fingerprint. *)
-let exec_with ~canon ctx chooser =
+let exec_with ctx chooser =
   let probe = Engine.probe ctx.sim in
   let run = ctx.runs_executed in
   ctx.runs_executed <- run + 1;
@@ -339,11 +354,8 @@ let exec_with ~canon ctx chooser =
   let violations =
     check_invariants ctx.spec built outcome mono ~monitor_report
   in
-  let races =
-    match built.detector with
-    | Some d -> Report.count (Detector.report d)
-    | None -> 0
-  in
+  let report = Option.map Detector.report built.detector in
+  let races = match report with Some rep -> Report.count rep | None -> 0 in
   if probe.Dsm_obs.Probe.on then begin
     List.iter
       (fun v ->
@@ -362,10 +374,11 @@ let exec_with ~canon ctx chooser =
     r_sim_time = Engine.now ctx.sim;
     r_events = Engine.events_processed ctx.sim;
     r_races = races;
+    r_report = report;
+    r_incoherent = List.length (Coherence.violations built.coherence);
+    r_monitor = monitor_report;
     r_retransmits = Machine.transport_retransmits built.machine;
     r_violations = violations;
-    r_fingerprint = fingerprint_of ctx built outcome ~races ~monitor_report;
-    r_canon = (if canon then canon_of ctx built outcome violations else "");
   }
 
 let exec_mode ctx mode =
@@ -374,18 +387,19 @@ let exec_mode ctx mode =
       Prng.reseed ctx.walk_rng ~seed:(mix_seed ctx.spec.seed salt);
       Chooser.reset_random ctx.chooser ctx.walk_rng
   | Script ds -> Chooser.reset_scripted ctx.chooser ds);
-  exec_with ~canon:true ctx ctx.chooser
+  exec_with ctx ctx.chooser
 
 (* Determinism check: replay the decisions just recorded (shared buffer,
    no copy) through the second chooser, leaving the original recording
-   intact for [result_of]. *)
+   intact for [result_of], and compare the two runs value by value. Only
+   a mismatch builds fingerprints, for the violation text. *)
 let exec_checked ?(check_determinism = false) ctx mode =
   let r = exec_mode ctx mode in
   if not check_determinism then r
   else begin
     Chooser.reset_replay_of ctx.replay_chooser ~src:ctx.chooser;
-    let r2 = exec_with ~canon:false ctx ctx.replay_chooser in
-    if String.equal r2.r_fingerprint r.r_fingerprint then r
+    let r2 = exec_with ctx ctx.replay_chooser in
+    if same_run r r2 then r
     else
       {
         r with
@@ -397,7 +411,7 @@ let exec_checked ?(check_determinism = false) ctx mode =
                 detail =
                   Printf.sprintf
                     "same schedule, different fingerprints (%s vs %s)"
-                    r.r_fingerprint r2.r_fingerprint;
+                    (fingerprint_of ctx r) (fingerprint_of ctx r2);
               };
             ];
       }
@@ -410,8 +424,8 @@ let result_of ctx (r : raw) =
     events = r.r_events;
     decisions = Chooser.decisions ctx.chooser;
     choices = Chooser.trace ctx.chooser;
-    fingerprint = r.r_fingerprint;
-    canon = r.r_canon;
+    fingerprint = fingerprint_of ctx r;
+    canon = raw_canon r;
     races = r.r_races;
     retransmits = r.r_retransmits;
     violations = r.r_violations;

@@ -16,8 +16,10 @@
     - {b coherence}: the shadow-memory checker stays clean;
     - {b clock-monotonicity}: sampled per-process detector clocks only
       ever grow ([Vector_clock.leq]);
-    - {b determinism}: replaying the recorded decisions reproduces the
-      run fingerprint bit-identically;
+    - {b determinism}: replaying the recorded decisions reproduces every
+      value the run fingerprint renders — outcome, final time (exactly),
+      event and race counts, each race field by field (time exactly,
+      clocks by value), coherence violation count, monitor report;
     - plus any scenario-specific monitor (e.g. ["getput"]'s
       get-window atomicity).
 
@@ -105,7 +107,9 @@ val set_ready_log : ctx -> Ready_log.t option -> unit
 val run_once_in : ?check_determinism:bool -> ctx -> mode -> run_result
 (** One run in a reusable arena. With [check_determinism] (default
     false) the run is re-executed from its recorded decisions and a
-    ["determinism"] violation is added if the fingerprints differ. *)
+    ["determinism"] violation is added if the replay differs from the
+    run on any value the fingerprint renders (see the invariant list
+    above); its detail names both runs' fingerprints. *)
 
 val run_once : spec -> mode -> run_result
 (** {!run_once_in} a fresh arena, without the determinism check. *)
@@ -155,8 +159,10 @@ val replay : ?probe:(Dsm_obs.Probe.t -> unit) -> Token.t -> (run_result, string)
     {!explore_random_in} / {!explore_exhaustive_in} above. *)
 
 type raw
-(** Outcome, fingerprint, violations of the latest run; the decision
-    trace lives in the ctx until the next run. *)
+(** Outcome, violations and every value the fingerprint and canon are
+    built from, captured when the run ended; neither digest is built
+    until asked for. The decision trace lives in the ctx until the next
+    run. *)
 
 val exec_checked : ?check_determinism:bool -> ctx -> mode -> raw
 (** One run in the arena ([check_determinism] defaults to [false]). *)
@@ -164,12 +170,13 @@ val exec_checked : ?check_determinism:bool -> ctx -> mode -> raw
 val raw_violating : raw -> bool
 
 val raw_canon : raw -> string
-(** The run's canonical (order-insensitive) fingerprint; see
-    {!run_result.canon}. *)
+(** The run's canonical (order-insensitive) fingerprint, built on each
+    call; see {!run_result.canon}. Valid after later runs in the ctx. *)
 
 val result_of : ctx -> raw -> run_result
-(** Materialize the full result — decisions and choices are read from
-    the arena, so only valid before the ctx's next run. *)
+(** Materialize the full result, building its fingerprint and canon.
+    Decisions and choices are read from the arena, so they are only
+    valid before the ctx's next run; the digests are valid after it. *)
 
 val last_choice_points : ctx -> int
 (** Choice points recorded by the ctx's most recent run. *)

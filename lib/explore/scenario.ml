@@ -12,11 +12,12 @@ type built = {
   monitor : unit -> (string * string) list;
 }
 
-(* A prepared scenario: everything seed-independent (spec parsing,
-   program compilation, process-count validation) is done once; what
-   remains is populating a machine — fresh ([instantiate]) or recycled
-   in place ([repopulate]). Per-run work is then proportional to the
-   scenario's live state, not to machine construction. *)
+(* A prepared scenario: everything machine-independent (spec parsing,
+   program compilation, drawing a seeded program, process-count
+   validation) is done once; what remains is populating a machine —
+   fresh ([instantiate]) or recycled in place ([repopulate]). Per-run
+   work is then proportional to the scenario's live state, not to
+   machine construction. *)
 type plan = {
   procs : int;
   mk_machine : Dsm_sim.Engine.t -> Machine.t;
@@ -195,23 +196,28 @@ let populate_prog ir machine =
   let (_ : Dsm_lang.Exec.runtime) = Dsm_lang.Exec.setup machine ~detector ir in
   { machine; detector = Some detector; coherence; monitor = no_monitor }
 
-let populate_workload ~name ~seed machine =
-  let coherence = Coherence.attach machine in
-  let detector = Detector.create machine () in
-  let env = Env.checked detector in
-  let collectives = Collectives.create env in
-  let monitor =
-    match name with
-    | "random" ->
-        Dsm_workload.Random_access.setup env ~collectives
+(* The program [workload:NAME] installs, chosen once per plan: each
+   populate attaches the checker and the detector, then calls it with
+   the run's environment, collectives and coherence checker. A
+   seed-determined draw ([random]'s op sequences) is made here too, so
+   a populate only installs it. *)
+let workload_program ~name ~seed ~n =
+  match name with
+  | "random" ->
+      let program =
+        Dsm_workload.Random_access.draw ~n
           {
             Dsm_workload.Random_access.default with
             ops_per_proc = 6;
             think_mean = 1.0;
             seed;
-          };
+          }
+      in
+      fun env collectives _ ->
+        Dsm_workload.Random_access.install env ~collectives program;
         no_monitor
-    | "master-worker" | "master-worker-racy" ->
+  | "master-worker" | "master-worker-racy" ->
+      fun env collectives _ ->
         Dsm_workload.Master_worker.setup env ~collectives
           {
             Dsm_workload.Master_worker.default with
@@ -220,16 +226,19 @@ let populate_workload ~name ~seed machine =
             seed;
           };
         no_monitor
-    | "stencil" ->
+  | "stencil" ->
+      fun env collectives _ ->
         ignore
           (Dsm_workload.Stencil.setup env ~collectives
              { Dsm_workload.Stencil.cells_per_node = 4; iterations = 2; seed });
         no_monitor
-    | "pipeline" ->
+  | "pipeline" ->
+      fun env _ _ ->
         Dsm_workload.Pipeline.setup env
           { Dsm_workload.Pipeline.default with batches = 3; seed };
         no_monitor
-    | "locked-counter" ->
+  | "locked-counter" ->
+      fun env _ _ ->
         Dsm_workload.Locked_counter.setup env
           {
             Dsm_workload.Locked_counter.increments_per_proc = 3;
@@ -237,7 +246,8 @@ let populate_workload ~name ~seed machine =
             seed;
           };
         no_monitor
-    | "scale" | "scale-batched" ->
+  | "scale" | "scale-batched" ->
+      fun env _ _ ->
         Dsm_workload.Scale.setup env
           {
             Dsm_workload.Scale.default with
@@ -247,7 +257,8 @@ let populate_workload ~name ~seed machine =
             seed;
           };
         no_monitor
-    | "histogram" | "histogram-racy" ->
+  | "histogram" | "histogram-racy" ->
+      fun env _ _ ->
         Dsm_workload.Histogram.setup env
           {
             Dsm_workload.Histogram.default with
@@ -257,7 +268,8 @@ let populate_workload ~name ~seed machine =
             seed;
           };
         no_monitor
-    | "deque" | "deque-racy" ->
+  | "deque" | "deque-racy" ->
+      fun env _ _ ->
         Dsm_workload.Deque.setup env
           {
             Dsm_workload.Deque.default with
@@ -265,7 +277,8 @@ let populate_workload ~name ~seed machine =
             think_mean = 1.0;
             seed;
           }
-    | "allreduce" | "allreduce-racy" ->
+  | "allreduce" | "allreduce-racy" ->
+      fun env collectives _ ->
         Dsm_workload.Allreduce.setup env ~collectives
           {
             Dsm_workload.Allreduce.default with
@@ -274,7 +287,9 @@ let populate_workload ~name ~seed machine =
             think_mean = 1.0;
             seed;
           }
-    | "rmw-mix" ->
+  | "rmw-mix" ->
+      fun env _ coherence ->
+        let machine = Env.machine env in
         let arena =
           Dsm_workload.Rmw_mix.setup env
             {
@@ -310,8 +325,14 @@ let populate_workload ~name ~seed machine =
                            gives %d"
                           r.base.pid r.base.offset got want ))
             arena
-    | _ -> invalid_arg (Printf.sprintf "Scenario: unknown workload %S" name)
-  in
+  | _ -> invalid_arg (Printf.sprintf "Scenario: unknown workload %S" name)
+
+let populate_workload program machine =
+  let coherence = Coherence.attach machine in
+  let detector = Detector.create machine () in
+  let env = Env.checked detector in
+  let collectives = Collectives.create env in
+  let monitor = program env collectives coherence in
   { machine; detector = Some detector; coherence; monitor }
 
 (* The one table of process minimums, read by [prepare] and by the
@@ -351,9 +372,9 @@ let prepare (s : Token.spec) =
       match kind with
       | "prog" -> plan (populate_prog (compile_prog arg))
       | "workload" ->
-          if not (List.mem ("workload:" ^ arg) known) then
-            invalid_arg (Printf.sprintf "Scenario: unknown workload %S" arg);
-          plan (populate_workload ~name:arg ~seed:s.seed)
+          plan
+            (populate_workload
+               (workload_program ~name:arg ~seed:s.seed ~n:s.n))
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs

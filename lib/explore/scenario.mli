@@ -48,9 +48,10 @@ val known : string list
 
 type plan
 (** A prepared scenario: spec parsed, program (for [prog:FILE]) read and
-    compiled, process count validated — everything seed- and
-    machine-independent done once. The explorer prepares a plan per
-    worker and then populates a machine per run, fresh or recycled. *)
+    compiled, [workload:random]'s op sequences drawn, process count
+    validated — everything machine-independent done once. The explorer
+    prepares a plan per worker and then populates a machine per run,
+    fresh or recycled. *)
 
 val prepare : Token.spec -> plan
 (** The spec's [scenario], [n] and (for workloads) [seed] pick and size

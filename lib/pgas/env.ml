@@ -23,12 +23,12 @@ let get t p ~src ~dst =
 
 let put_batch t p ~pairs =
   match t with
-  | Plain _ -> Machine.put_batch p ~pairs ()
+  | Plain _ -> Machine.put_batch p (Machine.check_batch p Put ~pairs) ()
   | Checked d -> Detector.put_batch d p ~pairs
 
 let get_batch t p ~pairs =
   match t with
-  | Plain _ -> Machine.get_batch p ~pairs ()
+  | Plain _ -> Machine.get_batch p (Machine.check_batch p Get ~pairs) ()
   | Checked d -> Detector.get_batch d p ~pairs
 
 let fetch_add t p ~target ~delta =

@@ -111,6 +111,12 @@ type t = {
          fabric's reliable transport (which resequences and dedups);
          otherwise the self-contained [Sparse] form *)
   pb_tally : Dsm_clocks.Codec.tally;
+  mutable proc_names : string array;
+      (* each pid's default name ["P<pid>"] ([""] until built), for a
+         machine that is reset and so spawns each pid again: the first
+         [reset] makes the table, each name is built on its first spawn
+         after that and kept across resets. A machine never reset
+         spawns each pid once and keeps no table ([[||]]). *)
 }
 
 type proc = { m : t; p : int }
@@ -508,6 +514,7 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
          then Dsm_clocks.Codec.Delta
          else Dsm_clocks.Codec.Sparse);
       pb_tally = Dsm_clocks.Codec.tally ();
+      proc_names = [||];
     }
   in
   for node = 0 to n - 1 do
@@ -542,7 +549,9 @@ let reset m =
   m.clock_src <- None;
   m.pb_tally.dense <- 0;
   m.pb_tally.sparse <- 0;
-  m.pb_tally.delta <- 0
+  m.pb_tally.delta <- 0;
+  if Array.length m.proc_names = 0 then
+    m.proc_names <- Array.make (Array.length m.nodes) ""
 
 let sim m = m.sim
 
@@ -594,9 +603,18 @@ let proc m ~pid =
   if pid < 0 || pid >= n m then invalid_arg "Machine.proc: pid out of range";
   { m; p = pid }
 
+let default_name m pid =
+  let cached = Array.length m.proc_names > 0 in
+  if cached && m.proc_names.(pid) <> "" then m.proc_names.(pid)
+  else begin
+    let name = Printf.sprintf "P%d" pid in
+    if cached then m.proc_names.(pid) <- name;
+    name
+  end
+
 let spawn m ~pid ?name body =
-  let name = match name with Some s -> s | None -> Printf.sprintf "P%d" pid in
   let p = proc m ~pid in
+  let name = match name with Some s -> s | None -> default_name m pid in
   Engine.spawn m.sim ~name ~label:(Label.v ~node:pid ~origin:pid) (fun () ->
       body p)
 
@@ -837,7 +855,18 @@ let check_run p dir (pairs : (Addr.region * Addr.region) list) =
       let first = match dir with Put -> dst0 | Get -> src0 in
       check_parts p dir ~target:first.base.pid first.base.offset pairs
 
-let check_batch p dir ~pairs = ignore (check_run p dir pairs : int)
+(* A run is the pairs [check_batch] accepted, uncopied: the verbs take
+   it instead of re-walking the preconditions. *)
+type run = (Addr.region * Addr.region) list
+
+let check_batch p dir ~pairs : run =
+  ignore (check_run p dir pairs : int);
+  pairs
+
+(* The words a get run's contiguous sources span. *)
+let rec source_words = function
+  | [] -> 0
+  | ((src : Addr.region), _) :: rest -> src.len + source_words rest
 
 (* Fills [parts] from slot [i] on with each pair's destination offset
    and source data. *)
@@ -847,9 +876,7 @@ let rec read_put_parts p parts i = function
       parts.(i) <- (dst.base.offset, read_local p src);
       read_put_parts p parts (i + 1) rest
 
-let put_batch p ~(pairs : (Addr.region * Addr.region) list)
-    ?(extra_words = 0) ?(locked = true) () =
-  check_batch p Put ~pairs;
+let put_batch p (pairs : run) ?(extra_words = 0) ?(locked = true) () =
   match pairs with
   | [ (src, dst) ] -> put p ~src ~dst ~extra_words ~locked ()
   | [] -> () (* rejected by the check *)
@@ -865,15 +892,13 @@ let put_batch p ~(pairs : (Addr.region * Addr.region) list)
 
 (* Gets need no new message: contiguous sources collapse into a single
    [Get] over the union span, scattered into the destinations locally. *)
-let get_batch p ~(pairs : (Addr.region * Addr.region) list)
-    ?(extra_words = 0) ?(locked = true) () =
-  let hi = check_run p Get pairs in
+let get_batch p (pairs : run) ?(extra_words = 0) ?(locked = true) () =
   match pairs with
   | [ (src, dst) ] -> get p ~src ~dst ~extra_words ~locked ()
   | [] -> () (* rejected by the check *)
   | ((src0 : Addr.region), _) :: _ ->
       let target = src0.base.pid and lo = src0.base.offset in
-      let len = hi - lo in
+      let len = source_words pairs in
       (* Figure 3 for every public destination *)
       let held = if locked then dst_locks p pairs else [] in
       batch_flush p ~node:target ~kind:"get" ~parts:(List.length pairs)

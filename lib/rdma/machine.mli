@@ -245,48 +245,45 @@ val get :
     A batch is one {e run}: a list of [(src, dst)] pairs whose remote
     sides (a put's destinations, a get's sources) all sit on one node
     in ascending address order. {!check_batch} is the one definition of
-    that shape; {!put_batch} and {!get_batch} run it before anything
-    else, and so does the checked layer before it counts, ticks or
-    locks anything. *)
+    that shape, and the only way to make a {!run}: {!put_batch} and
+    {!get_batch} take the run it returned, so a batch's preconditions
+    are walked once, before anything is sent — and, in the checked
+    layer, before anything is counted, ticked or locked. *)
 
 type dir = Put | Get  (** which side of a pair is remote *)
 
+type run
+(** The pairs of a batch {!check_batch} accepted, uncopied. *)
+
 val check_batch :
   proc -> dir ->
-  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> unit
+  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list -> run
 (** Raises [Invalid_argument], naming [put_batch] or [get_batch], unless
     [pairs] is non-empty, every pair meets its verb's preconditions
     (local source and public destination for a put, public source and
     local destination for a get, equal lengths), every remote side is
     on the first pair's node, and the remote sides ascend: put
-    destinations without overlapping, get sources contiguously. Has no
-    other effect. *)
+    destinations without overlapping, get sources contiguously.
+    Otherwise returns [pairs] as a run, with no other effect. *)
 
 val put_batch :
-  proc ->
-  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> ?locked:bool -> unit -> unit
-(** [put_batch p ~pairs ()] performs every [(src, dst)] put of a
-    {!check_batch}-valid run [pairs] as {e one} fabric message: the
-    target NIC takes a single lock spanning the batch, applies each part
-    as its own write, and answers with a single ack. A singleton batch
+  proc -> run -> ?extra_words:int -> ?locked:bool -> unit -> unit
+(** [put_batch p run ()] performs every [(src, dst)] put of [run], which
+    [check_batch p Put] returned, as {e one} fabric message: the target
+    NIC takes a single lock spanning the batch, applies each part as its
+    own write, and answers with a single ack. A singleton batch
     degenerates to {!put}. With [~locked:false] the caller holds a lock
-    covering the batch's span. Raises {!check_batch}'s
-    [Invalid_argument] before anything is sent. *)
+    covering the batch's span. *)
 
 val get_batch :
-  proc ->
-  pairs:(Dsm_memory.Addr.region * Dsm_memory.Addr.region) list ->
-  ?extra_words:int -> ?locked:bool -> unit -> unit
-(** [get_batch p ~pairs ()] performs every [(src, dst)] get of a
-    {!check_batch}-valid run [pairs] with one request/data round trip:
-    the contiguous sources are fetched as a single span and scattered
-    into the destinations locally. With [locked], Figure 3 locks are
-    held on every public destination for the whole round trip; with
+  proc -> run -> ?extra_words:int -> ?locked:bool -> unit -> unit
+(** [get_batch p run ()] performs every [(src, dst)] get of [run], which
+    [check_batch p Get] returned, with one request/data round trip: the
+    contiguous sources are fetched as a single span and scattered into
+    the destinations locally. With [locked], Figure 3 locks are held on
+    every public destination for the whole round trip; with
     [~locked:false] the caller holds the source span's lock and every
-    destination's. A singleton batch degenerates to {!get}. Raises
-    {!check_batch}'s [Invalid_argument] before anything is locked or
-    sent. *)
+    destination's. A singleton batch degenerates to {!get}. *)
 
 val fetch_add :
   proc -> target:Dsm_memory.Addr.global -> ?extra_words:int -> delta:int ->

@@ -26,7 +26,25 @@ val default : params
 (** 50 ops x 4 vars x 4 words, 50% reads, no atomics, 5 us think time,
     no barriers, seed 1. *)
 
+type program
+(** A drawn program: each process's op sequence and the variables'
+    names, before anything is allocated. *)
+
+val draw : params -> n:int -> program
+(** The seed-determined half of {!setup}: the op sequences of [n]
+    processes and the variable names, a pure function of [params] and
+    [n]. Raises [Invalid_argument] on degenerate parameters. A caller
+    that installs the same program on many machines (the explorer's
+    reused arenas) draws it once. *)
+
+val install : Dsm_pgas.Env.t -> ?collectives:Dsm_pgas.Collectives.t -> program -> unit
+(** The machine half of {!setup}: allocates and registers the
+    variables, then spawns one program per node, in {!setup}'s order.
+    Raises [Invalid_argument] when the program was drawn for another
+    process count, or when [barrier_every] is set without
+    [collectives]. *)
+
 val setup : Dsm_pgas.Env.t -> ?collectives:Dsm_pgas.Collectives.t -> params -> unit
-(** Allocates the variables and spawns one program per node. The caller
-    then runs the machine. [collectives] is required when [barrier_every]
-    is set (raises [Invalid_argument] otherwise). *)
+(** [install] of the [draw] for the machine's process count. The caller
+    then runs the machine. [collectives] is required when
+    [barrier_every] is set (raises [Invalid_argument] otherwise). *)

@@ -316,6 +316,32 @@ let test_walk_replay_identical () =
         r'.Explore.fingerprint)
     [ "getput"; "workload:random"; "workload:pipeline" ]
 
+(* The determinism replay must notice a replay that differs from its
+   run: a probe sink schedules one extra engine event during the replay
+   only (the arena's second run), and the walk carries a "determinism"
+   violation and no other. *)
+let test_replay_perturbation_caught () =
+  let spec =
+    { Explore.default_spec with scenario = "workload:random"; n = 3; seed = 9 }
+  in
+  let ctx = Explore.create_ctx spec in
+  let replaying = ref false and perturbed = ref false in
+  Dsm_obs.Probe.attach (Explore.ctx_probe ctx) (function
+    | Dsm_obs.Probe.Run_begin { run } ->
+        replaying := run = 1;
+        perturbed := false
+    | Msg_sent _ when !replaying && not !perturbed -> (
+        perturbed := true;
+        match Explore.last_built ctx with
+        | Some b -> Engine.schedule (Machine.sim b.machine) ignore
+        | None -> ())
+    | _ -> ());
+  let r = Explore.run_once_in ~check_determinism:true ctx (Explore.Walk 0) in
+  Alcotest.(check bool) "the replay was perturbed" true !perturbed;
+  Alcotest.(check (list string))
+    "violated invariants" [ "determinism" ]
+    (List.map (fun (v : Explore.violation) -> v.invariant) r.violations)
+
 (* ---------- fault injection and the reliable transport ---------- *)
 
 let lossy = Fault.of_string "drop=0.3,dup=0.15,reorder=0.2"
@@ -595,6 +621,31 @@ let pin_digests label spec ~walks want =
   in
   Alcotest.(check string) label want (Digest.to_hex (Digest.string text));
   runs
+
+(* A raw keeps what its digests are built from, captured when its run
+   ended: built after the arena has run another walk, its fingerprint
+   and canon are still the run's own, as a fresh ctx gives them. *)
+let test_late_digests () =
+  (* constant latency ties deliveries, so walks take different schedules *)
+  let spec =
+    { Explore.default_spec with scenario = "getput-checked"; latency = constant1 }
+  in
+  let fresh = Explore.run_once spec (Explore.Walk 3) in
+  Alcotest.(check bool) "the walk raced" true (fresh.races > 0);
+  let ctx = Explore.create_ctx spec in
+  let r = Explore.exec_checked ctx (Explore.Walk 3) in
+  (* later walks in the arena, up to the first that ends differently *)
+  let rec run_until_different i =
+    if i > 64 then Alcotest.fail "no walk ends differently"
+    else
+      let next = Explore.result_of ctx (Explore.exec_checked ctx (Explore.Walk i)) in
+      if next.fingerprint = fresh.fingerprint then run_until_different (i + 1)
+  in
+  run_until_different 4;
+  let late = Explore.result_of ctx r in
+  Alcotest.(check string) "fingerprint" fresh.fingerprint late.fingerprint;
+  Alcotest.(check string) "canon" fresh.canon (Explore.raw_canon r);
+  Alcotest.(check string) "canon via result_of" fresh.canon late.canon
 
 let test_run_digests_pinned () =
   ignore
@@ -1107,6 +1158,8 @@ let () =
           Alcotest.test_case "workloads clean" `Slow test_workloads_clean_schedules;
           Alcotest.test_case "exhaustive clean" `Quick test_exhaustive_clean;
           Alcotest.test_case "walk = replay" `Quick test_walk_replay_identical;
+          Alcotest.test_case "perturbed replay caught" `Quick
+            test_replay_perturbation_caught;
         ] );
       ( "faults",
         [
@@ -1132,6 +1185,8 @@ let () =
           Alcotest.test_case "no per-run leak" `Quick test_no_per_run_leak;
           Alcotest.test_case "run digests pinned" `Quick
             test_run_digests_pinned;
+          Alcotest.test_case "digests built after the next walk" `Quick
+            test_late_digests;
         ] );
       ( "parallel",
         [

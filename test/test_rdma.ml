@@ -634,11 +634,12 @@ let put_batch_scenario ?locked () m =
   Machine.spawn m ~pid:0 (fun p ->
       let src = filled m ~pid:0 ~space:Addr.Private ~len:3 10 in
       Machine.put_batch p
-        ~pairs:
-          [
-            (sub src ~off:0 ~len:2, sub dst ~off:0 ~len:2);
-            (sub src ~off:2 ~len:1, sub dst ~off:3 ~len:1);
-          ]
+        (Machine.check_batch p Machine.Put
+           ~pairs:
+             [
+               (sub src ~off:0 ~len:2, sub dst ~off:0 ~len:2);
+               (sub src ~off:2 ~len:1, sub dst ~off:3 ~len:1);
+             ])
         ?locked ())
 
 let get_scenario ?locked () m =
@@ -653,8 +654,9 @@ let get_batch_scenario ?locked () m =
       let dst = filled m ~pid:0 ~space:Addr.Public ~len:3 0 in
       let priv = filled m ~pid:0 ~space:Addr.Private ~len:1 0 in
       Machine.get_batch p
-        ~pairs:[ (sub src ~off:0 ~len:2, sub dst ~off:1 ~len:2);
-                 (sub src ~off:2 ~len:1, priv) ]
+        (Machine.check_batch p Machine.Get
+           ~pairs:[ (sub src ~off:0 ~len:2, sub dst ~off:1 ~len:2);
+                    (sub src ~off:2 ~len:1, priv) ])
         ?locked ())
 
 let rmw_scenario m =
