@@ -680,8 +680,9 @@ let dpor_json_rows ~smoke () =
 (* ---------- probe overhead and metrics rows ---------- *)
 
 (* The telemetry layer's no-cost claim, measured head-on. [guard_ns] is
-   the marginal cost of one disabled emit site — a field load plus an
-   untaken branch on a silent bus — obtained by differencing two
+   the marginal cost of one disabled emit site — a field load, a [land]
+   with its class bit and an untaken branch on a silent bus — obtained
+   by differencing two
    hand-timed loops that differ only in the guard. [sites_per_op] counts
    how many emit sites one checked put actually visits (a counting sink
    on the same workload), and [op_ns] is that put's end-to-end cost with
@@ -719,7 +720,7 @@ let probe_overhead ~smoke () =
   in
   let guarded () =
     for i = 1 to iters do
-      if bus.Dsm_obs.Probe.on then
+      if bus.Dsm_obs.Probe.on land Dsm_obs.Probe.check <> 0 then
         Dsm_obs.Probe.emit bus
           (Dsm_obs.Probe.Clock_merge { time = 0.0; pid = 0 });
       acc := !acc + i
@@ -737,6 +738,7 @@ let probe_overhead ~smoke () =
     ~on_machine:(fun m ->
       Dsm_obs.Probe.attach
         (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))
+        Dsm_obs.Probe.all
         (fun _ -> incr sites))
     ();
   let sites_per_op = float_of_int !sites /. 64.0 in
@@ -756,12 +758,12 @@ let probe_overhead_pct = ref None
 
 (* ISSUE 9: the flight recorder's marginal cost on the same checked-put
    workload, hand-timed best-of-reps like the probe row (no r², exempt
-   from the OLS confidence gate). Any sink flips the bus on, and a hot
-   bus pays event-payload construction at every emit site — that is the
-   price of observing at all, common to meters, timelines and rings
-   alike. What the ring itself adds on top is its record path: one
-   slot store. So the row compares
-   a run observed by a no-op sink against a run observed by the ring,
+   from the OLS confidence gate). A sink turns on the classes it reads,
+   and each of their emit sites then pays event-payload construction —
+   that is the price of observing at all, common to meters, timelines
+   and rings alike. What the ring itself adds on top is its record
+   path: one slot store. So the row compares a run observed by a no-op
+   sink of the ring's classes against a run observed by the ring,
    and the --json run gates that marginal cost at the same <= 3% bar as
    the disabled-guard row: wherever telemetry is already attached,
    adding the flight recorder is free. The same row also times the run
@@ -786,6 +788,7 @@ let flight_recorder_overhead ~smoke () =
           ~on_machine:(fun m ->
             Dsm_obs.Probe.attach
               (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))
+              Dsm_obs.Probe.(all land lnot apply)
               (fun _ -> ()))
           ())
   in
@@ -958,9 +961,7 @@ let detector_extra_rows ~smoke () =
   let reg = Dsm_obs.Metrics.create () in
   single_writer_workload
     ~on_machine:(fun m ->
-      ignore
-        (Dsm_obs.Meter.attach reg
-           (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))))
+      Dsm_obs.Meter.attach reg (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m)))
     ();
   ( "detector/probe_disabled_overhead",
     [

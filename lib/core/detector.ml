@@ -280,7 +280,7 @@ let is_writing_class = function
 let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
     ~history =
   let kind = kind_of_class cls in
-  if t.probe.on then
+  if t.probe.on land Dsm_obs.Probe.race <> 0 then
     Dsm_obs.Probe.emit t.probe
       (Race_signal
          {
@@ -465,7 +465,7 @@ let region_before (a : Addr.region) (b : Addr.region) =
    it waits for locks. *)
 let count_check t p ~kind =
   t.checked_ops <- t.checked_ops + 1;
-  if t.probe.on then
+  if t.probe.on land Dsm_obs.Probe.check <> 0 then
     Dsm_obs.Probe.emit t.probe
       (Detector_check
          {
@@ -491,7 +491,7 @@ let check_op t p ~read_region ~write_region =
     (* The reader absorbs the causal history of the writes it observed:
        this is what orders Figure 5b's m3 after m1. *)
     Vector_clock.merge_into ~into:v0 absorbed;
-    if t.probe.on then
+    if t.probe.on land Dsm_obs.Probe.check <> 0 then
       Dsm_obs.Probe.emit t.probe
         (Clock_merge { time = now t; pid = Machine.pid p })
   end;
@@ -716,7 +716,7 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
   let event_id = record_access t p ~kind:Event.Atomic_update ~target:region in
   let absorbed = check_access t p ~region ~cls:(Rmw { wrote }) ~v0 ~event_id in
   Vector_clock.merge_into ~into:v0 absorbed;
-  if t.probe.on then
+  if t.probe.on land Dsm_obs.Probe.check <> 0 then
     Dsm_obs.Probe.emit t.probe (Clock_merge { time = now t; pid });
   result
 
@@ -781,7 +781,7 @@ let lock t p (r : Addr.region) =
     let v0 = t.procs.(Machine.pid p) in
     tick t p;
     Vector_clock.merge_into ~into:v0 (lock_clock t r);
-    if t.probe.on then
+    if t.probe.on land Dsm_obs.Probe.check <> 0 then
       Dsm_obs.Probe.emit t.probe
         (Clock_merge { time = now t; pid = Machine.pid p })
   end;
@@ -803,7 +803,7 @@ let barrier_sync t =
   Vector_clock.reset merged;
   Array.iter (fun c -> Vector_clock.merge_into ~into:merged c) t.procs;
   Array.iter (fun c -> Vector_clock.merge_into ~into:c merged) t.procs;
-  if t.probe.on then
+  if t.probe.on land Dsm_obs.Probe.check <> 0 then
     for pid = 0 to Array.length t.procs - 1 do
       Dsm_obs.Probe.emit t.probe (Clock_merge { time = now t; pid })
     done

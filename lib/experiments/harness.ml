@@ -30,7 +30,7 @@ let run_to_completion m =
    draws no arrow. *)
 let collect_arrows bus =
   let arrows = ref [] and sent = Dsm_obs.Msg.pending () in
-  Dsm_obs.Probe.attach bus (function
+  Dsm_obs.Probe.attach bus Dsm_obs.Probe.msg (function
     | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
         Dsm_obs.Msg.push_sent sent ~src ~dst (Dsm_obs.Msg.label msg) time
     | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (

@@ -37,7 +37,8 @@ let run_onesided ~others ~n =
     Shared_array.poke slots i (contribution i)
   done;
   let c = Collectives.create env in
-  Dsm_obs.Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) (function
+  Dsm_obs.Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) Dsm_obs.Probe.msg
+    (function
     | Dsm_obs.Probe.Msg_sent { src = 0; msg = { kind = Get; _ }; _ }
     | Msg_sent { dst = 0; msg = { kind = Get_reply; _ }; _ } ->
         ()

@@ -1,4 +1,5 @@
 module Label = Dsm_sim.Label
+module Probe = Dsm_obs.Probe
 module Vector_clock = Dsm_clocks.Vector_clock
 
 (* Sleep-set dynamic partial-order reduction over the explorer's
@@ -118,8 +119,8 @@ let explore_in ?(dpor = true) ?(stop_on_first = true) ?(max_runs = 500) ctx
         for k = 1 to Array.length view' - 1 do
           incr pruned;
           ledger := (base' @ [ k ]) :: !ledger;
-          if probe.Dsm_obs.Probe.on then
-            Dsm_obs.Probe.emit probe (Dpor_prune { point = q'; branch = k })
+          if probe.Probe.on land Probe.explore <> 0 then
+            Probe.emit probe (Dpor_prune { point = q'; branch = k })
         done
       done
     in
@@ -164,8 +165,8 @@ let explore_in ?(dpor = true) ?(stop_on_first = true) ?(max_runs = 500) ctx
              if slept k_seq then begin
                incr pruned;
                ledger := (base @ [ k ]) :: !ledger;
-               if probe.Dsm_obs.Probe.on then
-                 Dsm_obs.Probe.emit probe (Dpor_prune { point = q; branch = k })
+               if probe.Probe.on land Probe.explore <> 0 then
+                 Probe.emit probe (Dpor_prune { point = q; branch = k })
              end
              else
                children :=

@@ -9,7 +9,6 @@
 module Flight = Dsm_obs.Flight
 module Explain = Dsm_obs.Explain
 module Timeline = Dsm_obs.Timeline
-module Probe = Dsm_obs.Probe
 module Diagnose = Dsm_core.Diagnose
 module Detector = Dsm_core.Detector
 
@@ -45,7 +44,7 @@ let of_token ?timeline (t : Token.t) =
   let flight = Flight.attach bus in
   (match timeline with
   | None -> ()
-  | Some tl -> Probe.attach bus (Timeline.sink tl));
+  | Some tl -> Timeline.subscribe tl bus);
   let result = Explore.run_once_in ctx (Explore.Script t.decisions) in
   let window = Flight.events flight in
   let explanations = explanations_of ~window ~result (Explore.last_built ctx) in

@@ -67,7 +67,6 @@ type ctx = {
   spec : spec;
   plan : Scenario.plan;
   sim : Engine.t;
-  mutable machine : Machine.t option;
   walk_rng : Prng.t;  (* decision stream for Walk runs, reseeded per run *)
   chooser : Chooser.t;  (* records the schedule of the current run *)
   replay_chooser : Chooser.t;  (* scripted re-run for the determinism check *)
@@ -78,7 +77,8 @@ type ctx = {
          and chained-grant samples — the DPOR layer's input *)
   mutable last_built : Scenario.built option;
       (* the machine/detector/monitor set of the most recent run, for
-         post-run inspection (race explanations) *)
+         post-run inspection (race explanations) and for the next run's
+         [Scenario.repopulate] *)
   digest : Buffer.t;  (* a fingerprint's payload *)
 }
 
@@ -92,12 +92,11 @@ let create_ctx ?metrics spec =
      observes every reused run. *)
   (match metrics with
   | None -> ()
-  | Some registry -> ignore (Dsm_obs.Meter.attach registry (Engine.probe sim)));
+  | Some registry -> Dsm_obs.Meter.attach registry (Engine.probe sim));
   {
     spec;
     plan;
     sim;
-    machine = None;
     walk_rng = Prng.create ~seed:0;
     chooser = Chooser.scripted [];
     replay_chooser = Chooser.scripted [];
@@ -122,12 +121,9 @@ let set_ready_log ctx log = ctx.ready_log <- log
    position as construction did. *)
 let fresh_built ctx =
   Engine.reset ~seed:ctx.spec.seed ctx.sim;
-  match ctx.machine with
-  | None ->
-      let b = Scenario.instantiate ctx.plan ctx.sim in
-      ctx.machine <- Some b.Scenario.machine;
-      b
-  | Some m -> Scenario.repopulate ctx.plan m
+  match ctx.last_built with
+  | None -> Scenario.instantiate ctx.plan ctx.sim
+  | Some b -> Scenario.repopulate ctx.plan b
 
 (* Run one schedule to its end, sampling detector clocks along the way.
    Returns the engine outcome (or the crash) — invariants are judged by
@@ -332,7 +328,7 @@ let exec_with ctx chooser =
   let probe = Engine.probe ctx.sim in
   let run = ctx.runs_executed in
   ctx.runs_executed <- run + 1;
-  if probe.Dsm_obs.Probe.on then
+  if probe.Dsm_obs.Probe.on land Dsm_obs.Probe.run_begin <> 0 then
     Dsm_obs.Probe.emit probe (Run_begin { run });
   let built = fresh_built ctx in
   ctx.last_built <- Some built;
@@ -356,7 +352,7 @@ let exec_with ctx chooser =
   in
   let report = Option.map Detector.report built.detector in
   let races = match report with Some rep -> Report.count rep | None -> 0 in
-  if probe.Dsm_obs.Probe.on then begin
+  if probe.Dsm_obs.Probe.on land Dsm_obs.Probe.explore <> 0 then begin
     List.iter
       (fun v ->
         Dsm_obs.Probe.emit probe (Violation { run; invariant = v.invariant }))
@@ -522,7 +518,7 @@ let minimize ?metrics spec decisions =
   let probe = Engine.probe ctx.sim in
   let violates ds =
     let bad = raw_violating (exec_mode ctx (Script ds)) in
-    if probe.Dsm_obs.Probe.on then
+    if probe.Dsm_obs.Probe.on land Dsm_obs.Probe.explore <> 0 then
       Dsm_obs.Probe.emit probe
         (Minimize_step { len = List.length ds; violating = bad });
     bad

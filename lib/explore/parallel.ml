@@ -164,7 +164,7 @@ let slot_ctx pool ~metrics spec wid =
     | _ ->
         let ctx = Explore.create_ctx spec in
         (match st.wreg with
-        | Some r -> ignore (Dsm_obs.Meter.attach r (Explore.ctx_probe ctx))
+        | Some r -> Dsm_obs.Meter.attach r (Explore.ctx_probe ctx)
         | None -> ());
         st.arena <- Some (spec, ctx);
         ctx
@@ -172,7 +172,7 @@ let slot_ctx pool ~metrics spec wid =
   (if Option.is_some metrics && st.wreg = None then begin
      let r = Dsm_obs.Metrics.create () in
      st.wreg <- Some r;
-     ignore (Dsm_obs.Meter.attach r (Explore.ctx_probe ctx))
+     Dsm_obs.Meter.attach r (Explore.ctx_probe ctx)
    end);
   ctx
 
@@ -210,7 +210,7 @@ let rec atomic_min a v =
 
 let claim_probe ctx ~domain ~first_run ~count =
   let probe = Explore.ctx_probe ctx in
-  if probe.Dsm_obs.Probe.on then
+  if probe.on land Dsm_obs.Probe.explore <> 0 then
     Dsm_obs.Probe.emit probe
       (Dsm_obs.Probe.Domain_claim { domain; first_run; count })
 

@@ -4,6 +4,7 @@ module Detector = Dsm_core.Detector
 module Config = Dsm_core.Config
 module Env = Dsm_pgas.Env
 module Collectives = Dsm_pgas.Collectives
+module Probe = Dsm_obs.Probe
 
 type built = {
   machine : Machine.t;
@@ -15,13 +16,13 @@ type built = {
 (* A prepared scenario: everything machine-independent (spec parsing,
    program compilation, drawing a seeded program, process-count
    validation) is done once; what remains is populating a machine —
-   fresh ([instantiate]) or recycled in place ([repopulate]). Per-run
-   work is then proportional to the scenario's live state, not to
-   machine construction. *)
+   fresh ([instantiate]) or recycled in place ([repopulate]) — with the
+   arena's coherence checker. Per-run work is then proportional to the
+   scenario's live state, not to machine construction. *)
 type plan = {
   procs : int;
   mk_machine : Dsm_sim.Engine.t -> Machine.t;
-  populate : Machine.t -> built;
+  populate : Machine.t -> Coherence.t -> built;
 }
 
 let known =
@@ -70,25 +71,36 @@ let make_machine sim (s : Token.spec) =
    race-silent) exercises the provenance-based atomicity fallback. *)
 let checked_config = { Config.default with Config.transport = Config.Inline }
 
-(* The coherence checker, then the detector: pinned fingerprints depend
-   on this attach order. *)
 let builtin_env ~checked machine =
-  let coherence = Coherence.attach machine in
-  let env =
-    if checked then
-      Env.checked (Detector.create machine ~config:checked_config ())
-    else Env.plain machine
-  in
-  (coherence, env)
+  if checked then Env.checked (Detector.create machine ~config:checked_config ())
+  else Env.plain machine
 
-(* P0's gets in flight, by op id, from send to reply: one sink per engine
-   (the bus outlives [Machine.reset]); [populate_getput] empties it. *)
-let watch_open_gets open_gets sim =
-  Dsm_obs.Probe.attach (Dsm_sim.Engine.probe sim) (function
-    | Dsm_obs.Probe.Msg_sent { src = 0; msg = { kind = Get; op; _ }; _ } ->
-        Hashtbl.replace open_gets op ()
+(* The get-window monitor's state: P0's gets in flight, by op id, from
+   send to reply, region A's span and the run's findings, newest first.
+   Its sink is attached once per engine (the bus outlives
+   [Machine.reset]); [populate_getput] resets the state. *)
+type getput_watch = {
+  open_gets : (int, unit) Hashtbl.t;
+  mutable a_lo : int;
+  mutable a_len : int;
+  mutable bad : string list;
+}
+
+let watch_getput w sim =
+  Probe.attach (Dsm_sim.Engine.probe sim) Probe.(msg lor apply) (function
+    | Probe.Msg_sent { src = 0; msg = { kind = Get; op; _ }; _ } ->
+        Hashtbl.replace w.open_gets op ()
     | Msg_delivered { dst = 0; msg = { kind = Get_reply; op; _ }; _ } ->
-        Hashtbl.remove open_gets op
+        Hashtbl.remove w.open_gets op
+    | Write_applied { node = 0; offset; data; origin; time } ->
+        let len = Array.length data in
+        let overlaps = offset < w.a_lo + w.a_len && w.a_lo < offset + len in
+        if overlaps && origin <> 0 && Hashtbl.length w.open_gets > 0 then
+          w.bad <-
+            Printf.sprintf
+              "put by P%d applied to A at t=%.3f inside P0's open get window"
+              origin time
+            :: w.bad
     | _ -> ())
 
 (* The built-in scenario behind the planted-bug acceptance test: P0
@@ -97,8 +109,8 @@ let watch_open_gets open_gets sim =
    whole round trip — so a put may never be applied to A inside an open
    get window. The monitor watches exactly that; it can only fire when
    [Skip_get_dst_lock] is planted. *)
-let populate_getput ~checked open_gets machine =
-  let coherence, env = builtin_env ~checked machine in
+let populate_getput ~checked w machine coherence =
+  let env = builtin_env ~checked machine in
   let a = Machine.alloc_public machine ~pid:0 ~name:"A" ~len:4 () in
   let b = Machine.alloc_public machine ~pid:1 ~name:"B" ~len:4 () in
   (* the scenario's declared initial images: first reads of
@@ -111,21 +123,10 @@ let populate_getput ~checked open_gets machine =
     (Dsm_memory.Node_memory.read (Machine.node machine 1) b);
   Env.register env a;
   Env.register env b;
-  Hashtbl.clear open_gets;
-  let bad = ref [] in
-  let a_lo = a.Dsm_memory.Addr.base.offset in
-  let a_len = a.Dsm_memory.Addr.len in
-  Machine.add_observer machine (function
-    | Machine.Write_applied { node = 0; offset; data; origin; time } ->
-        let len = Array.length data in
-        let overlaps = offset < a_lo + a_len && a_lo < offset + len in
-        if overlaps && origin <> 0 && Hashtbl.length open_gets > 0 then
-          bad :=
-            Printf.sprintf
-              "put by P%d applied to A at t=%.3f inside P0's open get window"
-              origin time
-            :: !bad
-    | _ -> ());
+  Hashtbl.clear w.open_gets;
+  w.a_lo <- a.Dsm_memory.Addr.base.offset;
+  w.a_len <- a.Dsm_memory.Addr.len;
+  w.bad <- [];
   let iters = 3 in
   Machine.spawn machine ~pid:0 ~name:"getter" (fun p ->
       for _ = 1 to iters do
@@ -140,7 +141,7 @@ let populate_getput ~checked open_gets machine =
         Machine.compute p 0.3
       done);
   let monitor () =
-    List.rev_map (fun m -> ("get-window-atomicity", m)) !bad
+    List.rev_map (fun m -> ("get-window-atomicity", m)) w.bad
   in
   { machine; detector = Env.detector env; coherence; monitor }
 
@@ -153,8 +154,8 @@ let populate_getput ~checked open_gets machine =
    value. The coherence checker's RMW oracle flags the second apply (its [old]
    disagrees with the serial replay) and the sum monitor sees the lost
    increment. Bug-free, every schedule sums exactly. *)
-let populate_rmwlost ~checked machine =
-  let coherence, env = builtin_env ~checked machine in
+let populate_rmwlost ~checked machine coherence =
+  let env = builtin_env ~checked machine in
   let n = Machine.n machine in
   let counter = Machine.alloc_public machine ~pid:0 ~name:"C" ~len:1 () in
   Coherence.declare_init coherence ~node:0
@@ -190,8 +191,7 @@ let compile_prog path =
   | Ok ir -> ir
   | Error msg -> invalid_arg ("Scenario " ^ msg)
 
-let populate_prog ir machine =
-  let coherence = Coherence.attach machine in
+let populate_prog ir machine coherence =
   let detector = Detector.create machine () in
   let (_ : Dsm_lang.Exec.runtime) = Dsm_lang.Exec.setup machine ~detector ir in
   { machine; detector = Some detector; coherence; monitor = no_monitor }
@@ -327,8 +327,7 @@ let workload_program ~name ~seed ~n =
             arena
   | _ -> invalid_arg (Printf.sprintf "Scenario: unknown workload %S" name)
 
-let populate_workload program machine =
-  let coherence = Coherence.attach machine in
+let populate_workload program machine coherence =
   let detector = Detector.create machine () in
   let env = Env.checked detector in
   let collectives = Collectives.create env in
@@ -360,9 +359,9 @@ let prepare (s : Token.spec) =
   in
   match String.index_opt spec ':' with
   | None when spec = "getput" || spec = "getput-checked" ->
-      let open_gets = Hashtbl.create 8 in
-      plan ~watch:(watch_open_gets open_gets)
-        (populate_getput ~checked:(spec = "getput-checked") open_gets)
+      let w = { open_gets = Hashtbl.create 8; a_lo = 0; a_len = 0; bad = [] } in
+      plan ~watch:(watch_getput w)
+        (populate_getput ~checked:(spec = "getput-checked") w)
   | None when spec = "rmwlost" -> plan (populate_rmwlost ~checked:false)
   | None when spec = "rmwlost-checked" -> plan (populate_rmwlost ~checked:true)
   | None -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec)
@@ -379,8 +378,14 @@ let prepare (s : Token.spec) =
 
 let procs plan = plan.procs
 
-let instantiate plan sim = plan.populate (plan.mk_machine sim)
+(* The arena's sinks, the scenario's monitor and then the coherence
+   checker, are attached once per engine, before the populate that
+   creates the detector. *)
+let instantiate plan sim =
+  let machine = plan.mk_machine sim in
+  plan.populate machine (Coherence.attach machine)
 
-let repopulate plan machine =
-  Machine.reset machine;
-  plan.populate machine
+let repopulate plan (b : built) =
+  Machine.reset b.machine;
+  Coherence.reset b.coherence;
+  plan.populate b.machine b.coherence

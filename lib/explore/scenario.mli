@@ -27,20 +27,24 @@
 
     Building a scenario allocates the machine, attaches the coherence
     checker, spawns the processes, and returns without running: the
-    explorer owns the run loop. *)
+    explorer owns the run loop. The checker and the [getput] monitor are
+    probe-bus sinks, and the bus outlives [Machine.reset]: they are
+    attached once per engine, by {!instantiate}, and {!repopulate}
+    resets them for the next run. *)
 
 type built = {
   machine : Dsm_rdma.Machine.t;
   detector : Dsm_core.Detector.t option;
   coherence : Dsm_rdma.Coherence.t;
-      (** the coherence checker, attached to every scenario; the
-          explorer reports its read violations as the ["coherence"]
-          invariant and its RMW serial-specification violations
-          (none when the run performs no RMWs) as the
+      (** the arena's coherence checker, attached to every scenario and
+          reset per run; the explorer reports its read violations as the
+          ["coherence"] invariant and its RMW serial-specification
+          violations (none when the run performs no RMWs) as the
           ["rmw-linearizability"] invariant *)
   monitor : unit -> (string * string) list;
       (** scenario-specific invariant violations observed during the run,
-          as [(invariant, detail)] pairs; call after the run *)
+          as [(invariant, detail)] pairs; call after the run, before the
+          arena's next populate resets them *)
 }
 
 val known : string list
@@ -81,14 +85,16 @@ val procs : plan -> int
 (** The effective process count: the spec's [n]. *)
 
 val instantiate : plan -> Dsm_sim.Engine.t -> built
-(** Build a fresh machine on [sim] and populate it: allocate, attach the
-    coherence checker (and detector where the scenario uses one), spawn
-    the processes. Returns without running — the explorer owns the run
-    loop. *)
+(** Build a fresh machine on [sim], attach the arena's sinks to [sim]'s
+    bus (the scenario's monitor, then the coherence checker) and
+    populate the machine: allocate, create the detector where the
+    scenario uses one, spawn the processes. Returns without running —
+    the explorer owns the run loop. Once per engine: the sinks stay on
+    its bus. *)
 
-val repopulate : plan -> Dsm_rdma.Machine.t -> built
-(** Arena reuse: [Machine.reset] the machine from a previous run of the
-    same plan, then populate it exactly as {!instantiate} does. Must be
-    called {e after} [Engine.reset] on the owning engine (see
-    [Machine.reset]); the result is bit-identical to a fresh
-    instantiation. *)
+val repopulate : plan -> built -> built
+(** Arena reuse: [Machine.reset] the machine of a previous run of the
+    same plan, reset its coherence checker and monitor, then populate it
+    exactly as {!instantiate} does. Must be called {e after}
+    [Engine.reset] on the owning engine (see [Machine.reset]); the
+    result is bit-identical to a fresh instantiation. *)

@@ -116,7 +116,7 @@ let state e = e.state
 
 let net_deliver t ~src ~dst =
   let probe = Engine.probe t.sim in
-  if probe.on then
+  if probe.on land Dsm_obs.Probe.net <> 0 then
     Dsm_obs.Probe.emit probe (Net_deliver { time = Engine.now t.sim; src; dst })
 
 (* The handler a frame arriving at [dst] goes to. *)
@@ -167,7 +167,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
   in
   let probe = Engine.probe t.sim in
   if lf.Fault.drop > 0. && Prng.bernoulli t.rng ~p:lf.Fault.drop then begin
-    if probe.on then begin
+    if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
         (Net_send
            { time = now; src; dst; words; wire_words; clock_words; arrival });
@@ -187,7 +187,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
        the floor update of ordered traffic it was sent after. *)
     let in_order = (not reorder) && fifo in
     let arrival = floored e ~in_order drawn in
-    if probe.on then begin
+    if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
         (Net_send
            { time = now; src; dst; words; wire_words; clock_words; arrival });
@@ -199,7 +199,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
       lf.Fault.duplicate > 0.
       && Prng.bernoulli t.rng ~p:lf.Fault.duplicate
     then begin
-      if probe.on then
+      if probe.on land Dsm_obs.Probe.net <> 0 then
         Dsm_obs.Probe.emit probe (Net_duplicate { time = now; src; dst });
       Engine.schedule_at t.sim ~label
         ~at:(floored e ~in_order (drawn +. 1e-9))
@@ -277,7 +277,7 @@ let rec expire t e () =
                e.src e.dst fr.seq max_retries (t.describe fr.msg));
         t.retransmits <- t.retransmits + 1;
         (let probe = Engine.probe t.sim in
-         if probe.on then
+         if probe.on land Dsm_obs.Probe.net <> 0 then
            Dsm_obs.Probe.emit probe
              (Retransmit
                 { time = now; src = e.src; dst = e.dst; seq = fr.seq }));

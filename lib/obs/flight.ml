@@ -28,7 +28,7 @@ let sink t ev =
 
 let attach bus =
   let t = { slots = Array.make capacity filler; total = 0; head = 0 } in
-  Probe.attach bus (sink t);
+  Probe.attach bus Probe.(all land lnot apply) (sink t);
   t
 
 let events t =

@@ -17,8 +17,9 @@
 type t
 
 val attach : Probe.t -> t
-(** A recorder of the last 256 events, subscribed to the bus. Every
-    event but the run-boundary markers takes a slot. *)
+(** A recorder of the last 256 events, subscribed to every class but
+    {!Probe.apply}. Every event it receives but the run-boundary markers
+    takes a slot. *)
 
 val events : t -> Probe.event list
 (** The retained window, oldest first. *)

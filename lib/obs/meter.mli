@@ -14,9 +14,8 @@
     The sink mutates only its registry, never the simulation — safe
     under the explorer's sink-invariance property. *)
 
-type t
-
-val attach : Metrics.t -> Probe.t -> t
-(** Create a meter over [registry] and subscribe it to the bus. The
-    registry may be shared with other readers; reset it between runs via
-    {!Metrics.reset} (handles inside the meter stay valid). *)
+val attach : Metrics.t -> Probe.t -> unit
+(** Subscribe a meter over [registry] to every class of the bus but
+    {!Probe.apply}. The registry may be shared with other readers; reset
+    it between runs via {!Metrics.reset} (handles inside the meter stay
+    valid). *)

@@ -1,93 +1,54 @@
-type event =
-  (* engine *)
-  | Engine_choice of { time : float; ready : int; chosen : int }
-  | Engine_quiescence of { time : float; events : int; outcome : string }
-  (* fabric *)
-  | Net_send of {
-      time : float;
-      src : int;
-      dst : int;
-      words : int;
-      wire_words : int;
-      clock_words : int;
-      arrival : float;
-    }
-  | Net_deliver of { time : float; src : int; dst : int }
-  | Net_drop of { time : float; src : int; dst : int }
-  | Net_duplicate of { time : float; src : int; dst : int }
-  | Net_reorder of { time : float; src : int; dst : int }
-  (* rdma machine *)
-  | Op_begin of { time : float; pid : int; op : int; kind : string; target : int }
-  | Op_end of { time : float; pid : int; op : int; kind : string }
-  | Msg_sent of { time : float; src : int; dst : int; msg : Msg.t }
-  | Msg_delivered of { time : float; src : int; dst : int; msg : Msg.t }
-  | Lock_acquired of {
-      time : float;
-      pid : int;
-      node : int;
-      offset : int;
-      len : int;
-    }
-  | Lock_released of {
-      time : float;
-      pid : int;
-      node : int;
-      offset : int;
-      len : int;
-    }
-  | Retransmit of { time : float; src : int; dst : int; seq : int }
-  | Batch_flush of {
-      time : float;
-      pid : int;
-      node : int;
-      kind : string; (* "put" | "get" *)
-      parts : int;
-      words : int;
-    }
-  | Rmw of {
-      time : float;
-      node : int;
-      origin : int;
-      offset : int;
-      len : int;
-      kind : string; (* "fetch_add" | "cas" | "acc:<op>" *)
-    }
-  | Coherence_violation of {
-      time : float;
-      node : int;
-      offset : int;
-      origin : int;
-    }
-  (* detector *)
-  | Detector_check of { time : float; pid : int; kind : string; fast_path : bool }
-  | Race_signal of {
-      time : float;
-      pid : int;
-      node : int;
-      offset : int;
-      len : int;
-      kind : string; (* "read" | "write" | "atomic-update" *)
-      against : string; (* "general" | "write" *)
-    }
-  | Clock_merge of { time : float; pid : int }
-  (* explore *)
-  | Run_begin of { run : int }
-  | Run_end of { run : int; events : int; violating : bool }
-  | Violation of { run : int; invariant : string }
-  | Domain_claim of { domain : int; first_run : int; count : int }
-  | Dpor_prune of { point : int; branch : int }
-  | Minimize_step of { len : int; violating : bool }
+include Probe_types
 
-type t = { mutable on : bool; mutable sinks : (event -> unit) array }
+type classes = int
 
-let create () = { on = false; sinks = [||] }
+(* Class [i] is bit [1 lsl i]; [index] maps an event to its [i]. *)
+let engine = 1
+let net = 2
+let op = 4
+let msg = 8
+let lock = 16
+let rmw = 32
+let apply = 64
+let coherence = 128
+let check = 256
+let race = 512
+let run_begin = 1024
+let explore = 2048
+let n_classes = 12
+let all = (1 lsl n_classes) - 1
 
-let attach t sink =
-  t.sinks <- Array.append t.sinks [| sink |];
-  t.on <- true
+let index = function
+  | Engine_choice _ | Engine_quiescence _ -> 0
+  | Net_send _ | Net_deliver _ | Net_drop _ | Net_duplicate _ | Net_reorder _
+  | Retransmit _ ->
+      1
+  | Op_begin _ | Op_end _ | Batch_flush _ -> 2
+  | Msg_sent _ | Msg_delivered _ -> 3
+  | Lock_acquired _ | Lock_released _ -> 4
+  | Rmw _ -> 5
+  | Write_applied _ | Read_served _ | Atomic_applied _ | Acc_applied _ -> 6
+  | Coherence_violation _ -> 7
+  | Detector_check _ | Clock_merge _ -> 8
+  | Race_signal _ -> 9
+  | Run_begin _ -> 10
+  | Run_end _ | Violation _ | Domain_claim _ | Dpor_prune _ | Minimize_step _ ->
+      11
+
+type t = { mutable on : classes; sinks : (event -> unit) array array }
+
+let create () = { on = 0; sinks = Array.make n_classes [||] }
+
+let attach t classes sink =
+  if classes land all = 0 then invalid_arg "Probe.attach: no class";
+  for i = 0 to n_classes - 1 do
+    if classes land (1 lsl i) <> 0 then
+      t.sinks.(i) <- Array.append t.sinks.(i) [| sink |]
+  done;
+  t.on <- t.on lor (classes land all)
 
 let emit t ev =
-  let sinks = t.sinks in
+  let sinks = t.sinks.(index ev) in
   for i = 0 to Array.length sinks - 1 do
     sinks.(i) ev
   done

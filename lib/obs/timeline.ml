@@ -190,7 +190,9 @@ let sink t (ev : Probe.event) =
       instant t ~pid:node ~name:"coherence violation" ~cat:"violation"
         ~ts:time
         ~args:[ ("offset", Int offset); ("origin", Int origin) ]
-  | Detector_check _ | Clock_merge _ -> ()
+  | Detector_check _ | Clock_merge _ | Write_applied _ | Read_served _
+  | Atomic_applied _ | Acc_applied _ ->
+      ()
   | Race_signal { time; pid; node; offset; len; kind; against } ->
       instant t ~pid ~name:"race signal" ~cat:"race" ~ts:time
         ~args:
@@ -219,9 +221,18 @@ let sink t (ev : Probe.event) =
         ~args:[ ("point", Int point); ("branch", Int branch) ]
   | Minimize_step _ -> ()
 
+(* The classes the sink draws: all but the detector's per-access
+   events, the apply class and [Run_begin]. *)
+let subscribe t bus =
+  let open Probe in
+  attach bus
+    (engine lor net lor op lor msg lor lock lor rmw lor coherence lor race
+   lor explore)
+    (sink t)
+
 let attach bus =
   let t = create () in
-  Probe.attach bus (sink t);
+  subscribe t bus;
   t
 
 (* Post-hoc annotation entry points (race explanations etc.): the same

@@ -17,10 +17,12 @@ type t
 
 val create : unit -> t
 
-val attach : Probe.t -> t
-(** Create a timeline and subscribe its {!sink} to the bus. *)
+val subscribe : t -> Probe.t -> unit
+(** Subscribe the timeline to the classes it draws: every class but
+    {!Probe.check}, {!Probe.apply} and {!Probe.run_begin}. *)
 
-val sink : t -> Probe.event -> unit
+val attach : Probe.t -> t
+(** A new timeline, subscribed to the bus. *)
 
 val to_json_string : t -> string
 (** The complete [{"traceEvents": [...]}] document. *)

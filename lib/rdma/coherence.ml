@@ -1,4 +1,5 @@
 module Int_tbl = Dsm_sim.Int_tbl
+module Probe = Dsm_obs.Probe
 
 type violation = {
   time : float;
@@ -13,7 +14,7 @@ type t = {
   shadow : int Int_tbl.t;
       (* [offset * n + node] -> the last value applied there *)
   nodes : int;
-  probe : Dsm_obs.Probe.t;
+  probe : Probe.t;
   mutable violations : violation list;
   mutable rmw_violations : string list; (* newest first *)
   mutable checked : int;
@@ -33,8 +34,8 @@ let declare_init t ~node ~offset data =
 let violate t ~time ~node ~offset ~origin ~expected observed =
   t.violations <-
     { time; node; offset; expected; observed; origin } :: t.violations;
-  if t.probe.on then
-    Dsm_obs.Probe.emit t.probe
+  if t.probe.on land Probe.coherence <> 0 then
+    Probe.emit t.probe
       (Coherence_violation { time; node; offset; origin })
 
 let check t ~time ~node ~offset ~origin observed =
@@ -73,6 +74,29 @@ let rmw_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
       what time node offset origin result old spec;
   record t ~node ~offset result
 
+let sink t (ev : Probe.event) =
+  match ev with
+  | Write_applied { node; offset; data; _ } ->
+      Array.iteri (fun i v -> record t ~node ~offset:(offset + i) v) data
+  | Read_served { time; node; offset; data; origin } ->
+      Array.iteri
+        (fun i v -> check t ~time ~node ~offset:(offset + i) ~origin v)
+        data
+  | Atomic_applied { time; node; offset; kind; old_value; new_value; origin }
+    ->
+      rmw_word t ~what:(Message.atomic_rmw_name kind) ~time ~node ~offset
+        ~origin ~old:old_value ~result:new_value
+        ~spec:(Message.apply_atomic kind old_value)
+  | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
+      let what = Message.acc_rmw_name aop in
+      Array.iteri
+        (fun i o ->
+          rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
+            ~result:result.(i)
+            ~spec:(Message.apply_acc aop o data.(i)))
+        old
+  | _ -> ()
+
 let attach m =
   let t =
     {
@@ -84,28 +108,14 @@ let attach m =
       checked = 0;
     }
   in
-  Machine.add_observer m (function
-    | Machine.Write_applied { node; offset; data; _ } ->
-        Array.iteri (fun i v -> record t ~node ~offset:(offset + i) v) data
-    | Machine.Read_served { time; node; offset; data; origin } ->
-        Array.iteri
-          (fun i v -> check t ~time ~node ~offset:(offset + i) ~origin v)
-          data
-    | Machine.Atomic_applied
-        { time; node; offset; kind; old_value; new_value; origin } ->
-        rmw_word t ~what:(Message.atomic_rmw_name kind) ~time ~node ~offset
-          ~origin ~old:old_value ~result:new_value
-          ~spec:(Message.apply_atomic kind old_value)
-    | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
-      ->
-        let what = Message.acc_rmw_name aop in
-        Array.iteri
-          (fun i o ->
-            rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
-              ~result:result.(i)
-              ~spec:(Message.apply_acc aop o data.(i)))
-          old);
+  Probe.attach t.probe Probe.apply (sink t);
   t
+
+let reset t =
+  Int_tbl.clear t.shadow;
+  t.violations <- [];
+  t.rmw_violations <- [];
+  t.checked <- 0
 
 let violations t = List.rev t.violations
 

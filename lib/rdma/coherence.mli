@@ -5,10 +5,10 @@
     serializes the accesses to its public segment, so a get must always
     return, for each word, the value of the last write the NIC applied
     there. This checker validates that property of the substrate itself:
-    it observes every write to public memory ({!Machine.observation}) —
-    the NIC's applications and the getter's own landing of a get into a
-    public destination alike — replays them into one shadow memory, and
-    compares every served read against it.
+    reads the probe bus's [Dsm_obs.Probe.apply] class — every write to
+    public memory, the NIC's applications and the getter's own landing
+    of a get into a public destination alike — replays the writes into
+    one shadow memory, and compares every served read against it.
 
     The same shadow is the serial-specification oracle for one-sided
     RMWs. The target NIC applies the RMWs on a granule under the region
@@ -42,9 +42,16 @@ type violation = {
 }
 
 val attach : Machine.t -> t
-(** Installs the checker as a machine observer. Attach before running.
-    One per run: the shadow is not resettable — explored runs populate
-    a fresh checker on every run. *)
+(** Subscribes a checker to the apply class of the machine's probe bus.
+    Attach before running. The bus lives on the engine and outlives
+    [Machine.reset], so a checker is attached once per engine and sees
+    every later run on it: call {!reset} between runs, as the explorer
+    does once per walk in a reused arena. *)
+
+val reset : t -> unit
+(** Back to the freshly attached state: the shadow (declared images
+    included), both violation lists and the checked-word count are
+    emptied; the subscription stays. *)
 
 val declare_init : t -> node:int -> offset:int -> int array -> unit
 (** [declare_init t ~node ~offset data] seeds the shadow with a

@@ -1,40 +1,7 @@
 open Dsm_sim
 open Dsm_memory
 
-type observation =
-  | Write_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      data : int array;
-      origin : int;
-    }
-  | Read_served of {
-      time : float;
-      node : int;
-      offset : int;
-      data : int array;
-      origin : int;
-    }
-  | Atomic_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      kind : Message.atomic_kind;
-      old_value : int;
-      new_value : int;
-      origin : int;
-    }
-  | Acc_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      aop : Message.acc_op;
-      old : int array;
-      data : int array;
-      result : int array;
-      origin : int;
-    }
+module Probe = Dsm_obs.Probe
 
 (* The machine's clock piggyback state of one (src, dst) edge, kept on
    the fabric's edge record. The sender owns [cache], the last clock
@@ -96,7 +63,6 @@ type t = {
   control_handlers :
     (string, node:int -> origin:int -> int array -> int array option)
     Hashtbl.t;
-  mutable observers : (observation -> unit) list;
   (* clock piggyback wiring: when a detector installs a clock source,
      every clock-carrying message gets a piggyback whose codec is chosen
      and whose size is priced per message — accounting-only; the latency
@@ -111,12 +77,6 @@ type t = {
          fabric's reliable transport (which resequences and dedups);
          otherwise the self-contained [Sparse] form *)
   pb_tally : Dsm_clocks.Codec.tally;
-  mutable proc_names : string array;
-      (* each pid's default name ["P<pid>"] ([""] until built), for a
-         machine that is reset and so spawns each pid again: the first
-         [reset] makes the table, each name is built on its first spawn
-         after that and kept across resets. A machine never reset
-         spawns each pid once and keeps no table ([[||]]). *)
 }
 
 type proc = { m : t; p : int }
@@ -128,8 +88,8 @@ type proc = { m : t; p : int }
    the operation's linearization point. *)
 let rmw_probe m ~node ~origin ~offset ~len ~kind =
   let probe = Engine.probe m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
+  if probe.on land Probe.rmw <> 0 then
+    Probe.emit probe
       (Rmw { time = Engine.now m.sim; node; origin; offset; len; kind })
 
 (* The messages a clock piggyback rides on: data towards the target
@@ -153,19 +113,10 @@ let remote_lock_key m ~node ~token = (token * Array.length m.nodes) + node
 (* [apply]'s answer to a request that wants no reply (an unacked put). *)
 let no_reply = Message.Put_ack { op = -1 }
 
-(* Every call site first checks [m.observers <> []], so a run nobody
-   observes builds no observation record; the direct walk adds no closure. *)
-let rec notify observers obs =
-  match observers with
-  | [] -> ()
-  | f :: rest ->
-      f obs;
-      notify rest obs
-
 let rec handle m ~node ~src msg =
   (let probe = Engine.probe m.sim in
-   if probe.on then
-     Dsm_obs.Probe.emit probe
+   if probe.on land Probe.msg <> 0 then
+     Probe.emit probe
        (Msg_delivered
           { time = Engine.now m.sim; src; dst = node; msg = Message.fields msg }));
   match msg with
@@ -278,8 +229,9 @@ and respond m ~node ~origin reply =
   if reply != no_reply then transmit m ~src:node ~dst:origin reply
 
 (* Step 3, apply: the request's effect on [node]'s public memory, with
-   its observation and probe, at the instant the NIC commits it (inside
-   the lock hold). Returns the reply to send, or [no_reply]. *)
+   its apply event (and its [Rmw] event for an RMW), at the instant the
+   NIC commits it (inside the lock hold). Returns the reply to send, or
+   [no_reply]. *)
 and apply m ~node msg =
   let public = Node_memory.segment m.nodes.(node) Addr.Public in
   match msg with
@@ -287,7 +239,7 @@ and apply m ~node msg =
       write_part m ~node ~origin ~public ~offset data;
       if want_ack then Message.Put_ack { op } else no_reply
   | Message.Put_batch { op; origin; parts; want_ack; _ } ->
-      (* each part is applied (and observed) as its own write so the
+      (* each part is applied (and published) as its own write so the
          coherence shadow checker sees the same write-set an unbatched
          run produces *)
       for i = 0 to Array.length parts - 1 do
@@ -297,9 +249,10 @@ and apply m ~node msg =
       if want_ack then Message.Put_ack { op } else no_reply
   | Message.Get { op; origin; offset; len; extra_words; _ } ->
       let data = Segment.read_block public ~offset ~len in
-      if m.observers <> [] then
-        notify m.observers
-          (Read_served { time = Engine.now m.sim; node; offset; data; origin });
+      (let probe = Engine.probe m.sim in
+       if probe.on land Probe.apply <> 0 then
+         Probe.emit probe
+           (Read_served { time = Engine.now m.sim; node; offset; data; origin }));
       Message.Get_reply { op; data; extra_words }
   | Message.Atomic { op; origin; offset; kind; _ } ->
       let old_value = Segment.read public ~offset in
@@ -312,45 +265,48 @@ and apply m ~node msg =
         Array.init len (fun i -> Message.apply_acc aop old.(i) data.(i))
       in
       Segment.write_block public ~offset result;
-      if m.observers <> [] then
-        notify m.observers
-          (Acc_applied
-             {
-               time = Engine.now m.sim;
-               node;
-               offset;
-               aop;
-               old;
-               data;
-               result;
-               origin;
-             });
+      (let probe = Engine.probe m.sim in
+       if probe.on land Probe.apply <> 0 then
+         Probe.emit probe
+           (Acc_applied
+              {
+                time = Engine.now m.sim;
+                node;
+                offset;
+                aop;
+                old;
+                data;
+                result;
+                origin;
+              }));
       rmw_probe m ~node ~origin ~offset ~len ~kind:(Message.acc_rmw_name aop);
       Message.Acc_reply { op; old; extra_words }
   | _ -> invalid_arg "Machine.apply: not a data or RMW request"
 
 and write_part m ~node ~origin ~public ~offset data =
   Segment.write_block public ~offset data;
-  if m.observers <> [] then
-    notify m.observers
+  let probe = Engine.probe m.sim in
+  if probe.on land Probe.apply <> 0 then
+    Probe.emit probe
       (Write_applied { time = Engine.now m.sim; node; offset; data; origin })
 
 (* The write half of a single-word RMW whose read returned [old_value]. *)
 and write_atomic m ~node ~origin ~public ~offset kind old_value =
   let new_value = Message.apply_atomic kind old_value in
   Segment.write public ~offset new_value;
-  if m.observers <> [] then
-    notify m.observers
-      (Atomic_applied
-         {
-           time = Engine.now m.sim;
-           node;
-           offset;
-           kind;
-           old_value;
-           new_value;
-           origin;
-         });
+  (let probe = Engine.probe m.sim in
+   if probe.on land Probe.apply <> 0 then
+     Probe.emit probe
+       (Atomic_applied
+          {
+            time = Engine.now m.sim;
+            node;
+            offset;
+            kind;
+            old_value;
+            new_value;
+            origin;
+          }));
   rmw_probe m ~node ~origin ~offset ~len:1 ~kind:(Message.atomic_rmw_name kind)
 
 (* Step 4, complete, at the initiator's NIC: the reply fills the ivar
@@ -402,8 +358,8 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
 
 and transmit m ~src ~dst msg =
   (let probe = Engine.probe m.sim in
-   if probe.on then
-     Dsm_obs.Probe.emit probe
+   if probe.on land Probe.msg <> 0 then
+     Probe.emit probe
        (Msg_sent
           { time = Engine.now m.sim; src; dst; msg = Message.fields msg }));
   (* Footprint of the delivery event: a request's handler mutates the
@@ -500,7 +456,6 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
       pending_values = Int_tbl.create 64;
       remote_locks = Int_tbl.create 64;
       control_handlers = Hashtbl.create 8;
-      observers = [];
       clock_src = None;
       source = 0;
       pb_mode =
@@ -514,7 +469,6 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
          then Dsm_clocks.Codec.Delta
          else Dsm_clocks.Codec.Sparse);
       pb_tally = Dsm_clocks.Codec.tally ();
-      proc_names = [||];
     }
   in
   for node = 0 to n - 1 do
@@ -531,7 +485,8 @@ let create sim ~n ?(latency = Dsm_net.Latency.infiniband_like) ?private_words
 (* Arena reuse: back to the [create] state without reallocating. Fabric
    handlers stay registered (create installs them once); everything the
    previous run accumulated — node memory, pending operations, transport
-   state, control handlers, observers — is dropped. Must run after
+   state, control handlers — is dropped; the probe bus and its sinks
+   live on the engine and stay. Must run after
    [Engine.reset] on the owning engine so [Fabric.reset] re-splits its
    generator from the same root-stream position as construction. *)
 let reset m =
@@ -542,16 +497,13 @@ let reset m =
   Int_tbl.clear m.pending_values;
   Int_tbl.clear m.remote_locks;
   Hashtbl.reset m.control_handlers;
-  m.observers <- [];
   (* piggyback state is per-run: the next population re-installs its
      clock source (Detector.create) and [Fabric.reset] drops every
      edge, so a reset arena is bit-identical to a fresh machine *)
   m.clock_src <- None;
   m.pb_tally.dense <- 0;
   m.pb_tally.sparse <- 0;
-  m.pb_tally.delta <- 0;
-  if Array.length m.proc_names = 0 then
-    m.proc_names <- Array.make (Array.length m.nodes) ""
+  m.pb_tally.delta <- 0
 
 let sim m = m.sim
 
@@ -603,19 +555,11 @@ let proc m ~pid =
   if pid < 0 || pid >= n m then invalid_arg "Machine.proc: pid out of range";
   { m; p = pid }
 
-let default_name m pid =
-  let cached = Array.length m.proc_names > 0 in
-  if cached && m.proc_names.(pid) <> "" then m.proc_names.(pid)
-  else begin
-    let name = Printf.sprintf "P%d" pid in
-    if cached then m.proc_names.(pid) <- name;
-    name
-  end
-
+(* An unnamed process is named ["P<pid>"] by the engine, from its label,
+   and only if a failure message needs the name. *)
 let spawn m ~pid ?name body =
   let p = proc m ~pid in
-  let name = match name with Some s -> s | None -> default_name m pid in
-  Engine.spawn m.sim ~name ~label:(Label.v ~node:pid ~origin:pid) (fun () ->
+  Engine.spawn m.sim ?name ~label:(Label.v ~node:pid ~origin:pid) (fun () ->
       body p)
 
 let spawn_all m body =
@@ -679,8 +623,8 @@ let await_local_lock p ~offset ~len =
    one request. *)
 let batch_flush p ~node ~kind ~parts ~words =
   let probe = Engine.probe p.m.sim in
-  if probe.on then
-    Dsm_obs.Probe.emit probe
+  if probe.on land Probe.op <> 0 then
+    Probe.emit probe
       (Batch_flush
          { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
 
@@ -689,8 +633,8 @@ let batch_flush p ~node ~kind ~parts ~words =
    [target]. Control requests pass kind [""]: they fire no op probe. *)
 let issue p ~op ~kind ~target msg =
   let probe = Engine.probe p.m.sim in
-  if probe.on && kind <> "" then
-    Dsm_obs.Probe.emit probe
+  if probe.on land Probe.op <> 0 && kind <> "" then
+    Probe.emit probe
       (Op_begin { time = Engine.now p.m.sim; pid = p.p; op; kind; target });
   (match msg with
   | Message.Put_batch { parts; _ } ->
@@ -702,8 +646,8 @@ let issue p ~op ~kind ~target msg =
 
 let op_end p ~op ~kind =
   let probe = Engine.probe p.m.sim in
-  if probe.on && kind <> "" then
-    Dsm_obs.Probe.emit probe
+  if probe.on land Probe.op <> 0 && kind <> "" then
+    Probe.emit probe
       (Op_end { time = Engine.now p.m.sim; pid = p.p; op; kind })
 
 (* Step 4, complete, on the initiator: waits for the reply to [op] that
@@ -779,7 +723,7 @@ let rec dst_locks p = function
       else id :: dst_locks p rest
 
 (* A get's data lands in the getter's own memory. Landing in public
-   memory is a write like any the NIC applies, so observers see it. *)
+   memory is a write like any the NIC applies, published as one. *)
 let land_data p (dst : Addr.region) data =
   let nm = p.m.nodes.(p.p) in
   if Addr.is_public dst then
@@ -957,9 +901,9 @@ type token =
 
 let lock_probe p ~acquired ~node ~offset ~len =
   let probe = Engine.probe p.m.sim in
-  if probe.on then begin
+  if probe.on land Probe.lock <> 0 then begin
     let time = Engine.now p.m.sim in
-    Dsm_obs.Probe.emit probe
+    Probe.emit probe
       (if acquired then Lock_acquired { time; pid = p.p; node; offset; len }
        else Lock_released { time; pid = p.p; node; offset; len })
   end
@@ -1015,7 +959,3 @@ let control_notify m ~src ~dst ~tag ~words =
   let op = fresh_op m in
   transmit m ~src ~dst
     (Message.Control { op; origin = src; tag; words; want_reply = false })
-
-(* ---------- observation ---------- *)
-
-let add_observer m f = m.observers <- m.observers @ [ f ]

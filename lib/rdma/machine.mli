@@ -24,9 +24,10 @@
     Every verb runs as four steps. {b Issue}: [Op_begin] and the
     request sent ([Msg_sent]). {b Lock}: once it is delivered
     ([Msg_delivered]), the target NIC takes the range lock if locked.
-    {b Apply}: the memory effect and its observation ({!Write_applied},
-    {!Read_served}, {!Atomic_applied}, {!Acc_applied}; an RMW also fires
-    the [Rmw] probe), then the release and the reply. {b Complete}: the
+    {b Apply}: the memory effect and its event on the probe bus's
+    [Dsm_obs.Probe.apply] class ([Write_applied], [Read_served],
+    [Atomic_applied], [Acc_applied]; an RMW also fires the [Rmw] probe),
+    then the release and the reply. {b Complete}: the
     reply fills the initiator's pending operation, and the resumed
     process fires [Op_end]. DESIGN.md §14 places every probe.
 
@@ -89,12 +90,14 @@ val reset : t -> unit
 (** [reset m] returns the machine to its freshly-[create]d state in
     place — the arena-reuse path of the schedule explorer's per-run cost
     attack. Node memories, pending operations, remote-lock bookkeeping,
-    reliable-transport state, control handlers and observers are all
-    cleared; fabric handlers stay registered. Must be called {e after}
+    reliable-transport state and control handlers are all cleared;
+    fabric handlers stay registered. Must be called {e after}
     [Dsm_sim.Engine.reset] on the owning engine: the fabric re-splits its
     generator from the engine's root stream exactly as construction did,
-    so a reset machine is bit-identical to a fresh one. Upper layers
-    (detector control planes, coherence observers) must re-attach. *)
+    so a reset machine is bit-identical to a fresh one. Upper layers'
+    control planes (the detector's) must re-attach. The probe bus lives
+    on the engine and keeps its sinks: a per-run consumer such as
+    [Coherence] is attached once and reset per run. *)
 
 val sim : t -> Dsm_sim.Engine.t
 
@@ -182,7 +185,8 @@ val lock_grants_chained : t -> int
 val spawn : t -> pid:int -> ?name:string -> (proc -> unit) -> unit
 (** [spawn m ~pid body] starts [body] as the program of process [pid].
     Several programs may share a pid only in tests; normal setups spawn
-    one per node. *)
+    one per node. A failure names the process [name], ["P<pid>"] when
+    none is given. *)
 
 val spawn_all : t -> (proc -> unit) -> unit
 (** SPMD helper: spawn the same program on every node. *)
@@ -238,7 +242,7 @@ val get :
     NIC reads under the range lock and, while the get is in flight,
     [p]'s NIC holds the lock on a public [dst], so a concurrent put to
     the same place is delayed — Figure 3. Landing in a public [dst] is
-    reported to observers as a {!Write_applied} by [p] on its own node. *)
+    published as a [Write_applied] by [p] on its own node. *)
 
 (** {2 Batches}
 
@@ -357,57 +361,3 @@ val control_notify :
     runs on a NIC, not in a process) talk to other NICs — e.g. a barrier
     coordinator broadcasting its release. Priced like any message. *)
 
-(** {1 Observation} *)
-
-type observation =
-  | Write_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      data : int array;
-      origin : int;
-    }
-      (** a write committed to [node]'s public memory: a remote put the
-          NIC applied — emitted at {e apply} time, i.e. after any
-          Figure 3 lock delay — or a get's data landing in the getter's
-          own public destination ([node] and [origin] both the getter) *)
-  | Read_served of {
-      time : float;
-      node : int;
-      offset : int;
-      data : int array;
-      origin : int;
-    }
-      (** the NIC read [data] out of public memory to serve a get *)
-  | Atomic_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      kind : Message.atomic_kind;
-      old_value : int;
-      new_value : int;
-      origin : int;
-    }
-      (** a single-word RMW committed at [node]'s NIC under the region
-          lock: [old_value] is what the cell held at the linearization
-          point, [new_value] what the RMW left behind (equal on a failed
-          compare-and-swap) *)
-  | Acc_applied of {
-      time : float;
-      node : int;
-      offset : int;
-      aop : Message.acc_op;
-      old : int array;
-      data : int array;
-      result : int array;
-      origin : int;
-    }
-      (** a span accumulate committed: element-wise
-          [result.(i) = apply_acc aop old.(i) data.(i)] under one region
-          lock hold over the whole span *)
-
-val add_observer : t -> (observation -> unit) -> unit
-(** Observers see memory effects only, with the values the probe bus
-    does not carry: every NIC memory application and every get landing
-    in public memory — the feed for {!Coherence}. Messages reach
-    consumers only as the bus's [Msg_sent] and [Msg_delivered]. *)

@@ -55,11 +55,11 @@ type t =
     }
   | Control_reply of { op : int; words : int array }
 
-and atomic_kind =
+and atomic_kind = Dsm_obs.Probe.atomic_kind =
   | Fetch_add of int
   | Compare_and_swap of { expected : int; desired : int }
 
-and acc_op = Add | Min | Max | Band | Bor
+and acc_op = Dsm_obs.Probe.acc_op = Add | Min | Max | Band | Bor
 
 let acc_op_name = function
   | Add -> "add"

@@ -85,11 +85,13 @@ type t =
     }
   | Control_reply of { op : int; words : int array }
 
-and atomic_kind =
+(** The probe bus's own plain types, so the apply events carry an
+    atomic's operation and an accumulate's operator as they are. *)
+and atomic_kind = Dsm_obs.Probe.atomic_kind =
   | Fetch_add of int
   | Compare_and_swap of { expected : int; desired : int }
 
-and acc_op = Add | Min | Max | Band | Bor
+and acc_op = Dsm_obs.Probe.acc_op = Add | Min | Max | Band | Bor
     (** generalized accumulate operators (§5.2 one-sided extensions) *)
 
 val atomic_rmw_name : atomic_kind -> string

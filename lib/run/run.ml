@@ -252,7 +252,7 @@ let exec_shot (o : one_shot) ir =
     if o.metrics = No_metrics then None
     else begin
       let r = Metrics.create () in
-      ignore (Dsm_obs.Meter.attach r probe);
+      Dsm_obs.Meter.attach r probe;
       Some r
     end
   in
@@ -403,7 +403,7 @@ let replay e token =
   let arrows = ref (fun () -> []) and marks = ref [] in
   let probe bus =
     arrows := Dsm_experiments.Harness.collect_arrows bus;
-    Dsm_obs.Probe.attach bus (function
+    Dsm_obs.Probe.attach bus Dsm_obs.Probe.race (function
       | Dsm_obs.Probe.Race_signal { time; pid; node; offset; len; _ } ->
           marks :=
             {

@@ -161,8 +161,20 @@ let schedule sim ?(delay = 0.) ?(label = Label.unknown) f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at sim ~at:(sim.now +. delay) ~label f
 
-let record_failure sim name e =
-  if sim.failed = None then sim.failed <- Some (name, e)
+(* Who a process is, kept as one value so that each suspension's
+   resumer captures one word for it; its name is formatted only when a
+   failure message needs it: the name it was spawned with, else
+   ["P<node>"] for one spawned with a footprint label (a machine's
+   process), else ["process"]. *)
+type who = Named of string | Node of int | Anonymous
+
+let process_name = function
+  | Named s -> s
+  | Node node -> "P" ^ string_of_int node
+  | Anonymous -> "process"
+
+let record_failure sim who e =
+  if sim.failed = None then sim.failed <- Some (process_name who, e)
 
 (* Runs [body] under the effect handler that implements Await. The handler
    converts each Await into a registration of a one-shot resumer;
@@ -171,7 +183,7 @@ let record_failure sim name e =
    flag of its own: a second [continue] raises
    [Effect.Continuation_already_resumed], which the resumer turns into a
    failure naming the process. *)
-let start_process sim name body =
+let start_process sim who body =
   let open Effect.Deep in
   let handler =
     {
@@ -184,7 +196,7 @@ let start_process sim name body =
              locks granted to nobody. The run loop raises once the
              current event action has returned. *)
           sim.live <- sim.live - 1;
-          record_failure sim name e);
+          record_failure sim who e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -197,7 +209,8 @@ let start_process sim name body =
                     | exception Effect.Continuation_already_resumed ->
                         failwith
                           (Printf.sprintf
-                             "Engine: process %S resumed twice" name)
+                             "Engine: process %S resumed twice"
+                             (process_name who))
                   in
                   match register resume with
                   | () -> ()
@@ -219,9 +232,15 @@ let start_process sim name body =
   in
   match_with body () handler
 
-let spawn sim ?(name = "process") ?(label = Label.unknown) body =
+let spawn sim ?name ?(label = Label.unknown) body =
+  let who =
+    match name with
+    | Some s -> Named s
+    | None when Label.is_known label -> Node (Label.node label)
+    | None -> Anonymous
+  in
   sim.live <- sim.live + 1;
-  schedule_at sim ~at:sim.now ~label (fun () -> start_process sim name body)
+  schedule_at sim ~at:sim.now ~label (fun () -> start_process sim who body)
 
 let await _sim register = Effect.perform (Await register)
 
@@ -269,7 +288,7 @@ let pop_chosen sim choose time =
           | Some (_, _, action) -> action
           | None -> invalid_arg "Engine: choice point on an empty heap"
       in
-      if sim.probe.on then
+      if sim.probe.on land Dsm_obs.Probe.engine <> 0 then
         Dsm_obs.Probe.emit sim.probe
           (Engine_choice { time; ready = r; chosen = k });
       action
@@ -295,7 +314,7 @@ let run ?max_events sim =
      stops are checkpoints (the explorer steps runs in fixed event
      strides), so only the former are worth a probe event. *)
   let quiescence outcome name =
-    if sim.probe.on then
+    if sim.probe.on land Dsm_obs.Probe.engine <> 0 then
       Dsm_obs.Probe.emit sim.probe
         (Engine_quiescence
            { time = sim.now; events = sim.events; outcome = name });

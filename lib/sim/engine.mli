@@ -40,11 +40,12 @@ val rng : t -> Prng.t
 val probe : t -> Dsm_obs.Probe.t
 (** The simulation's telemetry bus. Every component built on this engine
     (fabric, RDMA machine, coherence checker, detector, explorer)
-    publishes its probe events here, so attaching one sink observes a
-    run end to end. The bus — and any attached sinks — survives
-    {!reset}: telemetry spans every run of an arena-reused engine.
-    Emits are guarded ([if (probe sim).on then ...]), so with no sink
-    attached the whole layer costs one load + branch per emit site. *)
+    publishes its probe events here, so the bus is a run's one event
+    history. The bus — and any attached sinks — survives {!reset}:
+    telemetry spans every run of an arena-reused engine. Emits are
+    guarded by their class bit ([if (probe sim).on land c <> 0 then
+    ...]), so a class no sink reads costs one load, one [land] and one
+    branch per emit site. *)
 
 val schedule : t -> ?delay:float -> ?label:Label.t -> (unit -> unit) -> unit
 (** [schedule sim ~delay ~label f] runs [f] at [now sim +. delay] (default
@@ -61,7 +62,9 @@ val schedule_at : t -> at:float -> label:Label.t -> (unit -> unit) -> unit
 val spawn : t -> ?name:string -> ?label:Label.t -> (unit -> unit) -> unit
 (** [spawn sim ~name body] creates a process whose [body] starts now,
     later in the current instant. The body may use {!await} and
-    {!sleep}.
+    {!sleep}. Failures name it [name]; an unnamed process is
+    ["P<node>"] when its [label] is known ({!Label.node}), else
+    ["process"], formatted only when a failure is reported.
     An exception escaping [body] aborts the simulation with
     {!Process_failure}. *)
 

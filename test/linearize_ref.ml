@@ -7,7 +7,7 @@
 
    The NIC applies every RMW on a granule under the target's region
    lock, so within one run the applies on a word are totally ordered.
-   This observer replays that order against an atomic reference heap:
+   This sink of the probe bus's apply class replays that order against an atomic reference heap:
    each RMW must (a) have read exactly the value the reference heap
    holds at its linearization point, and (b) have left behind exactly
    [apply_atomic kind old] / [apply_acc aop old operand]. Any lost
@@ -28,6 +28,7 @@
 
 module Machine = Dsm_rdma.Machine
 module Message = Dsm_rdma.Message
+module Probe = Dsm_obs.Probe
 
 type t = {
   heap : (int * int, int) Hashtbl.t; (* (node, offset) -> reference value *)
@@ -57,13 +58,13 @@ let step_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
       what time node offset origin result old spec;
   Hashtbl.replace t.heap (node, offset) result
 
-let observe t (obs : Machine.observation) =
-  match obs with
-  | Machine.Write_applied { node; offset; data; _ } ->
+let observe t (ev : Probe.event) =
+  match ev with
+  | Write_applied { node; offset; data; _ } ->
       Array.iteri
         (fun i v -> Hashtbl.replace t.heap (node, offset + i) v)
         data
-  | Machine.Read_served { node; offset; data; _ } ->
+  | Read_served { node; offset; data; _ } ->
       (* Adopt-only: a read is evidence of current contents (possibly
          initialized out of band), not something to check — reads are
          the coherence checker's job. *)
@@ -72,8 +73,7 @@ let observe t (obs : Machine.observation) =
           if not (Hashtbl.mem t.heap (node, offset + i)) then
             Hashtbl.add t.heap (node, offset + i) v)
         data
-  | Machine.Atomic_applied { time; node; offset; kind; old_value; new_value; origin }
-    ->
+  | Atomic_applied { time; node; offset; kind; old_value; new_value; origin } ->
       let what =
         match kind with
         | Message.Fetch_add _ -> "fetch_add"
@@ -82,7 +82,7 @@ let observe t (obs : Machine.observation) =
       step_word t ~what ~time ~node ~offset ~origin ~old:old_value
         ~result:new_value
         ~spec:(Message.apply_atomic kind old_value)
-  | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin } ->
+  | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
       let what =
         match aop with
         | Message.Add -> "acc:add"
@@ -97,10 +97,11 @@ let observe t (obs : Machine.observation) =
             ~result:result.(i)
             ~spec:(Message.apply_acc aop o data.(i)))
         old
+  | _ -> ()
 
 let attach m =
   let t = { heap = Hashtbl.create 64; violations = []; checked = 0 } in
-  Machine.add_observer m (observe t);
+  Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) Probe.apply (observe t);
   t
 
 let violations t = List.rev t.violations

@@ -228,7 +228,8 @@ type collector = {
 
 let attach_collector ctx =
   let c = { granules = []; checks = 0; msgs = 0; flushes = 0 } in
-  Probe.attach (Explore.ctx_probe ctx) (function
+  Probe.attach (Explore.ctx_probe ctx) Probe.(race lor check lor msg lor op)
+    (function
     | Probe.Race_signal { node; offset; len; _ } ->
         c.granules <- (node, offset, len) :: c.granules
     | Probe.Detector_check _ -> c.checks <- c.checks + 1

@@ -271,7 +271,7 @@ let racy_report seed =
   let bus = Dsm_sim.Engine.probe sim in
   let flight = Flight.attach bus in
   let accepted = ref 0 in
-  Probe.attach bus (function
+  Probe.attach bus Probe.(all land lnot apply) (function
     | Probe.Run_begin _ | Probe.Run_end _ -> ()
     | _ -> incr accepted);
   Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)

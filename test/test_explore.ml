@@ -326,7 +326,7 @@ let test_replay_perturbation_caught () =
   in
   let ctx = Explore.create_ctx spec in
   let replaying = ref false and perturbed = ref false in
-  Dsm_obs.Probe.attach (Explore.ctx_probe ctx) (function
+  Dsm_obs.Probe.(attach (Explore.ctx_probe ctx) (run_begin lor msg)) (function
     | Dsm_obs.Probe.Run_begin { run } ->
         replaying := run = 1;
         perturbed := false

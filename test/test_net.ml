@@ -80,7 +80,7 @@ let send ?(fifo = true) fab ~src ~dst ~words msg =
 (* The drops and duplicates the fabric publishes on [sim]'s bus. *)
 let fault_counts sim =
   let dropped = ref 0 and duplicated = ref 0 in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.attach (Engine.probe sim) Dsm_obs.Probe.net (function
     | Dsm_obs.Probe.Net_drop _ -> incr dropped
     | Dsm_obs.Probe.Net_duplicate _ -> incr duplicated
     | _ -> ());
@@ -233,7 +233,7 @@ let test_fabric_floor_far_in_time () =
   let sim = Engine.create () in
   let fab = make_fabric sim 2 in
   let arrivals = ref [] and log = ref [] in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.attach (Engine.probe sim) Dsm_obs.Probe.net (function
     | Dsm_obs.Probe.Net_send { arrival; _ } -> arrivals := arrival :: !arrivals
     | _ -> ());
   Fabric.register fab ~node:1 (fun ~src:_ s -> log := s :: !log);
@@ -391,7 +391,7 @@ let test_reliable_retransmit_instants () =
   let sim = Engine.create () in
   let fab = dead_link sim in
   let resent = ref [] in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.attach (Engine.probe sim) Dsm_obs.Probe.net (function
     | Dsm_obs.Probe.Retransmit { time; seq; _ } ->
         resent := (time, seq) :: !resent
     | _ -> ());

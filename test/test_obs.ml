@@ -7,6 +7,7 @@
 module Probe = Dsm_obs.Probe
 module Metrics = Dsm_obs.Metrics
 module Meter = Dsm_obs.Meter
+module Flight = Dsm_obs.Flight
 module Timeline = Dsm_obs.Timeline
 module Trace_json = Dsm_obs.Trace_json
 module Json_writer = Dsm_obs.Json_writer
@@ -110,15 +111,28 @@ let test_merge_order_insensitive () =
 
 (* ---------- probe bus basics ---------- *)
 
+(* An event reaches the sinks subscribed to its class, in attach order,
+   and [on] holds exactly the subscribed classes' bits. *)
 let test_probe_attach () =
   let bus = Probe.create () in
-  Alcotest.(check bool) "silent" false bus.Probe.on;
-  let hits = ref 0 in
-  Probe.attach bus (fun _ -> incr hits);
-  Probe.attach bus (fun _ -> incr hits);
-  Alcotest.(check bool) "on" true bus.Probe.on;
-  Probe.emit bus (Probe.Clock_merge { time = 1.0; pid = 0 });
-  Alcotest.(check int) "both sinks" 2 !hits
+  Alcotest.(check int) "silent" 0 bus.Probe.on;
+  let hits = ref [] in
+  let sink name ev = hits := (name, ev) :: !hits in
+  Probe.attach bus Probe.check (sink "check");
+  Probe.attach bus Probe.(msg lor check) (sink "msg+check");
+  Probe.attach bus Probe.apply (sink "apply");
+  Alcotest.(check int) "on" Probe.(check lor msg lor apply) bus.Probe.on;
+  let merge = Probe.Clock_merge { time = 1.0; pid = 0 } in
+  let served =
+    Probe.Read_served { time = 2.0; node = 1; offset = 0; data = [| 7 |]; origin = 0 }
+  in
+  Probe.emit bus merge;
+  Probe.emit bus served;
+  Alcotest.(check bool) "routed by class, in attach order" true
+    (List.rev !hits
+    = [ ("check", merge); ("msg+check", merge); ("apply", served) ]);
+  Alcotest.check_raises "no class" (Invalid_argument "Probe.attach: no class")
+    (fun () -> Probe.attach bus 0 ignore)
 
 (* ---------- Perfetto exporter: golden figure scenario ---------- *)
 
@@ -210,13 +224,55 @@ let test_validator_rejects_malformed () =
 
 (* ---------- sink invariance ---------- *)
 
+(* Walk [walk] of [spec] with a flight ring attached: alone, or beside a
+   meter, a second coherence checker and a sink of the message class,
+   all attached after a first run built the arena (the scenario's own
+   checker and getput monitor sit on the bus either way). Returns the
+   fingerprint, the ring's window, and the message sink's count of
+   messages and of events of any other class. *)
+let flight_walk ~beside spec walk =
+  let ctx =
+    if beside then Explore.create_ctx ~metrics:(Metrics.create ()) spec
+    else Explore.create_ctx spec
+  in
+  let bus = Explore.ctx_probe ctx in
+  let msgs = ref 0 and stray = ref 0 in
+  if beside then begin
+    ignore (Explore.run_once_in ctx (Explore.Walk walk));
+    Option.iter
+      (fun (b : Dsm_explore.Scenario.built) ->
+        ignore (Dsm_rdma.Coherence.attach b.machine))
+      (Explore.last_built ctx);
+    Probe.attach bus Probe.msg (function
+      | Probe.Msg_sent _ | Msg_delivered _ -> incr msgs
+      | _ -> incr stray)
+  end;
+  let flight = Flight.attach bus in
+  let r = Explore.run_once_in ctx (Explore.Walk walk) in
+  (r.Explore.fingerprint, Flight.events flight, !msgs, !stray)
+
 (* Attaching a timeline and a meter to a run must not change what the
    run does: same schedule decisions, same fingerprint (which digests
-   the outcome, times, detector report, and monitor output). *)
+   the outcome, times, detector report, and monitor output). And a sink
+   receives only the classes it names: on a [getput-checked] walk and a
+   [workload:random] walk, a flight ring alone and one beside other
+   sinks hold equal windows, and a message-class sink sees nothing but
+   messages. *)
 let prop_sink_invariance =
   QCheck.Test.make ~name:"sinks never change a run" ~count:25
     QCheck.(pair (int_bound 500) bool)
     (fun (walk, lossy) ->
+      let isolated spec =
+        let fp, window, _, _ = flight_walk ~beside:false spec walk in
+        let fp', window', msgs, stray = flight_walk ~beside:true spec walk in
+        fp = fp' && window <> [] && window = window' && msgs > 0 && stray = 0
+      in
+      let getput =
+        { Explore.default_spec with scenario = "getput-checked"; seed = 11 }
+      in
+      let random =
+        { getput with scenario = "workload:random"; n = 3 }
+      in
       let spec =
         {
           Explore.default_spec with
@@ -232,7 +288,8 @@ let prop_sink_invariance =
       let observed = Explore.run_once_in ctx (Explore.Walk walk) in
       plain.Explore.fingerprint = observed.Explore.fingerprint
       && plain.Explore.decisions = observed.Explore.decisions
-      && plain.Explore.races = observed.Explore.races)
+      && plain.Explore.races = observed.Explore.races
+      && isolated getput && isolated random)
 
 (* ---------- metrics across the explorer ---------- *)
 
@@ -278,7 +335,7 @@ let test_engine_step_one_shot () =
   let sim = Dsm_sim.Engine.create ~seed:3 () in
   let m = Machine.create sim ~n:3 () in
   let reg = Metrics.create () in
-  ignore (Meter.attach reg (Dsm_sim.Engine.probe sim));
+  Meter.attach reg (Dsm_sim.Engine.probe sim);
   let d = Dsm_core.Detector.create m () in
   Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
     { Dsm_workload.Random_access.default with ops_per_proc = 8; seed = 3 };

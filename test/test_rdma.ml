@@ -505,20 +505,16 @@ let test_duplicate_control_tag_rejected () =
 
 (* ---------- observation ---------- *)
 
-(* Messages reach consumers on the probe bus; observers see the memory
-   effect only. *)
+(* Messages and the memory effect reach consumers on the one probe
+   bus, in the classes a sink names. *)
 let test_bus_sees_messages () =
   let sim, m = make () in
   let sent = ref 0 and delivered = ref 0 and writes = ref 0 in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.(attach (Engine.probe sim) (msg lor apply)) (function
     | Msg_sent _ -> incr sent
     | Msg_delivered _ -> incr delivered
+    | Write_applied _ -> incr writes
     | _ -> ());
-  Machine.add_observer m (function
-    | Machine.Write_applied _ -> incr writes
-    | Machine.Read_served _ | Machine.Atomic_applied _
-    | Machine.Acc_applied _ ->
-        ());
   let dst = Machine.alloc_public m ~pid:1 ~len:1 () in
   Machine.spawn m ~pid:0 (fun p ->
       let src = Machine.alloc_private m ~pid:0 ~len:1 () in
@@ -542,9 +538,9 @@ let test_spawn_all_spmd () =
 (* Every verb's NIC steps, pinned in [machine_steps.expected]: for each
    scenario below, under [nic_atomic] and under [relaxed], the probe
    events the machine fires (op lifecycle, messages, locks, RMW
-   linearization points, batch flushes) and the observation records
-   (memory effects), in emission order, then the run's outcome and its
-   engine event count. A
+   linearization points, batch flushes, and the apply class's memory
+   effects as the [obs] lines), in emission order, then the run's
+   outcome and its engine event count. A
    refactor of the machine must leave every line where it was. *)
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
@@ -561,7 +557,7 @@ let step_lines ~model ~bugs setup =
   let m = Machine.create sim ~n:3 ~model ~protocol_bugs:bugs () in
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.(attach (Engine.probe sim) all) (function
     | Op_begin { time; pid; op; kind; target } ->
         add "%.4f op_begin P%d #%d %s -> P%d" time pid op kind target
     | Op_end { time; pid; op; kind } ->
@@ -581,23 +577,21 @@ let step_lines ~model ~bugs setup =
     | Batch_flush { time; pid; node; kind; parts; words } ->
         add "%.4f batch_flush P%d %s -> P%d parts=%d words=%d" time pid kind
           node parts words
-    | _ -> ());
-  Machine.add_observer m (function
-    | Machine.Write_applied { time; node; offset; data; origin } ->
+    | Write_applied { time; node; offset; data; origin } ->
         add "%.4f obs write P%d [%d]=%s from P%d" time node offset (ints data)
           origin
-    | Machine.Read_served { time; node; offset; data; origin } ->
+    | Read_served { time; node; offset; data; origin } ->
         add "%.4f obs read P%d [%d]=%s for P%d" time node offset (ints data)
           origin
-    | Machine.Atomic_applied
+    | Atomic_applied
         { time; node; offset; kind = _; old_value; new_value; origin } ->
         add "%.4f obs atomic P%d [%d] %d -> %d from P%d" time node offset
           old_value new_value origin
-    | Machine.Acc_applied { time; node; offset; aop; old; data; result; origin }
-      ->
+    | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
         add "%.4f obs acc %s P%d [%d] %s (+) %s = %s from P%d" time
           (acc_op_name aop) node offset (ints old) (ints data)
-          (ints result) origin);
+          (ints result) origin
+    | _ -> ());
   setup m;
   let outcome =
     match Machine.run m with

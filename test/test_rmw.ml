@@ -103,8 +103,8 @@ let test_rmw_duplicate_delivery_exactly_once () =
     Addr.global ~pid:0 ~space:Addr.Public ~offset:counter.Addr.base.offset
   in
   let applies = ref 0 in
-  Machine.add_observer m (function
-    | Machine.Atomic_applied { node = 0; _ } -> incr applies
+  Probe.attach (Engine.probe sim) Probe.apply (function
+    | Probe.Atomic_applied { node = 0; _ } -> incr applies
     | _ -> ());
   let per = 5 in
   for pid = 1 to 2 do
@@ -490,7 +490,7 @@ let test_rmwlost_clean_without_bug () =
 
 let attach_granules ctx =
   let granules = ref [] in
-  Probe.attach (Explore.ctx_probe ctx) (function
+  Probe.attach (Explore.ctx_probe ctx) Probe.race (function
     | Probe.Race_signal { node; offset; len; _ } ->
         granules := (node, offset, len) :: !granules
     | _ -> ());

@@ -55,6 +55,7 @@ let meta_messages m =
   let count = ref 0 in
   Dsm_obs.Probe.attach
     (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))
+    Dsm_obs.Probe.msg
     (function
       | Dsm_obs.Probe.Msg_sent { msg = { kind = Control; name; _ }; _ } ->
           if name = "dsm.vget" then count := !count + 2

@@ -317,7 +317,7 @@ let attach_codec_oracle ~mode sim m d =
   let pending = ref None and frames = ref 0 and failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let tally = ref (0, 0, 0) in
-  Dsm_obs.Probe.attach (Engine.probe sim) (function
+  Dsm_obs.Probe.(attach (Engine.probe sim) (msg lor net)) (function
     | Dsm_obs.Probe.Msg_sent { src; dst; msg; _ } when carries_clock msg ->
         let e =
           match Hashtbl.find_opt edges (src, dst) with
