@@ -704,7 +704,7 @@ let single_writer_workload ?(on_machine = fun (_ : Dsm_rdma.Machine.t) -> ())
   Harness.run_to_completion m
 
 let probe_overhead ~smoke () =
-  let bus = Dsm_obs.Probe.create () in
+  let bus = Dsm_obs.Probe.create ~clock:(ref 0.0) in
   let iters = if smoke then 100_000 else 20_000_000 in
   let reps = if smoke then 1 else 5 in
   let acc = ref 0 in
@@ -721,8 +721,7 @@ let probe_overhead ~smoke () =
   let guarded () =
     for i = 1 to iters do
       if bus.Dsm_obs.Probe.on land Dsm_obs.Probe.check <> 0 then
-        Dsm_obs.Probe.emit bus
-          (Dsm_obs.Probe.Clock_merge { time = 0.0; pid = 0 });
+        Dsm_obs.Probe.emit bus (Dsm_obs.Probe.Clock_merge { pid = 0 });
       acc := !acc + i
     done
   in

@@ -284,7 +284,6 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against
     Dsm_obs.Probe.emit t.probe
       (Race_signal
          {
-           time = now t;
            pid;
            node;
            offset;
@@ -469,7 +468,6 @@ let count_check t p ~kind =
     Dsm_obs.Probe.emit t.probe
       (Detector_check
          {
-           time = now t;
            pid = Machine.pid p;
            kind;
            fast_path = Vector_clock.is_epoch t.procs.(Machine.pid p);
@@ -492,8 +490,7 @@ let check_op t p ~read_region ~write_region =
        this is what orders Figure 5b's m3 after m1. *)
     Vector_clock.merge_into ~into:v0 absorbed;
     if t.probe.on land Dsm_obs.Probe.check <> 0 then
-      Dsm_obs.Probe.emit t.probe
-        (Clock_merge { time = now t; pid = Machine.pid p })
+      Dsm_obs.Probe.emit t.probe (Clock_merge { pid = Machine.pid p })
   end;
   if Addr.is_public write_region then begin
     let event_id = record_access t p ~kind:Event.Write ~target:write_region in
@@ -717,7 +714,7 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
   let absorbed = check_access t p ~region ~cls:(Rmw { wrote }) ~v0 ~event_id in
   Vector_clock.merge_into ~into:v0 absorbed;
   if t.probe.on land Dsm_obs.Probe.check <> 0 then
-    Dsm_obs.Probe.emit t.probe (Clock_merge { time = now t; pid });
+    Dsm_obs.Probe.emit t.probe (Clock_merge { pid });
   result
 
 let check_rmw_target (target : Addr.global) =
@@ -782,8 +779,7 @@ let lock t p (r : Addr.region) =
     tick t p;
     Vector_clock.merge_into ~into:v0 (lock_clock t r);
     if t.probe.on land Dsm_obs.Probe.check <> 0 then
-      Dsm_obs.Probe.emit t.probe
-        (Clock_merge { time = now t; pid = Machine.pid p })
+      Dsm_obs.Probe.emit t.probe (Clock_merge { pid = Machine.pid p })
   end;
   { token; lock_region = r }
 
@@ -805,7 +801,7 @@ let barrier_sync t =
   Array.iter (fun c -> Vector_clock.merge_into ~into:c merged) t.procs;
   if t.probe.on land Dsm_obs.Probe.check <> 0 then
     for pid = 0 to Array.length t.procs - 1 do
-      Dsm_obs.Probe.emit t.probe (Clock_merge { time = now t; pid })
+      Dsm_obs.Probe.emit t.probe (Clock_merge { pid })
     done
 
 let on_barrier t ~pid ~phase ~generation ~time =

@@ -5,14 +5,17 @@
     (report, granule histories, window). *)
 
 val explain_report :
-  window:Dsm_obs.Probe.event list -> Report.t -> Dsm_obs.Explain.t list
+  window:(float * Dsm_obs.Probe.event) list ->
+  Report.t ->
+  Dsm_obs.Explain.t list
 (** Every signal of the report, in signal order. [window] is the
-    flight-recorder contents, oldest first ({!Dsm_obs.Flight.events});
+    flight-recorder contents, oldest first, each event with its time
+    ({!Dsm_obs.Flight.events});
     it is indexed once ({!Dsm_obs.Explain.index}) and the index is
     shared by every signal. *)
 
 val explain_atomicity :
-  window:Dsm_obs.Probe.event list ->
+  window:(float * Dsm_obs.Probe.event) list ->
   detail:string ->
   Detector.t ->
   Dsm_obs.Explain.t option

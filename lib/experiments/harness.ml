@@ -31,15 +31,16 @@ let run_to_completion m =
 let collect_arrows bus =
   let arrows = ref [] and sent = Dsm_obs.Msg.pending () in
   Dsm_obs.Probe.attach bus Dsm_obs.Probe.msg (function
-    | Dsm_obs.Probe.Msg_sent { time; src; dst; msg } ->
-        Dsm_obs.Msg.push_sent sent ~src ~dst (Dsm_obs.Msg.label msg) time
-    | Dsm_obs.Probe.Msg_delivered { time; src; dst; msg } -> (
+    | Dsm_obs.Probe.Msg_sent { src; dst; msg } ->
+        Dsm_obs.Msg.push_sent sent ~src ~dst (Dsm_obs.Msg.label msg)
+          (Dsm_obs.Probe.now bus)
+    | Dsm_obs.Probe.Msg_delivered { src; dst; msg } -> (
         let label = Dsm_obs.Msg.label msg in
         match Dsm_obs.Msg.pop_sent sent ~src ~dst label with
         | Some send_time ->
             arrows :=
-              { Dsm_trace.Spacetime.send_time; recv_time = time; src; dst;
-                label }
+              { Dsm_trace.Spacetime.send_time;
+                recv_time = Dsm_obs.Probe.now bus; src; dst; label }
               :: !arrows
         | None -> ())
     | _ -> ());

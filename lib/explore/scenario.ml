@@ -87,19 +87,20 @@ type getput_watch = {
 }
 
 let watch_getput w sim =
-  Probe.attach (Dsm_sim.Engine.probe sim) Probe.(msg lor apply) (function
+  let bus = Dsm_sim.Engine.probe sim in
+  Probe.attach bus Probe.(msg lor apply) (function
     | Probe.Msg_sent { src = 0; msg = { kind = Get; op; _ }; _ } ->
         Hashtbl.replace w.open_gets op ()
     | Msg_delivered { dst = 0; msg = { kind = Get_reply; op; _ }; _ } ->
         Hashtbl.remove w.open_gets op
-    | Write_applied { node = 0; offset; data; origin; time } ->
+    | Write_applied { node = 0; offset; data; origin } ->
         let len = Array.length data in
         let overlaps = offset < w.a_lo + w.a_len && w.a_lo < offset + len in
         if overlaps && origin <> 0 && Hashtbl.length w.open_gets > 0 then
           w.bad <-
             Printf.sprintf
               "put by P%d applied to A at t=%.3f inside P0's open get window"
-              origin time
+              origin (Probe.now bus)
             :: w.bad
     | _ -> ())
 

@@ -117,7 +117,7 @@ let state e = e.state
 let net_deliver t ~src ~dst =
   let probe = Engine.probe t.sim in
   if probe.on land Dsm_obs.Probe.net <> 0 then
-    Dsm_obs.Probe.emit probe (Net_deliver { time = Engine.now t.sim; src; dst })
+    Dsm_obs.Probe.emit probe (Net_deliver { src; dst })
 
 (* The handler a frame arriving at [dst] goes to. *)
 let arrived t ~src ~dst =
@@ -169,9 +169,8 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
   if lf.Fault.drop > 0. && Prng.bernoulli t.rng ~p:lf.Fault.drop then begin
     if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
-        (Net_send
-           { time = now; src; dst; words; wire_words; clock_words; arrival });
-      Dsm_obs.Probe.emit probe (Net_drop { time = now; src; dst })
+        (Net_send { src; dst; words; wire_words; clock_words; arrival });
+      Dsm_obs.Probe.emit probe (Net_drop { src; dst })
     end
   end
   else begin
@@ -189,10 +188,9 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
     let arrival = floored e ~in_order drawn in
     if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
-        (Net_send
-           { time = now; src; dst; words; wire_words; clock_words; arrival });
+        (Net_send { src; dst; words; wire_words; clock_words; arrival });
       if reorder then
-        Dsm_obs.Probe.emit probe (Net_reorder { time = now; src; dst })
+        Dsm_obs.Probe.emit probe (Net_reorder { src; dst })
     end;
     Engine.schedule_at t.sim ~label ~at:arrival arrive;
     if
@@ -200,7 +198,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
       && Prng.bernoulli t.rng ~p:lf.Fault.duplicate
     then begin
       if probe.on land Dsm_obs.Probe.net <> 0 then
-        Dsm_obs.Probe.emit probe (Net_duplicate { time = now; src; dst });
+        Dsm_obs.Probe.emit probe (Net_duplicate { src; dst });
       Engine.schedule_at t.sim ~label
         ~at:(floored e ~in_order (drawn +. 1e-9))
         arrive
@@ -279,8 +277,7 @@ let rec expire t e () =
         (let probe = Engine.probe t.sim in
          if probe.on land Dsm_obs.Probe.net <> 0 then
            Dsm_obs.Probe.emit probe
-             (Retransmit
-                { time = now; src = e.src; dst = e.dst; seq = fr.seq }));
+             (Retransmit { src = e.src; dst = e.dst; seq = fr.seq }));
         send_frame t e fr ~label:Label.unknown
       end)
     (List.rev live);

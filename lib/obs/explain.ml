@@ -132,9 +132,9 @@ type index = {
   best_message : (int * msg) Pairs.t;
       (* by [pair_key] of (src, dst): the delivery with the greatest
          (delivered time, position) *)
-  sync_steps : (int * Probe.event) array array;
+  sync_steps : (int * float * Probe.event) array array;
       (* by node: its lock and RMW events, in window order, with their
-         positions *)
+         positions and times *)
   events : int; (* events in the window *)
   chains : msg list Pairs.t;
       (* [message_chain]'s memo, by [pair_key]: every race of one pair
@@ -156,13 +156,13 @@ let index window =
   let best_message = Pairs.create 16 and by_node = Hashtbl.create 16 in
   let deliveries = ref [] and events = ref 0 in
   List.iter
-    (fun ev ->
+    (fun (time, ev) ->
       let pos = !events in
       incr events;
       match (ev : Probe.event) with
-      | Msg_sent { time; src; dst; msg } ->
+      | Msg_sent { src; dst; msg } ->
           Hashtbl.replace sent (src, dst, msg.Msg.op) time
-      | Msg_delivered { time; src; dst; msg } ->
+      | Msg_delivered { src; dst; msg } ->
           let m =
             {
               m_src = src;
@@ -181,12 +181,14 @@ let index window =
           (match Pairs.find_opt best_message key with
           | Some (pos', m') when not (later time pos m'.m_delivered pos') -> ()
           | _ -> Pairs.replace best_message key (pos, m))
-      | Lock_acquired { node; _ } | Lock_released { node; _ } | Rmw { node; _ }
-        ->
+      | Lock_acquired { node; _ }
+      | Lock_released { node; _ }
+      | Atomic_applied { node; _ }
+      | Acc_applied { node; _ } ->
           let steps =
             match Hashtbl.find_opt by_node node with Some l -> l | None -> []
           in
-          Hashtbl.replace by_node node ((pos, ev) :: steps)
+          Hashtbl.replace by_node node ((pos, time, ev) :: steps)
       | _ -> ())
     window;
   let sync_steps =
@@ -228,6 +230,15 @@ let edge_time = function
   | Message m -> m.m_delivered
   | Rmw_serialization { time; _ } -> time
 
+(* An RMW apply on node [n'] words [\[o', o' + l')] at [time], the
+   candidate edge when it touches the granule. *)
+let rmw_edge ~node ~offset ~len ~time n' origin o' l' kind =
+  if overlaps ~node ~offset ~len n' o' l' then
+    Some
+      (Rmw_serialization
+         { node = n'; origin; offset = o'; len = l'; kind; time })
+  else None
+
 (* The most recent event in the window that could have ordered the two
    endpoints: a lock hand-off on the racing granule, a protocol message
    between them, or an RMW serialization on the granule. The choice is
@@ -255,14 +266,14 @@ let find_sync idx ~p1 ~p2 ~node ~offset ~len =
      acquisition follows, for none *)
   let released1 = ref Float.nan and released2 = ref Float.nan in
   for i = 0 to Array.length steps - 1 do
-    let pos, (ev : Probe.event) = steps.(i) in
+    let pos, time, (ev : Probe.event) = steps.(i) in
     let candidate =
       match ev with
-      | Lock_released { time; pid; node = n'; offset = o'; len = l' }
+      | Lock_released { pid; node = n'; offset = o'; len = l' }
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
           if pid = p1 then released1 := time else released2 := time;
           None
-      | Lock_acquired { time; pid; node = n'; offset = o'; len = l' }
+      | Lock_acquired { pid; node = n'; offset = o'; len = l' }
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
           let other = if pid = p1 then p2 else p1 in
           let released = if other = p1 then !released1 else !released2 in
@@ -279,11 +290,12 @@ let find_sync idx ~p1 ~p2 ~node ~offset ~len =
                    acquired = time;
                  })
           else None
-      | Rmw { time; node = n'; origin; offset = o'; len = l'; kind }
-        when overlaps ~node ~offset ~len n' o' l' ->
-          Some
-            (Rmw_serialization
-               { node = n'; origin; offset = o'; len = l'; kind; time })
+      | Atomic_applied { node = n'; origin; offset = o'; kind; _ } ->
+          rmw_edge ~node ~offset ~len ~time n' origin o' 1
+            (Probe.atomic_name kind)
+      | Acc_applied { node = n'; origin; offset = o'; aop; old; _ } ->
+          rmw_edge ~node ~offset ~len ~time n' origin o' (Array.length old)
+            (Probe.acc_name aop)
       | _ -> None
     in
     match (candidate, !best) with

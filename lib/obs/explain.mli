@@ -104,16 +104,17 @@ type index
     window, in time order or not (simulated times are never NaN). The
     candidates are a delivery between the two endpoints, a lock
     hand-off between them on a range overlapping the granule (an
-    acquisition by one after a release by the other), and an RMW on an
-    overlapping range.
+    acquisition by one after a release by the other), and an RMW apply
+    ([Atomic_applied] or [Acc_applied]) on an overlapping range.
 
     The message chain depends only on the window and the endpoint pair,
     so the index memoizes it: the first race of a pair (in either order)
     scans for it, and every later one shares that list. The memo makes
     an index mutable: one report, one domain. *)
 
-val index : Probe.event list -> index
-(** Index a window, oldest first ({!Flight.events}). A delivery is
+val index : (float * Probe.event) list -> index
+(** Index a window of timed events, oldest first ({!Flight.events}):
+    each event's time is the one beside it. A delivery is
     paired with the latest earlier send of the same (src, dst, op);
     one whose send predates the window gets [m_sent = -1.]. Node ids
     are non-negative. *)

@@ -1,8 +1,10 @@
 (** A bounded per-run flight recorder: an ordinary probe sink that
-    retains the last 256 events in a fixed-capacity ring.
+    retains the last 256 events in a fixed-capacity ring, each beside
+    the time it happened at ({!Probe.now} when it was delivered).
 
-    Appends are O(1) and allocation-free (one array store + counter
-    bump); once full, the oldest event is overwritten. The sink is
+    Appends are O(1) and allocation-free (an event store, a time store
+    into a float array and a counter bump); once full, the oldest event
+    is overwritten. The sink is
     arena-reset-aware: an [explore.run_begin] event resets the window in
     place, so across the explorer's reused-arena runs the ring always
     holds a suffix of the {e current} run only. The run-boundary
@@ -18,8 +20,9 @@ type t
 
 val attach : Probe.t -> t
 (** A recorder of the last 256 events, subscribed to every class but
-    {!Probe.apply}. Every event it receives but the run-boundary markers
-    takes a slot. *)
+    {!Probe.apply}. Every event of those classes but the run-boundary
+    markers takes a slot. *)
 
-val events : t -> Probe.event list
-(** The retained window, oldest first. *)
+val events : t -> (float * Probe.event) list
+(** The retained window, oldest first: each event with its simulated
+    time. *)

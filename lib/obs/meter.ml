@@ -77,32 +77,33 @@ let attach registry bus =
       | Net_drop _ -> Metrics.incr net_drop
       | Net_duplicate _ -> Metrics.incr net_duplicate
       | Net_reorder _ -> Metrics.incr net_reorder
-      | Op_begin { time; pid; op; kind; _ } ->
+      | Op_begin { pid; op; kind; _ } ->
           Metrics.incr op_begin;
+          let time = Probe.now bus in
           Int_tbl.replace inflight op time;
           if String.equal kind "lock" then Int_tbl.replace lock_pending pid time
-      | Op_end { time; op; _ } -> (
+      | Op_end { op; _ } -> (
           Metrics.incr op_end;
           match Int_tbl.find_opt inflight op with
           | None -> ()
           | Some t0 ->
               Int_tbl.remove inflight op;
-              Metrics.observe op_latency (us (time -. t0)))
+              Metrics.observe op_latency (us (Probe.now bus -. t0)))
       | Msg_sent _ -> Metrics.incr msg_sent
       | Msg_delivered _ -> Metrics.incr msg_delivered
-      | Lock_acquired { time; pid; _ } -> (
+      | Lock_acquired { pid; _ } -> (
           Metrics.incr lock_acquired;
           match Int_tbl.find_opt lock_pending pid with
           | None -> ()
           | Some t0 ->
               Int_tbl.remove lock_pending pid;
-              Metrics.observe lock_wait (us (time -. t0)))
+              Metrics.observe lock_wait (us (Probe.now bus -. t0)))
       | Lock_released _ -> Metrics.incr lock_released
       | Retransmit _ -> Metrics.incr retransmit
       | Batch_flush { parts; _ } ->
           Metrics.incr batch_flush;
           Metrics.observe batch_parts parts
-      | Rmw _ -> Metrics.incr rmw
+      | Atomic_applied _ | Acc_applied _ -> Metrics.incr rmw
       | Coherence_violation _ -> Metrics.incr coherence_violation
       | Detector_check { fast_path = fast; _ } ->
           Metrics.incr detector_check;
@@ -124,4 +125,4 @@ let attach registry bus =
           Metrics.add claimed_runs count
       | Dpor_prune _ -> Metrics.incr dpor_pruned
       | Minimize_step _ -> Metrics.incr minimize_steps
-      | Write_applied _ | Read_served _ | Atomic_applied _ | Acc_applied _ -> ())
+      | Write_applied _ | Read_served _ -> ())

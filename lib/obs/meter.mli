@@ -1,11 +1,13 @@
 (** Probe → metrics bridge: a bus sink that counts every probe point
     into a {!Metrics.t} registry under a dotted name (["net.send"],
-    ["rdma.rmw"], ...), plus a few derived instruments:
+    ["rdma.rmw"] for the [rmw] class's applies, ...), plus a few derived
+    instruments:
 
     - ["detector.epoch_fast_path"] / ["detector.dense_path"] — the
       {!Probe.Detector_check} fast-path split;
     - ["rdma.op_latency_us"] — Op_begin→Op_end latency histogram;
-    - ["rdma.lock_wait_us"] — lock request→grant wait histogram;
+    - ["rdma.lock_wait_us"] — lock request→grant wait histogram (both
+      read each event's time with {!Probe.now});
     - ["engine.choice_ready"] — ready-set size at each choice point;
     - ["explore.run_events"] — events per explored run;
     - ["engine.step"] — events executed: each explored run's

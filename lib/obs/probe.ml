@@ -1,5 +1,23 @@
 include Probe_types
 
+let atomic_name = function
+  | Fetch_add _ -> "fetch_add"
+  | Compare_and_swap _ -> "cas"
+
+let acc_op_name = function
+  | Add -> "add"
+  | Min -> "min"
+  | Max -> "max"
+  | Band -> "band"
+  | Bor -> "bor"
+
+let acc_name = function
+  | Add -> "acc:add"
+  | Min -> "acc:min"
+  | Max -> "acc:max"
+  | Band -> "acc:band"
+  | Bor -> "acc:bor"
+
 type classes = int
 
 (* Class [i] is bit [1 lsl i]; [index] maps an event to its [i]. *)
@@ -26,8 +44,8 @@ let index = function
   | Op_begin _ | Op_end _ | Batch_flush _ -> 2
   | Msg_sent _ | Msg_delivered _ -> 3
   | Lock_acquired _ | Lock_released _ -> 4
-  | Rmw _ -> 5
-  | Write_applied _ | Read_served _ | Atomic_applied _ | Acc_applied _ -> 6
+  | Atomic_applied _ | Acc_applied _ -> 5
+  | Write_applied _ | Read_served _ -> 6
   | Coherence_violation _ -> 7
   | Detector_check _ | Clock_merge _ -> 8
   | Race_signal _ -> 9
@@ -35,9 +53,15 @@ let index = function
   | Run_end _ | Violation _ | Domain_claim _ | Dpor_prune _ | Minimize_step _ ->
       11
 
-type t = { mutable on : classes; sinks : (event -> unit) array array }
+type t = {
+  mutable on : classes;
+  sinks : (event -> unit) array array;
+  clock : float ref;
+}
 
-let create () = { on = 0; sinks = Array.make n_classes [||] }
+let create ~clock = { on = 0; sinks = Array.make n_classes [||]; clock }
+
+let now t = !(t.clock)
 
 let attach t classes sink =
   if classes land all = 0 then invalid_arg "Probe.attach: no class";

@@ -5,8 +5,9 @@
     components built on top of it — fabric, RDMA machine, coherence
     checker, race detector, schedule explorer — all publish onto that
     one bus, so it is the one event history of a run. What the target
-    NIC applies under its region lock (the [apply] class) travels here
-    too, and the coherence checker reads it like any other sink.
+    NIC applies under its region lock (the [apply] and [rmw] classes)
+    travels here too, and the coherence checker reads it like any other
+    sink.
 
     Every event belongs to one {!classes} bit, and a sink names the
     classes it reads when it attaches. The bus keeps one bit per class
@@ -20,6 +21,10 @@
     detector-check-shaped hot loop ([bench/main.ml]). No event is
     emitted per engine step: the engine's event total rides on
     [Engine_quiescence] and the explorer's [Run_end].
+
+    An event carries no time: every event happens at the engine's
+    current instant, so the engine hands its bus its clock once, and a
+    sink reads {!now} while an event is delivered to it.
 
     Events are plain data — ints, floats, strings, bools, int arrays
     and records of them, never closures or [Lazy.t] — so [=] and
@@ -38,12 +43,23 @@ include module type of struct
   include Probe_types
 end
 
+val atomic_name : atomic_kind -> string
+val acc_name : acc_op -> string
+val acc_op_name : acc_op -> string
+(** An RMW's name as traces, explanations and the coherence checker
+    print it: ["fetch_add"] or ["cas"] for an atomic, ["acc:add"] …
+    ["acc:bor"] for an accumulate; [acc_op_name] is the bare operator
+    (["add"] …) of a protocol message's label. Each is a literal, so
+    naming an RMW allocates nothing. *)
+
 (** {1 Classes}
 
     Each event belongs to one class: [engine] (the [Engine_*] events),
     [net] (the [Net_*] events and [Retransmit]), [op] ([Op_begin],
     [Op_end], [Batch_flush]), [msg] ([Msg_sent], [Msg_delivered]),
-    [lock], [rmw], [apply] (what a target NIC applied), [coherence],
+    [lock], [rmw] ([Atomic_applied], [Acc_applied]: an RMW a target
+    NIC committed), [apply] ([Write_applied], [Read_served]: the other
+    memory effects a NIC applied), [coherence],
     [check] ([Detector_check], [Clock_merge]), [race] ([Race_signal]),
     [run_begin] ([Run_begin] alone, so a per-run sink can reset on it)
     and [explore] (the explorer's other events). *)
@@ -71,10 +87,17 @@ type t = private {
   mutable on : classes;
       (** the attached sinks' classes; hot paths read it directly *)
   sinks : (event -> unit) array array;  (** per class, in attach order *)
+  clock : float ref;  (** the owning engine's clock; sinks only read it *)
 }
 
-val create : unit -> t
-(** A bus with no sinks: [on = 0], every guarded emit site a no-op. *)
+val create : clock:float ref -> t
+(** A bus with no sinks: [on = 0], every guarded emit site a no-op.
+    [clock] is the owning engine's simulated time ([Dsm_sim.Engine]
+    passes its own cell, once), which {!now} reads. *)
+
+val now : t -> float
+(** The simulated time, in microseconds, at which the event being
+    delivered happened: a sink calls it while it handles the event. *)
 
 val attach : t -> classes -> (event -> unit) -> unit
 (** [attach t classes sink] subscribes [sink] to the events of

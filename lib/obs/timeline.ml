@@ -109,27 +109,35 @@ let flow t ~pid ~phase ~id ~name ~ts =
    visible slice to anchor to in the Perfetto UI *)
 let stub_dur = 0.2
 
-let sink t (ev : Probe.event) =
+(* An RMW's linearization point, an instant on its target node's lane. *)
+let rmw t ~time ~node ~origin ~offset ~len kind =
+  instant t ~pid:node
+    ~name:(Printf.sprintf "rmw %s" kind)
+    ~cat:"rmw" ~ts:time
+    ~args:[ ("origin", Int origin); ("offset", Int offset); ("len", Int len) ]
+
+let sink t bus (ev : Probe.event) =
+  let time = Probe.now bus in
   match ev with
-  | Engine_choice { time; ready; chosen } ->
+  | Engine_choice { ready; chosen } ->
       instant t ~pid:scheduler_pid ~name:"choice" ~cat:"sched" ~ts:time
         ~args:[ ("ready", Int ready); ("chosen", Int chosen) ]
-  | Engine_quiescence { time; events; outcome } ->
+  | Engine_quiescence { events; outcome } ->
       instant t ~pid:scheduler_pid ~name:"quiescence" ~cat:"sched" ~ts:time
         ~args:[ ("events", Int events); ("outcome", String outcome) ]
   | Net_send _ | Net_deliver _ -> ()
-  | Net_drop { time; src; dst } ->
+  | Net_drop { src; dst } ->
       instant t ~pid:src ~name:"drop" ~cat:"fault" ~ts:time
         ~args:[ ("dst", Int dst) ]
-  | Net_duplicate { time; src; dst } ->
+  | Net_duplicate { src; dst } ->
       instant t ~pid:src ~name:"duplicate" ~cat:"fault" ~ts:time
         ~args:[ ("dst", Int dst) ]
-  | Net_reorder { time; src; dst } ->
+  | Net_reorder { src; dst } ->
       instant t ~pid:src ~name:"reorder" ~cat:"fault" ~ts:time
         ~args:[ ("dst", Int dst) ]
-  | Op_begin { time; pid = _; op; kind = _; target } ->
+  | Op_begin { pid = _; op; kind = _; target } ->
       Int_tbl.replace t.ops op (time, target)
-  | Op_end { time; pid; op; kind } -> (
+  | Op_end { pid; op; kind } -> (
       match Int_tbl.find_opt t.ops op with
       | None -> ()
       | Some (t0, target) ->
@@ -139,14 +147,14 @@ let sink t (ev : Probe.event) =
             ~cat:"op" ~ts:t0
             ~dur:(Float.max (time -. t0) 0.)
             ~args:[ ("op", Int op); ("target", Int target) ])
-  | Msg_sent { time; src; dst; msg } ->
+  | Msg_sent { src; dst; msg } ->
       let label = Msg.label msg in
       let id = t.next_flow in
       t.next_flow <- id + 1;
       Msg.push_sent t.flows ~src ~dst label id;
       slice t ~pid:src ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur ~args:[];
       flow t ~pid:src ~phase:"s" ~id ~name:label ~ts:time
-  | Msg_delivered { time; src; dst; msg } -> (
+  | Msg_delivered { src; dst; msg } -> (
       let label = Msg.label msg in
       match Msg.pop_sent t.flows ~src ~dst label with
       | None -> ()
@@ -154,11 +162,11 @@ let sink t (ev : Probe.event) =
           slice t ~pid:dst ~name:label ~cat:"msg" ~ts:time ~dur:stub_dur
             ~args:[];
           flow t ~pid:dst ~phase:"f" ~id ~name:label ~ts:time)
-  | Lock_acquired { time; pid; node; offset; len } ->
+  | Lock_acquired { pid; node; offset; len } ->
       Hashtbl.replace t.locks (pid, node, offset) time;
       instant t ~pid ~name:"lock acquired" ~cat:"lock" ~ts:time
         ~args:[ ("node", Int node); ("offset", Int offset); ("len", Int len) ]
-  | Lock_released { time; pid; node; offset; len } -> (
+  | Lock_released { pid; node; offset; len } -> (
       match Hashtbl.find_opt t.locks (pid, node, offset) with
       | None -> ()
       | Some t0 ->
@@ -168,32 +176,25 @@ let sink t (ev : Probe.event) =
             ~cat:"lock" ~ts:t0
             ~dur:(Float.max (time -. t0) 0.)
             ~args:[])
-  | Retransmit { time; src; dst; seq } ->
+  | Retransmit { src; dst; seq } ->
       instant t ~pid:src ~name:"retransmit" ~cat:"fault" ~ts:time
         ~args:[ ("dst", Int dst); ("seq", Int seq) ]
-  | Batch_flush { time; pid; node; kind; parts; words } ->
+  | Batch_flush { pid; node; kind; parts; words } ->
       instant t ~pid
         ~name:(Printf.sprintf "batch %s" kind)
         ~cat:"batch" ~ts:time
         ~args:[ ("node", Int node); ("parts", Int parts); ("words", Int words) ]
-  | Rmw { time; node; origin; offset; len; kind } ->
-      instant t ~pid:node
-        ~name:(Printf.sprintf "rmw %s" kind)
-        ~cat:"rmw" ~ts:time
-        ~args:
-          [
-            ("origin", Int origin);
-            ("offset", Int offset);
-            ("len", Int len);
-          ]
-  | Coherence_violation { time; node; offset; origin } ->
+  | Atomic_applied { node; offset; kind; origin; _ } ->
+      rmw t ~time ~node ~origin ~offset ~len:1 (Probe.atomic_name kind)
+  | Acc_applied { node; offset; aop; old; origin; _ } ->
+      rmw t ~time ~node ~origin ~offset ~len:(Array.length old)
+        (Probe.acc_name aop)
+  | Coherence_violation { node; offset; origin } ->
       instant t ~pid:node ~name:"coherence violation" ~cat:"violation"
         ~ts:time
         ~args:[ ("offset", Int offset); ("origin", Int origin) ]
-  | Detector_check _ | Clock_merge _ | Write_applied _ | Read_served _
-  | Atomic_applied _ | Acc_applied _ ->
-      ()
-  | Race_signal { time; pid; node; offset; len; kind; against } ->
+  | Detector_check _ | Clock_merge _ | Write_applied _ | Read_served _ -> ()
+  | Race_signal { pid; node; offset; len; kind; against } ->
       instant t ~pid ~name:"race signal" ~cat:"race" ~ts:time
         ~args:
           [
@@ -228,7 +229,7 @@ let subscribe t bus =
   attach bus
     (engine lor net lor op lor msg lor lock lor rmw lor coherence lor race
    lor explore)
-    (sink t)
+    (sink t bus)
 
 let attach bus =
   let t = create () in

@@ -31,20 +31,20 @@ let record t ~node ~offset value =
 let declare_init t ~node ~offset data =
   Array.iteri (fun i v -> record t ~node ~offset:(offset + i) v) data
 
-let violate t ~time ~node ~offset ~origin ~expected observed =
+let violate t ~node ~offset ~origin ~expected observed =
+  let time = Probe.now t.probe in
   t.violations <-
     { time; node; offset; expected; observed; origin } :: t.violations;
   if t.probe.on land Probe.coherence <> 0 then
-    Probe.emit t.probe
-      (Coherence_violation { time; node; offset; origin })
+    Probe.emit t.probe (Coherence_violation { node; offset; origin })
 
-let check t ~time ~node ~offset ~origin observed =
+let check t ~node ~offset ~origin observed =
   t.checked <- t.checked + 1;
   match Int_tbl.find t.shadow (key t ~node ~offset) with
   | exception Not_found -> record t ~node ~offset observed
   | expected ->
       if expected <> observed then
-        violate t ~time ~node ~offset ~origin ~expected observed
+        violate t ~node ~offset ~origin ~expected observed
 
 let rmw_violate t fmt =
   Printf.ksprintf (fun s -> t.rmw_violations <- s :: t.rmw_violations) fmt
@@ -55,43 +55,42 @@ let rmw_violate t fmt =
    read; an [old] that disagrees with the shadow is also a lost update,
    because some earlier apply's effect went missing. Its write side
    updates the shadow. *)
-let rmw_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
+let rmw_word t ~what ~node ~offset ~origin ~old ~result ~spec =
   t.checked <- t.checked + 1;
   (match Int_tbl.find t.shadow (key t ~node ~offset) with
   | exception Not_found -> ()
   | expected ->
       if expected <> old then begin
-        violate t ~time ~node ~offset ~origin ~expected old;
+        violate t ~node ~offset ~origin ~expected old;
         rmw_violate t
           "%s at t=%.3f on %d[%d] by P%d: read %d but the reference heap \
            holds %d (lost update)"
-          what time node offset origin old expected
+          what (Probe.now t.probe) node offset origin old expected
       end);
   if result <> spec then
     rmw_violate t
       "%s at t=%.3f on %d[%d] by P%d: left %d behind but the serial \
        specification of old=%d gives %d"
-      what time node offset origin result old spec;
+      what (Probe.now t.probe) node offset origin result old spec;
   record t ~node ~offset result
 
 let sink t (ev : Probe.event) =
   match ev with
   | Write_applied { node; offset; data; _ } ->
       Array.iteri (fun i v -> record t ~node ~offset:(offset + i) v) data
-  | Read_served { time; node; offset; data; origin } ->
+  | Read_served { node; offset; data; origin } ->
       Array.iteri
-        (fun i v -> check t ~time ~node ~offset:(offset + i) ~origin v)
+        (fun i v -> check t ~node ~offset:(offset + i) ~origin v)
         data
-  | Atomic_applied { time; node; offset; kind; old_value; new_value; origin }
-    ->
-      rmw_word t ~what:(Message.atomic_rmw_name kind) ~time ~node ~offset
-        ~origin ~old:old_value ~result:new_value
+  | Atomic_applied { node; offset; kind; old_value; new_value; origin } ->
+      rmw_word t ~what:(Probe.atomic_name kind) ~node ~offset ~origin
+        ~old:old_value ~result:new_value
         ~spec:(Message.apply_atomic kind old_value)
-  | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
-      let what = Message.acc_rmw_name aop in
+  | Acc_applied { node; offset; aop; old; data; result; origin } ->
+      let what = Probe.acc_name aop in
       Array.iteri
         (fun i o ->
-          rmw_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
+          rmw_word t ~what ~node ~offset:(offset + i) ~origin ~old:o
             ~result:result.(i)
             ~spec:(Message.apply_acc aop o data.(i)))
         old
@@ -108,7 +107,7 @@ let attach m =
       checked = 0;
     }
   in
-  Probe.attach t.probe Probe.apply (sink t);
+  Probe.attach t.probe Probe.(apply lor rmw) (sink t);
   t
 
 let reset t =

@@ -8,10 +8,13 @@
     reads the probe bus's [Dsm_obs.Probe.apply] class — every write to
     public memory, the NIC's applications and the getter's own landing
     of a get into a public destination alike — replays the writes into
-    one shadow memory, and compares every served read against it.
+    one shadow memory, and compares every served read against it. A
+    violation's [time] is the bus's clock ([Dsm_obs.Probe.now]) at the
+    apply that exposed it.
 
     The same shadow is the serial-specification oracle for one-sided
-    RMWs. The target NIC applies the RMWs on a granule under the region
+    RMWs, whose applies are the bus's [Dsm_obs.Probe.rmw] class. The
+    target NIC applies the RMWs on a granule under the region
     lock, so their applies form a total order per word. An RMW whose
     observed old value diverges from the shadow is a coherence violation
     and a lost update (the §5.2 window the region lock is meant to
@@ -42,7 +45,8 @@ type violation = {
 }
 
 val attach : Machine.t -> t
-(** Subscribes a checker to the apply class of the machine's probe bus.
+(** Subscribes a checker to the apply and rmw classes of the machine's
+    probe bus.
     Attach before running. The bus lives on the engine and outlives
     [Machine.reset], so a checker is attached once per engine and sees
     every later run on it: call {!reset} between runs, as the explorer

@@ -83,15 +83,6 @@ type proc = { m : t; p : int }
 
 (* ---------- construction ---------- *)
 
-(* [rdma.rmw] probe point: fires at the target NIC at the instant a
-   one-sided RMW (single-word atomic or span accumulate) is applied —
-   the operation's linearization point. *)
-let rmw_probe m ~node ~origin ~offset ~len ~kind =
-  let probe = Engine.probe m.sim in
-  if probe.on land Probe.rmw <> 0 then
-    Probe.emit probe
-      (Rmw { time = Engine.now m.sim; node; origin; offset; len; kind })
-
 (* The messages a clock piggyback rides on: data towards the target
    (puts), data back to the initiator (replies), and lock grants (a
    release publishes the holder's history to the next holder). Requests
@@ -117,8 +108,7 @@ let rec handle m ~node ~src msg =
   (let probe = Engine.probe m.sim in
    if probe.on land Probe.msg <> 0 then
      Probe.emit probe
-       (Msg_delivered
-          { time = Engine.now m.sim; src; dst = node; msg = Message.fields msg }));
+       (Msg_delivered { src; dst = node; msg = Message.fields msg }));
   match msg with
   | Message.Put { op; origin; offset; data; locked; want_ack; _ }
     when (not m.mh.Model.atomic_puts) && Array.length data > 1 ->
@@ -229,8 +219,8 @@ and respond m ~node ~origin reply =
   if reply != no_reply then transmit m ~src:node ~dst:origin reply
 
 (* Step 3, apply: the request's effect on [node]'s public memory, with
-   its apply event (and its [Rmw] event for an RMW), at the instant the
-   NIC commits it (inside the lock hold). Returns the reply to send, or
+   its apply event ([Probe.rmw]'s for an RMW), at the instant the NIC
+   commits it (inside the lock hold). Returns the reply to send, or
    [no_reply]. *)
 and apply m ~node msg =
   let public = Node_memory.segment m.nodes.(node) Addr.Public in
@@ -251,8 +241,7 @@ and apply m ~node msg =
       let data = Segment.read_block public ~offset ~len in
       (let probe = Engine.probe m.sim in
        if probe.on land Probe.apply <> 0 then
-         Probe.emit probe
-           (Read_served { time = Engine.now m.sim; node; offset; data; origin }));
+         Probe.emit probe (Read_served { node; offset; data; origin }));
       Message.Get_reply { op; data; extra_words }
   | Message.Atomic { op; origin; offset; kind; _ } ->
       let old_value = Segment.read public ~offset in
@@ -266,20 +255,9 @@ and apply m ~node msg =
       in
       Segment.write_block public ~offset result;
       (let probe = Engine.probe m.sim in
-       if probe.on land Probe.apply <> 0 then
+       if probe.on land Probe.rmw <> 0 then
          Probe.emit probe
-           (Acc_applied
-              {
-                time = Engine.now m.sim;
-                node;
-                offset;
-                aop;
-                old;
-                data;
-                result;
-                origin;
-              }));
-      rmw_probe m ~node ~origin ~offset ~len ~kind:(Message.acc_rmw_name aop);
+           (Acc_applied { node; offset; aop; old; data; result; origin }));
       Message.Acc_reply { op; old; extra_words }
   | _ -> invalid_arg "Machine.apply: not a data or RMW request"
 
@@ -287,27 +265,16 @@ and write_part m ~node ~origin ~public ~offset data =
   Segment.write_block public ~offset data;
   let probe = Engine.probe m.sim in
   if probe.on land Probe.apply <> 0 then
-    Probe.emit probe
-      (Write_applied { time = Engine.now m.sim; node; offset; data; origin })
+    Probe.emit probe (Write_applied { node; offset; data; origin })
 
 (* The write half of a single-word RMW whose read returned [old_value]. *)
 and write_atomic m ~node ~origin ~public ~offset kind old_value =
   let new_value = Message.apply_atomic kind old_value in
   Segment.write public ~offset new_value;
-  (let probe = Engine.probe m.sim in
-   if probe.on land Probe.apply <> 0 then
-     Probe.emit probe
-       (Atomic_applied
-          {
-            time = Engine.now m.sim;
-            node;
-            offset;
-            kind;
-            old_value;
-            new_value;
-            origin;
-          }));
-  rmw_probe m ~node ~origin ~offset ~len:1 ~kind:(Message.atomic_rmw_name kind)
+  let probe = Engine.probe m.sim in
+  if probe.on land Probe.rmw <> 0 then
+    Probe.emit probe
+      (Atomic_applied { node; offset; kind; old_value; new_value; origin })
 
 (* Step 4, complete, at the initiator's NIC: the reply fills the ivar
    [complete] waits on. *)
@@ -360,8 +327,7 @@ and transmit m ~src ~dst msg =
   (let probe = Engine.probe m.sim in
    if probe.on land Probe.msg <> 0 then
      Probe.emit probe
-       (Msg_sent
-          { time = Engine.now m.sim; src; dst; msg = Message.fields msg }));
+       (Msg_sent { src; dst; msg = Message.fields msg }));
   (* Footprint of the delivery event: a request's handler mutates the
      destination node's state on behalf of the sending process (origin =
      src, since pid = node); a reply's handler only completes a pending
@@ -626,7 +592,7 @@ let batch_flush p ~node ~kind ~parts ~words =
   if probe.on land Probe.op <> 0 then
     Probe.emit probe
       (Batch_flush
-         { time = Engine.now p.m.sim; pid = p.p; node; kind; parts; words })
+         { pid = p.p; node; kind; parts; words })
 
 (* Step 1, issue: [Op_begin] ([Batch_flush] too for a coalesced put) and
    the request [msg], its id [op] from [fresh_op], on the wire to
@@ -635,7 +601,7 @@ let issue p ~op ~kind ~target msg =
   let probe = Engine.probe p.m.sim in
   if probe.on land Probe.op <> 0 && kind <> "" then
     Probe.emit probe
-      (Op_begin { time = Engine.now p.m.sim; pid = p.p; op; kind; target });
+      (Op_begin { pid = p.p; op; kind; target });
   (match msg with
   | Message.Put_batch { parts; _ } ->
       batch_flush p ~node:target ~kind ~parts:(Array.length parts)
@@ -648,7 +614,7 @@ let op_end p ~op ~kind =
   let probe = Engine.probe p.m.sim in
   if probe.on land Probe.op <> 0 && kind <> "" then
     Probe.emit probe
-      (Op_end { time = Engine.now p.m.sim; pid = p.p; op; kind })
+      (Op_end { pid = p.p; op; kind })
 
 (* Step 4, complete, on the initiator: waits for the reply to [op] that
    [fill_reply] files in [pending] at the initiator's NIC, then fires
@@ -901,12 +867,10 @@ type token =
 
 let lock_probe p ~acquired ~node ~offset ~len =
   let probe = Engine.probe p.m.sim in
-  if probe.on land Probe.lock <> 0 then begin
-    let time = Engine.now p.m.sim in
+  if probe.on land Probe.lock <> 0 then
     Probe.emit probe
-      (if acquired then Lock_acquired { time; pid = p.p; node; offset; len }
-       else Lock_released { time; pid = p.p; node; offset; len })
-  end
+      (if acquired then Lock_acquired { pid = p.p; node; offset; len }
+       else Lock_released { pid = p.p; node; offset; len })
 
 let lock p (r : Addr.region) =
   match (r.base.space, r.base.pid = p.p) with

@@ -24,9 +24,9 @@
     Every verb runs as four steps. {b Issue}: [Op_begin] and the
     request sent ([Msg_sent]). {b Lock}: once it is delivered
     ([Msg_delivered]), the target NIC takes the range lock if locked.
-    {b Apply}: the memory effect and its event on the probe bus's
-    [Dsm_obs.Probe.apply] class ([Write_applied], [Read_served],
-    [Atomic_applied], [Acc_applied]; an RMW also fires the [Rmw] probe),
+    {b Apply}: the memory effect and its one event on the probe bus:
+    [Write_applied] or [Read_served] in the [Dsm_obs.Probe.apply] class,
+    [Atomic_applied] or [Acc_applied] in the [Dsm_obs.Probe.rmw] class,
     then the release and the reply. {b Complete}: the
     reply fills the initiator's pending operation, and the resumed
     process fires [Op_end]. DESIGN.md §14 places every probe.

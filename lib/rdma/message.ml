@@ -61,24 +61,6 @@ and atomic_kind = Dsm_obs.Probe.atomic_kind =
 
 and acc_op = Dsm_obs.Probe.acc_op = Add | Min | Max | Band | Bor
 
-let acc_op_name = function
-  | Add -> "add"
-  | Min -> "min"
-  | Max -> "max"
-  | Band -> "band"
-  | Bor -> "bor"
-
-let atomic_rmw_name = function
-  | Fetch_add _ -> "fetch_add"
-  | Compare_and_swap _ -> "cas"
-
-let acc_rmw_name = function
-  | Add -> "acc:add"
-  | Min -> "acc:min"
-  | Max -> "acc:max"
-  | Band -> "acc:band"
-  | Bor -> "acc:bor"
-
 let apply_acc aop old operand =
   match aop with
   | Add -> old + operand
@@ -177,7 +159,7 @@ let fields msg : Dsm_obs.Msg.t =
       { m with kind = M.Atomic_reply; op; arg = old_value }
   | Accumulate { op; origin; offset; aop; data; _ } ->
       { m with kind = M.Accumulate; op; origin; offset; len = Array.length data;
-        name = acc_op_name aop }
+        name = Dsm_obs.Probe.acc_op_name aop }
   | Acc_reply { op; old; _ } ->
       { m with kind = M.Acc_reply; op; len = Array.length old }
   | Lock_request { op; origin; offset; len } ->

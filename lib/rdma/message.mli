@@ -94,15 +94,6 @@ and atomic_kind = Dsm_obs.Probe.atomic_kind =
 and acc_op = Dsm_obs.Probe.acc_op = Add | Min | Max | Band | Bor
     (** generalized accumulate operators (§5.2 one-sided extensions) *)
 
-val atomic_rmw_name : atomic_kind -> string
-(** ["fetch_add"] or ["cas"]: an atomic's name in the [Rmw] probe's
-    [kind] and in the coherence checker's RMW violations. *)
-
-val acc_rmw_name : acc_op -> string
-(** ["acc:add"], ["acc:min"], ["acc:max"], ["acc:band"] or ["acc:bor"]:
-    an accumulate's name where {!atomic_rmw_name} names an atomic. Each
-    is a literal, so naming an RMW allocates nothing. *)
-
 val apply_acc : acc_op -> int -> int -> int
 (** [apply_acc aop old operand] is the serial meaning of one accumulate
     word: the value the target cell holds afterwards. *)

@@ -404,10 +404,10 @@ let replay e token =
   let probe bus =
     arrows := Dsm_experiments.Harness.collect_arrows bus;
     Dsm_obs.Probe.attach bus Dsm_obs.Probe.race (function
-      | Dsm_obs.Probe.Race_signal { time; pid; node; offset; len; _ } ->
+      | Dsm_obs.Probe.Race_signal { pid; node; offset; len; _ } ->
           marks :=
             {
-              Dsm_trace.Spacetime.time;
+              Dsm_trace.Spacetime.time = Dsm_obs.Probe.now bus;
               pid;
               text = Printf.sprintf "RACE n%d+%d/%d" node offset len;
             }

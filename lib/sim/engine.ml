@@ -12,7 +12,9 @@ type fifo = {
 }
 
 type t = {
-  mutable now : float;
+  clock : float ref;
+      (* the simulated time, in microseconds; the bus reads the same
+         cell, so a probe sink sees the instant its event happened *)
   mutable seq : int;
   mutable events : int;
   mutable live : int;
@@ -45,8 +47,9 @@ exception Process_failure of string * exn
 type _ Effect.t += Await : (('a -> unit) -> unit) -> 'a Effect.t
 
 let create ?(seed = 0x5eed) () =
+  let clock = ref 0. in
   {
-    now = 0.;
+    clock;
     seq = 0;
     events = 0;
     live = 0;
@@ -56,7 +59,7 @@ let create ?(seed = 0x5eed) () =
     heap = Heap.create ~dummy:ignore;
     fifo = { actions = [||]; seqs = [||]; labels = [||]; head = 0; len = 0 };
     rng = Prng.create ~seed;
-    probe = Dsm_obs.Probe.create ();
+    probe = Dsm_obs.Probe.create ~clock;
   }
 
 (* ---------- the current instant's FIFO ---------- *)
@@ -129,7 +132,7 @@ let fifo_clear q =
    entries that would have resumed them: clearing overwrites their
    slots, so they are unreachable and get collected. *)
 let reset ?(seed = 0x5eed) sim =
-  sim.now <- 0.;
+  sim.clock := 0.;
   sim.seq <- 0;
   sim.events <- 0;
   sim.live <- 0;
@@ -140,7 +143,7 @@ let reset ?(seed = 0x5eed) sim =
   fifo_clear sim.fifo;
   Prng.reseed sim.rng ~seed
 
-let now sim = sim.now
+let now sim = !(sim.clock)
 
 let rng sim = sim.rng
 
@@ -152,14 +155,14 @@ let next_seq sim =
   s
 
 let schedule_at sim ~at ~label f =
-  if at < sim.now then invalid_arg "Engine.schedule_at: time in the past";
+  if at < now sim then invalid_arg "Engine.schedule_at: time in the past";
   let seq = next_seq sim in
-  if at = sim.now then fifo_push sim.fifo ~seq ~label f
+  if at = now sim then fifo_push sim.fifo ~seq ~label f
   else Heap.add sim.heap ~time:at ~seq ~label f
 
 let schedule sim ?(delay = 0.) ?(label = Label.unknown) f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at sim ~at:(sim.now +. delay) ~label f
+  schedule_at sim ~at:(now sim +. delay) ~label f
 
 (* Who a process is, kept as one value so that each suspension's
    resumer captures one word for it; its name is formatted only when a
@@ -240,13 +243,13 @@ let spawn sim ?name ?(label = Label.unknown) body =
     | None -> Anonymous
   in
   sim.live <- sim.live + 1;
-  schedule_at sim ~at:sim.now ~label (fun () -> start_process sim who body)
+  schedule_at sim ~at:(now sim) ~label (fun () -> start_process sim who body)
 
 let await _sim register = Effect.perform (Await register)
 
 let sleep ?(label = Label.unknown) sim dt =
   if dt < 0. then invalid_arg "Engine.sleep: negative duration";
-  await sim (fun resume -> schedule_at sim ~at:(sim.now +. dt) ~label resume)
+  await sim (fun resume -> schedule_at sim ~at:(now sim +. dt) ~label resume)
 
 type outcome =
   | Completed
@@ -259,15 +262,16 @@ let set_chooser sim f = sim.chooser <- f
 
 let set_choice_view sim f = sim.choice_view <- f
 
-(* A choice point: ties on simulated time become explicit, and the
-   chooser picks which of the ready events fires next. The ready set at
-   [time] is the heap's entries at [time], in seq order, followed by the
-   FIFO when [time] is [now]: that is seq order too (see [run]). With
-   exactly one event ready this is the production pop. *)
-let pop_chosen sim choose time =
+(* A choice point at [now]: ties on simulated time become explicit, and
+   the chooser picks which of the ready events fires next. The ready set
+   is the heap's entries at [now], in seq order, followed by the FIFO:
+   that is seq order too (see [run]). The clock already reads [now], so
+   a sink of the [Engine_choice] event sees the instant the chosen event
+   fires at. With exactly one event ready this is the production pop. *)
+let pop_chosen sim choose =
   let q = sim.fifo in
   let in_heap =
-    if Heap.min_at sim.heap time then Heap.ready_count sim.heap else 0
+    if Heap.min_at sim.heap (now sim) then Heap.ready_count sim.heap else 0
   in
   match in_heap + q.len with
   | 1 -> if in_heap = 1 then Heap.pop_min sim.heap else fifo_take q
@@ -289,8 +293,7 @@ let pop_chosen sim choose time =
           | None -> invalid_arg "Engine: choice point on an empty heap"
       in
       if sim.probe.on land Dsm_obs.Probe.engine <> 0 then
-        Dsm_obs.Probe.emit sim.probe
-          (Engine_choice { time; ready = r; chosen = k });
+        Dsm_obs.Probe.emit sim.probe (Engine_choice { ready = r; chosen = k });
       action
 
 (* The FIFO holds the events scheduled for [now] while the clock stood
@@ -316,8 +319,7 @@ let run ?max_events sim =
   let quiescence outcome name =
     if sim.probe.on land Dsm_obs.Probe.engine <> 0 then
       Dsm_obs.Probe.emit sim.probe
-        (Engine_quiescence
-           { time = sim.now; events = sim.events; outcome = name });
+        (Engine_quiescence { events = sim.events; outcome = name });
     outcome
   in
   (* With no chooser the pop is exactly (time, seq) order, the
@@ -329,21 +331,19 @@ let run ?max_events sim =
       fire
         (match sim.chooser with
         | None ->
-            if Heap.min_at sim.heap sim.now then Heap.pop_min sim.heap
+            if Heap.min_at sim.heap (now sim) then Heap.pop_min sim.heap
             else fifo_take sim.fifo
-        | Some choose -> pop_chosen sim choose sim.now)
+        | Some choose -> pop_chosen sim choose)
     else if Heap.is_empty sim.heap then
       if sim.live > 0 then quiescence (Blocked sim.live) "blocked"
       else quiescence Completed "completed"
-    else
-      let time = Heap.min_time sim.heap in
-      let action =
-        match sim.chooser with
+    else begin
+      sim.clock := Heap.min_time sim.heap;
+      fire
+        (match sim.chooser with
         | None -> Heap.pop_min sim.heap
-        | Some choose -> pop_chosen sim choose time
-      in
-      sim.now <- time;
-      fire action
+        | Some choose -> pop_chosen sim choose)
+    end
   and fire action =
     sim.events <- sim.events + 1;
     action ();

@@ -31,7 +31,8 @@ val reset : ?seed:int -> t -> unit
     observationally identical. *)
 
 val now : t -> float
-(** Current simulated time. *)
+(** Current simulated time, the cell the bus's {!Dsm_obs.Probe.now}
+    reads. *)
 
 val rng : t -> Prng.t
 (** The simulation's root generator. Components should {!Prng.split} it at
@@ -107,7 +108,8 @@ val run : ?max_events:int -> t -> outcome
 val set_chooser : t -> (int -> int) option -> unit
 (** [set_chooser sim (Some f)] turns ties on simulated time into explicit
     scheduler choice points: whenever [k >= 2] events are ready at the
-    next instant, [f k] picks which fires (0 is the default
+    next instant, the clock moves to that instant and [f k] picks which
+    fires (0 is the default
     schedule-order event; out-of-range picks are clamped). The hook of
     the [dsm_explore] schedule explorer. [None] (the default) restores
     the deterministic [(time, seq)] order — the production path is

@@ -1,7 +1,8 @@
 (* Reference oracle for the race report's sync edge: the search as it
    was before the window index kept each endpoint pair's best delivery
    and each node's lock and RMW events. Every race scans every step of
-   the window, oldest first: lock releases and acquisitions, RMWs, and
+   the window, oldest first: lock releases and acquisitions, RMW
+   applies, and
    deliveries (each paired with the latest earlier send of its
    (src, dst, op)). A candidate replaces the best one whenever its edge
    time is at least the best's, so on equal times the later step wins.
@@ -12,17 +13,17 @@ module Probe = Dsm_obs.Probe
 module Msg = Dsm_obs.Msg
 open Dsm_obs.Explain
 
-type step = Sync of Probe.event | Delivery of msg
+type step = Sync of float * Probe.event | Delivery of msg
 
 let steps window =
   let sent = Hashtbl.create 64 in
   List.filter_map
-    (fun (ev : Probe.event) ->
+    (fun (time, (ev : Probe.event)) ->
       match ev with
-      | Msg_sent { time; src; dst; msg } ->
+      | Msg_sent { src; dst; msg } ->
           Hashtbl.replace sent (src, dst, msg.Msg.op) time;
           None
-      | Msg_delivered { time; src; dst; msg } ->
+      | Msg_delivered { src; dst; msg } ->
           Some
             (Delivery
                {
@@ -36,7 +37,9 @@ let steps window =
                    | None -> -1.);
                  m_delivered = time;
                })
-      | Lock_acquired _ | Lock_released _ | Rmw _ -> Some (Sync ev)
+      | Lock_acquired _ | Lock_released _ | Atomic_applied _ | Acc_applied _
+        ->
+          Some (Sync (time, ev))
       | _ -> None)
     window
 
@@ -59,10 +62,10 @@ let find_sync window ~p1 ~p2 ~node ~offset ~len =
   let released1 = ref None and released2 = ref None in
   List.iter
     (function
-      | Sync (Lock_released { time; pid; node = n'; offset = o'; len = l' })
+      | Sync (time, Lock_released { pid; node = n'; offset = o'; len = l' })
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' ->
           if pid = p1 then released1 := Some time else released2 := Some time
-      | Sync (Lock_acquired { time; pid; node = n'; offset = o'; len = l' })
+      | Sync (time, Lock_acquired { pid; node = n'; offset = o'; len = l' })
         when involves pid ~p1 ~p2 && overlaps ~node ~offset ~len n' o' l' -> (
           let other = if pid = p1 then p2 else p1 in
           match if other = p1 then !released1 else !released2 with
@@ -84,11 +87,30 @@ let find_sync window ~p1 ~p2 ~node ~offset ~len =
              && ((m.m_src = p1 && m.m_dst = p2)
                 || (m.m_src = p2 && m.m_dst = p1)) ->
           consider (Message m)
-      | Sync (Rmw { time; node = n'; origin; offset = o'; len = l'; kind })
-        when overlaps ~node ~offset ~len n' o' l' ->
+      | Sync (time, Atomic_applied { node = n'; origin; offset = o'; kind; _ })
+        when overlaps ~node ~offset ~len n' o' 1 ->
           consider
             (Rmw_serialization
-               { node = n'; origin; offset = o'; len = l'; kind; time })
+               {
+                 node = n';
+                 origin;
+                 offset = o';
+                 len = 1;
+                 kind = Probe.atomic_name kind;
+                 time;
+               })
+      | Sync (time, Acc_applied { node = n'; origin; offset = o'; aop; old; _ })
+        when overlaps ~node ~offset ~len n' o' (Array.length old) ->
+          consider
+            (Rmw_serialization
+               {
+                 node = n';
+                 origin;
+                 offset = o';
+                 len = Array.length old;
+                 kind = Probe.acc_name aop;
+                 time;
+               })
       | Sync _ | Delivery _ -> ())
     (steps window);
   !best

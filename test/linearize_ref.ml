@@ -7,7 +7,8 @@
 
    The NIC applies every RMW on a granule under the target's region
    lock, so within one run the applies on a word are totally ordered.
-   This sink of the probe bus's apply class replays that order against an atomic reference heap:
+   This sink of the probe bus's apply and rmw classes replays that order
+   against an atomic reference heap:
    each RMW must (a) have read exactly the value the reference heap
    holds at its linearization point, and (b) have left behind exactly
    [apply_atomic kind old] / [apply_acc aop old operand]. Any lost
@@ -31,6 +32,7 @@ module Message = Dsm_rdma.Message
 module Probe = Dsm_obs.Probe
 
 type t = {
+  bus : Probe.t; (* read for each RMW's time *)
   heap : (int * int, int) Hashtbl.t; (* (node, offset) -> reference value *)
   mutable violations : string list; (* newest first *)
   mutable checked : int; (* RMW apply events replayed *)
@@ -41,7 +43,8 @@ let violate t fmt = Printf.ksprintf (fun s -> t.violations <- s :: t.violations)
 (* One word of the reference heap at its linearization point: [old] is
    what the NIC claims the cell held, [result] what it left behind,
    [spec] the serial specification's result for [old]. *)
-let step_word t ~what ~time ~node ~offset ~origin ~old ~result ~spec =
+let step_word t ~what ~node ~offset ~origin ~old ~result ~spec =
+  let time = Probe.now t.bus in
   t.checked <- t.checked + 1;
   (match Hashtbl.find_opt t.heap (node, offset) with
   | None -> () (* first sighting: adopt the observed old value *)
@@ -73,16 +76,16 @@ let observe t (ev : Probe.event) =
           if not (Hashtbl.mem t.heap (node, offset + i)) then
             Hashtbl.add t.heap (node, offset + i) v)
         data
-  | Atomic_applied { time; node; offset; kind; old_value; new_value; origin } ->
+  | Atomic_applied { node; offset; kind; old_value; new_value; origin } ->
       let what =
         match kind with
         | Message.Fetch_add _ -> "fetch_add"
         | Message.Compare_and_swap _ -> "cas"
       in
-      step_word t ~what ~time ~node ~offset ~origin ~old:old_value
+      step_word t ~what ~node ~offset ~origin ~old:old_value
         ~result:new_value
         ~spec:(Message.apply_atomic kind old_value)
-  | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
+  | Acc_applied { node; offset; aop; old; data; result; origin } ->
       let what =
         match aop with
         | Message.Add -> "acc:add"
@@ -93,15 +96,16 @@ let observe t (ev : Probe.event) =
       in
       Array.iteri
         (fun i o ->
-          step_word t ~what ~time ~node ~offset:(offset + i) ~origin ~old:o
+          step_word t ~what ~node ~offset:(offset + i) ~origin ~old:o
             ~result:result.(i)
             ~spec:(Message.apply_acc aop o data.(i)))
         old
   | _ -> ()
 
 let attach m =
-  let t = { heap = Hashtbl.create 64; violations = []; checked = 0 } in
-  Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) Probe.apply (observe t);
+  let bus = Dsm_sim.Engine.probe (Machine.sim m) in
+  let t = { bus; heap = Hashtbl.create 64; violations = []; checked = 0 } in
+  Probe.attach bus Probe.(apply lor rmw) (observe t);
   t
 
 let violations t = List.rev t.violations

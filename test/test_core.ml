@@ -1352,8 +1352,10 @@ let test_checked_scale_retained () =
 (* The explorer's walk loop: [workload:random] at n=3, seed 1, each walk
    replayed for the determinism check, in an arena whose machine the
    first run already built. Its mean minor words per walk may not rise:
-   11,402.1 in the default build and 12,274.1 under --profile dev when
-   this ceiling was set just above the higher of the two (11,947.3, with
+   11,348.1 in the default build and 12,220.1 under --profile dev when
+   this ceiling was set just above the higher of the two (11,402.1, with
+   12,274.1 under dev, while every probe event carried its time;
+   11,947.3, with
    12,831.4 under dev, before the coherence checker became a per-arena
    sink of the probe bus, reset per walk, and spawns stopped formatting
    default process names; 14,687.1, with
@@ -1383,17 +1385,19 @@ let test_explored_walk_minor_words () =
   Alcotest.(check int) "walks" runs stats.Dsm_explore.Explore.runs;
   Alcotest.(check int) "no walk violates" 0 stats.violated;
   let per_walk = words /. float_of_int runs in
-  if per_walk > 12_274.2 then
-    Alcotest.failf "%.1f minor words per explored walk (ceiling 12274.2)"
+  if per_walk > 12_220.2 then
+    Alcotest.failf "%.1f minor words per explored walk (ceiling 12220.2)"
       per_walk
 
 (* The same loop over the planted-bug scenario with the detector:
    [getput-checked], seed 1, 200 walks after one warm-up walk. Its
    get-window monitor reads messages and apply events only, so the
-   other classes' emit sites stay silent: 4,827.1 minor words per walk
-   in the default build and 5,048.1 under --profile dev when this
-   ceiling was set (6,075.1, with 6,256.1 under dev, when the monitor's
-   bus sink turned every emit site on). *)
+   other classes' emit sites stay silent: 4,755.1 minor words per walk
+   in the default build and 4,976.1 under --profile dev when this
+   ceiling was set (4,827.1, with 5,048.1 under dev, while every probe
+   event carried its time and an RMW apply was two events; 6,075.1,
+   with 6,256.1 under dev, when the monitor's bus sink turned every
+   emit site on). *)
 let test_getput_walk_minor_words () =
   let spec =
     { Dsm_explore.Explore.default_spec with scenario = "getput-checked"; seed = 1 }
@@ -1410,8 +1414,8 @@ let test_getput_walk_minor_words () =
   Alcotest.(check int) "walks" runs stats.Dsm_explore.Explore.runs;
   Alcotest.(check int) "no walk violates" 0 stats.violated;
   let per_walk = words /. float_of_int runs in
-  if per_walk > 5_048.1 then
-    Alcotest.failf "%.1f minor words per getput walk (ceiling 5048.1)" per_walk
+  if per_walk > 4_976.1 then
+    Alcotest.failf "%.1f minor words per getput walk (ceiling 4976.1)" per_walk
 
 (* ---------- transfer-path pins ---------- *)
 

@@ -11,26 +11,25 @@ module Explain_run = Dsm_explore.Explain_run
 module Parallel = Dsm_explore.Parallel
 module Token = Dsm_explore.Token
 
-(* An event class the ring records, stamped [i]. *)
-let step i = Probe.Net_deliver { time = float_of_int i; src = 0; dst = 1 }
-
 (* ---------- ring semantics ---------- *)
 
 (* A recorder on a bus of its own, fed by hand. *)
 let recorder () =
-  let bus = Probe.create () in
+  let bus = Probe.create ~clock:(ref 0.) in
   (bus, Flight.attach bus)
 
+(* A [Net_deliver], a class the ring records, at each time [from..upto]. *)
 let emit_steps bus ~from ~upto =
   for i = from to upto do
-    Probe.emit bus (step i)
+    bus.Probe.clock := float_of_int i;
+    Probe.emit bus (Probe.Net_deliver { src = 0; dst = 1 })
   done
 
-(* The stamps of the window's events, oldest first. *)
+(* The times of the window's events, oldest first. *)
 let stamps f =
   List.map
     (function
-      | Probe.Net_deliver { time; _ } -> int_of_float time
+      | time, Probe.Net_deliver _ -> int_of_float time
       | _ -> Alcotest.fail "unexpected event class")
     (Flight.events f)
 
@@ -395,6 +394,18 @@ type wstep =
   | Lock of int * int (* pid, offset *)
   | Rmw_at of int * int (* origin, offset *)
 
+(* An RMW apply by [origin] on [node]'s words [offset, offset + len):
+   an atomic when [len = 1], else an accumulate. *)
+let rmw_apply ~origin ~node ~offset ~len =
+  if len = 1 then
+    Probe.Atomic_applied
+      { node; offset; kind = Fetch_add 1; old_value = 0; new_value = 1; origin }
+  else
+    let ones = Array.make len 1 in
+    Probe.Acc_applied
+      { node; offset; aop = Add; old = Array.make len 0; data = ones;
+        result = ones; origin }
+
 let window_of k steps =
   let base = 1000. *. float_of_int k in
   let msg src op =
@@ -402,8 +413,8 @@ let window_of k steps =
   in
   let deliver time (src, dst, op, sent) =
     let m = msg src op in
-    (if sent then [ Probe.Msg_sent { time; src; dst; msg = m } ] else [])
-    @ [ Probe.Msg_delivered { time = time +. 1.; src; dst; msg = m } ]
+    (if sent then [ (time, Probe.Msg_sent { src; dst; msg = m }) ] else [])
+    @ [ (time +. 1., Probe.Msg_delivered { src; dst; msg = m }) ]
   in
   let event i = function
     | Deliver (src, dst, op, sent) ->
@@ -411,14 +422,13 @@ let window_of k steps =
     | Lock (pid, offset) ->
         let time = base +. float_of_int (2 * i) in
         [
-          Probe.Lock_acquired { time; pid; node = 0; offset; len = 2 };
-          Probe.Lock_released { time = time +. 1.; pid; node = 0; offset; len = 2 };
+          (time, Probe.Lock_acquired { pid; node = 0; offset; len = 2 });
+          (time +. 1., Probe.Lock_released { pid; node = 0; offset; len = 2 });
         ]
     | Rmw_at (origin, offset) ->
         [
-          Probe.Rmw
-            { time = base +. float_of_int (2 * i); node = 0; origin; offset;
-              len = 1; kind = "fetch_add" };
+          ( base +. float_of_int (2 * i),
+            rmw_apply ~origin ~node:0 ~offset ~len:1 );
         ]
   in
   List.concat (List.mapi event steps)
@@ -548,29 +558,29 @@ let gen_window =
           ( 2,
             map3
               (fun time (src, dst) op ->
-                Probe.Msg_sent { time; src; dst; msg = msg src op })
+                (time, Probe.Msg_sent { src; dst; msg = msg src op }))
               time (pair pid pid) (int_bound 3) );
           ( 3,
             map3
               (fun time (src, dst) op ->
-                Probe.Msg_delivered { time; src; dst; msg = msg src op })
+                (time, Probe.Msg_delivered { src; dst; msg = msg src op }))
               time (pair pid pid) (int_bound 3) );
           ( 3,
             map3
               (fun time (pid, node) (offset, len) ->
-                Probe.Lock_acquired { time; pid; node; offset; len })
+                (time, Probe.Lock_acquired { pid; node; offset; len }))
               time (pair pid node) (pair offset len) );
           ( 3,
             map3
               (fun time (pid, node) (offset, len) ->
-                Probe.Lock_released { time; pid; node; offset; len })
+                (time, Probe.Lock_released { pid; node; offset; len }))
               time (pair pid node) (pair offset len) );
           ( 2,
             map3
               (fun time (origin, node) (offset, len) ->
-                Probe.Rmw { time; node; origin; offset; len; kind = "fetch_add" })
+                (time, rmw_apply ~origin ~node ~offset ~len))
               time (pair pid node) (pair offset len) );
-          (1, map2 (fun time pid -> Probe.Clock_merge { time; pid }) time pid);
+          (1, map2 (fun time pid -> (time, Probe.Clock_merge { pid })) time pid);
         ]
     in
     list_size (int_bound 30) event)
@@ -590,16 +600,19 @@ let print_window window =
   String.concat "; "
     (List.map
        (function
-         | Probe.Msg_sent { time; src; dst; msg } ->
+         | time, Probe.Msg_sent { src; dst; msg } ->
              Printf.sprintf "S(%g,%d->%d,#%d)" time src dst msg.op
-         | Probe.Msg_delivered { time; src; dst; msg } ->
+         | time, Probe.Msg_delivered { src; dst; msg } ->
              Printf.sprintf "D(%g,%d->%d,#%d)" time src dst msg.op
-         | Probe.Lock_acquired { time; pid; node; offset; len } ->
+         | time, Probe.Lock_acquired { pid; node; offset; len } ->
              Printf.sprintf "A(%g,P%d,n%d,%d+%d)" time pid node offset len
-         | Probe.Lock_released { time; pid; node; offset; len } ->
+         | time, Probe.Lock_released { pid; node; offset; len } ->
              Printf.sprintf "R(%g,P%d,n%d,%d+%d)" time pid node offset len
-         | Probe.Rmw { time; node; origin; offset; len; _ } ->
-             Printf.sprintf "W(%g,P%d,n%d,%d+%d)" time origin node offset len
+         | time, Probe.Atomic_applied { node; origin; offset; _ } ->
+             Printf.sprintf "W(%g,P%d,n%d,%d+1)" time origin node offset
+         | time, Probe.Acc_applied { node; origin; offset; old; _ } ->
+             Printf.sprintf "W(%g,P%d,n%d,%d+%d)" time origin node offset
+               (Array.length old)
          | _ -> "?")
        window)
 

@@ -391,9 +391,10 @@ let test_reliable_retransmit_instants () =
   let sim = Engine.create () in
   let fab = dead_link sim in
   let resent = ref [] in
-  Dsm_obs.Probe.attach (Engine.probe sim) Dsm_obs.Probe.net (function
-    | Dsm_obs.Probe.Retransmit { time; seq; _ } ->
-        resent := (time, seq) :: !resent
+  let bus = Engine.probe sim in
+  Dsm_obs.Probe.attach bus Dsm_obs.Probe.net (function
+    | Dsm_obs.Probe.Retransmit { seq; _ } ->
+        resent := (Dsm_obs.Probe.now bus, seq) :: !resent
     | _ -> ());
   send fab ~src:0 ~dst:1 ~words:1 7;
   Engine.schedule sim ~delay:10. (fun () -> send fab ~src:0 ~dst:1 ~words:1 8);

@@ -114,7 +114,7 @@ let test_merge_order_insensitive () =
 (* An event reaches the sinks subscribed to its class, in attach order,
    and [on] holds exactly the subscribed classes' bits. *)
 let test_probe_attach () =
-  let bus = Probe.create () in
+  let bus = Probe.create ~clock:(ref 0.) in
   Alcotest.(check int) "silent" 0 bus.Probe.on;
   let hits = ref [] in
   let sink name ev = hits := (name, ev) :: !hits in
@@ -122,9 +122,9 @@ let test_probe_attach () =
   Probe.attach bus Probe.(msg lor check) (sink "msg+check");
   Probe.attach bus Probe.apply (sink "apply");
   Alcotest.(check int) "on" Probe.(check lor msg lor apply) bus.Probe.on;
-  let merge = Probe.Clock_merge { time = 1.0; pid = 0 } in
+  let merge = Probe.Clock_merge { pid = 0 } in
   let served =
-    Probe.Read_served { time = 2.0; node = 1; offset = 0; data = [| 7 |]; origin = 0 }
+    Probe.Read_served { node = 1; offset = 0; data = [| 7 |]; origin = 0 }
   in
   Probe.emit bus merge;
   Probe.emit bus served;
@@ -290,6 +290,95 @@ let prop_sink_invariance =
       && plain.Explore.decisions = observed.Explore.decisions
       && plain.Explore.races = observed.Explore.races
       && isolated getput && isolated random)
+
+(* ---------- a sink reads only its own classes ---------- *)
+
+(* Rewires [bus] so that every sink on it reads every class, in attach
+   order: what attaching each with [Probe.all] would have done. A sink
+   sits in the table once per class it named; the order kept is one that
+   every class's array agrees with (each new sink goes just before the
+   next one of its array already placed). *)
+let subscribe_all (bus : Probe.t) =
+  let order = ref [] in
+  let rec insert s ~before = function
+    | x :: rest when x == before -> s :: x :: rest
+    | x :: rest -> x :: insert s ~before rest
+    | [] -> [ s ]
+  in
+  Array.iter
+    (fun sinks ->
+      let n = Array.length sinks in
+      for i = n - 1 downto 0 do
+        let s = sinks.(i) in
+        if not (List.memq s !order) then
+          let rec placed j =
+            if j = n then None
+            else if List.memq sinks.(j) !order then Some sinks.(j)
+            else placed (j + 1)
+          in
+          order :=
+            match placed (i + 1) with
+            | Some before -> insert s ~before !order
+            | None -> !order @ [ s ]
+      done)
+    bus.Probe.sinks;
+  Probe.attach bus Probe.all ignore;
+  let all = Array.of_list !order in
+  Array.iteri (fun i _ -> bus.Probe.sinks.(i) <- all) bus.Probe.sinks
+
+(* Replays [token] in an arena a first replay built (its coherence
+   checker and any getput monitor on the bus), with a flight ring, a
+   timeline and a meter attached, each sink on its own classes or, with
+   [~all], every sink on every class. Returns each sink's output. *)
+let sink_outputs ~all token =
+  let t = Result.get_ok (Dsm_explore.Token.of_string token) in
+  let ctx = Explore.create_ctx t.spec in
+  let replay () = Explore.run_once_in ctx (Explore.Script t.decisions) in
+  ignore (replay ());
+  let bus = Explore.ctx_probe ctx in
+  let flight = Flight.attach bus and timeline = Timeline.attach bus in
+  let registry = Metrics.create () in
+  Meter.attach registry bus;
+  if all then subscribe_all bus;
+  let r = replay () in
+  let b = Option.get (Explore.last_built ctx) in
+  let coherence = b.Dsm_explore.Scenario.coherence in
+  ( Flight.events flight,
+    Timeline.to_json_string timeline,
+    Metrics.to_json_string (Metrics.snapshot registry),
+    ( List.map
+        (Format.asprintf "%a" Dsm_rdma.Coherence.pp_violation)
+        (Dsm_rdma.Coherence.violations coherence),
+      Dsm_rdma.Coherence.rmw_violations coherence ),
+    (b.monitor (), r.Explore.fingerprint) )
+
+(* Each library sink reads only the classes it names: subscribed to
+   every class instead, the flight window, the Perfetto trace, the
+   metrics, the coherence checker's violations and the scenario's
+   monitor report are the same bytes. The replays cover a race, a
+   planted lost update (RMW applies and their coherence violations)
+   and a random workload. *)
+let test_sink_reads_own_classes () =
+  List.iter
+    (fun token ->
+      let window, trace, metrics, violations, monitor =
+        sink_outputs ~all:false token
+      in
+      let window', trace', metrics', violations', monitor' =
+        sink_outputs ~all:true token
+      in
+      Alcotest.(check bool) (token ^ ": window") true (window = window');
+      Alcotest.(check string) (token ^ ": trace") trace trace';
+      Alcotest.(check string) (token ^ ": metrics") metrics metrics';
+      Alcotest.(check (pair (list string) (list string)))
+        (token ^ ": violations") violations violations';
+      Alcotest.(check (pair (list (pair string string)) string))
+        (token ^ ": monitor") monitor monitor')
+    [
+      "dsm1|s=getput-checked|n=2|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=";
+      "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=";
+      "dsm1|s=workload:random|n=3|seed=1|l=infiniband|f=none|r=0|b=0|me=200000|d=1,0,1";
+    ]
 
 (* ---------- metrics across the explorer ---------- *)
 
@@ -559,6 +648,8 @@ let () =
         [
           Alcotest.test_case "attach" `Quick test_probe_attach;
           QCheck_alcotest.to_alcotest prop_sink_invariance;
+          Alcotest.test_case "a sink reads only its own classes" `Quick
+            test_sink_reads_own_classes;
         ] );
       ( "perfetto",
         [

@@ -537,59 +537,53 @@ let test_spawn_all_spmd () =
 
 (* Every verb's NIC steps, pinned in [machine_steps.expected]: for each
    scenario below, under [nic_atomic] and under [relaxed], the probe
-   events the machine fires (op lifecycle, messages, locks, RMW
-   linearization points, batch flushes, and the apply class's memory
-   effects as the [obs] lines), in emission order, then the run's
+   events the machine fires (op lifecycle, messages, locks, batch
+   flushes, and the memory effects of the apply and rmw classes as the
+   [obs] lines, an RMW's at its linearization point), each at the bus's
+   clock when it is delivered, in emission order, then the run's
    outcome and its engine event count. A
    refactor of the machine must leave every line where it was. *)
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
-
-let acc_op_name = function
-  | Message.Add -> "add"
-  | Min -> "min"
-  | Max -> "max"
-  | Band -> "band"
-  | Bor -> "bor"
 
 let step_lines ~model ~bugs setup =
   let sim = Engine.create () in
   let m = Machine.create sim ~n:3 ~model ~protocol_bugs:bugs () in
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  Dsm_obs.Probe.(attach (Engine.probe sim) all) (function
-    | Op_begin { time; pid; op; kind; target } ->
+  let bus = Engine.probe sim in
+  Dsm_obs.Probe.(attach bus all) (fun ev ->
+    let time = Dsm_obs.Probe.now bus in
+    match ev with
+    | Op_begin { pid; op; kind; target } ->
         add "%.4f op_begin P%d #%d %s -> P%d" time pid op kind target
-    | Op_end { time; pid; op; kind } ->
+    | Op_end { pid; op; kind } ->
         add "%.4f op_end P%d #%d %s" time pid op kind
-    | Msg_sent { time; src; dst; msg } ->
+    | Msg_sent { src; dst; msg } ->
         add "%.4f msg_sent P%d -> P%d %s" time src dst (Dsm_obs.Msg.label msg)
-    | Msg_delivered { time; src; dst; msg } ->
+    | Msg_delivered { src; dst; msg } ->
         add "%.4f msg_delivered P%d -> P%d %s" time src dst
           (Dsm_obs.Msg.label msg)
-    | Lock_acquired { time; pid; node; offset; len } ->
+    | Lock_acquired { pid; node; offset; len } ->
         add "%.4f lock_acquired P%d at P%d [%d..+%d)" time pid node offset len
-    | Lock_released { time; pid; node; offset; len } ->
+    | Lock_released { pid; node; offset; len } ->
         add "%.4f lock_released P%d at P%d [%d..+%d)" time pid node offset len
-    | Rmw { time; node; origin; offset; len; kind } ->
-        add "%.4f rmw %s at P%d [%d..+%d) from P%d" time kind node offset len
-          origin
-    | Batch_flush { time; pid; node; kind; parts; words } ->
+    | Batch_flush { pid; node; kind; parts; words } ->
         add "%.4f batch_flush P%d %s -> P%d parts=%d words=%d" time pid kind
           node parts words
-    | Write_applied { time; node; offset; data; origin } ->
+    | Write_applied { node; offset; data; origin } ->
         add "%.4f obs write P%d [%d]=%s from P%d" time node offset (ints data)
           origin
-    | Read_served { time; node; offset; data; origin } ->
+    | Read_served { node; offset; data; origin } ->
         add "%.4f obs read P%d [%d]=%s for P%d" time node offset (ints data)
           origin
     | Atomic_applied
-        { time; node; offset; kind = _; old_value; new_value; origin } ->
+        { node; offset; kind = _; old_value; new_value; origin } ->
         add "%.4f obs atomic P%d [%d] %d -> %d from P%d" time node offset
           old_value new_value origin
-    | Acc_applied { time; node; offset; aop; old; data; result; origin } ->
+    | Acc_applied { node; offset; aop; old; data; result; origin } ->
         add "%.4f obs acc %s P%d [%d] %s (+) %s = %s from P%d" time
-          (acc_op_name aop) node offset (ints old) (ints data)
+          (Dsm_obs.Probe.acc_op_name aop) node offset (ints old) (ints data)
           (ints result) origin
     | _ -> ());
   setup m;

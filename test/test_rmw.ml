@@ -103,7 +103,7 @@ let test_rmw_duplicate_delivery_exactly_once () =
     Addr.global ~pid:0 ~space:Addr.Public ~offset:counter.Addr.base.offset
   in
   let applies = ref 0 in
-  Probe.attach (Engine.probe sim) Probe.apply (function
+  Probe.attach (Engine.probe sim) Probe.rmw (function
     | Probe.Atomic_applied { node = 0; _ } -> incr applies
     | _ -> ());
   let per = 5 in

@@ -590,6 +590,41 @@ let test_engine_counts_events () =
   ignore (Engine.run sim);
   Alcotest.(check int) "seven events" 7 (Engine.events_processed sim)
 
+(* A choice point happens at the instant its chosen event fires: a sink
+   of the engine class reads the bus's clock at each [Engine_choice],
+   the chosen event reads [Engine.now] when it fires, and the two agree,
+   for ties at later instants (the heap) as for ties at [now] (the
+   FIFO). *)
+let test_engine_choice_reads_firing_time () =
+  let module Probe = Dsm_obs.Probe in
+  let sim = Engine.create () in
+  let bus = Engine.probe sim in
+  let log = ref [] in
+  Probe.attach bus Probe.engine (function
+    | Probe.Engine_choice _ -> log := `Choice (Probe.now bus) :: !log
+    | _ -> ());
+  Engine.set_chooser sim (Some (fun ready -> ready - 1));
+  let fire () = log := `Fire (Engine.now sim) :: !log in
+  for i = 1 to 3 do
+    for _ = 1 to 2 do
+      Engine.schedule sim ~delay:(float_of_int i) (fun () ->
+          fire ();
+          Engine.schedule sim fire;
+          Engine.schedule sim fire)
+    done
+  done;
+  ignore (Engine.run sim);
+  let rec pairs choices = function
+    | `Choice t :: `Fire t' :: rest ->
+        Alcotest.(check (float 0.)) "choice read the firing instant" t' t;
+        pairs (choices + 1) rest
+    | `Choice _ :: _ -> Alcotest.fail "a choice with no event fired after it"
+    | `Fire _ :: rest -> pairs choices rest
+    | [] -> choices
+  in
+  Alcotest.(check bool) "ties became choices" true
+    (pairs 0 (List.rev !log) >= 6)
+
 let test_engine_sleep_negative_rejected () =
   let sim = Engine.create () in
   Engine.spawn sim (fun () ->
@@ -979,6 +1014,8 @@ let () =
           Alcotest.test_case "schedule_at past" `Quick test_engine_schedule_at_past_rejected;
           Alcotest.test_case "event count" `Quick test_engine_counts_events;
           Alcotest.test_case "negative sleep" `Quick test_engine_sleep_negative_rejected;
+          Alcotest.test_case "choice at the firing instant" `Quick
+            test_engine_choice_reads_firing_time;
           QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         ] );
       ( "ivar",
