@@ -16,10 +16,12 @@ test:
 exports:
 	dune build @exports
 
-# Lines of OCaml under lib/ (.ml and .mli): the figure ROADMAP.md and
-# CHANGES.md quote when a change adds or deletes library code.
+# Lines of OCaml (.ml and .mli): first under lib/ alone, the figure
+# ROADMAP.md and CHANGES.md quote when a change adds or deletes library
+# code, then under lib/ and bin/ together.
 loc:
 	@find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
+	@echo "$$(find lib bin -name '*.ml' -o -name '*.mli' | xargs cat | wc -l) with bin/"
 
 bench:
 	dune exec bench/main.exe

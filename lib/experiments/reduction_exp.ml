@@ -39,8 +39,8 @@ let run_onesided ~others ~n =
   let c = Collectives.create env in
   Dsm_obs.Probe.attach (Dsm_sim.Engine.probe (Machine.sim m)) Dsm_obs.Probe.msg
     (function
-    | Dsm_obs.Probe.Msg_sent { src = 0; msg = { kind = Get; _ }; _ }
-    | Msg_sent { dst = 0; msg = { kind = Get_reply; _ }; _ } ->
+    | Dsm_obs.Probe.Msg_sent { src = 0; msg = Get _; _ }
+    | Msg_sent { dst = 0; msg = Get_reply _; _ } ->
         ()
     | Msg_sent _ -> incr others
     | _ -> ());

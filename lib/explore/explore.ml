@@ -75,10 +75,12 @@ type ctx = {
   mutable ready_log : Ready_log.t option;
       (* when installed, every run records its choice-point ready views
          and chained-grant samples — the DPOR layer's input *)
-  mutable last_built : Scenario.built option;
-      (* the machine/detector/monitor set of the most recent run, for
-         post-run inspection (race explanations) and for the next run's
-         [Scenario.repopulate] *)
+  mutable built : Scenario.built;
+      (* the machine/detector/monitor set: built with the ctx, so its
+         sinks precede every caller's on the bus, and repopulated before
+         each run but the first; after a run, that run's, for post-run
+         inspection (race explanations) *)
+  mutable ran : bool;  (* a run has used [built] *)
   digest : Buffer.t;  (* a fingerprint's payload *)
 }
 
@@ -93,6 +95,7 @@ let create_ctx ?metrics spec =
   (match metrics with
   | None -> ()
   | Some registry -> Dsm_obs.Meter.attach registry (Engine.probe sim));
+  let built = Scenario.instantiate plan sim in
   {
     spec;
     plan;
@@ -103,7 +106,8 @@ let create_ctx ?metrics spec =
     prev = Array.make (Scenario.procs plan) None;
     runs_executed = 0;
     ready_log = None;
-    last_built = None;
+    built;
+    ran = false;
     digest = Buffer.create 256;
   }
 
@@ -111,19 +115,22 @@ let ctx_probe ctx = Engine.probe ctx.sim
 
 let ctx_spec ctx = ctx.spec
 
-let last_built ctx = ctx.last_built
+let last_built ctx = if ctx.ran then Some ctx.built else None
 
 let set_ready_log ctx log = ctx.ready_log <- log
 
-(* Reset the arena and populate it for the next run. Order matters:
-   [Engine.reset] first (restores the root PRNG), then the machine reset
-   inside [repopulate] re-splits the fabric stream from the same root
-   position as construction did. *)
+(* The arena populated for the next run: the first run takes it as
+   [create_ctx] built it; every later one resets and repopulates it.
+   Order matters: [Engine.reset] first (restores the root PRNG), then
+   the machine reset inside [repopulate] re-splits the fabric stream
+   from the same root position as construction did. *)
 let fresh_built ctx =
-  Engine.reset ~seed:ctx.spec.seed ctx.sim;
-  match ctx.last_built with
-  | None -> Scenario.instantiate ctx.plan ctx.sim
-  | Some b -> Scenario.repopulate ctx.plan b
+  if ctx.ran then begin
+    Engine.reset ~seed:ctx.spec.seed ctx.sim;
+    ctx.built <- Scenario.repopulate ctx.plan ctx.built
+  end
+  else ctx.ran <- true;
+  ctx.built
 
 (* Run one schedule to its end, sampling detector clocks along the way.
    Returns the engine outcome (or the crash) — invariants are judged by
@@ -331,7 +338,6 @@ let exec_with ctx chooser =
   if probe.Dsm_obs.Probe.on land Dsm_obs.Probe.run_begin <> 0 then
     Dsm_obs.Probe.emit probe (Run_begin { run });
   let built = fresh_built ctx in
-  ctx.last_built <- Some built;
   Engine.set_chooser ctx.sim (Some (Chooser.fn chooser));
   (match ctx.ready_log with
   | None -> ()

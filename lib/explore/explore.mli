@@ -62,19 +62,23 @@ type mode = Walk of int | Script of int list
 (** {2 Reusable arenas}
 
     A {!ctx} owns everything a sequence of runs of one spec needs — the
-    engine, the machine (built on the first run), the compiled scenario
-    plan, the decision-recording buffers — and resets it in place
-    between runs instead of rebuilding. A run in a reused ctx is
-    bit-identical to one in a fresh ctx. Each ctx belongs to one domain;
-    the parallel driver ({!Parallel}) gives every worker its own. *)
+    engine, the machine with its detector, monitor and coherence
+    checker, the compiled scenario plan, the decision-recording buffers
+    — and resets it in place between runs instead of rebuilding. A run
+    in a reused ctx is bit-identical to one in a fresh ctx. Each ctx
+    belongs to one domain; the parallel driver ({!Parallel}) gives every
+    worker its own. *)
 
 type ctx
 
 val create_ctx : ?metrics:Dsm_obs.Metrics.t -> spec -> ctx
-(** Prepares the scenario (parsing/compiling a [prog:FILE] once) and the
-    arena. Raises [Invalid_argument] ([Sys_error] for an unreadable
-    program file) on an invalid spec — including a process count below
-    the scenario's minimum.
+(** Prepares the scenario (parsing/compiling a [prog:FILE] once) and
+    builds the arena, which the first run uses as it is. The arena's
+    own sinks (the scenario's monitor, the coherence checker) are
+    attached here, so they run before any sink a caller attaches to
+    {!ctx_probe}. Raises [Invalid_argument] ([Sys_error] for an
+    unreadable program file) on an invalid spec — including a process
+    count below the scenario's minimum.
 
     With [metrics], a {!Dsm_obs.Meter} is attached to the arena engine's
     probe bus, so every run executed in this ctx is counted into the

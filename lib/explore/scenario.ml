@@ -89,9 +89,9 @@ type getput_watch = {
 let watch_getput w sim =
   let bus = Dsm_sim.Engine.probe sim in
   Probe.attach bus Probe.(msg lor apply) (function
-    | Probe.Msg_sent { src = 0; msg = { kind = Get; op; _ }; _ } ->
+    | Probe.Msg_sent { src = 0; msg = Get { op; _ }; _ } ->
         Hashtbl.replace w.open_gets op ()
-    | Msg_delivered { dst = 0; msg = { kind = Get_reply; op; _ }; _ } ->
+    | Msg_delivered { dst = 0; msg = Get_reply { op; _ }; _ } ->
         Hashtbl.remove w.open_gets op
     | Write_applied { node = 0; offset; data; origin } ->
         let len = Array.length data in

@@ -169,7 +169,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
   if lf.Fault.drop > 0. && Prng.bernoulli t.rng ~p:lf.Fault.drop then begin
     if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
-        (Net_send { src; dst; words; wire_words; clock_words; arrival });
+        (Net_send { src; dst; wire_words; clock_words });
       Dsm_obs.Probe.emit probe (Net_drop { src; dst })
     end
   end
@@ -188,7 +188,7 @@ let transmit t e ~words ~wire_words ~clock_words ~fifo ~label arrive =
     let arrival = floored e ~in_order drawn in
     if probe.on land Dsm_obs.Probe.net <> 0 then begin
       Dsm_obs.Probe.emit probe
-        (Net_send { src; dst; words; wire_words; clock_words; arrival });
+        (Net_send { src; dst; wire_words; clock_words });
       if reorder then
         Dsm_obs.Probe.emit probe (Net_reorder { src; dst })
     end;

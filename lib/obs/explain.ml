@@ -161,16 +161,17 @@ let index window =
       incr events;
       match (ev : Probe.event) with
       | Msg_sent { src; dst; msg } ->
-          Hashtbl.replace sent (src, dst, msg.Msg.op) time
+          Hashtbl.replace sent (src, dst, Msg.op msg) time
       | Msg_delivered { src; dst; msg } ->
+          let op = Msg.op msg in
           let m =
             {
               m_src = src;
               m_dst = dst;
-              m_op = msg.Msg.op;
+              m_op = op;
               m_label = Msg.label msg;
               m_sent =
-                (match Hashtbl.find_opt sent (src, dst, msg.Msg.op) with
+                (match Hashtbl.find_opt sent (src, dst, op) with
                 | Some t0 -> t0
                 | None -> -1.);
               m_delivered = time;

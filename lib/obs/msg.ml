@@ -1,88 +1,67 @@
-(* A protocol message as plain fields, and the one renderer of its
-   label. Emit sites fill the record; only printing consumers format. *)
+(* The one renderer of a wire message's label, and the send–delivery
+   pairing. Emit sites pass the message as it is; only printing
+   consumers format. *)
 
-type kind =
-  | Put
-  | Put_ack
-  | Put_batch
-  | Get
-  | Get_reply
-  | Fetch_add
-  | Cas
-  | Atomic_reply
-  | Accumulate
-  | Acc_reply
-  | Lock_request
-  | Lock_granted
-  | Unlock
-  | Control
-  | Control_reply
+let raw locked = if locked then "" else " (raw)"
+let acked want_ack = if want_ack then " (acked)" else ""
 
-type t = {
-  kind : kind;
-  op : int;
-  origin : int;
-  offset : int;
-  len : int;
-  parts : int;
-  arg : int;
-  arg2 : int;
-  locked : bool;
-  acked : bool;
-  name : string;
-}
+let label : Wire.t -> string = function
+  | Put { op; origin; offset; data; locked; want_ack; _ } ->
+      Printf.sprintf "put#%d from P%d -> pub[%d..+%d)%s%s" op origin offset
+        (Array.length data) (raw locked) (acked want_ack)
+  | Put_ack { op } -> Printf.sprintf "put-ack#%d" op
+  | Put_batch { op; origin; parts; locked; want_ack; _ } ->
+      let words =
+        Array.fold_left (fun acc (_, d) -> acc + Array.length d) 0 parts
+      in
+      Printf.sprintf "put-batch#%d from P%d (%d parts, %d words)%s%s" op
+        origin (Array.length parts) words (raw locked) (acked want_ack)
+  | Get { op; origin; offset; len; locked; _ } ->
+      Printf.sprintf "get#%d from P%d of pub[%d..+%d)%s" op origin offset len
+        (raw locked)
+  | Get_reply { op; data; _ } ->
+      Printf.sprintf "get-reply#%d (%d words)" op (Array.length data)
+  | Atomic { op; origin; offset; kind = Fetch_add d; _ } ->
+      Printf.sprintf "atomic#%d from P%d at pub[%d]: fetch_add %d" op origin
+        offset d
+  | Atomic { op; origin; offset; kind = Compare_and_swap { expected; desired };
+      _ } ->
+      Printf.sprintf "atomic#%d from P%d at pub[%d]: cas %d->%d" op origin
+        offset expected desired
+  | Atomic_reply { op; old_value } ->
+      Printf.sprintf "atomic-reply#%d old=%d" op old_value
+  | Accumulate { op; origin; offset; aop; data; _ } ->
+      Printf.sprintf "accumulate#%d from P%d at pub[%d..+%d): %s" op origin
+        offset (Array.length data) (Probe.acc_op_name aop)
+  | Acc_reply { op; old; _ } ->
+      Printf.sprintf "acc-reply#%d (%d words)" op (Array.length old)
+  | Lock_request { op; origin; offset; len } ->
+      Printf.sprintf "lock#%d from P%d of pub[%d..+%d)" op origin offset len
+  | Lock_granted { op; token } ->
+      Printf.sprintf "lock-granted#%d tok=%d" op token
+  | Unlock { token } -> Printf.sprintf "unlock tok=%d" token
+  | Control { op; origin; tag; words; _ } ->
+      Printf.sprintf "control#%d from P%d tag=%s (%d words)" op origin tag
+        (Array.length words)
+  | Control_reply { op; words } ->
+      Printf.sprintf "control-reply#%d (%d words)" op (Array.length words)
 
-let none =
-  {
-    kind = Put;
-    op = 0;
-    origin = 0;
-    offset = 0;
-    len = 0;
-    parts = 0;
-    arg = 0;
-    arg2 = 0;
-    locked = false;
-    acked = false;
-    name = "";
-  }
-
-let raw m = if m.locked then "" else " (raw)"
-let acked m = if m.acked then " (acked)" else ""
-
-let label m =
-  match m.kind with
-  | Put ->
-      Printf.sprintf "put#%d from P%d -> pub[%d..+%d)%s%s" m.op m.origin
-        m.offset m.len (raw m) (acked m)
-  | Put_ack -> Printf.sprintf "put-ack#%d" m.op
-  | Put_batch ->
-      Printf.sprintf "put-batch#%d from P%d (%d parts, %d words)%s%s" m.op
-        m.origin m.parts m.len (raw m) (acked m)
-  | Get ->
-      Printf.sprintf "get#%d from P%d of pub[%d..+%d)%s" m.op m.origin
-        m.offset m.len (raw m)
-  | Get_reply -> Printf.sprintf "get-reply#%d (%d words)" m.op m.len
-  | Fetch_add ->
-      Printf.sprintf "atomic#%d from P%d at pub[%d]: fetch_add %d" m.op
-        m.origin m.offset m.arg
-  | Cas ->
-      Printf.sprintf "atomic#%d from P%d at pub[%d]: cas %d->%d" m.op m.origin
-        m.offset m.arg m.arg2
-  | Atomic_reply -> Printf.sprintf "atomic-reply#%d old=%d" m.op m.arg
-  | Accumulate ->
-      Printf.sprintf "accumulate#%d from P%d at pub[%d..+%d): %s" m.op
-        m.origin m.offset m.len m.name
-  | Acc_reply -> Printf.sprintf "acc-reply#%d (%d words)" m.op m.len
-  | Lock_request ->
-      Printf.sprintf "lock#%d from P%d of pub[%d..+%d)" m.op m.origin m.offset
-        m.len
-  | Lock_granted -> Printf.sprintf "lock-granted#%d tok=%d" m.op m.arg
-  | Unlock -> Printf.sprintf "unlock tok=%d" m.arg
-  | Control ->
-      Printf.sprintf "control#%d from P%d tag=%s (%d words)" m.op m.origin
-        m.name m.len
-  | Control_reply -> Printf.sprintf "control-reply#%d (%d words)" m.op m.len
+let op : Wire.t -> int = function
+  | Put { op; _ }
+  | Put_ack { op }
+  | Put_batch { op; _ }
+  | Get { op; _ }
+  | Get_reply { op; _ }
+  | Atomic { op; _ }
+  | Atomic_reply { op; _ }
+  | Accumulate { op; _ }
+  | Acc_reply { op; _ }
+  | Lock_request { op; _ }
+  | Lock_granted { op; _ }
+  | Control { op; _ }
+  | Control_reply { op; _ } ->
+      op
+  | Unlock _ -> -1
 
 (* Sends waiting for their delivery, FIFO per (src, dst, label). *)
 type 'a pending = (int * int * string, 'a Queue.t) Hashtbl.t

@@ -1,60 +1,20 @@
-(** A protocol message as plain fields: what the probe bus's
-    [Msg_sent]/[Msg_delivered] events carry in place of a formatted
-    label, and the one renderer that turns those fields into the label.
+(** What the probe bus's consumers read of a protocol message: its
+    label, its operation id, and the pairing of its send with its
+    delivery.
 
-    The RDMA layer fills a {!t} from its wire message
-    ([Dsm_rdma.Message.fields]); [Message.describe] is [label] of that.
-    Emit sites therefore format nothing: only the consumers that print
-    a message — the race explainer's chains, the Perfetto timeline, the
-    space-time diagram — call {!label}, and only when they print.
+    [Msg_sent]/[Msg_delivered] carry the wire message itself
+    ({!Wire.t}, which [Dsm_rdma.Message] includes), so an emit site
+    neither copies nor formats it. Only the consumers that print a
+    message — the race explainer's chains, the Perfetto timeline, the
+    space-time diagram — call {!label}, and only when they print. *)
 
-    Every field is an immediate or a string the wire message already
-    holds, so a [t] is plain data that [=] and [compare] can read, like
-    the rest of a probe event. *)
+val label : Wire.t -> string
+(** The one-line rendering, e.g. ["put#3 from P1 -> pub\[8..+2) (acked)"];
+    [Dsm_rdma.Message.describe] is this function. *)
 
-type kind =
-  | Put
-  | Put_ack
-  | Put_batch
-  | Get
-  | Get_reply
-  | Fetch_add
-  | Cas
-  | Atomic_reply
-  | Accumulate
-  | Acc_reply
-  | Lock_request
-  | Lock_granted
-  | Unlock
-  | Control
-  | Control_reply
-
-type t = {
-  kind : kind;
-  op : int;  (** the issuing operation's id; [-1] for [Unlock] *)
-  origin : int;  (** the issuing process (requests); 0 on replies *)
-  offset : int;  (** the first public word addressed (requests) *)
-  len : int;
-      (** words: the addressed span, the reply or control payload, or a
-          batch's total data words *)
-  parts : int;  (** [Put_batch]: coalesced parts *)
-  arg : int;
-      (** [Fetch_add]: the delta; [Cas]: the expected value;
-          [Atomic_reply]: the old value; [Lock_granted]/[Unlock]: the
-          lock token *)
-  arg2 : int;  (** [Cas]: the desired value *)
-  locked : bool;  (** data verbs: the target NIC takes the range lock *)
-  acked : bool;  (** puts: the origin waits for an ack *)
-  name : string;  (** [Control]: the tag; [Accumulate]: the operator *)
-}
-
-val none : t
-(** Every field zero, [false] or [""], kind [Put]: the base the RDMA
-    layer fills with [{ none with ... }]. *)
-
-val label : t -> string
-(** The one-line rendering, e.g. ["put#3 from P1 -> pub\[8..+2) (acked)"]
-    — exactly what [Dsm_rdma.Message.describe] has always printed. *)
+val op : Wire.t -> int
+(** The issuing operation's id; [-1] for [Unlock], which carries
+    none. *)
 
 (** {1 Pairing sends with deliveries} *)
 

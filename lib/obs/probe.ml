@@ -1,17 +1,17 @@
 include Probe_types
 
-let atomic_name = function
+let atomic_name : Wire.atomic_kind -> string = function
   | Fetch_add _ -> "fetch_add"
   | Compare_and_swap _ -> "cas"
 
-let acc_op_name = function
+let acc_op_name : Wire.acc_op -> string = function
   | Add -> "add"
   | Min -> "min"
   | Max -> "max"
   | Band -> "band"
   | Bor -> "bor"
 
-let acc_name = function
+let acc_name : Wire.acc_op -> string = function
   | Add -> "acc:add"
   | Min -> "acc:min"
   | Max -> "acc:max"

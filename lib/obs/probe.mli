@@ -29,8 +29,9 @@
     Events are plain data — ints, floats, strings, bools, int arrays
     and records of them, never closures or [Lazy.t] — so [=] and
     [compare] work on them: the flight recorder's tests compare two
-    runs' windows with [=]. Emit sites format nothing; a consumer that
-    prints a message renders its label with {!Msg.label} when it prints.
+    runs' windows with [=]. Emit sites copy and format nothing: a message
+    event carries the protocol's own {!Wire.t}, and a consumer that
+    prints it renders its label with {!Msg.label} when it prints.
 
     Sinks must be read-only observers: they run synchronously inside the
     simulation's hot paths and must not touch engine state, PRNG
@@ -43,9 +44,9 @@ include module type of struct
   include Probe_types
 end
 
-val atomic_name : atomic_kind -> string
-val acc_name : acc_op -> string
-val acc_op_name : acc_op -> string
+val atomic_name : Wire.atomic_kind -> string
+val acc_name : Wire.acc_op -> string
+val acc_op_name : Wire.acc_op -> string
 (** An RMW's name as traces, explanations and the coherence checker
     print it: ["fetch_add"] or ["cas"] for an atomic, ["acc:add"] …
     ["acc:bor"] for an accumulate; [acc_op_name] is the bare operator
@@ -56,7 +57,8 @@ val acc_op_name : acc_op -> string
 
     Each event belongs to one class: [engine] (the [Engine_*] events),
     [net] (the [Net_*] events and [Retransmit]), [op] ([Op_begin],
-    [Op_end], [Batch_flush]), [msg] ([Msg_sent], [Msg_delivered]),
+    [Op_end], [Batch_flush]), [msg] ([Msg_sent], [Msg_delivered], each
+    holding the wire message the NIC sent or handled),
     [lock], [rmw] ([Atomic_applied], [Acc_applied]: an RMW a target
     NIC committed), [apply] ([Write_applied], [Read_served]: the other
     memory effects a NIC applied), [coherence],

@@ -1,14 +1,6 @@
 (* The probe bus's event type: types only, so [Probe]'s interface
    includes it rather than restating it; [Probe] documents the bus. *)
 
-(** An atomic's operation and an accumulate's operator, as the apply
-    events carry them: [Dsm_rdma.Message] uses these types. *)
-type atomic_kind =
-  | Fetch_add of int
-  | Compare_and_swap of { expected : int; desired : int }
-
-type acc_op = Add | Min | Max | Band | Bor
-
 (** One telemetry event. An event carries no time: the bus reads the
     engine's clock once, at emit ({!Probe.now}). *)
 type event =
@@ -17,19 +9,10 @@ type event =
   | Engine_quiescence of { events : int; outcome : string }
       (** the run loop reached a terminal outcome (completed/blocked);
           [events] is the engine's event total since its last reset *)
-  | Net_send of {
-      src : int;
-      dst : int;
-      words : int;
-      wire_words : int;
-      clock_words : int;
-      arrival : float;
-    }
-      (** [words] is the nominal size the latency model priced;
-          [wire_words] the size the chosen encoding actually shipped
-          (of which [clock_words] were clock piggyback); [arrival] the
-          time the delivery was scheduled for, after the FIFO floor and
-          any reorder delay (a dropped frame's would-be arrival) *)
+  | Net_send of { src : int; dst : int; wire_words : int; clock_words : int }
+      (** a frame handed to the fabric: [wire_words] is the size the
+          chosen encoding actually shipped, of which [clock_words] were
+          clock piggyback *)
   | Net_deliver of { src : int; dst : int }
   | Net_drop of { src : int; dst : int }
   | Net_duplicate of { src : int; dst : int }
@@ -37,12 +20,12 @@ type event =
   | Op_begin of { pid : int; op : int; kind : string; target : int }
       (** a one-sided operation ([kind] put/get/atomic/lock) left [pid] *)
   | Op_end of { pid : int; op : int; kind : string }
-  | Msg_sent of { src : int; dst : int; msg : Msg.t }
-      (** protocol message handed to the fabric. [msg] holds its plain
-          fields, not a formatted label: consumers that print it call
-          {!Msg.label}. [msg.op] is the issuing operation id, so a send
-          can be paired with its delivery. *)
-  | Msg_delivered of { src : int; dst : int; msg : Msg.t }
+  | Msg_sent of { src : int; dst : int; msg : Wire.t }
+      (** protocol message handed to the fabric: the wire message
+          itself, not a copy or a formatted label. Consumers that print
+          it call {!Msg.label}; {!Msg.op} is the issuing operation id,
+          so a send can be paired with its delivery. *)
+  | Msg_delivered of { src : int; dst : int; msg : Wire.t }
   | Lock_acquired of { pid : int; node : int; offset : int; len : int }
   | Lock_released of { pid : int; node : int; offset : int; len : int }
   | Retransmit of { src : int; dst : int; seq : int }
@@ -74,7 +57,7 @@ type event =
   | Atomic_applied of {
       node : int;
       offset : int;
-      kind : atomic_kind;
+      kind : Wire.atomic_kind;
       old_value : int;
       new_value : int;
       origin : int;
@@ -87,7 +70,7 @@ type event =
   | Acc_applied of {
       node : int;
       offset : int;
-      aop : acc_op;
+      aop : Wire.acc_op;
       old : int array;
       data : int array;
       result : int array;

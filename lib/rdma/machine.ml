@@ -107,8 +107,7 @@ let no_reply = Message.Put_ack { op = -1 }
 let rec handle m ~node ~src msg =
   (let probe = Engine.probe m.sim in
    if probe.on land Probe.msg <> 0 then
-     Probe.emit probe
-       (Msg_delivered { src; dst = node; msg = Message.fields msg }));
+     Probe.emit probe (Msg_delivered { src; dst = node; msg }));
   match msg with
   | Message.Put { op; origin; offset; data; locked; want_ack; _ }
     when (not m.mh.Model.atomic_puts) && Array.length data > 1 ->
@@ -326,8 +325,7 @@ and non_atomic_put m ~node ~origin ~op ~locked ~want_ack parts =
 and transmit m ~src ~dst msg =
   (let probe = Engine.probe m.sim in
    if probe.on land Probe.msg <> 0 then
-     Probe.emit probe
-       (Msg_sent { src; dst; msg = Message.fields msg }));
+     Probe.emit probe (Msg_sent { src; dst; msg }));
   (* Footprint of the delivery event: a request's handler mutates the
      destination node's state on behalf of the sending process (origin =
      src, since pid = node); a reply's handler only completes a pending

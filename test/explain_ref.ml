@@ -21,7 +21,7 @@ let steps window =
     (fun (time, (ev : Probe.event)) ->
       match ev with
       | Msg_sent { src; dst; msg } ->
-          Hashtbl.replace sent (src, dst, msg.Msg.op) time;
+          Hashtbl.replace sent (src, dst, Msg.op msg) time;
           None
       | Msg_delivered { src; dst; msg } ->
           Some
@@ -29,10 +29,10 @@ let steps window =
                {
                  m_src = src;
                  m_dst = dst;
-                 m_op = msg.Msg.op;
+                 m_op = Msg.op msg;
                  m_label = Msg.label msg;
                  m_sent =
-                   (match Hashtbl.find_opt sent (src, dst, msg.Msg.op) with
+                   (match Hashtbl.find_opt sent (src, dst, Msg.op msg) with
                    | Some t0 -> t0
                    | None -> -1.);
                  m_delivered = time;

@@ -409,7 +409,8 @@ let rmw_apply ~origin ~node ~offset ~len =
 let window_of k steps =
   let base = 1000. *. float_of_int k in
   let msg src op =
-    { Dsm_obs.Msg.none with kind = Get; op; origin = src; offset = op; len = 1 }
+    Dsm_obs.Wire.Get
+      { op; origin = src; offset = op; len = 1; extra_words = 0; locked = false }
   in
   let deliver time (src, dst, op, sent) =
     let m = msg src op in
@@ -550,7 +551,8 @@ let gen_window =
     let len = int_range 1 3 in
     let time = oneofl [ 0.; -0.; 1.; 2.; 2.5; 3.; 4. ] in
     let msg src op =
-      { Dsm_obs.Msg.none with kind = Get; op; origin = src; offset = op; len = 1 }
+      Dsm_obs.Wire.Get
+        { op; origin = src; offset = op; len = 1; extra_words = 0; locked = false }
     in
     let event =
       frequency
@@ -601,9 +603,11 @@ let print_window window =
     (List.map
        (function
          | time, Probe.Msg_sent { src; dst; msg } ->
-             Printf.sprintf "S(%g,%d->%d,#%d)" time src dst msg.op
+             Printf.sprintf "S(%g,%d->%d,#%d)" time src dst
+               (Dsm_obs.Msg.op msg)
          | time, Probe.Msg_delivered { src; dst; msg } ->
-             Printf.sprintf "D(%g,%d->%d,#%d)" time src dst msg.op
+             Printf.sprintf "D(%g,%d->%d,#%d)" time src dst
+               (Dsm_obs.Msg.op msg)
          | time, Probe.Lock_acquired { pid; node; offset; len } ->
              Printf.sprintf "A(%g,P%d,n%d,%d+%d)" time pid node offset len
          | time, Probe.Lock_released { pid; node; offset; len } ->

@@ -226,15 +226,16 @@ let test_fabric_unregistered_delivery_fails () =
 
 (* Far into a run a 1e-9 step rounds away (2e7 + 1e-9 = 2e7 in
    doubles), so the floor must step by an ulp: the second of two frames
-   sent together on one edge is scheduled strictly later, and is
-   delivered second even by a chooser that picks the last ready
-   event. *)
+   sent together on one edge is delivered at a strictly later instant,
+   and second even by a chooser that picks the last ready event. *)
 let test_fabric_floor_far_in_time () =
   let sim = Engine.create () in
   let fab = make_fabric sim 2 in
   let arrivals = ref [] and log = ref [] in
-  Dsm_obs.Probe.attach (Engine.probe sim) Dsm_obs.Probe.net (function
-    | Dsm_obs.Probe.Net_send { arrival; _ } -> arrivals := arrival :: !arrivals
+  let bus = Engine.probe sim in
+  Dsm_obs.Probe.attach bus Dsm_obs.Probe.net (function
+    | Dsm_obs.Probe.Net_deliver _ ->
+        arrivals := Dsm_obs.Probe.now bus :: !arrivals
     | _ -> ());
   Fabric.register fab ~node:1 (fun ~src:_ s -> log := s :: !log);
   Engine.set_chooser sim (Some (fun k -> k - 1));
@@ -247,7 +248,7 @@ let test_fabric_floor_far_in_time () =
       Alcotest.(check bool)
         (Printf.sprintf "arrivals increase (%h < %h)" a b)
         true (a < b)
-  | l -> Alcotest.failf "%d sends probed" (List.length l));
+  | l -> Alcotest.failf "%d deliveries probed" (List.length l));
   Alcotest.(check (list string)) "send order" [ "first"; "second" ]
     (List.rev !log)
 

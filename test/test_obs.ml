@@ -226,8 +226,8 @@ let test_validator_rejects_malformed () =
 
 (* Walk [walk] of [spec] with a flight ring attached: alone, or beside a
    meter, a second coherence checker and a sink of the message class,
-   all attached after a first run built the arena (the scenario's own
-   checker and getput monitor sit on the bus either way). Returns the
+   all attached after a first run (the scenario's own checker and
+   getput monitor sit on the bus either way). Returns the
    fingerprint, the ring's window, and the message sink's count of
    messages and of events of any other class. *)
 let flight_walk ~beside spec walk =
@@ -326,7 +326,7 @@ let subscribe_all (bus : Probe.t) =
   let all = Array.of_list !order in
   Array.iteri (fun i _ -> bus.Probe.sinks.(i) <- all) bus.Probe.sinks
 
-(* Replays [token] in an arena a first replay built (its coherence
+(* Replays [token] in an arena that has replayed it once (its coherence
    checker and any getput monitor on the bus), with a flight ring, a
    timeline and a meter attached, each sink on its own classes or, with
    [~all], every sink on every class. Returns each sink's output. *)
@@ -379,6 +379,57 @@ let test_sink_reads_own_classes () =
       "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=";
       "dsm1|s=workload:random|n=3|seed=1|l=infiniband|f=none|r=0|b=0|me=200000|d=1,0,1";
     ]
+
+(* The arena's own sinks, the scenario's monitor and the coherence
+   checker, are attached when the ctx is created, before any caller's:
+   a flight ring attached to a new ctx and one attached after a first
+   run record the same window. The replay is a planted lost update, so
+   the window holds coherence violations, each emitted while the RMW
+   apply that exposed it is being delivered. *)
+let test_arena_sinks_attach_first () =
+  let t =
+    Result.get_ok
+      (Dsm_explore.Token.of_string
+         "dsm1|s=rmwlost-checked|n=3|seed=1|l=constant:1|f=none|r=0|b=1|me=200000|d=")
+  in
+  let ctx = Explore.create_ctx t.spec in
+  let bus = Explore.ctx_probe ctx in
+  let replay () = ignore (Explore.run_once_in ctx (Explore.Script t.decisions)) in
+  let early = Flight.attach bus in
+  replay ();
+  let late = Flight.attach bus in
+  replay ();
+  let window = Flight.events early in
+  Alcotest.(check bool) "a coherence violation" true
+    (List.exists
+       (function _, Probe.Coherence_violation _ -> true | _ -> false)
+       window);
+  Alcotest.(check bool) "same window" true (window = Flight.events late)
+
+(* A message event carries the wire message itself, so a sink on the
+   [msg] class costs the event block alone: at most 4 words (header,
+   [src], [dst], [msg]) per message event. The replay is a random
+   workload, whose scenario reads no message event itself (the getput
+   scenarios' monitor does, so their bus builds the events with or
+   without another sink). *)
+let test_msg_event_words () =
+  let t =
+    Result.get_ok
+      (Dsm_explore.Token.of_string
+         "dsm1|s=workload:random|n=3|seed=1|l=infiniband|f=none|r=0|b=0|me=200000|d=1,0,1")
+  in
+  let ctx = Explore.create_ctx t.spec in
+  let replay () = ignore (Explore.run_once_in ctx (Explore.Script t.decisions)) in
+  replay ();
+  let words () = snd (Test_util.allocated_words replay) in
+  let without = words () in
+  let events = ref 0 in
+  Probe.attach (Explore.ctx_probe ctx) Probe.msg (fun _ -> incr events);
+  let with_sink = words () in
+  let per_event = (with_sink -. without) /. float_of_int !events in
+  Alcotest.(check bool) "message events" true (!events > 0);
+  if per_event > 4. then
+    Alcotest.failf "%.2f words per message event (ceiling 4)" per_event
 
 (* ---------- metrics across the explorer ---------- *)
 
@@ -650,6 +701,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_sink_invariance;
           Alcotest.test_case "a sink reads only its own classes" `Quick
             test_sink_reads_own_classes;
+          Alcotest.test_case "the arena's sinks come first" `Quick
+            test_arena_sinks_attach_first;
+          Alcotest.test_case "a message event costs its block" `Quick
+            test_msg_event_words;
         ] );
       ( "perfetto",
         [

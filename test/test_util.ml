@@ -57,8 +57,8 @@ let meta_messages m =
     (Dsm_sim.Engine.probe (Dsm_rdma.Machine.sim m))
     Dsm_obs.Probe.msg
     (function
-      | Dsm_obs.Probe.Msg_sent { msg = { kind = Control; name; _ }; _ } ->
-          if name = "dsm.vget" then count := !count + 2
-          else if name = "dsm.vput" then incr count
+      | Dsm_obs.Probe.Msg_sent { msg = Control { tag; _ }; _ } ->
+          if tag = "dsm.vget" then count := !count + 2
+          else if tag = "dsm.vput" then incr count
       | _ -> ());
   fun () -> !count

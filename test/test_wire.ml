@@ -304,9 +304,9 @@ type ref_edge = {
   mutable seq : int;
 }
 
-let carries_clock (msg : Dsm_obs.Msg.t) =
-  match msg.kind with
-  | Put | Put_batch | Get_reply | Atomic_reply | Acc_reply | Lock_granted ->
+let carries_clock : Message.t -> bool = function
+  | Put _ | Put_batch _ | Get_reply _ | Atomic_reply _ | Acc_reply _
+  | Lock_granted _ ->
       true
   | _ -> false
 
