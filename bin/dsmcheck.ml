@@ -19,6 +19,7 @@ module Detector = Dsm_core.Detector
 module Report = Dsm_core.Report
 module Explore = Dsm_explore.Explore
 module Token = Dsm_explore.Token
+module Scenario = Dsm_explore.Scenario
 module Run = Dsm_run.Run
 
 let setup_logs verbose =
@@ -175,14 +176,14 @@ let experiment_cmd =
 
 (* ---------- workload ---------- *)
 
-let run_workload which n seed ops racy detect coherence verbose explain
-    trace_dot trace_csv signals_csv =
+let run_workload (which : Scenario.workload) n seed ops detect coherence
+    verbose explain trace_dot trace_csv signals_csv =
+  let ops = Option.value ops ~default:which.ops in
   one_shot
     {
       program =
         Workload
-          { which; ops; racy; coherence; seed; trace_dot; trace_csv;
-            signals_csv };
+          { which; ops; coherence; seed; trace_dot; trace_csv; signals_csv };
       n; model = Model.default; detect; verbose; explain; race_report = None;
       trace_out = None; metrics = No_metrics;
     }
@@ -198,6 +199,10 @@ let run_workload which n seed ops racy detect coherence verbose explain
             (Format.printf "  %a@." Dsm_rdma.Coherence.pp_violation)
             violations)
         r.coherence;
+      List.iter
+        (fun (invariant, detail) ->
+          Format.printf "violation      : %s: %s@." invariant detail)
+        r.invariants;
       print_messages r;
       detection_summary ~off:true r;
       Option.iter
@@ -216,13 +221,26 @@ let run_workload which n seed ops racy detect coherence verbose explain
 
 let workload_cmd =
   let doc = "Run a workload on the simulated DSM machine." in
+  let table f = String.concat ", " (List.map f Scenario.workloads) in
   let which =
+    let names = List.map (fun w -> (w.Scenario.name, w)) Scenario.workloads in
     Arg.(
       required
-      & pos 0 (some (enum Run.workloads)) None
+      & pos 0 (some (enum names)) None
       & info [] ~docv:"WORKLOAD"
+          ~doc:(table (fun w -> w.name) ^ ": explore's workload:NAME."))
+  in
+  let ops =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "ops" ] ~docv:"SIZE"
           ~doc:
-            "random, master-worker, stencil, pipeline, or locked-counter.")
+            ("The workload's size; by default explore's: "
+            ^ table (fun w ->
+                  Printf.sprintf "%s %d (%s, at least %d)" w.name w.ops
+                    w.knob w.min_ops)
+            ^ "."))
   in
   let explain =
     flag [ "explain" ]
@@ -236,8 +254,7 @@ let workload_cmd =
       ret
         (const run_workload $ which $ n_opt 4
         $ int_opt "seed" 1 "Random seed."
-        $ int_opt "ops" 20 "Ops per process / tasks / iterations."
-        $ flag [ "racy" ] "Racy master-worker variant."
+        $ ops
         $ on_by_default "detect" "Enable the race detector."
         $ flag [ "coherence" ] "Attach the memory-coherence checker."
         $ verbose_flag "Print signals live." $ explain
@@ -551,7 +568,7 @@ let explore_cmd =
          re-executes a token deterministically.";
       `P
         (Printf.sprintf "Scenarios: %s."
-           (String.concat ", " Dsm_explore.Scenario.known));
+           (String.concat ", " Scenario.known));
     ]
   in
   let depth =

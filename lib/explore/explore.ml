@@ -81,6 +81,7 @@ type ctx = {
          each run but the first; after a run, that run's, for post-run
          inspection (race explanations) *)
   mutable ran : bool;  (* a run has used [built] *)
+  checker : Coherence.t option;  (* [built]'s, boxed once per ctx *)
   digest : Buffer.t;  (* a fingerprint's payload *)
 }
 
@@ -108,6 +109,7 @@ let create_ctx ?metrics spec =
     ready_log = None;
     built;
     ran = false;
+    checker = Some built.coherence;
     digest = Buffer.create 256;
   }
 
@@ -352,7 +354,7 @@ let exec_with ctx chooser =
   | Some log ->
       Ready_log.finish log;
       Engine.set_choice_view ctx.sim None);
-  let monitor_report = built.monitor () in
+  let monitor_report = built.monitor ctx.checker in
   let violations =
     check_invariants ctx.spec built outcome mono ~monitor_report
   in

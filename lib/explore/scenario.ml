@@ -5,12 +5,18 @@ module Config = Dsm_core.Config
 module Env = Dsm_pgas.Env
 module Collectives = Dsm_pgas.Collectives
 module Probe = Dsm_obs.Probe
+open Dsm_workload
+
+(* A scenario's own invariants, read after the run with its checker *)
+type monitor = Coherence.t option -> (string * string) list
+
+let no_monitor (_ : Coherence.t option) = []
 
 type built = {
   machine : Machine.t;
   detector : Detector.t option;
   coherence : Coherence.t;
-  monitor : unit -> (string * string) list;
+  monitor : monitor;
 }
 
 (* A prepared scenario: everything machine-independent (spec parsing,
@@ -24,32 +30,6 @@ type plan = {
   mk_machine : Dsm_sim.Engine.t -> Machine.t;
   populate : Machine.t -> Coherence.t -> built;
 }
-
-let known =
-  [
-    "getput";
-    "getput-checked";
-    "rmwlost";
-    "rmwlost-checked";
-    "prog:FILE.dsm";
-    "workload:random";
-    "workload:master-worker";
-    "workload:master-worker-racy";
-    "workload:stencil";
-    "workload:pipeline";
-    "workload:locked-counter";
-    "workload:scale";
-    "workload:scale-batched";
-    "workload:histogram";
-    "workload:histogram-racy";
-    "workload:deque";
-    "workload:deque-racy";
-    "workload:allreduce";
-    "workload:allreduce-racy";
-    "workload:rmw-mix";
-  ]
-
-let no_monitor () = []
 
 (* [Skip_rmw_write_mark] is inert on scenarios without RMWs (getput),
    so one [bug] flag plants the whole defect family. *)
@@ -141,7 +121,7 @@ let populate_getput ~checked w machine coherence =
         Env.put env p ~src:payload ~dst:a;
         Machine.compute p 0.3
       done);
-  let monitor () =
+  let monitor _ =
     List.rev_map (fun m -> ("get-window-atomicity", m)) w.bad
   in
   { machine; detector = Env.detector env; coherence; monitor }
@@ -172,7 +152,7 @@ let populate_rmwlost ~checked machine coherence =
       ~name:(Printf.sprintf "adder%d" pid)
       (fun p -> ignore (Env.fetch_add env p ~target ~delta:1))
   done;
-  let monitor () =
+  let monitor _ =
     let v =
       (Dsm_memory.Node_memory.read (Machine.node machine 0) counter).(0)
     in
@@ -197,151 +177,164 @@ let populate_prog ir machine coherence =
   let (_ : Dsm_lang.Exec.runtime) = Dsm_lang.Exec.setup machine ~detector ir in
   { machine; detector = Some detector; coherence; monitor = no_monitor }
 
-(* The program [workload:NAME] installs, chosen once per plan: each
-   populate attaches the checker and the detector, then calls it with
-   the run's environment, collectives and coherence checker. A
-   seed-determined draw ([random]'s op sequences) is made here too, so
-   a populate only installs it. *)
-let workload_program ~name ~seed ~n =
-  match name with
-  | "random" ->
-      let program =
-        Dsm_workload.Random_access.draw ~n
-          {
-            Dsm_workload.Random_access.default with
-            ops_per_proc = 6;
-            think_mean = 1.0;
-            seed;
-          }
-      in
-      fun env collectives _ ->
-        Dsm_workload.Random_access.install env ~collectives program;
-        no_monitor
-  | "master-worker" | "master-worker-racy" ->
-      fun env collectives _ ->
-        Dsm_workload.Master_worker.setup env ~collectives
-          {
-            Dsm_workload.Master_worker.default with
-            tasks_per_worker = 3;
-            racy = name = "master-worker-racy";
-            seed;
-          };
-        no_monitor
-  | "stencil" ->
-      fun env collectives _ ->
-        ignore
-          (Dsm_workload.Stencil.setup env ~collectives
-             { Dsm_workload.Stencil.cells_per_node = 4; iterations = 2; seed });
-        no_monitor
-  | "pipeline" ->
-      fun env _ _ ->
-        Dsm_workload.Pipeline.setup env
-          { Dsm_workload.Pipeline.default with batches = 3; seed };
-        no_monitor
-  | "locked-counter" ->
-      fun env _ _ ->
-        Dsm_workload.Locked_counter.setup env
-          {
-            Dsm_workload.Locked_counter.increments_per_proc = 3;
-            think_mean = 1.0;
-            seed;
-          };
-        no_monitor
-  | "scale" | "scale-batched" ->
-      fun env _ _ ->
-        Dsm_workload.Scale.setup env
-          {
-            Dsm_workload.Scale.default with
-            racy = true;
-            batched = name = "scale-batched";
-            think_mean = 1.0;
-            seed;
-          };
-        no_monitor
-  | "histogram" | "histogram-racy" ->
-      fun env _ _ ->
-        Dsm_workload.Histogram.setup env
-          {
-            Dsm_workload.Histogram.default with
-            updates_per_proc = 2;
-            racy = name = "histogram-racy";
-            think_mean = 1.0;
-            seed;
-          };
-        no_monitor
-  | "deque" | "deque-racy" ->
-      fun env _ _ ->
-        Dsm_workload.Deque.setup env
-          {
-            Dsm_workload.Deque.default with
-            racy = name = "deque-racy";
-            think_mean = 1.0;
-            seed;
-          }
-  | "allreduce" | "allreduce-racy" ->
-      fun env collectives _ ->
-        Dsm_workload.Allreduce.setup env ~collectives
-          {
-            Dsm_workload.Allreduce.default with
-            contributions = 1;
-            racy = name = "allreduce-racy";
-            think_mean = 1.0;
-            seed;
-          }
-  | "rmw-mix" ->
-      fun env _ coherence ->
-        let machine = Env.machine env in
-        let arena =
-          Dsm_workload.Rmw_mix.setup env
-            {
-              Dsm_workload.Rmw_mix.default with
-              ops_per_proc = 3;
-              think_mean = 1.0;
-              seed;
-            }
-        in
-        (* the arena is updated only through NIC-visible puts and RMWs,
-           so at quiescence memory must agree with the shadow's serial
-           replay word for word *)
-        fun () ->
-          List.filter_map
-            (fun (r : Dsm_memory.Addr.region) ->
-              match
-                Coherence.expected coherence ~node:r.base.pid
-                  ~offset:r.base.offset
-              with
-              | None -> None
-              | Some want ->
-                  let got =
-                    (Dsm_memory.Node_memory.read
-                       (Machine.node machine r.base.pid)
-                       r).(0)
-                  in
-                  if got = want then None
-                  else
-                    Some
-                      ( "rmw-heap",
-                        Printf.sprintf
-                          "%d[%d] holds %d at quiescence, serial replay \
-                           gives %d"
-                          r.base.pid r.base.offset got want ))
-            arena
-  | _ -> invalid_arg (Printf.sprintf "Scenario: unknown workload %S" name)
+(* The one workload table: one entry per [workload:NAME], read by the
+   explorer's scenarios and by [dsmcheck workload] alike. An entry's
+   [build ~ops ~seed ~n] is called once per plan, so a seed-determined
+   draw ([random]'s op sequences) is made there; what it returns
+   installs the program on a run's environment and collectives and
+   returns the run's monitor. *)
+type workload = {
+  name : string;
+  min_procs : int;
+  min_ops : int;
+  knob : string;
+  ops : int;
+  build : ops:int -> seed:int -> n:int -> Env.t -> Collectives.t -> monitor;
+}
+
+(* a program whose run has no monitor of its own *)
+let quiet install env collectives =
+  install env collectives;
+  no_monitor
+
+let think_mean = 1.0
+
+let random ~ops ~seed ~n =
+  let p = { Random_access.default with ops_per_proc = ops; think_mean; seed } in
+  let program = Random_access.draw ~n p in
+  quiet (fun env collectives -> Random_access.install env ~collectives program)
+
+let master_worker ~racy ~ops ~seed ~n:_ =
+  let p = { Master_worker.default with tasks_per_worker = ops; racy; seed } in
+  quiet (fun env collectives -> Master_worker.setup env ~collectives p)
+
+let stencil ~ops ~seed ~n:_ =
+  let p = { Stencil.cells_per_node = 4; iterations = ops; seed } in
+  quiet (fun env collectives -> ignore (Stencil.setup env ~collectives p))
+
+let pipeline ~ops ~seed ~n:_ =
+  let p = { Pipeline.default with batches = ops; seed } in
+  quiet (fun env _ -> Pipeline.setup env p)
+
+let locked_counter ~ops ~seed ~n:_ =
+  let p = { Locked_counter.increments_per_proc = ops; think_mean; seed } in
+  quiet (fun env _ -> Locked_counter.setup env p)
+
+(* the racy ring, which needs distinct neighbours *)
+let scale ~batched ~ops ~seed ~n:_ =
+  let p =
+    { Scale.default with rounds = ops; racy = true; batched; think_mean; seed }
+  in
+  quiet (fun env _ -> Scale.setup env p)
+
+let histogram ~racy ~ops ~seed ~n:_ =
+  let p =
+    { Histogram.default with updates_per_proc = ops; racy; think_mean; seed }
+  in
+  quiet (fun env _ -> Histogram.setup env p)
+
+let deque ~racy ~ops ~seed ~n:_ =
+  let p = { Deque.steals_per_thief = ops; racy; think_mean; seed } in
+  fun env _ ->
+    let check = Deque.setup env p in
+    fun _ -> check ()
+
+let allreduce ~racy ~ops ~seed ~n:_ =
+  let p =
+    { Allreduce.default with contributions = ops; racy; think_mean; seed }
+  in
+  fun env collectives ->
+    let check = Allreduce.setup env ~collectives p in
+    fun _ -> check ()
+
+(* the arena is updated only through NIC-visible puts and RMWs, so at
+   quiescence memory must agree with the shadow's serial replay word
+   for word; a run without a checker has no replay to compare *)
+let rmw_heap machine arena coherence =
+  List.filter_map
+    (fun (r : Dsm_memory.Addr.region) ->
+      let node = r.base.pid and offset = r.base.offset in
+      match Coherence.expected coherence ~node ~offset with
+      | None -> None
+      | Some want ->
+          let memory = Machine.node machine node in
+          let got = (Dsm_memory.Node_memory.read memory r).(0) in
+          if got = want then None
+          else
+            Some
+              ( "rmw-heap",
+                Printf.sprintf
+                  "%d[%d] holds %d at quiescence, serial replay gives %d" node
+                  offset got want ))
+    arena
+
+let rmw_mix ~ops ~seed ~n:_ =
+  let p = { Rmw_mix.default with ops_per_proc = ops; think_mean; seed } in
+  fun env _ ->
+    let arena = Rmw_mix.setup env p in
+    Option.fold ~none:[] ~some:(rmw_heap (Env.machine env) arena)
+
+let entry ?(min_procs = 2) name ~knob ~ops ~min_ops build =
+  { name; min_procs; min_ops; knob; ops; build }
+
+(* [name] and [name-racy]: one builder, its [racy] flag set by the name *)
+let with_racy name ~knob ~ops ~min_ops build =
+  [
+    entry name ~knob ~ops ~min_ops (build ~racy:false);
+    entry (name ^ "-racy") ~knob ~ops ~min_ops (build ~racy:true);
+  ]
+
+let workloads =
+  [ entry "random" ~knob:"ops per process" ~ops:6 ~min_ops:0 random ]
+  @ with_racy "master-worker" ~knob:"tasks per worker" ~ops:3 ~min_ops:1
+      master_worker
+  @ [
+      entry "stencil" ~knob:"iterations" ~ops:2 ~min_ops:0 stencil;
+      entry "pipeline" ~knob:"batches" ~ops:3 ~min_ops:1 pipeline;
+      entry "locked-counter" ~knob:"increments per process" ~ops:3 ~min_ops:1
+        locked_counter;
+      entry ~min_procs:3 "scale" ~knob:"rounds" ~ops:2 ~min_ops:1
+        (scale ~batched:false);
+      entry ~min_procs:3 "scale-batched" ~knob:"rounds" ~ops:2 ~min_ops:1
+        (scale ~batched:true);
+    ]
+  @ with_racy "histogram" ~knob:"updates per process" ~ops:2 ~min_ops:0
+      histogram
+  @ with_racy "deque" ~knob:"steals per thief" ~ops:1 ~min_ops:1 deque
+  @ with_racy "allreduce" ~knob:"contributions" ~ops:1 ~min_ops:1 allreduce
+  @ [ entry "rmw-mix" ~knob:"ops per process" ~ops:3 ~min_ops:0 rmw_mix ]
 
 let populate_workload program machine coherence =
   let detector = Detector.create machine () in
   let env = Env.checked detector in
   let collectives = Collectives.create env in
-  let monitor = program env collectives coherence in
+  let monitor = program env collectives in
   { machine; detector = Some detector; coherence; monitor }
 
+let known =
+  [ "getput"; "getput-checked"; "rmwlost"; "rmwlost-checked"; "prog:FILE.dsm" ]
+  @ List.map (fun w -> "workload:" ^ w.name) workloads
+
+let find_workload name = List.find_opt (fun w -> w.name = name) workloads
+
 (* The one table of process minimums, read by [prepare] and by the
-   one-shot commands: the racy ring of [scale] needs distinct
-   neighbours, a program runs on one process, everything else on two. *)
-let min_procs = function
-  | "workload:scale" | "workload:scale-batched" -> 3
-  | s when String.starts_with ~prefix:"prog:" s -> 1
-  | _ -> 2
+   one-shot commands: a workload's own row, one process for a program,
+   two for everything else. *)
+let min_procs s =
+  if String.starts_with ~prefix:"prog:" s then 1
+  else
+    List.fold_left
+      (fun min w -> if "workload:" ^ w.name = s then w.min_procs else min)
+      2 workloads
+
+let check_procs s ~min n =
+  if n >= min then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "scenario %s needs at least %d process%s; pass -n %d or more" s min
+         (if min = 1 then "" else "es")
+         min)
 
 let prepare (s : Token.spec) =
   let spec = s.scenario in
@@ -371,10 +364,13 @@ let prepare (s : Token.spec) =
       let arg = String.sub spec (colon + 1) (String.length spec - colon - 1) in
       match kind with
       | "prog" -> plan (populate_prog (compile_prog arg))
-      | "workload" ->
-          plan
-            (populate_workload
-               (workload_program ~name:arg ~seed:s.seed ~n:s.n))
+      | "workload" -> (
+          match find_workload arg with
+          | Some w ->
+              plan
+                (populate_workload (w.build ~ops:w.ops ~seed:s.seed ~n:s.n))
+          | None ->
+              invalid_arg (Printf.sprintf "Scenario: unknown workload %S" arg))
       | _ -> invalid_arg (Printf.sprintf "Scenario: unknown scenario %S" spec))
 
 let procs plan = plan.procs

@@ -21,9 +21,9 @@
       under the bug, exercising the provenance-based atomicity fallback.
     - ["prog:FILE.dsm"] — a mini-language program run instrumented under
       the detector, like [dsmcheck run].
-    - ["workload:NAME"] — one of the [dsm_workload] programs (random,
-      master-worker, master-worker-racy, stencil, pipeline,
-      locked-counter), scaled down for fast exploration.
+    - ["workload:NAME"] — one of the [dsm_workload] programs, named by
+      an entry of {!workloads} (the table [dsmcheck workload] runs
+      too), at the entry's preset size.
 
     Building a scenario allocates the machine, attaches the coherence
     checker, spawns the processes, and returns without running: the
@@ -31,6 +31,11 @@
     probe-bus sinks, and the bus outlives [Machine.reset]: they are
     attached once per engine, by {!instantiate}, and {!repopulate}
     resets them for the next run. *)
+
+type monitor = Dsm_rdma.Coherence.t option -> (string * string) list
+(** A scenario's own invariants: called after the run with its coherence
+    checker, if one is attached, it returns the violations it saw as
+    [(invariant, detail)] pairs ([rmw-heap] needs the checker). *)
 
 type built = {
   machine : Dsm_rdma.Machine.t;
@@ -41,11 +46,35 @@ type built = {
           ["coherence"] invariant and its RMW serial-specification
           violations (none when the run performs no RMWs) as the
           ["rmw-linearizability"] invariant *)
-  monitor : unit -> (string * string) list;
-      (** scenario-specific invariant violations observed during the run,
-          as [(invariant, detail)] pairs; call after the run, before the
-          arena's next populate resets them *)
+  monitor : monitor;
+      (** called after the run, before the arena's next populate resets
+          its state *)
 }
+
+type workload = {
+  name : string;  (** the [NAME] of [workload:NAME] *)
+  min_procs : int;  (** the fewest processes it runs on *)
+  min_ops : int;  (** the smallest size its module accepts *)
+  knob : string;  (** what its size counts, e.g. ["tasks per worker"] *)
+  ops : int;  (** the size explored runs use *)
+  build :
+    ops:int ->
+    seed:int ->
+    n:int ->
+    Dsm_pgas.Env.t ->
+    Dsm_pgas.Collectives.t ->
+    monitor;
+      (** [build ~ops ~seed ~n] fixes the program's parameters (and draws
+          [random]'s op sequences) once; applying the result to a run's
+          environment and collectives installs the program on it and
+          returns its monitor *)
+}
+(** One entry of the workload table. *)
+
+val workloads : workload list
+(** The one workload table: every [workload:NAME] the explorer runs and
+    every workload [dsmcheck workload] runs, each with one set of
+    constants. *)
 
 val known : string list
 (** Spec forms, for help text. *)
@@ -75,11 +104,15 @@ val prepare : Token.spec -> plan
 
 val min_procs : string -> int
 (** The fewest processes the program named [s] runs on: 1 for
-    [prog:FILE], 3 for the racy rings [workload:scale] and
-    [workload:scale-batched], 2 for every other name. The one table of
-    process minimums: {!prepare} reads it, and so do the one-shot
-    commands under the same names ([workload:NAME], [prog:FILE], and
-    [scale] for the plain ring). *)
+    [prog:FILE], a [workload:NAME]'s own {!workloads} row (3 for the
+    racy rings [workload:scale] and [workload:scale-batched]), 2 for
+    every other name. The one table of process minimums: {!prepare}
+    reads it, and so do the one-shot commands under the same names
+    ([workload:NAME], [prog:FILE], and [scale] for the plain ring). *)
+
+val check_procs : string -> min:int -> int -> (unit, string) result
+(** [check_procs s ~min n]: [Error] with the usage message, naming [s]
+    and the [-n] to pass, of every command when [n] is below [min]. *)
 
 val procs : plan -> int
 (** The effective process count: the spec's [n]. *)

@@ -13,15 +13,6 @@ module Timeline = Dsm_obs.Timeline
 
 include Run_types
 
-let workloads =
-  [
-    ("random", Random);
-    ("master-worker", Master_worker);
-    ("stencil", Stencil);
-    ("pipeline", Pipeline);
-    ("locked-counter", Locked_counter);
-  ]
-
 type search = Replay of Token.t | Compare of Model.t * Model.t | Search
 
 type _ checked =
@@ -80,31 +71,20 @@ let write_trace timeline path =
 
 (* ---------- one-shot runs ---------- *)
 
-(* A program's row in [Scenario.min_procs]: the plain ring of [scale]
-   is no scenario and reads the default row, and a figure runs on its
-   own minimum whatever [-n] asks for. *)
-let min_procs = function
-  | Workload { which; _ } ->
-      Scenario.min_procs
-        ("workload:" ^ fst (List.find (fun (_, w) -> w = which) workloads))
-  | Scale { racy = true; _ } -> Scenario.min_procs "workload:scale"
-  | Scale _ -> Scenario.min_procs "scale"
-  | Source { path; _ } -> Scenario.min_procs ("prog:" ^ path)
-  | Figure _ -> 1
-
-(* Random accesses and stencil iterations may be zero; tasks, batches
-   and increments may not. *)
-let min_ops = function
-  | Random | Stencil -> 0
-  | Master_worker | Pipeline | Locked_counter -> 1
+(* A program's name and its row in [Scenario.min_procs]: the plain ring
+   of [scale] is no scenario and reads the default row, and a figure
+   runs on its own minimum whatever [-n] asks for. *)
+let min_procs =
+  let named s = (s, Scenario.min_procs s) in
+  function
+  | Workload { which; _ } -> ("workload:" ^ which.name, which.min_procs)
+  | Scale { racy; _ } -> named (if racy then "workload:scale" else "scale")
+  | Source { path; _ } -> named ("prog:" ^ path)
+  | Figure name -> (name, 1)
 
 let validate_shot (o : one_shot) =
-  let min = min_procs o.program in
-  let enough =
-    ( o.n >= min,
-      Printf.sprintf "need at least %d process%s" min
-        (if min = 1 then "" else "es") )
-  in
+  let name, min = min_procs o.program in
+  let enough = holds (Scenario.check_procs name ~min o.n) in
   let collectives = holds (Collectives.check_n o.n) in
   (* a program is read, parsed and lowered once, here *)
   let* ir =
@@ -120,9 +100,9 @@ let validate_shot (o : one_shot) =
       (match o.program with
       | Workload { which; ops; _ } ->
           [
-            ( ops >= min_ops which,
+            ( ops >= which.min_ops,
               Printf.sprintf "--ops must be at least %d for this workload"
-                (min_ops which) );
+                which.min_ops );
             enough;
             collectives;
           ]
@@ -142,8 +122,8 @@ let env_of machine = function
   | None -> Env.plain machine
 
 (* Build and populate the machine: returns it with the detector whose
-   verdict the command reports, the coherence checker and the program's
-   runtime. *)
+   verdict the command reports, the coherence checker, the program's
+   runtime and the workload's monitor. *)
 let populate sim (o : one_shot) ir =
   let n = o.n and model = o.model in
   match (o.program, ir) with
@@ -164,36 +144,9 @@ let populate sim (o : one_shot) ir =
           Some (Detector.create machine ~config ~verbose:o.verbose ())
         else None
       in
+      let program = w.which.build ~ops:w.ops ~seed:w.seed ~n in
       let env = env_of machine detector in
-      let collectives = Collectives.create env in
-      let seed = w.seed and ops = w.ops in
-      (match w.which with
-      | Random ->
-          Dsm_workload.Random_access.setup env ~collectives
-            { Dsm_workload.Random_access.default with ops_per_proc = ops; seed }
-      | Master_worker ->
-          Dsm_workload.Master_worker.setup env ~collectives
-            {
-              Dsm_workload.Master_worker.default with
-              tasks_per_worker = ops;
-              racy = w.racy;
-              seed;
-            }
-      | Stencil ->
-          ignore
-            (Dsm_workload.Stencil.setup env ~collectives
-               { Dsm_workload.Stencil.default with iterations = ops; seed })
-      | Pipeline ->
-          Dsm_workload.Pipeline.setup env
-            { Dsm_workload.Pipeline.default with batches = ops; seed }
-      | Locked_counter ->
-          Dsm_workload.Locked_counter.setup env
-            {
-              Dsm_workload.Locked_counter.default with
-              increments_per_proc = ops;
-              seed;
-            });
-      (machine, detector, checker, None)
+      (machine, detector, checker, None, program env (Collectives.create env))
   | Scale s, _ ->
       (* tiny segments: at n = 1024 the default 4096-word segments would
          cost tens of megabytes per run for buffers of a few words *)
@@ -215,7 +168,7 @@ let populate sim (o : one_shot) ir =
           think_mean = 0.0;
           seed = s.seed;
         };
-      (machine, detector, None, None)
+      (machine, detector, None, None, fun _ -> [])
   | Source _, ir ->
       let ir = Option.get ir in
       let machine = Machine.create sim ~n ~model () in
@@ -224,7 +177,7 @@ let populate sim (o : one_shot) ir =
         else None
       in
       let rt = Dsm_lang.Exec.setup machine ?detector ir in
-      (machine, detector, None, Some (ir, rt))
+      (machine, detector, None, Some (ir, rt), fun _ -> [])
   | Figure name, _ ->
       let n = max n Dsm_experiments.Figures.figure_min_nodes in
       let machine = Machine.create sim ~n ~model () in
@@ -233,7 +186,8 @@ let populate sim (o : one_shot) ir =
         | Ok d -> d
         | Error msg -> invalid_arg msg
       in
-      (machine, (if o.detect then detector else None), None, None)
+      let detector = if o.detect then detector else None in
+      (machine, detector, None, None, fun _ -> [])
 
 (* Attach the sinks [o] needs before the machine is populated, so they
    observe the run end to end (every sink is passive), run the machine
@@ -261,7 +215,7 @@ let exec_shot (o : one_shot) ir =
       Some (Dsm_obs.Flight.attach probe)
     else None
   in
-  let machine, detector, coherence, program = populate sim o ir in
+  let machine, detector, coherence, program, monitor = populate sim o ir in
   let t0 = Unix.gettimeofday () in
   let completed =
     match Machine.run machine with
@@ -303,22 +257,22 @@ let exec_shot (o : one_shot) ir =
     | _ -> None
   in
   Ok
-    { machine; detector; coherence; program; wall; completed; explanations;
-      registry; trace }
+    { machine; detector; coherence; program; wall; completed;
+      invariants = monitor coherence; explanations; registry; trace }
 
 (* ---------- explored runs ---------- *)
 
 let validate_explore (e : explore) =
-  let min = Scenario.min_procs e.spec.scenario in
   let diff = e.diff_models <> None and replay = e.replay <> None in
   let* () =
     checks
       [
         holds (Token.validate (Token.make e.spec []));
-        ( replay || e.spec.n >= min,
-          Printf.sprintf
-            "scenario %s needs at least %d processes; pass -n %d or more"
-            e.spec.scenario min min );
+        holds
+          (if replay then Ok ()
+           else
+             let s = e.spec.scenario in
+             Scenario.check_procs s ~min:(Scenario.min_procs s) e.spec.n);
         (e.runs >= 1, "--runs must be a positive number of runs");
         (e.jobs >= 1, "--jobs must be a positive number of worker domains");
         ( Option.fold ~none:true ~some:(fun d -> d >= 0) e.depth,

@@ -14,9 +14,6 @@ include module type of struct
   include Run_types
 end
 
-val workloads : (string * workload) list
-(** Each workload under its command-line name. *)
-
 val failure : explored -> string option
 (** The usage error an explored run ends with once it is printed: an
     invariant violated, a model-dependent verdict, or a race count that

@@ -11,15 +11,12 @@ type error =
 
 (** {2 One-shot runs} *)
 
-type workload = Random | Master_worker | Stencil | Pipeline | Locked_counter
-
 type metrics_out = No_metrics | Print_metrics | Metrics_file of string
 
 type program =
   | Workload of {
-      which : workload;
-      ops : int;  (** ops per process, tasks, batches or iterations *)
-      racy : bool;  (** the racy master-worker variant *)
+      which : Dsm_explore.Scenario.workload;
+      ops : int;  (** the size its [knob] counts *)
       coherence : bool;  (** attach the coherence checker *)
       seed : int;
       trace_dot : string option;
@@ -55,6 +52,8 @@ type ran = {
   program : (Dsm_lang.Ir.program * Dsm_lang.Exec.runtime) option;
   wall : float;  (** seconds the run took *)
   completed : bool;
+  invariants : (string * string) list;
+      (** a workload's monitor report; empty for other programs *)
   explanations : Dsm_obs.Explain.t list option;
       (** [Some] exactly when [explain] or [race_report] asked for them *)
   registry : Dsm_obs.Metrics.t option;

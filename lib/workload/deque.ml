@@ -10,8 +10,6 @@ type params = {
   seed : int;
 }
 
-let default = { steals_per_thief = 1; racy = false; think_mean = 0.0; seed = 1 }
-
 let item_value i = 100 + i
 
 (* A one-owner work-stealing deque in the C11 release/acquire idiom,

@@ -22,8 +22,6 @@ type params = {
   seed : int;
 }
 
-val default : params
-
 val setup : Dsm_pgas.Env.t -> params -> unit -> (string * string) list
 (** Spawns the owner and the thieves; returns a post-run check that
     every pushed task was stolen exactly once with the pushed value

@@ -1227,7 +1227,7 @@ let test_note_full_ring_allocates_nothing () =
 (* ---------- allocation budget ---------- *)
 
 (* The minor words a fixed checked stencil run allocates per checked op
-   may not rise: 120.75 in the default (release) build and 131.01 under
+   may not rise: 117.92 in the default (release) build and 131.01 under
    --profile dev, whose -opaque modules inline nothing across modules,
    when this ceiling was set at the higher of the two (148.9 before,
    with 148.84 measured under dev, before the lock table stopped

@@ -350,7 +350,7 @@ let sink_outputs ~all token =
         (Format.asprintf "%a" Dsm_rdma.Coherence.pp_violation)
         (Dsm_rdma.Coherence.violations coherence),
       Dsm_rdma.Coherence.rmw_violations coherence ),
-    (b.monitor (), r.Explore.fingerprint) )
+    (b.monitor (Some b.coherence), r.Explore.fingerprint) )
 
 (* Each library sink reads only the classes it names: subscribed to
    every class instead, the flight window, the Perfetto trace, the

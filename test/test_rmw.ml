@@ -237,7 +237,12 @@ let explicit_rmw_digest ~workload ~n ~seed =
         fun () -> []
     | "deque" | "deque-racy" ->
         Dsm_workload.Deque.setup env
-          { Dsm_workload.Deque.default with racy; think_mean = 1.0; seed }
+          {
+            Dsm_workload.Deque.steals_per_thief = 1;
+            racy;
+            think_mean = 1.0;
+            seed;
+          }
     | "allreduce" | "allreduce-racy" ->
         let collectives = Dsm_pgas.Collectives.create env in
         Dsm_workload.Allreduce.setup env ~collectives
